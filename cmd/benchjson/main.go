@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchtime 1x . | benchjson -o BENCH_PR4.json
-//	go test -run '^$' -bench . -benchtime 1x . | benchjson -baseline BENCH_PR4.json -o BENCH_CI.json
+//	go test -run '^$' -bench . -benchtime 1x . | benchjson -o BENCH_PR10.json
+//	go test -run '^$' -bench . -benchtime 1x . | benchjson -baseline BENCH_PR10.json -o BENCH_CI.json
 //
 // With -baseline, benchjson compares the current run against the
 // committed baseline and exits non-zero when any deterministic metric

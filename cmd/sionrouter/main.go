@@ -9,45 +9,30 @@
 //
 //	sionrouter [-addr :8080] [-nodes 3] [-cache-mb 64] [-block N]
 //	           [-retries 4] [-replicate 2] [-hot-min 64] [-vnodes 64]
+//	           [-pprof] [-slow-ms 500]
 //	           [-backend posix|objstore[,profile]] <multifile>
 //
-// Endpoints:
+// The read endpoints, the degraded (503 + Retry-After) contract and the
+// SIGINT/SIGTERM drain are internal/httpapi's, shared with sionserve; its
+// package comment is the reference. /stats is a cluster.Stats, /metrics
+// carries the router's cluster_* families plus every node's serve_*
+// families labeled node=<id>. The router adds:
 //
-//	GET  /ranks                  JSON layout summary (tasks, files, sizes)
-//	GET  /rank/<r>               the rank's whole logical stream
-//	GET  /rank/<r>?off=O&n=N     N bytes from logical offset O
-//	GET  /stats                  JSON cluster + per-node counters
-//	GET  /metrics                Prometheus text exposition: router-level
-//	                             cluster_* families plus every node's
-//	                             serve_* families labeled node=<id>
-//	GET  /healthz                aggregated breaker state; 503 only when
-//	                             every node is degraded (single nodes are
-//	                             routed around, not surfaced)
 //	GET  /cluster                membership and hot-set summary
 //	POST /cluster/join?id=<id>   add a serve node to the ring
 //	POST /cluster/leave?id=<id>  drain a node off the ring
 //	POST /cluster/rebalance      replicate the current hot set now
 //
-// Reads that lose every ring replica answer 503 + Retry-After, mirroring
-// sionserve's degraded contract. A hot-set rebalance also runs on a
-// background ticker.
-//
-// With -pprof the net/http/pprof handlers are mounted under
-// /debug/pprof/. Every response echoes an X-Request-ID (adopted from the
-// request or generated); requests slower than -slow-ms are logged with
-// the request's breadcrumb trail (cache hits, peer fills, failovers).
+// A hot-set rebalance also runs on a background ticker.
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -55,48 +40,29 @@ import (
 	"repro/internal/backendflag"
 	"repro/internal/cluster"
 	"repro/internal/fsio"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
-	"repro/internal/resil"
 	"repro/internal/serve"
 )
 
 // router carries the cluster plus everything needed to admit new nodes
 // at runtime (join re-uses the CLI's backend and per-node serve config).
 type router struct {
-	c     *cluster.Cluster
-	fsys  fsio.FileSystem
-	name  string
-	scfg  *serve.Config
-	slow  time.Duration // slow-request log threshold (0 disables)
-	pprof bool          // mount /debug/pprof/
+	c    *cluster.Cluster
+	api  *httpapi.API
+	fsys fsio.FileSystem
+	name string
+	scfg *serve.Config
 }
 
-// logger is the process-wide structured logger: response-write failures —
-// errors after the status line is committed, which can no longer become
-// an HTTP error for the client — plus the middleware's slow-request
-// lines. Handler tests capture records via logger.SetHook.
-var logger = obs.NewLogger(os.Stderr)
-
-const (
-	shutdownTimeout = 10 * time.Second
-	rebalanceEvery  = 5 * time.Second
-	retryAfterSecs  = "1"
-)
+const rebalanceEvery = 5 * time.Second
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
+	fl := httpapi.RegisterFlags(flag.CommandLine)
 	nodes := flag.Int("nodes", 3, "serve nodes to start on the ring")
-	cacheMB := flag.Int64("cache-mb", 64, "per-node block cache budget in MiB")
-	block := flag.Int64("block", 0, "cache block size in bytes (0 = the multifile's FS block size)")
-	retries := flag.Int("retries", resil.DefaultMaxAttempts,
-		"max attempts per backend read under transient faults (1 disables retries)")
 	replicate := flag.Int("replicate", 2, "ring replicas per hot block, primary included (1 disables)")
 	hotMin := flag.Int64("hot-min", 64, "cache hits at which a block counts as hot")
 	vnodes := flag.Int("vnodes", 64, "virtual ring points per node")
-	backend := backendflag.Flag()
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	slowMs := flag.Int64("slow-ms", 500,
-		"log requests slower than this many milliseconds with their breadcrumb trail (0 disables)")
 	flag.Parse()
 	if flag.NArg() != 1 || *nodes < 1 {
 		fmt.Fprintln(os.Stderr, "usage: sionrouter [flags] <multifile> (see -h)")
@@ -107,7 +73,7 @@ func main() {
 	// each node's serve_* families (labeled node=<id> at Join), and the
 	// shared instrumented backend's fsio_* families (labeled backend=<kind>).
 	reg := obs.NewRegistry()
-	stack, err := backendflag.Build(*backend, reg)
+	stack, err := backendflag.Build(fl.Backend, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sionrouter:", err)
 		os.Exit(2)
@@ -119,15 +85,9 @@ func main() {
 			HotMinHits:   *hotMin,
 			Metrics:      reg,
 		}),
-		fsys:  stack.FS,
-		name:  flag.Arg(0),
-		slow:  time.Duration(*slowMs) * time.Millisecond,
-		pprof: *pprofOn,
-		scfg: &serve.Config{
-			CacheBytes: *cacheMB << 20,
-			BlockBytes: *block,
-			Retry:      &resil.Budget{MaxAttempts: *retries},
-		},
+		fsys: stack.FS,
+		name: flag.Arg(0),
+		scfg: fl.ServeConfig(),
 	}
 	for i := 1; i <= *nodes; i++ {
 		if _, err := rt.c.Join(fmt.Sprintf("n%d", i), rt.fsys, rt.name, rt.scfg); err != nil {
@@ -135,7 +95,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.handler()}
+	rt.mount(fl)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -155,99 +115,26 @@ func main() {
 		}
 	}()
 
-	done := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		fmt.Println("sionrouter: shutting down")
-		dctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-		defer cancel()
-		done <- httpSrv.Shutdown(dctx)
-	}()
-
 	fmt.Printf("sionrouter: serving %s (%d ranks, %d nodes) on %s\n",
-		rt.name, rt.c.Layout().NTasks(), *nodes, *addr)
-	err = httpSrv.ListenAndServe()
-	if !errors.Is(err, http.ErrServerClosed) {
-		rt.c.Close()
+		rt.name, rt.c.Layout().NTasks(), *nodes, fl.Addr)
+	if err := rt.api.Run(ctx, "sionrouter", fl.Addr); err != nil {
 		fmt.Fprintln(os.Stderr, "sionrouter:", err)
 		os.Exit(1)
 	}
-	if derr := <-done; derr != nil {
-		fmt.Fprintln(os.Stderr, "sionrouter: drain:", derr)
-	}
-	if cerr := rt.c.Close(); cerr != nil {
-		fmt.Fprintln(os.Stderr, "sionrouter: close:", cerr)
-	}
 }
 
-// mux wires the handler table (split out so tests drive the handlers
-// through httptest without a listener).
-func (rt *router) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ranks", rt.handleRanks)
-	mux.HandleFunc("/rank/", rt.handleRank)
-	mux.HandleFunc("/stats", rt.handleStats)
-	mux.Handle("/metrics", obs.Handler(rt.c.Metrics()))
-	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/cluster", rt.handleCluster)
-	mux.HandleFunc("/cluster/", rt.handleClusterOp)
-	if rt.pprof {
-		obs.MountPprof(mux)
-	}
-	return mux
-}
-
-// handler is the mux behind the shared observability middleware:
-// X-Request-ID assignment/echo, a per-request breadcrumb span, and the
-// slow-request log.
-func (rt *router) handler() http.Handler {
-	return obs.HTTPMiddleware(rt.mux(), logger, rt.slow)
-}
-
-func (rt *router) handleRanks(w http.ResponseWriter, _ *http.Request) {
-	l := rt.c.Layout()
-	type rankInfo struct {
-		Rank  int   `json:"rank"`
-		File  int   `json:"file"`
-		Bytes int64 `json:"bytes"`
-	}
-	out := struct {
-		Name  string     `json:"name"`
-		Tasks int        `json:"tasks"`
-		Files int        `json:"files"`
-		FSBlk int64      `json:"fs_block_size"`
-		Ranks []rankInfo `json:"ranks"`
-	}{Name: l.Name(), Tasks: l.NTasks(), Files: l.NumFiles(), FSBlk: l.FSBlockSize()}
-	for g, loc := range l.Mapping() {
-		out.Ranks = append(out.Ranks, rankInfo{Rank: g, File: int(loc.File), Bytes: l.RankSize(g)})
-	}
-	writeJSON(w, out)
-}
-
-func (rt *router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, rt.c.Stats())
-}
-
-// handleHealthz aggregates the nodes' breaker state. Unlike a single
-// sionserve, one degraded node is not a degraded service — the ring
-// routes around it — so the 503 fires only when the whole cluster is.
-func (rt *router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	degraded := rt.c.Degraded()
-	status := "ok"
-	if degraded {
-		status = "degraded"
-		w.Header().Set("Retry-After", retryAfterSecs)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	writeJSON(w, struct {
-		Status string               `json:"status"`
-		Nodes  []cluster.NodeHealth `json:"nodes"`
-	}{Status: status, Nodes: rt.c.Health()})
+// mount puts the shared read API on the cluster and adds the router's own
+// routes to its mux (split out so tests drive the handlers through
+// httptest without a listener).
+func (rt *router) mount(fl *httpapi.Flags) {
+	rt.api = httpapi.ForCluster(rt.c, fl)
+	rt.api.Mux.HandleFunc("/cluster", rt.handleCluster)
+	rt.api.Mux.HandleFunc("/cluster/", rt.handleClusterOp)
 }
 
 // handleCluster summarizes membership and the tracked hot set.
 func (rt *router) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, struct {
+	rt.api.WriteJSON(w, struct {
 		Nodes      []string `json:"nodes"`
 		HotTracked int      `json:"hot_tracked"`
 	}{Nodes: rt.c.NodeIDs(), HotTracked: rt.c.HotTracked()})
@@ -262,27 +149,23 @@ func (rt *router) handleClusterOp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.URL.Query().Get("id")
+	if id == "" && (op == "join" || op == "leave") {
+		http.Error(w, op+" needs ?id=", http.StatusBadRequest)
+		return
+	}
 	switch op {
 	case "join":
-		if id == "" {
-			http.Error(w, "join needs ?id=", http.StatusBadRequest)
-			return
-		}
 		if _, err := rt.c.Join(id, rt.fsys, rt.name, rt.scfg); err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
 	case "leave":
-		if id == "" {
-			http.Error(w, "leave needs ?id=", http.StatusBadRequest)
-			return
-		}
 		if err := rt.c.Leave(id); err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
 	case "rebalance":
-		writeJSON(w, struct {
+		rt.api.WriteJSON(w, struct {
 			Replicated int `json:"replicated"`
 		}{Replicated: rt.c.RebalanceHot()})
 		return
@@ -291,115 +174,4 @@ func (rt *router) handleClusterOp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.handleCluster(w, r)
-}
-
-// handleRank answers /rank/<r> whole or windowed, streaming through the
-// cluster data path.
-func (rt *router) handleRank(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/rank/")
-	rank, err := strconv.Atoi(rest)
-	if err != nil {
-		http.Error(w, "bad rank", http.StatusBadRequest)
-		return
-	}
-	h, err := rt.c.Open(rank)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	// Thread the request's span down the cluster data path so the layers
-	// below leave breadcrumbs (cache hit / peer fill / failover) on it.
-	h.SetSpan(obs.SpanFrom(r.Context()))
-	rt.serveBytes(w, r, h)
-}
-
-// serveChunk bounds the buffer serveBytes streams through, so a full-rank
-// GET never materializes the whole logical stream.
-const serveChunk int64 = 1 << 20
-
-// serveBytes mirrors sionserve's window contract: malformed off/n are
-// 400s, a well-formed off outside [0, size] is a 416, n past the end is
-// clamped, off == size is a valid empty window. The first chunk is read
-// before the status line goes out so immediate failures map through
-// httpError; later failures are logged and the body cut short.
-func (rt *router) serveBytes(w http.ResponseWriter, r *http.Request, h *serve.Handle) {
-	size := h.LogicalSize()
-	off, n := int64(0), size
-	q := r.URL.Query()
-	if v := q.Get("off"); v != "" {
-		parsed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			http.Error(w, "off is not an integer", http.StatusBadRequest)
-			return
-		}
-		if parsed < 0 || parsed > size {
-			http.Error(w, fmt.Sprintf("off %d outside the logical stream (0..%d)", parsed, size),
-				http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		off = parsed
-		n = size - off
-	}
-	if v := q.Get("n"); v != "" {
-		want, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || want < 0 {
-			http.Error(w, "n is not a byte count", http.StatusBadRequest)
-			return
-		}
-		if want < n {
-			n = want
-		}
-	}
-	buf := make([]byte, min(n, serveChunk))
-	if n > 0 {
-		if _, err := h.ReadLogicalAt(buf[:min(n, serveChunk)], off); err != nil {
-			httpError(w, err)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	for sent := int64(0); sent < n; {
-		m := min(n-sent, serveChunk)
-		if sent > 0 { // the first chunk was read before the headers
-			if _, err := h.ReadLogicalAt(buf[:m], off+sent); err != nil {
-				logger.Error("reading stream", "req", obs.SpanFrom(r.Context()).ID(),
-					"path", r.URL.Path, "at", sent, "of", n, "err", err)
-				return
-			}
-		}
-		if _, err := w.Write(buf[:m]); err != nil {
-			logger.Error("writing response", "req", obs.SpanFrom(r.Context()).ID(),
-				"path", r.URL.Path, "at", sent, "of", n, "err", err)
-			return
-		}
-		sent += m
-	}
-}
-
-// httpError maps a read failure to its status: a cluster with every
-// replica of a block down is 503 + Retry-After (the breakers re-probe
-// after their cooldown), everything else stays a 500.
-func httpError(w http.ResponseWriter, err error) {
-	if errors.Is(err, serve.ErrDegraded) {
-		w.Header().Set("Retry-After", retryAfterSecs)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
-}
-
-// writeJSON marshals before touching the ResponseWriter so an encoding
-// failure can still become a 500; a failed write afterwards is logged.
-func writeJSON(w http.ResponseWriter, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		logger.Error("encoding response", "err", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		logger.Error("writing response", "err", err)
-	}
 }

@@ -3,20 +3,28 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/backendflag"
 	"repro/internal/cluster"
 	sion "repro/internal/core"
 	"repro/internal/fsio"
+	"repro/internal/httpapi"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/resil"
-	"repro/internal/serve"
 )
+
+// The read-side HTTP contract is pinned once, for both front ends, by
+// internal/httpapi's suite. What is sionrouter's own: the wiring in
+// main() (flags → backend stack, per-node serve.Config, one registry for
+// the whole topology), the /cluster routes, and what /healthz and /stats
+// mean for a cluster.
 
 const (
 	rtRanks   = 3
@@ -34,13 +42,13 @@ func rtPayload(rank, size int) []byte {
 	return p
 }
 
-// newTestRouter writes a small multifile, stands up a 3-node cluster over
-// it, and returns the router (for membership ops) plus its handler table.
-func newTestRouter(t *testing.T) (*router, *http.ServeMux) {
+// newTestRouter writes a small multifile and stands up a 3-node router
+// over it the way main() does, from parsed flags.
+func newTestRouter(t *testing.T, args ...string) (*router, http.Handler) {
 	t.Helper()
-	fsys := fsio.NewOS(t.TempDir())
+	dir := t.TempDir()
 	mpi.Run(rtRanks, func(c *mpi.Comm) {
-		f, err := sion.ParOpen(c, fsys, "data", sion.WriteMode, &sion.Options{ChunkSize: 2048})
+		f, err := sion.ParOpen(c, fsio.NewOS(dir), "data", sion.WriteMode, &sion.Options{ChunkSize: 2048})
 		if err != nil {
 			t.Errorf("rank %d: ParOpen: %v", c.Rank(), err)
 			return
@@ -52,84 +60,43 @@ func newTestRouter(t *testing.T) (*router, *http.ServeMux) {
 			t.Errorf("rank %d: Close: %v", c.Rank(), err)
 		}
 	})
-	// Mirror main()'s observability wiring: one registry shared by the
-	// cluster families and the backend-labeled fsio meter.
+	fs := flag.NewFlagSet("sionrouter", flag.ContinueOnError)
+	fl := httpapi.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
 	reg := obs.NewRegistry()
+	stack, err := backendflag.Build(fl.Backend, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt := &router{
 		c:    cluster.New(&cluster.Config{Metrics: reg}),
-		fsys: fsio.Instrument(fsys, fsio.NewMeter(reg, "os")),
-		name: "data",
-		scfg: &serve.Config{Retry: &resil.Budget{MaxAttempts: resil.DefaultMaxAttempts}},
+		fsys: stack.FS,
+		name: filepath.Join(dir, "data"),
+		scfg: fl.ServeConfig(),
 	}
+	t.Cleanup(func() { rt.c.Close() })
 	for i := 1; i <= 3; i++ {
-		if _, err := rt.c.Join(fmt.Sprintf("n%d", i), rt.fsys, "data", rt.scfg); err != nil {
+		if _, err := rt.c.Join(fmt.Sprintf("n%d", i), rt.fsys, rt.name, rt.scfg); err != nil {
 			t.Fatalf("Join n%d: %v", i, err)
 		}
 	}
-	t.Cleanup(func() { rt.c.Close() })
-	return rt, rt.mux()
+	rt.mount(fl)
+	return rt, rt.api.Handler()
 }
 
-func get(t *testing.T, mux *http.ServeMux, url string) *httptest.ResponseRecorder {
-	t.Helper()
+func do(h http.Handler, method, url string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+	h.ServeHTTP(rec, httptest.NewRequest(method, url, nil))
 	return rec
-}
-
-func post(t *testing.T, mux *http.ServeMux, url string) *httptest.ResponseRecorder {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("POST", url, nil))
-	return rec
-}
-
-// TestRouterRankWindows pins the windowed-read contract over the cluster
-// data path: byte identity, Content-Length, 416/400 mapping, clamping.
-func TestRouterRankWindows(t *testing.T) {
-	_, mux := newTestRouter(t)
-	full := rtPayload(1, rtPerRank)
-	cases := []struct {
-		name   string
-		url    string
-		status int
-		want   []byte // nil = don't check the body
-	}{
-		{"whole stream", "/rank/1", 200, full},
-		{"window", "/rank/1?off=100&n=50", 200, full[100:150]},
-		{"empty window at end", fmt.Sprintf("/rank/1?off=%d", rtPerRank), 200, []byte{}},
-		{"count clamped", fmt.Sprintf("/rank/1?off=%d&n=9999", rtPerRank-3), 200, full[rtPerRank-3:]},
-		{"off past end", fmt.Sprintf("/rank/1?off=%d", rtPerRank+1), 416, nil},
-		{"negative off", "/rank/1?off=-1", 416, nil},
-		{"non-integer off", "/rank/1?off=abc", 400, nil},
-		{"negative n", "/rank/1?n=-1", 400, nil},
-		{"unknown rank", "/rank/99", 404, nil},
-		{"non-integer rank", "/rank/zzz", 400, nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := get(t, mux, tc.url)
-			if rec.Code != tc.status {
-				t.Fatalf("%s: status %d, want %d (body %q)", tc.url, rec.Code, tc.status, rec.Body.String())
-			}
-			if tc.want == nil {
-				return
-			}
-			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(tc.want)) {
-				t.Errorf("%s: Content-Length %q, want %d", tc.url, cl, len(tc.want))
-			}
-			if !bytes.Equal(rec.Body.Bytes(), tc.want) {
-				t.Errorf("%s: body mismatch (%d bytes, want %d)", tc.url, rec.Body.Len(), len(tc.want))
-			}
-		})
-	}
 }
 
 // TestRouterClusterOps drives the membership endpoints: join grows the
 // ring, duplicate joins conflict, leave shrinks it, unknown leaves 404,
 // non-POSTs 405, and reads stay byte-identical across the churn.
 func TestRouterClusterOps(t *testing.T) {
-	_, mux := newTestRouter(t)
+	_, h := newTestRouter(t)
 	full := rtPayload(2, rtPerRank)
 
 	members := func(rec *httptest.ResponseRecorder) []string {
@@ -142,66 +109,66 @@ func TestRouterClusterOps(t *testing.T) {
 		}
 		return out.Nodes
 	}
-	if got := members(get(t, mux, "/cluster")); len(got) != 3 {
+	if got := members(do(h, "GET", "/cluster")); len(got) != 3 {
 		t.Fatalf("initial membership %v, want 3 nodes", got)
 	}
 
-	if rec := post(t, mux, "/cluster/join?id=n4"); rec.Code != 200 {
+	if rec := do(h, "POST", "/cluster/join?id=n4"); rec.Code != 200 {
 		t.Fatalf("join: status %d (%s)", rec.Code, rec.Body.String())
 	} else if got := members(rec); len(got) != 4 {
 		t.Fatalf("post-join membership %v, want 4 nodes", got)
 	}
-	if rec := post(t, mux, "/cluster/join?id=n4"); rec.Code != http.StatusConflict {
+	if rec := do(h, "POST", "/cluster/join?id=n4"); rec.Code != http.StatusConflict {
 		t.Errorf("duplicate join: status %d, want 409", rec.Code)
 	}
-	if rec := get(t, mux, "/rank/2"); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), full) {
+	if rec := do(h, "GET", "/rank/2"); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), full) {
 		t.Errorf("read after join: status %d, %d bytes", rec.Code, rec.Body.Len())
 	}
 
-	if rec := post(t, mux, "/cluster/leave?id=n4"); rec.Code != 200 {
+	if rec := do(h, "POST", "/cluster/leave?id=n4"); rec.Code != 200 {
 		t.Fatalf("leave: status %d (%s)", rec.Code, rec.Body.String())
 	} else if got := members(rec); len(got) != 3 {
 		t.Fatalf("post-leave membership %v, want 3 nodes", got)
 	}
-	if rec := post(t, mux, "/cluster/leave?id=ghost"); rec.Code != http.StatusNotFound {
+	if rec := do(h, "POST", "/cluster/leave?id=ghost"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown leave: status %d, want 404", rec.Code)
 	}
-	if rec := get(t, mux, "/rank/2"); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), full) {
+	if rec := do(h, "GET", "/rank/2"); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), full) {
 		t.Errorf("read after leave: status %d, %d bytes", rec.Code, rec.Body.Len())
 	}
 
-	if rec := post(t, mux, "/cluster/join"); rec.Code != http.StatusBadRequest {
+	if rec := do(h, "POST", "/cluster/join"); rec.Code != http.StatusBadRequest {
 		t.Errorf("join without id: status %d, want 400", rec.Code)
 	}
-	if rec := get(t, mux, "/cluster/join?id=n5"); rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET join: status %d, want 405", rec.Code)
+	if rec := do(h, "GET", "/cluster/join?id=n5"); rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "POST" {
+		t.Errorf("GET join: status %d (Allow %q), want 405 allowing POST", rec.Code, rec.Header().Get("Allow"))
 	}
-	if rec := post(t, mux, "/cluster/frobnicate"); rec.Code != http.StatusNotFound {
+	if rec := do(h, "POST", "/cluster/frobnicate"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown op: status %d, want 404", rec.Code)
 	}
 	var reb struct {
 		Replicated int `json:"replicated"`
 	}
-	if rec := post(t, mux, "/cluster/rebalance"); rec.Code != 200 {
+	if rec := do(h, "POST", "/cluster/rebalance"); rec.Code != 200 {
 		t.Errorf("rebalance: status %d", rec.Code)
 	} else if err := json.Unmarshal(rec.Body.Bytes(), &reb); err != nil {
 		t.Errorf("rebalance body %q: %v", rec.Body.String(), err)
 	}
 }
 
-// TestRouterHealthzAndStats pins the read-only JSON surfaces: a healthy
-// cluster is 200/"ok" with one entry per node, and /stats carries the
-// cluster counters (every rank read once → requests counted, no
-// failovers, no replica exhaustion).
+// TestRouterHealthzAndStats pins what the shared JSON surfaces mean for a
+// cluster: /healthz is 200/"ok" with one entry per node, and /stats
+// carries the routing counters (every rank read once → requests counted,
+// no failovers, no replica exhaustion).
 func TestRouterHealthzAndStats(t *testing.T) {
-	_, mux := newTestRouter(t)
+	_, h := newTestRouter(t)
 	for r := 0; r < rtRanks; r++ {
-		if rec := get(t, mux, fmt.Sprintf("/rank/%d", r)); rec.Code != 200 {
+		if rec := do(h, "GET", fmt.Sprintf("/rank/%d", r)); rec.Code != 200 {
 			t.Fatalf("rank %d: status %d", r, rec.Code)
 		}
 	}
 
-	rec := get(t, mux, "/healthz")
+	rec := do(h, "GET", "/healthz")
 	if rec.Code != 200 {
 		t.Fatalf("/healthz: status %d", rec.Code)
 	}
@@ -216,7 +183,7 @@ func TestRouterHealthzAndStats(t *testing.T) {
 		t.Errorf("/healthz = %q with %d nodes, want ok/3", hz.Status, len(hz.Nodes))
 	}
 
-	rec = get(t, mux, "/stats")
+	rec = do(h, "GET", "/stats")
 	if rec.Code != 200 {
 		t.Fatalf("/stats: status %d", rec.Code)
 	}
@@ -230,8 +197,34 @@ func TestRouterHealthzAndStats(t *testing.T) {
 	if st.Failovers != 0 || st.AllReplicasDown != 0 {
 		t.Errorf("healthy cluster shows failovers=%d allDown=%d", st.Failovers, st.AllReplicasDown)
 	}
+}
 
-	if rec := get(t, mux, "/ranks"); rec.Code != 200 {
-		t.Errorf("/ranks: status %d", rec.Code)
+// TestFlagsWireTheTopology checks main()'s wiring under non-default
+// flags: -block reaches every node's cache geometry, and one registry
+// carries the router's cluster_* families, every node's serve_* families
+// under its node label, and the shared backend's fsio_* families under
+// the -backend stack's label.
+func TestFlagsWireTheTopology(t *testing.T) {
+	rt, h := newTestRouter(t, "-block", "8192", "-cache-mb", "1", "-slow-ms", "0")
+	if got := rt.c.BlockBytes(); got != 8192 {
+		t.Errorf("-block 8192: the cluster routes %d-byte blocks", got)
+	}
+	for r := 0; r < rtRanks; r++ {
+		if rec := do(h, "GET", fmt.Sprintf("/rank/%d", r)); rec.Code != 200 {
+			t.Fatalf("rank %d: status %d", r, rec.Code)
+		}
+	}
+	body := do(h, "GET", "/metrics").Body.String()
+	if err := obs.CheckExposition([]byte(body)); err != nil {
+		t.Fatalf("exposition: %v", err)
+	}
+	want := []string{"cluster_requests_total ", `fsio_ops_total{backend="os"`}
+	for _, id := range rt.c.NodeIDs() {
+		want = append(want, `serve_served_bytes_total{node="`+id+`"`)
+	}
+	for _, w := range want {
+		if !strings.Contains(body, w) {
+			t.Errorf("/metrics lacks %q", w)
+		}
 	}
 }

@@ -5,36 +5,14 @@
 //
 // Usage:
 //
-//	sionserve [-addr :8080] [-cache-mb 64] [-block N] [-retries 4] <multifile>
+//	sionserve [-addr :8080] [-cache-mb 64] [-block N] [-retries 4]
+//	          [-pprof] [-slow-ms 500] [-backend posix|objstore[,profile]] <multifile>
 //
-// Endpoints:
-//
-//	GET /ranks                  JSON layout summary (tasks, files, sizes)
-//	GET /rank/<r>               the rank's whole logical stream
-//	GET /rank/<r>?off=O&n=N     N bytes from logical offset O
-//	GET /rank/<r>/keys          JSON list of the rank's record keys
-//	GET /rank/<r>/key/<k>       concatenated payload of key k's records
-//	GET /stats                  JSON cache/backend counters
-//	GET /metrics                Prometheus text exposition of every
-//	                            instrument (serve_*, fsio_*)
-//	GET /healthz                per-physical-file circuit-breaker state;
-//	                            200 when all circuits are closed, 503 when
-//	                            any physical file is degraded
-//
-// With -pprof the net/http/pprof handlers are mounted under
-// /debug/pprof/. Every response echoes an X-Request-ID (adopted from the
-// request or generated); requests slower than -slow-ms are logged with
-// the request's breadcrumb trail (cache hits, backend reads, retries).
-//
-// Resilience: backend span reads retry transient faults under a bounded
-// backoff budget (-retries), and each physical file sits behind a circuit
-// breaker. While a circuit is open, reads that the cache can satisfy keep
-// succeeding; reads that would need the degraded backend answer
-// 503 Service Unavailable with a Retry-After hint.
-//
-// On SIGINT/SIGTERM the process stops accepting connections, drains
-// in-flight requests (bounded by a deadline), then closes the serve layer
-// and exits.
+// The endpoints, the degraded (503 + Retry-After) contract and the
+// SIGINT/SIGTERM drain are internal/httpapi's, shared with sionrouter;
+// its package comment is the reference. /stats is a serve.Stats, /metrics
+// carries the serve_* and fsio_* families, /healthz lists the physical
+// files' circuit breakers.
 //
 // The multifile must be complete (written and closed); serving a file
 // still being written is out of scope for the cache's consistency model.
@@ -42,55 +20,20 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/backendflag"
-	sion "repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
-	"repro/internal/resil"
 	"repro/internal/serve"
 )
 
-type server struct {
-	srv   *serve.Server
-	slow  time.Duration // slow-request log threshold (0 disables)
-	pprof bool          // mount /debug/pprof/
-
-	mu   sync.Mutex
-	keys map[int]*sion.KeyReader // lazily built per rank, shared by clients
-}
-
-// logger is the process-wide structured logger. It mostly reports
-// response-write failures — errors that surface after the status line is
-// committed, so they can no longer turn into an HTTP error for the
-// client — plus the middleware's slow-request lines. Handler tests
-// capture records via logger.SetHook.
-var logger = obs.NewLogger(os.Stderr)
-
-// shutdownTimeout bounds the in-flight request drain on SIGINT/SIGTERM.
-const shutdownTimeout = 10 * time.Second
-
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	cacheMB := flag.Int64("cache-mb", 64, "block cache budget in MiB")
-	block := flag.Int64("block", 0, "cache block size in bytes (0 = the multifile's FS block size)")
-	retries := flag.Int("retries", resil.DefaultMaxAttempts,
-		"max attempts per backend read under transient faults (1 disables retries)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	slowMs := flag.Int64("slow-ms", 500,
-		"log requests slower than this many milliseconds with their breadcrumb trail (0 disables)")
-	backend := backendflag.Flag()
+	fl := httpapi.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: sionserve [-addr :8080] [-cache-mb 64] [-block N] [-retries 4] [-backend posix|objstore[,profile]] <multifile>")
@@ -101,303 +44,24 @@ func main() {
 	// backend name), so /metrics shows cache behavior next to the raw I/O
 	// it turns into.
 	reg := obs.NewRegistry()
-	stack, err := backendflag.Build(*backend, reg)
+	stack, err := backendflag.Build(fl.Backend, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sionserve:", err)
 		os.Exit(2)
 	}
-	srv, err := serve.New(stack.FS, flag.Arg(0), &serve.Config{
-		CacheBytes: *cacheMB << 20,
-		BlockBytes: *block,
-		Retry:      &resil.Budget{MaxAttempts: *retries},
-		Metrics:    reg,
-	})
+	cfg := fl.ServeConfig()
+	cfg.Metrics = reg
+	srv, err := serve.New(stack.FS, flag.Arg(0), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sionserve:", err)
 		os.Exit(1)
 	}
-	s := &server{
-		srv:   srv,
-		slow:  time.Duration(*slowMs) * time.Millisecond,
-		pprof: *pprofOn,
-		keys:  make(map[int]*sion.KeyReader),
-	}
-	httpSrv := &http.Server{Addr: *addr, Handler: s.handler()}
-
-	// Graceful shutdown: stop accepting, drain in-flight requests under a
-	// deadline, then release the serve layer (fetchers + file handles).
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	done := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		fmt.Println("sionserve: shutting down")
-		dctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-		defer cancel()
-		done <- httpSrv.Shutdown(dctx)
-	}()
-
 	fmt.Printf("sionserve: serving %s (%d ranks, %d physical files) on %s\n",
-		flag.Arg(0), srv.Layout().NTasks(), srv.Layout().NumFiles(), *addr)
-	err = httpSrv.ListenAndServe()
-	if !errors.Is(err, http.ErrServerClosed) {
-		srv.Close()
+		flag.Arg(0), srv.Layout().NTasks(), srv.Layout().NumFiles(), fl.Addr)
+	if err := httpapi.ForServer(srv, fl).Run(ctx, "sionserve", fl.Addr); err != nil {
 		fmt.Fprintln(os.Stderr, "sionserve:", err)
 		os.Exit(1)
-	}
-	if derr := <-done; derr != nil {
-		fmt.Fprintln(os.Stderr, "sionserve: drain:", derr)
-	}
-	if cerr := srv.Close(); cerr != nil {
-		fmt.Fprintln(os.Stderr, "sionserve: close:", cerr)
-	}
-}
-
-// mux wires the handler table (split out so tests drive the handlers
-// through httptest without a listener).
-func (s *server) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ranks", s.handleRanks)
-	mux.HandleFunc("/rank/", s.handleRank)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.Handle("/metrics", obs.Handler(s.srv.Metrics()))
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	if s.pprof {
-		obs.MountPprof(mux)
-	}
-	return mux
-}
-
-// handler is the mux behind the shared observability middleware:
-// X-Request-ID assignment/echo, a per-request breadcrumb span, and the
-// slow-request log.
-func (s *server) handler() http.Handler {
-	return obs.HTTPMiddleware(s.mux(), logger, s.slow)
-}
-
-// handleHealthz reports per-physical-file breaker state: 200 with all
-// circuits closed, 503 while any file is degraded (load balancers can key
-// readiness off the status code alone).
-func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	health := s.srv.Health()
-	degraded := s.srv.Degraded()
-	status := "ok"
-	if degraded {
-		status = "degraded"
-		w.Header().Set("Retry-After", retryAfterSecs)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	writeJSON(w, struct {
-		Status string             `json:"status"`
-		Files  []serve.FileHealth `json:"files"`
-	}{Status: status, Files: health})
-}
-
-// retryAfterSecs is the Retry-After hint sent with degraded 503s. The
-// breaker cooldown is request-counted, so any client backoff that sheds
-// immediate retries is appropriate; a small constant keeps well-behaved
-// clients probing at a reasonable rate.
-const retryAfterSecs = "1"
-
-// httpError maps a read failure to its status: degraded backends are
-// 503 + Retry-After (temporary by construction — the circuit re-probes
-// after its cooldown), everything else stays a 500.
-func httpError(w http.ResponseWriter, err error) {
-	if errors.Is(err, serve.ErrDegraded) {
-		w.Header().Set("Retry-After", retryAfterSecs)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
-}
-
-func (s *server) handleRanks(w http.ResponseWriter, _ *http.Request) {
-	l := s.srv.Layout()
-	type rankInfo struct {
-		Rank  int   `json:"rank"`
-		File  int   `json:"file"`
-		Bytes int64 `json:"bytes"`
-	}
-	out := struct {
-		Name  string     `json:"name"`
-		Tasks int        `json:"tasks"`
-		Files int        `json:"files"`
-		FSBlk int64      `json:"fs_block_size"`
-		Ranks []rankInfo `json:"ranks"`
-	}{Name: l.Name(), Tasks: l.NTasks(), Files: l.NumFiles(), FSBlk: l.FSBlockSize()}
-	for g, loc := range l.Mapping() {
-		out.Ranks = append(out.Ranks, rankInfo{Rank: g, File: int(loc.File), Bytes: l.RankSize(g)})
-	}
-	writeJSON(w, out)
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.srv.Stats())
-}
-
-// handleRank routes /rank/<r>, /rank/<r>/keys, and /rank/<r>/key/<k>.
-func (s *server) handleRank(w http.ResponseWriter, r *http.Request) {
-	parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/rank/"), "/")
-	rank, err := strconv.Atoi(parts[0])
-	if err != nil {
-		http.Error(w, "bad rank", http.StatusBadRequest)
-		return
-	}
-	h, err := s.srv.Open(rank)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	// Thread the request's span down the read path so the layers below
-	// leave breadcrumbs (cache hit / backend read / retry) on it.
-	h.SetSpan(obs.SpanFrom(r.Context()))
-	switch {
-	case len(parts) == 1:
-		s.serveBytes(w, r, h)
-	case len(parts) == 2 && parts[1] == "keys":
-		kr, err := s.keyReader(rank, h)
-		if err != nil {
-			keyReaderError(w, err)
-			return
-		}
-		writeJSON(w, kr.Keys())
-	case len(parts) == 3 && parts[1] == "key":
-		key, err := strconv.ParseUint(parts[2], 10, 64)
-		if err != nil {
-			http.Error(w, "bad key", http.StatusBadRequest)
-			return
-		}
-		kr, err := s.keyReader(rank, h)
-		if err != nil {
-			keyReaderError(w, err)
-			return
-		}
-		data, err := kr.ReadKey(key)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := w.Write(data); err != nil {
-			logger.Error("writing response",
-				"req", obs.SpanFrom(r.Context()).ID(), "rank", rank, "key", key, "err", err)
-		}
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-// serveChunk bounds the buffer serveBytes streams through: a rank's
-// logical stream can be arbitrarily large, so the window is read and
-// written in pieces instead of materialized in one allocation sized by
-// the client's n.
-const serveChunk int64 = 1 << 20
-
-// serveBytes answers /rank/<r> with the whole stream or the ?off=&n=
-// window. Malformed values are 400s; a well-formed off outside [0, size]
-// is a 416 (range not satisfiable, mirroring HTTP range semantics); a
-// count past the end is clamped to the stream's tail. off == size is a
-// valid empty window.
-//
-// The first chunk is read before the status line is committed, so an
-// immediately failing backend still maps through httpError (503 when
-// degraded). Once headers are out the status can't change: mid-stream
-// failures are logged and the response cut short of its Content-Length,
-// which clients detect as a truncated body.
-func (s *server) serveBytes(w http.ResponseWriter, r *http.Request, h *serve.Handle) {
-	size := h.LogicalSize()
-	off, n := int64(0), size
-	q := r.URL.Query()
-	if v := q.Get("off"); v != "" {
-		parsed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			http.Error(w, "off is not an integer", http.StatusBadRequest)
-			return
-		}
-		if parsed < 0 || parsed > size {
-			http.Error(w, fmt.Sprintf("off %d outside the logical stream (0..%d)", parsed, size),
-				http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		off = parsed
-		n = size - off
-	}
-	if v := q.Get("n"); v != "" {
-		want, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || want < 0 {
-			http.Error(w, "n is not a byte count", http.StatusBadRequest)
-			return
-		}
-		if want < n {
-			n = want
-		}
-	}
-	buf := make([]byte, min(n, serveChunk))
-	if n > 0 {
-		if _, err := h.ReadLogicalAt(buf[:min(n, serveChunk)], off); err != nil {
-			httpError(w, err)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	for sent := int64(0); sent < n; {
-		m := min(n-sent, serveChunk)
-		if sent > 0 { // the first chunk was read before the headers
-			if _, err := h.ReadLogicalAt(buf[:m], off+sent); err != nil {
-				logger.Error("reading stream", "req", obs.SpanFrom(r.Context()).ID(),
-					"path", r.URL.Path, "at", sent, "of", n, "err", err)
-				return
-			}
-		}
-		if _, err := w.Write(buf[:m]); err != nil {
-			logger.Error("writing response", "req", obs.SpanFrom(r.Context()).ID(),
-				"path", r.URL.Path, "at", sent, "of", n, "err", err)
-			return
-		}
-		sent += m
-	}
-}
-
-// keyReaderError distinguishes "this rank has no key records" (a client
-// mistake, 400) from a degraded backend interrupting the index scan (503).
-func keyReaderError(w http.ResponseWriter, err error) {
-	if errors.Is(err, serve.ErrDegraded) {
-		httpError(w, err)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusBadRequest)
-}
-
-// keyReader returns the rank's shared key index, building it on first use
-// (the scan runs through the block cache, so later ranks and clients
-// reuse its backend reads).
-func (s *server) keyReader(rank int, h *serve.Handle) (*sion.KeyReader, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if kr, ok := s.keys[rank]; ok {
-		return kr, nil
-	}
-	kr, err := h.KeyReader()
-	if err != nil {
-		return nil, err
-	}
-	s.keys[rank] = kr
-	return kr, nil
-}
-
-// writeJSON marshals before touching the ResponseWriter so an encoding
-// failure can still become a 500; a failed write afterwards can only be
-// logged (the 200 is already committed).
-func writeJSON(w http.ResponseWriter, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		logger.Error("encoding response", "err", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		logger.Error("writing response", "err", err)
 	}
 }

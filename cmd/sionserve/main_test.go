@@ -1,120 +1,93 @@
 package main
 
 import (
-	"bytes"
-	"fmt"
-	"io"
-	"net/http"
+	"flag"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/backendflag"
 	sion "repro/internal/core"
 	"repro/internal/fsio"
+	"repro/internal/httpapi"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// tsPayload is the deterministic per-rank content of the test multifile.
-func tsPayload(rank, size int) []byte {
-	p := make([]byte, size)
-	x := uint32(rank)*2654435761 + 12345
-	for i := range p {
-		x = x*1664525 + 1013904223
-		p[i] = byte(x >> 24)
-	}
-	return p
-}
+// The HTTP contract is pinned once, for both front ends, by
+// internal/httpapi's suite. What is sionserve's own is the wiring in
+// main(): flags → backend stack, serve.Config and one shared registry.
 
-const (
-	tsRanks   = 3
-	tsPerRank = 5000
-)
-
-// newTestServer writes a small multifile and returns the HTTP handler
-// table over it.
-func newTestServer(t *testing.T) *http.ServeMux {
-	t.Helper()
-	fsys := fsio.NewOS(t.TempDir())
-	mpi.Run(tsRanks, func(c *mpi.Comm) {
-		f, err := sion.ParOpen(c, fsys, "data", sion.WriteMode, &sion.Options{ChunkSize: 2048})
+// TestFlagsWireTheProcess mirrors main()'s construction under non-default
+// flags and checks each flag landed: -block in the cache geometry,
+// -backend and the shared registry in one /metrics exposition that
+// carries the serve_* families next to backend-labeled fsio_* families,
+// -cache-mb in what the cache may hold.
+func TestFlagsWireTheProcess(t *testing.T) {
+	dir := t.TempDir()
+	const ranks, perRank = 3, 3 << 20
+	mpi.Run(ranks, func(c *mpi.Comm) {
+		f, err := sion.ParOpen(c, fsio.NewOS(dir), "data", sion.WriteMode, &sion.Options{ChunkSize: 1 << 20})
 		if err != nil {
 			t.Errorf("rank %d: ParOpen: %v", c.Rank(), err)
 			return
 		}
-		if _, err := f.Write(tsPayload(c.Rank(), tsPerRank)); err != nil {
+		if _, err := f.Write(make([]byte, perRank)); err != nil {
 			t.Errorf("rank %d: Write: %v", c.Rank(), err)
 		}
 		if err := f.Close(); err != nil {
 			t.Errorf("rank %d: Close: %v", c.Rank(), err)
 		}
 	})
-	srv, err := serve.New(fsys, "data", nil)
+
+	fs := flag.NewFlagSet("sionserve", flag.ContinueOnError)
+	fl := httpapi.RegisterFlags(fs)
+	if err := fs.Parse([]string{"-cache-mb", "2", "-block", "65536", "-slow-ms", "0", "-backend", "posix"}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	stack, err := backendflag.Build(fl.Backend, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fl.ServeConfig()
+	cfg.Metrics = reg
+	srv, err := serve.New(stack.FS, filepath.Join(dir, "data"), cfg)
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	s := &server{srv: srv, keys: make(map[int]*sion.KeyReader)}
-	return s.mux()
-}
+	defer srv.Close()
+	h := httpapi.ForServer(srv, fl).Handler()
 
-func TestHandleRankWindows(t *testing.T) {
-	mux := newTestServer(t)
-	full := tsPayload(1, tsPerRank)
-	cases := []struct {
-		name   string
-		url    string
-		status int
-		want   []byte // nil = don't check the body bytes
-	}{
-		{"whole stream", "/rank/1", 200, full},
-		{"window", "/rank/1?off=100&n=50", 200, full[100:150]},
-		{"offset to end", fmt.Sprintf("/rank/1?off=%d", tsPerRank-7), 200, full[tsPerRank-7:]},
-		{"empty window at end", fmt.Sprintf("/rank/1?off=%d", tsPerRank), 200, []byte{}},
-		{"count clamped to tail", fmt.Sprintf("/rank/1?off=%d&n=9999", tsPerRank-3), 200, full[tsPerRank-3:]},
-		{"zero count", "/rank/1?off=5&n=0", 200, []byte{}},
-		{"off past end", fmt.Sprintf("/rank/1?off=%d", tsPerRank+1), 416, nil},
-		{"negative off", "/rank/1?off=-1", 416, nil},
-		{"huge off", "/rank/1?off=92233720368547758070", 400, nil}, // overflows int64 → malformed
-		{"non-integer off", "/rank/1?off=abc", 400, nil},
-		{"negative n", "/rank/1?n=-1", 400, nil},
-		{"non-integer n", "/rank/1?n=x", 400, nil},
-		{"unknown rank", "/rank/99", 404, nil},
-		{"non-integer rank", "/rank/zzz", 400, nil},
+	if got := srv.BlockBytes(); got != 65536 {
+		t.Errorf("-block 65536: cache blocks are %d bytes", got)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			mux.ServeHTTP(rec, httptest.NewRequest("GET", tc.url, nil))
-			if rec.Code != tc.status {
-				t.Fatalf("%s: status %d, want %d (body %q)", tc.url, rec.Code, tc.status, rec.Body.String())
-			}
-			if tc.want == nil {
-				return
-			}
-			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(tc.want)) {
-				t.Errorf("%s: Content-Length %q, want %d", tc.url, cl, len(tc.want))
-			}
-			if !bytes.Equal(rec.Body.Bytes(), tc.want) {
-				t.Errorf("%s: body mismatch (%d bytes, want %d)", tc.url, rec.Body.Len(), len(tc.want))
-			}
-		})
-	}
-}
-
-func TestHandleRanksAndStats(t *testing.T) {
-	mux := newTestServer(t)
-	for _, url := range []string{"/ranks", "/stats"} {
+	for r := 0; r < ranks; r++ {
 		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-		if rec.Code != 200 {
-			t.Fatalf("%s: status %d", url, rec.Code)
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/rank/"+strconv.Itoa(r), nil))
+		if rec.Code != 200 || rec.Body.Len() != perRank {
+			t.Fatalf("rank %d: status %d, %d bytes", r, rec.Code, rec.Body.Len())
 		}
-		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-			t.Errorf("%s: Content-Type %q", url, ct)
-		}
-		if _, err := io.ReadAll(rec.Result().Body); err != nil {
-			t.Errorf("%s: reading body: %v", url, err)
+	}
+	if st := srv.Stats(); st.CachedBytes > 2<<20 || st.Evictions == 0 {
+		t.Errorf("-cache-mb 2 after streaming %d MiB: %d bytes resident, %d evictions", ranks*perRank>>20, st.CachedBytes, st.Evictions)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	if err := obs.CheckExposition([]byte(body)); err != nil {
+		t.Fatalf("exposition: %v", err)
+	}
+	// Every fsio_* family carries the backend label (the -backend flag's
+	// stack label, "os" here), so multi-backend deployments stay tellable
+	// apart in one exposition.
+	for _, want := range []string{"serve_backend_reads_total ", `fsio_ops_total{backend="os"`, `fsio_bytes_total{backend="os"`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %q: the serve layer and the instrumented backend must share main()'s registry", want)
 		}
 	}
 }

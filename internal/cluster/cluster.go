@@ -58,6 +58,9 @@ var ErrNoNodes = errors.New("cluster: no serving nodes")
 // ErrClusterClosed is returned (wrapped) by operations after Close.
 var ErrClusterClosed = errors.New("cluster: cluster is closed")
 
+// hotSetCap caps the tracked hot set, in blocks.
+const hotSetCap = 256
+
 // Config tunes a Cluster. The zero value (or nil) picks the defaults.
 type Config struct {
 	// VNodes is the number of virtual ring points per node (default 64).
@@ -74,9 +77,6 @@ type Config struct {
 	// as hot when RebalanceHot merges the nodes' shard-LRU reports
 	// (default 64).
 	HotMinHits int64
-
-	// MaxHot caps the tracked hot set (default 256 blocks).
-	MaxHot int
 
 	// Metrics, when non-nil, is the obs registry the cluster and every
 	// node joined to it register their instruments in (nil gives the
@@ -100,9 +100,6 @@ func resolveConfig(cfg *Config) Config {
 	}
 	if c.HotMinHits <= 0 {
 		c.HotMinHits = 64
-	}
-	if c.MaxHot <= 0 {
-		c.MaxHot = 256
 	}
 	return c
 }
@@ -146,7 +143,7 @@ type Cluster struct {
 	m *clusterMetrics
 }
 
-var _ serve.SpanFileReaderAt = (*Cluster)(nil)
+var _ serve.FileReaderAt = (*Cluster)(nil)
 
 // New builds an empty cluster; Join adds serve nodes to it.
 func New(cfg *Config) *Cluster {
@@ -180,7 +177,9 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	if scfg != nil {
 		cfg = *scfg
 	}
-	cfg.BlockBytes = blockBytes // 0 on the first join: serve resolves the default
+	if blockBytes != 0 { // the first join's block size (its config's, or serve's default) stands
+		cfg.BlockBytes = blockBytes
+	}
 	cfg.PeerFill = func(file int, block int64) ([]byte, bool) { return c.peerFill(id, file, block) }
 	// Every node's serve instruments land in the cluster's registry under
 	// a node label, so one scrape covers the whole topology. (A node that
@@ -387,7 +386,7 @@ func (c *Cluster) HotTracked() int {
 }
 
 // RebalanceHot merges the nodes' shard-LRU hit reports into the hot set
-// (the hottest MaxHot blocks with at least HotMinHits hits) and
+// (the hottest hotSetCap blocks with at least HotMinHits hits) and
 // pre-materializes each hot block on its first ReplicateHot ring
 // successors — cheaply, because the replicas fill from the primary's
 // cache via peer fill, not from the backend. Reads of hot blocks then
@@ -423,8 +422,8 @@ func (c *Cluster) RebalanceHot() int {
 		}
 		return list[i].Block < list[j].Block
 	})
-	if len(list) > c.cfg.MaxHot {
-		list = list[:c.cfg.MaxHot]
+	if len(list) > hotSetCap {
+		list = list[:hotSetCap]
 	}
 	newHot := make(map[hotKey]struct{}, len(list))
 	for _, hb := range list {
@@ -446,7 +445,7 @@ func (c *Cluster) RebalanceHot() int {
 				// stays cold until the next rebalance.
 				c.m.rebalanceMoves.Inc()
 				buf := make([]byte, bs)
-				_ = n.srv.ReadFileAt(hb.File, buf, hb.Block*bs)
+				_ = n.srv.ReadFileAt(hb.File, buf, hb.Block*bs, nil)
 			}
 		}
 	}
@@ -459,16 +458,10 @@ func (c *Cluster) RebalanceHot() int {
 // degraded, closed, or transiently failing nodes. It fails with a typed
 // serve.ErrDegraded only when every replica of a block is down; a
 // permanent error (the backend answering wrongly) is returned as-is,
-// since every node would fail identically.
-func (c *Cluster) ReadFileAt(file int, p []byte, off int64) error {
-	return c.ReadFileAtSpan(file, p, off, nil)
-}
-
-// ReadFileAtSpan is ReadFileAt with a breadcrumb trail: sp (nil is fine)
-// additionally records each failover hop, and the node that serves each
-// block records its cache/backend crumbs on the same span (see
-// serve.ReadFileAtSpan).
-func (c *Cluster) ReadFileAtSpan(file int, p []byte, off int64, sp *obs.Span) error {
+// since every node would fail identically. sp (nil is fine) records each
+// failover hop, and the node that serves each block records its
+// cache/backend crumbs on the same span (see serve.Server.ReadFileAt).
+func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	c.mu.RLock()
 	closed, name := c.closed, c.name
 	nodes, rg, bs := c.nodes, c.ring, c.blockBytes
@@ -532,7 +525,7 @@ func (c *Cluster) readBlock(nodes []*Node, rg *ring, file int, b int64, p []byte
 
 	var lastErr error
 	for i, n := range try {
-		err := n.srv.ReadFileAtSpan(file, p, off, sp)
+		err := n.srv.ReadFileAt(file, p, off, sp)
 		if err == nil {
 			if i > 0 {
 				c.m.failovers.Add(int64(i))
@@ -623,7 +616,7 @@ func addStats(a, b serve.Stats) serve.Stats {
 }
 
 // NodeHealth is one node's breaker condition, the substance of
-// cmd/sionrouter's /healthz endpoint.
+// sionrouter's /healthz endpoint.
 type NodeHealth struct {
 	ID       string             `json:"id"`
 	Degraded bool               `json:"degraded"`

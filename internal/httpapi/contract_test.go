@@ -1,0 +1,907 @@
+package httpapi
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	sion "repro/internal/core"
+	"repro/internal/fsio"
+	"repro/internal/mpi"
+	"repro/internal/obs"
+	"repro/internal/resil"
+	"repro/internal/serve"
+	"repro/internal/simfs"
+)
+
+// The contract suite: every test below runs the same cases against the
+// API mounted on a *serve.Server and on a 3-node *cluster.Cluster. What a
+// client can observe — status codes, headers, body bytes, JSON shapes — is
+// one contract, whichever serving tier answers behind it.
+
+// payload is the deterministic per-rank content of the test multifiles.
+func payload(rank, size int) []byte {
+	p := make([]byte, size)
+	x := uint32(rank)*2654435761 + 12345
+	for i := range p {
+		x = x*1664525 + 1013904223
+		p[i] = byte(x >> 24)
+	}
+	return p
+}
+
+const (
+	rawRanks = 3    // ranks 0..2 hold perRank raw payload bytes
+	perRank  = 5000 // spans three 2048-byte chunks
+	keyRankA = 3    // key records: 7 → payload(30,300)+payload(31,100), 9 → payload(32,50)
+	keyRankB = 4    // key records: 7 → payload(40,200)
+	nRanks   = 5
+
+	// bigBytes spans several serveChunk windows with an odd remainder, so
+	// the streaming loop's chunk arithmetic and tail handling are both
+	// exercised.
+	bigBytes = 2*serveChunk + serveChunk/2 + 37
+)
+
+// writeData writes the 5-rank multifile "data" described above.
+func writeData(t *testing.T, fsys fsio.FileSystem) {
+	t.Helper()
+	mpi.Run(nRanks, func(c *mpi.Comm) {
+		f, err := sion.ParOpen(c, fsys, "data", sion.WriteMode, &sion.Options{ChunkSize: 2048})
+		if err != nil {
+			t.Errorf("rank %d: ParOpen: %v", c.Rank(), err)
+			return
+		}
+		switch r := c.Rank(); r {
+		case keyRankA, keyRankB:
+			w, err := sion.NewKeyWriter(f)
+			if err != nil {
+				t.Errorf("rank %d: NewKeyWriter: %v", r, err)
+				break
+			}
+			type rec struct {
+				key  uint64
+				data []byte
+			}
+			recs := []rec{{7, payload(40, 200)}}
+			if r == keyRankA {
+				recs = []rec{{7, payload(30, 300)}, {9, payload(32, 50)}, {7, payload(31, 100)}}
+			}
+			for _, rec := range recs {
+				if err := w.WriteKey(rec.key, rec.data); err != nil {
+					t.Errorf("rank %d: WriteKey: %v", r, err)
+				}
+			}
+		default:
+			if _, err := f.Write(payload(r, perRank)); err != nil {
+				t.Errorf("rank %d: Write: %v", r, err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Errorf("rank %d: Close: %v", c.Rank(), err)
+		}
+	})
+}
+
+// writeBig writes the single-rank multifile "big", larger than serveChunk.
+func writeBig(t *testing.T, fsys fsio.FileSystem) {
+	t.Helper()
+	mpi.Run(1, func(c *mpi.Comm) {
+		f, err := sion.ParOpen(c, fsys, "big", sion.WriteMode, &sion.Options{ChunkSize: 1 << 20})
+		if err != nil {
+			t.Errorf("ParOpen: %v", err)
+			return
+		}
+		if _, err := f.Write(payload(0, int(bigBytes))); err != nil {
+			t.Errorf("Write: %v", err)
+		}
+		if err := f.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+}
+
+// gateFS parks backend reads while shut: each blocked ReadAt announces
+// itself on parked and waits for open to be closed.
+type gateFS struct {
+	fsio.FileSystem
+	shut   atomic.Bool
+	parked chan struct{}
+	open   chan struct{}
+}
+
+func (g *gateFS) Open(name string) (fsio.File, error) {
+	f, err := g.FileSystem.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	fsio.File
+	g *gateFS
+}
+
+func (f *gateFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.g.shut.Load() {
+		select {
+		case f.g.parked <- struct{}{}:
+		default:
+		}
+		<-f.g.open
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// fixture is the API over one backend plus the handles the tests steer
+// the backend with.
+type fixture struct {
+	api   *API
+	h     http.Handler // api.Handler(), the middleware-wrapped mux
+	flaky *simfs.Flaky
+	gate  *gateFS
+
+	// outage500s is how many uncached reads answer 500 during an outage
+	// before the circuit opens: the threshold-2 breaker of a single
+	// server sees two no-retry failures first; the ring tries every
+	// replica inside one request, so it reports "all replicas down"
+	// (503) from the first.
+	outage500s int
+	// families maps /metrics family names to the value the backend's
+	// Stats reports for them.
+	families func() map[string]int64
+	// statsInto decodes a /stats body into the backend's own Stats type.
+	statsInto func(body []byte) error
+	// healthKey is the /healthz detail key.
+	healthKey string
+}
+
+// backends are the two serving tiers the suite runs against. mount gets
+// the decorated file system and the per-node serve config.
+var backends = []struct {
+	name  string
+	mount func(t *testing.T, fsys fsio.FileSystem, name string, reg *obs.Registry, scfg serve.Config, fl *Flags) *fixture
+}{
+	{"server", func(t *testing.T, fsys fsio.FileSystem, name string, reg *obs.Registry, scfg serve.Config, fl *Flags) *fixture {
+		scfg.Metrics = reg
+		srv, err := serve.New(fsys, name, &scfg)
+		if err != nil {
+			t.Fatalf("serve.New: %v", err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return &fixture{
+			api:        ForServer(srv, fl),
+			outage500s: 2,
+			healthKey:  "files",
+			statsInto: func(body []byte) error {
+				var st serve.Stats
+				return strictDecode(body, &st)
+			},
+			families: func() map[string]int64 {
+				st := srv.Stats()
+				return map[string]int64{
+					"serve_cache_hits_total":     st.Hits,
+					"serve_cache_misses_total":   st.Misses,
+					"serve_backend_reads_total":  st.BackendReads,
+					"serve_backend_bytes_total":  st.BackendBytes,
+					"serve_served_bytes_total":   st.ServedBytes,
+					"serve_handles_opened_total": st.HandlesOpened,
+				}
+			},
+		}
+	}},
+	{"cluster", func(t *testing.T, fsys fsio.FileSystem, name string, reg *obs.Registry, scfg serve.Config, fl *Flags) *fixture {
+		c := cluster.New(&cluster.Config{Metrics: reg})
+		t.Cleanup(func() { c.Close() })
+		for i := 1; i <= 3; i++ {
+			if _, err := c.Join(fmt.Sprintf("n%d", i), fsys, name, &scfg); err != nil {
+				t.Fatalf("Join n%d: %v", i, err)
+			}
+		}
+		return &fixture{
+			api:        ForCluster(c, fl),
+			outage500s: 0,
+			healthKey:  "nodes",
+			statsInto: func(body []byte) error {
+				var st cluster.Stats
+				if err := strictDecode(body, &st); err != nil {
+					return err
+				}
+				if st.Nodes != 3 || len(st.PerNode) != 3 {
+					return fmt.Errorf("stats show %d nodes (%d per-node entries), want 3", st.Nodes, len(st.PerNode))
+				}
+				return nil
+			},
+			families: func() map[string]int64 {
+				st := c.Stats()
+				return map[string]int64{
+					"cluster_requests_total":       st.Requests,
+					"cluster_failovers_total":      st.Failovers,
+					"cluster_handles_opened_total": st.HandlesOpened,
+					"serve_cache_hits_total":       st.Serve.Hits,
+					"serve_cache_misses_total":     st.Serve.Misses,
+					"serve_backend_reads_total":    st.Serve.BackendReads,
+					"serve_served_bytes_total":     st.Serve.ServedBytes,
+				}
+			},
+		}
+	}},
+}
+
+// strictDecode unmarshals a JSON body, rejecting fields the type lacks —
+// /stats is decoded by clients (bench/) into the backend's Stats type, so
+// a renamed or nested field is a wire break.
+func strictDecode(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// eachBackend runs fn as a subtest per backend over the multifile `name`
+// ("data" or "big"). The backend stack is serve → gate → flaky → fsio
+// meter → OS, with retries off (one failing request is one breaker
+// failure, so state walks stay exact) and a tight breaker.
+func eachBackend(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *fixture)) {
+	t.Helper()
+	for _, b := range backends {
+		b := b
+		t.Run(b.name, func(t *testing.T) {
+			osfs := fsio.NewOS(t.TempDir())
+			if name == "big" {
+				writeBig(t, osfs)
+			} else {
+				writeData(t, osfs)
+			}
+			reg := obs.NewRegistry()
+			flaky := simfs.NewFlaky(simfs.FlakyConfig{Seed: 404})
+			gate := &gateFS{
+				FileSystem: flaky.Wrap(fsio.Instrument(osfs, fsio.NewMeter(reg, "os")), nil),
+				parked:     make(chan struct{}, 1),
+				open:       make(chan struct{}),
+			}
+			f := b.mount(t, gate, name, reg, serve.Config{
+				Retry:            &resil.Budget{MaxAttempts: 1, Sleep: func(time.Duration) {}},
+				BreakerThreshold: 2,
+				BreakerCooldown:  3,
+			}, &fl)
+			f.flaky, f.gate = flaky, gate
+			f.h = f.api.Handler()
+			fn(t, f)
+		})
+	}
+}
+
+func (f *fixture) do(method, url string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	f.h.ServeHTTP(rec, httptest.NewRequest(method, url, nil))
+	return rec
+}
+
+func (f *fixture) get(url string) *httptest.ResponseRecorder { return f.do("GET", url) }
+
+// captureLog hooks the API's logger, collecting records for the test's
+// duration (the hook also suppresses writer output).
+func (f *fixture) captureLog(t *testing.T) *[]obs.Record {
+	t.Helper()
+	var recs []obs.Record
+	prev := f.api.Log.SetHook(func(r obs.Record) { recs = append(recs, r) })
+	t.Cleanup(func() { f.api.Log.SetHook(prev) })
+	return &recs
+}
+
+// wantBody checks a 200 byte response: exact Content-Length, the
+// octet-stream type, and byte identity.
+func wantBody(t *testing.T, url string, rec *httptest.ResponseRecorder, want []byte) {
+	t.Helper()
+	if rec.Code != 200 {
+		t.Fatalf("%s: status %d (body %q)", url, rec.Code, rec.Body.String())
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+		t.Errorf("%s: Content-Length %q, want %d", url, cl, len(want))
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("%s: Content-Type %q", url, ct)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("%s: body mismatch (%d bytes, want %d)", url, rec.Body.Len(), len(want))
+	}
+}
+
+// TestRankWindows pins the windowed-read contract: byte identity,
+// Content-Length, 400 for malformed values, 416 outside [0, size],
+// clamping past the end, the empty window at off == size.
+func TestRankWindows(t *testing.T) {
+	full := payload(1, perRank)
+	cases := []struct {
+		name   string
+		url    string
+		status int
+		want   []byte // checked when status is 200
+	}{
+		{"whole stream", "/rank/1", 200, full},
+		{"window", "/rank/1?off=100&n=50", 200, full[100:150]},
+		{"offset to end", fmt.Sprintf("/rank/1?off=%d", perRank-7), 200, full[perRank-7:]},
+		{"empty window at end", fmt.Sprintf("/rank/1?off=%d", perRank), 200, []byte{}},
+		{"count clamped to tail", fmt.Sprintf("/rank/1?off=%d&n=9999", perRank-3), 200, full[perRank-3:]},
+		{"zero count", "/rank/1?off=5&n=0", 200, []byte{}},
+		{"off past end", fmt.Sprintf("/rank/1?off=%d", perRank+1), 416, nil},
+		{"negative off", "/rank/1?off=-1", 416, nil},
+		{"huge off", "/rank/1?off=92233720368547758070", 400, nil}, // overflows int64 → malformed
+		{"non-integer off", "/rank/1?off=abc", 400, nil},
+		{"negative n", "/rank/1?n=-1", 400, nil},
+		{"non-integer n", "/rank/1?n=x", 400, nil},
+		{"unknown rank", "/rank/99", 404, nil},
+		{"non-integer rank", "/rank/zzz", 400, nil},
+		{"unknown sub-path", "/rank/1/bogus", 404, nil},
+	}
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				rec := f.get(tc.url)
+				if rec.Code != tc.status {
+					t.Fatalf("%s: status %d, want %d (body %q)", tc.url, rec.Code, tc.status, rec.Body.String())
+				}
+				if tc.status == 200 {
+					wantBody(t, tc.url, rec, tc.want)
+				}
+			})
+		}
+	})
+}
+
+// TestRanksAndStats pins the two JSON summaries: /ranks lists every rank
+// with its physical file and logical size; /stats decodes, strictly, into
+// the backend's own Stats type.
+func TestRanksAndStats(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		rec := f.get("/ranks")
+		if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("/ranks: status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+		}
+		var ranks struct {
+			Name  string `json:"name"`
+			Tasks int    `json:"tasks"`
+			Files int    `json:"files"`
+			FSBlk int64  `json:"fs_block_size"`
+			Ranks []struct {
+				Rank  int   `json:"rank"`
+				File  int   `json:"file"`
+				Bytes int64 `json:"bytes"`
+			} `json:"ranks"`
+		}
+		if err := strictDecode(rec.Body.Bytes(), &ranks); err != nil {
+			t.Fatalf("/ranks body: %v", err)
+		}
+		if ranks.Name != "data" || ranks.Tasks != nRanks || ranks.Files != 1 || ranks.FSBlk <= 0 || len(ranks.Ranks) != nRanks {
+			t.Fatalf("/ranks = %+v", ranks)
+		}
+		for g, r := range ranks.Ranks[:rawRanks] {
+			if r.Rank != g || r.File != 0 || r.Bytes != perRank {
+				t.Errorf("/ranks entry %d = %+v, want rank %d in file 0 with %d bytes", g, r, g, perRank)
+			}
+		}
+
+		f.get("/rank/0") // so the counters are not all zero
+		rec = f.get("/stats")
+		if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("/stats: status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if err := f.statsInto(rec.Body.Bytes()); err != nil {
+			t.Errorf("/stats body %s: %v", rec.Body.String(), err)
+		}
+	})
+}
+
+// TestKeys pins the key-value paths on both backends (the router used to
+// answer them with 400 "bad rank").
+func TestKeys(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		rec := f.get(fmt.Sprintf("/rank/%d/keys", keyRankA))
+		if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("keys: status %d, Content-Type %q (body %q)", rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
+		}
+		var keys []uint64
+		if err := json.Unmarshal(rec.Body.Bytes(), &keys); err != nil || len(keys) != 2 || keys[0] != 7 || keys[1] != 9 {
+			t.Fatalf("keys body %q (err %v), want [7, 9]", rec.Body.String(), err)
+		}
+
+		url := fmt.Sprintf("/rank/%d/key/7", keyRankA)
+		rec = f.get(url)
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d (body %q)", url, rec.Code, rec.Body.String())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/octet-stream" {
+			t.Errorf("%s: Content-Type %q", url, ct)
+		}
+		if want := append(payload(30, 300), payload(31, 100)...); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s: body mismatch (%d bytes, want key 7's two records, %d)", url, rec.Body.Len(), len(want))
+		}
+
+		for url, want := range map[string]int{
+			fmt.Sprintf("/rank/%d/key/x", keyRankA):      400, // malformed key
+			"/rank/0/keys":                               400, // a rank without key records
+			"/rank/0/key/7":                              400,
+			"/rank/99/keys":                              404,
+			fmt.Sprintf("/rank/%d/keys/more", keyRankA):  404,
+			fmt.Sprintf("/rank/%d/key/7/more", keyRankA): 404,
+		} {
+			if rec := f.get(url); rec.Code != want {
+				t.Errorf("%s: status %d, want %d (body %q)", url, rec.Code, want, rec.Body.String())
+			}
+		}
+	})
+}
+
+// TestKeyIndexBuildsPerRank pins the key-index locking: while rank A's
+// index scan is parked inside a backend read, rank B's /keys (its blocks
+// already cached) must complete — a build holds only its own rank's lock.
+func TestKeyIndexBuildsPerRank(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		if rec := f.get(fmt.Sprintf("/rank/%d", keyRankB)); rec.Code != 200 {
+			t.Fatalf("warming rank %d: status %d", keyRankB, rec.Code)
+		}
+		f.gate.shut.Store(true)
+		aDone := make(chan int, 1)
+		go func() { aDone <- f.get(fmt.Sprintf("/rank/%d/keys", keyRankA)).Code }()
+		select {
+		case <-f.gate.parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("rank A's index scan never reached the backend")
+		}
+
+		bDone := make(chan int, 1)
+		go func() { bDone <- f.get(fmt.Sprintf("/rank/%d/keys", keyRankB)).Code }()
+		select {
+		case code := <-bDone:
+			if code != 200 {
+				t.Errorf("rank B keys while rank A's scan is parked: status %d", code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("rank B's /keys is stuck behind rank A's index scan")
+			defer func() { <-bDone }() // it finishes once the gate opens
+		}
+
+		close(f.gate.open)
+		if code := <-aDone; code != 200 {
+			t.Errorf("rank A keys after the gate opened: status %d", code)
+		}
+	})
+}
+
+// TestKeyIndexFailedBuildNotCached: an index scan interrupted by the
+// backend is an error for that request only; the next request rebuilds.
+func TestKeyIndexFailedBuildNotCached(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		phys := f.api.b.Layout().PhysicalName(0)
+		f.flaky.FailWindow(phys, f.flaky.FileOps(phys), 1<<40)
+		url := fmt.Sprintf("/rank/%d/keys", keyRankA)
+		if rec := f.get(url); rec.Code < 400 {
+			t.Fatalf("keys during the outage: status %d, want an error", rec.Code)
+		}
+		f.flaky.ClearWindows()
+		if rec := f.get(url); rec.Code != 200 || !strings.Contains(rec.Body.String(), "7") {
+			t.Fatalf("keys after the outage: status %d (body %q), want the rebuilt index", rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// TestReadOnlyMethods: the read endpoints answer only GET and HEAD;
+// anything else is 405 + Allow, never a served body.
+func TestReadOnlyMethods(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		for _, url := range []string{"/ranks", "/rank/0", "/rank/0?off=1&n=2",
+			fmt.Sprintf("/rank/%d/keys", keyRankA), fmt.Sprintf("/rank/%d/key/7", keyRankA),
+			"/stats", "/metrics", "/healthz"} {
+			for _, method := range []string{"POST", "PUT", "DELETE", "PATCH"} {
+				rec := f.do(method, url)
+				if rec.Code != http.StatusMethodNotAllowed {
+					t.Errorf("%s %s: status %d, want 405", method, url, rec.Code)
+				}
+				if allow := rec.Header().Get("Allow"); allow != "GET, HEAD" {
+					t.Errorf("%s %s: Allow %q", method, url, allow)
+				}
+			}
+		}
+		rec := f.do("HEAD", "/rank/0?off=10&n=20")
+		if rec.Code != 200 || rec.Header().Get("Content-Length") != "20" {
+			t.Errorf("HEAD window: status %d, Content-Length %q", rec.Code, rec.Header().Get("Content-Length"))
+		}
+	})
+}
+
+// TestPprofMount: the profiling endpoints exist only under -pprof.
+func TestPprofMount(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		eachBackend(t, "data", Flags{Pprof: on}, func(t *testing.T, f *fixture) {
+			want := 404
+			if on {
+				want = 200
+			}
+			if rec := f.get("/debug/pprof/cmdline"); rec.Code != want {
+				t.Errorf("pprof=%v: /debug/pprof/cmdline status %d, want %d", on, rec.Code, want)
+			}
+		})
+	}
+}
+
+// TestHealthzOK: a healthy backend is 200/"ok" with its breaker detail
+// under the backend's key, every circuit closed.
+func TestHealthzOK(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		rec := f.get("/healthz")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("healthy /healthz = %d, want 200", rec.Code)
+		}
+		var body map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("healthz body: %v", err)
+		}
+		if string(body["status"]) != `"ok"` || len(body) != 2 {
+			t.Fatalf("healthz body %s; want status ok plus one detail key", rec.Body.String())
+		}
+		var detail []json.RawMessage
+		if err := json.Unmarshal(body[f.healthKey], &detail); err != nil || len(detail) == 0 {
+			t.Fatalf("healthz %q detail %s (err %v), want a non-empty list", f.healthKey, body[f.healthKey], err)
+		}
+		if n := strings.Count(rec.Body.String(), `"state": "closed"`); n == 0 || strings.Contains(rec.Body.String(), `"state": "open"`) {
+			t.Fatalf("healthz body %s; want every circuit closed", rec.Body.String())
+		}
+	})
+}
+
+// TestDegraded503 walks an outage: uncached reads fail (500 until the
+// circuit opens, then 503 + Retry-After naming the condition), cached
+// reads keep answering 200, /healthz flips to 503; after the outage the
+// half-open probe closes the circuit and /healthz returns to 200.
+func TestDegraded503(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		const cached, uncached = "/rank/0?off=0&n=64", "/rank/0?off=4600&n=64"
+		warm := f.get(cached)
+		wantBody(t, cached, warm, payload(0, perRank)[:64])
+		phys := f.api.b.Layout().PhysicalName(0)
+		f.flaky.FailWindow(phys, f.flaky.FileOps(phys), 1<<40)
+
+		for i := 0; i < 2; i++ {
+			want := http.StatusServiceUnavailable
+			if i < f.outage500s {
+				want = http.StatusInternalServerError
+			}
+			if rec := f.get(uncached); rec.Code != want {
+				t.Fatalf("outage read %d = %d, want %d", i, rec.Code, want)
+			}
+		}
+
+		// Open circuit: misses are 503 with a Retry-After hint...
+		rec := f.get(uncached)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("degraded read = %d, want 503", rec.Code)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("degraded 503 missing Retry-After")
+		}
+		if !strings.Contains(rec.Body.String(), "degraded") {
+			t.Fatalf("degraded body %q does not name the condition", rec.Body.String())
+		}
+		// ...cache hits still answer 200 with the right bytes...
+		wantBody(t, cached, f.get(cached), payload(0, perRank)[:64])
+		// ...and /healthz flips to 503/degraded naming the open file.
+		hz := f.get("/healthz")
+		if hz.Code != http.StatusServiceUnavailable || hz.Header().Get("Retry-After") == "" {
+			t.Fatalf("degraded /healthz = %d (Retry-After %q), want 503 with the hint", hz.Code, hz.Header().Get("Retry-After"))
+		}
+		if !strings.Contains(hz.Body.String(), `"status": "degraded"`) || !strings.Contains(hz.Body.String(), `"state": "open"`) {
+			t.Fatalf("healthz body %q does not show the open circuit", hz.Body.String())
+		}
+
+		// Recovery: lift the outage and walk the request-counted cooldown;
+		// the half-open probe then succeeds and closes the circuit.
+		f.flaky.ClearWindows()
+		for i := 0; f.get(uncached).Code != http.StatusOK; i++ {
+			if i > 8 {
+				t.Fatalf("no read succeeded after the outage: %s", f.get("/healthz").Body.String())
+			}
+		}
+		wantBody(t, uncached, f.get(uncached), payload(0, perRank)[4600:4664])
+		if hz := f.get("/healthz"); hz.Code != http.StatusOK {
+			t.Fatalf("recovered /healthz = %d, want 200", hz.Code)
+		}
+	})
+}
+
+// TestStreamsLargeRank pins chunked streaming: a rank several times
+// serveChunk long arrives byte-identical with an exact Content-Length,
+// for the whole stream and for windows that straddle chunk boundaries.
+func TestStreamsLargeRank(t *testing.T) {
+	full := payload(0, int(bigBytes))
+	cases := []struct {
+		name string
+		url  string
+		want []byte
+	}{
+		{"whole stream", "/rank/0", full},
+		{"window across chunk boundary",
+			fmt.Sprintf("/rank/0?off=%d&n=%d", serveChunk-100, serveChunk+200),
+			full[serveChunk-100 : 2*serveChunk+100]},
+		{"tail remainder", fmt.Sprintf("/rank/0?off=%d", 2*serveChunk), full[2*serveChunk:]},
+	}
+	eachBackend(t, "big", Flags{}, func(t *testing.T, f *fixture) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				wantBody(t, tc.url, f.get(tc.url), tc.want)
+			})
+		}
+	})
+}
+
+// failAfterWriter passes through a fixed number of Writes, then fails —
+// the shape of a client hanging up mid-download.
+type failAfterWriter struct {
+	http.ResponseWriter
+	remaining int
+}
+
+func (f *failAfterWriter) Write(p []byte) (int, error) {
+	if f.remaining <= 0 {
+		return 0, errors.New("client hung up")
+	}
+	f.remaining--
+	return f.ResponseWriter.Write(p)
+}
+
+// TestWriteErrorLogged pins the post-header error path: once the status
+// line is out, a failed body write must be logged and the stream cut
+// short — not silently dropped, and never a second WriteHeader.
+func TestWriteErrorLogged(t *testing.T) {
+	eachBackend(t, "big", Flags{}, func(t *testing.T, f *fixture) {
+		recs := f.captureLog(t)
+		rec := httptest.NewRecorder()
+		w := &failAfterWriter{ResponseWriter: rec, remaining: 1}
+		f.h.ServeHTTP(w, httptest.NewRequest("GET", "/rank/0", nil))
+		if rec.Code != 200 {
+			t.Fatalf("status %d, want 200 (headers precede the failure)", rec.Code)
+		}
+		if got := int64(rec.Body.Len()); got != serveChunk {
+			t.Errorf("body stopped at %d bytes, want exactly one chunk (%d)", got, serveChunk)
+		}
+		if len(*recs) != 1 || (*recs)[0].Msg != "writing response" {
+			t.Errorf("log records = %+v, want one write-failure entry", *recs)
+		}
+	})
+}
+
+// TestWriteJSONErrorsChecked pins WriteJSON's two failure paths: an
+// unencodable value becomes a 500 (nothing was written yet), and a failed
+// write of a good payload is logged.
+func TestWriteJSONErrorsChecked(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		recs := f.captureLog(t)
+		rec := httptest.NewRecorder()
+		f.api.WriteJSON(rec, make(chan int)) // not marshalable
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("unencodable value: status %d, want 500", rec.Code)
+		}
+		if len(*recs) != 1 || (*recs)[0].Msg != "encoding response" {
+			t.Fatalf("log records = %+v, want one encoding-failure entry", *recs)
+		}
+
+		*recs = (*recs)[:0]
+		w := &failAfterWriter{ResponseWriter: httptest.NewRecorder(), remaining: 0}
+		f.api.WriteJSON(w, map[string]int{"ok": 1})
+		if len(*recs) != 1 || (*recs)[0].Msg != "writing response" {
+			t.Errorf("log records = %+v, want one write-failure entry", *recs)
+		}
+	})
+}
+
+// TestRequestIDEcho pins the middleware header contract: a fresh ID is
+// assigned when the client sends none, and a client-sent ID is adopted.
+func TestRequestIDEcho(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		if id := f.get("/rank/0").Header().Get(obs.RequestIDHeader); len(id) != 16 {
+			t.Errorf("generated request ID %q, want 16 hex chars", id)
+		}
+		req := httptest.NewRequest("GET", "/rank/0", nil)
+		req.Header.Set(obs.RequestIDHeader, "caller-chosen-id")
+		rec := httptest.NewRecorder()
+		f.h.ServeHTTP(rec, req)
+		if id := rec.Header().Get(obs.RequestIDHeader); id != "caller-chosen-id" {
+			t.Errorf("adopted request ID %q, want the caller's", id)
+		}
+	})
+}
+
+// TestSlowRequestLogCarriesCrumbs drops the slow threshold to a
+// nanosecond so every request logs, and checks the trail: a cold read
+// leaves backend_read crumbs, a warm re-read cache_hit crumbs.
+func TestSlowRequestLogCarriesCrumbs(t *testing.T) {
+	eachBackend(t, "data", Flags{SlowMs: 500}, func(t *testing.T, f *fixture) {
+		if f.api.Slow != 500*time.Millisecond {
+			t.Fatalf("Slow = %v from -slow-ms 500", f.api.Slow)
+		}
+		f.api.Slow = time.Nanosecond
+		f.h = f.api.Handler()
+		recs := f.captureLog(t)
+		for i := 0; i < 2; i++ {
+			if rec := f.get("/rank/0"); rec.Code != 200 {
+				t.Fatalf("read %d: status %d", i, rec.Code)
+			}
+		}
+		var crumbs []string
+		for _, r := range *recs {
+			if r.Msg != "slow request" {
+				continue
+			}
+			for i := 0; i+1 < len(r.KV); i += 2 {
+				if r.KV[i] == "crumbs" {
+					crumbs = append(crumbs, r.KV[i+1].(string))
+				}
+			}
+		}
+		if len(crumbs) != 2 {
+			t.Fatalf("slow-request records = %d, want 2 (crumbs %q)", len(crumbs), crumbs)
+		}
+		if !strings.Contains(crumbs[0], obs.CrumbBackendRead+"=") {
+			t.Errorf("cold read crumbs %q, want a backend_read", crumbs[0])
+		}
+		if !strings.Contains(crumbs[1], obs.CrumbCacheHit+"=") {
+			t.Errorf("warm read crumbs %q, want cache hits", crumbs[1])
+		}
+	})
+}
+
+// familySum sums every sample of a counter/gauge family across its label
+// sets (all nodes) in a Prometheus text exposition.
+func familySum(t *testing.T, body, family string) int64 {
+	t.Helper()
+	var sum int64
+	for _, line := range strings.Split(body, "\n") {
+		if !strings.HasPrefix(line, family) {
+			continue
+		}
+		rest := line[len(family):]
+		if !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{") {
+			continue // a longer family name sharing this prefix
+		}
+		fields := strings.Fields(line)
+		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		if err != nil {
+			t.Fatalf("parsing sample %q: %v", line, err)
+		}
+		sum += int64(v)
+	}
+	return sum
+}
+
+// TestMetricsMatchesStats seeds a workload and pins the acceptance
+// contract: /metrics parses cleanly (obs.CheckExposition) and its
+// families agree exactly with the backend's Stats snapshot — they are
+// the same instruments. (CI runs this as its exposition smoke test.)
+func TestMetricsMatchesStats(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		for i := 0; i < 2; i++ { // second pass hits the warmed cache
+			for r := 0; r < rawRanks; r++ {
+				if rec := f.get("/rank/" + strconv.Itoa(r)); rec.Code != 200 {
+					t.Fatalf("rank %d: status %d", r, rec.Code)
+				}
+			}
+		}
+		rec := f.get("/metrics")
+		if rec.Code != 200 {
+			t.Fatalf("/metrics: status %d", rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Errorf("/metrics Content-Type %q", ct)
+		}
+		if id := rec.Header().Get(obs.RequestIDHeader); len(id) != 16 {
+			t.Errorf("request ID %q, want 16 hex chars", id)
+		}
+		body := rec.Body.String()
+		if err := obs.CheckExposition([]byte(body)); err != nil {
+			t.Fatalf("exposition: %v", err)
+		}
+		want := f.families()
+		if want["serve_cache_hits_total"] == 0 || want["serve_backend_reads_total"] == 0 {
+			t.Fatalf("workload did not seed the counters: %v", want)
+		}
+		for family, v := range want {
+			if got := familySum(t, body, family); got != v {
+				t.Errorf("%s = %d, want %d (Stats)", family, got, v)
+			}
+		}
+		// The instrumented backend shares the registry, so one scrape shows
+		// cache behavior next to the raw I/O it turns into, labeled.
+		if familySum(t, body, "fsio_ops_total") == 0 || !strings.Contains(body, `fsio_ops_total{backend="os"`) {
+			t.Error("fsio_ops_total missing or unlabeled in the exposition")
+		}
+	})
+}
+
+// TestRunDrainsAndCloses pins the life cycle: Run serves until its context
+// ends, lets the in-flight request finish, then closes the backend; a
+// listen failure is returned (and the backend closed) instead.
+func TestRunDrainsAndCloses(t *testing.T) {
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ran := make(chan error, 1)
+		go func() { ran <- f.api.Run(ctx, "test", addr) }()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			resp, err := http.Get("http://" + addr + "/healthz")
+			if err == nil {
+				resp.Body.Close()
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("server never came up: %v", err)
+			}
+		}
+
+		// Park one request inside a backend read, begin the drain, then
+		// let it go: it must still be answered in full.
+		f.gate.shut.Store(true)
+		type result struct {
+			code int
+			n    int
+			err  error
+		}
+		got := make(chan result, 1)
+		go func() {
+			resp, err := http.Get("http://" + addr + "/rank/1")
+			if err != nil {
+				got <- result{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			_, err = buf.ReadFrom(resp.Body)
+			got <- result{resp.StatusCode, buf.Len(), err}
+		}()
+		select {
+		case <-f.gate.parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the request never reached the backend")
+		}
+		cancel()
+		select {
+		case err := <-ran:
+			t.Fatalf("Run returned (%v) with a request still in flight", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(f.gate.open)
+		if r := <-got; r.err != nil || r.code != 200 || r.n != perRank {
+			t.Errorf("in-flight request across the drain: %+v, want 200 with %d bytes", r, perRank)
+		}
+		if err := <-ran; err != nil {
+			t.Errorf("Run after a clean drain: %v", err)
+		}
+		if h, err := f.api.b.Open(0); err == nil {
+			if _, err := h.ReadLogicalAt(make([]byte, 8), 0); err == nil {
+				t.Error("backend still serves reads after Run returned")
+			}
+		}
+	})
+
+	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		if err := f.api.Run(context.Background(), "test", "256.0.0.1:http"); err == nil {
+			t.Error("Run on an unusable address returned nil")
+		}
+	})
+}

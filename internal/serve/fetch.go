@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	sion "repro/internal/core"
 	"repro/internal/fsio"
@@ -92,26 +91,10 @@ func (f *fetcher) loop() {
 	}
 }
 
-// collect widens the batch: everything already queued is taken, and with a
-// positive BatchWindow the fetcher keeps listening for that long so misses
-// of concurrent clients that are microseconds apart fuse into one backend
-// read pattern.
+// collect widens the batch with everything already queued — the misses
+// that arrived while the previous batch was on the wire, which is what
+// matters at steady load.
 func (f *fetcher) collect(batch []*fetchReq) []*fetchReq {
-	if w := f.s.batchWindow; w > 0 {
-		timer := time.NewTimer(w)
-		defer timer.Stop()
-		for {
-			select {
-			case r, ok := <-f.reqs:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, r)
-			case <-timer.C:
-				return batch
-			}
-		}
-	}
 	for {
 		select {
 		case r, ok := <-f.reqs:
@@ -185,7 +168,7 @@ func (f *fetcher) serve(batch []*fetchReq) {
 				// A short read past EOF leaves the zero fill of make,
 				// matching the ReadAt contract for unwritten regions.
 				// Spans longer than the backend's ranged-read ceiling
-				// (Config.MaxSpanBytes, from the capability descriptor)
+				// (Server.maxSpanBytes, from the capability descriptor)
 				// are read in several block-aligned requests.
 				retries, rerr := f.windowedSpanRead(buf, sp.Off)
 				stats.retries += retries

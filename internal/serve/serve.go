@@ -17,10 +17,10 @@
 //   - Singleflight and request coalescing (fetch.go): all backend reads
 //     of one physical file are issued by that file's fetcher goroutine.
 //     Concurrent misses of the same block resolve to a single backend
-//     read, and misses in nearby blocks — within one batch or within an
-//     optional batching window — are merged into dense span reads using
-//     the same gap-splitting span logic as the mapped collective open
-//     (sion.CoalesceExtents).
+//     read, and misses in nearby blocks of one batch (everything that
+//     queued behind the previous fetch) are merged into dense span reads
+//     using the same gap-splitting span logic as the mapped collective
+//     open (sion.CoalesceExtents).
 //   - Cheap client sessions: Open returns a Handle holding only cursor
 //     state, so opening a session issues no backend request at all.
 //     Handles re-express the core read semantics (sequential Read,
@@ -45,7 +45,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	sion "repro/internal/core"
 	"repro/internal/fsio"
@@ -62,7 +61,7 @@ var ErrServerClosed = errors.New("serve: server is closed")
 // queueing more doomed reads behind it. Reads satisfied entirely from the
 // cache keep succeeding while a file is degraded. The condition is
 // temporary by construction — the breaker admits a half-open probe after its
-// cooldown — so clients should back off and retry (cmd/sionserve maps
+// cooldown — so clients should back off and retry (internal/httpapi maps
 // this to 503 + Retry-After).
 var ErrDegraded = errors.New("serve: degraded: backend circuit open")
 
@@ -95,19 +94,6 @@ type Config struct {
 	// trip is the break-even point — else sion.DefaultSpanGap; negative
 	// = merge only adjacent blocks).
 	MaxSpanGap int64
-
-	// MaxSpanBytes bounds one dense backend span read; longer spans are
-	// read in several requests of at most this size (default: the
-	// backend's MaxReadBytes capability rounded down to whole cache
-	// blocks; 0 = unbounded; negative = force one block per request).
-	MaxSpanBytes int64
-
-	// BatchWindow, when positive, makes a fetcher wait this long after
-	// the first miss of a batch so that misses of concurrent clients
-	// arriving within the window fuse into the same dense spans. The
-	// default 0 still batches everything queued behind an in-flight
-	// fetch, which is what matters at steady load.
-	BatchWindow time.Duration
 
 	// Retry is the backoff budget each backend span read runs under
 	// (transient failures per the fsio error contract are re-attempted;
@@ -188,8 +174,7 @@ type Server struct {
 	cache        *blockCache
 	blockBytes   int64
 	maxSpanGap   int64
-	maxSpanBytes int64
-	batchWindow  time.Duration
+	maxSpanBytes int64 // ceiling of one backend span read (0 = unbounded), see spanCeiling
 	retry        resil.Budget
 	breakerCfg   [2]int // resolved {threshold, cooldown}; threshold < 0 disables
 	peerFill     func(file int, block int64) ([]byte, bool)
@@ -217,20 +202,43 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	c := resolveConfig(cfg, layout.FSBlockSize(), fsio.CapabilitiesOf(fsys))
+	s, err := newServer(fsys, name, cfg, layout.FSBlockSize(), layout.NumFiles(), layout.PhysicalName)
+	if err != nil {
+		return nil, err
+	}
+	s.layout = layout
+	return s, nil
+}
+
+// newServer is what New and NewTail share: it resolves cfg against the
+// multifile's FS block size and the backend's capabilities, builds the
+// cache, the resilience state and the instruments (a private registry
+// when the config names none; the cache must exist first — shard
+// counters match its shard count and the resident-bytes gauge reads it),
+// then opens the nfiles physical files and starts their fetchers.
+func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfiles int, physName func(int) string) (*Server, error) {
+	caps := fsio.CapabilitiesOf(fsys)
+	c := resolveConfig(cfg, fsblk, caps)
 	s := &Server{
 		name:         name,
-		layout:       layout,
 		blockBytes:   c.BlockBytes,
 		maxSpanGap:   c.MaxSpanGap,
-		maxSpanBytes: c.MaxSpanBytes,
-		batchWindow:  c.BatchWindow,
+		maxSpanBytes: spanCeiling(caps, c.BlockBytes),
 		cache:        newBlockCache(c.CacheBytes, c.Shards),
+		breakerCfg:   [2]int{c.BreakerThreshold, c.BreakerCooldown},
+		peerFill:     c.PeerFill,
 	}
-	s.applyResilience(c)
-	s.applyMetrics(c)
-	for k := 0; k < layout.NumFiles(); k++ {
-		if err := s.openPhysical(fsys, layout.PhysicalName(k)); err != nil {
+	if c.Retry != nil {
+		s.retry = *c.Retry
+	}
+	reg := c.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	s.m = newServerMetrics(reg, c.MetricLabels, len(s.cache.shards))
+	s.registerDerived()
+	for k := 0; k < nfiles; k++ {
+		if err := s.openPhysical(fsys, physName(k)); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("serve: opening physical file %d: %w", k, err)
 		}
@@ -279,43 +287,20 @@ func resolveConfig(cfg *Config, fsblk int64, caps fsio.Capabilities) Config {
 	} else if c.MaxSpanGap < 0 {
 		c.MaxSpanGap = 0
 	}
-	if c.MaxSpanBytes == 0 {
-		c.MaxSpanBytes = caps.MaxReadBytes
-	} else if c.MaxSpanBytes < 0 {
-		c.MaxSpanBytes = c.BlockBytes
-	}
-	if c.MaxSpanBytes > 0 {
-		// Span requests are built from whole cache blocks; round the
-		// ceiling down to the block grid (never below one block — the
-		// backend splits oversized single requests itself).
-		c.MaxSpanBytes -= c.MaxSpanBytes % c.BlockBytes
-		if c.MaxSpanBytes < c.BlockBytes {
-			c.MaxSpanBytes = c.BlockBytes
-		}
-	}
 	return c
 }
 
-// applyResilience installs the resolved retry budget and breaker knobs.
-func (s *Server) applyResilience(c Config) {
-	if c.Retry != nil {
-		s.retry = *c.Retry
+// spanCeiling is the most one backend span read may ask for: the
+// backend's ranged-read ceiling (fsio.Capabilities.MaxReadBytes; 0 =
+// unbounded) rounded down to the cache-block grid, since span requests are
+// built from whole blocks — never below one block (the backend splits an
+// oversized single request itself). Longer dense spans are read in several
+// requests of at most this size.
+func spanCeiling(caps fsio.Capabilities, blockBytes int64) int64 {
+	if caps.MaxReadBytes <= 0 {
+		return 0
 	}
-	s.breakerCfg = [2]int{c.BreakerThreshold, c.BreakerCooldown}
-	s.peerFill = c.PeerFill
-}
-
-// applyMetrics registers the server's instrument families (a private
-// registry when the config names none) and the exposition-time bridges.
-// Must run after the cache exists: shard counters match its shard count
-// and the resident-bytes gauge reads it.
-func (s *Server) applyMetrics(c Config) {
-	reg := c.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	s.m = newServerMetrics(reg, c.MetricLabels, len(s.cache.shards))
-	s.registerDerived()
+	return max(caps.MaxReadBytes-caps.MaxReadBytes%blockBytes, blockBytes)
 }
 
 // openPhysical opens one physical file and starts its fetcher (plus its
@@ -409,35 +394,22 @@ func (s *Server) HotBlocks(minHits int64) []HotBlock {
 type FileReaderAt interface {
 	// ReadFileAt fills p with bytes [off, off+len(p)) of physical file
 	// `file`. Reads past EOF keep the zero fill (the multifile layout
-	// never maps logical bytes there).
-	ReadFileAt(file int, p []byte, off int64) error
-}
-
-// SpanFileReaderAt is the span-threading extension of FileReaderAt:
-// ReadFileAtSpan behaves exactly like ReadFileAt and additionally records
-// breadcrumbs (cache hits, backend reads, peer fills, retries) on sp.
-// *Server and cluster routers implement it; Handles use it when a span
-// is attached (Handle.SetSpan) and fall back to ReadFileAt otherwise.
-type SpanFileReaderAt interface {
-	FileReaderAt
-	ReadFileAtSpan(file int, p []byte, off int64, sp *obs.Span) error
+	// never maps logical bytes there). sp (nil = untraced) accumulates
+	// the read's breadcrumbs: cache hits, backend reads, peer fills,
+	// retries.
+	ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error
 }
 
 // ReadFileAt serves [off, off+len(p)) of physical file `file` through the
 // cache, delegating misses to the file's fetcher, and counts the bytes as
 // served. It is the exported form of the internal read path, used by
-// Handles and by cluster routers addressing this node.
-func (s *Server) ReadFileAt(file int, p []byte, off int64) error {
-	return s.ReadFileAtSpan(file, p, off, nil)
-}
-
-// ReadFileAtSpan is ReadFileAt with a breadcrumb trail: sp (nil is fine)
+// Handles and by cluster routers addressing this node. sp (nil is fine)
 // accumulates what this read cost — cache hits/misses per block, and,
 // for reads that missed, the fetch batch's backend spans, peer fills,
 // flight hits, and retries. Batch-level costs are attributed to every
 // requester the batch answered (the fetcher serializes misses per file,
 // so a batch's work is genuinely shared).
-func (s *Server) ReadFileAtSpan(file int, p []byte, off int64, sp *obs.Span) error {
+func (s *Server) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	if file < 0 || file >= len(s.fetchers) {
 		return fmt.Errorf("serve: %s: physical file %d outside 0..%d", s.name, file, len(s.fetchers)-1)
 	}
@@ -502,7 +474,7 @@ type FileHealth struct {
 }
 
 // Health reports per-physical-file breaker state, the substance of
-// cmd/sionserve's /healthz endpoint. With breakers disabled every file
+// sionserve's /healthz endpoint. With breakers disabled every file
 // reports closed.
 func (s *Server) Health() []FileHealth {
 	out := make([]FileHealth, len(s.physNames))
@@ -626,9 +598,8 @@ func copyBlockPortion(p []byte, off, b, bs int64, data []byte) {
 // clients each Open their own Handle.
 type Handle struct {
 	r      FileReaderAt
-	sr     SpanFileReaderAt // r, when it supports span threading (else nil)
-	span   *obs.Span        // attached request span (nil = no tracing)
-	name   string           // multifile base name (error messages)
+	span   *obs.Span // attached request span (nil = no tracing)
+	name   string    // multifile base name (error messages)
 	rank   int
 	blocks []sion.BlockExtent
 	base   []int64 // logical offset of each block extent's first byte
@@ -657,15 +628,13 @@ func NewHandle(layout *sion.Layout, rank int, r FileReaderAt) (*Handle, error) {
 		base[b] = size
 		size += be.Bytes
 	}
-	sr, _ := r.(SpanFileReaderAt)
-	return &Handle{r: r, sr: sr, name: layout.Name(), rank: rank, blocks: blocks, base: base, size: size}, nil
+	return &Handle{r: r, name: layout.Name(), rank: rank, blocks: blocks, base: base, size: size}, nil
 }
 
 // SetSpan attaches a request span to the handle: subsequent reads record
 // their breadcrumbs (cache hits, backend reads, peer fills, retries) on
-// sp, provided the underlying reader supports span threading (a *Server
-// or a cluster router does). SetSpan(nil) detaches. Like Read/Seek, the
-// span belongs to the handle's goroutine; the HTTP front ends attach the
+// sp. SetSpan(nil) detaches. Like Read/Seek, the span belongs to the
+// handle's goroutine; the HTTP front end (internal/httpapi) attaches the
 // per-request span right after Open.
 func (h *Handle) SetSpan(sp *obs.Span) { h.span = sp }
 
@@ -675,10 +644,7 @@ func (s *Server) Open(rank int) (*Handle, error) {
 	if s.tail != nil {
 		return nil, fmt.Errorf("serve: %s: tail server (live multifile) — use Tail, not Open", s.name)
 	}
-	if rank < 0 || rank >= s.layout.NTasks() {
-		return nil, fmt.Errorf("serve: %s: rank %d outside 0..%d", s.name, rank, s.layout.NTasks()-1)
-	}
-	h, err := NewHandle(s.layout, rank, s)
+	h, err := NewHandle(s.layout, rank, s) // validates rank
 	if err != nil {
 		return nil, err
 	}
@@ -717,13 +683,7 @@ func (h *Handle) ReadLogicalAt(p []byte, off int64) (int, error) {
 		if n > avail {
 			n = avail
 		}
-		var err error
-		if h.sr != nil && h.span != nil {
-			err = h.sr.ReadFileAtSpan(be.File, p[:n], be.Off+rel, h.span)
-		} else {
-			err = h.r.ReadFileAt(be.File, p[:n], be.Off+rel)
-		}
-		if err != nil {
+		if err := h.r.ReadFileAt(be.File, p[:n], be.Off+rel, h.span); err != nil {
 			return total, err
 		}
 		p = p[n:]

@@ -43,27 +43,15 @@ func NewTail(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 		c = *cfg
 	}
 	c.BlockBytes = t.FSBlockSize()
-	c = resolveConfig(&c, t.FSBlockSize(), fsio.CapabilitiesOf(fsys))
-	s := &Server{
-		name:          name,
-		tail:          t,
-		prevCommitted: make([]int64, t.NTasks()),
-		blockBytes:    c.BlockBytes,
-		maxSpanGap:    c.MaxSpanGap,
-		maxSpanBytes:  c.MaxSpanBytes,
-		batchWindow:   c.BatchWindow,
-		cache:         newBlockCache(c.CacheBytes, c.Shards),
+	s, err := newServer(fsys, name, &c, t.FSBlockSize(), t.NumFiles(), t.PhysicalName)
+	if err != nil {
+		t.Close()
+		return nil, err
 	}
-	s.applyResilience(c)
-	s.applyMetrics(c)
+	s.tail = t
+	s.prevCommitted = make([]int64, t.NTasks())
 	for r := range s.prevCommitted {
 		s.prevCommitted[r] = t.CommittedSize(r)
-	}
-	for k := 0; k < t.NumFiles(); k++ {
-		if err := s.openPhysical(fsys, t.PhysicalName(k)); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("serve: opening physical file %d: %w", k, err)
-		}
 	}
 	return s, nil
 }

@@ -470,7 +470,7 @@ func (f *file) addExtent(off, end int64) int64 {
 		if es[j].end > newEnd {
 			newEnd = es[j].end
 		}
-		lo, hi := max64(es[j].off, off), min64(es[j].end, end)
+		lo, hi := max(es[j].off, off), min(es[j].end, end)
 		if hi > lo {
 			overlap += hi - lo
 		}
@@ -479,20 +479,6 @@ func (f *file) addExtent(off, end int64) int64 {
 	merged := append(es[:i:i], extent{newOff, newEnd})
 	f.extents = append(merged, es[j:]...)
 	return (end - off) - overlap
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // handle is an open file bound to a task view.
@@ -700,7 +686,7 @@ func (f *file) addExtentProbe(off, end int64) int64 {
 	i := sort.Search(len(es), func(i int) bool { return es[i].end > off })
 	var overlap int64
 	for ; i < len(es) && es[i].off < end; i++ {
-		lo, hi := max64(es[i].off, off), min64(es[i].end, end)
+		lo, hi := max(es[i].off, off), min(es[i].end, end)
 		if hi > lo {
 			overlap += hi - lo
 		}

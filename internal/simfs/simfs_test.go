@@ -210,7 +210,7 @@ func TestContentProperty(t *testing.T) {
 		n := 1 + rng.Intn(299)
 		got := make([]byte, n)
 		r, _ := f.ReadAt(got, off)
-		want := ref[off:min64(off+int64(n), size)]
+		want := ref[off:min(off+int64(n), size)]
 		if !bytes.Equal(got[:r], want) {
 			t.Fatalf("mismatch at off=%d n=%d", off, n)
 		}
