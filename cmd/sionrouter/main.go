@@ -1,6 +1,7 @@
 // Command sionrouter fronts a multifile with a cluster of serve nodes
-// (internal/cluster): blocks are consistent-hashed across N in-process
-// serve instances, the hottest blocks are replicated to ring successors,
+// (internal/cluster): 256 KiB granules are consistent-hashed across N
+// in-process serve instances, a read is one node call per granule it
+// touches, the hottest blocks are replicated to ring successors,
 // and nodes fill their caches from each other before touching the
 // backend — one process, but the cluster data path (ring routing, peer
 // fill, failover) that a multi-host deployment would use.

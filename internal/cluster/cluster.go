@@ -1,6 +1,6 @@
 // Package cluster scales the read-serving tier (internal/serve)
 // horizontally: a Cluster is a router that consistent-hashes
-// (physical file, cache block) across N serve nodes on a hash ring,
+// (physical file, granule) across N serve nodes on a hash ring,
 // replicates the hottest blocks to K nodes, and lets nodes fill their
 // caches from each other before falling back to the backend — so a block
 // is read from the file system once per cluster, not once per node. This
@@ -10,31 +10,43 @@
 // workload that melts one node spreads across the ring, and the working
 // set is cached once cluster-wide instead of once per node.
 //
+// The ownership rule: a granule is the unit of placement, a run is the
+// unit of routing, a block stays the unit of caching. A granule is
+// granuleBytes (256 KiB) of consecutive cache blocks of one physical
+// file; a run is the part of one request that falls inside one granule.
+// The multifile keeps a task's data contiguous so that few large requests
+// reach the file system; routing by run keeps it contiguous on the way
+// there — a node that misses sees all of a run's blocks in one fetch and
+// fuses them into one backend span.
+//
 // Four mechanisms do the work:
 //
-//   - Consistent-hash routing (ring.go): every cache block has a primary
-//     node and a deterministic successor order. A node joining or leaving
-//     remaps only the blocks adjacent to its ring points, so the
+//   - Consistent-hash routing (ring.go): every granule has a primary node
+//     and a deterministic successor order. A node joining or leaving
+//     remaps only the granules adjacent to its ring points, so the
 //     surviving caches stay hot across membership churn.
 //   - Peer cache fill: each node's serve.Config.PeerFill hook asks the
-//     other nodes' Peek (a passive cache-only lookup) before its fetcher
-//     touches the backend. A block that any node already holds spreads
-//     through the cluster without another backend read.
+//     other nodes' Peek (a passive cache-only lookup), in the granule's
+//     ring order, before its fetcher touches the backend. A block that
+//     any node already holds spreads through the cluster without another
+//     backend read.
 //   - Hot-block replication: RebalanceHot merges the nodes' shard-LRU hit
 //     reports (serve.HotBlocks), tracks the hottest blocks, and
-//     pre-materializes them on the first ReplicateHot ring successors
-//     (cheap, via peer fill). Reads of a hot block rotate across its
-//     replicas instead of hammering the primary.
+//     pre-materializes them on the first ReplicateHot ring successors of
+//     their granule (cheap, via peer fill). While the hot set is
+//     non-empty a run is also cut where hotness flips, and a stretch of
+//     consecutive hot blocks rotates across those replicas as one run
+//     instead of hammering the primary.
 //   - Failure routing: nodes expose their breaker state (serve.Health,
 //     serve.Degraded); the router tries healthy replicas first and fails
-//     over past open-circuit, closed, or transiently failing nodes. Only
-//     when every replica is down does a read fail, with a typed
-//     serve.ErrDegraded so front ends can answer 503 + Retry-After.
+//     a whole run over past open-circuit, closed, or transiently failing
+//     nodes. Only when every replica is down does a read fail, with a
+//     typed serve.ErrDegraded so front ends can answer 503 + Retry-After.
 //
 // Clients call Open and get an ordinary serve.Handle (Read, Seek,
 // ReadLogicalAt, KeyReader): the Handle reads through the Cluster's
-// FileReaderAt, which routes block by block. All methods are safe for
-// concurrent use.
+// FileReaderAt, which makes one node call per run. All methods are safe
+// for concurrent use.
 package cluster
 
 import (
@@ -119,23 +131,27 @@ type hotKey struct {
 	block int64
 }
 
+// hotSet is one immutable snapshot of the tracked hot blocks; RebalanceHot
+// publishes a fresh one (nil when nothing is hot).
+type hotSet map[hotKey]struct{}
+
 // Cluster routes reads across serve nodes on a consistent-hash ring. See
 // the package documentation for the mechanism.
 type Cluster struct {
 	cfg Config
 
-	mu         sync.RWMutex // guards membership and the snapshot below
-	closed     bool
-	name       string // multifile base name (set by the first Join)
-	layout     *sion.Layout
-	blockBytes int64
-	nodes      []*Node // sorted by ID
-	ring       *ring
+	mu            sync.RWMutex // guards membership and the snapshot below
+	closed        bool
+	name          string // multifile base name (set by the first Join)
+	layout        *sion.Layout
+	blockBytes    int64
+	granuleBlocks int64   // blocks per granule, fixed with blockBytes by the first Join
+	nodes         []*Node // sorted by ID
+	ring          *ring
 
-	hotMu sync.RWMutex
-	hot   map[hotKey]struct{}
+	hot atomic.Pointer[hotSet] // nil = nothing hot: a read pays one load
 
-	rr atomic.Uint64 // rotates reads across hot-block replicas
+	rr atomic.Uint64 // rotates hot runs across their replicas
 
 	// m holds the routing counters as obs instruments (Stats() reads
 	// them); the same registry carries every node's serve families,
@@ -147,7 +163,7 @@ var _ serve.FileReaderAt = (*Cluster)(nil)
 
 // New builds an empty cluster; Join adds serve nodes to it.
 func New(cfg *Config) *Cluster {
-	c := &Cluster{cfg: resolveConfig(cfg), hot: make(map[hotKey]struct{})}
+	c := &Cluster{cfg: resolveConfig(cfg)}
 	c.m = newClusterMetrics(c.cfg.Metrics, c)
 	return c
 }
@@ -160,9 +176,9 @@ func (c *Cluster) Metrics() *obs.Registry { return c.m.reg }
 // adds it to the ring. The node's serve.Config (nil for defaults) is
 // taken over with two adjustments: its PeerFill hook is wired to the
 // other nodes' caches, and its cache-block size is forced to the
-// cluster's, which the first Join establishes (routing and peer fill are
-// block-granular, so every node must agree). All nodes of one cluster
-// must front the same multifile.
+// cluster's, which the first Join establishes together with the granule
+// (placement and peer fill address blocks by number, so every node must
+// agree). All nodes of one cluster must front the same multifile.
 func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve.Config) (*Node, error) {
 	c.mu.RLock()
 	closed, curName, blockBytes := c.closed, c.name, c.blockBytes
@@ -200,6 +216,8 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	case c.blockBytes != 0 && srv.BlockBytes() != c.blockBytes:
 		err = fmt.Errorf("cluster: join %s: block size %d differs from the cluster's %d",
 			id, srv.BlockBytes(), c.blockBytes)
+	case len(c.nodes) == maxNodes:
+		err = fmt.Errorf("cluster: join %s: the ring is full (%d nodes)", id, maxNodes)
 	default:
 		for _, other := range c.nodes {
 			if other.ID == id {
@@ -217,6 +235,7 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 		c.name = name
 		c.layout = srv.Layout()
 		c.blockBytes = srv.BlockBytes()
+		c.granuleBlocks = max(1, granuleBytes/c.blockBytes)
 	}
 	// Copy-on-write: readers iterate snapshots of c.nodes outside the
 	// lock, so membership changes must never mutate the old backing array.
@@ -231,7 +250,7 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 }
 
 // Leave removes node `id` from the ring and closes its serve instance.
-// Blocks whose primary departs remap to their ring successors; reads that
+// Granules whose primary departs remap to their ring successors; reads that
 // raced the departure fail over the same way they fail over a degraded
 // node, so serving continues uninterrupted as long as one node remains.
 func (c *Cluster) Leave(id string) error {
@@ -306,7 +325,7 @@ func (c *Cluster) Layout() *sion.Layout {
 	return c.layout
 }
 
-// BlockBytes returns the cluster's routing block size (0 before the first
+// BlockBytes returns the cluster's cache-block size (0 before the first
 // Join).
 func (c *Cluster) BlockBytes() int64 {
 	c.mu.RLock()
@@ -327,8 +346,8 @@ func (c *Cluster) NodeIDs() []string {
 
 // Open starts a read session on the logical file of writer rank `rank`.
 // The returned Handle carries the full serve.Handle semantics (Read,
-// Seek, ReadLogicalAt, KeyReader); every block it touches is routed
-// through the ring.
+// Seek, ReadLogicalAt, KeyReader); every read it makes is routed through
+// the ring, one node call per run.
 func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 	c.mu.RLock()
 	closed, layout := c.closed, c.layout
@@ -348,17 +367,18 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 }
 
 // peerFill answers node selfID's fetcher: scan the other nodes' caches
-// (in ring order for the block, most likely holders first) for the block,
-// without triggering any fetch. This is the hook behind
+// (in ring order for the block's granule, most likely holders first) for
+// the block, without triggering any fetch. This is the hook behind
 // serve.Config.PeerFill.
 func (c *Cluster) peerFill(selfID string, file int, block int64) ([]byte, bool) {
 	c.mu.RLock()
-	nodes, rg := c.nodes, c.ring
+	nodes, rg, gb := c.nodes, c.ring, c.granuleBlocks
 	c.mu.RUnlock()
 	if rg == nil {
 		return nil, false
 	}
-	for _, ni := range rg.lookup(blockHash(file, block)) {
+	var buf [maxNodes]int
+	for _, ni := range rg.lookup(granuleHash(file, block/gb), &buf) {
 		n := nodes[ni]
 		if n.ID == selfID {
 			continue
@@ -370,37 +390,32 @@ func (c *Cluster) peerFill(selfID string, file int, block int64) ([]byte, bool) 
 	return nil, false
 }
 
-// isHot reports whether (file, block) is in the tracked hot set.
-func (c *Cluster) isHot(file int, block int64) bool {
-	c.hotMu.RLock()
-	defer c.hotMu.RUnlock()
-	_, ok := c.hot[hotKey{file, block}]
-	return ok
+// hotSnapshot returns the tracked hot set (nil, which reads as empty, when
+// nothing is hot).
+func (c *Cluster) hotSnapshot() hotSet {
+	if h := c.hot.Load(); h != nil {
+		return *h
+	}
+	return nil
 }
 
 // HotTracked returns the size of the tracked hot set.
-func (c *Cluster) HotTracked() int {
-	c.hotMu.RLock()
-	defer c.hotMu.RUnlock()
-	return len(c.hot)
-}
+func (c *Cluster) HotTracked() int { return len(c.hotSnapshot()) }
 
 // RebalanceHot merges the nodes' shard-LRU hit reports into the hot set
 // (the hottest hotSetCap blocks with at least HotMinHits hits) and
-// pre-materializes each hot block on its first ReplicateHot ring
-// successors — cheaply, because the replicas fill from the primary's
-// cache via peer fill, not from the backend. Reads of hot blocks then
-// rotate across the replicas. Call it periodically (cmd/sionrouter does;
-// tab9 calls it every few dozen clients); it returns the tracked hot-set
-// size. Safe for concurrent use with reads and membership changes.
+// pre-materializes each hot block on the first ReplicateHot ring
+// successors of its granule — cheaply, because the replicas fill from the
+// primary's cache via peer fill, not from the backend. Runs of hot blocks
+// then rotate across the replicas. Call it periodically (cmd/sionrouter
+// does; tab9 calls it every few dozen clients); it returns the tracked
+// hot-set size. Safe for concurrent use with reads and membership changes.
 func (c *Cluster) RebalanceHot() int {
 	c.mu.RLock()
-	nodes, rg, bs := c.nodes, c.ring, c.blockBytes
+	nodes, rg, bs, gb := c.nodes, c.ring, c.blockBytes, c.granuleBlocks
 	c.mu.RUnlock()
 	if len(nodes) == 0 {
-		c.hotMu.Lock()
-		c.hot = make(map[hotKey]struct{})
-		c.hotMu.Unlock()
+		c.hot.Store(nil)
 		return 0
 	}
 	merged := make(map[hotKey]int64)
@@ -425,17 +440,20 @@ func (c *Cluster) RebalanceHot() int {
 	if len(list) > hotSetCap {
 		list = list[:hotSetCap]
 	}
-	newHot := make(map[hotKey]struct{}, len(list))
+	if len(list) == 0 {
+		c.hot.Store(nil)
+		return 0
+	}
+	newHot := make(hotSet, len(list))
 	for _, hb := range list {
 		newHot[hotKey{hb.File, hb.Block}] = struct{}{}
 	}
-	c.hotMu.Lock()
-	c.hot = newHot
-	c.hotMu.Unlock()
+	c.hot.Store(&newHot)
 
 	if k := c.cfg.ReplicateHot; k > 1 {
+		var buf [maxNodes]int
 		for _, hb := range list {
-			cands := rg.lookup(blockHash(hb.File, hb.Block))
+			cands := rg.lookup(granuleHash(hb.File, hb.Block/gb), &buf)
 			for i := 0; i < k && i < len(cands); i++ {
 				n := nodes[cands[i]]
 				if _, ok := n.srv.Peek(hb.File, hb.Block); ok {
@@ -444,27 +462,28 @@ func (c *Cluster) RebalanceHot() int {
 				// Best-effort: a degraded or racing-departed replica just
 				// stays cold until the next rebalance.
 				c.m.rebalanceMoves.Inc()
-				buf := make([]byte, bs)
-				_ = n.srv.ReadFileAt(hb.File, buf, hb.Block*bs, nil)
+				_ = n.srv.ReadFileAt(hb.File, make([]byte, bs), hb.Block*bs, nil)
 			}
 		}
 	}
 	return len(list)
 }
 
-// ReadFileAt routes [off, off+len(p)) of physical file `file` block by
-// block across the ring: each block goes to its primary (or rotates
-// across its replicas when hot), failing over along the ring past
-// degraded, closed, or transiently failing nodes. It fails with a typed
-// serve.ErrDegraded only when every replica of a block is down; a
-// permanent error (the backend answering wrongly) is returned as-is,
-// since every node would fail identically. sp (nil is fine) records each
-// failover hop, and the node that serves each block records its
-// cache/backend crumbs on the same span (see serve.Server.ReadFileAt).
+// ReadFileAt routes [off, off+len(p)) of physical file `file` across the
+// ring run by run: the window is cut at granule boundaries — and, only
+// while the tracked hot set is non-empty, where hotness flips — and each
+// run is one node call to its granule's primary (a run of hot blocks
+// rotates across the granule's replicas), failing over as a whole along
+// the ring past degraded, closed, or transiently failing nodes. It fails
+// with a typed serve.ErrDegraded only when every replica of a run is
+// down; a permanent error (the backend answering wrongly) is returned
+// as-is, since every node would fail identically. sp (nil is fine)
+// records each failover hop, and the node that serves each run records
+// its cache/backend crumbs on the same span (see serve.Server.ReadFileAt).
 func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	c.mu.RLock()
 	closed, name := c.closed, c.name
-	nodes, rg, bs := c.nodes, c.ring, c.blockBytes
+	nodes, rg, bs, gb := c.nodes, c.ring, c.blockBytes, c.granuleBlocks
 	c.mu.RUnlock()
 	if closed {
 		return fmt.Errorf("cluster: %s: %w", name, ErrClusterClosed)
@@ -475,72 +494,80 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 	if off < 0 {
 		return fmt.Errorf("cluster: %s: negative physical offset %d", name, off)
 	}
-	end := off + int64(len(p))
-	for b := off / bs; b*bs < end; b++ {
-		lo, hi := b*bs, (b+1)*bs
-		if lo < off {
-			lo = off
+	var hot hotSet // stays empty when there are no replicas to rotate across
+	if c.cfg.ReplicateHot > 1 {
+		hot = c.hotSnapshot()
+	}
+	for len(p) > 0 {
+		b := off / bs
+		granule := b / gb
+		end := min(off+int64(len(p)), (granule+1)*gb*bs)
+		isHot := false
+		if len(hot) > 0 {
+			_, isHot = hot[hotKey{file, b}]
+			for nb := b + 1; nb*bs < end; nb++ {
+				if _, h := hot[hotKey{file, nb}]; h != isHot {
+					end = nb * bs
+					break
+				}
+			}
 		}
-		if hi > end {
-			hi = end
-		}
-		if err := c.readBlock(nodes, rg, file, b, p[lo-off:hi-off], lo, sp); err != nil {
+		if err := c.readRun(nodes, rg, file, granule, isHot, p[:end-off], off, sp); err != nil {
 			return err
 		}
+		p, off = p[end-off:], end
 	}
 	return nil
 }
 
-// readBlock serves one block-contained window through the ring.
-func (c *Cluster) readBlock(nodes []*Node, rg *ring, file int, b int64, p []byte, off int64, sp *obs.Span) error {
+// readRun serves one run — a window inside one granule, all hot or all
+// not — with one node call, failing the whole run over along the
+// granule's candidate order.
+func (c *Cluster) readRun(nodes []*Node, rg *ring, file int, granule int64, hot bool, p []byte, off int64, sp *obs.Span) error {
 	c.m.requests.Inc()
-	cands := rg.lookup(blockHash(file, b))
-	// Rotate reads of a hot block across its replicas so the primary is
-	// not the only node paying for popularity.
-	order := cands
-	if k := c.cfg.ReplicateHot; k > 1 && len(cands) > 1 && c.isHot(file, b) {
-		if k > len(cands) {
-			k = len(cands)
-		}
+	var buf [maxNodes]int
+	cands := rg.lookup(granuleHash(file, granule), &buf)
+	// Rotate a hot run across its replicas so the primary is not the only
+	// node paying for popularity.
+	if k := min(c.cfg.ReplicateHot, len(cands)); hot && k > 1 { // k == 1: a one-node ring
+		head := buf // a copy: the rotation reads it while writing cands
 		rot := int(c.rr.Add(1) % uint64(k))
-		order = make([]int, 0, len(cands))
 		for i := 0; i < k; i++ {
-			order = append(order, cands[(rot+i)%k])
+			cands[i] = head[(rot+i)%k]
 		}
-		order = append(order, cands[k:]...)
 		c.m.rotations.Inc()
 	}
-	// Healthy replicas first: a node with any open circuit is tried last
-	// (its cache may still answer, but it must not absorb primary load).
-	try := make([]*Node, 0, len(order))
-	var degraded []*Node
-	for _, ni := range order {
-		if n := nodes[ni]; n.srv.Degraded() {
-			degraded = append(degraded, n)
-		} else {
-			try = append(try, n)
-		}
-	}
-	try = append(try, degraded...)
-
+	// Healthy replicas first: a node with any open circuit is tried in the
+	// second pass (its cache may still answer, but it must not absorb
+	// primary load).
 	var lastErr error
-	for i, n := range try {
-		err := n.srv.ReadFileAt(file, p, off, sp)
-		if err == nil {
-			if i > 0 {
-				c.m.failovers.Add(int64(i))
-				sp.Add(obs.CrumbFailover, int64(i))
+	var tried uint64
+	attempts := int64(0)
+	for pass := 0; pass < 2; pass++ {
+		for _, ni := range cands {
+			n := nodes[ni]
+			if tried&(1<<uint(ni)) != 0 || (pass == 0 && n.srv.Degraded()) {
+				continue
 			}
-			return nil
-		}
-		lastErr = err
-		if !failoverWorthy(err) {
-			return err
+			tried |= 1 << uint(ni)
+			err := n.srv.ReadFileAt(file, p, off, sp)
+			if err == nil {
+				if attempts > 0 {
+					c.m.failovers.Add(attempts)
+					sp.Add(obs.CrumbFailover, attempts)
+				}
+				return nil
+			}
+			if !failoverWorthy(err) {
+				return err
+			}
+			lastErr = err
+			attempts++
 		}
 	}
 	c.m.allDown.Inc()
-	return fmt.Errorf("cluster: %s: file %d block %d: all %d replicas down (last: %v): %w",
-		c.Name(), file, b, len(try), lastErr, serve.ErrDegraded)
+	return fmt.Errorf("cluster: %s: file %d bytes [%d, %d): all %d replicas down (last: %v): %w",
+		c.Name(), file, off, off+int64(len(p)), len(cands), lastErr, serve.ErrDegraded)
 }
 
 // failoverWorthy reports whether another replica might answer where this
@@ -564,7 +591,7 @@ type NodeStats struct {
 // element-wise sum (and per-node breakdown) of the nodes' serve stats.
 type Stats struct {
 	Nodes           int
-	Requests        int64 // block-granular routed reads
+	Requests        int64 // runs routed (one node call each, failover aside)
 	Failovers       int64 // extra replica attempts after a failed one
 	AllReplicasDown int64 // reads that exhausted every replica
 	HotTracked      int   // tracked hot blocks

@@ -29,17 +29,28 @@ func testPayload(rank, size int) []byte {
 	return out
 }
 
-// writeMultifile writes an n-task multifile (two physical files, ~2.5
-// chunks per task) and returns each rank's payload.
-func writeMultifile(t *testing.T, fsys fsio.FileSystem, name string, n int) [][]byte {
+// The test multifile: 4 KiB cache blocks (64 to a granule) and 256 KiB
+// chunks, ~2.3 chunks per task, so that a handful of tasks already spread
+// over a dozen granules per physical file — placement, remapping and
+// failover then have something to act on. testCache holds all of it on
+// any one node.
+const (
+	testBlock = 4096
+	testChunk = 256 << 10
+	testCache = 8 << 20
+)
+
+// writeMultifile writes an n-task multifile (two physical files) and
+// returns each rank's payload.
+func writeMultifile(t testing.TB, fsys fsio.FileSystem, name string, n int) [][]byte {
 	t.Helper()
 	payloads := make([][]byte, n)
 	for r := range payloads {
-		payloads[r] = testPayload(r, 2500+37*r)
+		payloads[r] = testPayload(r, 600000+37*r)
 	}
 	mpi.Run(n, func(c *mpi.Comm) {
 		f, err := sion.ParOpen(c, fsys, name, sion.WriteMode, &sion.Options{
-			ChunkSize: 1024, FSBlockSize: 256, NFiles: 2,
+			ChunkSize: testChunk, FSBlockSize: testBlock, NFiles: 2,
 		})
 		if err != nil {
 			t.Error(err)
@@ -114,7 +125,7 @@ func TestClusterByteIdentity(t *testing.T) {
 	cl := New(&Config{VNodes: 16})
 	defer cl.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := cl.Join(fmt.Sprintf("n%d", i), fsys, "c.sion", &serve.Config{CacheBytes: 1 << 20}); err != nil {
+		if _, err := cl.Join(fmt.Sprintf("n%d", i), fsys, "c.sion", &serve.Config{CacheBytes: testCache}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +138,7 @@ func TestClusterByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := payloads[3]
-	for _, off := range []int64{1, 255, 256, 1000, int64(len(want)) - 7} {
+	for _, off := range []int64{1, 255, 256, 1000, testBlock - 1, testChunk - 50, int64(len(want)) - 7} {
 		buf := make([]byte, 131)
 		n, err := h.ReadLogicalAt(buf, off)
 		if err != nil && !errors.Is(err, io.EOF) {
@@ -151,15 +162,15 @@ func TestClusterByteIdentity(t *testing.T) {
 
 // TestClusterJoinPeerFillsRemappedBlocks pins the cluster's headline
 // economics: after the working set is cached once cluster-wide, a new
-// node joining takes over ~1/N of the blocks and warms them from its
-// peers' caches — zero new backend reads.
+// node joining takes over ~1/N of the granules and warms their blocks
+// from the old primaries' caches — zero new backend reads.
 func TestClusterJoinPeerFillsRemappedBlocks(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "j.sion", 8)
 	cl := New(&Config{VNodes: 16})
 	defer cl.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := cl.Join(fmt.Sprintf("n%d", i), fsys, "j.sion", &serve.Config{CacheBytes: 1 << 20}); err != nil {
+		if _, err := cl.Join(fmt.Sprintf("n%d", i), fsys, "j.sion", &serve.Config{CacheBytes: testCache}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +182,7 @@ func TestClusterJoinPeerFillsRemappedBlocks(t *testing.T) {
 		t.Fatal("warm-up issued no backend reads")
 	}
 
-	if _, err := cl.Join("n9", fsys, "j.sion", &serve.Config{CacheBytes: 1 << 20}); err != nil {
+	if _, err := cl.Join("n9", fsys, "j.sion", &serve.Config{CacheBytes: testCache}); err != nil {
 		t.Fatal(err)
 	}
 	for r, want := range payloads {
@@ -198,7 +209,7 @@ func TestClusterHotReplicationAndRotation(t *testing.T) {
 	defer cl.Close()
 	nodes := make([]*Node, 3)
 	for i := range nodes {
-		n, err := cl.Join(fmt.Sprintf("n%d", i), fsys, "h.sion", &serve.Config{CacheBytes: 1 << 20})
+		n, err := cl.Join(fmt.Sprintf("n%d", i), fsys, "h.sion", &serve.Config{CacheBytes: testCache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +219,7 @@ func TestClusterHotReplicationAndRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 64) // within one 256-byte cache block
+	buf := make([]byte, 64) // within one cache block
 	for i := 0; i < 8; i++ {
 		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
 			t.Fatal(err)
@@ -284,7 +295,7 @@ func TestClusterFailoverRoutesAroundFaults(t *testing.T) {
 	payloads := writeMultifile(t, inner, "f.sion", 8)
 	sick := &faultFS{FileSystem: inner}
 	scfg := func() *serve.Config {
-		return &serve.Config{CacheBytes: 1 << 20, Retry: &resil.Budget{MaxAttempts: 1}}
+		return &serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}}
 	}
 	cl := New(&Config{VNodes: 16})
 	defer cl.Close()
@@ -316,7 +327,7 @@ func TestClusterPermanentErrorNoFailover(t *testing.T) {
 	bad := &faultFS{FileSystem: inner}
 	cl := New(&Config{VNodes: 16})
 	defer cl.Close()
-	cfg := &serve.Config{CacheBytes: 1 << 20, Retry: &resil.Budget{MaxAttempts: 1}}
+	cfg := &serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}}
 	if _, err := cl.Join("a", bad, "p.sion", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +360,7 @@ func TestClusterAllReplicasDegraded(t *testing.T) {
 	b := &faultFS{FileSystem: inner}
 	cl := New(&Config{VNodes: 16})
 	defer cl.Close()
-	cfg := &serve.Config{CacheBytes: 1 << 20, Retry: &resil.Budget{MaxAttempts: 1}}
+	cfg := &serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}}
 	if _, err := cl.Join("a", a, "d.sion", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +393,7 @@ func TestClusterMembership(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "m.sion", 4)
 	cl := New(nil)
-	cfg := &serve.Config{CacheBytes: 1 << 20}
+	cfg := &serve.Config{CacheBytes: testCache}
 
 	if _, err := cl.Open(0); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("Open on an empty cluster: %v, want ErrNoNodes", err)
@@ -443,7 +454,7 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 	cl := New(&Config{VNodes: 16, HotMinHits: 2})
 	defer cl.Close()
 	for i := 0; i < 2; i++ { // the core: never leaves
-		if _, err := cl.Join(fmt.Sprintf("core-%d", i), fsys, "r.sion", &serve.Config{CacheBytes: 1 << 20}); err != nil {
+		if _, err := cl.Join(fmt.Sprintf("core-%d", i), fsys, "r.sion", &serve.Config{CacheBytes: testCache}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -480,7 +491,7 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 		})
 	}()
 	<-firstCommit
-	ts, err := serve.NewTail(fsys, "live.sion", &serve.Config{CacheBytes: 1 << 20})
+	ts, err := serve.NewTail(fsys, "live.sion", &serve.Config{CacheBytes: testCache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +578,7 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 	// Membership churn: transient nodes join and leave under the readers.
 	for i := 0; i < 12; i++ {
 		id := fmt.Sprintf("churn-%d", i)
-		if _, err := cl.Join(id, fsys, "r.sion", &serve.Config{CacheBytes: 1 << 20}); err != nil {
+		if _, err := cl.Join(id, fsys, "r.sion", &serve.Config{CacheBytes: testCache}); err != nil {
 			t.Fatalf("churn join %s: %v", id, err)
 		}
 		if err := cl.Leave(id); err != nil {

@@ -16,8 +16,8 @@ type clusterMetrics struct {
 	failovers *obs.Counter
 	allDown   *obs.Counter
 	handles   *obs.Counter
-	// rotations counts hot-block reads served through the replica
-	// rotation (rather than pinned to the primary); rebalanceMoves the
+	// rotations counts hot runs served through the replica rotation
+	// (rather than pinned to the primary); rebalanceMoves the
 	// replica pre-materializations RebalanceHot attempted.
 	rotations      *obs.Counter
 	rebalanceMoves *obs.Counter
@@ -29,7 +29,7 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 	}
 	m := &clusterMetrics{reg: reg}
 	m.requests = reg.Counter("cluster_requests_total",
-		"block-granular reads routed through the ring")
+		"runs routed through the ring (a run: the part of one read inside one granule, cut again only where hotness flips)")
 	m.failovers = reg.Counter("cluster_failovers_total",
 		"extra replica attempts after a failed one")
 	m.allDown = reg.Counter("cluster_all_replicas_down_total",
@@ -37,7 +37,7 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 	m.handles = reg.Counter("cluster_handles_opened_total",
 		"client sessions opened through the router")
 	m.rotations = reg.Counter("cluster_hot_rotations_total",
-		"hot-block reads served through the replica rotation")
+		"runs of hot blocks served through the replica rotation")
 	m.rebalanceMoves = reg.Counter("cluster_rebalance_moves_total",
 		"hot-block replica fills attempted by RebalanceHot")
 	reg.GaugeFunc("cluster_nodes",

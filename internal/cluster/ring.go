@@ -5,13 +5,24 @@ import (
 )
 
 // Consistent-hash ring: every node contributes VNodes virtual points,
-// hashed from its id, and a (physical file, block) key is owned by the
+// hashed from its id, and a (physical file, granule) key is owned by the
 // first point clockwise from the key's hash. Virtual points smooth the
 // load split, and consistency is the scale-out property the router needs:
-// a node joining or leaving remaps only the ~1/N of blocks adjacent to
+// a node joining or leaving remaps only the ~1/N of granules adjacent to
 // its points, so the surviving nodes' caches stay hot across membership
 // churn (the same argument CkIO makes for over-decomposing its reader
-// layer: ownership moves in small pieces, not wholesale).
+// layer: ownership moves in pieces, not wholesale — and in pieces larger
+// than a request, so a request stays whole on its way to a node).
+
+// granuleBytes is the placement unit: granuleBytes/blockBytes consecutive
+// cache blocks of one physical file (at least one) share a ring key, hence
+// a primary and a failover order. Sizes from 64 KiB to 4 MiB route the
+// bench workloads alike, so this is a constant, not a knob.
+const granuleBytes = 256 << 10
+
+// maxNodes bounds the membership so that a candidate list fits an array
+// on the caller's stack and a 64-bit seen mask: routing allocates nothing.
+const maxNodes = 64
 
 // ringPoint is one virtual point: a position on the 64-bit ring and the
 // index (into the router's node slice) of the node that owns it.
@@ -36,7 +47,7 @@ func fnv1a(s string) uint64 {
 }
 
 // mix64 finalizes an integer key (splitmix64 finalizer) so consecutive
-// blocks scatter uniformly around the ring.
+// granules scatter uniformly around the ring.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -46,9 +57,9 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// blockHash is the ring position of cache block (file, block).
-func blockHash(file int, block int64) uint64 {
-	return mix64(uint64(file)*0x9e3779b97f4a7c15 + uint64(block) + 0x632be59bd9b4e019)
+// granuleHash is the ring position of granule (file, granule).
+func granuleHash(file int, granule int64) uint64 {
+	return mix64(uint64(file)*0x9e3779b97f4a7c15 + uint64(granule) + 0x632be59bd9b4e019)
 }
 
 // buildRing places vnodes points per node. ids is the router's node slice
@@ -71,21 +82,18 @@ func buildRing(ids []string, vnodes int) *ring {
 	return r
 }
 
-// lookup returns every node index in ring order starting from the first
-// point clockwise of key: index 0 is the block's primary, the rest are
-// its failover (and hot-replica) successors. The slice is freshly
-// allocated and never empty for a non-empty ring.
-func (r *ring) lookup(key uint64) []int {
-	if len(r.points) == 0 {
-		return nil
-	}
-	out := make([]int, 0, r.nodes)
-	seen := make([]bool, r.nodes)
+// lookup writes every node index into buf in ring order starting from the
+// first point clockwise of key and returns that prefix of buf: index 0 is
+// the granule's primary, the rest are its failover (and hot-replica)
+// successors. The result is empty only for an empty ring.
+func (r *ring) lookup(key uint64, buf *[maxNodes]int) []int {
+	out := buf[:0]
+	var seen uint64
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
 	for i := 0; i < len(r.points) && len(out) < r.nodes; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
+		if seen&(1<<uint(p.node)) == 0 {
+			seen |= 1 << uint(p.node)
 			out = append(out, p.node)
 		}
 	}

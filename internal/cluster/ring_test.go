@@ -19,9 +19,10 @@ func ringIDs(n int) []string {
 // primary on repeated calls.
 func TestRingLookupCoversAllNodes(t *testing.T) {
 	r := buildRing(ringIDs(5), 64)
+	var buf, buf2 [maxNodes]int
 	for k := 0; k < 1000; k++ {
-		key := blockHash(k%3, int64(k))
-		order := r.lookup(key)
+		key := granuleHash(k%3, int64(k))
+		order := r.lookup(key, &buf)
 		if len(order) != 5 {
 			t.Fatalf("key %d: lookup returned %d nodes, want 5", k, len(order))
 		}
@@ -32,7 +33,7 @@ func TestRingLookupCoversAllNodes(t *testing.T) {
 			}
 			seen[ni] = true
 		}
-		if again := r.lookup(key); !reflect.DeepEqual(order, again) {
+		if again := r.lookup(key, &buf2); !reflect.DeepEqual(order, again) {
 			t.Fatalf("key %d: lookup not deterministic: %v then %v", k, order, again)
 		}
 	}
@@ -40,19 +41,20 @@ func TestRingLookupCoversAllNodes(t *testing.T) {
 
 // TestRingEmptyAndSingle covers the degenerate memberships.
 func TestRingEmptyAndSingle(t *testing.T) {
-	if got := buildRing(nil, 64).lookup(12345); got != nil {
-		t.Fatalf("empty ring lookup = %v, want nil", got)
+	var buf [maxNodes]int
+	if got := buildRing(nil, 64).lookup(12345, &buf); len(got) != 0 {
+		t.Fatalf("empty ring lookup = %v, want nothing", got)
 	}
 	one := buildRing([]string{"solo"}, 64)
 	for k := 0; k < 100; k++ {
-		if got := one.lookup(blockHash(0, int64(k))); len(got) != 1 || got[0] != 0 {
+		if got := one.lookup(granuleHash(0, int64(k)), &buf); len(got) != 1 || got[0] != 0 {
 			t.Fatalf("single-node ring lookup = %v, want [0]", got)
 		}
 	}
 }
 
 // TestRingConsistency pins the property the router exists for: removing
-// one node only remaps the blocks that node owned. Every block whose
+// one node only remaps the granules that node owned. Every granule whose
 // primary survives keeps it.
 func TestRingConsistency(t *testing.T) {
 	ids := ringIDs(5)
@@ -75,18 +77,19 @@ func TestRingConsistency(t *testing.T) {
 		}
 	}
 	keys, moved := 0, 0
+	var buf [maxNodes]int
 	for f := 0; f < 2; f++ {
 		for b := int64(0); b < 4096; b++ {
-			key := blockHash(f, b)
-			before := full.lookup(key)[0]
-			after := backMap[small.lookup(key)[0]]
+			key := granuleHash(f, b)
+			before := full.lookup(key, &buf)[0]
+			after := backMap[small.lookup(key, &buf)[0]]
 			keys++
 			if before == gone {
 				moved++
 				continue // had to move somewhere
 			}
 			if after != before {
-				t.Fatalf("block (%d,%d): primary moved %d -> %d though node %d left",
+				t.Fatalf("granule (%d,%d): primary moved %d -> %d though node %d left",
 					f, b, before, after, gone)
 			}
 		}
@@ -94,28 +97,67 @@ func TestRingConsistency(t *testing.T) {
 	// The departed node owned roughly 1/5 of the keys; demand it owned
 	// some, and not a wildly disproportionate share.
 	if moved == 0 {
-		t.Fatal("departed node owned no blocks at all")
+		t.Fatal("departed node owned no granules at all")
 	}
 	if frac := float64(moved) / float64(keys); frac > 0.45 {
-		t.Fatalf("departed node owned %.0f%% of blocks — ring badly unbalanced", 100*frac)
+		t.Fatalf("departed node owned %.0f%% of granules — ring badly unbalanced", 100*frac)
 	}
 }
 
-// TestRingBalance demands a roughly even block split across nodes — the
+// TestRingBalance demands a roughly even granule split across nodes — the
 // property virtual nodes buy.
 func TestRingBalance(t *testing.T) {
 	const nodes = 4
 	r := buildRing(ringIDs(nodes), 64)
 	counts := make([]int, nodes)
 	const blocks = 1 << 15
+	var buf [maxNodes]int
 	for b := int64(0); b < blocks; b++ {
-		counts[r.lookup(blockHash(0, b))[0]]++
+		counts[r.lookup(granuleHash(0, b), &buf)[0]]++
 	}
 	for n, c := range counts {
 		frac := float64(c) / blocks
 		if frac < 0.10 || frac > 0.45 {
-			t.Fatalf("node %d owns %.1f%% of %d blocks (counts %v) — want a rough 25%% split",
+			t.Fatalf("node %d owns %.1f%% of %d granules (counts %v) — want a rough 25%% split",
 				n, 100*frac, blocks, counts)
 		}
+	}
+}
+
+// TestRingJoinRemapsAboutOneNth is the join side of consistency: a fifth
+// node takes over roughly a fifth of the granules, every one of them
+// moves to the newcomer and nowhere else, and the survivors keep their
+// relative failover order.
+func TestRingJoinRemapsAboutOneNth(t *testing.T) {
+	ids := ringIDs(5)
+	small := buildRing(ids[:4], 64) // node-0..node-3 keep their indexes in both rings
+	full := buildRing(ids, 64)
+	const newcomer = 4
+	keys, moved := 0, 0
+	var b1, b2 [maxNodes]int
+	for f := 0; f < 2; f++ {
+		for g := int64(0); g < 4096; g++ {
+			key := granuleHash(f, g)
+			before, after := small.lookup(key, &b1), full.lookup(key, &b2)
+			keys++
+			if after[0] != before[0] {
+				moved++
+				if after[0] != newcomer {
+					t.Fatalf("granule (%d,%d): primary moved %d -> %d, not to the joining node", f, g, before[0], after[0])
+				}
+			}
+			rest := after[:0:0]
+			for _, ni := range after {
+				if ni != newcomer {
+					rest = append(rest, ni)
+				}
+			}
+			if !reflect.DeepEqual(rest, before) {
+				t.Fatalf("granule (%d,%d): survivors' order %v became %v", f, g, before, rest)
+			}
+		}
+	}
+	if frac := float64(moved) / float64(keys); frac < 0.05 || frac > 1.0/5+0.15 {
+		t.Fatalf("joining node took over %.0f%% of granules, want about 1/5", 100*frac)
 	}
 }

@@ -1,0 +1,420 @@
+package cluster
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	sion "repro/internal/core"
+	"repro/internal/fsio"
+	"repro/internal/resil"
+	"repro/internal/serve"
+)
+
+// The routing contract: a granule is the unit of placement, a run is the
+// unit of routing, a block stays the unit of caching. These tests drive
+// Cluster.ReadFileAt with physical offsets, where granule boundaries are
+// plain multiples of granuleBytes, and compare against the physical file
+// read straight from the directory.
+
+const granuleBlocks = granuleBytes / testBlock
+
+// startCluster joins n nodes ("n0".."n<n-1>") over the multifile `name`;
+// node i reads through fsOf(i).
+func startCluster(t testing.TB, cfg *Config, n int, name string, fsOf func(i int) fsio.FileSystem, scfg serve.Config) *Cluster {
+	t.Helper()
+	cl := New(cfg)
+	t.Cleanup(func() { cl.Close() })
+	for i := 0; i < n; i++ {
+		c := scfg
+		if _, err := cl.Join(fmt.Sprintf("n%d", i), fsOf(i), name, &c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cl
+}
+
+// physFile returns physical file `file` of the cluster's multifile as it
+// lies in dir.
+func physFile(t testing.TB, dir string, cl *Cluster, file int) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, cl.Layout().PhysicalName(file)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// candidatesOf is the ring's node order for a granule (tests only: it reads
+// the membership without the lock).
+func candidatesOf(cl *Cluster, file int, granule int64) []*Node {
+	var buf [maxNodes]int
+	var out []*Node
+	for _, ni := range cl.ring.lookup(granuleHash(file, granule), &buf) {
+		out = append(out, cl.nodes[ni])
+	}
+	return out
+}
+
+// readAt reads one window through the router and checks it against the
+// physical file.
+func readAt(t *testing.T, cl *Cluster, phys []byte, file int, off int64, n int) {
+	t.Helper()
+	p := make([]byte, n)
+	if err := cl.ReadFileAt(file, p, off, nil); err != nil {
+		t.Fatalf("ReadFileAt(file %d, [%d, %d)): %v", file, off, off+int64(n), err)
+	}
+	if !bytes.Equal(p, phys[off:off+int64(n)]) {
+		t.Fatalf("ReadFileAt(file %d, [%d, %d)): bytes differ from the physical file", file, off, off+int64(n))
+	}
+}
+
+func served(cl *Cluster) map[string]int64 {
+	out := make(map[string]int64)
+	for _, ns := range cl.Stats().PerNode {
+		out[ns.ID] = ns.Serve.ServedBytes
+	}
+	return out
+}
+
+// TestRouteRunIsOneNodeCall: a 64 KiB request inside one granule is one
+// run — one node call, at most two backend reads cold (the node fuses the
+// run's 17 blocks into spans), none and no allocation warm.
+func TestRouteRunIsOneNodeCall(t *testing.T) {
+	dir := t.TempDir()
+	fsys := fsio.NewOS(dir)
+	writeMultifile(t, fsys, "r.sion", 8)
+	cl := startCluster(t, &Config{VNodes: 16}, 3, "r.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	phys := physFile(t, dir, cl, 0)
+
+	off := int64(2*granuleBytes + 3*testBlock + 17) // unaligned, and the window stays inside granule 2
+	const n = 64 << 10
+	before := cl.Stats()
+	readAt(t, cl, phys, 0, off, n)
+	cold := cl.Stats()
+	if d := cold.Requests - before.Requests; d != 1 {
+		t.Fatalf("a request inside one granule was routed as %d runs, want 1", d)
+	}
+	if d := cold.Serve.BackendReads - before.Serve.BackendReads; d < 1 || d > 2 {
+		t.Fatalf("cold 64 KiB run issued %d backend reads cluster-wide, want 1 or 2", d)
+	}
+
+	p := make([]byte, n)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := cl.ReadFileAt(0, p, off, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm run allocates %.1f times per read, want 0", allocs)
+	}
+	warm := cl.Stats()
+	if d := warm.Requests - cold.Requests; d != 101 { // AllocsPerRun adds a warm-up call
+		t.Fatalf("101 warm reads were routed as %d runs, want 101", d)
+	}
+	if warm.Serve.BackendReads != cold.Serve.BackendReads || warm.Serve.Misses != cold.Serve.Misses {
+		t.Fatalf("warm reads went to the backend: %+v -> %+v", cold.Serve, warm.Serve)
+	}
+}
+
+// TestRouteScanBackendReadsMatchSingleNode: a sequential scan of every
+// rank costs the ring no more backend reads than it costs one serve.Server,
+// apart from one extra span per granule cut.
+func TestRouteScanBackendReadsMatchSingleNode(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	payloads := writeMultifile(t, fsys, "s.sion", 8)
+	one, err := serve.New(fsys, "s.sion", &serve.Config{CacheBytes: testCache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	cl := startCluster(t, &Config{VNodes: 16}, 3, "s.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+
+	var extents int64
+	for r, want := range payloads {
+		h, err := one.Open(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		if _, err := h.ReadLogicalAt(got, 0); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("rank %d through one node: err %v, identical %v", r, err, bytes.Equal(got, want))
+		}
+		checkRank(t, cl, r, want)
+		extents += int64(len(cl.Layout().RankBlocks(r)))
+	}
+	st := cl.Stats()
+	cuts := st.Requests - extents
+	if cuts < 0 {
+		t.Fatalf("%d runs for %d chunk extents", st.Requests, extents)
+	}
+	if single := one.Stats().BackendReads; st.Serve.BackendReads > single+cuts {
+		t.Fatalf("scan cost the ring %d backend reads, one node %d, with %d granule cuts", st.Serve.BackendReads, single, cuts)
+	}
+}
+
+// TestRouteCutsAtGranuleBoundary: a request straddling a granule boundary
+// becomes two runs cut exactly there, each served by its own granule's
+// primary, and the bytes are those of the file.
+func TestRouteCutsAtGranuleBoundary(t *testing.T) {
+	dir := t.TempDir()
+	fsys := fsio.NewOS(dir)
+	writeMultifile(t, fsys, "g.sion", 8)
+	cl := startCluster(t, &Config{VNodes: 16}, 3, "g.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	phys := physFile(t, dir, cl, 0)
+
+	// A boundary whose two sides have different primaries.
+	g := int64(1)
+	for candidatesOf(cl, 0, g-1)[0] == candidatesOf(cl, 0, g)[0] {
+		g++
+		if (g+1)*granuleBytes > int64(len(phys)) {
+			t.Fatal("every granule of file 0 has the same primary")
+		}
+	}
+	left, right := candidatesOf(cl, 0, g-1)[0].ID, candidatesOf(cl, 0, g)[0].ID
+	bound := g * granuleBytes
+
+	before, reqs := served(cl), cl.Stats().Requests
+	readAt(t, cl, phys, 0, bound-10000, 30000)
+	after := served(cl)
+	if d := cl.Stats().Requests - reqs; d != 2 {
+		t.Fatalf("straddling request routed as %d runs, want 2", d)
+	}
+	for id := range after {
+		want := map[string]int64{left: 10000, right: 20000}[id]
+		if d := after[id] - before[id]; d != want {
+			t.Fatalf("node %s served %d bytes of the straddling request, want %d (cut at %d)", id, d, want, bound)
+		}
+	}
+	reqs = cl.Stats().Requests
+	readAt(t, cl, phys, 0, bound-10000, 10000)
+	readAt(t, cl, phys, 0, bound, 20000)
+	if d := cl.Stats().Requests - reqs; d != 2 {
+		t.Fatalf("two requests touching the boundary from either side routed as %d runs, want 2", d)
+	}
+}
+
+// TestRouteGranuleSharesOneOwner: every block of a granule, read on its
+// own, goes to the same node — the granule's primary.
+func TestRouteGranuleSharesOneOwner(t *testing.T) {
+	dir := t.TempDir()
+	fsys := fsio.NewOS(dir)
+	writeMultifile(t, fsys, "o.sion", 8)
+	cl := startCluster(t, &Config{VNodes: 16}, 3, "o.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	phys := physFile(t, dir, cl, 1)
+
+	const g = 3
+	before := served(cl)
+	for b := int64(g * granuleBlocks); b < (g+1)*granuleBlocks; b++ {
+		readAt(t, cl, phys, 1, b*testBlock, testBlock)
+	}
+	owner := candidatesOf(cl, 1, g)[0].ID
+	for id, now := range served(cl) {
+		want := int64(0)
+		if id == owner {
+			want = granuleBytes
+		}
+		if d := now - before[id]; d != want {
+			t.Fatalf("node %s served %d bytes of granule %d, want %d (primary %s)", id, d, g, want, owner)
+		}
+	}
+}
+
+// TestRouteFailoverIsPerRun: a run whose primary fails moves to the
+// successor as a whole and counts one failover, not one per block; a
+// primary whose circuit is open is not asked at all; with every replica
+// down the read fails with a typed serve.ErrDegraded.
+func TestRouteFailoverIsPerRun(t *testing.T) {
+	dir := t.TempDir()
+	inner := fsio.NewOS(dir)
+	writeMultifile(t, inner, "f.sion", 8)
+	faults := []*faultFS{{FileSystem: inner}, {FileSystem: inner}, {FileSystem: inner}}
+	cl := startCluster(t, &Config{VNodes: 16}, 3, "f.sion", func(i int) fsio.FileSystem { return faults[i] },
+		serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}, BreakerThreshold: 1, BreakerCooldown: 1 << 20})
+	phys := physFile(t, dir, cl, 0)
+
+	const g, n = 2, 64 << 10
+	cands := candidatesOf(cl, 0, g)
+	primary, successor := cands[0], cands[1]
+	faults[primary.ID[1]-'0'].mode.Store(1) // node "n<i>" reads through faults[i]: the primary's backend now fails transiently
+
+	before, bytesBefore := cl.Stats(), served(cl)
+	readAt(t, cl, phys, 0, g*granuleBytes, n)
+	st := cl.Stats()
+	if st.Requests-before.Requests != 1 || st.Failovers-before.Failovers != 1 {
+		t.Fatalf("failed-over run counted %d runs and %d failovers, want 1 and 1",
+			st.Requests-before.Requests, st.Failovers-before.Failovers)
+	}
+	if d := served(cl)[successor.ID] - bytesBefore[successor.ID]; d != n {
+		t.Fatalf("successor %s served %d bytes of the run, want all %d", successor.ID, d, n)
+	}
+	if !primary.Server().Degraded() {
+		t.Fatal("the primary's circuit did not open (BreakerThreshold 1)")
+	}
+
+	// Circuit open: the primary moves behind the healthy replicas.
+	before = st
+	readAt(t, cl, phys, 0, g*granuleBytes+n, n)
+	st = cl.Stats()
+	if st.Requests-before.Requests != 1 || st.Failovers != before.Failovers {
+		t.Fatalf("run past an open circuit counted %d runs and %d failovers, want 1 and 0",
+			st.Requests-before.Requests, st.Failovers-before.Failovers)
+	}
+	if d := primary.Server().Stats().Degraded; d != 0 {
+		t.Fatalf("the degraded primary was asked %d times though healthy replicas answered", d)
+	}
+
+	for _, f := range faults {
+		f.mode.Store(1)
+	}
+	before = st
+	err := cl.ReadFileAt(0, make([]byte, n), g*granuleBytes+2*n, nil)
+	if !errors.Is(err, serve.ErrDegraded) {
+		t.Fatalf("read with every replica down: %v, want a typed serve.ErrDegraded", err)
+	}
+	st = cl.Stats()
+	if st.Requests-before.Requests != 1 || st.AllReplicasDown-before.AllReplicasDown != 1 {
+		t.Fatalf("all-down run counted %d runs and %d all-replicas-down, want 1 and 1",
+			st.Requests-before.Requests, st.AllReplicasDown-before.AllReplicasDown)
+	}
+}
+
+// TestRouteHotRunsSplitAndRotateTogether: with a non-empty hot set a run
+// is cut where hotness flips and nowhere else, and a stretch of
+// consecutive hot blocks goes to one replica per read, rotating as a unit.
+func TestRouteHotRunsSplitAndRotateTogether(t *testing.T) {
+	dir := t.TempDir()
+	fsys := fsio.NewOS(dir)
+	writeMultifile(t, fsys, "h.sion", 8)
+	cl := startCluster(t, &Config{VNodes: 16, ReplicateHot: 2, HotMinHits: 4}, 3, "h.sion",
+		func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	phys := physFile(t, dir, cl, 0)
+
+	// Blocks 2..5 of a 16-block window get hot; the rest of it is read once.
+	const g, hotBlocks = 1, 4
+	win := int64(g * granuleBytes)
+	hotOff := win + 2*testBlock
+	readAt(t, cl, phys, 0, win, 16*testBlock)
+	for i := 0; i < 8; i++ {
+		readAt(t, cl, phys, 0, hotOff, hotBlocks*testBlock)
+	}
+	if n := cl.RebalanceHot(); n != hotBlocks {
+		t.Fatalf("RebalanceHot tracked %d blocks, want the %d heated ones", n, hotBlocks)
+	}
+
+	reqs, rots := cl.Stats().Requests, cl.m.rotations.Value()
+	readAt(t, cl, phys, 0, win, 16*testBlock)
+	if d := cl.Stats().Requests - reqs; d != 3 {
+		t.Fatalf("window with one hot stretch routed as %d runs, want 3 (before, hot, after)", d)
+	}
+	if d := cl.m.rotations.Value() - rots; d != 1 {
+		t.Fatalf("window with one hot stretch rotated %d runs, want 1", d)
+	}
+
+	replicas := candidatesOf(cl, 0, g)[:2]
+	hits := func() (out [2]int64) {
+		for i, n := range replicas {
+			out[i] = n.Server().Stats().Hits
+		}
+		return out
+	}
+	before := hits()
+	reqs = cl.Stats().Requests
+	for i := 0; i < 8; i++ {
+		readAt(t, cl, phys, 0, hotOff, hotBlocks*testBlock)
+	}
+	if d := cl.Stats().Requests - reqs; d != 8 {
+		t.Fatalf("8 reads of the hot stretch routed as %d runs, want 8", d)
+	}
+	for i, now := range hits() {
+		if d := now - before[i]; d == 0 || d%hotBlocks != 0 {
+			t.Fatalf("replica %s took %d block hits of the rotating stretch, want a positive multiple of %d",
+				replicas[i].ID, d, hotBlocks)
+		}
+	}
+}
+
+// TestZeroLengthReadTouchesNothing: an empty read, at any offset, routes
+// no run and reaches no cache or backend.
+func TestZeroLengthReadTouchesNothing(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	writeMultifile(t, fsys, "z.sion", 4)
+	cl := startCluster(t, nil, 3, "z.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	before := cl.Stats()
+	for _, off := range []int64{0, 100, testBlock, testBlock + 904, granuleBytes - 1} {
+		if err := cl.ReadFileAt(0, nil, off, nil); err != nil {
+			t.Fatalf("empty read at %d: %v", off, err)
+		}
+	}
+	st := cl.Stats()
+	if st.Requests != before.Requests || st.Serve.Hits != before.Serve.Hits ||
+		st.Serve.Misses != before.Serve.Misses || st.Serve.BackendReads != before.Serve.BackendReads {
+		t.Fatalf("empty reads moved the counters: %+v -> %+v", before, st)
+	}
+}
+
+// BenchmarkRoute replays one request stream over physical file 0 through
+// the 3-node ring and through one serve.Server with the same total cache:
+// ring ns/op over node ns/op is what the router costs. hit*: everything
+// resident; cold64k: the cache holds a quarter of the file and the stream
+// walks all of it, so nearly every request misses; slab1m: resident 1 MiB
+// reads, four or five runs each.
+func BenchmarkRoute(b *testing.B) {
+	dir := b.TempDir()
+	fsys := fsio.NewOS(dir)
+	writeMultifile(b, fsys, "b.sion", 8)
+	layout, err := sion.LoadLayout(fsys, "b.sion")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, layout.PhysicalName(0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	span0 := fi.Size()
+	for _, bc := range []struct {
+		name  string
+		size  int
+		cache int64
+	}{
+		{"hit4k", 4 << 10, 3 * testCache},
+		{"hit64k", 64 << 10, 3 * testCache},
+		{"cold64k", 64 << 10, 768 << 10},
+		{"slab1m", 1 << 20, 3 * testCache},
+	} {
+		run := func(b *testing.B, r serve.FileReaderAt) {
+			p := make([]byte, bc.size)
+			span := span0 - int64(bc.size)
+			if bc.cache >= span0 { // resident: fault everything in first
+				for off := int64(0); off < span; off += int64(bc.size) {
+					if err := r.ReadFileAt(0, p, off, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.SetBytes(int64(bc.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := r.ReadFileAt(0, p, (int64(i)*int64(bc.size)+1000)%span, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.Run(bc.name+"/ring", func(b *testing.B) {
+			cl := startCluster(b, nil, 3, "b.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: bc.cache / 3})
+			run(b, cl)
+		})
+		b.Run(bc.name+"/node", func(b *testing.B) {
+			srv, err := serve.New(fsys, "b.sion", &serve.Config{CacheBytes: bc.cache})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			run(b, srv)
+		})
+	}
+}

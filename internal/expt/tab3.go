@@ -19,17 +19,17 @@ import (
 // request counters of simfs:
 //
 //   - direct:           every task opens the multifile and issues one
-//                       request per record (the paper's baseline SIONlib
-//                       mode, already aligned and metadata-cheap);
+//     request per record (the paper's baseline SIONlib
+//     mode, already aligned and metadata-cheap);
 //   - collective:       only ⌈ntasks/group⌉ collectors open the file;
-//                       members ship buffered data at close and the
-//                       collector issues one large write per member chunk;
-//                       reads are prefetched by the collectors the same
-//                       way;
+//     members ship buffered data at close and the
+//     collector issues one large write per member chunk;
+//     reads are prefetched by the collectors the same
+//     way;
 //   - async-collective: same request pattern as collective, but members
-//                       stream full staging buffers to their collector
-//                       during the compute phase, so collector writes
-//                       overlap computation instead of queueing after it.
+//     stream full staging buffers to their collector
+//     during the compute phase, so collector writes
+//     overlap computation instead of queueing after it.
 //
 // The workload is a small-record emitter (tab3Record bytes per call, the
 // Fig. 6 checkpoint regime where per-request latency dominates), with

@@ -113,8 +113,8 @@ func tab4Profile() *simfs.Profile {
 // the simulated file system proving the coalescing claim.
 func Table4(scale int) *Result {
 	res := &Result{
-		Name:  "tab4",
-		Title: "Table 4 (ext): request reduction with buffered staging I/O, direct path, small-record workload (jugene, 64 KiB blocks)",
+		Name:   "tab4",
+		Title:  "Table 4 (ext): request reduction with buffered staging I/O, direct path, small-record workload (jugene, 64 KiB blocks)",
 		Header: []string{"I/O mode", "tasks", "wr reqs", "write(s)", "rd reqs", "read(s)"},
 	}
 	ntasks := scaleDown(tab4Tasks, scale, 64)

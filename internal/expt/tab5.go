@@ -149,8 +149,8 @@ func taskPayload(rank, size int) []byte {
 // bound and byte-identity asserted in-run.
 func Table5(scale int) *Result {
 	res := &Result{
-		Name:  "tab5",
-		Title: "Table 5 (ext): rescaled reopen (N writers -> M mapped readers), jugene, 64 KiB blocks",
+		Name:   "tab5",
+		Title:  "Table 5 (ext): rescaled reopen (N writers -> M mapped readers), jugene, 64 KiB blocks",
 		Header: []string{"read mode", "writers", "readers", "rd tasks", "rd reqs", "read(s)"},
 	}
 	nwriters := scaleDown(tab5Writers, scale, 64)

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	sion "repro/internal/core"
 	"repro/internal/cluster"
+	sion "repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/mpi"
 	"repro/internal/serve"
@@ -18,9 +18,10 @@ import (
 // its block cache; tab9 asks what N nodes buy. The naive scale-out — N
 // independent caches behind a round-robin balancer — multiplies backend
 // traffic by ~N, because every node faults the same hot working set in
-// separately. The cluster router instead consistent-hashes blocks across
-// the ring (each block cached on exactly one node), peer-fills remapped
-// blocks from surviving caches across join/leave, and replicates the
+// separately. The cluster router instead consistent-hashes 256 KiB
+// granules across the ring (each block cached on exactly one node),
+// routes a read as one node call per granule it touches, peer-fills
+// remapped blocks from surviving caches across join/leave, and replicates the
 // hottest blocks for load spreading: the working set is read from the
 // backend once per cluster, not once per node.
 //
@@ -41,16 +42,16 @@ import (
 //   - a replay of the cluster run from the same seed reproduces the
 //     request counters exactly.
 const (
-	tab9Writers   = 256
-	tab9Chunk     = int64(64) << 10 // one 64 KiB FS block per chunk
-	tab9NFiles    = 2
-	tab9Clients   = 8192 // 32 clients per writer: reuse-dominated at every scale
-	tab9Reads     = 4    // random windows per client
-	tab9ReadLen   = 2048 // bytes per window
-	tab9Nodes     = 3
-	tab9Seed      = uint64(0x5107a) // tab6's client-trace seed
-	tab9P99Bound  = int64(8)        // max backend requests per client, churn mode
-	tab9HotEvery  = 64              // clients between RebalanceHot calls
+	tab9Writers  = 256
+	tab9Chunk    = int64(64) << 10 // one 64 KiB FS block per chunk
+	tab9NFiles   = 2
+	tab9Clients  = 8192 // 32 clients per writer: reuse-dominated at every scale
+	tab9Reads    = 4    // random windows per client
+	tab9ReadLen  = 2048 // bytes per window
+	tab9Nodes    = 3
+	tab9Seed     = uint64(0x5107a) // tab6's client-trace seed
+	tab9P99Bound = int64(8)        // max backend requests per client, churn mode
+	tab9HotEvery = 64              // clients between RebalanceHot calls
 )
 
 // tab9CacheBytes is each node's cache budget: half the storm's working
@@ -235,7 +236,7 @@ func tab9Cluster(nwriters, nclients int, churn bool) tab9Run {
 		if churn {
 			switch c {
 			case nclients / 3:
-				join(tab9Nodes) // a fresh node takes over ~1/4 of the blocks
+				join(tab9Nodes) // a fresh node takes over ~1/4 of the granules
 			case 2 * nclients / 3:
 				if err := cl.Leave("n1"); err != nil {
 					panic(fmt.Sprintf("tab9: leave n1: %v", err))
@@ -319,7 +320,7 @@ func Table9(scale int) *Result {
 		fmt.Sprintf("identical zipf(1.2) trace (seed %#x) in every mode; %d windows of %d B per client, every 16th client streams its rank; byte identity asserted in-run",
 			tab9Seed, tab9Reads, tab9ReadLen),
 		fmt.Sprintf("independent: %d serve nodes round-robined, each faulting the zipfian working set into its own half-working-set cache (%d KiB here)", tab9Nodes, tab9CacheBytes(nwriters)>>10),
-		"cluster: blocks consistent-hashed across the ring (cached once cluster-wide), hottest blocks replicated 2x with reads rotating across replicas",
+		"cluster: 256 KiB granules consistent-hashed across the ring (each block cached once cluster-wide), hottest blocks replicated 2x with runs of them rotating across replicas",
 		fmt.Sprintf("join/leave: a 4th node joins at storm third, node n1 leaves at two thirds; remapped blocks peer-fill from surviving caches; p99 backend requests per client bounded at %d", tab9P99Bound),
 		"replay: rerunning the cluster mode from the seed reproduces request counters exactly (asserted)")
 	return res

@@ -3,6 +3,7 @@ package resil
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // BreakerState is the circuit-breaker state machine position.
@@ -46,6 +47,12 @@ func (s BreakerState) String() string {
 // traffic the two notions coincide; with no traffic there is nothing to
 // protect. All methods are safe for concurrent use.
 type Breaker struct {
+	// NotClosed, when set before first use, is incremented when the
+	// circuit leaves Closed and decremented when it closes again. Several
+	// breakers may share one gauge, so their owner answers "is any circuit
+	// not closed?" with one atomic load instead of locking each breaker.
+	NotClosed *atomic.Int32
+
 	mu        sync.Mutex
 	threshold int // consecutive failures to trip
 	cooldown  int // rejects in Open before the HalfOpen probe
@@ -112,6 +119,9 @@ func (b *Breaker) Success() {
 		b.state = Closed
 		b.probing = false
 		b.rejects = 0
+		if b.NotClosed != nil {
+			b.NotClosed.Add(-1)
+		}
 	}
 }
 
@@ -137,6 +147,9 @@ func (b *Breaker) Failure() {
 
 // trip opens the circuit; callers hold b.mu.
 func (b *Breaker) trip() {
+	if b.state == Closed && b.NotClosed != nil {
+		b.NotClosed.Add(1)
+	}
 	b.state = Open
 	b.fails = 0
 	b.rejects = 0

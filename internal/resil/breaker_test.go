@@ -2,6 +2,7 @@ package resil
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -119,4 +120,37 @@ func TestBreakerConcurrent(t *testing.T) {
 	if !b.Allow() {
 		t.Fatalf("breaker wedged after concurrent storm")
 	}
+}
+
+// TestBreakerNotClosedGauge: breakers sharing a NotClosed gauge keep it at
+// the number of circuits currently open or half-open — a failed probe
+// (half-open back to open) must not count twice.
+func TestBreakerNotClosedGauge(t *testing.T) {
+	var g atomic.Int32
+	a, b := NewBreaker(1, 1), NewBreaker(1, 1)
+	a.NotClosed, b.NotClosed = &g, &g
+	want := func(n int32, when string) {
+		t.Helper()
+		if got := g.Load(); got != n {
+			t.Fatalf("%s: gauge = %d, want %d", when, got, n)
+		}
+	}
+	want(0, "both closed")
+	a.Failure()
+	want(1, "a open")
+	b.Failure()
+	want(2, "a and b open")
+	a.Allow() // the cooldown reject: a turns half-open
+	want(2, "a half-open")
+	a.Allow()
+	a.Failure()
+	want(2, "a's probe failed")
+	a.Allow()
+	a.Allow()
+	a.Success()
+	want(1, "a closed again")
+	b.Allow()
+	b.Allow()
+	b.Success()
+	want(0, "both closed again")
 }

@@ -4,7 +4,8 @@ import (
 	"container/list"
 	"sort"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // Sharded block cache: physical-file bytes in fixed-size blocks keyed by
@@ -38,13 +39,15 @@ type cacheShard struct {
 	items map[blockKey]*list.Element
 	lru   list.List // front = most recently used
 	bytes int64
+	// evictions is the shard's serve_cache_evictions_total instrument
+	// (the Server installs it; nil, as in a bare cache, counts nothing).
+	evictions *obs.Counter
 }
 
 type blockCache struct {
-	shards    []cacheShard
-	mask      uint64
-	perShard  int64 // byte budget per shard
-	evictions atomic.Int64
+	shards   []cacheShard
+	mask     uint64
+	perShard int64 // byte budget per shard
 }
 
 // newBlockCache builds a cache of totalBytes split over nshards shards
@@ -100,9 +103,9 @@ func (c *blockCache) getAt(si int, k blockKey) ([]byte, bool) {
 }
 
 // put inserts (or refreshes) a block and evicts from the shard's LRU tail
-// until the shard is back under budget, returning how many blocks were
-// evicted. data must not be mutated after insertion.
-func (c *blockCache) put(k blockKey, data []byte) int {
+// until the shard is back under budget, counting each eviction on the
+// shard's instrument. data must not be mutated after insertion.
+func (c *blockCache) put(k blockKey, data []byte) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,17 +123,14 @@ func (c *blockCache) put(k blockKey, data []byte) int {
 		s.items[k] = s.lru.PushFront(&cacheEntry{key: k, data: data})
 		s.bytes += int64(len(data))
 	}
-	evicted := 0
 	for s.bytes > c.perShard && s.lru.Len() > 1 {
 		el := s.lru.Back()
 		ent := el.Value.(*cacheEntry)
 		s.lru.Remove(el)
 		delete(s.items, ent.key)
 		s.bytes -= int64(len(ent.data))
-		c.evictions.Add(1)
-		evicted++
+		s.evictions.Inc()
 	}
-	return evicted
 }
 
 // invalidate drops a block from the cache if present. Tail servers call

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestBlockCacheLRUEviction(t *testing.T) {
 	// One shard, budget of 4 × 10-byte blocks.
 	c := newBlockCache(40, 1)
+	c.shards[0].evictions = &obs.Counter{}
 	blk := func(i int) ([]byte, blockKey) {
 		return []byte(fmt.Sprintf("block-%04d", i)), blockKey{0, int64(i)}
 	}
@@ -31,7 +34,7 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 			t.Fatalf("block %d evicted unexpectedly", want)
 		}
 	}
-	if got := c.evictions.Load(); got != 1 {
+	if got := c.shards[0].evictions.Value(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	if got := c.cachedBytes(); got != 40 {

@@ -147,7 +147,7 @@ func (f *fetcher) serve(batch []*fetchReq) {
 		if s.peerFill != nil {
 			if data, ok := s.peerFill(f.file, b); ok && int64(len(data)) == bs {
 				want[b] = data
-				f.cachePut(k, data)
+				s.cache.put(k, data)
 				s.m.peerFills.Inc()
 				stats.peerFills++
 				continue
@@ -197,7 +197,7 @@ func (f *fetcher) serve(batch []*fetchReq) {
 					}
 					b := e.Off / bs
 					want[b] = data
-					f.cachePut(blockKey{f.file, b}, data)
+					s.cache.put(blockKey{f.file, b}, data)
 				}
 			}
 			if br != nil {
@@ -249,13 +249,4 @@ func (f *fetcher) windowedSpanRead(buf []byte, off int64) (retries int64, _ erro
 		}
 	}
 	return retries, nil
-}
-
-// cachePut inserts a block and attributes any evictions it caused to the
-// block's shard counter (evictions happen within the shard of the key
-// being inserted).
-func (f *fetcher) cachePut(k blockKey, data []byte) {
-	if ev := f.s.cache.put(k, data); ev > 0 {
-		f.s.m.evictions[f.s.cache.shardIndex(k)].Add(int64(ev))
-	}
 }

@@ -45,6 +45,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	sion "repro/internal/core"
 	"repro/internal/fsio"
@@ -171,6 +172,7 @@ type Server struct {
 	files        []fsio.File
 	fetchers     []*fetcher
 	breakers     []*resil.Breaker // per physical file; nil entries = disabled
+	notClosed    atomic.Int32     // breakers currently open or half-open (Degraded's O(1) answer)
 	cache        *blockCache
 	blockBytes   int64
 	maxSpanGap   int64
@@ -236,6 +238,9 @@ func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfil
 		reg = obs.NewRegistry()
 	}
 	s.m = newServerMetrics(reg, c.MetricLabels, len(s.cache.shards))
+	for i := range s.cache.shards {
+		s.cache.shards[i].evictions = s.m.evictions[i]
+	}
 	s.registerDerived()
 	for k := 0; k < nfiles; k++ {
 		if err := s.openPhysical(fsys, physName(k)); err != nil {
@@ -316,6 +321,7 @@ func (s *Server) openPhysical(fsys fsio.FileSystem, path string) error {
 	var br *resil.Breaker
 	if s.breakerCfg[0] >= 0 {
 		br = resil.NewBreaker(s.breakerCfg[0], s.breakerCfg[1])
+		br.NotClosed = &s.notClosed
 	}
 	s.breakers = append(s.breakers, br)
 	s.fetchers = append(s.fetchers, newFetcher(s, k, fh))
@@ -440,7 +446,7 @@ func (s *Server) Stats() Stats {
 		BackendReads:  s.m.backendReads.Value(),
 		BackendBytes:  s.m.backendBytes.Value(),
 		ServedBytes:   s.m.servedBytes.Value(),
-		Evictions:     s.cache.evictions.Load(),
+		Evictions:     sumCounters(s.m.evictions),
 		CachedBytes:   s.cache.cachedBytes(),
 		HandlesOpened: s.m.handles.Value(),
 		TailPolls:     s.m.tailPolls.Value(),
@@ -491,15 +497,9 @@ func (s *Server) Health() []FileHealth {
 }
 
 // Degraded reports whether any physical file's breaker is currently not
-// closed (the server is refusing some backend fetches).
-func (s *Server) Degraded() bool {
-	for _, br := range s.breakers {
-		if br != nil && br.State() != resil.Closed {
-			return true
-		}
-	}
-	return false
-}
+// closed (the server is refusing some backend fetches). It is one atomic
+// load — routers ask it on every run they route.
+func (s *Server) Degraded() bool { return s.notClosed.Load() > 0 }
 
 // Close stops the fetchers and closes the physical files. It is
 // idempotent (a second Close returns nil); handles become unusable —
@@ -539,6 +539,9 @@ func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
 	defer s.mu.RUnlock()
 	if s.closed {
 		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
+	}
+	if len(p) == 0 {
+		return nil // an empty window covers no block: no lookup, no fetch
 	}
 	bs := s.blockBytes
 	var missing []int64

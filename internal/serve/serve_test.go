@@ -332,3 +332,24 @@ func TestServeSeekWhence(t *testing.T) {
 		t.Fatal("negative Seek accepted")
 	}
 }
+
+// TestServeZeroLengthReadTouchesNothing: an empty read covers no block,
+// so at any offset it counts no hit or miss and issues no backend read.
+func TestServeZeroLengthReadTouchesNothing(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	writeMultifile(t, fsys, "z.sion", 4)
+	s, err := New(fsys, "z.sion", &Config{CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before := s.Stats()
+	for _, off := range []int64{0, 100, 256, 1000} { // block start, mid-block, next block
+		if err := s.ReadFileAt(0, nil, off, nil); err != nil {
+			t.Fatalf("empty read at %d: %v", off, err)
+		}
+	}
+	if st := s.Stats(); st.Hits != before.Hits || st.Misses != before.Misses || st.BackendReads != before.BackendReads {
+		t.Fatalf("empty reads moved the counters: %+v -> %+v", before, st)
+	}
+}

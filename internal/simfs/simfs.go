@@ -87,16 +87,16 @@ type file struct {
 	stripeSize  int64
 	token       *vtime.Server // per-file allocation/token pipe (see meter)
 	inodeLoaded bool
-	objInit     bool           // first-write allocation done
-	chargedW    map[int64]bool // FS blocks already paid for on the write path
-	chargedR    map[int64]bool // FS blocks already paid for on the read path
-	blockOwner  map[int64]int  // FS block index -> last writer task
-	written     int64          // total bytes ever written
-	dirtySize   bool           // size attribute not yet propagated (see Close)
+	objInit     bool             // first-write allocation done
+	chargedW    map[int64]bool   // FS blocks already paid for on the write path
+	chargedR    map[int64]bool   // FS blocks already paid for on the read path
+	blockOwner  map[int64]int    // FS block index -> last writer task
+	written     int64            // total bytes ever written
+	dirtySize   bool             // size attribute not yet propagated (see Close)
 	vpages      map[int64][]byte // volatile-mode overlay pages (merged by Sync)
 	vsize       int64            // volatile-mode size high-water (≤ durable after Crash)
-	writerCli   map[int]bool   // client ids that wrote
-	soleWriter  int            // task id, -1 = none yet, -2 = multiple
+	writerCli   map[int]bool     // client ids that wrote
+	soleWriter  int              // task id, -1 = none yet, -2 = multiple
 	removed     bool
 
 	// Request accounting (see FileStats): how many open/read/write
