@@ -1,8 +1,8 @@
 // Serving a multifile to many concurrent clients: a job writes a
 // checkpoint with N tasks, then a single serving process fronts it for a
 // crowd of reader goroutines through internal/serve — the sharded block
-// cache and per-file fetchers turn thousands of logical reads into a
-// handful of dense backend span reads, while every client sees exactly
+// cache and its span-coalescing miss path turn thousands of logical reads
+// into a handful of dense backend span reads, while every client sees exactly
 // the bytes its writer rank produced (including per-key record lookups).
 //
 // Run with: go run ./examples/serve [dir]

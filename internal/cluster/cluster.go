@@ -25,11 +25,12 @@
 //     and a deterministic successor order. A node joining or leaving
 //     remaps only the granules adjacent to its ring points, so the
 //     surviving caches stay hot across membership churn.
-//   - Peer cache fill: each node's serve.Config.PeerFill hook asks the
-//     other nodes' Peek (a passive cache-only lookup), in the granule's
-//     ring order, before its fetcher touches the backend. A block that
-//     any node already holds spreads through the cluster without another
-//     backend read.
+//   - Peer cache fill: when a read misses on a node, the node's
+//     serve.Config.PeerFill hook asks the other nodes' Peek (a passive
+//     cache-only lookup that copies a resident block into the asker's
+//     buffer), in the granule's ring order, before the reader touches the
+//     backend. A block that any node already holds spreads through the
+//     cluster without another backend read.
 //   - Hot-block replication: RebalanceHot merges the nodes' shard-LRU hit
 //     reports (serve.HotBlocks), tracks the hottest blocks, and
 //     pre-materializes them on the first ReplicateHot ring successors of
@@ -196,7 +197,7 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	if blockBytes != 0 { // the first join's block size (its config's, or serve's default) stands
 		cfg.BlockBytes = blockBytes
 	}
-	cfg.PeerFill = func(file int, block int64) ([]byte, bool) { return c.peerFill(id, file, block) }
+	cfg.PeerFill = func(file int, block int64, dst []byte) bool { return c.peerFill(id, file, block, dst) }
 	// Every node's serve instruments land in the cluster's registry under
 	// a node label, so one scrape covers the whole topology. (A node that
 	// re-joins under a departed id resumes that id's counters — counters
@@ -366,16 +367,16 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 	return h, nil
 }
 
-// peerFill answers node selfID's fetcher: scan the other nodes' caches
-// (in ring order for the block's granule, most likely holders first) for
-// the block, without triggering any fetch. This is the hook behind
-// serve.Config.PeerFill.
-func (c *Cluster) peerFill(selfID string, file int, block int64) ([]byte, bool) {
+// peerFill answers a reader that missed on node selfID: scan the other
+// nodes' caches (in ring order for the block's granule, most likely
+// holders first) for the block and copy it into dst, without triggering
+// any fetch. This is the hook behind serve.Config.PeerFill.
+func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte) bool {
 	c.mu.RLock()
 	nodes, rg, gb := c.nodes, c.ring, c.granuleBlocks
 	c.mu.RUnlock()
 	if rg == nil {
-		return nil, false
+		return false
 	}
 	var buf [maxNodes]int
 	for _, ni := range rg.lookup(granuleHash(file, block/gb), &buf) {
@@ -383,11 +384,11 @@ func (c *Cluster) peerFill(selfID string, file int, block int64) ([]byte, bool) 
 		if n.ID == selfID {
 			continue
 		}
-		if data, ok := n.srv.Peek(file, block); ok {
-			return data, true
+		if n.srv.Peek(file, block, dst) {
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // hotSnapshot returns the tracked hot set (nil, which reads as empty, when
@@ -456,7 +457,7 @@ func (c *Cluster) RebalanceHot() int {
 			cands := rg.lookup(granuleHash(hb.File, hb.Block/gb), &buf)
 			for i := 0; i < k && i < len(cands); i++ {
 				n := nodes[cands[i]]
-				if _, ok := n.srv.Peek(hb.File, hb.Block); ok {
+				if n.srv.Peek(hb.File, hb.Block, nil) {
 					continue
 				}
 				// Best-effort: a degraded or racing-departed replica just

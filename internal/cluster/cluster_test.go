@@ -240,7 +240,7 @@ func TestClusterHotReplicationAndRotation(t *testing.T) {
 	}
 	holders := func() (hold []*Node) {
 		for _, n := range nodes {
-			if _, ok := n.Server().Peek(hotFile, hotBlock); ok {
+			if n.Server().Peek(hotFile, hotBlock, nil) {
 				hold = append(hold, n)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	sion "repro/internal/core"
@@ -361,7 +362,10 @@ func TestZeroLengthReadTouchesNothing(t *testing.T) {
 // ring ns/op over node ns/op is what the router costs. hit*: everything
 // resident; cold64k: the cache holds a quarter of the file and the stream
 // walks all of it, so nearly every request misses; slab1m: resident 1 MiB
-// reads, four or five runs each.
+// reads, four or five runs each. node-par (hit4k and cold64k only) is the
+// node case from GOMAXPROCS goroutines at once (-cpu 1,2,4 is the scaling
+// table): hit4k-par prices contention on the shard locks, cold64k-par the
+// in-flight table and concurrent backend reads of one file.
 func BenchmarkRoute(b *testing.B) {
 	dir := b.TempDir()
 	fsys := fsio.NewOS(dir)
@@ -385,10 +389,17 @@ func BenchmarkRoute(b *testing.B) {
 		{"cold64k", 64 << 10, 768 << 10},
 		{"slab1m", 1 << 20, 3 * testCache},
 	} {
-		run := func(b *testing.B, r serve.FileReaderAt) {
+		span := span0 - int64(bc.size)
+		read := func(b *testing.B, r serve.FileReaderAt, p []byte, i int64) {
+			if err := r.ReadFileAt(0, p, (i*int64(bc.size)+1000)%span, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// setup faults a resident case in, starts the clock and returns a
+		// request buffer.
+		setup := func(b *testing.B, r serve.FileReaderAt) []byte {
 			p := make([]byte, bc.size)
-			span := span0 - int64(bc.size)
-			if bc.cache >= span0 { // resident: fault everything in first
+			if bc.cache >= span0 {
 				for off := int64(0); off < span; off += int64(bc.size) {
 					if err := r.ReadFileAt(0, p, off, nil); err != nil {
 						b.Fatal(err)
@@ -398,10 +409,12 @@ func BenchmarkRoute(b *testing.B) {
 			b.SetBytes(int64(bc.size))
 			b.ReportAllocs()
 			b.ResetTimer()
+			return p
+		}
+		run := func(b *testing.B, r serve.FileReaderAt) {
+			p := setup(b, r)
 			for i := 0; i < b.N; i++ {
-				if err := r.ReadFileAt(0, p, (int64(i)*int64(bc.size)+1000)%span, nil); err != nil {
-					b.Fatal(err)
-				}
+				read(b, r, p, int64(i))
 			}
 		}
 		b.Run(bc.name+"/ring", func(b *testing.B) {
@@ -415,6 +428,25 @@ func BenchmarkRoute(b *testing.B) {
 			}
 			defer srv.Close()
 			run(b, srv)
+		})
+		if bc.name != "hit4k" && bc.name != "cold64k" {
+			continue
+		}
+		b.Run(bc.name+"/node-par", func(b *testing.B) {
+			srv, err := serve.New(fsys, "b.sion", &serve.Config{CacheBytes: bc.cache})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			setup(b, srv)
+			var workers atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				p := make([]byte, bc.size)
+				// Each worker walks the whole file from its own phase.
+				for i := workers.Add(1) * 7919; pb.Next(); i++ {
+					read(b, srv, p, i)
+				}
+			})
 		})
 	}
 }

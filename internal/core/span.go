@@ -6,9 +6,10 @@ import "sort"
 // of many small ones" path in this repository. The mapped collective open
 // (mapped.go) uses it to fetch a collector group's owned chunk regions with
 // one read per dense run, and the read-serving subsystem (internal/serve)
-// uses it to merge concurrent cache-block misses into dense span reads.
-// Both layers share this implementation so their gap-splitting semantics
-// cannot drift apart.
+// merges a read's cache-block misses into dense span reads by the same
+// rule — restated there for sorted equal-sized blocks so that a miss
+// allocates nothing, and pinned against this implementation by a test, so
+// the two layers' gap-splitting semantics cannot drift apart.
 
 // Extent is one caller-tagged byte range [Off, Off+Len) inside a physical
 // file. Idx is an opaque caller tag (typically an index into a parallel

@@ -20,7 +20,7 @@ import (
 // every logical read walks the multifile through its own handle (metadata
 // parse at open, one backend request per record), with zero reuse across
 // clients. internal/serve fronts the multifile with a sharded block cache
-// and per-file fetchers that coalesce misses into dense span reads — the
+// and a miss path that coalesces misses into dense span reads — the
 // CkIO-style decoupling of many logical readers from few aggregated file
 // requests (arXiv:2411.18593), with the cache-and-broadcast amortization
 // of collective-buffering models (arXiv:0901.0134).

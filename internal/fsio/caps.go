@@ -16,7 +16,7 @@ import (
 // the choice of request geometry. Capabilities makes the contract
 // explicit: a backend reports one descriptor, decorators forward it
 // unchanged, and the geometry-deciding layers (core.withDefaults, the
-// serve fetcher) read it instead of hard-coding POSIX assumptions.
+// serve miss path) read it instead of hard-coding POSIX assumptions.
 //
 // The zero value is the conservative POSIX-ish descriptor: every
 // consumer treats zero fields as "no constraint / behave as before", so
@@ -83,7 +83,7 @@ type Capabilities struct {
 	InPlaceUpdate bool
 
 	// PreferredRequestBytes is the request size the backend performs
-	// best at (the dense-span target for the serve fetcher and the
+	// best at (the dense-span target for the serve miss path and the
 	// span-gap default). 0 = no preference.
 	PreferredRequestBytes int64
 

@@ -83,6 +83,13 @@ type FileInfo struct {
 
 // File is a random-access file handle.
 //
+// Concurrency: ReadAt and ReadDiscardAt may be called from any number of
+// goroutines at once on one handle (what io.ReaderAt promises) as long as
+// no write, truncate or close of the file is in progress; internal/serve
+// relies on it — every reader that misses the cache reads the backend on
+// its own goroutine. Everything else on a handle belongs to one goroutine
+// at a time unless a backend says otherwise.
+//
 // In addition to byte-accurate I/O, File carries two metered "synthetic"
 // operations used by the at-scale benchmark harness: WriteZeroAt and
 // ReadDiscardAt behave exactly like WriteAt/ReadAt of n bytes for cost and

@@ -645,6 +645,41 @@ func TestStreamsLargeRank(t *testing.T) {
 	})
 }
 
+// discardWriter is a ResponseWriter that keeps nothing, so a handler's
+// allocations are its own and not a recorder's growing body.
+type discardWriter struct{ hdr http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.hdr }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestWindowReadAllocatesNoBody pins the pooled body buffer: a warm
+// 64 KiB window read allocates request bookkeeping only — well under a
+// quarter of the body — on both backends.
+func TestWindowReadAllocatesNoBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	eachBackend(t, "big", Flags{}, func(t *testing.T, f *fixture) {
+		const url = "/rank/0?off=4096&n=65536"
+		wantBody(t, url, f.get(url), payload(0, int(bigBytes))[4096:4096+65536]) // and warms the cache
+		f.api.Log.SetHook(func(obs.Record) {})
+		w := &discardWriter{hdr: make(http.Header)}
+		req := httptest.NewRequest("GET", url, nil)
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.h.ServeHTTP(w, req)
+			}
+		})
+		t.Logf("%d B/op, %d allocs/op", res.AllocedBytesPerOp(), res.AllocsPerOp())
+		if got := res.AllocedBytesPerOp(); got >= 16<<10 {
+			t.Fatalf("a warm 64 KiB GET allocates %d B/op (%d allocs/op), want < 16 KiB: the body buffer is not pooled",
+				got, res.AllocsPerOp())
+		}
+	})
+}
+
 // failAfterWriter passes through a fixed number of Writes, then fails —
 // the shape of a client hanging up mid-download.
 type failAfterWriter struct {

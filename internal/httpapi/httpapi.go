@@ -150,7 +150,7 @@ const shutdownTimeout = 10 * time.Second
 
 // Run serves on addr until ctx ends, then stops accepting, drains
 // in-flight requests under shutdownTimeout and closes the backend (its
-// fetchers and file handles). It returns the listener's error if serving
+// file handles). It returns the listener's error if serving
 // stopped for any other reason; the backend is closed either way. prog
 // prefixes the progress and error lines.
 func (a *API) Run(ctx context.Context, prog, addr string) error {
@@ -297,6 +297,21 @@ func (a *API) handleRank(w http.ResponseWriter, r *http.Request) {
 // the client's n.
 const serveChunk int64 = 1 << 20
 
+// chunkBufs recycles serveBytes' body buffers, so a request allocates no
+// body-sized — and zeroed — buffer of its own. Buffers grow to the
+// largest chunk the server's clients ask for, never past serveChunk.
+var chunkBufs sync.Pool // of *[]byte
+
+// getChunkBuf returns a pooled buffer of length n with arbitrary contents.
+func getChunkBuf(n int64) *[]byte {
+	if bp, _ := chunkBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= n {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]byte, n)
+	return &b
+}
+
 // serveBytes answers /rank/<r> with the whole stream or the ?off=&n=
 // window (see the package comment for the window contract; 416 mirrors
 // HTTP range semantics).
@@ -334,7 +349,9 @@ func (a *API) serveBytes(w http.ResponseWriter, r *http.Request, h *serve.Handle
 			n = want
 		}
 	}
-	buf := make([]byte, min(n, serveChunk))
+	bp := getChunkBuf(min(n, serveChunk))
+	defer chunkBufs.Put(bp)
+	buf := *bp
 	if n > 0 {
 		if _, err := h.ReadLogicalAt(buf, off); err != nil {
 			httpError(w, err)

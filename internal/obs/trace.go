@@ -11,16 +11,16 @@ import (
 )
 
 // Span is a request-scoped breadcrumb trail: one per HTTP request (or
-// any unit of work), threaded down through serve → cluster → fetcher →
-// backend so the layers can record what actually happened to the request
-// — cache hits, peer fills, backend reads, retries. The slow-request log
+// any unit of work), threaded down through cluster → serve → its miss
+// path → backend so the layers can record what actually happened to the
+// request — cache hits, peer fills, backend reads, retries. The slow-request log
 // in the HTTP front ends prints the trail when a request exceeds its
 // latency budget, answering "why was this one slow?" without sampling
 // profilers.
 //
 // Spans are cheap (a mutex and a small map) but not free; they are
 // per-request, never per-block. All methods are nil-safe so unthreaded
-// code paths (background fetch batches, internal maintenance) can pass a
+// code paths (internal maintenance reads, library callers) can pass a
 // nil *Span without guards.
 type Span struct {
 	id string

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -14,6 +14,15 @@ import (
 // byte budget is split evenly across shards (GPFS-style independent cache
 // partitions), so concurrent clients only contend when their blocks hash
 // to the same shard.
+//
+// The cache owns its memory: an entry and its frame are allocated when a
+// shard first needs them and recycled from then on — a put on a full shard
+// evicts the LRU tail and copies into the frame just vacated, so the steady
+// state allocates nothing. Because frames are rewritten, no slice aliasing
+// one leaves this file: readers get bytes copied out (copyOut), writers
+// theirs copied in (put). The copy-out runs outside the shard lock (under
+// it, two readers meeting on a shard cost serve-hot 9 %) with the entry
+// pinned; a put that finds its slot pinned leaves that frame to its readers.
 
 // blockKey identifies one cache block.
 type blockKey struct {
@@ -28,16 +37,21 @@ func (k blockKey) hash() uint64 {
 	return uint64(k.file)*0x9e3779b97f4a7c15 ^ uint64(k.block)*0xbf58476d1ce4e5b9>>17 ^ uint64(k.block)
 }
 
+// cacheEntry is one slot of a shard: a resident block on the LRU list, or
+// a vacated slot (frame kept) on the free list, chained through next.
 type cacheEntry struct {
-	key  blockKey
-	data []byte
-	hits int64 // lookups served since insertion (feeds HotBlocks)
+	key        blockKey
+	data       []byte       // the frame; len is the resident block's length
+	hits       int64        // lookups served since insertion (feeds HotBlocks)
+	readers    atomic.Int32 // copyOuts still copying from a frame of this slot
+	prev, next *cacheEntry  // LRU neighbours, toward the front / toward the tail
 }
 
 type cacheShard struct {
 	mu    sync.Mutex
-	items map[blockKey]*list.Element
-	lru   list.List // front = most recently used
+	items map[blockKey]*cacheEntry // resident blocks
+	lru   cacheEntry               // list sentinel: next = most recently used, prev = next victim
+	free  *cacheEntry              // vacated slots
 	bytes int64
 	// evictions is the shard's serve_cache_evictions_total instrument
 	// (the Server installs it; nil, as in a bare cache, counts nothing).
@@ -52,7 +66,8 @@ type blockCache struct {
 
 // newBlockCache builds a cache of totalBytes split over nshards shards
 // (rounded up to a power of two). The caller guarantees the per-shard
-// budget holds at least one block.
+// budget holds at least one block. Frames appear as blocks do: nothing
+// proportional to the budget is allocated here.
 func newBlockCache(totalBytes int64, nshards int) *blockCache {
 	n := 1
 	for n < nshards {
@@ -64,7 +79,9 @@ func newBlockCache(totalBytes int64, nshards int) *blockCache {
 		perShard: totalBytes / int64(n),
 	}
 	for i := range c.shards {
-		c.shards[i].items = make(map[blockKey]*list.Element)
+		s := &c.shards[i]
+		s.items = make(map[blockKey]*cacheEntry)
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
 	}
 	return c
 }
@@ -79,58 +96,96 @@ func (c *blockCache) shardIndex(k blockKey) int {
 	return int(k.hash() & c.mask)
 }
 
-// get returns the cached block and marks it most recently used. The
-// returned slice is shared and must be treated as immutable.
-func (c *blockCache) get(k blockKey) ([]byte, bool) {
-	return c.getAt(c.shardIndex(k), k)
+// unlink takes e off the LRU list.
+func (e *cacheEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
 }
 
-// getAt is get with the shard index precomputed — the read hot path
-// needs the index for per-shard metric attribution anyway, so it hashes
-// once and passes it in.
-func (c *blockCache) getAt(si int, k blockKey) ([]byte, bool) {
+// pushFront makes e the most recently used.
+func (s *cacheShard) pushFront(e *cacheEntry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.next.prev, s.lru.next = e, e
+}
+
+// vacate drops resident entry e and keeps the slot and its frame for the
+// next insertion.
+func (s *cacheShard) vacate(e *cacheEntry) {
+	e.unlink()
+	delete(s.items, e.key)
+	s.bytes -= int64(len(e.data))
+	e.next, s.free = s.free, e
+}
+
+// pinFreeCopy is the longest copy-out done under the shard lock: below it
+// the copy is cheaper than the pin's two atomic round trips.
+const pinFreeCopy = 1 << 10
+
+// copyOut reports whether block k is resident and, if so, copies its bytes
+// from offset `from` into dst (as many as both hold; an empty dst asks for
+// presence only), marks it most recently used and counts the lookup. si is
+// the key's shard index, which the read path has hashed for its metrics.
+func (c *blockCache) copyOut(si int, k blockKey, dst []byte, from int64) bool {
 	s := &c.shards[si]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[k]
+	e, ok := s.items[k]
 	if !ok {
-		return nil, false
+		s.mu.Unlock()
+		return false
 	}
-	s.lru.MoveToFront(el)
-	ent := el.Value.(*cacheEntry)
-	ent.hits++
-	return ent.data, true
+	if s.lru.next != e {
+		e.unlink()
+		s.pushFront(e)
+	}
+	e.hits++
+	src := e.data[min(from, int64(len(e.data))):]
+	if min(len(dst), len(src)) <= pinFreeCopy {
+		copy(dst, src)
+		s.mu.Unlock()
+		return true
+	}
+	e.readers.Add(1) // under the lock: a put that sees zero readers has none
+	s.mu.Unlock()
+	copy(dst, src)
+	e.readers.Add(-1)
+	return true
 }
 
-// put inserts (or refreshes) a block and evicts from the shard's LRU tail
-// until the shard is back under budget, counting each eviction on the
-// shard's instrument. data must not be mutated after insertion.
-func (c *blockCache) put(k blockKey, data []byte) {
+// put inserts (or refreshes) a block, copying src into a frame the shard
+// owns, after evicting from the LRU tail until the shard has room for it
+// (never the block being put; evictions count on the shard's instrument).
+// Victims and order are exactly those of an insert followed by a trim — the
+// new block sits at the front either way — but evicting first lets the new
+// block move into the vacated frame.
+func (c *blockCache) put(k blockKey, src []byte) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		// Concurrent fetchers of different files can race the same key only
-		// if keys collide across fetchers, which they cannot (the file is
-		// part of the key) — but a refetch after eviction can re-insert
-		// while an old entry still exists on another path. Keep the fresh
-		// bytes and the LRU position.
-		ent := el.Value.(*cacheEntry)
-		s.bytes += int64(len(data)) - int64(len(ent.data))
-		ent.data = data
-		s.lru.MoveToFront(el)
-	} else {
-		s.items[k] = s.lru.PushFront(&cacheEntry{key: k, data: data})
-		s.bytes += int64(len(data))
+	e, resident := s.items[k]
+	if resident {
+		// Refresh: fresh bytes, front position. (The Server never gets
+		// here: a flight puts only blocks it found absent under its claim.)
+		e.unlink()
+		s.bytes -= int64(len(e.data))
 	}
-	for s.bytes > c.perShard && s.lru.Len() > 1 {
-		el := s.lru.Back()
-		ent := el.Value.(*cacheEntry)
-		s.lru.Remove(el)
-		delete(s.items, ent.key)
-		s.bytes -= int64(len(ent.data))
+	for s.bytes+int64(len(src)) > c.perShard && s.lru.prev != &s.lru {
+		s.vacate(s.lru.prev)
 		s.evictions.Inc()
 	}
+	if !resident {
+		if e = s.free; e != nil {
+			s.free = e.next
+		} else {
+			e = new(cacheEntry)
+		}
+		e.key, e.hits = k, 0
+		s.items[k] = e
+	}
+	if e.readers.Load() != 0 {
+		e.data = nil // a copyOut is still reading that frame: it is theirs now
+	}
+	e.data = append(e.data[:0], src...)
+	s.bytes += int64(len(src))
+	s.pushFront(e)
 }
 
 // invalidate drops a block from the cache if present. Tail servers call
@@ -142,11 +197,8 @@ func (c *blockCache) invalidate(k blockKey) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		ent := el.Value.(*cacheEntry)
-		s.lru.Remove(el)
-		delete(s.items, k)
-		s.bytes -= int64(len(ent.data))
+	if e, ok := s.items[k]; ok {
+		s.vacate(e)
 	}
 }
 
@@ -159,10 +211,9 @@ func (c *blockCache) hot(minHits int64) []HotBlock {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for _, el := range s.items {
-			ent := el.Value.(*cacheEntry)
-			if ent.hits >= minHits {
-				out = append(out, HotBlock{File: ent.key.file, Block: ent.key.block, Hits: ent.hits})
+		for k, e := range s.items {
+			if e.hits >= minHits {
+				out = append(out, HotBlock{File: k.file, Block: k.block, Hits: e.hits})
 			}
 		}
 		s.mu.Unlock()

@@ -2,247 +2,201 @@ package serve
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
-	sion "repro/internal/core"
-	"repro/internal/fsio"
 	"repro/internal/resil"
 )
 
-// Per-physical-file fetcher: the only entity that issues backend reads for
-// its file. Serializing misses through one goroutine per file is what CkIO
-// calls the aggregator pattern — it gives singleflight semantics for free
-// (a miss queued behind an identical in-flight miss finds the block cached
-// when its turn comes, instead of issuing a duplicate read) and makes
-// request coalescing natural: every miss that accumulates while the
-// previous batch is on the wire is merged into the next batch, and the
-// batch's blocks are fused into dense span reads with the same
-// gap-splitting logic the mapped collective open uses
-// (sion.CoalesceExtents).
-
-// fetchReq asks the fetcher to materialize a set of cache blocks.
-type fetchReq struct {
-	blocks []int64 // sorted block indices the caller missed
-	reply  chan fetchRes
-}
-
-// fetchRes answers one request of a batch: data maps each requested block
-// to its full cache-block payload (shared, immutable). Requests are
-// answered individually — a span failure fails only the requests whose
-// blocks it covered, so one client's doomed read does not fail the
-// neighbors batched with it. stats describes the whole batch's work and
-// is shared by every answer (the batch's cost is genuinely shared); span
-// breadcrumbs are therefore batch-level, not per-requester.
-type fetchRes struct {
-	data  map[int64][]byte
-	err   error
-	stats batchStats
-}
-
-// batchStats is what one fetcher batch cost: spans/spanBlocks are the
-// dense backend reads issued and the cache blocks they materialized
-// (their ratio is the span-fusion win), peerFills and flightHits the
-// blocks that never touched the backend, retries the span re-attempts.
-type batchStats struct {
-	spans, spanBlocks     int64
-	peerFills, flightHits int64
-	retries               int64
-}
-
-type fetcher struct {
-	s    *Server
-	file int
-	fh   fsio.File
-	reqs chan *fetchReq
-	done chan struct{}
-}
-
-func newFetcher(s *Server, file int, fh fsio.File) *fetcher {
-	f := &fetcher{
-		s:    s,
-		file: file,
-		fh:   fh,
-		reqs: make(chan *fetchReq, 64),
-		done: make(chan struct{}),
-	}
-	go f.loop()
-	return f
-}
-
-// fetch blocks until the fetcher has materialized the given blocks.
-func (f *fetcher) fetch(blocks []int64) fetchRes {
-	req := &fetchReq{blocks: blocks, reply: make(chan fetchRes, 1)}
-	f.reqs <- req
-	return <-req.reply
-}
-
-// stop closes the request channel and waits for the loop to drain. The
-// caller (Server.Close) guarantees no fetch is in flight.
-func (f *fetcher) stop() {
-	close(f.reqs)
-	<-f.done
-}
-
-func (f *fetcher) loop() {
-	defer close(f.done)
-	for req := range f.reqs {
-		batch := []*fetchReq{req}
-		batch = f.collect(batch)
-		f.serve(batch)
-	}
-}
-
-// collect widens the batch with everything already queued — the misses
-// that arrived while the previous batch was on the wire, which is what
-// matters at steady load.
-func (f *fetcher) collect(batch []*fetchReq) []*fetchReq {
-	for {
-		select {
-		case r, ok := <-f.reqs:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, r)
-		default:
-			return batch
-		}
-	}
-}
-
-// serve materializes the union of the batch's blocks — from the cache
-// where a previous batch already fetched them (the singleflight path),
-// then from peer caches when a PeerFill hook is installed, otherwise with
-// one retried backend read per dense span — and answers every request
-// individually: a request succeeds iff all of its blocks materialized,
-// and a request whose blocks did not materialize is answered with the
-// error of the span that covered *its own* blocks, so one client's
-// doomed read neither fails nor mislabels the neighbors batched with it.
+// The miss path: the reader that missed fetches, on its own goroutine.
 //
-// Breaker protocol: when backend spans are needed, the batch consults the
-// file's breaker once — an open circuit fails the needy requests fast with
-// ErrDegraded (each rejection advances the breaker's cooldown clock).
-// After the spans run, the batch reports one verdict: Failure if any span
-// exhausted its retry budget on a transient fault, Success otherwise
-// (a permanent error is the backend answering, which is evidence of
-// health, not of overload).
-func (f *fetcher) serve(batch []*fetchReq) {
-	s := f.s
-	s.m.fetchBatches.Inc()
+// This replaces a fetcher goroutine per physical file (CkIO's aggregator
+// pattern), whose queue gave singleflight and batched the misses that piled
+// up behind a read. On the real-FS ladder the batching never paid — 0.0001
+// (serve-cold) and 0.004 (ckpt-large) of the misses were resolved by
+// somebody else's fetch — while the queue cost every miss two channel
+// hand-offs and a batch's maps and buffers, and kept one backend read in
+// flight per file: the serialisation the multifile layout exists to avoid
+// (many tasks, one file, uncoordinated block-aligned requests — paper §3).
+//
+// Singleflight, the part that did pay, stays as a per-file table of block
+// ranges being fetched (flightTable): a reader claims the range its
+// missing blocks span; a claim overlapping one in flight waits for it and
+// then finds those blocks resident. Readers of disjoint ranges never meet,
+// and the table's lock covers table updates only, never a backend read.
+
+// blockRange is the half-open cache-block range [lo, hi) of one file.
+type blockRange struct{ lo, hi int64 }
+
+// flightTable is one physical file's in-flight fetches.
+type flightTable struct {
+	mu     sync.Mutex
+	done   sync.Cond // on mu; broadcast at every release
+	active []blockRange
+}
+
+func newFlightTable() *flightTable {
+	t := &flightTable{}
+	t.done.L = &t.mu
+	return t
+}
+
+// claim registers r as in flight, first waiting out every flight that
+// overlaps it. A reader holds at most one claim, so waiting cannot cycle.
+func (t *flightTable) claim(r blockRange) {
+	t.mu.Lock()
+	for slices.ContainsFunc(t.active, func(a blockRange) bool { return a.lo < r.hi && r.lo < a.hi }) {
+		t.done.Wait()
+	}
+	t.active = append(t.active, r)
+	t.mu.Unlock()
+}
+
+// release ends the flight claimed as r and wakes the readers queued on it.
+func (t *flightTable) release(r blockRange) {
+	t.mu.Lock()
+	i, last := slices.Index(t.active, r), len(t.active)-1
+	t.active[i] = t.active[last]
+	t.active = t.active[:last]
+	t.mu.Unlock()
+	t.done.Broadcast()
+}
+
+// spanBufs recycles the buffers spans are read into (and peer blocks
+// received in) on their way to cache frames.
+var spanBufs sync.Pool // of *[]byte
+
+// getSpanBuf returns a pooled buffer of length n with arbitrary contents.
+func getSpanBuf(n int64) *[]byte {
+	if bp, _ := spanBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= n {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]byte, n)
+	return &b
+}
+
+// missCost is one request's own breadcrumbs: the dense backend reads that
+// succeeded, the blocks that never touched the backend, the re-attempts.
+type missCost struct {
+	spans, peerFills, flightHits, retries int64
+}
+
+// fetchMissing materializes the blocks of physical file `file` that
+// readAt's cache pass missed (ascending, at least one) and copies each
+// block's share of the window [off, off+len(p)) into p.
+//
+// Under the claim on the blocks' range no one else is fetching them, so in
+// order: a block resident by now was fetched by a flight this one waited
+// for or just lost to (singleflight — a FlightHit, no new read); a block a
+// peer cache holds is taken from there (PeerFill); the rest are fused into
+// dense spans (spanEnd), each one retried backend read, or several where
+// the backend's ranged-read ceiling demands (windowedSpanRead). Every span
+// is attempted, and the request fails with its first failed span's error.
+//
+// Breaker protocol: a request that needs backend spans consults the file's
+// breaker once — an open circuit fails it fast with ErrDegraded (each
+// rejection advances the breaker's cooldown clock) — and after its spans
+// reports one verdict: Failure if any span exhausted its retry budget on a
+// transient fault, Success otherwise (a permanent error is the backend
+// answering, which is evidence of health, not of overload).
+func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (cost missCost, _ error) {
 	bs := s.blockBytes
-	want := make(map[int64][]byte)
-	for _, r := range batch {
-		for _, b := range r.blocks {
-			want[b] = nil
+	claim := blockRange{missing[0], missing[len(missing)-1] + 1}
+	s.flights[file].claim(claim)
+	defer s.flights[file].release(claim)
+	bp := getSpanBuf((claim.hi - claim.lo) * bs)
+	defer spanBufs.Put(bp)
+	buf, base := *bp, claim.lo*bs // buf holds file bytes [base, claim.hi*bs)
+	frame := func(b int64) []byte { return buf[b*bs-base : (b+1)*bs-base] }
+	// deliver caches block b from its frame and hands the reader its share.
+	deliver := func(b int64) {
+		s.cache.put(blockKey{file, b}, frame(b))
+		dst, from := blockWindow(p, off, b, bs)
+		copy(dst, frame(b)[from:])
+	}
+
+	absent := missing[:0]
+	for _, b := range missing {
+		k := blockKey{file, b}
+		if dst, from := blockWindow(p, off, b, bs); s.cache.copyOut(s.cache.shardIndex(k), k, dst, from) {
+			cost.flightHits++
+		} else if s.peerFill != nil && s.peerFill(file, b, frame(b)) {
+			deliver(b)
+			cost.peerFills++
+		} else {
+			absent = append(absent, b)
 		}
 	}
-	var stats batchStats
-	var missing []sion.Extent
-	for b := range want {
-		k := blockKey{f.file, b}
-		if data, ok := s.cache.get(k); ok {
-			want[b] = data
-			s.m.flightHits.Inc()
-			stats.flightHits++
+	s.m.flightHits.Add(cost.flightHits)
+	s.m.peerFills.Add(cost.peerFills)
+	if len(absent) == 0 {
+		return cost, nil
+	}
+
+	br := s.breakers[file]
+	if br != nil && !br.Allow() {
+		s.m.degraded.Inc()
+		return cost, fmt.Errorf("serve: %s: %w", s.physNames[file], ErrDegraded)
+	}
+	var firstErr error
+	transientGiveUp := false
+	for i, j := 0, 0; i < len(absent); i = j {
+		j = spanEnd(absent, i, bs, s.maxSpanGap)
+		lo, hi := absent[i]*bs, (absent[j-1]+1)*bs
+		r, err := s.windowedSpanRead(file, buf[lo-base:hi-base], lo)
+		cost.retries += r
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			if resil.Classify(err) == resil.ClassTransient {
+				transientGiveUp = true
+			}
 			continue
 		}
-		if s.peerFill != nil {
-			if data, ok := s.peerFill(f.file, b); ok && int64(len(data)) == bs {
-				want[b] = data
-				s.cache.put(k, data)
-				s.m.peerFills.Inc()
-				stats.peerFills++
-				continue
-			}
+		cost.spans++
+		s.m.fetchSpanBlocks.Add(int64(j - i))
+		for _, b := range absent[i:j] {
+			deliver(b)
 		}
-		missing = append(missing, sion.Extent{Off: b * bs, Len: bs})
 	}
-	var breakerErr error         // covers every unmaterialized block (fail fast)
-	var blockErr map[int64]error // per-block span errors otherwise
-	if len(missing) > 0 {
-		br := s.breakers[f.file]
-		if br != nil && !br.Allow() {
-			breakerErr = fmt.Errorf("serve: %s: %w", s.physNames[f.file], ErrDegraded)
+	s.m.fetchSpans.Add(cost.spans)
+	if br != nil {
+		if transientGiveUp {
+			br.Failure()
 		} else {
-			transientGiveUp := false
-			for _, sp := range sion.CoalesceExtents(missing, s.maxSpanGap) {
-				buf := make([]byte, sp.End-sp.Off)
-				// A short read past EOF leaves the zero fill of make,
-				// matching the ReadAt contract for unwritten regions.
-				// Spans longer than the backend's ranged-read ceiling
-				// (Server.maxSpanBytes, from the capability descriptor)
-				// are read in several block-aligned requests.
-				retries, rerr := f.windowedSpanRead(buf, sp.Off)
-				stats.retries += retries
-				if rerr != nil {
-					if blockErr == nil {
-						blockErr = make(map[int64]error)
-					}
-					for _, e := range sp.Extents {
-						blockErr[e.Off/bs] = rerr
-					}
-					if resil.Classify(rerr) == resil.ClassTransient {
-						transientGiveUp = true
-					}
-					continue
-				}
-				stats.spans++
-				stats.spanBlocks += int64(len(sp.Extents))
-				s.m.fetchSpans.Inc()
-				s.m.fetchSpanBlocks.Add(int64(len(sp.Extents)))
-				for _, e := range sp.Extents {
-					data := buf[e.Off-sp.Off : e.Off-sp.Off+bs]
-					if len(sp.Extents) > 1 {
-						// Copy blocks out of multi-block spans so evicting one
-						// block releases its bytes instead of pinning the span.
-						data = append([]byte(nil), data...)
-					}
-					b := e.Off / bs
-					want[b] = data
-					s.cache.put(blockKey{f.file, b}, data)
-				}
-			}
-			if br != nil {
-				if transientGiveUp {
-					br.Failure()
-				} else {
-					br.Success()
-				}
-			}
+			br.Success()
 		}
 	}
-	for _, r := range batch {
-		res := fetchRes{data: want, stats: stats}
-		for _, b := range r.blocks {
-			if want[b] == nil {
-				if breakerErr != nil {
-					res.err = breakerErr
-					s.m.degraded.Inc()
-				} else {
-					res.err = blockErr[b]
-				}
-				break
-			}
-		}
-		r.reply <- res
-	}
+	return cost, firstErr
 }
 
-// windowedSpanRead reads one dense span, split into requests of at most
-// Server.maxSpanBytes (0 = one request regardless of length) so no
-// single backend read exceeds the backend's ranged-read capability. The
-// first failing window fails the whole span — its blocks are
-// re-requested together anyway.
-func (f *fetcher) windowedSpanRead(buf []byte, off int64) (retries int64, _ error) {
-	s := f.s
-	max := s.maxSpanBytes
-	if max <= 0 || max >= int64(len(buf)) {
-		return s.spanRead(f.fh, f.file, buf, off)
+// spanEnd returns j such that blocks[i:j] (ascending, bs bytes each) form
+// one dense span by the rule of sion.CoalesceExtents: a block joins while
+// at most maxGap unwanted bytes lie between it and the span's end. It is
+// restated for sorted equal-sized blocks because the general primitive
+// sorts, copies and allocates; a test pins the two against each other.
+func spanEnd(blocks []int64, i int, bs, maxGap int64) int {
+	j := i + 1
+	for j < len(blocks) && (blocks[j]-blocks[j-1]-1)*bs <= maxGap {
+		j++
 	}
-	for w := int64(0); w < int64(len(buf)); w += max {
-		end := w + max
-		if end > int64(len(buf)) {
-			end = int64(len(buf))
-		}
-		r, err := s.spanRead(f.fh, f.file, buf[w:end], off+w)
+	return j
+}
+
+// windowedSpanRead reads one dense span of physical file `file`, split
+// into requests of at most Server.maxSpanBytes (0 = one request regardless
+// of length) so no single backend read exceeds the backend's ranged-read
+// capability. The first failing window fails the whole span — its blocks
+// are re-requested together anyway.
+func (s *Server) windowedSpanRead(file int, buf []byte, off int64) (retries int64, _ error) {
+	ceil := s.maxSpanBytes
+	if ceil <= 0 || ceil >= int64(len(buf)) {
+		return s.spanRead(file, buf, off)
+	}
+	for w := int64(0); w < int64(len(buf)); w += ceil {
+		r, err := s.spanRead(file, buf[w:min(w+ceil, int64(len(buf)))], off+w)
 		retries += r
 		if err != nil {
 			return retries, err

@@ -13,7 +13,7 @@ import (
 
 // rangeFaultFS wraps a FileSystem so that ReadAt calls overlapping an
 // installed offset range fail with that range's error — the minimal tool
-// for making two spans of one fetch batch fail differently.
+// for making concurrent requests fail differently.
 type rangeFaultFS struct {
 	fsio.FileSystem
 	mu    sync.Mutex
@@ -56,11 +56,12 @@ func (f *rangeFaultFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
-// TestFetchPerSpanErrors pins the per-request error attribution of a fetch
-// batch: when two spans of one batch fail with different errors, each
-// request is answered with the error that covered its own blocks — not
-// with whichever span happened to fail first — and a request whose blocks
-// all materialized still succeeds alongside the failures.
+// TestFetchPerSpanErrors pins the per-request error attribution of
+// concurrent misses on one physical file: when two requests' spans fail
+// with different errors, each request is answered with the error that
+// covered its own blocks — not with whichever span happened to fail first
+// — and a request whose blocks all materialized still succeeds alongside
+// the failures.
 func TestFetchPerSpanErrors(t *testing.T) {
 	inner := fsio.NewOS(t.TempDir())
 	writeMultifile(t, inner, "e.sion", 4)
@@ -81,13 +82,28 @@ func TestFetchPerSpanErrors(t *testing.T) {
 	ffs.fail(0*bs, 1*bs, errA)              // block 0
 	ffs.fail(8*bs, 9*bs, errB)              // block 8
 
-	reply := func() chan fetchRes { return make(chan fetchRes, 1) }
-	reqA := &fetchReq{blocks: []int64{0}, reply: reply()}
-	reqB := &fetchReq{blocks: []int64{8}, reply: reply()}
-	reqOK := &fetchReq{blocks: []int64{4}, reply: reply()}
-	s.fetchers[0].serve([]*fetchReq{reqA, reqB, reqOK})
-
-	resA, resB, resOK := <-reqA.reply, <-reqB.reply, <-reqOK.reply
+	type result struct {
+		data []byte
+		err  error
+	}
+	var resA, resB, resOK result
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for _, req := range []struct {
+		block int64
+		res   *result
+	}{{0, &resA}, {8, &resB}, {4, &resOK}} {
+		req := req
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req.res.data = make([]byte, bs)
+			start.Wait()
+			req.res.err = s.ReadFileAt(0, req.res.data, req.block*bs, nil)
+		}()
+	}
+	start.Done()
+	wg.Wait()
 	if !errors.Is(resA.err, errA) {
 		t.Fatalf("request for block 0 got %v, want its own span error %v", resA.err, errA)
 	}
@@ -111,8 +127,17 @@ func TestFetchPerSpanErrors(t *testing.T) {
 	if resOK.err != nil {
 		t.Fatalf("request for healthy block 4 failed alongside the batch: %v", resOK.err)
 	}
-	if int64(len(resOK.data[4])) != bs {
-		t.Fatalf("healthy block 4 materialized %d bytes, want %d", len(resOK.data[4]), bs)
+	want := make([]byte, bs)
+	fh, err := inner.Open(s.physNames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	if _, err := fh.ReadAt(want, 4*bs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resOK.data, want) {
+		t.Fatalf("healthy block 4 materialized the wrong bytes")
 	}
 }
 
@@ -130,7 +155,7 @@ func TestPeerFillSkipsBackend(t *testing.T) {
 	defer a.Close()
 	b, err := New(fsys, "p.sion", &Config{
 		CacheBytes: 1 << 20,
-		PeerFill:   func(file int, block int64) ([]byte, bool) { return a.Peek(file, block) },
+		PeerFill:   func(file int, block int64, dst []byte) bool { return a.Peek(file, block, dst) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +200,10 @@ func TestPeerFillSkipsBackend(t *testing.T) {
 	}
 	// Peek is passive: asking for an uncached block is not a miss.
 	misses := a.Stats().Misses
-	if _, ok := a.Peek(0, 1<<30); ok {
+	if a.Peek(0, 1<<30, nil) {
 		t.Fatal("Peek invented a block")
 	}
-	if _, ok := a.Peek(-1, 0); ok {
+	if a.Peek(-1, 0, nil) {
 		t.Fatal("Peek accepted a negative file index")
 	}
 	if got := a.Stats().Misses; got != misses {

@@ -40,9 +40,8 @@ type serverMetrics struct {
 	peerFills    *obs.Counter
 	degraded     *obs.Counter
 
-	// Fetcher span fusion: blocks-per-span (fetchSpanBlocks/fetchSpans)
-	// is the coalescing win; batches counts serve() rounds.
-	fetchBatches    *obs.Counter
+	// Span fusion on the miss path: blocks-per-span
+	// (fetchSpanBlocks/fetchSpans) is the coalescing win.
 	fetchSpans      *obs.Counter
 	fetchSpanBlocks *obs.Counter
 
@@ -69,12 +68,12 @@ func newServerMetrics(reg *obs.Registry, base []obs.Label, shards int) *serverMe
 		m.hits[i] = reg.Counter("serve_cache_hits_total",
 			"block lookups served from the cache, by shard", lbl...)
 		m.misses[i] = reg.Counter("serve_cache_misses_total",
-			"block lookups that went to a fetcher, by shard", lbl...)
+			"block lookups that went to the miss path, by shard", lbl...)
 		m.evictions[i] = reg.Counter("serve_cache_evictions_total",
 			"cache blocks evicted, by shard", lbl...)
 	}
 	m.flightHits = reg.Counter("serve_flight_hits_total",
-		"misses resolved by a concurrent fetch (singleflight), no new backend read", base...)
+		"missed blocks a concurrent reader's fetch made resident first (singleflight), no new backend read", base...)
 	m.backendReads = reg.Counter("serve_backend_reads_total",
 		"span reads issued to the backend (each retry attempt counts)", base...)
 	m.backendBytes = reg.Counter("serve_backend_bytes_total",
@@ -89,12 +88,10 @@ func newServerMetrics(reg *obs.Registry, base []obs.Label, shards int) *serverMe
 		"missed blocks filled from a peer cache instead of the backend", base...)
 	m.degraded = reg.Counter("serve_degraded_total",
 		"requests failed fast with ErrDegraded (circuit open)", base...)
-	m.fetchBatches = reg.Counter("serve_fetch_batches_total",
-		"fetcher batch rounds served", base...)
 	m.fetchSpans = reg.Counter("serve_fetch_spans_total",
-		"dense span reads the fetchers issued (post-coalescing)", base...)
+		"dense spans read from the backend by missing readers (post-coalescing, successful)", base...)
 	m.fetchSpanBlocks = reg.Counter("serve_fetch_span_blocks_total",
-		"cache blocks materialized by span reads (span fusion ratio = blocks/spans)", base...)
+		"missed cache blocks those spans materialized (span fusion ratio = blocks/spans)", base...)
 	m.readLat = reg.Histogram("serve_read_seconds",
 		"sampled ReadFileAt latency (1-in-64 reads)", base...)
 	return m

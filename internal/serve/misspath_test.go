@@ -1,0 +1,308 @@
+package serve
+
+import (
+	"bytes"
+	"io"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	sion "repro/internal/core"
+	"repro/internal/fsio"
+	"repro/internal/mpi"
+)
+
+// writeOneFile writes an nranks × perRank multifile into a single physical
+// file with the given FS block size and returns that file's bytes, read
+// around any server — the reference every test here compares against.
+func writeOneFile(t testing.TB, fsys fsio.FileSystem, name string, nranks, perRank int, fsblk int64) []byte {
+	t.Helper()
+	mpi.Run(nranks, func(c *mpi.Comm) {
+		f, err := sion.ParOpen(c, fsys, name, sion.WriteMode, &sion.Options{
+			ChunkSize: int64(perRank), FSBlockSize: fsblk, NFiles: 1,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.Write(testPayload(c.Rank(), perRank)); err != nil {
+			t.Error(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	fi, err := fsys.Stat(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, err := fsys.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	raw := make([]byte, fi.Size)
+	if _, err := fh.ReadAt(raw, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// wantWindow is [off, off+n) of raw, zero-filled past its end.
+func wantWindow(raw []byte, off, n int64) []byte {
+	want := make([]byte, n)
+	if off < int64(len(raw)) {
+		copy(want, raw[off:])
+	}
+	return want
+}
+
+// TestMissPathAllocations pins what a read costs the allocator once the
+// cache is full: a cold 64 KiB read recycles frames and a pooled span
+// buffer (the fetcher goroutine took 78 allocations for it), a warm one
+// touches the heap not at all.
+func TestMissPathAllocations(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	raw := writeOneFile(t, fsys, "a.sion", 8, 128<<10, 4096)
+	const win = 64 << 10
+	span := int64(len(raw)) - win
+	p := make([]byte, win)
+
+	cold, err := New(fsys, "a.sion", &Config{CacheBytes: 256 << 10}) // a quarter of the file
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	i := int64(0)
+	next := func() { // walks the whole file, so LRU has dropped a window before it comes round again
+		if err := cold.ReadFileAt(0, p, (i*win+1000)%span, nil); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < 32 { // fill the cache and the pool
+		next()
+	}
+	before := cold.Stats()
+	if got := testing.AllocsPerRun(100, next); got > 4 {
+		t.Errorf("a cold 64 KiB read with a full cache makes %v allocations, want <= 4", got)
+	}
+	if st := cold.Stats(); st.BackendReads-before.BackendReads < 100 || st.Evictions == before.Evictions {
+		t.Fatalf("the measured reads were not cold: %+v -> %+v", before, st)
+	}
+	if !bytes.Equal(p, wantWindow(raw, ((i-1)*win+1000)%span, win)) {
+		t.Fatal("cold read returned the wrong bytes")
+	}
+
+	warm, err := New(fsys, "a.sion", &Config{CacheBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	hit := func() {
+		if err := warm.ReadFileAt(0, p, 1000, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit()
+	before = warm.Stats()
+	if got := testing.AllocsPerRun(100, hit); got != 0 {
+		t.Errorf("a warm 64 KiB read makes %v allocations, want 0", got)
+	}
+	if st := warm.Stats(); st.BackendReads != before.BackendReads {
+		t.Fatalf("the measured reads were not warm: %+v -> %+v", before, st)
+	}
+}
+
+// TestRecycledFramesNeverShow hammers a cache of two blocks per shard —
+// every put rewrites a frame some reader may just have been copying from —
+// with overlapping windows from eight goroutines: every byte delivered
+// must be the file's.
+func TestRecycledFramesNeverShow(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	raw := writeOneFile(t, fsys, "r.sion", 8, 8<<10, 256)
+	s, err := New(fsys, "r.sion", &Config{CacheBytes: 4 * 2 * 256, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const region = 16 << 10 // small enough that the goroutines keep colliding
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 2000; i++ {
+				off, n := 4096+rng.Int63n(region), 1+rng.Int63n(3000)
+				p := bytes.Repeat([]byte{0xAA}, int(n))
+				if err := s.ReadFileAt(0, p, off, nil); err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
+				}
+				if !bytes.Equal(p, wantWindow(raw, off, n)) {
+					t.Errorf("reader %d: %d bytes at %d differ from the file", g, n, off)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Evictions == 0 || st.Hits == 0 {
+		t.Fatalf("no frame was recycled under the readers: %+v", st)
+	}
+}
+
+// TestPooledSpanReadsZeroPastEOF: a span buffer comes back from the pool
+// holding an earlier, longer span's bytes; a read straddling the physical
+// file's end must still deliver zeros past EOF, not those bytes.
+func TestPooledSpanReadsZeroPastEOF(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	raw := writeOneFile(t, fsys, "z.sion", 4, 8<<10, 256)
+	size := int64(len(raw))
+	s, err := New(fsys, "z.sion", &Config{CacheBytes: 2 << 10}) // holds neither read
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for round := 0; round < 8; round++ {
+		long := make([]byte, 16<<10)
+		if err := s.ReadFileAt(0, long, 512, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(long, wantWindow(raw, 512, int64(len(long)))) {
+			t.Fatal("long read differs from the file")
+		}
+		off, n := size-300, int64(4096)
+		p := bytes.Repeat([]byte{0xAA}, int(n))
+		if err := s.ReadFileAt(0, p, off, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p, wantWindow(raw, off, n)) {
+			t.Fatalf("round %d: read across EOF differs (past-EOF bytes must be zero)", round)
+		}
+	}
+}
+
+// TestSpanRuleMatchesCoalesceExtents pins the miss path's allocation-free
+// span rule (spanEnd) against the primitive it restates: for random block
+// sets and gaps both cut the same dense spans.
+func TestSpanRuleMatchesCoalesceExtents(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 500; trial++ {
+		bs := int64(1) << (6 + rng.Intn(8))
+		gap := []int64{0, bs - 1, bs, 3 * bs, 1 << 20}[rng.Intn(5)]
+		var blocks []int64
+		var exts []sion.Extent
+		for b := int64(rng.Intn(4)); len(blocks) < 1+rng.Intn(40); b += 1 + int64(rng.Intn(6)) {
+			blocks = append(blocks, b)
+			exts = append(exts, sion.Extent{Off: b * bs, Len: bs})
+		}
+		i := 0
+		for _, sp := range sion.CoalesceExtents(exts, gap) {
+			j := spanEnd(blocks, i, bs, gap)
+			if blocks[i]*bs != sp.Off || (blocks[j-1]+1)*bs != sp.End || j-i != len(sp.Extents) {
+				t.Fatalf("bs %d gap %d blocks %v: span from block %d ends at index %d, CoalesceExtents says [%d, %d) with %d blocks",
+					bs, gap, blocks, blocks[i], j, sp.Off, sp.End, len(sp.Extents))
+			}
+			i = j
+		}
+		if i != len(blocks) {
+			t.Fatalf("bs %d gap %d blocks %v: spanEnd left blocks after CoalesceExtents' last span", bs, gap, blocks)
+		}
+	}
+}
+
+// gatedFS parks every ReadAt issued while it is armed until the gate
+// opens, and counts them.
+type gatedFS struct {
+	fsio.FileSystem
+	armed atomic.Bool
+	reads atomic.Int64
+	gate  chan struct{}
+}
+
+func (g *gatedFS) Open(name string) (fsio.File, error) {
+	fh, err := g.FileSystem.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedFile{File: fh, fs: g}, nil
+}
+
+type gatedFile struct {
+	fsio.File
+	fs *gatedFS
+}
+
+func (f *gatedFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fs.armed.Load() {
+		f.fs.reads.Add(1)
+		<-f.fs.gate
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestSingleflightOneBackendRead: sixteen readers released together onto
+// the same cold window cause one backend read between them — the first
+// claims the blocks, the others wait on its flight and find them resident.
+func TestSingleflightOneBackendRead(t *testing.T) {
+	gfs := &gatedFS{FileSystem: fsio.NewOS(t.TempDir()), gate: make(chan struct{})}
+	raw := writeOneFile(t, gfs, "f.sion", 8, 64<<10, 4096)
+	s, err := New(gfs, "f.sion", &Config{CacheBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const readers, off, win = 16, 128 << 10, 64 << 10
+	blocks := int64(win) / s.BlockBytes()
+	gfs.armed.Store(true)
+
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	got := make([][]byte, readers)
+	errs := make([]error, readers)
+	for g := range got {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]byte, win)
+			start.Wait()
+			errs[g] = s.ReadFileAt(0, got[g], off, nil)
+		}()
+	}
+	start.Done()
+	// Hold the one backend read until every reader has looked and missed.
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().Misses < readers*blocks; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("readers never all missed: %+v", s.Stats())
+		}
+	}
+	close(gfs.gate)
+	wg.Wait()
+
+	want := wantWindow(raw, off, win)
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("reader %d: %v", g, errs[g])
+		}
+		if !bytes.Equal(got[g], want) {
+			t.Fatalf("reader %d: bytes differ from the file", g)
+		}
+	}
+	st := s.Stats()
+	if st.BackendReads != 1 || gfs.reads.Load() != 1 {
+		t.Fatalf("%d readers of one cold window caused %d backend reads (%d reached the backend), want 1",
+			readers, st.BackendReads, gfs.reads.Load())
+	}
+	if st.FlightHits != (readers-1)*blocks {
+		t.Fatalf("FlightHits = %d, want %d: every reader but the fetching one finds all %d blocks resident after its wait",
+			st.FlightHits, (readers-1)*blocks, blocks)
+	}
+}

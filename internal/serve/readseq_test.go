@@ -1,0 +1,167 @@
+package serve
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"io"
+	"math/rand"
+	"sync"
+	"testing"
+
+	sion "repro/internal/core"
+	"repro/internal/fsio"
+	"repro/internal/mpi"
+	"repro/internal/resil"
+)
+
+// recordFS is an fsio decorator that hashes the (file, off, len) of every
+// ReadAt issued while it is armed, and reports a ranged-read ceiling so the
+// server's span windows are part of the recorded sequence.
+type recordFS struct {
+	fsio.FileSystem
+	caps fsio.Capabilities
+
+	mu    sync.Mutex
+	armed bool
+	reads int
+	sum   hash.Hash
+}
+
+func (r *recordFS) Capabilities() fsio.Capabilities { return r.caps }
+
+func (r *recordFS) Open(name string) (fsio.File, error) {
+	fh, err := r.FileSystem.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &recordFile{File: fh, fs: r, name: name}, nil
+}
+
+type recordFile struct {
+	fsio.File
+	fs   *recordFS
+	name string
+}
+
+func (f *recordFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.mu.Lock()
+	if f.fs.armed {
+		f.fs.reads++
+		fmt.Fprintf(f.fs.sum, "%s %d %d\n", f.name, off, len(p))
+	}
+	f.fs.mu.Unlock()
+	return f.File.ReadAt(p, off)
+}
+
+// goldenReadSequence is the SHA-256 of the backend (file, off, len) lines
+// the fetcher-goroutine implementation (commit 7e61436) issued for the
+// stream below. A sequential client must keep issuing exactly these reads:
+// same spans, same gap bridging, same ranged-read windows, same order.
+const goldenReadSequence = "7e7beac81e097c4c3ef5707def49f07de8a037938d7446b8f791469f8826cabb"
+
+// TestSequentialReadSequenceIsGolden replays a seeded sequential stream of
+// 500 mixed requests — random windows of five sizes over both physical
+// files, windows straddling EOF, and miss–hit–miss windows (a few resident
+// blocks in the middle of a cold window, so the gap rule decides between
+// bridging and splitting) — through a small cache, checks every byte, and
+// compares the backend reads it caused with the committed golden.
+func TestSequentialReadSequenceIsGolden(t *testing.T) {
+	inner := fsio.NewOS(t.TempDir())
+	const nranks = 8
+	mpi.Run(nranks, func(c *mpi.Comm) {
+		f, err := sion.ParOpen(c, inner, "g.sion", sion.WriteMode, &sion.Options{
+			ChunkSize: 8192, FSBlockSize: 256, NFiles: 2,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.Write(testPayload(c.Rank(), 40<<10+97*c.Rank())); err != nil {
+			t.Error(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	rec := &recordFS{FileSystem: inner, caps: fsio.Capabilities{MaxReadBytes: 2048}, sum: sha256.New()}
+	s, err := New(rec, "g.sion", &Config{
+		CacheBytes: 16 << 10, // 64 blocks of 256 B against ~1300 on disk
+		Shards:     4,
+		MaxSpanGap: 512, // bridge up to two resident blocks, split at three
+		Retry:      &resil.Budget{MaxAttempts: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// The reference bytes: each physical file, read around the server.
+	nfiles := s.Layout().NumFiles()
+	raw := make([][]byte, nfiles)
+	for k := range raw {
+		fi, err := inner.Stat(s.Layout().PhysicalName(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh, err := inner.Open(fi.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[k] = make([]byte, fi.Size)
+		if _, err := fh.ReadAt(raw[k], 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		fh.Close()
+	}
+	read := func(file int, off, n int64) {
+		t.Helper()
+		p := bytes.Repeat([]byte{0xAA}, int(n)) // poisoned: past-EOF bytes must come back zero
+		if err := s.ReadFileAt(file, p, off, nil); err != nil {
+			t.Fatalf("ReadFileAt(%d, %d bytes at %d): %v", file, n, off, err)
+		}
+		want := make([]byte, n)
+		if off < int64(len(raw[file])) {
+			copy(want, raw[file][off:])
+		}
+		if !bytes.Equal(p, want) {
+			t.Fatalf("ReadFileAt(%d, %d bytes at %d): bytes differ from the file", file, n, off)
+		}
+	}
+
+	rec.mu.Lock()
+	rec.armed = true
+	rec.mu.Unlock()
+	rng := rand.New(rand.NewSource(20090814))
+	sizes := []int64{64, 256, 1000, 4096, 9000}
+	for i := 0; i < 500; i++ {
+		file := rng.Intn(nfiles)
+		size := int64(len(raw[file]))
+		switch i % 4 {
+		case 3: // miss–hit–miss: make 1..4 middle blocks resident, then read across them
+			x := rng.Int63n(size-4096) / 256 * 256
+			read(file, x+1024, 256*int64(1+rng.Intn(4)))
+			read(file, x+int64(rng.Intn(256)), 4096)
+		case 2: // straddle (or start past) EOF
+			read(file, size-int64(rng.Intn(3000))+200, sizes[rng.Intn(len(sizes))])
+		default:
+			n := sizes[rng.Intn(len(sizes))]
+			read(file, rng.Int63n(size-n), n)
+		}
+	}
+	rec.mu.Lock()
+	got, reads := hex.EncodeToString(rec.sum.Sum(nil)), rec.reads
+	rec.mu.Unlock()
+	if st := s.Stats(); int64(reads) != st.BackendReads || st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("stream did not exercise the cache: %d recorded reads, stats %+v", reads, st)
+	}
+	if got != goldenReadSequence {
+		t.Fatalf("backend read sequence changed: %d reads hash to %s, golden %s", reads, got, goldenReadSequence)
+	}
+}

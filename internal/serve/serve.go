@@ -10,17 +10,20 @@
 //
 // Three mechanisms do the work:
 //
-//   - A sharded block cache (cache.go): physical-file bytes are cached in
-//     fixed-size blocks keyed by (physical file, block index). Shards are
-//     a power of two, each with its own lock and LRU list, under one byte
-//     budget split evenly across shards.
-//   - Singleflight and request coalescing (fetch.go): all backend reads
-//     of one physical file are issued by that file's fetcher goroutine.
-//     Concurrent misses of the same block resolve to a single backend
-//     read, and misses in nearby blocks of one batch (everything that
-//     queued behind the previous fetch) are merged into dense span reads
-//     using the same gap-splitting span logic as the mapped collective
-//     open (sion.CoalesceExtents).
+//   - A sharded block cache that owns its memory (cache.go): physical-file
+//     bytes are cached in fixed-size blocks keyed by (physical file, block
+//     index). Shards are a power of two, each with its own lock and LRU
+//     list, under one byte budget split evenly across shards. Frames are
+//     allocated as blocks arrive and recycled on eviction; hits are copied
+//     out, never lent, so nothing outside the cache ever aliases a frame.
+//   - A miss path on the reader's own goroutine (fetch.go): a read fuses
+//     its missing blocks into dense spans with the gap-splitting rule of
+//     the mapped collective open (sion.CoalesceExtents), reads each span
+//     into a pooled buffer and copies the blocks into cache frames and the
+//     caller's buffer. Readers of distinct block ranges read one physical
+//     file concurrently — the access pattern the multifile layout was
+//     designed for (paper §3) — and a per-file in-flight table gives
+//     singleflight: concurrent misses of a block are one backend read.
 //   - Cheap client sessions: Open returns a Handle holding only cursor
 //     state, so opening a session issues no backend request at all.
 //     Handles re-express the core read semantics (sequential Read,
@@ -104,10 +107,10 @@ type Config struct {
 	// disables retries.
 	Retry *resil.Budget
 
-	// BreakerThreshold is the number of consecutive transiently-failed
-	// fetch batches that open one physical file's circuit breaker
-	// (0 = resil.DefaultBreakerThreshold; negative disables breakers
-	// entirely).
+	// BreakerThreshold is the number of consecutive requests whose backend
+	// fetch gave up on a transient fault that open one physical file's
+	// circuit breaker (0 = resil.DefaultBreakerThreshold; negative disables
+	// breakers entirely).
 	BreakerThreshold int
 
 	// BreakerCooldown is the number of fail-fast rejected fetches an open
@@ -115,15 +118,16 @@ type Config struct {
 	// (0 = resil.DefaultBreakerCooldown).
 	BreakerCooldown int
 
-	// PeerFill, when non-nil, is consulted by the fetchers for every
-	// missed block before any backend read is issued: if it returns the
-	// block's full payload (exactly BlockBytes long, zero-filled past EOF
-	// like a backend fetch), the block is cached locally without touching
-	// the backend. internal/cluster wires this to the other nodes' Peek so
-	// a block is read from the filesystem once per cluster, not once per
-	// node. The hook runs on the fetcher goroutine and must not call back
-	// into this Server.
-	PeerFill func(file int, block int64) ([]byte, bool)
+	// PeerFill, when non-nil, is consulted for every missed block before
+	// any backend read is issued: if it fills dst (BlockBytes long) with
+	// the block's full payload (zero-filled past EOF like a backend fetch)
+	// and returns true, the block is cached locally without touching the
+	// backend. internal/cluster wires this to the other nodes' Peek so a
+	// block is read from the filesystem once per cluster, not once per
+	// node. The hook runs on the goroutine of the reader that missed, under
+	// the server's read lock and concurrently with other readers' hooks; it
+	// must not retain dst and must not call back into this Server.
+	PeerFill func(file int, block int64, dst []byte) bool
 
 	// Metrics, when non-nil, is the obs registry the server registers its
 	// instrument families in; nil gives the server a private registry
@@ -144,8 +148,8 @@ type Config struct {
 // Stats is a snapshot of a Server's request counters.
 type Stats struct {
 	Hits          int64 // block lookups served from the cache
-	Misses        int64 // block lookups that had to go to a fetcher
-	FlightHits    int64 // misses resolved by a concurrent fetch (singleflight), no new backend read
+	Misses        int64 // block lookups that had to go to the miss path
+	FlightHits    int64 // missed blocks a concurrent reader's fetch made resident first (singleflight), no new backend read
 	BackendReads  int64 // span reads issued to the backend
 	BackendBytes  int64 // bytes moved by those span reads
 	ServedBytes   int64 // logical bytes handed to clients
@@ -170,7 +174,7 @@ type Server struct {
 	physNames    []string // physical file paths, indexed like files
 	layout       *sion.Layout
 	files        []fsio.File
-	fetchers     []*fetcher
+	flights      []*flightTable   // per physical file: block ranges being fetched
 	breakers     []*resil.Breaker // per physical file; nil entries = disabled
 	notClosed    atomic.Int32     // breakers currently open or half-open (Degraded's O(1) answer)
 	cache        *blockCache
@@ -179,7 +183,7 @@ type Server struct {
 	maxSpanBytes int64 // ceiling of one backend span read (0 = unbounded), see spanCeiling
 	retry        resil.Budget
 	breakerCfg   [2]int // resolved {threshold, cooldown}; threshold < 0 disables
-	peerFill     func(file int, block int64) ([]byte, bool)
+	peerFill     func(file int, block int64, dst []byte) bool
 
 	// Tail mode (NewTail): the live layout and per-rank committed sizes
 	// from the last Poll. tailMu serializes all TailLayout access; no path
@@ -197,8 +201,8 @@ type Server struct {
 	retryCtrs resil.Counters
 }
 
-// New opens every physical file of the multifile, snapshots its layout,
-// and starts one fetcher per physical file.
+// New opens every physical file of the multifile and snapshots its
+// layout.
 func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 	layout, err := sion.LoadLayout(fsys, name)
 	if err != nil {
@@ -217,7 +221,7 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 // cache, the resilience state and the instruments (a private registry
 // when the config names none; the cache must exist first — shard
 // counters match its shard count and the resident-bytes gauge reads it),
-// then opens the nfiles physical files and starts their fetchers.
+// then opens the nfiles physical files.
 func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfiles int, physName func(int) string) (*Server, error) {
 	caps := fsio.CapabilitiesOf(fsys)
 	c := resolveConfig(cfg, fsblk, caps)
@@ -308,8 +312,8 @@ func spanCeiling(caps fsio.Capabilities, blockBytes int64) int64 {
 	return max(caps.MaxReadBytes-caps.MaxReadBytes%blockBytes, blockBytes)
 }
 
-// openPhysical opens one physical file and starts its fetcher (plus its
-// circuit breaker unless breakers are disabled).
+// openPhysical opens one physical file and sets up its in-flight table
+// (plus its circuit breaker unless breakers are disabled).
 func (s *Server) openPhysical(fsys fsio.FileSystem, path string) error {
 	fh, err := fsys.Open(path)
 	if err != nil {
@@ -324,26 +328,30 @@ func (s *Server) openPhysical(fsys fsio.FileSystem, path string) error {
 		br.NotClosed = &s.notClosed
 	}
 	s.breakers = append(s.breakers, br)
-	s.fetchers = append(s.fetchers, newFetcher(s, k, fh))
+	s.flights = append(s.flights, newFlightTable())
 	s.registerBreakerGauge(k, path)
 	return nil
 }
 
 // spanRead issues one backend read of [off, off+len(buf)) on physical file
 // `file` under the server's retry budget, counting every attempt as a
-// backend read. io.EOF is a legal short read (the caller keeps the zero
-// fill), not a failure. retries reports this call's re-attempts (for the
-// caller's breadcrumb trail; the aggregate lives in s.retryCtrs).
-func (s *Server) spanRead(fh fsio.File, file int, buf []byte, off int64) (retries int64, _ error) {
+// backend read. io.EOF is a legal short read, not a failure: the tail it
+// left unread is cleared (buf is recycled memory; bytes past EOF read as
+// zeros, matching the ReadAt contract for unwritten regions). retries
+// reports this call's re-attempts (for the caller's breadcrumb trail; the
+// aggregate lives in s.retryCtrs).
+func (s *Server) spanRead(file int, buf []byte, off int64) (retries int64, _ error) {
 	attempts := int64(0)
 	err := resil.Do(s.retry, &s.retryCtrs, func() error {
 		attempts++
 		s.m.backendReads.Add(1)
 		s.m.backendBytes.Add(int64(len(buf)))
-		if _, rerr := fh.ReadAt(buf, off); rerr != nil && rerr != io.EOF {
-			return rerr
+		n, rerr := s.files[file].ReadAt(buf, off)
+		if rerr == io.EOF {
+			clear(buf[n:])
+			return nil
 		}
-		return nil
+		return rerr
 	})
 	retries = attempts - 1
 	if err != nil {
@@ -360,17 +368,19 @@ func (s *Server) Layout() *sion.Layout { return s.layout }
 // must agree on it (internal/cluster enforces this at Join).
 func (s *Server) BlockBytes() int64 { return s.blockBytes }
 
-// Peek returns block `block` of physical file `file` if (and only if) it
-// is resident in the cache: no fetch is triggered, no backend read is
-// issued, and the server's hit/miss counters do not move. The returned
-// slice is shared and must be treated as immutable. This is the answer
-// side of the cluster peer-fill protocol — a router asks Peek on peers
-// before letting a node's fetcher touch the backend.
-func (s *Server) Peek(file int, block int64) ([]byte, bool) {
+// Peek reports whether block `block` of physical file `file` is resident
+// in the cache and, if it is, copies it into dst (BlockBytes long; nil
+// asks for presence only — frames are recycled, so bytes are never lent):
+// no fetch is triggered, no backend read is issued, and the server's
+// hit/miss counters do not move — the block's LRU position and hit count
+// do, as for any lookup. This is the answer side of the cluster peer-fill
+// protocol — a node that missed asks its peers before the backend.
+func (s *Server) Peek(file int, block int64, dst []byte) bool {
 	if file < 0 || file >= len(s.physNames) || block < 0 {
-		return nil, false
+		return false
 	}
-	return s.cache.get(blockKey{file, block})
+	k := blockKey{file, block}
+	return s.cache.copyOut(s.cache.shardIndex(k), k, dst, 0)
 }
 
 // HotBlock is one cache block with its observed hit count, the unit of
@@ -393,7 +403,7 @@ func (s *Server) HotBlocks(minHits int64) []HotBlock {
 }
 
 // FileReaderAt reads a window of one physical multifile member through
-// some serving tier: a single Server (cache + fetchers), or a cluster
+// some serving tier: a single Server (cache + miss path), or a cluster
 // router fanning blocks out across many of them. Handles are generic over
 // it, which is what lets cluster.Open reuse the Handle semantics
 // unchanged.
@@ -407,17 +417,15 @@ type FileReaderAt interface {
 }
 
 // ReadFileAt serves [off, off+len(p)) of physical file `file` through the
-// cache, delegating misses to the file's fetcher, and counts the bytes as
-// served. It is the exported form of the internal read path, used by
-// Handles and by cluster routers addressing this node. sp (nil is fine)
+// cache, fetching what it misses on the caller's goroutine, and counts the
+// bytes as served. It is the exported form of the internal read path, used
+// by Handles and by cluster routers addressing this node. sp (nil is fine)
 // accumulates what this read cost — cache hits/misses per block, and,
-// for reads that missed, the fetch batch's backend spans, peer fills,
-// flight hits, and retries. Batch-level costs are attributed to every
-// requester the batch answered (the fetcher serializes misses per file,
-// so a batch's work is genuinely shared).
+// for reads that missed, exactly their own backend spans, peer fills,
+// flight hits, and retries.
 func (s *Server) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
-	if file < 0 || file >= len(s.fetchers) {
-		return fmt.Errorf("serve: %s: physical file %d outside 0..%d", s.name, file, len(s.fetchers)-1)
+	if file < 0 || file >= len(s.files) {
+		return fmt.Errorf("serve: %s: physical file %d outside 0..%d", s.name, file, len(s.files)-1)
 	}
 	if off < 0 {
 		return fmt.Errorf("serve: %s: negative physical offset %d", s.name, off)
@@ -501,10 +509,9 @@ func (s *Server) Health() []FileHealth {
 // load — routers ask it on every run they route.
 func (s *Server) Degraded() bool { return s.notClosed.Load() > 0 }
 
-// Close stops the fetchers and closes the physical files. It is
-// idempotent (a second Close returns nil); handles become unusable —
-// reads issued after Close fail with ErrServerClosed — and in-flight
-// reads finish first.
+// Close closes the physical files. It is idempotent (a second Close
+// returns nil); handles become unusable — reads issued after Close fail
+// with ErrServerClosed — and in-flight reads finish first.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -512,9 +519,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	for _, f := range s.fetchers {
-		f.stop()
-	}
 	var firstErr error
 	for _, fh := range s.files {
 		if err := fh.Close(); err != nil && firstErr == nil {
@@ -531,9 +535,9 @@ func (s *Server) Close() error {
 	return firstErr
 }
 
-// readAt serves [off, off+len(p)) of physical file `file` through the
-// cache, delegating misses to the file's fetcher. sp (nil is fine)
-// collects the read's breadcrumb trail.
+// readAt serves [off, off+len(p)) of physical file `file`: resident blocks
+// are copied out of the cache, the rest go through fetchMissing. sp (nil
+// is fine) collects the read's breadcrumb trail.
 func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -544,14 +548,14 @@ func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
 		return nil // an empty window covers no block: no lookup, no fetch
 	}
 	bs := s.blockBytes
-	var missing []int64
+	var few [32]int64 // keeps the miss list of an ordinary request off the heap
+	missing := few[:0]
 	for b := off / bs; b <= (off+int64(len(p))-1)/bs; b++ {
 		k := blockKey{file, b}
 		si := s.cache.shardIndex(k)
-		if data, ok := s.cache.getAt(si, k); ok {
+		if dst, from := blockWindow(p, off, b, bs); s.cache.copyOut(si, k, dst, from) {
 			s.m.hits[si].Inc()
 			sp.Add(obs.CrumbCacheHit, 1)
-			copyBlockPortion(p, off, b, bs, data)
 		} else {
 			s.m.misses[si].Inc()
 			sp.Add(obs.CrumbCacheMiss, 1)
@@ -561,36 +565,21 @@ func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
 	if len(missing) == 0 {
 		return nil
 	}
-	res := s.fetchers[file].fetch(missing)
+	cost, err := s.fetchMissing(file, missing, p, off)
 	if sp != nil {
-		sp.Add(obs.CrumbBackendRead, res.stats.spans)
-		sp.Add(obs.CrumbPeerFill, res.stats.peerFills)
-		sp.Add(obs.CrumbFlightHit, res.stats.flightHits)
-		sp.Add(obs.CrumbRetry, res.stats.retries)
+		sp.Add(obs.CrumbBackendRead, cost.spans)
+		sp.Add(obs.CrumbPeerFill, cost.peerFills)
+		sp.Add(obs.CrumbFlightHit, cost.flightHits)
+		sp.Add(obs.CrumbRetry, cost.retries)
 	}
-	if res.err != nil {
-		return res.err
-	}
-	for _, b := range missing {
-		copyBlockPortion(p, off, b, bs, res.data[b])
-	}
-	return nil
+	return err
 }
 
-// copyBlockPortion copies the intersection of cache block b with the
-// request window [off, off+len(p)) from the block's data into p.
-func copyBlockPortion(p []byte, off, b, bs int64, data []byte) {
-	blockStart := b * bs
-	lo, hi := off, off+int64(len(p))
-	if blockStart > lo {
-		lo = blockStart
-	}
-	if end := blockStart + int64(len(data)); end < hi {
-		hi = end
-	}
-	if hi > lo {
-		copy(p[lo-off:hi-off], data[lo-blockStart:hi-blockStart])
-	}
+// blockWindow returns the part of the request window p = [off, off+len(p))
+// that cache block b covers, and the offset in the block where it starts.
+func blockWindow(p []byte, off, b, bs int64) (dst []byte, from int64) {
+	lo, hi := max(off, b*bs), min(off+int64(len(p)), (b+1)*bs)
+	return p[lo-off : hi-off], lo - b*bs
 }
 
 // Handle is one client's read session over a rank's logical file. A

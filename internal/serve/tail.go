@@ -117,7 +117,7 @@ func physAt(ext []sion.BlockExtent, logical int64) (int, int64, bool) {
 // and (0, io.EOF) once the multifile has finalized and the stream is
 // drained. Read and Follow share the cursor and belong to one goroutine;
 // concurrent clients each open their own Session (Sessions of one Server
-// share the cache and fetchers like Handles do).
+// share the cache and the miss path like Handles do).
 type Session struct {
 	s    *Server
 	rank int
@@ -233,7 +233,7 @@ func (s *Server) readTailSpan(file int, p []byte, off, uncachedFrom int64) error
 		// reads (spanRead), so a transient fault at the watermark does not
 		// surface to the tail session.
 		buf := p[uncachedFrom-off:]
-		if _, err := s.spanRead(s.files[file], file, buf, uncachedFrom); err != nil {
+		if _, err := s.spanRead(file, buf, uncachedFrom); err != nil {
 			return fmt.Errorf("serve: frontier read: %w", err)
 		}
 	}

@@ -44,7 +44,7 @@ type ObjProfile struct {
 	// MaxGetBytes is the largest single ranged GET; longer reads split.
 	MaxGetBytes int64
 	// PreferredGetBytes is the ranged-GET size the store performs best
-	// at (the serve fetcher's dense-span target).
+	// at (the serve miss path's dense-span target).
 	PreferredGetBytes int64
 	// WriteFanout is the store's preferred number of concurrently
 	// written objects (parallelism lives across objects, not within

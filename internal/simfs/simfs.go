@@ -25,7 +25,11 @@
 //
 // simfs is single-threaded by design: in simulations the vtime engine runs
 // one process at a time, and the serial utilities run outside any engine
-// with a nil process (no time accounting).
+// with a nil process (no time accounting). The one exception is what the
+// fsio.File contract demands of every backend: ReadAt and ReadDiscardAt
+// may be called from many goroutines at once, also on one handle, as long
+// as nothing writes (internal/serve reads a file from every goroutine that
+// misses); FS.readMu makes their bookkeeping safe.
 package simfs
 
 import (
@@ -35,6 +39,7 @@ import (
 	"math"
 	"path"
 	"sort"
+	"sync"
 
 	"repro/internal/fsio"
 	"repro/internal/vtime"
@@ -64,6 +69,11 @@ type FS struct {
 	failWrites int64
 
 	striping map[string]stripeCfg // per-directory override
+
+	// readMu guards what concurrent reads share: the files' read-request
+	// ledger and size (beginRead) and the page lookups of the copy-out. It
+	// is never held across meter — a vtime process parks inside it.
+	readMu sync.Mutex
 }
 
 type stripeCfg struct {
@@ -576,10 +586,11 @@ func (h *handle) ReadAt(p []byte, off int64) (int, error) {
 	if err := h.check(); err != nil {
 		return 0, err
 	}
-	h.noteRead()
-	n, short := h.clampRead(int64(len(p)), off)
+	n, short := h.beginRead(int64(len(p)), off)
 	h.meter(n, off, false)
+	h.v.fs.readMu.Lock()
 	h.loadPages(p[:n], off)
+	h.v.fs.readMu.Unlock()
 	if short {
 		return int(n), io.EOF
 	}
@@ -591,19 +602,22 @@ func (h *handle) ReadDiscardAt(n, off int64) (int64, error) {
 	if err := h.check(); err != nil {
 		return 0, err
 	}
-	h.noteRead()
-	got, _ := h.clampRead(n, off)
+	got, _ := h.beginRead(n, off)
 	h.meter(got, off, false)
 	return got, nil
 }
 
-// noteRead counts a read request against the file and its issuing task.
-func (h *handle) noteRead() {
+// beginRead counts a read request against the file and its issuing task
+// and clamps it to the file size, under readMu.
+func (h *handle) beginRead(n, off int64) (int64, bool) {
+	h.v.fs.readMu.Lock()
+	defer h.v.fs.readMu.Unlock()
 	h.f.readReqs++
 	if h.f.readerSet == nil {
 		h.f.readerSet = make(map[int]bool)
 	}
 	h.f.readerSet[h.v.task] = true
+	return h.clampRead(n, off)
 }
 
 func (h *handle) clampRead(n, off int64) (int64, bool) {

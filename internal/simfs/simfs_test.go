@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -482,5 +483,62 @@ func TestJaguarReadCacheBoost(t *testing.T) {
 	big := aggReadBW(4 << 30)    // 256 GB total >> cache
 	if small < big*1.05 {
 		t.Fatalf("cached read bw %.0f not clearly above uncached %.0f", small, big)
+	}
+}
+
+// TestConcurrentReadAtOnOneHandle pins the fsio.File concurrency contract
+// on the simulated backend: many goroutines reading through one unmetered
+// handle (what internal/serve does on every cache miss) neither race —
+// this runs under -race in CI — nor lose a request from the ledger.
+func TestConcurrentReadAtOnOneHandle(t *testing.T) {
+	fs := New(Jugene())
+	w, _ := serialView(fs).Create("shared")
+	data := make([]byte, 3*pageSize+123)
+	rand.New(rand.NewSource(1)).Read(data)
+	if _, err := w.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	h, err := fs.View(7, nil).Open("shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := fs.Stats("shared")
+
+	const readers, each = 16, 200
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			buf := make([]byte, 5000)
+			for i := 0; i < each; i++ {
+				off := rng.Int63n(int64(len(data)))
+				if i%2 == 1 {
+					if _, err := h.ReadDiscardAt(int64(len(buf)), off); err != nil {
+						t.Error(err)
+					}
+					continue
+				}
+				n, err := h.ReadAt(buf, off)
+				if err != nil && err != io.EOF {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(buf[:n], data[off:off+int64(n)]) {
+					t.Errorf("reader %d: bytes at %d differ", g, off)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	after, _ := fs.Stats("shared")
+	if got := after.ReadRequests - before.ReadRequests; got != readers*each {
+		t.Fatalf("ledger counted %d read requests, %d were made", got, readers*each)
+	}
+	if after.ReaderTasks != 1 {
+		t.Fatalf("ReaderTasks = %d, want the one view's task", after.ReaderTasks)
 	}
 }
