@@ -1,8 +1,11 @@
 package sion
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/fsio"
@@ -48,27 +51,157 @@ func BenchmarkParallelWriteChunkHeaders(b *testing.B) {
 	benchmarkParallelWrite(b, 8, 1, 64<<10, true)
 }
 
-func BenchmarkParallelRead8Tasks(b *testing.B) {
+// readBackShape is one restart workload: every rank's stream is perTask
+// bytes dumped and read back in records of recMin..recMax bytes
+// (log-uniform, equal mass per octave) through chunks of the given size.
+type readBackShape struct {
+	name           string
+	perTask, chunk int64
+	recMin, recMax int
+}
+
+// The ladder's three small-record workloads (bench/spec.go: ckpt-small,
+// serve-hot, serve-cold), at the ladder's 64 ranks.
+var readBackShapes = []readBackShape{
+	{"small", 512 << 10, 64 << 10, 64, 4 << 10},
+	{"fixed64k", 1 << 20, 256 << 10, 64 << 10, 64 << 10},
+	{"mixed", 1 << 20, 256 << 10, 1 << 10, 64 << 10},
+}
+
+const readBackRanks = 64
+
+// records returns the end offset of every record of rank g's stream.
+func (sh readBackShape) records(g int) []int64 {
+	rng := rand.New(rand.NewSource(int64(g) + 1))
+	lo, hi := math.Log(float64(sh.recMin)), math.Log(float64(sh.recMax)+1)
+	var ends []int64
+	for pos := int64(0); pos < sh.perTask; {
+		n := int64(math.Exp(lo + rng.Float64()*(hi-lo)))
+		pos = min(pos+min(max(n, int64(sh.recMin)), int64(sh.recMax)), sh.perTask)
+		ends = append(ends, pos)
+	}
+	return ends
+}
+
+// benchReadBack dumps the shape once and times its read-back, one
+// io.ReadFull per record: ParOpen on 64 ranks (the ladder's P3), or
+// ParOpenMapped on `readers` ranks draining the writers they own (P4).
+// direct > 0 overrides the handles' derived directReadBytes, which is how
+// the crossover sweep holds a record size on one side of the rule.
+func benchReadBack(b *testing.B, sh readBackShape, readers int, direct int64) {
 	fsys := fsio.NewOS(b.TempDir())
-	const chunk = 64 << 10
-	payload := rankPayload(1, chunk)
-	mpi.Run(8, func(c *mpi.Comm) {
-		f, _ := ParOpen(c, fsys, "r.sion", WriteMode, &Options{ChunkSize: chunk, FSBlockSize: 4096})
-		f.Write(payload)
-		f.Close()
+	payload := make([][]byte, readBackRanks)
+	recs := make([][]int64, readBackRanks)
+	dst := make([][]byte, readBackRanks)
+	for g := range payload {
+		payload[g] = rankPayload(g, int(sh.perTask))
+		recs[g] = sh.records(g)
+		dst[g] = make([]byte, sh.perTask)
+	}
+	mpi.Run(readBackRanks, func(c *mpi.Comm) {
+		f, err := ParOpen(c, fsys, "rb.sion", WriteMode, &Options{ChunkSize: sh.chunk, BufferSize: BufferAuto})
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		f.Write(payload[c.Rank()])
+		if err := f.Close(); err != nil {
+			b.Error(err)
+		}
 	})
-	b.SetBytes(8 * chunk)
+	drain := func(f *File, g int) {
+		if direct > 0 {
+			f.directRead = direct
+		}
+		pos := int64(0)
+		for _, end := range recs[g] {
+			if _, err := io.ReadFull(f, dst[g][pos:end]); err != nil {
+				b.Errorf("rank %d at %d: %v", g, pos, err)
+				return
+			}
+			pos = end
+		}
+	}
+	opts := &Options{BufferSize: BufferAuto}
+	b.SetBytes(readBackRanks * sh.perTask)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mpi.Run(8, func(c *mpi.Comm) {
-			f, err := ParOpen(c, fsys, "r.sion", ReadMode, nil)
+		mpi.Run(readers, func(c *mpi.Comm) {
+			if readers == readBackRanks {
+				f, err := ParOpen(c, fsys, "rb.sion", ReadMode, opts)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				drain(f, c.Rank())
+				f.Close()
+				return
+			}
+			mf, err := ParOpenMapped(c, fsys, "rb.sion", ReadMode, nil, opts)
 			if err != nil {
 				b.Error(err)
 				return
 			}
-			buf := make([]byte, chunk)
-			io.ReadFull(f, buf)
-			f.Close()
+			for _, g := range mf.OwnedRanks() {
+				h, _ := mf.Rank(g)
+				drain(h, g)
+			}
+			mf.Close()
+		})
+	}
+	b.StopTimer()
+	for g := range dst {
+		if !bytes.Equal(dst[g], payload[g]) {
+			b.Fatalf("rank %d: read-back differs from the dump", g)
+		}
+	}
+}
+
+// BenchmarkReadBack is restart read-back through the read-ahead stage,
+// in the shapes the bench/ ladder gates (read_vs_pread is paropen,
+// mapped_read_vs_pread is mapped), plus the sweep directReadBlocks is
+// taken from: one record size at a time, with the rule forced to stage
+// it (staged: the bar at one whole stage) or to read it where it is
+// going (direct: the bar at the record size).
+func BenchmarkReadBack(b *testing.B) {
+	for _, sh := range readBackShapes {
+		sh := sh
+		b.Run(sh.name+"/paropen", func(b *testing.B) { benchReadBack(b, sh, readBackRanks, 0) })
+		b.Run(sh.name+"/mapped", func(b *testing.B) { benchReadBack(b, sh, 4, 0) })
+	}
+	for _, kib := range []int{4, 8, 16, 32, 64} {
+		sh := readBackShape{"", 1 << 20, 256 << 10, kib << 10, kib << 10}
+		b.Run(fmt.Sprintf("crossover/rec=%dKiB/staged", kib), func(b *testing.B) { benchReadBack(b, sh, readBackRanks, sh.chunk) })
+		b.Run(fmt.Sprintf("crossover/rec=%dKiB/direct", kib), func(b *testing.B) { benchReadBack(b, sh, readBackRanks, int64(sh.recMin)) })
+	}
+}
+
+// BenchmarkParOpenRead is the collective read open alone, on the
+// simulated file system so that 1024 ranks cost no descriptors: ns/op
+// divided by ranks should not grow with ranks (the master's metadata
+// scatter used to be quadratic in the file's task count).
+func BenchmarkParOpenRead(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		n := n
+		b.Run(fmt.Sprintf("ranks=%d", n), func(b *testing.B) {
+			fs := runSim(b, n, func(c *mpi.Comm, v fsio.FileSystem) {
+				f, err := ParOpen(c, v, "open.sion", WriteMode, &Options{ChunkSize: 4096})
+				if err != nil {
+					panic(err)
+				}
+				f.WriteSynthetic(4096)
+				f.Close()
+			})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runSimOn(b, fs, n, func(c *mpi.Comm, v fsio.FileSystem) {
+					f, err := ParOpen(c, v, "open.sion", ReadMode, nil)
+					if err != nil {
+						panic(err)
+					}
+					f.Close()
+				})
+			}
 		})
 	}
 }

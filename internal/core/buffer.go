@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"repro/internal/fsio"
 )
 
 // Buffered staging I/O for the direct path (write-behind and read-ahead),
@@ -21,12 +23,18 @@ import (
 //     chunk boundaries, Flush, and Close. A flush triggered by a full
 //     buffer retains the partial tail block so that the next flush starts
 //     on an FS block boundary again.
-//   - Read-ahead: a read miss fetches up to one whole chunk region (the
+//   - Read-ahead coalesces small reads, and only those. What the stage
+//     holds is served from it. A miss smaller than directReadBytes — a
+//     few FS blocks, or the request size the backend's capability
+//     descriptor prefers — fetches up to one whole chunk region (the
 //     remaining used bytes of the current chunk, capped at the buffer
-//     size) in a single request; subsequent Read/ReadLogicalAt calls are
-//     served from memory. Seek never invalidates the cache — read-mode
-//     data is immutable, so the cache stays valid wherever the cursor
-//     moves.
+//     size) in a single request, and the Read/ReadLogicalAt calls that
+//     follow are served from memory. A miss at or above that size is an
+//     efficient request as it stands: it is read straight into the
+//     caller's slice (one copy fewer than through the stage) and the
+//     stage keeps what it held. Seek never invalidates the cache —
+//     read-mode data is immutable, so the cache stays valid wherever the
+//     cursor moves.
 //
 // The cursor state (File.pos, SerialFile.curPos, blockBytes bookkeeping)
 // always reflects the logical position including staged bytes, so
@@ -283,56 +291,70 @@ func (f *File) stageFlushAligned() error {
 	return nil
 }
 
-// stagedReadAt serves [pos, pos+len(p)) of block b's data area from the
-// read-ahead cache, fetching up to one whole chunk region (the block's
-// remaining used bytes, capped at the stage size) on a miss. Callers
-// clamp p to the block's recorded bytes, so the fetch always covers the
-// request.
+// directReadBlocks is where reading a record where it is going overtakes
+// fetching it into the stage and copying it out: one more pread (≈ 1 µs
+// on a cached file) against a second pass through memory (≈ 0.1 µs/KiB).
+// BenchmarkReadBack/crossover on fsio.OS with 4 KiB blocks has staged
+// ahead at 1 block, the two level at 2, and direct ahead by a quarter and
+// more from 4. Counted in blocks because a request is only efficient at
+// the FS's own granularity: on a parallel FS with 1–4 MiB blocks (paper
+// Table 1) the rule never fires below the stage size.
+const directReadBlocks = 4
+
+// directReadBytes is the size from which a read that misses the stage is
+// an efficient request on its own: what the backend says it is
+// (PreferredRequestBytes — object stores price every request), else
+// directReadBlocks FS blocks.
+func directReadBytes(caps fsio.Capabilities, fsblk int64) int64 {
+	if caps.PreferredRequestBytes > 0 {
+		return caps.PreferredRequestBytes
+	}
+	return directReadBlocks * fsblk
+}
+
+// stagedReadAt serves [pos, pos+len(p)) of block b's data area. What the
+// stage covers is copied out of it. A miss of at least directRead bytes
+// (or a whole stage) is read straight into p and leaves the stage as it
+// was; a smaller one fetches up to one whole chunk region (the block's
+// remaining used bytes, capped at the stage size) in one request and is
+// served from that. Callers clamp p to the block's recorded bytes, so the
+// fetch always covers the request.
 func (f *File) stagedReadAt(p []byte, block int, pos int64) error {
 	rs := f.rstage
 	if rs.covers(block, pos, int64(len(p))) {
 		copy(p, rs.data[pos-rs.start:])
 		return nil
 	}
-	// Large-read bypass, mirroring the write path: a request of at least
-	// one buffer is already a big read — serve it directly instead of
-	// growing the pooled cache and paying a second copy.
-	if int64(len(p)) >= rs.size {
-		if _, err := f.fh.ReadAt(p, f.geo.dataOff(geoIndex, block)+pos); err != nil && err != io.EOF {
-			return err
-		}
-		return nil
+	off := f.geo.dataOff(geoIndex, block) + pos
+	if int64(len(p)) >= min(f.directRead, rs.size) {
+		return readAtZeroFill(f.fh, p, off)
 	}
-	fetch := rs.size
-	if n := int64(len(p)); fetch < n {
-		fetch = n
-	}
-	if rest := f.readBytes[block] - pos; fetch > rest {
-		fetch = rest
-	}
+	fetch := min(rs.size, f.readBytes[block]-pos)
 	if int64(cap(rs.data)) < fetch {
 		putStageBuf(rs.data)
 		rs.data = getStageBuf(fetch)
 	}
 	rs.data = rs.data[:fetch]
 	rs.block, rs.start = block, pos
-	n, err := f.fh.ReadAt(rs.data, f.geo.dataOff(geoIndex, block)+pos)
-	if err != nil && err != io.EOF {
+	if err := readAtZeroFill(f.fh, rs.data, off); err != nil {
 		rs.block, rs.data = -1, rs.data[:0]
 		return err
 	}
-	// A short read (sparse tail) leaves the recycled buffer's stale bytes
-	// behind; unwritten regions must read as zeros, like ReadAt's contract.
-	zeroTail(rs.data, n)
 	copy(p, rs.data)
 	return nil
 }
 
-// zeroTail clears b[n:] (the unread remainder of a recycled buffer).
-func zeroTail(b []byte, n int) {
-	for i := n; i < len(b); i++ {
-		b[i] = 0
+// readAtZeroFill reads len(p) bytes at off. Bytes the backend did not
+// deliver (a sparse or truncated tail) read as zeros, never as whatever p
+// held before — p is a recycled buffer or the caller's own; any error but
+// io.EOF is returned as it is.
+func readAtZeroFill(fh fsio.File, p []byte, off int64) error {
+	n, err := fh.ReadAt(p, off)
+	if err != nil && err != io.EOF {
+		return err
 	}
+	clear(p[n:])
+	return nil
 }
 
 // --- SerialFile --------------------------------------------------------------

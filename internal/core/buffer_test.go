@@ -8,13 +8,14 @@ import (
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/simfs"
 	"repro/internal/vtime"
 )
 
 // runSimOn runs body on n simulated ranks against an existing simulated FS
 // (so request counters accumulate across phases).
-func runSimOn(t *testing.T, fs *simfs.FS, n int, body func(c *mpi.Comm, v fsio.FileSystem)) {
+func runSimOn(t testing.TB, fs *simfs.FS, n int, body func(c *mpi.Comm, v fsio.FileSystem)) {
 	t.Helper()
 	e := vtime.NewEngine()
 	mpi.RunSim(e, n, mpi.DefaultCost, func(c *mpi.Comm) {
@@ -431,4 +432,249 @@ func TestKeyReaderRespectsStagingOptOut(t *testing.T) {
 		t.Error("NewKeyReader overrode an explicit SetBufferSize(0) opt-out")
 	}
 	f.Close()
+}
+
+// cutFS wraps a FileSystem; once cut is set, no file it opened delivers a
+// byte at or beyond that file offset: reads reaching it come back short
+// with io.EOF, as from a truncated or sparse-tailed file.
+type cutFS struct {
+	fsio.FileSystem
+	cut int64
+}
+
+type cutFile struct {
+	fsio.File
+	fs *cutFS
+}
+
+func (f *cutFS) Open(name string) (fsio.File, error) {
+	fh, err := f.FileSystem.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &cutFile{File: fh, fs: f}, nil
+}
+
+func (f *cutFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fs.cut == 0 || off+int64(len(p)) <= f.fs.cut {
+		return f.File.ReadAt(p, off)
+	}
+	n, err := f.File.ReadAt(p[:max(f.fs.cut-off, 0)], off)
+	if err == nil {
+		err = io.EOF
+	}
+	return n, err
+}
+
+// TestShortReadZeroFills pins the one short-read rule of the three read
+// paths (unbuffered, staged, direct past the stage): bytes the backend did
+// not deliver read as zeros — not as whatever the caller's buffer held —
+// and the call reports the full count, through Read, ReadLogicalAt, and a
+// mapped rank handle alike.
+func TestShortReadZeroFills(t *testing.T) {
+	const fsblk, chunk, size, keep = 128, 4096, 6000, 300
+	base := fsio.NewOS(t.TempDir())
+	mpi.Run(2, func(c *mpi.Comm) {
+		f, err := ParOpen(c, base, "cut.sion", WriteMode, &Options{ChunkSize: chunk, FSBlockSize: fsblk})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f.Write(rankPayload(c.Rank(), size))
+		f.Close()
+	})
+	direct := int(directReadBytes(fsio.Capabilities{}, fsblk))
+	paths := []struct {
+		label string
+		buf   int64
+		rec   int
+	}{
+		{"unbuffered", 0, direct},
+		{"staged", BufferAuto, direct - 1},
+		{"direct", BufferAuto, direct},
+	}
+	// check reads rank 1's first record with the file cut `keep` bytes into
+	// the rank's first chunk, into a dirty buffer.
+	check := func(label string, cfs *cutFS, h *File, rec int, read func(p []byte) (int, error)) {
+		t.Helper()
+		want := make([]byte, rec)
+		copy(want, rankPayload(1, size)[:keep])
+		got := bytes.Repeat([]byte{0xAA}, rec)
+		cfs.cut = h.geo.dataOff(geoIndex, 0) + keep
+		n, err := read(got)
+		cfs.cut = 0
+		if n != rec || err != nil {
+			t.Errorf("%s: read = (%d, %v), want (%d, nil)", label, n, err, rec)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: undelivered tail is not zero-filled (byte %d = %#x)", label, keep, got[keep])
+		}
+	}
+	for _, p := range paths {
+		cfs := &cutFS{FileSystem: base}
+		h, err := OpenRank(cfs, "cut.sion", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.SetBufferSize(p.buf); err != nil {
+			t.Fatal(err)
+		}
+		check(p.label+"/ReadLogicalAt", cfs, h, p.rec, func(b []byte) (int, error) { return h.ReadLogicalAt(b, 0) })
+		h.releaseStage() // the probe above may have staged the region whole
+		check(p.label+"/Read", cfs, h, p.rec, h.Read)
+		h.Close()
+
+		mpi.Run(1, func(c *mpi.Comm) {
+			mf, err := ParOpenMapped(c, cfs, "cut.sion", ReadMode, nil, &Options{BufferSize: p.buf})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer mf.Close()
+			mh, err := mf.Rank(1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			check(p.label+"/mapped", cfs, mh, p.rec, mh.Read)
+		})
+	}
+}
+
+// modelReads replays a sequential read of the given blocks in records of
+// rec bytes against the read-ahead rule — a covered piece costs nothing,
+// a miss of at least min(direct, stage) bytes is one read of its own
+// size, a smaller miss fetches the rest of its chunk up to the stage size
+// — and returns the backend reads and bytes the rule must issue. With
+// direct = stage it is the rule as it was before directReadBytes.
+func modelReads(blocks []int64, rec, stage, direct int64) (calls, nbytes int64) {
+	cb, cs, cl := -1, int64(0), int64(0)
+	left := int64(0)
+	for b, used := range blocks {
+		for pos := int64(0); pos < used; {
+			if left == 0 {
+				left = rec
+			}
+			n := min(left, used-pos)
+			switch {
+			case b == cb && pos >= cs && pos+n <= cs+cl:
+			case n >= min(direct, stage):
+				calls, nbytes = calls+1, nbytes+n
+			default:
+				cb, cs, cl = b, pos, min(stage, used-pos)
+				calls, nbytes = calls+1, nbytes+cl
+			}
+			pos, left = pos+n, left-n
+		}
+	}
+	return calls, nbytes
+}
+
+// TestDirectReadRequestPins pins the requests the read-ahead rule issues,
+// counted by an fsio.Meter under the handle: records of directReadBytes
+// are one backend read each and not a byte of read-ahead; smaller records
+// cost one read per chunk region, as they did before the rule; and on a
+// backend that names its own preferred request size (the object store) the
+// request stream is what it was before for every record size.
+func TestDirectReadRequestPins(t *testing.T) {
+	const fsblk, chunk, nblocks = 256, 8192, 3
+	direct := directReadBytes(fsio.Capabilities{}, fsblk)
+	obj := simfs.NewObjStore(simfs.ObjProfile{})
+	for _, be := range []struct {
+		label  string
+		wrap   func(fsio.FileSystem) fsio.FileSystem
+		direct int64 // the bar the rule should be using for a one-chunk stage
+	}{
+		{"os", func(fs fsio.FileSystem) fsio.FileSystem { return fs }, direct},
+		{"objstore", func(fs fsio.FileSystem) fsio.FileSystem { return obj.Wrap(fs, nil) }, chunk},
+	} {
+		reg := obs.NewRegistry()
+		fsys := fsio.Instrument(be.wrap(fsio.NewOS(t.TempDir())), fsio.NewMeter(reg, "pin"))
+		reads := reg.Counter("fsio_ops_total", "", obs.L("backend", "pin", "op", "read")...)
+		readBytes := reg.Counter("fsio_bytes_total", "", obs.L("backend", "pin", "op", "read")...)
+		mpi.Run(1, func(c *mpi.Comm) {
+			f, err := ParOpen(c, fsys, "pin.sion", WriteMode, &Options{ChunkSize: chunk, FSBlockSize: fsblk, BufferSize: BufferOff})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f.Write(rankPayload(0, nblocks*chunk))
+			f.Close()
+		})
+		h, err := OpenRank(fsys, "pin.sion", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.SetBufferSize(BufferAuto); err != nil {
+			t.Fatal(err)
+		}
+		stage := h.rstage.size
+		if got := min(h.directRead, stage); got != be.direct {
+			t.Errorf("%s: direct-read bar = %d, want %d", be.label, got, be.direct)
+		}
+		buf := make([]byte, chunk+1)
+		for _, rec := range []int64{direct, direct - 1, direct + 1, 1, 100, chunk, chunk + 1} {
+			h.releaseStage()
+			if err := h.Seek(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			calls0, bytes0 := reads.Value(), readBytes.Value()
+			var delivered int64
+			for !h.EOF() {
+				n, err := h.Read(buf[:rec])
+				if err != nil {
+					t.Fatalf("%s rec=%d: %v", be.label, rec, err)
+				}
+				delivered += int64(n)
+			}
+			calls, nbytes := reads.Value()-calls0, readBytes.Value()-bytes0
+			wantCalls, wantBytes := modelReads(h.readBytes, rec, stage, be.direct)
+			if calls != wantCalls || nbytes != wantBytes {
+				t.Errorf("%s rec=%d: %d reads of %d bytes, want %d of %d", be.label, rec, calls, nbytes, wantCalls, wantBytes)
+			}
+			if be.direct == direct && rec == direct && (calls != delivered/rec || nbytes != delivered) {
+				t.Errorf("%s rec=%d: %d reads of %d bytes for %d records of %d bytes", be.label, rec, calls, nbytes, delivered/rec, delivered)
+			}
+			if be.direct == stage || rec < direct {
+				if c, n := modelReads(h.readBytes, rec, stage, stage); calls != c || nbytes != n {
+					t.Errorf("%s rec=%d: %d reads of %d bytes, was %d of %d before the rule", be.label, rec, calls, nbytes, c, n)
+				}
+			}
+		}
+		h.Close()
+	}
+}
+
+// TestCoveredReadDoesNotAllocate: a Read the stage covers is a bounds
+// check and a copy.
+func TestCoveredReadDoesNotAllocate(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	mpi.Run(1, func(c *mpi.Comm) {
+		f, err := ParOpen(c, fsys, "a.sion", WriteMode, &Options{ChunkSize: 4096, FSBlockSize: 256})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f.Write(rankPayload(0, 4096))
+		f.Close()
+	})
+	h, err := OpenRank(fsys, "a.sion", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if err := h.SetBufferSize(BufferAuto); err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, 64)
+	if _, err := h.Read(rec); err != nil { // the miss that fills the stage
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if n, err := h.Read(rec); n != len(rec) || err != nil {
+			t.Fatalf("covered Read = (%d, %v)", n, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("covered Read allocates %v times", allocs)
+	}
 }

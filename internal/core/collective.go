@@ -2,7 +2,6 @@ package sion
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -872,10 +871,7 @@ func (f *File) readChunkAt(p []byte, block int, pos int64) error {
 	if f.rstage != nil {
 		return f.stagedReadAt(p, block, pos)
 	}
-	if _, err := f.fh.ReadAt(p, f.geo.dataOff(geoIndex, block)+pos); err != nil && err != io.EOF {
-		return err
-	}
-	return nil
+	return readAtZeroFill(f.fh, p, f.geo.dataOff(geoIndex, block)+pos)
 }
 
 // encodeInt64s / decodeInt64s: little-endian int64 slice codec for the

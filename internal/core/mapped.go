@@ -2,7 +2,6 @@ package sion
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/fsio"
@@ -108,7 +107,8 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 	if mode != ReadMode {
 		return nil, fmt.Errorf("sion: ParOpenMapped %s: unsupported mode %v (mapped open reads an existing multifile)", name, mode)
 	}
-	o, err := opts.withDefaults(comm.Size(), fsio.CapabilitiesOf(fsys))
+	caps := fsio.CapabilitiesOf(fsys)
+	o, err := opts.withDefaults(comm.Size(), caps)
 	if err != nil {
 		return nil, err
 	}
@@ -260,8 +260,9 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 					aligned: []int64{rec.aligned}, prefix: []int64{rec.prefix},
 					headers: hdrs,
 				},
-				readBytes: rec.blockBytes,
-				fhShared:  true,
+				readBytes:  rec.blockBytes,
+				fhShared:   true,
+				directRead: directReadBytes(caps, fsblk),
 			}
 		}
 	}
@@ -596,12 +597,10 @@ func fetchFileSpans(fh fsio.File, regs []*mappedRegion) error {
 		}
 		for _, sp := range CoalesceExtents(exts, DefaultSpanGap) {
 			buf := getStageBuf(sp.End - sp.Off)[:sp.End-sp.Off]
-			n, err := fh.ReadAt(buf, sp.Off)
-			if err != nil && err != io.EOF {
+			if err := readAtZeroFill(fh, buf, sp.Off); err != nil {
 				putStageBuf(buf)
 				return fmt.Errorf("span read at %d: %w", sp.Off, err)
 			}
-			zeroTail(buf, n)
 			for _, e := range sp.Extents {
 				r := regs[e.Idx]
 				copy(r.stream[r.base[b]:r.base[b]+r.bb[b]], buf[e.Off-sp.Off:])
@@ -712,7 +711,7 @@ func loadSegment(fsys fsio.FileSystem, name string, k int) (*physFile, error) {
 // rankView builds a read-mode File over local rank li of a parsed segment
 // k. The handle shares the segment's open file (fhShared), so the owning
 // container closes it exactly once.
-func (pf *physFile) rankView(fsys fsio.FileSystem, name string, k, li, global int) *File {
+func (pf *physFile) rankView(fsys fsio.FileSystem, caps fsio.Capabilities, name string, k, li, global int) *File {
 	return &File{
 		fsys: fsys, fh: pf.fh, fhShared: true, name: name, mode: ReadMode,
 		local: li, global: global,
@@ -723,7 +722,8 @@ func (pf *physFile) rankView(fsys fsio.FileSystem, name string, k, li, global in
 			aligned: []int64{pf.geo.aligned[li]}, prefix: []int64{pf.geo.prefix[li]},
 			headers: pf.geo.headers,
 		},
-		readBytes: append([]int64(nil), pf.m2.BlockBytes[li]...),
+		readBytes:  append([]int64(nil), pf.m2.BlockBytes[li]...),
+		directRead: directReadBytes(caps, pf.h.FSBlockSize),
 	}
 }
 
@@ -799,6 +799,7 @@ func openMappedLocal(fsys fsio.FileSystem, name string, owned []int) (*mappedLoc
 	if ml.segs[0] == nil {
 		fh0.Close() // only the mapping was needed from file 0
 	}
+	caps := fsio.CapabilitiesOf(fsys)
 	for _, g := range owned {
 		loc := ml.mapping[g]
 		pf := ml.segs[int(loc.File)]
@@ -807,7 +808,7 @@ func openMappedLocal(fsys fsio.FileSystem, name string, owned []int) (*mappedLoc
 			return nil, fmt.Errorf("%w: task %d maps to local rank %d of segment %d (%d tasks)",
 				ErrCorrupt, g, loc.LocalRank, loc.File, pf.h.NTasksLocal)
 		}
-		ml.handles[g] = pf.rankView(fsys, name, int(loc.File), int(loc.LocalRank), g)
+		ml.handles[g] = pf.rankView(fsys, caps, name, int(loc.File), int(loc.LocalRank), g)
 	}
 	return ml, nil
 }

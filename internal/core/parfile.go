@@ -70,10 +70,12 @@ type File struct {
 	// Buffered staging for the direct path (see buffer.go): write-behind
 	// (wstage) and read-ahead (rstage); nil = unbuffered. stagingOff
 	// records an explicit SetBufferSize(0) opt-out, which NewKeyReader's
-	// automatic read-ahead respects.
+	// automatic read-ahead respects. directRead is directReadBytes of the
+	// capability descriptor the open resolved, kept for a stage armed later.
 	wstage     *writeStage
 	rstage     *readStage
 	stagingOff bool
+	directRead int64
 
 	// fhShared marks a rank handle whose fh belongs to a container (a
 	// MappedFile or a read-mode SerialFile) that shares one open physical
@@ -374,7 +376,8 @@ func parOpenRead(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Option
 		comm: comm, lcomm: lcomm,
 		local: lcomm.Rank(), global: comm.Rank(),
 		filenum: filenum, nfiles: nfiles, fsblk: fsblk,
-		chunkHdrs: flags&flagChunkHeaders != 0,
+		chunkHdrs:  flags&flagChunkHeaders != 0,
+		directRead: directReadBytes(caps, fsblk),
 	}
 
 	// Each file's master parses its metadata and scatters per-task
@@ -396,23 +399,10 @@ func parOpenRead(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Option
 			}
 			fh.Close()
 		}
-		infos = make([][]int64, lcomm.Size())
-		if lstatus == 0 {
-			if int(h.NTasksLocal) != lcomm.Size() {
-				lstatus = 7
-			}
+		if lstatus == 0 && int(h.NTasksLocal) != lcomm.Size() {
+			lstatus = 7
 		}
-		for i := range infos {
-			if lstatus != 0 {
-				infos[i] = []int64{lstatus, 0, 0, 0, 0, 0, 0}
-				continue
-			}
-			g := newGeometry(h)
-			group := int64(resolveCollectorGroup(o.CollectorGroup, lcomm.Size(), g.stride, fsblk))
-			rec := []int64{0, g.start, g.stride, g.aligned[i], g.prefix[i], h.ChunkSizes[i], group}
-			rec = append(rec, m2.BlockBytes[i]...)
-			infos[i] = rec
-		}
+		infos = readInfos(lstatus, lcomm.Size(), h, m2, o.CollectorGroup)
 	}
 	mine := lcomm.ScatterInt64Slice(0, infos)
 	if mine[0] != 0 {
@@ -450,6 +440,29 @@ func parOpenRead(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Option
 	f.fh = fh
 	f.initStaging(o.BufferSize)
 	return f, nil
+}
+
+// readInfos builds the records a read-mode master scatters to its n
+// local tasks: [status, start, stride, aligned, prefix, chunkSize, group,
+// blockBytes...], or the bare failure status for everyone. The geometry
+// and the collector group are the file's, resolved once — the per-task
+// work must not grow with n.
+func readInfos(status int64, n int, h *header, m2 *meta2, collectorGroup int) [][]int64 {
+	infos := make([][]int64, n)
+	if status != 0 {
+		for i := range infos {
+			infos[i] = []int64{status, 0, 0, 0, 0, 0, 0}
+		}
+		return infos
+	}
+	g := newGeometry(h)
+	group := int64(resolveCollectorGroup(collectorGroup, n, g.stride, h.FSBlockSize))
+	for i := range infos {
+		rec := make([]int64, 0, 7+len(m2.BlockBytes[i]))
+		rec = append(rec, 0, g.start, g.stride, g.aligned[i], g.prefix[i], h.ChunkSizes[i], group)
+		infos[i] = append(rec, m2.BlockBytes[i]...)
+	}
+	return infos
 }
 
 // --- Accessors -------------------------------------------------------------
@@ -670,7 +683,11 @@ func (f *File) Read(p []byte) (int, error) {
 		if r > avail {
 			r = avail
 		}
-		if err := f.readChunkAt(p[:r], f.curBlock, f.pos); err != nil {
+		if rs := f.rstage; rs != nil && rs.covers(f.curBlock, f.pos, r) {
+			// The common small-record case, without the descent through
+			// readChunkAt and stagedReadAt.
+			copy(p[:r], rs.data[f.pos-rs.start:])
+		} else if err := f.readChunkAt(p[:r], f.curBlock, f.pos); err != nil {
 			return total, fmt.Errorf("sion: %s: chunk read: %w", f.name, err)
 		}
 		f.pos += r

@@ -30,6 +30,61 @@ func bufSizeChoices(rng *rand.Rand) int64 {
 	}
 }
 
+// recordSizes are the record-size classes the read arms sweep on a handle:
+// either side of the direct-read bar, one byte, and one chunk and a byte
+// more, whose records straddle every chunk boundary.
+func recordSizes(direct, capacity int64) []int {
+	d, c := int(direct), int(capacity)
+	return []int{d - 1, d, d + 1, 1, c, c + 1}
+}
+
+// checkRecordReads reads a rank's whole stream through rd once per record
+// size class, one io.ReadFull per record — so that, whatever stage h
+// carries, some records are served from it, some fill it, and some go
+// past it — and after each pass seeks back into what the pass read and
+// reads one more record there. h is the rank's handle (rd and seek drive
+// it, directly or through a serial cursor). It returns the last pass.
+func checkRecordReads(t *testing.T, label string, rd io.Reader, seek func(block int, pos int64) error, h *File, payload []byte, prng *rand.Rand) []byte {
+	t.Helper()
+	got := make([]byte, len(payload))
+	for _, rec := range recordSizes(h.directRead, h.ChunkCapacity()) {
+		if len(payload) == 0 {
+			break
+		}
+		if err := seek(0, 0); err != nil {
+			t.Errorf("%s: Seek(0,0): %v", label, err)
+			return got
+		}
+		clear(got)
+		for off := 0; off < len(got); off += rec {
+			if _, err := io.ReadFull(rd, got[off:min(off+rec, len(got))]); err != nil {
+				t.Errorf("%s: rec=%d at %d: %v", label, rec, off, err)
+				return got
+			}
+		}
+		if !bytes.Equal(got, payload) {
+			t.Errorf("%s: rec=%d: stream differs", label, rec)
+		}
+		loff := prng.Intn(len(payload))
+		block, pos := 0, int64(loff)
+		for pos >= h.readBytes[block] {
+			pos -= h.readBytes[block]
+			block++
+		}
+		if err := seek(block, pos); err != nil {
+			t.Errorf("%s: Seek(%d,%d): %v", label, block, pos, err)
+			return got
+		}
+		again := make([]byte, min(rec, len(payload)-loff))
+		if _, err := io.ReadFull(rd, again); err != nil {
+			t.Errorf("%s: rec=%d after Seek to %d: %v", label, rec, loff, err)
+		} else if !bytes.Equal(again, payload[loff:loff+len(again)]) {
+			t.Errorf("%s: rec=%d after Seek to %d: bytes differ", label, rec, loff)
+		}
+	}
+	return got
+}
+
 // TestPropertyRoundTripModes is a property-style test over random
 // configurations: for random task counts, physical-file counts, chunk
 // sizes, mappings, and staging-buffer sizes, the direct,
@@ -145,11 +200,13 @@ func TestPropertyRoundTripModes(t *testing.T) {
 			}
 
 			// Read everything back: direct, buffered (read-ahead), and
-			// collective.
+			// collective; and the three stage sizes the direct-read rule is
+			// swept against — one FS block, one chunk, two chunks.
+			stages := []int64{fsblk, BufferAuto, 2 * capacity}
 			modes := []struct {
 				rg  int
 				buf int64
-			}{{0, 0}, {0, readBuf}, {group, 0}}
+			}{{0, 0}, {0, readBuf}, {group, 0}, {0, stages[0]}, {0, stages[1]}, {0, stages[2]}}
 			for _, mode := range modes {
 				rg, rbuf := mode.rg, mode.buf
 				mpi.Run(n, func(c *mpi.Comm) {
@@ -178,8 +235,10 @@ func TestPropertyRoundTripModes(t *testing.T) {
 					if !bytes.Equal(got, payload) {
 						t.Errorf("rank %d: payload mismatch (group %d)", c.Rank(), rg)
 					}
-					// Random-access probes.
 					prng := rand.New(rand.NewSource(int64(7000*iter + c.Rank())))
+					// The same stream record by record, every size class.
+					checkRecordReads(t, fmt.Sprintf("rank %d (group %d buf %d)", c.Rank(), rg, rbuf), r, r.Seek, r, payload, prng)
+					// Random-access probes.
 					for p := 0; p < 4 && len(payload) > 0; p++ {
 						off := prng.Intn(len(payload))
 						ln := 1 + prng.Intn(len(payload)-off)
@@ -246,91 +305,172 @@ func TestPropertyRoundTripModes(t *testing.T) {
 				mGroup = 2 + rng.Intn(4)
 			}
 			mBuf := bufSizeChoices(rng)
-			recovered := make([][]byte, n) // disjoint ownership: one writer per slot
-			ownerOf := make([]int, n)
-			for g := range ownerOf {
-				ownerOf[g] = -1
-			}
-			mpi.Run(M, func(c *mpi.Comm) {
-				var ropts *Options
-				if mGroup != 0 {
-					ropts = &Options{CollectorGroup: mGroup}
-				} else if mBuf != 0 {
-					ropts = &Options{BufferSize: mBuf}
+			// One pass as drawn, then one per stage size on direct handles.
+			for pass, mb := range append([]int64{mBuf}, stages...) {
+				mg := mGroup
+				if pass > 0 {
+					mg = 0
 				}
-				owned := []int(nil)
-				if explicit {
-					owned = pieces[c.Rank()]
-					if owned == nil {
-						owned = []int{}
+				recovered := make([][]byte, n) // disjoint ownership: one writer per slot
+				ownerOf := make([]int, n)
+				for g := range ownerOf {
+					ownerOf[g] = -1
+				}
+				mpi.Run(M, func(c *mpi.Comm) {
+					var ropts *Options
+					if mg != 0 {
+						ropts = &Options{CollectorGroup: mg}
+					} else if mb != 0 {
+						ropts = &Options{BufferSize: mb}
 					}
-				}
-				mf, err := ParOpenMapped(c, fsys, "async.sion", ReadMode, owned, ropts)
-				if err != nil {
-					t.Errorf("reader %d/%d: %v", c.Rank(), M, err)
-					return
-				}
-				defer mf.Close()
-				if mf.NTasks() != n {
-					t.Errorf("mapped NTasks = %d, want %d", mf.NTasks(), n)
-				}
-				prng := rand.New(rand.NewSource(int64(9000*iter + c.Rank())))
-				for _, g := range mf.OwnedRanks() {
-					h, err := mf.Rank(g)
+					owned := []int(nil)
+					if explicit {
+						owned = pieces[c.Rank()]
+						if owned == nil {
+							owned = []int{}
+						}
+					}
+					mf, err := ParOpenMapped(c, fsys, "async.sion", ReadMode, owned, ropts)
 					if err != nil {
-						t.Error(err)
-						continue
+						t.Errorf("reader %d/%d: %v", c.Rank(), M, err)
+						return
 					}
-					payload := rankPayload(g, sizes[g])
-					got := make([]byte, len(payload))
-					if len(got) > 0 {
-						if _, err := io.ReadFull(h, got); err != nil {
-							t.Errorf("reader %d rank %d: %v", c.Rank(), g, err)
+					defer mf.Close()
+					if mf.NTasks() != n {
+						t.Errorf("mapped NTasks = %d, want %d", mf.NTasks(), n)
+					}
+					prng := rand.New(rand.NewSource(int64(9000*iter + c.Rank())))
+					for _, g := range mf.OwnedRanks() {
+						h, err := mf.Rank(g)
+						if err != nil {
+							t.Error(err)
 							continue
 						}
-					}
-					recovered[g] = got
-					ownerOf[g] = c.Rank()
-					if !h.EOF() {
-						t.Errorf("reader %d rank %d: EOF not reached", c.Rank(), g)
-					}
-					// Seek interleaving on the mapped handle.
-					for p := 0; p < 2 && len(payload) > 0; p++ {
-						loff := prng.Intn(len(payload))
-						block, pos, rest := 0, int64(loff), int64(0)
-						for b := 0; b < h.Blocks(); b++ {
-							if err := h.Seek(b, 0); err != nil {
-								t.Errorf("reader %d rank %d: Seek(%d,0): %v", c.Rank(), g, b, err)
+						payload := rankPayload(g, sizes[g])
+						got := make([]byte, len(payload))
+						if len(got) > 0 {
+							if _, err := io.ReadFull(h, got); err != nil {
+								t.Errorf("reader %d rank %d: %v", c.Rank(), g, err)
+								continue
+							}
+						}
+						recovered[g] = got
+						ownerOf[g] = c.Rank()
+						if !h.EOF() {
+							t.Errorf("reader %d rank %d: EOF not reached", c.Rank(), g)
+						}
+						checkRecordReads(t, fmt.Sprintf("reader %d rank %d (group %d buf %d)", c.Rank(), g, mg, mb), h, h.Seek, h, payload, prng)
+						// Seek interleaving on the mapped handle.
+						for p := 0; p < 2 && len(payload) > 0; p++ {
+							loff := prng.Intn(len(payload))
+							block, pos, rest := 0, int64(loff), int64(0)
+							for b := 0; b < h.Blocks(); b++ {
+								if err := h.Seek(b, 0); err != nil {
+									t.Errorf("reader %d rank %d: Seek(%d,0): %v", c.Rank(), g, b, err)
+									return
+								}
+								if avail := h.BytesAvailInChunk(); pos < avail {
+									block, rest = b, avail-pos
+									break
+								} else {
+									pos -= avail
+								}
+							}
+							if err := h.Seek(block, pos); err != nil {
+								t.Errorf("reader %d rank %d: Seek(%d,%d): %v", c.Rank(), g, block, pos, err)
 								return
 							}
-							if avail := h.BytesAvailInChunk(); pos < avail {
-								block, rest = b, avail-pos
-								break
-							} else {
-								pos -= avail
+							ln := 1 + prng.Intn(int(rest))
+							span := make([]byte, ln)
+							if _, err := io.ReadFull(h, span); err != nil {
+								t.Errorf("reader %d rank %d: post-Seek read: %v", c.Rank(), g, err)
+							} else if !bytes.Equal(span, payload[loff:loff+ln]) {
+								t.Errorf("reader %d rank %d: post-Seek mismatch at %d+%d", c.Rank(), g, loff, ln)
 							}
 						}
-						if err := h.Seek(block, pos); err != nil {
-							t.Errorf("reader %d rank %d: Seek(%d,%d): %v", c.Rank(), g, block, pos, err)
-							return
-						}
-						ln := 1 + prng.Intn(int(rest))
-						span := make([]byte, ln)
-						if _, err := io.ReadFull(h, span); err != nil {
-							t.Errorf("reader %d rank %d: post-Seek read: %v", c.Rank(), g, err)
-						} else if !bytes.Equal(span, payload[loff:loff+ln]) {
-							t.Errorf("reader %d rank %d: post-Seek mismatch at %d+%d", c.Rank(), g, loff, ln)
-						}
+					}
+				})
+				for g := 0; g < n; g++ {
+					if ownerOf[g] < 0 {
+						t.Errorf("mapped reopen (M=%d explicit=%v): rank %d recovered by no reader", M, explicit, g)
+						continue
+					}
+					if !bytes.Equal(recovered[g], rankPayload(g, sizes[g])) {
+						t.Errorf("mapped reopen (M=%d explicit=%v): rank %d bytes differ", M, explicit, g)
 					}
 				}
-			})
-			for g := 0; g < n; g++ {
-				if ownerOf[g] < 0 {
-					t.Errorf("mapped reopen (M=%d explicit=%v): rank %d recovered by no reader", M, explicit, g)
-					continue
+			}
+
+			// The serial global view (the M=1 cursor over the same rank
+			// handles) and the key-value reader, per stage size.
+			direct := directReadBytes(fsio.Capabilities{}, fsblk)
+			keyRecs := func(g int) [][]byte { // rank g's payload cut into the size classes, in turn
+				var recs [][]byte
+				payload, classes := rankPayload(g, sizes[g]), recordSizes(direct, capacity)
+				for i := 0; len(payload) > 0; i++ {
+					m := min(classes[i%len(classes)], len(payload))
+					recs, payload = append(recs, payload[:m]), payload[m:]
 				}
-				if !bytes.Equal(recovered[g], rankPayload(g, sizes[g])) {
-					t.Errorf("mapped reopen (M=%d explicit=%v): rank %d bytes differ", M, explicit, g)
+				return recs
+			}
+			mpi.Run(n, func(c *mpi.Comm) {
+				f, err := ParOpen(c, fsys, "keys.sion", WriteMode, &Options{
+					ChunkSize: chunk, FSBlockSize: fsblk, NFiles: nfiles, Mapping: m.fn, BufferSize: bufSize,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w, _ := NewKeyWriter(f)
+				for i, rec := range keyRecs(c.Rank()) {
+					if err := w.WriteKey(uint64(i%3), rec); err != nil {
+						t.Error(err)
+					}
+				}
+				if err := f.Close(); err != nil {
+					t.Error(err)
+				}
+			})
+			prng := rand.New(rand.NewSource(int64(11000 * iter)))
+			for _, sb := range stages {
+				sf, err := Open(fsys, "async.sion")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sf.SetBufferSize(sb); err != nil {
+					t.Fatal(err)
+				}
+				for g := 0; g < n; g++ {
+					g := g
+					seek := func(block int, pos int64) error { return sf.Seek(g, block, pos) }
+					checkRecordReads(t, fmt.Sprintf("serial rank %d (buf %d)", g, sb), sf, seek, sf.handles[g], rankPayload(g, sizes[g]), prng)
+				}
+				sf.Close()
+
+				for g := 0; g < n; g++ {
+					h, err := OpenRank(fsys, "keys.sion", g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sb != BufferAuto { // NewKeyReader arms BufferAuto on its own
+						if err := h.SetBufferSize(sb); err != nil {
+							t.Fatal(err)
+						}
+					}
+					kr, err := NewKeyReader(h)
+					if err != nil {
+						t.Fatalf("key reader rank %d (buf %d): %v", g, sb, err)
+					}
+					want := make([][]byte, 3)
+					for i, rec := range keyRecs(g) {
+						want[i%3] = append(want[i%3], rec...)
+					}
+					for k := range want {
+						if got, err := kr.ReadKey(uint64(k)); err != nil || !bytes.Equal(got, want[k]) {
+							t.Errorf("key reader rank %d (buf %d): key %d differs (%v)", g, sb, k, err)
+						}
+					}
+					h.Close()
 				}
 			}
 		})

@@ -24,7 +24,7 @@ func runReal(t *testing.T, n int, body func(c *mpi.Comm, fsys fsio.FileSystem)) 
 
 // runSim runs body on n simulated ranks against a simulated Jugene FS,
 // each rank bound to its own view.
-func runSim(t *testing.T, n int, body func(c *mpi.Comm, fsys fsio.FileSystem)) *simfs.FS {
+func runSim(t testing.TB, n int, body func(c *mpi.Comm, fsys fsio.FileSystem)) *simfs.FS {
 	t.Helper()
 	fs := simfs.New(simfs.Jugene())
 	e := vtime.NewEngine()
@@ -998,5 +998,34 @@ func TestRandomRoundTripProperty(t *testing.T) {
 		if err := Verify(fsys, "p.sion"); err != nil {
 			t.Fatalf("iter %d: Verify: %v", iter, err)
 		}
+	}
+}
+
+// TestReadInfosPerRankCostIsFlat: what the read-mode master does per
+// local task while building the records it scatters must not depend on
+// how many tasks share the file — the geometry and the collector group
+// belong to the file and are resolved once. Allocations are the proxy: a
+// fixed number for the call plus one record per task, at 64 tasks and at
+// 1024.
+func TestReadInfosPerRankCostIsFlat(t *testing.T) {
+	perCall := func(n int) float64 {
+		h := &header{
+			FSBlockSize: 4096, NTasksGlobal: int32(n), NTasksLocal: int32(n), NFiles: 1,
+			GlobalRanks: make([]int64, n), ChunkSizes: make([]int64, n),
+		}
+		m2 := &meta2{BlockBytes: make([][]int64, n)}
+		for i := range h.ChunkSizes {
+			h.ChunkSizes[i] = 4096
+			m2.BlockBytes[i] = []int64{4096, 100}
+		}
+		var infos [][]int64
+		allocs := testing.AllocsPerRun(5, func() { infos = readInfos(0, n, h, m2, CollectorAuto) })
+		if len(infos) != n || len(infos[n-1]) != 9 || infos[n-1][4] != int64(n-1)*4096 {
+			t.Fatalf("n=%d: last record %v", n, infos[n-1])
+		}
+		return allocs - float64(n)
+	}
+	if a, b := perCall(64), perCall(1024); a != b {
+		t.Errorf("readInfos allocates %v + 64 at 64 tasks but %v + 1024 at 1024: per-task cost grows with the task count", a, b)
 	}
 }
