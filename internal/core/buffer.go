@@ -3,7 +3,6 @@ package sion
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/fsio"
 )
@@ -42,32 +41,10 @@ import (
 // unbuffered semantics, and a multifile written through the staging layer
 // is byte-identical to one written unbuffered.
 //
-// Staging buffers are recycled through a sync.Pool shared with the
+// Staging buffers are recycled through one pool shared with the
 // collective frame path (collective.go), so a job alternating between
 // buffered-direct and collective handles reuses the same backing arrays.
-
-// stagePool recycles staging buffers across direct-path stages and
-// collective frames. Entries are *[]byte with length 0 and whatever
-// capacity their previous user grew them to.
-var stagePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// getStageBuf returns a zero-length buffer with capacity ≥ n.
-func getStageBuf(n int64) []byte {
-	b := *stagePool.Get().(*[]byte)
-	if int64(cap(b)) < n {
-		b = make([]byte, 0, n)
-	}
-	return b[:0]
-}
-
-// putStageBuf returns a buffer to the pool for reuse.
-func putStageBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	stagePool.Put(&b)
-}
+var stageBufs fsio.BufPool
 
 // BufferAuto selects the staging-buffer size automatically
 // (Options.BufferSize = -1): one chunk capacity, rounded up to a multiple
@@ -108,12 +85,108 @@ func resolveBufferSize(opt, capacity, fsblk int64) int64 {
 	}
 }
 
-// writeStage is the write-behind state of one direct-mode handle: buf
-// holds the staged bytes of the current chunk range [pos-len(buf), pos),
-// where pos is the handle's logical cursor.
+// writeStage is one write-behind run: buf holds the bytes bound for
+// [off, off+len(buf)) of fh. It knows files and offsets only; the handle
+// that owns it (File in direct mode, SerialFile) keeps the logical cursor
+// and tells the stage where each write lands and how much of the chunk is
+// left. A SerialFile flushes before its cursor moves to another physical
+// file, so fh is the same for a whole run.
 type writeStage struct {
-	size int64
-	buf  []byte
+	name  string // multifile name, for error messages
+	size  int64
+	fsblk int64
+	fh    fsio.File
+	off   int64
+	buf   []byte
+}
+
+func newWriteStage(name string, size, fsblk int64) *writeStage {
+	return &writeStage{name: name, size: size, fsblk: fsblk, buf: stageBufs.Get(size)[:0]}
+}
+
+// write takes as much of p, bound for offset abs of fh, as the stage has
+// room for and the chunk has space (avail bytes from abs), and returns how
+// much that was. A write that does not continue the staged run flushes
+// that run first. With nothing staged, a write of at least one stage is
+// already a big request and goes to the file directly, sparing the copy.
+// The run is flushed whole when it reaches the end of the chunk (staged
+// bytes must not cross into the next block's distant file offset) and down
+// to the last FS block boundary when the stage is full. On an error from
+// one of those flushes the returned bytes are staged all the same.
+func (ws *writeStage) write(fh fsio.File, abs int64, p []byte, avail int64) (int, error) {
+	if len(ws.buf) > 0 && abs != ws.off+int64(len(ws.buf)) {
+		if err := ws.flush(); err != nil {
+			return 0, err
+		}
+	}
+	if int64(len(p)) > avail {
+		p = p[:avail]
+	}
+	if len(ws.buf) == 0 {
+		if int64(len(p)) >= ws.size {
+			if _, err := fh.WriteAt(p, abs); err != nil {
+				return 0, fmt.Errorf("sion: %s: staged write: %w", ws.name, err)
+			}
+			return len(p), nil
+		}
+		ws.fh, ws.off = fh, abs
+	}
+	if room := ws.size - int64(len(ws.buf)); int64(len(p)) > room {
+		p = p[:room]
+	}
+	ws.buf = append(ws.buf, p...)
+	switch {
+	case int64(len(p)) == avail:
+		return len(p), ws.flush()
+	case int64(len(ws.buf)) >= ws.size:
+		return len(p), ws.flushAligned()
+	}
+	return len(p), nil
+}
+
+// flush writes every staged byte (chunk end, Flush, Close, a cursor that
+// moves, or a bypass such as WriteSynthetic). A nil stage has nothing to
+// flush.
+func (ws *writeStage) flush() error {
+	if ws == nil {
+		return nil
+	}
+	return ws.flushPrefix(len(ws.buf))
+}
+
+// flushAligned writes the staged prefix up to the last FS block boundary,
+// keeping the partial tail block staged so the next flush begins
+// block-aligned. When the whole run fits inside one block (or the region
+// is misaligned by construction, e.g. chunk headers), it degrades to a
+// full flush.
+func (ws *writeStage) flushAligned() error {
+	end := ws.off + int64(len(ws.buf))
+	n := end - end%ws.fsblk - ws.off
+	if n <= 0 {
+		n = int64(len(ws.buf))
+	}
+	return ws.flushPrefix(int(n))
+}
+
+// flushPrefix writes buf[:n] at off and moves what is left to the front.
+func (ws *writeStage) flushPrefix(n int) error {
+	if n == 0 {
+		return nil
+	}
+	if _, err := ws.fh.WriteAt(ws.buf[:n], ws.off); err != nil {
+		return fmt.Errorf("sion: %s: staged write: %w", ws.name, err)
+	}
+	ws.off += int64(n)
+	ws.buf = ws.buf[:copy(ws.buf, ws.buf[n:])]
+	return nil
+}
+
+// release returns the stage's buffer to the pool; the stage is dead after.
+func (ws *writeStage) release() {
+	if ws != nil {
+		stageBufs.Put(ws.buf)
+		ws.buf = nil
+	}
 }
 
 // readStage caches one contiguous region of one chunk's used bytes:
@@ -147,7 +220,7 @@ func (f *File) initStaging(bufSize int64) {
 		if f.coll != nil {
 			return // collective write: members never touch the file
 		}
-		f.wstage = &writeStage{size: n, buf: getStageBuf(n)}
+		f.wstage = newWriteStage(f.name, n, f.fsblk)
 		return
 	}
 	if f.collRead != nil {
@@ -170,7 +243,7 @@ func (f *File) SetBufferSize(n int64) error {
 	if f.closed {
 		return fmt.Errorf("sion: %s: handle is closed", f.name)
 	}
-	if err := f.stageFlush(); err != nil {
+	if err := f.wstage.flush(); err != nil {
 		return err
 	}
 	f.dropStaging()
@@ -186,7 +259,7 @@ func (f *File) SetBufferSize(n int64) error {
 // read stage did.
 func (f *File) releaseStage() {
 	if f.rstage != nil {
-		putStageBuf(f.rstage.data)
+		stageBufs.Put(f.rstage.data)
 		f.rstage.data = nil
 		f.rstage.block = -1
 	}
@@ -194,101 +267,36 @@ func (f *File) releaseStage() {
 
 // dropStaging releases the stage buffers back to the shared pool.
 func (f *File) dropStaging() {
-	if f.wstage != nil {
-		putStageBuf(f.wstage.buf)
-		f.wstage = nil
-	}
+	f.wstage.release()
+	f.wstage = nil
 	if f.rstage != nil {
-		putStageBuf(f.rstage.data)
+		stageBufs.Put(f.rstage.data)
 		f.rstage = nil
 	}
 }
 
-// stagedWrite is the write-behind Write path: append to the staging
-// buffer, flushing a block-aligned prefix when the buffer fills and the
-// whole buffer at chunk boundaries.
+// stagedWrite is the write-behind Write path: the stage takes the bytes,
+// the handle keeps the cursor.
 func (f *File) stagedWrite(p []byte) (int, error) {
-	ws := f.wstage
 	total := 0
 	for len(p) > 0 {
 		capacity := f.ChunkCapacity()
-		if capacity-f.pos == 0 {
+		if f.pos == capacity {
 			// advanceBlock flushes the stage before moving the cursor.
 			if err := f.advanceBlock(); err != nil {
 				return total, err
 			}
 		}
-		w := int64(len(p))
-		if avail := capacity - f.pos; w > avail {
-			w = avail
-		}
-		// Large-write bypass: with nothing staged, a write of at least one
-		// buffer is already a big request — issue it directly instead of
-		// paying a copy through the stage.
-		if len(ws.buf) == 0 && w >= ws.size {
-			if _, err := f.fh.WriteAt(p[:w], f.dataOff()+f.pos); err != nil {
-				return total, fmt.Errorf("sion: %s: chunk write: %w", f.name, err)
-			}
-		} else {
-			if room := ws.size - int64(len(ws.buf)); w > room {
-				w = room
-			}
-			ws.buf = append(ws.buf, p[:w]...)
-		}
-		f.pos += w
+		n, err := f.wstage.write(f.fh, f.dataOff()+f.pos, p, capacity-f.pos)
+		f.pos += int64(n)
 		f.blockBytes[f.curBlock] = f.pos
-		total += int(w)
-		p = p[w:]
-		if f.pos == capacity {
-			// The chunk is complete; staged bytes must not cross into the
-			// next block's distant file offset.
-			if err := f.stageFlush(); err != nil {
-				return total, err
-			}
-		} else if int64(len(ws.buf)) >= ws.size {
-			if err := f.stageFlushAligned(); err != nil {
-				return total, err
-			}
+		total += n
+		p = p[n:]
+		if err != nil {
+			return total, err
 		}
 	}
 	return total, nil
-}
-
-// stageFlush writes every staged byte (chunk boundary, Flush, Close, or a
-// bypass such as WriteSynthetic).
-func (f *File) stageFlush() error {
-	if f.wstage == nil || len(f.wstage.buf) == 0 {
-		return nil
-	}
-	ws := f.wstage
-	start := f.pos - int64(len(ws.buf))
-	if _, err := f.fh.WriteAt(ws.buf, f.dataOff()+start); err != nil {
-		return fmt.Errorf("sion: %s: staged write: %w", f.name, err)
-	}
-	ws.buf = ws.buf[:0]
-	return nil
-}
-
-// stageFlushAligned writes the staged prefix up to the last FS block
-// boundary, keeping the partial tail block staged so the next flush
-// begins block-aligned. When the whole buffer fits inside one block (or
-// the region is misaligned by construction, e.g. chunk headers), it
-// degrades to a full flush.
-func (f *File) stageFlushAligned() error {
-	ws := f.wstage
-	start := f.pos - int64(len(ws.buf))
-	abs := f.dataOff() + start
-	end := abs + int64(len(ws.buf))
-	n := end - end%f.fsblk - abs
-	if n <= 0 || n == int64(len(ws.buf)) {
-		return f.stageFlush()
-	}
-	if _, err := f.fh.WriteAt(ws.buf[:n], abs); err != nil {
-		return fmt.Errorf("sion: %s: staged write: %w", f.name, err)
-	}
-	kept := copy(ws.buf, ws.buf[n:])
-	ws.buf = ws.buf[:kept]
-	return nil
 }
 
 // directReadBlocks is where reading a record where it is going overtakes
@@ -331,8 +339,8 @@ func (f *File) stagedReadAt(p []byte, block int, pos int64) error {
 	}
 	fetch := min(rs.size, f.readBytes[block]-pos)
 	if int64(cap(rs.data)) < fetch {
-		putStageBuf(rs.data)
-		rs.data = getStageBuf(fetch)
+		stageBufs.Put(rs.data)
+		rs.data = stageBufs.Get(fetch)
 	}
 	rs.data = rs.data[:fetch]
 	rs.block, rs.start = block, pos
@@ -359,16 +367,6 @@ func readAtZeroFill(fh fsio.File, p []byte, off int64) error {
 
 // --- SerialFile --------------------------------------------------------------
 
-// serialWriteStage stages one contiguous run of a serial handle's writes:
-// chunk-relative range [start, start+len(buf)) of (rank, block).
-type serialWriteStage struct {
-	size  int64
-	rank  int
-	block int
-	start int64
-	buf   []byte
-}
-
 // SetBufferSize configures write-behind/read-ahead staging for the serial
 // handle (Create honors Options.BufferSize; Open has no options, so read
 // tools call this). In write mode, BufferAuto derives the size from the
@@ -391,13 +389,11 @@ func (sf *SerialFile) SetBufferSize(n int64) error {
 		}
 		return nil
 	}
-	if err := sf.stageFlush(); err != nil {
+	if err := sf.wstage.flush(); err != nil {
 		return err
 	}
-	if sf.wstage != nil {
-		putStageBuf(sf.wstage.buf)
-		sf.wstage = nil
-	}
+	sf.wstage.release()
+	sf.wstage = nil
 	var maxAligned int64
 	for _, pf := range sf.files {
 		for _, a := range pf.geo.aligned {
@@ -410,99 +406,31 @@ func (sf *SerialFile) SetBufferSize(n int64) error {
 	if size <= 0 {
 		return nil
 	}
-	sf.wstage = &serialWriteStage{size: size, rank: -1, buf: getStageBuf(size)}
-	return nil
-}
-
-// stageFlush writes every staged byte of the serial write stage.
-func (sf *SerialFile) stageFlush() error {
-	ws := sf.wstage
-	if ws == nil || len(ws.buf) == 0 {
-		return nil
-	}
-	pf := sf.files[sf.mapping[ws.rank].File]
-	li := int(sf.mapping[ws.rank].LocalRank)
-	off := pf.geo.dataOff(li, ws.block) + ws.start
-	if _, err := pf.fh.WriteAt(ws.buf, off); err != nil {
-		return fmt.Errorf("sion: %s: staged serial write: %w", sf.name, err)
-	}
-	ws.start += int64(len(ws.buf))
-	ws.buf = ws.buf[:0]
-	return nil
-}
-
-// stageFlushAligned flushes the staged prefix down to an FS block
-// boundary (buffer-full case), keeping the partial tail block staged.
-func (sf *SerialFile) stageFlushAligned() error {
-	ws := sf.wstage
-	pf := sf.files[sf.mapping[ws.rank].File]
-	li := int(sf.mapping[ws.rank].LocalRank)
-	abs := pf.geo.dataOff(li, ws.block) + ws.start
-	end := abs + int64(len(ws.buf))
-	n := end - end%sf.fsblk - abs
-	if n <= 0 || n == int64(len(ws.buf)) {
-		return sf.stageFlush()
-	}
-	if _, err := pf.fh.WriteAt(ws.buf[:n], abs); err != nil {
-		return fmt.Errorf("sion: %s: staged serial write: %w", sf.name, err)
-	}
-	ws.start += n
-	kept := copy(ws.buf, ws.buf[n:])
-	ws.buf = ws.buf[:kept]
+	sf.wstage = newWriteStage(sf.name, size, sf.fsblk)
 	return nil
 }
 
 // stagedWrite is the serial write-behind path: contiguous writes at the
-// cursor accumulate in the stage; a cursor that moved elsewhere (Seek, or
-// a block advance) flushes first.
+// cursor accumulate in the stage, which notices by the file offset when a
+// run ends (a block advance) and flushes it; Seek flushes on its own.
 func (sf *SerialFile) stagedWrite(p []byte) (int, error) {
-	ws := sf.wstage
 	pf, li := sf.cursorFile()
 	capacity := pf.geo.capacity(li)
 	total := 0
 	for len(p) > 0 {
 		if sf.curPos == capacity {
-			if err := sf.stageFlush(); err != nil {
-				return total, err
-			}
 			sf.curBlock++
 			sf.curPos = 0
 		}
-		if ws.rank != sf.curRank || ws.block != sf.curBlock || ws.start+int64(len(ws.buf)) != sf.curPos {
-			if err := sf.stageFlush(); err != nil {
-				return total, err
-			}
-			ws.rank, ws.block, ws.start = sf.curRank, sf.curBlock, sf.curPos
+		n, err := sf.wstage.write(pf.fh, pf.geo.dataOff(li, sf.curBlock)+sf.curPos, p, capacity-sf.curPos)
+		if n > 0 {
+			sf.curPos += int64(n)
+			sf.noteWritten(sf.curRank, sf.curBlock, sf.curPos)
 		}
-		w := int64(len(p))
-		if avail := capacity - sf.curPos; w > avail {
-			w = avail
-		}
-		if len(ws.buf) == 0 && w >= ws.size {
-			// Large-write bypass, as on the parallel path.
-			off := pf.geo.dataOff(li, sf.curBlock) + sf.curPos
-			if _, err := pf.fh.WriteAt(p[:w], off); err != nil {
-				return total, fmt.Errorf("sion: %s: serial write: %w", sf.name, err)
-			}
-			ws.start = sf.curPos + w
-		} else {
-			if room := ws.size - int64(len(ws.buf)); w > room {
-				w = room
-			}
-			ws.buf = append(ws.buf, p[:w]...)
-		}
-		sf.curPos += w
-		sf.noteWritten(sf.curRank, sf.curBlock, sf.curPos)
-		total += int(w)
-		p = p[w:]
-		if sf.curPos == capacity {
-			if err := sf.stageFlush(); err != nil {
-				return total, err
-			}
-		} else if int64(len(ws.buf)) >= ws.size {
-			if err := sf.stageFlushAligned(); err != nil {
-				return total, err
-			}
+		total += n
+		p = p[n:]
+		if err != nil {
+			return total, err
 		}
 	}
 	return total, nil

@@ -469,13 +469,13 @@ func (f *cutFile) ReadAt(p []byte, off int64) (int, error) {
 // TestShortReadZeroFills pins the one short-read rule of the three read
 // paths (unbuffered, staged, direct past the stage): bytes the backend did
 // not deliver read as zeros — not as whatever the caller's buffer held —
-// and the call reports the full count, through Read, ReadLogicalAt, and a
-// mapped rank handle alike.
+// and the call reports the full count, through Read, ReadLogicalAt, a
+// mapped rank handle and a TailReader alike.
 func TestShortReadZeroFills(t *testing.T) {
 	const fsblk, chunk, size, keep = 128, 4096, 6000, 300
 	base := fsio.NewOS(t.TempDir())
 	mpi.Run(2, func(c *mpi.Comm) {
-		f, err := ParOpen(c, base, "cut.sion", WriteMode, &Options{ChunkSize: chunk, FSBlockSize: fsblk})
+		f, err := ParOpen(c, base, "cut.sion", WriteMode, &Options{ChunkSize: chunk, FSBlockSize: fsblk, Watermarks: true})
 		if err != nil {
 			t.Error(err)
 			return
@@ -494,13 +494,14 @@ func TestShortReadZeroFills(t *testing.T) {
 		{"direct", BufferAuto, direct},
 	}
 	// check reads rank 1's first record with the file cut `keep` bytes into
-	// the rank's first chunk, into a dirty buffer.
-	check := func(label string, cfs *cutFS, h *File, rec int, read func(p []byte) (int, error)) {
+	// the rank's first chunk (which starts at file offset data), into a
+	// dirty buffer.
+	check := func(label string, cfs *cutFS, data int64, rec int, read func(p []byte) (int, error)) {
 		t.Helper()
 		want := make([]byte, rec)
 		copy(want, rankPayload(1, size)[:keep])
 		got := bytes.Repeat([]byte{0xAA}, rec)
-		cfs.cut = h.geo.dataOff(geoIndex, 0) + keep
+		cfs.cut = data + keep
 		n, err := read(got)
 		cfs.cut = 0
 		if n != rec || err != nil {
@@ -519,9 +520,10 @@ func TestShortReadZeroFills(t *testing.T) {
 		if err := h.SetBufferSize(p.buf); err != nil {
 			t.Fatal(err)
 		}
-		check(p.label+"/ReadLogicalAt", cfs, h, p.rec, func(b []byte) (int, error) { return h.ReadLogicalAt(b, 0) })
+		data := h.geo.dataOff(geoIndex, 0)
+		check(p.label+"/ReadLogicalAt", cfs, data, p.rec, func(b []byte) (int, error) { return h.ReadLogicalAt(b, 0) })
 		h.releaseStage() // the probe above may have staged the region whole
-		check(p.label+"/Read", cfs, h, p.rec, h.Read)
+		check(p.label+"/Read", cfs, data, p.rec, h.Read)
 		h.Close()
 
 		mpi.Run(1, func(c *mpi.Comm) {
@@ -536,9 +538,18 @@ func TestShortReadZeroFills(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			check(p.label+"/mapped", cfs, mh, p.rec, mh.Read)
+			check(p.label+"/mapped", cfs, data, p.rec, mh.Read)
 		})
 	}
+
+	cfs := &cutFS{FileSystem: base}
+	tr, err := Follow(cfs, "cut.sion", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	ext, _ := tr.t.RankCommitted(1)
+	check("tail/Read", cfs, ext[0].Off, direct, tr.Read)
 }
 
 // modelReads replays a sequential read of the given blocks in records of
@@ -677,4 +688,49 @@ func TestCoveredReadDoesNotAllocate(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("covered Read allocates %v times", allocs)
 	}
+}
+
+// TestSmallWriteDoesNotAllocate: on the two write paths that coalesce
+// small records, taking one is an append to memory the handle already
+// owns — the write-behind stage of a direct handle, and the staging pair
+// of an async-collective member once both halves have carried a quantum.
+// (Simulated ranks run one at a time, so nothing else allocates meanwhile.)
+func TestSmallWriteDoesNotAllocate(t *testing.T) {
+	const chunk, quantum = 1 << 20, 16 << 10
+	rec := make([]byte, 64)
+	measure := func(label string, f *File) {
+		if allocs := testing.AllocsPerRun(50, func() {
+			if n, err := f.Write(rec); n != len(rec) || err != nil {
+				t.Errorf("%s: Write = (%d, %v)", label, n, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: a %d-byte Write allocates %v times", label, len(rec), allocs)
+		}
+	}
+	runSim(t, 2, func(c *mpi.Comm, fsys fsio.FileSystem) {
+		f, err := ParOpen(c, fsys, "staged.sion", WriteMode, &Options{ChunkSize: chunk, BufferSize: BufferAuto})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if c.Rank() == 1 {
+			measure("staged", f)
+		}
+		f.Close()
+
+		f, err = ParOpen(c, fsys, "async.sion", WriteMode, &Options{
+			ChunkSize: chunk, CollectorGroup: 2, AsyncCollective: true, AsyncFlushBytes: quantum,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if c.Rank() == 1 { // rank 0 collects
+			if _, err := f.Write(make([]byte, 2*quantum)); err != nil {
+				t.Error(err)
+			}
+			measure("async-collective member", f)
+		}
+		f.Close()
+	})
 }

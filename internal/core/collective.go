@@ -265,7 +265,7 @@ func (f *File) runSimFlusher(wfs fsio.FileSystem, p *vtime.Proc) {
 		if fh != nil {
 			f.collApply(fh, s.fr)
 		}
-		putStageBuf(s.fr.data)
+		stageBufs.Put(s.fr.data)
 	}
 	if fh != nil {
 		if cerr := fh.Close(); cerr != nil {
@@ -347,12 +347,12 @@ func (f *File) collEmit(final bool) error {
 	}
 	if c.async && c.queue != nil { // real mode: bounded flusher queue
 		c.queue <- fr
-		c.buf = getStageBuf(c.quantum) // the flusher recycles fr.data
+		c.buf = stageBufs.Get(c.quantum)[:0] // the flusher recycles fr.data
 		return nil
 	}
 	if c.async && c.simf != nil { // sim mode: background flusher process
 		f.simEnqueue(fr)
-		c.buf = getStageBuf(c.quantum)
+		c.buf = stageBufs.Get(c.quantum)[:0]
 		return nil
 	}
 	// Collector applying its own data inline (sync mode, or async without
@@ -448,7 +448,7 @@ func (f *File) collTake(member int, raw []byte) {
 		return
 	}
 	f.collApply(f.fh, fr)
-	putStageBuf(fr.data)
+	stageBufs.Put(fr.data)
 }
 
 // collDrainArrived applies every member frame that is already available
@@ -487,7 +487,7 @@ func (f *File) collFlusher() {
 				return
 			}
 			f.collApply(f.fh, fr)
-			putStageBuf(fr.data)
+			stageBufs.Put(fr.data)
 			worked = true
 		default:
 		}
@@ -715,8 +715,8 @@ func (f *File) wmCommitTotal(member int, total, capacity int64, final bool) (boo
 // releaseBufs returns the staging double-buffers to the shared pool once
 // no frame can reference them anymore (after the flusher has finished).
 func (c *collState) releaseBufs() {
-	putStageBuf(c.buf)
-	putStageBuf(c.spare)
+	stageBufs.Put(c.buf)
+	stageBufs.Put(c.spare)
 	c.buf, c.spare = nil, nil
 }
 

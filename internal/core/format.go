@@ -97,7 +97,7 @@ type header struct {
 	NFiles       int32
 	FileNum      int32
 	Flags        uint64
-	MaxChunks    int32
+	MaxChunks    int32     // chunks-per-task hint of the original format; always written 0
 	GlobalRanks  []int64   // per local task
 	ChunkSizes   []int64   // per local task, as requested
 	Mapping      []FileLoc // file 0 only: per global task

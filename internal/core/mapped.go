@@ -596,16 +596,16 @@ func fetchFileSpans(fh fsio.File, regs []*mappedRegion) error {
 			}
 		}
 		for _, sp := range CoalesceExtents(exts, DefaultSpanGap) {
-			buf := getStageBuf(sp.End - sp.Off)[:sp.End-sp.Off]
+			buf := stageBufs.Get(sp.End - sp.Off)
 			if err := readAtZeroFill(fh, buf, sp.Off); err != nil {
-				putStageBuf(buf)
+				stageBufs.Put(buf)
 				return fmt.Errorf("span read at %d: %w", sp.Off, err)
 			}
 			for _, e := range sp.Extents {
 				r := regs[e.Idx]
 				copy(r.stream[r.base[b]:r.base[b]+r.bb[b]], buf[e.Off-sp.Off:])
 			}
-			putStageBuf(buf)
+			stageBufs.Put(buf)
 		}
 	}
 	return nil

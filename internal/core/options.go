@@ -60,10 +60,6 @@ type Options struct {
 	// withDefaults).
 	NFiles int
 
-	// MaxChunks is an informational hint for the expected number of
-	// chunks per task (stored in the header).
-	MaxChunks int
-
 	// Mapping assigns tasks to physical files (default ContiguousMap).
 	Mapping MapFunc
 
@@ -228,9 +224,6 @@ func (o *Options) withDefaults(ntasks int, caps fsio.Capabilities) (Options, err
 	}
 	if out.Mapping == nil {
 		out.Mapping = ContiguousMap
-	}
-	if out.MaxChunks < 0 {
-		return out, fmt.Errorf("sion: negative MaxChunks %d", out.MaxChunks)
 	}
 	if out.CollectorGroup < CollectorAuto {
 		return out, fmt.Errorf("sion: CollectorGroup %d (use 0/1 to disable, >1 fixed, CollectorAuto)", out.CollectorGroup)

@@ -82,7 +82,6 @@ func TestWithDefaultsClamping(t *testing.T) {
 		{"nfiles-exceeds-ntasks", &Options{NFiles: 9}, 4, 4, false},
 		{"nfiles-exceeds-single-task", &Options{NFiles: 5}, 1, 1, false},
 		{"nfiles-kept", &Options{NFiles: 3}, 7, 3, false},
-		{"negative-maxchunks", &Options{MaxChunks: -1}, 4, 0, true},
 		{"collector-below-auto", &Options{CollectorGroup: -2}, 4, 0, true},
 		{"collector-with-chunk-headers", &Options{CollectorGroup: 2, ChunkHeaders: true}, 4, 0, true},
 		{"async-without-collector", &Options{AsyncCollective: true}, 4, 0, true},

@@ -189,7 +189,6 @@ func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Optio
 			NFiles:       int32(o.NFiles),
 			FileNum:      int32(filenum),
 			Flags:        o.flags(),
-			MaxChunks:    int32(o.MaxChunks),
 			GlobalRanks:  make([]int64, lcomm.Size()),
 			ChunkSizes:   make([]int64, lcomm.Size()),
 			Mapping:      mapping,
@@ -587,7 +586,7 @@ func (f *File) WriteSynthetic(n int64) error {
 	if f.collectiveEnabled() {
 		return fmt.Errorf("sion: %s: WriteSynthetic is unsupported in collective mode", f.name)
 	}
-	if err := f.stageFlush(); err != nil {
+	if err := f.wstage.flush(); err != nil {
 		return err
 	}
 	for n > 0 {
@@ -649,7 +648,7 @@ func (f *File) sealBlock(b int, bytes int64) error {
 func (f *File) advanceBlock() error {
 	// Staged bytes of the finished chunk must land before the cursor moves
 	// (they address the current block's data region).
-	if err := f.stageFlush(); err != nil {
+	if err := f.wstage.flush(); err != nil {
 		return err
 	}
 	if err := f.sealBlock(f.curBlock, f.pos); err != nil {
@@ -789,7 +788,7 @@ func (f *File) Flush() error {
 		// data its flusher has applied so far (no-op without Watermarks).
 		return f.collCommitWatermarks(false)
 	}
-	if err := f.stageFlush(); err != nil {
+	if err := f.wstage.flush(); err != nil {
 		return err
 	}
 	if err := f.fh.Sync(); err != nil {
@@ -822,7 +821,7 @@ func (f *File) Close() error {
 			firstErr = err
 		}
 	} else if f.mode == WriteMode {
-		if err := f.stageFlush(); err != nil {
+		if err := f.wstage.flush(); err != nil {
 			firstErr = err
 		}
 		f.blockBytes[f.curBlock] = f.pos

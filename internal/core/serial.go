@@ -34,7 +34,7 @@ type SerialFile struct {
 
 	// Write mode: write-behind staging for the cursor's contiguous run
 	// (see buffer.go); nil = unbuffered.
-	wstage *serialWriteStage
+	wstage *writeStage
 
 	// Read mode: the M=1 mapped view — one read handle per task, sharing
 	// one open file per segment (see mapped.go). The cursor operations
@@ -111,7 +111,6 @@ func Create(fsys fsio.FileSystem, name string, chunkSizes []int64, opts *Options
 			NFiles:       int32(o.NFiles),
 			FileNum:      int32(k),
 			Flags:        o.flags(),
-			MaxChunks:    int32(o.MaxChunks),
 			GlobalRanks:  make([]int64, counts[k]),
 			ChunkSizes:   make([]int64, counts[k]),
 		}
@@ -284,7 +283,7 @@ func (sf *SerialFile) Seek(rank, block int, pos int64) error {
 		return fmt.Errorf("sion: %s: Seek pos %d beyond chunk capacity %d", sf.name, pos, cap)
 	}
 	// A moved cursor ends the write stage's contiguous run.
-	if err := sf.stageFlush(); err != nil {
+	if err := sf.wstage.flush(); err != nil {
 		return err
 	}
 	sf.curRank, sf.curBlock, sf.curPos = rank, block, pos
@@ -381,11 +380,9 @@ func (sf *SerialFile) Close() error {
 	}
 	sf.closed = true
 	var firstErr error
-	firstErr = sf.stageFlush()
-	if sf.wstage != nil {
-		putStageBuf(sf.wstage.buf)
-		sf.wstage = nil
-	}
+	firstErr = sf.wstage.flush()
+	sf.wstage.release()
+	sf.wstage = nil
 	for _, h := range sf.handles {
 		h.closed = true
 		h.dropStaging() // releases any per-rank read-ahead stages

@@ -251,7 +251,7 @@ func (t *TailLayout) readCommittedAt(rank int, dst []byte, pos int64) (int, erro
 			if max := int64(len(dst) - n); want > max {
 				want = max
 			}
-			if _, err := s.fh.ReadAt(dst[n:n+int(want)], e.Off+off); err != nil && err != io.EOF {
+			if err := readAtZeroFill(s.fh, dst[n:n+int(want)], e.Off+off); err != nil {
 				return n, err
 			}
 			n += int(want)

@@ -2,8 +2,8 @@
 // (§4 Figs. 3–5, Table 1) and use cases (§5 Fig. 6, Table 2) on the
 // simulated Jugene (Blue Gene/P + GPFS) and Jaguar (Cray XT4 + Lustre)
 // machines. Each runner returns a Result whose rows mirror the data series
-// the paper reports; cmd/sionbench prints them and bench_test.go wraps them
-// as Go benchmarks.
+// the paper reports; cmd/sionbench prints them, and golden_test.go holds
+// each table at scale 16 to its committed testdata/<name>.golden.
 //
 // A scale divisor shrinks task counts and data volumes proportionally for
 // quick runs; scale=1 is the paper's full configuration.

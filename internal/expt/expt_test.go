@@ -25,7 +25,7 @@ func cell(t *testing.T, r *Result, row, col int) float64 {
 }
 
 func TestFig3aFindings(t *testing.T) {
-	r := Fig3a(testScale)
+	r := result(t, "fig3a", testScale)
 	last := len(r.Rows) - 1
 	create, open, sionT := cell(t, r, last, 1), cell(t, r, last, 2), cell(t, r, last, 3)
 	if sionT*20 > create {
@@ -44,7 +44,7 @@ func TestFig3aFindings(t *testing.T) {
 }
 
 func TestFig3bFindings(t *testing.T) {
-	r := Fig3b(testScale)
+	r := result(t, "fig3b", testScale)
 	last := len(r.Rows) - 1
 	create, sionT := cell(t, r, last, 1), cell(t, r, last, 3)
 	if sionT*10 > create {
@@ -53,7 +53,7 @@ func TestFig3bFindings(t *testing.T) {
 }
 
 func TestFig4aFindings(t *testing.T) {
-	r := Fig4a(testScale)
+	r := result(t, "fig4a", testScale)
 	w1 := cell(t, r, 0, 1)
 	wLast := cell(t, r, len(r.Rows)-1, 1)
 	if wLast < 1.8*w1 {
@@ -76,7 +76,7 @@ func TestFig4aFindings(t *testing.T) {
 }
 
 func TestFig4bFindings(t *testing.T) {
-	r := Fig4b(4) // larger tasks counts so the client links don't dominate
+	r := result(t, "fig4b", 4) // larger tasks counts so the client links don't dominate
 	for i := range r.Rows {
 		wo, wd := cell(t, r, i, 1), cell(t, r, i, 3)
 		if wo < wd*0.999 {
@@ -98,7 +98,7 @@ func TestFig4bFindings(t *testing.T) {
 }
 
 func TestTable1Findings(t *testing.T) {
-	r := Table1(8)
+	r := result(t, "tab1", 8)
 	wAligned, rAligned := cell(t, r, 0, 1), cell(t, r, 0, 2)
 	wMis, rMis := cell(t, r, 1, 1), cell(t, r, 1, 2)
 	if wAligned < wMis*1.2 {
@@ -115,7 +115,7 @@ func TestTable1Findings(t *testing.T) {
 }
 
 func TestFig5aFindings(t *testing.T) {
-	r := Fig5a(testScale)
+	r := result(t, "fig5a", testScale)
 	last := len(r.Rows) - 1
 	sw, tw := cell(t, r, last, 1), cell(t, r, last, 3)
 	if sw < tw*0.97 {
@@ -128,7 +128,7 @@ func TestFig5aFindings(t *testing.T) {
 }
 
 func TestFig5bFindings(t *testing.T) {
-	r := Fig5b(8)
+	r := result(t, "fig5b", 8)
 	last := len(r.Rows) - 1
 	// SION write at least on par at the largest configuration.
 	sw, tw := cell(t, r, last, 1), cell(t, r, last, 3)
@@ -145,7 +145,7 @@ func TestFig5bFindings(t *testing.T) {
 }
 
 func TestFig6Findings(t *testing.T) {
-	r := Fig6(4)
+	r := result(t, "fig6", 4)
 	var at33, at1 []float64
 	for i := range r.Rows {
 		switch r.Rows[i][0] {
@@ -179,7 +179,7 @@ func TestFig6Findings(t *testing.T) {
 }
 
 func TestTable2Findings(t *testing.T) {
-	r := Table2(8)
+	r := result(t, "tab2", 8)
 	actTL, actS := cell(t, r, 0, 3), cell(t, r, 1, 3)
 	if actTL < 2*actS {
 		t.Errorf("activation speedup too small: %.1f vs %.1f", actTL, actS)

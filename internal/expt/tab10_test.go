@@ -8,7 +8,7 @@ import "testing"
 // Table10 itself (it panics), so this test pins the table's shape and
 // the geometry the tuning is supposed to have picked.
 func TestTable10Findings(t *testing.T) {
-	r := Table10(testScale)
+	r := result(t, "tab10", testScale)
 	if len(r.Rows) != 3 {
 		t.Fatalf("tab10 has %d rows, want 3", len(r.Rows))
 	}

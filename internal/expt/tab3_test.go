@@ -8,7 +8,7 @@ import "testing"
 // request counts collapse accordingly, and the simulated wall times order
 // async-collective ≤ collective ≤ direct.
 func TestTable3Findings(t *testing.T) {
-	r := Table3(testScale)
+	r := result(t, "tab3", testScale)
 	if len(r.Rows) != 3 {
 		t.Fatalf("tab3 has %d rows, want 3", len(r.Rows))
 	}

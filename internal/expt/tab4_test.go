@@ -17,7 +17,7 @@ import (
 // the unbuffered run, its simulated wall time is no worse, and the reads
 // collapse the same way.
 func TestTable4Findings(t *testing.T) {
-	r := Table4(testScale)
+	r := result(t, "tab4", testScale)
 	if len(r.Rows) != 3 {
 		t.Fatalf("tab4 has %d rows, want 3", len(r.Rows))
 	}

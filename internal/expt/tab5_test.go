@@ -9,7 +9,7 @@ import "testing"
 // collective data path issues no more than ⌈M/group⌉ · blocks span reads
 // on top of the open-time metadata reads.
 func TestTable5Findings(t *testing.T) {
-	r := Table5(testScale)
+	r := result(t, "tab5", testScale)
 	if len(r.Rows) != 2*len(tab5Readers) {
 		t.Fatalf("tab5 has %d rows, want %d", len(r.Rows), 2*len(tab5Readers))
 	}

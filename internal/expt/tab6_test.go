@@ -15,7 +15,7 @@ import (
 // window against the written payloads is asserted in-run by Table6
 // itself (tab6Client panics on a mismatch).
 func TestTable6Findings(t *testing.T) {
-	r := Table6(testScale)
+	r := result(t, "tab6", testScale)
 	if len(r.Rows) != 3 {
 		t.Fatalf("tab6 has %d rows, want 3", len(r.Rows))
 	}

@@ -17,7 +17,7 @@ import (
 // crash sweep actually destroyed data somewhere (otherwise it proves
 // nothing about recovery).
 func TestTable7Findings(t *testing.T) {
-	r := Table7(testScale)
+	r := result(t, "tab7", testScale)
 	if len(r.Rows) != 2 {
 		t.Fatalf("tab7 has %d rows, want 2", len(r.Rows))
 	}

@@ -12,7 +12,7 @@ import (
 // (it panics), so this test mostly pins the table's shape and the
 // secondary signals.
 func TestTable9Findings(t *testing.T) {
-	r := Table9(testScale)
+	r := result(t, "tab9", testScale)
 	if len(r.Rows) != 4 {
 		t.Fatalf("tab9 has %d rows, want 4", len(r.Rows))
 	}

@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/cluster"
 	sion "repro/internal/core"
+	"repro/internal/fsio"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -300,17 +301,7 @@ const serveChunk int64 = 1 << 20
 // chunkBufs recycles serveBytes' body buffers, so a request allocates no
 // body-sized — and zeroed — buffer of its own. Buffers grow to the
 // largest chunk the server's clients ask for, never past serveChunk.
-var chunkBufs sync.Pool // of *[]byte
-
-// getChunkBuf returns a pooled buffer of length n with arbitrary contents.
-func getChunkBuf(n int64) *[]byte {
-	if bp, _ := chunkBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= n {
-		*bp = (*bp)[:n]
-		return bp
-	}
-	b := make([]byte, n)
-	return &b
-}
+var chunkBufs fsio.BufPool
 
 // serveBytes answers /rank/<r> with the whole stream or the ?off=&n=
 // window (see the package comment for the window contract; 416 mirrors
@@ -349,9 +340,8 @@ func (a *API) serveBytes(w http.ResponseWriter, r *http.Request, h *serve.Handle
 			n = want
 		}
 	}
-	bp := getChunkBuf(min(n, serveChunk))
-	defer chunkBufs.Put(bp)
-	buf := *bp
+	buf := chunkBufs.Get(min(n, serveChunk))
+	defer chunkBufs.Put(buf)
 	if n > 0 {
 		if _, err := h.ReadLogicalAt(buf, off); err != nil {
 			httpError(w, err)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/fsio"
 	"repro/internal/resil"
 )
 
@@ -64,17 +65,7 @@ func (t *flightTable) release(r blockRange) {
 
 // spanBufs recycles the buffers spans are read into (and peer blocks
 // received in) on their way to cache frames.
-var spanBufs sync.Pool // of *[]byte
-
-// getSpanBuf returns a pooled buffer of length n with arbitrary contents.
-func getSpanBuf(n int64) *[]byte {
-	if bp, _ := spanBufs.Get().(*[]byte); bp != nil && int64(cap(*bp)) >= n {
-		*bp = (*bp)[:n]
-		return bp
-	}
-	b := make([]byte, n)
-	return &b
-}
+var spanBufs fsio.BufPool
 
 // missCost is one request's own breadcrumbs: the dense backend reads that
 // succeeded, the blocks that never touched the backend, the re-attempts.
@@ -105,9 +96,8 @@ func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (c
 	claim := blockRange{missing[0], missing[len(missing)-1] + 1}
 	s.flights[file].claim(claim)
 	defer s.flights[file].release(claim)
-	bp := getSpanBuf((claim.hi - claim.lo) * bs)
-	defer spanBufs.Put(bp)
-	buf, base := *bp, claim.lo*bs // buf holds file bytes [base, claim.hi*bs)
+	buf, base := spanBufs.Get((claim.hi-claim.lo)*bs), claim.lo*bs
+	defer spanBufs.Put(buf) // buf holds file bytes [base, claim.hi*bs)
 	frame := func(b int64) []byte { return buf[b*bs-base : (b+1)*bs-base] }
 	// deliver caches block b from its frame and hands the reader its share.
 	deliver := func(b int64) {
