@@ -19,15 +19,6 @@ func NewZWriter(f io.Writer) (io.WriteCloser, error) {
 	return zlib.NewWriter(f), nil
 }
 
-// NewZWriterLevel is NewZWriter with an explicit zlib compression level.
-func NewZWriterLevel(f io.Writer, level int) (io.WriteCloser, error) {
-	zw, err := zlib.NewWriterLevel(f, level)
-	if err != nil {
-		return nil, fmt.Errorf("sion: zlib writer: %w", err)
-	}
-	return zw, nil
-}
-
 // NewZReader layers zlib decompression over a logical task-local file
 // opened for reading. Because File.Read reports io.EOF exactly at the end
 // of the task's recorded data, the decompressor terminates cleanly at the

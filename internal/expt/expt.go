@@ -104,13 +104,6 @@ func scaleDown(n, scale, min int) int {
 
 func secs(t float64) string { return fmt.Sprintf("%.1f", t) }
 
-func mbs(bytes int64, t float64) string {
-	if t <= 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.0f", float64(bytes)/t/1e6)
-}
-
 func profileByName(name string) *simfs.Profile {
 	switch name {
 	case "jugene":

@@ -5,7 +5,6 @@ import (
 
 	sion "repro/internal/core"
 	"repro/internal/fsio"
-	"repro/internal/mp2c"
 	"repro/internal/mpi"
 	"repro/internal/simfs"
 )
@@ -16,6 +15,9 @@ import (
 // task alternating gathers and writes, one pass per particle field).
 const (
 	fig6Tasks = 1000
+	// MP2C's restart record (paper §5.1): 3×float64 position, 3×float64
+	// velocity, uint32 id.
+	fig6ParticleBytes = 52
 	// The original code gathers and writes each of MP2C's per-particle
 	// fields separately (3 position + 3 velocity components + id).
 	fig6Fields = 7
@@ -37,9 +39,9 @@ func Fig6(scale int) *Result {
 	ntasks := scaleDown(fig6Tasks, scale, 50)
 	for _, mio := range []float64{1, 3.3, 10, 33, 100, 330, 1000, 3300, 10000} {
 		particles := int64(mio * 1e6 / float64(scale))
-		perTask := particles / int64(ntasks) * mp2c.ParticleBytes
-		if perTask < mp2c.ParticleBytes {
-			perTask = mp2c.ParticleBytes
+		perTask := particles / int64(ntasks) * fig6ParticleBytes
+		if perTask < fig6ParticleBytes {
+			perTask = fig6ParticleBytes
 		}
 
 		// SIONlib: all task-local files in one physical file.

@@ -44,14 +44,6 @@ const (
 	tab10Compute = 10e-6          // seconds of compute per record
 )
 
-// tab10Profile is the inner machine the object store gateways to:
-// tab3's Jugene with 64 KiB file-system blocks.
-func tab10Profile() *simfs.Profile {
-	p := tab3Profile()
-	p.Name = "jugene-64k-tab10"
-	return p
-}
-
 // tab10Arm is one backend/geometry configuration of the sweep.
 type tab10Arm struct {
 	label string
@@ -74,7 +66,8 @@ type tab10Row struct {
 // is asserted inline: every rank's read-back must equal its generator
 // payload exactly.
 func tab10Run(ntasks int, arm tab10Arm) tab10Row {
-	fs := simfs.New(tab10Profile())
+	// The inner machine the object store gateways to is tab3's.
+	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab10"))
 	var obj *simfs.ObjStore
 	if arm.obj {
 		obj = simfs.NewObjStore(simfs.SmallPartObjProfile())
@@ -189,13 +182,6 @@ func tab10Arms() []tab10Arm {
 			ropts: func() *sion.Options { return nil },
 		},
 	}
-}
-
-// tab10Requests runs the two object-store arms and returns their request
-// totals (shared by Table10 and the tests).
-func tab10Requests(ntasks int) (posixTuned, auto int64) {
-	arms := tab10Arms()
-	return tab10Run(ntasks, arms[1]).total, tab10Run(ntasks, arms[2]).total
 }
 
 // Table10 regenerates the backend geometry-auto-tuning table.

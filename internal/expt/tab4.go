@@ -101,9 +101,7 @@ func tab4Mode(ntasks int, bufSize int64) (writeT, readT float64, wst, rst simfs.
 // so the per-request costs this experiment isolates are not drowned by
 // first-touch block charges.
 func tab4Profile() *simfs.Profile {
-	p := tab3Profile()
-	p.Name = "jugene-64k-tab4"
-	return p
+	return renamed(tab3Profile(), "jugene-64k-tab4")
 }
 
 // Table4 regenerates the buffered-staging request-reduction table: the

@@ -43,46 +43,16 @@ const (
 // 32×, down 4×, and up 4× relative to the 1024 writers.
 var tab5Readers = [3]int{32, 256, 4096}
 
-// tab5Profile is tab3's machine (Jugene, 64 KiB blocks), so chunks stay
-// block-aligned and per-request costs are visible.
-func tab5Profile() *simfs.Profile {
-	p := tab3Profile()
-	p.Name = "jugene-64k-tab5"
-	return p
-}
-
-// tab5Size is writer g's payload: about 1.5 chunks, varied per rank so
-// byte-identity failures cannot hide behind uniform sizes.
-func tab5Size(g int) int {
-	return int(tab5Chunk) + int(tab5Chunk)/2 + g%251
-}
-
 // tab5Mode writes the multifile with nwriters tasks and reopens it with
 // nreaders mapped readers (group 0 = direct), verifying every writer
 // rank's bytes exactly once and reporting the read-phase wall time and
 // request counters.
 func tab5Mode(nwriters, nreaders, group int) (readT float64, rst simfs.FileStats) {
-	fs := simfs.New(tab5Profile())
-
-	simRun(fs, nwriters, func(c *mpi.Comm, v fsio.FileSystem) {
-		f, err := sion.ParOpen(c, v, "tab5.sion", sion.WriteMode, &sion.Options{
-			ChunkSize: tab5Chunk,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if _, err := f.Write(taskPayload(c.Rank(), tab5Size(c.Rank()))); err != nil {
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
-	})
-	wst, _ := fs.Stats("tab5.sion")
-
-	// Fresh measurement window and cold caches for the rescaled reopen.
-	fs.ResetServers()
-	fs.DropCaches()
+	// tab3's machine, so chunks stay block-aligned and per-request costs
+	// are visible.
+	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab5"))
+	size := func(g int) int { return payloadSize(tab5Chunk, g) }
+	wst := writeDump(fs, nwriters, "tab5.sion", &sion.Options{ChunkSize: tab5Chunk}, size)
 
 	recovered := make([]bool, nwriters) // balanced ownership: disjoint slots
 	simRun(fs, nreaders, func(c *mpi.Comm, v fsio.FileSystem) {
@@ -100,7 +70,7 @@ func tab5Mode(nwriters, nreaders, group int) (readT float64, rst simfs.FileStats
 			if err != nil {
 				panic(err)
 			}
-			want := taskPayload(g, tab5Size(g))
+			want := taskPayload(g, size(g))
 			got := make([]byte, len(want))
 			if _, err := io.ReadFull(h, got); err != nil {
 				panic(fmt.Sprintf("tab5: rank %d: %v", g, err))
@@ -122,25 +92,13 @@ func tab5Mode(nwriters, nreaders, group int) (readT float64, rst simfs.FileStats
 			panic(fmt.Sprintf("tab5: rank %d not recovered by any reader", g))
 		}
 	}
-	st, _ := fs.Stats("tab5.sion")
+	st := dumpStats(fs, "tab5.sion", 1)
 	rst = simfs.FileStats{
 		Opens:        st.Opens - wst.Opens,
 		ReadRequests: st.ReadRequests - wst.ReadRequests,
 		ReaderTasks:  st.ReaderTasks,
 	}
 	return readT, rst
-}
-
-// taskPayload is the deterministic per-writer payload (a copy of the test
-// suite's generator, so experiments stay self-contained).
-func taskPayload(rank, size int) []byte {
-	out := make([]byte, size)
-	x := uint32(rank*2654435761 + 12345)
-	for i := range out {
-		x = x*1664525 + 1013904223
-		out[i] = byte(x >> 24)
-	}
-	return out
 }
 
 // Table5 regenerates the rescaled-reopen table: one multifile written by N

@@ -7,8 +7,6 @@ import (
 	"sort"
 
 	sion "repro/internal/core"
-	"repro/internal/fsio"
-	"repro/internal/mpi"
 	"repro/internal/serve"
 	"repro/internal/simfs"
 )
@@ -45,18 +43,6 @@ const (
 	tab6CacheSml = int64(1) << 20 // 16 cache blocks: forces eviction churn
 )
 
-// tab6Profile is tab3's machine (Jugene, 64 KiB blocks).
-func tab6Profile() *simfs.Profile {
-	p := tab3Profile()
-	p.Name = "jugene-64k-tab6"
-	return p
-}
-
-// tab6Size is writer g's payload size: about 1.5 chunks, varied per rank.
-func tab6Size(g int) int {
-	return int(tab6Chunk) + int(tab6Chunk)/2 + g%251
-}
-
 // tab6Rand is a deterministic LCG so the access pattern is identical
 // across modes and Go versions (math/rand's zipf stream is not pinned).
 type tab6Rand struct{ x uint64 }
@@ -92,31 +78,12 @@ func (z *tab6Zipf) sample(r *tab6Rand) int {
 	return sort.SearchFloat64s(z.cum, u)
 }
 
-// tab6Stats sums the request counters over every physical file of the
-// multifile.
-func tab6Stats(fs *simfs.FS, name string, nfiles int) simfs.FileStats {
-	var tot simfs.FileStats
-	for _, pn := range sion.PhysicalNames(name, nfiles) {
-		st, ok := fs.Stats(pn)
-		if !ok {
-			continue
-		}
-		tot.Opens += st.Opens
-		tot.ReadRequests += st.ReadRequests
-		tot.WriteRequests += st.WriteRequests
-		if st.ReaderTasks > tot.ReaderTasks {
-			tot.ReaderTasks = st.ReaderTasks
-		}
-	}
-	return tot
-}
-
 // tab6Client is one logical client's reads: a zipfian rank, tab6Reads
 // random windows (every 16th client additionally streams the whole rank),
 // every byte verified against the written payload.
 func tab6Client(c int, rng *tab6Rand, zipf *tab6Zipf, open func(g int) (sion.LogicalReaderAt, func())) {
 	g := zipf.sample(rng)
-	want := taskPayload(g, tab6Size(g))
+	want := taskPayload(g, payloadSize(tab6Chunk, g))
 	h, done := open(g)
 	defer done()
 	for i := 0; i < tab6Reads; i++ {
@@ -146,25 +113,9 @@ func tab6Client(c int, rng *tab6Rand, zipf *tab6Zipf, open func(g int) (sion.Log
 // returns the read-phase request counters and, for served modes, the
 // server's own stats.
 func tab6Mode(nwriters, nclients int, cacheBytes int64) (rst simfs.FileStats, sst serve.Stats) {
-	fs := simfs.New(tab6Profile())
-
-	simRun(fs, nwriters, func(c *mpi.Comm, v fsio.FileSystem) {
-		f, err := sion.ParOpen(c, v, "tab6.sion", sion.WriteMode, &sion.Options{
-			ChunkSize: tab6Chunk, NFiles: tab6NFiles,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if _, err := f.Write(taskPayload(c.Rank(), tab6Size(c.Rank()))); err != nil {
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
-	})
-	wst := tab6Stats(fs, "tab6.sion", tab6NFiles)
-	fs.ResetServers()
-	fs.DropCaches()
+	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab6"))
+	wst := writeDump(fs, nwriters, "tab6.sion", &sion.Options{ChunkSize: tab6Chunk, NFiles: tab6NFiles},
+		func(g int) int { return payloadSize(tab6Chunk, g) })
 
 	// The clients run sequentially on unmetered views (the serving layer
 	// is a concurrent subsystem, not a set of vtime processes; tab6 proves
@@ -201,7 +152,7 @@ func tab6Mode(nwriters, nclients int, cacheBytes int64) (rst simfs.FileStats, ss
 			panic(err)
 		}
 	}
-	st := tab6Stats(fs, "tab6.sion", tab6NFiles)
+	st := dumpStats(fs, "tab6.sion", tab6NFiles)
 	rst = simfs.FileStats{
 		Opens:        st.Opens - wst.Opens,
 		ReadRequests: st.ReadRequests - wst.ReadRequests,

@@ -69,15 +69,6 @@ const (
 	tab7CrashFSBlk = int64(256)
 )
 
-// tab7Profile is tab3's machine (Jugene, 64 KiB blocks); the in-file
-// layout uses the smaller tab7FSBlk alignment so the frontier moves
-// through many cache blocks even at test scale.
-func tab7Profile(name string) *simfs.Profile {
-	p := tab3Profile()
-	p.Name = name
-	return p
-}
-
 // Frame format of one shipped record: magic, writer rank, sequence
 // number, payload length (u32 LE each), payload, CRC-32 (IEEE) of the
 // payload. Writers flush only at frame boundaries, so a committed
@@ -162,8 +153,11 @@ func (ts *tab7Stream) parse(salt int, kw *sion.KeyWriter) {
 // archive machine fsB. It returns the maximum observed reader lag in
 // flush batches, the shipped byte total, and the simulated end time.
 func tab7StreamPhase(nw, nr, records int) (maxLag int, shipped int64, simEnd float64) {
-	fsA := simfs.New(tab7Profile("jugene-64k-tab7src"))
-	fsB := simfs.New(tab7Profile("jugene-64k-tab7dst"))
+	// Both are tab3's machine (Jugene, 64 KiB blocks); the in-file layout
+	// uses the smaller tab7FSBlk alignment so the frontier moves through
+	// many cache blocks even at test scale.
+	fsA := simfs.New(renamed(tab3Profile(), "jugene-64k-tab7src"))
+	fsB := simfs.New(renamed(tab3Profile(), "jugene-64k-tab7dst"))
 
 	// Shared cross-rank state. The vtime engine runs one proc at a time
 	// (context switches are channel handoffs), so plain variables are safe.

@@ -68,20 +68,6 @@ const (
 	tab8SuccessFloor = 0.99 // asserted request success rate under retries
 )
 
-// tab8Profile is tab3's machine (Jugene, 64 KiB blocks); the in-file
-// layout uses tab8FSBlk so the client windows land on many distinct cache
-// blocks even at test scale.
-func tab8Profile() *simfs.Profile {
-	p := tab3Profile()
-	p.Name = "jugene-64k-tab8"
-	return p
-}
-
-// tab8Size is writer g's payload size: about 1.5 chunks, varied per rank.
-func tab8Size(g int) int {
-	return int(tab8Chunk) + int(tab8Chunk)/2 + g%251
-}
-
 // tab8Budget is the no-real-sleep bounded backoff budget the serve phases
 // run under (the serving layer is outside vtime, exactly as in tab6; the
 // backoff delays are therefore not metered, only counted).
@@ -89,23 +75,16 @@ func tab8Budget(attempts int) *resil.Budget {
 	return &resil.Budget{MaxAttempts: attempts, Seed: tab8Seed, Sleep: func(time.Duration) {}}
 }
 
-// tab8Write writes the multifile the serve phases read: tab8Writers ranks,
-// watermark-free, on a clean (un-injected) machine.
-func tab8Write(fs *simfs.FS, nwriters int, name string) {
-	simRun(fs, nwriters, func(c *mpi.Comm, v fsio.FileSystem) {
-		f, err := sion.ParOpen(c, v, name, sion.WriteMode, &sion.Options{
-			ChunkSize: tab8Chunk, FSBlockSize: tab8FSBlk, NFiles: tab8NFiles,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("tab8: writer %d: ParOpen: %v", c.Rank(), err))
-		}
-		if _, err := f.Write(taskPayload(c.Rank(), tab8Size(c.Rank()))); err != nil {
-			panic(fmt.Sprintf("tab8: writer %d: Write: %v", c.Rank(), err))
-		}
-		if err := f.Close(); err != nil {
-			panic(fmt.Sprintf("tab8: writer %d: Close: %v", c.Rank(), err))
-		}
-	})
+// tab8Dump is a clean (un-injected) tab3 machine holding the multifile the
+// serve phases read, watermark-free. The in-file layout uses tab8FSBlk so
+// the client windows land on many distinct cache blocks even at test
+// scale.
+func tab8Dump(nwriters int) *simfs.FS {
+	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab8"))
+	writeDump(fs, nwriters, "tab8.sion", &sion.Options{
+		ChunkSize: tab8Chunk, FSBlockSize: tab8FSBlk, NFiles: tab8NFiles,
+	}, func(g int) int { return payloadSize(tab8Chunk, g) })
+	return fs
 }
 
 // tab8ServeStorm replays the zipfian client workload against a serve
@@ -115,8 +94,7 @@ func tab8Write(fs *simfs.FS, nwriters int, name string) {
 // Every successful read is byte-verified. Returns the request/success
 // counts and the server's resilience counters.
 func tab8ServeStorm(nwriters, nclients, attempts int, inject bool) (requests, ok int, st serve.Stats, injected int64) {
-	fs := simfs.New(tab8Profile())
-	tab8Write(fs, nwriters, "tab8.sion")
+	fs := tab8Dump(nwriters)
 	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: tab8Seed, ReadErrProb: tab8ReadErr})
 	fl.SetEnabled(false) // the metadata load in New is not under the retry path
 	srv, err := serve.New(fl.Wrap(fs.View(nwriters, nil), nil), "tab8.sion", &serve.Config{
@@ -133,7 +111,7 @@ func tab8ServeStorm(nwriters, nclients, attempts int, inject bool) (requests, ok
 	zipf := newTab6Zipf(nwriters)
 	for c := 0; c < nclients; c++ {
 		g := zipf.sample(rng)
-		want := taskPayload(g, tab8Size(g))
+		want := taskPayload(g, payloadSize(tab8Chunk, g))
 		h, err := srv.Open(g)
 		if err != nil {
 			panic(fmt.Sprintf("tab8: client %d: Open(%d): %v", c, g, err))
@@ -171,7 +149,7 @@ func tab8ServeStorm(nwriters, nclients, attempts int, inject bool) (requests, ok
 // counts and the retry counters; panics unless the storm is fully
 // absorbed (zero give-ups, byte-identical read-back).
 func tab8WriterStorm(nwriters int) (flst simfs.FlakyStats, rst resil.CounterSnapshot) {
-	fs := simfs.New(tab8Profile())
+	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab8"))
 	fl := simfs.NewFlaky(simfs.FlakyConfig{
 		Seed:         tab8Seed + 1,
 		ReadErrProb:  0.04,
@@ -195,7 +173,7 @@ func tab8WriterStorm(nwriters int) (flst simfs.FlakyStats, rst resil.CounterSnap
 		if err != nil {
 			panic(fmt.Sprintf("tab8: storm writer %d: ParOpen: %v", c.Rank(), err))
 		}
-		payload := taskPayload(c.Rank(), tab8Size(c.Rank()))
+		payload := taskPayload(c.Rank(), payloadSize(tab8Chunk, c.Rank()))
 		// Stream in four flush batches so the watermark machinery (sync +
 		// sidecar commit) runs inside the storm too.
 		for i := 0; i < 4; i++ {
@@ -222,7 +200,7 @@ func tab8WriterStorm(nwriters int) (flst simfs.FlakyStats, rst resil.CounterSnap
 		if err != nil {
 			panic(fmt.Sprintf("tab8: read-back OpenRank(%d): %v", g, err))
 		}
-		want := taskPayload(g, tab8Size(g))
+		want := taskPayload(g, payloadSize(tab8Chunk, g))
 		got := make([]byte, len(want))
 		if _, err := h.ReadLogicalAt(got, 0); err != nil {
 			panic(fmt.Sprintf("tab8: read-back rank %d: %v", g, err))
@@ -241,8 +219,7 @@ func tab8WriterStorm(nwriters int) (flst simfs.FlakyStats, rst resil.CounterSnap
 // ErrDegraded while it is open, and the post-outage cooldown probe closes
 // it again. Returns the request/success counts and final server stats.
 func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
-	fs := simfs.New(tab8Profile())
-	tab8Write(fs, nwriters, "tab8.sion")
+	fs := tab8Dump(nwriters)
 	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: tab8Seed + 2}) // windows only
 	srv, err := serve.New(fl.Wrap(fs.View(nwriters, nil), nil), "tab8.sion", &serve.Config{
 		CacheBytes:       1 << 20,
@@ -256,7 +233,7 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 	defer srv.Close()
 
 	read := func(g int, verify bool) error {
-		want := taskPayload(g, tab8Size(g))
+		want := taskPayload(g, payloadSize(tab8Chunk, g))
 		h, err := srv.Open(g)
 		if err != nil {
 			panic(fmt.Sprintf("tab8: drill Open(%d): %v", g, err))

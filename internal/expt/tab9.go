@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	sion "repro/internal/core"
-	"repro/internal/fsio"
-	"repro/internal/mpi"
 	"repro/internal/serve"
 	"repro/internal/simfs"
 )
@@ -87,7 +85,7 @@ func tab9NodeConfig(nwriters int) *serve.Config {
 // working set overflows one node's cache but fits the cluster's
 // aggregate.
 func tab9Size(g int) int {
-	return 3*int(tab9Chunk) + int(tab9Chunk)/2 + g%251
+	return 2*int(tab9Chunk) + payloadSize(tab9Chunk, g)
 }
 
 // tab9Client replays one client of the zipfian storm: a zipfian rank,
@@ -133,13 +131,13 @@ func tab9Storm(fs *simfs.FS, nwriters, nclients int, before func(c int), open fu
 	rng := &tab6Rand{x: tab9Seed}
 	zipf := newTab6Zipf(nwriters)
 	costs := make([]int64, 0, nclients)
-	prev := tab6Stats(fs, "tab9.sion", tab9NFiles).ReadRequests
+	prev := dumpStats(fs, "tab9.sion", tab9NFiles).ReadRequests
 	for c := 0; c < nclients; c++ {
 		if before != nil {
 			before(c)
 		}
 		tab9Client(c, rng, zipf, open)
-		now := tab6Stats(fs, "tab9.sion", tab9NFiles).ReadRequests
+		now := dumpStats(fs, "tab9.sion", tab9NFiles).ReadRequests
 		costs = append(costs, now-prev)
 		prev = now
 	}
@@ -163,25 +161,8 @@ func tab9P99(costs []int64) int64 {
 // tab9Write builds a fresh simulated machine with the multifile written
 // and caches dropped, returning the fs and the write-phase stats.
 func tab9Write(nwriters int) (*simfs.FS, simfs.FileStats) {
-	fs := simfs.New(tab6Profile())
-	simRun(fs, nwriters, func(c *mpi.Comm, v fsio.FileSystem) {
-		f, err := sion.ParOpen(c, v, "tab9.sion", sion.WriteMode, &sion.Options{
-			ChunkSize: tab9Chunk, NFiles: tab9NFiles,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if _, err := f.Write(taskPayload(c.Rank(), tab9Size(c.Rank()))); err != nil {
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
-	})
-	wst := tab6Stats(fs, "tab9.sion", tab9NFiles)
-	fs.ResetServers()
-	fs.DropCaches()
-	return fs, wst
+	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab6"))
+	return fs, writeDump(fs, nwriters, "tab9.sion", &sion.Options{ChunkSize: tab9Chunk, NFiles: tab9NFiles}, tab9Size)
 }
 
 // tab9Independent is the naive scale-out: three independent serve nodes,
@@ -209,7 +190,7 @@ func tab9Independent(nwriters, nclients int) tab9Run {
 			panic(err)
 		}
 	}
-	st := tab6Stats(fs, "tab9.sion", tab9NFiles)
+	st := dumpStats(fs, "tab9.sion", tab9NFiles)
 	return tab9Run{readReqs: st.ReadRequests - wst.ReadRequests, p99: tab9P99(costs)}
 }
 
@@ -255,7 +236,7 @@ func tab9Cluster(nwriters, nclients int, churn bool) tab9Run {
 	if err := cl.Close(); err != nil {
 		panic(err)
 	}
-	st := tab6Stats(fs, "tab9.sion", tab9NFiles)
+	st := dumpStats(fs, "tab9.sion", tab9NFiles)
 	run.readReqs = st.ReadRequests - wst.ReadRequests
 	return run
 }

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -291,14 +293,51 @@ func (f *fixture) do(method, url string) *httptest.ResponseRecorder {
 
 func (f *fixture) get(url string) *httptest.ResponseRecorder { return f.do("GET", url) }
 
-// captureLog hooks the API's logger, collecting records for the test's
-// duration (the hook also suppresses writer output).
-func (f *fixture) captureLog(t *testing.T) *[]obs.Record {
-	t.Helper()
-	var recs []obs.Record
-	prev := f.api.Log.SetHook(func(r obs.Record) { recs = append(recs, r) })
-	t.Cleanup(func() { f.api.Log.SetHook(prev) })
-	return &recs
+// logRecord is one captured log line: its message and its attributes.
+type logRecord struct {
+	Msg   string
+	Attrs map[string]slog.Value
+}
+
+// hasKeys reports whether the record carries every named attribute.
+func (r logRecord) hasKeys(keys ...string) bool {
+	for _, k := range keys {
+		if _, ok := r.Attrs[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// logCapture is a slog.Handler that keeps every record and writes none.
+type logCapture struct {
+	mu   sync.Mutex
+	recs []logRecord
+}
+
+func (c *logCapture) Enabled(context.Context, slog.Level) bool { return true }
+func (c *logCapture) WithAttrs([]slog.Attr) slog.Handler       { return c }
+func (c *logCapture) WithGroup(string) slog.Handler            { return c }
+
+func (c *logCapture) Handle(_ context.Context, r slog.Record) error {
+	rec := logRecord{Msg: r.Message, Attrs: make(map[string]slog.Value)}
+	r.Attrs(func(a slog.Attr) bool {
+		rec.Attrs[a.Key] = a.Value
+		return true
+	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recs = append(c.recs, rec)
+	return nil
+}
+
+// captureLog points the API's logger, and the handler built over it, at a
+// capture the test reads records from.
+func (f *fixture) captureLog() *logCapture {
+	c := new(logCapture)
+	f.api.Log = slog.New(c)
+	f.h = f.api.Handler()
+	return c
 }
 
 // wantBody checks a 200 byte response: exact Content-Length, the
@@ -518,6 +557,30 @@ func TestReadOnlyMethods(t *testing.T) {
 		if rec.Code != 200 || rec.Header().Get("Content-Length") != "20" {
 			t.Errorf("HEAD window: status %d, Content-Length %q", rec.Code, rec.Header().Get("Content-Length"))
 		}
+		// A HEAD has no body to send, so it reads none: the whole rank is
+		// described from the layout and the serving tier is not touched.
+		before := f.families()
+		rec = f.do("HEAD", "/rank/0")
+		if rec.Code != 200 || rec.Header().Get("Content-Length") != strconv.Itoa(perRank) || rec.Body.Len() != 0 {
+			t.Errorf("HEAD /rank/0: status %d, Content-Length %q, %d body bytes; want 200, %d, 0",
+				rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len(), perRank)
+		}
+		after := f.families()
+		for _, fam := range []string{"serve_served_bytes_total", "serve_cache_hits_total",
+			"serve_cache_misses_total", "serve_backend_reads_total"} {
+			if after[fam] != before[fam] {
+				t.Errorf("HEAD /rank/0 moved %s %d -> %d, want it untouched", fam, before[fam], after[fam])
+			}
+		}
+		for url, want := range map[string]int{
+			"/rank/0?off=x":                          http.StatusBadRequest,
+			"/rank/0?n=-1":                           http.StatusBadRequest,
+			fmt.Sprintf("/rank/0?off=%d", perRank+1): http.StatusRequestedRangeNotSatisfiable,
+		} {
+			if rec := f.do("HEAD", url); rec.Code != want {
+				t.Errorf("HEAD %s: status %d, want %d", url, rec.Code, want)
+			}
+		}
 	})
 }
 
@@ -663,7 +726,7 @@ func TestWindowReadAllocatesNoBody(t *testing.T) {
 	eachBackend(t, "big", Flags{}, func(t *testing.T, f *fixture) {
 		const url = "/rank/0?off=4096&n=65536"
 		wantBody(t, url, f.get(url), payload(0, int(bigBytes))[4096:4096+65536]) // and warms the cache
-		f.api.Log.SetHook(func(obs.Record) {})
+		f.captureLog()
 		w := &discardWriter{hdr: make(http.Header)}
 		req := httptest.NewRequest("GET", url, nil)
 		res := testing.Benchmark(func(b *testing.B) {
@@ -700,7 +763,7 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 // short — not silently dropped, and never a second WriteHeader.
 func TestWriteErrorLogged(t *testing.T) {
 	eachBackend(t, "big", Flags{}, func(t *testing.T, f *fixture) {
-		recs := f.captureLog(t)
+		logs := f.captureLog()
 		rec := httptest.NewRecorder()
 		w := &failAfterWriter{ResponseWriter: rec, remaining: 1}
 		f.h.ServeHTTP(w, httptest.NewRequest("GET", "/rank/0", nil))
@@ -710,8 +773,9 @@ func TestWriteErrorLogged(t *testing.T) {
 		if got := int64(rec.Body.Len()); got != serveChunk {
 			t.Errorf("body stopped at %d bytes, want exactly one chunk (%d)", got, serveChunk)
 		}
-		if len(*recs) != 1 || (*recs)[0].Msg != "writing response" {
-			t.Errorf("log records = %+v, want one write-failure entry", *recs)
+		if len(logs.recs) != 1 || logs.recs[0].Msg != "writing response" ||
+			!logs.recs[0].hasKeys("req", "path", "at", "of", "err") {
+			t.Errorf("log records = %+v, want one write-failure entry with req, path, at, of, err", logs.recs)
 		}
 	})
 }
@@ -721,21 +785,21 @@ func TestWriteErrorLogged(t *testing.T) {
 // write of a good payload is logged.
 func TestWriteJSONErrorsChecked(t *testing.T) {
 	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
-		recs := f.captureLog(t)
+		logs := f.captureLog()
 		rec := httptest.NewRecorder()
 		f.api.WriteJSON(rec, make(chan int)) // not marshalable
 		if rec.Code != http.StatusInternalServerError {
 			t.Errorf("unencodable value: status %d, want 500", rec.Code)
 		}
-		if len(*recs) != 1 || (*recs)[0].Msg != "encoding response" {
-			t.Fatalf("log records = %+v, want one encoding-failure entry", *recs)
+		if len(logs.recs) != 1 || logs.recs[0].Msg != "encoding response" || !logs.recs[0].hasKeys("err") {
+			t.Fatalf("log records = %+v, want one encoding-failure entry", logs.recs)
 		}
 
-		*recs = (*recs)[:0]
+		logs.recs = nil
 		w := &failAfterWriter{ResponseWriter: httptest.NewRecorder(), remaining: 0}
 		f.api.WriteJSON(w, map[string]int{"ok": 1})
-		if len(*recs) != 1 || (*recs)[0].Msg != "writing response" {
-			t.Errorf("log records = %+v, want one write-failure entry", *recs)
+		if len(logs.recs) != 1 || logs.recs[0].Msg != "writing response" || !logs.recs[0].hasKeys("err") {
+			t.Errorf("log records = %+v, want one write-failure entry", logs.recs)
 		}
 	})
 }
@@ -766,23 +830,21 @@ func TestSlowRequestLogCarriesCrumbs(t *testing.T) {
 			t.Fatalf("Slow = %v from -slow-ms 500", f.api.Slow)
 		}
 		f.api.Slow = time.Nanosecond
-		f.h = f.api.Handler()
-		recs := f.captureLog(t)
+		logs := f.captureLog()
 		for i := 0; i < 2; i++ {
 			if rec := f.get("/rank/0"); rec.Code != 200 {
 				t.Fatalf("read %d: status %d", i, rec.Code)
 			}
 		}
 		var crumbs []string
-		for _, r := range *recs {
+		for _, r := range logs.recs {
 			if r.Msg != "slow request" {
 				continue
 			}
-			for i := 0; i+1 < len(r.KV); i += 2 {
-				if r.KV[i] == "crumbs" {
-					crumbs = append(crumbs, r.KV[i+1].(string))
-				}
+			if !r.hasKeys("req", "path", "ms", "crumbs") {
+				t.Errorf("slow-request record %+v, want req, path, ms, crumbs", r)
 			}
+			crumbs = append(crumbs, r.Attrs["crumbs"].String())
 		}
 		if len(crumbs) != 2 {
 			t.Fatalf("slow-request records = %d, want 2 (crumbs %q)", len(crumbs), crumbs)

@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"strconv"
@@ -81,8 +82,8 @@ type API struct {
 	Mux *http.ServeMux
 	// Log reports what can no longer become an HTTP error — response
 	// writes failing after the status line is committed — plus the
-	// middleware's slow-request lines. Tests capture records via SetHook.
-	Log *obs.Logger
+	// middleware's slow-request lines. Set it before calling Handler.
+	Log *slog.Logger
 	// Slow is the slow-request log threshold (0 disables).
 	Slow time.Duration
 
@@ -121,7 +122,7 @@ func ForCluster(c *cluster.Cluster, fl *Flags) *API {
 func newAPI(b Backend, fl *Flags, stats func() any, health func(string) any) *API {
 	a := &API{
 		Mux:    http.NewServeMux(),
-		Log:    obs.NewLogger(os.Stderr),
+		Log:    slog.New(slog.NewTextHandler(os.Stderr, nil)),
 		Slow:   time.Duration(fl.SlowMs) * time.Millisecond,
 		b:      b,
 		stats:  stats,
@@ -311,7 +312,8 @@ var chunkBufs fsio.BufPool
 // immediately failing backend still maps through httpError (503 when
 // degraded). Once headers are out the status can't change: mid-stream
 // failures are logged and the response cut short of its Content-Length,
-// which clients detect as a truncated body.
+// which clients detect as a truncated body. A HEAD gets the validated
+// window's headers and no read at all.
 func (a *API) serveBytes(w http.ResponseWriter, r *http.Request, h *serve.Handle) {
 	size := h.LogicalSize()
 	off, n := int64(0), size
@@ -340,6 +342,14 @@ func (a *API) serveBytes(w http.ResponseWriter, r *http.Request, h *serve.Handle
 			n = want
 		}
 	}
+	bodyHeaders := func() {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+	}
+	if r.Method == http.MethodHead { // net/http would discard the body
+		bodyHeaders()
+		return
+	}
 	buf := chunkBufs.Get(min(n, serveChunk))
 	defer chunkBufs.Put(buf)
 	if n > 0 {
@@ -348,8 +358,7 @@ func (a *API) serveBytes(w http.ResponseWriter, r *http.Request, h *serve.Handle
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+	bodyHeaders()
 	for sent := int64(0); sent < n; {
 		m := min(n-sent, serveChunk)
 		if sent > 0 { // the first chunk was read before the headers

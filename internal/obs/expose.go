@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -319,18 +318,5 @@ func splitLabels(s string) []string {
 		}
 	}
 	out = append(out, s[start:])
-	return out
-}
-
-// FamilyNames returns the sorted names of all registered families —
-// handy for tests asserting coverage.
-func (r *Registry) FamilyNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.families))
-	for name := range r.families {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -131,8 +131,5 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 // P50 is Quantile(0.50), in nanoseconds.
 func (s HistSnapshot) P50() int64 { return s.Quantile(0.50) }
 
-// P95 is Quantile(0.95), in nanoseconds.
-func (s HistSnapshot) P95() int64 { return s.Quantile(0.95) }
-
 // P99 is Quantile(0.99), in nanoseconds.
 func (s HistSnapshot) P99() int64 { return s.Quantile(0.99) }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -24,7 +25,7 @@ const RequestIDHeader = "X-Request-ID"
 //
 // A zero slow (or nil log) disables the slow-request log; the ID and span
 // plumbing still run.
-func HTTPMiddleware(next http.Handler, log *Logger, slow time.Duration) http.Handler {
+func HTTPMiddleware(next http.Handler, log *slog.Logger, slow time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)
 		if id == "" {

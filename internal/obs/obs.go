@@ -1,18 +1,15 @@
 // Package obs is the operational observability core of the serving stack:
 // a dependency-free metrics registry (atomic counters, gauges, log-spaced
 // latency histograms), a request-scoped trace context with breadcrumbs,
-// and a leveled key=value structured logger. Every hot layer — the fsio
-// backends, the read-serving tier (internal/serve), and the cluster router
-// (internal/cluster) — registers its instrument families here, and the
+// and the HTTP middleware that logs slow requests. Every hot layer — the
+// fsio backends, the read-serving tier (internal/serve), and the cluster
+// router (internal/cluster) — registers its instrument families here, and the
 // HTTP front ends (cmd/sionserve, cmd/sionrouter) expose one registry per
 // process as Prometheus text exposition on GET /metrics.
 //
-// obs is deliberately distinct from internal/trace, which reproduces the
-// paper's *artifact*: the Scalasca-style event traces that §5.2 writes
-// through SIONlib are application data. obs, by contrast, measures the
-// serving system itself — cache hit rates, backend read latencies, retry
-// budgets — the way CkIO and TASIO instrument their I/O stacks to make
-// per-layer behavior credible.
+// obs measures the serving system itself — cache hit rates, backend read
+// latencies, retry budgets — the way CkIO and TASIO instrument their I/O
+// stacks to make per-layer behavior credible.
 //
 // Design constraints:
 //

@@ -230,61 +230,6 @@ func TestSpanConcurrent(t *testing.T) {
 	}
 }
 
-func TestLogger(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf)
-	l.Debug("hidden")
-	l.Info("served", "rank", 3, "bytes", 1024)
-	l.Error("boom", "err", `disk "full"`)
-	out := buf.String()
-	if strings.Contains(out, "hidden") {
-		t.Error("debug line emitted at info level")
-	}
-	if !strings.Contains(out, "info msg=served rank=3 bytes=1024") {
-		t.Errorf("info line malformed: %q", out)
-	}
-	if !strings.Contains(out, `err="disk \"full\""`) {
-		t.Errorf("error line quoting wrong: %q", out)
-	}
-
-	l.SetLevel(LevelDebug)
-	buf.Reset()
-	l.Debug("now visible")
-	if !strings.Contains(buf.String(), "debug msg=\"now visible\"") {
-		t.Errorf("debug line missing: %q", buf.String())
-	}
-}
-
-func TestLoggerHook(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf)
-	var mu sync.Mutex
-	var recs []Record
-	prev := l.SetHook(func(r Record) {
-		mu.Lock()
-		recs = append(recs, r)
-		mu.Unlock()
-	})
-	if prev != nil {
-		t.Fatal("unexpected previous hook")
-	}
-	l.Warn("careful", "k", "v")
-	if buf.Len() != 0 {
-		t.Fatalf("hooked logger still wrote: %q", buf.String())
-	}
-	if len(recs) != 1 || recs[0].Level != LevelWarn || recs[0].Msg != "careful" {
-		t.Fatalf("hook records = %+v", recs)
-	}
-	if len(recs[0].KV) != 2 || recs[0].KV[0] != "k" || recs[0].KV[1] != "v" {
-		t.Fatalf("hook KV = %+v", recs[0].KV)
-	}
-	l.SetHook(nil)
-	l.Info("back to writer")
-	if !strings.Contains(buf.String(), "back to writer") {
-		t.Fatal("writer output not restored after SetHook(nil)")
-	}
-}
-
 func TestConcurrentRegistryAndInstruments(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

@@ -78,20 +78,6 @@ func (s *Span) Get(crumb string) int64 {
 	return s.counts[crumb]
 }
 
-// Counts returns a copy of all breadcrumb counters.
-func (s *Span) Counts() map[string]int64 {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
-	}
-	return out
-}
-
 // String renders the trail as "crumb=n" pairs sorted by crumb name —
 // the slow-request log line body.
 func (s *Span) String() string {

@@ -3,9 +3,8 @@ package simfs
 // Profile parameterizes the simulated parallel file system. The two stock
 // profiles model the paper's test systems; every constant is calibrated so
 // the reproduced experiments match the paper's *shapes* (who wins, by what
-// factor, where saturation/crossover occurs), as documented in
-// EXPERIMENTS.md. Absolute times are model outputs, not hardware
-// measurements.
+// factor, where saturation/crossover occurs). Absolute times are model
+// outputs, not hardware measurements.
 type Profile struct {
 	Name string
 

@@ -151,10 +151,6 @@ func (p *Proc) AdvanceTo(t float64) {
 	<-p.run
 }
 
-// Yield reschedules the process at its current time, letting equal-time
-// processes with smaller ids (or earlier processes) run first.
-func (p *Proc) Yield() { p.AdvanceTo(p.now) }
-
 // Block suspends the process until another process calls Wake/WakeAt on it.
 // It returns the (possibly advanced) current time.
 func (p *Proc) Block() float64 {
