@@ -718,8 +718,8 @@ func TestSmallWriteDoesNotAllocate(t *testing.T) {
 		}
 		f.Close()
 
-		f, err = ParOpen(c, fsys, "async.sion", WriteMode, &Options{
-			ChunkSize: chunk, CollectorGroup: 2, AsyncCollective: true, AsyncFlushBytes: quantum,
+		f, err = ParOpen(c, fsys, "async.sion", WriteMode, &Options{ // flush unit = half a chunk
+			ChunkSize: 2 * quantum, FSBlockSize: 4 << 10, CollectorGroup: 2, AsyncCollective: true,
 		})
 		if err != nil {
 			t.Error(err)

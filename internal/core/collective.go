@@ -3,7 +3,6 @@ package sion
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/fsio"
 	"repro/internal/vtime"
@@ -24,14 +23,14 @@ import (
 //     mode): members buffer everything and ship one final frame at Close;
 //     the collector issues one large write per member region.
 //   - Asynchronous collective write (Options.AsyncCollective): members
-//     stage data in double buffers of Options.AsyncFlushBytes and ship
-//     each full buffer immediately (sends are eager, so members never
-//     stall). The collector flushes frames in the background — a flusher
-//     goroutine with a bounded queue in real mode, opportunistic
-//     arrival-time draining in simulated mode (the vtime engine runs one
-//     process at a time, so background progress is made whenever the
-//     collector itself enters Write/Flush) — overlapping member
-//     computation with file I/O. Errors are deferred to Flush/Close.
+//     stage data in double buffers of one flush unit (asyncFlushUnit) and
+//     ship each full buffer immediately (sends are eager, so members never
+//     stall). The collector is the only receiver of member frames: it
+//     takes those that have arrived at its own Write and Flush and the
+//     rest at Close, and hands every frame, its own included, to a
+//     flusher that writes in the background — a goroutine in real mode, a
+//     vtime worker in simulated mode — overlapping computation with file
+//     I/O. Errors are deferred to Flush/Close.
 //   - Collective read (CollectorGroup in read mode): at open, each member
 //     sends its chunk geometry to its collector, which issues one large
 //     read per member chunk region and scatters the concatenated logical
@@ -52,14 +51,28 @@ const (
 	tagCollRead = 4205 // read-side data (collector → member)
 )
 
-// asyncQueueDepth bounds the collector's local frame queue in real mode:
-// the collector's own Write backpressures once this many staging buffers
-// are waiting for the flusher.
+// asyncQueueDepth bounds the real-mode flusher's queue: the collector's
+// Write, Flush and Close backpressure once this many frames are waiting.
 const asyncQueueDepth = 4
 
-// asyncFlushCap bounds the auto-sized staging buffer (Options.AsyncFlushBytes
-// = 0): one chunk capacity, but never more than this.
+// asyncFlushCap bounds the async flush unit, and with it the memory in
+// flight per member.
 const asyncFlushCap = 4 << 20
+
+// asyncFlushUnit is the async staging-buffer (flush-unit) size: half a
+// chunk capacity rounded up to whole FS blocks, capped at asyncFlushCap
+// rounded likewise. Two flushes per chunk spread the collectors' traffic
+// across the compute phase instead of queueing it after the last record
+// (tab3's async-collective row); whole blocks keep every flush aligned,
+// and are whole parts on backends that report their part size as the FS
+// block.
+func asyncFlushUnit(capacity, fsblk int64) int64 {
+	q := (capacity + 1) / 2
+	if q > asyncFlushCap {
+		q = asyncFlushCap
+	}
+	return alignUp(q, fsblk)
+}
 
 // collFrame is one unit of member data in flight to its collector. Frames
 // carry the member's chunk arithmetic so the collector needs no per-member
@@ -115,21 +128,19 @@ type collState struct {
 	spare   []byte // double-buffer partner (members reuse; see collEmit)
 	shipped int64  // logical bytes already emitted as frames
 
-	// Collector-side flusher state.
-	queue  chan collFrame // real-mode bounded hand-off to the flusher
-	done   chan struct{}  // closed when the real-mode flusher exits
-	simf   *simFlusher    // sim-mode background flusher process
-	finals map[int]bool   // members whose final frame has been taken
-	mu     sync.Mutex     // guards ferr and applied (flusher vs. collector)
-	ferr   error          // first deferred write error
+	// Collector side.
+	flush  flusher      // applies every frame, the collector's own and its members'
+	finals map[int]bool // members whose final frame has been taken
+	mu     sync.Mutex   // guards ferr and applied (flusher vs. collector)
+	ferr   error        // first deferred write error
 
 	// Watermark progress (Options.Watermarks, collector only): per member
 	// local rank, logical bytes fully applied to the physical file and the
-	// member's chunk capacity (from its frames). Updated by whichever
-	// context applies frames (possibly the real-mode flusher goroutine),
-	// snapshotted under mu by collCommitWatermarks. wmTotals tracks the
-	// last committed totals so unchanged members skip cell writes; it is
-	// touched only by the collector's own Flush/Close path.
+	// member's chunk capacity (from its frames). Updated by the flusher
+	// (possibly on its own goroutine), snapshotted under mu by
+	// collCommitWatermarks. wmTotals tracks the last committed totals so
+	// unchanged members skip cell writes; it is touched only by the
+	// collector's own Flush/Close path.
 	applied  map[int]collProgress
 	wmTotals map[int]int64
 }
@@ -140,33 +151,136 @@ type collProgress struct {
 	capacity int64
 }
 
+// flusher applies a collector's frames to the physical file. put takes
+// ownership of fr.data (recycled once applied); finish returns once every
+// frame put is applied, and nothing is put after it. Write errors are
+// noted for the deferred status (collNote), never returned.
+type flusher interface {
+	put(fr collFrame)
+	finish()
+}
+
+// newFlusher picks the collector's flusher: inline in sync mode, a
+// goroutine in real mode, a vtime worker in simulated mode — inline again
+// when the simulated file system cannot host one.
+func (f *File) newFlusher(async bool) flusher {
+	if !async {
+		return inlineFlusher{f}
+	}
+	if f.lcomm.Proc() == nil {
+		return newGoFlusher(f)
+	}
+	if ws, ok := f.fsys.(workerSpawner); ok {
+		return newVtimeFlusher(f, ws)
+	}
+	return inlineFlusher{f}
+}
+
+// inlineFlusher applies each frame as it is put, on the collector.
+type inlineFlusher struct{ f *File }
+
+func (x inlineFlusher) put(fr collFrame) { x.f.collApply(x.f.fh, fr) }
+func (inlineFlusher) finish()            {}
+
+// goFlusher applies frames on a goroutine of its own (real mode); its
+// channel's depth bounds the frames waiting.
+type goFlusher struct {
+	frames chan collFrame
+	done   chan struct{}
+}
+
+func newGoFlusher(f *File) *goFlusher {
+	g := &goFlusher{make(chan collFrame, asyncQueueDepth), make(chan struct{})}
+	go func() {
+		defer close(g.done)
+		for fr := range g.frames {
+			f.collApply(f.fh, fr)
+		}
+	}()
+	return g
+}
+
+func (g *goFlusher) put(fr collFrame) { g.frames <- fr }
+func (g *goFlusher) finish()          { close(g.frames); <-g.done }
+
 // workerSpawner is implemented by file systems (simfs views) that can
 // host a background worker with its own cost-accounting context.
 type workerSpawner interface {
 	SpawnWorker(func(fsio.FileSystem, *vtime.Proc)) *vtime.Proc
 }
 
-// simFrame is a frame handed to the sim-mode flusher, stamped with the
-// virtual time of the hand-off (the flusher cannot write data before it
-// existed).
-type simFrame struct {
-	fr collFrame
-	at float64
+// vtimeFlusher is goFlusher's simulated-mode analog: a vtime worker with
+// its own clock and its own handle on the physical file, so collector
+// file I/O overlaps the collector's computation in virtual time. Frames
+// are stamped with the hand-off time (the worker cannot write data before
+// it existed). Its fields are exchanged under the vtime engine's one-
+// process-at-a-time execution.
+type vtimeFlusher struct {
+	owner, proc *vtime.Proc // the collector and the worker
+	frames      []collFrame
+	at          []float64 // hand-off time of each frame
+	closed      bool      // finish was called
+	waiting     bool      // worker is blocked on an empty queue
+	closeWait   bool      // owner is blocked in finish
+	finished    bool
 }
 
-// simFlusher is the simulated-mode analog of the real-mode flusher
-// goroutine: a vtime process spawned per collector that applies frames on
-// its own virtual clock, so collector file I/O overlaps the collector's
-// computation exactly as the background goroutine overlaps it on a real
-// machine. All fields are exchanged under the vtime engine's one-process-
-// at-a-time execution model.
-type simFlusher struct {
-	proc      *vtime.Proc
-	frames    []simFrame
-	closed    bool // no more frames will be enqueued
-	waiting   bool // flusher is blocked on an empty queue
-	closeWait bool // collector is blocked waiting for the flusher to finish
-	finished  bool
+func newVtimeFlusher(f *File, ws workerSpawner) *vtimeFlusher {
+	v := &vtimeFlusher{owner: f.lcomm.Proc()}
+	v.proc = ws.SpawnWorker(func(wfs fsio.FileSystem, p *vtime.Proc) { v.run(f, wfs, p) })
+	return v
+}
+
+func (v *vtimeFlusher) run(f *File, wfs fsio.FileSystem, p *vtime.Proc) {
+	fh, err := wfs.OpenRW(fileName(f.name, f.filenum))
+	if err != nil {
+		f.collNote(fmt.Errorf("sion: %s: async flusher open: %w", f.name, err))
+	}
+	for len(v.frames) > 0 || !v.closed {
+		if len(v.frames) == 0 {
+			v.waiting = true
+			p.Block()
+			continue
+		}
+		fr, at := v.frames[0], v.at[0]
+		v.frames, v.at = v.frames[1:], v.at[1:]
+		if at > p.Now() {
+			p.AdvanceTo(at)
+		}
+		if fh != nil {
+			f.collApply(fh, fr)
+		}
+	}
+	if fh != nil {
+		f.collNote(fh.Close())
+	}
+	v.finished = true
+	if v.closeWait {
+		p.WakeAt(v.owner, p.Now())
+	}
+}
+
+// wake resumes a worker blocked on an empty queue.
+func (v *vtimeFlusher) wake() {
+	if v.waiting {
+		v.waiting = false
+		v.owner.WakeAt(v.proc, v.owner.Now())
+	}
+}
+
+func (v *vtimeFlusher) put(fr collFrame) {
+	v.frames = append(v.frames, fr)
+	v.at = append(v.at, v.owner.Now())
+	v.wake()
+}
+
+func (v *vtimeFlusher) finish() {
+	v.closed = true
+	v.wake()
+	if !v.finished {
+		v.closeWait = true
+		v.owner.Block()
+	}
 }
 
 // collReadState serves a task's reads from the prefetched logical stream
@@ -187,7 +301,7 @@ func (f *File) Collective() (group int, collector bool) {
 
 // initCollective arms collective write mode on a freshly opened handle.
 // group is the resolved size scattered by the file master.
-func (f *File) initCollective(group int, async bool, flushBytes int64) {
+func (f *File) initCollective(group int, async bool) {
 	if group <= 1 || f.lcomm == nil {
 		return
 	}
@@ -198,13 +312,7 @@ func (f *File) initCollective(group int, async bool, flushBytes int64) {
 	f.collGroup = group
 	f.collLead = lrank == lead
 	if async {
-		c.quantum = flushBytes
-		if c.quantum == 0 {
-			c.quantum = f.geo.capacity(geoIndex)
-			if c.quantum > asyncFlushCap {
-				c.quantum = asyncFlushCap
-			}
-		}
+		c.quantum = asyncFlushUnit(f.geo.capacity(geoIndex), f.geo.fsblk)
 	}
 	if !f.collLead {
 		return
@@ -219,78 +327,12 @@ func (f *File) initCollective(group int, async bool, flushBytes int64) {
 	c.finals = make(map[int]bool, len(c.members))
 	c.applied = make(map[int]collProgress, len(c.members)+1)
 	c.wmTotals = make(map[int]int64, len(c.members)+1)
-	if async {
-		if f.lcomm.Proc() == nil {
-			// Real mode: background flusher goroutine per collector.
-			c.done = make(chan struct{})
-			c.queue = make(chan collFrame, asyncQueueDepth)
-			go f.collFlusher()
-		} else if ws, ok := f.fsys.(workerSpawner); ok {
-			// Simulated mode: background flusher process per collector,
-			// with its own clock and its own handle on the physical file,
-			// so flushes overlap the collector's compute time.
-			c.simf = &simFlusher{}
-			c.simf.proc = ws.SpawnWorker(func(wfs fsio.FileSystem, p *vtime.Proc) {
-				f.runSimFlusher(wfs, p)
-			})
-		}
-		// Otherwise (sim mode on a file system without worker support):
-		// frames are applied inline at emit/drain points.
-	}
-}
-
-// runSimFlusher is the body of the sim-mode background flusher process.
-func (f *File) runSimFlusher(wfs fsio.FileSystem, p *vtime.Proc) {
-	c := f.coll
-	sf := c.simf
-	fh, err := wfs.OpenRW(fileName(f.name, f.filenum))
-	if err != nil {
-		f.collNote(fmt.Errorf("sion: %s: async flusher open: %w", f.name, err))
-	}
-	for {
-		if len(sf.frames) == 0 {
-			if sf.closed {
-				break
-			}
-			sf.waiting = true
-			p.Block()
-			sf.waiting = false
-			continue
-		}
-		s := sf.frames[0]
-		sf.frames = sf.frames[1:]
-		if s.at > p.Now() {
-			p.AdvanceTo(s.at)
-		}
-		if fh != nil {
-			f.collApply(fh, s.fr)
-		}
-		stageBufs.Put(s.fr.data)
-	}
-	if fh != nil {
-		if cerr := fh.Close(); cerr != nil {
-			f.collNote(cerr)
-		}
-	}
-	sf.finished = true
-	if sf.closeWait {
-		p.WakeAt(f.lcomm.Proc(), p.Now())
-	}
-}
-
-// simEnqueue hands a frame to the sim-mode flusher, waking it if idle.
-func (f *File) simEnqueue(fr collFrame) {
-	sf := f.coll.simf
-	p := f.lcomm.Proc()
-	sf.frames = append(sf.frames, simFrame{fr: fr, at: p.Now()})
-	if sf.waiting {
-		sf.waiting = false
-		p.WakeAt(sf.proc, p.Now())
-	}
+	c.flush = f.newFlusher(async)
 }
 
 // collWrite buffers p (collective-mode Write path). In async mode, full
-// staging buffers are emitted as frames immediately.
+// staging buffers are emitted as frames immediately, and a collector
+// takes the member frames that have arrived.
 func (f *File) collWrite(p []byte) (int, error) {
 	c := f.coll
 	total := len(p)
@@ -307,15 +349,11 @@ func (f *File) collWrite(p []byte) (int, error) {
 		c.buf = append(c.buf, p[:w]...)
 		p = p[w:]
 		if int64(len(c.buf)) == c.quantum {
-			if err := f.collEmit(false); err != nil {
-				return total - len(p), err
-			}
+			f.collEmit(false)
 		}
 	}
-	// A collector in simulated mode makes background progress here: apply
-	// any member frames that have already arrived in virtual time.
-	if f.collLead && f.lcomm.Proc() != nil {
-		f.collDrainArrived()
+	if f.collLead {
+		f.collDrain()
 	}
 	return total, nil
 }
@@ -323,10 +361,10 @@ func (f *File) collWrite(p []byte) (int, error) {
 // collEmit ships the current staging buffer as one frame. Members hand the
 // buffer to mpi.Send (which copies), so the two staging buffers can be
 // swapped and reused — the double-buffering that lets a member keep
-// writing while its previous buffer is in flight. The collector's own
-// frames keep their backing array (the real-mode flusher writes from it
-// concurrently), so the collector starts a fresh staging buffer instead.
-func (f *File) collEmit(final bool) error {
+// writing while its previous buffer is in flight. The collector hands its
+// buffer to the flusher (which may write from it concurrently) and starts
+// a fresh one.
+func (f *File) collEmit(final bool) {
 	c := f.coll
 	fr := collFrame{
 		logicalOff: c.shipped,
@@ -338,52 +376,42 @@ func (f *File) collEmit(final bool) error {
 		data:       c.buf,
 	}
 	c.shipped += int64(len(c.buf))
-	if !f.collLead {
-		f.lcomm.Send(c.lead, tagCollData, fr.encode())
-		// Swap the staging buffers (on the first swap c.buf becomes nil,
-		// which append simply materializes on the next Write).
-		c.buf, c.spare = c.spare[:0], c.buf[:0]
-		return nil
-	}
-	if c.async && c.queue != nil { // real mode: bounded flusher queue
-		c.queue <- fr
-		c.buf = stageBufs.Get(c.quantum)[:0] // the flusher recycles fr.data
-		return nil
-	}
-	if c.async && c.simf != nil { // sim mode: background flusher process
-		f.simEnqueue(fr)
+	if f.collLead {
+		c.flush.put(fr)
 		c.buf = stageBufs.Get(c.quantum)[:0]
-		return nil
+		return
 	}
-	// Collector applying its own data inline (sync mode, or async without
-	// a background worker).
-	err := f.collApply(f.fh, fr)
-	c.buf = c.buf[:0]
-	return err
+	f.lcomm.Send(c.lead, tagCollData, fr.encode())
+	// Swap the staging buffers (on the first swap c.buf becomes nil,
+	// which append simply materializes on the next Write).
+	c.buf, c.spare = c.spare[:0], c.buf[:0]
 }
 
-// collApply writes one frame through the given handle and records the
+// collApply writes one frame through the given handle, records the
 // member's applied high-water mark (the basis of the collector's watermark
-// commits). Any write error is noted for the deferred status and returned.
-func (f *File) collApply(fh fsio.File, fr collFrame) error {
-	if err := applyCollFrame(fh, f.name, fr); err != nil {
+// commits) and recycles the frame's data. A write error is noted for the
+// deferred status.
+func (f *File) collApply(fh fsio.File, fr collFrame) {
+	err := applyCollFrame(fh, f.name, fr)
+	end := fr.logicalOff + int64(len(fr.data))
+	stageBufs.Put(fr.data)
+	if err != nil {
 		f.collNote(err)
-		return err
+		return
 	}
 	c := f.coll
 	c.mu.Lock()
 	pr := c.applied[int(fr.member)]
-	if end := fr.logicalOff + int64(len(fr.data)); end > pr.bytes {
+	if end > pr.bytes {
 		pr.bytes = end
 	}
 	pr.capacity = fr.capacity
 	c.applied[int(fr.member)] = pr
 	c.mu.Unlock()
-	return nil
 }
 
 // applyCollFrame writes one frame into its member's chunk series through
-// the given handle (the collector's own, or the sim flusher's).
+// the given handle (the collector's own, or the vtime flusher's).
 func applyCollFrame(fh fsio.File, name string, fr collFrame) error {
 	if fr.capacity <= 0 {
 		return fmt.Errorf("sion: %s: collective member chunk capacity %d", name, fr.capacity)
@@ -430,9 +458,7 @@ func (f *File) collErr() error {
 	return c.ferr
 }
 
-// collTake decodes one raw member frame and routes it to the active
-// flusher (sim worker) or applies it in place (sync mode, real-mode
-// flusher goroutine, or the no-worker fallback).
+// collTake decodes one raw member frame and hands it to the flusher.
 func (f *File) collTake(member int, raw []byte) {
 	fr, err := decodeCollFrame(raw)
 	if err != nil {
@@ -443,17 +469,12 @@ func (f *File) collTake(member int, raw []byte) {
 	if fr.final {
 		f.coll.finals[member] = true
 	}
-	if f.coll.simf != nil {
-		f.simEnqueue(fr)
-		return
-	}
-	f.collApply(f.fh, fr)
-	stageBufs.Put(fr.data)
+	f.coll.flush.put(fr)
 }
 
-// collDrainArrived applies every member frame that is already available
-// (sim mode: whose virtual arrival time has passed) without blocking.
-func (f *File) collDrainArrived() {
+// collDrain takes every member frame that has already arrived (in
+// simulated mode: whose virtual arrival time has passed) without blocking.
+func (f *File) collDrain() {
 	c := f.coll
 	for _, m := range c.members {
 		for !c.finals[m] {
@@ -466,90 +487,38 @@ func (f *File) collDrainArrived() {
 	}
 }
 
-// collFlusher is the real-mode background flusher: one goroutine per
-// collector consuming the bounded local queue and polling member frames.
-// When the queue is closed (Close), it drains the remaining member frames
-// with blocking receives and exits.
-func (f *File) collFlusher() {
-	c := f.coll
-	defer close(c.done)
-	idle := 0
-	for {
-		worked := false
-		select {
-		case fr, ok := <-c.queue:
-			if !ok {
-				for _, m := range c.members {
-					for !c.finals[m] {
-						f.collTake(m, f.lcomm.Recv(m, tagCollData))
-					}
-				}
-				return
-			}
-			f.collApply(f.fh, fr)
-			stageBufs.Put(fr.data)
-			worked = true
-		default:
-		}
-		for _, m := range c.members {
-			if c.finals[m] {
-				continue
-			}
-			if raw, ok := f.lcomm.TryRecv(m, tagCollData); ok {
-				f.collTake(m, raw)
-				worked = true
-			}
-		}
-		if worked {
-			idle = 0
-			continue
-		}
-		// Nothing to do: back off exponentially (20 µs … ~2.5 ms) so an
-		// idle flusher does not spin through mailbox locks during long
-		// compute phases between writes.
-		if idle < 7 {
-			idle++
-		}
-		time.Sleep(time.Duration(20<<idle) * time.Microsecond)
-	}
-}
-
 // collFlush implements Flush for collective write handles: async members
-// ship their partial staging buffer; async collectors additionally make
-// drain progress (sim mode) and surface any deferred error seen so far.
-// Synchronous collective mode moves data only at Close by design.
+// ship their partial staging buffer; async collectors additionally take
+// the member frames that have arrived and surface any deferred error seen
+// so far. Synchronous collective mode moves data only at Close by design.
 func (f *File) collFlush() error {
 	c := f.coll
 	if !c.async {
 		return nil
 	}
 	if len(c.buf) > 0 {
-		if err := f.collEmit(false); err != nil {
-			return err
-		}
+		f.collEmit(false)
 	}
-	if f.collLead {
-		if f.lcomm.Proc() != nil {
-			f.collDrainArrived()
-		}
-		return f.collErr()
+	if !f.collLead {
+		return nil
 	}
-	return nil
+	f.collDrain()
+	return f.collErr()
 }
 
 // collClose finishes the collective write exchange. Members ship their
-// final frame and wait for the collector's status; the collector drains
-// every member to its final frame, writes everything, and acknowledges.
-// All participants then derive their per-block byte counts locally (the
-// chunk layout is a pure function of the byte total), exactly matching
-// what a direct writer would have recorded.
+// final frame and wait for the collector's status; the collector emits
+// its own final frame, drains every member to its final frame, waits for
+// the flusher to apply everything, and acknowledges — a write error fails
+// the whole group, and the members are drained regardless so nobody
+// deadlocks. All participants derive their per-block byte counts locally
+// (the chunk layout is a pure function of the byte total), exactly
+// matching what a direct writer would have recorded.
 func (f *File) collClose() error {
 	c := f.coll
+	f.collEmit(true)
+	f.collFinishBytes(c.shipped)
 	if !f.collLead {
-		if err := f.collEmit(true); err != nil {
-			return err
-		}
-		f.collFinishBytes(c.shipped)
 		status := decodeInt64s(f.lcomm.Recv(c.lead, tagCollDone))[0]
 		c.releaseBufs()
 		if status != 0 {
@@ -557,57 +526,12 @@ func (f *File) collClose() error {
 		}
 		return nil
 	}
-
-	// Collector: finish own data, then drain the members.
-	switch {
-	case c.async && c.queue != nil:
-		// Real mode: push the final frame, close the queue, and let the
-		// flusher goroutine finish the member drain before exiting.
-		fr := collFrame{
-			logicalOff: c.shipped, final: true,
-			member:   int64(f.local),
-			chunk0:   f.geo.dataOff(geoIndex, 0),
-			capacity: f.geo.capacity(geoIndex),
-			stride:   f.geo.stride,
-			data:     c.buf,
-		}
-		c.shipped += int64(len(c.buf))
-		c.buf = nil // the frame owns the buffer now; the flusher recycles it
-		c.queue <- fr
-		close(c.queue)
-		<-c.done
-	case c.async && c.simf != nil:
-		// Sim mode: enqueue the final frame and the remaining member
-		// frames, then wait (in virtual time) for the flusher process.
-		f.collEmit(true)
-		for _, m := range c.members {
-			for !c.finals[m] {
-				f.collTake(m, f.lcomm.Recv(m, tagCollData))
-			}
-		}
-		sf := c.simf
-		sf.closed = true
-		p := f.lcomm.Proc()
-		if sf.waiting {
-			sf.waiting = false
-			p.WakeAt(sf.proc, p.Now())
-		}
-		if !sf.finished {
-			sf.closeWait = true
-			p.Block()
-		}
-	default:
-		// Inline apply (sync mode, or async without a worker); a write
-		// error is recorded by collEmit for the shared status, and the
-		// members are drained regardless so nobody deadlocks.
-		f.collEmit(true)
-		for _, m := range c.members {
-			for !c.finals[m] {
-				f.collTake(m, f.lcomm.Recv(m, tagCollData))
-			}
+	for _, m := range c.members {
+		for !c.finals[m] {
+			f.collTake(m, f.lcomm.Recv(m, tagCollData))
 		}
 	}
-	f.collFinishBytes(c.shipped)
+	c.flush.finish()
 	err := f.collErr()
 	status := []int64{0}
 	if err != nil {

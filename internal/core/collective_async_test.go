@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
@@ -14,27 +16,30 @@ import (
 
 func TestAsyncCollectiveRoundTrip(t *testing.T) {
 	for _, cfg := range []struct {
-		n, group, nfiles int
-		flush            int64
+		n, group, nfiles    int
+		chunk, fsblk, flush int64 // flush: the unit the geometry yields
 	}{
-		{8, 4, 1, 0},   // auto flush quantum (= chunk capacity)
-		{8, 3, 1, 64},  // tiny quantum: many frames per member
-		{9, 4, 2, 128}, // two physical files
-		{6, 6, 1, 256}, // one group spanning the whole file
-		{5, 2, 1, 96},  // odd group split
+		{8, 4, 1, 300, 256, 256}, // capacity 512: two frames per chunk
+		{8, 3, 1, 128, 64, 64},   // tiny unit: many frames per member
+		{9, 4, 2, 256, 128, 128}, // two physical files
+		{6, 6, 1, 400, 128, 256}, // one group spanning the whole file
+		{5, 2, 1, 160, 32, 96},   // odd group split; half of 160 rounds up
 	} {
 		cfg := cfg
 		t.Run(fmt.Sprintf("n=%d g=%d files=%d q=%d", cfg.n, cfg.group, cfg.nfiles, cfg.flush), func(t *testing.T) {
 			fsys := fsio.NewOS(t.TempDir())
+			base := runtime.NumGoroutine()
 			mpi.Run(cfg.n, func(c *mpi.Comm) {
 				f, err := ParOpen(c, fsys, "async.sion", WriteMode, &Options{
-					ChunkSize: 300, FSBlockSize: 256,
-					NFiles: cfg.nfiles, CollectorGroup: cfg.group,
-					AsyncCollective: true, AsyncFlushBytes: cfg.flush,
+					ChunkSize: cfg.chunk, FSBlockSize: cfg.fsblk,
+					NFiles: cfg.nfiles, CollectorGroup: cfg.group, AsyncCollective: true,
 				})
 				if err != nil {
 					t.Error(err)
 					return
+				}
+				if f.coll.quantum != cfg.flush {
+					t.Errorf("rank %d: flush unit %d, want %d", c.Rank(), f.coll.quantum, cfg.flush)
 				}
 				payload := rankPayload(c.Rank(), 1000+31*c.Rank())
 				for off := 0; off < len(payload); off += 217 {
@@ -69,6 +74,7 @@ func TestAsyncCollectiveRoundTrip(t *testing.T) {
 				}
 				r.Close()
 			})
+			waitGoroutines(t, base)
 			if err := Verify(fsys, "async.sion"); err != nil {
 				t.Fatal(err)
 			}
@@ -76,28 +82,52 @@ func TestAsyncCollectiveRoundTrip(t *testing.T) {
 	}
 }
 
-// An async-collective multifile must be byte-identical to direct and
-// synchronous-collective ones.
+// waitGoroutines fails t unless the goroutine count falls back to base
+// within a second: a real-mode async Close must stop its flusher.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines left after Close, want %d", runtime.NumGoroutine(), base)
+			return
+		}
+	}
+}
+
+// An async-collective multifile must be byte-identical to a direct one,
+// in real mode (flusher goroutine) and simulated mode (vtime worker; simfs
+// stores real bytes).
 func TestAsyncCollectiveEquivalentToDirect(t *testing.T) {
-	fsys := fsio.NewOS(t.TempDir())
 	const n = 6
-	write := func(name string, group int, async bool) {
-		mpi.Run(n, func(c *mpi.Comm) {
-			f, err := ParOpen(c, fsys, name, WriteMode, &Options{
-				ChunkSize: 200, FSBlockSize: 128, CollectorGroup: group,
-				AsyncCollective: async, AsyncFlushBytes: 64,
+	write := func(c *mpi.Comm, fsys fsio.FileSystem) {
+		for _, m := range []struct {
+			name  string
+			group int
+		}{{"direct.sion", 0}, {"async.sion", 3}} {
+			f, err := ParOpen(c, fsys, m.name, WriteMode, &Options{ // flush unit 64
+				ChunkSize: 128, FSBlockSize: 64, CollectorGroup: m.group, AsyncCollective: m.group > 0,
 			})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			f.Write(rankPayload(c.Rank(), 500))
+			payload := rankPayload(c.Rank(), 500)
+			for off := 0; off < len(payload); off += 90 {
+				c.Advance(1e-4) // compute between records (simulated mode)
+				f.Write(payload[off:min(off+90, len(payload))])
+			}
 			f.Close()
-		})
+		}
 	}
-	write("direct.sion", 0, false)
-	write("async.sion", 3, true)
-	mustEqualFiles(t, fsys, "direct.sion", "async.sion")
+	t.Run("real", func(t *testing.T) {
+		fsys := fsio.NewOS(t.TempDir())
+		mpi.Run(n, func(c *mpi.Comm) { write(c, fsys) })
+		mustEqualFiles(t, fsys, "direct.sion", "async.sion")
+	})
+	t.Run("sim", func(t *testing.T) {
+		fs := runSim(t, n, write)
+		mustEqualFiles(t, fs.View(0, nil), "direct.sion", "async.sion")
+	})
 }
 
 // mustEqualFiles asserts two multifile segments are byte-identical.
@@ -286,10 +316,10 @@ func TestAsyncCollectiveDeferredError(t *testing.T) {
 	const n = 4
 	var mu sync.Mutex
 	closeErrs := make(map[int]error)
+	base := runtime.NumGoroutine()
 	mpi.Run(n, func(c *mpi.Comm) {
-		f, err := ParOpen(c, ff, "fail.sion", WriteMode, &Options{
-			ChunkSize: 128, FSBlockSize: 64, CollectorGroup: 4,
-			AsyncCollective: true, AsyncFlushBytes: 32,
+		f, err := ParOpen(c, ff, "fail.sion", WriteMode, &Options{ // flush unit 32
+			ChunkSize: 64, FSBlockSize: 32, CollectorGroup: 4, AsyncCollective: true,
 		})
 		if err != nil {
 			t.Error(err)
@@ -305,6 +335,7 @@ func TestAsyncCollectiveDeferredError(t *testing.T) {
 		closeErrs[c.Rank()] = err
 		mu.Unlock()
 	})
+	waitGoroutines(t, base)
 	for r := 0; r < n; r++ {
 		if closeErrs[r] == nil {
 			t.Errorf("rank %d: Close returned nil, want deferred write error", r)
@@ -317,9 +348,8 @@ func TestAsyncCollectiveDeferredError(t *testing.T) {
 func TestAsyncCollectorFlushSurfacesError(t *testing.T) {
 	ff := &failFS{FileSystem: fsio.NewOS(t.TempDir())}
 	mpi.Run(1, func(c *mpi.Comm) {
-		f, err := ParOpen(c, ff, "flusherr.sion", WriteMode, &Options{
-			ChunkSize: 128, FSBlockSize: 64, CollectorGroup: 2,
-			AsyncCollective: true, AsyncFlushBytes: 32,
+		f, err := ParOpen(c, ff, "flusherr.sion", WriteMode, &Options{ // flush unit 32
+			ChunkSize: 64, FSBlockSize: 32, CollectorGroup: 2, AsyncCollective: true,
 		})
 		if err != nil {
 			t.Error(err)

@@ -102,21 +102,16 @@ type Options struct {
 
 	// AsyncCollective upgrades collective write mode to double-buffered
 	// asynchronous flushing: instead of holding all data until Close, a
-	// member hands full staging buffers to its collector as it writes, and
-	// the collector flushes them in the background (a flusher goroutine
-	// per collector with a bounded queue in real mode; arrival-time-
-	// ordered opportunistic draining in simulated mode), overlapping
-	// computation with file I/O. Write errors detected by the flusher are
-	// deferred and surfaced by Flush (collector-local) and Close (all
-	// group members). Requires CollectorGroup != 0; ignored in read mode
-	// (collective reads always complete at open).
+	// member hands each full staging buffer (half a chunk capacity rounded
+	// up to whole FS blocks, at most a few MiB) to its collector as it
+	// writes. The collector takes the frames that have arrived at its own
+	// Write and Flush and the rest at Close, and a background flusher (a
+	// goroutine in real mode, a vtime worker in simulated mode) writes
+	// them, overlapping computation with file I/O. Write errors detected
+	// by the flusher are deferred and surfaced by Flush (collector-local)
+	// and Close (all group members). Requires CollectorGroup != 0; ignored
+	// in read mode (collective reads always complete at open).
 	AsyncCollective bool
-
-	// AsyncFlushBytes is the staging-buffer (flush-unit) size for
-	// AsyncCollective. 0 picks one chunk capacity (which is always a
-	// whole number of FS blocks), capped at asyncFlushCap to bound the
-	// memory in flight per member.
-	AsyncFlushBytes int64
 
 	// Watermarks makes writers publish per-rank chunk-commit watermarks
 	// into a per-segment sidecar file ("<segment>.wmk", see watermark.go):
@@ -206,8 +201,6 @@ func autoCollectorGroup(ntasksLocal int, avgAligned, fsblk int64) int {
 //     such a backend reports its part size as the FS block size, the
 //     auto-sized buffer is part-aligned. BufferOff is the explicit
 //     opt-out that keeps staging disabled on any backend.
-//   - An explicit AsyncFlushBytes rounds up to whole parts so the
-//     collective flush unit never commits a partial part.
 func (o *Options) withDefaults(ntasks int, caps fsio.Capabilities) (Options, error) {
 	var out Options
 	if o != nil {
@@ -234,19 +227,11 @@ func (o *Options) withDefaults(ntasks int, caps fsio.Capabilities) (Options, err
 	if out.AsyncCollective && (out.CollectorGroup == 0 || out.CollectorGroup == 1) {
 		return out, fmt.Errorf("sion: AsyncCollective requires CollectorGroup (set it > 1 or CollectorAuto)")
 	}
-	if out.AsyncFlushBytes < 0 {
-		return out, fmt.Errorf("sion: negative AsyncFlushBytes %d", out.AsyncFlushBytes)
-	}
 	if out.BufferSize < BufferOff {
 		return out, fmt.Errorf("sion: BufferSize %d (use 0 for the backend default, BufferOff to disable, a positive size, or BufferAuto)", out.BufferSize)
 	}
-	if caps.PartSizeFloor > 0 {
-		if out.BufferSize == 0 {
-			out.BufferSize = BufferAuto
-		}
-		if out.AsyncFlushBytes > 0 {
-			out.AsyncFlushBytes = alignUp(out.AsyncFlushBytes, caps.PartSizeFloor)
-		}
+	if caps.PartSizeFloor > 0 && out.BufferSize == 0 {
+		out.BufferSize = BufferAuto
 	}
 	if out.BufferSize == BufferOff {
 		out.BufferSize = 0

@@ -85,7 +85,6 @@ func TestWithDefaultsClamping(t *testing.T) {
 		{"collector-below-auto", &Options{CollectorGroup: -2}, 4, 0, true},
 		{"collector-with-chunk-headers", &Options{CollectorGroup: 2, ChunkHeaders: true}, 4, 0, true},
 		{"async-without-collector", &Options{AsyncCollective: true}, 4, 0, true},
-		{"negative-flush", &Options{CollectorGroup: 2, AsyncCollective: true, AsyncFlushBytes: -1}, 4, 0, true},
 		{"buffer-off-accepted", &Options{BufferSize: BufferOff}, 4, 1, false},
 		{"buffer-below-off", &Options{BufferSize: -3}, 4, 0, true},
 	}
@@ -112,9 +111,9 @@ func TestWithDefaultsClamping(t *testing.T) {
 }
 
 // TestWithDefaultsCapabilityTuning pins the backend-aware geometry
-// auto-tuning: a multipart descriptor turns staging on by default,
-// rounds the collective flush unit to whole parts, and spreads the
-// physical files to the backend's write fanout — while the zero
+// auto-tuning: a multipart descriptor turns staging on by default and
+// spreads the physical files to the backend's write fanout, and the
+// collective flush unit comes out whole parts — while the zero
 // (POSIX-ish) descriptor reproduces the historical defaults exactly.
 func TestWithDefaultsCapabilityTuning(t *testing.T) {
 	objCaps := fsio.Capabilities{
@@ -165,10 +164,13 @@ func TestWithDefaultsCapabilityTuning(t *testing.T) {
 		t.Errorf("explicit BufferSize resolved to %d, want 4096", o.BufferSize)
 	}
 
-	// Explicit flush units round up to whole parts.
-	o, _ = (&Options{ChunkSize: 64, CollectorGroup: 4, AsyncCollective: true,
-		AsyncFlushBytes: 100}).withDefaults(32, objCaps)
-	if o.AsyncFlushBytes != 1<<20 {
-		t.Errorf("AsyncFlushBytes = %d, want one part (%d)", o.AsyncFlushBytes, 1<<20)
+	// The collective flush unit is whole parts: the backend reports its
+	// part size as the FS block, and chunk capacities are whole blocks.
+	part := objCaps.PartSizeFloor
+	for _, blocks := range []int64{1, 3, 8, 64} {
+		q := asyncFlushUnit(blocks*part, part)
+		if q <= 0 || q%part != 0 || q > alignUp(asyncFlushCap, part) {
+			t.Errorf("flush unit of a %d-part chunk = %d, want whole parts ≤ asyncFlushCap", blocks, q)
+		}
 	}
 }

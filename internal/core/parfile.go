@@ -297,7 +297,7 @@ func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Optio
 	if err := f.enterBlock(0); err != nil {
 		return nil, err
 	}
-	f.initCollective(group, o.AsyncCollective, o.AsyncFlushBytes)
+	f.initCollective(group, o.AsyncCollective)
 	f.initStaging(o.BufferSize)
 	return f, nil
 }

@@ -119,6 +119,8 @@ func TestPropertyRoundTripModes(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			group = CollectorAuto
 		}
+		// q > 0: async writers Flush every q bytes, so frames far smaller
+		// than the flush unit (half a chunk) reach the collectors.
 		flush := int64(0)
 		if rng.Intn(2) == 0 {
 			flush = int64(32 + rng.Intn(256))
@@ -151,8 +153,7 @@ func TestPropertyRoundTripModes(t *testing.T) {
 					f, err := ParOpen(c, fsys, file, WriteMode, &Options{
 						ChunkSize: chunk, FSBlockSize: fsblk, NFiles: nfiles,
 						Mapping: m.fn, CollectorGroup: g,
-						AsyncCollective: async, AsyncFlushBytes: flush,
-						BufferSize: buf,
+						AsyncCollective: async, BufferSize: buf,
 					})
 					if err != nil {
 						t.Error(err)
@@ -163,8 +164,12 @@ func TestPropertyRoundTripModes(t *testing.T) {
 					// with Flush interleaved so partial staging buffers hit
 					// the file mid-stream.
 					prng := rand.New(rand.NewSource(int64(1000*iter + c.Rank())))
+					every := async && flush > 0
 					for off := 0; off < len(payload); {
 						end := off + 1 + prng.Intn(2*int(chunk))
+						if every && end > off+int(flush) {
+							end = off + int(flush)
+						}
 						if end > len(payload) {
 							end = len(payload)
 						}
@@ -172,7 +177,7 @@ func TestPropertyRoundTripModes(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						if prng.Intn(3) == 0 {
+						if prng.Intn(3) == 0 || every {
 							if err := f.Flush(); err != nil {
 								t.Error(err)
 								return

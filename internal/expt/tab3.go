@@ -30,6 +30,10 @@ import (
 //     stream full staging buffers to their collector
 //     during the compute phase, so collector writes
 //     overlap computation instead of queueing after it.
+//     Staging buffers are half a chunk (core's flush
+//     unit): four flushes per member spread the
+//     collectors' shared-link traffic across the compute
+//     phase, which is where the async win comes from.
 //
 // The workload is a small-record emitter (tab3Record bytes per call, the
 // Fig. 6 checkpoint regime where per-request latency dominates), with
@@ -41,11 +45,6 @@ const (
 	tab3BlocksN = 2              // chunks (blocks) of data per task
 	tab3Record  = 128            // bytes per write/read call
 	tab3Compute = 20e-6          // seconds of computation per record
-	// Async staging buffers are half a chunk: four flushes per member
-	// spread the collectors' shared-link traffic across the compute phase
-	// instead of queueing it all after the last record, which is where
-	// the async mode's wall-time win comes from.
-	tab3FlushBytes = tab3Chunk / 2
 )
 
 // tab3Profile is Jugene with 64 KiB file-system blocks: small-chunk
@@ -69,8 +68,7 @@ func tab3Mode(ntasks, group int, async bool) (writeT, readT float64, wst, rst si
 	simRun(fs, ntasks, func(c *mpi.Comm, v fsio.FileSystem) {
 		t0 := syncStart(c)
 		f, err := sion.ParOpen(c, v, "tab3.sion", sion.WriteMode, &sion.Options{
-			ChunkSize: tab3Chunk, CollectorGroup: group,
-			AsyncCollective: async, AsyncFlushBytes: tab3FlushBytes,
+			ChunkSize: tab3Chunk, CollectorGroup: group, AsyncCollective: async,
 		})
 		if err != nil {
 			panic(err)

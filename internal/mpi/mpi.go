@@ -228,34 +228,24 @@ func (c *Comm) Send(to, tag int, data []byte) {
 	dst := c.w.boxes[c.group[to]]
 	key := msgKey{c.cid, c.group[c.rank], tag}
 	m := message{data: buf}
-
-	if c.w.sim {
-		p := c.Proc()
+	p := c.Proc()
+	if p != nil {
 		m.arrival = p.Now() + c.w.cost.Transfer(len(data))
 		// Sender-side overhead: the latency portion occupies the sender.
 		p.Advance(c.w.cost.Latency)
-		dst.mu.Lock()
-		if dst.waiting && dst.waitKey == key {
-			dst.waiting = false
-			dst.waitCh <- m
-			dst.mu.Unlock()
-			p.WakeAt(dst.proc, m.arrival)
-			return
-		}
-		dst.queue[key] = append(dst.queue[key], m)
-		dst.mu.Unlock()
-		return
 	}
-
 	dst.mu.Lock()
-	if dst.waiting && dst.waitKey == key {
+	handoff := dst.waiting && dst.waitKey == key
+	if handoff {
 		dst.waiting = false
 		dst.waitCh <- m
-		dst.mu.Unlock()
-		return
+	} else {
+		dst.queue[key] = append(dst.queue[key], m)
 	}
-	dst.queue[key] = append(dst.queue[key], m)
 	dst.mu.Unlock()
+	if handoff && p != nil {
+		p.WakeAt(dst.proc, m.arrival)
+	}
 }
 
 // Recv blocks until a message from rank `from` with the given tag arrives
@@ -314,9 +304,10 @@ func (c *Comm) Recv(from, tag int) []byte {
 // receive-side latency is charged only on success; an empty probe is free.
 //
 // Sends are eager and buffered (Send never blocks), so Send+TryRecv
-// together provide the overlap of MPI_Isend/MPI_Irecv: the async
-// collective flusher of internal/core polls member data with TryRecv
-// while computation proceeds.
+// together provide the overlap of MPI_Isend/MPI_Irecv: an async
+// collector of internal/core takes the member frames that have arrived
+// with TryRecv whenever it enters Write or Flush, and blocks in Recv only
+// at Close.
 func (c *Comm) TryRecv(from, tag int) ([]byte, bool) {
 	if from < 0 || from >= len(c.group) {
 		panic(fmt.Sprintf("mpi: TryRecv from invalid rank %d (size %d)", from, len(c.group)))

@@ -300,11 +300,11 @@ var _ fsio.FileSystem = (*View)(nil)
 // SpawnWorker starts a background worker process at the view's current
 // virtual time, bound to the same task (and therefore the same client
 // link) but carrying its own virtual clock, and returns that process.
-// The async collective flusher of internal/core runs on such a worker:
-// it is the discrete-event analog of the real-mode flusher goroutine, so
-// collector file I/O genuinely overlaps the collector's computation in
-// simulated time while every byte is still metered through the task's
-// client link and the shared servers.
+// An async collector of internal/core hands its frames to such a worker
+// (its vtimeFlusher), the discrete-event analog of the real-mode flusher
+// goroutine, so collector file I/O genuinely overlaps the collector's
+// computation in simulated time while every byte is still metered
+// through the task's client link and the shared servers.
 func (v *View) SpawnWorker(body func(fs fsio.FileSystem, p *vtime.Proc)) *vtime.Proc {
 	fs, task := v.fs, v.task
 	return v.proc.Engine().Spawn(v.proc.Now(), func(p *vtime.Proc) {
