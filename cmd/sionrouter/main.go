@@ -116,8 +116,8 @@ func main() {
 		}
 	}()
 
-	fmt.Printf("sionrouter: serving %s (%d ranks, %d nodes) on %s\n",
-		rt.name, rt.c.Layout().NTasks(), *nodes, fl.Addr)
+	fmt.Printf("sionrouter: serving %s (%d ranks, %d nodes, %d-byte cache blocks) on %s\n",
+		rt.name, rt.c.Layout().NTasks(), *nodes, rt.c.BlockBytes(), fl.Addr)
 	if err := rt.api.Run(ctx, "sionrouter", fl.Addr); err != nil {
 		fmt.Fprintln(os.Stderr, "sionrouter:", err)
 		os.Exit(1)

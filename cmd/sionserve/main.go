@@ -58,8 +58,8 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("sionserve: serving %s (%d ranks, %d physical files) on %s\n",
-		flag.Arg(0), srv.Layout().NTasks(), srv.Layout().NumFiles(), fl.Addr)
+	fmt.Printf("sionserve: serving %s (%d ranks, %d physical files, %d-byte cache blocks) on %s\n",
+		flag.Arg(0), srv.Layout().NTasks(), srv.Layout().NumFiles(), srv.BlockBytes(), fl.Addr)
 	if err := httpapi.ForServer(srv, fl).Run(ctx, "sionserve", fl.Addr); err != nil {
 		fmt.Fprintln(os.Stderr, "sionserve:", err)
 		os.Exit(1)

@@ -291,7 +291,7 @@ func TestRouteHotRunsSplitAndRotateTogether(t *testing.T) {
 	fsys := fsio.NewOS(dir)
 	writeMultifile(t, fsys, "h.sion", 8)
 	cl := startCluster(t, &Config{VNodes: 16, ReplicateHot: 2, HotMinHits: 4}, 3, "h.sion",
-		func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+		func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache, BlockBytes: testBlock}) // hot set counted in FS blocks
 	phys := physFile(t, dir, cl, 0)
 
 	// Blocks 2..5 of a 16-block window get hot; the rest of it is read once.

@@ -76,9 +76,9 @@ func tab8Budget(attempts int) *resil.Budget {
 }
 
 // tab8Dump is a clean (un-injected) tab3 machine holding the multifile the
-// serve phases read, watermark-free. The in-file layout uses tab8FSBlk so
-// the client windows land on many distinct cache blocks even at test
-// scale.
+// serve phases read, watermark-free. The in-file layout uses tab8FSBlk, and
+// the serve phases pin it as their cache block, so the client windows land
+// on many distinct cache blocks even at test scale.
 func tab8Dump(nwriters int) *simfs.FS {
 	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab8"))
 	writeDump(fs, nwriters, "tab8.sion", &sion.Options{
@@ -99,6 +99,7 @@ func tab8ServeStorm(nwriters, nclients, attempts int, inject bool) (requests, ok
 	fl.SetEnabled(false) // the metadata load in New is not under the retry path
 	srv, err := serve.New(fl.Wrap(fs.View(nwriters, nil), nil), "tab8.sion", &serve.Config{
 		CacheBytes:       1 << 20,
+		BlockBytes:       tab8FSBlk, // tab8ReadLen is one cache block
 		Retry:            tab8Budget(attempts),
 		BreakerThreshold: -1,
 	})
@@ -223,6 +224,7 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: tab8Seed + 2}) // windows only
 	srv, err := serve.New(fl.Wrap(fs.View(nwriters, nil), nil), "tab8.sion", &serve.Config{
 		CacheBytes:       1 << 20,
+		BlockBytes:       tab8FSBlk, // the storm phases' geometry
 		Retry:            tab8Budget(2),
 		BreakerThreshold: tab8Threshold,
 		BreakerCooldown:  tab8Cooldown,

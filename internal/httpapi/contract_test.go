@@ -266,6 +266,10 @@ func eachBackend(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *f
 			} else {
 				writeData(t, osfs)
 			}
+			lay, err := sion.LoadLayout(osfs, name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			reg := obs.NewRegistry()
 			flaky := simfs.NewFlaky(simfs.FlakyConfig{Seed: 404})
 			gate := &gateFS{
@@ -274,6 +278,9 @@ func eachBackend(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *f
 				open:       make(chan struct{}),
 			}
 			f := b.mount(t, gate, name, reg, serve.Config{
+				// One cache block per FS block: a block of rank B's then holds
+				// none of rank A's bytes (TestKeyIndexBuildsPerRank).
+				BlockBytes:       lay.FSBlockSize(),
 				Retry:            &resil.Budget{MaxAttempts: 1, Sleep: func(time.Duration) {}},
 				BreakerThreshold: 2,
 				BreakerCooldown:  3,

@@ -68,7 +68,8 @@ func TestFetchPerSpanErrors(t *testing.T) {
 	ffs := &rangeFaultFS{FileSystem: inner}
 	s, err := New(ffs, "e.sion", &Config{
 		CacheBytes: 1 << 20,
-		MaxSpanGap: -1, // merge only adjacent blocks: distinct blocks = distinct spans
+		BlockBytes: 256, // the FS block: blocks 0, 4 and 8 lie inside physical file 0
+		MaxSpanGap: -1,  // merge only adjacent blocks: distinct blocks = distinct spans
 		Retry:      &resil.Budget{MaxAttempts: 1},
 	})
 	if err != nil {

@@ -93,6 +93,7 @@ func TestSequentialReadSequenceIsGolden(t *testing.T) {
 	rec := &recordFS{FileSystem: inner, caps: fsio.Capabilities{MaxReadBytes: 2048}, sum: sha256.New()}
 	s, err := New(rec, "g.sion", &Config{
 		CacheBytes: 16 << 10, // 64 blocks of 256 B against ~1300 on disk
+		BlockBytes: 256,      // the FS block: the geometry the golden was recorded with
 		Shards:     4,
 		MaxSpanGap: 512, // bridge up to two resident blocks, split at three
 		Retry:      &resil.Budget{MaxAttempts: 1},

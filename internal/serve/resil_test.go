@@ -96,6 +96,7 @@ func TestServeBreakerDegradesAndRecovers(t *testing.T) {
 	const threshold, cooldown = 3, 5
 	s, err := New(fl.Wrap(fsys, nil), "s.sion", &Config{
 		CacheBytes:       1 << 20,
+		BlockBytes:       256, // the FS block: rank 0's warm blocks hold none of rank 1's bytes
 		Retry:            noRealSleep(2),
 		BreakerThreshold: threshold,
 		BreakerCooldown:  cooldown,

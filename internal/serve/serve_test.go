@@ -333,6 +333,33 @@ func TestServeSeekWhence(t *testing.T) {
 	}
 }
 
+// TestResolveConfigBlockRule pins the default cache block: the smallest
+// multiple of the FS block that is at least minCacheBlock, so FS blocks of
+// 16 KiB or more are kept as they are. An explicit BlockBytes wins, and
+// the shard count still halves until every shard holds one block.
+func TestResolveConfigBlockRule(t *testing.T) {
+	for _, tc := range []struct {
+		fsblk, cfgBlock, want int64
+	}{
+		{256, 0, 16 << 10},
+		{4 << 10, 0, 16 << 10},
+		{6 << 10, 0, 18 << 10},
+		{16 << 10, 0, 16 << 10},
+		{64 << 10, 0, 64 << 10},
+		{2 << 20, 0, 2 << 20},
+		{4 << 10, 4 << 10, 4 << 10},
+		{256, 1000, 1000},
+	} {
+		c := resolveConfig(&Config{BlockBytes: tc.cfgBlock}, tc.fsblk, fsio.Capabilities{})
+		if c.BlockBytes != tc.want {
+			t.Errorf("FS block %d, BlockBytes %d: cache block %d, want %d", tc.fsblk, tc.cfgBlock, c.BlockBytes, tc.want)
+		}
+	}
+	if c := resolveConfig(&Config{CacheBytes: 64 << 10}, 4<<10, fsio.Capabilities{}); c.Shards != 4 {
+		t.Errorf("64 KiB budget of 16 KiB blocks split into %d shards, want 4", c.Shards)
+	}
+}
+
 // TestServeZeroLengthReadTouchesNothing: an empty read covers no block,
 // so at any offset it counts no hit or miss and issues no backend read.
 func TestServeZeroLengthReadTouchesNothing(t *testing.T) {

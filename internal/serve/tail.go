@@ -13,9 +13,11 @@ import (
 // ever serves bytes below each rank's committed watermark, so clients
 // never observe torn records. Cache discipline is the crux:
 //
-//   - Cache blocks are forced to the multifile's FS block size. Chunks
-//     are FS-block-aligned (paper §3.1), so no cache block ever straddles
-//     two ranks' data.
+//   - Cache blocks are forced to the multifile's FS block size, not
+//     New's 16 KiB floor (minCacheBlock). Chunks are FS-block-aligned
+//     (paper §3.1), so no cache block ever straddles two ranks' data; a
+//     larger block could, and caching it below one rank's watermark would
+//     cache its neighbour's uncommitted bytes.
 //   - Bytes in blocks that lie wholly below a rank's committed frontier
 //     are immutable (the writer only appends past the watermark) and go
 //     through the ordinary block cache.

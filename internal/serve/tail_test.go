@@ -263,6 +263,45 @@ func TestServeTailAlignedCommitKeepsCache(t *testing.T) {
 	}
 }
 
+// TestServeTailForcesFSBlock: NewTail ignores cfg.BlockBytes and caches in
+// FS blocks. On a live multifile a rank's committed bytes end inside its
+// chunk while the next rank keeps appending to its own; a 64 KiB block here
+// would span both ranks' 1 KiB chunks, so caching a block below rank 0's
+// watermark would also cache rank 1's uncommitted bytes. Only FS blocks,
+// to which chunks are aligned (paper §3.1), never straddle two ranks.
+func TestServeTailForcesFSBlock(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	const fsblk = 256
+	mpi.Run(2, func(c *mpi.Comm) {
+		f, err := sion.ParOpen(c, fsys, "b.sion", sion.WriteMode, &sion.Options{
+			ChunkSize: 1024, FSBlockSize: fsblk, Watermarks: true,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.Write(testPayload(c.Rank(), 700)); err != nil {
+			t.Error(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	// The rule does not depend on liveness, so the finished multifile
+	// (which NewTail also accepts) stands in for a live one.
+	s, err := NewTail(fsys, "b.sion", &Config{CacheBytes: 1 << 20, BlockBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.BlockBytes(); got != fsblk {
+		t.Fatalf("tail server caches %d-byte blocks, want the %d-byte FS block", got, fsblk)
+	}
+}
+
 // TestServeTailFollowBlocksUntilData exercises Follow's poll loop: a
 // reader blocked at the watermark resumes when the writer commits more.
 func TestServeTailFollowBlocksUntilData(t *testing.T) {
