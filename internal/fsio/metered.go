@@ -178,6 +178,16 @@ func (f *meteredFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
+// ReadvAt keeps the backend's vectored read visible through the meter:
+// one read op and its bytes per call, like ReadAt.
+func (f *meteredFile) ReadvAt(bufs [][]byte, off int64) (int, error) {
+	start := f.m.begin(opRead)
+	n, err := ReadvAt(f.inner, bufs, off)
+	f.m.bytes[opRead].Add(int64(n))
+	f.m.done(opRead, start, err)
+	return n, err
+}
+
 func (f *meteredFile) WriteAt(p []byte, off int64) (int, error) {
 	start := f.m.begin(opWrite)
 	n, err := f.inner.WriteAt(p, off)

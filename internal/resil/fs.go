@@ -114,6 +114,18 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
+// ReadvAt keeps the backend's vectored read visible through the decorator:
+// each call is one retried operation, like ReadAt.
+func (f *file) ReadvAt(bufs [][]byte, off int64) (int, error) {
+	var n int
+	err := Do(f.fs.b, f.fs.ctrs, func() error {
+		var e error
+		n, e = fsio.ReadvAt(f.inner, bufs, off)
+		return e
+	})
+	return n, err
+}
+
 func (f *file) WriteAt(p []byte, off int64) (int, error) {
 	var n int
 	err := Do(f.fs.b, f.fs.ctrs, func() error {

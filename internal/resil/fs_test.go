@@ -108,6 +108,41 @@ func TestFSGivesUpUnderOutage(t *testing.T) {
 	}
 }
 
+// TestFSVectoredReadIsOneRetriedOp: a resilient file forwards ReadvAt as one
+// operation under the budget. The flaky lab has no vectored read, so the
+// call reaches its ReadAt through fsio.ReadvAt's fallback, where the
+// injected faults fire and are absorbed.
+func TestFSVectoredReadIsOneRetriedOp(t *testing.T) {
+	sim := simfs.New(simfs.Jugene())
+	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: 3})
+	var ctrs Counters
+	rfs := Wrap(fl.Wrap(sim.View(0, nil), nil), noSleep(4), &ctrs)
+	payload := bytes.Repeat([]byte("vectored"), 100)
+	f, err := rfs.Create("v")
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if _, err := f.WriteAt(payload, 0); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	if _, ok := f.(fsio.VectorReaderAt); !ok {
+		t.Fatal("the resilient file hides ReadvAt")
+	}
+	next := fl.FileOps("v")
+	fl.FailWindow("v", next, next+2) // the next two attempts fail
+	before := ctrs.Snapshot()
+	bufs := [][]byte{make([]byte, 300), make([]byte, 500)}
+	if n, err := fsio.ReadvAt(f, bufs, 0); n != 800 || err != nil {
+		t.Fatalf("ReadvAt = (%d, %v), want (800, nil)", n, err)
+	}
+	if !bytes.Equal(append(bufs[0], bufs[1]...), payload) {
+		t.Fatal("ReadvAt bytes differ")
+	}
+	if got := ctrs.Snapshot(); got.Ops-before.Ops != 1 || got.Retries-before.Retries != 2 {
+		t.Fatalf("one ReadvAt over two faults: %+v -> %+v, want 1 op and 2 retries", before, got)
+	}
+}
+
 // TestFSZeroOverheadPath: with no injection every op succeeds first try and
 // the retry counters stay zero — the overhead guard tab8 also asserts.
 func TestFSZeroOverheadPath(t *testing.T) {

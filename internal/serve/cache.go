@@ -16,13 +16,15 @@ import (
 // to the same shard.
 //
 // The cache owns its memory: an entry and its frame are allocated when a
-// shard first needs them and recycled from then on — a put on a full shard
-// evicts the LRU tail and copies into the frame just vacated, so the steady
-// state allocates nothing. Because frames are rewritten, no slice aliasing
-// one leaves this file: readers get bytes copied out (copyOut), writers
-// theirs copied in (put). The copy-out runs outside the shard lock (under
-// it, two readers meeting on a shard cost serve-hot 9 %) with the entry
-// pinned; a put that finds its slot pinned leaves that frame to its readers.
+// shard first needs them and recycled from then on, so the steady state
+// allocates nothing. A block enters in two steps: reserve evicts the LRU
+// tail to make room and hands the miss path the slot just vacated, a
+// private frame it reads the backend straight into; commit then publishes
+// it (abort gives it back). Because frames are rewritten, no published
+// frame leaves this file: readers get bytes copied out (copyOut). The
+// copy-out runs outside the shard lock (under it, two readers meeting on a
+// shard cost serve-hot 9 %) with the entry pinned; a reservation that
+// finds its slot pinned leaves that frame to its readers.
 
 // blockKey identifies one cache block.
 type blockKey struct {
@@ -37,8 +39,9 @@ func (k blockKey) hash() uint64 {
 	return uint64(k.file)*0x9e3779b97f4a7c15 ^ uint64(k.block)*0xbf58476d1ce4e5b9>>17 ^ uint64(k.block)
 }
 
-// cacheEntry is one slot of a shard: a resident block on the LRU list, or
-// a vacated slot (frame kept) on the free list, chained through next.
+// cacheEntry is one slot of a shard: a resident block on the LRU list, a
+// reservation being filled (on neither list), or a vacated slot (frame
+// kept) on the free list, chained through next.
 type cacheEntry struct {
 	key        blockKey
 	data       []byte       // the frame; len is the resident block's length
@@ -52,7 +55,7 @@ type cacheShard struct {
 	items map[blockKey]*cacheEntry // resident blocks
 	lru   cacheEntry               // list sentinel: next = most recently used, prev = next victim
 	free  *cacheEntry              // vacated slots
-	bytes int64
+	bytes int64                    // resident and reserved
 	// evictions is the shard's serve_cache_evictions_total instrument
 	// (the Server installs it; nil, as in a bare cache, counts nothing).
 	evictions *obs.Counter
@@ -143,49 +146,75 @@ func (c *blockCache) copyOut(si int, k blockKey, dst []byte, from int64) bool {
 		s.mu.Unlock()
 		return true
 	}
-	e.readers.Add(1) // under the lock: a put that sees zero readers has none
+	e.readers.Add(1) // under the lock: a reserve that sees zero readers has none
 	s.mu.Unlock()
 	copy(dst, src)
 	e.readers.Add(-1)
 	return true
 }
 
-// put inserts (or refreshes) a block, copying src into a frame the shard
-// owns, after evicting from the LRU tail until the shard has room for it
-// (never the block being put; evictions count on the shard's instrument).
-// Victims and order are exactly those of an insert followed by a trim — the
-// new block sits at the front either way — but evicting first lets the new
-// block move into the vacated frame.
-func (c *blockCache) put(k blockKey, src []byte) {
+// reserve makes room for an n-byte block k — evicting from the LRU tail
+// until the shard's resident and reserved bytes fit its budget, or nothing
+// is left to evict (evictions count on the shard's instrument) — charges
+// the shard for it, and returns a private entry whose frame e.data (n bytes
+// of stale contents) the caller fills. No lookup sees the entry until
+// commit publishes it; abort hands it back.
+func (c *blockCache) reserve(k blockKey, n int64) *cacheEntry {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, resident := s.items[k]
-	if resident {
-		// Refresh: fresh bytes, front position. (The Server never gets
-		// here: a flight puts only blocks it found absent under its claim.)
-		e.unlink()
-		s.bytes -= int64(len(e.data))
-	}
-	for s.bytes+int64(len(src)) > c.perShard && s.lru.prev != &s.lru {
+	for s.bytes+n > c.perShard && s.lru.prev != &s.lru {
 		s.vacate(s.lru.prev)
 		s.evictions.Inc()
 	}
-	if !resident {
-		if e = s.free; e != nil {
-			s.free = e.next
-		} else {
-			e = new(cacheEntry)
-		}
-		e.key, e.hits = k, 0
-		s.items[k] = e
+	e := s.free
+	if e != nil {
+		s.free = e.next
+	} else {
+		e = new(cacheEntry)
 	}
-	if e.readers.Load() != 0 {
-		e.data = nil // a copyOut is still reading that frame: it is theirs now
+	e.key, e.hits, e.next = k, 0, nil
+	if e.readers.Load() != 0 || int64(cap(e.data)) < n {
+		// A new slot, or one whose frame a copyOut still reads: that
+		// frame is theirs now.
+		e.data = make([]byte, n)
+	} else {
+		e.data = e.data[:n]
 	}
-	e.data = append(e.data[:0], src...)
-	s.bytes += int64(len(src))
+	s.bytes += n
+	return e
+}
+
+// commit publishes a filled reservation as the most recently used block,
+// replacing a resident copy of its key (the Server never has one: only the
+// holder of a flight claim reserves its blocks). If reservations ran the
+// shard over budget — one request reserving more of a shard than it holds —
+// commit trims the LRU tail back to it, never e itself, which leaves what a
+// block-by-block insertion would have. The caller must be done with e.data:
+// once published, a frame can be recycled at once.
+func (c *blockCache) commit(e *cacheEntry) {
+	s := c.shard(e.key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.items[e.key]; ok {
+		s.vacate(old)
+	}
+	s.items[e.key] = e
 	s.pushFront(e)
+	for s.bytes > c.perShard && s.lru.prev != e {
+		s.vacate(s.lru.prev)
+		s.evictions.Inc()
+	}
+}
+
+// abort returns an unpublished reservation's bytes to its shard and its
+// slot and frame to the free list, for the next reservation.
+func (c *blockCache) abort(e *cacheEntry) {
+	s := c.shard(e.key)
+	s.mu.Lock()
+	s.bytes -= int64(len(e.data))
+	e.next, s.free = s.free, e
+	s.mu.Unlock()
 }
 
 // invalidate drops a block from the cache if present. Tail servers call
@@ -230,7 +259,8 @@ func (c *blockCache) hot(minHits int64) []HotBlock {
 	return out
 }
 
-// cachedBytes sums the resident bytes across shards (stats snapshot).
+// cachedBytes sums the resident bytes across shards, plus those reserved
+// by fetches still in flight (stats snapshot).
 func (c *blockCache) cachedBytes() int64 {
 	var total int64
 	for i := range c.shards {

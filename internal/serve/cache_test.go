@@ -17,6 +17,14 @@ func lookup(c *blockCache, k blockKey, n int) ([]byte, bool) {
 	return dst, ok
 }
 
+// insert caches data as block k the way the miss path does: reserve a
+// frame, fill it, publish it.
+func insert(c *blockCache, k blockKey, data []byte) {
+	e := c.reserve(k, int64(len(data)))
+	copy(e.data, data)
+	c.commit(e)
+}
+
 func TestBlockCacheLRUEviction(t *testing.T) {
 	// One shard, budget of 4 × 10-byte blocks.
 	c := newBlockCache(40, 1)
@@ -26,7 +34,7 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		d, k := blk(i)
-		c.put(k, d)
+		insert(c, k, d)
 	}
 	// Touch block 0 so it is MRU, then insert one more: block 1 (LRU) must
 	// be the victim.
@@ -34,7 +42,7 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 		t.Fatal("block 0 missing before eviction")
 	}
 	d, k := blk(4)
-	c.put(k, d)
+	insert(c, k, d)
 	if _, ok := lookup(c, blockKey{0, 1}, 0); ok {
 		t.Fatal("LRU block 1 survived eviction")
 	}
@@ -58,8 +66,8 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 func TestBlockCacheRefreshSameKey(t *testing.T) {
 	c := newBlockCache(100, 1)
 	k := blockKey{2, 7}
-	c.put(k, []byte("abc"))
-	c.put(k, []byte("defgh"))
+	insert(c, k, []byte("abc"))
+	insert(c, k, []byte("defgh"))
 	d, ok := lookup(c, k, 5)
 	if !ok || string(d) != "defgh" {
 		t.Fatalf("refresh lost: %q %v", d, ok)
@@ -94,26 +102,26 @@ func TestBlockCacheConcurrent(t *testing.T) {
 					t.Errorf("wrong block size: copied bytes end %v", d[62:])
 					return
 				}
-				c.put(k, data)
+				insert(c, k, data)
 			}
 		}(g)
 	}
 	wg.Wait()
 }
 
-// TestPutLeavesPinnedFrameAlone pins the recycling rule: a frame some
-// copyOut is still reading (outside the shard lock) is not rewritten when
-// its slot is recycled — the slot gets a new frame — and an unpinned one is
-// rewritten in place, which is what keeps a full cache allocation-free.
-func TestPutLeavesPinnedFrameAlone(t *testing.T) {
+// TestReserveLeavesPinnedFrameAlone pins the recycling rule: a frame some
+// copyOut is still reading (outside the shard lock) is not handed out when
+// its slot is reserved again — the slot gets a new frame — and an unpinned
+// one is reused in place, which is what keeps a full cache allocation-free.
+func TestReserveLeavesPinnedFrameAlone(t *testing.T) {
 	c := newBlockCache(10, 1) // room for one 10-byte block
 	k := func(i int64) blockKey { return blockKey{0, i} }
-	c.put(k(0), []byte("block-0000"))
+	insert(c, k(0), []byte("block-0000"))
 	e := c.shards[0].items[k(0)]
 	held := e.data
 	e.readers.Add(1) // a copyOut of block 0 is in flight
 
-	c.put(k(1), []byte("block-0001")) // evicts block 0, recycles its slot
+	insert(c, k(1), []byte("block-0001")) // evicts block 0, recycles its slot
 	if string(held) != "block-0000" {
 		t.Fatalf("frame rewritten under its reader: %q", held)
 	}
@@ -123,11 +131,91 @@ func TestPutLeavesPinnedFrameAlone(t *testing.T) {
 	e.readers.Add(-1)
 
 	frame := &c.shards[0].items[k(1)].data[0]
-	c.put(k(2), []byte("block-0002"))
+	insert(c, k(2), []byte("block-0002"))
 	if got := &c.shards[0].items[k(2)].data[0]; got != frame {
 		t.Fatal("an unpinned frame was not recycled in place")
 	}
 	if got := c.cachedBytes(); got != 10 {
 		t.Fatalf("cachedBytes = %d, want 10", got)
+	}
+}
+
+// TestReservationLifecycle pins the two-step insertion: a reservation is
+// charged at once but invisible to lookups until commit; abort returns its
+// bytes and hands its frame to the next reservation.
+func TestReservationLifecycle(t *testing.T) {
+	c := newBlockCache(40, 1)
+	c.shards[0].evictions = &obs.Counter{}
+	k := blockKey{0, 3}
+	e := c.reserve(k, 10)
+	copy(e.data, "block-0003")
+	if _, ok := lookup(c, k, 10); ok {
+		t.Fatal("a reservation is visible before commit")
+	}
+	if got := c.cachedBytes(); got != 10 {
+		t.Fatalf("cachedBytes = %d with one reservation, want 10", got)
+	}
+	c.abort(e)
+	if _, ok := lookup(c, k, 10); ok {
+		t.Fatal("an aborted reservation became visible")
+	}
+	if got := c.cachedBytes(); got != 0 {
+		t.Fatalf("cachedBytes = %d after abort, want 0", got)
+	}
+	again := c.reserve(blockKey{0, 4}, 10)
+	if again != e || &again.data[0] != &e.data[0] {
+		t.Fatal("the next reservation did not take the aborted slot and frame")
+	}
+	copy(again.data, "block-0004")
+	c.commit(again)
+	if d, ok := lookup(c, blockKey{0, 4}, 10); !ok || string(d) != "block-0004" {
+		t.Fatalf("committed block: %q %v", d, ok)
+	}
+}
+
+// TestCommitTrimsLikeBlockByBlockInsertion: one request reserving more of a
+// shard than it holds runs it over budget until its commits, which leave the
+// resident set, LRU order and eviction count that inserting the blocks one
+// at a time leaves.
+func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
+	type state struct {
+		resident  []int64
+		evictions int64
+		bytes     int64
+	}
+	run := func(batched bool) state {
+		c := newBlockCache(40, 1) // four 10-byte blocks
+		c.shards[0].evictions = &obs.Counter{}
+		for b := int64(100); b < 103; b++ { // older residents
+			insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
+		}
+		var held []*cacheEntry
+		for b := int64(0); b < 7; b++ {
+			data := bytes.Repeat([]byte{byte(b)}, 10)
+			if !batched {
+				insert(c, blockKey{0, b}, data)
+				continue
+			}
+			e := c.reserve(blockKey{0, b}, 10)
+			copy(e.data, data)
+			held = append(held, e)
+		}
+		for _, e := range held {
+			c.commit(e)
+		}
+		var st state
+		s := &c.shards[0]
+		for e := s.lru.next; e != &s.lru; e = e.next {
+			st.resident = append(st.resident, e.key.block)
+		}
+		st.evictions, st.bytes = s.evictions.Value(), c.cachedBytes()
+		return st
+	}
+	want, got := run(false), run(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reserve-all-then-commit left %+v, block-by-block insertion %+v", got, want)
+	}
+	if want.bytes != 40 || len(want.resident) != 4 {
+		t.Fatalf("block-by-block insertion left %+v, want 4 blocks in budget", want)
 	}
 }

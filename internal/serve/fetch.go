@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/fsio"
 	"repro/internal/resil"
 )
 
@@ -25,6 +24,12 @@ import (
 // missing blocks span; a claim overlapping one in flight waits for it and
 // then finds those blocks resident. Readers of disjoint ranges never meet,
 // and the table's lock covers table updates only, never a backend read.
+//
+// A missed block is read straight into the cache frame it will live in: the
+// reader reserves a frame per absent block, and each dense span is one
+// vectored backend read (fsio.ReadvAt) whose vectors are those frames, so
+// a missed byte is copied twice — kernel to frame, frame to caller — where
+// a span buffer in between made it three times.
 
 // blockRange is the half-open cache-block range [lo, hi) of one file.
 type blockRange struct{ lo, hi int64 }
@@ -63,9 +68,35 @@ func (t *flightTable) release(r blockRange) {
 	t.done.Broadcast()
 }
 
-// spanBufs recycles the buffers spans are read into (and peer blocks
-// received in) on their way to cache frames.
-var spanBufs fsio.BufPool
+// missScratch is one fetch's bookkeeping, pooled so that a miss of any
+// size allocates nothing: the reservation of each absent block, the read
+// vectors of the span being read, and a block-sized frame that the blocks
+// inside a span which are not absent are read into and dropped.
+type missScratch struct {
+	frames  []*cacheEntry
+	vecs    [][]byte
+	discard []byte
+}
+
+var missScratches = sync.Pool{New: func() any { return new(missScratch) }}
+
+// spanVecs lists the blocks [blocks[0], last] of one dense span as read
+// vectors: each absent block's frame, and the discard frame for every
+// block between two of them.
+func (sc *missScratch) spanVecs(blocks []int64, frames []*cacheEntry, bs int64) [][]byte {
+	v := sc.vecs[:0]
+	for x, b := range blocks {
+		for gap := b - blocks[max(x-1, 0)] - 1; gap > 0; gap-- {
+			if int64(cap(sc.discard)) < bs {
+				sc.discard = make([]byte, bs)
+			}
+			v = append(v, sc.discard[:bs])
+		}
+		v = append(v, frames[x].data)
+	}
+	sc.vecs = v
+	return v
+}
 
 // missCost is one request's own breadcrumbs: the dense backend reads that
 // succeeded, the blocks that never touched the backend, the re-attempts.
@@ -79,11 +110,14 @@ type missCost struct {
 //
 // Under the claim on the blocks' range no one else is fetching them, so in
 // order: a block resident by now was fetched by a flight this one waited
-// for or just lost to (singleflight — a FlightHit, no new read); a block a
-// peer cache holds is taken from there (PeerFill); the rest are fused into
-// dense spans (spanEnd), each one retried backend read, or several where
-// the backend's ranged-read ceiling demands (windowedSpanRead). Every span
-// is attempted, and the request fails with its first failed span's error.
+// for or just lost to (singleflight — a FlightHit, no new read); any other
+// gets a reserved frame, which a peer cache holding the block fills
+// (PeerFill); the rest are fused into dense spans (spanEnd), each one
+// retried vectored backend read into their frames, or several where the
+// backend's ranged-read ceiling demands (windowedSpanRead). Every span is
+// attempted, and the request fails with its first failed span's error. A
+// filled frame is copied out to p and then committed; the frames of a
+// failed span, or of a request the breaker rejects, are aborted.
 //
 // Breaker protocol: a request that needs backend spans consults the file's
 // breaker once — an open circuit fails it fast with ErrDegraded (each
@@ -96,28 +130,37 @@ func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (c
 	claim := blockRange{missing[0], missing[len(missing)-1] + 1}
 	s.flights[file].claim(claim)
 	defer s.flights[file].release(claim)
-	buf, base := spanBufs.Get((claim.hi-claim.lo)*bs), claim.lo*bs
-	defer spanBufs.Put(buf) // buf holds file bytes [base, claim.hi*bs)
-	frame := func(b int64) []byte { return buf[b*bs-base : (b+1)*bs-base] }
-	// deliver caches block b from its frame and hands the reader its share.
-	deliver := func(b int64) {
-		s.cache.put(blockKey{file, b}, frame(b))
+	sc := missScratches.Get().(*missScratch)
+	defer func() {
+		clear(sc.frames)
+		clear(sc.vecs) // a pooled scratch should not keep frames alive
+		missScratches.Put(sc)
+	}()
+	// deliver hands the reader its share of block b from reservation e, then
+	// publishes e: the copy must come first, a published frame can be
+	// recycled at once.
+	deliver := func(b int64, e *cacheEntry) {
 		dst, from := blockWindow(p, off, b, bs)
-		copy(dst, frame(b)[from:])
+		copy(dst, e.data[from:])
+		s.cache.commit(e)
 	}
 
-	absent := missing[:0]
+	absent, frames := missing[:0], sc.frames[:0] // frames[i] is absent[i]'s reservation
 	for _, b := range missing {
 		k := blockKey{file, b}
 		if dst, from := blockWindow(p, off, b, bs); s.cache.copyOut(s.cache.shardIndex(k), k, dst, from) {
 			cost.flightHits++
-		} else if s.peerFill != nil && s.peerFill(file, b, frame(b)) {
-			deliver(b)
-			cost.peerFills++
-		} else {
-			absent = append(absent, b)
+			continue
 		}
+		e := s.cache.reserve(k, bs)
+		if s.peerFill != nil && s.peerFill(file, b, e.data) {
+			deliver(b, e)
+			cost.peerFills++
+			continue
+		}
+		absent, frames = append(absent, b), append(frames, e)
 	}
+	sc.frames = frames
 	s.m.flightHits.Add(cost.flightHits)
 	s.m.peerFills.Add(cost.peerFills)
 	if len(absent) == 0 {
@@ -126,6 +169,9 @@ func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (c
 
 	br := s.breakers[file]
 	if br != nil && !br.Allow() {
+		for _, e := range frames {
+			s.cache.abort(e)
+		}
 		s.m.degraded.Inc()
 		return cost, fmt.Errorf("serve: %s: %w", s.physNames[file], ErrDegraded)
 	}
@@ -133,10 +179,12 @@ func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (c
 	transientGiveUp := false
 	for i, j := 0, 0; i < len(absent); i = j {
 		j = spanEnd(absent, i, bs, s.maxSpanGap)
-		lo, hi := absent[i]*bs, (absent[j-1]+1)*bs
-		r, err := s.windowedSpanRead(file, buf[lo-base:hi-base], lo)
+		r, err := s.windowedSpanRead(file, sc.spanVecs(absent[i:j], frames[i:j], bs), absent[i]*bs)
 		cost.retries += r
 		if err != nil {
+			for _, e := range frames[i:j] {
+				s.cache.abort(e)
+			}
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -147,8 +195,8 @@ func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (c
 		}
 		cost.spans++
 		s.m.fetchSpanBlocks.Add(int64(j - i))
-		for _, b := range absent[i:j] {
-			deliver(b)
+		for x := i; x < j; x++ {
+			deliver(absent[x], frames[x])
 		}
 	}
 	s.m.fetchSpans.Add(cost.spans)
@@ -175,18 +223,18 @@ func spanEnd(blocks []int64, i int, bs, maxGap int64) int {
 	return j
 }
 
-// windowedSpanRead reads one dense span of physical file `file`, split
-// into requests of at most Server.maxSpanBytes (0 = one request regardless
-// of length) so no single backend read exceeds the backend's ranged-read
-// capability. The first failing window fails the whole span — its blocks
-// are re-requested together anyway.
-func (s *Server) windowedSpanRead(file int, buf []byte, off int64) (retries int64, _ error) {
-	ceil := s.maxSpanBytes
-	if ceil <= 0 || ceil >= int64(len(buf)) {
-		return s.spanRead(file, buf, off)
+// windowedSpanRead reads one dense span of physical file `file` into vecs
+// (one block each), split into requests of at most Server.maxSpanBytes
+// (0 = one request regardless of length) so no single backend read exceeds
+// the backend's ranged-read capability. The first failing window fails the
+// whole span — its blocks are re-requested together anyway.
+func (s *Server) windowedSpanRead(file int, vecs [][]byte, off int64) (retries int64, _ error) {
+	per := len(vecs) // blocks per request
+	if s.maxSpanBytes > 0 {
+		per = int(s.maxSpanBytes / s.blockBytes)
 	}
-	for w := int64(0); w < int64(len(buf)); w += ceil {
-		r, err := s.spanRead(file, buf[w:min(w+ceil, int64(len(buf)))], off+w)
+	for w := 0; w < len(vecs); w += per {
+		r, err := s.spanRead(file, vecs[w:min(w+per, len(vecs))], off+int64(w)*s.blockBytes)
 		retries += r
 		if err != nil {
 			return retries, err

@@ -31,6 +31,12 @@ func (r *rangeFaultFS) fail(lo, hi int64, err error) {
 	r.rules = append(r.rules, faultRule{lo, hi, err})
 }
 
+func (r *rangeFaultFS) heal() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rules = nil
+}
+
 func (r *rangeFaultFS) Open(name string) (fsio.File, error) {
 	fh, err := r.FileSystem.Open(name)
 	if err != nil {
@@ -139,6 +145,84 @@ func TestFetchPerSpanErrors(t *testing.T) {
 	}
 	if !bytes.Equal(resOK.data, want) {
 		t.Fatalf("healthy block 4 materialized the wrong bytes")
+	}
+}
+
+// TestAbortedReservationsKeepTheLedger: the frames reserved for a span that
+// fails, and for a request the breaker rejects, are aborted — afterwards
+// the cache charges exactly its resident blocks, and the next miss reads
+// into the aborted frames instead of allocating new ones.
+func TestAbortedReservationsKeepTheLedger(t *testing.T) {
+	inner := fsio.NewOS(t.TempDir())
+	raw := writeOneFile(t, inner, "l.sion", 4, 8<<10, 256)
+	ffs := &rangeFaultFS{FileSystem: inner}
+	s, err := New(ffs, "l.sion", &Config{
+		CacheBytes:       1 << 20, // nothing is evicted: the free list holds only aborted frames
+		BlockBytes:       256,
+		Shards:           1,
+		MaxSpanGap:       -1,
+		Retry:            &resil.Budget{MaxAttempts: 1},
+		BreakerThreshold: 1, // the failed span opens the circuit
+		BreakerCooldown:  1, // the one rejection after it admits the probe
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bs := s.BlockBytes()
+	sh := &s.cache.shards[0]
+	read := func(block, n int64) error {
+		t.Helper()
+		p := make([]byte, n*bs)
+		err := s.ReadFileAt(0, p, block*bs, nil)
+		if err == nil && !bytes.Equal(p, wantWindow(raw, block*bs, n*bs)) {
+			t.Fatalf("blocks [%d, %d) differ from the file", block, block+n)
+		}
+		return err
+	}
+	ledger := func(when string) (free map[*byte]bool) {
+		t.Helper()
+		free = map[*byte]bool{}
+		for e := sh.free; e != nil; e = e.next {
+			free[&e.data[0]] = true
+		}
+		if got, want := s.Stats().CachedBytes, int64(len(sh.items))*bs; got != want {
+			t.Fatalf("%s: CachedBytes = %d, want %d resident blocks × %d", when, got, len(sh.items), bs)
+		}
+		return free
+	}
+
+	if err := read(0, 4); err != nil {
+		t.Fatal(err)
+	}
+	ffs.fail(8*bs, 12*bs, fmt.Errorf("blocks 8-11 are down: %w", fsio.ErrTransient))
+	if err := read(8, 4); err == nil || errors.Is(err, ErrDegraded) {
+		t.Fatalf("read of the failing span: %v, want its backend error", err)
+	}
+	aborted := ledger("after a failed span")
+	if len(aborted) != 4 {
+		t.Fatalf("%d frames on the free list after a failed 4-block span, want 4", len(aborted))
+	}
+	if err := read(16, 2); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("read with the circuit open: %v, want ErrDegraded", err)
+	}
+	if free := ledger("after an ErrDegraded rejection"); len(free) != 4 {
+		t.Fatalf("%d frames on the free list after the rejection, want the same 4", len(free))
+	}
+
+	ffs.heal()
+	if err := read(8, 4); err != nil { // the half-open probe
+		t.Fatalf("probe read: %v", err)
+	}
+	ledger("after the probe")
+	for b := int64(8); b < 12; b++ {
+		e := sh.items[blockKey{0, b}]
+		if e == nil || !aborted[&e.data[0]] {
+			t.Fatalf("block %d was not read into an aborted frame", b)
+		}
+	}
+	if sh.free != nil || len(sh.items) != 8 {
+		t.Fatalf("after the probe: %d resident, free list empty %v; want 8 resident and no free frame", len(sh.items), sh.free == nil)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,9 +64,9 @@ func wantWindow(raw []byte, off, n int64) []byte {
 }
 
 // TestMissPathAllocations pins what a read costs the allocator once the
-// cache is full: a cold 64 KiB read recycles frames and a pooled span
-// buffer (the fetcher goroutine took 78 allocations for it), a warm one
-// touches the heap not at all.
+// cache is full: a cold 64 KiB read preadv's into recycled frames with
+// pooled bookkeeping (the fetcher goroutine took 78 allocations for it), a
+// warm one touches the heap not at all.
 func TestMissPathAllocations(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	raw := writeOneFile(t, fsys, "a.sion", 8, 128<<10, 4096)
@@ -78,6 +79,9 @@ func TestMissPathAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cold.Close()
+	if _, ok := cold.files[0].(fsio.VectorReaderAt); !ok && runtime.GOOS == "linux" {
+		t.Fatal("fsio.OS files have no vectored read: this would measure the copying fallback")
+	}
 	i := int64(0)
 	next := func() { // walks the whole file, so LRU has dropped a window before it comes round again
 		if err := cold.ReadFileAt(0, p, (i*win+1000)%span, nil); err != nil {
@@ -119,73 +123,109 @@ func TestMissPathAllocations(t *testing.T) {
 	}
 }
 
-// TestRecycledFramesNeverShow hammers a cache of two blocks per shard —
-// every put rewrites a frame some reader may just have been copying from —
-// with overlapping windows from eight goroutines: every byte delivered
-// must be the file's.
-func TestRecycledFramesNeverShow(t *testing.T) {
-	fsys := fsio.NewOS(t.TempDir())
-	raw := writeOneFile(t, fsys, "r.sion", 8, 8<<10, 256)
-	s, err := New(fsys, "r.sion", &Config{CacheBytes: 4 * 2 * 256, Shards: 4})
+// readAtOnlyFS hides the backend's vectored read: its files have ReadAt
+// only, so the miss path takes fsio.ReadvAt's copying fallback.
+type readAtOnlyFS struct{ fsio.FileSystem }
+
+func (r readAtOnlyFS) Open(name string) (fsio.File, error) {
+	fh, err := r.FileSystem.Open(name)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	defer s.Close()
-	const region = 16 << 10 // small enough that the goroutines keep colliding
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 2000; i++ {
-				off, n := 4096+rng.Int63n(region), 1+rng.Int63n(3000)
-				p := bytes.Repeat([]byte{0xAA}, int(n))
-				if err := s.ReadFileAt(0, p, off, nil); err != nil {
-					t.Errorf("reader %d: %v", g, err)
-					return
-				}
-				if !bytes.Equal(p, wantWindow(raw, off, n)) {
-					t.Errorf("reader %d: %d bytes at %d differ from the file", g, n, off)
-					return
-				}
+	return struct{ fsio.File }{fh}, nil
+}
+
+// missPaths are the two ways a span reaches its frames: read straight into
+// them (fsio.OS, preadv on Linux), or read into a staging buffer and copied
+// (a backend without a vectored read). The race detector sees only the
+// second path's writes into frames; the kernel's are invisible to it.
+var missPaths = []struct {
+	name string
+	wrap func(fsio.FileSystem) fsio.FileSystem
+}{
+	{"vectored", func(fsys fsio.FileSystem) fsio.FileSystem { return fsys }},
+	{"readat", func(fsys fsio.FileSystem) fsio.FileSystem { return readAtOnlyFS{fsys} }},
+}
+
+// TestRecycledFramesNeverShow hammers a cache of two blocks per shard —
+// every reservation recycles a frame some reader may just have been copying
+// from — with overlapping windows from eight goroutines, on both miss
+// paths: every byte delivered must be the file's.
+func TestRecycledFramesNeverShow(t *testing.T) {
+	for _, mp := range missPaths {
+		t.Run(mp.name, func(t *testing.T) {
+			fsys := fsio.NewOS(t.TempDir())
+			raw := writeOneFile(t, fsys, "r.sion", 8, 8<<10, 256)
+			s, err := New(mp.wrap(fsys), "r.sion", &Config{CacheBytes: 4 * 2 * 256, BlockBytes: 256, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(g)
-	}
-	wg.Wait()
-	if st := s.Stats(); st.Evictions == 0 || st.Hits == 0 {
-		t.Fatalf("no frame was recycled under the readers: %+v", st)
+			defer s.Close()
+			const region = 16 << 10 // small enough that the goroutines keep colliding
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g)))
+					for i := 0; i < 2000; i++ {
+						off, n := 4096+rng.Int63n(region), 1+rng.Int63n(3000)
+						p := bytes.Repeat([]byte{0xAA}, int(n))
+						if err := s.ReadFileAt(0, p, off, nil); err != nil {
+							t.Errorf("reader %d: %v", g, err)
+							return
+						}
+						if !bytes.Equal(p, wantWindow(raw, off, n)) {
+							t.Errorf("reader %d: %d bytes at %d differ from the file", g, n, off)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if st := s.Stats(); st.Evictions == 0 || st.Hits == 0 {
+				t.Fatalf("no frame was recycled under the readers: %+v", st)
+			}
+		})
 	}
 }
 
-// TestPooledSpanReadsZeroPastEOF: a span buffer comes back from the pool
-// holding an earlier, longer span's bytes; a read straddling the physical
-// file's end must still deliver zeros past EOF, not those bytes.
-func TestPooledSpanReadsZeroPastEOF(t *testing.T) {
-	fsys := fsio.NewOS(t.TempDir())
-	raw := writeOneFile(t, fsys, "z.sion", 4, 8<<10, 256)
-	size := int64(len(raw))
-	s, err := New(fsys, "z.sion", &Config{CacheBytes: 2 << 10}) // holds neither read
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for round := 0; round < 8; round++ {
-		long := make([]byte, 16<<10)
-		if err := s.ReadFileAt(0, long, 512, nil); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(long, wantWindow(raw, 512, int64(len(long)))) {
-			t.Fatal("long read differs from the file")
-		}
-		off, n := size-300, int64(4096)
-		p := bytes.Repeat([]byte{0xAA}, int(n))
-		if err := s.ReadFileAt(0, p, off, nil); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(p, wantWindow(raw, off, n)) {
-			t.Fatalf("round %d: read across EOF differs (past-EOF bytes must be zero)", round)
-		}
+// TestRecycledFramesReadZeroPastEOF: a reserved frame is recycled memory
+// holding an earlier block's bytes; a read straddling the physical file's
+// end must still deliver zeros past EOF, not those bytes, on both miss
+// paths.
+func TestRecycledFramesReadZeroPastEOF(t *testing.T) {
+	for _, mp := range missPaths {
+		t.Run(mp.name, func(t *testing.T) {
+			fsys := fsio.NewOS(t.TempDir())
+			raw := writeOneFile(t, fsys, "z.sion", 4, 8<<10, 256)
+			size := int64(len(raw))
+			s, err := New(mp.wrap(fsys), "z.sion", &Config{CacheBytes: 2 << 10, BlockBytes: 256}) // holds neither read
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for round := 0; round < 8; round++ {
+				long := make([]byte, 16<<10)
+				if err := s.ReadFileAt(0, long, 512, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(long, wantWindow(raw, 512, int64(len(long)))) {
+					t.Fatal("long read differs from the file")
+				}
+				off, n := size-300, int64(4096)
+				p := bytes.Repeat([]byte{0xAA}, int(n))
+				if err := s.ReadFileAt(0, p, off, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(p, wantWindow(raw, off, n)) {
+					t.Fatalf("round %d: read across EOF differs (past-EOF bytes must be zero)", round)
+				}
+			}
+			if st := s.Stats(); st.Evictions == 0 {
+				t.Fatalf("no frame was recycled: %+v", st)
+			}
+		})
 	}
 }
 

@@ -18,12 +18,15 @@
 //     a power of two, each with its own lock and LRU list, under one byte
 //     budget split evenly across shards. Frames are
 //     allocated as blocks arrive and recycled on eviction; hits are copied
-//     out, never lent, so nothing outside the cache ever aliases a frame.
-//   - A miss path on the reader's own goroutine (fetch.go): a read fuses
-//     its missing blocks into dense spans with the gap-splitting rule of
-//     the mapped collective open (sion.CoalesceExtents), reads each span
-//     into a pooled buffer and copies the blocks into cache frames and the
-//     caller's buffer. Readers of distinct block ranges read one physical
+//     out, never lent, so nothing outside the cache ever aliases a
+//     published frame.
+//   - A miss path on the reader's own goroutine (fetch.go): a read reserves
+//     a cache frame per missing block, fuses the blocks into dense spans
+//     with the gap-splitting rule of the mapped collective open
+//     (sion.CoalesceExtents), reads each span into the frames with one
+//     vectored backend read (fsio.ReadvAt: preadv on Linux), and copies
+//     each block's share into the caller's buffer before publishing its
+//     frame. Readers of distinct block ranges read one physical
 //     file concurrently — the access pattern the multifile layout was
 //     designed for (paper §3) — and a per-file in-flight table gives
 //     singleflight: concurrent misses of a block are one backend read.
@@ -350,22 +353,30 @@ func (s *Server) openPhysical(fsys fsio.FileSystem, path string) error {
 	return nil
 }
 
-// spanRead issues one backend read of [off, off+len(buf)) on physical file
-// `file` under the server's retry budget, counting every attempt as a
-// backend read. io.EOF is a legal short read, not a failure: the tail it
-// left unread is cleared (buf is recycled memory; bytes past EOF read as
-// zeros, matching the ReadAt contract for unwritten regions). retries
-// reports this call's re-attempts (for the caller's breadcrumb trail; the
-// aggregate lives in s.retryCtrs).
-func (s *Server) spanRead(file int, buf []byte, off int64) (retries int64, _ error) {
+// spanRead issues one backend read of off onwards on physical file `file`
+// into vecs (fsio.ReadvAt: one vectored read, or one ReadAt where the
+// backend has no vectored read) under the server's retry budget, counting
+// every attempt as a backend read. io.EOF is a legal short read, not a
+// failure: what it left unread is cleared (vecs are recycled frames; bytes
+// past EOF read as zeros, matching the ReadAt contract for unwritten
+// regions). retries reports this call's re-attempts (for the caller's
+// breadcrumb trail; the aggregate lives in s.retryCtrs).
+func (s *Server) spanRead(file int, vecs [][]byte, off int64) (retries int64, _ error) {
+	var size int64
+	for _, v := range vecs {
+		size += int64(len(v))
+	}
 	attempts := int64(0)
 	err := resil.Do(s.retry, &s.retryCtrs, func() error {
 		attempts++
 		s.m.backendReads.Add(1)
-		s.m.backendBytes.Add(int64(len(buf)))
-		n, rerr := s.files[file].ReadAt(buf, off)
+		s.m.backendBytes.Add(size)
+		n, rerr := fsio.ReadvAt(s.files[file], vecs, off)
 		if rerr == io.EOF {
-			clear(buf[n:])
+			for _, v := range vecs {
+				clear(v[min(n, len(v)):])
+				n -= min(n, len(v))
+			}
 			return nil
 		}
 		return rerr

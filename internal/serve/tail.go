@@ -235,7 +235,7 @@ func (s *Server) readTailSpan(file int, p []byte, off, uncachedFrom int64) error
 		// reads (spanRead), so a transient fault at the watermark does not
 		// surface to the tail session.
 		buf := p[uncachedFrom-off:]
-		if _, err := s.spanRead(file, buf, uncachedFrom); err != nil {
+		if _, err := s.spanRead(file, [][]byte{buf}, uncachedFrom); err != nil {
 			return fmt.Errorf("serve: frontier read: %w", err)
 		}
 	}
