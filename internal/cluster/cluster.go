@@ -197,7 +197,9 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	if blockBytes != 0 { // the first join's block size (its config's, or serve's default) stands
 		cfg.BlockBytes = blockBytes
 	}
-	cfg.PeerFill = func(file int, block int64, dst []byte) bool { return c.peerFill(id, file, block, dst) }
+	cfg.PeerFill = func(file int, block int64, dst []byte, from int64) bool {
+		return c.peerFill(id, file, block, dst, from)
+	}
 	// Every node's serve instruments land in the cluster's registry under
 	// a node label, so one scrape covers the whole topology. (A node that
 	// re-joins under a departed id resumes that id's counters — counters
@@ -369,9 +371,10 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 
 // peerFill answers a reader that missed on node selfID: scan the other
 // nodes' caches (in ring order for the block's granule, most likely
-// holders first) for the block and copy it into dst, without triggering
-// any fetch. This is the hook behind serve.Config.PeerFill.
-func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte) bool {
+// holders first) for bytes [from, from+len(dst)) of the block and copy
+// them into dst, without triggering any fetch. This is the hook behind
+// serve.Config.PeerFill.
+func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte, from int64) bool {
 	c.mu.RLock()
 	nodes, rg, gb := c.nodes, c.ring, c.granuleBlocks
 	c.mu.RUnlock()
@@ -384,7 +387,7 @@ func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte) boo
 		if n.ID == selfID {
 			continue
 		}
-		if n.srv.Peek(file, block, dst) {
+		if n.srv.Peek(file, block, dst, from) {
 			return true
 		}
 	}
@@ -407,10 +410,12 @@ func (c *Cluster) HotTracked() int { return len(c.hotSnapshot()) }
 // (the hottest hotSetCap blocks with at least HotMinHits hits) and
 // pre-materializes each hot block on the first ReplicateHot ring
 // successors of its granule — cheaply, because the replicas fill from the
-// primary's cache via peer fill, not from the backend. Runs of hot blocks
-// then rotate across the replicas. Call it periodically (cmd/sionrouter
-// does; tab9 calls it every few dozen clients); it returns the tracked
-// hot-set size. Safe for concurrent use with reads and membership changes.
+// primary's cache via peer fill, not from the backend: a replica reads
+// the widest range of the block one node reported resident, which that
+// node can hand over whole. Runs of hot blocks then rotate across the
+// replicas. Call it periodically (cmd/sionrouter does; tab9 calls it every
+// few dozen clients); it returns the tracked hot-set size. Safe for
+// concurrent use with reads and membership changes.
 func (c *Cluster) RebalanceHot() int {
 	c.mu.RLock()
 	nodes, rg, bs, gb := c.nodes, c.ring, c.blockBytes, c.granuleBlocks
@@ -419,15 +424,22 @@ func (c *Cluster) RebalanceHot() int {
 		c.hot.Store(nil)
 		return 0
 	}
-	merged := make(map[hotKey]int64)
+	merged := make(map[hotKey]serve.HotBlock)
 	for _, n := range nodes {
 		for _, hb := range n.srv.HotBlocks(c.cfg.HotMinHits) {
-			merged[hotKey{hb.File, hb.Block}] += hb.Hits
+			k := hotKey{hb.File, hb.Block}
+			if m, ok := merged[k]; ok {
+				hb.Hits += m.Hits
+				if m.Hi-m.Lo > hb.Hi-hb.Lo {
+					hb.Lo, hb.Hi = m.Lo, m.Hi
+				}
+			}
+			merged[k] = hb
 		}
 	}
 	list := make([]serve.HotBlock, 0, len(merged))
-	for k, hits := range merged {
-		list = append(list, serve.HotBlock{File: k.file, Block: k.block, Hits: hits})
+	for _, hb := range merged {
+		list = append(list, hb)
 	}
 	sort.Slice(list, func(i, j int) bool {
 		if list[i].Hits != list[j].Hits {
@@ -457,13 +469,13 @@ func (c *Cluster) RebalanceHot() int {
 			cands := rg.lookup(granuleHash(hb.File, hb.Block/gb), &buf)
 			for i := 0; i < k && i < len(cands); i++ {
 				n := nodes[cands[i]]
-				if n.srv.Peek(hb.File, hb.Block, nil) {
+				if n.srv.Peek(hb.File, hb.Block, nil, 0) {
 					continue
 				}
 				// Best-effort: a degraded or racing-departed replica just
 				// stays cold until the next rebalance.
 				c.m.rebalanceMoves.Inc()
-				_ = n.srv.ReadFileAt(hb.File, make([]byte, bs), hb.Block*bs, nil)
+				_ = n.srv.ReadFileAt(hb.File, make([]byte, hb.Hi-hb.Lo), hb.Block*bs+hb.Lo, nil)
 			}
 		}
 	}

@@ -240,7 +240,7 @@ func TestClusterHotReplicationAndRotation(t *testing.T) {
 	}
 	holders := func() (hold []*Node) {
 		for _, n := range nodes {
-			if n.Server().Peek(hotFile, hotBlock, nil) {
+			if n.Server().Peek(hotFile, hotBlock, nil, 0) {
 				hold = append(hold, n)
 			}
 		}

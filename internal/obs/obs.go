@@ -279,9 +279,10 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n (n < 0 panics: counters only go up).
+// Add adds n (n < 0 panics: counters only go up). Adding 0 writes
+// nothing, so a shared counter's cache line is not contended for it.
 func (c *Counter) Add(n int64) {
-	if c == nil || c.off {
+	if c == nil || c.off || n == 0 {
 		return
 	}
 	if n < 0 {

@@ -17,14 +17,20 @@ import (
 //
 // The cache owns its memory: an entry and its frame are allocated when a
 // shard first needs them and recycled from then on, so the steady state
-// allocates nothing. A block enters in two steps: reserve evicts the LRU
-// tail to make room and hands the miss path the slot just vacated, a
-// private frame it reads the backend straight into; commit then publishes
-// it (abort gives it back). Because frames are rewritten, no published
-// frame leaves this file: readers get bytes copied out (copyOut). The
-// copy-out runs outside the shard lock (under it, two readers meeting on a
-// shard cost serve-hot 9 %) with the entry pinned; a reservation that
-// finds its slot pinned leaves that frame to its readers.
+// allocates nothing. A frame need not hold its whole block: an entry's
+// valid range [lo, hi) is what its fill read, and a lookup hits only
+// inside it. A block enters through acquire, which a reader that missed
+// calls once per block under one hold of the shard lock: it copies the
+// bytes out if they are resident by now, reports another reader's pending
+// entry for the block, or reserves a pending entry for the caller — it
+// evicts the LRU tail to make room and enters the slot just vacated in the
+// map, a frame the miss path reads the backend straight into and no lookup
+// copies from. commit makes it resident, abort drops it, and both wake the
+// readers waiting for it. Because frames are rewritten, no resident frame
+// leaves this file: readers get bytes copied out (copyOut). The copy-out
+// runs outside the shard lock (under it, two readers meeting on a shard
+// cost serve-hot 9 %) with the entry pinned; a reservation that finds its
+// slot pinned leaves that frame to its readers.
 
 // blockKey identifies one cache block.
 type blockKey struct {
@@ -40,22 +46,25 @@ func (k blockKey) hash() uint64 {
 }
 
 // cacheEntry is one slot of a shard: a resident block on the LRU list, a
-// reservation being filled (on neither list), or a vacated slot (frame
-// kept) on the free list, chained through next.
+// pending one being filled (in the map, on no list), or a vacated slot
+// (frame kept) on the free list, chained through next.
 type cacheEntry struct {
 	key        blockKey
-	data       []byte       // the frame; len is the resident block's length
+	data       []byte       // the frame; len is the block's length
+	lo, hi     int64        // the bytes of the block the frame holds: [lo, hi)
+	pending    bool         // being filled: lookups skip it, acquire reports it to other readers
 	hits       int64        // lookups served since insertion (feeds HotBlocks)
 	readers    atomic.Int32 // copyOuts still copying from a frame of this slot
 	prev, next *cacheEntry  // LRU neighbours, toward the front / toward the tail
 }
 
 type cacheShard struct {
-	mu    sync.Mutex
-	items map[blockKey]*cacheEntry // resident blocks
-	lru   cacheEntry               // list sentinel: next = most recently used, prev = next victim
-	free  *cacheEntry              // vacated slots
-	bytes int64                    // resident and reserved
+	mu     sync.Mutex
+	filled sync.Cond                // on mu; broadcast when a pending entry is committed or aborted
+	items  map[blockKey]*cacheEntry // resident and pending blocks
+	lru    cacheEntry               // list sentinel: next = most recently used, prev = next victim
+	free   *cacheEntry              // vacated slots
+	bytes  int64                    // resident and pending
 	// evictions is the shard's serve_cache_evictions_total instrument
 	// (the Server installs it; nil, as in a bare cache, counts nothing).
 	evictions *obs.Counter
@@ -84,6 +93,7 @@ func newBlockCache(totalBytes int64, nshards int) *blockCache {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.items = make(map[blockKey]*cacheEntry)
+		s.filled.L = &s.mu
 		s.lru.prev, s.lru.next = &s.lru, &s.lru
 	}
 	return c
@@ -123,46 +133,97 @@ func (s *cacheShard) vacate(e *cacheEntry) {
 // the copy is cheaper than the pin's two atomic round trips.
 const pinFreeCopy = 1 << 10
 
-// copyOut reports whether block k is resident and, if so, copies its bytes
-// from offset `from` into dst (as many as both hold; an empty dst asks for
-// presence only), marks it most recently used and counts the lookup. si is
-// the key's shard index, which the read path has hashed for its metrics.
+// covers reports whether e is resident and holds the len(dst) bytes of
+// its block at offset from (an empty dst asks for presence only).
+func (e *cacheEntry) covers(dst []byte, from int64) bool {
+	return !e.pending && (len(dst) == 0 || e.lo <= from && from+int64(len(dst)) <= e.hi)
+}
+
+// copyOut reports whether block k holds the len(dst) bytes at offset from
+// and, if so, copies them into dst (an empty dst asks for presence only),
+// marks the block most recently used and counts the lookup. si is the
+// key's shard index, which the read path has hashed for its metrics.
 func (c *blockCache) copyOut(si int, k blockKey, dst []byte, from int64) bool {
 	s := &c.shards[si]
 	s.mu.Lock()
-	e, ok := s.items[k]
-	if !ok {
-		s.mu.Unlock()
-		return false
+	if e, ok := s.items[k]; ok && e.covers(dst, from) {
+		s.hit(e, dst, from)
+		return true
 	}
+	s.mu.Unlock()
+	return false
+}
+
+// hit serves a lookup that resident entry e covers: e becomes the most
+// recently used block, counts the lookup, and its bytes from offset from
+// are copied into dst. The caller holds the shard lock; hit releases it.
+func (s *cacheShard) hit(e *cacheEntry, dst []byte, from int64) {
 	if s.lru.next != e {
 		e.unlink()
 		s.pushFront(e)
 	}
 	e.hits++
 	src := e.data[min(from, int64(len(e.data))):]
-	if min(len(dst), len(src)) <= pinFreeCopy {
+	if len(dst) <= pinFreeCopy {
 		copy(dst, src)
 		s.mu.Unlock()
-		return true
+		return
 	}
 	e.readers.Add(1) // under the lock: a reserve that sees zero readers has none
 	s.mu.Unlock()
 	copy(dst, src)
 	e.readers.Add(-1)
-	return true
 }
 
-// reserve makes room for an n-byte block k — evicting from the LRU tail
-// until the shard's resident and reserved bytes fit its budget, or nothing
-// is left to evict (evictions count on the shard's instrument) — charges
-// the shard for it, and returns a private entry whose frame e.data (n bytes
-// of stale contents) the caller fills. No lookup sees the entry until
-// commit publishes it; abort hands it back.
-func (c *blockCache) reserve(k blockKey, n int64) *cacheEntry {
+// claim is what acquire found for a block a reader missed.
+type claim int
+
+const (
+	claimHit  claim = iota // resident by now: dst holds the bytes
+	claimMine              // a pending entry the caller fills, then commits or aborts
+	claimWait              // another reader is filling the block: wait, then acquire again
+)
+
+// acquire settles block k for a reader that missed it and wants its bytes
+// [from, from+len(dst)), under one hold of the shard lock. It copies them
+// out if they are resident by now; returns claimWait if another reader's
+// pending entry holds the block; and otherwise reserves a pending n-byte
+// entry for the caller to fill, whose valid range is [lo, hi) — or the
+// whole block if a partial copy was resident, so that a block costs at
+// most two backend reads.
+func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, n int64) (*cacheEntry, claim) {
 	s := c.shard(k)
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	if e, ok := s.items[k]; ok {
+		switch {
+		case e.pending:
+			s.mu.Unlock()
+			return nil, claimWait
+		case e.covers(dst, from):
+			s.hit(e, dst, from)
+			return nil, claimHit
+		}
+		lo, hi = 0, n
+	}
+	e := c.reserve(s, k, n)
+	e.lo, e.hi = lo, hi
+	s.mu.Unlock()
+	return e, claimMine
+}
+
+// reserve makes room in shard s (whose lock the caller holds) for an
+// n-byte block k — evicting from the LRU tail until the shard's resident
+// and pending bytes fit its budget, or nothing is left to evict
+// (evictions count on the shard's instrument) — charges the shard for it,
+// and enters a pending entry for k in the map in place of any resident
+// copy, whose hit count it carries over. The entry's frame e.data (n bytes
+// of stale contents, valid range the whole block) is the caller's to fill.
+func (c *blockCache) reserve(s *cacheShard, k blockKey, n int64) *cacheEntry {
+	var hits int64
+	if old, ok := s.items[k]; ok {
+		hits = old.hits
+		s.vacate(old)
+	}
 	for s.bytes+n > c.perShard && s.lru.prev != &s.lru {
 		s.vacate(s.lru.prev)
 		s.evictions.Inc()
@@ -173,7 +234,7 @@ func (c *blockCache) reserve(k blockKey, n int64) *cacheEntry {
 	} else {
 		e = new(cacheEntry)
 	}
-	e.key, e.hits, e.next = k, 0, nil
+	e.key, e.hits, e.next, e.pending, e.lo, e.hi = k, hits, nil, true, 0, n
 	if e.readers.Load() != 0 || int64(cap(e.data)) < n {
 		// A new slot, or one whose frame a copyOut still reads: that
 		// frame is theirs now.
@@ -182,42 +243,56 @@ func (c *blockCache) reserve(k blockKey, n int64) *cacheEntry {
 		e.data = e.data[:n]
 	}
 	s.bytes += n
+	s.items[k] = e
 	return e
 }
 
-// commit publishes a filled reservation as the most recently used block,
-// replacing a resident copy of its key (the Server never has one: only the
-// holder of a flight claim reserves its blocks). If reservations ran the
-// shard over budget — one request reserving more of a shard than it holds —
-// commit trims the LRU tail back to it, never e itself, which leaves what a
-// block-by-block insertion would have. The caller must be done with e.data:
-// once published, a frame can be recycled at once.
+// commit makes a filled pending entry the most recently used resident
+// block, with no map operation, and wakes the readers waiting for it. If
+// reservations ran the shard over budget — one request reserving more of a
+// shard than it holds — commit trims the LRU tail back to it, never e
+// itself, which leaves what a block-by-block insertion would have. The
+// caller must be done with e.data: once resident, a frame can be recycled
+// at once.
 func (c *blockCache) commit(e *cacheEntry) {
 	s := c.shard(e.key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.items[e.key]; ok {
-		s.vacate(old)
-	}
-	s.items[e.key] = e
+	e.pending = false
 	s.pushFront(e)
 	for s.bytes > c.perShard && s.lru.prev != e {
 		s.vacate(s.lru.prev)
 		s.evictions.Inc()
 	}
+	s.mu.Unlock()
+	s.filled.Broadcast()
 }
 
-// abort returns an unpublished reservation's bytes to its shard and its
-// slot and frame to the free list, for the next reservation.
+// abort deletes a pending entry: its bytes go back to its shard, its slot
+// and frame to the free list for the next reservation, and the readers
+// waiting for it acquire the block again.
 func (c *blockCache) abort(e *cacheEntry) {
 	s := c.shard(e.key)
 	s.mu.Lock()
+	delete(s.items, e.key)
 	s.bytes -= int64(len(e.data))
 	e.next, s.free = s.free, e
 	s.mu.Unlock()
+	s.filled.Broadcast()
 }
 
-// invalidate drops a block from the cache if present. Tail servers call
+// wait returns once no reader is filling block k. The caller must hold no
+// pending entry of its own: then no filler ever waits on a waiter, and
+// waits cannot cycle.
+func (c *blockCache) wait(k blockKey) {
+	s := c.shard(k)
+	s.mu.Lock()
+	for e, ok := s.items[k]; ok && e.pending; e, ok = s.items[k] {
+		s.filled.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// invalidate drops a block from the cache if resident. Tail servers call
 // it when a rank's committed frontier crosses into a new block: the block
 // that used to contain the frontier was never cached (frontier bytes
 // bypass the cache), but dropping it anyway keeps the cache provably free
@@ -226,23 +301,24 @@ func (c *blockCache) invalidate(k blockKey) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.items[k]; ok {
+	if e, ok := s.items[k]; ok && !e.pending {
 		s.vacate(e)
 	}
 }
 
-// hot lists the resident blocks with at least minHits lookups, hottest
-// first (ties on (file, block) so the order is deterministic). Hit counts
-// are per-entry and reset when a block is evicted and refetched, so the
-// report tracks the *current* working set, not all-time popularity.
+// hot lists the resident blocks with at least minHits lookups, and the
+// bytes of each the cache holds, hottest first (ties on (file, block) so
+// the order is deterministic). Hit counts are per-entry and reset when a
+// block is evicted and refetched, so the report tracks the *current*
+// working set, not all-time popularity.
 func (c *blockCache) hot(minHits int64) []HotBlock {
 	var out []HotBlock
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k, e := range s.items {
-			if e.hits >= minHits {
-				out = append(out, HotBlock{File: k.file, Block: k.block, Hits: e.hits})
+			if !e.pending && e.hits >= minHits {
+				out = append(out, HotBlock{File: k.file, Block: k.block, Lo: e.lo, Hi: e.hi, Hits: e.hits})
 			}
 		}
 		s.mu.Unlock()
@@ -259,8 +335,8 @@ func (c *blockCache) hot(minHits int64) []HotBlock {
 	return out
 }
 
-// cachedBytes sums the resident bytes across shards, plus those reserved
-// by fetches still in flight (stats snapshot).
+// cachedBytes sums the resident bytes across shards, plus those of pending
+// entries still being filled (stats snapshot).
 func (c *blockCache) cachedBytes() int64 {
 	var total int64
 	for i := range c.shards {

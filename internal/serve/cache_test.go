@@ -17,10 +17,19 @@ func lookup(c *blockCache, k blockKey, n int) ([]byte, bool) {
 	return dst, ok
 }
 
-// insert caches data as block k the way the miss path does: reserve a
-// frame, fill it, publish it.
+// reserve takes acquire's reservation step alone: a pending n-byte entry
+// for k, in place of any resident copy.
+func reserve(c *blockCache, k blockKey, n int64) *cacheEntry {
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return c.reserve(s, k, n)
+}
+
+// insert caches data as block k, replacing any resident copy: reserve a
+// frame, fill it, make it resident.
 func insert(c *blockCache, k blockKey, data []byte) {
-	e := c.reserve(k, int64(len(data)))
+	e := reserve(c, k, int64(len(data)))
 	copy(e.data, data)
 	c.commit(e)
 }
@@ -94,19 +103,39 @@ func TestBlockCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			data := bytes.Repeat([]byte{1}, 64)
 			for i := 0; i < 500; i++ {
 				k := blockKey{g % 3, int64(i % 50)}
-				// A 64-byte block fills exactly the first 64 of 65 bytes.
-				if d, ok := lookup(c, k, 65); ok && (d[63] != 1 || d[64] != 0) {
-					t.Errorf("wrong block size: copied bytes end %v", d[62:])
-					return
+				// Every filler writes the block's own byte over the range it
+				// holds — 32 bytes around the window, or all 64 when it
+				// replaces a partial copy; a hit must see exactly that byte.
+				d := make([]byte, 16)
+				from := int64(i % 48)
+				e, got := c.acquire(k, d, from, from&^15, from&^15+32, 64)
+				switch got {
+				case claimMine:
+					for j := e.lo; j < e.hi; j++ {
+						e.data[j] = byte(k.block)
+					}
+					c.commit(e)
+				case claimHit:
+					if !bytes.Equal(d, bytes.Repeat([]byte{byte(k.block)}, 16)) {
+						t.Errorf("block %v at %d: copied %v", k, from, d)
+						return
+					}
+				case claimWait:
+					c.wait(k)
 				}
-				insert(c, k, data)
 			}
 		}(g)
 	}
 	wg.Wait()
+	for i := range c.shards {
+		for k, e := range c.shards[i].items {
+			if e.pending {
+				t.Fatalf("block %v left pending", k)
+			}
+		}
+	}
 }
 
 // TestReserveLeavesPinnedFrameAlone pins the recycling rule: a frame some
@@ -140,14 +169,14 @@ func TestReserveLeavesPinnedFrameAlone(t *testing.T) {
 	}
 }
 
-// TestReservationLifecycle pins the two-step insertion: a reservation is
+// TestReservationLifecycle pins the two-step insertion: a pending entry is
 // charged at once but invisible to lookups until commit; abort returns its
 // bytes and hands its frame to the next reservation.
 func TestReservationLifecycle(t *testing.T) {
 	c := newBlockCache(40, 1)
 	c.shards[0].evictions = &obs.Counter{}
 	k := blockKey{0, 3}
-	e := c.reserve(k, 10)
+	e := reserve(c, k, 10)
 	copy(e.data, "block-0003")
 	if _, ok := lookup(c, k, 10); ok {
 		t.Fatal("a reservation is visible before commit")
@@ -162,7 +191,7 @@ func TestReservationLifecycle(t *testing.T) {
 	if got := c.cachedBytes(); got != 0 {
 		t.Fatalf("cachedBytes = %d after abort, want 0", got)
 	}
-	again := c.reserve(blockKey{0, 4}, 10)
+	again := reserve(c, blockKey{0, 4}, 10)
 	if again != e || &again.data[0] != &e.data[0] {
 		t.Fatal("the next reservation did not take the aborted slot and frame")
 	}
@@ -196,7 +225,7 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 				insert(c, blockKey{0, b}, data)
 				continue
 			}
-			e := c.reserve(blockKey{0, b}, 10)
+			e := reserve(c, blockKey{0, b}, 10)
 			copy(e.data, data)
 			held = append(held, e)
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/resil"
@@ -19,57 +18,29 @@ import (
 // flight per file: the serialisation the multifile layout exists to avoid
 // (many tasks, one file, uncoordinated block-aligned requests — paper §3).
 //
-// Singleflight, the part that did pay, stays as a per-file table of block
-// ranges being fetched (flightTable): a reader claims the range its
-// missing blocks span; a claim overlapping one in flight waits for it and
-// then finds those blocks resident. Readers of disjoint ranges never meet,
-// and the table's lock covers table updates only, never a backend read.
+// Singleflight, the part that did pay, lives in the cache map: a reader
+// settles each block it missed with one acquire under the block's shard
+// lock, which copies the bytes out if they are resident by now, enters a
+// pending entry for the reader to fill, or reports another reader's pending
+// entry. A reader reserves blocks in order up to the first such one, reads
+// and commits (or aborts) its own, and only then waits, holding nothing —
+// so waits cannot cycle, and no lock is held across a backend read.
 //
-// A missed block is read straight into the cache frame it will live in: the
-// reader reserves a frame per absent block, and each dense span is one
-// vectored backend read (fsio.ReadvAt) whose vectors are those frames, so
-// a missed byte is copied twice — kernel to frame, frame to caller — where
-// a span buffer in between made it three times.
-
-// blockRange is the half-open cache-block range [lo, hi) of one file.
-type blockRange struct{ lo, hi int64 }
-
-// flightTable is one physical file's in-flight fetches.
-type flightTable struct {
-	mu     sync.Mutex
-	done   sync.Cond // on mu; broadcast at every release
-	active []blockRange
-}
-
-func newFlightTable() *flightTable {
-	t := &flightTable{}
-	t.done.L = &t.mu
-	return t
-}
-
-// claim registers r as in flight, first waiting out every flight that
-// overlaps it. A reader holds at most one claim, so waiting cannot cycle.
-func (t *flightTable) claim(r blockRange) {
-	t.mu.Lock()
-	for slices.ContainsFunc(t.active, func(a blockRange) bool { return a.lo < r.hi && r.lo < a.hi }) {
-		t.done.Wait()
-	}
-	t.active = append(t.active, r)
-	t.mu.Unlock()
-}
-
-// release ends the flight claimed as r and wakes the readers queued on it.
-func (t *flightTable) release(r blockRange) {
-	t.mu.Lock()
-	i, last := slices.Index(t.active, r), len(t.active)-1
-	t.active[i] = t.active[last]
-	t.active = t.active[:last]
-	t.mu.Unlock()
-	t.done.Broadcast()
-}
+// A first miss reads only the FS blocks its window touches (paper §3.1:
+// the file system does the work a task asks for), so a 4 KiB request in a
+// 16 KiB cache block moves 4 or 8 KiB, not 16. A later window the partial
+// frame does not cover reads the whole block, so a block costs at most two
+// backend reads and sequential small reads stay proportional to their
+// bytes. With cache blocks of one FS block (the sim profiles, tail
+// servers) every fill is the whole block.
+//
+// A missed block is read straight into the cache frame it will live in:
+// each dense span is one vectored backend read (fsio.ReadvAt) whose
+// vectors are those frames, so a missed byte is copied twice — kernel to
+// frame, frame to caller.
 
 // missScratch is one fetch's bookkeeping, pooled so that a miss of any
-// size allocates nothing: the reservation of each absent block, the read
+// size allocates nothing: the pending entry of each absent block, the read
 // vectors of the span being read, and a block-sized frame that the blocks
 // inside a span which are not absent are read into and dropped.
 type missScratch struct {
@@ -81,8 +52,8 @@ type missScratch struct {
 var missScratches = sync.Pool{New: func() any { return new(missScratch) }}
 
 // spanVecs lists the blocks [blocks[0], last] of one dense span as read
-// vectors: each absent block's frame, and the discard frame for every
-// block between two of them.
+// vectors: each absent block's frame, over the range it is to hold, and
+// the discard frame for every block between two of them.
 func (sc *missScratch) spanVecs(blocks []int64, frames []*cacheEntry, bs int64) [][]byte {
 	v := sc.vecs[:0]
 	for x, b := range blocks {
@@ -92,7 +63,8 @@ func (sc *missScratch) spanVecs(blocks []int64, frames []*cacheEntry, bs int64) 
 			}
 			v = append(v, sc.discard[:bs])
 		}
-		v = append(v, frames[x].data)
+		e := frames[x]
+		v = append(v, e.data[e.lo:e.hi])
 	}
 	sc.vecs = v
 	return v
@@ -108,16 +80,19 @@ type missCost struct {
 // readAt's cache pass missed (ascending, at least one) and copies each
 // block's share of the window [off, off+len(p)) into p.
 //
-// Under the claim on the blocks' range no one else is fetching them, so in
-// order: a block resident by now was fetched by a flight this one waited
-// for or just lost to (singleflight — a FlightHit, no new read); any other
-// gets a reserved frame, which a peer cache holding the block fills
-// (PeerFill); the rest are fused into dense spans (spanEnd), each one
-// retried vectored backend read into their frames, or several where the
-// backend's ranged-read ceiling demands (windowedSpanRead). Every span is
-// attempted, and the request fails with its first failed span's error. A
-// filled frame is copied out to p and then committed; the frames of a
-// failed span, or of a request the breaker rejects, are aborted.
+// It acquires the blocks in order. One resident by now was filled by
+// another reader (singleflight — a FlightHit, no new read); one another
+// reader is filling ends the round. Each other block gets a pending entry
+// over the FS blocks its share of the window touches (fillRange; the whole
+// block if a partial copy was resident), which a peer cache holding those
+// bytes fills (PeerFill); the rest are fused into dense spans (spanEnd),
+// each one retried vectored backend read into their frames, or several
+// where the backend's ranged-read ceiling demands (windowedSpanRead). A
+// filled frame is copied out to p and then committed; the entries of a
+// failed span, or of a request the breaker rejects, are aborted. Then the
+// reader waits for the block that ended the round and goes on from it.
+// Every span is attempted, and the request fails with its first failed
+// span's error.
 //
 // Breaker protocol: a request that needs backend spans consults the file's
 // breaker once — an open circuit fails it fast with ErrDegraded (each
@@ -125,89 +100,105 @@ type missCost struct {
 // reports one verdict: Failure if any span exhausted its retry budget on a
 // transient fault, Success otherwise (a permanent error is the backend
 // answering, which is evidence of health, not of overload).
-func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (cost missCost, _ error) {
+func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (cost missCost, err error) {
 	bs := s.blockBytes
-	claim := blockRange{missing[0], missing[len(missing)-1] + 1}
-	s.flights[file].claim(claim)
-	defer s.flights[file].release(claim)
 	sc := missScratches.Get().(*missScratch)
 	defer func() {
 		clear(sc.frames)
 		clear(sc.vecs) // a pooled scratch should not keep frames alive
 		missScratches.Put(sc)
 	}()
-	// deliver hands the reader its share of block b from reservation e, then
-	// publishes e: the copy must come first, a published frame can be
-	// recycled at once.
-	deliver := func(b int64, e *cacheEntry) {
-		dst, from := blockWindow(p, off, b, bs)
+	// deliver hands the reader its share of e's block, then commits e: the
+	// copy must come first, a resident frame can be recycled at once.
+	deliver := func(e *cacheEntry) {
+		dst, from := blockWindow(p, off, e.key.block, bs)
 		copy(dst, e.data[from:])
 		s.cache.commit(e)
 	}
 
-	absent, frames := missing[:0], sc.frames[:0] // frames[i] is absent[i]'s reservation
-	for _, b := range missing {
-		k := blockKey{file, b}
-		if dst, from := blockWindow(p, off, b, bs); s.cache.copyOut(s.cache.shardIndex(k), k, dst, from) {
-			cost.flightHits++
-			continue
+	br := s.breakers[file]
+	admitted, transientGiveUp := false, false
+	for x := 0; x < len(missing); {
+		absent, frames := missing[x:x], sc.frames[:0] // frames[i] is absent[i]'s entry
+		for ; x < len(missing); x++ {
+			b := missing[x]
+			dst, from := blockWindow(p, off, b, bs)
+			lo, hi := s.fillRange(b, dst, from)
+			e, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, hi, bs)
+			if got == claimWait {
+				break
+			}
+			switch {
+			case got == claimHit:
+				cost.flightHits++
+			case s.peerFill != nil && s.peerFill(file, b, e.data[e.lo:e.hi], e.lo):
+				deliver(e)
+				cost.peerFills++
+			default:
+				absent, frames = append(absent, b), append(frames, e)
+			}
 		}
-		e := s.cache.reserve(k, bs)
-		if s.peerFill != nil && s.peerFill(file, b, e.data) {
-			deliver(b, e)
-			cost.peerFills++
-			continue
+		sc.frames = frames
+
+		if len(absent) > 0 && !admitted {
+			if br != nil && !br.Allow() {
+				for _, e := range frames {
+					s.cache.abort(e)
+				}
+				s.m.degraded.Inc()
+				err = fmt.Errorf("serve: %s: %w", s.physNames[file], ErrDegraded)
+				break
+			}
+			admitted = true
 		}
-		absent, frames = append(absent, b), append(frames, e)
+		for i, j := 0, 0; i < len(absent); i = j {
+			j = spanEnd(absent, i, bs, s.maxSpanGap)
+			r, serr := s.windowedSpanRead(file, sc.spanVecs(absent[i:j], frames[i:j], bs), absent[i]*bs+frames[i].lo)
+			cost.retries += r
+			if serr != nil {
+				for _, e := range frames[i:j] {
+					s.cache.abort(e)
+				}
+				if err == nil {
+					err = serr
+				}
+				if resil.Classify(serr) == resil.ClassTransient {
+					transientGiveUp = true
+				}
+				continue
+			}
+			cost.spans++
+			s.m.fetchSpanBlocks.Add(int64(j - i))
+			for _, e := range frames[i:j] {
+				deliver(e)
+			}
+		}
+		if x < len(missing) {
+			s.cache.wait(blockKey{file, missing[x]})
+		}
 	}
-	sc.frames = frames
 	s.m.flightHits.Add(cost.flightHits)
 	s.m.peerFills.Add(cost.peerFills)
-	if len(absent) == 0 {
-		return cost, nil
-	}
-
-	br := s.breakers[file]
-	if br != nil && !br.Allow() {
-		for _, e := range frames {
-			s.cache.abort(e)
-		}
-		s.m.degraded.Inc()
-		return cost, fmt.Errorf("serve: %s: %w", s.physNames[file], ErrDegraded)
-	}
-	var firstErr error
-	transientGiveUp := false
-	for i, j := 0, 0; i < len(absent); i = j {
-		j = spanEnd(absent, i, bs, s.maxSpanGap)
-		r, err := s.windowedSpanRead(file, sc.spanVecs(absent[i:j], frames[i:j], bs), absent[i]*bs)
-		cost.retries += r
-		if err != nil {
-			for _, e := range frames[i:j] {
-				s.cache.abort(e)
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			if resil.Classify(err) == resil.ClassTransient {
-				transientGiveUp = true
-			}
-			continue
-		}
-		cost.spans++
-		s.m.fetchSpanBlocks.Add(int64(j - i))
-		for x := i; x < j; x++ {
-			deliver(absent[x], frames[x])
-		}
-	}
 	s.m.fetchSpans.Add(cost.spans)
-	if br != nil {
+	if admitted && br != nil {
 		if transientGiveUp {
 			br.Failure()
 		} else {
 			br.Success()
 		}
 	}
-	return cost, firstErr
+	return cost, err
+}
+
+// fillRange is the part of cache block b that a first miss of the window
+// [from, from+len(dst)) of it reads: the FS blocks the window touches,
+// aligned in absolute file offsets and clamped to the block. With cache
+// blocks of one FS block it is always the whole block.
+func (s *Server) fillRange(b int64, dst []byte, from int64) (lo, hi int64) {
+	base, fb := b*s.blockBytes, s.fsBlock
+	lo = max((base+from)/fb*fb-base, 0)
+	hi = min((base+from+int64(len(dst))+fb-1)/fb*fb-base, s.blockBytes)
+	return lo, hi
 }
 
 // spanEnd returns j such that blocks[i:j] (ascending, bs bytes each) form
@@ -223,21 +214,29 @@ func spanEnd(blocks []int64, i int, bs, maxGap int64) int {
 	return j
 }
 
-// windowedSpanRead reads one dense span of physical file `file` into vecs
-// (one block each), split into requests of at most Server.maxSpanBytes
-// (0 = one request regardless of length) so no single backend read exceeds
-// the backend's ranged-read capability. The first failing window fails the
-// whole span — its blocks are re-requested together anyway.
+// windowedSpanRead reads one dense span of physical file `file`, from off
+// onwards, into vecs (one per block: an absent block's frame range, or the
+// discard frame for a bridged one), split into requests of at most
+// Server.maxSpanBytes (0 = one request regardless of length) so no single
+// backend read exceeds the backend's ranged-read capability. Each request
+// starts where its predecessor's vectors end: only a span's first frame
+// may start late and only its last may end early, the ends of the
+// request's window. The first failing window fails the whole span — its
+// blocks are re-requested together anyway.
 func (s *Server) windowedSpanRead(file int, vecs [][]byte, off int64) (retries int64, _ error) {
 	per := len(vecs) // blocks per request
 	if s.maxSpanBytes > 0 {
 		per = int(s.maxSpanBytes / s.blockBytes)
 	}
 	for w := 0; w < len(vecs); w += per {
-		r, err := s.spanRead(file, vecs[w:min(w+per, len(vecs))], off+int64(w)*s.blockBytes)
+		win := vecs[w:min(w+per, len(vecs))]
+		r, err := s.spanRead(file, win, off)
 		retries += r
 		if err != nil {
 			return retries, err
+		}
+		for _, v := range win {
+			off += int64(len(v))
 		}
 	}
 	return retries, nil

@@ -240,7 +240,7 @@ func TestPeerFillSkipsBackend(t *testing.T) {
 	defer a.Close()
 	b, err := New(fsys, "p.sion", &Config{
 		CacheBytes: 1 << 20,
-		PeerFill:   func(file int, block int64, dst []byte) bool { return a.Peek(file, block, dst) },
+		PeerFill:   func(file int, block int64, dst []byte, from int64) bool { return a.Peek(file, block, dst, from) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,10 +285,10 @@ func TestPeerFillSkipsBackend(t *testing.T) {
 	}
 	// Peek is passive: asking for an uncached block is not a miss.
 	misses := a.Stats().Misses
-	if a.Peek(0, 1<<30, nil) {
+	if a.Peek(0, 1<<30, nil, 0) {
 		t.Fatal("Peek invented a block")
 	}
-	if a.Peek(-1, 0, nil) {
+	if a.Peek(-1, 0, nil, 0) {
 		t.Fatal("Peek accepted a negative file index")
 	}
 	if got := a.Stats().Misses; got != misses {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"runtime"
@@ -13,6 +14,8 @@ import (
 	sion "repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/resil"
+	"repro/internal/simfs"
 )
 
 // writeOneFile writes an nranks × perRank multifile into a single physical
@@ -344,5 +347,135 @@ func TestSingleflightOneBackendRead(t *testing.T) {
 	if st.FlightHits != (readers-1)*blocks {
 		t.Fatalf("FlightHits = %d, want %d: every reader but the fetching one finds all %d blocks resident after its wait",
 			st.FlightHits, (readers-1)*blocks, blocks)
+	}
+}
+
+// releaseReaders starts one goroutine per window of physical file 0 with
+// every backend read of gfs held until all of them have missed each of
+// their blocks, then returns what each read delivered and its error.
+func releaseReaders(t *testing.T, s *Server, gfs *gatedFS, offs []int64, win int64) ([][]byte, []error) {
+	t.Helper()
+	gfs.armed.Store(true)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	got, errs := make([][]byte, len(offs)), make([]error, len(offs))
+	for g := range offs {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([]byte, win)
+			start.Wait()
+			errs[g] = s.ReadFileAt(0, got[g], offs[g], nil)
+		}()
+	}
+	start.Done()
+	want := int64(len(offs)) * win / s.BlockBytes()
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().Misses < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("readers never all missed: %+v", s.Stats())
+		}
+	}
+	close(gfs.gate)
+	wg.Wait()
+	return got, errs
+}
+
+// TestSingleflightOverlappingWindows: sixteen readers of windows shifted
+// by one block, released together onto a cold file, read every block of
+// their union from the backend exactly once — each reserves blocks up to
+// the first one another reader is filling and waits for it holding
+// nothing — and no goroutine outlives Close.
+func TestSingleflightOverlappingWindows(t *testing.T) {
+	base := runtime.NumGoroutine()
+	gfs := &gatedFS{FileSystem: fsio.NewOS(t.TempDir()), gate: make(chan struct{})}
+	raw := writeOneFile(t, gfs, "o.sion", 8, 64<<10, 4096)
+	s, err := New(gfs, "o.sion", &Config{CacheBytes: 4 << 20, MaxSpanGap: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, blocks = 16, 4
+	bs := s.BlockBytes()
+	offs := make([]int64, readers)
+	for g := range offs {
+		offs[g] = (8 + int64(g)) * bs
+	}
+	got, errs := releaseReaders(t, s, gfs, offs, blocks*bs)
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("reader %d: %v", g, errs[g])
+		}
+		if !bytes.Equal(got[g], wantWindow(raw, offs[g], blocks*bs)) {
+			t.Fatalf("reader %d: bytes differ from the file", g)
+		}
+	}
+	st := s.Stats()
+	if union := (readers + blocks - 1) * bs; st.BackendBytes != union {
+		t.Fatalf("readers of a %d-byte union moved %d backend bytes in %d reads: a block was read twice",
+			union, st.BackendBytes, st.BackendReads)
+	}
+	if st.FlightHits == 0 {
+		t.Fatalf("no reader waited for another's block: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestSingleflightWaiterOutlivesFailedOwner: readers parked on a block
+// whose filler's span fails transiently are not handed the failure; the
+// aborted entries send one of them to the backend itself, and every
+// reader gets the file's bytes or its own typed error.
+func TestSingleflightWaiterOutlivesFailedOwner(t *testing.T) {
+	inner := fsio.NewOS(t.TempDir())
+	raw := writeOneFile(t, inner, "w.sion", 8, 64<<10, 4096)
+	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: 5})
+	gfs := &gatedFS{FileSystem: fl.Wrap(inner, nil), gate: make(chan struct{})}
+	s, err := New(gfs, "w.sion", &Config{CacheBytes: 4 << 20, Retry: &resil.Budget{MaxAttempts: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	name := s.physNames[0]
+	next := fl.FileOps(name)
+	fl.FailWindow(name, next, next+1) // the first span read fails, the next succeeds
+
+	const readers, win = 8, 64 << 10
+	offs := make([]int64, readers)
+	for g := range offs {
+		offs[g] = 128 << 10
+	}
+	got, errs := releaseReaders(t, s, gfs, offs, win)
+	failed := 0
+	for g := range got {
+		switch {
+		case errs[g] == nil:
+			if !bytes.Equal(got[g], wantWindow(raw, offs[g], win)) {
+				t.Fatalf("reader %d: bytes differ from the file", g)
+			}
+		case errors.Is(errs[g], fsio.ErrTransient):
+			failed++
+		default:
+			t.Fatalf("reader %d: untyped error %v", g, errs[g])
+		}
+	}
+	// The failed span covered the whole window; the waiters' re-reads cover
+	// each block once more, in one span or several as the aborts land.
+	if st := s.Stats(); failed != 1 || st.BackendBytes != 2*win {
+		t.Fatalf("%d readers failed and the backend moved %d bytes, want the owner alone to fail and the window read once more: %+v",
+			failed, st.BackendBytes, st)
+	}
+}
+
+// waitGoroutines waits up to a second for the goroutine count to fall back
+// to base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines left after Close, want %d", runtime.NumGoroutine(), base)
+			return
+		}
 	}
 }

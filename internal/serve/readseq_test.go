@@ -58,22 +58,30 @@ func (f *recordFile) ReadAt(p []byte, off int64) (int, error) {
 
 // goldenReadSequence is the SHA-256 of the backend (file, off, len) lines
 // the fetcher-goroutine implementation (commit 7e61436) issued for the
-// stream below. A sequential client must keep issuing exactly these reads:
-// same spans, same gap bridging, same ranged-read windows, same order.
+// stream below with cache blocks of one FS block. A sequential client must
+// keep issuing exactly these reads: same spans, same gap bridging, same
+// ranged-read windows, same order.
 const goldenReadSequence = "7e7beac81e097c4c3ef5707def49f07de8a037938d7446b8f791469f8826cabb"
+
+// goldenReadSequenceWide is the same stream's hash with cache blocks of
+// four FS blocks, the default geometry's shape: first misses read only the
+// FS blocks their window touches, a partly resident block is read whole,
+// and ranged-read windows start where the previous window's vectors end.
+const goldenReadSequenceWide = "cd422c838e836aaa838050925f63a897f4f0e97581863321ea17439f1b448131"
 
 // TestSequentialReadSequenceIsGolden replays a seeded sequential stream of
 // 500 mixed requests — random windows of five sizes over both physical
 // files, windows straddling EOF, and miss–hit–miss windows (a few resident
 // blocks in the middle of a cold window, so the gap rule decides between
 // bridging and splitting) — through a small cache, checks every byte, and
-// compares the backend reads it caused with the committed golden.
+// compares the backend reads it caused with the committed golden, once
+// per cache-block geometry.
 func TestSequentialReadSequenceIsGolden(t *testing.T) {
 	inner := fsio.NewOS(t.TempDir())
-	const nranks = 8
+	const nranks, fsblk = 8, 256
 	mpi.Run(nranks, func(c *mpi.Comm) {
 		f, err := sion.ParOpen(c, inner, "g.sion", sion.WriteMode, &sion.Options{
-			ChunkSize: 8192, FSBlockSize: 256, NFiles: 2,
+			ChunkSize: 8192, FSBlockSize: fsblk, NFiles: 2,
 		})
 		if err != nil {
 			t.Error(err)
@@ -89,13 +97,25 @@ func TestSequentialReadSequenceIsGolden(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
+	for _, arm := range []struct {
+		name   string
+		block  int64
+		golden string
+	}{
+		{"fs-block", fsblk, goldenReadSequence},            // the geometry the first golden was recorded with
+		{"4-fs-blocks", 4 * fsblk, goldenReadSequenceWide}, // partial frames
+	} {
+		t.Run(arm.name, func(t *testing.T) { replayReadSequence(t, inner, arm.block, arm.golden) })
+	}
+}
 
+func replayReadSequence(t *testing.T, inner fsio.FileSystem, block int64, golden string) {
 	rec := &recordFS{FileSystem: inner, caps: fsio.Capabilities{MaxReadBytes: 2048}, sum: sha256.New()}
 	s, err := New(rec, "g.sion", &Config{
-		CacheBytes: 16 << 10, // 64 blocks of 256 B against ~1300 on disk
-		BlockBytes: 256,      // the FS block: the geometry the golden was recorded with
+		CacheBytes: 16 << 10, // 64 FS blocks of 256 B against ~1300 on disk
+		BlockBytes: block,
 		Shards:     4,
-		MaxSpanGap: 512, // bridge up to two resident blocks, split at three
+		MaxSpanGap: 2 * block, // bridge up to two resident blocks, split at three
 		Retry:      &resil.Budget{MaxAttempts: 1},
 	})
 	if err != nil {
@@ -162,7 +182,7 @@ func TestSequentialReadSequenceIsGolden(t *testing.T) {
 	if st := s.Stats(); int64(reads) != st.BackendReads || st.Hits == 0 || st.Evictions == 0 {
 		t.Fatalf("stream did not exercise the cache: %d recorded reads, stats %+v", reads, st)
 	}
-	if got != goldenReadSequence {
-		t.Fatalf("backend read sequence changed: %d reads hash to %s, golden %s", reads, got, goldenReadSequence)
+	if got != golden {
+		t.Fatalf("backend read sequence changed: %d reads hash to %s, golden %s", reads, got, golden)
 	}
 }

@@ -19,17 +19,20 @@
 //     budget split evenly across shards. Frames are
 //     allocated as blocks arrive and recycled on eviction; hits are copied
 //     out, never lent, so nothing outside the cache ever aliases a
-//     published frame.
-//   - A miss path on the reader's own goroutine (fetch.go): a read reserves
-//     a cache frame per missing block, fuses the blocks into dense spans
-//     with the gap-splitting rule of the mapped collective open
+//     resident frame.
+//   - A miss path on the reader's own goroutine (fetch.go): a read enters
+//     a pending cache entry per missing block, fuses the blocks into dense
+//     spans with the gap-splitting rule of the mapped collective open
 //     (sion.CoalesceExtents), reads each span into the frames with one
 //     vectored backend read (fsio.ReadvAt: preadv on Linux), and copies
-//     each block's share into the caller's buffer before publishing its
-//     frame. Readers of distinct block ranges read one physical
-//     file concurrently — the access pattern the multifile layout was
-//     designed for (paper §3) — and a per-file in-flight table gives
-//     singleflight: concurrent misses of a block are one backend read.
+//     each block's share into the caller's buffer before making its frame
+//     resident. A first miss reads only the FS blocks its window touches
+//     (a frame holds a valid range of its block); a later window outside
+//     that range reads the whole block. Readers of distinct block ranges
+//     read one physical file concurrently — the access pattern the
+//     multifile layout was designed for (paper §3) — and a reader that
+//     finds another's pending entry waits for it (singleflight):
+//     concurrent misses of a block are one backend read.
 //   - Cheap client sessions: Open returns a Handle holding only cursor
 //     state, so opening a session issues no backend request at all.
 //     Handles re-express the core read semantics (sequential Read,
@@ -128,16 +131,17 @@ type Config struct {
 	// (0 = resil.DefaultBreakerCooldown).
 	BreakerCooldown int
 
-	// PeerFill, when non-nil, is consulted for every missed block before
-	// any backend read is issued: if it fills dst (BlockBytes long) with
-	// the block's full payload (zero-filled past EOF like a backend fetch)
-	// and returns true, the block is cached locally without touching the
-	// backend. internal/cluster wires this to the other nodes' Peek so a
-	// block is read from the filesystem once per cluster, not once per
-	// node. The hook runs on the goroutine of the reader that missed, under
-	// the server's read lock and concurrently with other readers' hooks; it
-	// must not retain dst and must not call back into this Server.
-	PeerFill func(file int, block int64, dst []byte) bool
+	// PeerFill, when non-nil, is consulted for every block a read must
+	// fetch before any backend read is issued: if it fills dst with bytes
+	// [from, from+len(dst)) of the block — the range the fetch would read
+	// (zero-filled past EOF like a backend fetch) — and returns true, they
+	// are cached locally without touching the backend. internal/cluster
+	// wires this to the other nodes' Peek so a block is read from the
+	// filesystem once per cluster, not once per node. The hook runs on the
+	// goroutine of the reader that missed, under the server's read lock
+	// and concurrently with other readers' hooks; it must not retain dst
+	// and must not call back into this Server.
+	PeerFill func(file int, block int64, dst []byte, from int64) bool
 
 	// Metrics, when non-nil, is the obs registry the server registers its
 	// instrument families in; nil gives the server a private registry
@@ -184,16 +188,16 @@ type Server struct {
 	physNames    []string // physical file paths, indexed like files
 	layout       *sion.Layout
 	files        []fsio.File
-	flights      []*flightTable   // per physical file: block ranges being fetched
 	breakers     []*resil.Breaker // per physical file; nil entries = disabled
 	notClosed    atomic.Int32     // breakers currently open or half-open (Degraded's O(1) answer)
 	cache        *blockCache
 	blockBytes   int64
+	fsBlock      int64 // the multifile's FS block: a first miss reads whole ones (fillRange)
 	maxSpanGap   int64
 	maxSpanBytes int64 // ceiling of one backend span read (0 = unbounded), see spanCeiling
 	retry        resil.Budget
 	breakerCfg   [2]int // resolved {threshold, cooldown}; threshold < 0 disables
-	peerFill     func(file int, block int64, dst []byte) bool
+	peerFill     func(file int, block int64, dst []byte, from int64) bool
 
 	// Tail mode (NewTail): the live layout and per-rank committed sizes
 	// from the last Poll. tailMu serializes all TailLayout access; no path
@@ -238,6 +242,7 @@ func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfil
 	s := &Server{
 		name:         name,
 		blockBytes:   c.BlockBytes,
+		fsBlock:      fsblk,
 		maxSpanGap:   c.MaxSpanGap,
 		maxSpanBytes: spanCeiling(caps, c.BlockBytes),
 		cache:        newBlockCache(c.CacheBytes, c.Shards),
@@ -272,7 +277,9 @@ func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfil
 // serve-hot profile spent 1.94 s in copyOut of which 0.71 s was memmove.
 // At 16 KiB, serve-hot's serve_vs_pread went 0.69 -> 1.00 and ckpt-large's
 // 0.25 -> 0.33. A 64 KiB floor dropped serve-cold to 0.15-0.17 (0.29 at
-// 16 KiB, 0.24 at 4 KiB): small uniform misses over-fetch.
+// 16 KiB, 0.24 at 4 KiB) when every miss read whole blocks. A first miss
+// reads only the FS blocks it touches (fillRange), so the cache block sets
+// the lookup cost, not what a small uniform miss fetches.
 const minCacheBlock = 16 << 10
 
 // resolveConfig applies the Config defaults against the multifile's FS
@@ -332,8 +339,8 @@ func spanCeiling(caps fsio.Capabilities, blockBytes int64) int64 {
 	return max(caps.MaxReadBytes-caps.MaxReadBytes%blockBytes, blockBytes)
 }
 
-// openPhysical opens one physical file and sets up its in-flight table
-// (plus its circuit breaker unless breakers are disabled).
+// openPhysical opens one physical file and sets up its circuit breaker
+// unless breakers are disabled.
 func (s *Server) openPhysical(fsys fsio.FileSystem, path string) error {
 	fh, err := fsys.Open(path)
 	if err != nil {
@@ -348,7 +355,6 @@ func (s *Server) openPhysical(fsys fsio.FileSystem, path string) error {
 		br.NotClosed = &s.notClosed
 	}
 	s.breakers = append(s.breakers, br)
-	s.flights = append(s.flights, newFlightTable())
 	s.registerBreakerGauge(k, path)
 	return nil
 }
@@ -396,27 +402,30 @@ func (s *Server) Layout() *sion.Layout { return s.layout }
 // must agree on it (internal/cluster enforces this at Join).
 func (s *Server) BlockBytes() int64 { return s.blockBytes }
 
-// Peek reports whether block `block` of physical file `file` is resident
-// in the cache and, if it is, copies it into dst (BlockBytes long; nil
-// asks for presence only — frames are recycled, so bytes are never lent):
-// no fetch is triggered, no backend read is issued, and the server's
-// hit/miss counters do not move — the block's LRU position and hit count
-// do, as for any lookup. This is the answer side of the cluster peer-fill
-// protocol — a node that missed asks its peers before the backend.
-func (s *Server) Peek(file int, block int64, dst []byte) bool {
-	if file < 0 || file >= len(s.physNames) || block < 0 {
+// Peek reports whether the cache holds bytes [from, from+len(dst)) of
+// block `block` of physical file `file` and, if it does, copies them into
+// dst (nil asks whether any bytes of the block are resident — frames are
+// recycled, so bytes are never lent): no fetch is triggered, no backend
+// read is issued, and the server's hit/miss counters do not move — the
+// block's LRU position and hit count do, as for any lookup. This is the
+// answer side of the cluster peer-fill protocol — a node that missed asks
+// its peers before the backend.
+func (s *Server) Peek(file int, block int64, dst []byte, from int64) bool {
+	if file < 0 || file >= len(s.physNames) || block < 0 || from < 0 {
 		return false
 	}
 	k := blockKey{file, block}
-	return s.cache.copyOut(s.cache.shardIndex(k), k, dst, 0)
+	return s.cache.copyOut(s.cache.shardIndex(k), k, dst, from)
 }
 
-// HotBlock is one cache block with its observed hit count, the unit of
-// the hot-set report the cluster router replicates from.
+// HotBlock is one cache block with its observed hit count and the bytes
+// of it the cache holds, [Lo, Hi): the unit of the hot-set report the
+// cluster router replicates from.
 type HotBlock struct {
-	File  int
-	Block int64
-	Hits  int64
+	File   int
+	Block  int64
+	Lo, Hi int64
+	Hits   int64
 }
 
 // HotBlocks lists the cache-resident blocks whose per-entry hit count
