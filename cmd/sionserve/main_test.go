@@ -72,11 +72,21 @@ func TestFlagsWireTheProcess(t *testing.T) {
 			t.Fatalf("rank %d: status %d, %d bytes", r, rec.Code, rec.Body.Len())
 		}
 	}
-	if st := srv.Stats(); st.CachedBytes > 2<<20 || st.Evictions == 0 {
-		t.Errorf("-cache-mb 2 after streaming %d MiB: %d bytes resident, %d evictions", ranks*perRank>>20, st.CachedBytes, st.Evictions)
+	// One streaming scan fills the cache and reads the rest around it: a
+	// full cache admits a block only on its second miss. Reading the last
+	// rank again admits the blocks it declined last, evicting for them.
+	scan := srv.Stats()
+	if scan.CachedBytes > 2<<20 || scan.ReadAround == 0 {
+		t.Errorf("-cache-mb 2 after streaming %d MiB: %d bytes resident, %d blocks read around", ranks*perRank>>20, scan.CachedBytes, scan.ReadAround)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/rank/"+strconv.Itoa(ranks-1), nil))
+	if st := srv.Stats(); rec.Code != 200 || st.CachedBytes > 2<<20 || st.Evictions == scan.Evictions {
+		t.Errorf("-cache-mb 2 after reading rank %d again: status %d, %d bytes resident, evictions %d -> %d",
+			ranks-1, rec.Code, st.CachedBytes, scan.Evictions, st.Evictions)
 	}
 
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	if err := obs.CheckExposition([]byte(body)); err != nil {

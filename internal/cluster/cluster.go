@@ -644,6 +644,7 @@ func addStats(a, b serve.Stats) serve.Stats {
 		BackendBytes:  a.BackendBytes + b.BackendBytes,
 		ServedBytes:   a.ServedBytes + b.ServedBytes,
 		Evictions:     a.Evictions + b.Evictions,
+		ReadAround:    a.ReadAround + b.ReadAround,
 		CachedBytes:   a.CachedBytes + b.CachedBytes,
 		HandlesOpened: a.HandlesOpened + b.HandlesOpened,
 		TailPolls:     a.TailPolls + b.TailPolls,

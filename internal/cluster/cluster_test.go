@@ -198,6 +198,35 @@ func TestClusterJoinPeerFillsRemappedBlocks(t *testing.T) {
 	}
 }
 
+// TestClusterPeerFillsReadAroundBlocks: a node whose small cache is full
+// reads the first-touch blocks of a large window around it, and a peer
+// that holds them fills them into the caller's window — byte-identical,
+// still no backend read.
+func TestClusterPeerFillsReadAroundBlocks(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	payloads := writeMultifile(t, fsys, "a.sion", 8)
+	cl := New(&Config{VNodes: 16})
+	defer cl.Close()
+	if _, err := cl.Join("n0", fsys, "a.sion", &serve.Config{CacheBytes: testCache}); err != nil {
+		t.Fatal(err)
+	}
+	for r, want := range payloads {
+		checkRank(t, cl, r, want)
+	}
+	small, err := cl.Join("n9", fsys, "a.sion", &serve.Config{CacheBytes: 64 << 10}) // four blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, want := range payloads {
+		checkRank(t, cl, r, want)
+	}
+	st := small.Server().Stats()
+	if st.ReadAround == 0 || st.PeerFills < st.ReadAround || st.BackendReads != 0 {
+		t.Fatalf("n9 with a full cache: %d blocks read around, %d peer fills, %d backend reads; "+
+			"want every read-around block filled from n0", st.ReadAround, st.PeerFills, st.BackendReads)
+	}
+}
+
 // TestClusterHotReplicationAndRotation pins hot-block handling: after
 // RebalanceHot a block past HotMinHits is resident on ReplicateHot nodes
 // (replicas warmed via peer fill, not the backend), and subsequent reads

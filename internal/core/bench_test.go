@@ -86,7 +86,7 @@ func (sh readBackShape) records(g int) []int64 {
 // benchReadBack dumps the shape once and times its read-back, one
 // io.ReadFull per record: ParOpen on 64 ranks (the ladder's P3), or
 // ParOpenMapped on `readers` ranks draining the writers they own (P4).
-// direct > 0 overrides the handles' derived directReadBytes, which is how
+// direct > 0 overrides the handles' derived DirectReadBytes, which is how
 // the crossover sweep holds a record size on one side of the rule.
 func benchReadBack(b *testing.B, sh readBackShape, readers int, direct int64) {
 	fsys := fsio.NewOS(b.TempDir())

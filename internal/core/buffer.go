@@ -23,7 +23,7 @@ import (
 //     buffer retains the partial tail block so that the next flush starts
 //     on an FS block boundary again.
 //   - Read-ahead coalesces small reads, and only those. What the stage
-//     holds is served from it. A miss smaller than directReadBytes — a
+//     holds is served from it. A miss smaller than DirectReadBytes — a
 //     few FS blocks, or the request size the backend's capability
 //     descriptor prefers — fetches up to one whole chunk region (the
 //     remaining used bytes of the current chunk, capped at the buffer
@@ -309,11 +309,13 @@ func (f *File) stagedWrite(p []byte) (int, error) {
 // Table 1) the rule never fires below the stage size.
 const directReadBlocks = 4
 
-// directReadBytes is the size from which a read that misses the stage is
+// DirectReadBytes is the size from which a read that misses the stage is
 // an efficient request on its own: what the backend says it is
 // (PreferredRequestBytes — object stores price every request), else
-// directReadBlocks FS blocks.
-func directReadBytes(caps fsio.Capabilities, fsblk int64) int64 {
+// directReadBlocks FS blocks. It is the one read-size rule of the stack:
+// the read stage reads a miss this large straight into the caller's slice,
+// and internal/serve reads a window this large around a full cache.
+func DirectReadBytes(caps fsio.Capabilities, fsblk int64) int64 {
 	if caps.PreferredRequestBytes > 0 {
 		return caps.PreferredRequestBytes
 	}

@@ -483,7 +483,7 @@ func TestShortReadZeroFills(t *testing.T) {
 		f.Write(rankPayload(c.Rank(), size))
 		f.Close()
 	})
-	direct := int(directReadBytes(fsio.Capabilities{}, fsblk))
+	direct := int(DirectReadBytes(fsio.Capabilities{}, fsblk))
 	paths := []struct {
 		label string
 		buf   int64
@@ -557,7 +557,7 @@ func TestShortReadZeroFills(t *testing.T) {
 // a miss of at least min(direct, stage) bytes is one read of its own
 // size, a smaller miss fetches the rest of its chunk up to the stage size
 // — and returns the backend reads and bytes the rule must issue. With
-// direct = stage it is the rule as it was before directReadBytes.
+// direct = stage it is the rule as it was before DirectReadBytes.
 func modelReads(blocks []int64, rec, stage, direct int64) (calls, nbytes int64) {
 	cb, cs, cl := -1, int64(0), int64(0)
 	left := int64(0)
@@ -582,14 +582,14 @@ func modelReads(blocks []int64, rec, stage, direct int64) (calls, nbytes int64) 
 }
 
 // TestDirectReadRequestPins pins the requests the read-ahead rule issues,
-// counted by an fsio.Meter under the handle: records of directReadBytes
+// counted by an fsio.Meter under the handle: records of DirectReadBytes
 // are one backend read each and not a byte of read-ahead; smaller records
 // cost one read per chunk region, as they did before the rule; and on a
 // backend that names its own preferred request size (the object store) the
 // request stream is what it was before for every record size.
 func TestDirectReadRequestPins(t *testing.T) {
 	const fsblk, chunk, nblocks = 256, 8192, 3
-	direct := directReadBytes(fsio.Capabilities{}, fsblk)
+	direct := DirectReadBytes(fsio.Capabilities{}, fsblk)
 	obj := simfs.NewObjStore(simfs.ObjProfile{})
 	for _, be := range []struct {
 		label  string

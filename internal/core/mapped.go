@@ -262,7 +262,7 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 				},
 				readBytes:  rec.blockBytes,
 				fhShared:   true,
-				directRead: directReadBytes(caps, fsblk),
+				directRead: DirectReadBytes(caps, fsblk),
 			}
 		}
 	}
@@ -723,7 +723,7 @@ func (pf *physFile) rankView(fsys fsio.FileSystem, caps fsio.Capabilities, name 
 			headers: pf.geo.headers,
 		},
 		readBytes:  append([]int64(nil), pf.m2.BlockBytes[li]...),
-		directRead: directReadBytes(caps, pf.h.FSBlockSize),
+		directRead: DirectReadBytes(caps, pf.h.FSBlockSize),
 	}
 }
 

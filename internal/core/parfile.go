@@ -70,7 +70,7 @@ type File struct {
 	// Buffered staging for the direct path (see buffer.go): write-behind
 	// (wstage) and read-ahead (rstage); nil = unbuffered. stagingOff
 	// records an explicit SetBufferSize(0) opt-out, which NewKeyReader's
-	// automatic read-ahead respects. directRead is directReadBytes of the
+	// automatic read-ahead respects. directRead is DirectReadBytes of the
 	// capability descriptor the open resolved, kept for a stage armed later.
 	wstage     *writeStage
 	rstage     *readStage
@@ -376,7 +376,7 @@ func parOpenRead(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Option
 		local: lcomm.Rank(), global: comm.Rank(),
 		filenum: filenum, nfiles: nfiles, fsblk: fsblk,
 		chunkHdrs:  flags&flagChunkHeaders != 0,
-		directRead: directReadBytes(caps, fsblk),
+		directRead: DirectReadBytes(caps, fsblk),
 	}
 
 	// Each file's master parses its metadata and scatters per-task

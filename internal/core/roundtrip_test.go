@@ -408,7 +408,7 @@ func TestPropertyRoundTripModes(t *testing.T) {
 
 			// The serial global view (the M=1 cursor over the same rank
 			// handles) and the key-value reader, per stage size.
-			direct := directReadBytes(fsio.Capabilities{}, fsblk)
+			direct := DirectReadBytes(fsio.Capabilities{}, fsblk)
 			keyRecs := func(g int) [][]byte { // rank g's payload cut into the size classes, in turn
 				var recs [][]byte
 				payload, classes := rankPayload(g, sizes[g]), recordSizes(direct, capacity)

@@ -194,12 +194,13 @@ var backends = []struct {
 			families: func() map[string]int64 {
 				st := srv.Stats()
 				return map[string]int64{
-					"serve_cache_hits_total":     st.Hits,
-					"serve_cache_misses_total":   st.Misses,
-					"serve_backend_reads_total":  st.BackendReads,
-					"serve_backend_bytes_total":  st.BackendBytes,
-					"serve_served_bytes_total":   st.ServedBytes,
-					"serve_handles_opened_total": st.HandlesOpened,
+					"serve_cache_hits_total":        st.Hits,
+					"serve_cache_misses_total":      st.Misses,
+					"serve_backend_reads_total":     st.BackendReads,
+					"serve_backend_bytes_total":     st.BackendBytes,
+					"serve_served_bytes_total":      st.ServedBytes,
+					"serve_handles_opened_total":    st.HandlesOpened,
+					"serve_cache_read_around_total": st.ReadAround,
 				}
 			},
 		}
@@ -229,13 +230,14 @@ var backends = []struct {
 			families: func() map[string]int64 {
 				st := c.Stats()
 				return map[string]int64{
-					"cluster_requests_total":       st.Requests,
-					"cluster_failovers_total":      st.Failovers,
-					"cluster_handles_opened_total": st.HandlesOpened,
-					"serve_cache_hits_total":       st.Serve.Hits,
-					"serve_cache_misses_total":     st.Serve.Misses,
-					"serve_backend_reads_total":    st.Serve.BackendReads,
-					"serve_served_bytes_total":     st.Serve.ServedBytes,
+					"cluster_requests_total":        st.Requests,
+					"cluster_failovers_total":       st.Failovers,
+					"cluster_handles_opened_total":  st.HandlesOpened,
+					"serve_cache_hits_total":        st.Serve.Hits,
+					"serve_cache_misses_total":      st.Serve.Misses,
+					"serve_backend_reads_total":     st.Serve.BackendReads,
+					"serve_served_bytes_total":      st.Serve.ServedBytes,
+					"serve_cache_read_around_total": st.Serve.ReadAround,
 				}
 			},
 		}
@@ -254,7 +256,8 @@ func strictDecode(body []byte, v any) error {
 // eachBackend runs fn as a subtest per backend over the multifile `name`
 // ("data" or "big"). The backend stack is serve → gate → flaky → fsio
 // meter → OS, with retries off (one failing request is one breaker
-// failure, so state walks stay exact) and a tight breaker.
+// failure, so state walks stay exact) and a tight breaker. Each node's
+// cache holds fl.CacheMB MiB (0: serve's default).
 func eachBackend(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *fixture)) {
 	t.Helper()
 	for _, b := range backends {
@@ -278,6 +281,7 @@ func eachBackend(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *f
 				open:       make(chan struct{}),
 			}
 			f := b.mount(t, gate, name, reg, serve.Config{
+				CacheBytes: fl.CacheMB << 20,
 				// One cache block per FS block: a block of rank B's then holds
 				// none of rank A's bytes (TestKeyIndexBuildsPerRank).
 				BlockBytes:       lay.FSBlockSize(),
@@ -893,9 +897,20 @@ func familySum(t *testing.T, body, family string) int64 {
 // families agree exactly with the backend's Stats snapshot — they are
 // the same instruments. (CI runs this as its exposition smoke test.)
 func TestMetricsMatchesStats(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	checkMetricsMatchStats(t, "data", Flags{}, rawRanks)
+}
+
+// TestMetricsMatchesStatsWhenCachesFill is the same contract with the
+// read-around counter moving: the big multifile streams 2.5 MiB twice
+// through 1 MiB caches, which read most of it around themselves.
+func TestMetricsMatchesStatsWhenCachesFill(t *testing.T) {
+	checkMetricsMatchStats(t, "big", Flags{CacheMB: 1}, 1)
+}
+
+func checkMetricsMatchStats(t *testing.T, name string, fl Flags, ranks int) {
+	eachBackend(t, name, fl, func(t *testing.T, f *fixture) {
 		for i := 0; i < 2; i++ { // second pass hits the warmed cache
-			for r := 0; r < rawRanks; r++ {
+			for r := 0; r < ranks; r++ {
 				if rec := f.get("/rank/" + strconv.Itoa(r)); rec.Code != 200 {
 					t.Fatalf("rank %d: status %d", r, rec.Code)
 				}
@@ -916,7 +931,9 @@ func TestMetricsMatchesStats(t *testing.T) {
 			t.Fatalf("exposition: %v", err)
 		}
 		want := f.families()
-		if want["serve_cache_hits_total"] == 0 || want["serve_backend_reads_total"] == 0 {
+		readAround := fl.CacheMB != 0 // only the small caches fill
+		if want["serve_cache_hits_total"] == 0 || want["serve_backend_reads_total"] == 0 ||
+			(want["serve_cache_read_around_total"] > 0) != readAround {
 			t.Fatalf("workload did not seed the counters: %v", want)
 		}
 		for family, v := range want {

@@ -122,6 +122,7 @@ const (
 	CrumbCacheHit    = "cache_hit"
 	CrumbCacheMiss   = "cache_miss"
 	CrumbFlightHit   = "flight_hit"
+	CrumbReadAround  = "read_around"
 	CrumbBackendRead = "backend_read"
 	CrumbPeerFill    = "peer_fill"
 	CrumbRetry       = "retry"

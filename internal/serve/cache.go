@@ -31,6 +31,19 @@ import (
 // runs outside the shard lock (under it, two readers meeting on a shard
 // cost serve-hot 9 %) with the entry pinned; a reservation that finds its
 // slot pinned leaves that frame to its readers.
+//
+// A full shard admits a block only on its second miss. When taking a block
+// would evict and the reader's window is large enough to be an efficient
+// backend request of its own (sion.DirectReadBytes), acquire declines a
+// block the shard has not declined before and remembers it: the reader
+// reads it around the cache, straight into its own buffer — no frame, no
+// eviction, no copy-out. A block missed again while still remembered is
+// admitted. Under uniform reads over data several times the cache (ckpt-
+// large, serve-cold) most blocks are never asked for twice, and admitting
+// them only churned the LRU. The memory is a ring of declined keys, one
+// slot per block the shard holds (a doorkeeper, as in TinyLFU). A shard
+// with room admits every miss, and so does any shard for a small window,
+// whose bytes are cheaper to cache than to re-request.
 
 // blockKey identifies one cache block.
 type blockKey struct {
@@ -65,9 +78,17 @@ type cacheShard struct {
 	lru    cacheEntry               // list sentinel: next = most recently used, prev = next victim
 	free   *cacheEntry              // vacated slots
 	bytes  int64                    // resident and pending
-	// evictions is the shard's serve_cache_evictions_total instrument
-	// (the Server installs it; nil, as in a bare cache, counts nothing).
-	evictions *obs.Counter
+	// ring, next and declined are the admission memory of a full shard: the
+	// keys it turned away, in a ring of one slot per block it holds (built
+	// on the first decline; next is the slot to overwrite), and each
+	// remembered key's slot.
+	ring     []blockKey
+	next     int
+	declined map[blockKey]int
+	// evictions and readAround are the shard's serve_cache_evictions_total
+	// and serve_cache_read_around_total instruments (the Server installs
+	// them; nil, as in a bare cache, counts nothing).
+	evictions, readAround *obs.Counter
 }
 
 type blockCache struct {
@@ -179,19 +200,22 @@ func (s *cacheShard) hit(e *cacheEntry, dst []byte, from int64) {
 type claim int
 
 const (
-	claimHit  claim = iota // resident by now: dst holds the bytes
-	claimMine              // a pending entry the caller fills, then commits or aborts
-	claimWait              // another reader is filling the block: wait, then acquire again
+	claimHit    claim = iota // resident by now: dst holds the bytes
+	claimMine                // a pending entry the caller fills, then commits or aborts
+	claimWait                // another reader is filling the block: wait, then acquire again
+	claimAround              // declined by a full shard: the caller reads the block into dst itself
 )
 
 // acquire settles block k for a reader that missed it and wants its bytes
 // [from, from+len(dst)), under one hold of the shard lock. It copies them
 // out if they are resident by now; returns claimWait if another reader's
-// pending entry holds the block; and otherwise reserves a pending n-byte
-// entry for the caller to fill, whose valid range is [lo, hi) — or the
-// whole block if a partial copy was resident, so that a block costs at
-// most two backend reads.
-func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, n int64) (*cacheEntry, claim) {
+// pending entry holds the block; returns claimAround if the reader may read
+// around the cache (around: its window is large enough) and the shard, full,
+// declines the block (admit); and otherwise reserves a pending n-byte entry
+// for the caller to fill, whose valid range is [lo, hi) — or the whole
+// block if a partial copy was resident, so that a block costs at most two
+// backend reads.
+func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, n int64, around bool) (*cacheEntry, claim) {
 	s := c.shard(k)
 	s.mu.Lock()
 	if e, ok := s.items[k]; ok {
@@ -204,11 +228,37 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, n int64) (*ca
 			return nil, claimHit
 		}
 		lo, hi = 0, n
+	} else if around && s.bytes+n > c.perShard && !s.admit(k, max(c.perShard/n, 1)) {
+		s.mu.Unlock()
+		s.readAround.Inc()
+		return nil, claimAround
 	}
 	e := c.reserve(s, k, n)
 	e.lo, e.hi = lo, hi
 	s.mu.Unlock()
 	return e, claimMine
+}
+
+// admit is the rule of a shard that would have to evict to take block k,
+// which it does not hold: k is admitted if the shard declined it before
+// and still remembers it, which it then forgets. Otherwise k is declined
+// and remembered in the shard's ring of `slots` keys (one per block the
+// shard holds), over the oldest once every slot is taken. The caller holds
+// the shard lock.
+func (s *cacheShard) admit(k blockKey, slots int64) bool {
+	if _, ok := s.declined[k]; ok {
+		delete(s.declined, k) // its ring slot goes stale: the index no longer points at it
+		return true
+	}
+	if s.ring == nil {
+		s.ring, s.declined = make([]blockKey, slots), make(map[blockKey]int, slots)
+	}
+	if old := s.ring[s.next]; s.declined[old] == s.next { // a stale or zero slot indexes elsewhere, or nowhere
+		delete(s.declined, old)
+	}
+	s.ring[s.next], s.declined[k] = k, s.next
+	s.next = (s.next + 1) % len(s.ring)
+	return false
 }
 
 // reserve makes room in shard s (whose lock the caller holds) for an

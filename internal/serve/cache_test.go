@@ -110,7 +110,7 @@ func TestBlockCacheConcurrent(t *testing.T) {
 				// replaces a partial copy; a hit must see exactly that byte.
 				d := make([]byte, 16)
 				from := int64(i % 48)
-				e, got := c.acquire(k, d, from, from&^15, from&^15+32, 64)
+				e, got := c.acquire(k, d, from, from&^15, from&^15+32, 64, false)
 				switch got {
 				case claimMine:
 					for j := e.lo; j < e.hi; j++ {
@@ -246,5 +246,89 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 	}
 	if want.bytes != 40 || len(want.resident) != 4 {
 		t.Fatalf("block-by-block insertion left %+v, want 4 blocks in budget", want)
+	}
+}
+
+// fullShard is a one-shard cache of four 10-byte blocks, all resident.
+func fullShard() *blockCache {
+	c := newBlockCache(40, 1)
+	c.shards[0].evictions, c.shards[0].readAround = &obs.Counter{}, &obs.Counter{}
+	for b := int64(100); b < 104; b++ {
+		insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
+	}
+	return c
+}
+
+// TestFullShardReadsFirstTouchAround: a full shard declines a block it has
+// never declined when the reader's window is large — no entry, no
+// eviction, the resident set untouched — and admits it on its second miss.
+func TestFullShardReadsFirstTouchAround(t *testing.T) {
+	c := fullShard()
+	s := &c.shards[0]
+	k := blockKey{0, 7}
+	if e, got := c.acquire(k, make([]byte, 10), 0, 0, 10, 10, true); got != claimAround || e != nil {
+		t.Fatalf("first touch of a full shard: claim %d, entry %v; want it read around", got, e)
+	}
+	if len(s.items) != 4 || c.cachedBytes() != 40 || s.evictions.Value() != 0 || s.readAround.Value() != 1 {
+		t.Fatalf("a declined block moved the shard: %d items, %d bytes, %d evictions, %d read around",
+			len(s.items), c.cachedBytes(), s.evictions.Value(), s.readAround.Value())
+	}
+	e, got := c.acquire(k, make([]byte, 10), 0, 0, 10, 10, true)
+	if got != claimMine {
+		t.Fatalf("second miss of a declined block: claim %d, want it admitted", got)
+	}
+	copy(e.data, "block-0007")
+	c.commit(e)
+	if d, ok := lookup(c, k, 10); !ok || string(d) != "block-0007" || s.evictions.Value() != 1 {
+		t.Fatalf("admitted block: %q %v after %d evictions", d, ok, s.evictions.Value())
+	}
+	if _, ok := s.declined[k]; ok {
+		t.Fatal("an admitted block is still remembered as declined")
+	}
+}
+
+// TestAdmissionNeedsAFullShardAndALargeWindow: a small window is admitted
+// by a full shard, and a shard with room admits a large one, both at the
+// first miss and without remembering anything.
+func TestAdmissionNeedsAFullShardAndALargeWindow(t *testing.T) {
+	c := fullShard()
+	if _, got := c.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, false); got != claimMine {
+		t.Fatalf("small window on a full shard: claim %d, want admitted", got)
+	}
+	roomy := newBlockCache(40, 1)
+	insert(roomy, blockKey{0, 100}, make([]byte, 10))
+	if _, got := roomy.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true); got != claimMine {
+		t.Fatalf("large window on a shard with room: claim %d, want admitted", got)
+	}
+	if c.shards[0].ring != nil || roomy.shards[0].ring != nil {
+		t.Fatal("an admitted first miss was remembered as declined")
+	}
+}
+
+// TestDeclinedRingIsBounded: the declined keys of a shard fit one slot per
+// block it holds; the oldest is forgotten — declined again at its next
+// miss — while the latest ones are still admitted.
+func TestDeclinedRingIsBounded(t *testing.T) {
+	c := fullShard() // 4 blocks: 4 slots
+	s := &c.shards[0]
+	for b := int64(0); b < 100; b++ {
+		if _, got := c.acquire(blockKey{0, b}, nil, 0, 0, 10, 10, true); got != claimAround {
+			t.Fatalf("block %d, first touch: claim %d", b, got)
+		}
+		if len(s.ring) != 4 || len(s.declined) > 4 {
+			t.Fatalf("after %d declines the ring has %d slots indexing %d keys, want at most 4", b+1, len(s.ring), len(s.declined))
+		}
+	}
+	if _, got := c.acquire(blockKey{0, 95}, nil, 0, 0, 10, 10, true); got != claimAround {
+		t.Fatalf("block 95, five declines ago: claim %d, want it forgotten and declined", got)
+	}
+	e, got := c.acquire(blockKey{0, 99}, nil, 0, 0, 10, 10, true)
+	if got != claimMine {
+		t.Fatalf("block 99, two declines ago: claim %d, want admitted", got)
+	}
+	c.abort(e)
+	// 95 took the slot of the oldest, 96; 99 was admitted.
+	if fmt.Sprint(s.declined) != fmt.Sprint(map[blockKey]int{{0, 95}: 0, {0, 97}: 1, {0, 98}: 2}) {
+		t.Fatalf("remembered %v, want 95, 97 and 98", s.declined)
 	}
 }

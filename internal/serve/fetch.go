@@ -37,62 +37,92 @@ import (
 // A missed block is read straight into the cache frame it will live in:
 // each dense span is one vectored backend read (fsio.ReadvAt) whose
 // vectors are those frames, so a missed byte is copied twice — kernel to
-// frame, frame to caller.
+// frame, frame to caller. A block a full shard declines (cache.go) is read
+// around the cache: its vector is the caller's own window, and a run of
+// such blocks is one vector, so its bytes are copied once.
 
-// missScratch is one fetch's bookkeeping, pooled so that a miss of any
-// size allocates nothing: the pending entry of each absent block, the read
+// missScratch is one request's miss bookkeeping, pooled so that a miss of
+// any size allocates nothing: the blocks the cache pass missed, the absent
+// blocks of the round being read with what each read fills, the read
 // vectors of the span being read, and a block-sized frame that the blocks
 // inside a span which are not absent are read into and dropped.
 type missScratch struct {
-	frames  []*cacheEntry
+	missed  []int64
+	absent  []int64
+	fills   []fill // fills[i] is absent[i]'s
 	vecs    [][]byte
 	discard []byte
 }
 
+// fill is what the read of one absent block fills: the range of its
+// pending entry's frame, or — read around the cache (e nil) — its share of
+// the caller's window, dst, at offset from in the block.
+type fill struct {
+	e    *cacheEntry
+	dst  []byte
+	from int64
+}
+
 var missScratches = sync.Pool{New: func() any { return new(missScratch) }}
 
-// spanVecs lists the blocks [blocks[0], last] of one dense span as read
-// vectors: each absent block's frame, over the range it is to hold, and
-// the discard frame for every block between two of them.
-func (sc *missScratch) spanVecs(blocks []int64, frames []*cacheEntry, bs int64) [][]byte {
+// getMissScratch returns a pooled scratch with an empty miss list.
+func getMissScratch() *missScratch {
+	sc := missScratches.Get().(*missScratch)
+	sc.missed = sc.missed[:0]
+	return sc
+}
+
+// put returns sc to the pool, holding no frame or caller buffer alive.
+func (sc *missScratch) put() {
+	clear(sc.fills)
+	clear(sc.vecs)
+	missScratches.Put(sc)
+}
+
+// spanVecs lists the absent blocks [i, j) of one dense span as read
+// vectors: what each one fills, and the discard frame for every block
+// between two of them.
+func (sc *missScratch) spanVecs(i, j int, bs int64) [][]byte {
 	v := sc.vecs[:0]
-	for x, b := range blocks {
-		for gap := b - blocks[max(x-1, 0)] - 1; gap > 0; gap-- {
+	for x := i; x < j; x++ {
+		for gap := sc.absent[x] - sc.absent[max(x-1, i)] - 1; gap > 0; gap-- {
 			if int64(cap(sc.discard)) < bs {
 				sc.discard = make([]byte, bs)
 			}
 			v = append(v, sc.discard[:bs])
 		}
-		e := frames[x]
-		v = append(v, e.data[e.lo:e.hi])
+		v = append(v, sc.fills[x].dst)
 	}
 	sc.vecs = v
 	return v
 }
 
 // missCost is one request's own breadcrumbs: the dense backend reads that
-// succeeded, the blocks that never touched the backend, the re-attempts.
+// succeeded, the blocks that never touched the backend, the blocks read
+// around the cache, the re-attempts.
 type missCost struct {
-	spans, peerFills, flightHits, retries int64
+	spans, peerFills, flightHits, readAround, retries int64
 }
 
 // fetchMissing materializes the blocks of physical file `file` that
-// readAt's cache pass missed (ascending, at least one) and copies each
-// block's share of the window [off, off+len(p)) into p.
+// readAt's cache pass missed (sc.missed: ascending, at least one) and
+// copies each block's share of the window [off, off+len(p)) into p.
 //
 // It acquires the blocks in order. One resident by now was filled by
 // another reader (singleflight — a FlightHit, no new read); one another
-// reader is filling ends the round. Each other block gets a pending entry
-// over the FS blocks its share of the window touches (fillRange; the whole
-// block if a partial copy was resident), which a peer cache holding those
-// bytes fills (PeerFill); the rest are fused into dense spans (spanEnd),
-// each one retried vectored backend read into their frames, or several
-// where the backend's ranged-read ceiling demands (windowedSpanRead). A
-// filled frame is copied out to p and then committed; the entries of a
-// failed span, or of a request the breaker rejects, are aborted. Then the
-// reader waits for the block that ended the round and goes on from it.
-// Every span is attempted, and the request fails with its first failed
-// span's error.
+// reader is filling ends the round. A full shard may decline a block of a
+// window of DirectReadBytes or more: its share of p is read around the
+// cache. Each other block gets a pending entry over the FS blocks its share
+// of the window touches (fillRange; the whole block if a partial copy was
+// resident). A peer cache holding the bytes a block's read would fill
+// fills them (PeerFill); the rest are fused into dense spans (spanEnd),
+// each one retried vectored backend read into their frames and windows, or
+// several where the backend's ranged-read ceiling demands
+// (windowedSpanRead). A filled frame is copied out to p and then
+// committed; the entries of a failed span, or of a request the breaker
+// rejects, are aborted. Then the reader waits for the block that ended the
+// round and goes on from it. Every span is attempted, and the request
+// fails with its first failed span's error.
 //
 // Breaker protocol: a request that needs backend spans consults the file's
 // breaker once — an open circuit fails it fast with ErrDegraded (each
@@ -100,14 +130,9 @@ type missCost struct {
 // reports one verdict: Failure if any span exhausted its retry budget on a
 // transient fault, Success otherwise (a permanent error is the backend
 // answering, which is evidence of health, not of overload).
-func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (cost missCost, err error) {
+func (s *Server) fetchMissing(file int, sc *missScratch, p []byte, off int64) (cost missCost, err error) {
 	bs := s.blockBytes
-	sc := missScratches.Get().(*missScratch)
-	defer func() {
-		clear(sc.frames)
-		clear(sc.vecs) // a pooled scratch should not keep frames alive
-		missScratches.Put(sc)
-	}()
+	around := int64(len(p)) >= s.directRead
 	// deliver hands the reader its share of e's block, then commits e: the
 	// copy must come first, a resident frame can be recycled at once.
 	deliver := func(e *cacheEntry) {
@@ -115,36 +140,56 @@ func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (c
 		copy(dst, e.data[from:])
 		s.cache.commit(e)
 	}
+	// settle ends the pending entries of fills: committed once read, or
+	// aborted.
+	settle := func(fills []fill, read bool) {
+		for _, f := range fills {
+			switch {
+			case f.e == nil: // read around the cache: p holds it, or the request fails
+			case read:
+				deliver(f.e)
+			default:
+				s.cache.abort(f.e)
+			}
+		}
+	}
 
 	br := s.breakers[file]
 	admitted, transientGiveUp := false, false
+	missing := sc.missed
 	for x := 0; x < len(missing); {
-		absent, frames := missing[x:x], sc.frames[:0] // frames[i] is absent[i]'s entry
+		sc.absent, sc.fills = sc.absent[:0], sc.fills[:0]
 		for ; x < len(missing); x++ {
 			b := missing[x]
 			dst, from := blockWindow(p, off, b, bs)
 			lo, hi := s.fillRange(b, dst, from)
-			e, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, hi, bs)
+			e, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, hi, bs, around)
 			if got == claimWait {
 				break
 			}
-			switch {
-			case got == claimHit:
+			switch got {
+			case claimHit:
 				cost.flightHits++
-			case s.peerFill != nil && s.peerFill(file, b, e.data[e.lo:e.hi], e.lo):
-				deliver(e)
-				cost.peerFills++
-			default:
-				absent, frames = append(absent, b), append(frames, e)
+				continue
+			case claimAround:
+				cost.readAround++
+			case claimMine:
+				dst, from = e.data[e.lo:e.hi], e.lo
 			}
+			if s.peerFill != nil && s.peerFill(file, b, dst, from) {
+				if e != nil {
+					deliver(e)
+				}
+				cost.peerFills++
+				continue
+			}
+			sc.absent, sc.fills = append(sc.absent, b), append(sc.fills, fill{e, dst, from})
 		}
-		sc.frames = frames
+		absent, fills := sc.absent, sc.fills
 
 		if len(absent) > 0 && !admitted {
 			if br != nil && !br.Allow() {
-				for _, e := range frames {
-					s.cache.abort(e)
-				}
+				settle(fills, false)
 				s.m.degraded.Inc()
 				err = fmt.Errorf("serve: %s: %w", s.physNames[file], ErrDegraded)
 				break
@@ -153,12 +198,10 @@ func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (c
 		}
 		for i, j := 0, 0; i < len(absent); i = j {
 			j = spanEnd(absent, i, bs, s.maxSpanGap)
-			r, serr := s.windowedSpanRead(file, sc.spanVecs(absent[i:j], frames[i:j], bs), absent[i]*bs+frames[i].lo)
+			r, serr := s.windowedSpanRead(file, sc.spanVecs(i, j, bs), absent[i]*bs+fills[i].from)
 			cost.retries += r
+			settle(fills[i:j], serr == nil)
 			if serr != nil {
-				for _, e := range frames[i:j] {
-					s.cache.abort(e)
-				}
 				if err == nil {
 					err = serr
 				}
@@ -169,9 +212,6 @@ func (s *Server) fetchMissing(file int, missing []int64, p []byte, off int64) (c
 			}
 			cost.spans++
 			s.m.fetchSpanBlocks.Add(int64(j - i))
-			for _, e := range frames[i:j] {
-				deliver(e)
-			}
 		}
 		if x < len(missing) {
 			s.cache.wait(blockKey{file, missing[x]})
@@ -215,14 +255,14 @@ func spanEnd(blocks []int64, i int, bs, maxGap int64) int {
 }
 
 // windowedSpanRead reads one dense span of physical file `file`, from off
-// onwards, into vecs (one per block: an absent block's frame range, or the
-// discard frame for a bridged one), split into requests of at most
-// Server.maxSpanBytes (0 = one request regardless of length) so no single
-// backend read exceeds the backend's ranged-read capability. Each request
-// starts where its predecessor's vectors end: only a span's first frame
-// may start late and only its last may end early, the ends of the
-// request's window. The first failing window fails the whole span — its
-// blocks are re-requested together anyway.
+// onwards, into vecs (one per block: an absent block's frame range or
+// window share, or the discard frame for a bridged one), split into
+// requests of at most Server.maxSpanBytes (0 = one request regardless of
+// length) so no single backend read exceeds the backend's ranged-read
+// capability. Each request starts where its predecessor's vectors end:
+// only a span's first block may start late and only its last may end
+// early, the ends of the request's window. The first failing window fails
+// the whole span — its blocks are re-requested together anyway.
 func (s *Server) windowedSpanRead(file int, vecs [][]byte, off int64) (retries int64, _ error) {
 	per := len(vecs) // blocks per request
 	if s.maxSpanBytes > 0 {
@@ -230,14 +270,33 @@ func (s *Server) windowedSpanRead(file int, vecs [][]byte, off int64) (retries i
 	}
 	for w := 0; w < len(vecs); w += per {
 		win := vecs[w:min(w+per, len(vecs))]
-		r, err := s.spanRead(file, win, off)
+		next := off
+		for _, v := range win {
+			next += int64(len(v))
+		}
+		r, err := s.spanRead(file, fuse(win), off)
 		retries += r
 		if err != nil {
 			return retries, err
 		}
-		for _, v := range win {
-			off += int64(len(v))
-		}
+		off = next
 	}
 	return retries, nil
+}
+
+// fuse joins, in place, each vector that continues its predecessor in
+// memory — the window shares of a run of blocks read around the cache are
+// consecutive slices of the caller's buffer — so such a run is one vector:
+// one plain read where the backend has no vectored one.
+func fuse(vecs [][]byte) [][]byte {
+	out := vecs[:1]
+	for _, v := range vecs[1:] {
+		last := &out[len(out)-1]
+		if n := len(*last); len(v) > 0 && cap(*last)-n >= len(v) && &(*last)[:n+1][n] == &v[0] {
+			*last = (*last)[:n+len(v)]
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
 }

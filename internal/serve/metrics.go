@@ -13,9 +13,9 @@ import (
 // same registry in Prometheus text form, so the two surfaces can never
 // disagree.
 //
-// Cache traffic (hits, misses, evictions) is counted per shard: a skewed
-// workload shows up as one hot shard, which is exactly the signal the
-// hot-block replication of internal/cluster keys off.
+// Cache traffic (hits, misses, evictions, read-arounds) is counted per
+// shard: a skewed workload shows up as one hot shard, which is exactly the
+// signal the hot-block replication of internal/cluster keys off.
 //
 // Retries, give-ups, breaker opens, breaker states, and resident cache
 // bytes are NOT duplicated into instruments — they already live in
@@ -27,9 +27,10 @@ type serverMetrics struct {
 	base []obs.Label
 	off  bool // Nop registry: skip clock reads on the hot path
 
-	hits      []*obs.Counter // per cache shard
-	misses    []*obs.Counter
-	evictions []*obs.Counter
+	hits       []*obs.Counter // per cache shard
+	misses     []*obs.Counter
+	evictions  []*obs.Counter
+	readAround []*obs.Counter
 
 	flightHits   *obs.Counter
 	backendReads *obs.Counter
@@ -63,6 +64,7 @@ func newServerMetrics(reg *obs.Registry, base []obs.Label, shards int) *serverMe
 	m.hits = make([]*obs.Counter, shards)
 	m.misses = make([]*obs.Counter, shards)
 	m.evictions = make([]*obs.Counter, shards)
+	m.readAround = make([]*obs.Counter, shards)
 	for i := 0; i < shards; i++ {
 		lbl := append(append([]obs.Label(nil), base...), obs.Label{Key: "shard", Value: strconv.Itoa(i)})
 		m.hits[i] = reg.Counter("serve_cache_hits_total",
@@ -71,6 +73,8 @@ func newServerMetrics(reg *obs.Registry, base []obs.Label, shards int) *serverMe
 			"block lookups that went to the miss path, by shard", lbl...)
 		m.evictions[i] = reg.Counter("serve_cache_evictions_total",
 			"cache blocks evicted, by shard", lbl...)
+		m.readAround[i] = reg.Counter("serve_cache_read_around_total",
+			"missed blocks a full shard declined, read into the caller's buffer instead of cached, by shard", lbl...)
 	}
 	m.flightHits = reg.Counter("serve_flight_hits_total",
 		"missed blocks a concurrent reader's fetch made resident first (singleflight), no new backend read", base...)

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -14,6 +16,7 @@ import (
 	sion "repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/resil"
 	"repro/internal/simfs"
 )
@@ -67,45 +70,57 @@ func wantWindow(raw []byte, off, n int64) []byte {
 }
 
 // TestMissPathAllocations pins what a read costs the allocator once the
-// cache is full: a cold 64 KiB read preadv's into recycled frames with
-// pooled bookkeeping (the fetcher goroutine took 78 allocations for it), a
-// warm one touches the heap not at all.
+// cache is full: a cold read — into recycled frames, a small window, or
+// around the cache, a large one — with pooled bookkeeping touches the heap
+// not at all, however many blocks it misses (the fetcher goroutine took 78
+// allocations for 64 KiB; a miss list on the stack spilled past 32 blocks),
+// and neither does a warm one.
 func TestMissPathAllocations(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
-	raw := writeOneFile(t, fsys, "a.sion", 8, 128<<10, 4096)
-	const win = 64 << 10
-	span := int64(len(raw)) - win
-	p := make([]byte, win)
+	raw := writeOneFile(t, fsys, "a.sion", 8, 1<<20, 4096)
+	for _, win := range []int64{8 << 10, 64 << 10, 1 << 20} { // 1 MiB at an odd offset: 65 blocks of 16 KiB
+		t.Run(fmt.Sprint(win>>10, "KiB"), func(t *testing.T) {
+			span := int64(len(raw)) - win
+			p := make([]byte, win)
+			cold, err := New(fsys, "a.sion", &Config{CacheBytes: 2 << 20}) // a quarter of the file
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cold.Close()
+			if _, ok := cold.files[0].(fsio.VectorReaderAt); !ok && runtime.GOOS == "linux" {
+				t.Fatal("fsio.OS files have no vectored read: this would measure the copying fallback")
+			}
+			const stride = 1<<20 + 80<<10
+			i := int64(0)
+			next := func() { // walks the whole file, so LRU has dropped a window before it comes round again
+				if err := cold.ReadFileAt(0, p, (i*stride+1000)%span, nil); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			for i < 256 { // fill the cache, the declined rings and the pool
+				next()
+			}
+			before := cold.Stats()
+			// The pooled scratch is what makes this 0: under the race detector
+			// sync.Pool drops Puts, so only the reads are checked there.
+			if got := testing.AllocsPerRun(100, next); got != 0 && !raceEnabled {
+				t.Errorf("a cold %d KiB read with a full cache makes %v allocations, want 0", win>>10, got)
+			}
+			st := cold.Stats()
+			if st.BackendReads-before.BackendReads < 50 || st.Evictions+st.ReadAround == before.Evictions+before.ReadAround {
+				t.Fatalf("the measured reads were not cold: %+v -> %+v", before, st)
+			}
+			if (st.ReadAround > before.ReadAround) != (win >= sion.DirectReadBytes(fsio.Capabilities{}, 4096)) {
+				t.Fatalf("a %d-byte window read %d blocks around the cache", win, st.ReadAround-before.ReadAround)
+			}
+			if !bytes.Equal(p, wantWindow(raw, ((i-1)*stride+1000)%span, win)) {
+				t.Fatal("cold read returned the wrong bytes")
+			}
+		})
+	}
 
-	cold, err := New(fsys, "a.sion", &Config{CacheBytes: 256 << 10}) // a quarter of the file
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-	if _, ok := cold.files[0].(fsio.VectorReaderAt); !ok && runtime.GOOS == "linux" {
-		t.Fatal("fsio.OS files have no vectored read: this would measure the copying fallback")
-	}
-	i := int64(0)
-	next := func() { // walks the whole file, so LRU has dropped a window before it comes round again
-		if err := cold.ReadFileAt(0, p, (i*win+1000)%span, nil); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	}
-	for i < 32 { // fill the cache and the pool
-		next()
-	}
-	before := cold.Stats()
-	if got := testing.AllocsPerRun(100, next); got > 4 {
-		t.Errorf("a cold 64 KiB read with a full cache makes %v allocations, want <= 4", got)
-	}
-	if st := cold.Stats(); st.BackendReads-before.BackendReads < 100 || st.Evictions == before.Evictions {
-		t.Fatalf("the measured reads were not cold: %+v -> %+v", before, st)
-	}
-	if !bytes.Equal(p, wantWindow(raw, ((i-1)*win+1000)%span, win)) {
-		t.Fatal("cold read returned the wrong bytes")
-	}
-
+	p := make([]byte, 64<<10)
 	warm, err := New(fsys, "a.sion", &Config{CacheBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +132,7 @@ func TestMissPathAllocations(t *testing.T) {
 		}
 	}
 	hit()
-	before = warm.Stats()
+	before := warm.Stats()
 	if got := testing.AllocsPerRun(100, hit); got != 0 {
 		t.Errorf("a warm 64 KiB read makes %v allocations, want 0", got)
 	}
@@ -196,7 +211,8 @@ func TestRecycledFramesNeverShow(t *testing.T) {
 // TestRecycledFramesReadZeroPastEOF: a reserved frame is recycled memory
 // holding an earlier block's bytes; a read straddling the physical file's
 // end must still deliver zeros past EOF, not those bytes, on both miss
-// paths.
+// paths. The read at EOF is a small window, which a full cache admits: a
+// large one would be read around it, into no frame at all.
 func TestRecycledFramesReadZeroPastEOF(t *testing.T) {
 	for _, mp := range missPaths {
 		t.Run(mp.name, func(t *testing.T) {
@@ -216,7 +232,7 @@ func TestRecycledFramesReadZeroPastEOF(t *testing.T) {
 				if !bytes.Equal(long, wantWindow(raw, 512, int64(len(long)))) {
 					t.Fatal("long read differs from the file")
 				}
-				off, n := size-300, int64(4096)
+				off, n := size-300, int64(900)
 				p := bytes.Repeat([]byte{0xAA}, int(n))
 				if err := s.ReadFileAt(0, p, off, nil); err != nil {
 					t.Fatal(err)
@@ -477,5 +493,143 @@ func waitGoroutines(t *testing.T, base int) {
 			t.Errorf("%d goroutines left after Close, want %d", runtime.NumGoroutine(), base)
 			return
 		}
+	}
+}
+
+// fullTinyServer serves a one-file multifile of 256-byte FS blocks through
+// one shard of four 256-byte blocks, which small windows at the start of
+// the file fill: every later first-touch block of a window of 1 KiB (4 FS
+// blocks, sion.DirectReadBytes) or more is read around the cache. cfg's
+// cache geometry is overridden.
+func fullTinyServer(t *testing.T, fsys fsio.FileSystem, cfg Config) (*Server, []byte) {
+	t.Helper()
+	raw := writeOneFile(t, fsys, "t.sion", 8, 8<<10, 256)
+	cfg.CacheBytes, cfg.BlockBytes, cfg.Shards = 4*256, 256, 1
+	s, err := New(fsys, "t.sion", &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	for b := int64(0); b < 4; b++ {
+		if err := s.ReadFileAt(0, make([]byte, 256), b*256, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.CachedBytes != 4*256 || st.ReadAround != 0 {
+		t.Fatalf("small windows did not fill the cache: %+v", st)
+	}
+	return s, raw
+}
+
+// readPoisoned reads [off, off+n) of physical file 0 into a buffer of 0xAA
+// bytes and, if the read succeeds, checks it against raw (zeros past EOF).
+func readPoisoned(t *testing.T, s *Server, raw []byte, off, n int64) error {
+	t.Helper()
+	p := bytes.Repeat([]byte{0xAA}, int(n))
+	err := s.ReadFileAt(0, p, off, nil)
+	if err == nil && !bytes.Equal(p, wantWindow(raw, off, n)) {
+		t.Fatalf("%d bytes at %d differ from the file", n, off)
+	}
+	return err
+}
+
+// TestReadAroundIsByteIdentical: windows a full cache reads around — one
+// across resident blocks, one across the physical file's end — deliver the
+// file's bytes and zeros past EOF into a poisoned buffer, on both miss
+// paths, and leave the cache as it was.
+func TestReadAroundIsByteIdentical(t *testing.T) {
+	for _, mp := range missPaths {
+		t.Run(mp.name, func(t *testing.T) {
+			s, raw := fullTinyServer(t, mp.wrap(fsio.NewOS(t.TempDir())), Config{})
+			size := int64(len(raw))
+			for _, w := range []struct{ off, n int64 }{
+				{100, 4000},             // blocks 0-3 hit, 4-15 read around
+				{size - 3000, 6000},     // straddles EOF
+				{size + 100, 2000},      // wholly past EOF
+				{size/2 + 7, 1 << 10},   // exactly the threshold
+				{size/3 + 300, 8 << 10}, // a long run, one vector
+			} {
+				if err := readPoisoned(t, s, raw, w.off, w.n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := s.Stats()
+			if st.ReadAround == 0 || st.Evictions != 0 || st.CachedBytes != 4*256 || st.BackendReads != 5+4 {
+				t.Fatalf("want five backend reads around a cache left as it was: %+v", st)
+			}
+			sp := obs.NewSpan("")
+			if err := s.ReadFileAt(0, make([]byte, 2048), 40<<10, sp); err != nil {
+				t.Fatal(err)
+			}
+			if sp.Get(obs.CrumbReadAround) != 8 || sp.Get(obs.CrumbBackendRead) != 1 {
+				t.Fatalf("the trail of eight blocks read around the cache in one span: %s", sp)
+			}
+		})
+	}
+}
+
+// TestReadAroundSplitsAtMaxReadBytes: a run read around the cache is cut
+// into requests within the backend's ranged-read ceiling, on the cache
+// block grid, like a run of frames.
+func TestReadAroundSplitsAtMaxReadBytes(t *testing.T) {
+	rec := &recordFS{FileSystem: fsio.NewOS(t.TempDir()), caps: fsio.Capabilities{MaxReadBytes: 1024}, sum: sha256.New()}
+	s, raw := fullTinyServer(t, rec, Config{})
+	rec.mu.Lock()
+	rec.armed = true
+	rec.mu.Unlock()
+	const off, n = 4096 + 300, 6000 // blocks 17-40: six requests of at most four blocks
+	if err := readPoisoned(t, s, raw, off, n); err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if st := s.Stats(); rec.reads != 6 || rec.longest > 1024 || st.ReadAround != 24 {
+		t.Fatalf("%d requests, the longest %d bytes, %d blocks read around; want 6 of at most 1024 for 24 blocks",
+			rec.reads, rec.longest, st.ReadAround)
+	}
+}
+
+// TestReadAroundGiveUpIsABreakerFailure: a request whose blocks are all
+// read around the cache runs under the retry budget, and its transient
+// give-up is the request's breaker verdict — with a threshold of one, it
+// opens the circuit.
+func TestReadAroundGiveUpIsABreakerFailure(t *testing.T) {
+	ffs := &rangeFaultFS{FileSystem: fsio.NewOS(t.TempDir())}
+	s, raw := fullTinyServer(t, ffs, Config{Retry: noRealSleep(2), BreakerThreshold: 1, BreakerCooldown: 4})
+	ffs.fail(8<<10, 16<<10, fmt.Errorf("down: %w", fsio.ErrTransient))
+	before := s.Stats()
+	err := readPoisoned(t, s, raw, 8<<10+100, 4096)
+	if !errors.Is(err, fsio.ErrTransient) || errors.Is(err, ErrDegraded) {
+		t.Fatalf("read around a failing region: %v, want its transient error", err)
+	}
+	st := s.Stats()
+	if st.ReadAround == before.ReadAround || st.Retries != 1 || st.GiveUps != 1 || st.BreakerOpens != 1 || s.Health()[0].StateName != "open" {
+		t.Fatalf("want one retried read-around span that gave up and opened the circuit: %+v, file 0 %s", st, s.Health()[0].StateName)
+	}
+	if st.CachedBytes != 4*256 || st.Evictions != 0 {
+		t.Fatalf("a failed read around the cache moved it: %+v", st)
+	}
+}
+
+// TestReadAroundFailsFastWhenDegraded: with the circuit open, a request
+// that would only read around the cache fails fast with ErrDegraded and
+// issues no backend read, while a request the cache holds still succeeds.
+func TestReadAroundFailsFastWhenDegraded(t *testing.T) {
+	ffs := &rangeFaultFS{FileSystem: fsio.NewOS(t.TempDir())}
+	s, raw := fullTinyServer(t, ffs, Config{Retry: noRealSleep(1), BreakerThreshold: 1, BreakerCooldown: 4})
+	ffs.fail(8<<10, 16<<10, fmt.Errorf("down: %w", fsio.ErrTransient))
+	if err := readPoisoned(t, s, raw, 8<<10, 2048); err == nil {
+		t.Fatal("read of a failing region succeeded")
+	}
+	before := s.Stats()
+	if err := readPoisoned(t, s, raw, 20<<10, 4096); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("read around the cache with the circuit open: %v, want ErrDegraded", err)
+	}
+	if err := readPoisoned(t, s, raw, 0, 1024); err != nil {
+		t.Fatalf("resident window with the circuit open: %v", err)
+	}
+	st := s.Stats()
+	if st.BackendReads != before.BackendReads || st.Degraded != before.Degraded+1 || st.ReadAround == before.ReadAround {
+		t.Fatalf("the degraded request was not failed fast after being read around: %+v -> %+v", before, st)
 	}
 }

@@ -19,7 +19,12 @@
 //     budget split evenly across shards. Frames are
 //     allocated as blocks arrive and recycled on eviction; hits are copied
 //     out, never lent, so nothing outside the cache ever aliases a
-//     resident frame.
+//     resident frame. A full shard admits a block on its second miss: a
+//     first-touch block of a window of at least sion.DirectReadBytes (the
+//     size core's read stage reads straight into the caller's slice) is
+//     read around the cache, into the caller's buffer, and remembered in a
+//     ring of declined keys, one slot per block the shard holds. A shard
+//     with room, or a smaller window, admits every miss.
 //   - A miss path on the reader's own goroutine (fetch.go): a read enters
 //     a pending cache entry per missing block, fuses the blocks into dense
 //     spans with the gap-splitting rule of the mapped collective open
@@ -168,6 +173,7 @@ type Stats struct {
 	BackendBytes  int64 // bytes moved by those span reads
 	ServedBytes   int64 // logical bytes handed to clients
 	Evictions     int64 // cache blocks evicted
+	ReadAround    int64 // missed blocks a full cache declined: read into the caller's buffer, never cached
 	CachedBytes   int64 // bytes resident in the cache now
 	HandlesOpened int64 // client sessions opened
 	TailPolls     int64 // watermark refreshes issued (tail servers)
@@ -193,6 +199,7 @@ type Server struct {
 	cache        *blockCache
 	blockBytes   int64
 	fsBlock      int64 // the multifile's FS block: a first miss reads whole ones (fillRange)
+	directRead   int64 // windows this large may be read around a full cache (sion.DirectReadBytes)
 	maxSpanGap   int64
 	maxSpanBytes int64 // ceiling of one backend span read (0 = unbounded), see spanCeiling
 	retry        resil.Budget
@@ -243,6 +250,7 @@ func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfil
 		name:         name,
 		blockBytes:   c.BlockBytes,
 		fsBlock:      fsblk,
+		directRead:   sion.DirectReadBytes(caps, fsblk),
 		maxSpanGap:   c.MaxSpanGap,
 		maxSpanBytes: spanCeiling(caps, c.BlockBytes),
 		cache:        newBlockCache(c.CacheBytes, c.Shards),
@@ -258,7 +266,7 @@ func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfil
 	}
 	s.m = newServerMetrics(reg, c.MetricLabels, len(s.cache.shards))
 	for i := range s.cache.shards {
-		s.cache.shards[i].evictions = s.m.evictions[i]
+		s.cache.shards[i].evictions, s.cache.shards[i].readAround = s.m.evictions[i], s.m.readAround[i]
 	}
 	s.registerDerived()
 	for k := 0; k < nfiles; k++ {
@@ -492,6 +500,7 @@ func (s *Server) Stats() Stats {
 		BackendBytes:  s.m.backendBytes.Value(),
 		ServedBytes:   s.m.servedBytes.Value(),
 		Evictions:     sumCounters(s.m.evictions),
+		ReadAround:    sumCounters(s.m.readAround),
 		CachedBytes:   s.cache.cachedBytes(),
 		HandlesOpened: s.m.handles.Value(),
 		TailPolls:     s.m.tailPolls.Value(),
@@ -585,8 +594,7 @@ func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
 		return nil // an empty window covers no block: no lookup, no fetch
 	}
 	bs := s.blockBytes
-	var few [32]int64 // keeps the miss list of an ordinary request off the heap
-	missing := few[:0]
+	var sc *missScratch // taken at the first miss: a hit costs no pool round trip
 	for b := off / bs; b <= (off+int64(len(p))-1)/bs; b++ {
 		k := blockKey{file, b}
 		si := s.cache.shardIndex(k)
@@ -596,17 +604,22 @@ func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
 		} else {
 			s.m.misses[si].Inc()
 			sp.Add(obs.CrumbCacheMiss, 1)
-			missing = append(missing, b)
+			if sc == nil {
+				sc = getMissScratch()
+			}
+			sc.missed = append(sc.missed, b)
 		}
 	}
-	if len(missing) == 0 {
+	if sc == nil {
 		return nil
 	}
-	cost, err := s.fetchMissing(file, missing, p, off)
+	cost, err := s.fetchMissing(file, sc, p, off)
+	sc.put()
 	if sp != nil {
 		sp.Add(obs.CrumbBackendRead, cost.spans)
 		sp.Add(obs.CrumbPeerFill, cost.peerFills)
 		sp.Add(obs.CrumbFlightHit, cost.flightHits)
+		sp.Add(obs.CrumbReadAround, cost.readAround)
 		sp.Add(obs.CrumbRetry, cost.retries)
 	}
 	return err
