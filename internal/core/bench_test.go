@@ -176,10 +176,12 @@ func BenchmarkReadBack(b *testing.B) {
 	}
 }
 
-// BenchmarkParOpenRead is the collective read open alone, on the
-// simulated file system so that 1024 ranks cost no descriptors: ns/op
-// divided by ranks should not grow with ranks (the master's metadata
-// scatter used to be quadratic in the file's task count).
+// BenchmarkParOpenRead is the collective read open alone (plus the local
+// Close), on the simulated file system so that 1024 ranks cost no
+// descriptors: ns/op and allocs/op divided by ranks should not grow with
+// ranks. Rank 0's claim gather and plan scatter and the parser's record
+// sends are linear in the ranks; what each reader receives is O(owned)
+// (TestReaderPlanCostIsFlat).
 func BenchmarkParOpenRead(b *testing.B) {
 	for _, n := range []int{64, 1024} {
 		n := n

@@ -8,16 +8,17 @@ import (
 	"repro/internal/vtime"
 )
 
-// Collective I/O, modelled on SIONlib's collective extension
-// (sion_coll_fwrite) and its read-side counterpart: when chunks are small,
-// having every task issue its own file requests wastes the file system's
-// request path. Groups of consecutive local tasks designate their first
-// member as a collector; only the collectors open and touch the physical
-// file, cutting the number of clients by the group factor while the
-// multifile layout stays identical — a multifile written collectively is
-// byte-identical to one written directly.
+// Collective write, modelled on SIONlib's collective extension
+// (sion_coll_fwrite): when chunks are small, having every task issue its
+// own file requests wastes the file system's request path. Groups of
+// consecutive local tasks designate their first member as a collector;
+// only the collectors open and touch the physical file, cutting the number
+// of clients by the group factor while the multifile layout stays
+// identical — a multifile written collectively is byte-identical to one
+// written directly. The read-side counterpart is the mapped core's span
+// fetch (mapped.go, collectiveFetch), which ParOpen's read mode shares.
 //
-// Three modes build on the same frame protocol:
+// Two modes build on the same frame protocol:
 //
 //   - Synchronous collective write (Options.CollectorGroup, the original
 //     mode): members buffer everything and ship one final frame at Close;
@@ -31,11 +32,6 @@ import (
 //     flusher that writes in the background — a goroutine in real mode, a
 //     vtime worker in simulated mode — overlapping computation with file
 //     I/O. Errors are deferred to Flush/Close.
-//   - Collective read (CollectorGroup in read mode): at open, each member
-//     sends its chunk geometry to its collector, which issues one large
-//     read per member chunk region and scatters the concatenated logical
-//     data; members then serve Read/ReadLogicalAt from memory without
-//     ever opening the physical file.
 //
 // Group sizing: a fixed CollectorGroup > 1, or CollectorAuto (-1) which
 // targets collector regions of autoCollectTargetBlocks FS blocks (see
@@ -45,10 +41,8 @@ import (
 
 // Message tags for the collective exchanges.
 const (
-	tagCollData = 4202 // write-side data frames (member → collector)
-	tagCollDone = 4203 // write-side completion status (collector → member)
-	tagCollReq  = 4204 // read-side region request (member → collector)
-	tagCollRead = 4205 // read-side data (collector → member)
+	tagCollData = 4202 // data frames (member → collector)
+	tagCollDone = 4203 // completion status (collector → member)
 )
 
 // asyncQueueDepth bounds the real-mode flusher's queue: the collector's
@@ -281,13 +275,6 @@ func (v *vtimeFlusher) finish() {
 		v.closeWait = true
 		v.owner.Block()
 	}
-}
-
-// collReadState serves a task's reads from the prefetched logical stream
-// its collector scattered at open.
-type collReadState struct {
-	buf  []byte
-	base []int64 // logical offset of each block's first byte (prefix sums)
 }
 
 // collectiveEnabled reports whether this write handle buffers for collection.
@@ -660,142 +647,6 @@ func (f *File) collFinishBytes(total int64) {
 	f.blockBytes = bb
 	f.curBlock = len(bb) - 1
 	f.pos = bb[f.curBlock]
-}
-
-// --- Collective read --------------------------------------------------------
-
-// collReadRequest is what a member sends its collector at open: where its
-// chunk data lives and how many bytes each block holds.
-func collReadRequest(dataOff0, stride int64, blockBytes []int64) []byte {
-	vals := append([]int64{dataOff0, stride, int64(len(blockBytes))}, blockBytes...)
-	return encodeInt64s(vals)
-}
-
-// collServeReads runs on a read-mode collector: for every group member,
-// read the member's used chunk bytes — one large read per chunk region,
-// concatenated in logical order — and ship the results behind a single
-// group-wide status word. The status is shared deliberately: a partial
-// failure (one member's region unreadable, or groupErr from the
-// collector's own stream) must fail the whole group's ParOpen, because a
-// member that succeeded while its peers error out would later hang in
-// Close's collective barrier waiting for handles that never existed.
-func (f *File) collServeReads(members []int, groupErr error) error {
-	firstErr := groupErr
-	replies := make([][]byte, len(members))
-	for i, m := range members {
-		req := decodeInt64s(f.lcomm.Recv(m, tagCollReq))
-		dataOff0, stride, nblocks := req[0], req[1], int(req[2])
-		bb := req[3 : 3+nblocks]
-		data, err := f.collReadRegions(dataOff0, stride, bb)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		replies[i] = data
-	}
-	status := int64(0)
-	if firstErr != nil {
-		status = 1
-	}
-	for i, m := range members {
-		f.lcomm.Send(m, tagCollRead, append(encodeInt64s([]int64{status}), replies[i]...))
-	}
-	return firstErr
-}
-
-// collReadRegions reads one task's logical stream: block b's used bytes
-// start at dataOff0 + b*stride.
-func (f *File) collReadRegions(dataOff0, stride int64, blockBytes []int64) ([]byte, error) {
-	var total int64
-	for _, n := range blockBytes {
-		total += n
-	}
-	buf := make([]byte, total)
-	var off int64
-	for b, n := range blockBytes {
-		if n == 0 {
-			continue
-		}
-		if _, err := f.fh.ReadAt(buf[off:off+n], dataOff0+int64(b)*stride); err != nil {
-			return buf, fmt.Errorf("sion: %s: collective read: %w", f.name, err)
-		}
-		off += n
-	}
-	return buf, nil
-}
-
-// initCollectiveRead wires the read-side exchange after the metadata
-// scatter: collectors open the physical file and fan member data out;
-// members receive their prefetched stream and never open the file.
-// It is collective over the lcomm group members: a collector that cannot
-// open or read the file answers every member with a failure status, so
-// the whole group's ParOpen fails instead of members blocking forever or
-// being handed fabricated zeros.
-func (f *File) initCollectiveRead(group int, physName string) error {
-	lrank := f.lcomm.Rank()
-	lead := lrank - lrank%group
-	f.collGroup = group
-	f.collLead = lrank == lead
-
-	if !f.collLead {
-		f.lcomm.Send(lead, tagCollReq,
-			collReadRequest(f.geo.dataOff(geoIndex, 0), f.geo.stride, f.readBytes))
-		reply := f.lcomm.Recv(lead, tagCollRead)
-		if status := decodeInt64s(reply[:8])[0]; status != 0 {
-			return fmt.Errorf("sion: %s: collective read failed at collector %d", f.name, lead)
-		}
-		f.setCollRead(reply[8:])
-		return nil
-	}
-
-	end := lead + group
-	if end > f.lcomm.Size() {
-		end = f.lcomm.Size()
-	}
-	var members []int
-	for m := lead + 1; m < end; m++ {
-		members = append(members, m)
-	}
-	fh, err := f.fsys.Open(physName)
-	if err != nil {
-		// Consume the members' requests and fail their opens.
-		for _, m := range members {
-			f.lcomm.Recv(m, tagCollReq)
-			f.lcomm.Send(m, tagCollRead, encodeInt64s([]int64{1}))
-		}
-		return fmt.Errorf("sion: ParOpen %s: opening physical file: %w", f.name, err)
-	}
-	f.fh = fh
-	// Read the collector's own stream first (one large read per chunk
-	// region); its error, like any member region's, fails the whole group.
-	own, ownErr := f.collReadRegions(f.geo.dataOff(geoIndex, 0), f.geo.stride, f.readBytes)
-	f.setCollRead(own)
-	return f.collServeReads(members, ownErr)
-}
-
-// setCollRead installs the prefetched stream and its per-block offsets.
-func (f *File) setCollRead(buf []byte) {
-	st := &collReadState{buf: buf, base: make([]int64, len(f.readBytes))}
-	var off int64
-	for b, n := range f.readBytes {
-		st.base[b] = off
-		off += n
-	}
-	f.collRead = st
-}
-
-// readChunkAt fills p from (block, pos) of this task's chunk data: from
-// the collective-read prefetch buffer, the read-ahead stage (buffer.go),
-// or the physical file directly.
-func (f *File) readChunkAt(p []byte, block int, pos int64) error {
-	if f.collRead != nil {
-		off := f.collRead.base[block] + pos
-		copy(p, f.collRead.buf[off:])
-		return nil
-	}
-	if f.rstage != nil {
-		return f.stagedReadAt(p, block, pos)
-	}
-	return readAtZeroFill(f.fh, p, f.geo.dataOff(geoIndex, block)+pos)
 }
 
 // encodeInt64s / decodeInt64s: little-endian int64 slice codec for the

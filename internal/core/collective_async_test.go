@@ -391,43 +391,50 @@ func TestAutoCollectorGroup(t *testing.T) {
 }
 
 // End-to-end CollectorAuto: the resolved group must be consistent and the
-// data intact.
+// data intact. aligned = 256 = 1 block and the target is 4 blocks, so a
+// write groups 4 of a physical file's tasks (capped by their count), and
+// a read groups 4 of all 8 readers whatever the file count.
 func TestCollectorAutoEndToEnd(t *testing.T) {
-	fsys := fsio.NewOS(t.TempDir())
 	const n = 8
-	mpi.Run(n, func(c *mpi.Comm) {
-		f, err := ParOpen(c, fsys, "auto.sion", WriteMode, &Options{
-			ChunkSize: 64, FSBlockSize: 256, CollectorGroup: CollectorAuto,
-			AsyncCollective: true,
+	for _, tc := range []struct{ nfiles, writeGroup int }{{1, 4}, {2, 4}, {4, 2}} {
+		t.Run(fmt.Sprintf("nfiles=%d", tc.nfiles), func(t *testing.T) {
+			fsys := fsio.NewOS(t.TempDir())
+			mpi.Run(n, func(c *mpi.Comm) {
+				f, err := ParOpen(c, fsys, "auto.sion", WriteMode, &Options{
+					ChunkSize: 64, FSBlockSize: 256, NFiles: tc.nfiles,
+					CollectorGroup: CollectorAuto, AsyncCollective: true,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if group, _ := f.Collective(); group != tc.writeGroup {
+					t.Errorf("rank %d: write auto group = %d, want %d", c.Rank(), group, tc.writeGroup)
+				}
+				payload := rankPayload(c.Rank(), 600)
+				f.Write(payload)
+				if err := f.Close(); err != nil {
+					t.Error(err)
+					return
+				}
+				r, err := ParOpen(c, fsys, "auto.sion", ReadMode, &Options{CollectorGroup: CollectorAuto})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if group, lead := r.Collective(); group != 4 || lead != (c.Rank()%4 == 0) {
+					t.Errorf("rank %d: read auto group = %d (collector %v), want 4", c.Rank(), group, lead)
+				}
+				got := make([]byte, len(payload))
+				if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, payload) {
+					t.Errorf("rank %d: auto-group round-trip mismatch (%v)", c.Rank(), err)
+				}
+				r.Close()
+			})
+			if err := Verify(fsys, "auto.sion"); err != nil {
+				t.Fatal(err)
+			}
 		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		group, _ := f.Collective()
-		// aligned = 256 = 1 block; target 4 blocks → groups of 4.
-		if group != 4 {
-			t.Errorf("rank %d: auto group = %d, want 4", c.Rank(), group)
-		}
-		payload := rankPayload(c.Rank(), 600)
-		f.Write(payload)
-		if err := f.Close(); err != nil {
-			t.Error(err)
-			return
-		}
-		r, err := ParOpen(c, fsys, "auto.sion", ReadMode, &Options{CollectorGroup: CollectorAuto})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got := make([]byte, len(payload))
-		if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, payload) {
-			t.Errorf("rank %d: auto-group round-trip mismatch (%v)", c.Rank(), err)
-		}
-		r.Close()
-	})
-	if err := Verify(fsys, "auto.sion"); err != nil {
-		t.Fatal(err)
 	}
 }
 

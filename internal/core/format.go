@@ -187,9 +187,9 @@ func parseHeader(f fsio.File) (*header, error) {
 		off += 16
 	}
 	if h.FileNum == 0 {
-		// The stored table goes through the same hardened codec the mapped
-		// open paths use for the broadcast copy, so the validation rules
-		// cannot drift between the two.
+		// The stored table goes through the same hardened codec the write
+		// open uses for the forwarded copy, so the validation rules cannot
+		// drift between the two.
 		mapping, err := decodeMapping(rest[off:], int(h.NTasksGlobal), int(h.NFiles))
 		if err != nil {
 			return nil, err
@@ -384,8 +384,8 @@ func readTail(f fsio.File, ntasks int) (*meta2, error) {
 }
 
 // encodeMapping serializes a global task placement table (8 bytes per
-// task) for the header of physical file 0 and for the open-time exchanges
-// (write-mode mapping forwarding, mapped-open broadcast).
+// task) for the header of physical file 0 and for the write open's
+// forwarding of it to file 0's master.
 func encodeMapping(m []FileLoc) []byte {
 	buf := make([]byte, 8*len(m))
 	for i, fl := range m {
@@ -399,9 +399,9 @@ func encodeMapping(m []FileLoc) []byte {
 // physical files, validating exactly like parseHeader does for the stored
 // copy: the byte count must match and every entry must point inside the
 // multifile. Truncated buffers and out-of-range indices yield ErrCorrupt
-// instead of a short or wild table — the mapped open path (where the
-// reader count M differs from ntasks) trusts this table for every offset
-// it computes.
+// instead of a short or wild table — the mapped open's planner (where the
+// reader count M differs from ntasks) trusts this table for every rank it
+// places.
 func decodeMapping(buf []byte, ntasks, nfiles int) ([]FileLoc, error) {
 	if ntasks < 0 || len(buf) != 8*ntasks {
 		return nil, fmt.Errorf("%w: mapping table holds %d bytes for %d tasks", ErrCorrupt, len(buf), ntasks)

@@ -147,8 +147,8 @@ func FuzzReadHeader(f *testing.F) {
 
 // FuzzDecodeMapping feeds arbitrary bytes through the mapped-open metadata
 // parsers: the global placement table codec (decodeMapping, which the
-// mapped-open broadcast and the write-side mapping forwarding both trust
-// for every offset they compute) and the parser→reader rank-record decoder
+// mapped-open planner and the write-side mapping forwarding both trust
+// for every rank they place) and the parser→reader rank-record decoder
 // (decodeMappedMeta). Truncated buffers, rank indices out of range, and
 // reader/task counts far apart (M≫N) must yield ErrCorrupt-style errors —
 // never a panic, and never a silently short or out-of-range table.
@@ -165,9 +165,10 @@ func FuzzDecodeMapping(f *testing.F) {
 	f.Add([]byte{}, -3, -1)
 
 	// Seeds for the rank-record decoder, fed from the same byte corpus.
-	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100, 256, 1024, 256, 0, 1, 40}), 4, 0)
-	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100, 256, 1024, 256, 3, 40}), 4, 0) // truncated blocks
-	f.Add(encodeInt64s([]int64{0, 0, 7}), 4, 0)                                   // records missing
+	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100, 256, 1024, 256, 0, 1, 40}), 4, 1)
+	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100, 256, 1024, 256, 3, 40}), 4, 1) // truncated blocks
+	f.Add(encodeInt64s([]int64{0, 0, 7}), 4, 1)                                   // records missing
+	f.Add(encodeInt64s([]int64{0, 1, 0}), 4, 1)                                   // segment out of range
 
 	f.Fuzz(func(t *testing.T, data []byte, ntasks, nfiles int) {
 		if m, err := decodeMapping(data, ntasks, nfiles); err == nil {

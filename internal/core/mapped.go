@@ -2,6 +2,7 @@ package sion
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fsio"
@@ -17,9 +18,16 @@ import (
 // over-decomposed systems). ParOpenMapped gives each of the M readers a
 // full read handle per owned writer rank; the multifile layout makes this
 // cheap because every chunk address is a pure function of the metadata, so
-// no data moves when the task count changes.
+// no data moves when the task count changes. ParOpen's read mode is the
+// special case M = N with every reader owning its own rank.
 //
-// Two data paths mirror ParOpen's read side:
+// The metadata exchange costs each reader O(owned), not O(N): rank 0 reads
+// file 0's header, gathers every reader's claim, validates ownership, and
+// scatters each reader a plan (planReaders). Each physical file is parsed
+// once, by the lowest-numbered reader that needs it, which sends every
+// reader needing the file the records of the ranks it owns there.
+//
+// Two data paths follow the exchange:
 //
 //   - Direct (CollectorGroup 0/1): a reader opens each physical file that
 //     holds one of its ranks once, shares that handle among its rank views,
@@ -31,10 +39,9 @@ import (
 //     spans are contiguous chunk runs, a collector fetches one whole span
 //     per (file, block) — a few large reads — and scatters each rank's
 //     logical stream to its member. Members never touch the file; their
-//     handles serve reads from memory. Like ParOpen's collective read,
-//     this prefetches complete streams at open, so it is meant for
-//     restart-scale volumes, and a failure anywhere in a group fails the
-//     whole group's open.
+//     handles serve reads from memory. This prefetches complete streams at
+//     open, so it is meant for restart-scale volumes, and a failure
+//     anywhere in a group fails the whole group's open.
 //
 // SerialFile's read path and OpenRank are the no-communicator special
 // cases of the same machinery (openMappedLocal): the serial global view is
@@ -45,6 +52,26 @@ const (
 	tagMappedMeta = 4301 // parser → reader: per-file geometry records
 	tagMappedReq  = 4302 // member → collector: owned-rank region requests
 	tagMappedData = 4303 // collector → member: prefetched streams
+)
+
+// Claim kinds: the first word of what a reader sends rank 0, followed by
+// the writer ranks it owns (ascending).
+const (
+	claimBalanced = iota // owned == nil: rank 0 applies BalancedMapping
+	claimListed          // ParOpenMapped with an explicit owned set
+	claimOwnRank         // ParOpen: the reader's own rank, and N must equal M
+)
+
+// planHdr is the fixed head of a reader plan: status, N, files, FS block,
+// flags, collector group, owned count, needed-file count.
+const planHdr = 8
+
+// Plan statuses, the same on every reader of one open.
+const (
+	planNoFile        = 1 + iota // file 0 missing
+	planBadHeader                // file 0's metablock 1 unparsable
+	planCountMismatch            // ParOpen on M ≠ N tasks
+	planBadOwnership             // a rank outside 0..N-1, or owned twice
 )
 
 // MappedFile is an M-task read view of a multifile written by N tasks.
@@ -58,14 +85,15 @@ type MappedFile struct {
 	fsys fsio.FileSystem
 	comm *mpi.Comm
 	name string
+	op   string // the opening call, for errors: ParOpen or ParOpenMapped
 
 	ntasks int // N: writer tasks recorded in the multifile
 	nfiles int
 	fsblk  int64
 
-	owned   []int             // sorted original writer ranks owned by this reader
-	handles map[int]*File     // per owned rank
-	fhs     map[int]fsio.File // direct mode: one shared handle per physical file
+	owned   []int       // original writer ranks owned by this reader, ascending
+	handles []*File     // handles[i] serves owned[i]
+	fhs     []fsio.File // direct mode: one shared handle per physical file
 
 	collGroup int
 	collLead  bool
@@ -99,13 +127,31 @@ func BalancedMapping(reader, nreaders, ntasks int) []int {
 // supported: rescaling a multifile's writer side is a rewrite (Defrag),
 // not a reopen.
 //
-// Unlike ParOpen, neither open nor Close performs a global barrier beyond
-// the metadata exchange: in direct mode a reader whose metadata fails
-// errors alone; in collective mode a failure fails the collector's whole
-// group (whose members would otherwise hold handles served by nobody).
+// Neither open nor Close performs a barrier beyond the metadata exchange:
+// in direct mode a reader whose metadata fails errors alone; in collective
+// mode a failure fails the collector's whole group (whose members would
+// otherwise hold handles served by nobody).
 func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode, owned []int, opts *Options) (*MappedFile, error) {
 	if mode != ReadMode {
 		return nil, fmt.Errorf("sion: ParOpenMapped %s: unsupported mode %v (mapped open reads an existing multifile)", name, mode)
+	}
+	claim := []int64{claimBalanced}
+	if owned != nil {
+		claim[0] = claimListed
+		for _, g := range owned {
+			claim = append(claim, int64(g))
+		}
+		slices.Sort(claim[1:])
+	}
+	return openMapped(comm, fsys, name, claim, opts)
+}
+
+// openMapped is the collective open behind ParOpenMapped and ParOpen's read
+// mode; claim is this reader's claim (see the claim kinds).
+func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64, opts *Options) (*MappedFile, error) {
+	op := "ParOpenMapped"
+	if claim[0] == claimOwnRank {
+		op = "ParOpen"
 	}
 	caps := fsio.CapabilitiesOf(fsys)
 	o, err := opts.withDefaults(comm.Size(), caps)
@@ -113,145 +159,87 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 		return nil, err
 	}
 
-	// Rank 0 parses file 0's metablock 1 and broadcasts the layout basics,
-	// the resolved collector group, and the full global mapping: with M≠N
-	// no reader can assume its own placement exists, so everyone needs the
-	// table (format.go's mapping codec, validated on every rank).
-	hdr := make([]int64, 6)
-	var mapEnc []byte
+	// Rank 0 reads file 0's header (the claims arrive meanwhile), then
+	// plans every reader's share of the exchange.
+	var h *header
+	var status int64
 	if comm.Rank() == 0 {
-		fh, oerr := fsys.Open(fileName(name, 0))
-		if oerr != nil {
-			hdr[0] = 1
+		if fh, oerr := fsys.Open(fileName(name, 0)); oerr != nil {
+			status = planNoFile
 		} else {
-			h, perr := parseHeader(fh)
+			if h, err = parseHeader(fh); err != nil {
+				status = planBadHeader
+			}
 			fh.Close()
-			if perr != nil {
-				hdr[0] = 2
-			} else {
-				// CollectorAuto sizing: reuse the write-side heuristic with
-				// file 0's average aligned chunk as the representative, so
-				// the resolved group is identical on every reader.
-				avg := newGeometry(h).stride / int64(h.NTasksLocal)
-				group := resolveCollectorGroup(o.CollectorGroup, comm.Size(), avg*int64(comm.Size()), h.FSBlockSize)
-				hdr = []int64{0, int64(h.NTasksGlobal), int64(h.NFiles), h.FSBlockSize, int64(h.Flags), int64(group)}
-				mapEnc = encodeMapping(h.Mapping)
-			}
 		}
 	}
-	hdr = decodeInt64s(comm.Bcast(0, encodeInt64s(hdr)))
-	mapEnc = comm.Bcast(0, mapEnc)
-	if hdr[0] != 0 {
-		return nil, fmt.Errorf("sion: ParOpenMapped %s failed (status %d: missing file or corrupt header)", name, hdr[0])
-	}
-	ntasks, nfiles, fsblk := int(hdr[1]), int(hdr[2]), hdr[3]
-	flags, group := uint64(hdr[4]), int(hdr[5])
-	mapping, err := decodeMapping(mapEnc, ntasks, nfiles)
-	if err != nil {
-		return nil, fmt.Errorf("sion: ParOpenMapped %s: %w", name, err)
-	}
-
-	// Ownership: gather every reader's claimed ranks at rank 0, which
-	// validates range and global disjointness and broadcasts the owner
-	// table (owner[g] = reader rank, -1 unowned).
-	if owned == nil {
-		owned = BalancedMapping(comm.Rank(), comm.Size(), ntasks)
-	} else {
-		owned = append([]int(nil), owned...)
-		sort.Ints(owned)
-	}
-	claim := make([]int64, len(owned))
-	for i, g := range owned {
-		claim[i] = int64(g)
-	}
-	parts := comm.Gatherv(0, encodeInt64s(claim))
-	var ownerEnc []byte
+	claims := comm.GatherInt64Slice(0, claim)
+	var plans [][]int64
 	if comm.Rank() == 0 {
-		status := int64(0)
-		owner := make([]int64, ntasks)
-		for g := range owner {
-			owner[g] = -1
-		}
-		for r, p := range parts {
-			for _, gv := range decodeInt64s(p) {
-				if gv < 0 || gv >= int64(ntasks) || owner[gv] != -1 {
-					status = 1
-					continue
-				}
-				owner[gv] = int64(r)
-			}
-		}
-		ownerEnc = encodeInt64s(append([]int64{status}, owner...))
+		plans = planReaders(h, status, claims, o.CollectorGroup)
 	}
-	ownerVals := decodeInt64s(comm.Bcast(0, ownerEnc))
-	if ownerVals[0] != 0 {
-		return nil, fmt.Errorf("sion: ParOpenMapped %s: invalid ownership (a writer rank outside 0..%d, or owned by two readers)", name, ntasks-1)
+	plan := comm.ScatterInt64Slice(0, plans)
+	switch plan[0] {
+	case 0:
+	case planCountMismatch:
+		return nil, fmt.Errorf("sion: ParOpen %s: the multifile was written by %d tasks but is opened by %d (ParOpenMapped reads it on another task count)", name, plan[1], comm.Size())
+	case planBadOwnership:
+		return nil, fmt.Errorf("sion: %s %s: invalid ownership (a writer rank outside 0..%d, or owned by two readers)", op, name, plan[1]-1)
+	default:
+		return nil, fmt.Errorf("sion: %s %s failed (status %d: missing file or corrupt header)", op, name, plan[0])
 	}
-	owner := ownerVals[1:]
+	ntasks, nfiles, fsblk := int(plan[1]), int(plan[2]), plan[3]
+	hdrs, group := uint64(plan[4])&flagChunkHeaders != 0, int(plan[5])
+	mine := plan[planHdr : planHdr+plan[6]]
+	parsers := plan[planHdr+plan[6] : planHdr+plan[6]+plan[7]]
 
-	// Deterministic work split every reader computes identically: which
-	// readers need which physical file, and who parses it (file k's
-	// metadata is parsed once, by reader k mod M, and fanned out).
-	needs := make([][]int, nfiles)
-	inNeed := make([]map[int]bool, nfiles)
-	for g, w := range owner {
-		if w < 0 {
-			continue
-		}
-		k := int(mapping[g].File)
-		if inNeed[k] == nil {
-			inNeed[k] = make(map[int]bool)
-		}
-		if !inNeed[k][int(w)] {
-			inNeed[k][int(w)] = true
-			needs[k] = append(needs[k], int(w))
-		}
-	}
-	mineByFile := make(map[int][]int)
-	var myFiles []int
-	for _, g := range owned {
-		k := int(mapping[g].File)
-		if len(mineByFile[k]) == 0 {
-			myFiles = append(myFiles, k)
-		}
-		mineByFile[k] = append(mineByFile[k], g)
-	}
-	sort.Ints(myFiles)
-
-	// Parse assigned files and fan the per-rank records out (sends are
-	// eager, so all parsers send before anyone blocks in Recv below).
-	for k := 0; k < nfiles; k++ {
-		if len(needs[k]) == 0 || k%comm.Size() != comm.Rank() {
-			continue
-		}
-		pf, lerr := loadSegment(fsys, name, k)
-		if lerr == nil && int(pf.h.NTasksGlobal) != ntasks {
-			lerr = fmt.Errorf("%w: segment %d disagrees on task count", ErrCorrupt, k)
-		}
-		sort.Ints(needs[k])
-		for _, r := range needs[k] {
-			comm.Send(r, tagMappedMeta, encodeInt64s(encodeMappedMeta(pf, lerr, k, owner, mapping, r)))
-		}
-		if pf != nil {
-			pf.fh.Close()
-		}
+	// Parse the files this reader is the lowest reader of, and fan the
+	// records out (sends are eager, so all parsers send before anyone
+	// blocks in Recv below).
+	for sec := plan[planHdr+plan[6]+plan[7]:]; len(sec) > 0; {
+		k, n := int(sec[0]), int(sec[1])
+		sendRankRecords(comm, fsys, name, k, ntasks, sec[2:2+n])
+		sec = sec[2+n:]
 	}
 
-	// Collect this reader's records; drain every expected message even
-	// after a failure so no stray frame outlives the open.
-	handles := make(map[int]*File, len(owned))
+	// Collect one message per needed file; drain every expected message
+	// even after a failure so no stray frame outlives the open. In direct
+	// mode each file is opened as its records arrive.
+	mf := &MappedFile{
+		fsys: fsys, comm: comm, name: name, op: op,
+		ntasks: ntasks, nfiles: nfiles, fsblk: fsblk,
+		owned: make([]int, len(mine)), handles: make([]*File, len(mine)),
+	}
+	for i, g := range mine {
+		mf.owned[i] = int(g)
+	}
+	var openErr error
 	metaFailed := false
-	for _, k := range myFiles {
-		vals := decodeInt64s(comm.Recv(k%comm.Size(), tagMappedMeta))
-		recs, derr := decodeMappedMeta(vals, ntasks, k)
-		if derr != nil {
+	for _, p := range parsers {
+		vals := decodeInt64s(comm.Recv(int(p), tagMappedMeta))
+		recs, derr := decodeMappedMeta(vals, ntasks, nfiles)
+		if derr != nil || metaFailed {
 			metaFailed = true
 			continue
 		}
-		hdrs := flags&flagChunkHeaders != 0
+		k := int(vals[1])
+		var fh fsio.File
+		if group <= 1 {
+			if fh, openErr = fsys.Open(fileName(name, k)); openErr != nil {
+				openErr = fmt.Errorf("sion: %s %s: opening physical file %d: %w", op, name, k, openErr)
+				metaFailed = true
+				continue
+			}
+			mf.fhs = append(mf.fhs, fh)
+		}
 		for _, rec := range recs {
-			handles[rec.global] = &File{
-				fsys: fsys, name: name, mode: ReadMode,
+			i, ok := slices.BinarySearch(mf.owned, rec.global)
+			if !ok || mf.handles[i] != nil {
+				metaFailed = true // a rank this reader does not own, or twice
+				continue
+			}
+			mf.handles[i] = &File{
+				fsys: fsys, fh: fh, fhShared: true, name: name, mode: ReadMode,
 				local: rec.local, global: rec.global,
 				filenum: k, nfiles: nfiles, fsblk: fsblk,
 				requested: rec.chunkSize, chunkHdrs: hdrs,
@@ -261,24 +249,12 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 					headers: hdrs,
 				},
 				readBytes:  rec.blockBytes,
-				fhShared:   true,
 				directRead: DirectReadBytes(caps, fsblk),
 			}
 		}
 	}
-	if !metaFailed {
-		for _, g := range owned {
-			if handles[g] == nil {
-				metaFailed = true // parser omitted a rank we own
-			}
-		}
-	}
+	metaFailed = metaFailed || slices.Contains(mf.handles, nil) // a parser omitted a rank we own
 
-	mf := &MappedFile{
-		fsys: fsys, comm: comm, name: name,
-		ntasks: ntasks, nfiles: nfiles, fsblk: fsblk,
-		owned: owned, handles: handles,
-	}
 	if group > 1 {
 		// The collective exchange runs even for a reader whose metadata
 		// failed: its group must learn about the failure, or the collector
@@ -289,24 +265,118 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 		return mf, nil
 	}
 	if metaFailed {
-		return nil, fmt.Errorf("sion: ParOpenMapped %s: metadata exchange failed (corrupt or missing segment)", name)
-	}
-	mf.fhs = make(map[int]fsio.File, len(myFiles))
-	for _, k := range myFiles {
-		fh, oerr := fsys.Open(fileName(name, k))
-		if oerr != nil {
-			mf.Close()
-			return nil, fmt.Errorf("sion: ParOpenMapped %s: opening physical file %d: %w", name, k, oerr)
+		mf.Close()
+		if openErr != nil {
+			return nil, openErr
 		}
-		mf.fhs[k] = fh
-		for _, g := range mineByFile[k] {
-			handles[g].fh = fh
-		}
+		return nil, fmt.Errorf("sion: %s %s: metadata exchange failed (corrupt or missing segment)", op, name)
 	}
-	for _, g := range owned {
-		handles[g].initStaging(o.BufferSize)
+	for _, h := range mf.handles {
+		h.initStaging(o.BufferSize)
 	}
 	return mf, nil
+}
+
+// planReaders is rank 0's half of the exchange: from file 0's header h
+// (status ≠ 0 when it could not be read) and every reader's claim, it
+// resolves ownership and returns each reader's plan:
+//
+//	[status, N, files, fsblk, flags, group, nown, nneed,
+//	 owned ranks…, the parser of each needed file…,
+//	 then per file the reader parses: k, len, and per reader needing the
+//	 file (ascending): reader, count, the local ranks it owns there…]
+//
+// File k's parser is the lowest reader that needs it. A reader that parses
+// nothing gets O(owned) words, whatever N is; a parser's sections are
+// O(tasks in its files). A failure is one header-only plan for everyone.
+func planReaders(h *header, status int64, claims [][]int64, collectorGroup int) [][]int64 {
+	m, n := len(claims), 0
+	if h != nil {
+		n = int(h.NTasksGlobal)
+	}
+	plans := make([][]int64, m)
+	fail := func(status int64) [][]int64 {
+		hdr := []int64{status, int64(n), 0, 0, 0, 0, 0, 0}
+		for r := range plans {
+			plans[r] = hdr
+		}
+		return plans
+	}
+	if status != 0 {
+		return fail(status)
+	}
+	// CollectorAuto sizing: the write-side heuristic over the M readers,
+	// with file 0's average aligned chunk as the representative, so the
+	// resolved group is identical on every reader.
+	avg := newGeometry(h).stride / int64(h.NTasksLocal)
+	group := resolveCollectorGroup(collectorGroup, m, avg*int64(m), h.FSBlockSize)
+	nfiles := int(h.NFiles)
+	taken := make([]bool, n)
+	// Per file: its parser and its latest reader (both +1, 0 = none yet),
+	// the section under construction, and where that reader's count is.
+	parser, last, at := make([]int, nfiles), make([]int, nfiles), make([]int, nfiles)
+	secs := make([][]int64, nfiles)
+	for r, cl := range claims {
+		own := cl[1:]
+		switch cl[0] {
+		case claimBalanced:
+			own = nil
+			for _, g := range BalancedMapping(r, m, n) {
+				own = append(own, int64(g))
+			}
+		case claimOwnRank:
+			if m != n {
+				return fail(planCountMismatch)
+			}
+		}
+		plan := append(make([]int64, 0, planHdr+2*len(own)),
+			0, int64(n), int64(nfiles), h.FSBlockSize, int64(h.Flags), int64(group), int64(len(own)), 0)
+		plan = append(plan, own...)
+		for _, g := range own {
+			if g < 0 || g >= int64(n) || taken[g] {
+				return fail(planBadOwnership)
+			}
+			taken[g] = true
+			k := int(h.Mapping[g].File)
+			if last[k] != r+1 {
+				if parser[k] == 0 {
+					parser[k] = r + 1
+				}
+				last[k] = r + 1
+				plan = append(plan, int64(parser[k]-1))
+				plan[7]++
+				secs[k] = append(secs[k], int64(r), 0)
+				at[k] = len(secs[k]) - 1
+			}
+			secs[k] = append(secs[k], int64(h.Mapping[g].LocalRank))
+			secs[k][at[k]]++
+		}
+		plans[r] = plan
+	}
+	for k, sec := range secs {
+		if p := parser[k] - 1; p >= 0 {
+			plans[p] = append(append(plans[p], int64(k), int64(len(sec))), sec...)
+		}
+	}
+	return plans
+}
+
+// sendRankRecords parses physical file k and, in one pass over sec (a
+// plan section: per reader, reader, count, local ranks), sends each reader
+// the records of its ranks in the file.
+func sendRankRecords(comm *mpi.Comm, fsys fsio.FileSystem, name string, k, ntasks int, sec []int64) {
+	pf, lerr := loadSegment(fsys, name, k)
+	if lerr == nil && int(pf.h.NTasksGlobal) != ntasks {
+		lerr = fmt.Errorf("%w: segment %d disagrees on task count", ErrCorrupt, k)
+	}
+	for len(sec) > 0 {
+		r, lis := int(sec[0]), sec[2:2+sec[1]]
+		sec = sec[2+sec[1]:]
+		comm.Send(r, tagMappedMeta, encodeInt64s(encodeMappedMeta(pf, lerr, k, lis)))
+	}
+	if pf != nil {
+		pf.fh.Close()
+	}
 }
 
 // mappedRankMeta is one writer rank's geometry record in a parser→reader
@@ -320,47 +390,40 @@ type mappedRankMeta struct {
 	blockBytes    []int64
 }
 
-// encodeMappedMeta builds the metadata message parser of file k sends to
-// one reader: [status, filenum, nrec, then per owned rank of that reader
-// in file k: g, lrank, chunkSize, start, stride, aligned, prefix, nblocks,
-// blockBytes...]. A load error becomes a bare failure status.
-func encodeMappedMeta(pf *physFile, lerr error, k int, owner []int64, mapping []FileLoc, reader int) []int64 {
+// encodeMappedMeta builds the metadata message the parser of file k sends
+// one reader: [status, filenum, nrec, then per local rank li in lis: g, li,
+// chunkSize, start, stride, aligned, prefix, nblocks, blockBytes...]. A
+// load error becomes a bare failure status.
+func encodeMappedMeta(pf *physFile, lerr error, k int, lis []int64) []int64 {
 	if lerr != nil {
 		return []int64{1, int64(k), 0}
 	}
-	vals := []int64{0, int64(k), 0}
-	nrec := int64(0)
-	for g := range owner {
-		if int(owner[g]) != reader || int(mapping[g].File) != k {
-			continue
-		}
-		li := int(mapping[g].LocalRank)
-		if li >= int(pf.h.NTasksLocal) {
+	vals := []int64{0, int64(k), int64(len(lis))}
+	for _, li := range lis {
+		if li >= int64(pf.h.NTasksLocal) {
 			return []int64{2, int64(k), 0} // mapping points outside the segment
 		}
 		bb := pf.m2.BlockBytes[li]
-		vals = append(vals, int64(g), int64(li), pf.h.ChunkSizes[li],
+		vals = append(vals, pf.h.GlobalRanks[li], li, pf.h.ChunkSizes[li],
 			pf.geo.start, pf.geo.stride, pf.geo.aligned[li], pf.geo.prefix[li],
 			int64(len(bb)))
 		vals = append(vals, bb...)
-		nrec++
 	}
-	vals[2] = nrec
 	return vals
 }
 
-// decodeMappedMeta parses one metadata message, validating every field so
-// a malformed frame yields ErrCorrupt instead of a panic or a handle with
-// wild offsets.
-func decodeMappedMeta(vals []int64, ntasks, wantFile int) ([]mappedRankMeta, error) {
+// decodeMappedMeta parses one metadata message for a multifile of ntasks
+// tasks in nfiles physical files, validating every field so a malformed
+// frame yields ErrCorrupt instead of a panic or a handle with wild offsets.
+func decodeMappedMeta(vals []int64, ntasks, nfiles int) ([]mappedRankMeta, error) {
 	if len(vals) < 3 {
 		return nil, fmt.Errorf("%w: mapped metadata message truncated (%d words)", ErrCorrupt, len(vals))
 	}
 	if vals[0] != 0 {
 		return nil, fmt.Errorf("%w: mapped metadata status %d for segment %d", ErrCorrupt, vals[0], vals[1])
 	}
-	if int(vals[1]) != wantFile {
-		return nil, fmt.Errorf("%w: mapped metadata for segment %d, want %d", ErrCorrupt, vals[1], wantFile)
+	if vals[1] < 0 || vals[1] >= int64(nfiles) {
+		return nil, fmt.Errorf("%w: mapped metadata for segment %d of %d", ErrCorrupt, vals[1], nfiles)
 	}
 	nrec := vals[2]
 	if nrec < 0 || nrec > int64(ntasks) {
@@ -405,8 +468,6 @@ func decodeMappedMeta(vals []int64, ntasks, wantFile int) ([]mappedRankMeta, err
 // mappedRegion is one writer rank's chunk series on a collector: where its
 // blocks live and, after the fetch, its assembled logical stream.
 type mappedRegion struct {
-	member   int // requesting group member's comm rank; -1 = the collector
-	global   int
 	file     int
 	dataOff0 int64 // file offset of block 0's data
 	stride   int64
@@ -415,9 +476,8 @@ type mappedRegion struct {
 	stream   []byte
 }
 
-func newMappedRegion(member, global, file int, dataOff0, stride int64, bb []int64) *mappedRegion {
-	r := &mappedRegion{member: member, global: global, file: file,
-		dataOff0: dataOff0, stride: stride, bb: bb}
+func newMappedRegion(file int, dataOff0, stride int64, bb []int64) *mappedRegion {
+	r := &mappedRegion{file: file, dataOff0: dataOff0, stride: stride, bb: bb}
 	r.base = make([]int64, len(bb))
 	var total int64
 	for b, n := range bb {
@@ -441,20 +501,18 @@ func (mf *MappedFile) collectiveFetch(group int, localErr bool) error {
 	mf.collGroup, mf.collLead = group, rank == lead
 
 	failErr := func() error {
-		return fmt.Errorf("sion: ParOpenMapped %s: collective mapped read failed in collector %d's group", mf.name, lead)
+		return fmt.Errorf("sion: %s %s: collective read failed in collector %d's group", mf.op, mf.name, lead)
 	}
 
 	if !mf.collLead {
-		// Request: [status, nranks, per rank: g, file, dataOff0, stride,
-		// nblocks, blockBytes...] — same chunk arithmetic collReadRequest
-		// ships on the same-cardinality path.
+		// Request: [status, nranks, per rank in owned order: file,
+		// dataOff0, stride, nblocks, blockBytes...].
 		req := []int64{0, int64(len(mf.owned))}
 		if localErr {
 			req = []int64{1, 0}
 		} else {
-			for _, g := range mf.owned {
-				h := mf.handles[g]
-				req = append(req, int64(g), int64(h.filenum),
+			for _, h := range mf.handles {
+				req = append(req, int64(h.filenum),
 					h.geo.dataOff(geoIndex, 0), h.geo.stride, int64(len(h.readBytes)))
 				req = append(req, h.readBytes...)
 			}
@@ -466,8 +524,7 @@ func (mf *MappedFile) collectiveFetch(group int, localErr bool) error {
 		}
 		// Streams arrive concatenated in owned order.
 		off := int64(8)
-		for _, g := range mf.owned {
-			h := mf.handles[g]
+		for _, h := range mf.handles {
 			n := h.LogicalSize()
 			h.setCollRead(reply[off : off+n])
 			off += n
@@ -475,7 +532,8 @@ func (mf *MappedFile) collectiveFetch(group int, localErr bool) error {
 		return nil
 	}
 
-	// Collector: gather its own and every member's regions.
+	// Collector: gather its own regions (first, in owned order) and every
+	// member's.
 	end := lead + group
 	if end > comm.Size() {
 		end = comm.Size()
@@ -487,16 +545,13 @@ func (mf *MappedFile) collectiveFetch(group int, localErr bool) error {
 	var fetchErr error // the collector's own root cause, wrapped below
 	var regions []*mappedRegion
 	if !localErr {
-		for _, g := range mf.owned {
-			h := mf.handles[g]
-			regions = append(regions, newMappedRegion(-1, g, h.filenum,
+		for _, h := range mf.handles {
+			regions = append(regions, newMappedRegion(h.filenum,
 				h.geo.dataOff(geoIndex, 0), h.geo.stride, h.readBytes))
 		}
 	}
-	var members []int
-	memberRegions := make(map[int][]*mappedRegion)
+	memberRegions := make([][]*mappedRegion, end-lead-1) // by m-lead-1
 	for m := lead + 1; m < end; m++ {
-		members = append(members, m)
 		vals := decodeInt64s(comm.Recv(m, tagMappedReq))
 		if len(vals) < 2 || vals[0] != 0 {
 			status = 1
@@ -504,15 +559,14 @@ func (mf *MappedFile) collectiveFetch(group int, localErr bool) error {
 		}
 		off := 2
 		for i := int64(0); i < vals[1]; i++ {
-			if off+5 > len(vals) || off+5+int(vals[off+4]) > len(vals) || vals[off+4] < 0 {
+			if off+4 > len(vals) || off+4+int(vals[off+3]) > len(vals) || vals[off+3] < 0 {
 				status = 1
 				break
 			}
-			r := newMappedRegion(m, int(vals[off]), int(vals[off+1]),
-				vals[off+2], vals[off+3], vals[off+5:off+5+int(vals[off+4])])
-			off += 5 + int(vals[off+4])
+			r := newMappedRegion(int(vals[off]), vals[off+1], vals[off+2], vals[off+4:off+4+int(vals[off+3])])
+			off += 4 + int(vals[off+3])
 			regions = append(regions, r)
-			memberRegions[m] = append(memberRegions[m], r)
+			memberRegions[m-lead-1] = append(memberRegions[m-lead-1], r)
 		}
 	}
 	if status == 0 {
@@ -521,30 +575,46 @@ func (mf *MappedFile) collectiveFetch(group int, localErr bool) error {
 			fetchErr = err
 		}
 	}
-	for _, m := range members {
+	for i, regs := range memberRegions {
 		reply := encodeInt64s([]int64{status})
 		if status == 0 {
-			for _, r := range memberRegions[m] {
+			for _, r := range regs {
 				reply = append(reply, r.stream...)
 			}
 		}
-		comm.Send(m, tagMappedData, reply)
+		comm.Send(lead+1+i, tagMappedData, reply)
 	}
 	if status != 0 {
 		if fetchErr != nil {
 			// The collector knows the root cause; members only see the
 			// status code (an error value cannot cross ranks), so only
 			// here can callers errors.Is the backend sentinel.
-			return fmt.Errorf("sion: ParOpenMapped %s: collective mapped read failed in collector %d's group: %w", mf.name, lead, fetchErr)
+			return fmt.Errorf("%w: %w", failErr(), fetchErr)
 		}
 		return failErr()
 	}
-	for _, r := range regions {
-		if r.member == -1 {
-			mf.handles[r.global].setCollRead(r.stream)
-		}
+	for i, h := range mf.handles {
+		h.setCollRead(regions[i].stream)
 	}
 	return nil
+}
+
+// collReadState serves a task's reads from the prefetched logical stream
+// its collector scattered at open.
+type collReadState struct {
+	buf  []byte
+	base []int64 // logical offset of each block's first byte (prefix sums)
+}
+
+// setCollRead installs the prefetched stream and its per-block offsets.
+func (f *File) setCollRead(buf []byte) {
+	st := &collReadState{buf: buf, base: make([]int64, len(f.readBytes))}
+	var off int64
+	for b, n := range f.readBytes {
+		st.base[b] = off
+		off += n
+	}
+	f.collRead = st
 }
 
 // fetchRegions fills every region's stream with as few physical reads as
@@ -565,12 +635,12 @@ func (mf *MappedFile) fetchRegions(regions []*mappedRegion) error {
 	for _, k := range files {
 		fh, err := mf.fsys.Open(fileName(mf.name, k))
 		if err != nil {
-			return fmt.Errorf("sion: ParOpenMapped %s: opening physical file %d: %w", mf.name, k, err)
+			return fmt.Errorf("opening physical file %d: %w", k, err)
 		}
 		err = fetchFileSpans(fh, byFile[k])
 		fh.Close()
 		if err != nil {
-			return fmt.Errorf("sion: %s: collective mapped read: %w", mf.name, err)
+			return err
 		}
 	}
 	return nil
@@ -638,11 +708,11 @@ func (mf *MappedFile) Rank(g int) (*File, error) {
 	if mf.closed {
 		return nil, fmt.Errorf("sion: %s: mapped handle is closed", mf.name)
 	}
-	h := mf.handles[g]
-	if h == nil {
+	i, ok := slices.BinarySearch(mf.owned, g)
+	if !ok {
 		return nil, fmt.Errorf("sion: %s: writer rank %d is not owned by reader %d", mf.name, g, mf.comm.Rank())
 	}
-	return h, nil
+	return mf.handles[i], nil
 }
 
 // Close releases every rank handle and the shared physical files. It is
@@ -653,22 +723,15 @@ func (mf *MappedFile) Close() error {
 		return nil
 	}
 	mf.closed = true
-	for _, g := range mf.owned {
-		if h := mf.handles[g]; h != nil {
+	for _, h := range mf.handles {
+		if h != nil {
 			h.closed = true
 			h.dropStaging()
 		}
 	}
 	var firstErr error
-	var files []int
-	for k := range mf.fhs {
-		files = append(files, k)
-	}
-	sort.Ints(files)
-	for _, k := range files {
-		if err := mf.fhs[k].Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	for _, fh := range mf.fhs {
+		firstErr = closeKeep(fh, firstErr)
 	}
 	mf.fhs = nil
 	return firstErr

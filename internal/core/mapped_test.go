@@ -327,7 +327,7 @@ func TestMappedCollectiveClientReduction(t *testing.T) {
 	})
 	after, _ := fs.Stats("cl.sion")
 	collectors := (M + group - 1) / group
-	// Readers of the file: the collectors, plus rank 0 (header broadcast)
+	// Readers of the file: the collectors, plus rank 0 (file 0's header)
 	// and the metadata parser of file 0.
 	if got := after.ReaderTasks - before.ReaderTasks; got > collectors+2 {
 		t.Errorf("%d reader tasks beyond the write phase, want ≤ %d collectors + 2 metadata readers",

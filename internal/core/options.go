@@ -76,12 +76,11 @@ type Options struct {
 	// In write mode, members buffer their data and ship it to the
 	// collector, which issues one large write per member chunk region; the
 	// resulting multifile is byte-identical to one written directly. In
-	// read mode, the collector issues one large read per member chunk
-	// region and scatters the data, so at most ⌈ntasks/group⌉ tasks of a
-	// physical file open it or issue read requests. Members never open the
-	// physical file at all. ParOpenMapped honors the option the same way,
-	// grouping consecutive reader ranks: its collectors fetch one dense
-	// span per (file, block) covering the group's owned chunk runs.
+	// read mode (ParOpen and ParOpenMapped alike) groups of consecutive
+	// reader ranks route their reads through the collector, which fetches
+	// one dense span per (file, block) covering the group's owned chunk
+	// runs and scatters the data, so at most ⌈readers/group⌉ tasks open
+	// the files or issue read requests. Members never open them at all.
 	//
 	// Memory: collective read prefetches each task's complete logical
 	// stream into host memory at open (and the collector transiently
@@ -95,9 +94,11 @@ type Options struct {
 	// the file-system block size, targeting collector regions of at least
 	// autoCollectTargetBlocks FS blocks (the loosely-coupled aggregation
 	// sizing of Zhang et al., arXiv:0901.0134). All tasks must pass the
-	// same value (ParOpen is collective); the resolved size is computed at
-	// the file master and distributed, so -1 is consistent even when chunk
-	// sizes differ between tasks.
+	// same value (ParOpen is collective); the resolved size is computed
+	// once and distributed, so -1 is consistent even when chunk sizes
+	// differ between tasks. A write resolves it per physical file from that
+	// file's chunks and task count; a read resolves it over all readers,
+	// from file 0's average aligned chunk.
 	CollectorGroup int
 
 	// AsyncCollective upgrades collective write mode to double-buffered

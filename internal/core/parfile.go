@@ -27,8 +27,8 @@ type File struct {
 	name string // logical multifile name (not the physical segment name)
 	mode Mode
 
-	comm  *mpi.Comm // global communicator (nil for serial OpenRank)
-	lcomm *mpi.Comm // tasks sharing this physical file (nil for serial)
+	comm  *mpi.Comm // global communicator (nil for every read handle)
+	lcomm *mpi.Comm // tasks sharing this physical file (nil for reads)
 
 	geo       geometry
 	local     int // local rank within the physical file
@@ -58,9 +58,9 @@ type File struct {
 	// Read state.
 	readBytes []int64 // bytes available per block (from metablock 2)
 
-	// Collective mode (see collective.go). coll is the write-side state
-	// (nil = direct writes); collRead serves reads from the prefetched
-	// stream a read-mode collector scattered (nil = direct reads).
+	// Collective mode. coll is the write-side state (collective.go; nil =
+	// direct writes); collRead serves reads from the prefetched stream a
+	// read-side collector scattered (mapped.go; nil = direct reads).
 	// collGroup/collLead describe the resolved group for both directions.
 	coll      *collState
 	collRead  *collReadState
@@ -80,6 +80,7 @@ type File struct {
 	// fhShared marks a rank handle whose fh belongs to a container (a
 	// MappedFile or a read-mode SerialFile) that shares one open physical
 	// file among several rank views; Close then leaves fh to the container.
+	// Read handles from ParOpen and OpenRank own their fh.
 	fhShared bool
 }
 
@@ -94,12 +95,22 @@ var (
 // opts.ChunkSize is the maximum number of bytes the calling task writes in
 // one piece (it may differ between tasks). In read mode opts may be nil;
 // geometry and task placement are recovered from the multifile metadata.
+// Read mode is ParOpenMapped with every task owning its own rank, so the
+// communicator must have the writer task count (ParOpenMapped rescales),
+// and the read handle's Close is not collective.
 func ParOpen(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode, opts *Options) (*File, error) {
 	switch mode {
 	case WriteMode:
 		return parOpenWrite(comm, fsys, name, opts)
 	case ReadMode:
-		return parOpenRead(comm, fsys, name, opts)
+		mf, err := openMapped(comm, fsys, name, []int64{claimOwnRank, int64(comm.Rank())}, opts)
+		if err != nil {
+			return nil, err
+		}
+		f := mf.handles[0] // takes over its physical file; mf is dropped
+		f.fhShared = false
+		f.collGroup, f.collLead = mf.collGroup, mf.collLead
+		return f, nil
 	default:
 		return nil, fmt.Errorf("sion: ParOpen %s: unsupported mode %v", name, mode)
 	}
@@ -321,148 +332,6 @@ func resolveCollectorGroup(opt, ntasksLocal int, stride, fsblk int64) int {
 // views, and the write-mode master (local rank 0) is entry 0 of the full
 // table it keeps for writing metablock 2.
 const geoIndex = 0
-
-func parOpenRead(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Options) (*File, error) {
-	caps := bcastCapabilities(comm, fsys)
-	o, err := opts.withDefaults(comm.Size(), caps)
-	if err != nil {
-		return nil, err
-	}
-	// World rank 0 reads file 0's header to learn the task placement.
-	var placements [][]int64
-	status := int64(0)
-	var nfilesBC, fsblkBC, flagsBC int64
-	if comm.Rank() == 0 {
-		fh, err := fsys.Open(fileName(name, 0))
-		if err != nil {
-			status = 1
-		} else {
-			h, perr := parseHeader(fh)
-			fh.Close()
-			switch {
-			case perr != nil:
-				status = 2
-			case int(h.NTasksGlobal) != comm.Size():
-				status = 3
-			default:
-				nfilesBC = int64(h.NFiles)
-				fsblkBC = h.FSBlockSize
-				flagsBC = int64(h.Flags)
-				placements = make([][]int64, comm.Size())
-				for r := range placements {
-					placements[r] = []int64{status, int64(h.Mapping[r].File), int64(h.Mapping[r].LocalRank), nfilesBC, fsblkBC, flagsBC}
-				}
-			}
-		}
-		if status != 0 {
-			placements = make([][]int64, comm.Size())
-			for r := range placements {
-				placements[r] = []int64{status, 0, 0, 0, 0, 0}
-			}
-		}
-	}
-	place := comm.ScatterInt64Slice(0, placements)
-	if place[0] != 0 {
-		return nil, fmt.Errorf("sion: ParOpen %s for read failed (status %d: missing file, corrupt header, or task-count mismatch)", name, place[0])
-	}
-	filenum, localrank := int(place[1]), int(place[2])
-	nfiles, fsblk, flags := int(place[3]), place[4], uint64(place[5])
-
-	lcomm := comm.Split(filenum, localrank)
-
-	f := &File{
-		fsys: fsys, name: name, mode: ReadMode,
-		comm: comm, lcomm: lcomm,
-		local: lcomm.Rank(), global: comm.Rank(),
-		filenum: filenum, nfiles: nfiles, fsblk: fsblk,
-		chunkHdrs:  flags&flagChunkHeaders != 0,
-		directRead: DirectReadBytes(caps, fsblk),
-	}
-
-	// Each file's master parses its metadata and scatters per-task
-	// geometry plus the per-block byte counts from metablock 2.
-	physName := fileName(name, filenum)
-	var infos [][]int64
-	lstatus := int64(0)
-	if f.local == 0 {
-		fh, err := fsys.Open(physName)
-		var h *header
-		var m2 *meta2
-		if err != nil {
-			lstatus = 4
-		} else {
-			if h, err = parseHeader(fh); err != nil {
-				lstatus = 5
-			} else if m2, err = readTail(fh, int(h.NTasksLocal)); err != nil {
-				lstatus = 6
-			}
-			fh.Close()
-		}
-		if lstatus == 0 && int(h.NTasksLocal) != lcomm.Size() {
-			lstatus = 7
-		}
-		infos = readInfos(lstatus, lcomm.Size(), h, m2, o.CollectorGroup)
-	}
-	mine := lcomm.ScatterInt64Slice(0, infos)
-	if mine[0] != 0 {
-		return nil, fmt.Errorf("sion: ParOpen %s for read failed (status %d: metadata error in %s)", name, mine[0], physName)
-	}
-	f.geo = geometry{
-		fsblk:   fsblk,
-		start:   mine[1],
-		stride:  mine[2],
-		aligned: []int64{mine[3]},
-		prefix:  []int64{mine[4]},
-		headers: f.chunkHdrs,
-	}
-	f.requested = mine[5]
-	group := int(mine[6])
-	f.readBytes = append([]int64(nil), mine[7:]...)
-	if group > 1 {
-		// Collective read: only the group collectors open the physical
-		// file; they read each member's chunk regions in one pass and
-		// scatter the logical streams (see collective.go, which also
-		// handles a failed collector open by failing the members' opens
-		// rather than leaving them blocked).
-		if err := f.initCollectiveRead(group, physName); err != nil {
-			if f.fh != nil {
-				f.fh.Close()
-			}
-			return nil, err
-		}
-		return f, nil
-	}
-	fh, err := fsys.Open(physName)
-	if err != nil {
-		return nil, fmt.Errorf("sion: ParOpen %s: opening physical file: %w", name, err)
-	}
-	f.fh = fh
-	f.initStaging(o.BufferSize)
-	return f, nil
-}
-
-// readInfos builds the records a read-mode master scatters to its n
-// local tasks: [status, start, stride, aligned, prefix, chunkSize, group,
-// blockBytes...], or the bare failure status for everyone. The geometry
-// and the collector group are the file's, resolved once — the per-task
-// work must not grow with n.
-func readInfos(status int64, n int, h *header, m2 *meta2, collectorGroup int) [][]int64 {
-	infos := make([][]int64, n)
-	if status != 0 {
-		for i := range infos {
-			infos[i] = []int64{status, 0, 0, 0, 0, 0, 0}
-		}
-		return infos
-	}
-	g := newGeometry(h)
-	group := int64(resolveCollectorGroup(collectorGroup, n, g.stride, h.FSBlockSize))
-	for i := range infos {
-		rec := make([]int64, 0, 7+len(m2.BlockBytes[i]))
-		rec = append(rec, 0, g.start, g.stride, g.aligned[i], g.prefix[i], h.ChunkSizes[i], group)
-		infos[i] = append(rec, m2.BlockBytes[i]...)
-	}
-	return infos
-}
 
 // --- Accessors -------------------------------------------------------------
 
@@ -699,6 +568,21 @@ func (f *File) Read(p []byte) (int, error) {
 	return total, nil
 }
 
+// readChunkAt fills p from (block, pos) of this task's chunk data: from
+// the collective-read prefetch buffer, the read-ahead stage (buffer.go),
+// or the physical file directly.
+func (f *File) readChunkAt(p []byte, block int, pos int64) error {
+	if f.collRead != nil {
+		off := f.collRead.base[block] + pos
+		copy(p, f.collRead.buf[off:])
+		return nil
+	}
+	if f.rstage != nil {
+		return f.stagedReadAt(p, block, pos)
+	}
+	return readAtZeroFill(f.fh, p, f.geo.dataOff(geoIndex, block)+pos)
+}
+
 // ReadSynthetic consumes n logical bytes without materializing them,
 // returning the count actually consumed (benchmark path). It bypasses the
 // read-ahead stage by design: populating a cache with discarded bytes
@@ -801,11 +685,12 @@ func (f *File) Flush() error {
 
 // --- Close ------------------------------------------------------------------
 
-// Close is collective in parallel mode (sion_parclose_mpi): in write mode
-// the local master gathers every task's per-block byte counts and writes
+// Close on a ParOpen write handle is collective (sion_parclose_mpi): the
+// local master gathers every task's per-block byte counts and writes
 // metablock 2 plus the trailer (paper §3.1: "the close operation is again
 // collective to avoid the inefficiency of having all tasks write to the
-// metadata block concurrently").
+// metadata block concurrently"). Close on a read handle is local: it
+// writes nothing, so a task may close while its peers still read.
 func (f *File) Close() error {
 	if f.closed {
 		return nil
@@ -839,29 +724,27 @@ func (f *File) Close() error {
 		}
 	}
 	f.dropStaging()
-	if f.lcomm == nil { // serial OpenRank or mapped rank handle
+	if f.lcomm == nil { // every read handle
 		if f.fhShared {
 			return firstErr // the owning container closes the physical file
 		}
 		return closeKeep(f.fh, firstErr)
 	}
-	if f.mode == WriteMode {
-		all := f.lcomm.GatherInt64Slice(0, f.blockBytes)
-		if f.lcomm.Rank() == 0 {
-			m2 := &meta2{BlockBytes: all}
-			maxBlocks := 0
-			for _, bb := range all {
-				if len(bb) > maxBlocks {
-					maxBlocks = len(bb)
-				}
+	all := f.lcomm.GatherInt64Slice(0, f.blockBytes)
+	if f.lcomm.Rank() == 0 {
+		m2 := &meta2{BlockBytes: all}
+		maxBlocks := 0
+		for _, bb := range all {
+			if len(bb) > maxBlocks {
+				maxBlocks = len(bb)
 			}
-			at := f.geo.start + f.geo.stride*int64(maxBlocks)
-			if _, err := writeTail(f.fh, m2, at); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err := f.fh.Sync(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		}
+		at := f.geo.start + f.geo.stride*int64(maxBlocks)
+		if _, err := writeTail(f.fh, m2, at); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if err := f.fh.Sync(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if f.wm != nil {
@@ -870,18 +753,13 @@ func (f *File) Close() error {
 		}
 		f.wm = nil
 	}
-	// Collective completion (both modes), plus a global barrier in write
-	// mode matching sion_parclose_mpi's semantics: no task returns from a
-	// write-mode Close until every physical file's data and metadata are
-	// complete, so a subsequent read ParOpen (which starts at file 0's
-	// header, wherever the caller's own data lives) can never observe a
-	// half-written multifile. Read-mode Close stays file-local: it writes
-	// nothing, and a global barrier there would hang groups whose peers
-	// failed their open and hold no handle to close.
+	// Collective completion plus a global barrier, matching
+	// sion_parclose_mpi's semantics: no task returns from Close until every
+	// physical file's data and metadata are complete, so a subsequent read
+	// ParOpen (which starts at file 0's header, wherever the caller's own
+	// data lives) can never observe a half-written multifile.
 	f.lcomm.Barrier()
-	if f.mode == WriteMode && f.comm != nil {
-		f.comm.Barrier()
-	}
+	f.comm.Barrier()
 	return closeKeep(f.fh, firstErr)
 }
 

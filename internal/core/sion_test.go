@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
@@ -671,6 +673,25 @@ func TestOpenMissingMultifile(t *testing.T) {
 	})
 }
 
+// runWithin is mpi.Run that fails the test instead of hanging when the
+// ranks have not all returned after d.
+func runWithin(t *testing.T, d time.Duration, n int, body func(c *mpi.Comm)) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mpi.Run(n, body)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%d ranks still running after %v", n, d)
+	}
+}
+
+// A same-count read of a multifile written by another task count fails on
+// every rank, in both directions, with an error naming both counts — also
+// on a rank ≥ N, whose own rank is no writer rank at all.
 func TestTaskCountMismatch(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -678,9 +699,51 @@ func TestTaskCountMismatch(t *testing.T) {
 		f.Write([]byte("data"))
 		f.Close()
 	})
-	mpi.Run(3, func(c *mpi.Comm) {
-		if _, err := ParOpen(c, fsys, "m.sion", ReadMode, nil); err == nil {
-			t.Error("ParOpen with wrong task count succeeded")
+	for _, m := range []int{3, 5} {
+		runWithin(t, 10*time.Second, m, func(c *mpi.Comm) {
+			_, err := ParOpen(c, fsys, "m.sion", ReadMode, nil)
+			if err == nil {
+				t.Errorf("M=%d rank %d: ParOpen with wrong task count succeeded", m, c.Rank())
+				return
+			}
+			want := fmt.Sprintf("written by 4 tasks but is opened by %d", m)
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("M=%d rank %d: error %q does not say %q", m, c.Rank(), err, want)
+			}
+		})
+	}
+}
+
+// Close on a read handle is local: rank 0 closes before any peer starts
+// reading, and the peers still read their data and close.
+func TestReadCloseIsNotCollective(t *testing.T) {
+	const n = 4
+	fsys := fsio.NewOS(t.TempDir())
+	writeMultifile(t, fsys, "rc.sion", n, 1, 256, 128, ContiguousMap, []int{300, 300, 300, 300})
+	closed := make(chan struct{})
+	runWithin(t, 10*time.Second, n, func(c *mpi.Comm) {
+		f, err := ParOpen(c, fsys, "rc.sion", ReadMode, nil)
+		if err != nil {
+			t.Error(err)
+			if c.Rank() == 0 {
+				close(closed)
+			}
+			return
+		}
+		if c.Rank() == 0 {
+			if err := f.Close(); err != nil {
+				t.Error(err)
+			}
+			close(closed)
+			return
+		}
+		<-closed
+		got := make([]byte, 300)
+		if _, err := io.ReadFull(f, got); err != nil || !bytes.Equal(got, rankPayload(c.Rank(), 300)) {
+			t.Errorf("rank %d: read after rank 0's Close: %v", c.Rank(), err)
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
 		}
 	})
 }
@@ -1001,31 +1064,54 @@ func TestRandomRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestReadInfosPerRankCostIsFlat: what the read-mode master does per
-// local task while building the records it scatters must not depend on
-// how many tasks share the file — the geometry and the collector group
-// belong to the file and are resolved once. Allocations are the proxy: a
-// fixed number for the call plus one record per task, at 64 tasks and at
-// 1024.
-func TestReadInfosPerRankCostIsFlat(t *testing.T) {
-	perCall := func(n int) float64 {
+// TestReaderPlanCostIsFlat: what a reader that parses nothing receives
+// at open — its plan from rank 0 and its metadata message from the parser
+// of its file — is O(owned), not O(N). The exchange used to broadcast the
+// N-entry mapping and owner tables to every reader; here reader 1's words
+// are counted at N = 64 and N = 1024, for ParOpen (M = N, one owned rank)
+// and for ParOpenMapped at M = N/4 (four owned ranks each).
+func TestReaderPlanCostIsFlat(t *testing.T) {
+	words := func(n, m int, kind int64) (plan, meta int) {
 		h := &header{
 			FSBlockSize: 4096, NTasksGlobal: int32(n), NTasksLocal: int32(n), NFiles: 1,
-			GlobalRanks: make([]int64, n), ChunkSizes: make([]int64, n),
+			GlobalRanks: make([]int64, n), ChunkSizes: make([]int64, n), Mapping: make([]FileLoc, n),
 		}
 		m2 := &meta2{BlockBytes: make([][]int64, n)}
 		for i := range h.ChunkSizes {
-			h.ChunkSizes[i] = 4096
+			h.GlobalRanks[i], h.ChunkSizes[i] = int64(i), 4096
+			h.Mapping[i] = FileLoc{File: 0, LocalRank: int32(i)}
 			m2.BlockBytes[i] = []int64{4096, 100}
 		}
-		var infos [][]int64
-		allocs := testing.AllocsPerRun(5, func() { infos = readInfos(0, n, h, m2, CollectorAuto) })
-		if len(infos) != n || len(infos[n-1]) != 9 || infos[n-1][4] != int64(n-1)*4096 {
-			t.Fatalf("n=%d: last record %v", n, infos[n-1])
+		claims := make([][]int64, m)
+		for r := range claims {
+			claims[r] = []int64{kind}
+			if kind == claimOwnRank {
+				claims[r] = append(claims[r], int64(r))
+			}
 		}
-		return allocs - float64(n)
+		plans := planReaders(h, 0, claims, 0)
+		if plans[0][0] != 0 {
+			t.Fatalf("n=%d m=%d: plan status %d", n, m, plans[0][0])
+		}
+		// Reader 1's local ranks are its owned ranks (one file, identity
+		// placement); the parser of file 0 is reader 0.
+		p1 := plans[1]
+		own := p1[planHdr : planHdr+p1[6]]
+		if p1[7] != 1 || p1[planHdr+p1[6]] != 0 || int64(len(p1)) != planHdr+p1[6]+p1[7] {
+			t.Fatalf("n=%d m=%d: reader 1 plan %v", n, m, p1)
+		}
+		pf := &physFile{h: h, geo: newGeometry(h), m2: m2}
+		return len(p1), len(encodeMappedMeta(pf, nil, 0, own))
 	}
-	if a, b := perCall(64), perCall(1024); a != b {
-		t.Errorf("readInfos allocates %v + 64 at 64 tasks but %v + 1024 at 1024: per-task cost grows with the task count", a, b)
+	for _, tc := range []struct {
+		name string
+		div  int
+		kind int64
+	}{{"ParOpen", 1, claimOwnRank}, {"ParOpenMapped M=N/4", 4, claimBalanced}} {
+		p64, m64 := words(64, 64/tc.div, tc.kind)
+		p1k, m1k := words(1024, 1024/tc.div, tc.kind)
+		if p64 != p1k || m64 != m1k {
+			t.Errorf("%s: reader 1 receives %d + %d words at N=64 but %d + %d at N=1024", tc.name, p64, m64, p1k, m1k)
+		}
 	}
 }

@@ -24,8 +24,11 @@ import (
 //   - collective:       only ⌈ntasks/group⌉ collectors open the file;
 //     members ship buffered data at close and the
 //     collector issues one large write per member chunk;
-//     reads are prefetched by the collectors the same
-//     way;
+//     reads are prefetched by the collectors at open with
+//     one span read per block covering the whole group
+//     (ParOpen's read mode is the mapped open), so
+//     rd reqs is collectors × blocks plus the metadata
+//     reads;
 //   - async-collective: same request pattern as collective, but members
 //     stream full staging buffers to their collector
 //     during the compute phase, so collector writes

@@ -51,6 +51,10 @@ func TestTable3Findings(t *testing.T) {
 		if d, c := cell(t, r, 0, colRdReqs), cell(t, r, row, colRdReqs); c*50 > d {
 			t.Errorf("%s: read requests %.0f not ≪ direct %.0f", label, c, d)
 		}
+		// One span read per (collector, block), plus ~6 metadata reads.
+		if got, max := int(cell(t, r, row, colRdReqs)), collectors*tab3BlocksN+6; got > max {
+			t.Errorf("%s: %d read requests, want ≤ %d span + metadata reads", label, got, max)
+		}
 		if d, c := cell(t, r, 0, colOpens), cell(t, r, row, colOpens); c*2 > d {
 			t.Errorf("%s: opens %.0f not well below direct %.0f", label, c, d)
 		}
