@@ -136,12 +136,9 @@ type hotKey struct {
 // publishes a fresh one (nil when nothing is hot).
 type hotSet map[hotKey]struct{}
 
-// Cluster routes reads across serve nodes on a consistent-hash ring. See
-// the package documentation for the mechanism.
-type Cluster struct {
-	cfg Config
-
-	mu            sync.RWMutex // guards membership and the snapshot below
+// view is one routing snapshot: the membership, its ring and what the
+// first Join fixed. It is immutable once published.
+type view struct {
 	closed        bool
 	name          string // multifile base name (set by the first Join)
 	layout        *sion.Layout
@@ -149,6 +146,17 @@ type Cluster struct {
 	granuleBlocks int64   // blocks per granule, fixed with blockBytes by the first Join
 	nodes         []*Node // sorted by ID
 	ring          *ring
+}
+
+// Cluster routes reads across serve nodes on a consistent-hash ring. See
+// the package documentation for the mechanism.
+type Cluster struct {
+	cfg Config
+
+	// Readers load view and take no lock; Join, Leave and Close publish a
+	// new one under mu, which only orders them.
+	mu   sync.Mutex
+	view atomic.Pointer[view] // never nil
 
 	hot atomic.Pointer[hotSet] // nil = nothing hot: a read pays one load
 
@@ -165,6 +173,7 @@ var _ serve.FileReaderAt = (*Cluster)(nil)
 // New builds an empty cluster; Join adds serve nodes to it.
 func New(cfg *Config) *Cluster {
 	c := &Cluster{cfg: resolveConfig(cfg)}
+	c.view.Store(&view{})
 	c.m = newClusterMetrics(c.cfg.Metrics, c)
 	return c
 }
@@ -181,21 +190,19 @@ func (c *Cluster) Metrics() *obs.Registry { return c.m.reg }
 // (placement and peer fill address blocks by number, so every node must
 // agree). All nodes of one cluster must front the same multifile.
 func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve.Config) (*Node, error) {
-	c.mu.RLock()
-	closed, curName, blockBytes := c.closed, c.name, c.blockBytes
-	c.mu.RUnlock()
-	if closed {
+	v := c.view.Load()
+	if v.closed {
 		return nil, fmt.Errorf("cluster: join %s: %w", id, ErrClusterClosed)
 	}
-	if curName != "" && name != curName {
-		return nil, fmt.Errorf("cluster: join %s: multifile %q differs from the cluster's %q", id, name, curName)
+	if v.name != "" && name != v.name {
+		return nil, fmt.Errorf("cluster: join %s: multifile %q differs from the cluster's %q", id, name, v.name)
 	}
 	var cfg serve.Config
 	if scfg != nil {
 		cfg = *scfg
 	}
-	if blockBytes != 0 { // the first join's block size (its config's, or serve's default) stands
-		cfg.BlockBytes = blockBytes
+	if v.blockBytes != 0 { // the first join's block size (its config's, or serve's default) stands
+		cfg.BlockBytes = v.blockBytes
 	}
 	cfg.PeerFill = func(file int, block int64, dst []byte, from int64) bool {
 		return c.peerFill(id, file, block, dst, from)
@@ -203,7 +210,9 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	// Every node's serve instruments land in the cluster's registry under
 	// a node label, so one scrape covers the whole topology. (A node that
 	// re-joins under a departed id resumes that id's counters — counters
-	// are cumulative per label set, the Prometheus restart semantics.)
+	// are cumulative per label set — except the families read from the
+	// server at scrape time, such as served bytes and retries, which
+	// restart with it: the Prometheus restart semantics.)
 	cfg.Metrics = c.m.reg
 	cfg.MetricLabels = obs.L("node", id)
 	srv, err := serve.New(fsys, name, &cfg)
@@ -213,16 +222,17 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	n := &Node{ID: id, srv: srv}
 
 	c.mu.Lock()
+	v = c.view.Load()
 	switch {
-	case c.closed:
+	case v.closed:
 		err = fmt.Errorf("cluster: join %s: %w", id, ErrClusterClosed)
-	case c.blockBytes != 0 && srv.BlockBytes() != c.blockBytes:
+	case v.blockBytes != 0 && srv.BlockBytes() != v.blockBytes:
 		err = fmt.Errorf("cluster: join %s: block size %d differs from the cluster's %d",
-			id, srv.BlockBytes(), c.blockBytes)
-	case len(c.nodes) == maxNodes:
+			id, srv.BlockBytes(), v.blockBytes)
+	case len(v.nodes) == maxNodes:
 		err = fmt.Errorf("cluster: join %s: the ring is full (%d nodes)", id, maxNodes)
 	default:
-		for _, other := range c.nodes {
+		for _, other := range v.nodes {
 			if other.ID == id {
 				err = fmt.Errorf("cluster: join %s: node id already on the ring", id)
 				break
@@ -234,20 +244,14 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 		srv.Close()
 		return nil, err
 	}
-	if c.name == "" {
-		c.name = name
-		c.layout = srv.Layout()
-		c.blockBytes = srv.BlockBytes()
-		c.granuleBlocks = max(1, granuleBytes/c.blockBytes)
+	nv := *v
+	if nv.name == "" {
+		nv.name, nv.layout, nv.blockBytes = name, srv.Layout(), srv.BlockBytes()
+		nv.granuleBlocks = max(1, granuleBytes/nv.blockBytes)
 	}
-	// Copy-on-write: readers iterate snapshots of c.nodes outside the
-	// lock, so membership changes must never mutate the old backing array.
-	nodes := make([]*Node, 0, len(c.nodes)+1)
-	nodes = append(nodes, c.nodes...)
-	nodes = append(nodes, n)
+	nodes := append(append(make([]*Node, 0, len(v.nodes)+1), v.nodes...), n)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	c.nodes = nodes
-	c.rebuildRing()
+	c.publish(&nv, nodes)
 	c.mu.Unlock()
 	return n, nil
 }
@@ -258,13 +262,14 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 // node, so serving continues uninterrupted as long as one node remains.
 func (c *Cluster) Leave(id string) error {
 	c.mu.Lock()
-	if c.closed {
+	v := c.view.Load()
+	if v.closed {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: leave %s: %w", id, ErrClusterClosed)
 	}
 	var gone *Node
-	nodes := make([]*Node, 0, len(c.nodes)) // copy-on-write, like Join
-	for _, n := range c.nodes {
+	nodes := make([]*Node, 0, len(v.nodes))
+	for _, n := range v.nodes {
 		if n.ID == id {
 			gone = n
 			continue
@@ -275,38 +280,44 @@ func (c *Cluster) Leave(id string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: leave %s: no such node", id)
 	}
-	c.nodes = nodes
-	c.rebuildRing()
+	nv := *v
+	c.publish(&nv, nodes)
 	c.mu.Unlock()
 	return gone.srv.Close()
 }
 
-// rebuildRing recomputes the ring from the current membership (caller
-// holds mu.W). Point positions depend only on node ids, so the same
-// membership always yields the same ring regardless of join order.
-func (c *Cluster) rebuildRing() {
-	ids := make([]string, len(c.nodes))
-	for i, n := range c.nodes {
+// publish makes v, with membership nodes and the ring built from it, the
+// snapshot readers load (the caller holds mu). Point positions depend only
+// on node ids, so the same membership always yields the same ring
+// regardless of join order.
+func (c *Cluster) publish(v *view, nodes []*Node) {
+	v.nodes, v.ring = nodes, buildRing(nodeIDs(nodes), c.cfg.VNodes)
+	c.view.Store(v)
+}
+
+func nodeIDs(nodes []*Node) []string {
+	ids := make([]string, len(nodes))
+	for i, n := range nodes {
 		ids[i] = n.ID
 	}
-	c.ring = buildRing(ids, c.cfg.VNodes)
+	return ids
 }
 
 // Close shuts down every node. It is idempotent; reads issued after Close
 // fail with ErrClusterClosed.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
-	if c.closed {
+	v := c.view.Load()
+	if v.closed {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
-	nodes := c.nodes
-	c.nodes = nil
-	c.ring = nil
+	nv := *v
+	nv.closed, nv.nodes, nv.ring = true, nil, nil
+	c.view.Store(&nv)
 	c.mu.Unlock()
 	var firstErr error
-	for _, n := range nodes {
+	for _, n := range v.nodes {
 		if err := n.srv.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -315,53 +326,31 @@ func (c *Cluster) Close() error {
 }
 
 // Name returns the multifile base name ("" before the first Join).
-func (c *Cluster) Name() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.name
-}
+func (c *Cluster) Name() string { return c.view.Load().name }
 
 // Layout returns the multifile layout (nil before the first Join).
-func (c *Cluster) Layout() *sion.Layout {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.layout
-}
+func (c *Cluster) Layout() *sion.Layout { return c.view.Load().layout }
 
 // BlockBytes returns the cluster's cache-block size (0 before the first
 // Join).
-func (c *Cluster) BlockBytes() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.blockBytes
-}
+func (c *Cluster) BlockBytes() int64 { return c.view.Load().blockBytes }
 
 // NodeIDs lists the current membership, sorted.
-func (c *Cluster) NodeIDs() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]string, len(c.nodes))
-	for i, n := range c.nodes {
-		ids[i] = n.ID
-	}
-	return ids
-}
+func (c *Cluster) NodeIDs() []string { return nodeIDs(c.view.Load().nodes) }
 
 // Open starts a read session on the logical file of writer rank `rank`.
 // The returned Handle carries the full serve.Handle semantics (Read,
 // Seek, ReadLogicalAt, KeyReader); every read it makes is routed through
 // the ring, one node call per run.
 func (c *Cluster) Open(rank int) (*serve.Handle, error) {
-	c.mu.RLock()
-	closed, layout := c.closed, c.layout
-	c.mu.RUnlock()
-	if closed {
+	v := c.view.Load()
+	if v.closed {
 		return nil, fmt.Errorf("cluster: open rank %d: %w", rank, ErrClusterClosed)
 	}
-	if layout == nil {
+	if v.layout == nil {
 		return nil, fmt.Errorf("cluster: open rank %d: %w", rank, ErrNoNodes)
 	}
-	h, err := serve.NewHandle(layout, rank, c)
+	h, err := serve.NewHandle(v.layout, rank, c)
 	if err != nil {
 		return nil, err
 	}
@@ -375,15 +364,13 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 // them into dst, without triggering any fetch. This is the hook behind
 // serve.Config.PeerFill.
 func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte, from int64) bool {
-	c.mu.RLock()
-	nodes, rg, gb := c.nodes, c.ring, c.granuleBlocks
-	c.mu.RUnlock()
-	if rg == nil {
+	v := c.view.Load()
+	if v.ring == nil {
 		return false
 	}
 	var buf [maxNodes]int
-	for _, ni := range rg.lookup(granuleHash(file, block/gb), &buf) {
-		n := nodes[ni]
+	for _, ni := range v.ring.lookup(granuleHash(file, block/v.granuleBlocks), &buf) {
+		n := v.nodes[ni]
 		if n.ID == selfID {
 			continue
 		}
@@ -417,9 +404,8 @@ func (c *Cluster) HotTracked() int { return len(c.hotSnapshot()) }
 // few dozen clients); it returns the tracked hot-set size. Safe for
 // concurrent use with reads and membership changes.
 func (c *Cluster) RebalanceHot() int {
-	c.mu.RLock()
-	nodes, rg, bs, gb := c.nodes, c.ring, c.blockBytes, c.granuleBlocks
-	c.mu.RUnlock()
+	v := c.view.Load()
+	nodes, rg, bs, gb := v.nodes, v.ring, v.blockBytes, v.granuleBlocks
 	if len(nodes) == 0 {
 		c.hot.Store(nil)
 		return 0
@@ -494,19 +480,17 @@ func (c *Cluster) RebalanceHot() int {
 // records each failover hop, and the node that serves each run records
 // its cache/backend crumbs on the same span (see serve.Server.ReadFileAt).
 func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
-	c.mu.RLock()
-	closed, name := c.closed, c.name
-	nodes, rg, bs, gb := c.nodes, c.ring, c.blockBytes, c.granuleBlocks
-	c.mu.RUnlock()
-	if closed {
-		return fmt.Errorf("cluster: %s: %w", name, ErrClusterClosed)
+	v := c.view.Load()
+	if v.closed {
+		return fmt.Errorf("cluster: %s: %w", v.name, ErrClusterClosed)
 	}
-	if len(nodes) == 0 {
-		return fmt.Errorf("cluster: %s: %w", name, ErrNoNodes)
+	if len(v.nodes) == 0 {
+		return fmt.Errorf("cluster: %s: %w", v.name, ErrNoNodes)
 	}
 	if off < 0 {
-		return fmt.Errorf("cluster: %s: negative physical offset %d", name, off)
+		return fmt.Errorf("cluster: %s: negative physical offset %d", v.name, off)
 	}
+	bs, gb := v.blockBytes, v.granuleBlocks
 	var hot hotSet // stays empty when there are no replicas to rotate across
 	if c.cfg.ReplicateHot > 1 {
 		hot = c.hotSnapshot()
@@ -525,7 +509,7 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 				}
 			}
 		}
-		if err := c.readRun(nodes, rg, file, granule, isHot, p[:end-off], off, sp); err != nil {
+		if err := c.readRun(v, file, granule, isHot, p[:end-off], off, sp); err != nil {
 			return err
 		}
 		p, off = p[end-off:], end
@@ -536,10 +520,10 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 // readRun serves one run — a window inside one granule, all hot or all
 // not — with one node call, failing the whole run over along the
 // granule's candidate order.
-func (c *Cluster) readRun(nodes []*Node, rg *ring, file int, granule int64, hot bool, p []byte, off int64, sp *obs.Span) error {
-	c.m.requests.Inc()
+func (c *Cluster) readRun(v *view, file int, granule int64, hot bool, p []byte, off int64, sp *obs.Span) error {
 	var buf [maxNodes]int
-	cands := rg.lookup(granuleHash(file, granule), &buf)
+	cands := v.ring.lookup(granuleHash(file, granule), &buf)
+	c.m.requests[cands[0]].Inc() // the primary's cell
 	// Rotate a hot run across its replicas so the primary is not the only
 	// node paying for popularity.
 	if k := min(c.cfg.ReplicateHot, len(cands)); hot && k > 1 { // k == 1: a one-node ring
@@ -558,7 +542,7 @@ func (c *Cluster) readRun(nodes []*Node, rg *ring, file int, granule int64, hot 
 	attempts := int64(0)
 	for pass := 0; pass < 2; pass++ {
 		for _, ni := range cands {
-			n := nodes[ni]
+			n := v.nodes[ni]
 			if tried&(1<<uint(ni)) != 0 || (pass == 0 && n.srv.Degraded()) {
 				continue
 			}
@@ -580,7 +564,7 @@ func (c *Cluster) readRun(nodes []*Node, rg *ring, file int, granule int64, hot 
 	}
 	c.m.allDown.Inc()
 	return fmt.Errorf("cluster: %s: file %d bytes [%d, %d): all %d replicas down (last: %v): %w",
-		c.Name(), file, off, off+int64(len(p)), len(cands), lastErr, serve.ErrDegraded)
+		v.name, file, off, off+int64(len(p)), len(cands), lastErr, serve.ErrDegraded)
 }
 
 // failoverWorthy reports whether another replica might answer where this
@@ -615,12 +599,10 @@ type Stats struct {
 
 // Stats returns a snapshot of the routing and node counters.
 func (c *Cluster) Stats() Stats {
-	c.mu.RLock()
-	nodes := c.nodes
-	c.mu.RUnlock()
+	nodes := c.view.Load().nodes
 	st := Stats{
 		Nodes:           len(nodes),
-		Requests:        c.m.requests.Value(),
+		Requests:        c.m.routed(),
 		Failovers:       c.m.failovers.Value(),
 		AllReplicasDown: c.m.allDown.Value(),
 		HotTracked:      c.HotTracked(),
@@ -666,9 +648,7 @@ type NodeHealth struct {
 
 // Health reports every node's per-physical-file breaker state.
 func (c *Cluster) Health() []NodeHealth {
-	c.mu.RLock()
-	nodes := c.nodes
-	c.mu.RUnlock()
+	nodes := c.view.Load().nodes
 	out := make([]NodeHealth, len(nodes))
 	for i, n := range nodes {
 		out[i] = NodeHealth{ID: n.ID, Degraded: n.srv.Degraded(), Files: n.srv.Health()}
@@ -680,9 +660,7 @@ func (c *Cluster) Health() []NodeHealth {
 // true only when every node (or no node) is serving degraded. While any
 // node is healthy the router can route around the rest.
 func (c *Cluster) Degraded() bool {
-	c.mu.RLock()
-	nodes := c.nodes
-	c.mu.RUnlock()
+	nodes := c.view.Load().nodes
 	if len(nodes) == 0 {
 		return true
 	}

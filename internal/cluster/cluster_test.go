@@ -471,6 +471,38 @@ func TestClusterMembership(t *testing.T) {
 	}
 }
 
+// TestClusterClosedRejectsResidentReads: after Close a read fails with
+// ErrClusterClosed even when every block it needs is resident.
+func TestClusterClosedRejectsResidentReads(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	payloads := writeMultifile(t, fsys, "c.sion", 4)
+	cl := New(nil)
+	for _, id := range []string{"a", "b"} {
+		if _, err := cl.Join(id, fsys, "c.sion", &serve.Config{CacheBytes: testCache}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkRank(t, cl, 0, payloads[0])
+	h, err := cl.Open(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(payloads[0]))
+	before := cl.Stats().Serve
+	if _, err := h.ReadLogicalAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := cl.Stats().Serve; st.Misses != before.Misses || st.Hits == before.Hits {
+		t.Fatalf("second read of rank 0: %+v -> %+v, want every block a hit", before, st)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.ReadLogicalAt(buf, 0); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("resident read after Close: %v, want ErrClusterClosed", err)
+	}
+}
+
 // TestClusterConcurrentChurnRace is the -race exercise for the serving
 // tier: concurrent clients Open and read through the router while nodes
 // join and leave, stats/health/hot-rebalance run, and — on a second,

@@ -12,7 +12,14 @@ import (
 type clusterMetrics struct {
 	reg *obs.Registry
 
-	requests  *obs.Counter
+	// requests counts runs routed in the cell of the run's primary node
+	// (its index in the membership then), padded to a cache line each, so
+	// readers routed to different primaries write different lines. A
+	// departed node's runs stay in the cells.
+	requests [maxNodes]struct {
+		obs.Counter
+		_ [48]byte
+	}
 	failovers *obs.Counter
 	allDown   *obs.Counter
 	handles   *obs.Counter
@@ -28,8 +35,9 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 		reg = obs.NewRegistry()
 	}
 	m := &clusterMetrics{reg: reg}
-	m.requests = reg.Counter("cluster_requests_total",
-		"runs routed through the ring (a run: the part of one read inside one granule, cut again only where hotness flips)")
+	reg.CounterFunc("cluster_requests_total",
+		"runs routed through the ring (a run: the part of one read inside one granule, cut again only where hotness flips)",
+		func() float64 { return float64(m.routed()) })
 	m.failovers = reg.Counter("cluster_failovers_total",
 		"extra replica attempts after a failed one")
 	m.allDown = reg.Counter("cluster_all_replicas_down_total",
@@ -42,13 +50,18 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 		"hot-block replica fills attempted by RebalanceHot")
 	reg.GaugeFunc("cluster_nodes",
 		"serve nodes currently on the ring",
-		func() float64 {
-			c.mu.RLock()
-			defer c.mu.RUnlock()
-			return float64(len(c.nodes))
-		})
+		func() float64 { return float64(len(c.view.Load().nodes)) })
 	reg.GaugeFunc("cluster_hot_tracked",
 		"blocks in the tracked hot set",
 		func() float64 { return float64(c.HotTracked()) })
 	return m
+}
+
+// routed totals the requests cells.
+func (m *clusterMetrics) routed() int64 {
+	var n int64
+	for i := range m.requests {
+		n += m.requests[i].Value()
+	}
+	return n
 }

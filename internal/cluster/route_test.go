@@ -49,13 +49,13 @@ func physFile(t testing.TB, dir string, cl *Cluster, file int) []byte {
 	return data
 }
 
-// candidatesOf is the ring's node order for a granule (tests only: it reads
-// the membership without the lock).
+// candidatesOf is the ring's node order for a granule.
 func candidatesOf(cl *Cluster, file int, granule int64) []*Node {
 	var buf [maxNodes]int
 	var out []*Node
-	for _, ni := range cl.ring.lookup(granuleHash(file, granule), &buf) {
-		out = append(out, cl.nodes[ni])
+	v := cl.view.Load()
+	for _, ni := range v.ring.lookup(granuleHash(file, granule), &buf) {
+		out = append(out, v.nodes[ni])
 	}
 	return out
 }
@@ -195,6 +195,34 @@ func TestRouteCutsAtGranuleBoundary(t *testing.T) {
 	readAt(t, cl, phys, 0, bound, 20000)
 	if d := cl.Stats().Requests - reqs; d != 2 {
 		t.Fatalf("two requests touching the boundary from either side routed as %d runs, want 2", d)
+	}
+}
+
+// TestRouteRequestsOutliveTheirNode: Stats().Requests is every run routed
+// over the cluster's life, the runs of a node that has since left included.
+func TestRouteRequestsOutliveTheirNode(t *testing.T) {
+	dir := t.TempDir()
+	fsys := fsio.NewOS(dir)
+	writeMultifile(t, fsys, "d.sion", 8)
+	cl := startCluster(t, &Config{VNodes: 16}, 3, "d.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	phys := physFile(t, dir, cl, 0)
+	granules := int64(len(phys)) / granuleBytes
+	pass := func() { // one run per granule of file 0
+		for g := int64(0); g < granules; g++ {
+			readAt(t, cl, phys, 0, g*granuleBytes, 4096)
+		}
+	}
+	pass()
+	if got := cl.Stats().Requests; got != granules || served(cl)["n0"] == 0 {
+		t.Fatalf("%d runs for %d granules, n0 served %d bytes; want one run each, some of them n0's",
+			got, granules, served(cl)["n0"])
+	}
+	if err := cl.Leave("n0"); err != nil {
+		t.Fatal(err)
+	}
+	pass()
+	if got := cl.Stats().Requests; got != 2*granules {
+		t.Fatalf("%d runs after n0 left, want the %d routed", got, 2*granules)
 	}
 }
 
@@ -362,10 +390,11 @@ func TestZeroLengthReadTouchesNothing(t *testing.T) {
 // ring ns/op over node ns/op is what the router costs. hit*: everything
 // resident; cold64k: the cache holds a quarter of the file and the stream
 // walks all of it, so nearly every request misses; slab1m: resident 1 MiB
-// reads, four or five runs each. node-par (hit4k and cold64k only) is the
-// node case from GOMAXPROCS goroutines at once (-cpu 1,2,4 is the scaling
-// table): hit4k-par prices contention on the shard locks, cold64k-par the
-// in-flight table and concurrent backend reads of one file.
+// reads, four or five runs each. ring-par and node-par (hit4k and cold64k
+// only) are the ring and node cases from GOMAXPROCS goroutines at once
+// (-cpu 1,2,4 is the scaling table): hit4k/*-par prices what concurrent
+// hits share — shard locks, counters, the routing snapshot — and
+// cold64k/*-par concurrent misses and backend reads of one file.
 func BenchmarkRoute(b *testing.B) {
 	dir := b.TempDir()
 	fsys := fsio.NewOS(dir)
@@ -417,36 +446,34 @@ func BenchmarkRoute(b *testing.B) {
 				read(b, r, p, int64(i))
 			}
 		}
-		b.Run(bc.name+"/ring", func(b *testing.B) {
-			cl := startCluster(b, nil, 3, "b.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: bc.cache / 3})
-			run(b, cl)
-		})
-		b.Run(bc.name+"/node", func(b *testing.B) {
-			srv, err := serve.New(fsys, "b.sion", &serve.Config{CacheBytes: bc.cache})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			run(b, srv)
-		})
-		if bc.name != "hit4k" && bc.name != "cold64k" {
-			continue
-		}
-		b.Run(bc.name+"/node-par", func(b *testing.B) {
-			srv, err := serve.New(fsys, "b.sion", &serve.Config{CacheBytes: bc.cache})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			setup(b, srv)
+		par := func(b *testing.B, r serve.FileReaderAt) {
+			setup(b, r)
 			var workers atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
 				p := make([]byte, bc.size)
 				// Each worker walks the whole file from its own phase.
 				for i := workers.Add(1) * 7919; pb.Next(); i++ {
-					read(b, srv, p, i)
+					read(b, r, p, i)
 				}
 			})
-		})
+		}
+		ring := func(b *testing.B) serve.FileReaderAt {
+			return startCluster(b, nil, 3, "b.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: bc.cache / 3})
+		}
+		node := func(b *testing.B) serve.FileReaderAt {
+			srv, err := serve.New(fsys, "b.sion", &serve.Config{CacheBytes: bc.cache})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { srv.Close() })
+			return srv
+		}
+		b.Run(bc.name+"/ring", func(b *testing.B) { run(b, ring(b)) })
+		b.Run(bc.name+"/node", func(b *testing.B) { run(b, node(b)) })
+		if bc.name != "hit4k" && bc.name != "cold64k" {
+			continue
+		}
+		b.Run(bc.name+"/ring-par", func(b *testing.B) { par(b, ring(b)) })
+		b.Run(bc.name+"/node-par", func(b *testing.B) { par(b, node(b)) })
 	}
 }

@@ -269,8 +269,8 @@ func (r *Registry) snapshotFamilies() []*family {
 	return out
 }
 
-// Counter is a monotonically increasing value. The zero Counter and the
-// nil Counter are inert; counters from Nop registries are inert too.
+// Counter is a monotonically increasing value. The zero Counter counts;
+// the nil Counter and counters from Nop registries are inert.
 type Counter struct {
 	off bool
 	v   atomic.Int64

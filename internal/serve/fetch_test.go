@@ -146,6 +146,9 @@ func TestFetchPerSpanErrors(t *testing.T) {
 	if !bytes.Equal(resOK.data, want) {
 		t.Fatalf("healthy block 4 materialized the wrong bytes")
 	}
+	if got := s.Stats().ServedBytes; got != bs {
+		t.Fatalf("ServedBytes = %d, want %d: the two failed reads served nothing", got, bs)
+	}
 }
 
 // TestAbortedReservationsKeepTheLedger: the frames reserved for a span that
@@ -265,6 +268,7 @@ func TestPeerFillSkipsBackend(t *testing.T) {
 	}
 
 	// Node b reads the same rank: every miss must fill from a's cache.
+	warm := a.Stats()
 	hb, err := b.Open(0)
 	if err != nil {
 		t.Fatal(err)
@@ -282,6 +286,11 @@ func TestPeerFillSkipsBackend(t *testing.T) {
 	}
 	if st.PeerFills == 0 {
 		t.Fatal("node b counted no peer fills")
+	}
+	// Those fills were resident Peeks of a: lookups, but not a's hits or misses.
+	if st := a.Stats(); st.Hits != warm.Hits || st.Misses != warm.Misses {
+		t.Fatalf("resident Peeks moved node a's counters: hits %d -> %d, misses %d -> %d",
+			warm.Hits, st.Hits, warm.Misses, st.Misses)
 	}
 	// Peek is passive: asking for an uncached block is not a miss.
 	misses := a.Stats().Misses

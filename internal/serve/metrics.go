@@ -15,7 +15,9 @@ import (
 //
 // Cache traffic (hits, misses, evictions, read-arounds) is counted per
 // shard: a skewed workload shows up as one hot shard, which is exactly the
-// signal the hot-block replication of internal/cluster keys off.
+// signal the hot-block replication of internal/cluster keys off. Every read
+// also ticks the latency sampler and counts its served bytes in the cell of
+// its first block's shard, so a resident hit writes nothing server-wide.
 //
 // Retries, give-ups, breaker opens, breaker states, and resident cache
 // bytes are NOT duplicated into instruments — they already live in
@@ -32,10 +34,11 @@ type serverMetrics struct {
 	evictions  []*obs.Counter
 	readAround []*obs.Counter
 
+	cells []shardCell // per cache shard
+
 	flightHits   *obs.Counter
 	backendReads *obs.Counter
 	backendBytes *obs.Counter
-	servedBytes  *obs.Counter
 	handles      *obs.Counter
 	tailPolls    *obs.Counter
 	peerFills    *obs.Counter
@@ -46,8 +49,15 @@ type serverMetrics struct {
 	fetchSpans      *obs.Counter
 	fetchSpanBlocks *obs.Counter
 
-	readLat  *obs.Histogram
-	readTick atomic.Int64
+	readLat *obs.Histogram
+}
+
+// shardCell is one cache shard's share of the per-read tallies, padded to
+// a cache line of its own.
+type shardCell struct {
+	tick   atomic.Int64 // reads begun, for latency sampling
+	served atomic.Int64 // serve_served_bytes_total
+	_      [48]byte
 }
 
 // readSampleEvery is the 1-in-N sampling interval for ReadFileAt latency
@@ -60,7 +70,7 @@ const readSampleEvery = 64
 // (e.g. node=<id> from a cluster) are prepended to every family; shards
 // is the resolved cache shard count.
 func newServerMetrics(reg *obs.Registry, base []obs.Label, shards int) *serverMetrics {
-	m := &serverMetrics{reg: reg, base: base, off: reg.Disabled()}
+	m := &serverMetrics{reg: reg, base: base, off: reg.Disabled(), cells: make([]shardCell, shards)}
 	m.hits = make([]*obs.Counter, shards)
 	m.misses = make([]*obs.Counter, shards)
 	m.evictions = make([]*obs.Counter, shards)
@@ -82,8 +92,8 @@ func newServerMetrics(reg *obs.Registry, base []obs.Label, shards int) *serverMe
 		"span reads issued to the backend (each retry attempt counts)", base...)
 	m.backendBytes = reg.Counter("serve_backend_bytes_total",
 		"bytes moved by backend span reads", base...)
-	m.servedBytes = reg.Counter("serve_served_bytes_total",
-		"logical bytes handed to clients", base...)
+	reg.CounterFunc("serve_served_bytes_total", "logical bytes handed to clients",
+		func() float64 { return float64(m.servedBytes()) }, base...)
 	m.handles = reg.Counter("serve_handles_opened_total",
 		"client sessions opened (Open and Tail)", base...)
 	m.tailPolls = reg.Counter("serve_tail_polls_total",
@@ -110,21 +120,37 @@ func sumCounters(cs []*obs.Counter) int64 {
 	return n
 }
 
-// readStart begins a (possibly sampled) latency observation: it returns
-// a clock reading to pass to readDone, or 0 when this read is not
-// sampled. The first read is always sampled.
-func (m *serverMetrics) readStart() int64 {
+// servedBytes totals the cells' served bytes.
+func (m *serverMetrics) servedBytes() int64 {
+	var n int64
+	for i := range m.cells {
+		n += m.cells[i].served.Load()
+	}
+	return n
+}
+
+// readStart begins a (possibly sampled) latency observation of a read
+// counted in shard si's cell: it returns a clock reading to pass to
+// readDone, or 0 when this read is not sampled. Each shard samples the
+// first of every readSampleEvery reads it counts, so a deterministic
+// request order samples deterministically.
+func (m *serverMetrics) readStart(si int) int64 {
 	if m.off {
 		return 0
 	}
-	if m.readTick.Add(1)%readSampleEvery != 1 {
+	if m.cells[si].tick.Add(1)%readSampleEvery != 1 {
 		return 0
 	}
 	return m.reg.Now()
 }
 
-// readDone completes an observation begun with readStart.
-func (m *serverMetrics) readDone(start int64) {
+// readDone counts a successful read's n bytes as served in shard si's cell
+// and completes the observation begun with readStart (none if start is 0).
+func (m *serverMetrics) readDone(si int, start, n int64) {
+	if m.off {
+		return
+	}
+	m.cells[si].served.Add(n)
 	if start != 0 {
 		m.readLat.Observe(m.reg.Now() - start)
 	}

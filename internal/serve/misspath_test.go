@@ -278,12 +278,14 @@ func TestSpanRuleMatchesCoalesceExtents(t *testing.T) {
 }
 
 // gatedFS parks every ReadAt issued while it is armed until the gate
-// opens, and counts them.
+// opens, and counts them; closedEarly records a file Close that lands
+// while one of them has not returned.
 type gatedFS struct {
 	fsio.FileSystem
-	armed atomic.Bool
-	reads atomic.Int64
-	gate  chan struct{}
+	armed       atomic.Bool
+	reads, held atomic.Int64
+	closedEarly atomic.Bool
+	gate        chan struct{}
 }
 
 func (g *gatedFS) Open(name string) (fsio.File, error) {
@@ -302,9 +304,18 @@ type gatedFile struct {
 func (f *gatedFile) ReadAt(p []byte, off int64) (int, error) {
 	if f.fs.armed.Load() {
 		f.fs.reads.Add(1)
+		f.fs.held.Add(1)
+		defer f.fs.held.Add(-1)
 		<-f.fs.gate
 	}
 	return f.File.ReadAt(p, off)
+}
+
+func (f *gatedFile) Close() error {
+	if f.fs.held.Load() > 0 {
+		f.fs.closedEarly.Store(true)
+	}
+	return f.File.Close()
 }
 
 // TestSingleflightOneBackendRead: sixteen readers released together onto
@@ -360,9 +371,9 @@ func TestSingleflightOneBackendRead(t *testing.T) {
 		t.Fatalf("%d readers of one cold window caused %d backend reads (%d reached the backend), want 1",
 			readers, st.BackendReads, gfs.reads.Load())
 	}
-	if st.FlightHits != (readers-1)*blocks {
-		t.Fatalf("FlightHits = %d, want %d: every reader but the fetching one finds all %d blocks resident after its wait",
-			st.FlightHits, (readers-1)*blocks, blocks)
+	if st.FlightHits != (readers-1)*blocks || st.Hits != 0 {
+		t.Fatalf("FlightHits = %d, Hits = %d, want %d and 0: every reader but the fetching one finds all %d blocks resident after its wait, which is no cache hit",
+			st.FlightHits, st.Hits, (readers-1)*blocks, blocks)
 	}
 }
 
@@ -481,6 +492,59 @@ func TestSingleflightWaiterOutlivesFailedOwner(t *testing.T) {
 	if st := s.Stats(); failed != 1 || st.BackendBytes != 2*win {
 		t.Fatalf("%d readers failed and the backend moved %d bytes, want the owner alone to fail and the window read once more: %+v",
 			failed, st.BackendBytes, st)
+	}
+}
+
+// TestCloseWaitsForBackendReads pins the Close contract a resident hit no
+// longer takes a lock for: a Close racing a held backend read closes no
+// physical file before that read returns, the read gets its bytes or
+// ErrServerClosed (never a closed-file error), and after Close a read whose
+// every block is resident fails with ErrServerClosed.
+func TestCloseWaitsForBackendReads(t *testing.T) {
+	gfs := &gatedFS{FileSystem: fsio.NewOS(t.TempDir()), gate: make(chan struct{})}
+	raw := writeOneFile(t, gfs, "c.sion", 8, 64<<10, 4096)
+	s, err := New(gfs, "c.sion", &Config{CacheBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const resident, cold, win = 0, 256 << 10, 4096
+	p := make([]byte, win)
+	if err := s.ReadFileAt(0, p, resident, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	gfs.armed.Store(true)
+	got, read := make([]byte, win), make(chan error, 1)
+	go func() { read <- s.ReadFileAt(0, got, cold, nil) }()
+	for deadline := time.Now().Add(10 * time.Second); gfs.reads.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the cold read never reached the backend")
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a backend read was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gfs.gate)
+	switch err := <-read; {
+	case err == nil:
+		if !bytes.Equal(got, wantWindow(raw, cold, win)) {
+			t.Fatal("the read that raced Close returned bytes that differ from the file")
+		}
+	case !errors.Is(err, ErrServerClosed):
+		t.Fatalf("the read that raced Close: %v, want its bytes or ErrServerClosed", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if gfs.closedEarly.Load() {
+		t.Fatal("Close closed a physical file while a backend read was held")
+	}
+	if err := s.ReadFileAt(0, p, resident, nil); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("resident read after Close: %v, want ErrServerClosed", err)
 	}
 }
 

@@ -187,8 +187,12 @@ type Stats struct {
 // Server serves concurrent read sessions over one multifile. All methods
 // are safe for concurrent use.
 type Server struct {
-	mu     sync.RWMutex // readAt holds R, Close holds W
-	closed bool
+	// A read checks closed on entry, so a resident hit takes no server-wide
+	// lock. mu belongs to the miss path: a backend fetch holds R and
+	// rechecks closed under it, Close holds W, so the fetches in flight
+	// drain before the files close.
+	mu     sync.RWMutex
+	closed atomic.Bool
 
 	name         string   // multifile base name (error messages)
 	physNames    []string // physical file paths, indexed like files
@@ -475,12 +479,12 @@ func (s *Server) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	if off < 0 {
 		return fmt.Errorf("serve: %s: negative physical offset %d", s.name, off)
 	}
-	start := s.m.readStart()
+	si := s.cache.shardIndex(blockKey{file, off / s.blockBytes}) // the request's cell: its first block's shard
+	start := s.m.readStart(si)
 	if err := s.readAt(file, p, off, sp); err != nil {
 		return err
 	}
-	s.m.servedBytes.Add(int64(len(p)))
-	s.m.readDone(start)
+	s.m.readDone(si, start, int64(len(p)))
 	return nil
 }
 
@@ -498,7 +502,7 @@ func (s *Server) Stats() Stats {
 		FlightHits:    s.m.flightHits.Value(),
 		BackendReads:  s.m.backendReads.Value(),
 		BackendBytes:  s.m.backendBytes.Value(),
-		ServedBytes:   s.m.servedBytes.Value(),
+		ServedBytes:   s.m.servedBytes(),
 		Evictions:     sumCounters(s.m.evictions),
 		ReadAround:    sumCounters(s.m.readAround),
 		CachedBytes:   s.cache.cachedBytes(),
@@ -561,10 +565,9 @@ func (s *Server) Degraded() bool { return s.notClosed.Load() > 0 }
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
 	var firstErr error
 	for _, fh := range s.files {
 		if err := fh.Close(); err != nil && firstErr == nil {
@@ -582,12 +585,10 @@ func (s *Server) Close() error {
 }
 
 // readAt serves [off, off+len(p)) of physical file `file`: resident blocks
-// are copied out of the cache, the rest go through fetchMissing. sp (nil
-// is fine) collects the read's breadcrumb trail.
+// are copied out of the cache, the rest go through fetchMissing under the
+// read lock. sp (nil is fine) collects the read's breadcrumb trail.
 func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
 	}
 	if len(p) == 0 {
@@ -613,8 +614,13 @@ func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
 	if sc == nil {
 		return nil
 	}
+	defer sc.put()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed.Load() {
+		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
+	}
 	cost, err := s.fetchMissing(file, sc, p, off)
-	sc.put()
 	if sp != nil {
 		sp.Add(obs.CrumbBackendRead, cost.spans)
 		sp.Add(obs.CrumbPeerFill, cost.peerFills)

@@ -205,7 +205,7 @@ func (c *Session) Read(p []byte) (int, error) {
 		}
 		return 0, sion.ErrAgain
 	}
-	s.m.servedBytes.Add(int64(n))
+	s.m.readDone(0, 0, int64(n)) // unsampled, in shard 0's cell: a tail read spans extents
 	return n, nil
 }
 
@@ -228,7 +228,7 @@ func (s *Server) readTailSpan(file int, p []byte, off, uncachedFrom int64) error
 	if uncachedFrom < end {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		if s.closed {
+		if s.closed.Load() {
 			return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
 		}
 		// Frontier reads run under the same retry budget as cached span
