@@ -1,18 +1,29 @@
 // Command sionserve exposes a multifile over HTTP through the read-serving
-// subsystem (internal/serve): one process fronts the multifile for any
-// number of remote clients, with a sharded block cache and coalesced
-// backend reads between them and the file system.
+// tier: a cluster (internal/cluster) of -nodes in-process serve nodes
+// (internal/serve), each with a sharded block cache and coalesced backend
+// reads between the clients and the file system. With one node, the
+// default, every request window goes to that node whole. With more,
+// 256 KiB granules are consistent-hashed across the nodes, a read is one
+// node call per granule it touches, the hottest blocks are replicated to
+// ring successors, and nodes fill their caches from each other before
+// touching the backend — one process, but the cluster data path (ring
+// routing, peer fill, failover) that a multi-host deployment would use.
 //
 // Usage:
 //
-//	sionserve [-addr :8080] [-cache-mb 64] [-block N] [-retries 4]
+//	sionserve [-addr :8080] [-nodes 1] [-cache-mb 64] [-block N] [-retries 4]
 //	          [-pprof] [-slow-ms 500] [-backend posix|objstore[,profile]] <multifile>
 //
-// The endpoints, the degraded (503 + Retry-After) contract and the
-// SIGINT/SIGTERM drain are internal/httpapi's, shared with sionrouter;
-// its package comment is the reference. /stats is a serve.Stats, /metrics
-// carries the serve_* and fsio_* families, /healthz lists the physical
-// files' circuit breakers.
+// The read endpoints, /stats, /metrics, /healthz, the degraded (503 +
+// Retry-After) contract and the SIGINT/SIGTERM drain are internal/httpapi's;
+// its package comment is the reference. sionserve adds:
+//
+//	GET  /cluster                membership and hot-set summary
+//	POST /cluster/join?id=<id>   add a serve node to the ring
+//	POST /cluster/leave?id=<id>  drain a node off the ring
+//	POST /cluster/rebalance      replicate the current hot set now
+//
+// A hot-set rebalance also runs on a background ticker.
 //
 // The multifile must be complete (written and closed); serving a file
 // still being written is out of scope for the cache's consistency model.
@@ -22,46 +33,146 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/backendflag"
+	"repro/internal/cluster"
+	"repro/internal/fsio"
 	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
+// router carries the cluster plus everything needed to admit new nodes
+// at runtime (join re-uses the CLI's backend and per-node serve config).
+type router struct {
+	c    *cluster.Cluster
+	api  *httpapi.API
+	fsys fsio.FileSystem
+	name string
+	scfg *serve.Config
+}
+
+const rebalanceEvery = 5 * time.Second
+
 func main() {
 	fl := httpapi.RegisterFlags(flag.CommandLine)
+	nodes := flag.Int("nodes", 1, "serve nodes to start on the ring")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: sionserve [-addr :8080] [-cache-mb 64] [-block N] [-retries 4] [-backend posix|objstore[,profile]] <multifile>")
+	if flag.NArg() != 1 || *nodes < 1 {
+		fmt.Fprintln(os.Stderr, "usage: sionserve [flags] <multifile> (see -h)")
 		os.Exit(2)
 	}
-	// One registry carries the whole process: the serve layer's families
-	// plus the instrumented backend's fsio_* families (labeled with the
-	// backend name), so /metrics shows cache behavior next to the raw I/O
-	// it turns into.
 	reg := obs.NewRegistry()
 	stack, err := backendflag.Build(fl.Backend, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sionserve:", err)
 		os.Exit(2)
 	}
-	cfg := fl.ServeConfig()
-	cfg.Metrics = reg
-	srv, err := serve.New(stack.FS, flag.Arg(0), cfg)
+	rt, err := newRouter(fl, stack.FS, reg, flag.Arg(0), *nodes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sionserve:", err)
 		os.Exit(1)
 	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("sionserve: serving %s (%d ranks, %d physical files, %d-byte cache blocks) on %s\n",
-		flag.Arg(0), srv.Layout().NTasks(), srv.Layout().NumFiles(), srv.BlockBytes(), fl.Addr)
-	if err := httpapi.ForServer(srv, fl).Run(ctx, "sionserve", fl.Addr); err != nil {
+
+	// Hot blocks drift with the workload; fold fresh LRU hit reports into
+	// ring replicas on a fixed cadence (and on demand via the endpoint).
+	go func() {
+		t := time.NewTicker(rebalanceEvery)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				rt.c.RebalanceHot()
+			}
+		}
+	}()
+
+	fmt.Printf("sionserve: serving %s (%d ranks, %d physical files, %d nodes, %d-byte cache blocks) on %s\n",
+		rt.name, rt.c.Layout().NTasks(), rt.c.Layout().NumFiles(), *nodes, rt.c.BlockBytes(), fl.Addr)
+	if err := rt.api.Run(ctx, "sionserve", fl.Addr); err != nil {
 		fmt.Fprintln(os.Stderr, "sionserve:", err)
 		os.Exit(1)
 	}
+}
+
+// newRouter builds the process from parsed flags over the -backend stack
+// fsys: a cluster of `nodes` serve nodes over the multifile `name`, and the
+// HTTP API with the /cluster routes on its mux. reg, the registry the stack
+// was built in, carries the whole topology: the backend's fsio_* families
+// (labeled backend=<kind>), the router's cluster_* families and each
+// node's serve_* families (labeled node=<id> at Join), so /metrics shows
+// cache behavior next to the raw I/O it turns into. Split out of main so
+// tests drive the handlers through httptest without a listener.
+func newRouter(fl *httpapi.Flags, fsys fsio.FileSystem, reg *obs.Registry, name string, nodes int) (*router, error) {
+	rt := &router{
+		c:    cluster.New(&cluster.Config{Metrics: reg}),
+		fsys: fsys,
+		name: name,
+		scfg: fl.ServeConfig(),
+	}
+	for i := 1; i <= nodes; i++ {
+		if _, err := rt.c.Join(fmt.Sprintf("n%d", i), rt.fsys, rt.name, rt.scfg); err != nil {
+			rt.c.Close()
+			return nil, err
+		}
+	}
+	rt.api = httpapi.New(rt.c, fl)
+	rt.api.Mux.HandleFunc("/cluster", httpapi.ReadOnly(rt.handleCluster))
+	rt.api.Mux.HandleFunc("/cluster/", rt.handleClusterOp)
+	return rt, nil
+}
+
+// handleCluster summarizes membership and the tracked hot set.
+func (rt *router) handleCluster(w http.ResponseWriter, _ *http.Request) {
+	rt.api.WriteJSON(w, struct {
+		Nodes      []string `json:"nodes"`
+		HotTracked int      `json:"hot_tracked"`
+	}{Nodes: rt.c.NodeIDs(), HotTracked: rt.c.HotTracked()})
+}
+
+// handleClusterOp routes POST /cluster/{join,leave,rebalance}.
+func (rt *router) handleClusterOp(w http.ResponseWriter, r *http.Request) {
+	op := strings.TrimPrefix(r.URL.Path, "/cluster/")
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, "cluster operations are POSTs", http.StatusMethodNotAllowed)
+		return
+	}
+	id := r.URL.Query().Get("id")
+	if id == "" && (op == "join" || op == "leave") {
+		http.Error(w, op+" needs ?id=", http.StatusBadRequest)
+		return
+	}
+	switch op {
+	case "join":
+		if _, err := rt.c.Join(id, rt.fsys, rt.name, rt.scfg); err != nil {
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		}
+	case "leave":
+		if err := rt.c.Leave(id); err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+	case "rebalance":
+		rt.api.WriteJSON(w, struct {
+			Replicated int `json:"replicated"`
+		}{Replicated: rt.c.RebalanceHot()})
+		return
+	default:
+		http.NotFound(w, r)
+		return
+	}
+	rt.handleCluster(w, r)
 }

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
@@ -9,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/backendflag"
+	"repro/internal/cluster"
 	sion "repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/httpapi"
@@ -17,35 +22,44 @@ import (
 	"repro/internal/serve"
 )
 
-// The HTTP contract is pinned once, for both front ends, by
-// internal/httpapi's suite. What is sionserve's own is the wiring in
-// main(): flags → backend stack, serve.Config and one shared registry.
+// The read-side HTTP contract is pinned once, on one node and on three, by
+// internal/httpapi's suite. What is sionserve's own: the wiring in main()
+// (flags → backend stack, per-node serve.Config, one registry for the
+// whole topology) and the /cluster routes.
 
-// TestFlagsWireTheProcess mirrors main()'s construction under non-default
-// flags and checks each flag landed: -block in the cache geometry,
-// -backend and the shared registry in one /metrics exposition that
-// carries the serve_* families next to backend-labeled fsio_* families,
-// -cache-mb in what the cache may hold.
-func TestFlagsWireTheProcess(t *testing.T) {
+// testPayload is the deterministic per-rank content of the test multifile.
+func testPayload(rank, size int) []byte {
+	p := make([]byte, size)
+	x := uint32(rank)*2654435761 + 12345
+	for i := range p {
+		x = x*1664525 + 1013904223
+		p[i] = byte(x >> 24)
+	}
+	return p
+}
+
+// newTestRouter writes a `ranks`-rank multifile of perRank bytes per rank
+// and stands up `nodes` serve nodes over it the way main() does, from
+// parsed flags.
+func newTestRouter(t *testing.T, ranks, perRank, nodes int, args ...string) (*router, http.Handler) {
+	t.Helper()
 	dir := t.TempDir()
-	const ranks, perRank = 3, 3 << 20
 	mpi.Run(ranks, func(c *mpi.Comm) {
 		f, err := sion.ParOpen(c, fsio.NewOS(dir), "data", sion.WriteMode, &sion.Options{ChunkSize: 1 << 20})
 		if err != nil {
 			t.Errorf("rank %d: ParOpen: %v", c.Rank(), err)
 			return
 		}
-		if _, err := f.Write(make([]byte, perRank)); err != nil {
+		if _, err := f.Write(testPayload(c.Rank(), perRank)); err != nil {
 			t.Errorf("rank %d: Write: %v", c.Rank(), err)
 		}
 		if err := f.Close(); err != nil {
 			t.Errorf("rank %d: Close: %v", c.Rank(), err)
 		}
 	})
-
 	fs := flag.NewFlagSet("sionserve", flag.ContinueOnError)
 	fl := httpapi.RegisterFlags(fs)
-	if err := fs.Parse([]string{"-cache-mb", "2", "-block", "65536", "-slow-ms", "0", "-backend", "posix"}); err != nil {
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
@@ -53,51 +67,220 @@ func TestFlagsWireTheProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fl.ServeConfig()
-	cfg.Metrics = reg
-	srv, err := serve.New(stack.FS, filepath.Join(dir, "data"), cfg)
+	rt, err := newRouter(fl, stack.FS, reg, filepath.Join(dir, "data"), nodes)
 	if err != nil {
-		t.Fatalf("serve.New: %v", err)
+		t.Fatal(err)
 	}
-	defer srv.Close()
-	h := httpapi.ForServer(srv, fl).Handler()
+	t.Cleanup(func() { rt.c.Close() })
+	return rt, rt.api.Handler()
+}
 
-	if got := srv.BlockBytes(); got != 65536 {
+func do(h http.Handler, method, url string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, url, nil))
+	return rec
+}
+
+// TestFlagsWireTheProcess mirrors main()'s construction under non-default
+// flags on the default single node and checks each flag landed: -block in
+// the cache geometry, -backend and the shared registry in one /metrics
+// exposition that carries the serve_* families next to backend-labeled
+// fsio_* families, -cache-mb in what the cache may hold.
+func TestFlagsWireTheProcess(t *testing.T) {
+	const ranks, perRank = 3, 3 << 20
+	rt, h := newTestRouter(t, ranks, perRank, 1, "-cache-mb", "2", "-block", "65536", "-slow-ms", "0", "-backend", "posix")
+	if got := rt.c.BlockBytes(); got != 65536 {
 		t.Errorf("-block 65536: cache blocks are %d bytes", got)
 	}
 	for r := 0; r < ranks; r++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/rank/"+strconv.Itoa(r), nil))
-		if rec.Code != 200 || rec.Body.Len() != perRank {
+		if rec := do(h, "GET", "/rank/"+strconv.Itoa(r)); rec.Code != 200 || rec.Body.Len() != perRank {
 			t.Fatalf("rank %d: status %d, %d bytes", r, rec.Code, rec.Body.Len())
 		}
 	}
 	// One streaming scan fills the cache and reads the rest around it: a
 	// full cache admits a block only on its second miss. Reading the last
 	// rank again admits the blocks it declined last, evicting for them.
-	scan := srv.Stats()
+	scan := rt.c.Stats().Serve
 	if scan.CachedBytes > 2<<20 || scan.ReadAround == 0 {
 		t.Errorf("-cache-mb 2 after streaming %d MiB: %d bytes resident, %d blocks read around", ranks*perRank>>20, scan.CachedBytes, scan.ReadAround)
 	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/rank/"+strconv.Itoa(ranks-1), nil))
-	if st := srv.Stats(); rec.Code != 200 || st.CachedBytes > 2<<20 || st.Evictions == scan.Evictions {
+	rec := do(h, "GET", "/rank/"+strconv.Itoa(ranks-1))
+	if st := rt.c.Stats().Serve; rec.Code != 200 || st.CachedBytes > 2<<20 || st.Evictions == scan.Evictions {
 		t.Errorf("-cache-mb 2 after reading rank %d again: status %d, %d bytes resident, evictions %d -> %d",
 			ranks-1, rec.Code, st.CachedBytes, scan.Evictions, st.Evictions)
 	}
 
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
+	body := do(h, "GET", "/metrics").Body.String()
 	if err := obs.CheckExposition([]byte(body)); err != nil {
 		t.Fatalf("exposition: %v", err)
 	}
 	// Every fsio_* family carries the backend label (the -backend flag's
 	// stack label, "os" here), so multi-backend deployments stay tellable
 	// apart in one exposition.
-	for _, want := range []string{"serve_backend_reads_total ", `fsio_ops_total{backend="os"`, `fsio_bytes_total{backend="os"`} {
+	for _, want := range []string{`serve_backend_reads_total{node="n1"}`, `fsio_ops_total{backend="os"`, `fsio_bytes_total{backend="os"`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics lacks %q: the serve layer and the instrumented backend must share main()'s registry", want)
+		}
+	}
+}
+
+// TestFlagsWireTheTopology checks the same wiring on three nodes: -block
+// reaches every node's cache geometry, and one registry carries the
+// router's cluster_* families, every node's serve_* families under its
+// node label, and the shared backend's fsio_* families under the -backend
+// stack's label.
+func TestFlagsWireTheTopology(t *testing.T) {
+	const ranks = 3
+	rt, h := newTestRouter(t, ranks, 5000, 3, "-block", "8192", "-cache-mb", "1", "-slow-ms", "0")
+	if got := rt.c.BlockBytes(); got != 8192 {
+		t.Errorf("-block 8192: the cluster routes %d-byte blocks", got)
+	}
+	for r := 0; r < ranks; r++ {
+		if rec := do(h, "GET", fmt.Sprintf("/rank/%d", r)); rec.Code != 200 {
+			t.Fatalf("rank %d: status %d", r, rec.Code)
+		}
+	}
+	body := do(h, "GET", "/metrics").Body.String()
+	if err := obs.CheckExposition([]byte(body)); err != nil {
+		t.Fatalf("exposition: %v", err)
+	}
+	want := []string{"cluster_requests_total ", `fsio_ops_total{backend="os"`}
+	for _, id := range rt.c.NodeIDs() {
+		want = append(want, `serve_served_bytes_total{node="`+id+`"`)
+	}
+	for _, w := range want {
+		if !strings.Contains(body, w) {
+			t.Errorf("/metrics lacks %q", w)
+		}
+	}
+}
+
+// TestRouterClusterOps drives the membership endpoints: join grows the
+// ring, duplicate joins conflict, leave shrinks it, unknown leaves 404,
+// non-POSTs 405, GET /cluster is read-only, and reads stay byte-identical
+// across the churn.
+func TestRouterClusterOps(t *testing.T) {
+	const perRank = 5000
+	_, h := newTestRouter(t, 3, perRank, 3)
+	full := testPayload(2, perRank)
+
+	members := func(rec *httptest.ResponseRecorder) []string {
+		t.Helper()
+		var out struct {
+			Nodes []string `json:"nodes"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("membership body %q: %v", rec.Body.String(), err)
+		}
+		return out.Nodes
+	}
+	if got := members(do(h, "GET", "/cluster")); len(got) != 3 {
+		t.Fatalf("initial membership %v, want 3 nodes", got)
+	}
+	for _, method := range []string{"POST", "PUT", "DELETE"} {
+		if rec := do(h, method, "/cluster"); rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "GET, HEAD" {
+			t.Errorf("%s /cluster: status %d (Allow %q), want 405 allowing GET, HEAD", method, rec.Code, rec.Header().Get("Allow"))
+		}
+	}
+
+	if rec := do(h, "POST", "/cluster/join?id=n4"); rec.Code != 200 {
+		t.Fatalf("join: status %d (%s)", rec.Code, rec.Body.String())
+	} else if got := members(rec); len(got) != 4 {
+		t.Fatalf("post-join membership %v, want 4 nodes", got)
+	}
+	if rec := do(h, "POST", "/cluster/join?id=n4"); rec.Code != http.StatusConflict {
+		t.Errorf("duplicate join: status %d, want 409", rec.Code)
+	}
+	if rec := do(h, "GET", "/rank/2"); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), full) {
+		t.Errorf("read after join: status %d, %d bytes", rec.Code, rec.Body.Len())
+	}
+
+	if rec := do(h, "POST", "/cluster/leave?id=n4"); rec.Code != 200 {
+		t.Fatalf("leave: status %d (%s)", rec.Code, rec.Body.String())
+	} else if got := members(rec); len(got) != 3 {
+		t.Fatalf("post-leave membership %v, want 3 nodes", got)
+	}
+	if rec := do(h, "POST", "/cluster/leave?id=ghost"); rec.Code != http.StatusNotFound {
+		t.Errorf("unknown leave: status %d, want 404", rec.Code)
+	}
+	if rec := do(h, "GET", "/rank/2"); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), full) {
+		t.Errorf("read after leave: status %d, %d bytes", rec.Code, rec.Body.Len())
+	}
+
+	if rec := do(h, "POST", "/cluster/join"); rec.Code != http.StatusBadRequest {
+		t.Errorf("join without id: status %d, want 400", rec.Code)
+	}
+	if rec := do(h, "GET", "/cluster/join?id=n5"); rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "POST" {
+		t.Errorf("GET join: status %d (Allow %q), want 405 allowing POST", rec.Code, rec.Header().Get("Allow"))
+	}
+	if rec := do(h, "POST", "/cluster/frobnicate"); rec.Code != http.StatusNotFound {
+		t.Errorf("unknown op: status %d, want 404", rec.Code)
+	}
+	var reb struct {
+		Replicated int `json:"replicated"`
+	}
+	if rec := do(h, "POST", "/cluster/rebalance"); rec.Code != 200 {
+		t.Errorf("rebalance: status %d", rec.Code)
+	} else if err := json.Unmarshal(rec.Body.Bytes(), &reb); err != nil {
+		t.Errorf("rebalance body %q: %v", rec.Body.String(), err)
+	}
+}
+
+// TestRouterHealthzAndStats pins what the JSON surfaces and the routing
+// counters say about a healthy 3-node ring: /healthz is 200/"ok" with one
+// entry per node, /stats is the nodes' flat serve.Stats sum (every byte
+// served counted once), and /metrics counts routed runs, with no failovers
+// and no replica exhaustion.
+func TestRouterHealthzAndStats(t *testing.T) {
+	const ranks, perRank = 3, 5000
+	_, h := newTestRouter(t, ranks, perRank, 3)
+	for r := 0; r < ranks; r++ {
+		if rec := do(h, "GET", fmt.Sprintf("/rank/%d", r)); rec.Code != 200 {
+			t.Fatalf("rank %d: status %d", r, rec.Code)
+		}
+	}
+
+	rec := do(h, "GET", "/healthz")
+	if rec.Code != 200 {
+		t.Fatalf("/healthz: status %d", rec.Code)
+	}
+	var hz struct {
+		Status string               `json:"status"`
+		Nodes  []cluster.NodeHealth `json:"nodes"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &hz); err != nil {
+		t.Fatalf("/healthz body: %v", err)
+	}
+	if hz.Status != "ok" || len(hz.Nodes) != 3 {
+		t.Errorf("/healthz = %q with %d nodes, want ok/3", hz.Status, len(hz.Nodes))
+	}
+
+	rec = do(h, "GET", "/stats")
+	if rec.Code != 200 {
+		t.Fatalf("/stats: status %d", rec.Code)
+	}
+	var st serve.Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("/stats body: %v", err)
+	}
+	if st.ServedBytes != ranks*perRank || st.HandlesOpened != ranks {
+		t.Errorf("stats served %d bytes over %d handles, want %d over %d", st.ServedBytes, st.HandlesOpened, ranks*perRank, ranks)
+	}
+
+	metrics := do(h, "GET", "/metrics").Body.String()
+	for sample, nonzero := range map[string]bool{
+		"cluster_requests_total ":          true,
+		"cluster_failovers_total ":         false,
+		"cluster_all_replicas_down_total ": false,
+	} {
+		i := strings.Index(metrics, "\n"+sample)
+		if i < 0 {
+			t.Fatalf("/metrics lacks %q", sample)
+		}
+		line := metrics[i+1:]
+		line = line[:strings.IndexByte(line, '\n')]
+		if (line != sample+"0") != nonzero {
+			t.Errorf("/metrics sample %q on a healthy ring, want it nonzero: %v", line, nonzero)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package backendflag is the shared -backend flag of the command-line
-// tools: every cmd that binds a file system (sionserve, sionrouter,
-// siondefrag, sionsplit, sionverify) selects its storage backend through
+// tools: every cmd that binds a file system (sionserve, siondefrag,
+// sionsplit, sionverify) selects its storage backend through
 // one spec syntax and one stack builder, instead of hard-coding
 // fsio.NewOS per command.
 //

@@ -365,7 +365,7 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 // serve.Config.PeerFill.
 func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte, from int64) bool {
 	v := c.view.Load()
-	if v.ring == nil {
+	if len(v.nodes) < 2 { // no peer to ask
 		return false
 	}
 	var buf [maxNodes]int
@@ -400,13 +400,14 @@ func (c *Cluster) HotTracked() int { return len(c.hotSnapshot()) }
 // primary's cache via peer fill, not from the backend: a replica reads
 // the widest range of the block one node reported resident, which that
 // node can hand over whole. Runs of hot blocks then rotate across the
-// replicas. Call it periodically (cmd/sionrouter does; tab9 calls it every
-// few dozen clients); it returns the tracked hot-set size. Safe for
-// concurrent use with reads and membership changes.
+// replicas. Call it periodically (cmd/sionserve does; tab9 calls it every
+// few dozen clients); it returns the tracked hot-set size. A view of fewer
+// than two nodes tracks nothing: it has no replica to rotate across. Safe
+// for concurrent use with reads and membership changes.
 func (c *Cluster) RebalanceHot() int {
 	v := c.view.Load()
 	nodes, rg, bs, gb := v.nodes, v.ring, v.blockBytes, v.granuleBlocks
-	if len(nodes) == 0 {
+	if len(nodes) < 2 {
 		c.hot.Store(nil)
 		return 0
 	}
@@ -479,6 +480,10 @@ func (c *Cluster) RebalanceHot() int {
 // as-is, since every node would fail identically. sp (nil is fine)
 // records each failover hop, and the node that serves each run records
 // its cache/backend crumbs on the same span (see serve.Server.ReadFileAt).
+//
+// A one-node view has nothing to place or rotate across: the whole window
+// is one run, with no ring lookup, no granule cut and no hot set, so the
+// node sees every request exactly as a lone serve.Server would.
 func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	v := c.view.Load()
 	if v.closed {
@@ -490,11 +495,15 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 	if off < 0 {
 		return fmt.Errorf("cluster: %s: negative physical offset %d", v.name, off)
 	}
+	if len(v.nodes) == 1 && len(p) > 0 {
+		return c.readRun(v, file, []int{0}, false, p, off, sp)
+	}
 	bs, gb := v.blockBytes, v.granuleBlocks
 	var hot hotSet // stays empty when there are no replicas to rotate across
 	if c.cfg.ReplicateHot > 1 {
 		hot = c.hotSnapshot()
 	}
+	var buf [maxNodes]int
 	for len(p) > 0 {
 		b := off / bs
 		granule := b / gb
@@ -509,7 +518,8 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 				}
 			}
 		}
-		if err := c.readRun(v, file, granule, isHot, p[:end-off], off, sp); err != nil {
+		cands := v.ring.lookup(granuleHash(file, granule), &buf)
+		if err := c.readRun(v, file, cands, isHot, p[:end-off], off, sp); err != nil {
 			return err
 		}
 		p, off = p[end-off:], end
@@ -518,16 +528,15 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 }
 
 // readRun serves one run — a window inside one granule, all hot or all
-// not — with one node call, failing the whole run over along the
-// granule's candidate order.
-func (c *Cluster) readRun(v *view, file int, granule int64, hot bool, p []byte, off int64, sp *obs.Span) error {
-	var buf [maxNodes]int
-	cands := v.ring.lookup(granuleHash(file, granule), &buf)
+// not — with one node call, failing the whole run over along cands, the
+// granule's candidate order (the primary first).
+func (c *Cluster) readRun(v *view, file int, cands []int, hot bool, p []byte, off int64, sp *obs.Span) error {
 	c.m.requests[cands[0]].Inc() // the primary's cell
 	// Rotate a hot run across its replicas so the primary is not the only
 	// node paying for popularity.
-	if k := min(c.cfg.ReplicateHot, len(cands)); hot && k > 1 { // k == 1: a one-node ring
-		head := buf // a copy: the rotation reads it while writing cands
+	if k := min(c.cfg.ReplicateHot, len(cands)); hot && k > 1 {
+		var head [maxNodes]int // a copy: the rotation reads it while writing cands
+		copy(head[:k], cands)
 		rot := int(c.rr.Add(1) % uint64(k))
 		for i := 0; i < k; i++ {
 			cands[i] = head[(rot+i)%k]
@@ -592,9 +601,10 @@ type Stats struct {
 	Failovers       int64 // extra replica attempts after a failed one
 	AllReplicasDown int64 // reads that exhausted every replica
 	HotTracked      int   // tracked hot blocks
-	HandlesOpened   int64
-	Serve           serve.Stats // sum over nodes
-	PerNode         []NodeStats
+	// Serve sums the nodes' serve stats, except HandlesOpened: clients open
+	// their sessions on the router, so that is the router's count.
+	Serve   serve.Stats
+	PerNode []NodeStats
 }
 
 // Stats returns a snapshot of the routing and node counters.
@@ -606,7 +616,7 @@ func (c *Cluster) Stats() Stats {
 		Failovers:       c.m.failovers.Value(),
 		AllReplicasDown: c.m.allDown.Value(),
 		HotTracked:      c.HotTracked(),
-		HandlesOpened:   c.m.handles.Value(),
+		Serve:           serve.Stats{HandlesOpened: c.m.handles.Value()},
 	}
 	for _, n := range nodes {
 		ns := NodeStats{ID: n.ID, Degraded: n.srv.Degraded(), Serve: n.srv.Stats()}
@@ -616,7 +626,8 @@ func (c *Cluster) Stats() Stats {
 	return st
 }
 
-// addStats sums two serve stat snapshots element-wise.
+// addStats sums two serve stat snapshots element-wise, keeping a's
+// HandlesOpened (the router's count).
 func addStats(a, b serve.Stats) serve.Stats {
 	return serve.Stats{
 		Hits:          a.Hits + b.Hits,
@@ -628,7 +639,7 @@ func addStats(a, b serve.Stats) serve.Stats {
 		Evictions:     a.Evictions + b.Evictions,
 		ReadAround:    a.ReadAround + b.ReadAround,
 		CachedBytes:   a.CachedBytes + b.CachedBytes,
-		HandlesOpened: a.HandlesOpened + b.HandlesOpened,
+		HandlesOpened: a.HandlesOpened,
 		TailPolls:     a.TailPolls + b.TailPolls,
 		PeerFills:     a.PeerFills + b.PeerFills,
 		Retries:       a.Retries + b.Retries,
@@ -638,8 +649,8 @@ func addStats(a, b serve.Stats) serve.Stats {
 	}
 }
 
-// NodeHealth is one node's breaker condition, the substance of
-// sionrouter's /healthz endpoint.
+// NodeHealth is one node's breaker condition, the substance of the HTTP
+// API's /healthz endpoint.
 type NodeHealth struct {
 	ID       string             `json:"id"`
 	Degraded bool               `json:"degraded"`

@@ -149,7 +149,7 @@ func TestClusterByteIdentity(t *testing.T) {
 		}
 	}
 	st := cl.Stats()
-	if st.Nodes != 3 || st.Requests == 0 || st.Serve.BackendReads == 0 || st.HandlesOpened == 0 {
+	if st.Nodes != 3 || st.Requests == 0 || st.Serve.BackendReads == 0 || st.Serve.HandlesOpened == 0 {
 		t.Fatalf("implausible stats: %+v", st)
 	}
 	if st.AllReplicasDown != 0 {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -385,13 +387,134 @@ func TestZeroLengthReadTouchesNothing(t *testing.T) {
 	}
 }
 
+// recordFS is an fsio decorator that logs the (file, off, len) of every
+// ReadAt issued while it is armed. Unwrap keeps the backend's
+// capabilities, so the serve layer sizes its span reads as it would on
+// the bare backend.
+type recordFS struct {
+	fsio.FileSystem
+
+	mu    sync.Mutex
+	armed bool
+	reads []string
+}
+
+func (r *recordFS) Unwrap() fsio.FileSystem { return r.FileSystem }
+
+func (r *recordFS) Open(name string) (fsio.File, error) {
+	fh, err := r.FileSystem.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &recordFile{File: fh, fs: r, name: name}, nil
+}
+
+type recordFile struct {
+	fsio.File
+	fs   *recordFS
+	name string
+}
+
+func (f *recordFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.mu.Lock()
+	if f.fs.armed {
+		f.fs.reads = append(f.fs.reads, fmt.Sprintf("%s %d %d", f.name, off, len(p)))
+	}
+	f.fs.mu.Unlock()
+	return f.File.ReadAt(p, off)
+}
+
+func (r *recordFS) arm() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.armed = true
+	return r.reads
+}
+
+// TestOneNodeIsAServer: a one-node cluster serves a window exactly as a
+// lone serve.Server does. The same window list — 1 MiB slabs across
+// granule boundaries, small reads, and enough traffic past a small cache
+// that blocks are read around it — issues the same backend reads in the
+// same order and leaves the same serve.Stats through either.
+func TestOneNodeIsAServer(t *testing.T) {
+	dir := t.TempDir()
+	inner := fsio.NewOS(dir)
+	writeMultifile(t, inner, "one.sion", 8)
+	scfg := serve.Config{CacheBytes: 512 << 10, Shards: 4}
+
+	srvFS, clFS := &recordFS{FileSystem: inner}, &recordFS{FileSystem: inner}
+	cfg := scfg
+	srv, err := serve.New(srvFS, "one.sion", &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := startCluster(t, nil, 1, "one.sion", func(int) fsio.FileSystem { return clFS }, scfg)
+	phys := [][]byte{physFile(t, dir, cl, 0), physFile(t, dir, cl, 1)}
+
+	type window struct {
+		file int
+		off  int64
+		n    int
+	}
+	var windows []window
+	for g := int64(1); (g+4)*granuleBytes < int64(len(phys[0])); g += 2 {
+		windows = append(windows, window{0, g*granuleBytes - 100000, 1 << 20})
+	}
+	rng := rand.New(rand.NewSource(34))
+	sizes := []int{4 << 10, 9000, 64 << 10, 1 << 20}
+	for i := 0; i < 300; i++ {
+		file, n := rng.Intn(2), sizes[rng.Intn(len(sizes))]
+		windows = append(windows, window{file, rng.Int63n(int64(len(phys[file]) - n)), n})
+	}
+
+	replay := func(r serve.FileReaderAt, rec *recordFS) []string {
+		before := len(rec.arm())
+		for _, w := range windows {
+			p := make([]byte, w.n)
+			if err := r.ReadFileAt(w.file, p, w.off, nil); err != nil {
+				t.Fatalf("ReadFileAt(file %d, [%d, %d)): %v", w.file, w.off, w.off+int64(w.n), err)
+			}
+			if !bytes.Equal(p, phys[w.file][w.off:w.off+int64(w.n)]) {
+				t.Fatalf("ReadFileAt(file %d, [%d, %d)): bytes differ from the file", w.file, w.off, w.off+int64(w.n))
+			}
+		}
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return rec.reads[before:]
+	}
+	srvReads, clReads := replay(srv, srvFS), replay(cl, clFS)
+
+	if len(srvReads) != len(clReads) {
+		t.Fatalf("the server issued %d backend reads, the one-node cluster %d", len(srvReads), len(clReads))
+	}
+	for i := range srvReads {
+		if srvReads[i] != clReads[i] {
+			t.Fatalf("backend read %d: server %q, one-node cluster %q", i, srvReads[i], clReads[i])
+		}
+	}
+	want, got := srv.Stats(), cl.Stats()
+	if want.ReadAround == 0 || want.Evictions == 0 || want.Hits == 0 {
+		t.Fatalf("the windows did not exercise the cache: %+v", want)
+	}
+	if got.Requests != int64(len(windows)) {
+		t.Errorf("%d windows were routed as %d runs, want one each", len(windows), got.Requests)
+	}
+	want.HandlesOpened, got.Serve.HandlesOpened = 0, 0
+	if got.Serve != want {
+		t.Fatalf("one-node cluster stats %+v, server %+v", got.Serve, want)
+	}
+}
+
 // BenchmarkRoute replays one request stream over physical file 0 through
 // the 3-node ring and through one serve.Server with the same total cache:
 // ring ns/op over node ns/op is what the router costs. hit*: everything
 // resident; cold64k: the cache holds a quarter of the file and the stream
 // walks all of it, so nearly every request misses; slab1m: resident 1 MiB
-// reads, four or five runs each. ring-par and node-par (hit4k and cold64k
-// only) are the ring and node cases from GOMAXPROCS goroutines at once
+// reads, four or five runs each. one is the one-node cluster, whose window
+// is one run however long: one ns/op over node ns/op is what sionserve's
+// default topology costs over a bare serve.Server. ring-par and node-par
+// (hit4k and cold64k only) are the ring and node cases from GOMAXPROCS goroutines at once
 // (-cpu 1,2,4 is the scaling table): hit4k/*-par prices what concurrent
 // hits share — shard locks, counters, the routing snapshot — and
 // cold64k/*-par concurrent misses and backend reads of one file.
@@ -468,8 +591,12 @@ func BenchmarkRoute(b *testing.B) {
 			b.Cleanup(func() { srv.Close() })
 			return srv
 		}
+		one := func(b *testing.B) serve.FileReaderAt {
+			return startCluster(b, nil, 1, "b.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: bc.cache})
+		}
 		b.Run(bc.name+"/ring", func(b *testing.B) { run(b, ring(b)) })
 		b.Run(bc.name+"/node", func(b *testing.B) { run(b, node(b)) })
+		b.Run(bc.name+"/one", func(b *testing.B) { run(b, one(b)) })
 		if bc.name != "hit4k" && bc.name != "cold64k" {
 			continue
 		}

@@ -28,9 +28,10 @@ import (
 )
 
 // The contract suite: every test below runs the same cases against the
-// API mounted on a *serve.Server and on a 3-node *cluster.Cluster. What a
-// client can observe — status codes, headers, body bytes, JSON shapes — is
-// one contract, whichever serving tier answers behind it.
+// API mounted on a one-node *cluster.Cluster — sionserve's default — and
+// on a 3-node ring. What a client can observe — status codes, headers,
+// body bytes, JSON shapes — is one contract, however many nodes answer
+// behind it.
 
 // payload is the deterministic per-rank content of the test multifiles.
 func payload(rank, size int) []byte {
@@ -147,122 +148,60 @@ func (f *gateFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.File.ReadAt(p, off)
 }
 
-// fixture is the API over one backend plus the handles the tests steer
-// the backend with.
+// fixture is the API over one topology plus the handles the tests steer
+// its backend with.
 type fixture struct {
 	api   *API
+	c     *cluster.Cluster
 	h     http.Handler // api.Handler(), the middleware-wrapped mux
 	flaky *simfs.Flaky
 	gate  *gateFS
-
-	// outage500s is how many uncached reads answer 500 during an outage
-	// before the circuit opens: the threshold-2 breaker of a single
-	// server sees two no-retry failures first; the ring tries every
-	// replica inside one request, so it reports "all replicas down"
-	// (503) from the first.
-	outage500s int
-	// families maps /metrics family names to the value the backend's
-	// Stats reports for them.
-	families func() map[string]int64
-	// statsInto decodes a /stats body into the backend's own Stats type.
-	statsInto func(body []byte) error
-	// healthKey is the /healthz detail key.
-	healthKey string
 }
 
-// backends are the two serving tiers the suite runs against. mount gets
-// the decorated file system and the per-node serve config.
-var backends = []struct {
+// topologies are the cluster shapes the suite runs against: "server" is
+// one node, the topology sionserve runs by default; "cluster" is a 3-node
+// ring.
+var topologies = []struct {
 	name  string
-	mount func(t *testing.T, fsys fsio.FileSystem, name string, reg *obs.Registry, scfg serve.Config, fl *Flags) *fixture
-}{
-	{"server", func(t *testing.T, fsys fsio.FileSystem, name string, reg *obs.Registry, scfg serve.Config, fl *Flags) *fixture {
-		scfg.Metrics = reg
-		srv, err := serve.New(fsys, name, &scfg)
-		if err != nil {
-			t.Fatalf("serve.New: %v", err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		return &fixture{
-			api:        ForServer(srv, fl),
-			outage500s: 2,
-			healthKey:  "files",
-			statsInto: func(body []byte) error {
-				var st serve.Stats
-				return strictDecode(body, &st)
-			},
-			families: func() map[string]int64 {
-				st := srv.Stats()
-				return map[string]int64{
-					"serve_cache_hits_total":        st.Hits,
-					"serve_cache_misses_total":      st.Misses,
-					"serve_backend_reads_total":     st.BackendReads,
-					"serve_backend_bytes_total":     st.BackendBytes,
-					"serve_served_bytes_total":      st.ServedBytes,
-					"serve_handles_opened_total":    st.HandlesOpened,
-					"serve_cache_read_around_total": st.ReadAround,
-				}
-			},
-		}
-	}},
-	{"cluster", func(t *testing.T, fsys fsio.FileSystem, name string, reg *obs.Registry, scfg serve.Config, fl *Flags) *fixture {
-		c := cluster.New(&cluster.Config{Metrics: reg})
-		t.Cleanup(func() { c.Close() })
-		for i := 1; i <= 3; i++ {
-			if _, err := c.Join(fmt.Sprintf("n%d", i), fsys, name, &scfg); err != nil {
-				t.Fatalf("Join n%d: %v", i, err)
-			}
-		}
-		return &fixture{
-			api:        ForCluster(c, fl),
-			outage500s: 0,
-			healthKey:  "nodes",
-			statsInto: func(body []byte) error {
-				var st cluster.Stats
-				if err := strictDecode(body, &st); err != nil {
-					return err
-				}
-				if st.Nodes != 3 || len(st.PerNode) != 3 {
-					return fmt.Errorf("stats show %d nodes (%d per-node entries), want 3", st.Nodes, len(st.PerNode))
-				}
-				return nil
-			},
-			families: func() map[string]int64 {
-				st := c.Stats()
-				return map[string]int64{
-					"cluster_requests_total":        st.Requests,
-					"cluster_failovers_total":       st.Failovers,
-					"cluster_handles_opened_total":  st.HandlesOpened,
-					"serve_cache_hits_total":        st.Serve.Hits,
-					"serve_cache_misses_total":      st.Serve.Misses,
-					"serve_backend_reads_total":     st.Serve.BackendReads,
-					"serve_served_bytes_total":      st.Serve.ServedBytes,
-					"serve_cache_read_around_total": st.Serve.ReadAround,
-				}
-			},
-		}
-	}},
+	nodes int
+}{{"server", 1}, {"cluster", 3}}
+
+// families maps /metrics family names to the value the cluster's Stats
+// reports for them.
+func (f *fixture) families() map[string]int64 {
+	st := f.c.Stats()
+	return map[string]int64{
+		"cluster_requests_total":        st.Requests,
+		"cluster_failovers_total":       st.Failovers,
+		"cluster_handles_opened_total":  st.Serve.HandlesOpened,
+		"serve_cache_hits_total":        st.Serve.Hits,
+		"serve_cache_misses_total":      st.Serve.Misses,
+		"serve_backend_reads_total":     st.Serve.BackendReads,
+		"serve_backend_bytes_total":     st.Serve.BackendBytes,
+		"serve_served_bytes_total":      st.Serve.ServedBytes,
+		"serve_cache_read_around_total": st.Serve.ReadAround,
+	}
 }
 
 // strictDecode unmarshals a JSON body, rejecting fields the type lacks —
-// /stats is decoded by clients (bench/) into the backend's Stats type, so
-// a renamed or nested field is a wire break.
+// /stats is decoded by clients (bench/) into serve.Stats, so a renamed or
+// nested field is a wire break.
 func strictDecode(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
 
-// eachBackend runs fn as a subtest per backend over the multifile `name`
+// eachTopology runs fn as a subtest per topology over the multifile `name`
 // ("data" or "big"). The backend stack is serve → gate → flaky → fsio
 // meter → OS, with retries off (one failing request is one breaker
 // failure, so state walks stay exact) and a tight breaker. Each node's
 // cache holds fl.CacheMB MiB (0: serve's default).
-func eachBackend(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *fixture)) {
+func eachTopology(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *fixture)) {
 	t.Helper()
-	for _, b := range backends {
-		b := b
-		t.Run(b.name, func(t *testing.T) {
+	for _, tp := range topologies {
+		tp := tp
+		t.Run(tp.name, func(t *testing.T) {
 			osfs := fsio.NewOS(t.TempDir())
 			if name == "big" {
 				writeBig(t, osfs)
@@ -280,7 +219,7 @@ func eachBackend(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *f
 				parked:     make(chan struct{}, 1),
 				open:       make(chan struct{}),
 			}
-			f := b.mount(t, gate, name, reg, serve.Config{
+			scfg := serve.Config{
 				CacheBytes: fl.CacheMB << 20,
 				// One cache block per FS block: a block of rank B's then holds
 				// none of rank A's bytes (TestKeyIndexBuildsPerRank).
@@ -288,8 +227,15 @@ func eachBackend(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *f
 				Retry:            &resil.Budget{MaxAttempts: 1, Sleep: func(time.Duration) {}},
 				BreakerThreshold: 2,
 				BreakerCooldown:  3,
-			}, &fl)
-			f.flaky, f.gate = flaky, gate
+			}
+			c := cluster.New(&cluster.Config{Metrics: reg})
+			t.Cleanup(func() { c.Close() })
+			for i := 1; i <= tp.nodes; i++ {
+				if _, err := c.Join(fmt.Sprintf("n%d", i), gate, name, &scfg); err != nil {
+					t.Fatalf("Join n%d: %v", i, err)
+				}
+			}
+			f := &fixture{api: New(c, &fl), c: c, flaky: flaky, gate: gate}
 			f.h = f.api.Handler()
 			fn(t, f)
 		})
@@ -396,7 +342,7 @@ func TestRankWindows(t *testing.T) {
 		{"non-integer rank", "/rank/zzz", 400, nil},
 		{"unknown sub-path", "/rank/1/bogus", 404, nil},
 	}
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
 				rec := f.get(tc.url)
@@ -413,9 +359,11 @@ func TestRankWindows(t *testing.T) {
 
 // TestRanksAndStats pins the two JSON summaries: /ranks lists every rank
 // with its physical file and logical size; /stats decodes, strictly, into
-// the backend's own Stats type.
+// a flat serve.Stats whose ServedBytes moves by exactly the body bytes
+// clients received — the books bench/ keeps against sionserve — and whose
+// HandlesOpened counts the sessions the reads opened.
 func TestRanksAndStats(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		rec := f.get("/ranks")
 		if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
 			t.Fatalf("/ranks: status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
@@ -443,21 +391,45 @@ func TestRanksAndStats(t *testing.T) {
 			}
 		}
 
-		f.get("/rank/0") // so the counters are not all zero
-		rec = f.get("/stats")
-		if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
-			t.Fatalf("/stats: status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+		stats := func() serve.Stats {
+			t.Helper()
+			rec := f.get("/stats")
+			if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
+				t.Fatalf("/stats: status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+			}
+			var st serve.Stats
+			if err := strictDecode(rec.Body.Bytes(), &st); err != nil {
+				t.Fatalf("/stats body %s: %v", rec.Body.String(), err)
+			}
+			return st
 		}
-		if err := f.statsInto(rec.Body.Bytes()); err != nil {
-			t.Errorf("/stats body %s: %v", rec.Body.String(), err)
+		before := stats()
+		urls := []string{"/rank/0", "/rank/1?off=100&n=3000", "/rank/2?off=4990", "/rank/0?off=7&n=64"}
+		var received int64
+		for _, url := range urls {
+			rec := f.get(url)
+			if rec.Code != 200 {
+				t.Fatalf("%s: status %d", url, rec.Code)
+			}
+			received += int64(rec.Body.Len())
+		}
+		after := stats()
+		if got := after.ServedBytes - before.ServedBytes; got != received {
+			t.Errorf("/stats counted %d served bytes, the GETs received %d", got, received)
+		}
+		if got := after.HandlesOpened - before.HandlesOpened; got != int64(len(urls)) {
+			t.Errorf("/stats counted %d handles opened by %d reads", got, len(urls))
+		}
+		if after.Hits+after.Misses == 0 || after.BackendReads == 0 {
+			t.Errorf("/stats after the reads = %+v, want the cache counters moving", after)
 		}
 	})
 }
 
-// TestKeys pins the key-value paths on both backends (the router used to
-// answer them with 400 "bad rank").
+// TestKeys pins the key-value paths on both topologies (the router used
+// to answer them with 400 "bad rank").
 func TestKeys(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		rec := f.get(fmt.Sprintf("/rank/%d/keys", keyRankA))
 		if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
 			t.Fatalf("keys: status %d, Content-Type %q (body %q)", rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
@@ -498,7 +470,7 @@ func TestKeys(t *testing.T) {
 // index scan is parked inside a backend read, rank B's /keys (its blocks
 // already cached) must complete — a build holds only its own rank's lock.
 func TestKeyIndexBuildsPerRank(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		if rec := f.get(fmt.Sprintf("/rank/%d", keyRankB)); rec.Code != 200 {
 			t.Fatalf("warming rank %d: status %d", keyRankB, rec.Code)
 		}
@@ -533,8 +505,8 @@ func TestKeyIndexBuildsPerRank(t *testing.T) {
 // TestKeyIndexFailedBuildNotCached: an index scan interrupted by the
 // backend is an error for that request only; the next request rebuilds.
 func TestKeyIndexFailedBuildNotCached(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
-		phys := f.api.b.Layout().PhysicalName(0)
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+		phys := f.c.Layout().PhysicalName(0)
 		f.flaky.FailWindow(phys, f.flaky.FileOps(phys), 1<<40)
 		url := fmt.Sprintf("/rank/%d/keys", keyRankA)
 		if rec := f.get(url); rec.Code < 400 {
@@ -550,7 +522,7 @@ func TestKeyIndexFailedBuildNotCached(t *testing.T) {
 // TestReadOnlyMethods: the read endpoints answer only GET and HEAD;
 // anything else is 405 + Allow, never a served body.
 func TestReadOnlyMethods(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		for _, url := range []string{"/ranks", "/rank/0", "/rank/0?off=1&n=2",
 			fmt.Sprintf("/rank/%d/keys", keyRankA), fmt.Sprintf("/rank/%d/key/7", keyRankA),
 			"/stats", "/metrics", "/healthz"} {
@@ -598,7 +570,7 @@ func TestReadOnlyMethods(t *testing.T) {
 // TestPprofMount: the profiling endpoints exist only under -pprof.
 func TestPprofMount(t *testing.T) {
 	for _, on := range []bool{false, true} {
-		eachBackend(t, "data", Flags{Pprof: on}, func(t *testing.T, f *fixture) {
+		eachTopology(t, "data", Flags{Pprof: on}, func(t *testing.T, f *fixture) {
 			want := 404
 			if on {
 				want = 200
@@ -610,24 +582,28 @@ func TestPprofMount(t *testing.T) {
 	}
 }
 
-// TestHealthzOK: a healthy backend is 200/"ok" with its breaker detail
-// under the backend's key, every circuit closed.
+// TestHealthzOK: a healthy cluster is 200/"ok" with one breaker entry per
+// node, every circuit closed.
 func TestHealthzOK(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		rec := f.get("/healthz")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("healthy /healthz = %d, want 200", rec.Code)
 		}
-		var body map[string]json.RawMessage
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatalf("healthz body: %v", err)
+		var body struct {
+			Status string               `json:"status"`
+			Nodes  []cluster.NodeHealth `json:"nodes"`
 		}
-		if string(body["status"]) != `"ok"` || len(body) != 2 {
-			t.Fatalf("healthz body %s; want status ok plus one detail key", rec.Body.String())
+		if err := strictDecode(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("healthz body %s: %v", rec.Body.String(), err)
 		}
-		var detail []json.RawMessage
-		if err := json.Unmarshal(body[f.healthKey], &detail); err != nil || len(detail) == 0 {
-			t.Fatalf("healthz %q detail %s (err %v), want a non-empty list", f.healthKey, body[f.healthKey], err)
+		if body.Status != "ok" || len(body.Nodes) != len(f.c.NodeIDs()) {
+			t.Fatalf("healthz body %s; want status ok and one entry per node", rec.Body.String())
+		}
+		for _, n := range body.Nodes {
+			if n.Degraded || len(n.Files) == 0 {
+				t.Fatalf("healthz node %+v; want a healthy node listing its files", n)
+			}
 		}
 		if n := strings.Count(rec.Body.String(), `"state": "closed"`); n == 0 || strings.Contains(rec.Body.String(), `"state": "open"`) {
 			t.Fatalf("healthz body %s; want every circuit closed", rec.Body.String())
@@ -635,25 +611,24 @@ func TestHealthzOK(t *testing.T) {
 	})
 }
 
-// TestDegraded503 walks an outage: uncached reads fail (500 until the
-// circuit opens, then 503 + Retry-After naming the condition), cached
+// TestDegraded503 walks an outage: uncached reads fail (503 + Retry-After
+// naming the condition), cached
 // reads keep answering 200, /healthz flips to 503; after the outage the
 // half-open probe closes the circuit and /healthz returns to 200.
 func TestDegraded503(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		const cached, uncached = "/rank/0?off=0&n=64", "/rank/0?off=4600&n=64"
 		warm := f.get(cached)
 		wantBody(t, cached, warm, payload(0, perRank)[:64])
-		phys := f.api.b.Layout().PhysicalName(0)
+		phys := f.c.Layout().PhysicalName(0)
 		f.flaky.FailWindow(phys, f.flaky.FileOps(phys), 1<<40)
 
+		// The router fails a read over past every node it could go to, so
+		// the first failed read already reports them all down (503), before
+		// the threshold-2 breaker opens.
 		for i := 0; i < 2; i++ {
-			want := http.StatusServiceUnavailable
-			if i < f.outage500s {
-				want = http.StatusInternalServerError
-			}
-			if rec := f.get(uncached); rec.Code != want {
-				t.Fatalf("outage read %d = %d, want %d", i, rec.Code, want)
+			if rec := f.get(uncached); rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("outage read %d = %d, want 503", i, rec.Code)
 			}
 		}
 
@@ -710,7 +685,7 @@ func TestStreamsLargeRank(t *testing.T) {
 			full[serveChunk-100 : 2*serveChunk+100]},
 		{"tail remainder", fmt.Sprintf("/rank/0?off=%d", 2*serveChunk), full[2*serveChunk:]},
 	}
-	eachBackend(t, "big", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "big", Flags{}, func(t *testing.T, f *fixture) {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
 				wantBody(t, tc.url, f.get(tc.url), tc.want)
@@ -729,12 +704,12 @@ func (d *discardWriter) WriteHeader(int)             {}
 
 // TestWindowReadAllocatesNoBody pins the pooled body buffer: a warm
 // 64 KiB window read allocates request bookkeeping only — well under a
-// quarter of the body — on both backends.
+// quarter of the body — on both topologies.
 func TestWindowReadAllocatesNoBody(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
-	eachBackend(t, "big", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "big", Flags{}, func(t *testing.T, f *fixture) {
 		const url = "/rank/0?off=4096&n=65536"
 		wantBody(t, url, f.get(url), payload(0, int(bigBytes))[4096:4096+65536]) // and warms the cache
 		f.captureLog()
@@ -773,7 +748,7 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 // line is out, a failed body write must be logged and the stream cut
 // short — not silently dropped, and never a second WriteHeader.
 func TestWriteErrorLogged(t *testing.T) {
-	eachBackend(t, "big", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "big", Flags{}, func(t *testing.T, f *fixture) {
 		logs := f.captureLog()
 		rec := httptest.NewRecorder()
 		w := &failAfterWriter{ResponseWriter: rec, remaining: 1}
@@ -795,7 +770,7 @@ func TestWriteErrorLogged(t *testing.T) {
 // unencodable value becomes a 500 (nothing was written yet), and a failed
 // write of a good payload is logged.
 func TestWriteJSONErrorsChecked(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		logs := f.captureLog()
 		rec := httptest.NewRecorder()
 		f.api.WriteJSON(rec, make(chan int)) // not marshalable
@@ -818,7 +793,7 @@ func TestWriteJSONErrorsChecked(t *testing.T) {
 // TestRequestIDEcho pins the middleware header contract: a fresh ID is
 // assigned when the client sends none, and a client-sent ID is adopted.
 func TestRequestIDEcho(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		if id := f.get("/rank/0").Header().Get(obs.RequestIDHeader); len(id) != 16 {
 			t.Errorf("generated request ID %q, want 16 hex chars", id)
 		}
@@ -836,7 +811,7 @@ func TestRequestIDEcho(t *testing.T) {
 // nanosecond so every request logs, and checks the trail: a cold read
 // leaves backend_read crumbs, a warm re-read cache_hit crumbs.
 func TestSlowRequestLogCarriesCrumbs(t *testing.T) {
-	eachBackend(t, "data", Flags{SlowMs: 500}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{SlowMs: 500}, func(t *testing.T, f *fixture) {
 		if f.api.Slow != 500*time.Millisecond {
 			t.Fatalf("Slow = %v from -slow-ms 500", f.api.Slow)
 		}
@@ -894,7 +869,7 @@ func familySum(t *testing.T, body, family string) int64 {
 
 // TestMetricsMatchesStats seeds a workload and pins the acceptance
 // contract: /metrics parses cleanly (obs.CheckExposition) and its
-// families agree exactly with the backend's Stats snapshot — they are
+// families agree exactly with the cluster's Stats snapshot — they are
 // the same instruments. (CI runs this as its exposition smoke test.)
 func TestMetricsMatchesStats(t *testing.T) {
 	checkMetricsMatchStats(t, "data", Flags{}, rawRanks)
@@ -908,7 +883,7 @@ func TestMetricsMatchesStatsWhenCachesFill(t *testing.T) {
 }
 
 func checkMetricsMatchStats(t *testing.T, name string, fl Flags, ranks int) {
-	eachBackend(t, name, fl, func(t *testing.T, f *fixture) {
+	eachTopology(t, name, fl, func(t *testing.T, f *fixture) {
 		for i := 0; i < 2; i++ { // second pass hits the warmed cache
 			for r := 0; r < ranks; r++ {
 				if rec := f.get("/rank/" + strconv.Itoa(r)); rec.Code != 200 {
@@ -950,10 +925,10 @@ func checkMetricsMatchStats(t *testing.T, name string, fl Flags, ranks int) {
 }
 
 // TestRunDrainsAndCloses pins the life cycle: Run serves until its context
-// ends, lets the in-flight request finish, then closes the backend; a
-// listen failure is returned (and the backend closed) instead.
+// ends, lets the in-flight request finish, then closes the cluster; a
+// listen failure is returned (and the cluster closed) instead.
 func TestRunDrainsAndCloses(t *testing.T) {
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -1013,14 +988,14 @@ func TestRunDrainsAndCloses(t *testing.T) {
 		if err := <-ran; err != nil {
 			t.Errorf("Run after a clean drain: %v", err)
 		}
-		if h, err := f.api.b.Open(0); err == nil {
+		if h, err := f.c.Open(0); err == nil {
 			if _, err := h.ReadLogicalAt(make([]byte, 8), 0); err == nil {
-				t.Error("backend still serves reads after Run returned")
+				t.Error("the cluster still serves reads after Run returned")
 			}
 		}
 	})
 
-	eachBackend(t, "data", Flags{}, func(t *testing.T, f *fixture) {
+	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		if err := f.api.Run(context.Background(), "test", "256.0.0.1:http"); err == nil {
 			t.Error("Run on an unusable address returned nil")
 		}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/serve"
 )
 
-// Flags are the command-line flags sionserve and sionrouter share.
+// Flags are sionserve's command-line flags, -nodes aside.
 type Flags struct {
 	Addr    string // -addr
 	CacheMB int64  // -cache-mb
@@ -34,9 +34,9 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return fl
 }
 
-// ServeConfig is the serve.Config of one node under these flags. The
-// caller adds the metrics registry: sionserve sets Metrics, sionrouter
-// leaves that to cluster.Join (which labels each node).
+// ServeConfig is the serve.Config of one node under these flags. It names
+// no metrics registry: cluster.Join sets the cluster's, labeling each
+// node.
 func (fl *Flags) ServeConfig() *serve.Config {
 	return &serve.Config{
 		CacheBytes: fl.CacheMB << 20,

@@ -1,8 +1,8 @@
-// Package httpapi is the read-side HTTP contract of the serving tier,
-// implemented once for both front ends: cmd/sionserve mounts it on a
-// *serve.Server, cmd/sionrouter on a *cluster.Cluster (adding only its
-// /cluster routes to the same mux). The two backends hand out the same
-// serve.Handle, so everything below is written against that.
+// Package httpapi is the read-side HTTP contract of the serving tier: an
+// API over a *cluster.Cluster, which cmd/sionserve runs with one serve
+// node by default and with -nodes N on a hash ring (adding only its
+// /cluster routes to the same mux). The cluster hands out serve.Handles,
+// so everything below is written against those.
 //
 // Endpoints (GET or HEAD; any other method is 405 with an Allow header):
 //
@@ -15,15 +15,15 @@
 //	                        exact and the body streams in bounded chunks
 //	/rank/<r>/keys          JSON list of the rank's record keys
 //	/rank/<r>/key/<k>       concatenated payload of key k's records
-//	/stats                  JSON counters (serve.Stats for sionserve,
-//	                        cluster.Stats for sionrouter)
-//	/metrics                Prometheus text exposition of the backend's
+//	/stats                  JSON serve.Stats, summed over the nodes
+//	                        (HandlesOpened is the router's count); the
+//	                        routing counters are on /metrics
+//	/metrics                Prometheus text exposition of the cluster's
 //	                        registry — the same instruments /stats reads
 //	/healthz                breaker state: 200 "ok", or 503 "degraded"
-//	                        with Retry-After (sionserve: any physical
-//	                        file's circuit is open; sionrouter: every
-//	                        node is degraded — single nodes are routed
-//	                        around, not surfaced)
+//	                        with Retry-After once every node is degraded
+//	                        (single nodes of a ring are routed around, not
+//	                        surfaced); the body lists each node's files
 //	/debug/pprof/           net/http/pprof, only with -pprof
 //
 // Every response echoes an X-Request-ID (adopted from the request or
@@ -34,13 +34,13 @@
 // Degraded contract: backend span reads retry transient faults under a
 // bounded budget (-retries) and each physical file sits behind a circuit
 // breaker. While a circuit is open, reads the cache can satisfy keep
-// succeeding; a read that needs the degraded backend (for the router:
-// that lost every ring replica) answers 503 Service Unavailable with a
-// Retry-After hint. Any other read failure is a 500.
+// succeeding; a read that needs the degraded backend on every node it
+// could go to answers 503 Service Unavailable with a Retry-After hint.
+// Any other read failure is a 500.
 //
-// Drain contract (Run): when the context ends — the commands tie it to
+// Drain contract (Run): when the context ends — sionserve ties it to
 // SIGINT/SIGTERM — the listener stops accepting, in-flight requests drain
-// under a deadline, then the backend is closed.
+// under a deadline, then the cluster is closed.
 package httpapi
 
 import (
@@ -63,22 +63,10 @@ import (
 	"repro/internal/serve"
 )
 
-// Backend is what the shared handlers need from a serving tier; both
-// *serve.Server and *cluster.Cluster have it. Their Stats and Health
-// differ only in payload type, so the constructors below capture those as
-// opaque JSON values.
-type Backend interface {
-	Open(rank int) (*serve.Handle, error)
-	Layout() *sion.Layout
-	Degraded() bool
-	Metrics() *obs.Registry
-	Close() error
-}
-
-// API is one mounted front end.
+// API is the front end mounted on one cluster.
 type API struct {
 	// Mux is the handler table. Callers may register further routes on it
-	// (sionrouter adds /cluster) before Handler or Run.
+	// (sionserve adds /cluster) before Handler or Run.
 	Mux *http.ServeMux
 	// Log reports what can no longer become an HTTP error — response
 	// writes failing after the status line is committed — plus the
@@ -87,53 +75,26 @@ type API struct {
 	// Slow is the slow-request log threshold (0 disables).
 	Slow time.Duration
 
-	b      Backend
-	stats  func() any              // /stats payload
-	health func(status string) any // /healthz payload
+	c *cluster.Cluster
 
 	mu   sync.Mutex
 	keys map[int]*keyIndex // per-rank key indexes, shared by clients
 }
 
-// ForServer mounts the API on a single serve node.
-func ForServer(s *serve.Server, fl *Flags) *API {
-	return newAPI(s, fl,
-		func() any { return s.Stats() },
-		func(status string) any {
-			return struct {
-				Status string             `json:"status"`
-				Files  []serve.FileHealth `json:"files"`
-			}{status, s.Health()}
-		})
-}
-
-// ForCluster mounts the API on a cluster router.
-func ForCluster(c *cluster.Cluster, fl *Flags) *API {
-	return newAPI(c, fl,
-		func() any { return c.Stats() },
-		func(status string) any {
-			return struct {
-				Status string               `json:"status"`
-				Nodes  []cluster.NodeHealth `json:"nodes"`
-			}{status, c.Health()}
-		})
-}
-
-func newAPI(b Backend, fl *Flags, stats func() any, health func(string) any) *API {
+// New mounts the API on c.
+func New(c *cluster.Cluster, fl *Flags) *API {
 	a := &API{
-		Mux:    http.NewServeMux(),
-		Log:    slog.New(slog.NewTextHandler(os.Stderr, nil)),
-		Slow:   time.Duration(fl.SlowMs) * time.Millisecond,
-		b:      b,
-		stats:  stats,
-		health: health,
-		keys:   make(map[int]*keyIndex),
+		Mux:  http.NewServeMux(),
+		Log:  slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		Slow: time.Duration(fl.SlowMs) * time.Millisecond,
+		c:    c,
+		keys: make(map[int]*keyIndex),
 	}
-	a.Mux.HandleFunc("/ranks", readOnly(a.handleRanks))
-	a.Mux.HandleFunc("/rank/", readOnly(a.handleRank))
-	a.Mux.HandleFunc("/stats", readOnly(func(w http.ResponseWriter, _ *http.Request) { a.WriteJSON(w, a.stats()) }))
-	a.Mux.HandleFunc("/metrics", readOnly(obs.Handler(b.Metrics()).ServeHTTP))
-	a.Mux.HandleFunc("/healthz", readOnly(a.handleHealthz))
+	a.Mux.HandleFunc("/ranks", ReadOnly(a.handleRanks))
+	a.Mux.HandleFunc("/rank/", ReadOnly(a.handleRank))
+	a.Mux.HandleFunc("/stats", ReadOnly(func(w http.ResponseWriter, _ *http.Request) { a.WriteJSON(w, c.Stats().Serve) }))
+	a.Mux.HandleFunc("/metrics", ReadOnly(obs.Handler(c.Metrics()).ServeHTTP))
+	a.Mux.HandleFunc("/healthz", ReadOnly(a.handleHealthz))
 	if fl.Pprof {
 		obs.MountPprof(a.Mux)
 	}
@@ -151,9 +112,9 @@ func (a *API) Handler() http.Handler {
 const shutdownTimeout = 10 * time.Second
 
 // Run serves on addr until ctx ends, then stops accepting, drains
-// in-flight requests under shutdownTimeout and closes the backend (its
-// file handles). It returns the listener's error if serving
-// stopped for any other reason; the backend is closed either way. prog
+// in-flight requests under shutdownTimeout and closes the cluster (its
+// nodes' file handles). It returns the listener's error if serving
+// stopped for any other reason; the cluster is closed either way. prog
 // prefixes the progress and error lines.
 func (a *API) Run(ctx context.Context, prog, addr string) error {
 	httpSrv := &http.Server{Addr: addr, Handler: a.Handler()}
@@ -161,7 +122,7 @@ func (a *API) Run(ctx context.Context, prog, addr string) error {
 	go func() { served <- httpSrv.ListenAndServe() }()
 	select {
 	case err := <-served:
-		a.b.Close()
+		a.c.Close()
 		return err
 	case <-ctx.Done():
 	}
@@ -172,14 +133,15 @@ func (a *API) Run(ctx context.Context, prog, addr string) error {
 		fmt.Fprintln(os.Stderr, prog+": drain:", err)
 	}
 	<-served // http.ErrServerClosed, by Shutdown
-	if err := a.b.Close(); err != nil {
+	if err := a.c.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, prog+": close:", err)
 	}
 	return nil
 }
 
-// readOnly answers anything but GET and HEAD with 405.
-func readOnly(h http.HandlerFunc) http.HandlerFunc {
+// ReadOnly answers anything but GET and HEAD with 405 + Allow; every
+// endpoint of the API, and sionserve's GET /cluster, is wrapped in it.
+func ReadOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", "GET, HEAD")
@@ -209,19 +171,22 @@ func httpError(w http.ResponseWriter, err error) {
 }
 
 // handleHealthz keys readiness off the status code alone: 200 while the
-// backend is healthy, 503 + Retry-After while it is degraded.
+// cluster can serve, 503 + Retry-After while every node is degraded.
 func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := "ok"
-	if a.b.Degraded() {
+	if a.c.Degraded() {
 		status = "degraded"
 		w.Header().Set("Retry-After", retryAfterSecs)
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	a.WriteJSON(w, a.health(status))
+	a.WriteJSON(w, struct {
+		Status string               `json:"status"`
+		Nodes  []cluster.NodeHealth `json:"nodes"`
+	}{status, a.c.Health()})
 }
 
 func (a *API) handleRanks(w http.ResponseWriter, _ *http.Request) {
-	l := a.b.Layout()
+	l := a.c.Layout()
 	type rankInfo struct {
 		Rank  int   `json:"rank"`
 		File  int   `json:"file"`
@@ -248,7 +213,7 @@ func (a *API) handleRank(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad rank", http.StatusBadRequest)
 		return
 	}
-	h, err := a.b.Open(rank)
+	h, err := a.c.Open(rank)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return

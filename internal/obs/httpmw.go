@@ -13,8 +13,8 @@ import (
 // the response echoes it.
 const RequestIDHeader = "X-Request-ID"
 
-// HTTPMiddleware wraps next with the request-scoped observability both
-// HTTP front ends (sionserve, sionrouter) share:
+// HTTPMiddleware wraps next with the request-scoped observability of the
+// HTTP front end (internal/httpapi, served by sionserve):
 //
 //   - assigns or adopts an X-Request-ID and echoes it on the response,
 //   - attaches a Span to the request context so handlers can thread it

@@ -4,8 +4,8 @@
 // and the HTTP middleware that logs slow requests. Every hot layer — the
 // fsio backends, the read-serving tier (internal/serve), and the cluster
 // router (internal/cluster) — registers its instrument families here, and the
-// HTTP front ends (cmd/sionserve, cmd/sionrouter) expose one registry per
-// process as Prometheus text exposition on GET /metrics.
+// HTTP front end (cmd/sionserve) exposes one registry per process as
+// Prometheus text exposition on GET /metrics.
 //
 // obs measures the serving system itself — cache hit rates, backend read
 // latencies, retry budgets — the way CkIO and TASIO instrument their I/O

@@ -14,7 +14,7 @@ import (
 // any unit of work), threaded down through cluster → serve → its miss
 // path → backend so the layers can record what actually happened to the
 // request — cache hits, peer fills, backend reads, retries. The slow-request log
-// in the HTTP front ends prints the trail when a request exceeds its
+// in the HTTP front end prints the trail when a request exceeds its
 // latency budget, answering "why was this one slow?" without sampling
 // profilers.
 //

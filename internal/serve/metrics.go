@@ -9,7 +9,7 @@ import (
 
 // serverMetrics is the Server's instrument set, registered in one
 // obs.Registry. The server's counters live here — Stats() is a snapshot
-// of these instruments, and GET /metrics in the HTTP front ends is the
+// of these instruments, and GET /metrics in the HTTP front end is the
 // same registry in Prometheus text form, so the two surfaces can never
 // disagree.
 //

@@ -537,9 +537,9 @@ type FileHealth struct {
 	Opens int64 `json:"opens"`
 }
 
-// Health reports per-physical-file breaker state, the substance of
-// sionserve's /healthz endpoint. With breakers disabled every file
-// reports closed.
+// Health reports per-physical-file breaker state, the substance of the
+// HTTP API's /healthz endpoint (per node, via cluster.Health). With
+// breakers disabled every file reports closed.
 func (s *Server) Health() []FileHealth {
 	out := make([]FileHealth, len(s.physNames))
 	for k, path := range s.physNames {
