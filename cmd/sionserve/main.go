@@ -4,10 +4,10 @@
 // reads between the clients and the file system. With one node, the
 // default, every request window goes to that node whole. With more,
 // 256 KiB granules are consistent-hashed across the nodes, a read is one
-// node call per granule it touches, the hottest blocks are replicated to
-// ring successors, and nodes fill their caches from each other before
-// touching the backend — one process, but the cluster data path (ring
-// routing, peer fill, failover) that a multi-host deployment would use.
+// node call per granule it touches, and nodes fill their caches from each
+// other before touching the backend — one process, but the cluster data
+// path (ring routing, peer fill, failover) that a multi-host deployment
+// would use.
 //
 // Usage:
 //
@@ -18,12 +18,9 @@
 // Retry-After) contract and the SIGINT/SIGTERM drain are internal/httpapi's;
 // its package comment is the reference. sionserve adds:
 //
-//	GET  /cluster                membership and hot-set summary
+//	GET  /cluster                membership
 //	POST /cluster/join?id=<id>   add a serve node to the ring
 //	POST /cluster/leave?id=<id>  drain a node off the ring
-//	POST /cluster/rebalance      replicate the current hot set now
-//
-// A hot-set rebalance also runs on a background ticker.
 //
 // The multifile must be complete (written and closed); serving a file
 // still being written is out of scope for the cache's consistency model.
@@ -38,7 +35,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/backendflag"
 	"repro/internal/cluster"
@@ -57,8 +53,6 @@ type router struct {
 	name string
 	scfg *serve.Config
 }
-
-const rebalanceEvery = 5 * time.Second
 
 func main() {
 	fl := httpapi.RegisterFlags(flag.CommandLine)
@@ -82,22 +76,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	// Hot blocks drift with the workload; fold fresh LRU hit reports into
-	// ring replicas on a fixed cadence (and on demand via the endpoint).
-	go func() {
-		t := time.NewTicker(rebalanceEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				rt.c.RebalanceHot()
-			}
-		}
-	}()
-
 	fmt.Printf("sionserve: serving %s (%d ranks, %d physical files, %d nodes, %d-byte cache blocks) on %s\n",
 		rt.name, rt.c.Layout().NTasks(), rt.c.Layout().NumFiles(), *nodes, rt.c.BlockBytes(), fl.Addr)
 	if err := rt.api.Run(ctx, "sionserve", fl.Addr); err != nil {
@@ -116,7 +94,7 @@ func main() {
 // tests drive the handlers through httptest without a listener.
 func newRouter(fl *httpapi.Flags, fsys fsio.FileSystem, reg *obs.Registry, name string, nodes int) (*router, error) {
 	rt := &router{
-		c:    cluster.New(&cluster.Config{Metrics: reg}),
+		c:    cluster.New(reg),
 		fsys: fsys,
 		name: name,
 		scfg: fl.ServeConfig(),
@@ -133,15 +111,14 @@ func newRouter(fl *httpapi.Flags, fsys fsio.FileSystem, reg *obs.Registry, name 
 	return rt, nil
 }
 
-// handleCluster summarizes membership and the tracked hot set.
+// handleCluster reports the membership.
 func (rt *router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	rt.api.WriteJSON(w, struct {
-		Nodes      []string `json:"nodes"`
-		HotTracked int      `json:"hot_tracked"`
-	}{Nodes: rt.c.NodeIDs(), HotTracked: rt.c.HotTracked()})
+		Nodes []string `json:"nodes"`
+	}{Nodes: rt.c.NodeIDs()})
 }
 
-// handleClusterOp routes POST /cluster/{join,leave,rebalance}.
+// handleClusterOp routes POST /cluster/{join,leave}?id=<id>.
 func (rt *router) handleClusterOp(w http.ResponseWriter, r *http.Request) {
 	op := strings.TrimPrefix(r.URL.Path, "/cluster/")
 	if r.Method != http.MethodPost {
@@ -149,8 +126,12 @@ func (rt *router) handleClusterOp(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster operations are POSTs", http.StatusMethodNotAllowed)
 		return
 	}
+	if op != "join" && op != "leave" {
+		http.NotFound(w, r)
+		return
+	}
 	id := r.URL.Query().Get("id")
-	if id == "" && (op == "join" || op == "leave") {
+	if id == "" {
 		http.Error(w, op+" needs ?id=", http.StatusBadRequest)
 		return
 	}
@@ -165,14 +146,6 @@ func (rt *router) handleClusterOp(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-	case "rebalance":
-		rt.api.WriteJSON(w, struct {
-			Replicated int `json:"replicated"`
-		}{Replicated: rt.c.RebalanceHot()})
-		return
-	default:
-		http.NotFound(w, r)
-		return
 	}
 	rt.handleCluster(w, r)
 }

@@ -156,9 +156,9 @@ func TestFlagsWireTheTopology(t *testing.T) {
 }
 
 // TestRouterClusterOps drives the membership endpoints: join grows the
-// ring, duplicate joins conflict, leave shrinks it, unknown leaves 404,
-// non-POSTs 405, GET /cluster is read-only, and reads stay byte-identical
-// across the churn.
+// ring, duplicate joins conflict and leave /metrics agreeing with /stats,
+// leave shrinks the ring, unknown leaves and ops 404, non-POSTs 405, GET
+// /cluster is read-only, and reads stay byte-identical across the churn.
 func TestRouterClusterOps(t *testing.T) {
 	const perRank = 5000
 	_, h := newTestRouter(t, 3, perRank, 3)
@@ -188,11 +188,28 @@ func TestRouterClusterOps(t *testing.T) {
 	} else if got := members(rec); len(got) != 4 {
 		t.Fatalf("post-join membership %v, want 4 nodes", got)
 	}
-	if rec := do(h, "POST", "/cluster/join?id=n4"); rec.Code != http.StatusConflict {
-		t.Errorf("duplicate join: status %d, want 409", rec.Code)
-	}
 	if rec := do(h, "GET", "/rank/2"); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), full) {
 		t.Errorf("read after join: status %d, %d bytes", rec.Code, rec.Body.Len())
+	}
+	// A refused join leaves the live node's instruments alone: /metrics
+	// still says what /stats says.
+	for _, id := range members(do(h, "GET", "/cluster")) {
+		if rec := do(h, "POST", "/cluster/join?id="+id); rec.Code != http.StatusConflict {
+			t.Errorf("duplicate join of %s: status %d, want 409", id, rec.Code)
+		}
+	}
+	var st serve.Stats
+	if err := json.Unmarshal(do(h, "GET", "/stats").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	metrics := do(h, "GET", "/metrics").Body.String()
+	for family, want := range map[string]int64{
+		"serve_served_bytes_total":   st.ServedBytes,
+		"serve_cache_resident_bytes": st.CachedBytes,
+	} {
+		if got := familySum(t, metrics, family); got != want || want == 0 {
+			t.Errorf("after refused joins %s sums to %d in /metrics, /stats says %d", family, got, want)
+		}
 	}
 
 	if rec := do(h, "POST", "/cluster/leave?id=n4"); rec.Code != 200 {
@@ -213,17 +230,30 @@ func TestRouterClusterOps(t *testing.T) {
 	if rec := do(h, "GET", "/cluster/join?id=n5"); rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "POST" {
 		t.Errorf("GET join: status %d (Allow %q), want 405 allowing POST", rec.Code, rec.Header().Get("Allow"))
 	}
-	if rec := do(h, "POST", "/cluster/frobnicate"); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown op: status %d, want 404", rec.Code)
+	for _, op := range []string{"frobnicate", "rebalance"} {
+		if rec := do(h, "POST", "/cluster/"+op); rec.Code != http.StatusNotFound {
+			t.Errorf("unknown op %s: status %d, want 404", op, rec.Code)
+		}
 	}
-	var reb struct {
-		Replicated int `json:"replicated"`
+}
+
+// familySum totals every sample of one family in a /metrics body.
+func familySum(t *testing.T, body, family string) int64 {
+	t.Helper()
+	var sum int64
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok || !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{") {
+			continue // another family, or a longer name sharing this prefix
+		}
+		fields := strings.Fields(rest)
+		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		sum += int64(v)
 	}
-	if rec := do(h, "POST", "/cluster/rebalance"); rec.Code != 200 {
-		t.Errorf("rebalance: status %d", rec.Code)
-	} else if err := json.Unmarshal(rec.Body.Bytes(), &reb); err != nil {
-		t.Errorf("rebalance body %q: %v", rec.Body.String(), err)
-	}
+	return sum
 }
 
 // TestRouterHealthzAndStats pins what the JSON surfaces and the routing

@@ -1,14 +1,14 @@
 // Package cluster scales the read-serving tier (internal/serve)
 // horizontally: a Cluster is a router that consistent-hashes
-// (physical file, granule) across N serve nodes on a hash ring,
-// replicates the hottest blocks to K nodes, and lets nodes fill their
-// caches from each other before falling back to the backend — so a block
-// is read from the file system once per cluster, not once per node. This
-// is the aggregator/broadcast structure of collective-buffering models
-// (Zhang et al., arXiv:0901.0134) and CkIO's over-decomposed reader layer
-// (arXiv:2411.18593) applied to the serving tier: the tab6 zipfian
-// workload that melts one node spreads across the ring, and the working
-// set is cached once cluster-wide instead of once per node.
+// (physical file, granule) across N serve nodes on a hash ring and lets
+// nodes fill their caches from each other before falling back to the
+// backend — so a block is read from the file system once per cluster, not
+// once per node. This is the aggregator/broadcast structure of
+// collective-buffering models (Zhang et al., arXiv:0901.0134) and CkIO's
+// over-decomposed reader layer (arXiv:2411.18593) applied to the serving
+// tier: the tab6 zipfian workload that melts one node spreads across the
+// ring, and the working set is cached once cluster-wide instead of once
+// per node.
 //
 // The ownership rule: a granule is the unit of placement, a run is the
 // unit of routing, a block stays the unit of caching. A granule is
@@ -19,7 +19,7 @@
 // there — a node that misses sees all of a run's blocks in one fetch and
 // fuses them into one backend span.
 //
-// Four mechanisms do the work:
+// Three mechanisms do the work:
 //
 //   - Consistent-hash routing (ring.go): every granule has a primary node
 //     and a deterministic successor order. A node joining or leaving
@@ -27,17 +27,10 @@
 //     surviving caches stay hot across membership churn.
 //   - Peer cache fill: when a read misses on a node, the node's
 //     serve.Config.PeerFill hook asks the other nodes' Peek (a passive
-//     cache-only lookup that copies a resident block into the asker's
+//     cache-only lookup that copies a resident range into the asker's
 //     buffer), in the granule's ring order, before the reader touches the
 //     backend. A block that any node already holds spreads through the
 //     cluster without another backend read.
-//   - Hot-block replication: RebalanceHot merges the nodes' shard-LRU hit
-//     reports (serve.HotBlocks), tracks the hottest blocks, and
-//     pre-materializes them on the first ReplicateHot ring successors of
-//     their granule (cheap, via peer fill). While the hot set is
-//     non-empty a run is also cut where hotness flips, and a stretch of
-//     consecutive hot blocks rotates across those replicas as one run
-//     instead of hammering the primary.
 //   - Failure routing: nodes expose their breaker state (serve.Health,
 //     serve.Degraded); the router tries healthy replicas first and fails
 //     a whole run over past open-circuit, closed, or transiently failing
@@ -71,52 +64,6 @@ var ErrNoNodes = errors.New("cluster: no serving nodes")
 // ErrClusterClosed is returned (wrapped) by operations after Close.
 var ErrClusterClosed = errors.New("cluster: cluster is closed")
 
-// hotSetCap caps the tracked hot set, in blocks.
-const hotSetCap = 256
-
-// Config tunes a Cluster. The zero value (or nil) picks the defaults.
-type Config struct {
-	// VNodes is the number of virtual ring points per node (default 64).
-	// More points smooth the block split across nodes at the cost of a
-	// larger ring.
-	VNodes int
-
-	// ReplicateHot is the number of ring successors a hot block is
-	// replicated to, including its primary (default 2; 1 disables
-	// replication). Reads of a hot block rotate across its replicas.
-	ReplicateHot int
-
-	// HotMinHits is the per-entry cache hit count at which a block counts
-	// as hot when RebalanceHot merges the nodes' shard-LRU reports
-	// (default 64).
-	HotMinHits int64
-
-	// Metrics, when non-nil, is the obs registry the cluster and every
-	// node joined to it register their instruments in (nil gives the
-	// cluster a private registry, reachable via Metrics()). Nodes'
-	// serve families are labeled node=<id>; the router's cluster_*
-	// families are unlabeled. Don't register unlabeled serve.Servers in
-	// the same registry — the family label-key check panics.
-	Metrics *obs.Registry
-}
-
-func resolveConfig(cfg *Config) Config {
-	var c Config
-	if cfg != nil {
-		c = *cfg
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.ReplicateHot <= 0 {
-		c.ReplicateHot = 2
-	}
-	if c.HotMinHits <= 0 {
-		c.HotMinHits = 64
-	}
-	return c
-}
-
 // Node is one serve instance on the ring.
 type Node struct {
 	ID  string
@@ -126,15 +73,6 @@ type Node struct {
 // Server returns the node's underlying serve.Server (its stats, health,
 // and cache surface).
 func (n *Node) Server() *serve.Server { return n.srv }
-
-type hotKey struct {
-	file  int
-	block int64
-}
-
-// hotSet is one immutable snapshot of the tracked hot blocks; RebalanceHot
-// publishes a fresh one (nil when nothing is hot).
-type hotSet map[hotKey]struct{}
 
 // view is one routing snapshot: the membership, its ring and what the
 // first Join fixed. It is immutable once published.
@@ -151,16 +89,10 @@ type view struct {
 // Cluster routes reads across serve nodes on a consistent-hash ring. See
 // the package documentation for the mechanism.
 type Cluster struct {
-	cfg Config
-
 	// Readers load view and take no lock; Join, Leave and Close publish a
 	// new one under mu, which only orders them.
 	mu   sync.Mutex
 	view atomic.Pointer[view] // never nil
-
-	hot atomic.Pointer[hotSet] // nil = nothing hot: a read pays one load
-
-	rr atomic.Uint64 // rotates hot runs across their replicas
 
 	// m holds the routing counters as obs instruments (Stats() reads
 	// them); the same registry carries every node's serve families,
@@ -170,11 +102,16 @@ type Cluster struct {
 
 var _ serve.FileReaderAt = (*Cluster)(nil)
 
-// New builds an empty cluster; Join adds serve nodes to it.
-func New(cfg *Config) *Cluster {
-	c := &Cluster{cfg: resolveConfig(cfg)}
+// New builds an empty cluster; Join adds serve nodes to it. reg is the
+// obs registry the cluster and every node joined to it register their
+// instruments in (nil gives the cluster a private registry, reachable via
+// Metrics()). Nodes' serve families are labeled node=<id>; the router's
+// cluster_* families are unlabeled. Don't register unlabeled
+// serve.Servers in the same registry — the family label-key check panics.
+func New(reg *obs.Registry) *Cluster {
+	c := &Cluster{}
 	c.view.Store(&view{})
-	c.m = newClusterMetrics(c.cfg.Metrics, c)
+	c.m = newClusterMetrics(reg, c)
 	return c
 }
 
@@ -190,12 +127,25 @@ func (c *Cluster) Metrics() *obs.Registry { return c.m.reg }
 // (placement and peer fill address blocks by number, so every node must
 // agree). All nodes of one cluster must front the same multifile.
 func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve.Config) (*Node, error) {
+	// Check before serve.New, and hold mu across it: New registers the
+	// node=<id> families, which would replace a live node's instruments
+	// with those of a server this call then rejects. Readers never take
+	// mu, so only membership changes wait on the open.
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	v := c.view.Load()
-	if v.closed {
+	switch {
+	case v.closed:
 		return nil, fmt.Errorf("cluster: join %s: %w", id, ErrClusterClosed)
-	}
-	if v.name != "" && name != v.name {
+	case v.name != "" && name != v.name:
 		return nil, fmt.Errorf("cluster: join %s: multifile %q differs from the cluster's %q", id, name, v.name)
+	case len(v.nodes) == maxNodes:
+		return nil, fmt.Errorf("cluster: join %s: the ring is full (%d nodes)", id, maxNodes)
+	}
+	for _, other := range v.nodes {
+		if other.ID == id {
+			return nil, fmt.Errorf("cluster: join %s: node id already on the ring", id)
+		}
 	}
 	var cfg serve.Config
 	if scfg != nil {
@@ -220,30 +170,6 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 		return nil, fmt.Errorf("cluster: join %s: %w", id, err)
 	}
 	n := &Node{ID: id, srv: srv}
-
-	c.mu.Lock()
-	v = c.view.Load()
-	switch {
-	case v.closed:
-		err = fmt.Errorf("cluster: join %s: %w", id, ErrClusterClosed)
-	case v.blockBytes != 0 && srv.BlockBytes() != v.blockBytes:
-		err = fmt.Errorf("cluster: join %s: block size %d differs from the cluster's %d",
-			id, srv.BlockBytes(), v.blockBytes)
-	case len(v.nodes) == maxNodes:
-		err = fmt.Errorf("cluster: join %s: the ring is full (%d nodes)", id, maxNodes)
-	default:
-		for _, other := range v.nodes {
-			if other.ID == id {
-				err = fmt.Errorf("cluster: join %s: node id already on the ring", id)
-				break
-			}
-		}
-	}
-	if err != nil {
-		c.mu.Unlock()
-		srv.Close()
-		return nil, err
-	}
 	nv := *v
 	if nv.name == "" {
 		nv.name, nv.layout, nv.blockBytes = name, srv.Layout(), srv.BlockBytes()
@@ -252,7 +178,6 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	nodes := append(append(make([]*Node, 0, len(v.nodes)+1), v.nodes...), n)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	c.publish(&nv, nodes)
-	c.mu.Unlock()
 	return n, nil
 }
 
@@ -291,7 +216,7 @@ func (c *Cluster) Leave(id string) error {
 // on node ids, so the same membership always yields the same ring
 // regardless of join order.
 func (c *Cluster) publish(v *view, nodes []*Node) {
-	v.nodes, v.ring = nodes, buildRing(nodeIDs(nodes), c.cfg.VNodes)
+	v.nodes, v.ring = nodes, buildRing(nodeIDs(nodes))
 	c.view.Store(v)
 }
 
@@ -381,109 +306,19 @@ func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte, fro
 	return false
 }
 
-// hotSnapshot returns the tracked hot set (nil, which reads as empty, when
-// nothing is hot).
-func (c *Cluster) hotSnapshot() hotSet {
-	if h := c.hot.Load(); h != nil {
-		return *h
-	}
-	return nil
-}
-
-// HotTracked returns the size of the tracked hot set.
-func (c *Cluster) HotTracked() int { return len(c.hotSnapshot()) }
-
-// RebalanceHot merges the nodes' shard-LRU hit reports into the hot set
-// (the hottest hotSetCap blocks with at least HotMinHits hits) and
-// pre-materializes each hot block on the first ReplicateHot ring
-// successors of its granule — cheaply, because the replicas fill from the
-// primary's cache via peer fill, not from the backend: a replica reads
-// the widest range of the block one node reported resident, which that
-// node can hand over whole. Runs of hot blocks then rotate across the
-// replicas. Call it periodically (cmd/sionserve does; tab9 calls it every
-// few dozen clients); it returns the tracked hot-set size. A view of fewer
-// than two nodes tracks nothing: it has no replica to rotate across. Safe
-// for concurrent use with reads and membership changes.
-func (c *Cluster) RebalanceHot() int {
-	v := c.view.Load()
-	nodes, rg, bs, gb := v.nodes, v.ring, v.blockBytes, v.granuleBlocks
-	if len(nodes) < 2 {
-		c.hot.Store(nil)
-		return 0
-	}
-	merged := make(map[hotKey]serve.HotBlock)
-	for _, n := range nodes {
-		for _, hb := range n.srv.HotBlocks(c.cfg.HotMinHits) {
-			k := hotKey{hb.File, hb.Block}
-			if m, ok := merged[k]; ok {
-				hb.Hits += m.Hits
-				if m.Hi-m.Lo > hb.Hi-hb.Lo {
-					hb.Lo, hb.Hi = m.Lo, m.Hi
-				}
-			}
-			merged[k] = hb
-		}
-	}
-	list := make([]serve.HotBlock, 0, len(merged))
-	for _, hb := range merged {
-		list = append(list, hb)
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Hits != list[j].Hits {
-			return list[i].Hits > list[j].Hits
-		}
-		if list[i].File != list[j].File {
-			return list[i].File < list[j].File
-		}
-		return list[i].Block < list[j].Block
-	})
-	if len(list) > hotSetCap {
-		list = list[:hotSetCap]
-	}
-	if len(list) == 0 {
-		c.hot.Store(nil)
-		return 0
-	}
-	newHot := make(hotSet, len(list))
-	for _, hb := range list {
-		newHot[hotKey{hb.File, hb.Block}] = struct{}{}
-	}
-	c.hot.Store(&newHot)
-
-	if k := c.cfg.ReplicateHot; k > 1 {
-		var buf [maxNodes]int
-		for _, hb := range list {
-			cands := rg.lookup(granuleHash(hb.File, hb.Block/gb), &buf)
-			for i := 0; i < k && i < len(cands); i++ {
-				n := nodes[cands[i]]
-				if n.srv.Peek(hb.File, hb.Block, nil, 0) {
-					continue
-				}
-				// Best-effort: a degraded or racing-departed replica just
-				// stays cold until the next rebalance.
-				c.m.rebalanceMoves.Inc()
-				_ = n.srv.ReadFileAt(hb.File, make([]byte, hb.Hi-hb.Lo), hb.Block*bs+hb.Lo, nil)
-			}
-		}
-	}
-	return len(list)
-}
-
 // ReadFileAt routes [off, off+len(p)) of physical file `file` across the
-// ring run by run: the window is cut at granule boundaries — and, only
-// while the tracked hot set is non-empty, where hotness flips — and each
-// run is one node call to its granule's primary (a run of hot blocks
-// rotates across the granule's replicas), failing over as a whole along
-// the ring past degraded, closed, or transiently failing nodes. It fails
-// with a typed serve.ErrDegraded only when every replica of a run is
-// down; a permanent error (the backend answering wrongly) is returned
+// ring run by run: the window is cut at granule boundaries, and each run
+// is one node call to its granule's primary, failing over as a whole
+// along the ring past degraded, closed, or transiently failing nodes. It
+// fails with a typed serve.ErrDegraded only when every replica of a run
+// is down; a permanent error (the backend answering wrongly) is returned
 // as-is, since every node would fail identically. sp (nil is fine)
 // records each failover hop, and the node that serves each run records
 // its cache/backend crumbs on the same span (see serve.Server.ReadFileAt).
 //
-// A one-node view has nothing to place or rotate across: the whole window
-// is one run, with no ring lookup, no granule cut and no hot set, so the
-// node sees every request exactly as a lone serve.Server would.
+// A one-node view has nothing to place: the whole window is one run, with
+// no ring lookup and no granule cut, so the node sees every request
+// exactly as a lone serve.Server would.
 func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	v := c.view.Load()
 	if v.closed {
@@ -496,30 +331,15 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 		return fmt.Errorf("cluster: %s: negative physical offset %d", v.name, off)
 	}
 	if len(v.nodes) == 1 && len(p) > 0 {
-		return c.readRun(v, file, []int{0}, false, p, off, sp)
+		return c.readRun(v, file, []int{0}, p, off, sp)
 	}
-	bs, gb := v.blockBytes, v.granuleBlocks
-	var hot hotSet // stays empty when there are no replicas to rotate across
-	if c.cfg.ReplicateHot > 1 {
-		hot = c.hotSnapshot()
-	}
+	gbytes := v.granuleBlocks * v.blockBytes
 	var buf [maxNodes]int
 	for len(p) > 0 {
-		b := off / bs
-		granule := b / gb
-		end := min(off+int64(len(p)), (granule+1)*gb*bs)
-		isHot := false
-		if len(hot) > 0 {
-			_, isHot = hot[hotKey{file, b}]
-			for nb := b + 1; nb*bs < end; nb++ {
-				if _, h := hot[hotKey{file, nb}]; h != isHot {
-					end = nb * bs
-					break
-				}
-			}
-		}
+		granule := off / gbytes
+		end := min(off+int64(len(p)), (granule+1)*gbytes)
 		cands := v.ring.lookup(granuleHash(file, granule), &buf)
-		if err := c.readRun(v, file, cands, isHot, p[:end-off], off, sp); err != nil {
+		if err := c.readRun(v, file, cands, p[:end-off], off, sp); err != nil {
 			return err
 		}
 		p, off = p[end-off:], end
@@ -527,22 +347,11 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 	return nil
 }
 
-// readRun serves one run — a window inside one granule, all hot or all
-// not — with one node call, failing the whole run over along cands, the
-// granule's candidate order (the primary first).
-func (c *Cluster) readRun(v *view, file int, cands []int, hot bool, p []byte, off int64, sp *obs.Span) error {
+// readRun serves one run — a window inside one granule — with one node
+// call, failing the whole run over along cands, the granule's candidate
+// order (the primary first).
+func (c *Cluster) readRun(v *view, file int, cands []int, p []byte, off int64, sp *obs.Span) error {
 	c.m.requests[cands[0]].Inc() // the primary's cell
-	// Rotate a hot run across its replicas so the primary is not the only
-	// node paying for popularity.
-	if k := min(c.cfg.ReplicateHot, len(cands)); hot && k > 1 {
-		var head [maxNodes]int // a copy: the rotation reads it while writing cands
-		copy(head[:k], cands)
-		rot := int(c.rr.Add(1) % uint64(k))
-		for i := 0; i < k; i++ {
-			cands[i] = head[(rot+i)%k]
-		}
-		c.m.rotations.Inc()
-	}
 	// Healthy replicas first: a node with any open circuit is tried in the
 	// second pass (its cache may still answer, but it must not absorb
 	// primary load).
@@ -600,7 +409,6 @@ type Stats struct {
 	Requests        int64 // runs routed (one node call each, failover aside)
 	Failovers       int64 // extra replica attempts after a failed one
 	AllReplicasDown int64 // reads that exhausted every replica
-	HotTracked      int   // tracked hot blocks
 	// Serve sums the nodes' serve stats, except HandlesOpened: clients open
 	// their sessions on the router, so that is the router's count.
 	Serve   serve.Stats
@@ -615,7 +423,6 @@ func (c *Cluster) Stats() Stats {
 		Requests:        c.m.routed(),
 		Failovers:       c.m.failovers.Value(),
 		AllReplicasDown: c.m.allDown.Value(),
-		HotTracked:      c.HotTracked(),
 		Serve:           serve.Stats{HandlesOpened: c.m.handles.Value()},
 	}
 	for _, n := range nodes {

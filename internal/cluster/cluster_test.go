@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,7 +124,7 @@ func checkRank(t *testing.T, cl *Cluster, r int, want []byte) {
 func TestClusterByteIdentity(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "c.sion", 8)
-	cl := New(&Config{VNodes: 16})
+	cl := New(nil)
 	defer cl.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := cl.Join(fmt.Sprintf("n%d", i), fsys, "c.sion", &serve.Config{CacheBytes: testCache}); err != nil {
@@ -167,7 +169,7 @@ func TestClusterByteIdentity(t *testing.T) {
 func TestClusterJoinPeerFillsRemappedBlocks(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "j.sion", 8)
-	cl := New(&Config{VNodes: 16})
+	cl := New(nil)
 	defer cl.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := cl.Join(fmt.Sprintf("n%d", i), fsys, "j.sion", &serve.Config{CacheBytes: testCache}); err != nil {
@@ -205,7 +207,7 @@ func TestClusterJoinPeerFillsRemappedBlocks(t *testing.T) {
 func TestClusterPeerFillsReadAroundBlocks(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "a.sion", 8)
-	cl := New(&Config{VNodes: 16})
+	cl := New(nil)
 	defer cl.Close()
 	if _, err := cl.Join("n0", fsys, "a.sion", &serve.Config{CacheBytes: testCache}); err != nil {
 		t.Fatal(err)
@@ -227,94 +229,6 @@ func TestClusterPeerFillsReadAroundBlocks(t *testing.T) {
 	}
 }
 
-// TestClusterHotReplicationAndRotation pins hot-block handling: after
-// RebalanceHot a block past HotMinHits is resident on ReplicateHot nodes
-// (replicas warmed via peer fill, not the backend), and subsequent reads
-// rotate across the replicas.
-func TestClusterHotReplicationAndRotation(t *testing.T) {
-	fsys := fsio.NewOS(t.TempDir())
-	payloads := writeMultifile(t, fsys, "h.sion", 8)
-	cl := New(&Config{VNodes: 16, ReplicateHot: 2, HotMinHits: 4})
-	defer cl.Close()
-	nodes := make([]*Node, 3)
-	for i := range nodes {
-		n, err := cl.Join(fmt.Sprintf("n%d", i), fsys, "h.sion", &serve.Config{CacheBytes: testCache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = n
-	}
-	h, err := cl.Open(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64) // within one cache block
-	for i := 0; i < 8; i++ {
-		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Identify the hot block from the owning node's LRU report.
-	var hotFile int
-	var hotBlock int64
-	found := false
-	for _, n := range nodes {
-		if hb := n.Server().HotBlocks(4); len(hb) > 0 {
-			hotFile, hotBlock, found = hb[0].File, hb[0].Block, true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no node reports a hot block after 8 identical reads")
-	}
-	holders := func() (hold []*Node) {
-		for _, n := range nodes {
-			if n.Server().Peek(hotFile, hotBlock, nil, 0) {
-				hold = append(hold, n)
-			}
-		}
-		return hold
-	}
-	if h := holders(); len(h) != 1 {
-		t.Fatalf("before rebalance the hot block is on %d nodes, want exactly its primary", len(h))
-	}
-	backendBefore := cl.Stats().Serve.BackendReads
-
-	if n := cl.RebalanceHot(); n == 0 {
-		t.Fatal("RebalanceHot tracked nothing")
-	}
-	if cl.HotTracked() == 0 {
-		t.Fatal("hot set empty after rebalance")
-	}
-	hold := holders()
-	if len(hold) < 2 {
-		t.Fatalf("hot block replicated to %d nodes, want >= 2", len(hold))
-	}
-	if got := cl.Stats().Serve.BackendReads; got != backendBefore {
-		t.Fatalf("replication read the backend (%d -> %d reads): replicas must warm via peer fill",
-			backendBefore, got)
-	}
-
-	// Reads now rotate across the replicas: both holders' hit counters move.
-	before := make([]int64, len(hold))
-	for i, n := range hold {
-		before[i] = n.Server().Stats().Hits
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, n := range hold {
-		if n.Server().Stats().Hits == before[i] {
-			t.Fatalf("replica %s saw no reads: hot reads are not rotating", n.ID)
-		}
-	}
-	if !bytes.Equal(buf, payloads[0][:64]) {
-		t.Fatal("rotated reads returned wrong bytes")
-	}
-}
-
 // TestClusterFailoverRoutesAroundFaults pins failure routing: a node
 // whose backend path fails transiently is failed over (the ring
 // successor answers, byte-identically), while a permanent error is
@@ -326,7 +240,7 @@ func TestClusterFailoverRoutesAroundFaults(t *testing.T) {
 	scfg := func() *serve.Config {
 		return &serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}}
 	}
-	cl := New(&Config{VNodes: 16})
+	cl := New(nil)
 	defer cl.Close()
 	if _, err := cl.Join("sick", sick, "f.sion", scfg()); err != nil {
 		t.Fatal(err)
@@ -354,7 +268,7 @@ func TestClusterPermanentErrorNoFailover(t *testing.T) {
 	inner := fsio.NewOS(t.TempDir())
 	writeMultifile(t, inner, "p.sion", 4)
 	bad := &faultFS{FileSystem: inner}
-	cl := New(&Config{VNodes: 16})
+	cl := New(nil)
 	defer cl.Close()
 	cfg := &serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}}
 	if _, err := cl.Join("a", bad, "p.sion", cfg); err != nil {
@@ -387,7 +301,7 @@ func TestClusterAllReplicasDegraded(t *testing.T) {
 	writeMultifile(t, inner, "d.sion", 4)
 	a := &faultFS{FileSystem: inner}
 	b := &faultFS{FileSystem: inner}
-	cl := New(&Config{VNodes: 16})
+	cl := New(nil)
 	defer cl.Close()
 	cfg := &serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}}
 	if _, err := cl.Join("a", a, "d.sion", cfg); err != nil {
@@ -471,6 +385,56 @@ func TestClusterMembership(t *testing.T) {
 	}
 }
 
+// TestClusterRejectedJoinKeepsMetrics: a Join refused for a duplicate id
+// leaves the live node's node=<id> families reading the live node, not a
+// server the cluster never admitted.
+func TestClusterRejectedJoinKeepsMetrics(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	payloads := writeMultifile(t, fsys, "k.sion", 4)
+	cl := New(nil)
+	defer cl.Close()
+	cfg := &serve.Config{CacheBytes: testCache}
+	if _, err := cl.Join("n1", fsys, "k.sion", cfg); err != nil {
+		t.Fatal(err)
+	}
+	checkRank(t, cl, 0, payloads[0])
+	if _, err := cl.Join("n1", fsys, "k.sion", cfg); err == nil {
+		t.Fatal("duplicate node id joined")
+	}
+	var body bytes.Buffer
+	if err := cl.Metrics().WriteProm(&body); err != nil {
+		t.Fatal(err)
+	}
+	st := cl.Stats().Serve
+	for series, want := range map[string]int64{
+		`serve_served_bytes_total{node="n1"}`:   st.ServedBytes,
+		`serve_cache_resident_bytes{node="n1"}`: st.CachedBytes,
+	} {
+		if want == 0 {
+			t.Fatalf("%s: the read left nothing to compare (%+v)", series, st)
+		}
+		if got := sample(t, body.String(), series); got != want {
+			t.Errorf("%s = %d after a rejected join, Stats says %d", series, got, want)
+		}
+	}
+}
+
+// sample returns the value of one series in a Prometheus text exposition.
+func sample(t *testing.T, body, series string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return int64(f)
+		}
+	}
+	t.Fatalf("exposition lacks %s", series)
+	return 0
+}
+
 // TestClusterClosedRejectsResidentReads: after Close a read fails with
 // ErrClusterClosed even when every block it needs is resident.
 func TestClusterClosedRejectsResidentReads(t *testing.T) {
@@ -505,14 +469,14 @@ func TestClusterClosedRejectsResidentReads(t *testing.T) {
 
 // TestClusterConcurrentChurnRace is the -race exercise for the serving
 // tier: concurrent clients Open and read through the router while nodes
-// join and leave, stats/health/hot-rebalance run, and — on a second,
+// join and leave, stats and health run, and — on a second,
 // live multifile — a tail server's Tail/Follow/Poll/Stats/Health are
 // driven alongside. Reads must stay byte-identical throughout (a core
 // node never leaves, so every block always has a live replica).
 func TestClusterConcurrentChurnRace(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "r.sion", 6)
-	cl := New(&Config{VNodes: 16, HotMinHits: 2})
+	cl := New(nil)
 	defer cl.Close()
 	for i := 0; i < 2; i++ { // the core: never leaves
 		if _, err := cl.Join(fmt.Sprintf("core-%d", i), fsys, "r.sion", &serve.Config{CacheBytes: testCache}); err != nil {
@@ -590,7 +554,7 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// Stats / health / hot-rebalance observers.
+	// Stats / health observers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -603,7 +567,6 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 			_ = cl.Stats()
 			_ = cl.Health()
 			_ = cl.Degraded()
-			_ = cl.RebalanceHot()
 			_ = ts.Stats()
 			_ = ts.Health()
 		}

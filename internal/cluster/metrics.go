@@ -23,11 +23,6 @@ type clusterMetrics struct {
 	failovers *obs.Counter
 	allDown   *obs.Counter
 	handles   *obs.Counter
-	// rotations counts hot runs served through the replica rotation
-	// (rather than pinned to the primary); rebalanceMoves the
-	// replica pre-materializations RebalanceHot attempted.
-	rotations      *obs.Counter
-	rebalanceMoves *obs.Counter
 }
 
 func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
@@ -36,7 +31,7 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 	}
 	m := &clusterMetrics{reg: reg}
 	reg.CounterFunc("cluster_requests_total",
-		"runs routed through the ring (a run: the part of one read inside one granule, cut again only where hotness flips)",
+		"runs routed through the ring (a run: the part of one read inside one granule)",
 		func() float64 { return float64(m.routed()) })
 	m.failovers = reg.Counter("cluster_failovers_total",
 		"extra replica attempts after a failed one")
@@ -44,16 +39,9 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 		"reads that exhausted every replica")
 	m.handles = reg.Counter("cluster_handles_opened_total",
 		"client sessions opened through the router")
-	m.rotations = reg.Counter("cluster_hot_rotations_total",
-		"runs of hot blocks served through the replica rotation")
-	m.rebalanceMoves = reg.Counter("cluster_rebalance_moves_total",
-		"hot-block replica fills attempted by RebalanceHot")
 	reg.GaugeFunc("cluster_nodes",
 		"serve nodes currently on the ring",
 		func() float64 { return float64(len(c.view.Load().nodes)) })
-	reg.GaugeFunc("cluster_hot_tracked",
-		"blocks in the tracked hot set",
-		func() float64 { return float64(c.HotTracked()) })
 	return m
 }
 

@@ -4,7 +4,7 @@ import (
 	"sort"
 )
 
-// Consistent-hash ring: every node contributes VNodes virtual points,
+// Consistent-hash ring: every node contributes vnodes virtual points,
 // hashed from its id, and a (physical file, granule) key is owned by the
 // first point clockwise from the key's hash. Virtual points smooth the
 // load split, and consistency is the scale-out property the router needs:
@@ -19,6 +19,11 @@ import (
 // a primary and a failover order. Sizes from 64 KiB to 4 MiB route the
 // bench workloads alike, so this is a constant, not a knob.
 const granuleBytes = 256 << 10
+
+// vnodes is the number of virtual ring points per node: enough that each
+// of 4 nodes owns 10–45 % of the granules (TestRingBalance), few enough
+// that a membership change rebuilds the ring cheaply.
+const vnodes = 64
 
 // maxNodes bounds the membership so that a candidate list fits an array
 // on the caller's stack and a 64-bit seen mask: routing allocates nothing.
@@ -65,7 +70,7 @@ func granuleHash(file int, granule int64) uint64 {
 // buildRing places vnodes points per node. ids is the router's node slice
 // order; point hashes depend only on the node ids, so the same membership
 // always yields the same ring regardless of join order.
-func buildRing(ids []string, vnodes int) *ring {
+func buildRing(ids []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(ids)*vnodes), nodes: len(ids)}
 	for n, id := range ids {
 		base := fnv1a(id)
@@ -84,8 +89,7 @@ func buildRing(ids []string, vnodes int) *ring {
 
 // lookup writes every node index into buf in ring order starting from the
 // first point clockwise of key and returns that prefix of buf: index 0 is
-// the granule's primary, the rest are its failover (and hot-replica)
-// successors. The result is empty only for an empty ring.
+// the granule's primary, the rest are its failover successors. The result is empty only for an empty ring.
 func (r *ring) lookup(key uint64, buf *[maxNodes]int) []int {
 	out := buf[:0]
 	var seen uint64

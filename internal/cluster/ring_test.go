@@ -18,7 +18,7 @@ func ringIDs(n int) []string {
 // returns every node exactly once, deterministically, with the same
 // primary on repeated calls.
 func TestRingLookupCoversAllNodes(t *testing.T) {
-	r := buildRing(ringIDs(5), 64)
+	r := buildRing(ringIDs(5))
 	var buf, buf2 [maxNodes]int
 	for k := 0; k < 1000; k++ {
 		key := granuleHash(k%3, int64(k))
@@ -42,10 +42,10 @@ func TestRingLookupCoversAllNodes(t *testing.T) {
 // TestRingEmptyAndSingle covers the degenerate memberships.
 func TestRingEmptyAndSingle(t *testing.T) {
 	var buf [maxNodes]int
-	if got := buildRing(nil, 64).lookup(12345, &buf); len(got) != 0 {
+	if got := buildRing(nil).lookup(12345, &buf); len(got) != 0 {
 		t.Fatalf("empty ring lookup = %v, want nothing", got)
 	}
-	one := buildRing([]string{"solo"}, 64)
+	one := buildRing([]string{"solo"})
 	for k := 0; k < 100; k++ {
 		if got := one.lookup(granuleHash(0, int64(k)), &buf); len(got) != 1 || got[0] != 0 {
 			t.Fatalf("single-node ring lookup = %v, want [0]", got)
@@ -58,7 +58,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 // primary survives keeps it.
 func TestRingConsistency(t *testing.T) {
 	ids := ringIDs(5)
-	full := buildRing(ids, 64)
+	full := buildRing(ids)
 	const gone = 3 // drop node-3
 	var rest []string
 	for i, id := range ids {
@@ -66,7 +66,7 @@ func TestRingConsistency(t *testing.T) {
 			rest = append(rest, id)
 		}
 	}
-	small := buildRing(rest, 64)
+	small := buildRing(rest)
 	// Map small's node indexes back to full's.
 	backMap := make([]int, len(rest))
 	for i := range rest {
@@ -108,7 +108,7 @@ func TestRingConsistency(t *testing.T) {
 // property virtual nodes buy.
 func TestRingBalance(t *testing.T) {
 	const nodes = 4
-	r := buildRing(ringIDs(nodes), 64)
+	r := buildRing(ringIDs(nodes))
 	counts := make([]int, nodes)
 	const blocks = 1 << 15
 	var buf [maxNodes]int
@@ -130,8 +130,8 @@ func TestRingBalance(t *testing.T) {
 // relative failover order.
 func TestRingJoinRemapsAboutOneNth(t *testing.T) {
 	ids := ringIDs(5)
-	small := buildRing(ids[:4], 64) // node-0..node-3 keep their indexes in both rings
-	full := buildRing(ids, 64)
+	small := buildRing(ids[:4]) // node-0..node-3 keep their indexes in both rings
+	full := buildRing(ids)
 	const newcomer = 4
 	keys, moved := 0, 0
 	var b1, b2 [maxNodes]int

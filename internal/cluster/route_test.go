@@ -27,9 +27,9 @@ const granuleBlocks = granuleBytes / testBlock
 
 // startCluster joins n nodes ("n0".."n<n-1>") over the multifile `name`;
 // node i reads through fsOf(i).
-func startCluster(t testing.TB, cfg *Config, n int, name string, fsOf func(i int) fsio.FileSystem, scfg serve.Config) *Cluster {
+func startCluster(t testing.TB, n int, name string, fsOf func(i int) fsio.FileSystem, scfg serve.Config) *Cluster {
 	t.Helper()
-	cl := New(cfg)
+	cl := New(nil)
 	t.Cleanup(func() { cl.Close() })
 	for i := 0; i < n; i++ {
 		c := scfg
@@ -90,7 +90,7 @@ func TestRouteRunIsOneNodeCall(t *testing.T) {
 	dir := t.TempDir()
 	fsys := fsio.NewOS(dir)
 	writeMultifile(t, fsys, "r.sion", 8)
-	cl := startCluster(t, &Config{VNodes: 16}, 3, "r.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	cl := startCluster(t, 3, "r.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
 	phys := physFile(t, dir, cl, 0)
 
 	off := int64(2*granuleBytes + 3*testBlock + 17) // unaligned, and the window stays inside granule 2
@@ -134,7 +134,7 @@ func TestRouteScanBackendReadsMatchSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer one.Close()
-	cl := startCluster(t, &Config{VNodes: 16}, 3, "s.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	cl := startCluster(t, 3, "s.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
 
 	var extents int64
 	for r, want := range payloads {
@@ -166,7 +166,7 @@ func TestRouteCutsAtGranuleBoundary(t *testing.T) {
 	dir := t.TempDir()
 	fsys := fsio.NewOS(dir)
 	writeMultifile(t, fsys, "g.sion", 8)
-	cl := startCluster(t, &Config{VNodes: 16}, 3, "g.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	cl := startCluster(t, 3, "g.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
 	phys := physFile(t, dir, cl, 0)
 
 	// A boundary whose two sides have different primaries.
@@ -206,7 +206,7 @@ func TestRouteRequestsOutliveTheirNode(t *testing.T) {
 	dir := t.TempDir()
 	fsys := fsio.NewOS(dir)
 	writeMultifile(t, fsys, "d.sion", 8)
-	cl := startCluster(t, &Config{VNodes: 16}, 3, "d.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	cl := startCluster(t, 3, "d.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
 	phys := physFile(t, dir, cl, 0)
 	granules := int64(len(phys)) / granuleBytes
 	pass := func() { // one run per granule of file 0
@@ -234,7 +234,7 @@ func TestRouteGranuleSharesOneOwner(t *testing.T) {
 	dir := t.TempDir()
 	fsys := fsio.NewOS(dir)
 	writeMultifile(t, fsys, "o.sion", 8)
-	cl := startCluster(t, &Config{VNodes: 16}, 3, "o.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	cl := startCluster(t, 3, "o.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
 	phys := physFile(t, dir, cl, 1)
 
 	const g = 3
@@ -263,7 +263,7 @@ func TestRouteFailoverIsPerRun(t *testing.T) {
 	inner := fsio.NewOS(dir)
 	writeMultifile(t, inner, "f.sion", 8)
 	faults := []*faultFS{{FileSystem: inner}, {FileSystem: inner}, {FileSystem: inner}}
-	cl := startCluster(t, &Config{VNodes: 16}, 3, "f.sion", func(i int) fsio.FileSystem { return faults[i] },
+	cl := startCluster(t, 3, "f.sion", func(i int) fsio.FileSystem { return faults[i] },
 		serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}, BreakerThreshold: 1, BreakerCooldown: 1 << 20})
 	phys := physFile(t, dir, cl, 0)
 
@@ -313,67 +313,12 @@ func TestRouteFailoverIsPerRun(t *testing.T) {
 	}
 }
 
-// TestRouteHotRunsSplitAndRotateTogether: with a non-empty hot set a run
-// is cut where hotness flips and nowhere else, and a stretch of
-// consecutive hot blocks goes to one replica per read, rotating as a unit.
-func TestRouteHotRunsSplitAndRotateTogether(t *testing.T) {
-	dir := t.TempDir()
-	fsys := fsio.NewOS(dir)
-	writeMultifile(t, fsys, "h.sion", 8)
-	cl := startCluster(t, &Config{VNodes: 16, ReplicateHot: 2, HotMinHits: 4}, 3, "h.sion",
-		func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache, BlockBytes: testBlock}) // hot set counted in FS blocks
-	phys := physFile(t, dir, cl, 0)
-
-	// Blocks 2..5 of a 16-block window get hot; the rest of it is read once.
-	const g, hotBlocks = 1, 4
-	win := int64(g * granuleBytes)
-	hotOff := win + 2*testBlock
-	readAt(t, cl, phys, 0, win, 16*testBlock)
-	for i := 0; i < 8; i++ {
-		readAt(t, cl, phys, 0, hotOff, hotBlocks*testBlock)
-	}
-	if n := cl.RebalanceHot(); n != hotBlocks {
-		t.Fatalf("RebalanceHot tracked %d blocks, want the %d heated ones", n, hotBlocks)
-	}
-
-	reqs, rots := cl.Stats().Requests, cl.m.rotations.Value()
-	readAt(t, cl, phys, 0, win, 16*testBlock)
-	if d := cl.Stats().Requests - reqs; d != 3 {
-		t.Fatalf("window with one hot stretch routed as %d runs, want 3 (before, hot, after)", d)
-	}
-	if d := cl.m.rotations.Value() - rots; d != 1 {
-		t.Fatalf("window with one hot stretch rotated %d runs, want 1", d)
-	}
-
-	replicas := candidatesOf(cl, 0, g)[:2]
-	hits := func() (out [2]int64) {
-		for i, n := range replicas {
-			out[i] = n.Server().Stats().Hits
-		}
-		return out
-	}
-	before := hits()
-	reqs = cl.Stats().Requests
-	for i := 0; i < 8; i++ {
-		readAt(t, cl, phys, 0, hotOff, hotBlocks*testBlock)
-	}
-	if d := cl.Stats().Requests - reqs; d != 8 {
-		t.Fatalf("8 reads of the hot stretch routed as %d runs, want 8", d)
-	}
-	for i, now := range hits() {
-		if d := now - before[i]; d == 0 || d%hotBlocks != 0 {
-			t.Fatalf("replica %s took %d block hits of the rotating stretch, want a positive multiple of %d",
-				replicas[i].ID, d, hotBlocks)
-		}
-	}
-}
-
 // TestZeroLengthReadTouchesNothing: an empty read, at any offset, routes
 // no run and reaches no cache or backend.
 func TestZeroLengthReadTouchesNothing(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	writeMultifile(t, fsys, "z.sion", 4)
-	cl := startCluster(t, nil, 3, "z.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+	cl := startCluster(t, 3, "z.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
 	before := cl.Stats()
 	for _, off := range []int64{0, 100, testBlock, testBlock + 904, granuleBytes - 1} {
 		if err := cl.ReadFileAt(0, nil, off, nil); err != nil {
@@ -449,7 +394,7 @@ func TestOneNodeIsAServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl := startCluster(t, nil, 1, "one.sion", func(int) fsio.FileSystem { return clFS }, scfg)
+	cl := startCluster(t, 1, "one.sion", func(int) fsio.FileSystem { return clFS }, scfg)
 	phys := [][]byte{physFile(t, dir, cl, 0), physFile(t, dir, cl, 1)}
 
 	type window struct {
@@ -581,7 +526,7 @@ func BenchmarkRoute(b *testing.B) {
 			})
 		}
 		ring := func(b *testing.B) serve.FileReaderAt {
-			return startCluster(b, nil, 3, "b.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: bc.cache / 3})
+			return startCluster(b, 3, "b.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: bc.cache / 3})
 		}
 		node := func(b *testing.B) serve.FileReaderAt {
 			srv, err := serve.New(fsys, "b.sion", &serve.Config{CacheBytes: bc.cache})
@@ -592,7 +537,7 @@ func BenchmarkRoute(b *testing.B) {
 			return srv
 		}
 		one := func(b *testing.B) serve.FileReaderAt {
-			return startCluster(b, nil, 1, "b.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: bc.cache})
+			return startCluster(b, 1, "b.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: bc.cache})
 		}
 		b.Run(bc.name+"/ring", func(b *testing.B) { run(b, ring(b)) })
 		b.Run(bc.name+"/node", func(b *testing.B) { run(b, node(b)) })

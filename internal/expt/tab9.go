@@ -18,10 +18,12 @@ import (
 // traffic by ~N, because every node faults the same hot working set in
 // separately. The cluster router instead consistent-hashes 256 KiB
 // granules across the ring (each block cached on exactly one node),
-// routes a read as one node call per granule it touches, peer-fills
-// remapped blocks from surviving caches across join/leave, and replicates the
-// hottest blocks for load spreading: the working set is read from the
-// backend once per cluster, not once per node.
+// routes a read as one node call per granule it touches, and peer-fills
+// remapped blocks from surviving caches across join/leave: the working
+// set is read from the backend once per cluster, not once per node. A
+// static ring never peer-fills — every granule has one owner, whose cache
+// alone holds its blocks — so the steady cluster's peer-fill column is 0
+// and the churn row's counts the remapped blocks.
 //
 // The experiment replays the identical zipfian trace (same LCG seed as
 // tab6's generator) through three arrangements of the same per-node
@@ -49,7 +51,6 @@ const (
 	tab9Nodes    = 3
 	tab9Seed     = uint64(0x5107a) // tab6's client-trace seed
 	tab9P99Bound = int64(8)        // max backend requests per client, churn mode
-	tab9HotEvery = 64              // clients between RebalanceHot calls
 )
 
 // tab9CacheBytes is each node's cache budget: half the storm's working
@@ -194,13 +195,13 @@ func tab9Independent(nwriters, nclients int) tab9Run {
 	return tab9Run{readReqs: st.ReadRequests - wst.ReadRequests, p99: tab9P99(costs)}
 }
 
-// tab9Cluster is the router: tab9Nodes nodes on the hash ring with hot
-// replication, periodic RebalanceHot, and — when churn is set — a node
-// joining a third of the way through the storm and another leaving at
-// two thirds, with serving (and byte identity) uninterrupted.
+// tab9Cluster is the router: tab9Nodes nodes on the hash ring and — when
+// churn is set — a node joining a third of the way through the storm and
+// another leaving at two thirds, with serving (and byte identity)
+// uninterrupted.
 func tab9Cluster(nwriters, nclients int, churn bool) tab9Run {
 	fs, wst := tab9Write(nwriters)
-	cl := cluster.New(&cluster.Config{VNodes: 64, ReplicateHot: 2, HotMinHits: 8})
+	cl := cluster.New(nil)
 	join := func(i int) {
 		id := fmt.Sprintf("n%d", i)
 		if _, err := cl.Join(id, fs.View(nwriters+1+i, nil), "tab9.sion", tab9NodeConfig(nwriters)); err != nil {
@@ -210,11 +211,9 @@ func tab9Cluster(nwriters, nclients int, churn bool) tab9Run {
 	for i := 0; i < tab9Nodes; i++ {
 		join(i)
 	}
-	before := func(c int) {
-		if c > 0 && c%tab9HotEvery == 0 {
-			cl.RebalanceHot()
-		}
-		if churn {
+	var before func(c int)
+	if churn {
+		before = func(c int) {
 			switch c {
 			case nclients / 3:
 				join(tab9Nodes) // a fresh node takes over ~1/4 of the granules
@@ -301,7 +300,7 @@ func Table9(scale int) *Result {
 		fmt.Sprintf("identical zipf(1.2) trace (seed %#x) in every mode; %d windows of %d B per client, every 16th client streams its rank; byte identity asserted in-run",
 			tab9Seed, tab9Reads, tab9ReadLen),
 		fmt.Sprintf("independent: %d serve nodes round-robined, each faulting the zipfian working set into its own half-working-set cache (%d KiB here)", tab9Nodes, tab9CacheBytes(nwriters)>>10),
-		"cluster: 256 KiB granules consistent-hashed across the ring (each block cached once cluster-wide), hottest blocks replicated 2x with runs of them rotating across replicas",
+		"cluster: 256 KiB granules consistent-hashed across the ring, each block cached once cluster-wide on its granule's owner; a static ring never peer-fills",
 		fmt.Sprintf("join/leave: a 4th node joins at storm third, node n1 leaves at two thirds; remapped blocks peer-fill from surviving caches; p99 backend requests per client bounded at %d", tab9P99Bound),
 		"replay: rerunning the cluster mode from the seed reproduces request counters exactly (asserted)")
 	return res

@@ -35,10 +35,14 @@ func TestTable9Findings(t *testing.T) {
 	if chu*1.5 > ind {
 		t.Errorf("churn backend reads %.0f lost the cluster's reduction (independent %.0f)", chu, ind)
 	}
-	// Join/leave remapping is served by peer fills, and more of them than
-	// the steady run's hot replication alone.
-	if pfSteady, pfChurn := cell(t, r, 1, colPeerFills), cell(t, r, 2, colPeerFills); pfChurn <= pfSteady {
-		t.Errorf("churn peer fills %.0f not above steady %.0f — remapped blocks did not fill from peers", pfChurn, pfSteady)
+	// A static ring never peer-fills: every granule has one owner, whose
+	// cache alone holds its blocks. Join/leave remapping is served by peer
+	// fills.
+	if pf := cell(t, r, 1, colPeerFills); pf != 0 {
+		t.Errorf("steady cluster peer fills %.0f, want 0 — a static ring has no second holder to fill from", pf)
+	}
+	if pf := cell(t, r, 2, colPeerFills); pf <= 0 {
+		t.Errorf("churn peer fills %.0f, want > 0 — remapped blocks did not fill from peers", pf)
 	}
 	// No replica exhaustion, no failover churn in a healthy storm.
 	for row := 1; row <= 2; row++ {

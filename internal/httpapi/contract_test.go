@@ -228,7 +228,7 @@ func eachTopology(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *
 				BreakerThreshold: 2,
 				BreakerCooldown:  3,
 			}
-			c := cluster.New(&cluster.Config{Metrics: reg})
+			c := cluster.New(reg)
 			t.Cleanup(func() { c.Close() })
 			for i := 1; i <= tp.nodes; i++ {
 				if _, err := c.Join(fmt.Sprintf("n%d", i), gate, name, &scfg); err != nil {

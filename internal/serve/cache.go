@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -66,7 +65,6 @@ type cacheEntry struct {
 	data       []byte       // the frame; len is the block's length
 	lo, hi     int64        // the bytes of the block the frame holds: [lo, hi)
 	pending    bool         // being filled: lookups skip it, acquire reports it to other readers
-	hits       int64        // lookups served since insertion (feeds HotBlocks)
 	readers    atomic.Int32 // copyOuts still copying from a frame of this slot
 	prev, next *cacheEntry  // LRU neighbours, toward the front / toward the tail
 }
@@ -155,15 +153,15 @@ func (s *cacheShard) vacate(e *cacheEntry) {
 const pinFreeCopy = 1 << 10
 
 // covers reports whether e is resident and holds the len(dst) bytes of
-// its block at offset from (an empty dst asks for presence only).
+// its block at offset from.
 func (e *cacheEntry) covers(dst []byte, from int64) bool {
-	return !e.pending && (len(dst) == 0 || e.lo <= from && from+int64(len(dst)) <= e.hi)
+	return !e.pending && e.lo <= from && from+int64(len(dst)) <= e.hi
 }
 
 // copyOut reports whether block k holds the len(dst) bytes at offset from
-// and, if so, copies them into dst (an empty dst asks for presence only),
-// marks the block most recently used and counts the lookup. si is the
-// key's shard index, which the read path has hashed for its metrics.
+// and, if so, copies them into dst and marks the block most recently used.
+// si is the key's shard index, which the read path has hashed for its
+// metrics.
 func (c *blockCache) copyOut(si int, k blockKey, dst []byte, from int64) bool {
 	s := &c.shards[si]
 	s.mu.Lock()
@@ -176,14 +174,13 @@ func (c *blockCache) copyOut(si int, k blockKey, dst []byte, from int64) bool {
 }
 
 // hit serves a lookup that resident entry e covers: e becomes the most
-// recently used block, counts the lookup, and its bytes from offset from
-// are copied into dst. The caller holds the shard lock; hit releases it.
+// recently used block, and its bytes from offset from are copied into
+// dst. The caller holds the shard lock; hit releases it.
 func (s *cacheShard) hit(e *cacheEntry, dst []byte, from int64) {
 	if s.lru.next != e {
 		e.unlink()
 		s.pushFront(e)
 	}
-	e.hits++
 	src := e.data[min(from, int64(len(e.data))):]
 	if len(dst) <= pinFreeCopy {
 		copy(dst, src)
@@ -266,12 +263,10 @@ func (s *cacheShard) admit(k blockKey, slots int64) bool {
 // and pending bytes fit its budget, or nothing is left to evict
 // (evictions count on the shard's instrument) — charges the shard for it,
 // and enters a pending entry for k in the map in place of any resident
-// copy, whose hit count it carries over. The entry's frame e.data (n bytes
-// of stale contents, valid range the whole block) is the caller's to fill.
+// copy. The entry's frame e.data (n bytes of stale contents, valid range
+// the whole block) is the caller's to fill.
 func (c *blockCache) reserve(s *cacheShard, k blockKey, n int64) *cacheEntry {
-	var hits int64
 	if old, ok := s.items[k]; ok {
-		hits = old.hits
 		s.vacate(old)
 	}
 	for s.bytes+n > c.perShard && s.lru.prev != &s.lru {
@@ -284,7 +279,7 @@ func (c *blockCache) reserve(s *cacheShard, k blockKey, n int64) *cacheEntry {
 	} else {
 		e = new(cacheEntry)
 	}
-	e.key, e.hits, e.next, e.pending, e.lo, e.hi = k, hits, nil, true, 0, n
+	e.key, e.next, e.pending, e.lo, e.hi = k, nil, true, 0, n
 	if e.readers.Load() != 0 || int64(cap(e.data)) < n {
 		// A new slot, or one whose frame a copyOut still reads: that
 		// frame is theirs now.
@@ -354,35 +349,6 @@ func (c *blockCache) invalidate(k blockKey) {
 	if e, ok := s.items[k]; ok && !e.pending {
 		s.vacate(e)
 	}
-}
-
-// hot lists the resident blocks with at least minHits lookups, and the
-// bytes of each the cache holds, hottest first (ties on (file, block) so
-// the order is deterministic). Hit counts are per-entry and reset when a
-// block is evicted and refetched, so the report tracks the *current*
-// working set, not all-time popularity.
-func (c *blockCache) hot(minHits int64) []HotBlock {
-	var out []HotBlock
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, e := range s.items {
-			if !e.pending && e.hits >= minHits {
-				out = append(out, HotBlock{File: k.file, Block: k.block, Lo: e.lo, Hi: e.hi, Hits: e.hits})
-			}
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hits != out[j].Hits {
-			return out[i].Hits > out[j].Hits
-		}
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Block < out[j].Block
-	})
-	return out
 }
 
 // cachedBytes sums the resident bytes across shards, plus those of pending

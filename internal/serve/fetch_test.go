@@ -294,57 +294,13 @@ func TestPeerFillSkipsBackend(t *testing.T) {
 	}
 	// Peek is passive: asking for an uncached block is not a miss.
 	misses := a.Stats().Misses
-	if a.Peek(0, 1<<30, nil, 0) {
+	if a.Peek(0, 1<<30, make([]byte, 8), 0) {
 		t.Fatal("Peek invented a block")
 	}
-	if a.Peek(-1, 0, nil, 0) {
+	if a.Peek(-1, 0, make([]byte, 8), 0) {
 		t.Fatal("Peek accepted a negative file index")
 	}
 	if got := a.Stats().Misses; got != misses {
 		t.Fatalf("Peek moved the miss counter %d -> %d", misses, got)
-	}
-}
-
-// TestHotBlocksReportsWorkingSet pins the shard-LRU hit-count report the
-// cluster router replicates from: repeatedly read blocks accumulate hits,
-// the report is sorted hottest-first, and the threshold filters cold ones.
-func TestHotBlocksReportsWorkingSet(t *testing.T) {
-	fsys := fsio.NewOS(t.TempDir())
-	writeMultifile(t, fsys, "h.sion", 4)
-	s, err := New(fsys, "h.sion", &Config{CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	h, err := s.Open(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	for i := 0; i < 5; i++ { // block of offset 0 read 5x
-		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := h.ReadLogicalAt(buf, h.LogicalSize()-64); err != nil { // tail block once
-		t.Fatal(err)
-	}
-	hot := s.HotBlocks(4)
-	if len(hot) == 0 {
-		t.Fatal("no hot blocks reported after 5 identical reads")
-	}
-	if hot[0].Hits < 4 {
-		t.Fatalf("hottest block has %d hits, want >= 4", hot[0].Hits)
-	}
-	for i := 1; i < len(hot); i++ {
-		if hot[i].Hits > hot[i-1].Hits {
-			t.Fatal("HotBlocks not sorted hottest-first")
-		}
-	}
-	all := s.HotBlocks(0) // treated as 1
-	for _, hb := range all {
-		if hb.Hits < 1 {
-			t.Fatalf("HotBlocks(0) reported a zero-hit block: %+v", hb)
-		}
 	}
 }

@@ -116,15 +116,13 @@ func TestPeerFillPartialRange(t *testing.T) {
 	off := 3*bs + 5000
 
 	readCheck(t, a, raw, off, 2000)
-	if hot := a.HotBlocks(0); len(hot) != 0 {
-		t.Fatalf("a fill counted as a hit: %+v", hot)
-	}
 	readCheck(t, b, raw, off, 2000)
 	if st := b.Stats(); st.BackendReads != 0 || st.PeerFills != 1 {
 		t.Fatalf("peer fill of a partial range: %+v, want 1 peer fill and no backend read", st)
 	}
-	if hot := a.HotBlocks(1); len(hot) != 1 || hot[0].Block != 3 || hot[0].Lo != 4096 || hot[0].Hi != 8192 {
-		t.Fatalf("peer's hot report %+v, want block 3 holding [4096, 8192)", hot)
+	fs := make([]byte, 4096)
+	if !a.Peek(0, 3, fs, 4096) || a.Peek(0, 3, fs, 0) || a.Peek(0, 3, fs, 8192) {
+		t.Fatal("the peer does not hold exactly FS block 1 of block 3, [4096, 8192)")
 	}
 	readCheck(t, b, raw, 3*bs+12000, 2000) // outside the peer's range
 	if st := b.Stats(); st.BackendReads != 1 || st.PeerFills != 1 {

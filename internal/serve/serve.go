@@ -416,39 +416,17 @@ func (s *Server) BlockBytes() int64 { return s.blockBytes }
 
 // Peek reports whether the cache holds bytes [from, from+len(dst)) of
 // block `block` of physical file `file` and, if it does, copies them into
-// dst (nil asks whether any bytes of the block are resident — frames are
-// recycled, so bytes are never lent): no fetch is triggered, no backend
-// read is issued, and the server's hit/miss counters do not move — the
-// block's LRU position and hit count do, as for any lookup. This is the
-// answer side of the cluster peer-fill protocol — a node that missed asks
-// its peers before the backend.
+// dst (frames are recycled, so bytes are never lent): no fetch is
+// triggered, no backend read is issued, and the server's hit/miss counters
+// do not move — the block's LRU position does, as for any lookup. This is
+// the answer side of the cluster peer-fill protocol — a node that missed
+// asks its peers before the backend.
 func (s *Server) Peek(file int, block int64, dst []byte, from int64) bool {
 	if file < 0 || file >= len(s.physNames) || block < 0 || from < 0 {
 		return false
 	}
 	k := blockKey{file, block}
 	return s.cache.copyOut(s.cache.shardIndex(k), k, dst, from)
-}
-
-// HotBlock is one cache block with its observed hit count and the bytes
-// of it the cache holds, [Lo, Hi): the unit of the hot-set report the
-// cluster router replicates from.
-type HotBlock struct {
-	File   int
-	Block  int64
-	Lo, Hi int64
-	Hits   int64
-}
-
-// HotBlocks lists the cache-resident blocks whose per-entry hit count
-// (accumulated by the shard LRUs since the block was last inserted) is at
-// least minHits, hottest first; ties break on (file, block) so the order
-// is deterministic. minHits < 1 is treated as 1.
-func (s *Server) HotBlocks(minHits int64) []HotBlock {
-	if minHits < 1 {
-		minHits = 1
-	}
-	return s.cache.hot(minHits)
 }
 
 // FileReaderAt reads a window of one physical multifile member through
