@@ -98,8 +98,9 @@ func TestFlagsWireTheProcess(t *testing.T) {
 		}
 	}
 	// One streaming scan fills the cache and reads the rest around it: a
-	// full cache admits a block only on its second miss. Reading the last
-	// rank again admits the blocks it declined last, evicting for them.
+	// full cache admits a block of a large window only if it was asked for
+	// more often than the LRU tail. Reading the last rank again counts its
+	// blocks twice, and they are admitted, evicting for them.
 	scan := rt.c.Stats().Serve
 	if scan.CachedBytes > 2<<20 || scan.ReadAround == 0 {
 		t.Errorf("-cache-mb 2 after streaming %d MiB: %d bytes resident, %d blocks read around", ranks*perRank>>20, scan.CachedBytes, scan.ReadAround)

@@ -201,7 +201,7 @@ func TestClusterJoinPeerFillsRemappedBlocks(t *testing.T) {
 }
 
 // TestClusterPeerFillsReadAroundBlocks: a node whose small cache is full
-// reads the first-touch blocks of a large window around it, and a peer
+// reads the blocks of a large window it declines around it, and a peer
 // that holds them fills them into the caller's window — byte-identical,
 // still no backend read.
 func TestClusterPeerFillsReadAroundBlocks(t *testing.T) {

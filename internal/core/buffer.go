@@ -312,9 +312,8 @@ const directReadBlocks = 4
 // DirectReadBytes is the size from which a read that misses the stage is
 // an efficient request on its own: what the backend says it is
 // (PreferredRequestBytes — object stores price every request), else
-// directReadBlocks FS blocks. It is the one read-size rule of the stack:
-// the read stage reads a miss this large straight into the caller's slice,
-// and internal/serve reads a window this large around a full cache.
+// directReadBlocks FS blocks. It is core's read-size rule: the read stage
+// reads a miss this large straight into the caller's slice.
 func DirectReadBytes(caps fsio.Capabilities, fsblk int64) int64 {
 	if caps.PreferredRequestBytes > 0 {
 		return caps.PreferredRequestBytes

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -31,18 +32,18 @@ import (
 // cost serve-hot 9 %) with the entry pinned; a reservation that finds its
 // slot pinned leaves that frame to its readers.
 //
-// A full shard admits a block only on its second miss. When taking a block
-// would evict and the reader's window is large enough to be an efficient
-// backend request of its own (sion.DirectReadBytes), acquire declines a
-// block the shard has not declined before and remembers it: the reader
-// reads it around the cache, straight into its own buffer — no frame, no
-// eviction, no copy-out. A block missed again while still remembered is
-// admitted. Under uniform reads over data several times the cache (ckpt-
-// large, serve-cold) most blocks are never asked for twice, and admitting
-// them only churned the LRU. The memory is a ring of declined keys, one
-// slot per block the shard holds (a doorkeeper, as in TinyLFU). A shard
-// with room admits every miss, and so does any shard for a small window,
-// whose bytes are cheaper to cache than to re-request.
+// A full shard admits by frequency (TinyLFU: Einziger et al., ACM ToS
+// 2017). From its first eviction on, a shard counts the hits and misses of
+// each key (freqSketch), and a miss of a window of an FS block or more that
+// would evict admits its block only if it was asked for more often than the
+// LRU tail; otherwise it is read around the cache, straight into the
+// reader's buffer — no frame, no eviction, no copy-out. An admitted block
+// enters at the LRU tail, so a one-off fill is the next victim, and moves
+// to the front on its first hit. Under uniform reads over data several
+// times the cache (ckpt-large, serve-cold) most blocks are never asked for
+// again. A smaller window is always admitted, at the front: the backend
+// reads its whole FS block anyway (fillRange), and the next small window
+// of the block should find it. A shard with room admits every miss.
 
 // blockKey identifies one cache block.
 type blockKey struct {
@@ -65,6 +66,7 @@ type cacheEntry struct {
 	data       []byte       // the frame; len is the block's length
 	lo, hi     int64        // the bytes of the block the frame holds: [lo, hi)
 	pending    bool         // being filled: lookups skip it, acquire reports it to other readers
+	cold       bool         // admitted by frequency into a full shard: commit enters it at the LRU tail
 	readers    atomic.Int32 // copyOuts still copying from a frame of this slot
 	prev, next *cacheEntry  // LRU neighbours, toward the front / toward the tail
 }
@@ -76,13 +78,7 @@ type cacheShard struct {
 	lru    cacheEntry               // list sentinel: next = most recently used, prev = next victim
 	free   *cacheEntry              // vacated slots
 	bytes  int64                    // resident and pending
-	// ring, next and declined are the admission memory of a full shard: the
-	// keys it turned away, in a ring of one slot per block it holds (built
-	// on the first decline; next is the slot to overwrite), and each
-	// remembered key's slot.
-	ring     []blockKey
-	next     int
-	declined map[blockKey]int
+	freq   freqSketch               // access counts, kept from the shard's first eviction on
 	// evictions and readAround are the shard's serve_cache_evictions_total
 	// and serve_cache_read_around_total instruments (the Server installs
 	// them; nil, as in a bare cache, counts nothing).
@@ -133,10 +129,11 @@ func (e *cacheEntry) unlink() {
 	e.prev.next, e.next.prev = e.next, e.prev
 }
 
-// pushFront makes e the most recently used.
-func (s *cacheShard) pushFront(e *cacheEntry) {
-	e.prev, e.next = &s.lru, s.lru.next
-	e.next.prev, s.lru.next = e, e
+// link puts e on the LRU list behind at: &s.lru makes it the most
+// recently used, s.lru.prev the next victim.
+func (s *cacheShard) link(e, at *cacheEntry) {
+	e.prev, e.next = at, at.next
+	e.next.prev, at.next = e, e
 }
 
 // vacate drops resident entry e and keeps the slot and its frame for the
@@ -177,9 +174,10 @@ func (c *blockCache) copyOut(si int, k blockKey, dst []byte, from int64) bool {
 // recently used block, and its bytes from offset from are copied into
 // dst. The caller holds the shard lock; hit releases it.
 func (s *cacheShard) hit(e *cacheEntry, dst []byte, from int64) {
+	s.freq.record(e.key)
 	if s.lru.next != e {
 		e.unlink()
-		s.pushFront(e)
+		s.link(e, &s.lru)
 	}
 	src := e.data[min(from, int64(len(e.data))):]
 	if len(dst) <= pinFreeCopy {
@@ -207,56 +205,90 @@ const (
 // [from, from+len(dst)), under one hold of the shard lock. It copies them
 // out if they are resident by now; returns claimWait if another reader's
 // pending entry holds the block; returns claimAround if the reader may read
-// around the cache (around: its window is large enough) and the shard, full,
-// declines the block (admit); and otherwise reserves a pending n-byte entry
-// for the caller to fill, whose valid range is [lo, hi) — or the whole
-// block if a partial copy was resident, so that a block costs at most two
-// backend reads.
+// around the cache (around: its window is at least an FS block) and the
+// shard, which would have to evict, has been asked for the block no more
+// often than for its LRU tail; and otherwise reserves a pending
+// n-byte entry for the caller to fill, whose valid range is [lo, hi) — or
+// the whole block if a partial copy was resident, so that a block costs at
+// most two backend reads.
 func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, n int64, around bool) (*cacheEntry, claim) {
 	s := c.shard(k)
 	s.mu.Lock()
-	if e, ok := s.items[k]; ok {
-		switch {
-		case e.pending:
-			s.mu.Unlock()
-			return nil, claimWait
-		case e.covers(dst, from):
-			s.hit(e, dst, from)
-			return nil, claimHit
-		}
+	e, ok := s.items[k]
+	switch {
+	case ok && e.pending:
+		s.mu.Unlock()
+		return nil, claimWait
+	case ok && e.covers(dst, from):
+		s.hit(e, dst, from)
+		return nil, claimHit
+	case ok:
 		lo, hi = 0, n
-	} else if around && s.bytes+n > c.perShard && !s.admit(k, max(c.perShard/n, 1)) {
+	}
+	full := s.bytes+n > c.perShard
+	if full && s.freq.count == nil {
+		s.freq.init(c.perShard / n)
+	}
+	s.freq.record(k)
+	cold := !ok && around && full
+	if tail := s.lru.prev; cold && tail != &s.lru && s.freq.est(k) <= s.freq.est(tail.key) {
 		s.mu.Unlock()
 		s.readAround.Inc()
 		return nil, claimAround
 	}
-	e := c.reserve(s, k, n)
-	e.lo, e.hi = lo, hi
+	e = c.reserve(s, k, n)
+	e.lo, e.hi, e.cold = lo, hi, cold
 	s.mu.Unlock()
 	return e, claimMine
 }
 
-// admit is the rule of a shard that would have to evict to take block k,
-// which it does not hold: k is admitted if the shard declined it before
-// and still remembers it, which it then forgets. Otherwise k is declined
-// and remembered in the shard's ring of `slots` keys (one per block the
-// shard holds), over the oldest once every slot is taken. The caller holds
-// the shard lock.
-func (s *cacheShard) admit(k blockKey, slots int64) bool {
-	if _, ok := s.declined[k]; ok {
-		delete(s.declined, k) // its ring slot goes stale: the index no longer points at it
-		return true
-	}
-	if s.ring == nil {
-		s.ring, s.declined = make([]blockKey, slots), make(map[blockKey]int, slots)
-	}
-	if old := s.ring[s.next]; s.declined[old] == s.next { // a stale or zero slot indexes elsewhere, or nowhere
-		delete(s.declined, old)
-	}
-	s.ring[s.next], s.declined[k] = k, s.next
-	s.next = (s.next + 1) % len(s.ring)
-	return false
+// freqSketch counts how often a shard was asked for each key: counters
+// saturating at 15, two per key, the smaller the estimate; the next power
+// of two ≥ 8× the blocks the shard holds (≥ 64), all halved after 4× that
+// many accesses (TinyLFU's reset). The zero value records nothing.
+type freqSketch struct {
+	count []uint8
+	seen  int // accesses recorded since the last halving
 }
+
+func (f *freqSketch) init(blocks int64) {
+	f.count = make([]uint8, max(64, 1<<bits.Len64(uint64(8*blocks-1))))
+}
+
+// probes returns k's two counters, remixing the hash: its low bits are the shard.
+func (f *freqSketch) probes(k blockKey) (int, int) {
+	h := k.hash()
+	h = (h ^ h>>31) * 0x94d049bb133111eb
+	m := uint64(len(f.count) - 1)
+	return int(h >> 7 & m), int(h >> 37 & m)
+}
+
+func (f *freqSketch) record(k blockKey) {
+	if f.count == nil {
+		return
+	}
+	i, j := f.probes(k)
+	f.count[i] = min(f.count[i]+1, 15)
+	if j != i {
+		f.count[j] = min(f.count[j]+1, 15)
+	}
+	if f.seen++; f.seen == 4*len(f.count) {
+		for x := range f.count {
+			f.count[x] >>= 1
+		}
+		f.seen = 0
+	}
+}
+
+func (f *freqSketch) est(k blockKey) uint8 {
+	i, j := f.probes(k)
+	return min(f.count[i], f.count[j])
+}
+
+// poisonRecycled is called on a frame as reserve recycles it; race-detector
+// test builds overwrite it, so bytes copied from a frame reused under a pin
+// show as garbage.
+var poisonRecycled = func([]byte) {}
 
 // reserve makes room in shard s (whose lock the caller holds) for an
 // n-byte block k — evicting from the LRU tail until the shard's resident
@@ -279,35 +311,40 @@ func (c *blockCache) reserve(s *cacheShard, k blockKey, n int64) *cacheEntry {
 	} else {
 		e = new(cacheEntry)
 	}
-	e.key, e.next, e.pending, e.lo, e.hi = k, nil, true, 0, n
+	e.key, e.next, e.pending, e.cold, e.lo, e.hi = k, nil, true, false, 0, n
 	if e.readers.Load() != 0 || int64(cap(e.data)) < n {
 		// A new slot, or one whose frame a copyOut still reads: that
 		// frame is theirs now.
 		e.data = make([]byte, n)
 	} else {
 		e.data = e.data[:n]
+		poisonRecycled(e.data)
 	}
 	s.bytes += n
 	s.items[k] = e
 	return e
 }
 
-// commit makes a filled pending entry the most recently used resident
-// block, with no map operation, and wakes the readers waiting for it. If
-// reservations ran the shard over budget — one request reserving more of a
-// shard than it holds — commit trims the LRU tail back to it, never e
-// itself, which leaves what a block-by-block insertion would have. The
-// caller must be done with e.data: once resident, a frame can be recycled
-// at once.
+// commit makes a filled pending entry resident, with no map operation —
+// the most recently used block, or the LRU tail if it was admitted by
+// frequency (cold) — and wakes the readers waiting for it. If reservations
+// ran the shard over budget — one request reserving more of a shard than
+// it holds — commit first trims the LRU tail back to it, which leaves what
+// a block-by-block insertion would have. The caller must be done with
+// e.data: once resident, a frame can be recycled at once.
 func (c *blockCache) commit(e *cacheEntry) {
 	s := c.shard(e.key)
 	s.mu.Lock()
 	e.pending = false
-	s.pushFront(e)
-	for s.bytes > c.perShard && s.lru.prev != e {
+	for s.bytes > c.perShard && s.lru.prev != &s.lru {
 		s.vacate(s.lru.prev)
 		s.evictions.Inc()
 	}
+	at := &s.lru
+	if e.cold {
+		at = s.lru.prev
+	}
+	s.link(e, at)
 	s.mu.Unlock()
 	s.filled.Broadcast()
 }

@@ -70,6 +70,21 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 	if got := c.cachedBytes(); got != 40 {
 		t.Fatalf("cachedBytes = %d, want 40", got)
 	}
+	// A block admitted by frequency (cold) enters at the tail: it evicts
+	// the LRU block, 0, and is the next victim itself.
+	d, k = blk(5)
+	e := reserve(c, k, 10)
+	e.cold = true
+	copy(e.data, d)
+	c.commit(e)
+	if got := fmt.Sprint(lru(&c.shards[0])); got != "[4 3 2 5]" {
+		t.Fatalf("LRU %s after a cold commit, want [4 3 2 5]", got)
+	}
+	d, k = blk(6)
+	insert(c, k, d)
+	if got := fmt.Sprint(lru(&c.shards[0])); got != "[6 4 3 2]" || c.shards[0].evictions.Value() != 3 {
+		t.Fatalf("LRU %s after %d evictions, want the cold block 5 evicted next: [6 4 3 2] after 3", got, c.shards[0].evictions.Value())
+	}
 }
 
 func TestBlockCacheRefreshSameKey(t *testing.T) {
@@ -247,9 +262,36 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 	if want.bytes != 40 || len(want.resident) != 4 {
 		t.Fatalf("block-by-block insertion left %+v, want 4 blocks in budget", want)
 	}
+
+	// Blocks admitted by frequency enter at the tail, after the trim: a
+	// batch of them never evicts the block being committed, evicts as many
+	// as block-by-block insertion, and ends within budget.
+	c := newBlockCache(40, 1)
+	s := &c.shards[0]
+	s.evictions = &obs.Counter{}
+	for b := int64(100); b < 103; b++ {
+		insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
+	}
+	var held []*cacheEntry
+	for b := int64(0); b < 7; b++ {
+		e := reserve(c, blockKey{0, b}, 10)
+		e.cold = true
+		held = append(held, e)
+	}
+	for _, e := range held {
+		c.commit(e)
+		if s.lru.prev != e {
+			t.Fatalf("block %d, committed cold, is not the LRU tail: %v", e.key.block, lru(s))
+		}
+	}
+	if fmt.Sprint(lru(s)) != "[3 4 5 6]" || s.evictions.Value() != want.evictions || c.cachedBytes() != 40 {
+		t.Fatalf("a cold batch left %v, %d bytes after %d evictions; want [3 4 5 6], 40 bytes after %d",
+			lru(s), c.cachedBytes(), s.evictions.Value(), want.evictions)
+	}
 }
 
-// fullShard is a one-shard cache of four 10-byte blocks, all resident.
+// fullShard is a one-shard cache of four 10-byte blocks, all resident,
+// that has not yet had to evict: it counts no access.
 func fullShard() *blockCache {
 	c := newBlockCache(40, 1)
 	c.shards[0].evictions, c.shards[0].readAround = &obs.Counter{}, &obs.Counter{}
@@ -259,76 +301,117 @@ func fullShard() *blockCache {
 	return c
 }
 
-// TestFullShardReadsFirstTouchAround: a full shard declines a block it has
-// never declined when the reader's window is large — no entry, no
-// eviction, the resident set untouched — and admits it on its second miss.
+// lru lists the shard's resident blocks, most recently used first.
+func lru(s *cacheShard) []int64 {
+	var out []int64
+	for e := s.lru.next; e != &s.lru; e = e.next {
+		out = append(out, e.key.block)
+	}
+	return out
+}
+
+// commitAs commits a claimMine entry holding data.
+func commitAs(t *testing.T, c *blockCache, e *cacheEntry, got claim, data string) {
+	t.Helper()
+	if got != claimMine {
+		t.Fatalf("claim %d, want the block admitted", got)
+	}
+	copy(e.data, data)
+	c.commit(e)
+}
+
+// TestFullShardReadsFirstTouchAround: a shard starts counting at its first
+// eviction. A large window's block is then admitted only if the shard was
+// asked for it more often than for its LRU tail, and enters at the tail;
+// otherwise it is read around the cache — no entry, no eviction, the
+// resident set and its order untouched.
 func TestFullShardReadsFirstTouchAround(t *testing.T) {
 	c := fullShard()
 	s := &c.shards[0]
-	k := blockKey{0, 7}
-	if e, got := c.acquire(k, make([]byte, 10), 0, 0, 10, 10, true); got != claimAround || e != nil {
+	for b := int64(100); b < 104; b++ {
+		lookup(c, blockKey{0, b}, 10)
+	}
+	if s.freq.count != nil {
+		t.Fatal("a shard that never had to evict counts accesses")
+	}
+	// The first miss that would evict starts the count: the tail (100) has
+	// never been counted, so block 7 is admitted — at the tail.
+	e, got := c.acquire(blockKey{0, 7}, make([]byte, 10), 0, 0, 10, 10, true)
+	commitAs(t, c, e, got, "block-0007")
+	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || s.evictions.Value() != 1 {
+		t.Fatalf("a block admitted by frequency: LRU %v after %d evictions, want [103 102 101 7] after 1", lru(s), s.evictions.Value())
+	}
+	// Block 8, asked for as often as the tail (7), is read around.
+	if e, got := c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, true); got != claimAround || e != nil {
 		t.Fatalf("first touch of a full shard: claim %d, entry %v; want it read around", got, e)
 	}
-	if len(s.items) != 4 || c.cachedBytes() != 40 || s.evictions.Value() != 0 || s.readAround.Value() != 1 {
-		t.Fatalf("a declined block moved the shard: %d items, %d bytes, %d evictions, %d read around",
-			len(s.items), c.cachedBytes(), s.evictions.Value(), s.readAround.Value())
+	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || c.cachedBytes() != 40 || s.evictions.Value() != 1 || s.readAround.Value() != 1 {
+		t.Fatalf("a declined block moved the shard: LRU %v, %d bytes, %d evictions, %d read around",
+			lru(s), c.cachedBytes(), s.evictions.Value(), s.readAround.Value())
 	}
-	e, got := c.acquire(k, make([]byte, 10), 0, 0, 10, 10, true)
-	if got != claimMine {
-		t.Fatalf("second miss of a declined block: claim %d, want it admitted", got)
+	// Asked for twice, it beats the tail it evicts: the one-off fill 7.
+	e, got = c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, true)
+	commitAs(t, c, e, got, "block-0008")
+	if fmt.Sprint(lru(s)) != "[103 102 101 8]" {
+		t.Fatalf("LRU %v, want the one-off block 7 evicted and 8 at the tail", lru(s))
 	}
-	copy(e.data, "block-0007")
-	c.commit(e)
-	if d, ok := lookup(c, k, 10); !ok || string(d) != "block-0007" || s.evictions.Value() != 1 {
-		t.Fatalf("admitted block: %q %v after %d evictions", d, ok, s.evictions.Value())
-	}
-	if _, ok := s.declined[k]; ok {
-		t.Fatal("an admitted block is still remembered as declined")
+	// Its first hit moves it to the front.
+	if d, ok := lookup(c, blockKey{0, 8}, 10); !ok || string(d) != "block-0008" || fmt.Sprint(lru(s)) != "[8 103 102 101]" {
+		t.Fatalf("first hit of an admitted block: %q %v, LRU %v", d, ok, lru(s))
 	}
 }
 
-// TestAdmissionNeedsAFullShardAndALargeWindow: a small window is admitted
-// by a full shard, and a shard with room admits a large one, both at the
-// first miss and without remembering anything.
+// TestAdmissionNeedsAFullShardAndALargeWindow: a full shard that declines
+// large windows admits a small one's block, at the front; a shard with
+// room admits a large one, at the front, and counts nothing.
 func TestAdmissionNeedsAFullShardAndALargeWindow(t *testing.T) {
 	c := fullShard()
-	if _, got := c.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, false); got != claimMine {
-		t.Fatalf("small window on a full shard: claim %d, want admitted", got)
+	s := &c.shards[0]
+	s.freq.init(4)
+	for b := int64(100); b < 104; b++ {
+		lookup(c, blockKey{0, b}, 10)
+	}
+	if _, got := c.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true); got != claimAround {
+		t.Fatalf("large window on a full shard: claim %d, want it read around", got)
+	}
+	e, got := c.acquire(blockKey{0, 2}, make([]byte, 10), 0, 0, 10, 10, false)
+	commitAs(t, c, e, got, "block-0002")
+	if fmt.Sprint(lru(s)) != "[2 103 102 101]" {
+		t.Fatalf("small window on a full shard: LRU %v, want it admitted at the front", lru(s))
 	}
 	roomy := newBlockCache(40, 1)
 	insert(roomy, blockKey{0, 100}, make([]byte, 10))
-	if _, got := roomy.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true); got != claimMine {
-		t.Fatalf("large window on a shard with room: claim %d, want admitted", got)
-	}
-	if c.shards[0].ring != nil || roomy.shards[0].ring != nil {
-		t.Fatal("an admitted first miss was remembered as declined")
+	e, got = roomy.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true)
+	commitAs(t, roomy, e, got, "block-0001")
+	if r := &roomy.shards[0]; fmt.Sprint(lru(r)) != "[1 100]" || r.freq.count != nil {
+		t.Fatalf("large window on a shard with room: LRU %v, counting %v; want admitted at the front, nothing counted", lru(r), r.freq.count != nil)
 	}
 }
 
-// TestDeclinedRingIsBounded: the declined keys of a shard fit one slot per
-// block it holds; the oldest is forgotten — declined again at its next
-// miss — while the latest ones are still admitted.
-func TestDeclinedRingIsBounded(t *testing.T) {
-	c := fullShard() // 4 blocks: 4 slots
-	s := &c.shards[0]
-	for b := int64(0); b < 100; b++ {
-		if _, got := c.acquire(blockKey{0, b}, nil, 0, 0, 10, 10, true); got != claimAround {
-			t.Fatalf("block %d, first touch: claim %d", b, got)
-		}
-		if len(s.ring) != 4 || len(s.declined) > 4 {
-			t.Fatalf("after %d declines the ring has %d slots indexing %d keys, want at most 4", b+1, len(s.ring), len(s.declined))
+// TestFreqSketchSaturatesAndHalves: the sketch is sized from the blocks a
+// shard holds, its counters stop at 15, and every counter is halved once
+// four times as many accesses as it has counters were recorded.
+func TestFreqSketchSaturatesAndHalves(t *testing.T) {
+	for blocks, want := range map[int64]int{1: 64, 8: 64, 9: 128, 100: 1024} {
+		var f freqSketch
+		f.init(blocks)
+		if len(f.count) != want {
+			t.Fatalf("%d blocks: %d counters, want %d", blocks, len(f.count), want)
 		}
 	}
-	if _, got := c.acquire(blockKey{0, 95}, nil, 0, 0, 10, 10, true); got != claimAround {
-		t.Fatalf("block 95, five declines ago: claim %d, want it forgotten and declined", got)
+	var f freqSketch
+	f.init(4)
+	k := blockKey{3, 9}
+	for i := 0; i < 20; i++ {
+		f.record(k)
 	}
-	e, got := c.acquire(blockKey{0, 99}, nil, 0, 0, 10, 10, true)
-	if got != claimMine {
-		t.Fatalf("block 99, two declines ago: claim %d, want admitted", got)
+	if f.est(k) != 15 {
+		t.Fatalf("20 accesses estimated %d, want the counter saturated at 15", f.est(k))
 	}
-	c.abort(e)
-	// 95 took the slot of the oldest, 96; 99 was admitted.
-	if fmt.Sprint(s.declined) != fmt.Sprint(map[blockKey]int{{0, 95}: 0, {0, 97}: 1, {0, 98}: 2}) {
-		t.Fatalf("remembered %v, want 95, 97 and 98", s.declined)
+	for b := int64(0); f.seen != 0; b++ {
+		f.record(blockKey{0, b})
+	}
+	if f.est(k) != 7 {
+		t.Fatalf("after %d accesses the estimate is %d, want 15 halved", 4*len(f.count), f.est(k))
 	}
 }

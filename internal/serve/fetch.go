@@ -111,9 +111,9 @@ type missCost struct {
 // It acquires the blocks in order. One resident by now was filled by
 // another reader (singleflight — a FlightHit, no new read); one another
 // reader is filling ends the round. A full shard may decline a block of a
-// window of DirectReadBytes or more: its share of p is read around the
-// cache. Each other block gets a pending entry over the FS blocks its share
-// of the window touches (fillRange; the whole block if a partial copy was
+// window of an FS block or more: its share of p is read around the cache.
+// Each other block gets a pending entry over the FS blocks its share of
+// the window touches (fillRange; the whole block if a partial copy was
 // resident). A peer cache holding the bytes a block's read would fill
 // fills them (PeerFill); the rest are fused into dense spans (spanEnd),
 // each one retried vectored backend read into their frames and windows, or
@@ -132,7 +132,7 @@ type missCost struct {
 // answering, which is evidence of health, not of overload).
 func (s *Server) fetchMissing(file int, sc *missScratch, p []byte, off int64) (cost missCost, err error) {
 	bs := s.blockBytes
-	around := int64(len(p)) >= s.directRead
+	around := int64(len(p)) >= s.fsBlock
 	// deliver hands the reader its share of e's block, then commits e: the
 	// copy must come first, a resident frame can be recycled at once.
 	deliver := func(e *cacheEntry) {

@@ -14,8 +14,7 @@ import (
 // disagree.
 //
 // Cache traffic (hits, misses, evictions, read-arounds) is counted per
-// shard: a skewed workload shows up as one hot shard, which is exactly the
-// signal the hot-block replication of internal/cluster keys off. Every read
+// shard, so a skewed workload shows up as one hot shard. Every read
 // also ticks the latency sampler and counts its served bytes in the cell of
 // its first block's shard, so a resident hit writes nothing server-wide.
 //

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -70,14 +71,17 @@ func wantWindow(raw []byte, off, n int64) []byte {
 }
 
 // TestMissPathAllocations pins what a read costs the allocator once the
-// cache is full: a cold read — into recycled frames, a small window, or
-// around the cache, a large one — with pooled bookkeeping touches the heap
-// not at all, however many blocks it misses (the fetcher goroutine took 78
-// allocations for 64 KiB; a miss list on the stack spilled past 32 blocks),
-// and neither does a warm one.
+// cache is full: a cold read — into recycled frames, a window smaller than
+// an FS block, or around the cache, a larger one the shard has not been
+// asked for often — with pooled bookkeeping touches the heap not at all,
+// however many blocks it misses (the fetcher goroutine took 78 allocations
+// for 64 KiB; a miss list on the stack spilled past 32 blocks), and
+// neither does a warm one. The FS block is 16 KiB, so the 8 KiB window is
+// the small one and the cache block is one FS block.
 func TestMissPathAllocations(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
-	raw := writeOneFile(t, fsys, "a.sion", 8, 1<<20, 4096)
+	const fsblk = 16 << 10
+	raw := writeOneFile(t, fsys, "a.sion", 8, 1<<20, fsblk)
 	for _, win := range []int64{8 << 10, 64 << 10, 1 << 20} { // 1 MiB at an odd offset: 65 blocks of 16 KiB
 		t.Run(fmt.Sprint(win>>10, "KiB"), func(t *testing.T) {
 			span := int64(len(raw)) - win
@@ -98,7 +102,7 @@ func TestMissPathAllocations(t *testing.T) {
 				}
 				i++
 			}
-			for i < 256 { // fill the cache, the declined rings and the pool
+			for i < 256 { // fill the cache, the frequency sketches and the pool
 				next()
 			}
 			before := cold.Stats()
@@ -111,7 +115,7 @@ func TestMissPathAllocations(t *testing.T) {
 			if st.BackendReads-before.BackendReads < 50 || st.Evictions+st.ReadAround == before.Evictions+before.ReadAround {
 				t.Fatalf("the measured reads were not cold: %+v -> %+v", before, st)
 			}
-			if (st.ReadAround > before.ReadAround) != (win >= sion.DirectReadBytes(fsio.Capabilities{}, 4096)) {
+			if (st.ReadAround > before.ReadAround) != (win >= fsblk) {
 				t.Fatalf("a %d-byte window read %d blocks around the cache", win, st.ReadAround-before.ReadAround)
 			}
 			if !bytes.Equal(p, wantWindow(raw, ((i-1)*stride+1000)%span, win)) {
@@ -211,8 +215,8 @@ func TestRecycledFramesNeverShow(t *testing.T) {
 // TestRecycledFramesReadZeroPastEOF: a reserved frame is recycled memory
 // holding an earlier block's bytes; a read straddling the physical file's
 // end must still deliver zeros past EOF, not those bytes, on both miss
-// paths. The read at EOF is a small window, which a full cache admits: a
-// large one would be read around it, into no frame at all.
+// paths. The read at EOF is smaller than an FS block, which a full cache
+// always admits: a larger one may be read around it, into no frame at all.
 func TestRecycledFramesReadZeroPastEOF(t *testing.T) {
 	for _, mp := range missPaths {
 		t.Run(mp.name, func(t *testing.T) {
@@ -232,7 +236,7 @@ func TestRecycledFramesReadZeroPastEOF(t *testing.T) {
 				if !bytes.Equal(long, wantWindow(raw, 512, int64(len(long)))) {
 					t.Fatal("long read differs from the file")
 				}
-				off, n := size-300, int64(900)
+				off, n := size-100, int64(200)
 				p := bytes.Repeat([]byte{0xAA}, int(n))
 				if err := s.ReadFileAt(0, p, off, nil); err != nil {
 					t.Fatal(err)
@@ -562,9 +566,11 @@ func waitGoroutines(t *testing.T, base int) {
 
 // fullTinyServer serves a one-file multifile of 256-byte FS blocks through
 // one shard of four 256-byte blocks, which small windows at the start of
-// the file fill: every later first-touch block of a window of 1 KiB (4 FS
-// blocks, sion.DirectReadBytes) or more is read around the cache. cfg's
-// cache geometry is overridden.
+// the file fill. The shard then counts accesses, as it does once it has
+// had to evict, and each resident block is hit until its count saturates:
+// every later first-touch block of a window of one FS block or more has
+// been asked for less often than the LRU tail and is read around the
+// cache. cfg's cache geometry is overridden.
 func fullTinyServer(t *testing.T, fsys fsio.FileSystem, cfg Config) (*Server, []byte) {
 	t.Helper()
 	raw := writeOneFile(t, fsys, "t.sion", 8, 8<<10, 256)
@@ -579,7 +585,13 @@ func fullTinyServer(t *testing.T, fsys fsio.FileSystem, cfg Config) (*Server, []
 			t.Fatal(err)
 		}
 	}
-	if st := s.Stats(); st.CachedBytes != 4*256 || st.ReadAround != 0 {
+	s.cache.shards[0].freq.init(4)
+	for i := 0; i < 15; i++ {
+		if err := s.ReadFileAt(0, make([]byte, 4*256), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.CachedBytes != 4*256 || st.ReadAround != 0 || st.BackendReads != 4 {
 		t.Fatalf("small windows did not fill the cache: %+v", st)
 	}
 	return s, raw
@@ -610,7 +622,7 @@ func TestReadAroundIsByteIdentical(t *testing.T) {
 				{100, 4000},             // blocks 0-3 hit, 4-15 read around
 				{size - 3000, 6000},     // straddles EOF
 				{size + 100, 2000},      // wholly past EOF
-				{size/2 + 7, 1 << 10},   // exactly the threshold
+				{size/2 + 7, 1 << 10},   // four FS blocks
 				{size/3 + 300, 8 << 10}, // a long run, one vector
 			} {
 				if err := readPoisoned(t, s, raw, w.off, w.n); err != nil {
@@ -696,4 +708,75 @@ func TestReadAroundFailsFastWhenDegraded(t *testing.T) {
 	if st.BackendReads != before.BackendReads || st.Degraded != before.Degraded+1 || st.ReadAround == before.ReadAround {
 		t.Fatalf("the degraded request was not failed fast after being read around: %+v -> %+v", before, st)
 	}
+}
+
+// BenchmarkMissPath serves uniform windows of 4–64 KiB over a file eight
+// times the cache from two goroutines on fsio.OS (…/serve), and preads the
+// same requests from the same file (…/pread), the miss path's ceiling.
+// serve reports the cache's work per block lookup and the backend bytes
+// moved per byte served, counted over the timed requests.
+func BenchmarkMissPath(b *testing.B) {
+	fsys := fsio.NewOS(b.TempDir())
+	raw := writeOneFile(b, fsys, "m.sion", 16, 512<<10, 4096)
+	size := int64(len(raw))
+	rng := rand.New(rand.NewSource(36))
+	type request struct{ off, n int64 }
+	reqs := make([]request, 4096)
+	for i := range reqs {
+		n := int64(math.Exp(math.Log(4<<10) + rng.Float64()*math.Log(16)))
+		reqs[i] = request{rng.Int63n(size - n), n}
+	}
+	const workers = 2
+	run := func(b *testing.B, read func(p []byte, off int64) error) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				p := make([]byte, 64<<10)
+				for i := w; i < b.N; i += workers {
+					q := reqs[i%len(reqs)]
+					if err := read(p[:q.n], q.off); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	b.Run("serve", func(b *testing.B) {
+		s, err := New(fsys, "m.sion", &Config{CacheBytes: size / 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		read := func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }
+		for _, q := range reqs { // fill the cache and start its counts
+			if err := read(make([]byte, q.n), q.off); err != nil {
+				b.Fatal(err)
+			}
+		}
+		before := s.Stats()
+		b.ResetTimer()
+		run(b, read)
+		b.StopTimer()
+		st := s.Stats()
+		lookups := float64(st.Hits + st.Misses - before.Hits - before.Misses)
+		b.ReportMetric(float64(st.Evictions-before.Evictions)/lookups, "evictions/lookup")
+		b.ReportMetric(float64(st.Hits-before.Hits)/lookups, "hit")
+		b.ReportMetric(float64(st.BackendBytes-before.BackendBytes)/float64(st.ServedBytes-before.ServedBytes), "backend-bytes/served")
+	})
+	b.Run("pread", func(b *testing.B) {
+		fh, err := fsys.Open("m.sion")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer fh.Close()
+		b.ResetTimer()
+		run(b, func(p []byte, off int64) error {
+			_, err := fh.ReadAt(p, off)
+			return err
+		})
+	})
 }

@@ -64,20 +64,22 @@ func (f *recordFile) ReadAt(p []byte, off int64) (int, error) {
 // bridging, same ranged-read windows, same order.
 //
 // Both goldens were re-recorded when a full cache began to admit a block
-// only on its second miss. The stream's 4096- and 9000-byte windows are
-// at least sion.DirectReadBytes (4 FS blocks here), so once a shard is
-// full their first-touch blocks are read around the cache: such a read
-// covers exactly the window's bytes, not the FS blocks around it, and the
-// blocks it would have evicted stay resident, so later windows hit and miss
-// elsewhere. The same stream issued 1236 and 1257 reads before (maxReads);
-// it may not issue more.
-const goldenReadSequence = "ceeb8186cd7a5c463671b69d79f4a1bd5bbd9406d044ac81a754f1492bd4fe32"
+// only on its second miss, and again when it began to admit by frequency.
+// The stream's windows of 256 bytes and more are at least an FS block, so
+// once a shard is full their blocks are admitted only if the shard was
+// asked for them more often than for its LRU tail, and then at the tail;
+// the others are read around the cache, exactly the window's bytes, and
+// the blocks they would have evicted stay resident, so later windows hit
+// and miss elsewhere. The same stream issued 1236 and 1257 reads when
+// every miss was admitted (maxReads), 1231 and 1248 under the second-miss
+// rule, and 1188 and 1182 now; it may not issue more than the first.
+const goldenReadSequence = "5387cb3d43b1d38d58a56144e465d23d2e617fae5db8fa6c2df39707a3e1f93a"
 
 // goldenReadSequenceWide is the same stream's hash with cache blocks of
 // four FS blocks, the default geometry's shape: first misses read only the
 // FS blocks their window touches, a partly resident block is read whole,
 // and ranged-read windows start where the previous window's vectors end.
-const goldenReadSequenceWide = "b78c39f7f1549df23f4c6aef7e378c953b98943ed95c053e4107269f115583c1"
+const goldenReadSequenceWide = "b200c2671d407be0908289e49cdedf2210b01cebfc15af973cfafffb909a7cc8"
 
 // TestSequentialReadSequenceIsGolden replays a seeded sequential stream of
 // 500 mixed requests — random windows of five sizes over both physical

@@ -19,12 +19,13 @@
 //     budget split evenly across shards. Frames are
 //     allocated as blocks arrive and recycled on eviction; hits are copied
 //     out, never lent, so nothing outside the cache ever aliases a
-//     resident frame. A full shard admits a block on its second miss: a
-//     first-touch block of a window of at least sion.DirectReadBytes (the
-//     size core's read stage reads straight into the caller's slice) is
-//     read around the cache, into the caller's buffer, and remembered in a
-//     ring of declined keys, one slot per block the shard holds. A shard
-//     with room, or a smaller window, admits every miss.
+//     resident frame. A full shard admits by frequency (TinyLFU): a
+//     missed block of a window of at least an FS block is admitted only if
+//     the shard was asked for it more often than for its LRU tail, and
+//     enters at the tail until its first hit; otherwise it is read around
+//     the cache, into the caller's buffer. A shard with room, or a window
+//     smaller than an FS block (whose whole FS block the backend reads
+//     anyway), admits every miss.
 //   - A miss path on the reader's own goroutine (fetch.go): a read enters
 //     a pending cache entry per missing block, fuses the blocks into dense
 //     spans with the gap-splitting rule of the mapped collective open
@@ -203,7 +204,6 @@ type Server struct {
 	cache        *blockCache
 	blockBytes   int64
 	fsBlock      int64 // the multifile's FS block: a first miss reads whole ones (fillRange)
-	directRead   int64 // windows this large may be read around a full cache (sion.DirectReadBytes)
 	maxSpanGap   int64
 	maxSpanBytes int64 // ceiling of one backend span read (0 = unbounded), see spanCeiling
 	retry        resil.Budget
@@ -254,7 +254,6 @@ func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfil
 		name:         name,
 		blockBytes:   c.BlockBytes,
 		fsBlock:      fsblk,
-		directRead:   sion.DirectReadBytes(caps, fsblk),
 		maxSpanGap:   c.MaxSpanGap,
 		maxSpanBytes: spanCeiling(caps, c.BlockBytes),
 		cache:        newBlockCache(c.CacheBytes, c.Shards),
