@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	siondump [-mapping] <multifile>
+//	siondump [-backend posix|objstore[,profile]] [-mapping] <multifile>
 //
 // With -mapping it prints only the global rank→(physical file, local
 // rank) mapping table decoded from file 0's header — this needs no other
@@ -18,22 +18,28 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/backendflag"
 	sion "repro/internal/core"
-	"repro/internal/fsio"
 )
 
 func main() {
+	backend := backendflag.Flag()
 	mapping := flag.Bool("mapping", false, "print only the rank→file mapping table from file 0's header")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: siondump [-mapping] <multifile>")
+		fmt.Fprintln(os.Stderr, "usage: siondump [-backend B] [-mapping] <multifile>")
+		os.Exit(2)
+	}
+	stack, err := backendflag.Build(*backend, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "siondump:", err)
 		os.Exit(2)
 	}
 	dump := sion.Dump
 	if *mapping {
 		dump = sion.DumpMapping
 	}
-	if err := dump(fsio.NewOS(""), flag.Arg(0), os.Stdout); err != nil {
+	if err := dump(stack.FS, flag.Arg(0), os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "siondump:", err)
 		os.Exit(1)
 	}

@@ -4,30 +4,38 @@
 // §6 robustness plan. The multifile must have been written with chunk
 // headers enabled.
 //
-// Usage: sionrepair <multifile>
+// Usage: sionrepair [-backend posix|objstore[,profile]] <multifile>
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/backendflag"
 	sion "repro/internal/core"
-	"repro/internal/fsio"
 )
 
 func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: sionrepair <multifile>")
+	backend := backendflag.Flag()
+	flag.Parse()
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: sionrepair [-backend B] <multifile>")
 		os.Exit(2)
 	}
-	fs := fsio.NewOS("")
-	n, err := sion.Repair(fs, os.Args[1])
+	stack, err := backendflag.Build(*backend, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sionrepair:", err)
+		os.Exit(2)
+	}
+	fs := stack.FS
+	n, err := sion.Repair(fs, flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sionrepair:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("sionrepair: recovered metadata for %d chunks\n", n)
-	if err := sion.Verify(fs, os.Args[1]); err != nil {
+	if err := sion.Verify(fs, flag.Arg(0)); err != nil {
 		fmt.Fprintln(os.Stderr, "sionrepair: post-repair verify:", err)
 		os.Exit(1)
 	}

@@ -4,13 +4,15 @@
 // takes over a balanced contiguous span of the original N writer ranks,
 // reads every owned rank's logical file back, and verifies it bit-exactly;
 // a second restart demonstrates the collective mapped read, where only
-// ⌈M/group⌉ collector tasks touch the physical file.
+// ⌈M/group⌉ collector tasks touch the physical file. A byte that differs
+// is an error and a non-zero exit.
 //
 // Run with: go run ./examples/restart [dir]
 package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -38,6 +40,90 @@ func state(g int) []byte {
 	return out
 }
 
+// restart reads the checkpoint back with nReaders tasks and checks every
+// writer rank's state bit-exactly.
+func restart(fsys *fsio.OS, opts *sion.Options, label string) error {
+	errs := make([]error, nReaders)
+	mpi.Run(nReaders, func(c *mpi.Comm) {
+		// owned == nil picks the balanced contiguous partition; pass
+		// explicit rank lists for custom layouts.
+		mf, err := sion.ParOpenMapped(c, fsys, "restart.sion", sion.ReadMode, nil, opts)
+		if err != nil {
+			errs[c.Rank()] = fmt.Errorf("reader %d: %w", c.Rank(), err)
+			return
+		}
+		defer mf.Close()
+		var total int
+		for _, g := range mf.OwnedRanks() {
+			h, err := mf.Rank(g)
+			if err != nil {
+				errs[c.Rank()] = fmt.Errorf("reader %d: %w", c.Rank(), err)
+				return
+			}
+			got := make([]byte, h.LogicalSize())
+			if _, err := h.Read(got); err != nil {
+				errs[c.Rank()] = fmt.Errorf("reader %d rank %d: %w", c.Rank(), g, err)
+				return
+			}
+			if !bytes.Equal(got, state(g)) {
+				errs[c.Rank()] = fmt.Errorf("reader %d: rank %d state differs after restart", c.Rank(), g)
+				return
+			}
+			total += len(got)
+		}
+		group, collector := mf.Collective()
+		role := ""
+		if group > 1 {
+			role = " [member]"
+			if collector {
+				role = " [collector]"
+			}
+		}
+		fmt.Printf("  %s: reader %d restored writer ranks %v (%d bytes)%s\n",
+			label, c.Rank(), mf.OwnedRanks(), total, role)
+	})
+	return errors.Join(errs...)
+}
+
+func run(dir string) error {
+	fsys := fsio.NewOS(dir)
+
+	// Phase 1: checkpoint with N tasks (ordinary ParOpen write).
+	errs := make([]error, nWriters)
+	mpi.Run(nWriters, func(c *mpi.Comm) {
+		f, err := sion.ParOpen(c, fsys, "restart.sion", sion.WriteMode, &sion.Options{
+			ChunkSize: 16 << 10,
+		})
+		if err != nil {
+			errs[c.Rank()] = fmt.Errorf("writer %d: %w", c.Rank(), err)
+			return
+		}
+		_, err = f.Write(state(c.Rank()))
+		if cerr := f.Close(); err == nil { // Close is collective: reach it on every path
+			err = cerr
+		}
+		if err != nil {
+			errs[c.Rank()] = fmt.Errorf("writer %d: %w", c.Rank(), err)
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	fmt.Printf("checkpointed %d tasks into restart.sion\n", nWriters)
+
+	// Phase 2: restart with M tasks, direct and collective.
+	fmt.Printf("restarting with %d tasks, direct mapped read:\n", nReaders)
+	if err := restart(fsys, nil, "direct"); err != nil {
+		return err
+	}
+	fmt.Printf("restarting with %d tasks, collective mapped read (group 3):\n", nReaders)
+	if err := restart(fsys, &sion.Options{CollectorGroup: 3}, "collective"); err != nil {
+		return err
+	}
+	fmt.Println("restart verified bit-exact with a different task count")
+	return nil
+}
+
 func main() {
 	dir := os.TempDir()
 	if len(os.Args) > 1 {
@@ -46,64 +132,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fsys := fsio.NewOS(dir)
-
-	// Phase 1: checkpoint with N tasks (ordinary ParOpen write).
-	mpi.Run(nWriters, func(c *mpi.Comm) {
-		f, err := sion.ParOpen(c, fsys, "restart.sion", sion.WriteMode, &sion.Options{
-			ChunkSize: 16 << 10,
-		})
-		if err != nil {
-			log.Fatalf("writer %d: %v", c.Rank(), err)
-		}
-		if _, err := f.Write(state(c.Rank())); err != nil {
-			log.Fatalf("writer %d: %v", c.Rank(), err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("writer %d: %v", c.Rank(), err)
-		}
-	})
-	fmt.Printf("checkpointed %d tasks into restart.sion\n", nWriters)
-
-	// Phase 2: restart with M tasks. owned == nil picks the balanced
-	// contiguous partition; pass explicit rank lists for custom layouts.
-	restart := func(opts *sion.Options, label string) {
-		mpi.Run(nReaders, func(c *mpi.Comm) {
-			mf, err := sion.ParOpenMapped(c, fsys, "restart.sion", sion.ReadMode, nil, opts)
-			if err != nil {
-				log.Fatalf("reader %d: %v", c.Rank(), err)
-			}
-			defer mf.Close()
-			var total int
-			for _, g := range mf.OwnedRanks() {
-				h, err := mf.Rank(g)
-				if err != nil {
-					log.Fatalf("reader %d: %v", c.Rank(), err)
-				}
-				got := make([]byte, h.LogicalSize())
-				if _, err := h.Read(got); err != nil {
-					log.Fatalf("reader %d rank %d: %v", c.Rank(), g, err)
-				}
-				if !bytes.Equal(got, state(g)) {
-					log.Fatalf("reader %d: rank %d state differs after restart", c.Rank(), g)
-				}
-				total += len(got)
-			}
-			group, collector := mf.Collective()
-			role := ""
-			if group > 1 {
-				role = " [member]"
-				if collector {
-					role = " [collector]"
-				}
-			}
-			fmt.Printf("  %s: reader %d restored writer ranks %v (%d bytes)%s\n",
-				label, c.Rank(), mf.OwnedRanks(), total, role)
-		})
+	if err := run(dir); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("restarting with %d tasks, direct mapped read:\n", nReaders)
-	restart(nil, "direct")
-	fmt.Printf("restarting with %d tasks, collective mapped read (group 3):\n", nReaders)
-	restart(&sion.Options{CollectorGroup: 3}, "collective")
-	fmt.Println("restart verified bit-exact with a different task count")
 }

@@ -1,8 +1,8 @@
 // Package backendflag is the shared -backend flag of the command-line
-// tools: every cmd that binds a file system (sionserve, siondefrag,
-// sionsplit, sionverify) selects its storage backend through
-// one spec syntax and one stack builder, instead of hard-coding
-// fsio.NewOS per command.
+// tools: every cmd that binds a file system (sionserve, siondump,
+// siondefrag, sionsplit, sionverify, sionrepair) selects its storage
+// backend through one spec syntax and one stack builder, instead of
+// hard-coding fsio.NewOS per command.
 //
 // Spec syntax: "posix" (the OS file system) or "objstore[,profile]"
 // (the simulated object-store request model over the OS file system;

@@ -576,15 +576,15 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 	var tailOK atomic.Bool
 	go func() {
 		defer wg.Done()
-		sess, err := ts.Tail(0)
+		h, err := ts.Open(0)
 		if err != nil {
-			t.Errorf("Tail: %v", err)
+			t.Errorf("Open on the live server: %v", err)
 			return
 		}
 		var got []byte
 		buf := make([]byte, 333)
 		for {
-			n, err := sess.Follow(buf, func() bool { time.Sleep(time.Millisecond); return true })
+			n, err := ts.Follow(h, buf, func() bool { time.Sleep(time.Millisecond); return true })
 			got = append(got, buf[:n]...)
 			if err != nil {
 				if !errors.Is(err, io.EOF) {

@@ -548,7 +548,7 @@ func TestShortReadZeroFills(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	ext, _ := tr.t.RankCommitted(1)
+	ext := tr.snap.RankBlocks(1)
 	check("tail/Read", cfs, ext[0].Off, direct, tr.Read)
 }
 

@@ -118,10 +118,10 @@ type Options struct {
 	// into a per-segment sidecar file ("<segment>.wmk", see watermark.go):
 	// on every Flush the data is synced first and a small commit record is
 	// made durable afterwards, so readers can safely tail the multifile
-	// while it is still being written (Follow, TailLayout, serve.NewTail)
-	// without ever observing torn records. Close publishes a final sealed
-	// commit. Only supported on parallel write handles (ParOpen); the
-	// serial Create rejects it.
+	// while it is still being written — through Layout snapshots that grow
+	// (TailLayout, Follow, serve.NewTail) — without ever observing torn
+	// records. Close publishes a final sealed commit. Only supported on
+	// parallel write handles (ParOpen); the serial Create rejects it.
 	Watermarks bool
 
 	// BufferSize enables buffered staging I/O on the direct path (see

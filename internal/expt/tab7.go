@@ -32,10 +32,10 @@ import (
 //   - stream: N writers append CRC-framed records to a live multifile on
 //     one simulated machine, flushing every tab7Flush records and
 //     computing for tab7Step sim-seconds between batches. M serve-backed
-//     readers (serve.NewTail sessions) follow the writers mid-write,
-//     polling every tab7Poll sim-seconds, parse complete frames, and ship
-//     them into a second multifile on another machine through per-writer
-//     key streams (KeyWriter). Asserted: every frame parses (magic, seq
+//     readers (Handles of one serve.NewTail server, opened once) follow
+//     the writers mid-write, polling every tab7Poll sim-seconds, parse
+//     complete frames, and ship them into a second multifile on another
+//     machine through per-writer key streams (KeyWriter). Asserted: every frame parses (magic, seq
 //     order, CRC), nothing is ever read past a watermark the writer did
 //     not publish, the reader lag never exceeds tab7LagBound flush
 //     batches, and the shipped archive is byte-identical to the source
@@ -107,7 +107,7 @@ func tab7Frame(salt, w, seq int) []byte {
 // tab7Stream is one reader's state for one followed writer.
 type tab7Stream struct {
 	w       int
-	sess    *serve.Session
+	sess    *serve.Handle
 	pending []byte // received bytes not yet forming a whole frame
 	nextSeq int
 	got     int64 // total bytes delivered by the session
@@ -287,9 +287,9 @@ func tab7Reader(c, rc *mpi.Comm, fsA, fsB *simfs.FS, nw, nr, records int,
 
 	var streams []*tab7Stream
 	for w := rr * nw / nr; w < (rr+1)*nw/nr; w++ {
-		sess, err := srv.Tail(w)
+		sess, err := srv.Open(w)
 		if err != nil {
-			panic(fmt.Sprintf("tab7: reader %d: Tail(%d): %v", rr, w, err))
+			panic(fmt.Sprintf("tab7: reader %d: Open(%d): %v", rr, w, err))
 		}
 		streams = append(streams, &tab7Stream{w: w, sess: sess, nextSeq: 1})
 	}

@@ -209,9 +209,10 @@ const (
 // shard, which would have to evict, has been asked for the block no more
 // often than for its LRU tail; and otherwise reserves a pending
 // n-byte entry for the caller to fill, whose valid range is [lo, hi) — or
-// the whole block if a partial copy was resident, so that a block costs at
-// most two backend reads.
-func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, n int64, around bool) (*cacheEntry, claim) {
+// [0, top) if a partial copy was resident, so that a block costs at most
+// two backend reads. top (≤ n, ≥ hi) caps every fill: it is where the
+// block's committed bytes end (n but at a live frontier, tail.go).
+func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64, around bool) (*cacheEntry, claim) {
 	s := c.shard(k)
 	s.mu.Lock()
 	e, ok := s.items[k]
@@ -223,7 +224,7 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, n int64, arou
 		s.hit(e, dst, from)
 		return nil, claimHit
 	case ok:
-		lo, hi = 0, n
+		lo, hi = 0, top
 	}
 	full := s.bytes+n > c.perShard
 	if full && s.freq.count == nil {
@@ -372,20 +373,6 @@ func (c *blockCache) wait(k blockKey) {
 		s.filled.Wait()
 	}
 	s.mu.Unlock()
-}
-
-// invalidate drops a block from the cache if resident. Tail servers call
-// it when a rank's committed frontier crosses into a new block: the block
-// that used to contain the frontier was never cached (frontier bytes
-// bypass the cache), but dropping it anyway keeps the cache provably free
-// of stale bytes even if a future caller caches more eagerly.
-func (c *blockCache) invalidate(k blockKey) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.items[k]; ok && !e.pending {
-		s.vacate(e)
-	}
 }
 
 // cachedBytes sums the resident bytes across shards, plus those of pending

@@ -125,7 +125,7 @@ func TestBlockCacheConcurrent(t *testing.T) {
 				// replaces a partial copy; a hit must see exactly that byte.
 				d := make([]byte, 16)
 				from := int64(i % 48)
-				e, got := c.acquire(k, d, from, from&^15, from&^15+32, 64, false)
+				e, got := c.acquire(k, d, from, from&^15, from&^15+32, 64, 64, false)
 				switch got {
 				case claimMine:
 					for j := e.lo; j < e.hi; j++ {
@@ -336,13 +336,13 @@ func TestFullShardReadsFirstTouchAround(t *testing.T) {
 	}
 	// The first miss that would evict starts the count: the tail (100) has
 	// never been counted, so block 7 is admitted — at the tail.
-	e, got := c.acquire(blockKey{0, 7}, make([]byte, 10), 0, 0, 10, 10, true)
+	e, got := c.acquire(blockKey{0, 7}, make([]byte, 10), 0, 0, 10, 10, 10, true)
 	commitAs(t, c, e, got, "block-0007")
 	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || s.evictions.Value() != 1 {
 		t.Fatalf("a block admitted by frequency: LRU %v after %d evictions, want [103 102 101 7] after 1", lru(s), s.evictions.Value())
 	}
 	// Block 8, asked for as often as the tail (7), is read around.
-	if e, got := c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, true); got != claimAround || e != nil {
+	if e, got := c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, 10, true); got != claimAround || e != nil {
 		t.Fatalf("first touch of a full shard: claim %d, entry %v; want it read around", got, e)
 	}
 	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || c.cachedBytes() != 40 || s.evictions.Value() != 1 || s.readAround.Value() != 1 {
@@ -350,7 +350,7 @@ func TestFullShardReadsFirstTouchAround(t *testing.T) {
 			lru(s), c.cachedBytes(), s.evictions.Value(), s.readAround.Value())
 	}
 	// Asked for twice, it beats the tail it evicts: the one-off fill 7.
-	e, got = c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, true)
+	e, got = c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, 10, true)
 	commitAs(t, c, e, got, "block-0008")
 	if fmt.Sprint(lru(s)) != "[103 102 101 8]" {
 		t.Fatalf("LRU %v, want the one-off block 7 evicted and 8 at the tail", lru(s))
@@ -371,17 +371,17 @@ func TestAdmissionNeedsAFullShardAndALargeWindow(t *testing.T) {
 	for b := int64(100); b < 104; b++ {
 		lookup(c, blockKey{0, b}, 10)
 	}
-	if _, got := c.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true); got != claimAround {
+	if _, got := c.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, 10, true); got != claimAround {
 		t.Fatalf("large window on a full shard: claim %d, want it read around", got)
 	}
-	e, got := c.acquire(blockKey{0, 2}, make([]byte, 10), 0, 0, 10, 10, false)
+	e, got := c.acquire(blockKey{0, 2}, make([]byte, 10), 0, 0, 10, 10, 10, false)
 	commitAs(t, c, e, got, "block-0002")
 	if fmt.Sprint(lru(s)) != "[2 103 102 101]" {
 		t.Fatalf("small window on a full shard: LRU %v, want it admitted at the front", lru(s))
 	}
 	roomy := newBlockCache(40, 1)
 	insert(roomy, blockKey{0, 100}, make([]byte, 10))
-	e, got = roomy.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true)
+	e, got = roomy.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, 10, true)
 	commitAs(t, roomy, e, got, "block-0001")
 	if r := &roomy.shards[0]; fmt.Sprint(lru(r)) != "[1 100]" || r.freq.count != nil {
 		t.Fatalf("large window on a shard with room: LRU %v, counting %v; want admitted at the front, nothing counted", lru(r), r.freq.count != nil)

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -17,7 +20,10 @@ import (
 // the accesses the model says a shard records predicts each admission, and
 // must equal the shard's own. Bytes are versioned: each fill writes a
 // pattern unique to its key, fill and offset, so a hit that copies a stale,
-// recycled or uncovered byte shows.
+// recycled or uncovered byte shows. A reservation may be capped, as at a
+// live frontier (tail.go): no fill may reach past the cap in force when it
+// was reserved. And a reader parked on a pending entry must wake when the
+// entry is aborted, which the harness checks on a real parked goroutine.
 
 // fuzzFSBlock and fuzzBlock are the model cache's geometry: an FS block
 // smaller than the cache block, so frames hold partial ranges.
@@ -114,13 +120,14 @@ func covers(me *modelEntry, from, n int64) bool {
 	return !me.pending && me.lo <= from && from+n <= me.hi
 }
 
-// acquire runs one acquire and checks its claim against the model's.
-func (m *cacheModel) acquire(k blockKey, from, n int64, around bool) {
+// acquire runs one acquire, whose fills the block's committed end top caps,
+// and checks its claim against the model's.
+func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
 	_, ms := m.shard(k)
 	lo := from / fuzzFSBlock * fuzzFSBlock
-	hi := min((from+n+fuzzFSBlock-1)/fuzzFSBlock*fuzzFSBlock, fuzzBlock)
+	hi := min((from+n+fuzzFSBlock-1)/fuzzFSBlock*fuzzFSBlock, top)
 	dst := make([]byte, n)
-	e, got := m.c.acquire(k, dst, from, lo, hi, fuzzBlock, around)
+	e, got := m.c.acquire(k, dst, from, lo, hi, top, fuzzBlock, around)
 
 	want := claimMine
 	me, ok := ms.entries[k]
@@ -143,7 +150,7 @@ func (m *cacheModel) acquire(k blockKey, from, n int64, around bool) {
 	}
 	m.misses++
 	if ok {
-		lo, hi = 0, fuzzBlock
+		lo, hi = 0, top
 	}
 	full := ms.bytes+fuzzBlock > m.c.perShard
 	if full && ms.freq.count == nil {
@@ -173,6 +180,9 @@ func (m *cacheModel) acquire(k blockKey, from, n int64, around bool) {
 	ms.entries[k] = &modelEntry{pending: true, cold: cold, lo: lo, hi: hi}
 	ms.bytes += fuzzBlock
 	ms.outstanding++
+	if e.hi > top {
+		m.t.Fatalf("acquire %v: reserved [%d, %d) past the committed end %d", k, e.lo, e.hi, top)
+	}
 	if e.lo != lo || e.hi != hi || e.cold != cold {
 		m.t.Fatalf("acquire %v: reserved [%d, %d) cold=%v, model [%d, %d) cold=%v", k, e.lo, e.hi, e.cold, lo, hi, cold)
 	}
@@ -228,14 +238,27 @@ func (m *cacheModel) copyOut(k blockKey, from, n int64) {
 	}
 }
 
-// invalidate drops k if resident.
-func (m *cacheModel) invalidate(k blockKey) {
-	m.c.invalidate(k)
-	_, ms := m.shard(k)
-	if me, ok := ms.entries[k]; ok && !me.pending {
-		delete(ms.entries, k)
-		ms.lru = slices.DeleteFunc(ms.lru, func(x blockKey) bool { return x == k })
-		ms.bytes -= fuzzBlock
+// parkAndAbort parks a reader on held reservation i, a pending entry, and
+// aborts it: the reader must wake. It waits until the reader sleeps on the
+// shard's sync.Cond — by then it holds its wake-up ticket — so the wake-up
+// is abort's own, on every schedule.
+func (m *cacheModel) parkAndAbort(i int) {
+	k := m.held[i].key
+	id, woke := make(chan string, 1), make(chan struct{})
+	go func() {
+		buf := make([]byte, 64)
+		id <- strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1] // "goroutine <id> [running]:"
+		m.c.wait(k)
+		close(woke)
+	}()
+	for waiter := <-id; !sleepsOnCond(waiter); {
+		runtime.Gosched()
+	}
+	m.settle(i, false)
+	select {
+	case <-woke:
+	case <-time.After(10 * time.Second):
+		m.t.Fatalf("a reader parked on pending block %v did not wake when it was aborted", k)
 	}
 }
 
@@ -258,6 +281,17 @@ func (m *cacheModel) unpin(i int) {
 		m.t.Fatalf("a pinned frame of %v was rewritten under its reader", p.e.key)
 	}
 	p.e.readers.Add(-1)
+}
+
+// sleepsOnCond reports whether goroutine id sleeps on a sync.Cond, by its
+// status in a dump of every goroutine's stack.
+func sleepsOnCond(id string) bool {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for ; n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	return strings.Contains(string(buf[:n]), "goroutine "+id+" [sync.Cond.Wait")
 }
 
 // check compares every shard with its model.
@@ -316,8 +350,12 @@ func (m *cacheModel) run(data []byte) {
 		switch op % 8 {
 		case 0, 1, 2:
 			around := n >= fuzzFSBlock || c&0x80 != 0 // the request may be larger than this block's share
-			m.acquire(k, from, n, around)
-			name = fmt.Sprintf("acquire %v [%d, %d) around=%v", k, from, from+n, around)
+			top := int64(fuzzBlock)
+			if b&0x80 != 0 { // a live frontier in the block, at or past the window
+				top = from + n + int64(b>>4&7)%(fuzzBlock-from-n+1)
+			}
+			m.acquire(k, from, n, top, around)
+			name = fmt.Sprintf("acquire %v [%d, %d) top=%d around=%v", k, from, from+n, top, around)
 		case 3, 4:
 			if len(m.held) == 0 {
 				continue
@@ -338,8 +376,12 @@ func (m *cacheModel) run(data []byte) {
 		case 7:
 			switch {
 			case c%4 == 0:
-				m.invalidate(k)
-				name = fmt.Sprintf("invalidate %v", k)
+				if len(m.held) == 0 {
+					continue
+				}
+				i := int(b) % len(m.held)
+				name = fmt.Sprintf("park and abort %v", m.held[i].key)
+				m.parkAndAbort(i)
 			case c%4 == 1:
 				m.pinFrame(k)
 				name = fmt.Sprintf("pin %v", k)
@@ -363,8 +405,9 @@ func (m *cacheModel) run(data []byte) {
 
 // FuzzBlockCache checks the block cache against its model: 1–2 shards of
 // 2–6 blocks, an FS block a quarter of the cache block, sixteen keys over
-// two files, and any sequence of acquire (any window, read-around allowed
-// or not), commit, abort, copyOut, invalidate and pinned copy-outs.
+// two files, and any sequence of acquire (any window, capped or not,
+// read-around allowed or not), commit, abort, copyOut, an abort under a
+// parked reader and pinned copy-outs.
 func FuzzBlockCache(f *testing.F) {
 	rng := rand.New(rand.NewSource(36))
 	for _, n := range []int{9, 64, 400, 1600, 4000} {

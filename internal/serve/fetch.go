@@ -31,8 +31,10 @@ import (
 // 16 KiB cache block moves 4 or 8 KiB, not 16. A later window the partial
 // frame does not cover reads the whole block, so a block costs at most two
 // backend reads and sequential small reads stay proportional to their
-// bytes. With cache blocks of one FS block (the sim profiles, tail
-// servers) every fill is the whole block.
+// bytes. With cache blocks of one FS block (the sim profiles, live
+// servers) every fill is the whole block — up to a live frontier, where it
+// stops at the committed end of the current snapshot (tail.go). A window
+// past that end (only a raw ReadFileAt asks for one) is read around.
 //
 // A missed block is read straight into the cache frame it will live in:
 // each dense span is one vectored backend read (fsio.ReadvAt) whose
@@ -154,6 +156,7 @@ func (s *Server) fetchMissing(file int, sc *missScratch, p []byte, off int64) (c
 		}
 	}
 
+	snap := s.snap.Load()
 	br := s.breakers[file]
 	admitted, transientGiveUp := false, false
 	missing := sc.missed
@@ -162,8 +165,13 @@ func (s *Server) fetchMissing(file int, sc *missScratch, p []byte, off int64) (c
 		for ; x < len(missing); x++ {
 			b := missing[x]
 			dst, from := blockWindow(p, off, b, bs)
+			top := snap.StableEnd(file, b*bs, (b+1)*bs) - b*bs
+			if from+int64(len(dst)) > top {
+				sc.absent, sc.fills = append(sc.absent, b), append(sc.fills, fill{nil, dst, from})
+				continue
+			}
 			lo, hi := s.fillRange(b, dst, from)
-			e, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, hi, bs, around)
+			e, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, min(hi, top), top, bs, around)
 			if got == claimWait {
 				break
 			}

@@ -1,5 +1,5 @@
 // Package serve is a concurrent read-serving subsystem over a multifile:
-// it fronts one closed multifile (on any fsio backend) for large numbers
+// it fronts one multifile (on any fsio backend) for large numbers
 // of logical clients, decoupling the many logical reads from the few
 // backend file requests — the read-side scale lever CkIO (arXiv:2411.18593)
 // gets from aggregating reader requests, and collective-buffering models
@@ -43,17 +43,15 @@
 //     state, so opening a session issues no backend request at all.
 //     Handles re-express the core read semantics (sequential Read,
 //     ReadLogicalAt, key-value lookups via sion.NewKeyReaderFrom) over
-//     the shared cache.
+//     the shared cache, through the one extent walker of sion.Layout.
 //
-// Consistency: New snapshots the multifile metadata once and the cache
-// assumes the data is immutable — open it only after the writers' Close.
-// For a multifile that is still being written there is NewTail: built on
-// the writer-side watermark sidecars (sion.TailLayout), it serves only
-// bytes below each rank's committed watermark, reads the partially
-// committed frontier block around the cache (so the cache never holds
-// bytes that may still change), and invalidates frontier blocks as
-// commits advance. Sessions (Tail) return sion.ErrAgain at the watermark
-// and io.EOF once the multifile finalizes; Follow turns that into a
+// Consistency: a Server reads through an immutable sion.Layout snapshot
+// and caches only bytes that snapshot calls committed, which never change.
+// New snapshots a closed multifile once; its snapshot is final. NewTail
+// follows a multifile that is still being written (tail.go): Poll
+// publishes the next snapshot from the writers' watermark sidecars, and the
+// same Handles read it from their next call on — sion.ErrAgain at the
+// watermark, io.EOF once the multifile is final; Follow turns that into a
 // bounded-lag polling loop.
 package serve
 
@@ -61,7 +59,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -84,8 +81,8 @@ var ErrServerClosed = errors.New("serve: server is closed")
 // this to 503 + Retry-After).
 var ErrDegraded = errors.New("serve: degraded: backend circuit open")
 
-// ErrAgain is returned by tail Sessions at the committed watermark while
-// the writer is still live (alias of sion.ErrAgain for convenience).
+// ErrAgain is returned by Handles at the committed watermark while the
+// writer is still live (alias of sion.ErrAgain for convenience).
 var ErrAgain = sion.ErrAgain
 
 // Config tunes a Server. The zero value (or nil) picks the defaults.
@@ -103,7 +100,7 @@ type Config struct {
 	// per-block bookkeeping outweighs the copy, so the default groups FS
 	// blocks until a lookup covers 16 KiB. FS blocks of 16 KiB or more
 	// (the simulated profiles, object-store parts) are used as they are.
-	// NewTail ignores this field and always uses the FS block.
+	// NewTail ignores this field and always uses the FS block (tail.go).
 	BlockBytes int64
 
 	// Shards is the shard count, rounded up to a power of two
@@ -197,7 +194,6 @@ type Server struct {
 
 	name         string   // multifile base name (error messages)
 	physNames    []string // physical file paths, indexed like files
-	layout       *sion.Layout
 	files        []fsio.File
 	breakers     []*resil.Breaker // per physical file; nil entries = disabled
 	notClosed    atomic.Int32     // breakers currently open or half-open (Degraded's O(1) answer)
@@ -210,13 +206,12 @@ type Server struct {
 	breakerCfg   [2]int // resolved {threshold, cooldown}; threshold < 0 disables
 	peerFill     func(file int, block int64, dst []byte, from int64) bool
 
-	// Tail mode (NewTail): the live layout and per-rank committed sizes
-	// from the last Poll. tailMu serializes all TailLayout access; no path
-	// acquires mu while holding tailMu except Close (mu.W → tailMu), so
-	// the order is acyclic.
-	tail          *sion.TailLayout
-	tailMu        sync.Mutex
-	prevCommitted []int64
+	// snap is the layout every read walks: fixed by New, published by
+	// Poll on a live server (NewTail), whose sidecars tail holds. pollMu
+	// orders Polls, so snapshots only grow; Close takes it after mu.
+	snap   atomic.Pointer[sion.Layout]
+	tail   *sion.TailLayout
+	pollMu sync.Mutex
 
 	// m holds the request counters as obs instruments; Stats() is a
 	// snapshot of them, and the registry's /metrics exposition is the
@@ -233,12 +228,7 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s, err := newServer(fsys, name, cfg, layout.FSBlockSize(), layout.NumFiles(), layout.PhysicalName)
-	if err != nil {
-		return nil, err
-	}
-	s.layout = layout
-	return s, nil
+	return newServer(fsys, layout, cfg)
 }
 
 // newServer is what New and NewTail share: it resolves cfg against the
@@ -246,12 +236,13 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 // cache, the resilience state and the instruments (a private registry
 // when the config names none; the cache must exist first — shard
 // counters match its shard count and the resident-bytes gauge reads it),
-// then opens the nfiles physical files.
-func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfiles int, physName func(int) string) (*Server, error) {
+// then opens the layout's physical files.
+func newServer(fsys fsio.FileSystem, layout *sion.Layout, cfg *Config) (*Server, error) {
 	caps := fsio.CapabilitiesOf(fsys)
+	fsblk := layout.FSBlockSize()
 	c := resolveConfig(cfg, fsblk, caps)
 	s := &Server{
-		name:         name,
+		name:         layout.Name(),
 		blockBytes:   c.BlockBytes,
 		fsBlock:      fsblk,
 		maxSpanGap:   c.MaxSpanGap,
@@ -271,9 +262,10 @@ func newServer(fsys fsio.FileSystem, name string, cfg *Config, fsblk int64, nfil
 	for i := range s.cache.shards {
 		s.cache.shards[i].evictions, s.cache.shards[i].readAround = s.m.evictions[i], s.m.readAround[i]
 	}
+	s.snap.Store(layout)
 	s.registerDerived()
-	for k := 0; k < nfiles; k++ {
-		if err := s.openPhysical(fsys, physName(k)); err != nil {
+	for k := 0; k < layout.NumFiles(); k++ {
+		if err := s.openPhysical(fsys, layout.PhysicalName(k)); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("serve: opening physical file %d: %w", k, err)
 		}
@@ -405,9 +397,9 @@ func (s *Server) spanRead(file int, vecs [][]byte, off int64) (retries int64, _ 
 	return retries, nil
 }
 
-// Layout returns the multifile layout the server was built from (nil for
-// a tail server, whose metadata is live — see NewTail).
-func (s *Server) Layout() *sion.Layout { return s.layout }
+// Layout returns the server's current snapshot of the multifile layout:
+// the one New loaded, or on a live server the one the last Poll published.
+func (s *Server) Layout() *sion.Layout { return s.snap.Load() }
 
 // BlockBytes returns the resolved cache-block size. Peers of one cluster
 // must agree on it (internal/cluster enforces this at Join).
@@ -552,11 +544,11 @@ func (s *Server) Close() error {
 		}
 	}
 	if s.tail != nil {
-		s.tailMu.Lock()
+		s.pollMu.Lock()
 		if err := s.tail.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		s.tailMu.Unlock()
+		s.pollMu.Unlock()
 	}
 	return firstErr
 }
@@ -617,19 +609,19 @@ func blockWindow(p []byte, off, b, bs int64) (dst []byte, from int64) {
 
 // Handle is one client's read session over a rank's logical file. A
 // Handle is cheap (no backend state) and implements io.Reader, io.Seeker,
-// and sion.LogicalReaderAt. ReadLogicalAt, LogicalSize, and KeyReader are
-// stateless and safe for concurrent use even on one Handle; Read and
-// Seek share the cursor and belong to a single goroutine — concurrent
-// clients each Open their own Handle.
+// and sion.LogicalReaderAt. It reads the snapshot it was given, or its
+// server's current one (Open): on a live server it sees every Poll without
+// being reopened, and returns sion.ErrAgain at the committed frontier.
+// ReadLogicalAt, LogicalSize, and KeyReader are stateless and safe for
+// concurrent use even on one Handle; Read and Seek share the cursor and
+// belong to a single goroutine — concurrent clients each Open their own
+// Handle.
 type Handle struct {
-	r      FileReaderAt
-	span   *obs.Span // attached request span (nil = no tracing)
-	name   string    // multifile base name (error messages)
-	rank   int
-	blocks []sion.BlockExtent
-	base   []int64 // logical offset of each block extent's first byte
-	size   int64
-	pos    int64
+	r    FileReaderAt
+	snap *atomic.Pointer[sion.Layout]
+	span *obs.Span // attached request span (nil = no tracing)
+	rank int
+	pos  int64
 }
 
 var (
@@ -639,21 +631,19 @@ var (
 )
 
 // NewHandle builds a read session on writer rank `rank` of the given
-// layout, reading through r — a *Server (Open does exactly this) or any
-// other FileReaderAt, e.g. a cluster router. It touches only the layout
-// snapshot; no backend request is issued.
+// layout snapshot, reading through r — any FileReaderAt, e.g. a cluster
+// router. It issues no backend request.
 func NewHandle(layout *sion.Layout, rank int, r FileReaderAt) (*Handle, error) {
-	if rank < 0 || rank >= layout.NTasks() {
-		return nil, fmt.Errorf("serve: %s: rank %d outside 0..%d", layout.Name(), rank, layout.NTasks()-1)
+	snap := new(atomic.Pointer[sion.Layout])
+	snap.Store(layout)
+	return newHandle(snap, rank, r)
+}
+
+func newHandle(snap *atomic.Pointer[sion.Layout], rank int, r FileReaderAt) (*Handle, error) {
+	if l := snap.Load(); rank < 0 || rank >= l.NTasks() {
+		return nil, fmt.Errorf("serve: %s: rank %d outside 0..%d", l.Name(), rank, l.NTasks()-1)
 	}
-	blocks := layout.RankBlocks(rank)
-	base := make([]int64, len(blocks))
-	var size int64
-	for b, be := range blocks {
-		base[b] = size
-		size += be.Bytes
-	}
-	return &Handle{r: r, name: layout.Name(), rank: rank, blocks: blocks, base: base, size: size}, nil
+	return &Handle{r: r, snap: snap, rank: rank}, nil
 }
 
 // SetSpan attaches a request span to the handle: subsequent reads record
@@ -663,13 +653,11 @@ func NewHandle(layout *sion.Layout, rank int, r FileReaderAt) (*Handle, error) {
 // per-request span right after Open.
 func (h *Handle) SetSpan(sp *obs.Span) { h.span = sp }
 
-// Open starts a read session on the logical file of writer rank `rank`.
-// It touches only the layout snapshot — no backend request is issued.
+// Open starts a read session on the logical file of writer rank `rank`,
+// which reads the server's current snapshot (Layout) at every call. No
+// backend request is issued.
 func (s *Server) Open(rank int) (*Handle, error) {
-	if s.tail != nil {
-		return nil, fmt.Errorf("serve: %s: tail server (live multifile) — use Tail, not Open", s.name)
-	}
-	h, err := NewHandle(s.layout, rank, s) // validates rank
+	h, err := newHandle(&s.snap, rank, s)
 	if err != nil {
 		return nil, err
 	}
@@ -680,59 +668,26 @@ func (s *Server) Open(rank int) (*Handle, error) {
 // Rank returns the writer rank this handle reads.
 func (h *Handle) Rank() int { return h.rank }
 
-// LogicalSize returns the total recorded bytes of the rank's logical file.
-func (h *Handle) LogicalSize() int64 { return h.size }
+// LogicalSize returns the committed bytes of the rank's logical file.
+func (h *Handle) LogicalSize() int64 { return h.snap.Load().RankSize(h.rank) }
 
 // ReadLogicalAt fills p from the rank's logical stream starting at off,
-// spanning blocks as needed, without moving the cursor. It returns io.EOF
-// on short reads past the end (sion.LogicalReaderAt semantics).
+// spanning blocks as needed, without moving the cursor. A short read ends
+// in io.EOF past the end of a final snapshot and in sion.ErrAgain at a
+// live one's frontier (sion.LogicalReaderAt semantics).
 func (h *Handle) ReadLogicalAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("serve: %s: negative logical offset", h.name)
-	}
-	// Locate the block extent containing off.
-	block := sort.Search(len(h.base), func(i int) bool { return h.base[i] > off })
-	if block > 0 {
-		block--
-	}
-	total := 0
-	for len(p) > 0 && block < len(h.blocks) {
-		be := h.blocks[block]
-		rel := off - h.base[block]
-		avail := be.Bytes - rel
-		if avail <= 0 {
-			block++
-			continue
-		}
-		n := int64(len(p))
-		if n > avail {
-			n = avail
-		}
-		if err := h.r.ReadFileAt(be.File, p[:n], be.Off+rel, h.span); err != nil {
-			return total, err
-		}
-		p = p[n:]
-		off += n
-		total += int(n)
-	}
-	if len(p) > 0 {
-		return total, io.EOF
-	}
-	return total, nil
+	return h.snap.Load().ReadRankAt(h.rank, p, off, func(file int, p []byte, off int64) error {
+		return h.r.ReadFileAt(file, p, off, h.span)
+	})
 }
 
-// Read fills p from the cursor and advances it (io.Reader); it returns
-// io.EOF only once the stream is exhausted, like (*sion.File).Read.
+// Read fills p from the cursor and advances it (io.Reader). It returns
+// io.EOF only once the stream is exhausted, like (*sion.File).Read, and
+// sion.ErrAgain only at a live frontier with nothing read.
 func (h *Handle) Read(p []byte) (int, error) {
-	if h.pos >= h.size {
-		return 0, io.EOF
-	}
-	if rest := h.size - h.pos; int64(len(p)) > rest {
-		p = p[:rest]
-	}
 	n, err := h.ReadLogicalAt(p, h.pos)
 	h.pos += int64(n)
-	if err == io.EOF && n > 0 {
+	if n > 0 && (err == io.EOF || err == sion.ErrAgain) {
 		err = nil
 	}
 	return n, err
@@ -747,7 +702,7 @@ func (h *Handle) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		abs = h.pos + offset
 	case io.SeekEnd:
-		abs = h.size + offset
+		abs = h.LogicalSize() + offset
 	default:
 		return 0, fmt.Errorf("serve: Seek: invalid whence %d", whence)
 	}

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	sion "repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 )
 
 // TestServeCloseIdempotentSentinel pins the Close contract under -race:
@@ -59,9 +62,9 @@ func TestServeCloseIdempotentSentinel(t *testing.T) {
 }
 
 // TestServeTailLiveStream drives two writers flushing in lockstep while a
-// tail server follows them: after every flush round the sessions must see
-// exactly the committed prefix, hit ErrAgain at the watermark, and after
-// the writers' Close drain to EOF with byte identity.
+// tail server follows them: after every flush round the handles, opened
+// once, must see exactly the committed prefix, hit ErrAgain at the
+// watermark, and after the writers' Close drain to EOF with byte identity.
 func TestServeTailLiveStream(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	const ranks, steps, piece = 2, 4, 700
@@ -108,14 +111,11 @@ func TestServeTailLiveStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Open(0); err == nil {
-		t.Fatal("Open on a tail server should fail")
-	}
-	sess := make([]*Session, ranks)
+	sess := make([]*Handle, ranks)
 	got := make([][]byte, ranks)
 	for r := range sess {
-		if sess[r], err = s.Tail(r); err != nil {
-			t.Fatal(err)
+		if sess[r], err = s.Open(r); err != nil {
+			t.Fatalf("Open(%d) on a live server: %v", r, err)
 		}
 	}
 	readAvail := func(r int) {
@@ -157,10 +157,10 @@ func TestServeTailLiveStream(t *testing.T) {
 	if adv, err := s.Poll(); err != nil || !adv {
 		t.Fatalf("Poll after close: (%v, %v), want finalization advance", adv, err)
 	}
+	if !s.Layout().Final() {
+		t.Fatal("snapshot not final after writer Close")
+	}
 	for r := 0; r < ranks; r++ {
-		if !sess[r].Finalized() {
-			t.Fatalf("rank %d: not finalized after writer Close", r)
-		}
 		readAvail(r)
 		if !bytes.Equal(got[r], payloads[r]) {
 			t.Fatalf("rank %d: final bytes differ", r)
@@ -171,10 +171,10 @@ func TestServeTailLiveStream(t *testing.T) {
 	}
 }
 
-// TestServeTailAlignedCommitKeepsCache pins the Poll invalidation rule: a
-// block-aligned old frontier means the block below it was already
-// complete, so advancing past it must NOT evict that block — a re-read
-// after the commit stays a cache hit with no new backend read.
+// TestServeTailAlignedCommitKeepsCache: a block-aligned old frontier means
+// the block below it was already complete, so advancing past it must not
+// evict that block — a re-read after the commit stays a cache hit with no
+// new backend read.
 func TestServeTailAlignedCommitKeepsCache(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	const bs = 256
@@ -215,7 +215,7 @@ func TestServeTailAlignedCommitKeepsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sess, err := s.Tail(0)
+	sess, err := s.Open(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +238,10 @@ func TestServeTailAlignedCommitKeepsCache(t *testing.T) {
 	if adv, err := s.Poll(); err != nil || !adv {
 		t.Fatalf("Poll: (%v, %v), want advance", adv, err)
 	}
-	// Re-read the first block through a fresh session: the aligned advance
+	// Re-read the first block through a fresh handle: the aligned advance
 	// must not have evicted it — no new miss, no new backend read, one
 	// more hit.
-	sess2, err := s.Tail(0)
+	sess2, err := s.Open(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestServeTailFollowBlocksUntilData(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sess, err := s.Tail(0)
+	h, err := s.Open(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestServeTailFollowBlocksUntilData(t *testing.T) {
 	var got []byte
 	buf := make([]byte, 256)
 	for {
-		n, err := sess.Follow(buf, wait)
+		n, err := s.Follow(h, buf, wait)
 		got = append(got, buf[:n]...)
 		if err == io.EOF {
 			break
@@ -365,5 +365,224 @@ func TestServeTailFollowBlocksUntilData(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("followed stream differs: %d bytes, want %d", len(got), len(payload))
+	}
+}
+
+// TestServeLiveRace: writers commit through watermarks while followers read
+// each rank's stream on the newest snapshot, readers read random windows on
+// older snapshots they hold, and Polls publish. Every byte must be the
+// writer's. And the frontier block is cached up to its committed end: once
+// a newer snapshot has moved the frontier on within the same block, a
+// re-read of the bytes committed before is at least once a cache hit with
+// no backend read. (Were frontier blocks read around the cache, no snapshot
+// would yet have let that block in.)
+func TestServeLiveRace(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	const ranks, pieces, piece, fsblk = 2, 64, 60, 256
+	payloads := make([][]byte, ranks)
+	for r := range payloads {
+		payloads[r] = testPayload(10+r, pieces*piece)
+	}
+	firstCommit := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		mpi.Run(ranks, func(c *mpi.Comm) {
+			f, err := sion.ParOpen(c, fsys, "live.sion", sion.WriteMode, &sion.Options{
+				ChunkSize: 1024, FSBlockSize: fsblk, Watermarks: true,
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < pieces; i++ {
+				if _, err := f.Write(payloads[c.Rank()][i*piece : (i+1)*piece]); err != nil {
+					t.Error(err)
+				}
+				if err := f.Flush(); err != nil {
+					t.Error(err)
+				}
+				c.Barrier()
+				if i == 0 && c.Rank() == 0 {
+					close(firstCommit)
+				}
+				time.Sleep(300 * time.Microsecond)
+			}
+			if err := f.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+	}()
+	<-firstCommit
+	s, err := NewTail(fsys, "live.sion", &Config{CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	final := func() bool { return s.Layout().Final() }
+	check := func(what string, r int, got []byte, off int64) {
+		if !bytes.Equal(got, payloads[r][off:off+int64(len(got))]) {
+			t.Errorf("%s: rank %d: %d bytes at %d differ from the writer's", what, r, len(got), off)
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < ranks; r++ {
+		wg.Add(2)
+		go func(r int) { // follower on the newest snapshot, polling
+			defer wg.Done()
+			h, err := s.Open(r)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var got []byte
+			buf := make([]byte, 77)
+			for {
+				n, err := s.Follow(h, buf, func() bool { time.Sleep(100 * time.Microsecond); return true })
+				got = append(got, buf[:n]...)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Errorf("rank %d: Follow: %v", r, err)
+					return
+				}
+			}
+			check("follower", r, got, 0)
+			if len(got) != len(payloads[r]) {
+				t.Errorf("rank %d: followed %d bytes, want %d", r, len(got), len(payloads[r]))
+			}
+		}(r)
+		go func(r int) { // random windows on a snapshot held across Polls
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for !final() {
+				l := s.Layout()
+				h, err := NewHandle(l, r, s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 16 && l.RankSize(r) > 0; i++ {
+					off := rng.Int63n(l.RankSize(r))
+					buf := make([]byte, min(1+rng.Int63n(300), l.RankSize(r)-off))
+					if n, err := h.ReadLogicalAt(buf, off); err != nil || n != len(buf) {
+						t.Errorf("rank %d: committed window [%d, +%d) on an old snapshot: (%d, %v)", r, off, len(buf), n, err)
+						return
+					}
+					check("old snapshot", r, buf, off)
+				}
+			}
+		}(r)
+	}
+	// Rank 0's frontier block: read its committed bytes on one snapshot,
+	// re-read them once a newer one is out.
+	hits, inBlock := 0, 0
+	for !final() {
+		l := s.Layout()
+		end := l.RankSize(0)
+		k := end % fsblk
+		if k == 0 {
+			time.Sleep(50 * time.Microsecond)
+			continue
+		}
+		old, err := NewHandle(l, 0, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, k)
+		if _, err := old.ReadLogicalAt(buf, end-k); err != nil {
+			t.Fatalf("frontier bytes [%d, %d): %v", end-k, end, err)
+		}
+		check("frontier", 0, buf, end-k)
+		next := end
+		for next == end && !final() {
+			time.Sleep(50 * time.Microsecond)
+			next = s.Layout().RankSize(0)
+		}
+		h, err := s.Open(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := obs.NewSpan("")
+		h.SetSpan(sp)
+		if _, err := h.ReadLogicalAt(buf, end-k); err != nil {
+			t.Fatalf("re-read of [%d, %d): %v", end-k, end, err)
+		}
+		check("re-read", 0, buf, end-k)
+		if next < end-k+fsblk { // the frontier is still in this block
+			inBlock++
+			if sp.Get(obs.CrumbCacheHit) > 0 && sp.Get(obs.CrumbBackendRead) == 0 {
+				hits++
+			}
+		}
+	}
+	<-writerDone
+	wg.Wait()
+	t.Logf("%d of %d re-reads behind a frontier in the same block hit", hits, inBlock)
+	if hits == 0 {
+		t.Fatalf("none of %d re-reads behind a frontier in the same block was a cache hit without a backend read", inBlock)
+	}
+}
+
+// TestServeTailRawReadPastFrontier: a raw ReadFileAt window that runs past
+// a live frontier gets the bytes on disk, read around the cache — no frame
+// is filled past the committed end, so none serves stale bytes there —
+// and a Handle that reads after the next commit sees the writer's bytes.
+func TestServeTailRawReadPastFrontier(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	payload := testPayload(4, 300)
+	wrote, resume, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		mpi.Run(1, func(c *mpi.Comm) {
+			f, err := sion.ParOpen(c, fsys, "p.sion", sion.WriteMode, &sion.Options{
+				ChunkSize: 1024, FSBlockSize: 256, Watermarks: true,
+			})
+			if err != nil {
+				t.Error(err)
+				close(wrote)
+				return
+			}
+			f.Write(payload[:100])
+			f.Flush()                 // commits 100 bytes
+			f.Write(payload[100:200]) // on disk, not committed
+			wrote <- struct{}{}
+			<-resume
+			f.Write(payload[200:])
+			if err := f.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+	}()
+	<-wrote
+	s, err := NewTail(fsys, "p.sion", &Config{CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ext := s.Layout().RankBlocks(0)
+	if len(ext) != 1 || ext[0].Bytes != 100 {
+		t.Fatalf("committed extents %v, want one of 100 bytes", ext)
+	}
+	raw := make([]byte, 200)
+	if err := s.ReadFileAt(ext[0].File, raw, ext[0].Off, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, payload[:200]) {
+		t.Fatal("a raw read past the frontier did not return the bytes on disk")
+	}
+	resume <- struct{}{}
+	<-done
+	if _, err := s.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Open(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payload))
+	if n, err := h.ReadLogicalAt(got, 0); n != len(payload) || err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("after the writer's Close: (%d, %v), bytes equal %v", n, err, bytes.Equal(got, payload))
 	}
 }
