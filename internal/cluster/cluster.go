@@ -159,10 +159,11 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	}
 	// Every node's serve instruments land in the cluster's registry under
 	// a node label, so one scrape covers the whole topology. (A node that
-	// re-joins under a departed id resumes that id's counters — counters
-	// are cumulative per label set — except the families read from the
-	// server at scrape time, such as served bytes and retries, which
-	// restart with it: the Prometheus restart semantics.)
+	// re-joins under a departed id restarts most of that id's counters:
+	// the cache and miss-path families are read from the server's cells
+	// at scrape time — the Prometheus restart semantics. Only the handle,
+	// tail-poll and degraded counters are cumulative per label set and
+	// resume.)
 	cfg.Metrics = c.m.reg
 	cfg.MetricLabels = obs.L("node", id)
 	srv, err := serve.New(fsys, name, &cfg)

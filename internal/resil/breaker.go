@@ -46,12 +46,19 @@ func (s BreakerState) String() string {
 // lab and the jitter stream guarantee on their sides. Under sustained
 // traffic the two notions coincide; with no traffic there is nothing to
 // protect. All methods are safe for concurrent use.
+//
+// A healthy circuit — Closed, no consecutive failure — costs Allow and
+// Success one atomic load and no write: every transition runs under mu
+// and refreshes the healthy mirror, so a caller that reads it set acts
+// before any concurrent transition and the state machine is unchanged.
 type Breaker struct {
 	// NotClosed, when set before first use, is incremented when the
 	// circuit leaves Closed and decremented when it closes again. Several
 	// breakers may share one gauge, so their owner answers "is any circuit
 	// not closed?" with one atomic load instead of locking each breaker.
 	NotClosed *atomic.Int32
+
+	healthy atomic.Bool // state == Closed && fails == 0, stored under mu
 
 	mu        sync.Mutex
 	threshold int // consecutive failures to trip
@@ -79,7 +86,14 @@ func NewBreaker(threshold, cooldown int) *Breaker {
 	if cooldown <= 0 {
 		cooldown = DefaultBreakerCooldown
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown}
+	b := &Breaker{threshold: threshold, cooldown: cooldown}
+	b.healthy.Store(true)
+	return b
+}
+
+// settled refreshes the healthy mirror after a change; callers hold b.mu.
+func (b *Breaker) settled() {
+	b.healthy.Store(b.state == Closed && b.fails == 0)
 }
 
 // Allow reports whether a request may proceed. A false return is a
@@ -87,6 +101,9 @@ func NewBreaker(threshold, cooldown int) *Breaker {
 // in HalfOpen marks the caller as the probe: it MUST report Success or
 // Failure, or the circuit stays half-open rejecting everyone else.
 func (b *Breaker) Allow() bool {
+	if b.healthy.Load() {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -112,8 +129,12 @@ func (b *Breaker) Allow() bool {
 // succeeding: the circuit closes. In Closed it resets the consecutive-
 // failure count.
 func (b *Breaker) Success() {
+	if b.healthy.Load() {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	defer b.settled()
 	b.fails = 0
 	if b.state == HalfOpen {
 		b.state = Closed
@@ -133,6 +154,7 @@ func (b *Breaker) Success() {
 func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	defer b.settled()
 	switch b.state {
 	case Closed:
 		b.fails++

@@ -154,3 +154,61 @@ func TestBreakerNotClosedGauge(t *testing.T) {
 	b.Success()
 	want(0, "both closed again")
 }
+
+// TestBreakerFastPath: Allow and Success on a healthy circuit skip the
+// lock, so the mirror they read must follow every transition. A Success
+// that lands after failures takes the locked path and resets the count;
+// the circuit then trips on exactly the threshold-th consecutive failure;
+// an open circuit still counts every reject toward its cooldown, and the
+// NotClosed gauge stays exact through a full open/probe/close episode.
+func TestBreakerFastPath(t *testing.T) {
+	const threshold, cooldown = 4, 3
+	var g atomic.Int32
+	b := NewBreaker(threshold, cooldown)
+	b.NotClosed = &g
+	check := func(state BreakerState, fails int, notClosed int32, when string) {
+		t.Helper()
+		if snap := b.Snapshot(); snap.State != state || snap.Fails != fails || g.Load() != notClosed {
+			t.Fatalf("%s: %v with %d fails, gauge %d; want %v with %d fails, gauge %d",
+				when, snap.State, snap.Fails, g.Load(), state, fails, notClosed)
+		}
+	}
+	for i := 0; i < threshold-1; i++ {
+		if !b.Allow() {
+			t.Fatalf("closed breaker rejected request %d", i)
+		}
+		b.Failure()
+	}
+	check(Closed, threshold-1, 0, "threshold-1 failures")
+	b.Success()
+	check(Closed, 0, 0, "a success after them")
+	b.Success() // the fast path: nothing to reset
+	for i := 0; i < threshold-1; i++ {
+		if !b.Allow() {
+			t.Fatalf("closed breaker rejected request %d after the reset", i)
+		}
+		b.Failure()
+	}
+	check(Closed, threshold-1, 0, "threshold-1 more failures")
+	b.Failure()
+	check(Open, 0, 1, "the threshold-th consecutive failure")
+	b.Success() // a straggler's success does not close an open circuit
+	check(Open, 0, 1, "a success while open")
+	for i := 0; i < cooldown; i++ {
+		if b.Allow() {
+			t.Fatalf("open breaker allowed request %d of its cooldown", i)
+		}
+	}
+	check(HalfOpen, 0, 1, "cooldown rejects")
+	if !b.Allow() || b.Allow() {
+		t.Fatal("half-open breaker did not admit exactly one probe")
+	}
+	b.Success()
+	check(Closed, 0, 0, "the probe's success")
+	if !b.Allow() {
+		t.Fatal("closed breaker rejected a request after the probe")
+	}
+	if snap := b.Snapshot(); snap.Opens != 1 {
+		t.Fatalf("Opens = %d, want 1", snap.Opens)
+	}
+}

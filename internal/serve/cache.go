@@ -4,8 +4,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Sharded block cache: physical-file bytes in fixed-size blocks keyed by
@@ -80,9 +78,9 @@ type cacheShard struct {
 	bytes  int64                    // resident and pending
 	freq   freqSketch               // access counts, kept from the shard's first eviction on
 	// evictions and readAround are the shard's serve_cache_evictions_total
-	// and serve_cache_read_around_total instruments (the Server installs
-	// them; nil, as in a bare cache, counts nothing).
-	evictions, readAround *obs.Counter
+	// and serve_cache_read_around_total, in its shardCell (the Server
+	// installs them; nil, as in a bare cache, counts nothing).
+	evictions, readAround *atomic.Int64
 }
 
 type blockCache struct {
@@ -122,6 +120,13 @@ func (c *blockCache) shard(k blockKey) *cacheShard {
 // attribution.
 func (c *blockCache) shardIndex(k blockKey) int {
 	return int(k.hash() & c.mask)
+}
+
+// count adds one to a shard's tally; the nil tally counts nothing.
+func count(v *atomic.Int64) {
+	if v != nil {
+		v.Add(1)
+	}
 }
 
 // unlink takes e off the LRU list.
@@ -234,7 +239,7 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64,
 	cold := !ok && around && full
 	if tail := s.lru.prev; cold && tail != &s.lru && s.freq.est(k) <= s.freq.est(tail.key) {
 		s.mu.Unlock()
-		s.readAround.Inc()
+		count(s.readAround)
 		return nil, claimAround
 	}
 	e = c.reserve(s, k, n)
@@ -304,7 +309,7 @@ func (c *blockCache) reserve(s *cacheShard, k blockKey, n int64) *cacheEntry {
 	}
 	for s.bytes+n > c.perShard && s.lru.prev != &s.lru {
 		s.vacate(s.lru.prev)
-		s.evictions.Inc()
+		count(s.evictions)
 	}
 	e := s.free
 	if e != nil {
@@ -339,7 +344,7 @@ func (c *blockCache) commit(e *cacheEntry) {
 	e.pending = false
 	for s.bytes > c.perShard && s.lru.prev != &s.lru {
 		s.vacate(s.lru.prev)
-		s.evictions.Inc()
+		count(s.evictions)
 	}
 	at := &s.lru
 	if e.cold {

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // lookup reads up to n bytes of block k the way a reader does: copied out
@@ -37,7 +36,7 @@ func insert(c *blockCache, k blockKey, data []byte) {
 func TestBlockCacheLRUEviction(t *testing.T) {
 	// One shard, budget of 4 × 10-byte blocks.
 	c := newBlockCache(40, 1)
-	c.shards[0].evictions = &obs.Counter{}
+	c.shards[0].evictions = new(atomic.Int64)
 	blk := func(i int) ([]byte, blockKey) {
 		return []byte(fmt.Sprintf("block-%04d", i)), blockKey{0, int64(i)}
 	}
@@ -64,7 +63,7 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 			t.Fatalf("block %d holds %q after its neighbour's frame was recycled, want %q", want, d, exp)
 		}
 	}
-	if got := c.shards[0].evictions.Value(); got != 1 {
+	if got := c.shards[0].evictions.Load(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	if got := c.cachedBytes(); got != 40 {
@@ -82,8 +81,8 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 	}
 	d, k = blk(6)
 	insert(c, k, d)
-	if got := fmt.Sprint(lru(&c.shards[0])); got != "[6 4 3 2]" || c.shards[0].evictions.Value() != 3 {
-		t.Fatalf("LRU %s after %d evictions, want the cold block 5 evicted next: [6 4 3 2] after 3", got, c.shards[0].evictions.Value())
+	if got := fmt.Sprint(lru(&c.shards[0])); got != "[6 4 3 2]" || c.shards[0].evictions.Load() != 3 {
+		t.Fatalf("LRU %s after %d evictions, want the cold block 5 evicted next: [6 4 3 2] after 3", got, c.shards[0].evictions.Load())
 	}
 }
 
@@ -189,7 +188,7 @@ func TestReserveLeavesPinnedFrameAlone(t *testing.T) {
 // bytes and hands its frame to the next reservation.
 func TestReservationLifecycle(t *testing.T) {
 	c := newBlockCache(40, 1)
-	c.shards[0].evictions = &obs.Counter{}
+	c.shards[0].evictions = new(atomic.Int64)
 	k := blockKey{0, 3}
 	e := reserve(c, k, 10)
 	copy(e.data, "block-0003")
@@ -229,7 +228,7 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 	}
 	run := func(batched bool) state {
 		c := newBlockCache(40, 1) // four 10-byte blocks
-		c.shards[0].evictions = &obs.Counter{}
+		c.shards[0].evictions = new(atomic.Int64)
 		for b := int64(100); b < 103; b++ { // older residents
 			insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
 		}
@@ -252,7 +251,7 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 		for e := s.lru.next; e != &s.lru; e = e.next {
 			st.resident = append(st.resident, e.key.block)
 		}
-		st.evictions, st.bytes = s.evictions.Value(), c.cachedBytes()
+		st.evictions, st.bytes = s.evictions.Load(), c.cachedBytes()
 		return st
 	}
 	want, got := run(false), run(true)
@@ -268,7 +267,7 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 	// as block-by-block insertion, and ends within budget.
 	c := newBlockCache(40, 1)
 	s := &c.shards[0]
-	s.evictions = &obs.Counter{}
+	s.evictions = new(atomic.Int64)
 	for b := int64(100); b < 103; b++ {
 		insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
 	}
@@ -284,9 +283,9 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 			t.Fatalf("block %d, committed cold, is not the LRU tail: %v", e.key.block, lru(s))
 		}
 	}
-	if fmt.Sprint(lru(s)) != "[3 4 5 6]" || s.evictions.Value() != want.evictions || c.cachedBytes() != 40 {
+	if fmt.Sprint(lru(s)) != "[3 4 5 6]" || s.evictions.Load() != want.evictions || c.cachedBytes() != 40 {
 		t.Fatalf("a cold batch left %v, %d bytes after %d evictions; want [3 4 5 6], 40 bytes after %d",
-			lru(s), c.cachedBytes(), s.evictions.Value(), want.evictions)
+			lru(s), c.cachedBytes(), s.evictions.Load(), want.evictions)
 	}
 }
 
@@ -294,7 +293,7 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 // that has not yet had to evict: it counts no access.
 func fullShard() *blockCache {
 	c := newBlockCache(40, 1)
-	c.shards[0].evictions, c.shards[0].readAround = &obs.Counter{}, &obs.Counter{}
+	c.shards[0].evictions, c.shards[0].readAround = new(atomic.Int64), new(atomic.Int64)
 	for b := int64(100); b < 104; b++ {
 		insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
 	}
@@ -338,16 +337,16 @@ func TestFullShardReadsFirstTouchAround(t *testing.T) {
 	// never been counted, so block 7 is admitted — at the tail.
 	e, got := c.acquire(blockKey{0, 7}, make([]byte, 10), 0, 0, 10, 10, 10, true)
 	commitAs(t, c, e, got, "block-0007")
-	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || s.evictions.Value() != 1 {
-		t.Fatalf("a block admitted by frequency: LRU %v after %d evictions, want [103 102 101 7] after 1", lru(s), s.evictions.Value())
+	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || s.evictions.Load() != 1 {
+		t.Fatalf("a block admitted by frequency: LRU %v after %d evictions, want [103 102 101 7] after 1", lru(s), s.evictions.Load())
 	}
 	// Block 8, asked for as often as the tail (7), is read around.
 	if e, got := c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, 10, true); got != claimAround || e != nil {
 		t.Fatalf("first touch of a full shard: claim %d, entry %v; want it read around", got, e)
 	}
-	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || c.cachedBytes() != 40 || s.evictions.Value() != 1 || s.readAround.Value() != 1 {
+	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || c.cachedBytes() != 40 || s.evictions.Load() != 1 || s.readAround.Load() != 1 {
 		t.Fatalf("a declined block moved the shard: LRU %v, %d bytes, %d evictions, %d read around",
-			lru(s), c.cachedBytes(), s.evictions.Value(), s.readAround.Value())
+			lru(s), c.cachedBytes(), s.evictions.Load(), s.readAround.Load())
 	}
 	// Asked for twice, it beats the tail it evicts: the one-off fill 7.
 	e, got = c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, 10, true)

@@ -7,10 +7,9 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // The block cache checked against a model, one operation at a time. The
@@ -75,7 +74,7 @@ func newCacheModel(t *testing.T, shards, blocks int) *cacheModel {
 	m := &cacheModel{t: t, c: newBlockCache(int64(shards*blocks*fuzzBlock), shards)}
 	m.shards = make([]modelShard, len(m.c.shards))
 	for i := range m.c.shards {
-		m.c.shards[i].evictions, m.c.shards[i].readAround = &obs.Counter{}, &obs.Counter{}
+		m.c.shards[i].evictions, m.c.shards[i].readAround = new(atomic.Int64), new(atomic.Int64)
 		m.shards[i].entries = make(map[blockKey]*modelEntry)
 	}
 	return m
@@ -314,9 +313,9 @@ func (m *cacheModel) check(op string) {
 			m.t.Fatalf("after %s: shard %d maps %d blocks, model %d", op, i, len(s.items), len(ms.entries))
 		case !slices.Equal(s.freq.count, ms.freq.count) || s.freq.seen != ms.freq.seen:
 			m.t.Fatalf("after %s: shard %d counted other accesses than the model", op, i)
-		case s.evictions.Value() != ms.evictions || s.readAround.Value() != ms.readAround:
+		case s.evictions.Load() != ms.evictions || s.readAround.Load() != ms.readAround:
 			m.t.Fatalf("after %s: shard %d counts %d evictions and %d read-arounds, model %d and %d",
-				op, i, s.evictions.Value(), s.readAround.Value(), ms.evictions, ms.readAround)
+				op, i, s.evictions.Load(), s.readAround.Load(), ms.evictions, ms.readAround)
 		}
 		for k, me := range ms.entries {
 			e, ok := s.items[k]

@@ -100,10 +100,10 @@ func (sc *missScratch) spanVecs(i, j int, bs int64) [][]byte {
 }
 
 // missCost is one request's own breadcrumbs: the dense backend reads that
-// succeeded, the blocks that never touched the backend, the blocks read
-// around the cache, the re-attempts.
+// succeeded and the blocks they materialized, the blocks that never
+// touched the backend, the blocks read around the cache, the re-attempts.
 type missCost struct {
-	spans, peerFills, flightHits, readAround, retries int64
+	spans, spanBlocks, peerFills, flightHits, readAround, retries int64
 }
 
 // fetchMissing materializes the blocks of physical file `file` that
@@ -132,7 +132,9 @@ type missCost struct {
 // reports one verdict: Failure if any span exhausted its retry budget on a
 // transient fault, Success otherwise (a permanent error is the backend
 // answering, which is evidence of health, not of overload).
-func (s *Server) fetchMissing(file int, sc *missScratch, p []byte, off int64) (cost missCost, err error) {
+//
+// What the fetch costs counts in the request's cell c (serverMetrics).
+func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte, off int64) (cost missCost, err error) {
 	bs := s.blockBytes
 	around := int64(len(p)) >= s.fsBlock
 	// deliver hands the reader its share of e's block, then commits e: the
@@ -206,7 +208,7 @@ func (s *Server) fetchMissing(file int, sc *missScratch, p []byte, off int64) (c
 		}
 		for i, j := 0, 0; i < len(absent); i = j {
 			j = spanEnd(absent, i, bs, s.maxSpanGap)
-			r, serr := s.windowedSpanRead(file, sc.spanVecs(i, j, bs), absent[i]*bs+fills[i].from)
+			r, serr := s.windowedSpanRead(file, c, sc.spanVecs(i, j, bs), absent[i]*bs+fills[i].from)
 			cost.retries += r
 			settle(fills[i:j], serr == nil)
 			if serr != nil {
@@ -219,15 +221,13 @@ func (s *Server) fetchMissing(file int, sc *missScratch, p []byte, off int64) (c
 				continue
 			}
 			cost.spans++
-			s.m.fetchSpanBlocks.Add(int64(j - i))
+			cost.spanBlocks += int64(j - i)
 		}
 		if x < len(missing) {
 			s.cache.wait(blockKey{file, missing[x]})
 		}
 	}
-	s.m.flightHits.Add(cost.flightHits)
-	s.m.peerFills.Add(cost.peerFills)
-	s.m.fetchSpans.Add(cost.spans)
+	s.m.missDone(c, cost)
 	if admitted && br != nil {
 		if transientGiveUp {
 			br.Failure()
@@ -271,7 +271,7 @@ func spanEnd(blocks []int64, i int, bs, maxGap int64) int {
 // only a span's first block may start late and only its last may end
 // early, the ends of the request's window. The first failing window fails
 // the whole span — its blocks are re-requested together anyway.
-func (s *Server) windowedSpanRead(file int, vecs [][]byte, off int64) (retries int64, _ error) {
+func (s *Server) windowedSpanRead(file int, c *shardCell, vecs [][]byte, off int64) (retries int64, _ error) {
 	per := len(vecs) // blocks per request
 	if s.maxSpanBytes > 0 {
 		per = int(s.maxSpanBytes / s.blockBytes)
@@ -282,7 +282,7 @@ func (s *Server) windowedSpanRead(file int, vecs [][]byte, off int64) (retries i
 		for _, v := range win {
 			next += int64(len(v))
 		}
-		r, err := s.spanRead(file, fuse(win), off)
+		r, err := s.spanRead(file, c, fuse(win), off)
 		retries += r
 		if err != nil {
 			return retries, err

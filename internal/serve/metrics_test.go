@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	sion "repro/internal/core"
 	"repro/internal/fsio"
@@ -252,5 +254,88 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 	if b.N >= 3 && ratio > 1.05 {
 		b.Errorf("instrumented storm is %.1f%% slower than the no-op registry (budget 5%%)",
 			(ratio-1)*100)
+	}
+}
+
+// TestMissStormCountersAddUp: four readers storm a cold file with uniform
+// windows whose first blocks cover every shard, so the miss path counts
+// in every cell at once; summed, the cells must match the backend's own
+// meter exactly — every read attempt and every byte — and the bytes the
+// readers asked for.
+func TestMissStormCountersAddUp(t *testing.T) {
+	reg := obs.NewRegistry()
+	fsys := fsio.Instrument(fsio.NewOS(t.TempDir()), fsio.NewMeter(reg, "os"))
+	raw := writeOneFile(t, fsys, "u.sion", 8, 256<<10, 4096)
+	s, err := New(fsys, "u.sion", &Config{CacheBytes: int64(len(raw)) / 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reads := reg.Counter("fsio_ops_total", "", obs.L("backend", "os", "op", "read")...)
+	readBytes := reg.Counter("fsio_bytes_total", "", obs.L("backend", "os", "op", "read")...)
+	reads0, bytes0 := reads.Value(), readBytes.Value()
+
+	// Windows end a block short of the file's last whole block, so no
+	// backend read is cut short by EOF and the meter's bytes are the
+	// requested ones.
+	bs := s.BlockBytes()
+	top := (int64(len(raw))/bs - 1) * bs
+	const readers, perReader = 4, 300
+	var wg sync.WaitGroup
+	asked := make([]int64, readers)
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			p := make([]byte, 16<<10)
+			for i := 0; i < perReader; i++ {
+				n := 1 + rng.Int63n(int64(len(p)))
+				off := rng.Int63n(top - n)
+				if err := s.ReadFileAt(0, p[:n], off, nil); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(p[:n], raw[off:off+n]) {
+					errs <- fmt.Errorf("reader %d: window [%d, +%d) differs from the file", g, off, n)
+					return
+				}
+				asked[g] += n
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	for i := range s.m.cells {
+		if s.m.cells[i].backendReads.Load() == 0 {
+			t.Fatalf("no request keyed to shard %d reached the backend: the storm missed a cell", i)
+		}
+	}
+	var want int64
+	for _, n := range asked {
+		want += n
+	}
+	st := s.Stats()
+	if got := reads.Value() - reads0; st.BackendReads != got {
+		t.Errorf("serve counted %d backend reads, the meter %d", st.BackendReads, got)
+	}
+	if got := readBytes.Value() - bytes0; st.BackendBytes != got {
+		t.Errorf("serve counted %d backend bytes, the meter %d", st.BackendBytes, got)
+	}
+	if st.ServedBytes != want {
+		t.Errorf("serve counted %d served bytes, the readers asked for %d", st.ServedBytes, want)
+	}
+}
+
+// TestShardCellLines: a cell fills whole cache lines, so neighbouring
+// shards' cells never share one.
+func TestShardCellLines(t *testing.T) {
+	if n := unsafe.Sizeof(shardCell{}); n%64 != 0 {
+		t.Fatalf("shardCell is %d bytes, not a whole number of 64-byte lines", n)
 	}
 }

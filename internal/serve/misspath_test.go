@@ -282,14 +282,16 @@ func TestSpanRuleMatchesCoalesceExtents(t *testing.T) {
 }
 
 // gatedFS parks every ReadAt issued while it is armed until the gate
-// opens, and counts them; closedEarly records a file Close that lands
-// while one of them has not returned.
+// opens — or, at an offset listed in at, until that offset's gate opens —
+// and counts them; closedEarly records a file Close that lands while one
+// of them has not returned.
 type gatedFS struct {
 	fsio.FileSystem
 	armed       atomic.Bool
 	reads, held atomic.Int64
 	closedEarly atomic.Bool
 	gate        chan struct{}
+	at          map[int64]chan struct{} // set before arming
 }
 
 func (g *gatedFS) Open(name string) (fsio.File, error) {
@@ -310,7 +312,11 @@ func (f *gatedFile) ReadAt(p []byte, off int64) (int, error) {
 		f.fs.reads.Add(1)
 		f.fs.held.Add(1)
 		defer f.fs.held.Add(-1)
-		<-f.fs.gate
+		gate, ok := f.fs.at[off]
+		if !ok {
+			gate = f.fs.gate
+		}
+		<-gate
 	}
 	return f.File.ReadAt(p, off)
 }
@@ -500,10 +506,12 @@ func TestSingleflightWaiterOutlivesFailedOwner(t *testing.T) {
 }
 
 // TestCloseWaitsForBackendReads pins the Close contract a resident hit no
-// longer takes a lock for: a Close racing a held backend read closes no
-// physical file before that read returns, the read gets its bytes or
-// ErrServerClosed (never a closed-file error), and after Close a read whose
-// every block is resident fails with ErrServerClosed.
+// longer takes a lock for: a Close racing two held backend reads, whose
+// windows start in different shards and so hold different close guards,
+// returns and closes no physical file before both reads return — also
+// after the one whose guard Close takes first is released — each read
+// gets its bytes or ErrServerClosed (never a closed-file error), and after
+// Close a read whose every block is resident fails with ErrServerClosed.
 func TestCloseWaitsForBackendReads(t *testing.T) {
 	gfs := &gatedFS{FileSystem: fsio.NewOS(t.TempDir()), gate: make(chan struct{})}
 	raw := writeOneFile(t, gfs, "c.sion", 8, 64<<10, 4096)
@@ -511,35 +519,52 @@ func TestCloseWaitsForBackendReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const resident, cold, win = 0, 256 << 10, 4096
+	const resident, win = 0, 4096
 	p := make([]byte, win)
 	if err := s.ReadFileAt(0, p, resident, nil); err != nil {
 		t.Fatal(err)
 	}
+	// Two cold windows whose first blocks fall in different shards, the
+	// one in the lower shard first: Close takes the guards in shard order.
+	shard := func(off int64) int { return s.cache.shardIndex(blockKey{0, off / s.BlockBytes()}) }
+	cold := []int64{256 << 10, 256 << 10}
+	for shard(cold[1]) == shard(cold[0]) {
+		cold[1] += s.BlockBytes()
+	}
+	if shard(cold[1]) < shard(cold[0]) {
+		cold[0], cold[1] = cold[1], cold[0]
+	}
+	gfs.at = map[int64]chan struct{}{cold[0]: make(chan struct{}), cold[1]: make(chan struct{})}
 
 	gfs.armed.Store(true)
-	got, read := make([]byte, win), make(chan error, 1)
-	go func() { read <- s.ReadFileAt(0, got, cold, nil) }()
-	for deadline := time.Now().Add(10 * time.Second); gfs.reads.Load() == 0; time.Sleep(time.Millisecond) {
+	got, read := [2][]byte{}, [2]chan error{}
+	for i, off := range cold {
+		i, off := i, off
+		got[i], read[i] = make([]byte, win), make(chan error, 1)
+		go func() { read[i] <- s.ReadFileAt(0, got[i], off, nil) }()
+	}
+	for deadline := time.Now().Add(10 * time.Second); gfs.reads.Load() < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the cold read never reached the backend")
+			t.Fatal("the cold reads never both reached the backend")
 		}
 	}
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
-	select {
-	case err := <-closed:
-		t.Fatalf("Close returned (%v) while a backend read was held", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(gfs.gate)
-	switch err := <-read; {
-	case err == nil:
-		if !bytes.Equal(got, wantWindow(raw, cold, win)) {
-			t.Fatal("the read that raced Close returned bytes that differ from the file")
+	for i, off := range cold {
+		select {
+		case err := <-closed:
+			t.Fatalf("Close returned (%v) while %d backend reads were held", err, len(cold)-i)
+		case <-time.After(50 * time.Millisecond):
 		}
-	case !errors.Is(err, ErrServerClosed):
-		t.Fatalf("the read that raced Close: %v, want its bytes or ErrServerClosed", err)
+		close(gfs.at[off])
+		switch err := <-read[i]; {
+		case err == nil:
+			if !bytes.Equal(got[i], wantWindow(raw, off, win)) {
+				t.Fatalf("the read at %d that raced Close returned bytes that differ from the file", off)
+			}
+		case !errors.Is(err, ErrServerClosed):
+			t.Fatalf("the read at %d that raced Close: %v, want its bytes or ErrServerClosed", off, err)
+		}
 	}
 	if err := <-closed; err != nil {
 		t.Fatal(err)
@@ -711,8 +736,9 @@ func TestReadAroundFailsFastWhenDegraded(t *testing.T) {
 }
 
 // BenchmarkMissPath serves uniform windows of 4–64 KiB over a file eight
-// times the cache from two goroutines on fsio.OS (…/serve), and preads the
-// same requests from the same file (…/pread), the miss path's ceiling.
+// times the cache from GOMAXPROCS goroutines (set it with -cpu) on fsio.OS
+// (…/serve), and preads the same requests from the same file (…/pread),
+// the miss path's ceiling.
 // serve reports the cache's work per block lookup and the backend bytes
 // moved per byte served, counted over the timed requests.
 func BenchmarkMissPath(b *testing.B) {
@@ -726,8 +752,8 @@ func BenchmarkMissPath(b *testing.B) {
 		n := int64(math.Exp(math.Log(4<<10) + rng.Float64()*math.Log(16)))
 		reqs[i] = request{rng.Int63n(size - n), n}
 	}
-	const workers = 2
 	run := func(b *testing.B, read func(p []byte, off int64) error) {
+		workers := runtime.GOMAXPROCS(0)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)

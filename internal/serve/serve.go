@@ -141,8 +141,8 @@ type Config struct {
 	// are cached locally without touching the backend. internal/cluster
 	// wires this to the other nodes' Peek so a block is read from the
 	// filesystem once per cluster, not once per node. The hook runs on the
-	// goroutine of the reader that missed, under the server's read lock
-	// and concurrently with other readers' hooks; it must not retain dst
+	// goroutine of the reader that missed, under its request's close
+	// guard and concurrently with other readers' hooks; it must not retain dst
 	// and must not call back into this Server.
 	PeerFill func(file int, block int64, dst []byte, from int64) bool
 
@@ -184,12 +184,13 @@ type Stats struct {
 
 // Server serves concurrent read sessions over one multifile. All methods
 // are safe for concurrent use.
+//
+// A read, hit or miss, writes only its shards' state and the backend: no
+// lock and no counter is server-wide. A read checks closed on entry, and a
+// backend fetch holds its request's close guard (shardCell.guard) and
+// rechecks closed under it; Close holds every guard, so the fetches in
+// flight drain before the files close.
 type Server struct {
-	// A read checks closed on entry, so a resident hit takes no server-wide
-	// lock. mu belongs to the miss path: a backend fetch holds R and
-	// rechecks closed under it, Close holds W, so the fetches in flight
-	// drain before the files close.
-	mu     sync.RWMutex
 	closed atomic.Bool
 
 	name         string   // multifile base name (error messages)
@@ -208,17 +209,17 @@ type Server struct {
 
 	// snap is the layout every read walks: fixed by New, published by
 	// Poll on a live server (NewTail), whose sidecars tail holds. pollMu
-	// orders Polls, so snapshots only grow; Close takes it after mu.
+	// orders Polls, so snapshots only grow; Close takes it after the
+	// close guards.
 	snap   atomic.Pointer[sion.Layout]
 	tail   *sion.TailLayout
 	pollMu sync.Mutex
 
-	// m holds the request counters as obs instruments; Stats() is a
-	// snapshot of them, and the registry's /metrics exposition is the
-	// same values. Retry/give-up counts stay in retryCtrs (the resil
-	// API) and are bridged into the registry at exposition time.
-	m         *serverMetrics
-	retryCtrs resil.Counters
+	// m holds the per-shard cells (close guards and request counters)
+	// and the obs instruments; Stats() sums the cells and reads the
+	// instruments, and the registry's /metrics exposition is the same
+	// values.
+	m *serverMetrics
 }
 
 // New opens every physical file of the multifile and snapshots its
@@ -260,7 +261,9 @@ func newServer(fsys fsio.FileSystem, layout *sion.Layout, cfg *Config) (*Server,
 	}
 	s.m = newServerMetrics(reg, c.MetricLabels, len(s.cache.shards))
 	for i := range s.cache.shards {
-		s.cache.shards[i].evictions, s.cache.shards[i].readAround = s.m.evictions[i], s.m.readAround[i]
+		if !s.m.off {
+			s.cache.shards[i].evictions, s.cache.shards[i].readAround = &s.m.cells[i].evictions, &s.m.cells[i].readAround
+		}
 	}
 	s.snap.Store(layout)
 	s.registerDerived()
@@ -365,21 +368,21 @@ func (s *Server) openPhysical(fsys fsio.FileSystem, path string) error {
 // spanRead issues one backend read of off onwards on physical file `file`
 // into vecs (fsio.ReadvAt: one vectored read, or one ReadAt where the
 // backend has no vectored read) under the server's retry budget, counting
-// every attempt as a backend read. io.EOF is a legal short read, not a
-// failure: what it left unread is cleared (vecs are recycled frames; bytes
-// past EOF read as zeros, matching the ReadAt contract for unwritten
-// regions). retries reports this call's re-attempts (for the caller's
-// breadcrumb trail; the aggregate lives in s.retryCtrs).
-func (s *Server) spanRead(file int, vecs [][]byte, off int64) (retries int64, _ error) {
+// every attempt as a backend read in the request's cell c. io.EOF is a
+// legal short read, not a failure: what it left unread is cleared (vecs
+// are recycled frames; bytes past EOF read as zeros, matching the ReadAt
+// contract for unwritten regions). retries reports this call's
+// re-attempts (for the caller's breadcrumb trail; the aggregate lives in
+// c.retry).
+func (s *Server) spanRead(file int, c *shardCell, vecs [][]byte, off int64) (retries int64, _ error) {
 	var size int64
 	for _, v := range vecs {
 		size += int64(len(v))
 	}
 	attempts := int64(0)
-	err := resil.Do(s.retry, &s.retryCtrs, func() error {
+	err := resil.Do(s.retry, &c.retry, func() error {
 		attempts++
-		s.m.backendReads.Add(1)
-		s.m.backendBytes.Add(size)
+		s.m.backendRead(c, size)
 		n, rerr := fsio.ReadvAt(s.files[file], vecs, off)
 		if rerr == io.EOF {
 			for _, v := range vecs {
@@ -448,12 +451,12 @@ func (s *Server) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	if off < 0 {
 		return fmt.Errorf("serve: %s: negative physical offset %d", s.name, off)
 	}
-	si := s.cache.shardIndex(blockKey{file, off / s.blockBytes}) // the request's cell: its first block's shard
-	start := s.m.readStart(si)
-	if err := s.readAt(file, p, off, sp); err != nil {
+	c := &s.m.cells[s.cache.shardIndex(blockKey{file, off / s.blockBytes})] // the request's cell: its first block's shard
+	start := s.m.readStart(c)
+	if err := s.readAt(file, c, p, off, sp); err != nil {
 		return err
 	}
-	s.m.readDone(si, start, int64(len(p)))
+	s.m.readDone(c, start, int64(len(p)))
 	return nil
 }
 
@@ -462,25 +465,26 @@ func (s *Server) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 func (s *Server) Metrics() *obs.Registry { return s.m.reg }
 
 // Stats returns a snapshot of the request counters. The values are read
-// from the same obs instruments the registry exposes on /metrics, so the
-// two surfaces agree by construction.
+// from the same cells and instruments the registry exposes on /metrics, so
+// the two surfaces agree by construction.
 func (s *Server) Stats() Stats {
+	m, t := s.m, s.m.totals()
 	return Stats{
-		Hits:          sumCounters(s.m.hits),
-		Misses:        sumCounters(s.m.misses),
-		FlightHits:    s.m.flightHits.Value(),
-		BackendReads:  s.m.backendReads.Value(),
-		BackendBytes:  s.m.backendBytes.Value(),
-		ServedBytes:   s.m.servedBytes(),
-		Evictions:     sumCounters(s.m.evictions),
-		ReadAround:    sumCounters(s.m.readAround),
+		Hits:          t.hits,
+		Misses:        t.misses,
+		FlightHits:    t.flightHits,
+		BackendReads:  t.backendReads,
+		BackendBytes:  t.backendBytes,
+		ServedBytes:   t.served,
+		Evictions:     t.evictions,
+		ReadAround:    t.readAround,
 		CachedBytes:   s.cache.cachedBytes(),
-		HandlesOpened: s.m.handles.Value(),
-		TailPolls:     s.m.tailPolls.Value(),
-		PeerFills:     s.m.peerFills.Value(),
-		Retries:       s.retryCtrs.Retries.Load(),
-		GiveUps:       s.retryCtrs.GiveUps.Load(),
-		Degraded:      s.m.degraded.Value(),
+		HandlesOpened: m.handles.Value(),
+		TailPolls:     m.tailPolls.Value(),
+		PeerFills:     t.peerFills,
+		Retries:       t.retries,
+		GiveUps:       t.giveUps,
+		Degraded:      m.degraded.Value(),
 		BreakerOpens:  s.breakerOpens(),
 	}
 }
@@ -530,10 +534,13 @@ func (s *Server) Degraded() bool { return s.notClosed.Load() > 0 }
 
 // Close closes the physical files. It is idempotent (a second Close
 // returns nil); handles become unusable — reads issued after Close fail
-// with ErrServerClosed — and in-flight reads finish first.
+// with ErrServerClosed — and in-flight reads finish first: Close takes
+// every cell's close guard before it sets closed.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	for i := range s.m.cells {
+		s.m.cells[i].guard.Lock()
+		defer s.m.cells[i].guard.Unlock()
+	}
 	if s.closed.Swap(true) {
 		return nil
 	}
@@ -555,8 +562,9 @@ func (s *Server) Close() error {
 
 // readAt serves [off, off+len(p)) of physical file `file`: resident blocks
 // are copied out of the cache, the rest go through fetchMissing under the
-// read lock. sp (nil is fine) collects the read's breadcrumb trail.
-func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
+// close guard of the request's cell c. sp (nil is fine) collects the
+// read's breadcrumb trail.
+func (s *Server) readAt(file int, c *shardCell, p []byte, off int64, sp *obs.Span) error {
 	if s.closed.Load() {
 		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
 	}
@@ -569,10 +577,10 @@ func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
 		k := blockKey{file, b}
 		si := s.cache.shardIndex(k)
 		if dst, from := blockWindow(p, off, b, bs); s.cache.copyOut(si, k, dst, from) {
-			s.m.hits[si].Inc()
+			s.m.lookup(si, true)
 			sp.Add(obs.CrumbCacheHit, 1)
 		} else {
-			s.m.misses[si].Inc()
+			s.m.lookup(si, false)
 			sp.Add(obs.CrumbCacheMiss, 1)
 			if sc == nil {
 				sc = getMissScratch()
@@ -584,12 +592,12 @@ func (s *Server) readAt(file int, p []byte, off int64, sp *obs.Span) error {
 		return nil
 	}
 	defer sc.put()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	c.guard.RLock()
+	defer c.guard.RUnlock()
 	if s.closed.Load() {
 		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
 	}
-	cost, err := s.fetchMissing(file, sc, p, off)
+	cost, err := s.fetchMissing(file, c, sc, p, off)
 	if sp != nil {
 		sp.Add(obs.CrumbBackendRead, cost.spans)
 		sp.Add(obs.CrumbPeerFill, cost.peerFills)
