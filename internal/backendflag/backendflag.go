@@ -38,8 +38,7 @@ type Stack struct {
 	// FS is the file system to mount (instrumented when Build got a
 	// registry).
 	FS fsio.FileSystem
-	// Label is the backend's metrics label ("os", "objstore"), as
-	// reported by its capability descriptor.
+	// Label is the backend's metrics label ("os", "objstore").
 	Label string
 	// Obj is the object store's request ledger; nil for posix.
 	Obj *simfs.ObjStore
@@ -69,9 +68,6 @@ func Build(spec string, reg *obs.Registry) (*Stack, error) {
 		st = Stack{FS: obj.Wrap(fsio.NewOS(""), nil), Label: "objstore", Obj: obj}
 	default:
 		return nil, fmt.Errorf("backendflag: unknown backend %q (use posix or objstore[,profile])", kind)
-	}
-	if lbl := fsio.CapabilitiesOf(st.FS).Backend; lbl != "" {
-		st.Label = lbl
 	}
 	if reg != nil {
 		st.FS = fsio.Instrument(st.FS, fsio.NewMeter(reg, st.Label))

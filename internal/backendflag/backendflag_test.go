@@ -45,21 +45,24 @@ func TestBuildSpecs(t *testing.T) {
 	}
 }
 
-// TestBuildCapsAndLabelAgree pins the label/descriptor contract: the
-// metrics backend label is the descriptor's Backend name, and the
-// descriptor survives the instrumentation Build adds.
-func TestBuildCapsAndLabelAgree(t *testing.T) {
+// TestBuildCapsSurviveInstrumentation pins that the backend's descriptor
+// survives the instrumentation Build adds: posix reports the zero
+// descriptor, the object store its own.
+func TestBuildCapsSurviveInstrumentation(t *testing.T) {
 	for _, spec := range []string{"posix", "objstore,smallpart"} {
 		st, err := Build(spec, obs.NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
-		caps := fsio.CapabilitiesOf(st.FS)
-		if caps.Backend != st.Label {
-			t.Errorf("%s: descriptor backend %q != label %q", spec, caps.Backend, st.Label)
+		var want fsio.Capabilities
+		if st.Obj != nil {
+			want = fsio.CapabilitiesOf(st.Obj.Wrap(fsio.NewOS(""), nil))
+			if want.PartSizeFloor <= 0 {
+				t.Fatalf("%s: object store reports no part size: %+v", spec, want)
+			}
 		}
-		if spec != "posix" && caps.PartSizeFloor <= 0 {
-			t.Errorf("%s: descriptor lost through instrumentation: %+v", spec, caps)
+		if got := fsio.CapabilitiesOf(st.FS); got != want {
+			t.Errorf("%s: descriptor %+v through instrumentation, want %+v", spec, got, want)
 		}
 	}
 }

@@ -55,9 +55,9 @@ type Options struct {
 	FSBlockSize int64
 
 	// NFiles is the number of underlying physical files. 0 picks the
-	// backend default: 1 on POSIX-ish backends, min(ntasks, WriteFanout)
-	// on backends that declare a preferred write fanout (see
-	// withDefaults).
+	// backend default: min(ntasks, WriteFanout) when the backend's
+	// capability descriptor declares a write fanout, else 1 (see
+	// withDefaults; a parallel open uses rank 0's descriptor).
 	NFiles int
 
 	// Mapping assigns tasks to physical files (default ContiguousMap).
@@ -189,11 +189,11 @@ func autoCollectorGroup(ntasksLocal int, avgAligned, fsblk int64) int {
 }
 
 // withDefaults resolves the zero-value options against the task count
-// and the backend's capability descriptor (fsio.CapabilitiesOf; the
-// parallel opens broadcast rank 0's descriptor so all tasks resolve
-// identically). A zero descriptor reproduces the historical POSIX
-// defaults exactly; a backend that declares multipart write semantics
-// (PartSizeFloor > 0) or a write fanout gets its geometry auto-tuned:
+// and the backend's capability descriptor (on a parallel write open, the
+// one rank 0 broadcast). A zero descriptor reproduces the historical
+// POSIX defaults exactly; a backend that declares multipart write
+// semantics (PartSizeFloor > 0) or a write fanout gets its geometry
+// auto-tuned:
 //
 //   - NFiles defaults to min(ntasks, WriteFanout) instead of 1, because
 //     such backends parallelize across objects, not within one.

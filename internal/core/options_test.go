@@ -1,9 +1,14 @@
 package sion
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/fsio"
+	"repro/internal/mpi"
 )
 
 // TestMapFuncEdgeCases pins the task→file mapping functions on the shapes
@@ -117,10 +122,8 @@ func TestWithDefaultsClamping(t *testing.T) {
 // (POSIX-ish) descriptor reproduces the historical defaults exactly.
 func TestWithDefaultsCapabilityTuning(t *testing.T) {
 	objCaps := fsio.Capabilities{
-		Backend:       "objstore",
 		PartSizeFloor: 1 << 20,
 		WriteFanout:   8,
-		Sync:          fsio.SyncOnSeal,
 	}
 
 	// Zero descriptor: nothing changes.
@@ -172,5 +175,69 @@ func TestWithDefaultsCapabilityTuning(t *testing.T) {
 		if q <= 0 || q%part != 0 || q > alignUp(asyncFlushCap, part) {
 			t.Errorf("flush unit of a %d-part chunk = %d, want whole parts ≤ asyncFlushCap", blocks, q)
 		}
+	}
+}
+
+// tunedOS is fsio.OS as a backend with geometry preferences reports it:
+// a write fanout, a part size and that part size as its block size.
+type tunedOS struct{ *fsio.OS }
+
+func (tunedOS) Capabilities() fsio.Capabilities {
+	return fsio.Capabilities{WriteFanout: 3, PartSizeFloor: 8192}
+}
+func (tunedOS) BlockSize(string) int64 { return 8192 }
+
+// TestParOpenTunesFromRankZero pins that a parallel write open takes its
+// geometry inputs from rank 0 alone: when only rank 0's stack reports a
+// descriptor and block size, every rank still opens 3 files with 8 KiB
+// blocks, and the multifile is byte-identical to one written by ranks
+// that all report them. A rank tuning from its own stack would split
+// the ranks over different file counts and fail or hang.
+func TestParOpenTunesFromRankZero(t *testing.T) {
+	const n = 6
+	write := func(fsOf func(rank int) fsio.FileSystem) {
+		runWithin(t, 20*time.Second, n, func(c *mpi.Comm) {
+			f, err := ParOpen(c, fsOf(c.Rank()), "t.sion", WriteMode, &Options{ChunkSize: 4096})
+			if err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+				return
+			}
+			if f.NumFiles() != 3 || f.FSBlockSize() != 8192 {
+				t.Errorf("rank %d: NumFiles %d, FSBlockSize %d; want 3 and 8192", c.Rank(), f.NumFiles(), f.FSBlockSize())
+			}
+			if _, err := f.Write(rankPayload(c.Rank(), 9000+500*c.Rank())); err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+			}
+			if err := f.Close(); err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+			}
+		})
+	}
+	mixed, all := t.TempDir(), t.TempDir()
+	write(func(rank int) fsio.FileSystem {
+		if rank == 0 {
+			return tunedOS{fsio.NewOS(mixed)}
+		}
+		return fsio.NewOS(mixed)
+	})
+	write(func(int) fsio.FileSystem { return tunedOS{fsio.NewOS(all)} })
+	if t.Failed() {
+		return
+	}
+	for _, name := range PhysicalNames("t.sion", 3) {
+		got, err := os.ReadFile(filepath.Join(mixed, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(all, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the run in which every rank reports the descriptor", name)
+		}
+	}
+	if err := Verify(fsio.NewOS(mixed), "t.sion"); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -117,25 +117,28 @@ func ParOpen(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode, opts 
 }
 
 func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Options) (*File, error) {
-	// Backend capabilities drive the geometry defaults (NFiles fanout,
-	// staging, flush units); rank 0's descriptor is broadcast so every
-	// task resolves the same geometry (see caps.go).
-	caps := bcastCapabilities(comm, fsys)
+	// Rank 0's FS block size (SIONlib: fstat on the target file system,
+	// paper §3.1) and capability descriptor decide the geometry for all
+	// tasks, whose own fsio stacks may differ: one broadcast.
+	var geo []int64
+	if comm.Rank() == 0 {
+		var fsblk int64
+		if opts != nil {
+			fsblk = opts.FSBlockSize
+		}
+		if fsblk <= 0 {
+			fsblk = fsys.BlockSize(name)
+		}
+		c := fsio.CapabilitiesOf(fsys)
+		geo = []int64{fsblk, c.PreferredRequestBytes, c.MaxReadBytes, c.PartSizeFloor, c.WriteFanout}
+	}
+	geo = comm.BcastInt64s(0, geo)
+	fsblk := geo[0]
+	caps := fsio.Capabilities{PreferredRequestBytes: geo[1], MaxReadBytes: geo[2], PartSizeFloor: geo[3], WriteFanout: geo[4]}
 	o, err := opts.withDefaults(comm.Size(), caps)
 	if err != nil {
 		return nil, err
 	}
-
-	// Determine the FS block size once and share it (SIONlib: fstat on
-	// the target file system, paper §3.1).
-	var fsblk int64
-	if comm.Rank() == 0 {
-		fsblk = o.FSBlockSize
-		if fsblk <= 0 {
-			fsblk = fsys.BlockSize(name)
-		}
-	}
-	fsblk = comm.BcastInt64s(0, []int64{fsblk})[0]
 	if fsblk <= 0 {
 		return nil, fmt.Errorf("sion: ParOpen %s: bad FS block size %d", name, fsblk)
 	}

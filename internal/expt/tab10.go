@@ -25,11 +25,12 @@ import (
 //     share part regions and every sharing flush pays a staged copy;
 //     unbuffered reads cost one ranged GET per record.
 //   - objstore-auto: the identical workload with zero-value geometry
-//     options. The open broadcasts the backend's capability descriptor
-//     and withDefaults auto-tunes from it: the part size becomes the FS
-//     block size (chunks part-aligned), BufferSize upgrades to
-//     BufferAuto (whole parts per PUT, whole buffers per GET), and
-//     NFiles follows the declared write fanout.
+//     options. Rank 0 broadcasts its block size and the backend's four
+//     capability numbers in one collective, and withDefaults auto-tunes
+//     from them: the part size becomes the FS block size (chunks
+//     part-aligned), BufferSize upgrades to BufferAuto (whole parts per
+//     PUT, whole buffers per GET), and NFiles follows the declared write
+//     fanout.
 //
 // The experiment asserts in-run (panicking on violation) that every arm
 // reads back each rank's exact payload — the backends hold logically

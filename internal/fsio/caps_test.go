@@ -1,112 +1,39 @@
 package fsio
 
-import (
-	"math"
-	"reflect"
-	"strings"
-	"testing"
-)
+import "testing"
 
-func sampleCaps() Capabilities {
-	return Capabilities{
-		Backend:               "objstore",
-		AtomicRename:          false,
-		InPlaceUpdate:         false,
-		PreferredRequestBytes: 8 << 20,
-		MinReadBytes:          1 << 12,
-		MaxReadBytes:          32 << 20,
-		PartSizeFloor:         8 << 20,
-		WriteFanout:           8,
-		Sync:                  SyncOnSeal,
-		Read:                  OpProfile{LatencySecs: 0.03, ThroughputBps: 100e6},
-		Write:                 OpProfile{LatencySecs: 0.03, ThroughputBps: 80e6},
-	}
+// reportingFS is an OS backend that reports a descriptor, as a backend
+// with geometry preferences (the simulated object store) does.
+type reportingFS struct {
+	*OS
+	caps Capabilities
 }
 
-func TestCapsRoundTrip(t *testing.T) {
-	for _, c := range []Capabilities{
-		{},
-		{Backend: "os", AtomicRename: true, InPlaceUpdate: true},
-		sampleCaps(),
-	} {
-		enc := c.Encode()
-		if len(enc) > MaxEncodedCapsLen {
-			t.Fatalf("encoded %d bytes > MaxEncodedCapsLen %d", len(enc), MaxEncodedCapsLen)
-		}
-		got, err := DecodeCapabilities(enc)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !reflect.DeepEqual(got, c) {
-			t.Fatalf("round trip: got %+v want %+v", got, c)
-		}
-	}
-}
+func (r reportingFS) Capabilities() Capabilities { return r.caps }
 
-func TestCapsValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Capabilities)
-		want string
-	}{
-		{"long name", func(c *Capabilities) { c.Backend = strings.Repeat("x", MaxBackendNameLen+1) }, "backend name"},
-		{"space in name", func(c *Capabilities) { c.Backend = "a b" }, "non-printable"},
-		{"negative part", func(c *Capabilities) { c.PartSizeFloor = -1 }, "negative PartSizeFloor"},
-		{"min over max", func(c *Capabilities) { c.MinReadBytes = 10; c.MaxReadBytes = 5 }, "MinReadBytes"},
-		{"bad sync", func(c *Capabilities) { c.Sync = 99 }, "SyncSemantics"},
-		{"nan latency", func(c *Capabilities) { c.Read.LatencySecs = math.NaN() }, "finite"},
-		{"negative throughput", func(c *Capabilities) { c.Write.ThroughputBps = -1 }, "finite"},
-	}
-	for _, tc := range cases {
-		c := sampleCaps()
-		tc.mut(&c)
-		err := c.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Validate = %v, want error containing %q", tc.name, err, tc.want)
-		}
-	}
-	if err := sampleCaps().Validate(); err != nil {
-		t.Fatalf("sample descriptor invalid: %v", err)
-	}
-}
-
-func TestDecodeCapabilitiesRejects(t *testing.T) {
-	good := sampleCaps().Encode()
-	cases := map[string][]byte{
-		"empty":       nil,
-		"short":       good[:6],
-		"bad magic":   append([]byte("NOPE"), good[4:]...),
-		"bad version": append(append([]byte(nil), good[:4]...), append([]byte{99}, good[5:]...)...),
-		"truncated":   good[:len(good)-3],
-		"trailing":    append(append([]byte(nil), good...), 0),
-	}
-	for name, b := range cases {
-		if _, err := DecodeCapabilities(b); err == nil {
-			t.Errorf("%s: decode succeeded, want error", name)
-		}
-	}
-}
-
-// TestCapsForwarding pins the shared unwrap helper: a metered decorator
-// forwards the backend's descriptor, and a backend with no descriptor
-// yields the conservative zero value.
+// TestCapsForwarding pins the unwrap walk: a metered decorator forwards
+// the backend's descriptor, and a backend with no descriptor yields the
+// zero (POSIX) value.
 func TestCapsForwarding(t *testing.T) {
-	base := NewOS(t.TempDir())
-	wrapped := Instrument(base, NewMeter(nil, "os"))
-	got := CapabilitiesOf(wrapped)
-	if got != base.Capabilities() {
-		t.Fatalf("Instrument dropped capabilities: got %+v", got)
+	want := Capabilities{PreferredRequestBytes: 1 << 20, MaxReadBytes: 4 << 20, PartSizeFloor: 1 << 20, WriteFanout: 8}
+	base := reportingFS{NewOS(t.TempDir()), want}
+	wrapped := Instrument(base, NewMeter(nil, "objstore"))
+	if got := CapabilitiesOf(wrapped); got != want {
+		t.Fatalf("Instrument dropped capabilities: got %+v, want %+v", got, want)
 	}
-	if got.Backend != "os" || !got.AtomicRename || !got.InPlaceUpdate {
-		t.Fatalf("OS capabilities unexpected: %+v", got)
-	}
-	// A FileSystem with neither reporter nor unwrapper → zero descriptor.
-	if c := CapabilitiesOf(bareFS{base}); c != (Capabilities{}) {
-		t.Fatalf("bare FS reported %+v, want zero", c)
+	// Neither reporter nor unwrapper, directly or under Instrument → zero.
+	for name, fs := range map[string]FileSystem{
+		"os":             NewOS(t.TempDir()),
+		"bare":           bareFS{base},
+		"instrument(os)": Instrument(NewOS(t.TempDir()), NewMeter(nil, "os")),
+	} {
+		if c := CapabilitiesOf(fs); c != (Capabilities{}) {
+			t.Errorf("%s reported %+v, want zero", name, c)
+		}
 	}
 }
 
-// bareFS hides the OS backend's optional interfaces.
+// bareFS hides the wrapped backend's optional interfaces.
 type bareFS struct{ inner FileSystem }
 
 func (b bareFS) Create(name string) (File, error)   { return b.inner.Create(name) }
@@ -115,29 +42,3 @@ func (b bareFS) OpenRW(name string) (File, error)   { return b.inner.OpenRW(name
 func (b bareFS) Stat(name string) (FileInfo, error) { return b.inner.Stat(name) }
 func (b bareFS) Remove(name string) error           { return b.inner.Remove(name) }
 func (b bareFS) BlockSize(name string) int64        { return b.inner.BlockSize(name) }
-
-// FuzzCapabilities drives the descriptor codec with arbitrary bytes:
-// every input must either fail cleanly or decode to a descriptor that
-// passes Validate and survives a re-encode byte-identically (the codec
-// is canonical: one descriptor, one encoding).
-func FuzzCapabilities(f *testing.F) {
-	f.Add([]byte(nil))
-	f.Add(Capabilities{}.Encode())
-	f.Add(sampleCaps().Encode())
-	f.Add((&OS{}).Capabilities().Encode())
-	f.Add([]byte("SCAP"))
-	f.Add([]byte("SCAP\x01\x00\x00\xff"))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		c, err := DecodeCapabilities(b)
-		if err != nil {
-			return
-		}
-		if verr := c.Validate(); verr != nil {
-			t.Fatalf("decoded descriptor fails Validate: %v", verr)
-		}
-		enc := c.Encode()
-		if string(enc) != string(b) {
-			t.Fatalf("re-encode not canonical:\n in: %x\nout: %x", b, enc)
-		}
-	})
-}

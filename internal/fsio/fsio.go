@@ -71,9 +71,9 @@ type FileSystem interface {
 }
 
 // Backends may additionally implement CapabilityReporter (caps.go) to
-// describe their contract beyond this minimal surface; decorators
-// implement Unwrapper so such optional interfaces survive wrapping. Use
-// CapabilitiesOf/As to query a possibly-decorated FileSystem.
+// report the four geometry numbers the layers above tune from;
+// decorators implement Unwrapper so the descriptor survives wrapping.
+// Use CapabilitiesOf to query a possibly-decorated FileSystem.
 
 // FileInfo is the subset of file metadata SIONlib consumes.
 type FileInfo struct {

@@ -160,9 +160,8 @@ func (f *meteredFS) Remove(name string) error {
 
 func (f *meteredFS) BlockSize(name string) int64 { return f.inner.BlockSize(name) }
 
-// Unwrap exposes the decorated backend so optional interfaces
-// (CapabilityReporter, future extensions) survive instrumentation; see
-// fsio.As.
+// Unwrap exposes the decorated backend so its capability descriptor
+// survives instrumentation; see CapabilitiesOf.
 func (f *meteredFS) Unwrap() FileSystem { return f.inner }
 
 type meteredFile struct {

@@ -66,20 +66,6 @@ func (o *OS) Stat(name string) (FileInfo, error) {
 // Remove implements FileSystem.
 func (o *OS) Remove(name string) error { return mapOSErr(os.Remove(o.path(name))) }
 
-// Capabilities reports the POSIX contract of the OS backend: atomic
-// rename, cheap in-place updates, durable fsync, byte-granular reads
-// with no request-size ceiling. Request-geometry fields are zero — the
-// local file system has no preference worth tuning for beyond the
-// st_blksize alignment BlockSize already reports.
-func (o *OS) Capabilities() Capabilities {
-	return Capabilities{
-		Backend:       "os",
-		AtomicRename:  true,
-		InPlaceUpdate: true,
-		Sync:          SyncDurable,
-	}
-}
-
 // BlockSize reports st_blksize for the directory containing name,
 // mirroring SIONlib's fstat-based block-size autodetection. Because the
 // stat targets the directory, the call works identically whether or not

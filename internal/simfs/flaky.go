@@ -282,9 +282,8 @@ func (w *flakyFS) Remove(name string) error {
 // BlockSize has no error path and is never flaky.
 func (w *flakyFS) BlockSize(name string) int64 { return w.inner.BlockSize(name) }
 
-// Unwrap exposes the decorated backend so optional interfaces
-// (fsio.CapabilityReporter, future extensions) survive fault injection;
-// see fsio.As.
+// Unwrap exposes the decorated backend so its capability descriptor
+// survives fault injection; see fsio.CapabilitiesOf.
 func (w *flakyFS) Unwrap() fsio.FileSystem { return w.inner }
 
 // flakyFile intercepts the data path of one open handle. Close is never

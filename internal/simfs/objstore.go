@@ -53,10 +53,6 @@ type ObjProfile struct {
 	// RequestSecs is the fixed per-request round trip charged through
 	// the sleep hook for every GET/PUT/HEAD/DELETE.
 	RequestSecs float64
-	// ThroughputBps is the advisory streaming rate reported in the
-	// capability profiles (the data-plane cost itself is the inner
-	// backend's business).
-	ThroughputBps float64
 }
 
 // StockObjProfile is an S3-like profile: 8 MiB parts, 32 MiB GET
@@ -68,7 +64,6 @@ func StockObjProfile() ObjProfile {
 		PreferredGetBytes: 8 << 20,
 		WriteFanout:       8,
 		RequestSecs:       0.030,
-		ThroughputBps:     100e6,
 	}
 }
 
@@ -82,7 +77,6 @@ func SmallPartObjProfile() ObjProfile {
 		PreferredGetBytes: 1 << 20,
 		WriteFanout:       8,
 		RequestSecs:       0.030,
-		ThroughputBps:     100e6,
 	}
 }
 
@@ -233,24 +227,15 @@ type objFS struct {
 var _ fsio.FileSystem = (*objFS)(nil)
 var _ fsio.CapabilityReporter = (*objFS)(nil)
 
-// Capabilities reports the object-store contract derived from the
-// profile: no rename, no in-place update, multipart PUT floor, ranged-
-// GET geometry, on-seal durability.
+// Capabilities reports the object-store geometry of the profile:
+// multipart PUT floor, write fanout and ranged-GET sizes.
 func (w *objFS) Capabilities() fsio.Capabilities {
 	p := w.o.prof
-	prof := fsio.OpProfile{LatencySecs: p.RequestSecs, ThroughputBps: p.ThroughputBps}
 	return fsio.Capabilities{
-		Backend:               "objstore",
-		AtomicRename:          false,
-		InPlaceUpdate:         false,
 		PreferredRequestBytes: p.PreferredGetBytes,
-		MinReadBytes:          1,
 		MaxReadBytes:          p.MaxGetBytes,
 		PartSizeFloor:         p.PartBytes,
 		WriteFanout:           p.WriteFanout,
-		Sync:                  fsio.SyncOnSeal,
-		Read:                  prof,
-		Write:                 prof,
 	}
 }
 

@@ -158,14 +158,14 @@ func TestObjStoreByteIdentity(t *testing.T) {
 // TestStackedDecoratorCaps pins the decorator interface-forwarding fix:
 // the backend's capability descriptor must survive every decorator
 // stack order (Instrument, resil.Wrap, Flaky, in any nesting), because
-// each pass-through decorator exposes Unwrap and fsio.As walks the
-// chain.
+// each pass-through decorator exposes Unwrap and fsio.CapabilitiesOf
+// walks the chain.
 func TestStackedDecoratorCaps(t *testing.T) {
 	dir := t.TempDir()
 	obj := NewObjStore(testObjProfile())
 	backend := obj.Wrap(fsio.NewOS(dir), nil)
 	want := fsio.CapabilitiesOf(backend)
-	if want.Backend != "objstore" || want.PartSizeFloor != 1024 {
+	if want.PartSizeFloor != 1024 {
 		t.Fatalf("backend descriptor unexpected: %+v", want)
 	}
 
@@ -186,7 +186,7 @@ func TestStackedDecoratorCaps(t *testing.T) {
 
 	// The object store is a backend boundary, not a pass-through: the
 	// POSIX descriptor of the inner OS backend must NOT leak through it.
-	if _, ok := fsio.As[fsio.Unwrapper](backend); ok {
+	if _, ok := backend.(fsio.Unwrapper); ok {
 		t.Error("object-store wrap exposes Unwrap; it must answer optional interfaces itself")
 	}
 }
