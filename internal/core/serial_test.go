@@ -30,6 +30,15 @@ func TestSerialCreateSeekWriteReadBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf.Write([]byte("offset-write"))
+	// Seek back inside rank 0's written block and write fewer bytes: the
+	// block keeps its high-water mark, in RankBytes and in metablock 2.
+	sf.Seek(0, 0, 0)
+	sf.Write([]byte("rank0-high-water"))
+	sf.Seek(0, 0, 2)
+	sf.Write([]byte("NK"))
+	if got := sf.RankBytes(0); got != 16 {
+		t.Fatalf("rank 0 bytes while writing = %d, want the high-water mark 16", got)
+	}
 	if err := sf.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +71,12 @@ func TestSerialCreateSeekWriteReadBack(t *testing.T) {
 	if !bytes.Equal(got[10:], []byte("offset-write")) {
 		t.Fatalf("rank 2 data = %q", got)
 	}
+	if bb := loc.BlockBytes[0]; len(bb) != 1 || bb[0] != 16 {
+		t.Fatalf("rank 0 block bytes = %v, want [16]", bb)
+	}
+	if got, _ := rf.ReadRank(0); string(got) != "raNK0-high-water" {
+		t.Fatalf("rank 0 data = %q", got)
+	}
 }
 
 func TestSerialCreateWithChunkHeadersVerifies(t *testing.T) {
@@ -74,11 +89,25 @@ func TestSerialCreateWithChunkHeadersVerifies(t *testing.T) {
 	sf.Write([]byte("aaa"))
 	sf.Seek(1, 0, 0)
 	sf.Write([]byte("bbbb"))
+	// Advance rank 0 past block 0, then revisit and extend it: its chunk
+	// header must carry the final count, not the one it had when left.
+	sf.Seek(0, 1, 0)
+	sf.Write([]byte("next"))
+	sf.Seek(0, 0, 3)
+	sf.Write([]byte("ccc"))
 	if err := sf.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := Verify(fsys, "h.sion"); err != nil {
 		t.Fatal(err)
+	}
+	rf, err := Open(fsys, "h.sion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	if got, _ := rf.ReadRank(0); string(got) != "aaacccnext" {
+		t.Fatalf("rank 0 data = %q", got)
 	}
 }
 
