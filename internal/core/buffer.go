@@ -35,11 +35,14 @@ import (
 //     read-mode data is immutable, so the cache stays valid wherever the
 //     cursor moves.
 //
-// The cursor state (File.pos, SerialFile.curPos, blockBytes bookkeeping)
+// The cursor state (File.curBlock, File.pos, blockBytes bookkeeping)
 // always reflects the logical position including staged bytes, so
 // EnsureFreeSpace, BytesAvailInChunk, EOF, and Seek keep their exact
 // unbuffered semantics, and a multifile written through the staging layer
-// is byte-identical to one written unbuffered.
+// is byte-identical to one written unbuffered. A stage takes its buffer
+// from the pool on first use; the serial cursor gives it back when it
+// leaves a task (File.releaseStage), so a serial writer or reader holds one
+// buffer at a time however many tasks it visits.
 //
 // Staging buffers are recycled through one pool shared with the
 // collective frame path (collective.go), so a job alternating between
@@ -86,11 +89,9 @@ func resolveBufferSize(opt, capacity, fsblk int64) int64 {
 }
 
 // writeStage is one write-behind run: buf holds the bytes bound for
-// [off, off+len(buf)) of fh. It knows files and offsets only; the handle
-// that owns it (File in direct mode, SerialFile) keeps the logical cursor
-// and tells the stage where each write lands and how much of the chunk is
-// left. A SerialFile flushes before its cursor moves to another physical
-// file, so fh is the same for a whole run.
+// [off, off+len(buf)) of fh. It knows files and offsets only; the File
+// that owns it keeps the logical cursor and tells the stage where each
+// write lands and how much of the chunk is left.
 type writeStage struct {
 	name  string // multifile name, for error messages
 	size  int64
@@ -101,7 +102,7 @@ type writeStage struct {
 }
 
 func newWriteStage(name string, size, fsblk int64) *writeStage {
-	return &writeStage{name: name, size: size, fsblk: fsblk, buf: stageBufs.Get(size)[:0]}
+	return &writeStage{name: name, size: size, fsblk: fsblk}
 }
 
 // write takes as much of p, bound for offset abs of fh, as the stage has
@@ -128,6 +129,9 @@ func (ws *writeStage) write(fh fsio.File, abs int64, p []byte, avail int64) (int
 				return 0, fmt.Errorf("sion: %s: staged write: %w", ws.name, err)
 			}
 			return len(p), nil
+		}
+		if ws.buf == nil {
+			ws.buf = stageBufs.Get(ws.size)[:0]
 		}
 		ws.fh, ws.off = fh, abs
 	}
@@ -181,7 +185,8 @@ func (ws *writeStage) flushPrefix(n int) error {
 	return nil
 }
 
-// release returns the stage's buffer to the pool; the stage is dead after.
+// release returns the stage's buffer, flushed or not, to the pool; the next
+// staged write takes one again.
 func (ws *writeStage) release() {
 	if ws != nil {
 		stageBufs.Put(ws.buf)
@@ -252,17 +257,22 @@ func (f *File) SetBufferSize(n int64) error {
 	return nil
 }
 
-// releaseStage returns the read-ahead stage's buffer to the pool while
-// keeping the stage armed (the next miss refetches). The serial cursor
-// calls this when it leaves a rank, so a global-view scan over many tasks
-// holds at most one staging buffer at a time, as the pre-mapped serial
-// read stage did.
-func (f *File) releaseStage() {
+// releaseStage returns the stage buffers to the pool while keeping the
+// stages armed: staged writes land first, and the next staged write or
+// read miss takes a buffer again. The serial cursor calls this when it
+// leaves a rank, so a serial writer or a global-view scan over many tasks
+// holds at most one staging buffer at a time.
+func (f *File) releaseStage() error {
+	if err := f.wstage.flush(); err != nil {
+		return err
+	}
+	f.wstage.release()
 	if f.rstage != nil {
 		stageBufs.Put(f.rstage.data)
 		f.rstage.data = nil
 		f.rstage.block = -1
 	}
+	return nil
 }
 
 // dropStaging releases the stage buffers back to the shared pool.
@@ -289,7 +299,7 @@ func (f *File) stagedWrite(p []byte) (int, error) {
 		}
 		n, err := f.wstage.write(f.fh, f.dataOff()+f.pos, p, capacity-f.pos)
 		f.pos += int64(n)
-		f.blockBytes[f.curBlock] = f.pos
+		f.notePos()
 		total += n
 		p = p[n:]
 		if err != nil {
@@ -368,71 +378,15 @@ func readAtZeroFill(fh fsio.File, p []byte, off int64) error {
 
 // --- SerialFile --------------------------------------------------------------
 
-// SetBufferSize configures write-behind/read-ahead staging for the serial
-// handle (Create honors Options.BufferSize; Open has no options, so read
-// tools call this). In write mode, BufferAuto derives the size from the
-// largest aligned chunk of the multifile; 0 disables staging and flushes
-// pending writes. In read mode the call is forwarded to the per-rank
-// mapped handles (SerialFile is the M=1 mapped case), so each rank gets a
-// read-ahead stage sized to its own chunk geometry.
+// SetBufferSize configures staging for every task of the serial handle
+// (Create honors Options.BufferSize; Open has no options, so read tools
+// call this): each task's handle gets a write-behind or read-ahead stage
+// sized to its own chunk geometry, as File.SetBufferSize does.
 func (sf *SerialFile) SetBufferSize(n int64) error {
-	if n < BufferAuto {
-		return fmt.Errorf("sion: %s: BufferSize %d (use 0, a positive size, or BufferAuto)", sf.name, n)
-	}
-	if sf.closed {
-		return fmt.Errorf("sion: %s: handle is closed", sf.name)
-	}
-	if sf.mode == ReadMode {
-		for r := 0; r < sf.ntasks; r++ {
-			if err := sf.handles[r].SetBufferSize(n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := sf.wstage.flush(); err != nil {
-		return err
-	}
-	sf.wstage.release()
-	sf.wstage = nil
-	var maxAligned int64
-	for _, pf := range sf.files {
-		for _, a := range pf.geo.aligned {
-			if a > maxAligned {
-				maxAligned = a
-			}
+	for _, h := range sf.handles {
+		if err := h.SetBufferSize(n); err != nil {
+			return err
 		}
 	}
-	size := resolveBufferSize(n, maxAligned, sf.fsblk)
-	if size <= 0 {
-		return nil
-	}
-	sf.wstage = newWriteStage(sf.name, size, sf.fsblk)
 	return nil
-}
-
-// stagedWrite is the serial write-behind path: contiguous writes at the
-// cursor accumulate in the stage, which notices by the file offset when a
-// run ends (a block advance) and flushes it; Seek flushes on its own.
-func (sf *SerialFile) stagedWrite(p []byte) (int, error) {
-	pf, li := sf.cursorFile()
-	capacity := pf.geo.capacity(li)
-	total := 0
-	for len(p) > 0 {
-		if sf.curPos == capacity {
-			sf.curBlock++
-			sf.curPos = 0
-		}
-		n, err := sf.wstage.write(pf.fh, pf.geo.dataOff(li, sf.curBlock)+sf.curPos, p, capacity-sf.curPos)
-		if n > 0 {
-			sf.curPos += int64(n)
-			sf.noteWritten(sf.curRank, sf.curBlock, sf.curPos)
-		}
-		total += n
-		p = p[n:]
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

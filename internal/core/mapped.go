@@ -43,9 +43,10 @@ import (
 //     open, so it is meant for restart-scale volumes, and a failure
 //     anywhere in a group fails the whole group's open.
 //
-// SerialFile's read path and OpenRank are the no-communicator special
-// cases of the same machinery (openMappedLocal): the serial global view is
-// "one reader owns every rank", OpenRank is "one reader owns one rank".
+// SerialFile and OpenRank are the no-communicator special cases of the
+// same machinery (mappedLocal): the serial global view is "one process
+// owns every rank" (read views from openMappedLocal, write views over the
+// segments Create makes), OpenRank is "one reader owns one rank".
 
 // Message tags for the mapped-open exchanges.
 const (
@@ -739,15 +740,15 @@ func (mf *MappedFile) Close() error {
 
 // --- Local (no-communicator) mapped core ------------------------------------
 
-// mappedLocal is the single-process mapped view underlying OpenRank and
-// the serial Open: parsed segments plus one read handle per owned rank,
-// sharing one open file per segment.
+// mappedLocal is the single-process mapped view underlying OpenRank, the
+// serial Open and Create: segments plus one handle per owned rank, sharing
+// one open file per segment.
 type mappedLocal struct {
 	ntasks, nfiles int
 	fsblk          int64
 	flags          uint64
 	mapping        []FileLoc
-	segs           map[int]*physFile
+	segs           []*physFile // by file number; nil = not loaded
 	handles        map[int]*File
 }
 
@@ -771,11 +772,12 @@ func loadSegment(fsys fsio.FileSystem, name string, k int) (*physFile, error) {
 	return &physFile{fh: fh, h: h, geo: newGeometry(h), m2: m2}, nil
 }
 
-// rankView builds a read-mode File over local rank li of a parsed segment
-// k. The handle shares the segment's open file (fhShared), so the owning
-// container closes it exactly once.
+// rankView builds a File over local rank li of segment k: a read view when
+// the segment's metablock 2 was parsed, else a write view at block 0 (the
+// serial Create). It shares the segment's open file (fhShared), so the
+// owning container closes it exactly once.
 func (pf *physFile) rankView(fsys fsio.FileSystem, caps fsio.Capabilities, name string, k, li, global int) *File {
-	return &File{
+	f := &File{
 		fsys: fsys, fh: pf.fh, fhShared: true, name: name, mode: ReadMode,
 		local: li, global: global,
 		filenum: k, nfiles: int(pf.h.NFiles), fsblk: pf.h.FSBlockSize,
@@ -785,9 +787,14 @@ func (pf *physFile) rankView(fsys fsio.FileSystem, caps fsio.Capabilities, name 
 			aligned: []int64{pf.geo.aligned[li]}, prefix: []int64{pf.geo.prefix[li]},
 			headers: pf.geo.headers,
 		},
-		readBytes:  append([]int64(nil), pf.m2.BlockBytes[li]...),
 		directRead: DirectReadBytes(caps, pf.h.FSBlockSize),
 	}
+	if pf.m2 == nil {
+		f.mode, f.blockBytes = WriteMode, []int64{0}
+	} else {
+		f.readBytes = append([]int64(nil), pf.m2.BlockBytes[li]...)
+	}
+	return f
 }
 
 // openMappedLocal parses the segments holding the owned ranks (nil = every
@@ -806,7 +813,7 @@ func openMappedLocal(fsys fsio.FileSystem, name string, owned []int) (*mappedLoc
 	ml := &mappedLocal{
 		ntasks: int(h0.NTasksGlobal), nfiles: int(h0.NFiles),
 		fsblk: h0.FSBlockSize, flags: h0.Flags, mapping: h0.Mapping,
-		segs:    make(map[int]*physFile),
+		segs:    make([]*physFile, h0.NFiles),
 		handles: make(map[int]*File),
 	}
 	all := owned == nil
@@ -876,9 +883,11 @@ func openMappedLocal(fsys fsio.FileSystem, name string, owned []int) (*mappedLoc
 	return ml, nil
 }
 
-// closeAll closes every segment file handle (error cleanup).
+// closeAll closes every loaded segment's file handle (error cleanup).
 func (ml *mappedLocal) closeAll() {
 	for _, pf := range ml.segs {
-		pf.fh.Close()
+		if pf != nil {
+			pf.fh.Close()
+		}
 	}
 }

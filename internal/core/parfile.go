@@ -15,7 +15,8 @@ const tagMapping = 4097
 // File is a handle to one task's logical task-local file inside a
 // multifile. In parallel mode it is obtained collectively from ParOpen;
 // OpenRank returns the same type for serial task-local access
-// (paper Listing 4).
+// (paper Listing 4), and a SerialFile drives one File per task in both
+// modes: the serial writer's chunk writes are File writes.
 //
 // File implements io.Reader and io.Writer over the logical file: Write
 // corresponds to sion_fwrite (it transparently spans chunk boundaries) and
@@ -40,10 +41,11 @@ type File struct {
 	chunkHdrs bool
 	closed    bool
 
-	// Write state.
+	// Write state. A block's count is its high-water mark: a serial
+	// writer may seek back inside a block it has written.
 	curBlock   int
 	pos        int64   // position within the current chunk's data area
-	blockBytes []int64 // bytes written per block (index ≤ curBlock)
+	blockBytes []int64 // bytes written per block, for every block reached
 
 	// Chunk-commit watermark state (Options.Watermarks; see watermark.go).
 	// wm is armed on every rank that touches the physical file (direct
@@ -78,9 +80,9 @@ type File struct {
 	directRead int64
 
 	// fhShared marks a rank handle whose fh belongs to a container (a
-	// MappedFile or a read-mode SerialFile) that shares one open physical
-	// file among several rank views; Close then leaves fh to the container.
-	// Read handles from ParOpen and OpenRank own their fh.
+	// MappedFile or a SerialFile) that shares one open physical file among
+	// several rank views; Close then leaves fh to the container. Read
+	// handles from ParOpen and OpenRank own their fh.
 	fhShared bool
 }
 
@@ -331,9 +333,10 @@ func resolveCollectorGroup(opt, ntasksLocal int, stride, fsblk int64) int {
 }
 
 // geoIndex is the index of this task's chunk in its geometry tables.
-// It is always 0: non-masters and serial rank handles carry single-entry
-// views, and the write-mode master (local rank 0) is entry 0 of the full
-// table it keeps for writing metablock 2.
+// It is always 0: non-masters and every rank view (mapped, serial read
+// and serial write) carry single-entry views, and the ParOpen write
+// master (local rank 0) is entry 0 of the full table it keeps for writing
+// metablock 2.
 const geoIndex = 0
 
 // --- Accessors -------------------------------------------------------------
@@ -437,7 +440,7 @@ func (f *File) Write(p []byte) (int, error) {
 			return total, fmt.Errorf("sion: %s: chunk write: %w", f.name, err)
 		}
 		f.pos += w
-		f.blockBytes[f.curBlock] = f.pos
+		f.notePos()
 		total += int(w)
 		p = p[w:]
 	}
@@ -477,7 +480,7 @@ func (f *File) WriteSynthetic(n int64) error {
 			return fmt.Errorf("sion: %s: chunk write: %w", f.name, err)
 		}
 		f.pos += w
-		f.blockBytes[f.curBlock] = f.pos
+		f.notePos()
 		n -= w
 	}
 	return nil
@@ -485,6 +488,32 @@ func (f *File) WriteSynthetic(n int64) error {
 
 // dataOff returns the file offset of the current position's chunk data.
 func (f *File) dataOff() int64 { return f.geo.dataOff(geoIndex, f.curBlock) }
+
+// notePos raises the current block's count to the cursor. A count is a
+// high-water mark: after a serial Seek back inside a written block, a
+// shorter write leaves the bytes beyond it recorded.
+func (f *File) notePos() {
+	if f.pos > f.blockBytes[f.curBlock] {
+		f.blockBytes[f.curBlock] = f.pos
+	}
+}
+
+// seekWrite moves the write cursor to (block, pos) for SerialFile.Seek.
+// Staged bytes land first, and blocks not reached yet join the task's
+// file with zero bytes.
+func (f *File) seekWrite(block int, pos int64) error {
+	if pos > f.ChunkCapacity() {
+		return fmt.Errorf("sion: %s: Seek pos %d beyond chunk capacity %d", f.name, pos, f.ChunkCapacity())
+	}
+	if err := f.wstage.flush(); err != nil {
+		return err
+	}
+	for len(f.blockBytes) <= block {
+		f.blockBytes = append(f.blockBytes, 0)
+	}
+	f.curBlock, f.pos = block, pos
+	return nil
+}
 
 // enterBlock initializes the chunk of block b (writes the open chunk
 // header when enabled).
@@ -516,18 +545,20 @@ func (f *File) sealBlock(b int, bytes int64) error {
 // advanceBlock moves the task to its chunk in the next block (paper §3.1:
 // "if a task wants to write more bytes than left in the current chunk, it
 // can request a new chunk of the same size" — a whole new block is
-// allocated logically; unused chunks remain file-system holes).
+// allocated logically; unused chunks remain file-system holes). A serial
+// writer that sought back re-enters a block it has already reached.
 func (f *File) advanceBlock() error {
 	// Staged bytes of the finished chunk must land before the cursor moves
 	// (they address the current block's data region).
 	if err := f.wstage.flush(); err != nil {
 		return err
 	}
-	if err := f.sealBlock(f.curBlock, f.pos); err != nil {
+	if err := f.sealBlock(f.curBlock, f.blockBytes[f.curBlock]); err != nil {
 		return err
 	}
-	f.blockBytes[f.curBlock] = f.pos
-	f.blockBytes = append(f.blockBytes, 0)
+	if f.curBlock+1 == len(f.blockBytes) {
+		f.blockBytes = append(f.blockBytes, 0)
+	}
 	return f.enterBlock(f.curBlock + 1)
 }
 
@@ -712,8 +743,7 @@ func (f *File) Close() error {
 		if err := f.wstage.flush(); err != nil {
 			firstErr = err
 		}
-		f.blockBytes[f.curBlock] = f.pos
-		if err := f.sealBlock(f.curBlock, f.pos); err != nil && firstErr == nil {
+		if err := f.sealBlock(f.curBlock, f.blockBytes[f.curBlock]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if f.wm != nil {
@@ -727,7 +757,7 @@ func (f *File) Close() error {
 		}
 	}
 	f.dropStaging()
-	if f.lcomm == nil { // every read handle
+	if f.lcomm == nil { // every read handle and every serial write view
 		if f.fhShared {
 			return firstErr // the owning container closes the physical file
 		}
@@ -735,15 +765,7 @@ func (f *File) Close() error {
 	}
 	all := f.lcomm.GatherInt64Slice(0, f.blockBytes)
 	if f.lcomm.Rank() == 0 {
-		m2 := &meta2{BlockBytes: all}
-		maxBlocks := 0
-		for _, bb := range all {
-			if len(bb) > maxBlocks {
-				maxBlocks = len(bb)
-			}
-		}
-		at := f.geo.start + f.geo.stride*int64(maxBlocks)
-		if _, err := writeTail(f.fh, m2, at); err != nil && firstErr == nil {
+		if err := writeMeta2(f.fh, f.geo, all); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if err := f.fh.Sync(); err != nil && firstErr == nil {
@@ -764,6 +786,17 @@ func (f *File) Close() error {
 	f.lcomm.Barrier()
 	f.comm.Barrier()
 	return closeKeep(f.fh, firstErr)
+}
+
+// writeMeta2 writes a segment's metablock 2 (every local rank's per-block
+// counts, all) and its trailer behind the last block any task reached.
+func writeMeta2(fh fsio.File, geo geometry, all [][]int64) error {
+	maxBlocks := 0
+	for _, bb := range all {
+		maxBlocks = max(maxBlocks, len(bb))
+	}
+	_, err := writeTail(fh, &meta2{BlockBytes: all}, geo.start+geo.stride*int64(maxBlocks))
+	return err
 }
 
 // closeKeep closes fh (nil for collective group members, which never open

@@ -3,7 +3,6 @@ package sion
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/fsio"
 )
@@ -12,35 +11,18 @@ import (
 // task's logical file is addressable through Seek (paper §3.2.3/§3.2.4,
 // Listings 3 and 5). It is the foundation of the command-line utilities
 // and of postprocessing tools such as trace analyzers.
+//
+// It is the no-communicator mapped case (see mapped.go): one File per
+// task over segments shared by every task's view — read views from Open,
+// write views from Create. The cursor delegates to the current task's
+// handle, which also carries that task's staging buffer.
 type SerialFile struct {
+	mappedLocal
 	fsys    fsio.FileSystem
 	name    string
 	mode    Mode
-	ntasks  int
-	nfiles  int
-	fsblk   int64
-	flags   uint64
-	mapping []FileLoc
-	files   []*physFile
 	closed  bool
-
-	// Cursor state (Seek/Read/Write).
-	curRank  int
-	curBlock int
-	curPos   int64
-
-	// Write mode: per global rank, per block: high-water byte counts.
-	written [][]int64
-
-	// Write mode: write-behind staging for the cursor's contiguous run
-	// (see buffer.go); nil = unbuffered.
-	wstage *writeStage
-
-	// Read mode: the M=1 mapped view — one read handle per task, sharing
-	// one open file per segment (see mapped.go). The cursor operations
-	// delegate to these handles, which also carry the per-rank read-ahead
-	// stages.
-	handles map[int]*File
+	curRank int // the task the cursor is in; -1 before the first Seek
 }
 
 // physFile is one physical file of the multifile in serial view.
@@ -62,7 +44,8 @@ func Create(fsys fsio.FileSystem, name string, chunkSizes []int64, opts *Options
 			return nil, fmt.Errorf("sion: Create %s: chunk size %d for task %d", name, cs, i)
 		}
 	}
-	o, err := opts.withDefaults(len(chunkSizes), fsio.CapabilitiesOf(fsys))
+	caps := fsio.CapabilitiesOf(fsys)
+	o, err := opts.withDefaults(len(chunkSizes), caps)
 	if err != nil {
 		return nil, err
 	}
@@ -75,6 +58,9 @@ func Create(fsys fsio.FileSystem, name string, chunkSizes []int64, opts *Options
 	fsblk := o.FSBlockSize
 	if fsblk <= 0 {
 		fsblk = fsys.BlockSize(name)
+	}
+	if fsblk <= 0 {
+		return nil, fmt.Errorf("sion: Create %s: bad FS block size %d", name, fsblk)
 	}
 	ntasks := len(chunkSizes)
 
@@ -95,13 +81,11 @@ func Create(fsys fsio.FileSystem, name string, chunkSizes []int64, opts *Options
 		}
 	}
 
-	sf := &SerialFile{
-		fsys: fsys, name: name, mode: WriteMode,
+	ml := mappedLocal{
 		ntasks: ntasks, nfiles: o.NFiles, fsblk: fsblk, flags: o.flags(),
 		mapping: mapping,
-		files:   make([]*physFile, o.NFiles),
-		written: make([][]int64, ntasks),
-		curRank: -1,
+		segs:    make([]*physFile, o.NFiles),
+		handles: make(map[int]*File, ntasks),
 	}
 	for k := 0; k < o.NFiles; k++ {
 		h := &header{
@@ -125,23 +109,23 @@ func Create(fsys fsio.FileSystem, name string, chunkSizes []int64, opts *Options
 		}
 		fh, err := fsys.Create(fileName(name, k))
 		if err != nil {
-			sf.abort()
+			ml.closeAll()
 			return nil, fmt.Errorf("sion: Create %s: %w", name, err)
 		}
 		if _, err := fh.WriteAt(h.encode(), 0); err != nil {
 			fh.Close()
-			sf.abort()
+			ml.closeAll()
 			return nil, fmt.Errorf("sion: Create %s: header: %w", name, err)
 		}
-		sf.files[k] = &physFile{fh: fh, h: h, geo: newGeometry(h)}
-	}
-	if o.BufferSize != 0 {
-		if err := sf.SetBufferSize(o.BufferSize); err != nil {
-			sf.abort()
-			return nil, err
+		pf := &physFile{fh: fh, h: h, geo: newGeometry(h)}
+		ml.segs[k] = pf
+		for li, g := range h.GlobalRanks {
+			f := pf.rankView(fsys, caps, name, k, li, int(g))
+			f.initStaging(o.BufferSize)
+			ml.handles[int(g)] = f
 		}
 	}
-	return sf, nil
+	return &SerialFile{mappedLocal: ml, fsys: fsys, name: name, mode: WriteMode, curRank: -1}, nil
 }
 
 // Open opens a multifile for serial reading with the global view
@@ -152,19 +136,7 @@ func Open(fsys fsio.FileSystem, name string) (*SerialFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sion: Open %s: %w", name, err)
 	}
-	sf := &SerialFile{
-		fsys: fsys, name: name, mode: ReadMode,
-		ntasks: ml.ntasks, nfiles: ml.nfiles,
-		fsblk: ml.fsblk, flags: ml.flags,
-		mapping: ml.mapping,
-		files:   make([]*physFile, ml.nfiles),
-		handles: ml.handles,
-		curRank: -1,
-	}
-	for k := range sf.files {
-		sf.files[k] = ml.segs[k]
-	}
-	return sf, nil
+	return &SerialFile{mappedLocal: *ml, fsys: fsys, name: name, mode: ReadMode, curRank: -1}, nil
 }
 
 // OpenRank opens the logical file of one task for serial reading
@@ -181,15 +153,6 @@ func OpenRank(fsys fsio.FileSystem, name string, rank int) (*File, error) {
 	f := ml.handles[rank]
 	f.fhShared = false
 	return f, nil
-}
-
-func (sf *SerialFile) abort() {
-	for _, pf := range sf.files {
-		if pf != nil {
-			pf.fh.Close()
-		}
-	}
-	sf.closed = true
 }
 
 // --- Metadata ---------------------------------------------------------------
@@ -216,7 +179,7 @@ func (sf *SerialFile) Locations() Locations {
 		BlockBytes:  make([][]int64, sf.ntasks),
 	}
 	for r := 0; r < sf.ntasks; r++ {
-		pf := sf.files[sf.mapping[r].File]
+		pf := sf.segs[sf.mapping[r].File]
 		li := int(sf.mapping[r].LocalRank)
 		loc.ChunkSizes[r] = pf.h.ChunkSizes[li]
 		if sf.mode == ReadMode {
@@ -240,11 +203,13 @@ func (sf *SerialFile) RankBytes(rank int) int64 {
 	if rank < 0 || rank >= sf.ntasks {
 		return 0
 	}
-	if sf.mode == ReadMode {
-		return sf.handles[rank].LogicalSize()
+	h := sf.handles[rank]
+	bb := h.readBytes
+	if sf.mode == WriteMode {
+		bb = h.blockBytes
 	}
 	var total int64
-	for _, b := range sf.written[rank] {
+	for _, b := range bb {
 		total += b
 	}
 	return total
@@ -254,7 +219,9 @@ func (sf *SerialFile) RankBytes(rank int) int64 {
 
 // Seek positions the cursor at (rank, block, pos) within the multifile
 // (sion_seek). In write mode, blocks beyond the currently allocated count
-// are allowed and extend the task's logical file.
+// are allowed and extend the task's logical file. Leaving a rank flushes
+// and releases its staging buffer, so a serial pass over many tasks holds
+// at most one buffer at a time.
 func (sf *SerialFile) Seek(rank, block int, pos int64) error {
 	if sf.closed {
 		return fmt.Errorf("sion: %s: seek on closed file", sf.name)
@@ -262,37 +229,24 @@ func (sf *SerialFile) Seek(rank, block int, pos int64) error {
 	if rank < 0 || rank >= sf.ntasks || block < 0 || pos < 0 {
 		return fmt.Errorf("sion: %s: Seek(%d,%d,%d) out of range", sf.name, rank, block, pos)
 	}
-	if sf.mode == ReadMode {
-		// Delegate to the rank's mapped handle, which validates the
-		// position against its recorded data and keeps its own cursor.
-		// Leaving a rank releases its read-ahead buffer, so a scan over
-		// many tasks holds at most one staging buffer at a time.
-		if err := sf.handles[rank].Seek(block, pos); err != nil {
+	if sf.curRank >= 0 && sf.curRank != rank {
+		if err := sf.handles[sf.curRank].releaseStage(); err != nil {
 			return err
 		}
-		if sf.curRank >= 0 && sf.curRank != rank {
-			sf.handles[sf.curRank].releaseStage()
-		}
-		sf.curRank = rank
-		return nil
 	}
-	pf := sf.files[sf.mapping[rank].File]
-	li := int(sf.mapping[rank].LocalRank)
-	cap := pf.geo.capacity(li)
-	if pos > cap {
-		return fmt.Errorf("sion: %s: Seek pos %d beyond chunk capacity %d", sf.name, pos, cap)
+	// The rank's handle validates the position: against its recorded data
+	// when reading, against its chunk capacity when writing.
+	var err error
+	if sf.mode == ReadMode {
+		err = sf.handles[rank].Seek(block, pos)
+	} else {
+		err = sf.handles[rank].seekWrite(block, pos)
 	}
-	// A moved cursor ends the write stage's contiguous run.
-	if err := sf.wstage.flush(); err != nil {
+	if err != nil {
 		return err
 	}
-	sf.curRank, sf.curBlock, sf.curPos = rank, block, pos
+	sf.curRank = rank
 	return nil
-}
-
-func (sf *SerialFile) cursorFile() (*physFile, int) {
-	pf := sf.files[sf.mapping[sf.curRank].File]
-	return pf, int(sf.mapping[sf.curRank].LocalRank)
 }
 
 // Write stores p at the cursor, spanning into subsequent blocks of the
@@ -304,43 +258,7 @@ func (sf *SerialFile) Write(p []byte) (int, error) {
 	if sf.curRank < 0 {
 		return 0, fmt.Errorf("sion: %s: Write before Seek", sf.name)
 	}
-	if sf.wstage != nil {
-		return sf.stagedWrite(p)
-	}
-	pf, li := sf.cursorFile()
-	cap := pf.geo.capacity(li)
-	total := 0
-	for len(p) > 0 {
-		if sf.curPos == cap {
-			sf.curBlock++
-			sf.curPos = 0
-		}
-		w := int64(len(p))
-		if w > cap-sf.curPos {
-			w = cap - sf.curPos
-		}
-		off := pf.geo.dataOff(li, sf.curBlock) + sf.curPos
-		if _, err := pf.fh.WriteAt(p[:w], off); err != nil {
-			return total, fmt.Errorf("sion: %s: serial write: %w", sf.name, err)
-		}
-		sf.noteWritten(sf.curRank, sf.curBlock, sf.curPos+w)
-		sf.curPos += w
-		total += int(w)
-		p = p[w:]
-	}
-	return total, nil
-}
-
-// noteWritten records the high-water mark of (rank, block).
-func (sf *SerialFile) noteWritten(rank, block int, bytes int64) {
-	bb := sf.written[rank]
-	for len(bb) <= block {
-		bb = append(bb, 0)
-	}
-	if bytes > bb[block] {
-		bb[block] = bytes
-	}
-	sf.written[rank] = bb
+	return sf.handles[sf.curRank].Write(p)
 }
 
 // Read fills p from the cursor, spanning blocks of the current task, and
@@ -372,72 +290,42 @@ func (sf *SerialFile) ReadRank(rank int) ([]byte, error) {
 	return out[:n], nil
 }
 
-// Close finishes the serial handle. In write mode it writes each physical
-// file's metablock 2 and trailer.
+// Close finishes the serial handle. In write mode, once every task's
+// handle has flushed, it seals each block's chunk header with its final
+// count (a serial writer may have revisited the block) and writes each
+// physical file's metablock 2 and trailer.
 func (sf *SerialFile) Close() error {
 	if sf.closed {
 		return nil
 	}
 	sf.closed = true
 	var firstErr error
-	firstErr = sf.wstage.flush()
-	sf.wstage.release()
-	sf.wstage = nil
 	for _, h := range sf.handles {
-		h.closed = true
-		h.dropStaging() // releases any per-rank read-ahead stages
+		if err := h.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	if sf.mode == WriteMode {
-		for k, pf := range sf.files {
-			nlocal := int(pf.h.NTasksLocal)
-			m2 := &meta2{BlockBytes: make([][]int64, nlocal)}
-			maxBlocks := 0
-			for r := range sf.mapping {
-				if int(sf.mapping[r].File) != k {
-					continue
+		for _, pf := range sf.segs {
+			all := make([][]int64, len(pf.h.GlobalRanks))
+			for li, g := range pf.h.GlobalRanks {
+				h := sf.handles[int(g)]
+				for b, n := range h.blockBytes {
+					if err := h.sealBlock(b, n); err != nil && firstErr == nil {
+						firstErr = err
+					}
 				}
-				bb := sf.written[r]
-				if len(bb) == 0 {
-					bb = []int64{0}
-				}
-				m2.BlockBytes[sf.mapping[r].LocalRank] = bb
-				if len(bb) > maxBlocks {
-					maxBlocks = len(bb)
-				}
+				all[li] = h.blockBytes
 			}
-			// Chunk headers for every touched block, sealed with counts.
-			if sf.flags&flagChunkHeaders != 0 {
-				if err := sf.sealAllChunks(k, m2); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			at := pf.geo.start + pf.geo.stride*int64(maxBlocks)
-			if _, err := writeTail(pf.fh, m2, at); err != nil && firstErr == nil {
+			if err := writeMeta2(pf.fh, pf.geo, all); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
-	for _, pf := range sf.files {
-		if err := pf.fh.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	for _, pf := range sf.segs {
+		firstErr = closeKeep(pf.fh, firstErr)
 	}
 	return firstErr
-}
-
-// sealAllChunks writes finalized chunk headers for every block recorded in
-// m2 of physical file k.
-func (sf *SerialFile) sealAllChunks(k int, m2 *meta2) error {
-	pf := sf.files[k]
-	for li, bb := range m2.BlockBytes {
-		for b, bytes := range bb {
-			ch := chunkHeader{GlobalRank: pf.h.GlobalRanks[li], Block: int64(b), Bytes: bytes}
-			if _, err := pf.fh.WriteAt(ch.encode(), pf.geo.chunkOff(li, b)); err != nil {
-				return fmt.Errorf("sion: %s: sealing chunk headers: %w", sf.name, err)
-			}
-		}
-	}
-	return nil
 }
 
 // PhysicalNames lists the physical file names of a multifile with n
@@ -448,19 +336,4 @@ func PhysicalNames(name string, nfiles int) []string {
 		out[k] = fileName(name, k)
 	}
 	return out
-}
-
-// sortedRanksOf returns the global ranks stored in physical file k,
-// ordered by local rank (utility helper).
-func (sf *SerialFile) sortedRanksOf(k int) []int {
-	var ranks []int
-	for r, loc := range sf.mapping {
-		if int(loc.File) == k {
-			ranks = append(ranks, r)
-		}
-	}
-	sort.Slice(ranks, func(i, j int) bool {
-		return sf.mapping[ranks[i]].LocalRank < sf.mapping[ranks[j]].LocalRank
-	})
-	return ranks
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/fsio"
@@ -123,6 +124,26 @@ func TestSerialCreateErrors(t *testing.T) {
 		Mapping: func(rank, n, nf int) int { return 99 },
 	}); err == nil {
 		t.Fatal("out-of-range mapping accepted")
+	}
+}
+
+// zeroBlockFS reports an FS block size of 0, as a misconfigured backend
+// might.
+type zeroBlockFS struct{ fsio.FileSystem }
+
+func (zeroBlockFS) BlockSize(string) int64 { return 0 }
+
+func TestSerialCreateRejectsZeroBlockSize(t *testing.T) {
+	// ParOpen refuses a non-positive FS block size; Create must too, or a
+	// staged write later divides by it.
+	fsys := zeroBlockFS{fsio.NewOS(t.TempDir())}
+	sf, err := Create(fsys, "z.sion", []int64{100}, &Options{BufferSize: 33})
+	if err == nil {
+		sf.Close()
+		t.Fatal("Create accepted an FS block size of 0")
+	}
+	if !strings.Contains(err.Error(), "FS block size 0") {
+		t.Fatalf("error %q does not name the block size", err)
 	}
 }
 

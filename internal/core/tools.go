@@ -23,7 +23,7 @@ func Dump(fsys fsio.FileSystem, name string, w io.Writer) error {
 	fmt.Fprintf(w, "physical files:%d\n", loc.NFiles)
 	fmt.Fprintf(w, "fs block size: %d\n", loc.FSBlockSize)
 	fmt.Fprintf(w, "chunk headers: %v\n", sf.flags&flagChunkHeaders != 0)
-	for k, pf := range sf.files {
+	for k, pf := range sf.segs {
 		fmt.Fprintf(w, "segment %d: %s  local tasks %d  block stride %d  data start %d\n",
 			k, fileName(name, k), pf.h.NTasksLocal, pf.geo.stride, pf.geo.start)
 	}
@@ -160,18 +160,18 @@ func Defrag(fsys fsio.FileSystem, name string, out fsio.FileSystem, dstName stri
 	buf := make([]byte, 1<<20)
 	for r := 0; r < sf.ntasks; r++ {
 		if err := sf.Seek(r, 0, 0); err != nil {
-			dst.abort()
+			dst.closeAll()
 			return err
 		}
 		if err := dst.Seek(r, 0, 0); err != nil {
-			dst.abort()
+			dst.closeAll()
 			return err
 		}
 		for {
 			n, rerr := sf.Read(buf)
 			if n > 0 {
 				if _, werr := dst.Write(buf[:n]); werr != nil {
-					dst.abort()
+					dst.closeAll()
 					return werr
 				}
 			}
@@ -179,7 +179,7 @@ func Defrag(fsys fsio.FileSystem, name string, out fsio.FileSystem, dstName stri
 				break
 			}
 			if rerr != nil {
-				dst.abort()
+				dst.closeAll()
 				return rerr
 			}
 		}
@@ -203,7 +203,7 @@ func Verify(fsys fsio.FileSystem, name string) error {
 			return fmt.Errorf("%w: tasks share placement file=%d lrank=%d", ErrCorrupt, loc.File, loc.LocalRank)
 		}
 		seen[key] = true
-		pf := sf.files[loc.File]
+		pf := sf.segs[loc.File]
 		li := int(loc.LocalRank)
 		if li >= int(pf.h.NTasksLocal) {
 			return fmt.Errorf("%w: task %d local rank %d beyond segment size %d", ErrCorrupt, r, li, pf.h.NTasksLocal)
@@ -225,7 +225,7 @@ func Verify(fsys fsio.FileSystem, name string) error {
 	// A missing sidecar is fine (it may have been cleaned up after close);
 	// a present-but-unparsable one is corruption.
 	if sf.flags&flagWatermarks != 0 {
-		for k, pf := range sf.files {
+		for k, pf := range sf.segs {
 			states, werr := loadWMStates(sf.fsys, name, k, int(pf.h.NTasksLocal))
 			if werr != nil {
 				if wfh, oerr := sf.fsys.Open(wmName(name, k)); oerr != nil {
@@ -252,7 +252,7 @@ func Verify(fsys fsio.FileSystem, name string) error {
 	}
 	// With chunk headers enabled, cross-check them against metablock 2.
 	if sf.flags&flagChunkHeaders != 0 {
-		for k, pf := range sf.files {
+		for k, pf := range sf.segs {
 			hdr := make([]byte, chunkHeaderSize)
 			for li := 0; li < int(pf.h.NTasksLocal); li++ {
 				for b, bytes := range pf.m2.BlockBytes[li] {
