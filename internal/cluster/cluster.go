@@ -30,7 +30,12 @@
 //     cache-only lookup that copies a resident range into the asker's
 //     buffer), in the granule's ring order, before the reader touches the
 //     backend. A block that any node already holds spreads through the
-//     cluster without another backend read.
+//     cluster without another backend read. Only nodes that may hold the
+//     block are asked: each node records the granules it was routed
+//     (Node.routed), and a node's cache takes blocks only from the runs
+//     the router hands it, so a node never routed the block's granule
+//     cannot hold it. On a static ring that is every peer, and a miss
+//     asks no one.
 //   - Failure routing: nodes expose their breaker state (serve.Health,
 //     serve.Degraded); the router tries healthy replicas first and fails
 //     a whole run over past open-circuit, closed, or transiently failing
@@ -68,11 +73,51 @@ var ErrClusterClosed = errors.New("cluster: cluster is closed")
 type Node struct {
 	ID  string
 	srv *serve.Server
+
+	// routed records the granules the router has handed this node runs of:
+	// bit granuleHash%(64·routedWords), set before each node call. alone
+	// records that it served a one-node view, whose windows cut no
+	// granule. Blocks enter the node's cache only through those calls (a
+	// peer-filled block too), so the node holds a block of granule g only
+	// if g's bit or alone is set, and peerFill asks no other node. Bits
+	// are never cleared: a colliding or stale bit costs one Peek.
+	routed [routedWords]atomic.Uint64
+	alone  atomic.Bool
 }
 
+// routedWords sizes Node.routed: 16 Ki bits, 2 KiB a node, so that few
+// granules of a large multifile share a bit.
+const routedWords = 256
+
 // Server returns the node's underlying serve.Server (its stats, health,
-// and cache surface).
+// and cache surface). Reads through it are not routed: they bypass
+// Node.routed, so blocks they make resident are invisible to peer fill.
 func (n *Node) Server() *serve.Server { return n.srv }
+
+// route records, before n is handed a run of the granule at ring position
+// key, that n may from now on hold its blocks. The word is written only
+// the first time: a routed granule costs one load.
+func (n *Node) route(key uint64) {
+	w, bit := n.routedBit(key)
+	for old := w.Load(); old&bit == 0; old = w.Load() {
+		if w.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+// mayHold reports whether n may hold a block of the granule at ring
+// position key.
+func (n *Node) mayHold(key uint64) bool {
+	w, bit := n.routedBit(key)
+	return n.alone.Load() || w.Load()&bit != 0
+}
+
+// routedBit is the word of Node.routed, and the bit in it, that record the
+// granule at ring position key.
+func (n *Node) routedBit(key uint64) (*atomic.Uint64, uint64) {
+	return &n.routed[key/64%routedWords], 1 << (key % 64)
+}
 
 // view is one routing snapshot: the membership, its ring and what the
 // first Join fixed. It is immutable once published.
@@ -284,23 +329,34 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 	return h, nil
 }
 
-// peerFill answers a reader that missed on node selfID: scan the other
-// nodes' caches (in ring order for the block's granule, most likely
-// holders first) for bytes [from, from+len(dst)) of the block and copy
-// them into dst, without triggering any fetch. This is the hook behind
-// serve.Config.PeerFill.
+// peerFill answers a reader that missed on node selfID: scan the caches
+// of the other nodes that may hold the block (Node.mayHold), in ring
+// order for the block's granule, most likely holders first, for bytes
+// [from, from+len(dst)) of the block and copy them into dst, without
+// triggering any fetch. With no such peer it returns at once: no ring
+// lookup, no Peek. This is the hook behind serve.Config.PeerFill.
 func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte, from int64) bool {
 	v := c.view.Load()
 	if len(v.nodes) < 2 { // no peer to ask
 		return false
 	}
+	key := granuleHash(file, block/v.granuleBlocks)
+	var may uint64 // the peers that may hold the block, by node index
+	for i, n := range v.nodes {
+		if n.ID != selfID && n.mayHold(key) {
+			may |= 1 << uint(i)
+		}
+	}
+	if may == 0 {
+		return false
+	}
 	var buf [maxNodes]int
-	for _, ni := range v.ring.lookup(granuleHash(file, block/v.granuleBlocks), &buf) {
-		n := v.nodes[ni]
-		if n.ID == selfID {
+	for _, ni := range v.ring.lookup(key, &buf) {
+		if may&(1<<uint(ni)) == 0 {
 			continue
 		}
-		if n.srv.Peek(file, block, dst, from) {
+		c.m.probes.Inc()
+		if v.nodes[ni].srv.Peek(file, block, dst, from) {
 			return true
 		}
 	}
@@ -332,15 +388,15 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 		return fmt.Errorf("cluster: %s: negative physical offset %d", v.name, off)
 	}
 	if len(v.nodes) == 1 && len(p) > 0 {
-		return c.readRun(v, file, []int{0}, p, off, sp)
+		return c.readRun(v, file, 0, []int{0}, p, off, sp)
 	}
 	gbytes := v.granuleBlocks * v.blockBytes
 	var buf [maxNodes]int
 	for len(p) > 0 {
 		granule := off / gbytes
 		end := min(off+int64(len(p)), (granule+1)*gbytes)
-		cands := v.ring.lookup(granuleHash(file, granule), &buf)
-		if err := c.readRun(v, file, cands, p[:end-off], off, sp); err != nil {
+		key := granuleHash(file, granule)
+		if err := c.readRun(v, file, key, v.ring.lookup(key, &buf), p[:end-off], off, sp); err != nil {
 			return err
 		}
 		p, off = p[end-off:], end
@@ -350,8 +406,9 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 
 // readRun serves one run — a window inside one granule — with one node
 // call, failing the whole run over along cands, the granule's candidate
-// order (the primary first).
-func (c *Cluster) readRun(v *view, file int, cands []int, p []byte, off int64, sp *obs.Span) error {
+// order (the primary first). key is the granule's ring position; a
+// one-node view's window is cut by no granule and has none.
+func (c *Cluster) readRun(v *view, file int, key uint64, cands []int, p []byte, off int64, sp *obs.Span) error {
 	c.m.requests[cands[0]].Inc() // the primary's cell
 	// Healthy replicas first: a node with any open circuit is tried in the
 	// second pass (its cache may still answer, but it must not absorb
@@ -366,6 +423,16 @@ func (c *Cluster) readRun(v *view, file int, cands []int, p []byte, off int64, s
 				continue
 			}
 			tried |= 1 << uint(ni)
+			// Record the run before the call can make a block resident, so
+			// a peerFill that finds the record clear knows the node holds
+			// no block of the granule.
+			if len(v.nodes) == 1 {
+				if !n.alone.Load() {
+					n.alone.Store(true)
+				}
+			} else {
+				n.route(key)
+			}
 			err := n.srv.ReadFileAt(file, p, off, sp)
 			if err == nil {
 				if attempts > 0 {
@@ -410,6 +477,7 @@ type Stats struct {
 	Requests        int64 // runs routed (one node call each, failover aside)
 	Failovers       int64 // extra replica attempts after a failed one
 	AllReplicasDown int64 // reads that exhausted every replica
+	PeerProbes      int64 // Peeks peer fill issued, each to a node that may hold the block
 	// Serve sums the nodes' serve stats, except HandlesOpened: clients open
 	// their sessions on the router, so that is the router's count.
 	Serve   serve.Stats
@@ -424,6 +492,7 @@ func (c *Cluster) Stats() Stats {
 		Requests:        c.m.routed(),
 		Failovers:       c.m.failovers.Value(),
 		AllReplicasDown: c.m.allDown.Value(),
+		PeerProbes:      c.m.probes.Value(),
 		Serve:           serve.Stats{HandlesOpened: c.m.handles.Value()},
 	}
 	for _, n := range nodes {

@@ -229,6 +229,110 @@ func TestClusterPeerFillsReadAroundBlocks(t *testing.T) {
 	}
 }
 
+// TestClusterStaticRingNeverProbes: on a static ring a node is routed only
+// its own granules, so a miss has no peer that could hold the block and
+// peer fill asks none, however often the caches turn over. A join remaps
+// granules whose blocks sit in their old primaries' caches: those are
+// asked, and fill.
+func TestClusterStaticRingNeverProbes(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	payloads := writeMultifile(t, fsys, "s.sion", 8)
+	cfg := serve.Config{CacheBytes: 1 << 20} // a node's share of the data is about 1.6 MiB
+	cl := startCluster(t, 3, "s.sion", func(int) fsio.FileSystem { return fsys }, cfg)
+	scan := func() {
+		for r, want := range payloads {
+			checkRank(t, cl, r, want)
+		}
+	}
+	scan()
+	first := cl.Stats().Serve
+	scan()
+	st := cl.Stats()
+	if st.Serve.Misses == first.Misses {
+		t.Fatalf("the second scan missed nothing: %+v", st.Serve)
+	}
+	if st.PeerProbes != 0 || st.Serve.PeerFills != 0 {
+		t.Fatalf("static ring: %d peer probes, %d peer fills; want none", st.PeerProbes, st.Serve.PeerFills)
+	}
+
+	if _, err := cl.Join("n9", fsys, "s.sion", &cfg); err != nil {
+		t.Fatal(err)
+	}
+	for r := len(payloads) - 1; r >= 0; r-- { // the last scan's blocks first: those are still resident
+		checkRank(t, cl, r, payloads[r])
+	}
+	if st := cl.Stats(); st.PeerProbes == 0 || st.Serve.PeerFills == 0 {
+		t.Fatalf("after a join: %d peer probes, %d peer fills; want remapped blocks asked of their old primaries",
+			st.PeerProbes, st.Serve.PeerFills)
+	}
+}
+
+// TestClusterFailedOverBlocksFillTheRecoveredPrimary: the runs of a
+// primary whose backend fails are served by its ring successor, which then
+// holds the blocks. Once the primary's backend recovers and its breaker
+// closes, the primary fills those blocks from the successor — zero backend
+// reads. Peer fill finds them only because a failover attempt records its
+// node as routed the granule, not the primary alone.
+func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
+	dir := t.TempDir()
+	inner := fsio.NewOS(dir)
+	writeMultifile(t, inner, "v.sion", 8)
+	faults := []*faultFS{{FileSystem: inner}, {FileSystem: inner}, {FileSystem: inner}}
+	cl := startCluster(t, 3, "v.sion", func(i int) fsio.FileSystem { return faults[i] },
+		serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}, BreakerThreshold: 1, BreakerCooldown: 1})
+	phys := physFile(t, dir, cl, 0)
+
+	sick := cl.view.Load().nodes[0] // "n0" reads through faults[0]
+	var mine []int64                // the granules of file 0 it is the primary of
+	for g := int64(0); (g+1)*granuleBytes <= int64(len(phys)); g++ {
+		if candidatesOf(cl, 0, g)[0] == sick {
+			mine = append(mine, g)
+		}
+	}
+	if len(mine) < 2 {
+		t.Fatalf("n0 is the primary of %d granules of file 0, want 2 or more", len(mine))
+	}
+	heal, mine := mine[len(mine)-1], mine[:len(mine)-1]
+
+	faults[0].mode.Store(1)
+	for _, g := range mine {
+		readAt(t, cl, phys, 0, g*granuleBytes, granuleBytes)
+	}
+	if served(cl)[sick.ID] != 0 || !sick.Server().Degraded() {
+		t.Fatalf("n0 served %d bytes with its backend down (degraded %v), want none and an open circuit",
+			served(cl)[sick.ID], sick.Server().Degraded())
+	}
+
+	// Recovery: the backend answers again, and the open circuit's cooldown
+	// (one rejected fetch) and probe run on a granule outside the check,
+	// read on the node directly, since the router routes around the node
+	// while its circuit is open.
+	faults[0].mode.Store(0)
+	p := make([]byte, testBlock)
+	for i := 0; i < 2; i++ {
+		err := sick.Server().ReadFileAt(0, p, heal*granuleBytes, nil)
+		if (err == nil) != (i == 1) {
+			t.Fatalf("recovery fetch %d: %v", i, err)
+		}
+	}
+	if sick.Server().Degraded() {
+		t.Fatal("n0's circuit did not close after a successful probe")
+	}
+
+	before := cl.Stats()
+	for _, g := range mine {
+		readAt(t, cl, phys, 0, g*granuleBytes, granuleBytes)
+	}
+	st := cl.Stats()
+	if d := served(cl)[sick.ID]; d != int64(len(mine))*granuleBytes+testBlock {
+		t.Fatalf("recovered n0 served %d bytes, want its %d granules and the probe block", d, len(mine))
+	}
+	if st.Serve.BackendReads != before.Serve.BackendReads || st.Serve.PeerFills == before.Serve.PeerFills {
+		t.Fatalf("recovered primary: %d new backend reads, %d new peer fills; want its blocks filled from the successor",
+			st.Serve.BackendReads-before.Serve.BackendReads, st.Serve.PeerFills-before.Serve.PeerFills)
+	}
+}
+
 // TestClusterFailoverRoutesAroundFaults pins failure routing: a node
 // whose backend path fails transiently is failed over (the ring
 // successor answers, byte-identically), while a permanent error is

@@ -22,6 +22,7 @@ type clusterMetrics struct {
 	}
 	failovers *obs.Counter
 	allDown   *obs.Counter
+	probes    *obs.Counter
 	handles   *obs.Counter
 }
 
@@ -37,6 +38,8 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 		"extra replica attempts after a failed one")
 	m.allDown = reg.Counter("cluster_all_replicas_down_total",
 		"reads that exhausted every replica")
+	m.probes = reg.Counter("cluster_peer_probes_total",
+		"peer-fill Peeks of another node's cache, asked only of nodes routed the block's granule")
 	m.handles = reg.Counter("cluster_handles_opened_total",
 		"client sessions opened through the router")
 	reg.GaugeFunc("cluster_nodes",

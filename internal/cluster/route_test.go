@@ -462,7 +462,10 @@ func TestOneNodeIsAServer(t *testing.T) {
 // (hit4k and cold64k only) are the ring and node cases from GOMAXPROCS goroutines at once
 // (-cpu 1,2,4 is the scaling table): hit4k/*-par prices what concurrent
 // hits share — shard locks, counters, the routing snapshot — and
-// cold64k/*-par concurrent misses and backend reads of one file.
+// cold64k/*-par concurrent misses and backend reads of one file. Every
+// case reports probes/op, the peer-fill Peeks per request: every topology
+// here is static, where a node is routed only its own granules and a miss
+// has no peer to ask, so a probe fails the case.
 func BenchmarkRoute(b *testing.B) {
 	dir := b.TempDir()
 	fsys := fsio.NewOS(dir)
@@ -508,11 +511,24 @@ func BenchmarkRoute(b *testing.B) {
 			b.ResetTimer()
 			return p
 		}
+		// probes stops the clock and reports the peer-fill probes per op
+		// (a serve.Server has no peers to probe).
+		probes := func(b *testing.B, r serve.FileReaderAt) {
+			b.StopTimer()
+			var n int64
+			if cl, ok := r.(*Cluster); ok {
+				if n = cl.Stats().PeerProbes; n != 0 {
+					b.Fatalf("a static topology issued %d peer probes", n)
+				}
+			}
+			b.ReportMetric(float64(n)/float64(b.N), "probes/op")
+		}
 		run := func(b *testing.B, r serve.FileReaderAt) {
 			p := setup(b, r)
 			for i := 0; i < b.N; i++ {
 				read(b, r, p, int64(i))
 			}
+			probes(b, r)
 		}
 		par := func(b *testing.B, r serve.FileReaderAt) {
 			setup(b, r)
@@ -524,6 +540,7 @@ func BenchmarkRoute(b *testing.B) {
 					read(b, r, p, i)
 				}
 			})
+			probes(b, r)
 		}
 		ring := func(b *testing.B) serve.FileReaderAt {
 			return startCluster(b, 3, "b.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: bc.cache / 3})

@@ -173,6 +173,7 @@ func (f *fixture) families() map[string]int64 {
 	return map[string]int64{
 		"cluster_requests_total":        st.Requests,
 		"cluster_failovers_total":       st.Failovers,
+		"cluster_peer_probes_total":     st.PeerProbes,
 		"cluster_handles_opened_total":  st.Serve.HandlesOpened,
 		"serve_cache_hits_total":        st.Serve.Hits,
 		"serve_cache_misses_total":      st.Serve.Misses,
