@@ -28,7 +28,8 @@ import (
 // leaves this file: readers get bytes copied out (copyOut). The copy-out
 // runs outside the shard lock (under it, two readers meeting on a shard
 // cost serve-hot 9 %) with the entry pinned; a reservation that finds its
-// slot pinned leaves that frame to its readers.
+// slot pinned leaves that frame to its readers. pin takes the pin without
+// the copy, for a reader that may not need it (fetch.go).
 //
 // A full shard admits by frequency (TinyLFU: Einziger et al., ACM ToS
 // 2017). From its first eviction on, a shard counts the hits and misses of
@@ -175,15 +176,44 @@ func (c *blockCache) copyOut(si int, k blockKey, dst []byte, from int64) bool {
 	return false
 }
 
-// hit serves a lookup that resident entry e covers: e becomes the most
-// recently used block, and its bytes from offset from are copied into
-// dst. The caller holds the shard lock; hit releases it.
-func (s *cacheShard) hit(e *cacheEntry, dst []byte, from int64) {
+// pin is copyOut for a copy that may not be needed: if block k holds the
+// len(dst) bytes at offset from, it counts and moves the block as copyOut
+// does but copies nothing, and pins its frame instead. It returns the
+// entry and the frame from offset from, which the caller may copy from
+// until it calls e.unpin; on a miss it returns nil.
+func (c *blockCache) pin(si int, k blockKey, dst []byte, from int64) (*cacheEntry, []byte) {
+	s := &c.shards[si]
+	s.mu.Lock()
+	e, ok := s.items[k]
+	if !ok || !e.covers(dst, from) {
+		s.mu.Unlock()
+		return nil, nil
+	}
+	s.touch(e)
+	e.readers.Add(1) // under the lock: a reserve that sees zero readers has none
+	src := e.data[from:]
+	s.mu.Unlock()
+	return e, src
+}
+
+// unpin ends a pin: the slot's frame may be recycled again.
+func (e *cacheEntry) unpin() { e.readers.Add(-1) }
+
+// touch records a hit on resident entry e: it counts in the sketch and
+// becomes the most recently used block. The caller holds the shard lock.
+func (s *cacheShard) touch(e *cacheEntry) {
 	s.freq.record(e.key)
 	if s.lru.next != e {
 		e.unlink()
 		s.link(e, &s.lru)
 	}
+}
+
+// hit serves a lookup that resident entry e covers: e becomes the most
+// recently used block, and its bytes from offset from are copied into
+// dst. The caller holds the shard lock; hit releases it.
+func (s *cacheShard) hit(e *cacheEntry, dst []byte, from int64) {
+	s.touch(e)
 	src := e.data[min(from, int64(len(e.data))):]
 	if len(dst) <= pinFreeCopy {
 		copy(dst, src)
@@ -193,7 +223,7 @@ func (s *cacheShard) hit(e *cacheEntry, dst []byte, from int64) {
 	e.readers.Add(1) // under the lock: a reserve that sees zero readers has none
 	s.mu.Unlock()
 	copy(dst, src)
-	e.readers.Add(-1)
+	e.unpin()
 }
 
 // claim is what acquire found for a block a reader missed.

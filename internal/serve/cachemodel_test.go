@@ -61,8 +61,8 @@ type cacheModel struct {
 	pins         []pin
 }
 
-// pin is a copyOut in flight, frozen: the frame it reads and the bytes it
-// must still find there.
+// pin is a copyOut in flight, frozen, or a hit that pinned its frame to
+// copy later: the frame it reads and the bytes it must still find there.
 type pin struct {
 	e      *cacheEntry
 	frame  []byte
@@ -237,6 +237,29 @@ func (m *cacheModel) copyOut(k blockKey, from, n int64) {
 	}
 }
 
+// pinHit runs one pin, a hit that copies later (unpin), perhaps after
+// its entry was evicted and its slot reserved again.
+func (m *cacheModel) pinHit(k blockKey, from, n int64) {
+	_, ms := m.shard(k)
+	e, src := m.c.pin(m.c.shardIndex(k), k, make([]byte, n), from)
+	me, ok := ms.entries[k]
+	if want := ok && covers(me, from, n); (e != nil) != want {
+		m.t.Fatalf("pin %v [%d, %d): hit %v, model says %v (%+v)", k, from, from+n, e != nil, want, me)
+	}
+	if e == nil {
+		m.gotMisses++
+		m.misses++
+		return
+	}
+	m.gotHits++
+	want := make([]byte, n) // what the copy must find, whenever it comes
+	for i := range want {
+		want[i] = pattern(k, me.fill, from+int64(i))
+	}
+	m.hit(ms, k, want, from)
+	m.pins = append(m.pins, pin{e, src, 0, n, want})
+}
+
 // parkAndAbort parks a reader on held reservation i, a pending entry, and
 // aborts it: the reader must wake. It waits until the reader sleeps on the
 // shard's sync.Cond — by then it holds its wake-up ticket — so the wake-up
@@ -273,13 +296,14 @@ func (m *cacheModel) pinFrame(k blockKey) {
 	m.pins = append(m.pins, pin{e, e.data, e.lo, e.hi, bytes.Clone(e.data[e.lo:e.hi])})
 }
 
+// unpin copies what pin i reads and releases it.
 func (m *cacheModel) unpin(i int) {
 	p := m.pins[i]
 	m.pins = slices.Delete(m.pins, i, i+1)
-	if !bytes.Equal(p.frame[p.lo:p.hi], p.want) {
+	if !bytes.Equal(bytes.Clone(p.frame[p.lo:p.hi]), p.want) {
 		m.t.Fatalf("a pinned frame of %v was rewritten under its reader", p.e.key)
 	}
-	p.e.readers.Add(-1)
+	p.e.unpin()
 }
 
 // sleepsOnCond reports whether goroutine id sleeps on a sync.Cond, by its
@@ -370,6 +394,11 @@ func (m *cacheModel) run(data []byte) {
 			name = fmt.Sprintf("abort %v", m.held[i].key)
 			m.settle(i, false)
 		case 6:
+			if a&0x10 != 0 {
+				m.pinHit(k, from, n)
+				name = fmt.Sprintf("pin %v [%d, %d)", k, from, from+n)
+				break
+			}
 			m.copyOut(k, from, n)
 			name = fmt.Sprintf("copyOut %v [%d, %d)", k, from, from+n)
 		case 7:
@@ -383,7 +412,7 @@ func (m *cacheModel) run(data []byte) {
 				m.parkAndAbort(i)
 			case c%4 == 1:
 				m.pinFrame(k)
-				name = fmt.Sprintf("pin %v", k)
+				name = fmt.Sprintf("pin frame %v", k)
 			case len(m.pins) > 0:
 				name = "unpin"
 				m.unpin(int(b) % len(m.pins))
@@ -405,8 +434,8 @@ func (m *cacheModel) run(data []byte) {
 // FuzzBlockCache checks the block cache against its model: 1–2 shards of
 // 2–6 blocks, an FS block a quarter of the cache block, sixteen keys over
 // two files, and any sequence of acquire (any window, capped or not,
-// read-around allowed or not), commit, abort, copyOut, an abort under a
-// parked reader and pinned copy-outs.
+// read-around allowed or not), commit, abort, copyOut, a hit that pins now
+// and copies later, an abort under a parked reader and pinned copy-outs.
 func FuzzBlockCache(f *testing.F) {
 	rng := rand.New(rand.NewSource(36))
 	for _, n := range []int{9, 64, 400, 1600, 4000} {

@@ -38,22 +38,42 @@ import (
 //
 // A missed block is read straight into the cache frame it will live in:
 // each dense span is one vectored backend read (fsio.ReadvAt) whose
-// vectors are those frames, so a missed byte is copied twice — kernel to
-// frame, frame to caller. A block a full shard declines (cache.go) is read
-// around the cache: its vector is the caller's own window, and a run of
-// such blocks is one vector, so its bytes are copied once.
+// vectors are those frames, so an admitted missed byte is copied twice —
+// kernel to frame, frame to caller. A block a full shard declines
+// (cache.go) is read around the cache: its vector is the caller's own
+// window, so its bytes are copied once. So is a resident block a span
+// bridges between two absent ones: the cache pass pins its frame instead
+// of copying it out (blockCache.pin), and the span reads the block into
+// its share of the window. (A block between two absent ones that another
+// reader or a peer filled meanwhile is in p already; the span writes the
+// same committed bytes over it.) A run of read-around and bridged blocks
+// is one vector, so a span of them is one plain read into the caller's
+// buffer. A pinned block no successful span read — after the last miss,
+// past a gap wider than MaxSpanGap, across a round's end, in a failed
+// span — is copied from its frame once the fetch is over.
 
 // missScratch is one request's miss bookkeeping, pooled so that a miss of
-// any size allocates nothing: the blocks the cache pass missed, the absent
-// blocks of the round being read with what each read fills, the read
-// vectors of the span being read, and a block-sized frame that the blocks
-// inside a span which are not absent are read into and dropped.
+// any size allocates nothing: the blocks the cache pass missed, the
+// resident blocks it pinned after its first miss, the absent blocks of the
+// round being read with what each read fills, and the read vectors of the
+// span being read.
 type missScratch struct {
-	missed  []int64
-	absent  []int64
-	fills   []fill // fills[i] is absent[i]'s
-	vecs    [][]byte
-	discard []byte
+	missed []int64
+	pinned []pinnedBlock // ascending
+	absent []int64
+	fills  []fill // fills[i] is absent[i]'s
+	vecs   [][]byte
+}
+
+// pinnedBlock is a hit the cache pass pinned rather than copied: its
+// entry, the pinned frame from where the window's share of the block
+// starts, and whether a successful span read that share straight into the
+// window.
+type pinnedBlock struct {
+	block int64
+	e     *cacheEntry
+	src   []byte
+	read  bool
 }
 
 // fill is what the read of one absent block fills: the range of its
@@ -67,36 +87,54 @@ type fill struct {
 
 var missScratches = sync.Pool{New: func() any { return new(missScratch) }}
 
-// getMissScratch returns a pooled scratch with an empty miss list.
+// getMissScratch returns a pooled scratch with empty miss and pin lists.
 func getMissScratch() *missScratch {
 	sc := missScratches.Get().(*missScratch)
-	sc.missed = sc.missed[:0]
+	sc.missed, sc.pinned = sc.missed[:0], sc.pinned[:0]
 	return sc
 }
 
-// put returns sc to the pool, holding no frame or caller buffer alive.
-func (sc *missScratch) put() {
+// done copies each pinned block that no successful span read into the
+// window [off, off+len(p)) from its frame, releases every pin, and returns
+// sc to the pool, holding no frame or caller buffer alive.
+func (sc *missScratch) done(p []byte, off, bs int64) {
+	for _, pb := range sc.pinned {
+		if !pb.read {
+			dst, _ := blockWindow(p, off, pb.block, bs)
+			copy(dst, pb.src)
+		}
+		pb.e.unpin()
+	}
+	clear(sc.pinned)
 	clear(sc.fills)
 	clear(sc.vecs)
 	missScratches.Put(sc)
 }
 
 // spanVecs lists the absent blocks [i, j) of one dense span as read
-// vectors: what each one fills, and the discard frame for every block
-// between two of them.
-func (sc *missScratch) spanVecs(i, j int, bs int64) [][]byte {
+// vectors: what each one fills, and for every block between two of them,
+// which lies wholly inside the window [off, off+len(p)), its share of p.
+func (sc *missScratch) spanVecs(i, j int, p []byte, off, bs int64) [][]byte {
 	v := sc.vecs[:0]
 	for x := i; x < j; x++ {
-		for gap := sc.absent[x] - sc.absent[max(x-1, i)] - 1; gap > 0; gap-- {
-			if int64(cap(sc.discard)) < bs {
-				sc.discard = make([]byte, bs)
-			}
-			v = append(v, sc.discard[:bs])
+		for b := sc.absent[max(x-1, i)] + 1; b < sc.absent[x]; b++ {
+			dst, _ := blockWindow(p, off, b, bs)
+			v = append(v, dst)
 		}
 		v = append(v, sc.fills[x].dst)
 	}
 	sc.vecs = v
 	return v
+}
+
+// bridged marks the pinned blocks between absent blocks lo and hi, which
+// a successful span read into the window, as delivered.
+func (sc *missScratch) bridged(lo, hi int64) {
+	for x := range sc.pinned {
+		if b := sc.pinned[x].block; lo < b && b < hi {
+			sc.pinned[x].read = true
+		}
+	}
 }
 
 // missCost is one request's own breadcrumbs: the dense backend reads that
@@ -108,7 +146,9 @@ type missCost struct {
 
 // fetchMissing materializes the blocks of physical file `file` that
 // readAt's cache pass missed (sc.missed: ascending, at least one) and
-// copies each block's share of the window [off, off+len(p)) into p.
+// copies each block's share of the window [off, off+len(p)) into p. It
+// marks the pinned blocks its spans read into p (sc.pinned), which the
+// caller need not copy.
 //
 // It acquires the blocks in order. One resident by now was filled by
 // another reader (singleflight — a FlightHit, no new read); one another
@@ -118,13 +158,13 @@ type missCost struct {
 // the window touches (fillRange; the whole block if a partial copy was
 // resident). A peer cache holding the bytes a block's read would fill
 // fills them (PeerFill); the rest are fused into dense spans (spanEnd),
-// each one retried vectored backend read into their frames and windows, or
-// several where the backend's ranged-read ceiling demands
-// (windowedSpanRead). A filled frame is copied out to p and then
-// committed; the entries of a failed span, or of a request the breaker
-// rejects, are aborted. Then the reader waits for the block that ended the
-// round and goes on from it. Every span is attempted, and the request
-// fails with its first failed span's error.
+// each one retried vectored backend read into their frames and windows —
+// the blocks a span bridges into their shares of p — or several where the
+// backend's ranged-read ceiling demands (windowedSpanRead). A filled frame
+// is copied out to p and then committed; the entries of a failed span, or
+// of a request the breaker rejects, are aborted. Then the reader waits for
+// the block that ended the round and goes on from it. Every span is
+// attempted, and the request fails with its first failed span's error.
 //
 // Breaker protocol: a request that needs backend spans consults the file's
 // breaker once — an open circuit fails it fast with ErrDegraded (each
@@ -208,7 +248,7 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 		}
 		for i, j := 0, 0; i < len(absent); i = j {
 			j = spanEnd(absent, i, bs, s.maxSpanGap)
-			r, serr := s.windowedSpanRead(file, c, sc.spanVecs(i, j, bs), absent[i]*bs+fills[i].from)
+			r, serr := s.windowedSpanRead(file, c, sc.spanVecs(i, j, p, off, bs), absent[i]*bs+fills[i].from)
 			cost.retries += r
 			settle(fills[i:j], serr == nil)
 			if serr != nil {
@@ -220,6 +260,7 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 				}
 				continue
 			}
+			sc.bridged(absent[i], absent[j-1])
 			cost.spans++
 			cost.spanBlocks += int64(j - i)
 		}
@@ -264,7 +305,7 @@ func spanEnd(blocks []int64, i int, bs, maxGap int64) int {
 
 // windowedSpanRead reads one dense span of physical file `file`, from off
 // onwards, into vecs (one per block: an absent block's frame range or
-// window share, or the discard frame for a bridged one), split into
+// window share, or the window share of a bridged one), split into
 // requests of at most Server.maxSpanBytes (0 = one request regardless of
 // length) so no single backend read exceeds the backend's ranged-read
 // capability. Each request starts where its predecessor's vectors end:
@@ -293,9 +334,9 @@ func (s *Server) windowedSpanRead(file int, c *shardCell, vecs [][]byte, off int
 }
 
 // fuse joins, in place, each vector that continues its predecessor in
-// memory — the window shares of a run of blocks read around the cache are
-// consecutive slices of the caller's buffer — so such a run is one vector:
-// one plain read where the backend has no vectored one.
+// memory — the window shares of a run of blocks read around the cache or
+// bridged are consecutive slices of the caller's buffer — so such a run is
+// one vector: one plain read where the backend has no vectored one.
 func fuse(vecs [][]byte) [][]byte {
 	out := vecs[:1]
 	for _, v := range vecs[1:] {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -290,9 +289,33 @@ type gatedFS struct {
 	armed       atomic.Bool
 	reads, held atomic.Int64
 	closedEarly atomic.Bool
-	gate        chan struct{}
-	at          map[int64]chan struct{} // set before arming
+	gate        *gate
+	at          map[int64]*gate // set before arming
 }
+
+func newGatedFS(inner fsio.FileSystem) *gatedFS {
+	return &gatedFS{FileSystem: inner, gate: newGate()}
+}
+
+// openAll opens every gate. A test that parks readers defers it after
+// `defer s.Close()`, so that on a failure the readers return before Close
+// waits for the close guards they hold: the test fails instead of hanging.
+func (g *gatedFS) openAll() {
+	g.gate.open()
+	for _, x := range g.at {
+		x.open()
+	}
+}
+
+// gate holds readers until it opens, once.
+type gate struct {
+	ch   chan struct{}
+	once sync.Once
+}
+
+func newGate() *gate { return &gate{ch: make(chan struct{})} }
+
+func (g *gate) open() { g.once.Do(func() { close(g.ch) }) }
 
 func (g *gatedFS) Open(name string) (fsio.File, error) {
 	fh, err := g.FileSystem.Open(name)
@@ -312,11 +335,11 @@ func (f *gatedFile) ReadAt(p []byte, off int64) (int, error) {
 		f.fs.reads.Add(1)
 		f.fs.held.Add(1)
 		defer f.fs.held.Add(-1)
-		gate, ok := f.fs.at[off]
+		g, ok := f.fs.at[off]
 		if !ok {
-			gate = f.fs.gate
+			g = f.fs.gate
 		}
-		<-gate
+		<-g.ch
 	}
 	return f.File.ReadAt(p, off)
 }
@@ -332,13 +355,14 @@ func (f *gatedFile) Close() error {
 // the same cold window cause one backend read between them — the first
 // claims the blocks, the others wait on its flight and find them resident.
 func TestSingleflightOneBackendRead(t *testing.T) {
-	gfs := &gatedFS{FileSystem: fsio.NewOS(t.TempDir()), gate: make(chan struct{})}
+	gfs := newGatedFS(fsio.NewOS(t.TempDir()))
 	raw := writeOneFile(t, gfs, "f.sion", 8, 64<<10, 4096)
 	s, err := New(gfs, "f.sion", &Config{CacheBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	defer gfs.openAll()
 	const readers, off, win = 16, 128 << 10, 64 << 10
 	blocks := int64(win) / s.BlockBytes()
 	gfs.armed.Store(true)
@@ -364,7 +388,7 @@ func TestSingleflightOneBackendRead(t *testing.T) {
 			t.Fatalf("readers never all missed: %+v", s.Stats())
 		}
 	}
-	close(gfs.gate)
+	gfs.gate.open()
 	wg.Wait()
 
 	want := wantWindow(raw, off, win)
@@ -389,9 +413,12 @@ func TestSingleflightOneBackendRead(t *testing.T) {
 
 // releaseReaders starts one goroutine per window of physical file 0 with
 // every backend read of gfs held until all of them have missed each of
-// their blocks, then returns what each read delivered and its error.
+// their blocks, then returns what each read delivered and its error. A
+// failure opens the gate on its way out, before the caller's deferred
+// Close can wait for the parked readers.
 func releaseReaders(t *testing.T, s *Server, gfs *gatedFS, offs []int64, win int64) ([][]byte, []error) {
 	t.Helper()
+	defer gfs.openAll()
 	gfs.armed.Store(true)
 	var start, wg sync.WaitGroup
 	start.Add(1)
@@ -413,7 +440,7 @@ func releaseReaders(t *testing.T, s *Server, gfs *gatedFS, offs []int64, win int
 			t.Fatalf("readers never all missed: %+v", s.Stats())
 		}
 	}
-	close(gfs.gate)
+	gfs.gate.open()
 	wg.Wait()
 	return got, errs
 }
@@ -425,7 +452,7 @@ func releaseReaders(t *testing.T, s *Server, gfs *gatedFS, offs []int64, win int
 // nothing — and no goroutine outlives Close.
 func TestSingleflightOverlappingWindows(t *testing.T) {
 	base := runtime.NumGoroutine()
-	gfs := &gatedFS{FileSystem: fsio.NewOS(t.TempDir()), gate: make(chan struct{})}
+	gfs := newGatedFS(fsio.NewOS(t.TempDir()))
 	raw := writeOneFile(t, gfs, "o.sion", 8, 64<<10, 4096)
 	s, err := New(gfs, "o.sion", &Config{CacheBytes: 4 << 20, MaxSpanGap: -1})
 	if err != nil {
@@ -468,7 +495,7 @@ func TestSingleflightWaiterOutlivesFailedOwner(t *testing.T) {
 	inner := fsio.NewOS(t.TempDir())
 	raw := writeOneFile(t, inner, "w.sion", 8, 64<<10, 4096)
 	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: 5})
-	gfs := &gatedFS{FileSystem: fl.Wrap(inner, nil), gate: make(chan struct{})}
+	gfs := newGatedFS(fl.Wrap(inner, nil))
 	s, err := New(gfs, "w.sion", &Config{CacheBytes: 4 << 20, Retry: &resil.Budget{MaxAttempts: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -513,12 +540,13 @@ func TestSingleflightWaiterOutlivesFailedOwner(t *testing.T) {
 // gets its bytes or ErrServerClosed (never a closed-file error), and after
 // Close a read whose every block is resident fails with ErrServerClosed.
 func TestCloseWaitsForBackendReads(t *testing.T) {
-	gfs := &gatedFS{FileSystem: fsio.NewOS(t.TempDir()), gate: make(chan struct{})}
+	gfs := newGatedFS(fsio.NewOS(t.TempDir()))
 	raw := writeOneFile(t, gfs, "c.sion", 8, 64<<10, 4096)
 	s, err := New(gfs, "c.sion", &Config{CacheBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close() // idempotent: the test's own Close is the one that races the reads
 	const resident, win = 0, 4096
 	p := make([]byte, win)
 	if err := s.ReadFileAt(0, p, resident, nil); err != nil {
@@ -534,7 +562,8 @@ func TestCloseWaitsForBackendReads(t *testing.T) {
 	if shard(cold[1]) < shard(cold[0]) {
 		cold[0], cold[1] = cold[1], cold[0]
 	}
-	gfs.at = map[int64]chan struct{}{cold[0]: make(chan struct{}), cold[1]: make(chan struct{})}
+	gfs.at = map[int64]*gate{cold[0]: newGate(), cold[1]: newGate()}
+	defer gfs.openAll()
 
 	gfs.armed.Store(true)
 	got, read := [2][]byte{}, [2]chan error{}
@@ -556,7 +585,7 @@ func TestCloseWaitsForBackendReads(t *testing.T) {
 			t.Fatalf("Close returned (%v) while %d backend reads were held", err, len(cold)-i)
 		case <-time.After(50 * time.Millisecond):
 		}
-		close(gfs.at[off])
+		gfs.at[off].open()
 		switch err := <-read[i]; {
 		case err == nil:
 			if !bytes.Equal(got[i], wantWindow(raw, off, win)) {
@@ -733,76 +762,4 @@ func TestReadAroundFailsFastWhenDegraded(t *testing.T) {
 	if st.BackendReads != before.BackendReads || st.Degraded != before.Degraded+1 || st.ReadAround == before.ReadAround {
 		t.Fatalf("the degraded request was not failed fast after being read around: %+v -> %+v", before, st)
 	}
-}
-
-// BenchmarkMissPath serves uniform windows of 4–64 KiB over a file eight
-// times the cache from GOMAXPROCS goroutines (set it with -cpu) on fsio.OS
-// (…/serve), and preads the same requests from the same file (…/pread),
-// the miss path's ceiling.
-// serve reports the cache's work per block lookup and the backend bytes
-// moved per byte served, counted over the timed requests.
-func BenchmarkMissPath(b *testing.B) {
-	fsys := fsio.NewOS(b.TempDir())
-	raw := writeOneFile(b, fsys, "m.sion", 16, 512<<10, 4096)
-	size := int64(len(raw))
-	rng := rand.New(rand.NewSource(36))
-	type request struct{ off, n int64 }
-	reqs := make([]request, 4096)
-	for i := range reqs {
-		n := int64(math.Exp(math.Log(4<<10) + rng.Float64()*math.Log(16)))
-		reqs[i] = request{rng.Int63n(size - n), n}
-	}
-	run := func(b *testing.B, read func(p []byte, off int64) error) {
-		workers := runtime.GOMAXPROCS(0)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				p := make([]byte, 64<<10)
-				for i := w; i < b.N; i += workers {
-					q := reqs[i%len(reqs)]
-					if err := read(p[:q.n], q.off); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	b.Run("serve", func(b *testing.B) {
-		s, err := New(fsys, "m.sion", &Config{CacheBytes: size / 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		read := func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }
-		for _, q := range reqs { // fill the cache and start its counts
-			if err := read(make([]byte, q.n), q.off); err != nil {
-				b.Fatal(err)
-			}
-		}
-		before := s.Stats()
-		b.ResetTimer()
-		run(b, read)
-		b.StopTimer()
-		st := s.Stats()
-		lookups := float64(st.Hits + st.Misses - before.Hits - before.Misses)
-		b.ReportMetric(float64(st.Evictions-before.Evictions)/lookups, "evictions/lookup")
-		b.ReportMetric(float64(st.Hits-before.Hits)/lookups, "hit")
-		b.ReportMetric(float64(st.BackendBytes-before.BackendBytes)/float64(st.ServedBytes-before.ServedBytes), "backend-bytes/served")
-	})
-	b.Run("pread", func(b *testing.B) {
-		fh, err := fsys.Open("m.sion")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer fh.Close()
-		b.ResetTimer()
-		run(b, func(p []byte, off int64) error {
-			_, err := fh.ReadAt(p, off)
-			return err
-		})
-	})
 }

@@ -32,7 +32,10 @@
 //     (sion.CoalesceExtents), reads each span into the frames with one
 //     vectored backend read (fsio.ReadvAt: preadv on Linux), and copies
 //     each block's share into the caller's buffer before making its frame
-//     resident. A first miss reads only the FS blocks its window touches
+//     resident. A resident block a span bridges is read into the caller's
+//     buffer with it, not copied out of the cache as well: the cache pass
+//     pins a hit after the first miss and copies it only if no span read
+//     it. A first miss reads only the FS blocks its window touches
 //     (a frame holds a valid range of its block); a later window outside
 //     that range reads the whole block. Readers of distinct block ranges
 //     read one physical file concurrently — the access pattern the
@@ -562,8 +565,11 @@ func (s *Server) Close() error {
 
 // readAt serves [off, off+len(p)) of physical file `file`: resident blocks
 // are copied out of the cache, the rest go through fetchMissing under the
-// close guard of the request's cell c. sp (nil is fine) collects the
-// read's breadcrumb trail.
+// close guard of the request's cell c. A resident block after the first
+// miss may lie between two misses, where a span can read it into p along
+// with them: it is pinned, not copied, and copied from its frame after the
+// fetch only if no span did. sp (nil is fine) collects the read's
+// breadcrumb trail.
 func (s *Server) readAt(file int, c *shardCell, p []byte, off int64, sp *obs.Span) error {
 	if s.closed.Load() {
 		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
@@ -576,7 +582,15 @@ func (s *Server) readAt(file int, c *shardCell, p []byte, off int64, sp *obs.Spa
 	for b := off / bs; b <= (off+int64(len(p))-1)/bs; b++ {
 		k := blockKey{file, b}
 		si := s.cache.shardIndex(k)
-		if dst, from := blockWindow(p, off, b, bs); s.cache.copyOut(si, k, dst, from) {
+		dst, from := blockWindow(p, off, b, bs)
+		hit := false
+		if sc == nil {
+			hit = s.cache.copyOut(si, k, dst, from)
+		} else if e, src := s.cache.pin(si, k, dst, from); e != nil {
+			sc.pinned = append(sc.pinned, pinnedBlock{block: b, e: e, src: src})
+			hit = true
+		}
+		if hit {
 			s.m.lookup(si, true)
 			sp.Add(obs.CrumbCacheHit, 1)
 		} else {
@@ -591,7 +605,7 @@ func (s *Server) readAt(file int, c *shardCell, p []byte, off int64, sp *obs.Spa
 	if sc == nil {
 		return nil
 	}
-	defer sc.put()
+	defer sc.done(p, off, bs)
 	c.guard.RLock()
 	defer c.guard.RUnlock()
 	if s.closed.Load() {
