@@ -22,8 +22,8 @@
 //	POST /cluster/join?id=<id>   add a serve node to the ring
 //	POST /cluster/leave?id=<id>  drain a node off the ring
 //
-// The multifile must be complete (written and closed); serving a file
-// still being written is out of scope for the cache's consistency model.
+// The multifile must be complete (written and closed). A serve node reads
+// a live one, but the cluster does not yet poll it: Join refuses it.
 package main
 
 import (

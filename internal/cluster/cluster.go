@@ -170,7 +170,10 @@ func (c *Cluster) Metrics() *obs.Registry { return c.m.reg }
 // other nodes' caches, and its cache-block size is forced to the
 // cluster's, which the first Join establishes together with the granule
 // (placement and peer fill address blocks by number, so every node must
-// agree). All nodes of one cluster must front the same multifile.
+// agree). All nodes of one cluster must front the same multifile, and it
+// must be closed: a multifile still being written is refused with an
+// error wrapping sion.ErrAgain, and the refused node's instruments are
+// withdrawn from the registry.
 func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve.Config) (*Node, error) {
 	// Check before serve.New, and hold mu across it: New registers the
 	// node=<id> families, which would replace a live node's instruments
@@ -214,6 +217,11 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	srv, err := serve.New(fsys, name, &cfg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: join %s: %w", id, err)
+	}
+	if !srv.Layout().Final() {
+		srv.Close()
+		c.m.reg.Unregister(cfg.MetricLabels...)
+		return nil, fmt.Errorf("cluster: join %s: %s is still being written: %w", id, name, sion.ErrAgain)
 	}
 	n := &Node{ID: id, srv: srv}
 	nv := *v

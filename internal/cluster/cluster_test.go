@@ -523,6 +523,67 @@ func TestClusterRejectedJoinKeepsMetrics(t *testing.T) {
 	}
 }
 
+// TestClusterJoinRefusesLiveMultifile: Join of a multifile still being
+// written — here one whose writer never closed it, so its sidecars stand
+// and its trailer is missing — fails with an error wrapping sion.ErrAgain
+// and leaves the ring and the registry as they were. The same id then
+// joins a closed multifile.
+func TestClusterJoinRefusesLiveMultifile(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	mpi.Run(2, func(c *mpi.Comm) {
+		f, err := sion.ParOpen(c, fsys, "live.sion", sion.WriteMode, &sion.Options{
+			ChunkSize: 1024, FSBlockSize: 256, Watermarks: true,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.Write(testPayload(c.Rank(), 700)); err != nil {
+			t.Error(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	fh, err := fsys.OpenRW(sion.PhysicalNames("live.sion", 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := fh.Size()
+	if err == nil {
+		err = fh.Truncate(size - 1) // the trailer's magic no longer parses
+	}
+	fh.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cl := New(nil)
+	defer cl.Close()
+	cfg := &serve.Config{CacheBytes: testCache}
+	var before, after bytes.Buffer
+	if err := cl.Metrics().WriteProm(&before); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Join("a", fsys, "live.sion", cfg); !errors.Is(err, sion.ErrAgain) {
+		t.Fatalf("Join of a live multifile: %v, want sion.ErrAgain", err)
+	}
+	if err := cl.Metrics().WriteProm(&after); err != nil {
+		t.Fatal(err)
+	}
+	if ids := cl.NodeIDs(); len(ids) != 0 || cl.Name() != "" || cl.Layout() != nil {
+		t.Fatalf("refused Join left nodes %v, name %q, layout %v", ids, cl.Name(), cl.Layout())
+	}
+	if before.String() != after.String() {
+		t.Fatalf("refused Join changed the registry:\n%s\nwant\n%s", after.String(), before.String())
+	}
+	payloads := writeMultifile(t, fsys, "c.sion", 2)
+	if _, err := cl.Join("a", fsys, "c.sion", cfg); err != nil {
+		t.Fatal(err)
+	}
+	checkRank(t, cl, 1, payloads[1])
+}
+
 // sample returns the value of one series in a Prometheus text exposition.
 func sample(t *testing.T, body, series string) int64 {
 	t.Helper()
@@ -574,7 +635,7 @@ func TestClusterClosedRejectsResidentReads(t *testing.T) {
 // TestClusterConcurrentChurnRace is the -race exercise for the serving
 // tier: concurrent clients Open and read through the router while nodes
 // join and leave, stats and health run, and — on a second,
-// live multifile — a tail server's Tail/Follow/Poll/Stats/Health are
+// live multifile — a serve server's Follow/Poll/Stats/Health are
 // driven alongside. Reads must stay byte-identical throughout (a core
 // node never leaves, so every block always has a live replica).
 func TestClusterConcurrentChurnRace(t *testing.T) {
@@ -620,7 +681,7 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 		})
 	}()
 	<-firstCommit
-	ts, err := serve.NewTail(fsys, "live.sion", &serve.Config{CacheBytes: testCache})
+	ts, err := serve.New(fsys, "live.sion", &serve.Config{CacheBytes: testCache})
 	if err != nil {
 		t.Fatal(err)
 	}

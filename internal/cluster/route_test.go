@@ -470,10 +470,12 @@ func BenchmarkRoute(b *testing.B) {
 	dir := b.TempDir()
 	fsys := fsio.NewOS(dir)
 	writeMultifile(b, fsys, "b.sion", 8)
-	layout, err := sion.LoadLayout(fsys, "b.sion")
+	tl, err := sion.LoadTailLayout(fsys, "b.sion")
 	if err != nil {
 		b.Fatal(err)
 	}
+	tl.Close()
+	layout := tl.Layout()
 	fi, err := os.Stat(filepath.Join(dir, layout.PhysicalName(0)))
 	if err != nil {
 		b.Fatal(err)

@@ -470,7 +470,7 @@ func (f *cutFile) ReadAt(p []byte, off int64) (int, error) {
 // paths (unbuffered, staged, direct past the stage): bytes the backend did
 // not deliver read as zeros — not as whatever the caller's buffer held —
 // and the call reports the full count, through Read, ReadLogicalAt, a
-// mapped rank handle and a TailReader alike.
+// mapped rank handle and TailLayout.ReadRankAt alike.
 func TestShortReadZeroFills(t *testing.T) {
 	const fsblk, chunk, size, keep = 128, 4096, 6000, 300
 	base := fsio.NewOS(t.TempDir())
@@ -543,13 +543,13 @@ func TestShortReadZeroFills(t *testing.T) {
 	}
 
 	cfs := &cutFS{FileSystem: base}
-	tr, err := Follow(cfs, "cut.sion", 1)
+	tl, err := LoadTailLayout(cfs, "cut.sion")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	ext := tr.snap.RankBlocks(1)
-	check("tail/Read", cfs, ext[0].Off, direct, tr.Read)
+	defer tl.Close()
+	ext := tl.Layout().RankBlocks(1)
+	check("tail/ReadRankAt", cfs, ext[0].Off, direct, func(b []byte) (int, error) { return tl.ReadRankAt(1, b, 0) })
 }
 
 // modelReads replays a sequential read of the given blocks in records of

@@ -83,7 +83,7 @@ func TestBackendReadErrorsWrapThroughStaging(t *testing.T) {
 
 // TestBackendReadErrorsWrapThroughMetadata pins the same contract for the
 // metadata parse paths (parseHeader/readTail, used by Open, OpenRank,
-// LoadLayout): a backend failure must surface both ErrCorrupt (the parse
+// LoadTailLayout): a backend failure must surface both ErrCorrupt (the parse
 // could not complete) and the underlying backend sentinel.
 func TestBackendReadErrorsWrapThroughMetadata(t *testing.T) {
 	base := fsio.NewOS(t.TempDir())
@@ -97,8 +97,8 @@ func TestBackendReadErrorsWrapThroughMetadata(t *testing.T) {
 		f.Close()
 	})
 	ffs := &armFailFS{FileSystem: base, armed: true}
-	if _, err := LoadLayout(ffs, "m.sion"); !errors.Is(err, errReadInjected) || !errors.Is(err, ErrCorrupt) {
-		t.Errorf("LoadLayout error %v lacks the backend sentinel or ErrCorrupt", err)
+	if _, err := LoadTailLayout(ffs, "m.sion"); !errors.Is(err, errReadInjected) || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("LoadTailLayout error %v lacks the backend sentinel or ErrCorrupt", err)
 	}
 	if _, err := Open(ffs, "m.sion"); !errors.Is(err, errReadInjected) {
 		t.Errorf("Open error %v lacks the backend sentinel", err)

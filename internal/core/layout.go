@@ -5,26 +5,23 @@ import (
 	"io"
 	"slices"
 	"sort"
-
-	"repro/internal/fsio"
 )
 
 // Layout is an immutable, handle-free snapshot of where every committed
 // logical byte of a multifile lives: per global rank, the physical file and
-// absolute offset of each of its block extents. A closed multifile has one
-// snapshot, final (LoadLayout); a live one grows a new, non-final snapshot
-// with every TailLayout.Refresh until the writer's Close makes it final. It
-// exists for layers that do their own physical I/O over a multifile instead
-// of going through File handles — internal/serve builds its block cache on
-// it — and for inspection tools. A Layout holds no open files; it is safe
-// for concurrent use by any number of goroutines.
+// absolute offset of each of its block extents. LoadTailLayout loads it: a
+// closed multifile has one snapshot, final; a live one grows a new,
+// non-final snapshot with every TailLayout.Refresh until the writer's Close
+// makes it final. It exists for layers that do their own physical I/O over
+// a multifile instead of going through File handles — internal/serve
+// builds its block cache on it — and for inspection tools. A Layout holds
+// no open files; it is safe for concurrent use by any number of goroutines.
 type Layout struct {
 	name    string
 	ntasks  int
 	nfiles  int
 	fsblk   int64
 	mapping []FileLoc
-	chunks  []int64    // requested chunk size per global rank
 	blocks  [][]extent // per global rank, per block: the committed bytes
 	open    [][]int64  // per physical file, ascending: where an unsealed last extent ends
 	final   bool
@@ -42,24 +39,6 @@ type BlockExtent struct {
 	File  int
 	Off   int64
 	Bytes int64
-}
-
-// LoadLayout parses a multifile's metadata (every segment's metablocks)
-// and returns its final layout. The multifile must be complete — written
-// and closed; an in-progress multifile has no metablock 2 and fails with
-// ErrCorrupt (LoadTailLayout follows one).
-func LoadLayout(fsys fsio.FileSystem, name string) (*Layout, error) {
-	ml, err := openMappedLocal(fsys, name, nil)
-	if err != nil {
-		return nil, fmt.Errorf("sion: LoadLayout %s: %w", name, err)
-	}
-	defer ml.closeAll()
-	segs := make([]segState, ml.nfiles)
-	for k := range segs {
-		pf := ml.segs[k]
-		segs[k] = segState{pf.h, pf.geo, sealedStates(pf.m2)}
-	}
-	return newLayout(name, ml.mapping, segs, true), nil
 }
 
 // segState is what a snapshot is built from for one physical file: its
@@ -95,7 +74,6 @@ func newLayout(name string, mapping []FileLoc, segs []segState, final bool) *Lay
 		nfiles:  len(segs),
 		fsblk:   segs[0].h.FSBlockSize,
 		mapping: slices.Clone(mapping),
-		chunks:  make([]int64, n),
 		blocks:  make([][]extent, n),
 		final:   final,
 	}
@@ -104,7 +82,6 @@ func newLayout(name string, mapping []FileLoc, segs []segState, final bool) *Lay
 	}
 	for g, loc := range mapping {
 		s, li := &segs[loc.File], int(loc.LocalRank)
-		l.chunks[g] = s.h.ChunkSizes[li]
 		st := s.state[li]
 		exts := make([]extent, len(st))
 		var size int64
@@ -145,14 +122,6 @@ func (l *Layout) Mapping() []FileLoc { return append([]FileLoc(nil), l.mapping..
 // Final reports whether the snapshot is of a closed multifile: its sizes
 // are final and reads past them end in io.EOF, not ErrAgain.
 func (l *Layout) Final() bool { return l.final }
-
-// ChunkSize returns the requested chunk size of rank g (0 if out of range).
-func (l *Layout) ChunkSize(g int) int64 {
-	if g < 0 || g >= l.ntasks {
-		return 0
-	}
-	return l.chunks[g]
-}
 
 // RankSize returns the committed logical bytes of rank g (0 if out of
 // range).

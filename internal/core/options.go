@@ -119,7 +119,7 @@ type Options struct {
 	// on every Flush the data is synced first and a small commit record is
 	// made durable afterwards, so readers can safely tail the multifile
 	// while it is still being written — through Layout snapshots that grow
-	// (TailLayout, Follow, serve.NewTail) — without ever observing torn
+	// (LoadTailLayout, serve.New and its Poll) — without ever observing torn
 	// records. Close publishes a final sealed commit. Only supported on
 	// parallel write handles (ParOpen); the serial Create rejects it.
 	Watermarks bool

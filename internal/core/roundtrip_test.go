@@ -484,12 +484,12 @@ func TestPropertyRoundTripModes(t *testing.T) {
 
 // TestPropertyLiveTail extends the round-trip property to live-tail
 // interleavings: writers with Options.Watermarks flush at random points
-// and probe their own stream through Follow after every flush. A direct
+// and probe their own stream through LoadTailLayout after every flush. A direct
 // writer's committed frontier must equal exactly the bytes flushed (never
 // uncommitted bytes); a collective writer's must never exceed the bytes
 // written; and in both cases every committed byte must match the payload
-// prefix. After Close, Follow must load finalized and return the whole
-// payload with io.EOF.
+// prefix. After Close, LoadTailLayout must load final and return the
+// whole payload with io.EOF.
 func TestPropertyLiveTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for iter := 0; iter < 8; iter++ {
@@ -529,19 +529,19 @@ func TestPropertyLiveTail(t *testing.T) {
 					return
 				}
 				// ParOpen only synchronizes within per-file sub-communicators,
-				// but Follow opens every physical file: barrier so all
+				// but LoadTailLayout opens every physical file: barrier so all
 				// segments exist before any rank starts probing.
 				c.Barrier()
 				payload := rankPayload(c.Rank(), sizes[c.Rank()])
 				prng := rand.New(rand.NewSource(pieceSeed + int64(c.Rank())))
 				probe := func(flushed int64, written int64) {
-					tr, err := Follow(fsys, "live.sion", c.Rank())
+					tl, err := LoadTailLayout(fsys, "live.sion")
 					if err != nil {
-						t.Errorf("rank %d: Follow: %v", c.Rank(), err)
+						t.Errorf("rank %d: LoadTailLayout: %v", c.Rank(), err)
 						return
 					}
-					defer tr.Close()
-					committed := tr.Committed()
+					defer tl.Close()
+					committed := tl.Layout().RankSize(c.Rank())
 					if group == 0 {
 						if committed != flushed {
 							t.Errorf("rank %d: committed %d, want exactly the %d flushed bytes",
@@ -552,19 +552,15 @@ func TestPropertyLiveTail(t *testing.T) {
 							c.Rank(), committed, written)
 					}
 					got := make([]byte, committed)
-					for off := 0; off < len(got); {
-						m, err := tr.Read(got[off:])
-						if err != nil {
-							t.Errorf("rank %d: tail read: %v", c.Rank(), err)
-							return
-						}
-						off += m
+					if m, err := tl.ReadRankAt(c.Rank(), got, 0); m != len(got) || err != nil {
+						t.Errorf("rank %d: tail read = (%d, %v), want (%d, nil)", c.Rank(), m, err, len(got))
+						return
 					}
 					if !bytes.Equal(got, payload[:committed]) {
 						t.Errorf("rank %d: committed bytes differ from payload prefix", c.Rank())
 					}
 					// At the frontier a live multifile yields ErrAgain.
-					if n2, err := tr.Read(make([]byte, 1)); n2 != 0 || err != ErrAgain {
+					if n2, err := tl.ReadRankAt(c.Rank(), make([]byte, 1), committed); n2 != 0 || err != ErrAgain {
 						t.Errorf("rank %d: at frontier got (%d, %v), want (0, ErrAgain)", c.Rank(), n2, err)
 					}
 				}
@@ -596,22 +592,23 @@ func TestPropertyLiveTail(t *testing.T) {
 				}
 			})
 			// After Close every rank reads back in full, finalized.
+			tl, err := LoadTailLayout(fsys, "live.sion")
+			if err != nil {
+				t.Fatalf("LoadTailLayout after close: %v", err)
+			}
+			defer tl.Close()
+			if !tl.Layout().Final() {
+				t.Fatal("not final after Close")
+			}
 			for r := 0; r < n; r++ {
-				tr, err := Follow(fsys, "live.sion", r)
-				if err != nil {
-					t.Fatalf("rank %d: Follow after close: %v", r, err)
+				got := make([]byte, sizes[r]+1)
+				m, err := tl.ReadRankAt(r, got, 0)
+				if m != sizes[r] || err != io.EOF {
+					t.Fatalf("rank %d: draining = (%d, %v), want (%d, io.EOF)", r, m, err, sizes[r])
 				}
-				if !tr.Finalized() {
-					t.Fatalf("rank %d: not finalized after Close", r)
-				}
-				got, err := io.ReadAll(tr)
-				if err != nil {
-					t.Fatalf("rank %d: draining: %v", r, err)
-				}
-				if !bytes.Equal(got, rankPayload(r, sizes[r])) {
+				if !bytes.Equal(got[:m], rankPayload(r, sizes[r])) {
 					t.Fatalf("rank %d: finalized bytes differ", r)
 				}
-				tr.Close()
 			}
 			if err := Verify(fsys, "live.sion"); err != nil {
 				t.Fatal(err)

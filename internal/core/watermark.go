@@ -52,7 +52,7 @@ const (
 
 // ErrAgain is returned by tailing reads that caught up with the committed
 // watermark of a live multifile: no error occurred, there is just no
-// committed data past the current position yet. Poll/Follow again later.
+// committed data past the current position yet. Refresh, then read again.
 var ErrAgain = errors.New("sion: at the committed watermark (no new data yet)")
 
 // TailCommit is the durable write progress of one block of one rank:

@@ -242,12 +242,12 @@ func TestWatermarkCrashRecovery(t *testing.T) {
 		fs.Crash() // drop every unsynced write
 
 		fsys := fs.View(0, nil)
+		tl, err := LoadTailLayout(fsys, "t.sion")
+		if err != nil {
+			t.Fatalf("trial %d: LoadTailLayout: %v", trial, err)
+		}
 		for r := 0; r < n; r++ {
-			tr, err := Follow(fsys, "t.sion", r)
-			if err != nil {
-				t.Fatalf("trial %d: Follow(%d): %v", trial, r, err)
-			}
-			committed := tr.Committed()
+			committed := tl.Layout().RankSize(r)
 			valid := committed == 0
 			for _, a := range attempts[r] {
 				valid = valid || committed == a
@@ -257,18 +257,14 @@ func TestWatermarkCrashRecovery(t *testing.T) {
 					trial, r, committed, attempts[r])
 			}
 			got := make([]byte, committed)
-			for off := 0; off < len(got); {
-				m, err := tr.Read(got[off:])
-				if err != nil {
-					t.Fatalf("trial %d rank %d: reading committed bytes: %v", trial, r, err)
-				}
-				off += m
+			if m, err := tl.ReadRankAt(r, got, 0); m != len(got) || err != nil {
+				t.Fatalf("trial %d rank %d: reading committed bytes = (%d, %v)", trial, r, m, err)
 			}
 			if !bytes.Equal(got, payloads[r][:committed]) {
 				t.Fatalf("trial %d rank %d: committed bytes torn", trial, r)
 			}
-			tr.Close()
 		}
+		tl.Close()
 		if _, err := Repair(fsys, "t.sion"); err != nil {
 			t.Fatalf("trial %d: Repair: %v", trial, err)
 		}

@@ -32,7 +32,7 @@ import (
 //   - stream: N writers append CRC-framed records to a live multifile on
 //     one simulated machine, flushing every tab7Flush records and
 //     computing for tab7Step sim-seconds between batches. M serve-backed
-//     readers (Handles of one serve.NewTail server, opened once) follow
+//     readers (Handles of one serve.New server, opened once) follow
 //     the writers mid-write, polling every tab7Poll sim-seconds, parse
 //     complete frames, and ship them into a second multifile on another
 //     machine through per-writer key streams (KeyWriter). Asserted: every frame parses (magic, seq
@@ -259,7 +259,7 @@ func tab7Reader(c, rc *mpi.Comm, fsA, fsB *simfs.FS, nw, nr, records int,
 			Sleep:       func(time.Duration) { c.Proc().AdvanceTo(c.Now() + tab7Poll) },
 		}
 		err := resil.DoWhile(b, nil, func(error) bool { return true }, func() error {
-			s, err := serve.NewTail(fsA.View(nw, nil), "live.sion", &serve.Config{CacheBytes: 1 << 20})
+			s, err := serve.New(fsA.View(nw, nil), "live.sion", &serve.Config{CacheBytes: 1 << 20})
 			if err == nil {
 				*srvp = s
 			}
@@ -441,12 +441,12 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 			torn++
 		}
 
+		tl, err := sion.LoadTailLayout(v, "c.sion")
+		if err != nil {
+			panic(fmt.Sprintf("tab7: trial %d: LoadTailLayout: %v", trial, err))
+		}
 		for r := 0; r < nw; r++ {
-			tr, err := sion.Follow(v, "c.sion", r)
-			if err != nil {
-				panic(fmt.Sprintf("tab7: trial %d rank %d: Follow: %v", trial, r, err))
-			}
-			committed := tr.Committed()
+			committed := tl.Layout().RankSize(r)
 			valid := committed == 0
 			for _, a := range attempts[r] {
 				valid = valid || committed == a
@@ -456,14 +456,9 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 					trial, r, committed, attempts[r]))
 			}
 			got := make([]byte, committed)
-			for off := 0; off < len(got); {
-				m, err := tr.Read(got[off:])
-				if err != nil {
-					panic(fmt.Sprintf("tab7: trial %d rank %d: reading committed bytes: %v", trial, r, err))
-				}
-				off += m
+			if _, err := tl.ReadRankAt(r, got, 0); err != nil {
+				panic(fmt.Sprintf("tab7: trial %d rank %d: reading committed bytes: %v", trial, r, err))
 			}
-			tr.Close()
 			var want []byte
 			for _, fr := range frames[r] {
 				want = append(want, fr...)
@@ -484,6 +479,7 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 			}
 			recovered += committed
 		}
+		tl.Close()
 
 		if _, err := sion.Repair(v, "c.sion"); err != nil {
 			panic(fmt.Sprintf("tab7: trial %d: Repair: %v", trial, err))

@@ -209,10 +209,12 @@ func eachTopology(t *testing.T, name string, fl Flags, fn func(t *testing.T, f *
 			} else {
 				writeData(t, osfs)
 			}
-			lay, err := sion.LoadLayout(osfs, name)
+			tl, err := sion.LoadTailLayout(osfs, name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tl.Close()
+			lay := tl.Layout()
 			reg := obs.NewRegistry()
 			flaky := simfs.NewFlaky(simfs.FlakyConfig{Seed: 404})
 			gate := &gateFS{

@@ -87,7 +87,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			children[i] = f.children[k]
 		}
 		f.mu.Unlock()
-
+		if len(children) == 0 {
+			continue // emptied by Unregister
+		}
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
 		for _, c := range children {

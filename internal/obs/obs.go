@@ -26,6 +26,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -255,6 +256,26 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 // Re-registering (same name and labels) replaces fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.instrument(name, help, "gauge", true, labels).fn.Store(&fn)
+}
+
+// Unregister removes every instrument whose labels begin with labels: a
+// component that never went into service withdraws what it registered. A
+// family left empty keeps its name, type and label keys but is not
+// exposed.
+func (r *Registry) Unregister(labels ...Label) {
+	for _, f := range r.snapshotFamilies() {
+		f.mu.Lock()
+		kept := f.order[:0]
+		for _, k := range f.order {
+			if c := f.children[k]; len(c.labels) >= len(labels) && slices.Equal(c.labels[:len(labels)], labels) {
+				delete(f.children, k)
+			} else {
+				kept = append(kept, k)
+			}
+		}
+		f.order = kept
+		f.mu.Unlock()
+	}
 }
 
 // snapshotFamilies returns the families sorted by name, for exposition.

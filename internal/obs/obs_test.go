@@ -168,6 +168,29 @@ func TestExpositionAndChecker(t *testing.T) {
 	}
 }
 
+// TestUnregister: removing a label prefix drops exactly the instruments
+// whose labels begin with it, and the families it empties, so the
+// exposition reads as if they were never registered.
+func TestUnregister(t *testing.T) {
+	expose := func(r *Registry) string {
+		var b bytes.Buffer
+		if err := r.WriteProm(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	r := NewRegistry()
+	r.Counter("shared_total", "h", L("node", "a")...).Add(3)
+	r.Counter("other_total", "h").Inc()
+	want := expose(r)
+	r.Counter("shared_total", "h", L("node", "b")...).Inc()
+	r.GaugeFunc("only_b", "h", func() float64 { return 7 }, L("node", "b", "file", "0")...)
+	r.Unregister(L("node", "b")...)
+	if got := expose(r); got != want {
+		t.Fatalf("after Unregister:\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestSetClock(t *testing.T) {
 	r := NewRegistry()
 	now := int64(1000)

@@ -99,9 +99,9 @@ func newServerMetrics(reg *obs.Registry, base []obs.Label, shards int) *serverMe
 	m.sumFunc("serve_served_bytes_total", "logical bytes handed to clients",
 		func(t cellTotals) int64 { return t.served })
 	m.handles = reg.Counter("serve_handles_opened_total",
-		"client sessions opened (Open and Tail)", base...)
+		"client sessions opened (Open)", base...)
 	m.tailPolls = reg.Counter("serve_tail_polls_total",
-		"watermark refreshes issued (tail servers)", base...)
+		"watermark refreshes issued by Poll on a live multifile", base...)
 	m.sumFunc("serve_peer_fills_total",
 		"missed blocks filled from a peer cache instead of the backend",
 		func(t cellTotals) int64 { return t.peerFills })
@@ -246,7 +246,7 @@ func (s *Server) registerDerived() {
 
 // registerBreakerGauge exposes one physical file's breaker state as a
 // gauge (0 closed, 1 open, 2 half-open — resil.BreakerState order).
-// Called from openPhysical for each file with a breaker.
+// Called from New for each file with a breaker.
 func (s *Server) registerBreakerGauge(file int, path string) {
 	br := s.breakers[file]
 	if br == nil {

@@ -50,12 +50,12 @@
 //
 // Consistency: a Server reads through an immutable sion.Layout snapshot
 // and caches only bytes that snapshot calls committed, which never change.
-// New snapshots a closed multifile once; its snapshot is final. NewTail
-// follows a multifile that is still being written (tail.go): Poll
-// publishes the next snapshot from the writers' watermark sidecars, and the
-// same Handles read it from their next call on — sion.ErrAgain at the
-// watermark, io.EOF once the multifile is final; Follow turns that into a
-// bounded-lag polling loop.
+// New loads it with sion.LoadTailLayout and reads through that loader's
+// open files. A closed multifile's snapshot is final. For one still being
+// written (tail.go), Poll publishes the next snapshot from the writers'
+// watermark sidecars, and the same Handles read it from their next call on
+// — sion.ErrAgain at the watermark, io.EOF once the multifile is final;
+// Follow turns that into a bounded-lag polling loop.
 package serve
 
 import (
@@ -84,10 +84,6 @@ var ErrServerClosed = errors.New("serve: server is closed")
 // this to 503 + Retry-After).
 var ErrDegraded = errors.New("serve: degraded: backend circuit open")
 
-// ErrAgain is returned by Handles at the committed watermark while the
-// writer is still live (alias of sion.ErrAgain for convenience).
-var ErrAgain = sion.ErrAgain
-
 // Config tunes a Server. The zero value (or nil) picks the defaults.
 type Config struct {
 	// CacheBytes is the total block-cache budget (default 64 MiB). The
@@ -103,7 +99,8 @@ type Config struct {
 	// per-block bookkeeping outweighs the copy, so the default groups FS
 	// blocks until a lookup covers 16 KiB. FS blocks of 16 KiB or more
 	// (the simulated profiles, object-store parts) are used as they are.
-	// NewTail ignores this field and always uses the FS block (tail.go).
+	// A watermarked multifile ignores this field and always uses the FS
+	// block (tail.go).
 	BlockBytes int64
 
 	// Shards is the shard count, rounded up to a power of two
@@ -177,7 +174,7 @@ type Stats struct {
 	ReadAround    int64 // missed blocks a full cache declined: read into the caller's buffer, never cached
 	CachedBytes   int64 // bytes resident in the cache now
 	HandlesOpened int64 // client sessions opened
-	TailPolls     int64 // watermark refreshes issued (tail servers)
+	TailPolls     int64 // watermark refreshes issued by Poll on a live multifile
 	PeerFills     int64 // missed blocks filled from a peer cache instead of the backend
 	Retries       int64 // backend span reads re-attempted after a transient failure
 	GiveUps       int64 // span reads that exhausted their retry budget
@@ -196,9 +193,9 @@ type Stats struct {
 type Server struct {
 	closed atomic.Bool
 
-	name         string   // multifile base name (error messages)
-	physNames    []string // physical file paths, indexed like files
-	files        []fsio.File
+	name         string           // multifile base name (error messages)
+	physNames    []string         // physical file paths, indexed like files
+	files        []fsio.File      // the loader's open handles (tail.File)
 	breakers     []*resil.Breaker // per physical file; nil entries = disabled
 	notClosed    atomic.Int32     // breakers currently open or half-open (Degraded's O(1) answer)
 	cache        *blockCache
@@ -210,10 +207,10 @@ type Server struct {
 	breakerCfg   [2]int // resolved {threshold, cooldown}; threshold < 0 disables
 	peerFill     func(file int, block int64, dst []byte, from int64) bool
 
-	// snap is the layout every read walks: fixed by New, published by
-	// Poll on a live server (NewTail), whose sidecars tail holds. pollMu
-	// orders Polls, so snapshots only grow; Close takes it after the
-	// close guards.
+	// snap is the layout every read walks: loaded by New, and published
+	// by Poll while the multifile is live. tail is the loader: it owns
+	// files and the watermark sidecars. pollMu orders Polls, so snapshots
+	// only grow; Close takes it after the close guards.
 	snap   atomic.Pointer[sion.Layout]
 	tail   *sion.TailLayout
 	pollMu sync.Mutex
@@ -225,26 +222,27 @@ type Server struct {
 	m *serverMetrics
 }
 
-// New opens every physical file of the multifile and snapshots its
-// layout.
+// New loads a multifile by layout (sion.LoadTailLayout), closed or live,
+// and serves it through the loader's open files; a watermarked multifile
+// is cached in FS blocks (tail.go). The cache exists before the
+// instruments: shard counters match its shard count and the
+// resident-bytes gauge reads it.
 func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
-	layout, err := sion.LoadLayout(fsys, name)
+	t, err := sion.LoadTailLayout(fsys, name)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return newServer(fsys, layout, cfg)
-}
-
-// newServer is what New and NewTail share: it resolves cfg against the
-// multifile's FS block size and the backend's capabilities, builds the
-// cache, the resilience state and the instruments (a private registry
-// when the config names none; the cache must exist first — shard
-// counters match its shard count and the resident-bytes gauge reads it),
-// then opens the layout's physical files.
-func newServer(fsys fsio.FileSystem, layout *sion.Layout, cfg *Config) (*Server, error) {
+	layout := t.Layout()
 	caps := fsio.CapabilitiesOf(fsys)
 	fsblk := layout.FSBlockSize()
-	c := resolveConfig(cfg, fsblk, caps)
+	var c Config
+	if cfg != nil {
+		c = *cfg
+	}
+	if t.Watermarked() {
+		c.BlockBytes = fsblk
+	}
+	c = resolveConfig(&c, fsblk, caps)
 	s := &Server{
 		name:         layout.Name(),
 		blockBytes:   c.BlockBytes,
@@ -254,6 +252,7 @@ func newServer(fsys fsio.FileSystem, layout *sion.Layout, cfg *Config) (*Server,
 		cache:        newBlockCache(c.CacheBytes, c.Shards),
 		breakerCfg:   [2]int{c.BreakerThreshold, c.BreakerCooldown},
 		peerFill:     c.PeerFill,
+		tail:         t,
 	}
 	if c.Retry != nil {
 		s.retry = *c.Retry
@@ -271,10 +270,15 @@ func newServer(fsys fsio.FileSystem, layout *sion.Layout, cfg *Config) (*Server,
 	s.snap.Store(layout)
 	s.registerDerived()
 	for k := 0; k < layout.NumFiles(); k++ {
-		if err := s.openPhysical(fsys, layout.PhysicalName(k)); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("serve: opening physical file %d: %w", k, err)
+		var br *resil.Breaker
+		if s.breakerCfg[0] >= 0 {
+			br = resil.NewBreaker(s.breakerCfg[0], s.breakerCfg[1])
+			br.NotClosed = &s.notClosed
 		}
+		s.files = append(s.files, t.File(k))
+		s.physNames = append(s.physNames, layout.PhysicalName(k))
+		s.breakers = append(s.breakers, br)
+		s.registerBreakerGauge(k, s.physNames[k])
 	}
 	return s, nil
 }
@@ -346,26 +350,6 @@ func spanCeiling(caps fsio.Capabilities, blockBytes int64) int64 {
 		return 0
 	}
 	return max(caps.MaxReadBytes-caps.MaxReadBytes%blockBytes, blockBytes)
-}
-
-// openPhysical opens one physical file and sets up its circuit breaker
-// unless breakers are disabled.
-func (s *Server) openPhysical(fsys fsio.FileSystem, path string) error {
-	fh, err := fsys.Open(path)
-	if err != nil {
-		return err
-	}
-	k := len(s.files)
-	s.files = append(s.files, fh)
-	s.physNames = append(s.physNames, path)
-	var br *resil.Breaker
-	if s.breakerCfg[0] >= 0 {
-		br = resil.NewBreaker(s.breakerCfg[0], s.breakerCfg[1])
-		br.NotClosed = &s.notClosed
-	}
-	s.breakers = append(s.breakers, br)
-	s.registerBreakerGauge(k, path)
-	return nil
 }
 
 // spanRead issues one backend read of off onwards on physical file `file`
@@ -547,20 +531,9 @@ func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	var firstErr error
-	for _, fh := range s.files {
-		if err := fh.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if s.tail != nil {
-		s.pollMu.Lock()
-		if err := s.tail.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		s.pollMu.Unlock()
-	}
-	return firstErr
+	s.pollMu.Lock()
+	defer s.pollMu.Unlock()
+	return s.tail.Close()
 }
 
 // readAt serves [off, off+len(p)) of physical file `file`: resident blocks

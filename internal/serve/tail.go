@@ -4,64 +4,39 @@ import (
 	"fmt"
 
 	sion "repro/internal/core"
-	"repro/internal/fsio"
 )
 
-// Live serving: a Server over a multifile that is still being written
-// (Options.Watermarks). A live multifile is a Layout that grows: NewTail
-// loads its first snapshot, and Poll publishes each next one, which every
-// Handle of the server reads from its next call on. Handles read committed
-// bytes only: at the frontier they return sion.ErrAgain while the writer is
-// live and io.EOF once the multifile is final.
+// Live serving: over a multifile still being written (Options.Watermarks)
+// New loads the first snapshot and Poll publishes each next one, which
+// every Handle reads from its next call on: committed bytes only,
+// sion.ErrAgain at the frontier while the writer is live, io.EOF once the
+// multifile is final.
 //
-// One cache rule covers live files. A cache block is one FS block: chunks
-// are FS-block aligned (paper §3.1), so no block holds two ranks' bytes — a
-// larger one could hold one rank's committed bytes beside its neighbour's
-// uncommitted ones. A fill's valid range is capped at the block's committed
-// end in the current snapshot (Layout.StableEnd), so the frontier block is
-// cached up to the watermark, and a read past an old cap is a partial miss
-// that re-reserves the block, still capped. Committed bytes never change:
-// readers on an older snapshot stay correct, and no block is invalidated.
-
-// NewTail opens a live multifile for serving. The multifile must have been
-// created with Options.Watermarks (a closed one is accepted and served as
-// final); while the writer is still creating files the open fails with a
-// not-exist error and the caller retries. The cache block is the
-// multifile's FS block (see above); cfg.BlockBytes is ignored.
-func NewTail(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
-	t, err := sion.LoadTailLayout(fsys, name)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	var c Config
-	if cfg != nil {
-		c = *cfg
-	}
-	c.BlockBytes = t.Layout().FSBlockSize()
-	s, err := newServer(fsys, t.Layout(), &c)
-	if err != nil {
-		t.Close()
-		return nil, err
-	}
-	s.tail = t
-	return s, nil
-}
+// A watermarked multifile, live or closed, is cached in FS blocks whatever
+// cfg.BlockBytes says: chunks are FS-block aligned (paper §3.1), so no
+// block holds one rank's committed bytes beside its neighbour's
+// uncommitted ones. A fill's valid range is capped at the block's
+// committed end in the current snapshot (Layout.StableEnd), and a read
+// past an old cap is a partial miss that re-reserves the block, still
+// capped. Committed bytes never change: readers on an older snapshot stay
+// correct, and no block is invalidated.
 
 // Poll re-reads the watermark sidecars, publishes the next snapshot, and
 // reports whether any rank's committed size grew or the multifile became
-// final. A server built with New has nothing to poll. Safe for concurrent
-// use with readers and other Polls.
+// final. On a final snapshot there is nothing to poll: Poll returns
+// (false, nil) and counts nothing. Safe for concurrent use with readers
+// and other Polls.
 func (s *Server) Poll() (bool, error) {
-	if s.tail == nil {
-		return false, nil
-	}
 	s.pollMu.Lock()
 	defer s.pollMu.Unlock()
-	if s.closed.Load() {
+	prev := s.snap.Load()
+	switch {
+	case prev.Final():
+		return false, nil
+	case s.closed.Load():
 		return false, fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
 	}
 	s.m.tailPolls.Inc()
-	prev := s.snap.Load()
 	next, err := s.tail.Refresh()
 	if err != nil {
 		return false, err

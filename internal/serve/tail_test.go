@@ -62,7 +62,7 @@ func TestServeCloseIdempotentSentinel(t *testing.T) {
 }
 
 // TestServeTailLiveStream drives two writers flushing in lockstep while a
-// tail server follows them: after every flush round the handles, opened
+// server follows them: after every flush round the handles, opened
 // once, must see exactly the committed prefix, hit ErrAgain at the
 // watermark, and after the writers' Close drain to EOF with byte identity.
 func TestServeTailLiveStream(t *testing.T) {
@@ -106,7 +106,7 @@ func TestServeTailLiveStream(t *testing.T) {
 	})
 
 	<-stepDone // round 1 flushed
-	s, err := NewTail(fsys, "t.sion", &Config{CacheBytes: 1 << 20})
+	s, err := New(fsys, "t.sion", &Config{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestServeTailAlignedCommitKeepsCache(t *testing.T) {
 	defer func() { resume <- struct{}{}; <-writerDone }() // let the writer finish
 
 	<-stepDone // first aligned block committed
-	s, err := NewTail(fsys, "a.sion", &Config{CacheBytes: 1 << 20})
+	s, err := New(fsys, "a.sion", &Config{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +263,8 @@ func TestServeTailAlignedCommitKeepsCache(t *testing.T) {
 	}
 }
 
-// TestServeTailForcesFSBlock: NewTail ignores cfg.BlockBytes and caches in
-// FS blocks. On a live multifile a rank's committed bytes end inside its
+// TestServeTailForcesFSBlock: New ignores cfg.BlockBytes on a watermarked
+// multifile and caches in FS blocks. On a live multifile a rank's committed bytes end inside its
 // chunk while the next rank keeps appending to its own; a 64 KiB block here
 // would span both ranks' 1 KiB chunks, so caching a block below rank 0's
 // watermark would also cache rank 1's uncommitted bytes. Only FS blocks,
@@ -291,8 +291,8 @@ func TestServeTailForcesFSBlock(t *testing.T) {
 		t.FailNow()
 	}
 	// The rule does not depend on liveness, so the finished multifile
-	// (which NewTail also accepts) stands in for a live one.
-	s, err := NewTail(fsys, "b.sion", &Config{CacheBytes: 1 << 20, BlockBytes: 64 << 10})
+	// (to which the same rule applies) stands in for a live one.
+	s, err := New(fsys, "b.sion", &Config{CacheBytes: 1 << 20, BlockBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +300,47 @@ func TestServeTailForcesFSBlock(t *testing.T) {
 	if got := s.BlockBytes(); got != fsblk {
 		t.Fatalf("tail server caches %d-byte blocks, want the %d-byte FS block", got, fsblk)
 	}
+}
+
+// TestServeClosedPollIsNoop: a closed multifile written without watermarks
+// loads final and keeps the default cache block. Poll on its server has
+// nothing to refresh: it returns (false, nil), before and after Close, and
+// counts no poll.
+func TestServeClosedPollIsNoop(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	payloads := writeMultifile(t, fsys, "c.sion", 4)
+	s, err := New(fsys, "c.sion", &Config{CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Layout().Final() {
+		t.Fatal("closed multifile loaded live")
+	}
+	if got, want := s.BlockBytes(), resolveConfig(nil, 256, fsio.Capabilities{}).BlockBytes; got != want {
+		t.Fatalf("cache block %d, want the default %d", got, want)
+	}
+	h, err := s.Open(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(payloads[3])+1)
+	if n, err := h.ReadLogicalAt(got, 0); n != len(payloads[3]) || err != io.EOF || !bytes.Equal(got[:n], payloads[3]) {
+		t.Fatalf("rank 3: read (%d, %v), want its %d bytes and io.EOF", n, err, len(payloads[3]))
+	}
+	poll := func(when string) {
+		t.Helper()
+		if adv, err := s.Poll(); adv || err != nil {
+			t.Fatalf("Poll on a %s server: (%v, %v), want (false, nil)", when, adv, err)
+		}
+		if n := s.Stats().TailPolls; n != 0 {
+			t.Fatalf("Poll on a %s server counted %d polls, want 0", when, n)
+		}
+	}
+	poll("open")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	poll("closed")
 }
 
 // TestServeTailFollowBlocksUntilData exercises Follow's poll loop: a
@@ -336,7 +377,7 @@ func TestServeTailFollowBlocksUntilData(t *testing.T) {
 	})
 
 	<-wrote // first kilobyte committed
-	s, err := NewTail(fsys, "f.sion", nil)
+	s, err := New(fsys, "f.sion", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +455,7 @@ func TestServeLiveRace(t *testing.T) {
 		})
 	}()
 	<-firstCommit
-	s, err := NewTail(fsys, "live.sion", &Config{CacheBytes: 1 << 20})
+	s, err := New(fsys, "live.sion", &Config{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +597,7 @@ func TestServeTailRawReadPastFrontier(t *testing.T) {
 		})
 	}()
 	<-wrote
-	s, err := NewTail(fsys, "p.sion", &Config{CacheBytes: 1 << 20})
+	s, err := New(fsys, "p.sion", &Config{CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
