@@ -63,12 +63,12 @@ func main() {
 		os.Exit(2)
 	}
 	reg := obs.NewRegistry()
-	stack, err := backendflag.Build(fl.Backend, reg)
+	fsys, err := backendflag.Build(fl.Backend, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sionserve:", err)
 		os.Exit(2)
 	}
-	rt, err := newRouter(fl, stack.FS, reg, flag.Arg(0), *nodes)
+	rt, err := newRouter(fl, fsys, reg, flag.Arg(0), *nodes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sionserve:", err)
 		os.Exit(1)

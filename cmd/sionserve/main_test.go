@@ -63,11 +63,11 @@ func newTestRouter(t *testing.T, ranks, perRank, nodes int, args ...string) (*ro
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	stack, err := backendflag.Build(fl.Backend, reg)
+	fsys, err := backendflag.Build(fl.Backend, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := newRouter(fl, stack.FS, reg, filepath.Join(dir, "data"), nodes)
+	rt, err := newRouter(fl, fsys, reg, filepath.Join(dir, "data"), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package backendflag
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/fsio"
 	"repro/internal/obs"
+	"repro/internal/simfs"
 )
 
 func TestBuildSpecs(t *testing.T) {
@@ -25,7 +27,8 @@ func TestBuildSpecs(t *testing.T) {
 		{spec: "tape", wantError: "unknown backend"},
 	}
 	for _, tc := range cases {
-		st, err := Build(tc.spec, nil)
+		reg := obs.NewRegistry()
+		fsys, err := Build(tc.spec, reg)
 		if tc.wantError != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantError) {
 				t.Errorf("Build(%q) err = %v, want %q", tc.spec, err, tc.wantError)
@@ -36,11 +39,15 @@ func TestBuildSpecs(t *testing.T) {
 			t.Errorf("Build(%q): %v", tc.spec, err)
 			continue
 		}
-		if st.Label != tc.label {
-			t.Errorf("Build(%q) label = %q, want %q", tc.spec, st.Label, tc.label)
+		var prom bytes.Buffer
+		if err := reg.WriteProm(&prom); err != nil {
+			t.Fatal(err)
 		}
-		if (st.Obj != nil) != tc.wantObj {
-			t.Errorf("Build(%q) Obj = %v, want present=%v", tc.spec, st.Obj, tc.wantObj)
+		if want := `backend="` + tc.label + `"`; !strings.Contains(prom.String(), want) {
+			t.Errorf("Build(%q): registry lacks %s:\n%s", tc.spec, want, prom.String())
+		}
+		if obj := fsio.CapabilitiesOf(fsys).PartSizeFloor > 0; obj != tc.wantObj {
+			t.Errorf("Build(%q) reports object-store parts %v, want %v", tc.spec, obj, tc.wantObj)
 		}
 	}
 }
@@ -49,19 +56,19 @@ func TestBuildSpecs(t *testing.T) {
 // survives the instrumentation Build adds: posix reports the zero
 // descriptor, the object store its own.
 func TestBuildCapsSurviveInstrumentation(t *testing.T) {
-	for _, spec := range []string{"posix", "objstore,smallpart"} {
-		st, err := Build(spec, obs.NewRegistry())
+	small, _ := simfs.ObjProfileByName("smallpart")
+	for spec, want := range map[string]fsio.Capabilities{
+		"posix":              {},
+		"objstore,smallpart": fsio.CapabilitiesOf(simfs.NewObjStore(small).Wrap(fsio.NewOS(""), nil)),
+	} {
+		if spec != "posix" && want.PartSizeFloor <= 0 {
+			t.Fatalf("%s: object store reports no part size: %+v", spec, want)
+		}
+		fsys, err := Build(spec, obs.NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want fsio.Capabilities
-		if st.Obj != nil {
-			want = fsio.CapabilitiesOf(st.Obj.Wrap(fsio.NewOS(""), nil))
-			if want.PartSizeFloor <= 0 {
-				t.Fatalf("%s: object store reports no part size: %+v", spec, want)
-			}
-		}
-		if got := fsio.CapabilitiesOf(st.FS); got != want {
+		if got := fsio.CapabilitiesOf(fsys); got != want {
 			t.Errorf("%s: descriptor %+v through instrumentation, want %+v", spec, got, want)
 		}
 	}

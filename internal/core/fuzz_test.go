@@ -199,8 +199,8 @@ func FuzzDecodeMapping(f *testing.F) {
 }
 
 // FuzzOpen feeds corrupted multifiles through the full serial open path
-// used by siondump and the other utilities: Open, Locations, Dump,
-// Verify, and OpenRank must all return errors instead of panicking.
+// used by the sion command's verbs: Open, Locations, Dump, Verify, and
+// OpenRank must all return errors instead of panicking.
 func FuzzOpen(f *testing.F) {
 	seed := seedMultifile(f, false)
 	f.Add(seed)

@@ -281,6 +281,41 @@ func TestDefragPreservesMultiFilePlacement(t *testing.T) {
 	}
 }
 
+// Defrag onto its own source refuses before Create truncates the segments
+// it would still read, and the source keeps its bytes.
+func TestDefragRefusesItsOwnSource(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	const n, size = 3, 50
+	sf, err := Create(fsys, "a.sion", []int64{size, size, size}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		if err := sf.Seek(r, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sf.Write(rankPayload(r, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Defrag(fsys, "a.sion", fsys, "a.sion"); err == nil {
+		t.Fatal("Defrag onto its own source reported success")
+	}
+	src, err := Open(fsys, "a.sion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for r := 0; r < n; r++ {
+		if got, err := src.ReadRank(r); err != nil || !bytes.Equal(got, rankPayload(r, size)) {
+			t.Fatalf("rank %d after the refused Defrag: %d bytes, err %v", r, len(got), err)
+		}
+	}
+}
+
 func TestSplitSubsetAndBadPattern(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	mpi.Run(4, func(c *mpi.Comm) {
@@ -288,11 +323,19 @@ func TestSplitSubsetAndBadPattern(t *testing.T) {
 		f.Write(rankPayload(c.Rank(), 40))
 		f.Close()
 	})
-	if err := Split(fsys, "s.sion", fsys, "no-verb", nil); err == nil {
-		t.Fatal("pattern without a rank verb accepted")
+	for _, bad := range []string{"no-verb", "t-%s-%d.bin", "t-%d-%d.bin", "t-%d-%x.bin"} {
+		if err := Split(fsys, "s.sion", fsys, bad, nil); err == nil {
+			t.Fatalf("pattern %q accepted", bad)
+		}
 	}
 	if err := Split(fsys, "s.sion", fsys, "out-%d", []int{1, 3}); err != nil {
 		t.Fatal(err)
+	}
+	if err := Split(fsys, "s.sion", fsys, "pct%%-%05d", []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fsys.Stat("pct%-00002"); err != nil {
+		t.Fatal("widened rank verb after %% not extracted:", err)
 	}
 	if _, err := fsys.Stat("out-1"); err != nil {
 		t.Fatal("selected rank not extracted")

@@ -41,7 +41,7 @@ func Dump(fsys fsio.FileSystem, name string, w io.Writer) error {
 }
 
 // DumpMapping prints a multifile's global rank→(physical file, local
-// rank) mapping table (siondump -mapping). It reads only file 0's header
+// rank) mapping table (sion dump -mapping). It reads only file 0's header
 // — the mapping bytes pass through the same hardened decodeMapping codec
 // (format.go) the mapped open paths trust — so it works on multifiles
 // whose other segments are missing or damaged.
@@ -72,11 +72,12 @@ func DumpMapping(fsys fsio.FileSystem, name string, w io.Writer) error {
 
 // Split extracts the logical task-local files from a multifile and
 // recreates them as physical files (the paper's §3.3 "split" utility).
-// pattern must contain one "%d" verb receiving the task rank; out may be
-// the same or a different file system. ranks selects a subset (nil = all).
+// pattern must contain one verb receiving the task rank, such as "%d" or
+// "%05d", and no other ("%%" is fine); out may be the same or a
+// different file system. ranks selects a subset (nil = all).
 func Split(fsys fsio.FileSystem, name string, out fsio.FileSystem, pattern string, ranks []int) error {
-	if !strings.Contains(pattern, "%d") {
-		return fmt.Errorf("sion: Split: pattern %q lacks %%d", pattern)
+	if strings.Contains(fmt.Sprintf(pattern, 0), "%!") {
+		return fmt.Errorf("sion: Split: pattern %q needs one %%d and no other verb", pattern)
 	}
 	sf, err := Open(fsys, name)
 	if err != nil {
@@ -130,8 +131,13 @@ func Split(fsys fsio.FileSystem, name string, out fsio.FileSystem, pattern strin
 // Defrag rewrites a multifile so that each task's data occupies exactly one
 // chunk in a single block, eliminating the logical gaps left by partially
 // filled blocks (the paper's §3.3 "defragment" utility). The destination
-// keeps the physical-file count and task placement of the source.
+// keeps the physical-file count and task placement of the source. It
+// refuses to write over its own source, which Create would truncate while
+// it is still being read.
 func Defrag(fsys fsio.FileSystem, name string, out fsio.FileSystem, dstName string) error {
+	if out == fsys && dstName == name {
+		return fmt.Errorf("sion: Defrag %s: destination is the source", name)
+	}
 	sf, err := Open(fsys, name)
 	if err != nil {
 		return err
