@@ -113,6 +113,13 @@ func NewKeyReaderFrom(f LogicalReaderAt) (*KeyReader, error) {
 	return r, nil
 }
 
+// On returns a KeyReader that shares r's index but reads its records
+// through f, which must read the same logical stream. A server builds the
+// index once and binds each request's reads to that request's handle.
+func (r *KeyReader) On(f LogicalReaderAt) *KeyReader {
+	return &KeyReader{f: f, index: r.index}
+}
+
 // Keys lists the distinct keys present, ascending.
 func (r *KeyReader) Keys() []uint64 {
 	out := make([]uint64, 0, len(r.index))

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -707,7 +708,7 @@ func (d *discardWriter) WriteHeader(int)             {}
 
 // TestWindowReadAllocatesNoBody pins the pooled body buffer: a warm
 // 64 KiB window read allocates request bookkeeping only — well under a
-// quarter of the body — on both topologies.
+// quarter of the body, and at most 17 allocations — on both topologies.
 func TestWindowReadAllocatesNoBody(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -728,6 +729,9 @@ func TestWindowReadAllocatesNoBody(t *testing.T) {
 		if got := res.AllocedBytesPerOp(); got >= 16<<10 {
 			t.Fatalf("a warm 64 KiB GET allocates %d B/op (%d allocs/op), want < 16 KiB: the body buffer is not pooled",
 				got, res.AllocsPerOp())
+		}
+		if got := res.AllocsPerOp(); got > 17 {
+			t.Fatalf("a warm 64 KiB GET makes %d allocs/op, want ≤ 17", got)
 		}
 	})
 }
@@ -794,25 +798,39 @@ func TestWriteJSONErrorsChecked(t *testing.T) {
 }
 
 // TestRequestIDEcho pins the middleware header contract: a fresh ID is
-// assigned when the client sends none, and a client-sent ID is adopted.
+// assigned when the client sends none, a client-sent ID is adopted, and
+// an oversize ID or one with characters outside [A-Za-z0-9._:-] is
+// replaced by a fresh one rather than echoed and logged.
 func TestRequestIDEcho(t *testing.T) {
+	fresh := regexp.MustCompile(`^[0-9a-f]{16}$`)
 	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
-		if id := f.get("/rank/0").Header().Get(obs.RequestIDHeader); len(id) != 16 {
+		if id := f.get("/rank/0").Header().Get(obs.RequestIDHeader); !fresh.MatchString(id) {
 			t.Errorf("generated request ID %q, want 16 hex chars", id)
 		}
-		req := httptest.NewRequest("GET", "/rank/0", nil)
-		req.Header.Set(obs.RequestIDHeader, "caller-chosen-id")
-		rec := httptest.NewRecorder()
-		f.h.ServeHTTP(rec, req)
-		if id := rec.Header().Get(obs.RequestIDHeader); id != "caller-chosen-id" {
-			t.Errorf("adopted request ID %q, want the caller's", id)
+		for _, tc := range []struct{ sent, want string }{
+			{"caller-chosen-id", "caller-chosen-id"},
+			{strings.Repeat("a", 65), ""},
+			{`id with "quotes"`, ""},
+		} {
+			req := httptest.NewRequest("GET", "/rank/0", nil)
+			req.Header.Set(obs.RequestIDHeader, tc.sent)
+			rec := httptest.NewRecorder()
+			f.h.ServeHTTP(rec, req)
+			id := rec.Header().Get(obs.RequestIDHeader)
+			if tc.want != "" && id != tc.want {
+				t.Errorf("sent request ID %q, echoed %q, want the caller's", tc.sent, id)
+			}
+			if tc.want == "" && !fresh.MatchString(id) {
+				t.Errorf("sent request ID %q, echoed %q, want a fresh 16-hex ID", tc.sent, id)
+			}
 		}
 	})
 }
 
 // TestSlowRequestLogCarriesCrumbs drops the slow threshold to a
 // nanosecond so every request logs, and checks the trail: a cold read
-// leaves backend_read crumbs, a warm re-read cache_hit crumbs.
+// leaves backend_read crumbs, a warm re-read cache_hit crumbs, and a key
+// read after the key index is built cache_hit crumbs on its own span.
 func TestSlowRequestLogCarriesCrumbs(t *testing.T) {
 	eachTopology(t, "data", Flags{SlowMs: 500}, func(t *testing.T, f *fixture) {
 		if f.api.Slow != 500*time.Millisecond {
@@ -820,9 +838,10 @@ func TestSlowRequestLogCarriesCrumbs(t *testing.T) {
 		}
 		f.api.Slow = time.Nanosecond
 		logs := f.captureLog()
-		for i := 0; i < 2; i++ {
-			if rec := f.get("/rank/0"); rec.Code != 200 {
-				t.Fatalf("read %d: status %d", i, rec.Code)
+		for i, url := range []string{"/rank/0", "/rank/0",
+			fmt.Sprintf("/rank/%d/keys", keyRankA), fmt.Sprintf("/rank/%d/key/9", keyRankA)} {
+			if rec := f.get(url); rec.Code != 200 {
+				t.Fatalf("request %d %s: status %d", i, url, rec.Code)
 			}
 		}
 		var crumbs []string
@@ -835,14 +854,17 @@ func TestSlowRequestLogCarriesCrumbs(t *testing.T) {
 			}
 			crumbs = append(crumbs, r.Attrs["crumbs"].String())
 		}
-		if len(crumbs) != 2 {
-			t.Fatalf("slow-request records = %d, want 2 (crumbs %q)", len(crumbs), crumbs)
+		if len(crumbs) != 4 {
+			t.Fatalf("slow-request records = %d, want 4 (crumbs %q)", len(crumbs), crumbs)
 		}
-		if !strings.Contains(crumbs[0], obs.CrumbBackendRead+"=") {
+		if !strings.Contains(crumbs[0], obs.CrumbBackendRead.String()+"=") {
 			t.Errorf("cold read crumbs %q, want a backend_read", crumbs[0])
 		}
-		if !strings.Contains(crumbs[1], obs.CrumbCacheHit+"=") {
+		if !strings.Contains(crumbs[1], obs.CrumbCacheHit.String()+"=") {
 			t.Errorf("warm read crumbs %q, want cache hits", crumbs[1])
+		}
+		if !strings.Contains(crumbs[3], obs.CrumbCacheHit.String()+"=") {
+			t.Errorf("key read crumbs %q, want cache hits", crumbs[3])
 		}
 	})
 }

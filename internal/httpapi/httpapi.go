@@ -359,11 +359,13 @@ type keyIndex struct {
 	kr *sion.KeyReader // nil until a build has succeeded
 }
 
-// keyReader returns the rank's shared key index, building it on first use
-// (the scan runs through the block cache, so later ranks and clients
-// reuse its backend reads). The scan does backend I/O, so it runs under
-// the rank's lock, never the API's: a slow or degraded rank holds up no
-// other rank. A failed build is not cached; the next request retries it.
+// keyReader returns the rank's shared key index bound to h, so the
+// records are read through this request's handle and span. The index is
+// built on first use (the scan runs through the block cache, so later
+// ranks and clients reuse its backend reads). The scan does backend I/O,
+// so it runs under the rank's lock, never the API's: a slow or degraded
+// rank holds up no other rank. A failed build is not cached; the next
+// request retries it.
 func (a *API) keyReader(rank int, h *serve.Handle) (*sion.KeyReader, error) {
 	a.mu.Lock()
 	ix := a.keys[rank]
@@ -382,7 +384,7 @@ func (a *API) keyReader(rank int, h *serve.Handle) (*sion.KeyReader, error) {
 		}
 		ix.kr = kr
 	}
-	return ix.kr, nil
+	return ix.kr.On(h), nil
 }
 
 // WriteJSON marshals before touching the ResponseWriter so an encoding

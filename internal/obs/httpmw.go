@@ -4,14 +4,17 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"time"
 )
 
 // RequestIDHeader carries the request ID between client and server. An
-// incoming value is adopted (so a caller's ID follows the request through
-// the slow-request log); otherwise a fresh one is generated. Either way
-// the response echoes it.
+// incoming ID of 1–64 requestIDChars is adopted (so a caller's ID follows
+// the request through the slow-request log); any other value, or none,
+// gets a fresh one. Either way the response echoes it.
 const RequestIDHeader = "X-Request-ID"
+
+const requestIDChars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._:-"
 
 // HTTPMiddleware wraps next with the request-scoped observability of the
 // HTTP front end (internal/httpapi, served by sionserve):
@@ -28,7 +31,7 @@ const RequestIDHeader = "X-Request-ID"
 func HTTPMiddleware(next http.Handler, log *slog.Logger, slow time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)
-		if id == "" {
+		if id == "" || len(id) > 64 || strings.TrimLeft(id, requestIDChars) != "" {
 			id = NewRequestID()
 		}
 		sp := NewSpan(id)

@@ -206,23 +206,37 @@ func TestSetClock(t *testing.T) {
 }
 
 func TestSpan(t *testing.T) {
-	sp := StartSpan()
+	sp := NewSpan(NewRequestID())
 	if len(sp.ID()) != 16 {
 		t.Fatalf("request id %q, want 16 hex chars", sp.ID())
 	}
+	if next := NewRequestID(); next == sp.ID() || next[:8] != sp.ID()[:8] {
+		t.Fatalf("request ids %q then %q, want one prefix and distinct ids", sp.ID(), next)
+	}
+	sp.Add(CrumbRetry, 4)
 	sp.Add(CrumbCacheHit, 3)
 	sp.Add(CrumbBackendRead, 1)
 	sp.Add(CrumbCacheHit, 2)
+	sp.Add(CrumbPeerFill, 0)
 	if got := sp.Get(CrumbCacheHit); got != 5 {
 		t.Fatalf("cache_hit = %d, want 5", got)
 	}
-	if s := sp.String(); s != "backend_read=1 cache_hit=5" {
-		t.Fatalf("String() = %q", s)
+	if s := sp.String(); s != "backend_read=1 cache_hit=5 retry=4" {
+		t.Fatalf("String() = %q, want the non-zero crumbs in name order", s)
+	}
+	if CrumbReadAround.String() != "read_around" {
+		t.Fatalf("CrumbReadAround = %q", CrumbReadAround)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sp.Add(CrumbFlightHit, 1)
+		_ = sp.Get(CrumbFlightHit)
+	}); n != 0 {
+		t.Fatalf("Add and Get allocate %v times, want 0", n)
 	}
 
 	var nilSpan *Span
-	nilSpan.Add("x", 1)
-	if nilSpan.Get("x") != 0 || nilSpan.ID() != "" || nilSpan.String() != "" {
+	nilSpan.Add(CrumbRetry, 1)
+	if nilSpan.Get(CrumbRetry) != 0 || nilSpan.ID() != "" || nilSpan.String() != "" {
 		t.Fatal("nil span not inert")
 	}
 
@@ -236,7 +250,7 @@ func TestSpan(t *testing.T) {
 }
 
 func TestSpanConcurrent(t *testing.T) {
-	sp := StartSpan()
+	sp := NewSpan("")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -3,48 +3,67 @@ package obs
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+	"sync/atomic"
 )
 
-// Span is a request-scoped breadcrumb trail: one per HTTP request (or
-// any unit of work), threaded down through cluster → serve → its miss
-// path → backend so the layers can record what actually happened to the
-// request — cache hits, peer fills, backend reads, retries. The slow-request log
-// in the HTTP front end prints the trail when a request exceeds its
-// latency budget, answering "why was this one slow?" without sampling
-// profilers.
+// Span is a request's breadcrumb trail, threaded down through cluster →
+// serve → its miss path → backend so each layer records what happened to
+// the request — cache hits, peer fills, backend reads, retries. The HTTP
+// front end's slow-request log prints it, answering "why was this one
+// slow?" without a sampling profiler.
 //
-// Spans are cheap (a mutex and a small map) but not free; they are
-// per-request, never per-block. All methods are nil-safe so unthreaded
-// code paths (internal maintenance reads, library callers) can pass a
-// nil *Span without guards.
+// A span is a fixed record: its ID and one atomic counter per Crumb, so
+// concurrent reads on one handle record without a lock. Every method is
+// nil-safe: unthreaded paths (maintenance reads, library callers) pass nil.
 type Span struct {
-	id string
-
-	mu     sync.Mutex
-	counts map[string]int64
+	id     string
+	counts [numCrumbs]atomic.Int64
 }
 
-// NewSpan returns a span with the given request ID (empty is fine —
-// StartSpan generates one).
+// Crumb names one of a Span's counters. The set is fixed, in name order,
+// so a misspelled crumb does not compile.
+type Crumb uint8
+
+const (
+	CrumbBackendRead Crumb = iota
+	CrumbCacheHit
+	CrumbCacheMiss
+	CrumbFailover
+	CrumbFlightHit
+	CrumbPeerFill
+	CrumbReadAround
+	CrumbRetry
+	numCrumbs
+)
+
+var crumbNames = [numCrumbs]string{"backend_read", "cache_hit", "cache_miss",
+	"failover", "flight_hit", "peer_fill", "read_around", "retry"}
+
+// String returns the crumb's name as the slow-request log prints it.
+func (c Crumb) String() string { return crumbNames[c] }
+
+// NewSpan returns a span with the given request ID (empty is fine).
 func NewSpan(id string) *Span { return &Span{id: id} }
 
-// StartSpan returns a span with a fresh request ID.
-func StartSpan() *Span { return NewSpan(NewRequestID()) }
+// reqPrefix is drawn once per process (a failed read leaves it zero; the
+// IDs still differ within the process) and reqSeq counts its requests.
+var (
+	reqPrefix = func() (b [4]byte) { _, _ = rand.Read(b[:]); return }()
+	reqSeq    atomic.Uint32
+)
 
-// NewRequestID returns a 16-hex-digit random request ID.
+// NewRequestID returns a 16-hex-digit request ID, the process prefix and
+// then a counter: it correlates log lines and is not a secret.
 func NewRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failure is effectively impossible on supported
-		// platforms; a fixed ID keeps the request serviceable.
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
+	var raw [8]byte
+	copy(raw[:], reqPrefix[:])
+	binary.BigEndian.PutUint32(raw[4:], reqSeq.Add(1))
+	var id [16]byte
+	hex.Encode(id[:], raw[:])
+	return string(id[:])
 }
 
 // ID returns the span's request ID ("" for a nil span).
@@ -55,50 +74,37 @@ func (s *Span) ID() string {
 	return s.id
 }
 
-// Add accumulates n into the named breadcrumb counter. Nil-safe.
-func (s *Span) Add(crumb string, n int64) {
-	if s == nil {
-		return
+// Add accumulates n into crumb c. Nil-safe; a zero n records nothing.
+func (s *Span) Add(c Crumb, n int64) {
+	if s != nil && n != 0 {
+		s.counts[c].Add(n)
 	}
-	s.mu.Lock()
-	if s.counts == nil {
-		s.counts = make(map[string]int64, 8)
-	}
-	s.counts[crumb] += n
-	s.mu.Unlock()
 }
 
-// Get returns the named breadcrumb count (0 for a nil span).
-func (s *Span) Get(crumb string) int64 {
+// Get returns crumb c's count (0 for a nil span).
+func (s *Span) Get(c Crumb) int64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts[crumb]
+	return s.counts[c].Load()
 }
 
-// String renders the trail as "crumb=n" pairs sorted by crumb name —
+// String renders the non-zero crumbs as "name=n" pairs in name order —
 // the slow-request log line body.
 func (s *Span) String() string {
 	if s == nil {
 		return ""
 	}
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
+	var b []byte
+	for c, name := range crumbNames {
+		if n := s.counts[c].Load(); n != 0 {
+			if len(b) > 0 {
+				b = append(b, ' ')
+			}
+			b = fmt.Appendf(b, "%s=%d", name, n)
 		}
-		fmt.Fprintf(&b, "%s=%d", k, s.counts[k])
 	}
-	s.mu.Unlock()
-	return b.String()
+	return string(b)
 }
 
 // spanKey is the context key type for spans.
@@ -115,16 +121,3 @@ func SpanFrom(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
 }
-
-// Crumb names recorded by the serving stack. Shared constants so the
-// layers and the tests agree on spelling.
-const (
-	CrumbCacheHit    = "cache_hit"
-	CrumbCacheMiss   = "cache_miss"
-	CrumbFlightHit   = "flight_hit"
-	CrumbReadAround  = "read_around"
-	CrumbBackendRead = "backend_read"
-	CrumbPeerFill    = "peer_fill"
-	CrumbRetry       = "retry"
-	CrumbFailover    = "failover"
-)

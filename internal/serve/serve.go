@@ -585,13 +585,11 @@ func (s *Server) readAt(file int, c *shardCell, p []byte, off int64, sp *obs.Spa
 		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
 	}
 	cost, err := s.fetchMissing(file, c, sc, p, off)
-	if sp != nil {
-		sp.Add(obs.CrumbBackendRead, cost.spans)
-		sp.Add(obs.CrumbPeerFill, cost.peerFills)
-		sp.Add(obs.CrumbFlightHit, cost.flightHits)
-		sp.Add(obs.CrumbReadAround, cost.readAround)
-		sp.Add(obs.CrumbRetry, cost.retries)
-	}
+	sp.Add(obs.CrumbBackendRead, cost.spans)
+	sp.Add(obs.CrumbPeerFill, cost.peerFills)
+	sp.Add(obs.CrumbFlightHit, cost.flightHits)
+	sp.Add(obs.CrumbReadAround, cost.readAround)
+	sp.Add(obs.CrumbRetry, cost.retries)
 	return err
 }
 
