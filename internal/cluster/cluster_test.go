@@ -17,6 +17,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/resil"
 	"repro/internal/serve"
+	"repro/internal/simfs"
 )
 
 // testPayload is the deterministic per-rank payload used across the tests
@@ -68,38 +69,31 @@ func writeMultifile(t testing.TB, fsys fsio.FileSystem, name string, n int) [][]
 	return payloads
 }
 
-// faultFS wraps a FileSystem so ReadAt fails on demand — transiently
-// (fsio error contract) or permanently. It gives each cluster node its
-// own view of the shared backend, so one node's path can fail while its
-// peers' stay healthy.
-type faultFS struct {
-	fsio.FileSystem
-	mode atomic.Int32 // 0 healthy, 1 transient, 2 permanent
-}
-
-var errPermanentFault = errors.New("cluster test: permanent backend fault")
-
-func (f *faultFS) Open(name string) (fsio.File, error) {
-	fh, err := f.FileSystem.Open(name)
-	if err != nil {
-		return nil, err
+// flakies returns n fault injectors: each cluster node wraps the shared
+// backend in its own, so one node's path can fail while its peers' stay
+// healthy.
+func flakies(n int) []*simfs.Flaky {
+	fls := make([]*simfs.Flaky, n)
+	for i := range fls {
+		fls[i] = simfs.NewFlaky(simfs.FlakyConfig{})
 	}
-	return &faultFile{File: fh, fs: f}, nil
+	return fls
 }
 
-type faultFile struct {
-	fsio.File
-	fs *faultFS
-}
+var (
+	errTransientFault = fmt.Errorf("cluster test: injected fault: %w", fsio.ErrTransient)
+	errPermanentFault = errors.New("cluster test: permanent backend fault")
+)
 
-func (h *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	switch h.fs.mode.Load() {
-	case 1:
-		return 0, fmt.Errorf("injected fault: %w", fsio.ErrTransient)
-	case 2:
-		return 0, errPermanentFault
+// failReads is a rule that fails every backend read with err: transient
+// (fsio error contract) or permanent.
+func failReads(err error) func(simfs.FlakyOp) error {
+	return func(op simfs.FlakyOp) error {
+		if strings.HasPrefix(op.Op, "Read") {
+			return err
+		}
+		return nil
 	}
-	return h.File.ReadAt(p, off)
 }
 
 // checkRank reads rank r's full stream through the cluster and compares.
@@ -277,8 +271,8 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 	dir := t.TempDir()
 	inner := fsio.NewOS(dir)
 	writeMultifile(t, inner, "v.sion", 8)
-	faults := []*faultFS{{FileSystem: inner}, {FileSystem: inner}, {FileSystem: inner}}
-	cl := startCluster(t, 3, "v.sion", func(i int) fsio.FileSystem { return faults[i] },
+	faults := flakies(3)
+	cl := startCluster(t, 3, "v.sion", func(i int) fsio.FileSystem { return faults[i].Wrap(inner, nil) },
 		serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}, BreakerThreshold: 1, BreakerCooldown: 1})
 	phys := physFile(t, dir, cl, 0)
 
@@ -294,7 +288,7 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 	}
 	heal, mine := mine[len(mine)-1], mine[:len(mine)-1]
 
-	faults[0].mode.Store(1)
+	faults[0].SetRule(failReads(errTransientFault))
 	for _, g := range mine {
 		readAt(t, cl, phys, 0, g*granuleBytes, granuleBytes)
 	}
@@ -307,7 +301,7 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 	// (one rejected fetch) and probe run on a granule outside the check,
 	// read on the node directly, since the router routes around the node
 	// while its circuit is open.
-	faults[0].mode.Store(0)
+	faults[0].SetRule(nil)
 	p := make([]byte, testBlock)
 	for i := 0; i < 2; i++ {
 		err := sick.Server().ReadFileAt(0, p, heal*granuleBytes, nil)
@@ -340,19 +334,19 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 func TestClusterFailoverRoutesAroundFaults(t *testing.T) {
 	inner := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, inner, "f.sion", 8)
-	sick := &faultFS{FileSystem: inner}
+	sick := simfs.NewFlaky(simfs.FlakyConfig{})
 	scfg := func() *serve.Config {
 		return &serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}}
 	}
 	cl := New(nil)
 	defer cl.Close()
-	if _, err := cl.Join("sick", sick, "f.sion", scfg()); err != nil {
+	if _, err := cl.Join("sick", sick.Wrap(inner, nil), "f.sion", scfg()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Join("well", inner, "f.sion", scfg()); err != nil {
 		t.Fatal(err)
 	}
-	sick.mode.Store(1) // every backend read on "sick" now fails transiently
+	sick.SetRule(failReads(errTransientFault)) // every backend read on "sick" now fails transiently
 	for r, want := range payloads {
 		checkRank(t, cl, r, want) // must succeed via failover
 	}
@@ -371,14 +365,14 @@ func TestClusterFailoverRoutesAroundFaults(t *testing.T) {
 func TestClusterPermanentErrorNoFailover(t *testing.T) {
 	inner := fsio.NewOS(t.TempDir())
 	writeMultifile(t, inner, "p.sion", 4)
-	bad := &faultFS{FileSystem: inner}
+	bad := simfs.NewFlaky(simfs.FlakyConfig{})
 	cl := New(nil)
 	defer cl.Close()
 	cfg := &serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}}
-	if _, err := cl.Join("a", bad, "p.sion", cfg); err != nil {
+	if _, err := cl.Join("a", bad.Wrap(inner, nil), "p.sion", cfg); err != nil {
 		t.Fatal(err)
 	}
-	bad.mode.Store(2)
+	bad.SetRule(failReads(errPermanentFault))
 	h, err := cl.Open(0)
 	if err != nil {
 		t.Fatal(err)
@@ -403,19 +397,18 @@ func TestClusterPermanentErrorNoFailover(t *testing.T) {
 func TestClusterAllReplicasDegraded(t *testing.T) {
 	inner := fsio.NewOS(t.TempDir())
 	writeMultifile(t, inner, "d.sion", 4)
-	a := &faultFS{FileSystem: inner}
-	b := &faultFS{FileSystem: inner}
+	a, b := simfs.NewFlaky(simfs.FlakyConfig{}), simfs.NewFlaky(simfs.FlakyConfig{})
 	cl := New(nil)
 	defer cl.Close()
 	cfg := &serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}}
-	if _, err := cl.Join("a", a, "d.sion", cfg); err != nil {
+	if _, err := cl.Join("a", a.Wrap(inner, nil), "d.sion", cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Join("b", b, "d.sion", cfg); err != nil {
+	if _, err := cl.Join("b", b.Wrap(inner, nil), "d.sion", cfg); err != nil {
 		t.Fatal(err)
 	}
-	a.mode.Store(1)
-	b.mode.Store(1)
+	a.SetRule(failReads(errTransientFault))
+	b.SetRule(failReads(errTransientFault))
 	h, err := cl.Open(0)
 	if err != nil {
 		t.Fatal(err)
@@ -428,8 +421,8 @@ func TestClusterAllReplicasDegraded(t *testing.T) {
 		t.Fatal("all-replicas-down counter did not move")
 	}
 	// Recovery: heal the backends and the same handle serves again.
-	a.mode.Store(0)
-	b.mode.Store(0)
+	a.SetRule(nil)
+	b.SetRule(nil)
 	if _, err := h.ReadLogicalAt(buf, 0); err != nil && !errors.Is(err, serve.ErrDegraded) {
 		t.Fatalf("healed read: %v", err)
 	}

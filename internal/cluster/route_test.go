@@ -262,15 +262,15 @@ func TestRouteFailoverIsPerRun(t *testing.T) {
 	dir := t.TempDir()
 	inner := fsio.NewOS(dir)
 	writeMultifile(t, inner, "f.sion", 8)
-	faults := []*faultFS{{FileSystem: inner}, {FileSystem: inner}, {FileSystem: inner}}
-	cl := startCluster(t, 3, "f.sion", func(i int) fsio.FileSystem { return faults[i] },
+	faults := flakies(3)
+	cl := startCluster(t, 3, "f.sion", func(i int) fsio.FileSystem { return faults[i].Wrap(inner, nil) },
 		serve.Config{CacheBytes: testCache, Retry: &resil.Budget{MaxAttempts: 1}, BreakerThreshold: 1, BreakerCooldown: 1 << 20})
 	phys := physFile(t, dir, cl, 0)
 
 	const g, n = 2, 64 << 10
 	cands := candidatesOf(cl, 0, g)
 	primary, successor := cands[0], cands[1]
-	faults[primary.ID[1]-'0'].mode.Store(1) // node "n<i>" reads through faults[i]: the primary's backend now fails transiently
+	faults[primary.ID[1]-'0'].SetRule(failReads(errTransientFault)) // node "n<i>" reads through faults[i]: the primary's backend now fails transiently
 
 	before, bytesBefore := cl.Stats(), served(cl)
 	readAt(t, cl, phys, 0, g*granuleBytes, n)
@@ -299,7 +299,7 @@ func TestRouteFailoverIsPerRun(t *testing.T) {
 	}
 
 	for _, f := range faults {
-		f.mode.Store(1)
+		f.SetRule(failReads(errTransientFault))
 	}
 	before = st
 	err := cl.ReadFileAt(0, make([]byte, n), g*granuleBytes+2*n, nil)

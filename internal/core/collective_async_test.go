@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/simfs"
 )
 
 func TestAsyncCollectiveRoundTrip(t *testing.T) {
@@ -253,66 +254,21 @@ func TestCollectiveReadMultiBlock(t *testing.T) {
 
 // --- Deferred-error surfacing ----------------------------------------------
 
-// failFS wraps a FileSystem and makes every write fail once armed.
-type failFS struct {
-	fsio.FileSystem
-	mu    sync.Mutex
-	armed bool
-}
-
 var errInjected = errors.New("injected write failure")
 
-func (ff *failFS) fail() bool {
-	ff.mu.Lock()
-	defer ff.mu.Unlock()
-	return ff.armed
-}
-
-func (ff *failFS) arm() {
-	ff.mu.Lock()
-	ff.armed = true
-	ff.mu.Unlock()
-}
-
-type failFile struct {
-	fsio.File
-	ff *failFS
-}
-
-func (f *failFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.ff.fail() {
-		return 0, errInjected
-	}
-	return f.File.WriteAt(p, off)
-}
-
-func (f *failFile) WriteZeroAt(n, off int64) error {
-	if f.ff.fail() {
+// failWrites is the rule of a backend whose every write fails.
+func failWrites(op simfs.FlakyOp) error {
+	if op.Op == "WriteAt" || op.Op == "WriteZeroAt" {
 		return errInjected
 	}
-	return f.File.WriteZeroAt(n, off)
-}
-
-func (ff *failFS) Create(name string) (fsio.File, error) {
-	f, err := ff.FileSystem.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &failFile{File: f, ff: ff}, nil
-}
-
-func (ff *failFS) OpenRW(name string) (fsio.File, error) {
-	f, err := ff.FileSystem.OpenRW(name)
-	if err != nil {
-		return nil, err
-	}
-	return &failFile{File: f, ff: ff}, nil
+	return nil
 }
 
 // A collector write failure in async mode must surface at Close on every
 // group member, not just the collector.
 func TestAsyncCollectiveDeferredError(t *testing.T) {
-	ff := &failFS{FileSystem: fsio.NewOS(t.TempDir())}
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	ff := fl.Wrap(fsio.NewOS(t.TempDir()), nil)
 	const n = 4
 	var mu sync.Mutex
 	closeErrs := make(map[int]error)
@@ -326,7 +282,7 @@ func TestAsyncCollectiveDeferredError(t *testing.T) {
 			return
 		}
 		if c.Rank() == 0 {
-			ff.arm() // all subsequent collector writes fail
+			fl.SetRule(failWrites) // all subsequent collector writes fail
 		}
 		c.Barrier()
 		f.Write(rankPayload(c.Rank(), 256))
@@ -346,7 +302,8 @@ func TestAsyncCollectiveDeferredError(t *testing.T) {
 // Flush on an async collector must surface a deferred error without
 // waiting for Close.
 func TestAsyncCollectorFlushSurfacesError(t *testing.T) {
-	ff := &failFS{FileSystem: fsio.NewOS(t.TempDir())}
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	ff := fl.Wrap(fsio.NewOS(t.TempDir()), nil)
 	mpi.Run(1, func(c *mpi.Comm) {
 		f, err := ParOpen(c, ff, "flusherr.sion", WriteMode, &Options{ // flush unit 32
 			ChunkSize: 64, FSBlockSize: 32, CollectorGroup: 2, AsyncCollective: true,
@@ -356,7 +313,7 @@ func TestAsyncCollectorFlushSurfacesError(t *testing.T) {
 			return
 		}
 		// Group of 1 (size clamp): still collective, rank 0 is collector.
-		ff.arm()
+		fl.SetRule(failWrites)
 		f.Write(rankPayload(0, 256)) // emits failing frames
 		if err := f.Flush(); err == nil {
 			// The flusher may not have applied the frame yet in real
@@ -438,41 +395,6 @@ func TestCollectorAutoEndToEnd(t *testing.T) {
 	}
 }
 
-// readFailFS fails large reads (data regions) once armed, while letting
-// the small metadata reads through — isolating a collector-side region
-// read failure during a collective-read open.
-type readFailFS struct {
-	fsio.FileSystem
-	mu    sync.Mutex
-	armed bool
-}
-
-func (ff *readFailFS) fail() bool {
-	ff.mu.Lock()
-	defer ff.mu.Unlock()
-	return ff.armed
-}
-
-type readFailFile struct {
-	fsio.File
-	ff *readFailFS
-}
-
-func (f *readFailFile) ReadAt(p []byte, off int64) (int, error) {
-	if len(p) > 1000 && f.ff.fail() {
-		return 0, errInjected
-	}
-	return f.File.ReadAt(p, off)
-}
-
-func (ff *readFailFS) Open(name string) (fsio.File, error) {
-	f, err := ff.FileSystem.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &readFailFile{File: f, ff: ff}, nil
-}
-
 // A collector whose region reads fail must fail the collective-read open
 // on every group member — members must never be handed fabricated zeros.
 func TestCollectiveReadCollectorFailureSurfaces(t *testing.T) {
@@ -489,10 +411,11 @@ func TestCollectiveReadCollectorFailureSurfaces(t *testing.T) {
 		f.Write(rankPayload(c.Rank(), 2000))
 		f.Close()
 	})
-	ff := &readFailFS{FileSystem: base}
-	ff.mu.Lock()
-	ff.armed = true
-	ff.mu.Unlock()
+	// Fail the large reads of the data regions and let the small metadata
+	// reads through: the collector's region read is the casualty.
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	fl.SetRule(failReads(1001, errInjected))
+	ff := fl.Wrap(base, nil)
 	var mu sync.Mutex
 	errs := make(map[int]error)
 	mpi.Run(n, func(c *mpi.Comm) {
@@ -506,26 +429,6 @@ func TestCollectiveReadCollectorFailureSurfaces(t *testing.T) {
 			t.Errorf("rank %d: collective-read open succeeded despite collector read failure", r)
 		}
 	}
-}
-
-// openFailAfterFS lets the first `allowed` Opens through, then fails:
-// tuned so the metadata opens succeed and the collector's data open is
-// the first casualty.
-type openFailAfterFS struct {
-	fsio.FileSystem
-	mu      sync.Mutex
-	allowed int
-}
-
-func (ff *openFailAfterFS) Open(name string) (fsio.File, error) {
-	ff.mu.Lock()
-	ff.allowed--
-	ok := ff.allowed >= 0
-	ff.mu.Unlock()
-	if !ok {
-		return nil, errInjected
-	}
-	return ff.FileSystem.Open(name)
 }
 
 // A collector that cannot open the physical file must fail every group
@@ -546,7 +449,18 @@ func TestCollectiveReadCollectorOpenFailureFailsMembers(t *testing.T) {
 	})
 	// Reads: (1) world rank 0 header, (2) master metadata, then (3) the
 	// collector's data open — which must be the one that fails.
-	ff := &openFailAfterFS{FileSystem: base, allowed: 2}
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	opens := 0
+	fl.SetRule(func(op simfs.FlakyOp) error {
+		if op.Op != "Open" {
+			return nil
+		}
+		if opens++; opens > 2 {
+			return errInjected
+		}
+		return nil
+	})
+	ff := fl.Wrap(base, nil)
 	var mu sync.Mutex
 	errs := make(map[int]error)
 	mpi.Run(n, func(c *mpi.Comm) {

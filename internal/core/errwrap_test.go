@@ -2,11 +2,12 @@ package sion
 
 import (
 	"errors"
-	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/simfs"
 )
 
 // errReadInjected is the backend sentinel the wrapping tests assert on: every
@@ -15,31 +16,15 @@ import (
 // fsio.ErrNotExist/ErrQuota the same way).
 var errReadInjected = errors.New("injected backend failure")
 
-// armFailFS wraps a FileSystem; once armed, every ReadAt of every file it
-// opened fails with errReadInjected.
-type armFailFS struct {
-	fsio.FileSystem
-	armed bool
-}
-
-type armFailFile struct {
-	fsio.File
-	fs *armFailFS
-}
-
-func (f *armFailFS) Open(name string) (fsio.File, error) {
-	fh, err := f.FileSystem.Open(name)
-	if err != nil {
-		return nil, err
+// failReads is a rule that fails every read of at least min bytes with
+// err.
+func failReads(min int64, err error) func(simfs.FlakyOp) error {
+	return func(op simfs.FlakyOp) error {
+		if strings.HasPrefix(op.Op, "Read") && op.Len >= min {
+			return err
+		}
+		return nil
 	}
-	return &armFailFile{File: fh, fs: f}, nil
-}
-
-func (f *armFailFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.fs.armed {
-		return 0, errReadInjected
-	}
-	return f.File.ReadAt(p, off)
 }
 
 // TestBackendReadErrorsWrapThroughStaging pins that a backend read error
@@ -61,22 +46,22 @@ func TestBackendReadErrorsWrapThroughStaging(t *testing.T) {
 		label string
 		buf   int64
 	}{{"direct", 0}, {"buffered", BufferAuto}} {
-		ffs := &armFailFS{FileSystem: base}
-		h, err := OpenRank(ffs, "e.sion", 1)
+		fl := simfs.NewFlaky(simfs.FlakyConfig{})
+		h, err := OpenRank(fl.Wrap(base, nil), "e.sion", 1)
 		if err != nil {
 			t.Fatalf("%s: %v", mode.label, err)
 		}
 		if err := h.SetBufferSize(mode.buf); err != nil {
 			t.Fatal(err)
 		}
-		ffs.armed = true
+		fl.SetRule(failReads(0, errReadInjected))
 		if _, err := h.Read(make([]byte, 64)); !errors.Is(err, errReadInjected) {
 			t.Errorf("%s: Read error %v does not wrap the backend error", mode.label, err)
 		}
 		if _, err := h.ReadLogicalAt(make([]byte, 64), 10); !errors.Is(err, errReadInjected) {
 			t.Errorf("%s: ReadLogicalAt error %v does not wrap the backend error", mode.label, err)
 		}
-		ffs.armed = false
+		fl.SetRule(nil)
 		h.Close()
 	}
 }
@@ -96,7 +81,9 @@ func TestBackendReadErrorsWrapThroughMetadata(t *testing.T) {
 		f.Write(rankPayload(c.Rank(), 300))
 		f.Close()
 	})
-	ffs := &armFailFS{FileSystem: base, armed: true}
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	fl.SetRule(failReads(0, errReadInjected))
+	ffs := fl.Wrap(base, nil)
 	if _, err := LoadTailLayout(ffs, "m.sion"); !errors.Is(err, errReadInjected) || !errors.Is(err, ErrCorrupt) {
 		t.Errorf("LoadTailLayout error %v lacks the backend sentinel or ErrCorrupt", err)
 	}
@@ -127,7 +114,9 @@ func TestMappedSpanReadErrorWraps(t *testing.T) {
 	})
 	// Fail only large reads: span reads cover whole chunk runs, metadata
 	// reads stay small, so the open reaches the data fetch deterministically.
-	ffs := &sizeFailFS{FileSystem: base, threshold: 256}
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	fl.SetRule(failReads(256, errReadInjected))
+	ffs := fl.Wrap(base, nil)
 	errs := make([]error, 2)
 	mpi.Run(2, func(c *mpi.Comm) {
 		_, err := ParOpenMapped(c, ffs, "s.sion", ReadMode, nil, &Options{CollectorGroup: 2})
@@ -142,32 +131,3 @@ func TestMappedSpanReadErrorWraps(t *testing.T) {
 		t.Errorf("collector error %v does not wrap the backend error", errs[0])
 	}
 }
-
-// sizeFailFS fails ReadAt calls at or above a size threshold (span reads)
-// while letting small metadata reads through.
-type sizeFailFS struct {
-	fsio.FileSystem
-	threshold int
-}
-
-type sizeFailFile struct {
-	fsio.File
-	fs *sizeFailFS
-}
-
-func (f *sizeFailFS) Open(name string) (fsio.File, error) {
-	fh, err := f.FileSystem.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &sizeFailFile{File: fh, fs: f}, nil
-}
-
-func (f *sizeFailFile) ReadAt(p []byte, off int64) (int, error) {
-	if len(p) >= f.fs.threshold {
-		return 0, errReadInjected
-	}
-	return f.File.ReadAt(p, off)
-}
-
-var _ io.ReaderAt = (*armFailFile)(nil)

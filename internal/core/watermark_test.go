@@ -190,7 +190,18 @@ func TestWatermarkCrashRecovery(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		fs := simfs.New(simfs.Jugene())
 		fs.SetVolatileWrites(true)
-		fs.FailWritesAfter(int64(3 + rng.Intn(220)))
+		fl := simfs.NewFlaky(simfs.FlakyConfig{})
+		left := 3 + rng.Intn(220) // data writes and syncs before the writers die
+		fl.SetRule(func(op simfs.FlakyOp) error {
+			if op.Op != "Sync" && (op.Op != "WriteAt" && op.Op != "WriteZeroAt" || op.Len == 0) {
+				return nil
+			}
+			if left == 0 {
+				return errInjected
+			}
+			left--
+			return nil
+		})
 
 		payloads := make([][]byte, n)
 		for r := range payloads {
@@ -201,7 +212,7 @@ func TestWatermarkCrashRecovery(t *testing.T) {
 		attempts := make([][]int64, n) // totals at each Flush call
 		e := vtime.NewEngine()
 		mpi.RunSim(e, n, mpi.DefaultCost, func(c *mpi.Comm) {
-			f, err := ParOpen(c, fs.View(c.Rank(), c.Proc()), "t.sion", WriteMode, &Options{
+			f, err := ParOpen(c, fl.Wrap(fs.View(c.Rank(), c.Proc()), nil), "t.sion", WriteMode, &Options{
 				ChunkSize: chunk, FSBlockSize: fsblk, Watermarks: true,
 			})
 			if err != nil {

@@ -364,6 +364,22 @@ func tab7Reader(c, rc *mpi.Comm, fsA, fsB *simfs.FS, nw, nr, records int,
 	}
 }
 
+// tab7DieAfter is the rule of a writer that dies mid-operation: the
+// n+1-th data write or sync from now, across every rank, and every one
+// after it fails permanently.
+func tab7DieAfter(n int64) func(simfs.FlakyOp) error {
+	return func(op simfs.FlakyOp) error {
+		if op.Op != "Sync" && (op.Op != "WriteAt" && op.Op != "WriteZeroAt" || op.Len == 0) {
+			return nil
+		}
+		if n == 0 {
+			return fmt.Errorf("simfs: %s: injected %s failure", op.Name, op.Op)
+		}
+		n--
+		return nil
+	}
+}
+
 // tab7CrashPhase runs the injected-crash trials. Returns the number of
 // verified trials, how many had a sidecar commit record additionally
 // torn, how many ranks across all trials recovered to less than their
@@ -390,11 +406,12 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 
 		fs := simfs.New(simfs.Jugene())
 		fs.SetVolatileWrites(true)
+		fl := simfs.NewFlaky(simfs.FlakyConfig{})
 		attempts := make([][]int64, nw)
 		e := vtime.NewEngine()
 		mpi.RunSim(e, nw, mpi.DefaultCost, func(c *mpi.Comm) {
 			r := c.Rank()
-			f, err := sion.ParOpen(c, fs.View(r, c.Proc()), "c.sion", sion.WriteMode, &sion.Options{
+			f, err := sion.ParOpen(c, fl.Wrap(fs.View(r, c.Proc()), nil), "c.sion", sion.WriteMode, &sion.Options{
 				ChunkSize: tab7CrashChunk, FSBlockSize: tab7CrashFSBlk, Watermarks: true,
 			})
 			if err != nil {
@@ -404,7 +421,7 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 			// each trial is a mid-stream crash, not a failed open.
 			c.Barrier()
 			if r == 0 {
-				fs.FailWritesAfter(inject)
+				fl.SetRule(tab7DieAfter(inject))
 			}
 			c.Barrier()
 			var total int64

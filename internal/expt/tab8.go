@@ -39,7 +39,7 @@ import (
 //     absorbed: zero give-ups, and the multifile reads back
 //     byte-identically once the injection is off.
 //
-//   - breaker-drill: a deterministic hard outage (FailWindow) on one
+//   - breaker-drill: a deterministic hard outage (a Flaky rule) on one
 //     physical file walks its circuit through closed → open → half-open
 //     → closed. While the circuit is open, cache hits keep serving and
 //     misses fail fast with serve.ErrDegraded (no backend retries are
@@ -221,7 +221,7 @@ func tab8WriterStorm(nwriters int) (flst simfs.FlakyStats, rst resil.CounterSnap
 // it again. Returns the request/success counts and final server stats.
 func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 	fs := tab8Dump(nwriters)
-	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: tab8Seed + 2}) // windows only
+	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: tab8Seed + 2}) // rule only
 	srv, err := serve.New(fl.Wrap(fs.View(nwriters, nil), nil), "tab8.sion", &serve.Config{
 		CacheBytes:       1 << 20,
 		BlockBytes:       tab8FSBlk, // the storm phases' geometry
@@ -259,7 +259,12 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 		panic(fmt.Sprintf("tab8: drill warm read: %v", err))
 	}
 	phys := srv.Health()[0].Path
-	fl.FailWindow(phys, fl.FileOps(phys), 1<<40)
+	fl.SetRule(func(op simfs.FlakyOp) error {
+		if op.Name != phys {
+			return nil
+		}
+		return fmt.Errorf("tab8: %s: outage: %w", phys, fsio.ErrTransient)
+	})
 
 	// Uncached reads of a neighbor rank give up after retries; after
 	// tab8Threshold consecutive give-ups the circuit is open.
@@ -284,7 +289,7 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 		panic(fmt.Sprintf("tab8: cached read with open circuit: %v", err))
 	}
 	retriesOpen := srv.Stats().Retries
-	fl.ClearWindows() // the outage ends, but the circuit is still open
+	fl.SetRule(nil) // the outage ends, but the circuit is still open
 	for tries := 0; state() != "half-open"; tries++ {
 		if err := read(1, false); !errors.Is(err, serve.ErrDegraded) {
 			panic(fmt.Sprintf("tab8: open-circuit read: %v, want ErrDegraded", err))

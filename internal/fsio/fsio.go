@@ -93,10 +93,10 @@ type FileInfo struct {
 // A File may also implement VectorReaderAt (vector.go): ReadvAt scatters
 // one read into several buffers, under ReadAt's error and concurrency
 // contract, as if they were one buffer laid end to end. The OS backend
-// does so with preadv(2) on Linux, and the metering (Instrument) and
-// retrying (internal/resil) decorators forward it; callers use the ReadvAt
-// helper, which turns the read into one copying ReadAt on every other
-// backend.
+// does so with preadv(2) on Linux, and the metering (Instrument),
+// retrying (internal/resil) and fault-injecting (simfs.Flaky) decorators
+// forward it; callers use the ReadvAt helper, which turns the read into
+// one copying ReadAt on every other backend.
 //
 // In addition to byte-accurate I/O, File carries two metered "synthetic"
 // operations used by the at-scale benchmark harness: WriteZeroAt and

@@ -506,17 +506,28 @@ func TestKeyIndexBuildsPerRank(t *testing.T) {
 	})
 }
 
+// outage is a rule that fails every call on the physical file phys
+// transiently.
+func outage(phys string) func(simfs.FlakyOp) error {
+	return func(op simfs.FlakyOp) error {
+		if op.Name != phys {
+			return nil
+		}
+		return fmt.Errorf("%s: outage: %w", phys, fsio.ErrTransient)
+	}
+}
+
 // TestKeyIndexFailedBuildNotCached: an index scan interrupted by the
 // backend is an error for that request only; the next request rebuilds.
 func TestKeyIndexFailedBuildNotCached(t *testing.T) {
 	eachTopology(t, "data", Flags{}, func(t *testing.T, f *fixture) {
 		phys := f.c.Layout().PhysicalName(0)
-		f.flaky.FailWindow(phys, f.flaky.FileOps(phys), 1<<40)
+		f.flaky.SetRule(outage(phys))
 		url := fmt.Sprintf("/rank/%d/keys", keyRankA)
 		if rec := f.get(url); rec.Code < 400 {
 			t.Fatalf("keys during the outage: status %d, want an error", rec.Code)
 		}
-		f.flaky.ClearWindows()
+		f.flaky.SetRule(nil)
 		if rec := f.get(url); rec.Code != 200 || !strings.Contains(rec.Body.String(), "7") {
 			t.Fatalf("keys after the outage: status %d (body %q), want the rebuilt index", rec.Code, rec.Body.String())
 		}
@@ -625,7 +636,7 @@ func TestDegraded503(t *testing.T) {
 		warm := f.get(cached)
 		wantBody(t, cached, warm, payload(0, perRank)[:64])
 		phys := f.c.Layout().PhysicalName(0)
-		f.flaky.FailWindow(phys, f.flaky.FileOps(phys), 1<<40)
+		f.flaky.SetRule(outage(phys))
 
 		// The router fails a read over past every node it could go to, so
 		// the first failed read already reports them all down (503), before
@@ -660,7 +671,7 @@ func TestDegraded503(t *testing.T) {
 
 		// Recovery: lift the outage and walk the request-counted cooldown;
 		// the half-open probe then succeeds and closes the circuit.
-		f.flaky.ClearWindows()
+		f.flaky.SetRule(nil)
 		for i := 0; f.get(uncached).Code != http.StatusOK; i++ {
 			if i > 8 {
 				t.Fatalf("no read succeeded after the outage: %s", f.get("/healthz").Body.String())

@@ -3,6 +3,7 @@ package resil
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -78,7 +79,7 @@ func TestFSRetriesOverFlaky(t *testing.T) {
 	}
 }
 
-// TestFSGivesUpUnderOutage pins the bounded side: a hard fail window longer
+// TestFSGivesUpUnderOutage pins the bounded side: a hard outage longer
 // than any budget must surface a transient give-up, not hang.
 func TestFSGivesUpUnderOutage(t *testing.T) {
 	sim := simfs.New(simfs.Jugene())
@@ -90,7 +91,12 @@ func TestFSGivesUpUnderOutage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	fl.FailWindow("out", 0, 1<<40)
+	fl.SetRule(func(op simfs.FlakyOp) error {
+		if op.Name != "out" {
+			return nil
+		}
+		return fmt.Errorf("outage: %w", fsio.ErrTransient)
+	})
 	_, err = f.WriteAt([]byte("x"), 0)
 	if !errors.Is(err, fsio.ErrTransient) {
 		t.Fatalf("outage write error %v must stay classified transient", err)
@@ -109,9 +115,9 @@ func TestFSGivesUpUnderOutage(t *testing.T) {
 }
 
 // TestFSVectoredReadIsOneRetriedOp: a resilient file forwards ReadvAt as one
-// operation under the budget. The flaky lab has no vectored read, so the
-// call reaches its ReadAt through fsio.ReadvAt's fallback, where the
-// injected faults fire and are absorbed.
+// operation under the budget. simfs has no vectored read, so neither has
+// the flaky lab over it: the call reaches its ReadAt through fsio.ReadvAt's
+// fallback, where the injected faults fire and are absorbed.
 func TestFSVectoredReadIsOneRetriedOp(t *testing.T) {
 	sim := simfs.New(simfs.Jugene())
 	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: 3})
@@ -128,8 +134,14 @@ func TestFSVectoredReadIsOneRetriedOp(t *testing.T) {
 	if _, ok := f.(fsio.VectorReaderAt); !ok {
 		t.Fatal("the resilient file hides ReadvAt")
 	}
-	next := fl.FileOps("v")
-	fl.FailWindow("v", next, next+2) // the next two attempts fail
+	fails := 2 // the next two attempts fail
+	fl.SetRule(func(simfs.FlakyOp) error {
+		if fails == 0 {
+			return nil
+		}
+		fails--
+		return fmt.Errorf("busy: %w", fsio.ErrTransient)
+	})
 	before := ctrs.Snapshot()
 	bufs := [][]byte{make([]byte, 300), make([]byte, 500)}
 	if n, err := fsio.ReadvAt(f, bufs, 0); n != 800 || err != nil {

@@ -4,62 +4,24 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/fsio"
 	"repro/internal/resil"
+	"repro/internal/simfs"
 )
 
-// rangeFaultFS wraps a FileSystem so that ReadAt calls overlapping an
-// installed offset range fail with that range's error — the minimal tool
-// for making concurrent requests fail differently.
-type rangeFaultFS struct {
-	fsio.FileSystem
-	mu    sync.Mutex
-	rules []faultRule
-}
-
-type faultRule struct {
-	lo, hi int64
-	err    error
-}
-
-func (r *rangeFaultFS) fail(lo, hi int64, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rules = append(r.rules, faultRule{lo, hi, err})
-}
-
-func (r *rangeFaultFS) heal() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rules = nil
-}
-
-func (r *rangeFaultFS) Open(name string) (fsio.File, error) {
-	fh, err := r.FileSystem.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &rangeFaultFile{File: fh, fs: r}, nil
-}
-
-type rangeFaultFile struct {
-	fsio.File
-	fs *rangeFaultFS
-}
-
-func (f *rangeFaultFile) ReadAt(p []byte, off int64) (int, error) {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	end := off + int64(len(p))
-	for _, r := range f.fs.rules {
-		if off < r.hi && end > r.lo {
-			return 0, r.err
+// readFault is a rule that fails every read overlapping [lo, hi) with
+// err — the minimal tool for making concurrent requests fail differently.
+func readFault(lo, hi int64, err error) func(simfs.FlakyOp) error {
+	return func(op simfs.FlakyOp) error {
+		if strings.HasPrefix(op.Op, "Read") && op.Off < hi && op.Off+op.Len > lo {
+			return err
 		}
+		return nil
 	}
-	return f.File.ReadAt(p, off)
 }
 
 // TestFetchPerSpanErrors pins the per-request error attribution of
@@ -71,8 +33,8 @@ func (f *rangeFaultFile) ReadAt(p []byte, off int64) (int, error) {
 func TestFetchPerSpanErrors(t *testing.T) {
 	inner := fsio.NewOS(t.TempDir())
 	writeMultifile(t, inner, "e.sion", 4)
-	ffs := &rangeFaultFS{FileSystem: inner}
-	s, err := New(ffs, "e.sion", &Config{
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	s, err := New(fl.Wrap(inner, nil), "e.sion", &Config{
 		CacheBytes: 1 << 20,
 		BlockBytes: 256, // the FS block: blocks 0, 4 and 8 lie inside physical file 0
 		MaxSpanGap: -1,  // merge only adjacent blocks: distinct blocks = distinct spans
@@ -86,8 +48,14 @@ func TestFetchPerSpanErrors(t *testing.T) {
 
 	errA := fmt.Errorf("span A is down: %w", fsio.ErrTransient)
 	errB := errors.New("span B is corrupt") // permanent: no ErrTransient wrap
-	ffs.fail(0*bs, 1*bs, errA)              // block 0
-	ffs.fail(8*bs, 9*bs, errB)              // block 8
+	// Block 0 fails with errA, block 8 with errB.
+	failA, failB := readFault(0*bs, 1*bs, errA), readFault(8*bs, 9*bs, errB)
+	fl.SetRule(func(op simfs.FlakyOp) error {
+		if err := failA(op); err != nil {
+			return err
+		}
+		return failB(op)
+	})
 
 	type result struct {
 		data []byte
@@ -158,8 +126,8 @@ func TestFetchPerSpanErrors(t *testing.T) {
 func TestAbortedReservationsKeepTheLedger(t *testing.T) {
 	inner := fsio.NewOS(t.TempDir())
 	raw := writeOneFile(t, inner, "l.sion", 4, 8<<10, 256)
-	ffs := &rangeFaultFS{FileSystem: inner}
-	s, err := New(ffs, "l.sion", &Config{
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	s, err := New(fl.Wrap(inner, nil), "l.sion", &Config{
 		CacheBytes:       1 << 20, // nothing is evicted: the free list holds only aborted frames
 		BlockBytes:       256,
 		Shards:           1,
@@ -198,7 +166,7 @@ func TestAbortedReservationsKeepTheLedger(t *testing.T) {
 	if err := read(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	ffs.fail(8*bs, 12*bs, fmt.Errorf("blocks 8-11 are down: %w", fsio.ErrTransient))
+	fl.SetRule(readFault(8*bs, 12*bs, fmt.Errorf("blocks 8-11 are down: %w", fsio.ErrTransient)))
 	if err := read(8, 4); err == nil || errors.Is(err, ErrDegraded) {
 		t.Fatalf("read of the failing span: %v, want its backend error", err)
 	}
@@ -213,7 +181,7 @@ func TestAbortedReservationsKeepTheLedger(t *testing.T) {
 		t.Fatalf("%d frames on the free list after the rejection, want the same 4", len(free))
 	}
 
-	ffs.heal()
+	fl.SetRule(nil)
 	if err := read(8, 4); err != nil { // the half-open probe
 		t.Fatalf("probe read: %v", err)
 	}

@@ -502,8 +502,14 @@ func TestSingleflightWaiterOutlivesFailedOwner(t *testing.T) {
 	}
 	defer s.Close()
 	name := s.physNames[0]
-	next := fl.FileOps(name)
-	fl.FailWindow(name, next, next+1) // the first span read fails, the next succeeds
+	fired := false // the first span read fails, the next succeeds
+	fl.SetRule(func(op simfs.FlakyOp) error {
+		if op.Name != name || fired {
+			return nil
+		}
+		fired = true
+		return fmt.Errorf("%s: injected: %w", name, fsio.ErrTransient)
+	})
 
 	const readers, win = 8, 64 << 10
 	offs := make([]int64, readers)
@@ -724,9 +730,9 @@ func TestReadAroundSplitsAtMaxReadBytes(t *testing.T) {
 // give-up is the request's breaker verdict — with a threshold of one, it
 // opens the circuit.
 func TestReadAroundGiveUpIsABreakerFailure(t *testing.T) {
-	ffs := &rangeFaultFS{FileSystem: fsio.NewOS(t.TempDir())}
-	s, raw := fullTinyServer(t, ffs, Config{Retry: noRealSleep(2), BreakerThreshold: 1, BreakerCooldown: 4})
-	ffs.fail(8<<10, 16<<10, fmt.Errorf("down: %w", fsio.ErrTransient))
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	s, raw := fullTinyServer(t, fl.Wrap(fsio.NewOS(t.TempDir()), nil), Config{Retry: noRealSleep(2), BreakerThreshold: 1, BreakerCooldown: 4})
+	fl.SetRule(readFault(8<<10, 16<<10, fmt.Errorf("down: %w", fsio.ErrTransient)))
 	before := s.Stats()
 	err := readPoisoned(t, s, raw, 8<<10+100, 4096)
 	if !errors.Is(err, fsio.ErrTransient) || errors.Is(err, ErrDegraded) {
@@ -745,9 +751,9 @@ func TestReadAroundGiveUpIsABreakerFailure(t *testing.T) {
 // that would only read around the cache fails fast with ErrDegraded and
 // issues no backend read, while a request the cache holds still succeeds.
 func TestReadAroundFailsFastWhenDegraded(t *testing.T) {
-	ffs := &rangeFaultFS{FileSystem: fsio.NewOS(t.TempDir())}
-	s, raw := fullTinyServer(t, ffs, Config{Retry: noRealSleep(1), BreakerThreshold: 1, BreakerCooldown: 4})
-	ffs.fail(8<<10, 16<<10, fmt.Errorf("down: %w", fsio.ErrTransient))
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	s, raw := fullTinyServer(t, fl.Wrap(fsio.NewOS(t.TempDir()), nil), Config{Retry: noRealSleep(1), BreakerThreshold: 1, BreakerCooldown: 4})
+	fl.SetRule(readFault(8<<10, 16<<10, fmt.Errorf("down: %w", fsio.ErrTransient)))
 	if err := readPoisoned(t, s, raw, 8<<10, 2048); err == nil {
 		t.Fatal("read of a failing region succeeded")
 	}

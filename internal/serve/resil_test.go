@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -118,7 +119,12 @@ func TestServeBreakerDegradesAndRecovers(t *testing.T) {
 
 	// Outage on physical file 0 from now on.
 	phys := s.physNames[0]
-	fl.FailWindow(phys, fl.FileOps(phys), 1<<40)
+	fl.SetRule(func(op simfs.FlakyOp) error {
+		if op.Name != phys {
+			return nil
+		}
+		return fmt.Errorf("%s: outage: %w", phys, fsio.ErrTransient)
+	})
 
 	// Cached blocks still serve while the backend is down.
 	h0b, _ := s.Open(0)
@@ -160,7 +166,7 @@ func TestServeBreakerDegradesAndRecovers(t *testing.T) {
 	// Outage ends. The next rejection finishes the cooldown (half-open);
 	// the one after that is the probe, which succeeds and closes the
 	// circuit.
-	fl.ClearWindows()
+	fl.SetRule(nil)
 	if _, err := h1.ReadLogicalAt(make([]byte, 64), 0); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("cooldown-final read: %v, want ErrDegraded", err)
 	}

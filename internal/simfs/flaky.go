@@ -1,25 +1,32 @@
 package simfs
 
-// Flaky-fault injection: the transient half of the failure lab. The crash
-// lab (SetVolatileWrites / FailWritesAfter / Crash) models a node dying;
-// Flaky models the parallel file system *misbehaving under load* — the
-// paper's premise at 10^5–10^6 ranks is that sporadic EIO/EAGAIN, busy
-// metadata servers, and latency spikes are normal operating conditions the
-// I/O layer must absorb, not surface to every client at once.
+// Fault injection: one decorator for every failure a test or an experiment
+// injects into an fsio backend. The crash lab (SetVolatileWrites / Crash)
+// models a node losing its unsynced writes; Flaky models the parallel file
+// system *misbehaving* — the paper's premise at 10^5–10^6 ranks is that
+// sporadic EIO/EAGAIN, busy metadata servers, and latency spikes are normal
+// operating conditions the I/O layer must absorb, not surface to every
+// client at once — and a writer dying at an arbitrary call.
 //
-// Flaky is an fsio.FileSystem decorator, not an FS feature: one seeded
-// Flaky instance carries all injection state and wraps any backend — a
-// metered simfs View, a serial nil-proc View, or the real OS file system
-// in property tests. Every injected failure wraps fsio.ErrTransient, so
-// the classification contract documented on fsio.FileSystem holds and
-// internal/resil retries exactly the injected faults.
+// Flaky is an fsio.FileSystem decorator, not an FS feature: one Flaky
+// instance carries all injection state and wraps any backend — a metered
+// simfs View, a serial nil-proc View, or the real OS file system in
+// property tests. Faults come from two sources:
 //
-// Determinism: every injection decision is a pure function of the seed and
-// the global operation index (a splitmix64 stream), so a single-threaded
-// run — every simulation, every experiment — replays bit-identically from
-// its seed. Under real concurrency (e.g. wrapping the OS file system in a
-// property test) the decision stream is still seeded but the assignment of
-// decisions to operations follows the goroutine schedule.
+//   - the seeded probabilities of FlakyConfig, whose failures wrap
+//     fsio.ErrTransient, so the classification contract documented on
+//     fsio.FileSystem holds and internal/resil retries exactly them;
+//   - a rule (SetRule), a function of the call (FlakyOp) whose error is
+//     injected as returned: transient or permanent, one call or every call
+//     after the n-th, on one file, one byte range or one kind of call.
+//
+// Determinism: every probability decision is a pure function of the seed
+// and the global operation index (a splitmix64 stream), so a
+// single-threaded run — every simulation, every experiment — replays
+// bit-identically from its seed. Under real concurrency (e.g. wrapping the
+// OS file system in a property test) the decision stream is still seeded
+// but the assignment of decisions to operations follows the goroutine
+// schedule.
 
 import (
 	"fmt"
@@ -36,7 +43,7 @@ type FlakyConfig struct {
 	Seed uint64
 
 	// ReadErrProb is the transient-failure probability of one read
-	// operation (ReadAt, ReadDiscardAt).
+	// operation (ReadAt, ReadvAt, ReadDiscardAt).
 	ReadErrProb float64
 	// WriteErrProb is the transient-failure probability of one write-side
 	// operation (WriteAt, WriteZeroAt, Sync, Truncate).
@@ -54,70 +61,60 @@ type FlakyConfig struct {
 	LatencySecs float64
 }
 
+// FlakyOp is one call as a rule sees it.
+type FlakyOp struct {
+	// Op names the call: "Create", "Open", "OpenRW", "Stat", "Remove",
+	// "Size", "ReadAt", "ReadvAt", "ReadDiscardAt", "WriteAt",
+	// "WriteZeroAt", "Truncate" or "Sync".
+	Op string
+	// Name is the file, as path.Clean leaves it.
+	Name string
+	// Off and Len are the byte range of a read or write (Truncate: Off is
+	// the new size); zero for the other calls.
+	Off, Len int64
+}
+
 // FlakyStats counts what a Flaky instance has done so far.
 type FlakyStats struct {
 	Ops      int64 // operations that consulted the fault model
-	Injected int64 // operations failed with a transient error
+	Injected int64 // operations failed, by a drawn fault or by the rule
 	Spikes   int64 // latency spikes delivered
 }
 
-// flakyWindow is one per-file deterministic fail window: operations on the
-// file whose per-file op index falls in [from, to) fail transiently.
-type flakyWindow struct{ from, to int64 }
-
-// Flaky is a seeded transient-fault model shared by every file system it
-// wraps. All methods are safe for concurrent use.
+// Flaky is a seeded fault model shared by every file system it wraps. All
+// methods are safe for concurrent use.
 type Flaky struct {
 	mu      sync.Mutex
 	cfg     FlakyConfig
 	enabled bool
-	ctr     uint64           // global op index (the decision stream position)
-	fileOps map[string]int64 // per-file op index (fail-window clock)
-	windows map[string][]flakyWindow
+	ctr     uint64 // global op index (the decision stream position)
+	rule    func(FlakyOp) error
 	stats   FlakyStats
 }
 
 // NewFlaky builds an enabled fault model with the given configuration.
 func NewFlaky(cfg FlakyConfig) *Flaky {
-	return &Flaky{
-		cfg:     cfg,
-		enabled: true,
-		fileOps: make(map[string]int64),
-		windows: make(map[string][]flakyWindow),
-	}
+	return &Flaky{cfg: cfg, enabled: true}
 }
 
-// SetEnabled toggles all injection (probabilities, windows, and spikes)
-// without losing counters or window definitions.
+// SetEnabled toggles all injection (probabilities, rule, and spikes)
+// without losing counters or the rule.
 func (f *Flaky) SetEnabled(on bool) {
 	f.mu.Lock()
 	f.enabled = on
 	f.mu.Unlock()
 }
 
-// FailWindow makes operations on the named file fail transiently while the
-// file's own operation counter is in [from, to) — a deterministic per-file
-// outage regardless of the probability knobs. Windows accumulate; see
-// ClearWindows.
-func (f *Flaky) FailWindow(name string, from, to int64) {
-	name = path.Clean(name)
+// SetRule installs rule, which sees every call after its seeded draw and
+// fails it with the error it returns, unchanged: wrap fsio.ErrTransient
+// for a fault the retry layers should absorb, return anything else for a
+// permanent one. A drawn fault takes precedence over the rule's, but the
+// rule still sees the call. The rule runs under the model's mutex, one
+// call at a time, so it may keep counters without locking of its own; it
+// must not call back into the Flaky. nil clears the rule.
+func (f *Flaky) SetRule(rule func(FlakyOp) error) {
 	f.mu.Lock()
-	f.windows[name] = append(f.windows[name], flakyWindow{from, to})
-	f.mu.Unlock()
-}
-
-// FileOps reports how many operations the named file has performed against
-// the fault model (the clock FailWindow is expressed in).
-func (f *Flaky) FileOps(name string) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.fileOps[path.Clean(name)]
-}
-
-// ClearWindows removes every fail window (the outage ends immediately).
-func (f *Flaky) ClearWindows() {
-	f.mu.Lock()
-	f.windows = make(map[string][]flakyWindow)
+	f.rule = rule
 	f.mu.Unlock()
 }
 
@@ -132,7 +129,7 @@ func (f *Flaky) Stats() FlakyStats {
 // called to deliver latency spikes (pass a proc-advancing closure in
 // simulations, time.Sleep-based in real deployments, nil to ignore
 // spikes). Several Wraps may share one Flaky: they draw from the same
-// decision stream and the same per-file window clocks.
+// decision stream and consult the same rule.
 func (f *Flaky) Wrap(inner fsio.FileSystem, sleep func(seconds float64)) fsio.FileSystem {
 	return &flakyFS{f: f, inner: inner, sleep: sleep}
 }
@@ -154,28 +151,18 @@ const (
 	opMeta
 )
 
-// decide consumes one decision-stream position for an operation on the
-// named file and returns the spike to sleep (seconds) and the error to
-// inject, if any.
-func (f *Flaky) decide(kind opKind, name string) (spike float64, err error) {
+// decide consumes one decision-stream position for op and returns the
+// spike to sleep (seconds) and the error to inject, if any.
+func (f *Flaky) decide(kind opKind, op FlakyOp) (spike float64, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.enabled {
 		return 0, nil
 	}
 	f.stats.Ops++
-	fops := f.fileOps[name]
-	f.fileOps[name] = fops + 1
 	r := splitmix64(f.cfg.Seed + f.ctr)
 	f.ctr++
 
-	inWindow := false
-	for _, w := range f.windows[name] {
-		if fops >= w.from && fops < w.to {
-			inWindow = true
-			break
-		}
-	}
 	prob := 0.0
 	switch kind {
 	case opRead:
@@ -189,14 +176,22 @@ func (f *Flaky) decide(kind opKind, name string) (spike float64, err error) {
 	// the failure, the spike draw reuses the word shifted (cheap, and the
 	// stream position stays one-per-op so runs replay from the seed).
 	u := float64(r&((1<<52)-1)) / float64(uint64(1)<<52)
-	if inWindow || u < prob {
-		f.stats.Injected++
+	if u < prob {
 		flavor := "EIO"
 		if r&(1<<52) != 0 {
 			flavor = "EAGAIN"
 		}
-		return 0, fmt.Errorf("simfs: %s: injected transient %s (flaky op %d): %w",
-			name, flavor, fops, fsio.ErrTransient)
+		err = fmt.Errorf("simfs: %s: injected transient %s (flaky op %d): %w",
+			op.Name, flavor, f.ctr-1, fsio.ErrTransient)
+	}
+	if f.rule != nil {
+		if rerr := f.rule(op); err == nil {
+			err = rerr
+		}
+	}
+	if err != nil {
+		f.stats.Injected++
+		return 0, err
 	}
 	if f.cfg.LatencyProb > 0 {
 		us := float64(splitmix64(r)&((1<<52)-1)) / float64(uint64(1)<<52)
@@ -210,8 +205,8 @@ func (f *Flaky) decide(kind opKind, name string) (spike float64, err error) {
 
 // check runs one operation's fault decision, delivering any spike through
 // the wrap's sleep hook.
-func (w *flakyFS) check(kind opKind, name string) error {
-	spike, err := w.f.decide(kind, name)
+func (w *flakyFS) check(kind opKind, op FlakyOp) error {
+	spike, err := w.f.decide(kind, op)
 	if spike > 0 && w.sleep != nil {
 		w.sleep(spike)
 	}
@@ -227,45 +222,39 @@ type flakyFS struct {
 
 var _ fsio.FileSystem = (*flakyFS)(nil)
 
-func (w *flakyFS) Create(name string) (fsio.File, error) {
+// open runs the decision for one of the three opening calls and wraps the
+// handle it returns.
+func (w *flakyFS) open(op, name string, open func(string) (fsio.File, error)) (fsio.File, error) {
 	name = path.Clean(name)
-	if err := w.check(opMeta, name); err != nil {
+	if err := w.check(opMeta, FlakyOp{Op: op, Name: name}); err != nil {
 		return nil, err
 	}
-	fh, err := w.inner.Create(name)
+	fh, err := open(name)
 	if err != nil {
 		return nil, err
 	}
-	return &flakyFile{w: w, inner: fh, name: name}, nil
+	h := &flakyFile{w: w, inner: fh, name: name}
+	if _, ok := fh.(fsio.VectorReaderAt); ok {
+		return &flakyVecFile{h}, nil
+	}
+	return h, nil
+}
+
+func (w *flakyFS) Create(name string) (fsio.File, error) {
+	return w.open("Create", name, w.inner.Create)
 }
 
 func (w *flakyFS) Open(name string) (fsio.File, error) {
-	name = path.Clean(name)
-	if err := w.check(opMeta, name); err != nil {
-		return nil, err
-	}
-	fh, err := w.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyFile{w: w, inner: fh, name: name}, nil
+	return w.open("Open", name, w.inner.Open)
 }
 
 func (w *flakyFS) OpenRW(name string) (fsio.File, error) {
-	name = path.Clean(name)
-	if err := w.check(opMeta, name); err != nil {
-		return nil, err
-	}
-	fh, err := w.inner.OpenRW(name)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyFile{w: w, inner: fh, name: name}, nil
+	return w.open("OpenRW", name, w.inner.OpenRW)
 }
 
 func (w *flakyFS) Stat(name string) (fsio.FileInfo, error) {
 	name = path.Clean(name)
-	if err := w.check(opMeta, name); err != nil {
+	if err := w.check(opMeta, FlakyOp{Op: "Stat", Name: name}); err != nil {
 		return fsio.FileInfo{}, err
 	}
 	return w.inner.Stat(name)
@@ -273,7 +262,7 @@ func (w *flakyFS) Stat(name string) (fsio.FileInfo, error) {
 
 func (w *flakyFS) Remove(name string) error {
 	name = path.Clean(name)
-	if err := w.check(opMeta, name); err != nil {
+	if err := w.check(opMeta, FlakyOp{Op: "Remove", Name: name}); err != nil {
 		return err
 	}
 	return w.inner.Remove(name)
@@ -298,53 +287,75 @@ type flakyFile struct {
 
 var _ fsio.File = (*flakyFile)(nil)
 
+func (h *flakyFile) check(kind opKind, op string, off, n int64) error {
+	return h.w.check(kind, FlakyOp{Op: op, Name: h.name, Off: off, Len: n})
+}
+
 func (h *flakyFile) ReadAt(p []byte, off int64) (int, error) {
-	if err := h.w.check(opRead, h.name); err != nil {
+	if err := h.check(opRead, "ReadAt", off, int64(len(p))); err != nil {
 		return 0, err
 	}
 	return h.inner.ReadAt(p, off)
 }
 
 func (h *flakyFile) ReadDiscardAt(n, off int64) (int64, error) {
-	if err := h.w.check(opRead, h.name); err != nil {
+	if err := h.check(opRead, "ReadDiscardAt", off, n); err != nil {
 		return 0, err
 	}
 	return h.inner.ReadDiscardAt(n, off)
 }
 
 func (h *flakyFile) WriteAt(p []byte, off int64) (int, error) {
-	if err := h.w.check(opWrite, h.name); err != nil {
+	if err := h.check(opWrite, "WriteAt", off, int64(len(p))); err != nil {
 		return 0, err
 	}
 	return h.inner.WriteAt(p, off)
 }
 
 func (h *flakyFile) WriteZeroAt(n, off int64) error {
-	if err := h.w.check(opWrite, h.name); err != nil {
+	if err := h.check(opWrite, "WriteZeroAt", off, n); err != nil {
 		return err
 	}
 	return h.inner.WriteZeroAt(n, off)
 }
 
 func (h *flakyFile) Truncate(size int64) error {
-	if err := h.w.check(opWrite, h.name); err != nil {
+	if err := h.check(opWrite, "Truncate", size, 0); err != nil {
 		return err
 	}
 	return h.inner.Truncate(size)
 }
 
 func (h *flakyFile) Sync() error {
-	if err := h.w.check(opWrite, h.name); err != nil {
+	if err := h.check(opWrite, "Sync", 0, 0); err != nil {
 		return err
 	}
 	return h.inner.Sync()
 }
 
 func (h *flakyFile) Size() (int64, error) {
-	if err := h.w.check(opMeta, h.name); err != nil {
+	if err := h.check(opMeta, "Size", 0, 0); err != nil {
 		return 0, err
 	}
 	return h.inner.Size()
 }
 
 func (h *flakyFile) Close() error { return h.inner.Close() }
+
+// flakyVecFile is a flakyFile over a handle with a vectored read, which it
+// keeps visible (the fsio.File decorator rule): one decision per vector
+// call, as for one ReadAt. A handle without ReadvAt stays a flakyFile, so
+// fsio.ReadvAt's fallback reaches its ReadAt and the decision stream is
+// the same as before the forward existed.
+type flakyVecFile struct{ *flakyFile }
+
+func (h flakyVecFile) ReadvAt(bufs [][]byte, off int64) (int, error) {
+	var n int64
+	for _, b := range bufs {
+		n += int64(len(b))
+	}
+	if err := h.check(opRead, "ReadvAt", off, n); err != nil {
+		return 0, err
+	}
+	return h.inner.(fsio.VectorReaderAt).ReadvAt(bufs, off)
+}

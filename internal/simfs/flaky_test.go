@@ -105,51 +105,150 @@ func TestFlakyDisabled(t *testing.T) {
 	}
 }
 
-func TestFlakyFailWindow(t *testing.T) {
+// TestFlakyRule pins the rule contract: it sees every call with its name,
+// file and byte range; its error is injected as returned (here permanent)
+// and counted; it may keep unlocked state; SetEnabled(false) silences it
+// and SetRule(nil) clears it.
+func TestFlakyRule(t *testing.T) {
 	fl := NewFlaky(FlakyConfig{Seed: 9})
 	fs := New(Jugene())
 	w := fl.Wrap(fs.View(1, nil), nil)
 
-	fa, err := w.Create("a") // a: op 0
+	fa, err := w.Create("a")
 	if err != nil {
 		t.Fatalf("Create a: %v", err)
 	}
-	fb, err := w.Create("b") // b: op 0
+	fb, err := w.Create("b")
 	if err != nil {
 		t.Fatalf("Create b: %v", err)
 	}
 
-	// Ops 3..6 on "a" fail; "b" is untouched throughout.
-	fl.FailWindow("a", 3, 6)
-	for i := 1; ; i++ {
-		_, errA := fa.WriteAt([]byte("A"), int64(i))
+	// The 3rd to 5th calls on "a" from now fail; "b" is untouched.
+	errDown := errors.New("a is down")
+	var seen []FlakyOp
+	nthA := 0
+	fl.SetRule(func(op FlakyOp) error {
+		seen = append(seen, op)
+		if op.Name != "a" {
+			return nil
+		}
+		nthA++
+		if nthA >= 3 && nthA < 6 {
+			return errDown
+		}
+		return nil
+	})
+	for i := 1; i <= 8; i++ {
+		_, errA := fa.WriteAt([]byte("AA"), int64(10*i))
 		if _, errB := fb.WriteAt([]byte("B"), int64(i)); errB != nil {
-			t.Fatalf("window on a leaked to b at op %d: %v", i, errB)
+			t.Fatalf("rule on a leaked to b at call %d: %v", i, errB)
 		}
-		inWin := i >= 3 && i < 6
-		if inWin && !errors.Is(errA, fsio.ErrTransient) {
-			t.Fatalf("a op %d inside window succeeded (err=%v)", i, errA)
-		}
-		if !inWin && errA != nil {
-			t.Fatalf("a op %d outside window failed: %v", i, errA)
-		}
-		if i >= 8 {
-			break
+		if fail := i >= 3 && i < 6; fail != (errA != nil) || fail && (errA != errDown) {
+			t.Fatalf("a call %d: err = %v, want the rule's error returned unchanged: %v", i, errA, fail)
 		}
 	}
-	if got := fl.FileOps("a"); got != 9 {
-		t.Fatalf("FileOps(a) = %d, want 9", got)
+	if got := fl.Stats().Injected; got != 3 {
+		t.Fatalf("Injected = %d, want 3", got)
+	}
+	if want := (FlakyOp{Op: "WriteAt", Name: "a", Off: 80, Len: 2}); seen[14] != want {
+		t.Fatalf("the rule saw %+v, want %+v", seen[14], want)
+	}
+	for _, call := range []struct {
+		do   func()
+		want FlakyOp
+	}{
+		{func() { fa.ReadAt(make([]byte, 4), 7) }, FlakyOp{Op: "ReadAt", Name: "a", Off: 7, Len: 4}},
+		{func() { fa.WriteZeroAt(5, 9) }, FlakyOp{Op: "WriteZeroAt", Name: "a", Off: 9, Len: 5}},
+		{func() { fa.Truncate(6) }, FlakyOp{Op: "Truncate", Name: "a", Off: 6}},
+		{func() { fa.Sync() }, FlakyOp{Op: "Sync", Name: "a"}},
+		{func() { w.OpenRW("./a") }, FlakyOp{Op: "OpenRW", Name: "a"}},
+		{func() { w.Stat("b") }, FlakyOp{Op: "Stat", Name: "b"}},
+	} {
+		call.do()
+		if got := seen[len(seen)-1]; got != call.want {
+			t.Fatalf("the rule saw %+v, want %+v", got, call.want)
+		}
 	}
 
-	// ClearWindows lifts an active outage immediately.
-	fl.FailWindow("a", 0, 1<<40)
-	if _, err := fa.WriteAt([]byte("A"), 99); !errors.Is(err, fsio.ErrTransient) {
-		t.Fatalf("open-ended window did not fail op: %v", err)
+	// Disabled, the rule is not consulted; nil clears it.
+	fl.SetRule(func(FlakyOp) error { return errDown })
+	fl.SetEnabled(false)
+	if _, err := fa.WriteAt([]byte("A"), 99); err != nil {
+		t.Fatalf("write with injection disabled: %v", err)
 	}
-	fl.ClearWindows()
+	fl.SetEnabled(true)
+	if _, err := fa.WriteAt([]byte("A"), 99); err != errDown {
+		t.Fatalf("write under an always-failing rule: %v", err)
+	}
+	fl.SetRule(nil)
 	if _, err := fa.WriteAt([]byte("A"), 100); err != nil {
-		t.Fatalf("write after ClearWindows: %v", err)
+		t.Fatalf("write after SetRule(nil): %v", err)
 	}
+}
+
+// TestFlakyForwardsReadvAt: over a backend with a vectored read the
+// wrapped handle keeps ReadvAt, makes one decision per vector call, and a
+// rule's fault surfaces through fsio.ReadvAt; over simfs, which has none,
+// the handle hides it and the helper's fallback reaches ReadAt.
+func TestFlakyForwardsReadvAt(t *testing.T) {
+	fl := NewFlaky(FlakyConfig{Seed: 13})
+	osfs := fl.Wrap(fsio.NewOS(t.TempDir()), nil)
+	f, err := osfs.Create("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	payload := []byte("0123456789abcdef")
+	if _, err := f.WriteAt(payload, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, vec := f.(fsio.VectorReaderAt)
+	if _, osVec := mustOpen(t, fsio.NewOS(t.TempDir())).(fsio.VectorReaderAt); vec != osVec {
+		t.Fatalf("the flaky handle has ReadvAt %v, its backend %v", vec, osVec)
+	}
+	var ops []FlakyOp
+	errDown := errors.New("vector read down")
+	fl.SetRule(func(op FlakyOp) error {
+		ops = append(ops, op)
+		if op.Off == 4 {
+			return errDown
+		}
+		return nil
+	})
+	bufs := [][]byte{make([]byte, 3), make([]byte, 5)}
+	if _, err := fsio.ReadvAt(f, bufs, 4); !errors.Is(err, errDown) {
+		t.Fatalf("ReadvAt under a failing rule: %v", err)
+	}
+	if n, err := fsio.ReadvAt(f, bufs, 2); n != 8 || err != nil || string(bufs[0])+string(bufs[1]) != "23456789" {
+		t.Fatalf("ReadvAt = (%d, %v) %q", n, err, bufs)
+	}
+	op := "ReadAt"
+	if vec {
+		op = "ReadvAt"
+	}
+	if want := []FlakyOp{{op, "v", 4, 8}, {op, "v", 2, 8}}; fmt.Sprint(ops) != fmt.Sprint(want) {
+		t.Fatalf("the rule saw %v, want one call per vector: %v", ops, want)
+	}
+
+	simf, err := fl.Wrap(New(Jugene()).View(1, nil), nil).Create("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := simf.(fsio.VectorReaderAt); ok {
+		t.Fatal("a flaky handle over simfs claims a vectored read its backend lacks")
+	}
+}
+
+// mustOpen creates a scratch file on fsys and returns its handle, closed
+// when the test ends.
+func mustOpen(t *testing.T, fsys fsio.FileSystem) fsio.File {
+	t.Helper()
+	f, err := fsys.Create("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }
 
 func TestFlakyLatencySpikes(t *testing.T) {
@@ -176,8 +275,8 @@ func TestFlakyLatencySpikes(t *testing.T) {
 }
 
 // TestFlakyErrorsAreTransient pins the classification contract: every
-// injected error — probability or window, any op kind — wraps
-// fsio.ErrTransient and mentions an errno flavor.
+// drawn fault, any op kind, wraps fsio.ErrTransient and mentions an errno
+// flavor.
 func TestFlakyErrorsAreTransient(t *testing.T) {
 	fl := NewFlaky(FlakyConfig{Seed: 3, ReadErrProb: 1, WriteErrProb: 1, MetaErrProb: 1})
 	fs := New(Jugene())

@@ -63,10 +63,7 @@ type FS struct {
 	// with volatile writes on, written content and size growth live in a
 	// per-file overlay that only Sync merges into the durable state, and
 	// reads see the durable state only (what another node would observe).
-	// failWrites injects a hard failure after that many further
-	// write/sync operations (-1 = disabled).
-	volatile   bool
-	failWrites int64
+	volatile bool
 
 	striping map[string]stripeCfg // per-directory override
 
@@ -156,8 +153,6 @@ func New(p *Profile) *FS {
 		token:    vtime.NewServer(p.Name + "/token"),
 		clients:  make(map[int]*vtime.Server),
 		striping: make(map[string]stripeCfg),
-
-		failWrites: -1,
 	}
 	fs.servers = make([]*vtime.Server, p.NServers)
 	for i := range fs.servers {
@@ -184,24 +179,13 @@ func (fs *FS) SetQuota(bytes int64) { fs.quota = bytes }
 func (fs *FS) SetVolatileWrites(on bool) { fs.volatile = on }
 
 // Crash discards every unsynced volatile write, modelling a node failure:
-// files revert to their last-synced content and size. It also clears any
-// pending FailWritesAfter injection.
+// files revert to their last-synced content and size. A writer that dies
+// at an arbitrary call before the crash is a Flaky rule over its views.
 func (fs *FS) Crash() {
 	for _, f := range fs.files {
 		f.vpages = nil
 		f.vsize = 0
 	}
-	fs.failWrites = -1
-}
-
-// FailWritesAfter makes the n+1-th subsequent write or sync operation (and
-// every one after it) fail with an injected error, modelling a writer
-// dying mid-operation at an arbitrary point. n < 0 disables injection.
-func (fs *FS) FailWritesAfter(n int64) {
-	if n < 0 {
-		n = -1
-	}
-	fs.failWrites = n
 }
 
 // SetStriping overrides the stripe count/size for files subsequently
@@ -539,12 +523,6 @@ func (h *handle) writeCommon(n, off int64) error {
 		return nil
 	}
 	fs, f := h.v.fs, h.f
-	if fs.failWrites == 0 {
-		return fmt.Errorf("simfs: %s: injected write failure", f.name)
-	}
-	if fs.failWrites > 0 {
-		fs.failWrites--
-	}
 	f.writeReqs++
 	if f.writerSet == nil {
 		f.writerSet = make(map[int]bool)
@@ -650,18 +628,12 @@ func (h *handle) Truncate(size int64) error {
 
 // Sync makes this file's pending volatile writes durable (whole-file, like
 // an OS page-cache flush: it also promotes other handles' unsynced writes
-// to the same file). Subject to FailWritesAfter injection.
+// to the same file).
 func (h *handle) Sync() error {
 	if err := h.check(); err != nil {
 		return err
 	}
 	fs, f := h.v.fs, h.f
-	if fs.failWrites == 0 {
-		return fmt.Errorf("simfs: %s: injected sync failure", f.name)
-	}
-	if fs.failWrites > 0 {
-		fs.failWrites--
-	}
 	if fs.volatile {
 		for idx, pg := range f.vpages {
 			f.pages[idx] = pg
