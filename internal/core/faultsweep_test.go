@@ -1,0 +1,376 @@
+package sion
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"runtime"
+	"testing"
+
+	"repro/internal/fsio"
+	"repro/internal/mpi"
+	"repro/internal/simfs"
+	"repro/internal/vtime"
+)
+
+// The fault sweeps: a one-shot permanent fault at every call index of a
+// fault-free run, on simfs under mpi.RunSim, so a hang is vtime's deadlock
+// panic rather than a timeout. The promise they check is that every rank
+// learns of a failure and none hangs: some call returns an error wrapping
+// the injected one, or every call succeeds and the bytes are the
+// fault-free run's; no read returns wrong bytes; no goroutine outlives
+// Close.
+
+// errSweep is the permanent fault the sweeps inject.
+var errSweep = errors.New("fault sweep: injected permanent failure")
+
+var (
+	// sweepWriteOps are the calls that change the file system.
+	sweepWriteOps = map[string]bool{"Create": true, "OpenRW": true, "WriteAt": true, "WriteZeroAt": true, "Truncate": true, "Sync": true}
+	// sweepReadOps are the calls a read open and its reads make.
+	sweepReadOps = map[string]bool{"Open": true, "Stat": true, "ReadAt": true}
+)
+
+const sweepRanks = 4
+
+// failKth is a Flaky rule that counts the calls named in ops and fails
+// exactly the k-th with errSweep (k = 0 fails none).
+type failKth struct {
+	ops  map[string]bool
+	k, n int
+}
+
+func (r *failKth) rule(op simfs.FlakyOp) error {
+	if !r.ops[op.Op] {
+		return nil
+	}
+	if r.n++; r.n == r.k {
+		return errSweep
+	}
+	return nil
+}
+
+// sweepSim runs body on sweepRanks ranks under mpi.RunSim over fs, each
+// rank's view wrapped in fl (when not nil), and returns a panic — vtime's
+// deadlock report — as an error.
+func sweepSim(fs *simfs.FS, fl *simfs.Flaky, body func(c *mpi.Comm, fsys fsio.FileSystem)) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%v", p)
+		}
+	}()
+	mpi.RunSim(vtime.NewEngine(), sweepRanks, mpi.DefaultCost, func(c *mpi.Comm) {
+		var fsys fsio.FileSystem = fs.View(c.Rank(), c.Proc())
+		if fl != nil {
+			fsys = fl.Wrap(fsys, nil)
+		}
+		body(c, fsys)
+	})
+	return nil
+}
+
+// sweepPayload is rank r's i-th write of the sweep workload.
+func sweepPayload(r, i int) []byte { return rankPayload(100*r+i, 200+37*r) }
+
+// sweepCalls records every call's error per rank.
+type sweepCalls [sweepRanks][]error
+
+func (s *sweepCalls) add(rank int, err error) error {
+	s[rank] = append(s[rank], err)
+	return err
+}
+
+// verdict checks the run-level invariant: some call failed with the
+// injected fault, or none failed; it reports which.
+func (s *sweepCalls) verdict() (surfaced bool, err error) {
+	var other error
+	for _, errs := range s {
+		for _, e := range errs {
+			switch {
+			case errors.Is(e, errSweep):
+				surfaced = true
+			case e != nil && other == nil:
+				other = e
+			}
+		}
+	}
+	if surfaced {
+		return true, nil
+	}
+	if other != nil {
+		return false, fmt.Errorf("a call failed without naming the injected fault: %w", other)
+	}
+	return false, nil
+}
+
+// sweepWrite runs the write workload — ParOpen, six writes with a Flush
+// after every second, Close — on fs with the k-th mutating call failing,
+// and returns the mutating calls made and the calls' errors.
+func sweepWrite(fs *simfs.FS, name string, o Options, k int) (n int, calls *sweepCalls, err error) {
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	r := &failKth{ops: sweepWriteOps, k: k}
+	fl.SetRule(r.rule)
+	calls = new(sweepCalls)
+	err = sweepSim(fs, fl, func(c *mpi.Comm, fsys fsio.FileSystem) {
+		rank, opts := c.Rank(), o
+		f, err := ParOpen(c, fsys, name, WriteMode, &opts)
+		if calls.add(rank, err) != nil {
+			return
+		}
+		for i := 0; i < 6; i++ {
+			_, err := f.Write(sweepPayload(rank, i))
+			calls.add(rank, err)
+			if i%2 == 1 {
+				calls.add(rank, f.Flush())
+			}
+		}
+		calls.add(rank, f.Close())
+	})
+	return r.n, calls, err
+}
+
+// sweepBytes is every byte of a multifile of nfiles physical files on fs,
+// watermark sidecars included.
+func sweepBytes(fs *simfs.FS, name string, nfiles int) []byte {
+	var out []byte
+	v := fs.View(0, nil)
+	for _, phys := range PhysicalNames(name, max(nfiles, 1)) {
+		for _, file := range []string{phys, phys + ".wmk"} {
+			if fh, err := v.Open(file); err == nil {
+				size, _ := fh.Size()
+				buf := make([]byte, size)
+				fh.ReadAt(buf, 0)
+				fh.Close()
+				out = append(out, buf...)
+			}
+		}
+	}
+	return out
+}
+
+// sweepWriteSets are the write modes of the sweep.
+var sweepWriteSets = []struct {
+	name string
+	opts Options
+}{
+	{"direct", Options{}},
+	{"nfiles2", Options{NFiles: 2}},
+	{"headers", Options{ChunkHeaders: true}},
+	{"watermarks", Options{Watermarks: true}},
+	{"coll2-sync", Options{CollectorGroup: 2}},
+	{"coll2-async", Options{CollectorGroup: 2, AsyncCollective: true}},
+	{"coll2-watermarks", Options{CollectorGroup: 2, Watermarks: true}},
+}
+
+// sweepAll runs run fault-free to count its calls, then once for every
+// call index k with the k-th call failing, and checks each run: no hang
+// (run's error), the k-th call made, the fault surfaced or every call
+// succeeded with the fault-free result (clean, when not nil), and no
+// goroutine left behind.
+func sweepAll(t *testing.T, run func(k int) (n int, calls *sweepCalls, err error), clean func() bool) {
+	t.Helper()
+	total, calls, err := run(0)
+	if err == nil {
+		_, err = calls.verdict()
+	}
+	if err != nil {
+		t.Fatalf("fault-free run: %v", err)
+	}
+	base := runtime.NumGoroutine()
+	surfaced := 0
+	for k := 1; k <= total; k++ {
+		n, calls, err := run(k)
+		if err == nil && n < k {
+			err = fmt.Errorf("the run made only %d calls", n)
+		}
+		ok := false
+		if err == nil {
+			ok, err = calls.verdict()
+		}
+		if err == nil && !ok && clean != nil && !clean() {
+			err = errors.New("every call succeeded, but the result differs from the fault-free run's")
+		}
+		if err != nil {
+			t.Fatalf("fault at call %d of %d: %v", k, total, err)
+		}
+		if ok {
+			surfaced++
+		}
+		waitGoroutines(t, base)
+	}
+	t.Logf("%d fault points, %d surfaced, 0 hangs", total, surfaced)
+}
+
+// TestFaultSweepWrite fails every mutating call of a ParOpen write, its
+// writes and flushes, and its Close, one at a time, in each write mode.
+func TestFaultSweepWrite(t *testing.T) {
+	for _, set := range sweepWriteSets {
+		set := set
+		t.Run(set.name, func(t *testing.T) {
+			o := set.opts
+			o.ChunkSize, o.FSBlockSize = 512, 256
+			var fs *simfs.FS
+			var want []byte
+			sweepAll(t, func(k int) (int, *sweepCalls, error) {
+				fs = simfs.New(simfs.Jugene())
+				n, calls, err := sweepWrite(fs, "s.sion", o, k)
+				if k == 0 {
+					want = sweepBytes(fs, "s.sion", o.NFiles)
+				}
+				return n, calls, err
+			}, func() bool { return bytes.Equal(sweepBytes(fs, "s.sion", o.NFiles), want) })
+		})
+	}
+}
+
+// sweepRead opens name for reading in one of the read modes, reads every
+// owned rank's stream in full and closes, with the k-th read-side call
+// failing; it returns the read-side calls made and the calls' errors. A
+// read that succeeds must return the written bytes.
+func sweepRead(fs *simfs.FS, name string, mapped bool, opts *Options, k int) (n int, calls *sweepCalls, err error) {
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	r := &failKth{ops: sweepReadOps, k: k}
+	fl.SetRule(r.rule)
+	calls = new(sweepCalls)
+	var wrong error
+	readRank := func(rank, g int, f *File) {
+		var want []byte
+		for i := 0; i < 6; i++ {
+			want = append(want, sweepPayload(g, i)...)
+		}
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(f, got); calls.add(rank, err) == nil && !bytes.Equal(got, want) && wrong == nil {
+			wrong = fmt.Errorf("reader %d: rank %d read back wrong bytes", rank, g)
+		}
+	}
+	err = sweepSim(fs, fl, func(c *mpi.Comm, fsys fsio.FileSystem) {
+		rank := c.Rank()
+		if !mapped {
+			f, err := ParOpen(c, fsys, name, ReadMode, opts)
+			if calls.add(rank, err) != nil {
+				return
+			}
+			readRank(rank, rank, f)
+			calls.add(rank, f.Close())
+			return
+		}
+		mf, err := ParOpenMapped(c, fsys, name, ReadMode, nil, opts)
+		if calls.add(rank, err) != nil {
+			return
+		}
+		for _, g := range mf.OwnedRanks() {
+			f, err := mf.Rank(g)
+			if calls.add(rank, err) == nil {
+				readRank(rank, g, f)
+			}
+		}
+		calls.add(rank, mf.Close())
+	})
+	if err == nil {
+		err = wrong
+	}
+	return r.n, calls, err
+}
+
+// TestFaultSweepRead fails every Open, Stat and ReadAt of a read open and
+// its reads, one at a time: ParOpen read (direct, NFiles 2, collective)
+// and ParOpenMapped.
+func TestFaultSweepRead(t *testing.T) {
+	fs := simfs.New(simfs.Jugene())
+	for _, nfiles := range []int{1, 2} {
+		o := Options{ChunkSize: 512, FSBlockSize: 256, NFiles: nfiles}
+		_, calls, err := sweepWrite(fs, fmt.Sprintf("r%d.sion", nfiles), o, 0)
+		if err == nil {
+			_, err = calls.verdict()
+		}
+		if err != nil {
+			t.Fatalf("writing the nfiles=%d multifile: %v", nfiles, err)
+		}
+	}
+	for _, mode := range []struct {
+		name   string
+		file   string
+		mapped bool
+		opts   *Options
+	}{
+		{"direct", "r1.sion", false, nil},
+		{"nfiles2", "r2.sion", false, nil},
+		{"collective", "r1.sion", false, &Options{CollectorGroup: 2}},
+		{"mapped", "r2.sion", true, nil},
+	} {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			sweepAll(t, func(k int) (int, *sweepCalls, error) {
+				return sweepRead(fs, mode.file, mode.mapped, mode.opts, k)
+			}, nil)
+		})
+	}
+}
+
+// TestParOpenWriteFailsTogether: one rank's failed step inside a ParOpen
+// write fails the open on every rank instead of leaving the others to
+// block in Close; the failing rank's error names the cause.
+func TestParOpenWriteFailsTogether(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		victim int // the rank whose view fails; -1: every rank's
+		fail   func(op simfs.FlakyOp) bool
+	}{
+		{"physical file OpenRW", Options{}, 2,
+			func(op simfs.FlakyOp) bool { return op.Op == "OpenRW" }},
+		{"sidecar OpenRW", Options{Watermarks: true}, 2,
+			func(op simfs.FlakyOp) bool { return op.Op == "OpenRW" && op.Name == wmName("t.sion", 0) }},
+		{"first chunk header", Options{ChunkHeaders: true}, 2,
+			func(op simfs.FlakyOp) bool { return op.Op == "WriteAt" }},
+		{"collector OpenRW", Options{CollectorGroup: 2, AsyncCollective: true}, 2,
+			func(op simfs.FlakyOp) bool { return op.Op == "OpenRW" }},
+		{"one file group's create", Options{NFiles: 2}, -1,
+			func(op simfs.FlakyOp) bool { return op.Op == "Create" && op.Name == fileName("t.sion", 1) }},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			fired := false
+			fl := simfs.NewFlaky(simfs.FlakyConfig{})
+			fl.SetRule(func(op simfs.FlakyOp) error {
+				if fired || !tc.fail(op) {
+					return nil
+				}
+				fired = true
+				return errSweep
+			})
+			base := runtime.NumGoroutine()
+			var errs [sweepRanks]error
+			err := sweepSim(simfs.New(simfs.Jugene()), nil, func(c *mpi.Comm, fsys fsio.FileSystem) {
+				if tc.victim < 0 || c.Rank() == tc.victim {
+					fsys = fl.Wrap(fsys, nil)
+				}
+				o := tc.opts
+				o.ChunkSize, o.FSBlockSize = 512, 256
+				f, err := ParOpen(c, fsys, "t.sion", WriteMode, &o)
+				if errs[c.Rank()] = err; err == nil {
+					f.Write(sweepPayload(c.Rank(), 0))
+					f.Close()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fired {
+				t.Fatal("the fault never fired")
+			}
+			cause := false
+			for r, err := range errs {
+				if err == nil {
+					t.Errorf("rank %d: ParOpen succeeded though another rank's open failed", r)
+				}
+				cause = cause || errors.Is(err, errSweep)
+			}
+			if !cause {
+				t.Errorf("no rank's error names the injected fault: %v", errs)
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}

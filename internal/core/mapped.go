@@ -165,7 +165,8 @@ func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64
 	var h *header
 	var status int64
 	if comm.Rank() == 0 {
-		if fh, oerr := fsys.Open(fileName(name, 0)); oerr != nil {
+		var fh fsio.File
+		if fh, err = fsys.Open(fileName(name, 0)); err != nil {
 			status = planNoFile
 		} else {
 			if h, err = parseHeader(fh); err != nil {
@@ -186,8 +187,8 @@ func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64
 		return nil, fmt.Errorf("sion: ParOpen %s: the multifile was written by %d tasks but is opened by %d (ParOpenMapped reads it on another task count)", name, plan[1], comm.Size())
 	case planBadOwnership:
 		return nil, fmt.Errorf("sion: %s %s: invalid ownership (a writer rank outside 0..%d, or owned by two readers)", op, name, plan[1]-1)
-	default:
-		return nil, fmt.Errorf("sion: %s %s failed (status %d: missing file or corrupt header)", op, name, plan[0])
+	default: // err is rank 0's own cause
+		return nil, withCause(fmt.Errorf("sion: %s %s failed (status %d: missing file or corrupt header)", op, name, plan[0]), err)
 	}
 	ntasks, nfiles, fsblk := int(plan[1]), int(plan[2]), plan[3]
 	hdrs, group := uint64(plan[4])&flagChunkHeaders != 0, int(plan[5])
@@ -196,10 +197,14 @@ func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64
 
 	// Parse the files this reader is the lowest reader of, and fan the
 	// records out (sends are eager, so all parsers send before anyone
-	// blocks in Recv below).
+	// blocks in Recv below). cause keeps this reader's own first failure,
+	// which only it can return: the others see a status.
+	var cause error
 	for sec := plan[planHdr+plan[6]+plan[7]:]; len(sec) > 0; {
 		k, n := int(sec[0]), int(sec[1])
-		sendRankRecords(comm, fsys, name, k, ntasks, sec[2:2+n])
+		if lerr := sendRankRecords(comm, fsys, name, k, ntasks, sec[2:2+n]); lerr != nil && cause == nil {
+			cause = fmt.Errorf("sion: %s %s: parsing physical file %d: %w", op, name, k, lerr)
+		}
 		sec = sec[2+n:]
 	}
 
@@ -214,7 +219,6 @@ func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64
 	for i, g := range mine {
 		mf.owned[i] = int(g)
 	}
-	var openErr error
 	metaFailed := false
 	for _, p := range parsers {
 		vals := decodeInt64s(comm.Recv(int(p), tagMappedMeta))
@@ -226,8 +230,9 @@ func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64
 		k := int(vals[1])
 		var fh fsio.File
 		if group <= 1 {
-			if fh, openErr = fsys.Open(fileName(name, k)); openErr != nil {
-				openErr = fmt.Errorf("sion: %s %s: opening physical file %d: %w", op, name, k, openErr)
+			var oerr error
+			if fh, oerr = fsys.Open(fileName(name, k)); oerr != nil {
+				cause = fmt.Errorf("sion: %s %s: opening physical file %d: %w", op, name, k, oerr)
 				metaFailed = true
 				continue
 			}
@@ -261,14 +266,14 @@ func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64
 		// failed: its group must learn about the failure, or the collector
 		// would block on a request that never comes.
 		if err := mf.collectiveFetch(group, metaFailed); err != nil {
-			return nil, err
+			return nil, withCause(err, cause)
 		}
 		return mf, nil
 	}
 	if metaFailed {
 		mf.Close()
-		if openErr != nil {
-			return nil, openErr
+		if cause != nil {
+			return nil, cause
 		}
 		return nil, fmt.Errorf("sion: %s %s: metadata exchange failed (corrupt or missing segment)", op, name)
 	}
@@ -364,8 +369,9 @@ func planReaders(h *header, status int64, claims [][]int64, collectorGroup int) 
 
 // sendRankRecords parses physical file k and, in one pass over sec (a
 // plan section: per reader, reader, count, local ranks), sends each reader
-// the records of its ranks in the file.
-func sendRankRecords(comm *mpi.Comm, fsys fsio.FileSystem, name string, k, ntasks int, sec []int64) {
+// the records of its ranks in the file. It returns the parse error, which
+// the readers see only as a failure status.
+func sendRankRecords(comm *mpi.Comm, fsys fsio.FileSystem, name string, k, ntasks int, sec []int64) error {
 	pf, lerr := loadSegment(fsys, name, k)
 	if lerr == nil && int(pf.h.NTasksGlobal) != ntasks {
 		lerr = fmt.Errorf("%w: segment %d disagrees on task count", ErrCorrupt, k)
@@ -378,6 +384,7 @@ func sendRankRecords(comm *mpi.Comm, fsys fsio.FileSystem, name string, k, ntask
 	if pf != nil {
 		pf.fh.Close()
 	}
+	return lerr
 }
 
 // mappedRankMeta is one writer rank's geometry record in a parser→reader
@@ -586,13 +593,10 @@ func (mf *MappedFile) collectiveFetch(group int, localErr bool) error {
 		comm.Send(lead+1+i, tagMappedData, reply)
 	}
 	if status != 0 {
-		if fetchErr != nil {
-			// The collector knows the root cause; members only see the
-			// status code (an error value cannot cross ranks), so only
-			// here can callers errors.Is the backend sentinel.
-			return fmt.Errorf("%w: %w", failErr(), fetchErr)
-		}
-		return failErr()
+		// The collector knows the root cause; members only see the status
+		// code (an error value cannot cross ranks), so only here can
+		// callers errors.Is the backend sentinel.
+		return withCause(failErr(), fetchErr)
 	}
 	for i, h := range mf.handles {
 		h.setCollRead(regions[i].stream)

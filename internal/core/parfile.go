@@ -194,8 +194,9 @@ func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Optio
 	physName := fileName(name, filenum)
 	var geos [][]int64
 	status := int64(0)
+	var cause error // the master's own failure behind a nonzero status
 	if mapErr != nil {
-		status = 4 // forwarded mapping failed validation at file 0's master
+		status, cause = 4, mapErr // forwarded mapping failed validation at file 0's master
 	}
 	if f.local == 0 {
 		h := &header{
@@ -218,10 +219,9 @@ func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Optio
 		}
 		var fh fsio.File
 		if status == 0 {
-			fh, err = fsys.Create(physName)
-			if err != nil {
+			if fh, cause = fsys.Create(physName); cause != nil {
 				status = 2
-			} else if _, werr := fh.WriteAt(h.encode(), 0); werr != nil {
+			} else if _, cause = fh.WriteAt(h.encode(), 0); cause != nil {
 				status = 3
 				fh.Close()
 			}
@@ -231,16 +231,18 @@ func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Optio
 			// being written, so it must be durable before any commit is; the
 			// sidecar must exist (with a durable header) before the scatter
 			// releases the other ranks to open it.
-			if serr := fh.Sync(); serr != nil {
-				status = 5
-				fh.Close()
-			} else if wfh, werr := createWM(fsys, name, filenum, lcomm.Size()); werr != nil {
+			var wfh fsio.File
+			if cause = fh.Sync(); cause == nil {
+				wfh, cause = createWM(fsys, name, filenum, lcomm.Size())
+			}
+			if cause != nil {
 				status = 5
 				fh.Close()
 			} else {
 				f.wm = newWMWriter(wfh, lcomm.Size())
 			}
 		}
+		geos = make([][]int64, lcomm.Size())
 		if status == 0 {
 			f.fh = fh
 			f.geo = newGeometry(h)
@@ -248,37 +250,21 @@ func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Optio
 			// table is known, so CollectorAuto is consistent across the
 			// group even with per-task chunk sizes.
 			group := int64(resolveCollectorGroup(o.CollectorGroup, lcomm.Size(), f.geo.stride, fsblk))
-			geos = make([][]int64, lcomm.Size())
 			for i := range geos {
-				geos[i] = []int64{
-					status,
-					f.geo.start,
-					f.geo.stride,
-					f.geo.aligned[i],
-					f.geo.prefix[i],
-					group,
-				}
+				geos[i] = []int64{status, f.geo.start, f.geo.stride, f.geo.aligned[i], f.geo.prefix[i], group}
 			}
 		} else {
-			geos = make([][]int64, lcomm.Size())
 			for i := range geos {
 				geos[i] = []int64{status, 0, 0, 0, 0, 0}
 			}
 		}
 	}
 	mine := lcomm.ScatterInt64Slice(0, geos)
-	if mine[0] != 0 {
-		if f.fh != nil {
-			f.fh.Close()
-		}
-		if f.wm != nil {
-			f.wm.close()
-			f.wm = nil
-		}
-		return nil, fmt.Errorf("sion: ParOpen %s for write failed (status %d; invalid chunk size or create error)", name, mine[0])
-	}
 	group := int(mine[5])
-	if f.local != 0 {
+	switch {
+	case mine[0] != 0:
+		err = withCause(fmt.Errorf("sion: ParOpen %s for write failed (status %d; invalid chunk size or create error)", name, mine[0]), cause)
+	case f.local != 0:
 		// Non-masters keep a single-entry geometry view (index 0); the
 		// master holds the full per-task table, in which its own chunk is
 		// also entry 0 (the master is always local rank 0).
@@ -293,29 +279,65 @@ func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Optio
 		// In collective mode only the collectors (group leads) touch the
 		// physical file; other members route everything through frames.
 		if group <= 1 || f.local%group == 0 {
-			fh, err := fsys.OpenRW(physName)
-			if err != nil {
-				return nil, fmt.Errorf("sion: ParOpen %s: opening physical file: %w", name, err)
-			}
-			f.fh = fh
-			if o.Watermarks {
-				// The master created the sidecar before the scatter, so it
-				// exists by the time any non-master gets here.
-				wfh, err := fsys.OpenRW(wmName(name, filenum))
-				if err != nil {
-					return nil, fmt.Errorf("sion: ParOpen %s: opening watermark sidecar: %w", name, err)
-				}
-				f.wm = newWMWriter(wfh, lcomm.Size())
-			}
+			err = f.openShared(physName, o.Watermarks)
 		}
 	}
-	f.blockBytes = []int64{0}
-	if err := f.enterBlock(0); err != nil {
+	if err == nil {
+		f.blockBytes = []int64{0}
+		err = f.enterBlock(0)
+	}
+
+	// Fail together: a rank whose step failed would leave the others
+	// blocked in Close's collectives, so every task learns of any failure
+	// here and closes what it opened. The failing task returns its cause.
+	failed := int64(0)
+	if err != nil {
+		failed = 1
+	}
+	if comm.AllreduceInt64(mpi.OpMax, failed) != 0 {
+		if f.wm != nil {
+			f.wm.close()
+		}
+		closeKeep(f.fh, nil)
+		if err == nil {
+			err = fmt.Errorf("sion: ParOpen %s for write failed on another task", name)
+		}
 		return nil, err
 	}
 	f.initCollective(group, o.AsyncCollective)
 	f.initStaging(o.BufferSize)
 	return f, nil
+}
+
+// withCause wraps cause, when this rank holds one, into err, the error of
+// a failure status the ranks share: a status code crosses ranks, an error
+// value does not, so only the rank that failed can return an error that
+// errors.Is traces to the cause.
+func withCause(err, cause error) error {
+	if cause == nil {
+		return err
+	}
+	return fmt.Errorf("%w: %w", err, cause)
+}
+
+// openShared opens a non-master's handles on the physical file the master
+// created, and on its watermark sidecar when commits are on.
+func (f *File) openShared(physName string, watermarks bool) error {
+	fh, err := f.fsys.OpenRW(physName)
+	if err != nil {
+		return fmt.Errorf("sion: ParOpen %s: opening physical file: %w", f.name, err)
+	}
+	f.fh = fh
+	if watermarks {
+		// The master created the sidecar before the scatter, so it exists
+		// by the time any non-master gets here.
+		wfh, err := f.fsys.OpenRW(wmName(f.name, f.filenum))
+		if err != nil {
+			return fmt.Errorf("sion: ParOpen %s: opening watermark sidecar: %w", f.name, err)
+		}
+		f.wm = newWMWriter(wfh, f.lcomm.Size())
+	}
+	return nil
 }
 
 // resolveCollectorGroup turns the CollectorGroup option into the effective

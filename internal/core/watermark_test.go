@@ -191,15 +191,13 @@ func TestWatermarkCrashRecovery(t *testing.T) {
 		fs := simfs.New(simfs.Jugene())
 		fs.SetVolatileWrites(true)
 		fl := simfs.NewFlaky(simfs.FlakyConfig{})
-		left := 3 + rng.Intn(220) // data writes and syncs before the writers die
+		left := 3 + rng.Intn(220) // the writers die at the left+1-th data write or sync
 		fl.SetRule(func(op simfs.FlakyOp) error {
-			if op.Op != "Sync" && (op.Op != "WriteAt" && op.Op != "WriteZeroAt" || op.Len == 0) {
-				return nil
+			if op.Op == "Sync" || op.Len > 0 && (op.Op == "WriteAt" || op.Op == "WriteZeroAt") {
+				if left--; left < 0 {
+					return errInjected
+				}
 			}
-			if left == 0 {
-				return errInjected
-			}
-			left--
 			return nil
 		})
 

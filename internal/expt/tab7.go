@@ -364,22 +364,6 @@ func tab7Reader(c, rc *mpi.Comm, fsA, fsB *simfs.FS, nw, nr, records int,
 	}
 }
 
-// tab7DieAfter is the rule of a writer that dies mid-operation: the
-// n+1-th data write or sync from now, across every rank, and every one
-// after it fails permanently.
-func tab7DieAfter(n int64) func(simfs.FlakyOp) error {
-	return func(op simfs.FlakyOp) error {
-		if op.Op != "Sync" && (op.Op != "WriteAt" && op.Op != "WriteZeroAt" || op.Len == 0) {
-			return nil
-		}
-		if n == 0 {
-			return fmt.Errorf("simfs: %s: injected %s failure", op.Name, op.Op)
-		}
-		n--
-		return nil
-	}
-}
-
 // tab7CrashPhase runs the injected-crash trials. Returns the number of
 // verified trials, how many had a sidecar commit record additionally
 // torn, how many ranks across all trials recovered to less than their
@@ -421,7 +405,15 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 			// each trial is a mid-stream crash, not a failed open.
 			c.Barrier()
 			if r == 0 {
-				fl.SetRule(tab7DieAfter(inject))
+				left := inject // the writers die at the inject+1-th data write or sync
+				fl.SetRule(func(op simfs.FlakyOp) error {
+					if op.Op == "Sync" || op.Len > 0 && (op.Op == "WriteAt" || op.Op == "WriteZeroAt") {
+						if left--; left < 0 {
+							return fmt.Errorf("simfs: %s: injected %s failure", op.Name, op.Op)
+						}
+					}
+					return nil
+				})
 			}
 			c.Barrier()
 			var total int64

@@ -1,32 +1,23 @@
 package simfs
 
-// Fault injection: one decorator for every failure a test or an experiment
-// injects into an fsio backend. The crash lab (SetVolatileWrites / Crash)
-// models a node losing its unsynced writes; Flaky models the parallel file
-// system *misbehaving* — the paper's premise at 10^5–10^6 ranks is that
-// sporadic EIO/EAGAIN, busy metadata servers, and latency spikes are normal
-// operating conditions the I/O layer must absorb, not surface to every
-// client at once — and a writer dying at an arbitrary call.
-//
-// Flaky is an fsio.FileSystem decorator, not an FS feature: one Flaky
-// instance carries all injection state and wraps any backend — a metered
-// simfs View, a serial nil-proc View, or the real OS file system in
-// property tests. Faults come from two sources:
-//
-//   - the seeded probabilities of FlakyConfig, whose failures wrap
-//     fsio.ErrTransient, so the classification contract documented on
-//     fsio.FileSystem holds and internal/resil retries exactly them;
-//   - a rule (SetRule), a function of the call (FlakyOp) whose error is
-//     injected as returned: transient or permanent, one call or every call
-//     after the n-th, on one file, one byte range or one kind of call.
+// Fault injection: Flaky is the one decorator tests and experiments fail
+// backend calls through. The crash lab (SetVolatileWrites / Crash) models
+// a node losing its unsynced writes; Flaky models the parallel file system
+// misbehaving under load — the paper's premise at 10^5–10^6 ranks is that
+// sporadic EIO/EAGAIN, busy metadata servers and latency spikes are normal
+// operating conditions — and calls failing outright. One instance carries
+// all injection state and wraps any backend (a metered simfs View, a
+// serial nil-proc View, the OS file system). Faults come from FlakyConfig's
+// seeded probabilities, which wrap fsio.ErrTransient so internal/resil
+// retries exactly them, and from a rule (SetRule): a function of the call
+// whose error is injected as returned, transient or permanent.
 //
 // Determinism: every probability decision is a pure function of the seed
 // and the global operation index (a splitmix64 stream), so a
 // single-threaded run — every simulation, every experiment — replays
-// bit-identically from its seed. Under real concurrency (e.g. wrapping the
-// OS file system in a property test) the decision stream is still seeded
-// but the assignment of decisions to operations follows the goroutine
-// schedule.
+// bit-identically from its seed. Under real concurrency the stream is
+// still seeded, but which operation gets which decision follows the
+// goroutine schedule.
 
 import (
 	"fmt"
@@ -34,6 +25,7 @@ import (
 	"sync"
 
 	"repro/internal/fsio"
+	"repro/internal/vtime"
 )
 
 // FlakyConfig parameterizes a Flaky fault model. Probabilities are per
@@ -61,16 +53,13 @@ type FlakyConfig struct {
 	LatencySecs float64
 }
 
-// FlakyOp is one call as a rule sees it.
+// FlakyOp is one call as a rule sees it: Op names it ("Create", "Open",
+// "OpenRW", "Stat", "Remove", "Size", "ReadAt", "ReadvAt",
+// "ReadDiscardAt", "WriteAt", "WriteZeroAt", "Truncate" or "Sync"), Name
+// is the file as path.Clean leaves it, and Off and Len are the byte range
+// of a read or write (Truncate: Off is the new size), zero otherwise.
 type FlakyOp struct {
-	// Op names the call: "Create", "Open", "OpenRW", "Stat", "Remove",
-	// "Size", "ReadAt", "ReadvAt", "ReadDiscardAt", "WriteAt",
-	// "WriteZeroAt", "Truncate" or "Sync".
-	Op string
-	// Name is the file, as path.Clean leaves it.
-	Name string
-	// Off and Len are the byte range of a read or write (Truncate: Off is
-	// the new size); zero for the other calls.
+	Op, Name string
 	Off, Len int64
 }
 
@@ -131,7 +120,22 @@ func (f *Flaky) Stats() FlakyStats {
 // spikes). Several Wraps may share one Flaky: they draw from the same
 // decision stream and consult the same rule.
 func (f *Flaky) Wrap(inner fsio.FileSystem, sleep func(seconds float64)) fsio.FileSystem {
-	return &flakyFS{f: f, inner: inner, sleep: sleep}
+	w := &flakyFS{f: f, inner: inner, sleep: sleep}
+	if _, ok := inner.(*View); ok {
+		return flakyView{w}
+	}
+	return w
+}
+
+// flakyView is a flakyFS over a simfs View that keeps its SpawnWorker, so
+// an async collector's background worker calls through the same model
+// (its spikes are counted, not slept).
+type flakyView struct{ *flakyFS }
+
+func (w flakyView) SpawnWorker(body func(fsio.FileSystem, *vtime.Proc)) *vtime.Proc {
+	return w.inner.(*View).SpawnWorker(func(fs fsio.FileSystem, p *vtime.Proc) {
+		body(w.f.Wrap(fs, nil), p)
+	})
 }
 
 // splitmix64 is the decision-stream generator (same constants as the
@@ -343,10 +347,9 @@ func (h *flakyFile) Size() (int64, error) {
 func (h *flakyFile) Close() error { return h.inner.Close() }
 
 // flakyVecFile is a flakyFile over a handle with a vectored read, which it
-// keeps visible (the fsio.File decorator rule): one decision per vector
-// call, as for one ReadAt. A handle without ReadvAt stays a flakyFile, so
-// fsio.ReadvAt's fallback reaches its ReadAt and the decision stream is
-// the same as before the forward existed.
+// keeps visible (the fsio.File decorator rule) with one decision per
+// vector call. A handle without ReadvAt stays a flakyFile: fsio.ReadvAt's
+// fallback then reaches its ReadAt, one decision either way.
 type flakyVecFile struct{ *flakyFile }
 
 func (h flakyVecFile) ReadvAt(bufs [][]byte, off int64) (int, error) {
