@@ -1,6 +1,7 @@
 package sion
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -155,8 +156,8 @@ type flusher interface {
 }
 
 // newFlusher picks the collector's flusher: inline in sync mode, a
-// goroutine in real mode, a vtime worker in simulated mode — inline again
-// when the simulated file system cannot host one.
+// goroutine in real mode, a vtime worker in simulated mode, whose file
+// system ParOpen has checked can host one (errNoWorker).
 func (f *File) newFlusher(async bool) flusher {
 	if !async {
 		return inlineFlusher{f}
@@ -164,10 +165,7 @@ func (f *File) newFlusher(async bool) flusher {
 	if f.lcomm.Proc() == nil {
 		return newGoFlusher(f)
 	}
-	if ws, ok := f.fsys.(workerSpawner); ok {
-		return newVtimeFlusher(f, ws)
-	}
-	return inlineFlusher{f}
+	return newVtimeFlusher(f, f.fsys.(workerSpawner))
 }
 
 // inlineFlusher applies each frame as it is put, on the collector.
@@ -197,11 +195,19 @@ func newGoFlusher(f *File) *goFlusher {
 func (g *goFlusher) put(fr collFrame) { g.frames <- fr }
 func (g *goFlusher) finish()          { close(g.frames); <-g.done }
 
-// workerSpawner is implemented by file systems (simfs views) that can
-// host a background worker with its own cost-accounting context.
+// workerSpawner is implemented by file systems (simfs views, and simfs's
+// decorators over one) that can host a background worker with its own
+// cost-accounting context.
 type workerSpawner interface {
 	SpawnWorker(func(fsio.FileSystem, *vtime.Proc)) *vtime.Proc
 }
+
+// errNoWorker fails a simulated AsyncCollective ParOpen on a collector
+// whose file system cannot host the flusher's worker: a decorator that
+// does not forward SpawnWorker (resil.Wrap, fsio.Instrument). Falling back
+// to the inline flusher would measure the synchronous collector under the
+// async one's name.
+var errNoWorker = errors.New("AsyncCollective under simulation needs a file system that can host the flusher's vtime worker (SpawnWorker)")
 
 // vtimeFlusher is goFlusher's simulated-mode analog: a vtime worker with
 // its own clock and its own handle on the physical file, so collector

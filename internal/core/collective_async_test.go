@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/resil"
 	"repro/internal/simfs"
 )
 
@@ -473,5 +474,64 @@ func TestCollectiveReadCollectorOpenFailureFailsMembers(t *testing.T) {
 		if errs[r] == nil {
 			t.Errorf("rank %d: ParOpen succeeded despite the collector's open failing", r)
 		}
+	}
+}
+
+// TestAsyncCollectiveWorkerThroughDecorators: under simulation an async
+// collector runs its flusher on a vtime worker through simfs's
+// decorators — through an object-store wrap it makes the mutating calls
+// it makes on the bare view — and a decorator that cannot host the worker
+// fails ParOpen on every rank, naming the condition, where the collector
+// used to fall back to flushing inline.
+func TestAsyncCollectiveWorkerThroughDecorators(t *testing.T) {
+	run := func(wrap func(c *mpi.Comm, v fsio.FileSystem) fsio.FileSystem) (errs [sweepRanks]error) {
+		err := sweepSim(simfs.New(simfs.Jugene()), nil, func(c *mpi.Comm, v fsio.FileSystem) {
+			f, err := ParOpen(c, wrap(c, v), "a.sion", WriteMode, &Options{
+				ChunkSize: 512, FSBlockSize: 256, NFiles: 1, BufferSize: BufferOff,
+				CollectorGroup: 2, AsyncCollective: true,
+			})
+			if errs[c.Rank()] = err; err != nil {
+				return
+			}
+			for i := 0; i < 4; i++ {
+				f.Write(sweepPayload(c.Rank(), i))
+			}
+			errs[c.Rank()] = f.Close()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return errs
+	}
+	// counted runs the workload with the mutating calls that reach wrap's
+	// file system counted, and returns the count.
+	counted := func(wrap func(c *mpi.Comm, v fsio.FileSystem) fsio.FileSystem) int {
+		fl := simfs.NewFlaky(simfs.FlakyConfig{})
+		r := &failKth{ops: sweepWriteOps}
+		fl.SetRule(r.rule)
+		for rank, err := range run(func(c *mpi.Comm, v fsio.FileSystem) fsio.FileSystem { return fl.Wrap(wrap(c, v), nil) }) {
+			if err != nil {
+				t.Fatalf("rank %d: %v", rank, err)
+			}
+		}
+		return r.n
+	}
+	bare := counted(func(_ *mpi.Comm, v fsio.FileSystem) fsio.FileSystem { return v })
+	obj := simfs.NewObjStore(simfs.StockObjProfile())
+	if got := counted(func(c *mpi.Comm, v fsio.FileSystem) fsio.FileSystem {
+		return obj.Wrap(v, func(s float64) { c.Advance(s) })
+	}); got != bare {
+		t.Errorf("through an object-store wrap the write made %d mutating calls, on the bare view %d", got, bare)
+	}
+
+	named := false
+	for rank, err := range run(func(_ *mpi.Comm, v fsio.FileSystem) fsio.FileSystem { return resil.Wrap(v, resil.Budget{}, nil) }) {
+		if err == nil {
+			t.Errorf("rank %d: ParOpen succeeded through resil.Wrap, which cannot host the flusher's worker", rank)
+		}
+		named = named || errors.Is(err, errNoWorker)
+	}
+	if !named {
+		t.Error("no rank's error names the missing worker host")
 	}
 }

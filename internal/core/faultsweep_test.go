@@ -224,6 +224,73 @@ func TestFaultSweepWrite(t *testing.T) {
 	}
 }
 
+// sweepSerialWrite runs the serial write workload on fs with the k-th
+// mutating call failing — Create for sweepRanks tasks; each task's first
+// block, then each task's second, then an append to each task's first
+// block, every write after a Seek; Close — and returns the mutating calls
+// made and the calls' errors, all on slot 0 of sweepCalls.
+func sweepSerialWrite(fs *simfs.FS, name string, o Options, k int) (n int, calls *sweepCalls, err error) {
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	r := &failKth{ops: sweepWriteOps, k: k}
+	fl.SetRule(r.rule)
+	calls = new(sweepCalls)
+	sizes := make([]int64, sweepRanks)
+	for i := range sizes {
+		sizes[i] = o.ChunkSize
+	}
+	sf, err := Create(fl.Wrap(fs.View(0, nil), nil), name, sizes, &o)
+	if calls.add(0, err) != nil {
+		return r.n, calls, nil
+	}
+	write := func(rank, block int, pos int64, p []byte) {
+		if calls.add(0, sf.Seek(rank, block, pos)) == nil {
+			_, err := sf.Write(p)
+			calls.add(0, err)
+		}
+	}
+	for block := 0; block < 2; block++ {
+		for rank := 0; rank < sweepRanks; rank++ {
+			write(rank, block, 0, sweepPayload(rank, block))
+		}
+	}
+	for rank := 0; rank < sweepRanks; rank++ {
+		write(rank, 0, int64(len(sweepPayload(rank, 0))), sweepPayload(rank, 2)[:100])
+	}
+	calls.add(0, sf.Close())
+	return r.n, calls, nil
+}
+
+// TestFaultSweepSerialWrite fails every mutating call of a serial Create,
+// its seeks and writes across two blocks and back, and its Close, one at
+// a time, unstaged (direct, NFiles 2, chunk headers) and staged.
+func TestFaultSweepSerialWrite(t *testing.T) {
+	for _, set := range []struct {
+		name string
+		opts Options
+	}{
+		{"direct", Options{}},
+		{"nfiles2", Options{NFiles: 2}},
+		{"headers", Options{ChunkHeaders: true}},
+		{"staged", Options{BufferSize: 256}},
+	} {
+		set := set
+		t.Run(set.name, func(t *testing.T) {
+			o := set.opts
+			o.ChunkSize, o.FSBlockSize = 512, 256
+			var fs *simfs.FS
+			var want []byte
+			sweepAll(t, func(k int) (int, *sweepCalls, error) {
+				fs = simfs.New(simfs.Jugene())
+				n, calls, err := sweepSerialWrite(fs, "s.sion", o, k)
+				if k == 0 {
+					want = sweepBytes(fs, "s.sion", o.NFiles)
+				}
+				return n, calls, err
+			}, func() bool { return bytes.Equal(sweepBytes(fs, "s.sion", o.NFiles), want) })
+		})
+	}
+}
+
 // sweepRead opens name for reading in one of the read modes, reads every
 // owned rank's stream in full and closes, with the k-th read-side call
 // failing; it returns the read-side calls made and the calls' errors. A

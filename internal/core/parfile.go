@@ -286,6 +286,11 @@ func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Optio
 		f.blockBytes = []int64{0}
 		err = f.enterBlock(0)
 	}
+	if err == nil && o.AsyncCollective && group > 1 && f.local%group == 0 && comm.Proc() != nil {
+		if _, ok := fsys.(workerSpawner); !ok {
+			err = fmt.Errorf("sion: ParOpen %s: %w (%T)", name, errNoWorker, fsys)
+		}
+	}
 
 	// Fail together: a rank whose step failed would leave the others
 	// blocked in Close's collectives, so every task learns of any failure

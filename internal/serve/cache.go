@@ -13,23 +13,30 @@ import (
 // partitions), so concurrent clients only contend when their blocks hash
 // to the same shard.
 //
-// The cache owns its memory: an entry and its frame are allocated when a
-// shard first needs them and recycled from then on, so the steady state
-// allocates nothing. A frame need not hold its whole block: an entry's
+// The cache owns its memory: an entry is allocated when a shard first
+// needs one and recycled from then on, and its frame is carved from a slab
+// (blockCache.frame), so the steady state allocates nothing. A slab is one allocation
+// of up to slabBytes, taken when the last one is used up, while the budget
+// has room; on Linux its 2 MiB-aligned interior is advised onto huge pages
+// (cache_linux.go), so a hit on a large resident set copies from memory
+// that one TLB entry per 2 MiB maps, as pread's copy from the kernel's
+// direct map does. A frame need not hold its whole block: an entry's
 // valid range [lo, hi) is what its fill read, and a lookup hits only
 // inside it. A block enters through acquire, which a reader that missed
 // calls once per block under one hold of the shard lock: it copies the
 // bytes out if they are resident by now, reports another reader's pending
 // entry for the block, or reserves a pending entry for the caller — it
-// evicts the LRU tail to make room and enters the slot just vacated in the
-// map, a frame the miss path reads the backend straight into and no lookup
+// evicts the LRU tail to make room and enters a vacated slot in the map,
+// a frame the miss path reads the backend straight into and no lookup
 // copies from. commit makes it resident, abort drops it, and both wake the
 // readers waiting for it. Because frames are rewritten, no resident frame
 // leaves this file: readers get bytes copied out (copyOut). The copy-out
 // runs outside the shard lock (under it, two readers meeting on a shard
-// cost serve-hot 9 %) with the entry pinned; a reservation that finds its
-// slot pinned leaves that frame to its readers. pin takes the pin without
-// the copy, for a reader that may not need it (fetch.go).
+// cost serve-hot 9 %) with the entry pinned; a reservation passes over a
+// vacated slot that is still pinned, which waits on the free list until
+// its readers are done, since its frame is part of a slab that cannot be
+// given back piecemeal. pin takes the pin without the copy, for a reader
+// that may not need it (fetch.go).
 //
 // A full shard admits by frequency (TinyLFU: Einziger et al., ACM ToS
 // 2017). From its first eviction on, a shard counts the hits and misses of
@@ -88,12 +95,24 @@ type blockCache struct {
 	shards   []cacheShard
 	mask     uint64
 	perShard int64 // byte budget per shard
+	budget   int64 // totalBytes: what the slabs may take
+
+	// slabMu guards the frame source: slab is the current slab's part not
+	// yet carved into frames, and taken counts the bytes of every slab and
+	// of every frame allocated past the budget.
+	slabMu sync.Mutex
+	slab   []byte
+	taken  int64
 }
+
+// slabBytes is the most one slab takes: four 2 MiB huge pages, of which
+// at least three are whole wherever the slab lands.
+const slabBytes = 8 << 20
 
 // newBlockCache builds a cache of totalBytes split over nshards shards
 // (rounded up to a power of two). The caller guarantees the per-shard
-// budget holds at least one block. Frames appear as blocks do: nothing
-// proportional to the budget is allocated here.
+// budget holds at least one block. Slabs are taken as blocks arrive:
+// nothing proportional to the budget is allocated here.
 func newBlockCache(totalBytes int64, nshards int) *blockCache {
 	n := 1
 	for n < nshards {
@@ -103,6 +122,7 @@ func newBlockCache(totalBytes int64, nshards int) *blockCache {
 		shards:   make([]cacheShard, n),
 		mask:     uint64(n - 1),
 		perShard: totalBytes / int64(n),
+		budget:   totalBytes,
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -143,7 +163,7 @@ func (s *cacheShard) link(e, at *cacheEntry) {
 }
 
 // vacate drops resident entry e and keeps the slot and its frame for the
-// next insertion.
+// next insertion that finds it unpinned.
 func (s *cacheShard) vacate(e *cacheEntry) {
 	e.unlink()
 	delete(s.items, e.key)
@@ -332,7 +352,9 @@ var poisonRecycled = func([]byte) {}
 // (evictions count on the shard's instrument) — charges the shard for it,
 // and enters a pending entry for k in the map in place of any resident
 // copy. The entry's frame e.data (n bytes of stale contents, valid range
-// the whole block) is the caller's to fill.
+// the whole block) is the caller's to fill. The entry is the first vacated
+// slot whose frame holds n bytes and that no reader pins; only if there is
+// none does the shard take a new slot and frame.
 func (c *blockCache) reserve(s *cacheShard, k blockKey, n int64) *cacheEntry {
 	if old, ok := s.items[k]; ok {
 		s.vacate(old)
@@ -341,24 +363,55 @@ func (c *blockCache) reserve(s *cacheShard, k blockKey, n int64) *cacheEntry {
 		s.vacate(s.lru.prev)
 		count(s.evictions)
 	}
-	e := s.free
+	e := s.takeFree(n)
 	if e != nil {
-		s.free = e.next
-	} else {
-		e = new(cacheEntry)
-	}
-	e.key, e.next, e.pending, e.cold, e.lo, e.hi = k, nil, true, false, 0, n
-	if e.readers.Load() != 0 || int64(cap(e.data)) < n {
-		// A new slot, or one whose frame a copyOut still reads: that
-		// frame is theirs now.
-		e.data = make([]byte, n)
-	} else {
 		e.data = e.data[:n]
 		poisonRecycled(e.data)
+	} else {
+		e = &cacheEntry{data: c.frame(n)}
 	}
+	e.key, e.next, e.pending, e.cold, e.lo, e.hi = k, nil, true, false, 0, n
 	s.bytes += n
 	s.items[k] = e
 	return e
+}
+
+// takeFree unlinks and returns the first free slot of s whose frame holds n
+// bytes and that no copy-out reads, or nil if there is none. Pins are taken
+// under the shard lock the caller holds, and only on resident entries, so
+// a free slot seen unpinned stays so.
+func (s *cacheShard) takeFree(n int64) *cacheEntry {
+	for at := &s.free; *at != nil; at = &(*at).next {
+		if e := *at; e.readers.Load() == 0 && int64(cap(e.data)) >= n {
+			*at = e.next
+			return e
+		}
+	}
+	return nil
+}
+
+// frame carves a new n-byte frame from the current slab, first taking a
+// new slab of min(slabBytes, the budget not yet taken) in whole frames if
+// the current one is used up. Past the budget — reservations overrunning a
+// shard, or a shard whose vacated slots are all pinned — the frame is an
+// allocation of its own. Each frame is a full slice expression, so no
+// append or fuse (fetch.go) reaches from one frame into the next.
+func (c *blockCache) frame(n int64) []byte {
+	c.slabMu.Lock()
+	defer c.slabMu.Unlock()
+	if int64(len(c.slab)) < n {
+		size := min(slabBytes, c.budget-c.taken) / n * n
+		if size <= 0 {
+			c.taken += n
+			return make([]byte, n)
+		}
+		c.slab = make([]byte, size)
+		adviseHugePages(c.slab)
+		c.taken += size
+	}
+	f := c.slab[:n:n]
+	c.slab = c.slab[n:]
+	return f
 }
 
 // commit makes a filled pending entry resident, with no map operation —

@@ -216,6 +216,38 @@ func TestReservationLifecycle(t *testing.T) {
 	}
 }
 
+// TestPinnedSlotIsNotReused: a copy-out pinned on a block that is then
+// evicted, while its shard reserves again and again, still reads the
+// block's bytes — no reservation takes the pinned slot, and race builds
+// poison every frame a reservation recycles — and once the pin is gone the
+// slot is reused: the shard takes no new frame.
+func TestPinnedSlotIsNotReused(t *testing.T) {
+	c := newBlockCache(40, 1) // four 10-byte blocks, one slab
+	insert(c, blockKey{0, 0}, []byte("block-0000"))
+	e, src := c.pin(0, blockKey{0, 0}, make([]byte, 10), 0)
+	if e == nil {
+		t.Fatal("block 0 is not resident")
+	}
+	fill := func(from, to int64) {
+		for b := from; b < to; b++ {
+			insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
+		}
+	}
+	fill(1, 13) // the fourth evicts block 0; each later one recycles a slot
+	if _, ok := lookup(c, blockKey{0, 0}, 10); ok {
+		t.Fatal("block 0 is still resident")
+	}
+	if got := string(src[:10]); got != "block-0000" {
+		t.Fatalf("a pinned copy of block 0 reads %q after its slot was vacated and the shard reserved 12 times", got)
+	}
+	e.unpin()
+	taken := c.taken
+	fill(13, 25)
+	if c.taken != taken {
+		t.Fatalf("the cache took %d bytes of frames after the pin was released, %d before", c.taken, taken)
+	}
+}
+
 // TestCommitTrimsLikeBlockByBlockInsertion: one request reserving more of a
 // shard than it holds runs it over budget until its commits, which leave the
 // resident set, LRU order and eviction count that inserting the blocks one

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The block cache checked against a model, one operation at a time. The
@@ -21,7 +23,10 @@ import (
 // pattern unique to its key, fill and offset, so a hit that copies a stale,
 // recycled or uncovered byte shows. A reservation may be capped, as at a
 // live frontier (tail.go): no fill may reach past the cap in force when it
-// was reserved. And a reader parked on a pending entry must wake when the
+// was reserved. Frames are checked as memory: no two slots' frames
+// overlap, a shard takes a new frame only when every vacated slot is
+// pinned, and past its budget the cache takes no more than those extra
+// slots hold. And a reader parked on a pending entry must wake when the
 // entry is aborted, which the harness checks on a real parked goroutine.
 
 // fuzzFSBlock and fuzzBlock are the model cache's geometry: an FS block
@@ -46,6 +51,7 @@ type modelShard struct {
 	freq                  freqSketch // the accesses the model records, in the shard's sketch type
 	evictions, readAround int64
 	outstanding           int // reservations not yet committed or aborted
+	peakSlots             int // the most slots the shard needed at once: its blocks and its pinned vacated slots
 }
 
 // cacheModel drives a real blockCache and its model side by side.
@@ -356,6 +362,64 @@ func (m *cacheModel) check(op string) {
 	}
 	if m.gotHits != m.hits || m.gotMisses != m.misses {
 		m.t.Fatalf("after %s: %d hits and %d misses, model %d and %d", op, m.gotHits, m.gotMisses, m.hits, m.misses)
+	}
+	m.checkFrames(op)
+}
+
+// checkFrames checks the cache's frames as memory. Every slot's frame —
+// resident, pending or vacated — is disjoint from every other's, and each
+// pin reads inside its slot's frame. A shard has exactly as many slots as
+// it ever needed at once, counting its blocks and its vacated slots still
+// pinned: it took no frame while a vacated one was free to reuse. And the
+// cache took no more memory than its budget and the frames of the slots a
+// shard holds beyond its own budget, which only pins and reservations
+// overrunning the shard call for.
+func (m *cacheModel) checkFrames(op string) {
+	type frame struct {
+		lo, hi uintptr
+		e      *cacheEntry
+	}
+	var frames []frame
+	add := func(e *cacheEntry) {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(e.data)))
+		frames = append(frames, frame{lo, lo + uintptr(cap(e.data)), e})
+	}
+	over := int64(0)
+	for i := range m.c.shards {
+		s, ms := &m.c.shards[i], &m.shards[i]
+		slots, needed := len(s.items), len(s.items)
+		for _, e := range s.items {
+			add(e)
+		}
+		for e := s.free; e != nil; e = e.next {
+			add(e)
+			slots++
+			if e.readers.Load() != 0 {
+				needed++
+			}
+		}
+		ms.peakSlots = max(ms.peakSlots, needed)
+		if slots != ms.peakSlots {
+			m.t.Fatalf("after %s: shard %d has %d slots, but needed at most %d at once", op, i, slots, ms.peakSlots)
+		}
+		over += max(0, int64(slots)*fuzzBlock-m.c.perShard)
+	}
+	slices.SortFunc(frames, func(a, b frame) int { return cmp.Compare(a.lo, b.lo) })
+	for x := 1; x < len(frames); x++ {
+		if a, b := frames[x-1], frames[x]; a.hi > b.lo {
+			m.t.Fatalf("after %s: the frames of %v and %v overlap", op, a.e.key, b.e.key)
+		}
+	}
+	for _, p := range m.pins {
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(p.frame)))
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(p.e.data)))
+		if at < lo || at+uintptr(len(p.frame)) > lo+uintptr(cap(p.e.data)) {
+			m.t.Fatalf("after %s: a pin of %v reads outside its slot's frame", op, p.e.key)
+		}
+	}
+	if m.c.taken > m.c.budget+over {
+		m.t.Fatalf("after %s: the cache took %d bytes of frames, budget %d, slots past their shards' budgets %d",
+			op, m.c.taken, m.c.budget, over)
 	}
 }
 

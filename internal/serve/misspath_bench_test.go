@@ -23,18 +23,22 @@ import (
 //     ckpt-large shape (…/large/…), through one server and through a
 //     3-node cluster splitting that cache (…/large/cluster). Their misses
 //     bracket resident blocks, which a span reads into the window with
-//     them.
+//     them;
+//   - 64 B–4 KiB windows over a 32 MiB file the cache holds whole, the
+//     ladder's ckpt-small shape (…/resident/…): every lookup hits, and
+//     the windows are spread over more memory than the TLB maps in small
+//     pages, so the case shows what the page size of the cache's frames
+//     costs a hit.
 //
 // Each serving case reports, counted over the timed requests, the cache's
 // work per block lookup, the backend bytes moved per byte served, and the
 // vectors per backend read (1 = every span one plain read into the
-// caller's buffer).
+// caller's buffer; not reported where nothing is read).
 func BenchmarkMissPath(b *testing.B) {
 	vfs := &serve.VecFS{FileSystem: fsio.NewOS(b.TempDir())}
-	raw := serve.WriteOneFile(b, vfs, "m.sion", 16, 512<<10, 4096)
-	size := int64(len(raw))
+	size := int64(len(serve.WriteOneFile(b, vfs, "m.sion", 16, 512<<10, 4096)))
 	type request struct{ off, n int64 }
-	requests := func(lo, hi int64) []request {
+	requests := func(size, lo, hi int64) []request {
 		rng := rand.New(rand.NewSource(36))
 		reqs := make([]request, 4096)
 		for i := range reqs {
@@ -79,10 +83,12 @@ func BenchmarkMissPath(b *testing.B) {
 		b.ReportMetric(float64(st.Evictions-before.Evictions)/lookups, "evictions/lookup")
 		b.ReportMetric(float64(st.Hits-before.Hits)/lookups, "hit")
 		b.ReportMetric(float64(st.BackendBytes-before.BackendBytes)/float64(st.ServedBytes-before.ServedBytes), "backend-bytes/served")
-		b.ReportMetric(float64(vfs.Vecs.Load()-vecs)/float64(vfs.Reads.Load()-reads), "vectors/read")
+		if r := vfs.Reads.Load() - reads; r > 0 {
+			b.ReportMetric(float64(vfs.Vecs.Load()-vecs)/float64(r), "vectors/read")
+		}
 	}
-	preadCase := func(b *testing.B, reqs []request, hi int64) {
-		fh, err := vfs.FileSystem.Open("m.sion")
+	preadCase := func(b *testing.B, name string, reqs []request, hi int64) {
+		fh, err := vfs.FileSystem.Open(name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +101,7 @@ func BenchmarkMissPath(b *testing.B) {
 	}
 
 	const smallHi = 64 << 10
-	small := requests(4<<10, smallHi)
+	small := requests(size, 4<<10, smallHi)
 	b.Run("serve", func(b *testing.B) {
 		s, err := serve.New(vfs, "m.sion", &serve.Config{CacheBytes: size / 8})
 		if err != nil {
@@ -104,10 +110,10 @@ func BenchmarkMissPath(b *testing.B) {
 		defer s.Close()
 		serveCase(b, small, smallHi, func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }, s.Stats)
 	})
-	b.Run("pread", func(b *testing.B) { preadCase(b, small, smallHi) })
+	b.Run("pread", func(b *testing.B) { preadCase(b, "m.sion", small, smallHi) })
 
 	const largeHi = 1 << 20
-	large := requests(256<<10, largeHi)
+	large := requests(size, 256<<10, largeHi)
 	b.Run("large/serve", func(b *testing.B) {
 		s, err := serve.New(vfs, "m.sion", &serve.Config{CacheBytes: size / 4})
 		if err != nil {
@@ -128,5 +134,25 @@ func BenchmarkMissPath(b *testing.B) {
 		serveCase(b, large, largeHi, func(p []byte, off int64) error { return cl.ReadFileAt(0, p, off, nil) },
 			func() serve.Stats { return cl.Stats().Serve })
 	})
-	b.Run("large/pread", func(b *testing.B) { preadCase(b, large, largeHi) })
+	b.Run("large/pread", func(b *testing.B) { preadCase(b, "m.sion", large, largeHi) })
+
+	const residentHi = 4 << 10
+	rsize := int64(len(serve.WriteOneFile(b, vfs, "r.sion", 16, 2<<20, 4096)))
+	resident := requests(rsize, 64, residentHi)
+	b.Run("resident/serve", func(b *testing.B) {
+		s, err := serve.New(vfs, "r.sion", &serve.Config{CacheBytes: 2 * rsize})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		read := func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }
+		p := make([]byte, 1<<20)
+		for off := int64(0); off < rsize; off += int64(len(p)) {
+			if err := read(p[:min(int64(len(p)), rsize-off)], off); err != nil {
+				b.Fatal(err)
+			}
+		}
+		serveCase(b, resident, residentHi, read, s.Stats)
+	})
+	b.Run("resident/pread", func(b *testing.B) { preadCase(b, "r.sion", resident, residentHi) })
 }

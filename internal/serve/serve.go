@@ -17,8 +17,12 @@
 //     POSIX's 4 KiB blocks a 64 KiB hit is 4 lookups, not 16. Shards are
 //     a power of two, each with its own lock and LRU list, under one byte
 //     budget split evenly across shards. Frames are
-//     allocated as blocks arrive and recycled on eviction; hits are copied
-//     out, never lent, so nothing outside the cache ever aliases a
+//     carved from slabs of up to 8 MiB, taken as blocks arrive while the
+//     budget has room and advised onto 2 MiB huge pages on Linux, so a hit
+//     on a large resident set copies from huge pages, as the pread it
+//     stands in for does; frames are recycled on eviction, but a vacated
+//     frame a copy-out still reads waits until it is done. Hits are
+//     copied out, never lent, so nothing outside the cache ever aliases a
 //     resident frame. A full shard admits by frequency (TinyLFU): a
 //     missed block of a window of at least an FS block is admitted only if
 //     the shard was asked for it more often than for its LRU tail, and

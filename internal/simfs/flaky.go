@@ -121,19 +121,25 @@ func (f *Flaky) Stats() FlakyStats {
 // decision stream and consult the same rule.
 func (f *Flaky) Wrap(inner fsio.FileSystem, sleep func(seconds float64)) fsio.FileSystem {
 	w := &flakyFS{f: f, inner: inner, sleep: sleep}
-	if _, ok := inner.(*View); ok {
+	if _, ok := inner.(spawner); ok {
 		return flakyView{w}
 	}
 	return w
 }
 
-// flakyView is a flakyFS over a simfs View that keeps its SpawnWorker, so
-// an async collector's background worker calls through the same model
-// (its spikes are counted, not slept).
+// spawner is a file system that can host a background worker: a View, or
+// a decorator of this package over one.
+type spawner interface {
+	SpawnWorker(body func(fsio.FileSystem, *vtime.Proc)) *vtime.Proc
+}
+
+// flakyView is a flakyFS over a file system that can host a background
+// worker and keeps its SpawnWorker, so an async collector's background
+// worker calls through the same model (its spikes are counted, not slept).
 type flakyView struct{ *flakyFS }
 
 func (w flakyView) SpawnWorker(body func(fsio.FileSystem, *vtime.Proc)) *vtime.Proc {
-	return w.inner.(*View).SpawnWorker(func(fs fsio.FileSystem, p *vtime.Proc) {
+	return w.inner.(spawner).SpawnWorker(func(fs fsio.FileSystem, p *vtime.Proc) {
 		body(w.f.Wrap(fs, nil), p)
 	})
 }

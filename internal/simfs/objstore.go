@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"repro/internal/fsio"
+	"repro/internal/vtime"
 )
 
 // ObjProfile parameterizes the simulated object store's request
@@ -151,9 +152,30 @@ func (o *ObjStore) Stats() ObjStats {
 // pass-through decorators, the wrap is a backend in its own right: it
 // reports its own capabilities and deliberately does NOT expose Unwrap
 // (optional interfaces of the inner backend describe semantics this
-// layer replaces).
+// layer replaces). The one it keeps is a View's SpawnWorker, which is not
+// a backend semantic but where an async collector's flusher runs.
 func (o *ObjStore) Wrap(inner fsio.FileSystem, sleep func(seconds float64)) fsio.FileSystem {
-	return &objFS{o: o, inner: inner, sleep: sleep}
+	w := &objFS{o: o, inner: inner, sleep: sleep}
+	if _, ok := inner.(spawner); ok {
+		return objView{w}
+	}
+	return w
+}
+
+// objView is an objFS over a file system that can host a background
+// worker and keeps its SpawnWorker: an async collector's worker makes its
+// requests through the same store, and when the wrap delivers latency they
+// advance the worker's own clock.
+type objView struct{ *objFS }
+
+func (w objView) SpawnWorker(body func(fsio.FileSystem, *vtime.Proc)) *vtime.Proc {
+	return w.inner.(spawner).SpawnWorker(func(fs fsio.FileSystem, p *vtime.Proc) {
+		var sleep func(float64)
+		if w.sleep != nil {
+			sleep = p.Advance
+		}
+		body(w.o.Wrap(fs, sleep), p)
+	})
 }
 
 // charge bills n requests of the given ledger field and sleeps the
