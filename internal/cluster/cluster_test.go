@@ -32,7 +32,7 @@ func testPayload(rank, size int) []byte {
 	return out
 }
 
-// The test multifile: 4 KiB FS blocks (so 16 KiB default cache blocks, 16
+// The test multifile: 4 KiB FS blocks (so 32 KiB default cache blocks, 8
 // to a granule) and 256 KiB chunks, ~2.3 chunks per task, so that a
 // handful of tasks already spread over a dozen granules per physical file
 // — placement, remapping and failover then have something to act on.

@@ -70,17 +70,13 @@ func (o *OS) Remove(name string) error { return mapOSErr(os.Remove(o.path(name))
 // mirroring SIONlib's fstat-based block-size autodetection. Because the
 // stat targets the directory, the call works identically whether or not
 // name itself exists yet (the common case: sizing a multifile about to
-// be created); a missing directory falls back to 4096.
+// be created); a missing directory, or a platform without st_blksize
+// (osfs_other.go), falls back to 4096.
 func (o *OS) BlockSize(name string) int64 {
-	dir := filepath.Dir(o.path(name))
-	var st syscall.Stat_t
-	if err := syscall.Stat(dir, &st); err != nil {
-		return 4096
+	if n := dirBlockSize(filepath.Dir(o.path(name))); n > 0 {
+		return n
 	}
-	if st.Blksize <= 0 {
-		return 4096
-	}
-	return int64(st.Blksize)
+	return 4096
 }
 
 func mapOSErr(err error) error {

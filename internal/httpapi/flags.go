@@ -12,7 +12,7 @@ import (
 type Flags struct {
 	Addr    string // -addr
 	CacheMB int64  // -cache-mb
-	Block   int64  // -block (0 = serve's default: the FS block rounded up to at least 16 KiB)
+	Block   int64  // -block (0 = serve's default: the FS block rounded up to at least 32 KiB)
 	Retries int    // -retries
 	Pprof   bool   // -pprof
 	SlowMs  int64  // -slow-ms
@@ -24,7 +24,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fl := new(Flags)
 	fs.StringVar(&fl.Addr, "addr", ":8080", "listen address")
 	fs.Int64Var(&fl.CacheMB, "cache-mb", 64, "block cache budget of one serve node in MiB")
-	fs.Int64Var(&fl.Block, "block", 0, "cache block size in bytes (0 = the smallest multiple of the multifile's FS block that is at least 16 KiB)")
+	fs.Int64Var(&fl.Block, "block", 0, "cache block size in bytes (0 = the smallest multiple of the multifile's FS block that is at least 32 KiB)")
 	fs.IntVar(&fl.Retries, "retries", resil.DefaultMaxAttempts,
 		"max attempts per backend read under transient faults (1 disables retries)")
 	fs.BoolVar(&fl.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")

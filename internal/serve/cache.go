@@ -21,9 +21,11 @@ import (
 // (cache_linux.go), so a hit on a large resident set copies from memory
 // that one TLB entry per 2 MiB maps, as pread's copy from the kernel's
 // direct map does. A frame need not hold its whole block: an entry's
-// valid range [lo, hi) is what its fill read, and a lookup hits only
-// inside it. A block enters through acquire, which a reader that missed
-// calls once per block under one hold of the shard lock: it copies the
+// valid range [lo, hi) is what its fills read, and a lookup hits only
+// inside it; a re-fill extends the range, carrying the resident bytes
+// over from the old frame, which it pins meanwhile. A block enters
+// through acquire, which a reader that missed calls once per block under
+// one hold of the shard lock: it copies the
 // bytes out if they are resident by now, reports another reader's pending
 // entry for the block, or reserves a pending entry for the caller — it
 // evicts the LRU tail to make room and enters a vacated slot in the map,
@@ -256,30 +258,47 @@ const (
 	claimAround              // declined by a full shard: the caller reads the block into dst itself
 )
 
+// edge marks an end of a block that the reader's window runs past. A span
+// (fetch.go) joins the reads of consecutive blocks end to end, so only a
+// span's first block may start late and only its last may end early: a
+// read must reach each end of its block that the window runs past.
+type edge uint8
+
+const (
+	edgeLo edge = 1 << iota // the window starts in an earlier block
+	edgeHi                  // the window ends in a later block
+)
+
 // acquire settles block k for a reader that missed it and wants its bytes
 // [from, from+len(dst)), under one hold of the shard lock. It copies them
 // out if they are resident by now; returns claimWait if another reader's
-// pending entry holds the block; returns claimAround if the reader may read
-// around the cache (around: its window is at least an FS block) and the
-// shard, which would have to evict, has been asked for the block no more
-// often than for its LRU tail; and otherwise reserves a pending
-// n-byte entry for the caller to fill, whose valid range is [lo, hi) — or
-// [0, top) if a partial copy was resident, so that a block costs at most
-// two backend reads. top (≤ n, ≥ hi) caps every fill: it is where the
-// block's committed bytes end (n but at a live frontier, tail.go).
-func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64, around bool) (*cacheEntry, claim) {
+// pending entry holds the block; returns claimAround, with dst as the
+// fill, if the reader may read around the cache (around: its window is at
+// least an FS block) and the shard, which would have to evict, has been
+// asked for the block no more often than for its LRU tail; and otherwise
+// reserves a pending n-byte entry for the caller and returns the part of
+// its frame the caller's backend read fills.
+//
+// A first miss's entry holds [lo, hi), the FS blocks of the window, and
+// the read fills all of it. A re-fill — a resident copy holds [olo, ohi)
+// but not the window — takes the hull of the two, and the old bytes are
+// carried over: acquire pins the old frame, copies them across once the
+// lock is released, and the read fills only the rest. Where the old range
+// lies inside the hull, or at an end the read must reach (edges), the read
+// fills the whole hull and nothing is carried. top (≤ n, ≥ hi) caps every
+// valid range: it is where the block's committed bytes end (n but at a
+// live frontier, tail.go).
+func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64, edges edge, around bool) (fill, claim) {
 	s := c.shard(k)
 	s.mu.Lock()
-	e, ok := s.items[k]
+	old, ok := s.items[k]
 	switch {
-	case ok && e.pending:
+	case ok && old.pending:
 		s.mu.Unlock()
-		return nil, claimWait
-	case ok && e.covers(dst, from):
-		s.hit(e, dst, from)
-		return nil, claimHit
-	case ok:
-		lo, hi = 0, top
+		return fill{}, claimWait
+	case ok && old.covers(dst, from):
+		s.hit(old, dst, from)
+		return fill{}, claimHit
 	}
 	full := s.bytes+n > c.perShard
 	if full && s.freq.count == nil {
@@ -290,12 +309,35 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64,
 	if tail := s.lru.prev; cold && tail != &s.lru && s.freq.est(k) <= s.freq.est(tail.key) {
 		s.mu.Unlock()
 		count(s.readAround)
-		return nil, claimAround
+		return fill{nil, dst, from}, claimAround
 	}
-	e = c.reserve(s, k, n)
+	rlo, rhi := lo, hi // what the read fills
+	var carried *cacheEntry
+	var olo, ohi int64 // what a resident copy holds below top
+	if ok {
+		olo, ohi = old.lo, min(old.hi, top)
+	}
+	if olo < ohi {
+		lo, hi = min(lo, olo), max(hi, ohi)
+		rlo, rhi = lo, hi
+		switch {
+		case olo == lo && edges&edgeLo == 0:
+			rlo, carried = ohi, old
+		case ohi == hi && edges&edgeHi == 0:
+			rhi, carried = olo, old
+		}
+	}
+	if carried != nil {
+		carried.readers.Add(1) // reserve passes over the pinned slot
+	}
+	e := c.reserve(s, k, n)
 	e.lo, e.hi, e.cold = lo, hi, cold
 	s.mu.Unlock()
-	return e, claimMine
+	if carried != nil {
+		copy(e.data[olo:ohi], carried.data[olo:ohi])
+		carried.unpin()
+	}
+	return fill{e, e.data[rlo:rhi], rlo}, claimMine
 }
 
 // freqSketch counts how often a shard was asked for each key: counters

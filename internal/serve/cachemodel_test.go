@@ -21,7 +21,11 @@ import (
 // the accesses the model says a shard records predicts each admission, and
 // must equal the shard's own. Bytes are versioned: each fill writes a
 // pattern unique to its key, fill and offset, so a hit that copies a stale,
-// recycled or uncovered byte shows. A reservation may be capped, as at a
+// recycled or uncovered byte shows. A re-fill of a partly resident block
+// must read exactly what the old copy lacks of the hull of the two ranges —
+// all of the hull where that is not one range reaching every end of the
+// block the window runs past — and carry the old bytes over, which are
+// checked as soon as it is reserved. A reservation may be capped, as at a
 // live frontier (tail.go): no fill may reach past the cap in force when it
 // was reserved. Frames are checked as memory: no two slots' frames
 // overlap, a shard takes a new frame only when every vacated slot is
@@ -41,7 +45,7 @@ func pattern(k blockKey, v int, i int64) byte {
 type modelEntry struct {
 	pending, cold bool // cold: admitted by frequency, not hit since
 	lo, hi        int64
-	fill          int // the fill whose bytes the frame holds (resident)
+	fill          [fuzzBlock]int // per byte, the fill whose bytes the frame holds
 }
 
 type modelShard struct {
@@ -50,8 +54,9 @@ type modelShard struct {
 	bytes                 int64
 	freq                  freqSketch // the accesses the model records, in the shard's sketch type
 	evictions, readAround int64
-	outstanding           int // reservations not yet committed or aborted
-	peakSlots             int // the most slots the shard needed at once: its blocks and its pinned vacated slots
+	outstanding           int         // reservations not yet committed or aborted
+	peakSlots             int         // the most slots the shard needed at once: its blocks and its pinned vacated slots
+	carried               *cacheEntry // the slot the last acquire carried bytes from, pinned while it reserved
 }
 
 // cacheModel drives a real blockCache and its model side by side.
@@ -59,7 +64,7 @@ type cacheModel struct {
 	t            *testing.T
 	c            *blockCache
 	shards       []modelShard
-	held         []*cacheEntry // reservations the harness holds
+	held         []fill // reservations the harness holds
 	fills        int
 	hits, misses int64 // predicted by the model
 	gotHits      int64 // claimHit and copyOut hits of the real cache
@@ -111,8 +116,9 @@ func (ms *modelShard) evictTail() {
 func (m *cacheModel) hit(ms *modelShard, k blockKey, dst []byte, from int64) {
 	me := ms.entries[k]
 	for i := range dst {
-		if want := pattern(k, me.fill, from+int64(i)); dst[i] != want {
-			m.t.Fatalf("hit of %v at %d+%d: byte %d is %#x, fill %d wrote %#x", k, from, len(dst), i, dst[i], me.fill, want)
+		v := me.fill[from+int64(i)]
+		if want := pattern(k, v, from+int64(i)); dst[i] != want {
+			m.t.Fatalf("hit of %v at %d+%d: byte %d is %#x, fill %d wrote %#x", k, from, len(dst), i, dst[i], v, want)
 		}
 	}
 	ms.freq.record(k)
@@ -126,13 +132,15 @@ func covers(me *modelEntry, from, n int64) bool {
 }
 
 // acquire runs one acquire, whose fills the block's committed end top caps,
-// and checks its claim against the model's.
-func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
-	_, ms := m.shard(k)
+// for a window that runs past the ends of the block edges names, and checks
+// its claim, and the entry and read of a miss, against the model's.
+func (m *cacheModel) acquire(k blockKey, from, n, top int64, edges edge, around bool) {
+	s, ms := m.shard(k)
 	lo := from / fuzzFSBlock * fuzzFSBlock
 	hi := min((from+n+fuzzFSBlock-1)/fuzzFSBlock*fuzzFSBlock, top)
 	dst := make([]byte, n)
-	e, got := m.c.acquire(k, dst, from, lo, hi, top, fuzzBlock, around)
+	old := s.items[k]
+	f, got := m.c.acquire(k, dst, from, lo, hi, top, fuzzBlock, edges, around)
 
 	want := claimMine
 	me, ok := ms.entries[k]
@@ -154,8 +162,27 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
 		return
 	}
 	m.misses++
-	if ok {
-		lo, hi = 0, top
+	// A re-fill keeps the hull of the old range (capped at top) and the
+	// window's. Its read fills what the old copy lacks of the hull if that
+	// is one range reaching every end the window runs past; else the hull.
+	next := modelEntry{pending: true, lo: lo, hi: hi}
+	rlo, rhi := lo, hi
+	if ok && me.lo < min(me.hi, top) {
+		olo, ohi := me.lo, min(me.hi, top)
+		next.lo, next.hi = min(lo, olo), max(hi, ohi)
+		rlo, rhi = next.lo, next.hi
+		switch {
+		case olo == next.lo:
+			rlo = ohi
+		case ohi == next.hi:
+			rhi = olo
+		}
+		if edges&edgeLo != 0 && rlo != 0 || edges&edgeHi != 0 && rhi != fuzzBlock {
+			rlo, rhi = next.lo, next.hi
+		}
+		if rlo >= ohi || rhi <= olo {
+			copy(next.fill[olo:ohi], me.fill[olo:ohi])
+		}
 	}
 	full := ms.bytes+fuzzBlock > m.c.perShard
 	if full && ms.freq.count == nil {
@@ -182,22 +209,37 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
 	for ms.bytes+fuzzBlock > m.c.perShard && len(ms.lru) > 0 {
 		ms.evictTail()
 	}
-	ms.entries[k] = &modelEntry{pending: true, cold: cold, lo: lo, hi: hi}
+	next.cold = cold
+	ms.entries[k] = &next
 	ms.bytes += fuzzBlock
 	ms.outstanding++
-	if e.hi > top {
-		m.t.Fatalf("acquire %v: reserved [%d, %d) past the committed end %d", k, e.lo, e.hi, top)
+	e := f.e
+	if e.hi > top || f.from+int64(len(f.dst)) > top {
+		m.t.Fatalf("acquire %v: reserved [%d, %d), reads from %d+%d, past the committed end %d", k, e.lo, e.hi, f.from, len(f.dst), top)
 	}
-	if e.lo != lo || e.hi != hi || e.cold != cold {
-		m.t.Fatalf("acquire %v: reserved [%d, %d) cold=%v, model [%d, %d) cold=%v", k, e.lo, e.hi, e.cold, lo, hi, cold)
+	if e.lo != next.lo || e.hi != next.hi || e.cold != cold {
+		m.t.Fatalf("acquire %v: reserved [%d, %d) cold=%v, model [%d, %d) cold=%v", k, e.lo, e.hi, e.cold, next.lo, next.hi, cold)
 	}
-	m.held = append(m.held, e)
+	if f.from != rlo || f.from+int64(len(f.dst)) != rhi || len(f.dst) > 0 && &f.dst[0] != &e.data[rlo] {
+		m.t.Fatalf("acquire %v [%d, %d) edges=%d: reads [%d, %d) of [%d, %d), model [%d, %d)",
+			k, from, from+n, edges, f.from, f.from+int64(len(f.dst)), e.lo, e.hi, rlo, rhi)
+	}
+	for x := e.lo; x < e.hi; x++ {
+		if v := next.fill[x]; v != 0 && e.data[x] != pattern(k, v, x) {
+			m.t.Fatalf("acquire %v: byte %d of fill %d was not carried over", k, x, v)
+		}
+	}
+	if next.fill != [fuzzBlock]int{} {
+		ms.carried = old
+	}
+	m.held = append(m.held, f)
 }
 
-// settle commits (writing a new fill's bytes over the entry's valid
-// range, as the miss path does) or aborts held reservation i.
+// settle commits (writing a new fill's bytes over the range its read
+// fills, as the miss path does) or aborts held reservation i.
 func (m *cacheModel) settle(i int, commit bool) {
-	e := m.held[i]
+	f := m.held[i]
+	e := f.e
 	m.held = slices.Delete(m.held, i, i+1)
 	k := e.key
 	_, ms := m.shard(k)
@@ -210,9 +252,10 @@ func (m *cacheModel) settle(i int, commit bool) {
 		return
 	}
 	m.fills++
-	me.fill, me.pending = m.fills, false
-	for x := e.lo; x < e.hi; x++ {
-		e.data[x] = pattern(k, me.fill, x)
+	me.pending = false
+	for x := f.from; x < f.from+int64(len(f.dst)); x++ {
+		me.fill[x] = m.fills
+		e.data[x] = pattern(k, m.fills, x)
 	}
 	m.c.commit(e)
 	for ms.bytes > m.c.perShard && len(ms.lru) > 0 {
@@ -260,7 +303,7 @@ func (m *cacheModel) pinHit(k blockKey, from, n int64) {
 	m.gotHits++
 	want := make([]byte, n) // what the copy must find, whenever it comes
 	for i := range want {
-		want[i] = pattern(k, me.fill, from+int64(i))
+		want[i] = pattern(k, me.fill[from+int64(i)], from+int64(i))
 	}
 	m.hit(ms, k, want, from)
 	m.pins = append(m.pins, pin{e, src, 0, n, want})
@@ -271,7 +314,7 @@ func (m *cacheModel) pinHit(k blockKey, from, n int64) {
 // shard's sync.Cond — by then it holds its wake-up ticket — so the wake-up
 // is abort's own, on every schedule.
 func (m *cacheModel) parkAndAbort(i int) {
-	k := m.held[i].key
+	k := m.held[i].e.key
 	id, woke := make(chan string, 1), make(chan struct{})
 	go func() {
 		buf := make([]byte, 64)
@@ -370,7 +413,9 @@ func (m *cacheModel) check(op string) {
 // resident, pending or vacated — is disjoint from every other's, and each
 // pin reads inside its slot's frame. A shard has exactly as many slots as
 // it ever needed at once, counting its blocks and its vacated slots still
-// pinned: it took no frame while a vacated one was free to reuse. And the
+// pinned — a re-fill that carried bytes over needed one more, the old slot
+// it pinned while it reserved: it took no frame while a vacated one was
+// free to reuse. And the
 // cache took no more memory than its budget and the frames of the slots a
 // shard holds beyond its own budget, which only pins and reservations
 // overrunning the shard call for.
@@ -398,6 +443,10 @@ func (m *cacheModel) checkFrames(op string) {
 				needed++
 			}
 		}
+		if ms.carried != nil && ms.carried.readers.Load() == 0 {
+			needed++
+		}
+		ms.carried = nil
 		ms.peakSlots = max(ms.peakSlots, needed)
 		if slots != ms.peakSlots {
 			m.t.Fatalf("after %s: shard %d has %d slots, but needed at most %d at once", op, i, slots, ms.peakSlots)
@@ -436,26 +485,33 @@ func (m *cacheModel) run(data []byte) {
 		var name string
 		switch op % 8 {
 		case 0, 1, 2:
+			edges := edge(a >> 5 & 3) // the window runs past the block's low end, its high end, or both
+			if edges&edgeLo != 0 {
+				from, n = 0, 1+int64(c)%fuzzBlock
+			}
+			if edges&edgeHi != 0 {
+				n = fuzzBlock - from
+			}
 			around := n >= fuzzFSBlock || c&0x80 != 0 // the request may be larger than this block's share
 			top := int64(fuzzBlock)
-			if b&0x80 != 0 { // a live frontier in the block, at or past the window
+			if b&0x80 != 0 && edges&edgeHi == 0 { // a live frontier in the block, at or past the window
 				top = from + n + int64(b>>4&7)%(fuzzBlock-from-n+1)
 			}
-			m.acquire(k, from, n, top, around)
-			name = fmt.Sprintf("acquire %v [%d, %d) top=%d around=%v", k, from, from+n, top, around)
+			m.acquire(k, from, n, top, edges, around)
+			name = fmt.Sprintf("acquire %v [%d, %d) top=%d edges=%d around=%v", k, from, from+n, top, edges, around)
 		case 3, 4:
 			if len(m.held) == 0 {
 				continue
 			}
 			i := int(b) % len(m.held)
-			name = fmt.Sprintf("commit %v", m.held[i].key)
+			name = fmt.Sprintf("commit %v", m.held[i].e.key)
 			m.settle(i, true)
 		case 5:
 			if len(m.held) == 0 {
 				continue
 			}
 			i := int(b) % len(m.held)
-			name = fmt.Sprintf("abort %v", m.held[i].key)
+			name = fmt.Sprintf("abort %v", m.held[i].e.key)
 			m.settle(i, false)
 		case 6:
 			if a&0x10 != 0 {
@@ -472,7 +528,7 @@ func (m *cacheModel) run(data []byte) {
 					continue
 				}
 				i := int(b) % len(m.held)
-				name = fmt.Sprintf("park and abort %v", m.held[i].key)
+				name = fmt.Sprintf("park and abort %v", m.held[i].e.key)
 				m.parkAndAbort(i)
 			case c%4 == 1:
 				m.pinFrame(k)

@@ -28,13 +28,17 @@ import (
 //
 // A first miss reads only the FS blocks its window touches (paper §3.1:
 // the file system does the work a task asks for), so a 4 KiB request in a
-// 16 KiB cache block moves 4 or 8 KiB, not 16. A later window the partial
-// frame does not cover reads the whole block, so a block costs at most two
-// backend reads and sequential small reads stay proportional to their
-// bytes. With cache blocks of one FS block (the sim profiles, live
-// servers) every fill is the whole block — up to a live frontier, where it
-// stops at the committed end of the current snapshot (tail.go). A window
-// past that end (only a raw ReadFileAt asks for one) is read around.
+// 32 KiB cache block moves 4 or 8 KiB, not 32. A later window the partial
+// frame does not cover extends it to the hull of the two ranges and reads
+// only what the frame lacks of it (acquire carries the old bytes over), so
+// sequential small reads move each byte once. The exception keeps spans
+// whole: a block whose window runs past one of its edges is read out to
+// that edge, since a span's vectors join end to end. With cache blocks of
+// one FS block (the sim profiles, live servers) a first fill is the whole
+// block — up to a live frontier, where it stops at the committed end of
+// the current snapshot (tail.go), and the next commit's re-fill reads only
+// the bytes past the old end. A window past the end (only a raw
+// ReadFileAt asks for one) is read around.
 //
 // A missed block is read straight into the cache frame it will live in:
 // each dense span is one vectored backend read (fsio.ReadvAt) whose
@@ -76,9 +80,10 @@ type pinnedBlock struct {
 	read  bool
 }
 
-// fill is what the read of one absent block fills: the range of its
-// pending entry's frame, or — read around the cache (e nil) — its share of
-// the caller's window, dst, at offset from in the block.
+// fill is what the read of one absent block fills: the part of its
+// pending entry's frame that a re-fill did not carry over, or — read
+// around the cache (e nil) — its share of the caller's window; dst, at
+// offset from in the block.
 type fill struct {
 	e    *cacheEntry
 	dst  []byte
@@ -155,9 +160,10 @@ type missCost struct {
 // reader is filling ends the round. A full shard may decline a block of a
 // window of an FS block or more: its share of p is read around the cache.
 // Each other block gets a pending entry over the FS blocks its share of
-// the window touches (fillRange; the whole block if a partial copy was
-// resident). A peer cache holding the bytes a block's read would fill
-// fills them (PeerFill); the rest are fused into dense spans (spanEnd),
+// the window touches (fillRange), or, if a partial copy was resident, over
+// the hull of the two, whose read skips what the copy holds (acquire). A
+// peer cache holding the bytes a block's read would fill fills them
+// (PeerFill); the rest are fused into dense spans (spanEnd),
 // each one retried vectored backend read into their frames and windows —
 // the blocks a span bridges into their shares of p — or several where the
 // backend's ranged-read ceiling demands (windowedSpanRead). A filled frame
@@ -213,7 +219,14 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 				continue
 			}
 			lo, hi := s.fillRange(b, dst, from)
-			e, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, min(hi, top), top, bs, around)
+			var edges edge
+			if b*bs > off {
+				edges |= edgeLo
+			}
+			if (b+1)*bs < off+int64(len(p)) {
+				edges |= edgeHi
+			}
+			f, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, min(hi, top), top, bs, edges, around)
 			if got == claimWait {
 				break
 			}
@@ -223,17 +236,15 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 				continue
 			case claimAround:
 				cost.readAround++
-			case claimMine:
-				dst, from = e.data[e.lo:e.hi], e.lo
 			}
-			if s.peerFill != nil && s.peerFill(file, b, dst, from) {
-				if e != nil {
-					deliver(e)
+			if s.peerFill != nil && s.peerFill(file, b, f.dst, f.from) {
+				if f.e != nil {
+					deliver(f.e)
 				}
 				cost.peerFills++
 				continue
 			}
-			sc.absent, sc.fills = append(sc.absent, b), append(sc.fills, fill{e, dst, from})
+			sc.absent, sc.fills = append(sc.absent, b), append(sc.fills, f)
 		}
 		absent, fills := sc.absent, sc.fills
 

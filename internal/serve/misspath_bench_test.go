@@ -30,10 +30,12 @@ import (
 //     pages, so the case shows what the page size of the cache's frames
 //     costs a hit.
 //
-// Each serving case reports, counted over the timed requests, the cache's
-// work per block lookup, the backend bytes moved per byte served, and the
-// vectors per backend read (1 = every span one plain read into the
-// caller's buffer; not reported where nothing is read).
+// Each serving case reports, counted over the timed requests, the block
+// lookups per request (each one a hash, a shard lock and a map probe, so
+// the cache block's size shows as a count), the cache's work per block
+// lookup, the backend bytes moved per byte served, and the vectors per
+// backend read (1 = every span one plain read into the caller's buffer;
+// not reported where nothing is read).
 func BenchmarkMissPath(b *testing.B) {
 	vfs := &serve.VecFS{FileSystem: fsio.NewOS(b.TempDir())}
 	size := int64(len(serve.WriteOneFile(b, vfs, "m.sion", 16, 512<<10, 4096)))
@@ -69,8 +71,9 @@ func BenchmarkMissPath(b *testing.B) {
 	// serveCase times reqs through read after a pass that fills the cache
 	// and starts its counts, and reports what stats counted meanwhile.
 	serveCase := func(b *testing.B, reqs []request, hi int64, read func(p []byte, off int64) error, stats func() serve.Stats) {
+		p := make([]byte, hi)
 		for _, q := range reqs {
-			if err := read(make([]byte, q.n), q.off); err != nil {
+			if err := read(p[:q.n], q.off); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -80,6 +83,7 @@ func BenchmarkMissPath(b *testing.B) {
 		b.StopTimer()
 		st := stats()
 		lookups := float64(st.Hits + st.Misses - before.Hits - before.Misses)
+		b.ReportMetric(lookups/float64(b.N), "lookups/req")
 		b.ReportMetric(float64(st.Evictions-before.Evictions)/lookups, "evictions/lookup")
 		b.ReportMetric(float64(st.Hits-before.Hits)/lookups, "hit")
 		b.ReportMetric(float64(st.BackendBytes-before.BackendBytes)/float64(st.ServedBytes-before.ServedBytes), "backend-bytes/served")

@@ -76,12 +76,12 @@ func wantWindow(raw []byte, off, n int64) []byte {
 // however many blocks it misses (the fetcher goroutine took 78 allocations
 // for 64 KiB; a miss list on the stack spilled past 32 blocks), and
 // neither does a warm one. The FS block is 16 KiB, so the 8 KiB window is
-// the small one and the cache block is one FS block.
+// the small one and the cache block is two FS blocks.
 func TestMissPathAllocations(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	const fsblk = 16 << 10
 	raw := writeOneFile(t, fsys, "a.sion", 8, 1<<20, fsblk)
-	for _, win := range []int64{8 << 10, 64 << 10, 1 << 20} { // 1 MiB at an odd offset: 65 blocks of 16 KiB
+	for _, win := range []int64{8 << 10, 64 << 10, 1 << 20} { // 1 MiB at an odd offset: 33 blocks of 32 KiB
 		t.Run(fmt.Sprint(win>>10, "KiB"), func(t *testing.T) {
 			span := int64(len(raw)) - win
 			p := make([]byte, win)

@@ -59,9 +59,11 @@ type replayRequest struct {
 	off, n int64
 }
 
-// The replayed multifile: 64 ranks of 128 KiB on 4 KiB FS blocks (16 KiB
-// cache blocks), served through 2 shards of 32 blocks — 1/8 of the data,
-// the ladder's serve-cold geometry at 1/8 scale.
+// The replayed multifile: 64 ranks of 128 KiB on 4 KiB FS blocks (32 KiB
+// cache blocks), served through 2 shards of 16 blocks — 1/8 of the data,
+// the ladder's serve-cold geometry at 1/8 scale. The hit column counts
+// block lookups, so it cannot be compared across cache-block sizes: a
+// window costs fewer lookups in larger blocks.
 const (
 	replayRanks    = 64
 	replayPerRank  = 128 << 10

@@ -13,8 +13,8 @@
 //   - A sharded block cache that owns its memory (cache.go): physical-file
 //     bytes are cached in fixed-size blocks keyed by (physical file, block
 //     index). A block is sized for the copy, not the disk: by default the
-//     smallest multiple of the FS block that is at least 16 KiB, so on
-//     POSIX's 4 KiB blocks a 64 KiB hit is 4 lookups, not 16. Shards are
+//     smallest multiple of the FS block that is at least 32 KiB, so on
+//     POSIX's 4 KiB blocks a 64 KiB hit is 2 lookups, not 16. Shards are
 //     a power of two, each with its own lock and LRU list, under one byte
 //     budget split evenly across shards. Frames are
 //     carved from slabs of up to 8 MiB, taken as blocks arrive while the
@@ -41,7 +41,7 @@
 //     pins a hit after the first miss and copies it only if no span read
 //     it. A first miss reads only the FS blocks its window touches
 //     (a frame holds a valid range of its block); a later window outside
-//     that range reads the whole block. Readers of distinct block ranges
+//     that range extends it and reads only what the frame lacks. Readers of distinct block ranges
 //     read one physical file concurrently — the access pattern the
 //     multifile layout was designed for (paper §3) — and a reader that
 //     finds another's pending entry waits for it (singleflight):
@@ -97,14 +97,18 @@ type Config struct {
 	CacheBytes int64
 
 	// BlockBytes is the cache-block size (default: the smallest multiple
-	// of the multifile's FS block size that is at least 16 KiB, see
+	// of the multifile's FS block size that is at least 32 KiB, see
 	// minCacheBlock). The FS block is the unit the file system locks
-	// (paper §3.1), not the unit worth a cache lookup: at POSIX's 4 KiB the
-	// per-block bookkeeping outweighs the copy, so the default groups FS
-	// blocks until a lookup covers 16 KiB. FS blocks of 16 KiB or more
-	// (the simulated profiles, object-store parts) are used as they are.
-	// A watermarked multifile ignores this field and always uses the FS
-	// block (tail.go).
+	// (paper §3.1), not the unit worth a cache lookup: every block a read
+	// touches pays a lookup's bookkeeping, so the default groups FS blocks
+	// until a lookup covers 32 KiB, which took ckpt-large's
+	// cluster_vs_pread from 0.735 (16 KiB) to 0.779. Misses read only the
+	// FS blocks they lack, but each frame takes a whole block of the
+	// budget: at 64 KiB, sparse 2 KiB windows cost the zipf-burst replay
+	// 41–45 % more backend bytes per served byte. FS blocks of 32 KiB or
+	// more (the simulated profiles, object-store parts) are used as they
+	// are. A watermarked multifile ignores this field and always uses the
+	// FS block (tail.go).
 	BlockBytes int64
 
 	// Shards is the shard count, rounded up to a power of two
@@ -289,15 +293,28 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 
 // minCacheBlock is the floor of the default cache block: the default is
 // the smallest multiple of the FS block at least this large. Every block
-// a read touches costs a hash, a shard lock, a map probe, an LRU move and,
-// on a miss, a frame copy. At 4 KiB that bookkeeping outweighs the copy: a
-// serve-hot profile spent 1.94 s in copyOut of which 0.71 s was memmove.
-// At 16 KiB, serve-hot's serve_vs_pread went 0.69 -> 1.00 and ckpt-large's
-// 0.25 -> 0.33. A 64 KiB floor dropped serve-cold to 0.15-0.17 (0.29 at
-// 16 KiB, 0.24 at 4 KiB) when every miss read whole blocks. A first miss
-// reads only the FS blocks it touches (fillRange), so the cache block sets
-// the lookup cost, not what a small uniform miss fetches.
-const minCacheBlock = 16 << 10
+// a read touches costs a hash, a shard lock, a map probe, a sketch count,
+// an LRU move and, on a miss, an acquire and a frame copy. At 4 KiB that
+// bookkeeping outweighed the copy (a serve-hot profile spent 1.94 s in
+// copyOut of which 0.71 s was memmove); 16 KiB took serve-hot's
+// serve_vs_pread 0.69 -> 1.00. From 16 to 32 KiB, ckpt-large's 256 KiB-
+// 1 MiB windows pay it 8-32 times instead of 16-64: its cluster_vs_pread
+// went 0.735 -> 0.779 and serve_vs_pread 0.800 -> 0.836 (medians of 10
+// alternating 16 s ladder pairs on 2 vCPUs), and BenchmarkMissPath's
+// large/serve request went from 35.5 block lookups and 43.6 us to 18.3
+// and 35.5 us (medians of 5 alternating runs at -cpu 2).
+//
+// A larger block fetches no more on a first miss, which reads only the FS
+// blocks it touches (fillRange). What bounds it is sparse access: two
+// windows far apart in one block either make the re-fill read the hull
+// between them (acquire) or leave a sparse frame that takes a whole block
+// of the budget. At 64 KiB ckpt-large's cluster_vs_pread reached 0.83
+// (0.78 at 32 KiB in the same 3 pairs), but the zipf-burst replay
+// (replay_test.go), whose 2 KiB windows land far apart, read 41-45 % more
+// backend bytes per served byte than at 16 KiB; re-filling whole blocks
+// read 127-133 % more, and keeping only the later window's range cost
+// 62-64 % more backend reads.
+const minCacheBlock = 32 << 10
 
 // resolveConfig applies the Config defaults against the multifile's FS
 // block size and the backend's capability descriptor (see the Config

@@ -335,16 +335,17 @@ func TestServeSeekWhence(t *testing.T) {
 
 // TestResolveConfigBlockRule pins the default cache block: the smallest
 // multiple of the FS block that is at least minCacheBlock, so FS blocks of
-// 16 KiB or more are kept as they are. An explicit BlockBytes wins, and
+// 32 KiB or more are kept as they are. An explicit BlockBytes wins, and
 // the shard count still halves until every shard holds one block.
 func TestResolveConfigBlockRule(t *testing.T) {
 	for _, tc := range []struct {
 		fsblk, cfgBlock, want int64
 	}{
-		{256, 0, 16 << 10},
-		{4 << 10, 0, 16 << 10},
-		{6 << 10, 0, 18 << 10},
-		{16 << 10, 0, 16 << 10},
+		{256, 0, 32 << 10},
+		{4 << 10, 0, 32 << 10},
+		{6 << 10, 0, 36 << 10},
+		{16 << 10, 0, 32 << 10},
+		{32 << 10, 0, 32 << 10},
 		{64 << 10, 0, 64 << 10},
 		{2 << 20, 0, 2 << 20},
 		{4 << 10, 4 << 10, 4 << 10},
@@ -355,8 +356,8 @@ func TestResolveConfigBlockRule(t *testing.T) {
 			t.Errorf("FS block %d, BlockBytes %d: cache block %d, want %d", tc.fsblk, tc.cfgBlock, c.BlockBytes, tc.want)
 		}
 	}
-	if c := resolveConfig(&Config{CacheBytes: 64 << 10}, 4<<10, fsio.Capabilities{}); c.Shards != 4 {
-		t.Errorf("64 KiB budget of 16 KiB blocks split into %d shards, want 4", c.Shards)
+	if c := resolveConfig(&Config{CacheBytes: 128 << 10}, 4<<10, fsio.Capabilities{}); c.Shards != 4 {
+		t.Errorf("128 KiB budget of 32 KiB blocks split into %d shards, want 4", c.Shards)
 	}
 }
 
