@@ -13,32 +13,31 @@ import (
 // partitions), so concurrent clients only contend when their blocks hash
 // to the same shard.
 //
-// The cache owns its memory: an entry is allocated when a shard first
-// needs one and recycled from then on, and its frame is carved from a slab
-// (blockCache.frame), so the steady state allocates nothing. A slab is one allocation
-// of up to slabBytes, taken when the last one is used up, while the budget
-// has room; on Linux its 2 MiB-aligned interior is advised onto huge pages
-// (cache_linux.go), so a hit on a large resident set copies from memory
-// that one TLB entry per 2 MiB maps, as pread's copy from the kernel's
-// direct map does. A frame need not hold its whole block: an entry's
-// valid range [lo, hi) is what its fills read, and a lookup hits only
-// inside it; a re-fill extends the range, carrying the resident bytes
-// over from the old frame, which it pins meanwhile. A block enters
-// through acquire, which a reader that missed calls once per block under
-// one hold of the shard lock: it copies the
-// bytes out if they are resident by now, reports another reader's pending
-// entry for the block, or reserves a pending entry for the caller — it
-// evicts the LRU tail to make room and enters a vacated slot in the map,
-// a frame the miss path reads the backend straight into and no lookup
-// copies from. commit makes it resident, abort drops it, and both wake the
-// readers waiting for it. Because frames are rewritten, no resident frame
-// leaves this file: readers get bytes copied out (copyOut). The copy-out
-// runs outside the shard lock (under it, two readers meeting on a shard
-// cost serve-hot 9 %) with the entry pinned; a reservation passes over a
-// vacated slot that is still pinned, which waits on the free list until
-// its readers are done, since its frame is part of a slab that cannot be
-// given back piecemeal. pin takes the pin without the copy, for a reader
-// that may not need it (fetch.go).
+// The cache owns its memory: an entry is allocated when a shard first needs
+// one and recycled from then on, and its frame is carved from a slab
+// (blockCache.frame), so the steady state allocates nothing. A slab is one
+// allocation of up to slabBytes, taken when the last one is used up, while
+// the budget has room; on Linux its 2 MiB-aligned interior is advised onto
+// huge pages (cache_linux.go), so a hit on a large resident set copies from
+// memory that one TLB entry per 2 MiB maps, as pread's copy from the
+// kernel's direct map does. A frame need not hold its whole block: an
+// entry's valid range [lo, hi) is what its fills read, and a lookup hits
+// only inside it; a re-fill extends the range in place where it can,
+// reading only the bytes the frame lacks. A block enters through acquire,
+// which a reader that missed calls once per block under one hold of the
+// shard lock: it copies the bytes out if they are resident by now, reports
+// another reader's pending entry for the block, or reserves a pending entry
+// for the caller — it evicts the LRU tail to make room and enters a vacated
+// slot in the map, a frame the miss path reads the backend straight into
+// and no lookup copies from. commit makes it resident, abort drops it, and
+// both wake the readers waiting for it. Because frames are rewritten, no
+// resident frame leaves this file: readers get bytes copied out (copyOut).
+// The copy-out runs outside the shard lock (under it, two readers meeting
+// on a shard cost serve-hot 9 %) with the entry pinned; a reservation
+// passes over a vacated slot that is still pinned, which waits on the free
+// list until its readers are done, since its frame is part of a slab that
+// cannot be given back piecemeal. pin takes the pin without the copy, for a
+// reader that may not need it (fetch.go).
 //
 // A full shard admits by frequency (TinyLFU: Einziger et al., ACM ToS
 // 2017). From its first eviction on, a shard counts the hits and misses of
@@ -258,17 +257,6 @@ const (
 	claimAround              // declined by a full shard: the caller reads the block into dst itself
 )
 
-// edge marks an end of a block that the reader's window runs past. A span
-// (fetch.go) joins the reads of consecutive blocks end to end, so only a
-// span's first block may start late and only its last may end early: a
-// read must reach each end of its block that the window runs past.
-type edge uint8
-
-const (
-	edgeLo edge = 1 << iota // the window starts in an earlier block
-	edgeHi                  // the window ends in a later block
-)
-
 // acquire settles block k for a reader that missed it and wants its bytes
 // [from, from+len(dst)), under one hold of the shard lock. It copies them
 // out if they are resident by now; returns claimWait if another reader's
@@ -276,19 +264,26 @@ const (
 // fill, if the reader may read around the cache (around: its window is at
 // least an FS block) and the shard, which would have to evict, has been
 // asked for the block no more often than for its LRU tail; and otherwise
-// reserves a pending n-byte entry for the caller and returns the part of
-// its frame the caller's backend read fills.
+// returns a pending n-byte entry for the caller and the part of its frame
+// the caller's backend read fills.
 //
-// A first miss's entry holds [lo, hi), the FS blocks of the window, and
-// the read fills all of it. A re-fill — a resident copy holds [olo, ohi)
-// but not the window — takes the hull of the two, and the old bytes are
-// carried over: acquire pins the old frame, copies them across once the
-// lock is released, and the read fills only the rest. Where the old range
-// lies inside the hull, or at an end the read must reach (edges), the read
-// fills the whole hull and nothing is carried. top (≤ n, ≥ hi) caps every
+// A first miss reserves an entry holding [lo, hi), the FS blocks of the
+// window, and the read fills all of it. A re-fill — a resident copy holds
+// [olo, ohi) but not the window — takes the hull of the two, and out to
+// top if the window starts inside the copy or right after it: a reader
+// moving forward through the block asks for the rest of it next. If the
+// copy lies at one end of the hull, the entry is extended in place: it
+// turns pending, keeps its frame and its charge to the shard, and the
+// read fills only the rest of the hull. Pinned copy-outs of the copy read
+// inside [olo, ohi), which the read does not touch. A span (fetch.go)
+// joins its blocks' reads end to end, so a window touching an end of the
+// block (from 0, or to n) is read from or to that end; where that or a
+// copy inside the hull leaves no single range outside the copy, the read
+// fills the whole hull into a reserved frame. top (≤ n, ≥ hi) caps every
 // valid range: it is where the block's committed bytes end (n but at a
-// live frontier, tail.go).
-func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64, edges edge, around bool) (fill, claim) {
+// live frontier, tail.go). A copy reaching past top, filled for a newer
+// snapshot than the reader's, is replaced by the window's FS blocks.
+func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64, around bool) (fill, claim) {
 	s := c.shard(k)
 	s.mu.Lock()
 	old, ok := s.items[k]
@@ -311,33 +306,34 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64,
 		count(s.readAround)
 		return fill{nil, dst, from}, claimAround
 	}
-	rlo, rhi := lo, hi // what the read fills
-	var carried *cacheEntry
-	var olo, ohi int64 // what a resident copy holds below top
-	if ok {
-		olo, ohi = old.lo, min(old.hi, top)
-	}
-	if olo < ohi {
-		lo, hi = min(lo, olo), max(hi, ohi)
-		rlo, rhi = lo, hi
-		switch {
-		case olo == lo && edges&edgeLo == 0:
-			rlo, carried = ohi, old
-		case ohi == hi && edges&edgeHi == 0:
-			rhi, carried = olo, old
+	if ok && old.hi <= top {
+		olo, ohi := old.lo, old.hi
+		if olo <= from && from <= ohi {
+			hi = top
 		}
-	}
-	if carried != nil {
-		carried.readers.Add(1) // reserve passes over the pinned slot
+		lo, hi = min(lo, olo), max(hi, ohi)
+		switch {
+		case olo == lo && from > 0:
+			return s.extend(old, lo, hi, ohi, hi), claimMine
+		case ohi == hi && from+int64(len(dst)) < n:
+			return s.extend(old, lo, hi, lo, olo), claimMine
+		}
 	}
 	e := c.reserve(s, k, n)
 	e.lo, e.hi, e.cold = lo, hi, cold
 	s.mu.Unlock()
-	if carried != nil {
-		copy(e.data[olo:ohi], carried.data[olo:ohi])
-		carried.unpin()
-	}
-	return fill{e, e.data[rlo:rhi], rlo}, claimMine
+	return fill{e, e.data[lo:hi], lo}, claimMine
+}
+
+// extend makes resident entry e pending in place over [lo, hi), for a
+// re-fill whose read fills [rlo, rhi), outside the bytes e holds; an abort
+// drops the block, its old bytes too. The caller holds s.mu; extend
+// releases it.
+func (s *cacheShard) extend(e *cacheEntry, lo, hi, rlo, rhi int64) fill {
+	e.unlink()
+	e.lo, e.hi, e.pending, e.cold = lo, hi, true, false
+	s.mu.Unlock()
+	return fill{e, e.data[rlo:rhi], rlo}
 }
 
 // freqSketch counts how often a shard was asked for each key: counters

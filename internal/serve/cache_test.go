@@ -122,10 +122,10 @@ func TestBlockCacheConcurrent(t *testing.T) {
 				// Every filler writes the block's own byte over the range it
 				// reads — 32 bytes around the window, or what a partial
 				// copy lacks of their hull with it; a hit must see exactly
-				// that byte, read or carried over.
+				// that byte, read now or kept from an earlier fill.
 				d := make([]byte, 16)
 				from := int64(i % 48)
-				f, got := c.acquire(k, d, from, from&^15, from&^15+32, 64, 64, 0, false)
+				f, got := c.acquire(k, d, from, from&^15, from&^15+32, 64, 64, false)
 				switch got {
 				case claimMine:
 					for j := range f.dst {
@@ -368,13 +368,13 @@ func TestFullShardReadsFirstTouchAround(t *testing.T) {
 	}
 	// The first miss that would evict starts the count: the tail (100) has
 	// never been counted, so block 7 is admitted — at the tail.
-	f, got := c.acquire(blockKey{0, 7}, make([]byte, 10), 0, 0, 10, 10, 10, 0, true)
+	f, got := c.acquire(blockKey{0, 7}, make([]byte, 10), 0, 0, 10, 10, 10, true)
 	commitAs(t, c, f, got, "block-0007")
 	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || s.evictions.Load() != 1 {
 		t.Fatalf("a block admitted by frequency: LRU %v after %d evictions, want [103 102 101 7] after 1", lru(s), s.evictions.Load())
 	}
 	// Block 8, asked for as often as the tail (7), is read around.
-	if f, got := c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, 10, 0, true); got != claimAround || f.e != nil {
+	if f, got := c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, 10, true); got != claimAround || f.e != nil {
 		t.Fatalf("first touch of a full shard: claim %d, entry %v; want it read around", got, f.e)
 	}
 	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || c.cachedBytes() != 40 || s.evictions.Load() != 1 || s.readAround.Load() != 1 {
@@ -382,7 +382,7 @@ func TestFullShardReadsFirstTouchAround(t *testing.T) {
 			lru(s), c.cachedBytes(), s.evictions.Load(), s.readAround.Load())
 	}
 	// Asked for twice, it beats the tail it evicts: the one-off fill 7.
-	f, got = c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, 10, 0, true)
+	f, got = c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, 10, true)
 	commitAs(t, c, f, got, "block-0008")
 	if fmt.Sprint(lru(s)) != "[103 102 101 8]" {
 		t.Fatalf("LRU %v, want the one-off block 7 evicted and 8 at the tail", lru(s))
@@ -403,17 +403,17 @@ func TestAdmissionNeedsAFullShardAndALargeWindow(t *testing.T) {
 	for b := int64(100); b < 104; b++ {
 		lookup(c, blockKey{0, b}, 10)
 	}
-	if _, got := c.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, 10, 0, true); got != claimAround {
+	if _, got := c.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, 10, true); got != claimAround {
 		t.Fatalf("large window on a full shard: claim %d, want it read around", got)
 	}
-	f, got := c.acquire(blockKey{0, 2}, make([]byte, 10), 0, 0, 10, 10, 10, 0, false)
+	f, got := c.acquire(blockKey{0, 2}, make([]byte, 10), 0, 0, 10, 10, 10, false)
 	commitAs(t, c, f, got, "block-0002")
 	if fmt.Sprint(lru(s)) != "[2 103 102 101]" {
 		t.Fatalf("small window on a full shard: LRU %v, want it admitted at the front", lru(s))
 	}
 	roomy := newBlockCache(40, 1)
 	insert(roomy, blockKey{0, 100}, make([]byte, 10))
-	f, got = roomy.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, 10, 0, true)
+	f, got = roomy.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, 10, true)
 	commitAs(t, roomy, f, got, "block-0001")
 	if r := &roomy.shards[0]; fmt.Sprint(lru(r)) != "[1 100]" || r.freq.count != nil {
 		t.Fatalf("large window on a shard with room: LRU %v, counting %v; want admitted at the front, nothing counted", lru(r), r.freq.count != nil)

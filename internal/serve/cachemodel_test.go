@@ -22,15 +22,16 @@ import (
 // must equal the shard's own. Bytes are versioned: each fill writes a
 // pattern unique to its key, fill and offset, so a hit that copies a stale,
 // recycled or uncovered byte shows. A re-fill of a partly resident block
-// must read exactly what the old copy lacks of the hull of the two ranges —
-// all of the hull where that is not one range reaching every end of the
-// block the window runs past — and carry the old bytes over, which are
-// checked as soon as it is reserved. A reservation may be capped, as at a
-// live frontier (tail.go): no fill may reach past the cap in force when it
-// was reserved. Frames are checked as memory: no two slots' frames
-// overlap, a shard takes a new frame only when every vacated slot is
-// pinned, and past its budget the cache takes no more than those extra
-// slots hold. And a reader parked on a pending entry must wake when the
+// takes the hull of the two ranges — out to the cap if the window starts
+// in the old range or right after it — and must read exactly what the old
+// copy lacks of it, into the old copy's own slot, whose bytes are checked
+// as soon as it is pending; or all of the hull where what the copy lacks
+// is not one range reaching every end of the block the window touches. A
+// reservation may be capped, as at a live frontier (tail.go): no fill may
+// reach past the cap in force when it was reserved. Frames are checked as
+// memory: no two slots' frames overlap, a shard takes a new frame only
+// when every vacated slot is pinned, and past its budget the cache takes
+// no more than those extra slots hold. And a reader parked on a pending entry must wake when the
 // entry is aborted, which the harness checks on a real parked goroutine.
 
 // fuzzFSBlock and fuzzBlock are the model cache's geometry: an FS block
@@ -54,9 +55,8 @@ type modelShard struct {
 	bytes                 int64
 	freq                  freqSketch // the accesses the model records, in the shard's sketch type
 	evictions, readAround int64
-	outstanding           int         // reservations not yet committed or aborted
-	peakSlots             int         // the most slots the shard needed at once: its blocks and its pinned vacated slots
-	carried               *cacheEntry // the slot the last acquire carried bytes from, pinned while it reserved
+	outstanding           int // reservations not yet committed or aborted
+	peakSlots             int // the most slots the shard needed at once: its blocks and its pinned vacated slots
 }
 
 // cacheModel drives a real blockCache and its model side by side.
@@ -132,15 +132,15 @@ func covers(me *modelEntry, from, n int64) bool {
 }
 
 // acquire runs one acquire, whose fills the block's committed end top caps,
-// for a window that runs past the ends of the block edges names, and checks
-// its claim, and the entry and read of a miss, against the model's.
-func (m *cacheModel) acquire(k blockKey, from, n, top int64, edges edge, around bool) {
+// and checks its claim, and the entry and read of a miss, against the
+// model's.
+func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
 	s, ms := m.shard(k)
 	lo := from / fuzzFSBlock * fuzzFSBlock
 	hi := min((from+n+fuzzFSBlock-1)/fuzzFSBlock*fuzzFSBlock, top)
 	dst := make([]byte, n)
 	old := s.items[k]
-	f, got := m.c.acquire(k, dst, from, lo, hi, top, fuzzBlock, edges, around)
+	f, got := m.c.acquire(k, dst, from, lo, hi, top, fuzzBlock, around)
 
 	want := claimMine
 	me, ok := ms.entries[k]
@@ -162,14 +162,21 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, edges edge, around 
 		return
 	}
 	m.misses++
-	// A re-fill keeps the hull of the old range (capped at top) and the
-	// window's. Its read fills what the old copy lacks of the hull if that
-	// is one range reaching every end the window runs past; else the hull.
+	// A re-fill keeps the hull of the old range and the window's — if the
+	// old range ends at or below top — out to top if the window starts in the old range or right
+	// after it. Its read fills what the old copy lacks of the hull if that
+	// is one range reaching every end of the block the window touches (a
+	// span's reads join there), and the copy's slot grows in place; else
+	// the read fills the hull.
 	next := modelEntry{pending: true, lo: lo, hi: hi}
 	rlo, rhi := lo, hi
-	if ok && me.lo < min(me.hi, top) {
-		olo, ohi := me.lo, min(me.hi, top)
-		next.lo, next.hi = min(lo, olo), max(hi, ohi)
+	inPlace := false
+	if ok && me.hi <= top {
+		olo, ohi := me.lo, me.hi
+		if olo <= from && from <= ohi {
+			next.hi = top
+		}
+		next.lo, next.hi = min(lo, olo), max(next.hi, ohi)
 		rlo, rhi = next.lo, next.hi
 		switch {
 		case olo == next.lo:
@@ -177,10 +184,11 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, edges edge, around 
 		case ohi == next.hi:
 			rhi = olo
 		}
-		if edges&edgeLo != 0 && rlo != 0 || edges&edgeHi != 0 && rhi != fuzzBlock {
+		if from == 0 && rlo != 0 || from+n == fuzzBlock && rhi != fuzzBlock {
 			rlo, rhi = next.lo, next.hi
 		}
 		if rlo >= ohi || rhi <= olo {
+			inPlace = true
 			copy(next.fill[olo:ohi], me.fill[olo:ohi])
 		}
 	}
@@ -206,7 +214,7 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, edges edge, around 
 		ms.lru = slices.DeleteFunc(ms.lru, func(x blockKey) bool { return x == k })
 		ms.bytes -= fuzzBlock
 	}
-	for ms.bytes+fuzzBlock > m.c.perShard && len(ms.lru) > 0 {
+	for !inPlace && ms.bytes+fuzzBlock > m.c.perShard && len(ms.lru) > 0 {
 		ms.evictTail()
 	}
 	next.cold = cold
@@ -214,6 +222,9 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, edges edge, around 
 	ms.bytes += fuzzBlock
 	ms.outstanding++
 	e := f.e
+	if inPlace && e != old {
+		m.t.Fatalf("acquire %v [%d, %d): a re-fill that reads only what the copy lacks took another slot", k, from, from+n)
+	}
 	if e.hi > top || f.from+int64(len(f.dst)) > top {
 		m.t.Fatalf("acquire %v: reserved [%d, %d), reads from %d+%d, past the committed end %d", k, e.lo, e.hi, f.from, len(f.dst), top)
 	}
@@ -221,16 +232,13 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, edges edge, around 
 		m.t.Fatalf("acquire %v: reserved [%d, %d) cold=%v, model [%d, %d) cold=%v", k, e.lo, e.hi, e.cold, next.lo, next.hi, cold)
 	}
 	if f.from != rlo || f.from+int64(len(f.dst)) != rhi || len(f.dst) > 0 && &f.dst[0] != &e.data[rlo] {
-		m.t.Fatalf("acquire %v [%d, %d) edges=%d: reads [%d, %d) of [%d, %d), model [%d, %d)",
-			k, from, from+n, edges, f.from, f.from+int64(len(f.dst)), e.lo, e.hi, rlo, rhi)
+		m.t.Fatalf("acquire %v [%d, %d): reads [%d, %d) of [%d, %d), model [%d, %d)",
+			k, from, from+n, f.from, f.from+int64(len(f.dst)), e.lo, e.hi, rlo, rhi)
 	}
 	for x := e.lo; x < e.hi; x++ {
 		if v := next.fill[x]; v != 0 && e.data[x] != pattern(k, v, x) {
 			m.t.Fatalf("acquire %v: byte %d of fill %d was not carried over", k, x, v)
 		}
-	}
-	if next.fill != [fuzzBlock]int{} {
-		ms.carried = old
 	}
 	m.held = append(m.held, f)
 }
@@ -413,9 +421,7 @@ func (m *cacheModel) check(op string) {
 // resident, pending or vacated — is disjoint from every other's, and each
 // pin reads inside its slot's frame. A shard has exactly as many slots as
 // it ever needed at once, counting its blocks and its vacated slots still
-// pinned — a re-fill that carried bytes over needed one more, the old slot
-// it pinned while it reserved: it took no frame while a vacated one was
-// free to reuse. And the
+// pinned: it took no frame while a vacated one was free to reuse. And the
 // cache took no more memory than its budget and the frames of the slots a
 // shard holds beyond its own budget, which only pins and reservations
 // overrunning the shard call for.
@@ -443,10 +449,6 @@ func (m *cacheModel) checkFrames(op string) {
 				needed++
 			}
 		}
-		if ms.carried != nil && ms.carried.readers.Load() == 0 {
-			needed++
-		}
-		ms.carried = nil
 		ms.peakSlots = max(ms.peakSlots, needed)
 		if slots != ms.peakSlots {
 			m.t.Fatalf("after %s: shard %d has %d slots, but needed at most %d at once", op, i, slots, ms.peakSlots)
@@ -485,20 +487,22 @@ func (m *cacheModel) run(data []byte) {
 		var name string
 		switch op % 8 {
 		case 0, 1, 2:
-			edges := edge(a >> 5 & 3) // the window runs past the block's low end, its high end, or both
-			if edges&edgeLo != 0 {
+			// A window from the block's start, to its end, or both: a
+			// span's last, first or interior block.
+			toEnd := a&0x40 != 0
+			if a&0x20 != 0 {
 				from, n = 0, 1+int64(c)%fuzzBlock
 			}
-			if edges&edgeHi != 0 {
+			if toEnd {
 				n = fuzzBlock - from
 			}
 			around := n >= fuzzFSBlock || c&0x80 != 0 // the request may be larger than this block's share
 			top := int64(fuzzBlock)
-			if b&0x80 != 0 && edges&edgeHi == 0 { // a live frontier in the block, at or past the window
+			if b&0x80 != 0 && !toEnd { // a live frontier in the block, at or past the window
 				top = from + n + int64(b>>4&7)%(fuzzBlock-from-n+1)
 			}
-			m.acquire(k, from, n, top, edges, around)
-			name = fmt.Sprintf("acquire %v [%d, %d) top=%d edges=%d around=%v", k, from, from+n, top, edges, around)
+			m.acquire(k, from, n, top, around)
+			name = fmt.Sprintf("acquire %v [%d, %d) top=%d around=%v", k, from, from+n, top, around)
 		case 3, 4:
 			if len(m.held) == 0 {
 				continue

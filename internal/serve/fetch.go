@@ -29,15 +29,16 @@ import (
 // A first miss reads only the FS blocks its window touches (paper §3.1:
 // the file system does the work a task asks for), so a 4 KiB request in a
 // 32 KiB cache block moves 4 or 8 KiB, not 32. A later window the partial
-// frame does not cover extends it to the hull of the two ranges and reads
-// only what the frame lacks of it (acquire carries the old bytes over), so
-// sequential small reads move each byte once. The exception keeps spans
-// whole: a block whose window runs past one of its edges is read out to
-// that edge, since a span's vectors join end to end. With cache blocks of
-// one FS block (the sim profiles, live servers) a first fill is the whole
-// block — up to a live frontier, where it stops at the committed end of
-// the current snapshot (tail.go), and the next commit's re-fill reads only
-// the bytes past the old end. A window past the end (only a raw
+// frame does not cover extends it in place to the hull of the two ranges
+// and reads only what the frame lacks of it; a window that starts inside
+// the frame or right after it reads on to the block's end, so sequential
+// small reads move each byte once in two reads per block. The exception
+// keeps spans whole: a block whose window touches one of its edges is read
+// from or to that edge, since a span's vectors join end to end. With cache
+// blocks of one FS block (the sim profiles, live servers) a first fill is
+// the whole block — up to a live frontier, where it stops at the committed
+// end of the current snapshot (tail.go), and the next commit's re-fill
+// reads only the bytes past the old end. A window past the end (only a raw
 // ReadFileAt asks for one) is read around.
 //
 // A missed block is read straight into the cache frame it will live in:
@@ -81,7 +82,7 @@ type pinnedBlock struct {
 }
 
 // fill is what the read of one absent block fills: the part of its
-// pending entry's frame that a re-fill did not carry over, or — read
+// pending entry's frame that the entry did not already hold, or — read
 // around the cache (e nil) — its share of the caller's window; dst, at
 // offset from in the block.
 type fill struct {
@@ -219,14 +220,7 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 				continue
 			}
 			lo, hi := s.fillRange(b, dst, from)
-			var edges edge
-			if b*bs > off {
-				edges |= edgeLo
-			}
-			if (b+1)*bs < off+int64(len(p)) {
-				edges |= edgeHi
-			}
-			f, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, min(hi, top), top, bs, edges, around)
+			f, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, min(hi, top), top, bs, around)
 			if got == claimWait {
 				break
 			}

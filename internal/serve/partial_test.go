@@ -67,11 +67,13 @@ func TestPartialFrameReadsOnlyItsFSBlocks(t *testing.T) {
 }
 
 // TestSequentialSmallReadsStayProportional: a cold rank read front to back
-// in small requests costs each request at most one backend read, of the FS
-// blocks its frame lacks, so the backend moves at most 1.25 times the
-// rank's bytes plus one block (a rank need not start on a cache block).
-// Requests of 3000 bytes share FS blocks, and those inside what earlier
-// ones read hit; aligned 4 KiB requests each read their own FS block.
+// in small requests costs each cache block one read of the first request's
+// FS blocks and one of the rest of the block, which the next request that
+// starts inside or right after the frame reads. So the backend makes at
+// most two reads per cache block the rank touches (a rank need not start
+// on a cache block) and moves at most 1.25 times the rank's bytes plus one
+// block, and later requests hit: aligned 4 KiB requests and 3000-byte ones
+// that share FS blocks alike.
 func TestSequentialSmallReadsStayProportional(t *testing.T) {
 	for _, size := range []int{4096, 3000} {
 		s, _ := partialServer(t, fsio.NewOS(t.TempDir()), &Config{CacheBytes: 1 << 20})
@@ -95,21 +97,24 @@ func TestSequentialSmallReadsStayProportional(t *testing.T) {
 			t.Fatalf("%d-byte requests: rank 1 read back wrong bytes", size)
 		}
 		st := s.Stats()
-		if limit := h.LogicalSize()*5/4 + s.BlockBytes(); st.BackendBytes > limit || st.BackendReads > requests {
+		limit := h.LogicalSize()*5/4 + s.BlockBytes()
+		reads := 2 * ((h.LogicalSize()+s.BlockBytes()-1)/s.BlockBytes() + 1)
+		if st.BackendBytes > limit || st.BackendReads > reads || st.BackendReads > requests {
 			t.Fatalf("sequential %d-byte reads of %d bytes: %d backend reads of %d bytes, want at most %d of at most %d",
-				size, h.LogicalSize(), st.BackendReads, st.BackendBytes, requests, limit)
+				size, h.LogicalSize(), st.BackendReads, st.BackendBytes, min(reads, requests), limit)
 		}
-		if size%4096 != 0 && st.Hits == 0 {
+		if st.Hits == 0 {
 			t.Fatalf("no sequential %d-byte read hit: %+v", size, st)
 		}
 	}
 }
 
 // TestPartialFrameExtends: a window a partly resident block does not
-// cover extends its frame to the hull of the two ranges, and the backend
-// reads only what the frame lacks of it — except where a window runs past
-// an edge of the block, which its read must reach: a span joins it to its
-// neighbour there. Every byte read is checked.
+// cover extends its frame to the hull of the two ranges — to the block's
+// end if the window starts inside the frame or right after it — and the
+// backend reads only what the frame lacks of it, except where a window
+// runs past an edge of the block, which its read must reach: a span joins
+// it to its neighbour there. Every byte read is checked.
 func TestPartialFrameExtends(t *testing.T) {
 	t.Run("two windows in one block", func(t *testing.T) {
 		s, raw := partialServer(t, fsio.NewOS(t.TempDir()), &Config{CacheBytes: 1 << 20})
@@ -117,12 +122,12 @@ func TestPartialFrameExtends(t *testing.T) {
 		for _, step := range []struct {
 			off, n, bytes int64 // a window of block 2, and the backend bytes it costs
 		}{
-			{20000, 4096, 8192}, // FS blocks 4-5
-			{12000, 6000, 8192}, // FS blocks 2-4: 2-3 lacking, below the frame
-			{23000, 5000, 4096}, // FS blocks 5-6: 6 lacking, above it
-			{100, 100, 8192},    // FS block 0: the frame's gap to it, FS block 1, too
-			{1000, 27000, 0},    // inside the frame [0, 28 KiB): a hit
-			{28000, 4768, 4096}, // to the block's end: FS block 7
+			{12000, 4096, 8192}, // FS blocks 2-3
+			{21000, 2000, 8192}, // FS block 5, above the frame: the gap to it, FS block 4, too
+			{6000, 6000, 4096},  // FS blocks 1-2: 1 lacking, below the frame
+			{24000, 1000, 8192}, // FS blocks 5-6, from inside the frame: the rest of the block, 6-7
+			{5000, 27000, 0},    // inside the frame [4 KiB, 32 KiB): a hit
+			{100, 100, 4096},    // FS block 0
 			{0, 32 << 10, 0},    // the whole block: a hit
 		} {
 			before := s.Stats()
@@ -155,7 +160,9 @@ func TestPartialFrameExtends(t *testing.T) {
 	t.Run("at a live frontier", func(t *testing.T) {
 		fsys := fsio.NewOS(t.TempDir())
 		payload := testPayload(5, 4096)
-		committed, resume, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		// committed has room for both commits, so a writer the test body
+		// abandons (t.Fatal, then the deferred close of resume) still ends.
+		committed, resume, done := make(chan struct{}, 2), make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(done)
 			mpi.Run(1, func(c *mpi.Comm) {

@@ -78,7 +78,9 @@ const goldenReadSequence = "5387cb3d43b1d38d58a56144e465d23d2e617fae5db8fa6c2df3
 // goldenReadSequenceWide is the same stream's hash with cache blocks of
 // four FS blocks, the default geometry's shape: first misses read only the
 // FS blocks their window touches, a partly resident block reads only what
-// its frame lacks (but out to each block edge its window runs past), and
+// its frame lacks (but from or to each block edge its window touches, and
+// on to the block's end from a window that starts inside the frame or
+// right after it), and
 // ranged-read windows start where the previous window's vectors end.
 //
 // It was re-recorded when a partly resident block stopped being read
