@@ -89,11 +89,6 @@ type Node struct {
 // granules of a large multifile share a bit.
 const routedWords = 256
 
-// Server returns the node's underlying serve.Server (its stats, health,
-// and cache surface). Reads through it are not routed: they bypass
-// Node.routed, so blocks they make resident are invisible to peer fill.
-func (n *Node) Server() *serve.Server { return n.srv }
-
 // route records, before n is handed a run of the granule at ring position
 // key, that n may from now on hold its blocks. The word is written only
 // the first time: a routed granule costs one load.
@@ -303,9 +298,6 @@ func (c *Cluster) Close() error {
 	}
 	return firstErr
 }
-
-// Name returns the multifile base name ("" before the first Join).
-func (c *Cluster) Name() string { return c.view.Load().name }
 
 // Layout returns the multifile layout (nil before the first Join).
 func (c *Cluster) Layout() *sion.Layout { return c.view.Load().layout }

@@ -216,7 +216,7 @@ func TestClusterPeerFillsReadAroundBlocks(t *testing.T) {
 	for r, want := range payloads {
 		checkRank(t, cl, r, want)
 	}
-	st := small.Server().Stats()
+	st := small.srv.Stats()
 	if st.ReadAround == 0 || st.PeerFills < st.ReadAround || st.BackendReads != 0 {
 		t.Fatalf("n9 with a full cache: %d blocks read around, %d peer fills, %d backend reads; "+
 			"want every read-around block filled from n0", st.ReadAround, st.PeerFills, st.BackendReads)
@@ -292,9 +292,9 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 	for _, g := range mine {
 		readAt(t, cl, phys, 0, g*granuleBytes, granuleBytes)
 	}
-	if served(cl)[sick.ID] != 0 || !sick.Server().Degraded() {
+	if served(cl)[sick.ID] != 0 || !sick.srv.Degraded() {
 		t.Fatalf("n0 served %d bytes with its backend down (degraded %v), want none and an open circuit",
-			served(cl)[sick.ID], sick.Server().Degraded())
+			served(cl)[sick.ID], sick.srv.Degraded())
 	}
 
 	// Recovery: the backend answers again, and the open circuit's cooldown
@@ -304,12 +304,12 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 	faults[0].SetRule(nil)
 	p := make([]byte, testBlock)
 	for i := 0; i < 2; i++ {
-		err := sick.Server().ReadFileAt(0, p, heal*granuleBytes, nil)
+		err := sick.srv.ReadFileAt(0, p, heal*granuleBytes, nil)
 		if (err == nil) != (i == 1) {
 			t.Fatalf("recovery fetch %d: %v", i, err)
 		}
 	}
-	if sick.Server().Degraded() {
+	if sick.srv.Degraded() {
 		t.Fatal("n0's circuit did not close after a successful probe")
 	}
 
@@ -564,8 +564,8 @@ func TestClusterJoinRefusesLiveMultifile(t *testing.T) {
 	if err := cl.Metrics().WriteProm(&after); err != nil {
 		t.Fatal(err)
 	}
-	if ids := cl.NodeIDs(); len(ids) != 0 || cl.Name() != "" || cl.Layout() != nil {
-		t.Fatalf("refused Join left nodes %v, name %q, layout %v", ids, cl.Name(), cl.Layout())
+	if ids := cl.NodeIDs(); len(ids) != 0 || cl.view.Load().name != "" || cl.Layout() != nil {
+		t.Fatalf("refused Join left nodes %v, name %q, layout %v", ids, cl.view.Load().name, cl.Layout())
 	}
 	if before.String() != after.String() {
 		t.Fatalf("refused Join changed the registry:\n%s\nwant\n%s", after.String(), before.String())
@@ -742,11 +742,15 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 		var got []byte
 		buf := make([]byte, 333)
 		for {
-			n, err := ts.Follow(h, buf, func() bool { time.Sleep(time.Millisecond); return true })
+			n, err := h.Read(buf)
 			got = append(got, buf[:n]...)
+			if errors.Is(err, sion.ErrAgain) { // at the frontier: wait, then poll
+				time.Sleep(time.Millisecond)
+				_, err = ts.Poll()
+			}
 			if err != nil {
 				if !errors.Is(err, io.EOF) {
-					t.Errorf("Follow: %v", err)
+					t.Errorf("follow: %v", err)
 				}
 				break
 			}

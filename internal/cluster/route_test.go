@@ -282,7 +282,7 @@ func TestRouteFailoverIsPerRun(t *testing.T) {
 	if d := served(cl)[successor.ID] - bytesBefore[successor.ID]; d != n {
 		t.Fatalf("successor %s served %d bytes of the run, want all %d", successor.ID, d, n)
 	}
-	if !primary.Server().Degraded() {
+	if !primary.srv.Degraded() {
 		t.Fatal("the primary's circuit did not open (BreakerThreshold 1)")
 	}
 
@@ -294,7 +294,7 @@ func TestRouteFailoverIsPerRun(t *testing.T) {
 		t.Fatalf("run past an open circuit counted %d runs and %d failovers, want 1 and 0",
 			st.Requests-before.Requests, st.Failovers-before.Failovers)
 	}
-	if d := primary.Server().Stats().Degraded; d != 0 {
+	if d := primary.srv.Stats().Degraded; d != 0 {
 		t.Fatalf("the degraded primary was asked %d times though healthy replicas answered", d)
 	}
 

@@ -375,18 +375,3 @@ func readAtZeroFill(fh fsio.File, p []byte, off int64) error {
 	clear(p[n:])
 	return nil
 }
-
-// --- SerialFile --------------------------------------------------------------
-
-// SetBufferSize configures staging for every task of the serial handle
-// (Create honors Options.BufferSize; Open has no options, so read tools
-// call this): each task's handle gets a write-behind or read-ahead stage
-// sized to its own chunk geometry, as File.SetBufferSize does.
-func (sf *SerialFile) SetBufferSize(n int64) error {
-	for _, h := range sf.handles {
-		if err := h.SetBufferSize(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -13,6 +13,17 @@ import (
 	"repro/internal/vtime"
 )
 
+// stageAll sets the staging of every task handle of a serial multifile,
+// as ParOpen's Options.BufferSize does for one rank.
+func stageAll(sf *SerialFile, n int64) error {
+	for _, h := range sf.handles {
+		if err := h.SetBufferSize(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runSimOn runs body on n simulated ranks against an existing simulated FS
 // (so request counters accumulate across phases).
 func runSimOn(t testing.TB, fs *simfs.FS, n int, body func(c *mpi.Comm, v fsio.FileSystem)) {
@@ -347,7 +358,7 @@ func TestSerialBufferedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sf.SetBufferSize(BufferAuto); err != nil {
+		if err := stageAll(sf, BufferAuto); err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < ntasks; r++ {

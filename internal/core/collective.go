@@ -286,12 +286,6 @@ func (v *vtimeFlusher) finish() {
 // collectiveEnabled reports whether this write handle buffers for collection.
 func (f *File) collectiveEnabled() bool { return f.coll != nil }
 
-// Collective reports the collector group size in effect for this handle
-// (0 = direct I/O) and whether the task acts as a collector.
-func (f *File) Collective() (group int, collector bool) {
-	return f.collGroup, f.collLead
-}
-
 // initCollective arms collective write mode on a freshly opened handle.
 // group is the resolved size scattered by the file master.
 func (f *File) initCollective(group int, async bool) {
@@ -302,7 +296,6 @@ func (f *File) initCollective(group int, async bool) {
 	lead := lrank - lrank%group
 	c := &collState{group: group, lead: lead, async: async}
 	f.coll = c
-	f.collGroup = group
 	f.collLead = lrank == lead
 	if async {
 		c.quantum = asyncFlushUnit(f.geo.capacity(geoIndex), f.geo.fsblk)

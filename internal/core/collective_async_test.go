@@ -186,11 +186,9 @@ func TestCollectiveReadRoundTrip(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				group, lead := r.Collective()
-				if group <= 1 {
-					t.Errorf("rank %d: collective read not in effect (group %d)", c.Rank(), group)
+				if r.collRead == nil {
+					t.Errorf("rank %d: collective read not in effect", c.Rank())
 				}
-				_ = lead
 				// Sequential read.
 				got := make([]byte, len(payload))
 				if _, err := io.ReadFull(r, got); err != nil {
@@ -366,8 +364,8 @@ func TestCollectorAutoEndToEnd(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if group, _ := f.Collective(); group != tc.writeGroup {
-					t.Errorf("rank %d: write auto group = %d, want %d", c.Rank(), group, tc.writeGroup)
+				if f.coll == nil || f.coll.group != tc.writeGroup {
+					t.Errorf("rank %d: write auto group = %+v, want %d", c.Rank(), f.coll, tc.writeGroup)
 				}
 				payload := rankPayload(c.Rank(), 600)
 				f.Write(payload)
@@ -380,9 +378,20 @@ func TestCollectorAutoEndToEnd(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if group, lead := r.Collective(); group != 4 || lead != (c.Rank()%4 == 0) {
+				if r.collRead == nil {
+					t.Errorf("rank %d: read auto group not collective", c.Rank())
+				}
+				// ParOpen's read open is the mapped open of the reader's own
+				// rank: the mapped handle reports the group it resolved.
+				mf, err := ParOpenMapped(c, fsys, "auto.sion", ReadMode, []int{c.Rank()}, &Options{CollectorGroup: CollectorAuto})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if group, lead := mf.Collective(); group != 4 || lead != (c.Rank()%4 == 0) {
 					t.Errorf("rank %d: read auto group = %d (collector %v), want 4", c.Rank(), group, lead)
 				}
+				mf.Close()
 				got := make([]byte, len(payload))
 				if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, payload) {
 					t.Errorf("rank %d: auto-group round-trip mismatch (%v)", c.Rank(), err)

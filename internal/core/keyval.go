@@ -130,9 +130,6 @@ func (r *KeyReader) Keys() []uint64 {
 	return out
 }
 
-// NumRecords reports how many records exist under key.
-func (r *KeyReader) NumRecords(key uint64) int { return len(r.index[key]) }
-
 // Record returns the i-th record written under key.
 func (r *KeyReader) Record(key uint64, i int) ([]byte, error) {
 	refs := r.index[key]

@@ -50,8 +50,8 @@ func TestKeyValueRoundTrip(t *testing.T) {
 			t.Fatalf("rank %d keys = %v", rank, keys)
 		}
 		for _, key := range keys {
-			if kr.NumRecords(key) != 10 {
-				t.Fatalf("rank %d key %d: %d records", rank, key, kr.NumRecords(key))
+			if len(kr.index[key]) != 10 {
+				t.Fatalf("rank %d key %d: %d records", rank, key, len(kr.index[key]))
 			}
 			stream, err := kr.ReadKey(key)
 			if err != nil {

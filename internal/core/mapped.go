@@ -688,15 +688,6 @@ func fetchFileSpans(fh fsio.File, regs []*mappedRegion) error {
 
 // --- Accessors and lifecycle -------------------------------------------------
 
-// NTasks returns N, the writer task count recorded in the multifile.
-func (mf *MappedFile) NTasks() int { return mf.ntasks }
-
-// NumFiles returns the number of physical files of the multifile.
-func (mf *MappedFile) NumFiles() int { return mf.nfiles }
-
-// FSBlockSize returns the block size chunks are aligned to.
-func (mf *MappedFile) FSBlockSize() int64 { return mf.fsblk }
-
 // OwnedRanks returns the original writer ranks this reader owns, ascending.
 func (mf *MappedFile) OwnedRanks() []int { return append([]int(nil), mf.owned...) }
 

@@ -110,7 +110,7 @@ func verifyMappedRank(t *testing.T, h *File, g int, payload []byte, rng *rand.Ra
 		t.Errorf("rank %d: Seek(0,0): %v", g, err)
 		return
 	}
-	b := rng.Intn(h.Blocks())
+	b := rng.Intn(len(h.readBytes))
 	if err := h.Seek(b, 0); err != nil {
 		t.Errorf("rank %d: Seek(%d,0): %v", g, b, err)
 		return
@@ -143,7 +143,7 @@ func TestMappedReopenRescaled(t *testing.T) {
 	maps := []struct {
 		name string
 		fn   MapFunc
-	}{{"contig", ContiguousMap}, {"rr", RoundRobinMap}}
+	}{{"contig", ContiguousMap}, {"rr", roundRobinMap}}
 	for _, m := range maps {
 		for _, M := range []int{1, 4, 5, 12, 19} {
 			for _, group := range []int{0, 3} {
@@ -167,8 +167,8 @@ func TestMappedReopenRescaled(t *testing.T) {
 							return
 						}
 						defer mf.Close()
-						if mf.NTasks() != n {
-							t.Errorf("NTasks = %d, want %d", mf.NTasks(), n)
+						if mf.ntasks != n {
+							t.Errorf("NTasks = %d, want %d", mf.ntasks, n)
 						}
 						rng := rand.New(rand.NewSource(int64(31*M + c.Rank())))
 						for _, g := range mf.OwnedRanks() {
@@ -312,7 +312,7 @@ func TestMappedCollectiveClientReduction(t *testing.T) {
 			return
 		}
 		defer mf.Close()
-		if g, _ := mf.Collective(); g != group {
+		if g := mf.collGroup; g != group {
 			t.Errorf("collective group = %d, want %d", g, group)
 		}
 		for _, g := range mf.OwnedRanks() {
@@ -524,7 +524,7 @@ func TestMappedKeyValRead(t *testing.T) {
 				t.Errorf("rank %d: %v", g, err)
 				continue
 			}
-			if got := kr.NumRecords(uint64(g)); got != 5 {
+			if got := len(kr.index[uint64(g)]); got != 5 {
 				t.Errorf("rank %d: %d records, want 5", g, got)
 				continue
 			}

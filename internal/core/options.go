@@ -36,11 +36,6 @@ func ContiguousMap(globalRank, ntasks, nfiles int) int {
 	return globalRank * nfiles / ntasks
 }
 
-// RoundRobinMap spreads consecutive tasks over distinct files.
-func RoundRobinMap(globalRank, ntasks, nfiles int) int {
-	return globalRank % nfiles
-}
-
 // Options configures ParOpen (write mode) and the serial Create.
 type Options struct {
 	// ChunkSize is the maximum number of bytes this task writes in one
@@ -147,8 +142,7 @@ type Options struct {
 	// Collective handles ignore BufferSize: members route data through
 	// frames that already coalesce at the collector, and collective reads
 	// prefetch whole streams at open. Handles opened without options
-	// (OpenRank, the serial Open) can enable staging afterwards with
-	// SetBufferSize. A direct-mode ParOpenMapped arms one read-ahead
+	// (OpenRank) can enable staging afterwards with SetBufferSize. A direct-mode ParOpenMapped arms one read-ahead
 	// stage per owned rank handle.
 	BufferSize int64
 }

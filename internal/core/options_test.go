@@ -11,6 +11,12 @@ import (
 	"repro/internal/mpi"
 )
 
+// roundRobinMap spreads consecutive tasks over distinct files: the
+// tests' second MapFunc beside the default ContiguousMap.
+func roundRobinMap(globalRank, ntasks, nfiles int) int {
+	return globalRank % nfiles
+}
+
 // TestMapFuncEdgeCases pins the task→file mapping functions on the shapes
 // that historically break integer-division layouts: task counts not
 // divisible by the file count, a single task, and nfiles == ntasks.
@@ -29,7 +35,7 @@ func TestMapFuncEdgeCases(t *testing.T) {
 	maps := []struct {
 		name string
 		fn   MapFunc
-	}{{"contig", ContiguousMap}, {"rr", RoundRobinMap}}
+	}{{"contig", ContiguousMap}, {"rr", roundRobinMap}}
 	for _, m := range maps {
 		for _, tc := range cases {
 			t.Run(m.name+"/"+tc.name, func(t *testing.T) {

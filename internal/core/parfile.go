@@ -63,11 +63,10 @@ type File struct {
 	// Collective mode. coll is the write-side state (collective.go; nil =
 	// direct writes); collRead serves reads from the prefetched stream a
 	// read-side collector scattered (mapped.go; nil = direct reads).
-	// collGroup/collLead describe the resolved group for both directions.
-	coll      *collState
-	collRead  *collReadState
-	collGroup int
-	collLead  bool
+	// collLead reports whether this task collects its write group.
+	coll     *collState
+	collRead *collReadState
+	collLead bool
 
 	// Buffered staging for the direct path (see buffer.go): write-behind
 	// (wstage) and read-ahead (rstage); nil = unbuffered. stagingOff
@@ -111,7 +110,6 @@ func ParOpen(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode, opts 
 		}
 		f := mf.handles[0] // takes over its physical file; mf is dropped
 		f.fhShared = false
-		f.collGroup, f.collLead = mf.collGroup, mf.collLead
 		return f, nil
 	default:
 		return nil, fmt.Errorf("sion: ParOpen %s: unsupported mode %v", name, mode)
@@ -368,13 +366,6 @@ const geoIndex = 0
 
 // --- Accessors -------------------------------------------------------------
 
-// GlobalRank returns the task's rank in the global communicator
-// (or the rank passed to OpenRank).
-func (f *File) GlobalRank() int { return f.global }
-
-// PhysicalFile returns the index of the physical file holding this task.
-func (f *File) PhysicalFile() int { return f.filenum }
-
 // NumFiles returns the number of physical files of the multifile.
 func (f *File) NumFiles() int { return f.nfiles }
 
@@ -383,15 +374,6 @@ func (f *File) FSBlockSize() int64 { return f.fsblk }
 
 // ChunkCapacity returns the usable bytes per chunk for this task.
 func (f *File) ChunkCapacity() int64 { return f.geo.capacity(geoIndex) }
-
-// Blocks returns the number of blocks this task has data in (read mode)
-// or has started (write mode).
-func (f *File) Blocks() int {
-	if f.mode == ReadMode {
-		return len(f.readBytes)
-	}
-	return len(f.blockBytes)
-}
 
 // --- Write path -------------------------------------------------------------
 

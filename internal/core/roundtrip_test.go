@@ -105,7 +105,7 @@ func TestPropertyRoundTripModes(t *testing.T) {
 		fn   MapFunc
 	}{
 		{"contig", ContiguousMap},
-		{"rr", RoundRobinMap},
+		{"rr", roundRobinMap},
 	}
 	for iter := 0; iter < 12; iter++ {
 		n := 2 + rng.Intn(9)      // 2..10 tasks
@@ -261,7 +261,7 @@ func TestPropertyRoundTripModes(t *testing.T) {
 					for p := 0; p < 3 && len(payload) > 0; p++ {
 						loff := prng.Intn(len(payload))
 						block, pos, rest := 0, int64(loff), int64(0)
-						for b := 0; b < r.Blocks(); b++ {
+						for b := 0; b < len(r.readBytes); b++ {
 							if err := r.Seek(b, 0); err != nil {
 								t.Errorf("rank %d: Seek(%d,0): %v", c.Rank(), b, err)
 								return
@@ -341,8 +341,8 @@ func TestPropertyRoundTripModes(t *testing.T) {
 						return
 					}
 					defer mf.Close()
-					if mf.NTasks() != n {
-						t.Errorf("mapped NTasks = %d, want %d", mf.NTasks(), n)
+					if mf.ntasks != n {
+						t.Errorf("mapped NTasks = %d, want %d", mf.ntasks, n)
 					}
 					prng := rand.New(rand.NewSource(int64(9000*iter + c.Rank())))
 					for _, g := range mf.OwnedRanks() {
@@ -369,7 +369,7 @@ func TestPropertyRoundTripModes(t *testing.T) {
 						for p := 0; p < 2 && len(payload) > 0; p++ {
 							loff := prng.Intn(len(payload))
 							block, pos, rest := 0, int64(loff), int64(0)
-							for b := 0; b < h.Blocks(); b++ {
+							for b := 0; b < len(h.readBytes); b++ {
 								if err := h.Seek(b, 0); err != nil {
 									t.Errorf("reader %d rank %d: Seek(%d,0): %v", c.Rank(), g, b, err)
 									return
@@ -442,7 +442,7 @@ func TestPropertyRoundTripModes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sf.SetBufferSize(sb); err != nil {
+				if err := stageAll(sf, sb); err != nil {
 					t.Fatal(err)
 				}
 				for g := 0; g < n; g++ {

@@ -189,15 +189,6 @@ func (sf *SerialFile) Locations() Locations {
 	return loc
 }
 
-// NTasks returns the number of logical task-local files.
-func (sf *SerialFile) NTasks() int { return sf.ntasks }
-
-// NFiles returns the number of physical files.
-func (sf *SerialFile) NFiles() int { return sf.nfiles }
-
-// FSBlockSize returns the alignment block size.
-func (sf *SerialFile) FSBlockSize() int64 { return sf.fsblk }
-
 // RankBytes returns the total bytes stored for one task.
 func (sf *SerialFile) RankBytes(rank int) int64 {
 	if rank < 0 || rank >= sf.ntasks {
@@ -264,7 +255,7 @@ func (sf *SerialFile) Write(p []byte) (int, error) {
 // Read fills p from the cursor, spanning blocks of the current task, and
 // advances the cursor. It returns io.EOF at the end of the task's data.
 // The read itself is served by the task's mapped rank handle (including
-// its read-ahead stage, when one is armed via SetBufferSize).
+// its read-ahead stage, when one is armed).
 func (sf *SerialFile) Read(p []byte) (int, error) {
 	if sf.closed || sf.mode != ReadMode {
 		return 0, fmt.Errorf("sion: %s: serial read on %s handle", sf.name, sf.mode)

@@ -377,8 +377,8 @@ func TestOpenRankMultiSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if f.PhysicalFile() != 2 {
-		t.Fatalf("rank %d in file %d, want 2", n-1, f.PhysicalFile())
+	if f.filenum != 2 {
+		t.Fatalf("rank %d in file %d, want 2", n-1, f.filenum)
 	}
 	got := make([]byte, 128)
 	io.ReadFull(f, got)

@@ -113,8 +113,8 @@ func TestMultiBlockSpanningWrites(t *testing.T) {
 				return
 			}
 		}
-		if f.Blocks() < 10 {
-			t.Errorf("rank %d: expected ≥10 blocks, got %d", c.Rank(), f.Blocks())
+		if len(f.blockBytes) < 10 {
+			t.Errorf("rank %d: expected ≥10 blocks, got %d", c.Rank(), len(f.blockBytes))
 		}
 		if err := f.Close(); err != nil {
 			t.Error(err)
@@ -161,8 +161,8 @@ func TestEnsureFreeSpaceSemantics(t *testing.T) {
 		if got := f.BytesAvailInChunk(); got != 512 {
 			t.Errorf("avail after advance = %d, want 512", got)
 		}
-		if f.Blocks() != 2 {
-			t.Errorf("blocks = %d, want 2", f.Blocks())
+		if len(f.blockBytes) != 2 {
+			t.Errorf("blocks = %d, want 2", len(f.blockBytes))
 		}
 		// Larger than the chunk itself must be rejected.
 		if err := f.EnsureFreeSpace(513); err == nil {
@@ -234,8 +234,8 @@ func TestMultiplePhysicalFiles(t *testing.T) {
 					return
 				}
 				want := ContiguousMap(c.Rank(), n, nfiles)
-				if r.PhysicalFile() != want {
-					t.Errorf("rank %d in file %d, want %d", c.Rank(), r.PhysicalFile(), want)
+				if r.filenum != want {
+					t.Errorf("rank %d in file %d, want %d", c.Rank(), r.filenum, want)
 				}
 				got := make([]byte, len(payload))
 				io.ReadFull(r, got)
@@ -261,8 +261,8 @@ func TestCustomMappingRank0NotInFile0(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if c.Rank() == 0 && f.PhysicalFile() != 1 {
-			t.Errorf("rank 0 placed in file %d, want 1", f.PhysicalFile())
+		if c.Rank() == 0 && f.filenum != 1 {
+			t.Errorf("rank 0 placed in file %d, want 1", f.filenum)
 		}
 		f.Write(payload)
 		f.Close()
@@ -819,15 +819,28 @@ func TestModeViolations(t *testing.T) {
 
 func TestQuotaFailureSurfacesAndRepairRecovers(t *testing.T) {
 	// Write with a quota that trips mid-run on the simulated FS (the
-	// paper's §6 failure scenario), then repair from chunk headers.
+	// paper's §6 failure scenario), then repair from chunk headers. The
+	// quota is a Flaky rule: a write that would take the bytes written
+	// past 1 MiB fails with fsio.ErrQuota.
 	fs := simfs.New(simfs.Jugene())
-	fs.SetQuota(1 << 20)
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	var written int64
+	fl.SetRule(func(op simfs.FlakyOp) error {
+		if op.Op != "WriteAt" && op.Op != "WriteZeroAt" {
+			return nil
+		}
+		if written+op.Len > 1<<20 {
+			return fmt.Errorf("%s: %w", op.Name, fsio.ErrQuota)
+		}
+		written += op.Len
+		return nil
+	})
 	e := vtime.NewEngine()
 	const n = 4
 	var quotaHit bool
 	var mu sync.Mutex
 	mpi.RunSim(e, n, mpi.DefaultCost, func(c *mpi.Comm) {
-		fsys := fs.View(c.Rank(), c.Proc())
+		fsys := fl.Wrap(fs.View(c.Rank(), c.Proc()), nil)
 		f, err := ParOpen(c, fsys, "q.sion", WriteMode, &Options{ChunkSize: 4096, FSBlockSize: 4096, ChunkHeaders: true})
 		if err != nil {
 			t.Error(err)

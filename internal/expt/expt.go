@@ -122,26 +122,6 @@ func kfmt(n int) string {
 	return fmt.Sprintf("%d", n)
 }
 
-// All runs every experiment at the given scale, in paper order.
-func All(scale int) []*Result {
-	return []*Result{
-		Fig3a(scale), Fig3b(scale),
-		Fig4a(scale), Fig4b(scale),
-		Table1(scale),
-		Fig5a(scale), Fig5b(scale),
-		Fig6(scale),
-		Table2(scale),
-		Table3(scale),
-		Table4(scale),
-		Table5(scale),
-		Table6(scale),
-		Table7(scale),
-		Table8(scale),
-		Table9(scale),
-		Table10(scale),
-	}
-}
-
 // ByName returns the named experiment's runner (nil if unknown).
 func ByName(name string) func(scale int) *Result {
 	switch name {

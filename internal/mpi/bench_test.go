@@ -54,9 +54,9 @@ func BenchmarkSimWorld4096ParOpenShape(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := vtime.NewEngine()
 		RunSim(e, 4096, DefaultCost, func(c *Comm) {
-			c.GatherInt64(0, int64(c.Rank()))
+			c.GatherInt64Slice(0, []int64{int64(c.Rank())})
 			sub := c.Split(c.Rank()%16, c.Rank())
-			sub.GatherInt64(0, 1)
+			sub.GatherInt64Slice(0, []int64{1})
 			sub.Barrier()
 		})
 	}

@@ -13,8 +13,6 @@ const (
 	tagGather
 	tagScatter
 	tagReduce
-	tagSplit
-	tagAlltoall
 )
 
 // Barrier blocks until every rank of the communicator has entered it.
@@ -124,28 +122,6 @@ func (c *Comm) Scatterv(root int, parts [][]byte) []byte {
 		return own
 	}
 	return c.Recv(root, tagScatter)
-}
-
-// Allgatherv gathers every rank's slice on every rank (rank order).
-func (c *Comm) Allgatherv(data []byte) [][]byte {
-	parts := c.Gatherv(0, data)
-	// Broadcast the concatenation with a length prefix per part.
-	var flat []byte
-	if c.rank == 0 {
-		for _, p := range parts {
-			flat = appendUvarint(flat, uint64(len(p)))
-			flat = append(flat, p...)
-		}
-	}
-	flat = c.Bcast(0, flat)
-	out := make([][]byte, len(c.group))
-	for r := range out {
-		l, n := takeUvarint(flat)
-		flat = flat[n:]
-		out[r] = flat[:l:l]
-		flat = flat[l:]
-	}
-	return out
 }
 
 // ReduceOp is a reduction operator over int64.
@@ -259,30 +235,6 @@ func (c *Comm) Split(color, key int) *Comm {
 		rank:  a.rank,
 		group: a.group,
 	}
-}
-
-// Alltoallv delivers parts[r] to each rank r and returns one slice per
-// source rank. parts may be nil entries for empty sends; parts[own rank]
-// is returned in place (copied). It is implemented with a ring schedule
-// (rank r sends to r+1, r+2, … with matching receives) so no rank floods
-// another, matching how message-passing codes exchange, e.g., migrating
-// particles.
-func (c *Comm) Alltoallv(parts [][]byte) [][]byte {
-	n := len(c.group)
-	if len(parts) != n {
-		panic(fmt.Sprintf("mpi: Alltoallv with %d parts for %d ranks", len(parts), n))
-	}
-	out := make([][]byte, n)
-	own := make([]byte, len(parts[c.rank]))
-	copy(own, parts[c.rank])
-	out[c.rank] = own
-	for step := 1; step < n; step++ {
-		dst := (c.rank + step) % n
-		src := (c.rank - step + n) % n
-		c.Send(dst, tagAlltoall, parts[dst])
-		out[src] = c.Recv(src, tagAlltoall)
-	}
-	return out
 }
 
 // rotated returns a view of the communicator with ranks renumbered so that

@@ -142,9 +142,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// GlobalRank returns the caller's rank in the world communicator.
-func (c *Comm) GlobalRank() int { return c.group[c.rank] }
-
 // Proc returns the vtime process backing this rank in simulated mode, or
 // nil in real mode. The experiment harness uses it to bind simulated
 // file-system views to ranks.

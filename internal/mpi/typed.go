@@ -23,49 +23,6 @@ func decodeInt64s(b []byte) []int64 {
 	return out
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
-func takeUvarint(b []byte) (uint64, int) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		panic("mpi: bad uvarint")
-	}
-	return v, n
-}
-
-// GatherInt64 gathers one int64 per rank at root (rank order); nil on
-// non-root ranks. SIONlib uses this shape to collect per-task chunk sizes
-// and written-byte counts at the master (paper §3.1).
-func (c *Comm) GatherInt64(root int, val int64) []int64 {
-	parts := c.Gatherv(root, encodeInt64s([]int64{val}))
-	if parts == nil {
-		return nil
-	}
-	out := make([]int64, len(parts))
-	for i, p := range parts {
-		out[i] = decodeInt64s(p)[0]
-	}
-	return out
-}
-
-// ScatterInt64 distributes one int64 per rank from root and returns the
-// caller's value. SIONlib uses this shape to hand each task its chunk start
-// address (paper §3.1).
-func (c *Comm) ScatterInt64(root int, vals []int64) int64 {
-	var parts [][]byte
-	if c.rank == root {
-		parts = make([][]byte, len(vals))
-		for i, v := range vals {
-			parts[i] = encodeInt64s([]int64{v})
-		}
-	}
-	return decodeInt64s(c.Scatterv(root, parts))[0]
-}
-
 // GatherInt64Slice gathers a variable-length int64 slice per rank at root.
 // The root decodes into one flat backing array and returns per-rank slice
 // views into it instead of one allocation per rank: this sits on the

@@ -98,8 +98,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, labelString(c.labels), formatFloat((*c.fn.Load())()))
 			case c.ctr != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, labelString(c.labels), c.ctr.Value())
-			case c.gauge != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, labelString(c.labels), c.gauge.Value())
 			case c.hist != nil:
 				writeHist(bw, f.name, c.labels, c.hist.Snapshot())
 			}

@@ -127,9 +127,3 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	}
 	return bucketBound(histBuckets - 1)
 }
-
-// P50 is Quantile(0.50), in nanoseconds.
-func (s HistSnapshot) P50() int64 { return s.Quantile(0.50) }
-
-// P99 is Quantile(0.99), in nanoseconds.
-func (s HistSnapshot) P99() int64 { return s.Quantile(0.99) }

@@ -1,11 +1,12 @@
 // Package obs is the operational observability core of the serving stack:
-// a dependency-free metrics registry (atomic counters, gauges, log-spaced
-// latency histograms), a request-scoped trace context with breadcrumbs,
-// and the HTTP middleware that logs slow requests. Every hot layer — the
-// fsio backends, the read-serving tier (internal/serve), and the cluster
-// router (internal/cluster) — registers its instrument families here, and the
-// HTTP front end (cmd/sionserve) exposes one registry per process as
-// Prometheus text exposition on GET /metrics.
+// a dependency-free metrics registry (atomic counters, gauges read at
+// exposition time, log-spaced latency histograms), a request-scoped trace
+// context with breadcrumbs, and the HTTP middleware that logs slow
+// requests. Every hot layer — the fsio backends, the read-serving tier
+// (internal/serve), and the cluster router (internal/cluster) — registers
+// its instrument families here, and the HTTP front end (cmd/sionserve)
+// exposes one registry per process as Prometheus text exposition on GET
+// /metrics.
 //
 // obs measures the serving system itself — cache hit rates, backend read
 // latencies, retry budgets — the way CkIO and TASIO instrument their I/O
@@ -19,9 +20,6 @@
 //     nil/off check, and latency observations are sampled (the callers
 //     decide the rate). Nop() hands out a registry whose instruments do
 //     nothing, which the serve overhead-guard benchmark compares against.
-//   - Deterministic when asked: the registry clock is pluggable
-//     (SetClock), so simulation runs can freeze or script time and keep
-//     their exposition output reproducible.
 package obs
 
 import (
@@ -54,8 +52,8 @@ func L(kv ...string) []Label {
 	return out
 }
 
-// procStart anchors the default monotonic clock; only differences of
-// clock readings are meaningful.
+// procStart anchors the registry clock, the process's monotonic clock;
+// only differences of clock readings are meaningful.
 var procStart = time.Now()
 
 // Registry holds metric families and hands out instruments. All methods
@@ -65,19 +63,13 @@ var procStart = time.Now()
 type Registry struct {
 	disabled bool
 
-	clock atomic.Pointer[func() int64]
-
 	mu       sync.Mutex
 	families map[string]*family
 }
 
-// NewRegistry returns an empty, enabled registry with the default
-// monotonic clock.
+// NewRegistry returns an empty, enabled registry.
 func NewRegistry() *Registry {
-	r := &Registry{families: make(map[string]*family)}
-	now := func() int64 { return int64(time.Since(procStart)) }
-	r.clock.Store(&now)
-	return r
+	return &Registry{families: make(map[string]*family)}
 }
 
 // Nop returns a disabled registry: instruments created from it are inert
@@ -92,19 +84,9 @@ func Nop() *Registry {
 // Disabled reports whether the registry was built with Nop.
 func (r *Registry) Disabled() bool { return r.disabled }
 
-// SetClock replaces the registry clock. The clock returns nanoseconds on
-// a scale of its own choosing; only differences are meaningful.
-// Simulation runs install a deterministic clock so latency observations
-// (and therefore the exposition output) are reproducible.
-func (r *Registry) SetClock(now func() int64) {
-	if now == nil {
-		panic("obs: SetClock(nil)")
-	}
-	r.clock.Store(&now)
-}
-
-// Now reads the registry clock (nanoseconds).
-func (r *Registry) Now() int64 { return (*r.clock.Load())() }
+// Now reads the registry clock: nanoseconds on the process's monotonic
+// clock.
+func (r *Registry) Now() int64 { return int64(time.Since(procStart)) }
 
 // family is one metric name: its metadata plus all instruments (children)
 // by label values.
@@ -118,15 +100,14 @@ type family struct {
 	children map[string]*child
 }
 
-// child is one instrument of a family: exactly one of ctr, gauge, hist,
-// or fn is set. ctr/gauge/hist are assigned under the family lock before
+// child is one instrument of a family: exactly one of ctr, hist, or fn
+// is set. ctr/hist are assigned under the family lock before
 // the child is published and never change; fn is atomic because
 // re-registering a Func instrument replaces it while exposition may be
 // reading it.
 type child struct {
 	labels []Label
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 	fn     atomic.Pointer[func() float64]
 }
@@ -211,8 +192,6 @@ func (r *Registry) instrument(name, help, typ string, isFn bool, labels []Label)
 			switch typ {
 			case "counter":
 				c.ctr = &Counter{off: r.disabled}
-			case "gauge":
-				c.gauge = &Gauge{off: r.disabled}
 			case "histogram":
 				c.hist = &Histogram{off: r.disabled}
 			}
@@ -227,12 +206,6 @@ func (r *Registry) instrument(name, help, typ string, isFn bool, labels []Label)
 // first use. Counters only go up.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.instrument(name, help, "counter", false, labels).ctr
-}
-
-// Gauge returns the gauge for (name, labels), creating the family on
-// first use. Gauges go up and down.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.instrument(name, help, "gauge", false, labels).gauge
 }
 
 // Histogram returns the log-spaced latency histogram for (name, labels),
@@ -318,35 +291,4 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a value that goes up and down. The zero Gauge and the nil
-// Gauge are inert.
-type Gauge struct {
-	off bool
-	v   atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil || g.off {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the value by n (n may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil || g.off {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }

@@ -21,17 +21,20 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("x_total", "help") != c {
 		t.Fatal("second Counter call returned a different instrument")
 	}
-	g := r.Gauge("g", "help")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	// a gauge is read from its func at exposition time; registering the
+	// same name and labels again replaces the func
+	r.GaugeFunc("g", "help", func() float64 { return 7 })
+	r.GaugeFunc("g", "help", func() float64 { return 4 })
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\ng 4\n") {
+		t.Fatalf("gauge exposition %q, want g 4", buf.String())
 	}
 
 	var nilC *Counter
 	nilC.Add(1) // must not panic
-	var nilG *Gauge
-	nilG.Set(1)
 }
 
 func TestNopRegistryInert(t *testing.T) {
@@ -65,7 +68,7 @@ func TestLabelConsistencyPanics(t *testing.T) {
 		r.Counter("a_total", "h")
 	})
 	mustPanic(t, "type mismatch", func() {
-		r.Gauge("a_total", "h", Label{"k", "v"})
+		r.GaugeFunc("a_total", "h", func() float64 { return 0 }, Label{"k", "v"})
 	})
 	mustPanic(t, "bad name", func() { r.Counter("9bad", "h") })
 	mustPanic(t, "odd L", func() { L("a", "b", "c") })
@@ -109,7 +112,7 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if s.Count != 110 {
 		t.Fatalf("count = %d, want 110", s.Count)
 	}
-	p50, p99 := s.P50(), s.P99()
+	p50, p99 := s.Quantile(0.50), s.Quantile(0.99)
 	if p50 > int64(2*time.Millisecond) {
 		t.Fatalf("p50 = %v, want <= ~2ms", time.Duration(p50))
 	}
@@ -125,7 +128,7 @@ func TestExpositionAndChecker(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs_total", "requests", Label{"node", "n1"}).Add(3)
 	r.Counter("reqs_total", "requests", Label{"node", `we"ird\`}).Add(1)
-	r.Gauge("depth", "queue depth").Set(-2)
+	r.GaugeFunc("depth", "queue depth", func() float64 { return -2 })
 	r.GaugeFunc("fn_gauge", "from fn", func() float64 { return 1.5 })
 	r.CounterFunc("fn_total", "from fn", func() float64 { return 9 })
 	h := r.Histogram("lat_seconds", "latency", Label{"op", "read"})
@@ -189,20 +192,6 @@ func TestUnregister(t *testing.T) {
 	if got := expose(r); got != want {
 		t.Fatalf("after Unregister:\n%s\nwant\n%s", got, want)
 	}
-}
-
-func TestSetClock(t *testing.T) {
-	r := NewRegistry()
-	now := int64(1000)
-	r.SetClock(func() int64 { return now })
-	if r.Now() != 1000 {
-		t.Fatalf("Now = %d, want 1000", r.Now())
-	}
-	now = 2500
-	if r.Now() != 2500 {
-		t.Fatalf("Now = %d, want 2500", r.Now())
-	}
-	mustPanic(t, "nil clock", func() { r.SetClock(nil) })
 }
 
 func TestSpan(t *testing.T) {

@@ -27,9 +27,6 @@ type FS struct {
 
 var _ fsio.FileSystem = (*FS)(nil)
 
-// Counters returns the counter set this FS reports into (may be nil).
-func (r *FS) Counters() *Counters { return r.ctrs }
-
 // Unwrap returns the decorated file system.
 func (r *FS) Unwrap() fsio.FileSystem { return r.inner }
 

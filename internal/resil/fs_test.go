@@ -181,7 +181,7 @@ func TestFSZeroOverheadPath(t *testing.T) {
 	if s.Ops == 0 {
 		t.Fatalf("ops not counted")
 	}
-	if rfs.Counters() != &ctrs || rfs.Unwrap() == nil {
+	if rfs.ctrs != &ctrs || rfs.Unwrap() == nil {
 		t.Fatalf("accessors broken")
 	}
 }

@@ -58,8 +58,8 @@
 // open files. A closed multifile's snapshot is final. For one still being
 // written (tail.go), Poll publishes the next snapshot from the writers'
 // watermark sidecars, and the same Handles read it from their next call on
-// — sion.ErrAgain at the watermark, io.EOF once the multifile is final;
-// Follow turns that into a bounded-lag polling loop.
+// — sion.ErrAgain at the watermark, io.EOF once the multifile is final. A
+// follower reads to ErrAgain, waits, Polls and reads on.
 package serve
 
 import (
@@ -155,8 +155,8 @@ type Config struct {
 	PeerFill func(file int, block int64, dst []byte, from int64) bool
 
 	// Metrics, when non-nil, is the obs registry the server registers its
-	// instrument families in; nil gives the server a private registry
-	// (reachable via Server.Metrics()). The server's counters ARE these
+	// instrument families in; nil gives the server a private registry.
+	// The server's counters ARE these
 	// instruments — Stats() reads them — so passing obs.Nop() disables
 	// stats along with exposition; only overhead benchmarks should do
 	// that. Servers sharing one registry must disambiguate with
@@ -468,10 +468,6 @@ func (s *Server) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	return nil
 }
 
-// Metrics returns the registry the server's instruments live in (the
-// config's, or the private one created when the config named none).
-func (s *Server) Metrics() *obs.Registry { return s.m.reg }
-
 // Stats returns a snapshot of the request counters. The values are read
 // from the same cells and instruments the registry exposes on /metrics, so
 // the two surfaces agree by construction.
@@ -678,9 +674,6 @@ func (s *Server) Open(rank int) (*Handle, error) {
 	s.m.handles.Inc()
 	return h, nil
 }
-
-// Rank returns the writer rank this handle reads.
-func (h *Handle) Rank() int { return h.rank }
 
 // LogicalSize returns the committed bytes of the rank's logical file.
 func (h *Handle) LogicalSize() int64 { return h.snap.Load().RankSize(h.rank) }

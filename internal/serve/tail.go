@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"fmt"
-
-	sion "repro/internal/core"
-)
+import "fmt"
 
 // Live serving: over a multifile still being written (Options.Watermarks)
 // New loads the first snapshot and Poll publishes each next one, which
@@ -47,25 +43,4 @@ func (s *Server) Poll() (bool, error) {
 		advanced = next.RankSize(g) > prev.RankSize(g)
 	}
 	return advanced, nil
-}
-
-// Follow reads like h.Read but, on hitting the watermark with the writer
-// still live, calls wait and polls for new commits instead of returning
-// ErrAgain. wait returning false (or a nil wait) stops the loop: Follow
-// then returns (0, sion.ErrAgain). In simulations, wait advances virtual
-// time (e.g. proc.AdvanceTo(now + pollInterval)); in real deployments it
-// sleeps. A final multifile still ends in (0, io.EOF) once drained.
-func (s *Server) Follow(h *Handle, p []byte, wait func() bool) (int, error) {
-	for {
-		n, err := h.Read(p)
-		if n != 0 || err != sion.ErrAgain {
-			return n, err
-		}
-		if wait == nil || !wait() {
-			return 0, sion.ErrAgain
-		}
-		if _, err := s.Poll(); err != nil {
-			return 0, err
-		}
-	}
 }

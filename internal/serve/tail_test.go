@@ -343,8 +343,10 @@ func TestServeClosedPollIsNoop(t *testing.T) {
 	poll("closed")
 }
 
-// TestServeTailFollowBlocksUntilData exercises Follow's poll loop: a
-// reader blocked at the watermark resumes when the writer commits more.
+// TestServeTailFollowBlocksUntilData: a reader that stops at the watermark
+// with ErrAgain resumes from the same handle once the writer has committed
+// more and a Poll has published it, and ends in io.EOF at the final
+// snapshot with every byte the writer's.
 func TestServeTailFollowBlocksUntilData(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payload := testPayload(7, 3000)
@@ -386,22 +388,22 @@ func TestServeTailFollowBlocksUntilData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// wait drains the writer's progress channel; when it is exhausted the
-	// writer has closed and the next Poll observes finalization.
-	wait := func() bool {
-		<-wrote
-		return true
-	}
 	var got []byte
 	buf := make([]byte, 256)
 	for {
-		n, err := s.Follow(h, buf, wait)
+		n, err := h.Read(buf)
 		got = append(got, buf[:n]...)
 		if err == io.EOF {
 			break
 		}
+		if errors.Is(err, sion.ErrAgain) {
+			// Wait for the writer's next commit; once its progress channel
+			// is exhausted it has closed, and this Poll observes that.
+			<-wrote
+			_, err = s.Poll()
+		}
 		if err != nil {
-			t.Fatalf("Follow: %v", err)
+			t.Fatalf("follow: %v", err)
 		}
 	}
 	if !bytes.Equal(got, payload) {
@@ -409,6 +411,7 @@ func TestServeTailFollowBlocksUntilData(t *testing.T) {
 	}
 }
 
+// TestServeLiveRace: writers commit through watermarks while followers read
 // TestServeLiveRace: writers commit through watermarks while followers read
 // each rank's stream on the newest snapshot, readers read random windows on
 // older snapshots they hold, and Polls publish. Every byte must be the
@@ -479,13 +482,17 @@ func TestServeLiveRace(t *testing.T) {
 			var got []byte
 			buf := make([]byte, 77)
 			for {
-				n, err := s.Follow(h, buf, func() bool { time.Sleep(100 * time.Microsecond); return true })
+				n, err := h.Read(buf)
 				got = append(got, buf[:n]...)
 				if err == io.EOF {
 					break
 				}
+				if errors.Is(err, sion.ErrAgain) { // at the frontier: wait, then poll
+					time.Sleep(100 * time.Microsecond)
+					_, err = s.Poll()
+				}
 				if err != nil {
-					t.Errorf("rank %d: Follow: %v", r, err)
+					t.Errorf("rank %d: follow: %v", r, err)
 					return
 				}
 			}

@@ -24,24 +24,6 @@ func BenchmarkParallelCreate4096(b *testing.B) {
 	}
 }
 
-// BenchmarkExtentProbeFragmented measures the per-write extent probe on a
-// heavily fragmented file (16 Ki disjoint extents): the binary-search
-// probe is O(log n + k) where the old linear scan was O(n) per write.
-func BenchmarkExtentProbeFragmented(b *testing.B) {
-	f := &file{}
-	const nExt = 16 << 10
-	for i := int64(0); i < nExt; i++ {
-		f.addExtent(i*128, i*128+64) // disjoint: a 64-byte gap after each
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := int64(i%nExt) * 128
-		if got := f.addExtentProbe(e+32, e+96); got != 32 {
-			b.Fatalf("probe = %d, want 32", got)
-		}
-	}
-}
-
 func BenchmarkMeteredWrite(b *testing.B) {
 	fs := New(Jugene())
 	e := vtime.NewEngine()

@@ -136,9 +136,6 @@ func ObjProfileByName(name string) (ObjProfile, bool) {
 	return ObjProfile{}, false
 }
 
-// Profile returns the store's resolved profile.
-func (o *ObjStore) Profile() ObjProfile { return o.prof }
-
 // Stats returns a snapshot of the request ledger.
 func (o *ObjStore) Stats() ObjStats {
 	o.mu.Lock()

@@ -55,7 +55,6 @@ type FS struct {
 	servers []*vtime.Server // data servers
 	token   *vtime.Server   // lock/token manager
 	clients map[int]*vtime.Server
-	quota   int64 // bytes; 0 = unlimited
 	used    int64 // allocated bytes
 	active  int   // files that have received writes (sets per-file token rate)
 
@@ -161,20 +160,13 @@ func New(p *Profile) *FS {
 	return fs
 }
 
-// Profile returns the file system's profile.
-func (fs *FS) Profile() *Profile { return fs.prof }
-
-// SetQuota limits total allocated bytes; writes beyond it fail with
-// fsio.ErrQuota (failure injection for the paper's §6 robustness scenario).
-func (fs *FS) SetQuota(bytes int64) { fs.quota = bytes }
-
 // SetVolatileWrites toggles crash-consistency modelling: while on, WriteAt
 // content and size growth go into a volatile per-file overlay that becomes
 // durable only when some handle of the file calls Sync (an OS page cache:
 // one task's fsync flushes the whole file, including other tasks'
 // unsynced writes). Reads and Size always see the durable state only —
 // what a different node, or a post-crash mount, would observe. Extent
-// allocation, quota, and time metering stay eager; only content
+// allocation and time metering stay eager; only content
 // durability is affected. Used by the watermark crash experiments (tab7).
 func (fs *FS) SetVolatileWrites(on bool) { fs.volatile = on }
 
@@ -233,7 +225,7 @@ func (fs *FS) ResetServers() {
 // NumFiles reports the number of existing files.
 func (fs *FS) NumFiles() int { return len(fs.files) }
 
-// UsedBytes reports allocated bytes (quota accounting).
+// UsedBytes reports allocated bytes.
 func (fs *FS) UsedBytes() int64 { return fs.used }
 
 func (fs *FS) dirOf(name string) *dir {
@@ -528,10 +520,6 @@ func (h *handle) writeCommon(n, off int64) error {
 		f.writerSet = make(map[int]bool)
 	}
 	f.writerSet[h.v.task] = true
-	grow := f.addExtentProbe(off, off+n)
-	if fs.quota > 0 && fs.used+grow > fs.quota {
-		return fmt.Errorf("simfs: %s: %w", f.name, fsio.ErrQuota)
-	}
 	fs.used += f.addExtent(off, off+n)
 	if fs.volatile {
 		if off+n > f.vsize {
@@ -660,24 +648,6 @@ func (h *handle) Close() error {
 		h.v.fs.dirOf(h.f.name).srv.Use(h.v.proc, h.v.fs.prof.CloseUpdate)
 	}
 	return nil
-}
-
-// addExtentProbe returns how many bytes addExtent would newly allocate.
-// The extent list is sorted and disjoint, so a binary search locates the
-// first extent that can overlap [off, end) and the scan stops at the
-// first one past it — O(log n + k) for k overlapping extents, where the
-// old full scan was O(n) per write and dominated long simulated runs.
-func (f *file) addExtentProbe(off, end int64) int64 {
-	es := f.extents
-	i := sort.Search(len(es), func(i int) bool { return es[i].end > off })
-	var overlap int64
-	for ; i < len(es) && es[i].off < end; i++ {
-		lo, hi := max(es[i].off, off), min(es[i].end, end)
-		if hi > lo {
-			overlap += hi - lo
-		}
-	}
-	return (end - off) - overlap
 }
 
 // storePages writes real content into the sparse page map — or, in

@@ -111,22 +111,6 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestQuota(t *testing.T) {
-	fs := New(Jugene())
-	fs.SetQuota(1000)
-	f, _ := serialView(fs).Create("x")
-	if err := f.WriteZeroAt(900, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Overlapping rewrite allocates nothing new.
-	if err := f.WriteZeroAt(900, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.WriteZeroAt(200, 900); !errors.Is(err, fsio.ErrQuota) {
-		t.Fatalf("err = %v, want ErrQuota", err)
-	}
-}
-
 func TestExtentAccounting(t *testing.T) {
 	fs := New(Jugene())
 	f, _ := serialView(fs).Create("x")

@@ -124,9 +124,6 @@ func (p *Proc) Now() float64 { return p.now }
 // can spawn peers (e.g. background I/O workers) mid-simulation.
 func (p *Proc) Engine() *Engine { return p.e }
 
-// ID returns the process id (spawn order, starting at 0).
-func (p *Proc) ID() int { return p.id }
-
 // Advance moves the process's clock forward by dt seconds, yielding to any
 // other process whose wake time is earlier. dt must be non-negative.
 func (p *Proc) Advance(dt float64) {

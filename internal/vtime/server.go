@@ -10,8 +10,6 @@ import "fmt"
 type Server struct {
 	Name  string
 	avail float64 // next time the server is free
-	busy  float64 // accumulated busy time (for utilization reporting)
-	uses  int64
 }
 
 // NewServer returns an idle server.
@@ -30,32 +28,7 @@ func (s *Server) Use(p *Proc, dur float64) float64 {
 	}
 	end := start + dur
 	s.avail = end
-	s.busy += dur
-	s.uses++
 	delay := end - p.Now()
-	p.Advance(delay)
-	return delay
-}
-
-// UseNoWaitFor occupies the server for dur seconds but advances p only to
-// the start of service plus latency lat (the request is handed off; the
-// server remains busy behind the scenes). Used for write-behind style
-// operations where the client does not wait for media completion.
-func (s *Server) UseNoWaitFor(p *Proc, dur, lat float64) float64 {
-	if dur < 0 || lat < 0 {
-		panic(fmt.Sprintf("vtime: Server %q UseNoWaitFor(%g,%g) negative", s.Name, dur, lat))
-	}
-	start := p.Now()
-	if s.avail > start {
-		start = s.avail
-	}
-	s.avail = start + dur
-	s.busy += dur
-	s.uses++
-	delay := start + lat - p.Now()
-	if delay < 0 {
-		delay = 0
-	}
 	p.Advance(delay)
 	return delay
 }
@@ -76,19 +49,8 @@ func (s *Server) Reserve(at, dur float64) float64 {
 	}
 	end := start + dur
 	s.avail = end
-	s.busy += dur
-	s.uses++
 	return end
 }
 
-// Avail reports the next time the server becomes free.
-func (s *Server) Avail() float64 { return s.avail }
-
-// BusyTime reports the accumulated service time.
-func (s *Server) BusyTime() float64 { return s.busy }
-
-// Uses reports the number of Use calls served.
-func (s *Server) Uses() int64 { return s.uses }
-
 // Reset returns the server to the idle state at time zero.
-func (s *Server) Reset() { s.avail, s.busy, s.uses = 0, 0, 0 }
+func (s *Server) Reset() { s.avail = 0 }
