@@ -32,7 +32,7 @@ const (
 // standing in for particles or grid cells.
 func state(g int) []byte {
 	out := make([]byte, perRank+g*97)
-	x := uint32(g*2654435761 + 7)
+	x := uint32(g)*2654435761 + 7
 	for i := range out {
 		x = x*1664525 + 1013904223
 		out[i] = byte(x >> 24)

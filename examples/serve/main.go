@@ -33,7 +33,7 @@ const (
 // state is writer rank g's payload.
 func state(g int) []byte {
 	out := make([]byte, perRank+g*131)
-	x := uint32(g*2654435761 + 77)
+	x := uint32(g)*2654435761 + 77
 	for i := range out {
 		x = x*1664525 + 1013904223
 		out[i] = byte(x >> 24)

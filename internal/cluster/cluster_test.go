@@ -24,7 +24,7 @@ import (
 // (same generator as the serve tests, so cross-package results line up).
 func testPayload(rank, size int) []byte {
 	out := make([]byte, size)
-	x := uint32(rank*2654435761 + 12345)
+	x := uint32(rank)*2654435761 + 12345
 	for i := range out {
 		x = x*1664525 + 1013904223
 		out[i] = byte(x >> 24)

@@ -46,7 +46,7 @@ func runBoth(t *testing.T, n int, body func(c *mpi.Comm, fsys fsio.FileSystem)) 
 // rankPayload generates a deterministic per-rank payload.
 func rankPayload(rank, size int) []byte {
 	out := make([]byte, size)
-	x := uint32(rank*2654435761 + 12345)
+	x := uint32(rank)*2654435761 + 12345
 	for i := range out {
 		x = x*1664525 + 1013904223
 		out[i] = byte(x >> 24)

@@ -22,7 +22,7 @@ func renamed(p *simfs.Profile, name string) *simfs.Profile {
 // suite's generator, so experiments stay self-contained).
 func taskPayload(rank, size int) []byte {
 	out := make([]byte, size)
-	x := uint32(rank*2654435761 + 12345)
+	x := uint32(rank)*2654435761 + 12345
 	for i := range out {
 		x = x*1664525 + 1013904223
 		out[i] = byte(x >> 24)

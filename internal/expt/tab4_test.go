@@ -100,7 +100,7 @@ func TestTable4ByteIdentity(t *testing.T) {
 // taskBytes generates a deterministic per-task payload.
 func taskBytes(task, size int) []byte {
 	out := make([]byte, size)
-	x := uint32(task*2654435761 + 97)
+	x := uint32(task)*2654435761 + 97
 	for i := range out {
 		x = x*1664525 + 1013904223
 		out[i] = byte(x >> 24)

@@ -314,7 +314,7 @@ func TestMoreFilesMoreBandwidth(t *testing.T) {
 				return
 			}
 			p.AdvanceTo(phaseStart)
-			per := int64(total / ntasks)
+			per := int64(total) / int64(ntasks)
 			f.WriteZeroAt(per, int64(i)*per)
 			if e := p.Now() - phaseStart; e > maxEnd {
 				maxEnd = e
