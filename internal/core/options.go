@@ -142,8 +142,9 @@ type Options struct {
 	// Collective handles ignore BufferSize: members route data through
 	// frames that already coalesce at the collector, and collective reads
 	// prefetch whole streams at open. Handles opened without options
-	// (OpenRank) can enable staging afterwards with SetBufferSize. A direct-mode ParOpenMapped arms one read-ahead
-	// stage per owned rank handle.
+	// (OpenRank) can enable staging afterwards with SetBufferSize. A
+	// direct-mode ParOpenMapped arms one read-ahead stage per owned rank
+	// handle.
 	BufferSize int64
 }
 

@@ -1,12 +1,11 @@
 // Package obs is the operational observability core of the serving stack:
-// a dependency-free metrics registry (atomic counters, gauges read at
-// exposition time, log-spaced latency histograms), a request-scoped trace
-// context with breadcrumbs, and the HTTP middleware that logs slow
-// requests. Every hot layer — the fsio backends, the read-serving tier
-// (internal/serve), and the cluster router (internal/cluster) — registers
-// its instrument families here, and the HTTP front end (cmd/sionserve)
-// exposes one registry per process as Prometheus text exposition on GET
-// /metrics.
+// a dependency-free metrics registry (atomic counters, gauges, log-spaced
+// latency histograms), a request-scoped trace context with breadcrumbs,
+// and the HTTP middleware that logs slow requests. Every hot layer — the
+// fsio backends, the read-serving tier (internal/serve), and the cluster
+// router (internal/cluster) — registers its instrument families here, and the
+// HTTP front end (cmd/sionserve) exposes one registry per process as
+// Prometheus text exposition on GET /metrics.
 //
 // obs measures the serving system itself — cache hit rates, backend read
 // latencies, retry budgets — the way CkIO and TASIO instrument their I/O

@@ -155,14 +155,13 @@ type Config struct {
 	PeerFill func(file int, block int64, dst []byte, from int64) bool
 
 	// Metrics, when non-nil, is the obs registry the server registers its
-	// instrument families in; nil gives the server a private registry.
-	// The server's counters ARE these
-	// instruments — Stats() reads them — so passing obs.Nop() disables
-	// stats along with exposition; only overhead benchmarks should do
-	// that. Servers sharing one registry must disambiguate with
-	// MetricLabels (internal/cluster labels each node), and a registry
-	// must not mix labeled and unlabeled servers (the family label-key
-	// check panics).
+	// instrument families in; nil gives the server a private registry. The
+	// server's counters ARE these instruments — Stats() reads them — so
+	// passing obs.Nop() disables stats along with exposition; only
+	// overhead benchmarks should do that. Servers sharing one registry
+	// must disambiguate with MetricLabels (internal/cluster labels each
+	// node), and a registry must not mix labeled and unlabeled servers
+	// (the family label-key check panics).
 	Metrics *obs.Registry
 
 	// MetricLabels are prepended to every metric family the server

@@ -165,6 +165,9 @@ func TestServerFIFOSerialization(t *testing.T) {
 			t.Fatalf("ends = %v, want %v", ends, want)
 		}
 	}
+	if s.avail != 6 {
+		t.Fatalf("avail = %g, want 6", s.avail)
+	}
 }
 
 func TestServerIdleGap(t *testing.T) {
