@@ -122,6 +122,7 @@ type view struct {
 	layout        *sion.Layout
 	blockBytes    int64
 	granuleBlocks int64   // blocks per granule, fixed with blockBytes by the first Join
+	shift         []int64 // per physical file: where its granule grid starts before byte 0 (granuleShift)
 	nodes         []*Node // sorted by ID
 	ring          *ring
 }
@@ -133,6 +134,15 @@ type Cluster struct {
 	// new one under mu, which only orders them.
 	mu   sync.Mutex
 	view atomic.Pointer[view] // never nil
+
+	// stirred records that some node may hold a block of a granule it is
+	// not the primary of: a node joined a ring that had served a read, or
+	// a run went to a node other than its primary. Until then no peer can
+	// hold what a node misses, and peerFill returns after this one load.
+	// It is set before the change can make such a block resident: before
+	// the joined view is published, before the non-primary call. It is
+	// never cleared.
+	stirred atomic.Bool
 
 	// m holds the routing counters as obs instruments (Stats() reads
 	// them); the same registry carries every node's serve families,
@@ -223,11 +233,32 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	if nv.name == "" {
 		nv.name, nv.layout, nv.blockBytes = name, srv.Layout(), srv.BlockBytes()
 		nv.granuleBlocks = max(1, granuleBytes/nv.blockBytes)
+		nv.shift = granuleShift(nv.layout, nv.granuleBlocks*nv.blockBytes)
 	}
 	nodes := append(append(make([]*Node, 0, len(v.nodes)+1), v.nodes...), n)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+	if handedRuns(v.nodes) { // granules move to n from nodes that may hold their blocks
+		c.stirred.Store(true)
+	}
 	c.publish(&nv, nodes)
 	return n, nil
+}
+
+// handedRuns reports whether any of nodes was ever handed a run. (A node that
+// leaves takes its blocks along and moves no granule to a node that holds
+// any: Leave does not stir the ring.)
+func handedRuns(nodes []*Node) bool {
+	for _, n := range nodes {
+		if n.alone.Load() {
+			return true
+		}
+		for i := range n.routed {
+			if n.routed[i].Load() != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Leave removes node `id` from the ring and closes its serve instance.
@@ -329,6 +360,37 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 	return h, nil
 }
 
+// granuleShift lays each physical file's granules on its chunk grid, as
+// serve lays its cache blocks: granule g of file k covers bytes
+// [g·gbytes − shift[k], (g+1)·gbytes − shift[k]), so a granule boundary
+// falls on the file's first chunk. A window inside one chunk of a granule,
+// a quarter of one or a whole number of them is then one run, and, since
+// gbytes is a whole number of blocks and serve's grid starts shift[k] mod
+// the block before byte 0, no block belongs to two granules: block b lies
+// in granule (b + shift[k]/bs)/granuleBlocks. Cut from byte 0, every chunk
+// behind a 4 KiB metablock 1 lost its last 4 KiB to a run of its own.
+func granuleShift(l *sion.Layout, gbytes int64) []int64 {
+	first := make([]int64, l.NumFiles()) // the first chunk's offset per file, 0 = none seen
+	for g := 0; g < l.NTasks(); g++ {
+		if b := l.RankBlocks(g); len(b) > 0 && (first[b[0].File] == 0 || b[0].Off < first[b[0].File]) {
+			first[b[0].File] = b[0].Off
+		}
+	}
+	for k, off := range first {
+		first[k] = (gbytes - off%gbytes) % gbytes
+	}
+	return first
+}
+
+// gridShift is file's granule-grid shift, 0 for a file outside the
+// multifile (the node the run goes to reports it).
+func (v *view) gridShift(file int) int64 {
+	if file < 0 || file >= len(v.shift) {
+		return 0
+	}
+	return v.shift[file]
+}
+
 // peerFill answers a reader that missed on node selfID: scan the caches
 // of the other nodes that may hold the block (Node.mayHold), in ring
 // order for the block's granule, most likely holders first, for bytes
@@ -336,11 +398,14 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 // triggering any fetch. With no such peer it returns at once: no ring
 // lookup, no Peek. This is the hook behind serve.Config.PeerFill.
 func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte, from int64) bool {
+	if !c.stirred.Load() { // a static ring: no peer holds a block of the granule
+		return false
+	}
 	v := c.view.Load()
 	if len(v.nodes) < 2 { // no peer to ask
 		return false
 	}
-	key := granuleHash(file, block/v.granuleBlocks)
+	key := granuleHash(file, (block+v.gridShift(file)/v.blockBytes)/v.granuleBlocks)
 	var may uint64 // the peers that may hold the block, by node index
 	for i, n := range v.nodes {
 		if n.ID != selfID && n.mayHold(key) {
@@ -390,11 +455,11 @@ func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error 
 	if len(v.nodes) == 1 && len(p) > 0 {
 		return c.readRun(v, file, 0, []int{0}, p, off, sp)
 	}
-	gbytes := v.granuleBlocks * v.blockBytes
+	gbytes, shift := v.granuleBlocks*v.blockBytes, v.gridShift(file)
 	var buf [maxNodes]int
 	for len(p) > 0 {
-		granule := off / gbytes
-		end := min(off+int64(len(p)), (granule+1)*gbytes)
+		granule := (off + shift) / gbytes
+		end := min(off+int64(len(p)), (granule+1)*gbytes-shift)
 		key := granuleHash(file, granule)
 		if err := c.readRun(v, file, key, v.ring.lookup(key, &buf), p[:end-off], off, sp); err != nil {
 			return err
@@ -426,6 +491,9 @@ func (c *Cluster) readRun(v *view, file int, key uint64, cands []int, p []byte, 
 			// Record the run before the call can make a block resident, so
 			// a peerFill that finds the record clear knows the node holds
 			// no block of the granule.
+			if ni != cands[0] && !c.stirred.Load() {
+				c.stirred.Store(true)
+			}
 			if len(v.nodes) == 1 {
 				if !n.alone.Load() {
 					n.alone.Store(true)

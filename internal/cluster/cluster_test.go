@@ -225,9 +225,10 @@ func TestClusterPeerFillsReadAroundBlocks(t *testing.T) {
 
 // TestClusterStaticRingNeverProbes: on a static ring a node is routed only
 // its own granules, so a miss has no peer that could hold the block and
-// peer fill asks none, however often the caches turn over. A join remaps
-// granules whose blocks sit in their old primaries' caches: those are
-// asked, and fill.
+// peer fill asks none, however often the caches turn over: the ring is
+// not stirred, and a miss reads no peer state past that one flag. A join
+// remaps granules whose blocks sit in their old primaries' caches: it
+// stirs the ring, and those are asked, and fill.
 func TestClusterStaticRingNeverProbes(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "s.sion", 8)
@@ -245,8 +246,8 @@ func TestClusterStaticRingNeverProbes(t *testing.T) {
 	if st.Serve.Misses == first.Misses {
 		t.Fatalf("the second scan missed nothing: %+v", st.Serve)
 	}
-	if st.PeerProbes != 0 || st.Serve.PeerFills != 0 {
-		t.Fatalf("static ring: %d peer probes, %d peer fills; want none", st.PeerProbes, st.Serve.PeerFills)
+	if st.PeerProbes != 0 || st.Serve.PeerFills != 0 || cl.stirred.Load() {
+		t.Fatalf("static ring: %d peer probes, %d peer fills, stirred %v; want none, quiet", st.PeerProbes, st.Serve.PeerFills, cl.stirred.Load())
 	}
 
 	if _, err := cl.Join("n9", fsys, "s.sion", &cfg); err != nil {
@@ -255,7 +256,7 @@ func TestClusterStaticRingNeverProbes(t *testing.T) {
 	for r := len(payloads) - 1; r >= 0; r-- { // the last scan's blocks first: those are still resident
 		checkRank(t, cl, r, payloads[r])
 	}
-	if st := cl.Stats(); st.PeerProbes == 0 || st.Serve.PeerFills == 0 {
+	if st := cl.Stats(); st.PeerProbes == 0 || st.Serve.PeerFills == 0 || !cl.stirred.Load() {
 		t.Fatalf("after a join: %d peer probes, %d peer fills; want remapped blocks asked of their old primaries",
 			st.PeerProbes, st.Serve.PeerFills)
 	}
@@ -278,7 +279,7 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 
 	sick := cl.view.Load().nodes[0] // "n0" reads through faults[0]
 	var mine []int64                // the granules of file 0 it is the primary of
-	for g := int64(0); (g+1)*granuleBytes <= int64(len(phys)); g++ {
+	for g := int64(1); granuleOff(cl, 0, g+1) <= int64(len(phys)); g++ {
 		if candidatesOf(cl, 0, g)[0] == sick {
 			mine = append(mine, g)
 		}
@@ -290,7 +291,7 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 
 	faults[0].SetRule(failReads(errTransientFault))
 	for _, g := range mine {
-		readAt(t, cl, phys, 0, g*granuleBytes, granuleBytes)
+		readAt(t, cl, phys, 0, granuleOff(cl, 0, g), granuleBytes)
 	}
 	if served(cl)[sick.ID] != 0 || !sick.srv.Degraded() {
 		t.Fatalf("n0 served %d bytes with its backend down (degraded %v), want none and an open circuit",
@@ -304,7 +305,7 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 	faults[0].SetRule(nil)
 	p := make([]byte, testBlock)
 	for i := 0; i < 2; i++ {
-		err := sick.srv.ReadFileAt(0, p, heal*granuleBytes, nil)
+		err := sick.srv.ReadFileAt(0, p, granuleOff(cl, 0, heal), nil)
 		if (err == nil) != (i == 1) {
 			t.Fatalf("recovery fetch %d: %v", i, err)
 		}
@@ -315,7 +316,7 @@ func TestClusterFailedOverBlocksFillTheRecoveredPrimary(t *testing.T) {
 
 	before := cl.Stats()
 	for _, g := range mine {
-		readAt(t, cl, phys, 0, g*granuleBytes, granuleBytes)
+		readAt(t, cl, phys, 0, granuleOff(cl, 0, g), granuleBytes)
 	}
 	st := cl.Stats()
 	if d := served(cl)[sick.ID]; d != int64(len(mine))*granuleBytes+testBlock {

@@ -19,11 +19,18 @@ import (
 
 // The routing contract: a granule is the unit of placement, a run is the
 // unit of routing, a block stays the unit of caching. These tests drive
-// Cluster.ReadFileAt with physical offsets, where granule boundaries are
-// plain multiples of granuleBytes, and compare against the physical file
-// read straight from the directory.
+// Cluster.ReadFileAt with physical offsets, where granule boundaries lie
+// on the file's chunk grid (granuleOff), and compare against the physical
+// file read straight from the directory.
 
 const granuleBlocks = granuleBytes / testBlock
+
+// granuleOff is where granule g of physical file `file` starts: granules
+// lie on the file's chunk grid (granuleShift), so granule 0 starts before
+// byte 0 and ends with the file's first FS blocks.
+func granuleOff(cl *Cluster, file int, g int64) int64 {
+	return g*granuleBytes - cl.view.Load().shift[file]
+}
 
 // startCluster joins n nodes ("n0".."n<n-1>") over the multifile `name`;
 // node i reads through fsOf(i).
@@ -93,7 +100,7 @@ func TestRouteRunIsOneNodeCall(t *testing.T) {
 	cl := startCluster(t, 3, "r.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
 	phys := physFile(t, dir, cl, 0)
 
-	off := int64(2*granuleBytes + 3*testBlock + 17) // unaligned, and the window stays inside granule 2
+	off := granuleOff(cl, 0, 2) + 3*testBlock + 17 // unaligned, and the window stays inside granule 2
 	const n = 64 << 10
 	before := cl.Stats()
 	readAt(t, cl, phys, 0, off, n)
@@ -173,12 +180,12 @@ func TestRouteCutsAtGranuleBoundary(t *testing.T) {
 	g := int64(1)
 	for candidatesOf(cl, 0, g-1)[0] == candidatesOf(cl, 0, g)[0] {
 		g++
-		if (g+1)*granuleBytes > int64(len(phys)) {
+		if granuleOff(cl, 0, g+1) > int64(len(phys)) {
 			t.Fatal("every granule of file 0 has the same primary")
 		}
 	}
 	left, right := candidatesOf(cl, 0, g-1)[0].ID, candidatesOf(cl, 0, g)[0].ID
-	bound := g * granuleBytes
+	bound := granuleOff(cl, 0, g)
 
 	before, reqs := served(cl), cl.Stats().Requests
 	readAt(t, cl, phys, 0, bound-10000, 30000)
@@ -208,10 +215,10 @@ func TestRouteRequestsOutliveTheirNode(t *testing.T) {
 	writeMultifile(t, fsys, "d.sion", 8)
 	cl := startCluster(t, 3, "d.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
 	phys := physFile(t, dir, cl, 0)
-	granules := int64(len(phys)) / granuleBytes
+	granules := (int64(len(phys)) - granuleOff(cl, 0, 0)) / granuleBytes
 	pass := func() { // one run per granule of file 0
 		for g := int64(0); g < granules; g++ {
-			readAt(t, cl, phys, 0, g*granuleBytes, 4096)
+			readAt(t, cl, phys, 0, max(granuleOff(cl, 0, g), 0), 4096)
 		}
 	}
 	pass()
@@ -239,8 +246,8 @@ func TestRouteGranuleSharesOneOwner(t *testing.T) {
 
 	const g = 3
 	before := served(cl)
-	for b := int64(g * granuleBlocks); b < (g+1)*granuleBlocks; b++ {
-		readAt(t, cl, phys, 1, b*testBlock, testBlock)
+	for b := int64(0); b < granuleBlocks; b++ {
+		readAt(t, cl, phys, 1, granuleOff(cl, 1, g)+b*testBlock, testBlock)
 	}
 	owner := candidatesOf(cl, 1, g)[0].ID
 	for id, now := range served(cl) {
@@ -273,7 +280,7 @@ func TestRouteFailoverIsPerRun(t *testing.T) {
 	faults[primary.ID[1]-'0'].SetRule(failReads(errTransientFault)) // node "n<i>" reads through faults[i]: the primary's backend now fails transiently
 
 	before, bytesBefore := cl.Stats(), served(cl)
-	readAt(t, cl, phys, 0, g*granuleBytes, n)
+	readAt(t, cl, phys, 0, granuleOff(cl, 0, g), n)
 	st := cl.Stats()
 	if st.Requests-before.Requests != 1 || st.Failovers-before.Failovers != 1 {
 		t.Fatalf("failed-over run counted %d runs and %d failovers, want 1 and 1",
@@ -288,7 +295,7 @@ func TestRouteFailoverIsPerRun(t *testing.T) {
 
 	// Circuit open: the primary moves behind the healthy replicas.
 	before = st
-	readAt(t, cl, phys, 0, g*granuleBytes+n, n)
+	readAt(t, cl, phys, 0, granuleOff(cl, 0, g)+n, n)
 	st = cl.Stats()
 	if st.Requests-before.Requests != 1 || st.Failovers != before.Failovers {
 		t.Fatalf("run past an open circuit counted %d runs and %d failovers, want 1 and 0",
@@ -302,7 +309,7 @@ func TestRouteFailoverIsPerRun(t *testing.T) {
 		f.SetRule(failReads(errTransientFault))
 	}
 	before = st
-	err := cl.ReadFileAt(0, make([]byte, n), g*granuleBytes+2*n, nil)
+	err := cl.ReadFileAt(0, make([]byte, n), granuleOff(cl, 0, g)+2*n, nil)
 	if !errors.Is(err, serve.ErrDegraded) {
 		t.Fatalf("read with every replica down: %v, want a typed serve.ErrDegraded", err)
 	}

@@ -9,9 +9,10 @@ import (
 // Sharded block cache: physical-file bytes in fixed-size blocks keyed by
 // (physical file, block index). Shard count is a power of two so the key
 // hash maps with a mask; each shard has its own lock and LRU list, and the
-// byte budget is split evenly across shards (GPFS-style independent cache
-// partitions), so concurrent clients only contend when their blocks hash
-// to the same shard.
+// budget is split across shards in whole blocks, the leftover blocks one
+// each to the first shards (GPFS-style independent cache partitions), so
+// concurrent clients only contend when their blocks hash to the same shard
+// and the shards together hold every whole block of the budget.
 //
 // The cache owns its memory: an entry is allocated when a shard first needs
 // one and recycled from then on, and its frame is carved from a slab
@@ -85,6 +86,7 @@ type cacheShard struct {
 	lru    cacheEntry               // list sentinel: next = most recently used, prev = next victim
 	free   *cacheEntry              // vacated slots
 	bytes  int64                    // resident and pending
+	budget int64                    // whole blocks: what bytes may reach
 	freq   freqSketch               // access counts, kept from the shard's first eviction on
 	// evictions and readAround are the shard's serve_cache_evictions_total
 	// and serve_cache_read_around_total, in its shardCell (the Server
@@ -93,10 +95,9 @@ type cacheShard struct {
 }
 
 type blockCache struct {
-	shards   []cacheShard
-	mask     uint64
-	perShard int64 // byte budget per shard
-	budget   int64 // totalBytes: what the slabs may take
+	shards []cacheShard
+	mask   uint64
+	budget int64 // the shards' budgets summed: what the slabs may take
 
 	// slabMu guards the frame source: slab is the current slab's part not
 	// yet carved into frames, and taken counts the bytes of every slab and
@@ -110,23 +111,29 @@ type blockCache struct {
 // at least three are whole wherever the slab lands.
 const slabBytes = 8 << 20
 
-// newBlockCache builds a cache of totalBytes split over nshards shards
-// (rounded up to a power of two). The caller guarantees the per-shard
-// budget holds at least one block. Slabs are taken as blocks arrive:
-// nothing proportional to the budget is allocated here.
-func newBlockCache(totalBytes int64, nshards int) *blockCache {
+// newBlockCache builds a cache of the whole blockBytes blocks of
+// totalBytes, split over nshards shards (rounded up to a power of two):
+// each shard gets the same whole number of blocks, and the first shards
+// one leftover block each. The caller guarantees every shard at least one
+// block. Slabs are taken as blocks arrive: nothing proportional to the
+// budget is allocated here.
+func newBlockCache(totalBytes int64, nshards int, blockBytes int64) *blockCache {
 	n := 1
 	for n < nshards {
 		n <<= 1
 	}
+	blocks := totalBytes / blockBytes
 	c := &blockCache{
-		shards:   make([]cacheShard, n),
-		mask:     uint64(n - 1),
-		perShard: totalBytes / int64(n),
-		budget:   totalBytes,
+		shards: make([]cacheShard, n),
+		mask:   uint64(n - 1),
+		budget: blocks * blockBytes,
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
+		s.budget = blocks / int64(n) * blockBytes
+		if int64(i) < blocks%int64(n) {
+			s.budget += blockBytes
+		}
 		s.items = make(map[blockKey]*cacheEntry)
 		s.filled.L = &s.mu
 		s.lru.prev, s.lru.next = &s.lru, &s.lru
@@ -295,9 +302,9 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64,
 		s.hit(old, dst, from)
 		return fill{}, claimHit
 	}
-	full := s.bytes+n > c.perShard
+	full := s.bytes+n > s.budget
 	if full && s.freq.count == nil {
-		s.freq.init(c.perShard / n)
+		s.freq.init(s.budget / n)
 	}
 	s.freq.record(k)
 	cold := !ok && around && full
@@ -397,7 +404,7 @@ func (c *blockCache) reserve(s *cacheShard, k blockKey, n int64) *cacheEntry {
 	if old, ok := s.items[k]; ok {
 		s.vacate(old)
 	}
-	for s.bytes+n > c.perShard && s.lru.prev != &s.lru {
+	for s.bytes+n > s.budget && s.lru.prev != &s.lru {
 		s.vacate(s.lru.prev)
 		count(s.evictions)
 	}
@@ -463,7 +470,7 @@ func (c *blockCache) commit(e *cacheEntry) {
 	s := c.shard(e.key)
 	s.mu.Lock()
 	e.pending = false
-	for s.bytes > c.perShard && s.lru.prev != &s.lru {
+	for s.bytes > s.budget && s.lru.prev != &s.lru {
 		s.vacate(s.lru.prev)
 		count(s.evictions)
 	}

@@ -35,7 +35,7 @@ func insert(c *blockCache, k blockKey, data []byte) {
 
 func TestBlockCacheLRUEviction(t *testing.T) {
 	// One shard, budget of 4 × 10-byte blocks.
-	c := newBlockCache(40, 1)
+	c := newBlockCache(40, 1, 10)
 	c.shards[0].evictions = new(atomic.Int64)
 	blk := func(i int) ([]byte, blockKey) {
 		return []byte(fmt.Sprintf("block-%04d", i)), blockKey{0, int64(i)}
@@ -87,7 +87,7 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 }
 
 func TestBlockCacheRefreshSameKey(t *testing.T) {
-	c := newBlockCache(100, 1)
+	c := newBlockCache(100, 1, 1)
 	k := blockKey{2, 7}
 	insert(c, k, []byte("abc"))
 	insert(c, k, []byte("defgh"))
@@ -101,7 +101,7 @@ func TestBlockCacheRefreshSameKey(t *testing.T) {
 }
 
 func TestBlockCacheShardRounding(t *testing.T) {
-	c := newBlockCache(1024, 5)
+	c := newBlockCache(1024, 5, 64)
 	if len(c.shards) != 8 {
 		t.Fatalf("5 shards rounded to %d, want 8", len(c.shards))
 	}
@@ -111,7 +111,7 @@ func TestBlockCacheShardRounding(t *testing.T) {
 }
 
 func TestBlockCacheConcurrent(t *testing.T) {
-	c := newBlockCache(1<<16, 8)
+	c := newBlockCache(1<<16, 8, 64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -158,7 +158,7 @@ func TestBlockCacheConcurrent(t *testing.T) {
 // its slot is reserved again — the slot gets a new frame — and an unpinned
 // one is reused in place, which is what keeps a full cache allocation-free.
 func TestReserveLeavesPinnedFrameAlone(t *testing.T) {
-	c := newBlockCache(10, 1) // room for one 10-byte block
+	c := newBlockCache(10, 1, 10) // room for one 10-byte block
 	k := func(i int64) blockKey { return blockKey{0, i} }
 	insert(c, k(0), []byte("block-0000"))
 	e := c.shards[0].items[k(0)]
@@ -188,7 +188,7 @@ func TestReserveLeavesPinnedFrameAlone(t *testing.T) {
 // charged at once but invisible to lookups until commit; abort returns its
 // bytes and hands its frame to the next reservation.
 func TestReservationLifecycle(t *testing.T) {
-	c := newBlockCache(40, 1)
+	c := newBlockCache(40, 1, 10)
 	c.shards[0].evictions = new(atomic.Int64)
 	k := blockKey{0, 3}
 	e := reserve(c, k, 10)
@@ -223,7 +223,7 @@ func TestReservationLifecycle(t *testing.T) {
 // poison every frame a reservation recycles — and once the pin is gone the
 // slot is reused: the shard takes no new frame.
 func TestPinnedSlotIsNotReused(t *testing.T) {
-	c := newBlockCache(40, 1) // four 10-byte blocks, one slab
+	c := newBlockCache(40, 1, 10) // four 10-byte blocks, one slab
 	insert(c, blockKey{0, 0}, []byte("block-0000"))
 	e, src := c.pin(0, blockKey{0, 0}, make([]byte, 10), 0)
 	if e == nil {
@@ -260,7 +260,7 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 		bytes     int64
 	}
 	run := func(batched bool) state {
-		c := newBlockCache(40, 1) // four 10-byte blocks
+		c := newBlockCache(40, 1, 10) // four 10-byte blocks
 		c.shards[0].evictions = new(atomic.Int64)
 		for b := int64(100); b < 103; b++ { // older residents
 			insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
@@ -298,7 +298,7 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 	// Blocks admitted by frequency enter at the tail, after the trim: a
 	// batch of them never evicts the block being committed, evicts as many
 	// as block-by-block insertion, and ends within budget.
-	c := newBlockCache(40, 1)
+	c := newBlockCache(40, 1, 10)
 	s := &c.shards[0]
 	s.evictions = new(atomic.Int64)
 	for b := int64(100); b < 103; b++ {
@@ -325,7 +325,7 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 // fullShard is a one-shard cache of four 10-byte blocks, all resident,
 // that has not yet had to evict: it counts no access.
 func fullShard() *blockCache {
-	c := newBlockCache(40, 1)
+	c := newBlockCache(40, 1, 10)
 	c.shards[0].evictions, c.shards[0].readAround = new(atomic.Int64), new(atomic.Int64)
 	for b := int64(100); b < 104; b++ {
 		insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
@@ -411,7 +411,7 @@ func TestAdmissionNeedsAFullShardAndALargeWindow(t *testing.T) {
 	if fmt.Sprint(lru(s)) != "[2 103 102 101]" {
 		t.Fatalf("small window on a full shard: LRU %v, want it admitted at the front", lru(s))
 	}
-	roomy := newBlockCache(40, 1)
+	roomy := newBlockCache(40, 1, 10)
 	insert(roomy, blockKey{0, 100}, make([]byte, 10))
 	f, got = roomy.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, 10, true)
 	commitAs(t, roomy, f, got, "block-0001")

@@ -55,8 +55,9 @@ type modelShard struct {
 	bytes                 int64
 	freq                  freqSketch // the accesses the model records, in the shard's sketch type
 	evictions, readAround int64
-	outstanding           int // reservations not yet committed or aborted
-	peakSlots             int // the most slots the shard needed at once: its blocks and its pinned vacated slots
+	outstanding           int   // reservations not yet committed or aborted
+	budget                int64 // whole blocks: the total's share, plus one leftover block for the first shards
+	peakSlots             int   // the most slots the shard needed at once: its blocks and its pinned vacated slots
 }
 
 // cacheModel drives a real blockCache and its model side by side.
@@ -81,12 +82,18 @@ type pin struct {
 	want   []byte
 }
 
+// newCacheModel builds a cache of blocks whole blocks, plus a part block
+// that must not count, over shards shards.
 func newCacheModel(t *testing.T, shards, blocks int) *cacheModel {
-	m := &cacheModel{t: t, c: newBlockCache(int64(shards*blocks*fuzzBlock), shards)}
+	m := &cacheModel{t: t, c: newBlockCache(int64(blocks*fuzzBlock+fuzzBlock/2), shards, fuzzBlock)}
 	m.shards = make([]modelShard, len(m.c.shards))
 	for i := range m.c.shards {
 		m.c.shards[i].evictions, m.c.shards[i].readAround = new(atomic.Int64), new(atomic.Int64)
 		m.shards[i].entries = make(map[blockKey]*modelEntry)
+		m.shards[i].budget = int64(blocks/shards) * fuzzBlock
+		if i < blocks%shards {
+			m.shards[i].budget += fuzzBlock
+		}
 	}
 	return m
 }
@@ -192,9 +199,9 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
 			copy(next.fill[olo:ohi], me.fill[olo:ohi])
 		}
 	}
-	full := ms.bytes+fuzzBlock > m.c.perShard
+	full := ms.bytes+fuzzBlock > ms.budget
 	if full && ms.freq.count == nil {
-		ms.freq.init(m.c.perShard / fuzzBlock)
+		ms.freq.init(ms.budget / fuzzBlock)
 	}
 	ms.freq.record(k)
 	cold := !ok && around && full
@@ -214,7 +221,7 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
 		ms.lru = slices.DeleteFunc(ms.lru, func(x blockKey) bool { return x == k })
 		ms.bytes -= fuzzBlock
 	}
-	for !inPlace && ms.bytes+fuzzBlock > m.c.perShard && len(ms.lru) > 0 {
+	for !inPlace && ms.bytes+fuzzBlock > ms.budget && len(ms.lru) > 0 {
 		ms.evictTail()
 	}
 	next.cold = cold
@@ -266,7 +273,7 @@ func (m *cacheModel) settle(i int, commit bool) {
 		e.data[x] = pattern(k, m.fills, x)
 	}
 	m.c.commit(e)
-	for ms.bytes > m.c.perShard && len(ms.lru) > 0 {
+	for ms.bytes > ms.budget && len(ms.lru) > 0 {
 		ms.evictTail()
 	}
 	if me.cold {
@@ -388,8 +395,10 @@ func (m *cacheModel) check(op string) {
 			m.t.Fatalf("after %s: shard %d LRU %v, model %v", op, i, order, ms.lru)
 		case s.bytes != ms.bytes:
 			m.t.Fatalf("after %s: shard %d charges %d bytes, model %d", op, i, s.bytes, ms.bytes)
-		case ms.outstanding == 0 && s.bytes > m.c.perShard:
-			m.t.Fatalf("after %s: shard %d holds %d bytes with no reservation outstanding, budget %d", op, i, s.bytes, m.c.perShard)
+		case s.budget != ms.budget:
+			m.t.Fatalf("after %s: shard %d has a budget of %d bytes, model %d", op, i, s.budget, ms.budget)
+		case ms.outstanding == 0 && s.bytes > ms.budget:
+			m.t.Fatalf("after %s: shard %d holds %d bytes with no reservation outstanding, budget %d", op, i, s.bytes, ms.budget)
 		case len(s.items) != len(ms.entries):
 			m.t.Fatalf("after %s: shard %d maps %d blocks, model %d", op, i, len(s.items), len(ms.entries))
 		case !slices.Equal(s.freq.count, ms.freq.count) || s.freq.seen != ms.freq.seen:
@@ -453,7 +462,7 @@ func (m *cacheModel) checkFrames(op string) {
 		if slots != ms.peakSlots {
 			m.t.Fatalf("after %s: shard %d has %d slots, but needed at most %d at once", op, i, slots, ms.peakSlots)
 		}
-		over += max(0, int64(slots)*fuzzBlock-m.c.perShard)
+		over += max(0, int64(slots)*fuzzBlock-ms.budget)
 	}
 	slices.SortFunc(frames, func(a, b frame) int { return cmp.Compare(a.lo, b.lo) })
 	for x := 1; x < len(frames); x++ {
@@ -571,7 +580,8 @@ func FuzzBlockCache(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		m := newCacheModel(t, 1+int(data[0]&1), 2+int(data[0]>>1)%5)
+		shards := 1 + int(data[0]&1)
+		m := newCacheModel(t, shards, shards*(2+int(data[0]>>1)%5)+int(data[0]>>7)%shards)
 		m.run(data[1:])
 	})
 }

@@ -152,7 +152,8 @@ type missCost struct {
 
 // fetchMissing materializes the blocks of physical file `file` that
 // readAt's cache pass missed (sc.missed: ascending, at least one) and
-// copies each block's share of the window [off, off+len(p)) into p. It
+// copies each block's share of the window [off, off+len(p)), off on the
+// file's block grid, into p. It
 // marks the pinned blocks its spans read into p (sc.pinned), which the
 // caller need not copy.
 //
@@ -214,12 +215,13 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 		for ; x < len(missing); x++ {
 			b := missing[x]
 			dst, from := blockWindow(p, off, b, bs)
-			top := snap.StableEnd(file, b*bs, (b+1)*bs) - b*bs
+			base := b*bs - s.shift[file] // the block's first byte in the file
+			top := snap.StableEnd(file, base, base+bs) - base
 			if from+int64(len(dst)) > top {
 				sc.absent, sc.fills = append(sc.absent, b), append(sc.fills, fill{nil, dst, from})
 				continue
 			}
-			lo, hi := s.fillRange(b, dst, from)
+			lo, hi := s.fillRange(base, dst, from)
 			f, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, min(hi, top), top, bs, around)
 			if got == claimWait {
 				break
@@ -253,7 +255,7 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 		}
 		for i, j := 0, 0; i < len(absent); i = j {
 			j = spanEnd(absent, i, bs, s.maxSpanGap)
-			r, serr := s.windowedSpanRead(file, c, sc.spanVecs(i, j, p, off, bs), absent[i]*bs+fills[i].from)
+			r, serr := s.windowedSpanRead(file, c, sc.spanVecs(i, j, p, off, bs), absent[i]*bs+fills[i].from-s.shift[file])
 			cost.retries += r
 			settle(fills[i:j], serr == nil)
 			if serr != nil {
@@ -284,12 +286,12 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 	return cost, err
 }
 
-// fillRange is the part of cache block b that a first miss of the window
-// [from, from+len(dst)) of it reads: the FS blocks the window touches,
-// aligned in absolute file offsets and clamped to the block. With cache
-// blocks of one FS block it is always the whole block.
-func (s *Server) fillRange(b int64, dst []byte, from int64) (lo, hi int64) {
-	base, fb := b*s.blockBytes, s.fsBlock
+// fillRange is the part of the cache block starting at file offset base
+// that a first miss of the window [from, from+len(dst)) of it reads: the
+// FS blocks the window touches, aligned in file offsets and clamped to the
+// block. With cache blocks of one FS block it is always the whole block.
+func (s *Server) fillRange(base int64, dst []byte, from int64) (lo, hi int64) {
+	fb := s.fsBlock
 	lo = max((base+from)/fb*fb-base, 0)
 	hi = min((base+from+int64(len(dst))+fb-1)/fb*fb-base, s.blockBytes)
 	return lo, hi

@@ -363,8 +363,8 @@ func TestSingleflightOneBackendRead(t *testing.T) {
 	}
 	defer s.Close()
 	defer gfs.openAll()
-	const readers, off, win = 16, 128 << 10, 64 << 10
-	blocks := int64(win) / s.BlockBytes()
+	const readers, win = 16, 64 << 10
+	off, blocks := blockOff(s, 4), int64(win)/s.BlockBytes()
 	gfs.armed.Store(true)
 
 	var start, wg sync.WaitGroup
@@ -462,7 +462,7 @@ func TestSingleflightOverlappingWindows(t *testing.T) {
 	bs := s.BlockBytes()
 	offs := make([]int64, readers)
 	for g := range offs {
-		offs[g] = (8 + int64(g)) * bs
+		offs[g] = blockOff(s, 8+int64(g))
 	}
 	got, errs := releaseReaders(t, s, gfs, offs, blocks*bs)
 	for g := range got {

@@ -26,6 +26,10 @@ func partialServer(t *testing.T, fsys fsio.FileSystem, cfg *Config) (*Server, []
 	return s, raw
 }
 
+// blockOff is where cache block b of physical file 0 starts in the file:
+// blocks lie on the file's chunk grid (gridShift).
+func blockOff(s *Server, b int64) int64 { return b*s.blockBytes - s.shift[0] }
+
 // readCheck reads n bytes at off through r and compares them with the file.
 func readCheck(t *testing.T, r FileReaderAt, raw []byte, off, n int64) {
 	t.Helper()
@@ -44,8 +48,7 @@ func readCheck(t *testing.T, r FileReaderAt, raw []byte, off, n int64) {
 // own two FS blocks; after that both windows hit.
 func TestPartialFrameReadsOnlyItsFSBlocks(t *testing.T) {
 	s, raw := partialServer(t, fsio.NewOS(t.TempDir()), &Config{CacheBytes: 1 << 20})
-	bs := s.BlockBytes()
-	first, second := 2*bs+1000, 2*bs+10000 // block 2: FS blocks 0-1, then 2-3 of 8
+	first, second := blockOff(s, 2)+1000, blockOff(s, 2)+10000 // block 2: FS blocks 0-1, then 2-3 of 8
 
 	readCheck(t, s, raw, first, 4096)
 	st := s.Stats()
@@ -118,7 +121,6 @@ func TestSequentialSmallReadsStayProportional(t *testing.T) {
 func TestPartialFrameExtends(t *testing.T) {
 	t.Run("two windows in one block", func(t *testing.T) {
 		s, raw := partialServer(t, fsio.NewOS(t.TempDir()), &Config{CacheBytes: 1 << 20})
-		bs := s.BlockBytes()
 		for _, step := range []struct {
 			off, n, bytes int64 // a window of block 2, and the backend bytes it costs
 		}{
@@ -131,7 +133,7 @@ func TestPartialFrameExtends(t *testing.T) {
 			{0, 32 << 10, 0},    // the whole block: a hit
 		} {
 			before := s.Stats()
-			readCheck(t, s, raw, 2*bs+step.off, step.n)
+			readCheck(t, s, raw, blockOff(s, 2)+step.off, step.n)
 			st := s.Stats()
 			reads, bytes := st.BackendReads-before.BackendReads, st.BackendBytes-before.BackendBytes
 			if want := min(step.bytes, 1); reads != want || bytes != step.bytes {
@@ -144,13 +146,13 @@ func TestPartialFrameExtends(t *testing.T) {
 	t.Run("a window's interior block", func(t *testing.T) {
 		s, raw := partialServer(t, fsio.NewOS(t.TempDir()), &Config{CacheBytes: 1 << 20})
 		bs := s.BlockBytes()
-		readCheck(t, s, raw, 2*bs+29000, 100) // block 2 holds FS block 7, the end of the window's first block
-		readCheck(t, s, raw, 3*bs+1000, 100)  // block 3 holds FS block 0, the start of its interior block
+		readCheck(t, s, raw, blockOff(s, 2)+29000, 100) // block 2 holds FS block 7, the end of the window's first block
+		readCheck(t, s, raw, blockOff(s, 3)+1000, 100)  // block 3 holds FS block 0, the start of its interior block
 		before := s.Stats()
 		// Blocks 2-4 from block 2's FS block 4: block 2 reads FS blocks 4-7
 		// (its read must reach the block's end), block 3 all eight, block 4
 		// FS block 0 — one span, one backend read.
-		readCheck(t, s, raw, 2*bs+20000, bs-20000+bs+3000)
+		readCheck(t, s, raw, blockOff(s, 2)+20000, bs-20000+bs+3000)
 		st := s.Stats()
 		if reads, bytes := st.BackendReads-before.BackendReads, st.BackendBytes-before.BackendBytes; reads != 1 || bytes != 16384+bs+4096 {
 			t.Fatalf("a window over partly resident blocks: %d backend reads of %d bytes, want 1 of %d", reads, bytes, 16384+bs+4096)
@@ -201,7 +203,7 @@ func TestPartialFrameExtends(t *testing.T) {
 			t.Fatal(err)
 		}
 		ext := s.Layout().RankBlocks(0)[0]
-		block := ext.Off / s.BlockBytes()
+		block := (ext.Off + s.shift[ext.File]) / s.BlockBytes()
 		got := make([]byte, 2500)
 		if n, err := h.ReadLogicalAt(got[:1000], 0); n != 1000 || err != nil {
 			t.Fatalf("the first commit: (%d, %v)", n, err)
@@ -242,8 +244,7 @@ func TestPeerFillPartialRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	bs := a.BlockBytes()
-	off := 3*bs + 5000
+	off := blockOff(a, 3) + 5000
 
 	readCheck(t, a, raw, off, 2000)
 	readCheck(t, b, raw, off, 2000)
@@ -254,7 +255,7 @@ func TestPeerFillPartialRange(t *testing.T) {
 	if !a.Peek(0, 3, fs, 4096) || a.Peek(0, 3, fs, 0) || a.Peek(0, 3, fs, 8192) {
 		t.Fatal("the peer does not hold exactly FS block 1 of block 3, [4096, 8192)")
 	}
-	readCheck(t, b, raw, 3*bs+12000, 2000) // outside the peer's range
+	readCheck(t, b, raw, blockOff(a, 3)+12000, 2000) // outside the peer's range
 	if st := b.Stats(); st.BackendReads != 1 || st.PeerFills != 1 {
 		t.Fatalf("a window the peer does not hold: %+v, want it read from the backend", st)
 	}

@@ -203,6 +203,7 @@ type Server struct {
 	name         string           // multifile base name (error messages)
 	physNames    []string         // physical file paths, indexed like files
 	files        []fsio.File      // the loader's open handles (tail.File)
+	shift        []int64          // per physical file: where its block grid starts before byte 0 (gridShift)
 	breakers     []*resil.Breaker // per physical file; nil entries = disabled
 	notClosed    atomic.Int32     // breakers currently open or half-open (Degraded's O(1) answer)
 	cache        *blockCache
@@ -256,7 +257,8 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 		fsBlock:      fsblk,
 		maxSpanGap:   c.MaxSpanGap,
 		maxSpanBytes: spanCeiling(caps, c.BlockBytes),
-		cache:        newBlockCache(c.CacheBytes, c.Shards),
+		cache:        newBlockCache(c.CacheBytes, c.Shards, c.BlockBytes),
+		shift:        gridShift(layout, c.BlockBytes),
 		breakerCfg:   [2]int{c.BreakerThreshold, c.BreakerCooldown},
 		peerFill:     c.PeerFill,
 		tail:         t,
@@ -288,6 +290,26 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 		s.registerBreakerGauge(k, s.physNames[k])
 	}
 	return s, nil
+}
+
+// gridShift lays each physical file's cache blocks on its chunk grid:
+// block b of file k covers bytes [b·bs − shift[k], (b+1)·bs − shift[k]),
+// so a block boundary falls on the file's first chunk, and on every chunk
+// boundary whose chunk sizes are multiples of bs. Cut from byte 0 instead,
+// every chunk behind a 4 KiB metablock 1 ended 4 KiB into a block, and a
+// window reaching a chunk's end touched one block more. A live multifile
+// is cached in FS blocks, on which chunks are aligned: its shift is 0.
+func gridShift(l *sion.Layout, bs int64) []int64 {
+	first := make([]int64, l.NumFiles()) // the first chunk's offset per file, 0 = none seen
+	for g := 0; g < l.NTasks(); g++ {
+		if b := l.RankBlocks(g); len(b) > 0 && (first[b[0].File] == 0 || b[0].Off < first[b[0].File]) {
+			first[b[0].File] = b[0].Off
+		}
+	}
+	for k, off := range first {
+		first[k] = (bs - off%bs) % bs
+	}
+	return first
 }
 
 // minCacheBlock is the floor of the default cache block: the default is
@@ -458,9 +480,10 @@ func (s *Server) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	if off < 0 {
 		return fmt.Errorf("serve: %s: negative physical offset %d", s.name, off)
 	}
-	c := &s.m.cells[s.cache.shardIndex(blockKey{file, off / s.blockBytes})] // the request's cell: its first block's shard
+	goff := off + s.shift[file]                                              // on the block grid
+	c := &s.m.cells[s.cache.shardIndex(blockKey{file, goff / s.blockBytes})] // the request's cell: its first block's shard
 	start := s.m.readStart(c)
-	if err := s.readAt(file, c, p, off, sp); err != nil {
+	if err := s.readAt(file, c, p, goff, sp); err != nil {
 		return err
 	}
 	s.m.readDone(c, start, int64(len(p)))
@@ -552,7 +575,8 @@ func (s *Server) Close() error {
 	return s.tail.Close()
 }
 
-// readAt serves [off, off+len(p)) of physical file `file`: resident blocks
+// readAt serves [off, off+len(p)) of physical file `file`, off on the
+// file's block grid (ReadFileAt adds its shift): resident blocks
 // are copied out of the cache, the rest go through fetchMissing under the
 // close guard of the request's cell c. A resident block after the first
 // miss may lie between two misses, where a span can read it into p along
