@@ -144,6 +144,10 @@ type Cluster struct {
 	// never cleared.
 	stirred atomic.Bool
 
+	// askAll switches the routed-granule filter off (Node.mayHold): peer
+	// fill asks every other node. The ablation table flips it.
+	askAll bool
+
 	// m holds the routing counters as obs instruments (Stats() reads
 	// them); the same registry carries every node's serve families,
 	// labeled node=<id>.
@@ -408,7 +412,7 @@ func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte, fro
 	key := granuleHash(file, (block+v.gridShift(file)/v.blockBytes)/v.granuleBlocks)
 	var may uint64 // the peers that may hold the block, by node index
 	for i, n := range v.nodes {
-		if n.ID != selfID && n.mayHold(key) {
+		if n.ID != selfID && (c.askAll || n.mayHold(key)) {
 			may |= 1 << uint(i)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	sion "repro/internal/core"
 	"repro/internal/fsio"
+	"repro/internal/mpi"
 	"repro/internal/resil"
 	"repro/internal/serve"
 )
@@ -573,5 +574,78 @@ func BenchmarkRoute(b *testing.B) {
 		}
 		b.Run(bc.name+"/ring-par", func(b *testing.B) { par(b, ring(b)) })
 		b.Run(bc.name+"/node-par", func(b *testing.B) { par(b, node(b)) })
+	}
+}
+
+// TestRunsFollowTheChunkGrid: with 4 KiB FS blocks every chunk starts one
+// FS block (metablock 1) past a multiple of its size, and granules start
+// at the first chunk. So a window inside one chunk is one node call when
+// the chunk is a granule or a quarter of one, and when it is four of them
+// a window inside one granule-sized quarter of it is; a window across the
+// edge between a rank's two chunks makes exactly the layout's pieces.
+func TestRunsFollowTheChunkGrid(t *testing.T) {
+	for _, chunk := range []int64{granuleBytes / 4, granuleBytes, 4 * granuleBytes} {
+		t.Run(fmt.Sprint(chunk>>10, "KiB"), func(t *testing.T) {
+			fsys := fsio.NewOS(t.TempDir())
+			const ranks = 4
+			payloads := make([][]byte, ranks)
+			for r := range payloads {
+				payloads[r] = testPayload(r, int(2*chunk))
+			}
+			mpi.Run(ranks, func(c *mpi.Comm) {
+				f, err := sion.ParOpen(c, fsys, "c.sion", sion.WriteMode, &sion.Options{
+					ChunkSize: chunk, FSBlockSize: testBlock, NFiles: 1,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := f.Write(payloads[c.Rank()]); err != nil {
+					t.Error(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Error(err)
+				}
+			})
+			if t.Failed() {
+				t.FailNow()
+			}
+			cl := startCluster(t, 3, "c.sion", func(int) fsio.FileSystem { return fsys }, serve.Config{CacheBytes: testCache})
+			l := cl.Layout()
+			if first := l.RankBlocks(0)[0].Off; first != testBlock {
+				t.Fatalf("the first chunk starts at %d, want one FS block in", first)
+			}
+			runs := func(rank int, off, n int64) int64 {
+				t.Helper()
+				h, err := cl.Open(rank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := cl.Stats().Requests
+				p := make([]byte, n)
+				if _, err := h.ReadLogicalAt(p, off); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(p, payloads[rank][off:off+n]) {
+					t.Fatalf("rank %d, %d bytes at %d: bytes differ", rank, n, off)
+				}
+				return cl.Stats().Requests - before
+			}
+			for rank := 0; rank < ranks; rank++ {
+				piece := min(chunk, granuleBytes)
+				for off := int64(0); off < 2*chunk; off += piece {
+					if got := runs(rank, off, piece); got != 1 {
+						t.Fatalf("rank %d: %d bytes at %d, inside one chunk and one granule, made %d node calls, want 1",
+							rank, piece, off, got)
+					}
+				}
+				off, n := chunk-5000, int64(9000)
+				pieces := int64(0)
+				l.ReadRankAt(rank, make([]byte, n), off, func(int, []byte, int64) error { pieces++; return nil })
+				if got := runs(rank, off, n); pieces != 2 || got != pieces {
+					t.Fatalf("rank %d: a window across its chunk edge made %d node calls, want the layout's %d pieces (2)", rank, got, pieces)
+				}
+			}
+		})
 	}
 }

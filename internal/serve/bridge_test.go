@@ -80,7 +80,7 @@ func bracketServer(t *testing.T, fsys fsio.FileSystem, cfg Config) (*Server, []b
 			t.Fatal(err)
 		}
 	}
-	s.cache.shards[0].freq.init(4)
+	s.cache.shards[0].freq.init(4, ablation{})
 	for i := 0; i < 15; i++ {
 		for _, b := range bracketResident {
 			if err := s.ReadFileAt(0, make([]byte, bbs), b*bbs, nil); err != nil {

@@ -97,7 +97,8 @@ type cacheShard struct {
 type blockCache struct {
 	shards []cacheShard
 	mask   uint64
-	budget int64 // the shards' budgets summed: what the slabs may take
+	budget int64    // the shards' budgets summed: what the slabs may take
+	ab     ablation // the sketch's shape (freqSketch.init)
 
 	// slabMu guards the frame source: slab is the current slab's part not
 	// yet carved into frames, and taken counts the bytes of every slab and
@@ -304,7 +305,7 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64,
 	}
 	full := s.bytes+n > s.budget
 	if full && s.freq.count == nil {
-		s.freq.init(s.budget / n)
+		s.freq.init(s.budget/n, c.ab)
 	}
 	s.freq.record(k)
 	cold := !ok && around && full
@@ -348,12 +349,24 @@ func (s *cacheShard) extend(e *cacheEntry, lo, hi, rlo, rhi int64) fill {
 // of two ≥ 8× the blocks the shard holds (≥ 64), all halved after 4× that
 // many accesses (TinyLFU's reset). The zero value records nothing.
 type freqSketch struct {
-	count []uint8
-	seen  int // accesses recorded since the last halving
+	count   []uint8
+	seen    int // accesses recorded since the last halving
+	halveAt int // seen at the next halving: 4× the counters (-1: never)
+	one     bool
 }
 
-func (f *freqSketch) init(blocks int64) {
-	f.count = make([]uint8, max(64, 1<<bits.Len64(uint64(8*blocks-1))))
+// init sizes the sketch for a shard of blocks blocks. ab resizes it for
+// the ablation table; its zero value is the rule above.
+func (f *freqSketch) init(blocks int64, ab ablation) {
+	per, halve := int64(8), 4
+	if ab.sketchPerBlock > 0 {
+		per = int64(ab.sketchPerBlock)
+	}
+	if ab.sketchHalving != 0 {
+		halve = ab.sketchHalving
+	}
+	f.count = make([]uint8, max(64, 1<<bits.Len64(uint64(per*blocks-1))))
+	f.halveAt, f.one = max(halve*len(f.count), -1), ab.sketchOneProbe
 }
 
 // probes returns k's two counters, remixing the hash: its low bits are the shard.
@@ -361,6 +374,9 @@ func (f *freqSketch) probes(k blockKey) (int, int) {
 	h := k.hash()
 	h = (h ^ h>>31) * 0x94d049bb133111eb
 	m := uint64(len(f.count) - 1)
+	if f.one {
+		return int(h >> 7 & m), int(h >> 7 & m)
+	}
 	return int(h >> 7 & m), int(h >> 37 & m)
 }
 
@@ -373,7 +389,7 @@ func (f *freqSketch) record(k blockKey) {
 	if j != i {
 		f.count[j] = min(f.count[j]+1, 15)
 	}
-	if f.seen++; f.seen == 4*len(f.count) {
+	if f.seen++; f.seen == f.halveAt {
 		for x := range f.count {
 			f.count[x] >>= 1
 		}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/fsio"
 )
 
 // lookup reads up to n bytes of block k the way a reader does: copied out
@@ -399,7 +401,7 @@ func TestFullShardReadsFirstTouchAround(t *testing.T) {
 func TestAdmissionNeedsAFullShardAndALargeWindow(t *testing.T) {
 	c := fullShard()
 	s := &c.shards[0]
-	s.freq.init(4)
+	s.freq.init(4, ablation{})
 	for b := int64(100); b < 104; b++ {
 		lookup(c, blockKey{0, b}, 10)
 	}
@@ -426,13 +428,13 @@ func TestAdmissionNeedsAFullShardAndALargeWindow(t *testing.T) {
 func TestFreqSketchSaturatesAndHalves(t *testing.T) {
 	for blocks, want := range map[int64]int{1: 64, 8: 64, 9: 128, 100: 1024} {
 		var f freqSketch
-		f.init(blocks)
+		f.init(blocks, ablation{})
 		if len(f.count) != want {
 			t.Fatalf("%d blocks: %d counters, want %d", blocks, len(f.count), want)
 		}
 	}
 	var f freqSketch
-	f.init(4)
+	f.init(4, ablation{})
 	k := blockKey{3, 9}
 	for i := 0; i < 20; i++ {
 		f.record(k)
@@ -445,5 +447,28 @@ func TestFreqSketchSaturatesAndHalves(t *testing.T) {
 	}
 	if f.est(k) != 7 {
 		t.Fatalf("after %d accesses the estimate is %d, want 15 halved", 4*len(f.count), f.est(k))
+	}
+}
+
+// TestNodeHoldsItsWholeBudget: at steady state a cache holds its budget
+// rounded down to whole blocks, with the leftover blocks on the first
+// shards, for each of the ladder's per-node budgets (a third of the
+// workload's cache rounded up to 4 KiB, in the default 32 KiB blocks over
+// the default shards). Split evenly in bytes, every shard stranded a part
+// block: serve-cold's 2 796 544 B over 16 shards held 16 × 5 blocks.
+func TestNodeHoldsItsWholeBudget(t *testing.T) {
+	for _, cache := range []int64{32 << 20, 64 << 20, 256 << 20, 8 << 20} {
+		node := (cache/3 + 4095) / 4096 * 4096
+		cfg := resolveConfig(&Config{CacheBytes: node}, 4096, fsio.Capabilities{})
+		c := newBlockCache(cfg.CacheBytes, cfg.Shards, cfg.BlockBytes)
+		blocks := node / cfg.BlockBytes
+		data := make([]byte, cfg.BlockBytes)
+		for b := int64(0); b < 4*blocks; b++ {
+			insert(c, blockKey{0, b}, data)
+		}
+		if got, want := c.cachedBytes(), blocks*cfg.BlockBytes; got != want {
+			t.Errorf("a %d-byte node over %d shards holds %d bytes, want its %d whole blocks, %d bytes",
+				node, len(c.shards), got, blocks, want)
+		}
 	}
 }

@@ -201,7 +201,7 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
 	}
 	full := ms.bytes+fuzzBlock > ms.budget
 	if full && ms.freq.count == nil {
-		ms.freq.init(ms.budget / fuzzBlock)
+		ms.freq.init(ms.budget/fuzzBlock, ablation{})
 	}
 	ms.freq.record(k)
 	cold := !ok && around && full

@@ -5,3 +5,11 @@ package serve
 var WriteOneFile = writeOneFile
 
 type VecFS = vecFS
+
+// The ablation knobs (ablation), for the external ablation table.
+var (
+	AblateWholeFills      = func(c *Config) { c.ablate.wholeFills = true }
+	AblateSketchHalfSize  = func(c *Config) { c.ablate.sketchPerBlock = 4 }
+	AblateSketchNoHalving = func(c *Config) { c.ablate.sketchHalving = -1 }
+	AblateSketchOneProbe  = func(c *Config) { c.ablate.sketchOneProbe = true }
+)

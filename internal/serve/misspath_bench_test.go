@@ -28,14 +28,20 @@ import (
 //     ladder's ckpt-small shape (…/resident/…): every lookup hits, and
 //     the windows are spread over more memory than the TLB maps in small
 //     pages, so the case shows what the page size of the cache's frames
-//     costs a hit.
+//     costs a hit;
+//   - the 4–64 KiB mix with every window inside one chunk (a rank's
+//     512 KiB, one FS block past a multiple of its size), through a
+//     3-node cluster splitting an eighth of the file as the ladder splits
+//     serve-cold's cache (…/cold/cluster), and pread of the same windows
+//     (…/cold/pread): the cluster's cold cost below the ladder.
 //
 // Each serving case reports, counted over the timed requests, the block
 // lookups per request (each one a hash, a shard lock and a map probe, so
-// the cache block's size shows as a count), the cache's work per block
-// lookup, the backend bytes moved per byte served, and the vectors per
-// backend read (1 = every span one plain read into the caller's buffer;
-// not reported where nothing is read).
+// the cache block's size shows as a count), the backend reads per
+// request, the cache's work per block lookup, the backend bytes moved per
+// byte served, and the vectors per backend read (1 = every span one plain
+// read into the caller's buffer; not reported where nothing is read); a
+// cluster also reports its runs (node calls) per request.
 func BenchmarkMissPath(b *testing.B) {
 	vfs := &serve.VecFS{FileSystem: fsio.NewOS(b.TempDir())}
 	size := int64(len(serve.WriteOneFile(b, vfs, "m.sion", 16, 512<<10, 4096)))
@@ -70,20 +76,25 @@ func BenchmarkMissPath(b *testing.B) {
 	}
 	// serveCase times reqs through read after a pass that fills the cache
 	// and starts its counts, and reports what stats counted meanwhile.
-	serveCase := func(b *testing.B, reqs []request, hi int64, read func(p []byte, off int64) error, stats func() serve.Stats) {
+	serveCase := func(b *testing.B, reqs []request, hi int64, read func(p []byte, off int64) error, stats func() (serve.Stats, int64)) {
 		p := make([]byte, hi)
 		for _, q := range reqs {
 			if err := read(p[:q.n], q.off); err != nil {
 				b.Fatal(err)
 			}
 		}
-		before, reads, vecs := stats(), vfs.Reads.Load(), vfs.Vecs.Load()
+		before, runs0 := stats()
+		reads, vecs := vfs.Reads.Load(), vfs.Vecs.Load()
 		b.ResetTimer()
 		run(b, reqs, hi, read)
 		b.StopTimer()
-		st := stats()
+		st, runs := stats()
 		lookups := float64(st.Hits + st.Misses - before.Hits - before.Misses)
 		b.ReportMetric(lookups/float64(b.N), "lookups/req")
+		b.ReportMetric(float64(st.BackendReads-before.BackendReads)/float64(b.N), "reads/req")
+		if runs > 0 {
+			b.ReportMetric(float64(runs-runs0)/float64(b.N), "runs/req")
+		}
 		b.ReportMetric(float64(st.Evictions-before.Evictions)/lookups, "evictions/lookup")
 		b.ReportMetric(float64(st.Hits-before.Hits)/lookups, "hit")
 		b.ReportMetric(float64(st.BackendBytes-before.BackendBytes)/float64(st.ServedBytes-before.ServedBytes), "backend-bytes/served")
@@ -112,7 +123,7 @@ func BenchmarkMissPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer s.Close()
-		serveCase(b, small, smallHi, func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }, s.Stats)
+		serveCase(b, small, smallHi, func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }, func() (serve.Stats, int64) { return s.Stats(), 0 })
 	})
 	b.Run("pread", func(b *testing.B) { preadCase(b, "m.sion", small, smallHi) })
 
@@ -124,7 +135,7 @@ func BenchmarkMissPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer s.Close()
-		serveCase(b, large, largeHi, func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }, s.Stats)
+		serveCase(b, large, largeHi, func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }, func() (serve.Stats, int64) { return s.Stats(), 0 })
 	})
 	b.Run("large/cluster", func(b *testing.B) {
 		const nodes = 3
@@ -135,10 +146,33 @@ func BenchmarkMissPath(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		serveCase(b, large, largeHi, func(p []byte, off int64) error { return cl.ReadFileAt(0, p, off, nil) },
-			func() serve.Stats { return cl.Stats().Serve })
+		serveCase(b, large, largeHi, func(p []byte, off int64) error { return cl.ReadFileAt(0, p, off, nil) }, clusterStats(cl))
 	})
 	b.Run("large/pread", func(b *testing.B) { preadCase(b, "m.sion", large, largeHi) })
+
+	// The chunk of each window's rank, from the layout: m.sion's chunks
+	// are its 512 KiB ranks.
+	lay, err := serve.New(vfs, "m.sion", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cold, ranks := requests(512<<10, 4<<10, smallHi), rand.New(rand.NewSource(51))
+	for i := range cold {
+		cold[i].off += lay.Layout().RankBlocks(ranks.Intn(16))[0].Off
+	}
+	lay.Close()
+	b.Run("cold/cluster", func(b *testing.B) {
+		const nodes = 3
+		cl := cluster.New(nil)
+		defer cl.Close()
+		for i := 0; i < nodes; i++ {
+			if _, err := cl.Join(fmt.Sprint("n", i), vfs, "m.sion", &serve.Config{CacheBytes: (size/8/nodes + 4095) / 4096 * 4096}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		serveCase(b, cold, smallHi, func(p []byte, off int64) error { return cl.ReadFileAt(0, p, off, nil) }, clusterStats(cl))
+	})
+	b.Run("cold/pread", func(b *testing.B) { preadCase(b, "m.sion", cold, smallHi) })
 
 	const residentHi = 4 << 10
 	rsize := int64(len(serve.WriteOneFile(b, vfs, "r.sion", 16, 2<<20, 4096)))
@@ -156,7 +190,15 @@ func BenchmarkMissPath(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		serveCase(b, resident, residentHi, read, s.Stats)
+		serveCase(b, resident, residentHi, read, func() (serve.Stats, int64) { return s.Stats(), 0 })
 	})
 	b.Run("resident/pread", func(b *testing.B) { preadCase(b, "r.sion", resident, residentHi) })
+}
+
+// clusterStats reads a cluster's summed serve counters and its runs.
+func clusterStats(cl *cluster.Cluster) func() (serve.Stats, int64) {
+	return func() (serve.Stats, int64) {
+		st := cl.Stats()
+		return st.Serve, st.Requests
+	}
 }

@@ -645,7 +645,7 @@ func fullTinyServer(t *testing.T, fsys fsio.FileSystem, cfg Config) (*Server, []
 			t.Fatal(err)
 		}
 	}
-	s.cache.shards[0].freq.init(4)
+	s.cache.shards[0].freq.init(4, ablation{})
 	for i := 0; i < 15; i++ {
 		if err := s.ReadFileAt(0, make([]byte, 4*256), 0, nil); err != nil {
 			t.Fatal(err)

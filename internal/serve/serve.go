@@ -167,6 +167,18 @@ type Config struct {
 	// MetricLabels are prepended to every metric family the server
 	// registers (internal/cluster sets node=<id>).
 	MetricLabels []obs.Label
+
+	ablate ablation
+}
+
+// ablation switches a serving mechanism off, or reshapes it, for the
+// ablation table (serving_test.go); its zero value is the shipped
+// behaviour. What each mechanism pays is in internal/README.md.
+type ablation struct {
+	wholeFills     bool // a first miss reads its whole block: no partial valid range, no reading on
+	sketchPerBlock int  // admission sketch counters per block a shard holds (0: 8)
+	sketchHalving  int  // accesses per counter between halvings (0: 4; -1: never)
+	sketchOneProbe bool // one sketch counter per key, not two
 }
 
 // Stats is a snapshot of a Server's request counters.
@@ -214,6 +226,7 @@ type Server struct {
 	retry        resil.Budget
 	breakerCfg   [2]int // resolved {threshold, cooldown}; threshold < 0 disables
 	peerFill     func(file int, block int64, dst []byte, from int64) bool
+	ab           ablation
 
 	// snap is the layout every read walks: loaded by New, and published
 	// by Poll while the multifile is live. tail is the loader: it owns
@@ -261,6 +274,7 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 		shift:        gridShift(layout, c.BlockBytes),
 		breakerCfg:   [2]int{c.BreakerThreshold, c.BreakerCooldown},
 		peerFill:     c.PeerFill,
+		ab:           c.ablate,
 		tail:         t,
 	}
 	if c.Retry != nil {
@@ -270,6 +284,7 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	s.cache.ab = c.ablate
 	s.m = newServerMetrics(reg, c.MetricLabels, len(s.cache.shards))
 	for i := range s.cache.shards {
 		if !s.m.off {

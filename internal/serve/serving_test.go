@@ -256,7 +256,8 @@ type replayStack struct {
 	counts func() replayCounts
 }
 
-func serverStack(t *testing.T, fsys fsio.FileSystem, name string, cfg serve.Config) replayStack {
+func serverStack(t *testing.T, fsys fsio.FileSystem, name string, cfg serve.Config, ablate func(*serve.Config)) replayStack {
+	ablate(&cfg)
 	s, err := serve.New(fsys, name, &cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -336,11 +337,13 @@ func servingRow(workload, stack string, reqs int, c replayCounts) string {
 
 // ladderCluster joins ladderNodes nodes over name, each with a third of
 // cache in whole FS blocks, as the ladder splits it.
-func ladderCluster(t *testing.T, fsys fsio.FileSystem, name string, cache int64) (*cluster.Cluster, func(id string)) {
+func ladderCluster(t *testing.T, fsys fsio.FileSystem, name string, cache int64, ablate func(*serve.Config)) (*cluster.Cluster, func(id string)) {
 	cl := cluster.New(nil)
 	t.Cleanup(func() { cl.Close() })
 	join := func(id string) {
-		if _, err := cl.Join(id, fsys, name, &serve.Config{CacheBytes: (cache/ladderNodes + 4095) / 4096 * 4096}); err != nil {
+		cfg := serve.Config{CacheBytes: (cache/ladderNodes + 4095) / 4096 * 4096}
+		ablate(&cfg)
+		if _, err := cl.Join(id, fsys, name, &cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,8 +354,8 @@ func ladderCluster(t *testing.T, fsys fsio.FileSystem, name string, cache int64)
 }
 
 // servingTable replays every stream through its stacks and formats the
-// rows of testdata/serving.golden.
-func servingTable(t *testing.T) string {
+// rows of testdata/serving.golden; ablate edits every serve.Config first.
+func servingTable(t *testing.T, ablate func(*serve.Config)) string {
 	dir := t.TempDir()
 	fsys := fsio.NewOS(dir)
 	var b strings.Builder
@@ -367,13 +370,13 @@ func servingTable(t *testing.T) string {
 			c := replay(t, st, sp.tasks, sp.perTask, true, stream, at)
 			fmt.Fprintln(&b, servingRow(sp.name, stack, len(stream), c))
 		}
-		row("server", serverStack(t, fsys, name, serve.Config{CacheBytes: sp.cache}), nil)
-		cl, _ := ladderCluster(t, fsys, name, sp.cache)
+		row("server", serverStack(t, fsys, name, serve.Config{CacheBytes: sp.cache}, ablate), nil)
+		cl, _ := ladderCluster(t, fsys, name, sp.cache, ablate)
 		row("cluster", clusterStack(t, cl), nil)
 		cl.Close()
 		// churn: n1 leaves a third of the way in and rejoins, empty, at two
 		// thirds; its granules move to their successors and back.
-		cl, join := ladderCluster(t, fsys, name, sp.cache)
+		cl, join := ladderCluster(t, fsys, name, sp.cache, ablate)
 		row("churn", clusterStack(t, cl), func(i int) bool {
 			switch i {
 			case len(stream) / 3:
@@ -396,7 +399,7 @@ func servingTable(t *testing.T) string {
 			name   string
 			stream []replayRequest
 		}{{"uniform-", uniformStream(seed)}, {"zipf-burst-", zipfBurstStream(seed)}} {
-			st := serverStack(t, fsys, "admission.sion", serve.Config{CacheBytes: admissionCache, Shards: 2})
+			st := serverStack(t, fsys, "admission.sion", serve.Config{CacheBytes: admissionCache, Shards: 2}, ablate)
 			c := replay(t, st, admissionRanks, admissionPerRank, false, s.stream, nil)
 			fmt.Fprintln(&b, servingRow(fmt.Sprint(s.name, seed), "server", len(s.stream), c))
 		}
@@ -416,7 +419,7 @@ func servingTable(t *testing.T) string {
 // depend on the streams, the geometry and the serving rules alone, not on
 // the host. -update rewrites the golden.
 func TestServingReplay(t *testing.T) {
-	got := servingTable(t)
+	got := servingTable(t, func(*serve.Config) {})
 	path := filepath.Join("testdata", "serving.golden")
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -430,5 +433,45 @@ func TestServingReplay(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("replay differs from %s:\ngot:\n%swant:\n%s", path, got, want)
+	}
+}
+
+// TestServingAblation switches the serving mechanisms off one at a time,
+// replays serving.golden's streams and logs the rows that move (-v shows
+// them). A mechanism whose ablation moves no row on any workload does not
+// pay and was deleted; each one left here must move a row, and
+// internal/README.md names the row it pays on.
+func TestServingAblation(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "serving.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(golden), "\n")
+	for _, k := range []struct {
+		name   string
+		ablate func(*serve.Config)
+	}{
+		{"span bridging", func(c *serve.Config) { c.MaxSpanGap = -1 }},
+		{"partial valid ranges", serve.AblateWholeFills},
+		{"sketch of 4 counters a block", serve.AblateSketchHalfSize},
+		{"sketch never halved", serve.AblateSketchNoHalving},
+		{"sketch of one probe", serve.AblateSketchOneProbe},
+		{"one shard by default", func(c *serve.Config) { c.Shards = max(c.Shards, 1) }},
+	} {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			t.Parallel()
+			got := strings.Split(servingTable(t, k.ablate), "\n")
+			moved := 0
+			for i := range got {
+				if got[i] != want[i] {
+					moved++
+					t.Logf("golden:  %s\nablated: %s", want[i], got[i])
+				}
+			}
+			if moved == 0 {
+				t.Errorf("no row moves without %s: it does not pay", k.name)
+			}
+		})
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"io"
 	"math"
 	"path"
+	"slices"
 	"sort"
 	"sync"
 
@@ -462,8 +463,8 @@ func (f *file) addExtent(off, end int64) int64 {
 		}
 		j++
 	}
-	merged := append(es[:i:i], extent{newOff, newEnd})
-	f.extents = append(merged, es[j:]...)
+	// In place: the merged range replaces es[i:j], or is inserted at i.
+	f.extents = slices.Replace(es, i, j, extent{newOff, newEnd})
 	return (end - off) - overlap
 }
 
