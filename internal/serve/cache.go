@@ -98,7 +98,7 @@ type blockCache struct {
 	shards []cacheShard
 	mask   uint64
 	budget int64    // the shards' budgets summed: what the slabs may take
-	ab     ablation // the sketch's shape (freqSketch.init)
+	ab     ablation // the sketch's shape (freqSketch.init), and whole fills (fillRange)
 
 	// slabMu guards the frame source: slab is the current slab's part not
 	// yet carved into frames, and taken counts the bytes of every slab and
@@ -350,9 +350,9 @@ func (s *cacheShard) extend(e *cacheEntry, lo, hi, rlo, rhi int64) fill {
 // many accesses (TinyLFU's reset). The zero value records nothing.
 type freqSketch struct {
 	count   []uint8
-	seen    int // accesses recorded since the last halving
-	halveAt int // seen at the next halving: 4× the counters (-1: never)
-	one     bool
+	seen    int  // accesses recorded since the last halving
+	halveAt int  // seen at the next halving: 4× the counters (-1: never)
+	one     bool // one counter per key (the ablation table's)
 }
 
 // init sizes the sketch for a shard of blocks blocks. ab resizes it for

@@ -291,7 +291,7 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 // FS blocks the window touches, aligned in file offsets and clamped to the
 // block. With cache blocks of one FS block it is always the whole block.
 func (s *Server) fillRange(base int64, dst []byte, from int64) (lo, hi int64) {
-	if s.ab.wholeFills {
+	if s.cache.ab.wholeFills {
 		return 0, s.blockBytes
 	}
 	fb := s.fsBlock

@@ -226,7 +226,6 @@ type Server struct {
 	retry        resil.Budget
 	breakerCfg   [2]int // resolved {threshold, cooldown}; threshold < 0 disables
 	peerFill     func(file int, block int64, dst []byte, from int64) bool
-	ab           ablation
 
 	// snap is the layout every read walks: loaded by New, and published
 	// by Poll while the multifile is live. tail is the loader: it owns
@@ -274,7 +273,6 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 		shift:        gridShift(layout, c.BlockBytes),
 		breakerCfg:   [2]int{c.BreakerThreshold, c.BreakerCooldown},
 		peerFill:     c.PeerFill,
-		ab:           c.ablate,
 		tail:         t,
 	}
 	if c.Retry != nil {
