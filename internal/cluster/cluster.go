@@ -14,6 +14,10 @@
 // unit of routing, a block stays the unit of caching. A granule is
 // granuleBytes (256 KiB) of consecutive cache blocks of one physical
 // file; a run is the part of one request that falls inside one granule.
+// Granules and blocks lie on the file's chunk grid: its origin is the
+// file's first chunk, not byte 0 (granuleShift; serve lays its blocks the
+// same way), so a window inside one chunk is one run when the chunk is a
+// granule or a quarter of one, and no block belongs to two granules.
 // The multifile keeps a task's data contiguous so that few large requests
 // reach the file system; routing by run keeps it contiguous on the way
 // there — a node that misses sees all of a run's blocks in one fetch and
@@ -35,7 +39,9 @@
 //     (Node.routed), and a node's cache takes blocks only from the runs
 //     the router hands it, so a node never routed the block's granule
 //     cannot hold it. On a static ring that is every peer, and a miss
-//     asks no one.
+//     asks no one: until a node joins a ring that has served a read, or a
+//     run goes to a node other than its primary (Cluster.stirred), a miss
+//     reads no peer state but that one flag.
 //   - Failure routing: nodes expose their breaker state (serve.Health,
 //     serve.Degraded); the router tries healthy replicas first and fails
 //     a whole run over past open-circuit, closed, or transiently failing

@@ -14,9 +14,11 @@
 //     bytes are cached in fixed-size blocks keyed by (physical file, block
 //     index). A block is sized for the copy, not the disk: by default the
 //     smallest multiple of the FS block that is at least 32 KiB, so on
-//     POSIX's 4 KiB blocks a 64 KiB hit is 2 lookups, not 16. Shards are
-//     a power of two, each with its own lock and LRU list, under one byte
-//     budget split evenly across shards. Frames are
+//     POSIX's 4 KiB blocks a 64 KiB hit is 2 lookups, not 16. Blocks lie
+//     on each physical file's chunk grid, whose origin is the file's first
+//     chunk (gridShift). Shards are a power of two, each with its own lock
+//     and LRU list, under one budget split across shards in whole blocks.
+//     Frames are
 //     carved from slabs of up to 8 MiB, taken as blocks arrive while the
 //     budget has room and advised onto 2 MiB huge pages on Linux, so a hit
 //     on a large resident set copies from huge pages, as the pread it
@@ -90,10 +92,13 @@ var ErrDegraded = errors.New("serve: degraded: backend circuit open")
 
 // Config tunes a Server. The zero value (or nil) picks the defaults.
 type Config struct {
-	// CacheBytes is the total block-cache budget (default 64 MiB). The
-	// effective shard count shrinks until every shard holds at least one
-	// block, so tiny budgets degrade to a small cache, never to a useless
-	// one.
+	// CacheBytes is the total block-cache budget (default 64 MiB). It is
+	// held in whole blocks: each shard gets the same whole number of them,
+	// and the first shards one leftover block each, so a cache holds
+	// CacheBytes rounded down to whole blocks (a byte split stranded part
+	// of a block in every shard). The effective shard count shrinks until
+	// every shard holds at least one block, so tiny budgets degrade to a
+	// small cache, never to a useless one.
 	CacheBytes int64
 
 	// BlockBytes is the cache-block size (default: the smallest multiple
@@ -111,8 +116,11 @@ type Config struct {
 	// FS block (tail.go).
 	BlockBytes int64
 
-	// Shards is the shard count, rounded up to a power of two
-	// (default 16).
+	// Shards is the shard count, rounded up to a power of two; each
+	// shard's budget is a whole number of blocks (see CacheBytes). The
+	// default is 16, halved until each shard holds minShardBlocks blocks:
+	// shards pay in the lock contention of parallel readers, and cost hit
+	// ratio where a shard holds too few blocks to keep an LRU order.
 	Shards int
 
 	// MaxSpanGap bounds the unwanted bytes one backend span read may
@@ -344,11 +352,22 @@ func gridShift(l *sion.Layout, bs int64) []int64 {
 // between them (acquire) or leave a sparse frame that takes a whole block
 // of the budget. At 64 KiB ckpt-large's cluster_vs_pread reached 0.83
 // (0.78 at 32 KiB in the same 3 pairs), but the zipf-burst replay
-// (replay_test.go), whose 2 KiB windows land far apart, read 41-45 % more
+// (serving_test.go), whose 2 KiB windows land far apart, read 41-45 % more
 // backend bytes per served byte than at 16 KiB; re-filling whole blocks
 // read 127-133 % more, and keeping only the later window's range cost
 // 62-64 % more backend reads.
 const minCacheBlock = 32 << 10
+
+// minShardBlocks is the fewest blocks a shard of the default count holds:
+// the default 16 shards halve until each holds this many. A shard is an
+// LRU list with its own admission sketch, and a list of a few blocks
+// evicts by hash, not by recency. The ladder's serve-cold cluster nodes
+// (85 blocks) held 5 or 6 blocks a shard; at a quarter of that in the
+// serving replay (21 blocks a node) the cluster read 1005.0 backend spans
+// per 1k requests over 16 shards and 958.0 over one (evictions 135.5 and
+// 75.0), the lone server's 64 blocks 1000.5 over 16 and 957.5 over four.
+// Budgets of 256 blocks or more keep all 16 shards.
+const minShardBlocks = 16
 
 // resolveConfig applies the Config defaults against the multifile's FS
 // block size and the backend's capability descriptor (see the Config
@@ -365,11 +384,12 @@ func resolveConfig(cfg *Config, fsblk int64, caps fsio.Capabilities) Config {
 	if c.BlockBytes <= 0 {
 		c.BlockBytes = (minCacheBlock + fsblk - 1) / fsblk * fsblk
 	}
+	minBlocks := int64(1)
 	if c.Shards <= 0 {
-		c.Shards = 16
+		c.Shards, minBlocks = 16, minShardBlocks
 	}
 	// Round up to a power of two first (the cache masks the key hash), so
-	// the one-block-per-shard guarantee below holds for the count actually
+	// the blocks-per-shard guarantee below holds for the count actually
 	// used — halving a rounded count keeps it a power of two.
 	for n := 1; ; n <<= 1 {
 		if n >= c.Shards {
@@ -377,9 +397,10 @@ func resolveConfig(cfg *Config, fsblk int64, caps fsio.Capabilities) Config {
 			break
 		}
 	}
-	// Keep at least one block per shard so the budget is never split into
-	// shards too small to hold anything.
-	for c.Shards > 1 && c.CacheBytes/int64(c.Shards) < c.BlockBytes {
+	// Keep at least minBlocks blocks per shard: an explicit count is never
+	// split into shards too small to hold anything, the default into none
+	// too small to keep an LRU order.
+	for c.Shards > 1 && c.CacheBytes/int64(c.Shards) < minBlocks*c.BlockBytes {
 		c.Shards /= 2
 	}
 	if c.MaxSpanGap == 0 {

@@ -335,8 +335,9 @@ func TestServeSeekWhence(t *testing.T) {
 
 // TestResolveConfigBlockRule pins the default cache block: the smallest
 // multiple of the FS block that is at least minCacheBlock, so FS blocks of
-// 32 KiB or more are kept as they are. An explicit BlockBytes wins, and
-// the shard count still halves until every shard holds one block.
+// 32 KiB or more are kept as they are. An explicit BlockBytes wins. The
+// default shard count halves until every shard holds minShardBlocks
+// blocks, an explicit one until every shard holds one.
 func TestResolveConfigBlockRule(t *testing.T) {
 	for _, tc := range []struct {
 		fsblk, cfgBlock, want int64
@@ -356,8 +357,20 @@ func TestResolveConfigBlockRule(t *testing.T) {
 			t.Errorf("FS block %d, BlockBytes %d: cache block %d, want %d", tc.fsblk, tc.cfgBlock, c.BlockBytes, tc.want)
 		}
 	}
-	if c := resolveConfig(&Config{CacheBytes: 128 << 10}, 4<<10, fsio.Capabilities{}); c.Shards != 4 {
-		t.Errorf("128 KiB budget of 32 KiB blocks split into %d shards, want 4", c.Shards)
+	for _, tc := range []struct {
+		cache        int64
+		shards, want int
+	}{
+		{128 << 10, 16, 4}, // 4 blocks: one each
+		{128 << 10, 0, 1},  // the default: too few blocks for two shards of 16
+		{4 << 20, 0, 8},    // 128 blocks: 8 shards of 16
+		{8 << 20, 0, 16},   // 256 blocks: the default 16
+		{2796544, 0, 4},    // serve-cold's cluster node: 85 blocks, 4 shards of 21 or 22
+		{2796544, 16, 16},  // the same, 16 asked for: 5 or 6 blocks a shard
+	} {
+		if c := resolveConfig(&Config{CacheBytes: tc.cache, Shards: tc.shards}, 4<<10, fsio.Capabilities{}); c.Shards != tc.want {
+			t.Errorf("%d-byte budget of 32 KiB blocks, %d shards asked for: %d shards, want %d", tc.cache, tc.shards, c.Shards, tc.want)
+		}
 	}
 }
 
