@@ -265,9 +265,9 @@ func TestClusterStaticRingNeverProbes(t *testing.T) {
 // TestRoutedSetSavesProbes is the routed-granule set's ablation: after a
 // join stirs the ring, peer fill asks only the nodes routed the block's
 // granule, and asking every node instead fills no more blocks for many
-// more Peeks. (serving.golden's churn rows: ckpt-large's 939.5 peer
-// probes per 1k requests were 8953.5 without the set, serve-cold's 152
-// were 1017, at the same peer fills.)
+// more Peeks. (serving.golden's churn rows: ckpt-large's 938.5 peer
+// probes per 1k requests were 8949.5 without the set, serve-cold's 147
+// were 1011.5, at the same peer fills.)
 func TestRoutedSetSavesProbes(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "a.sion", 8)
