@@ -371,14 +371,11 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 }
 
 // granuleShift lays each physical file's granules on its chunk grid, as
-// serve lays its cache blocks: granule g of file k covers bytes
-// [g·gbytes − shift[k], (g+1)·gbytes − shift[k]), so a granule boundary
-// falls on the file's first chunk. A window inside one chunk of a granule,
-// a quarter of one or a whole number of them is then one run, and, since
-// gbytes is a whole number of blocks and serve's grid starts shift[k] mod
-// the block before byte 0, no block belongs to two granules: block b lies
-// in granule (b + shift[k]/bs)/granuleBlocks. Cut from byte 0, every chunk
-// behind a 4 KiB metablock 1 lost its last 4 KiB to a run of its own.
+// serve lays its blocks (its gridShift is this shift mod the block):
+// granule g of file k covers [g·gbytes − shift[k], (g+1)·gbytes −
+// shift[k]), and block b lies in granule (b + shift[k]/bs)/granuleBlocks.
+// Cut from byte 0, every chunk behind a 4 KiB metablock 1 lost its last
+// 4 KiB to a run of its own.
 func granuleShift(l *sion.Layout, gbytes int64) []int64 {
 	first := make([]int64, l.NumFiles()) // the first chunk's offset per file, 0 = none seen
 	for g := 0; g < l.NTasks(); g++ {

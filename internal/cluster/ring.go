@@ -16,15 +16,11 @@ import (
 
 // granuleBytes is the placement unit: granuleBytes/blockBytes consecutive
 // cache blocks of one physical file (at least one) share a ring key, hence
-// a primary and a failover order. Granule 0 ends where the file's first
-// chunk starts plus a multiple of granuleBytes (granuleShift), so the
-// granules of a file whose chunks are multiples or quarters of a granule
-// cut no chunk. Sizes from 64 KiB to 4 MiB route the bench workloads
-// alike, so this is a constant, not a knob.
-//
-// A ring that has not changed since its first read, and has failed no run
-// over, places every granule's blocks on its primary alone, so a node that
-// misses has no peer to ask (Cluster.stirred).
+// a primary and a failover order. Granules start at the file's first
+// chunk, not byte 0 (granuleShift). Sizes from 64 KiB to 4 MiB route the
+// bench workloads alike, so this is a constant, not a knob. A ring that
+// has neither changed since its first read nor failed a run over keeps a
+// granule's blocks on its primary alone: no peer to ask (Cluster.stirred).
 const granuleBytes = 256 << 10
 
 // vnodes is the number of virtual ring points per node: enough that each

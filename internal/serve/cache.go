@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -349,24 +350,23 @@ func (s *cacheShard) extend(e *cacheEntry, lo, hi, rlo, rhi int64) fill {
 // of two ≥ 8× the blocks the shard holds (≥ 64), all halved after 4× that
 // many accesses (TinyLFU's reset). The zero value records nothing.
 type freqSketch struct {
-	count   []uint8
-	seen    int  // accesses recorded since the last halving
-	halveAt int  // seen at the next halving: 4× the counters (-1: never)
-	one     bool // one counter per key (the ablation table's)
+	count []uint8
+	seen  int // accesses recorded since the last halving
 }
 
-// init sizes the sketch for a shard of blocks blocks. ab resizes it for
-// the ablation table; its zero value is the rule above.
+// init sizes the sketch for a shard of blocks blocks. ab reshapes it for
+// the ablation table, at no cost to record and est: a sketch that never
+// halves starts its count of accesses at the smallest int, as far from
+// the first halving as an int reaches.
 func (f *freqSketch) init(blocks int64, ab ablation) {
-	per, halve := int64(8), 4
+	per := int64(8)
 	if ab.sketchPerBlock > 0 {
 		per = int64(ab.sketchPerBlock)
 	}
-	if ab.sketchHalving != 0 {
-		halve = ab.sketchHalving
-	}
 	f.count = make([]uint8, max(64, 1<<bits.Len64(uint64(per*blocks-1))))
-	f.halveAt, f.one = max(halve*len(f.count), -1), ab.sketchOneProbe
+	if ab.sketchNeverHalves {
+		f.seen = math.MinInt
+	}
 }
 
 // probes returns k's two counters, remixing the hash: its low bits are the shard.
@@ -374,9 +374,6 @@ func (f *freqSketch) probes(k blockKey) (int, int) {
 	h := k.hash()
 	h = (h ^ h>>31) * 0x94d049bb133111eb
 	m := uint64(len(f.count) - 1)
-	if f.one {
-		return int(h >> 7 & m), int(h >> 7 & m)
-	}
 	return int(h >> 7 & m), int(h >> 37 & m)
 }
 
@@ -389,7 +386,7 @@ func (f *freqSketch) record(k blockKey) {
 	if j != i {
 		f.count[j] = min(f.count[j]+1, 15)
 	}
-	if f.seen++; f.seen == f.halveAt {
+	if f.seen++; f.seen == 4*len(f.count) {
 		for x := range f.count {
 			f.count[x] >>= 1
 		}

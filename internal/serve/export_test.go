@@ -10,6 +10,5 @@ type VecFS = vecFS
 var (
 	AblateWholeFills      = func(c *Config) { c.ablate.wholeFills = true }
 	AblateSketchHalfSize  = func(c *Config) { c.ablate.sketchPerBlock = 4 }
-	AblateSketchNoHalving = func(c *Config) { c.ablate.sketchHalving = -1 }
-	AblateSketchOneProbe  = func(c *Config) { c.ablate.sketchOneProbe = true }
+	AblateSketchNoHalving = func(c *Config) { c.ablate.sketchNeverHalves = true }
 )

@@ -183,10 +183,9 @@ type Config struct {
 // ablation table (serving_test.go); its zero value is the shipped
 // behaviour. What each mechanism pays is in internal/README.md.
 type ablation struct {
-	wholeFills     bool // a first miss reads its whole block: no partial valid range, no reading on
-	sketchPerBlock int  // admission sketch counters per block a shard holds (0: 8)
-	sketchHalving  int  // accesses per counter between halvings (0: 4; -1: never)
-	sketchOneProbe bool // one sketch counter per key, not two
+	wholeFills        bool // a first miss reads its whole block: no partial valid range, no reading on
+	sketchPerBlock    int  // admission sketch counters per block a shard holds (0: 8)
+	sketchNeverHalves bool // the sketch never halves its counters
 }
 
 // Stats is a snapshot of a Server's request counters.

@@ -455,7 +455,6 @@ func TestServingAblation(t *testing.T) {
 		{"partial valid ranges", serve.AblateWholeFills},
 		{"sketch of 4 counters a block", serve.AblateSketchHalfSize},
 		{"sketch never halved", serve.AblateSketchNoHalving},
-		{"sketch of one probe", serve.AblateSketchOneProbe},
 		{"one shard by default", func(c *serve.Config) { c.Shards = max(c.Shards, 1) }},
 	} {
 		k := k
