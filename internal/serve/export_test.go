@@ -6,6 +6,9 @@ var WriteOneFile = writeOneFile
 
 type VecFS = vecFS
 
+// RaceEnabled reports a race build to the external tests.
+const RaceEnabled = raceEnabled
+
 // The ablation knobs (ablation), for the external ablation table.
 var (
 	AblateWholeFills      = func(c *Config) { c.ablate.wholeFills = true }

@@ -442,6 +442,9 @@ func TestServingReplay(t *testing.T) {
 // pay and was deleted; each one left here must move a row, and
 // internal/README.md names the row it pays on.
 func TestServingAblation(t *testing.T) {
+	if serve.RaceEnabled {
+		t.Skip("five sequential replays: the race detector has nothing to find in them and multiplies their time")
+	}
 	golden, err := os.ReadFile(filepath.Join("testdata", "serving.golden"))
 	if err != nil {
 		t.Fatal(err)
