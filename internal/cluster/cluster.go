@@ -15,9 +15,10 @@
 // granuleBytes (256 KiB) of consecutive cache blocks of one physical
 // file; a run is the part of one request that falls inside one granule.
 // Granules and blocks lie on the file's chunk grid: its origin is the
-// file's first chunk, not byte 0 (granuleShift; serve lays its blocks the
-// same way), so a window inside one chunk is one run when the chunk is a
-// granule or a quarter of one, and no block belongs to two granules.
+// file's first chunk, not byte 0 (sion.Layout.GridShift, from which serve
+// lays its blocks too), so a window inside one chunk is one run when the
+// chunk is a granule or a quarter of one, and no block belongs to two
+// granules.
 // The multifile keeps a task's data contiguous so that few large requests
 // reach the file system; routing by run keeps it contiguous on the way
 // there — a node that misses sees all of a run's blocks in one fetch and
@@ -41,7 +42,9 @@
 //     cannot hold it. On a static ring that is every peer, and a miss
 //     asks no one: until a node joins a ring that has served a read, or a
 //     run goes to a node other than its primary (Cluster.stirred), a miss
-//     reads no peer state but that one flag.
+//     reads no peer state but that one flag. Reads racing a Join may miss
+//     a peer's copy of a block and read the backend; reads that start
+//     after it returns do not.
 //   - Failure routing: nodes expose their breaker state (serve.Health,
 //     serve.Degraded); the router tries healthy replicas first and fails
 //     a whole run over past open-circuit, closed, or transiently failing
@@ -128,7 +131,7 @@ type view struct {
 	layout        *sion.Layout
 	blockBytes    int64
 	granuleBlocks int64   // blocks per granule, fixed with blockBytes by the first Join
-	shift         []int64 // per physical file: where its granule grid starts before byte 0 (granuleShift)
+	shift         []int64 // per physical file: where its granule grid starts before byte 0 (sion.Layout.GridShift)
 	nodes         []*Node // sorted by ID
 	ring          *ring
 }
@@ -145,9 +148,13 @@ type Cluster struct {
 	// not the primary of: a node joined a ring that had served a read, or
 	// a run went to a node other than its primary. Until then no peer can
 	// hold what a node misses, and peerFill returns after this one load.
-	// It is set before the change can make such a block resident: before
-	// the joined view is published, before the non-primary call. It is
-	// never cleared.
+	// It is set before the change can make such a block resident — before
+	// the joined view is published, before the non-primary call — except
+	// for a run routed on the view the Join replaces: that run's record
+	// is found by the Join before it returns, or the run sees the new view
+	// and sets the flag before its call. So reads that start after a Join
+	// returns miss no peer block; reads racing it may read the backend
+	// for one. It is never cleared.
 	stirred atomic.Bool
 
 	// askAll switches the routed-granule filter off (Node.mayHold): peer
@@ -243,14 +250,22 @@ func (c *Cluster) Join(id string, fsys fsio.FileSystem, name string, scfg *serve
 	if nv.name == "" {
 		nv.name, nv.layout, nv.blockBytes = name, srv.Layout(), srv.BlockBytes()
 		nv.granuleBlocks = max(1, granuleBytes/nv.blockBytes)
-		nv.shift = granuleShift(nv.layout, nv.granuleBlocks*nv.blockBytes)
+		nv.shift = nv.layout.GridShift(nv.granuleBlocks * nv.blockBytes)
 	}
 	nodes := append(append(make([]*Node, 0, len(v.nodes)+1), v.nodes...), n)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	if handedRuns(v.nodes) { // granules move to n from nodes that may hold their blocks
+	// Granules move to n from nodes that may hold their blocks. A reader
+	// of the old view records its run before it looks whether the view
+	// is still current (readRun), so a record this second look misses
+	// belongs to a reader that sees the new view and stirs the ring
+	// itself.
+	if handedRuns(v.nodes) {
 		c.stirred.Store(true)
 	}
 	c.publish(&nv, nodes)
+	if !c.stirred.Load() && handedRuns(v.nodes) {
+		c.stirred.Store(true)
+	}
 	return n, nil
 }
 
@@ -370,25 +385,6 @@ func (c *Cluster) Open(rank int) (*serve.Handle, error) {
 	return h, nil
 }
 
-// granuleShift lays each physical file's granules on its chunk grid, as
-// serve lays its blocks (its gridShift is this shift mod the block):
-// granule g of file k covers [g·gbytes − shift[k], (g+1)·gbytes −
-// shift[k]), and block b lies in granule (b + shift[k]/bs)/granuleBlocks.
-// Cut from byte 0, every chunk behind a 4 KiB metablock 1 lost its last
-// 4 KiB to a run of its own.
-func granuleShift(l *sion.Layout, gbytes int64) []int64 {
-	first := make([]int64, l.NumFiles()) // the first chunk's offset per file, 0 = none seen
-	for g := 0; g < l.NTasks(); g++ {
-		if b := l.RankBlocks(g); len(b) > 0 && (first[b[0].File] == 0 || b[0].Off < first[b[0].File]) {
-			first[b[0].File] = b[0].Off
-		}
-	}
-	for k, off := range first {
-		first[k] = (gbytes - off%gbytes) % gbytes
-	}
-	return first
-}
-
 // gridShift is file's granule-grid shift, 0 for a file outside the
 // multifile (the node the run goes to reports it).
 func (v *view) gridShift(file int) int64 {
@@ -412,6 +408,8 @@ func (c *Cluster) peerFill(selfID string, file int, block int64, dst []byte, fro
 	if len(v.nodes) < 2 { // no peer to ask
 		return false
 	}
+	// Both grids are the layout's (GridShift), and serve's shift is this
+	// one mod the block: block b starts shift/bs blocks into granule 0.
 	key := granuleHash(file, (block+v.gridShift(file)/v.blockBytes)/v.granuleBlocks)
 	var may uint64 // the peers that may hold the block, by node index
 	for i, n := range v.nodes {
@@ -497,16 +495,18 @@ func (c *Cluster) readRun(v *view, file int, key uint64, cands []int, p []byte, 
 			tried |= 1 << uint(ni)
 			// Record the run before the call can make a block resident, so
 			// a peerFill that finds the record clear knows the node holds
-			// no block of the granule.
-			if ni != cands[0] && !c.stirred.Load() {
-				c.stirred.Store(true)
-			}
+			// no block of the granule. A run off its primary stirs the
+			// ring, and so does one routed on a view since replaced: a
+			// Join may have looked for records before this one.
 			if len(v.nodes) == 1 {
 				if !n.alone.Load() {
 					n.alone.Store(true)
 				}
 			} else {
 				n.route(key)
+			}
+			if !c.stirred.Load() && (ni != cands[0] || c.view.Load() != v) {
+				c.stirred.Store(true)
 			}
 			err := n.srv.ReadFileAt(file, p, off, sp)
 			if err == nil {

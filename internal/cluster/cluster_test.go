@@ -262,6 +262,51 @@ func TestClusterStaticRingNeverProbes(t *testing.T) {
 	}
 }
 
+// TestRunOnAReplacedViewStirs: a reader that loaded the view before a Join
+// and routes its run only after the Join looked for routed granules makes
+// a block resident on the granule's old primary. The run sees its view
+// replaced and stirs the ring, so a miss on the new primary asks the old
+// one and fills.
+func TestRunOnAReplacedViewStirs(t *testing.T) {
+	dir := t.TempDir()
+	fsys := fsio.NewOS(dir)
+	writeMultifile(t, fsys, "j.sion", 8)
+	cfg := serve.Config{CacheBytes: 1 << 20}
+	cl := startCluster(t, 3, "j.sion", func(int) fsio.FileSystem { return fsys }, cfg)
+	old := cl.view.Load()
+	if _, err := cl.Join("n9", fsys, "j.sion", &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cl.stirred.Load() {
+		t.Fatal("a join before any read stirred the ring")
+	}
+	data, cur := physFile(t, dir, cl, 0), cl.view.Load()
+	var buf [maxNodes]int
+	for g := int64(1); granuleOff(cl, 0, g+1) <= int64(len(data)); g++ {
+		key := granuleHash(0, g)
+		if cur.nodes[cur.ring.lookup(key, &buf)[0]].ID != "n9" {
+			continue
+		}
+		oldCands := old.ring.lookup(key, &buf) // the same array: the new primary is known
+		off := granuleOff(cl, 0, g)
+		p := make([]byte, 4096)
+		if err := cl.readRun(old, 0, key, oldCands, p, off, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !cl.stirred.Load() {
+			t.Fatal("a run routed on a replaced view left the ring quiet")
+		}
+		if err := cl.ReadFileAt(0, p, off, nil); err != nil || !bytes.Equal(p, data[off:off+4096]) {
+			t.Fatalf("new primary: %v, or wrong bytes", err)
+		}
+		if st := cl.Stats(); st.Serve.PeerFills == 0 {
+			t.Fatalf("new primary missed and did not fill from the old one: %+v", st)
+		}
+		return
+	}
+	t.Fatal("n9 took over no granule of file 0")
+}
+
 // TestRoutedSetSavesProbes is the routed-granule set's ablation: after a
 // join stirs the ring, peer fill asks only the nodes routed the block's
 // granule, and asking every node instead fills no more blocks for many

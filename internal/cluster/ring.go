@@ -17,10 +17,11 @@ import (
 // granuleBytes is the placement unit: granuleBytes/blockBytes consecutive
 // cache blocks of one physical file (at least one) share a ring key, hence
 // a primary and a failover order. Granules start at the file's first
-// chunk, not byte 0 (granuleShift). Sizes from 64 KiB to 4 MiB route the
-// bench workloads alike, so this is a constant, not a knob. A ring that
-// has neither changed since its first read nor failed a run over keeps a
-// granule's blocks on its primary alone: no peer to ask (Cluster.stirred).
+// chunk, not byte 0 (sion.Layout.GridShift). Sizes from 64 KiB to 4 MiB
+// route the bench workloads alike, so this is a constant, not a knob. A
+// ring that has neither changed since its first read nor failed a run
+// over keeps a granule's blocks on its primary alone: no peer to ask
+// (Cluster.stirred).
 const granuleBytes = 256 << 10
 
 // vnodes is the number of virtual ring points per node: enough that each

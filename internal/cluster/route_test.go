@@ -27,7 +27,7 @@ import (
 const granuleBlocks = granuleBytes / testBlock
 
 // granuleOff is where granule g of physical file `file` starts: granules
-// lie on the file's chunk grid (granuleShift), so granule 0 starts before
+// lie on the file's chunk grid (sion.Layout.GridShift), so granule 0 starts before
 // byte 0 and ends with the file's first FS blocks.
 func granuleOff(cl *Cluster, file int, g int64) int64 {
 	return g*granuleBytes - cl.view.Load().shift[file]

@@ -123,6 +123,27 @@ func (l *Layout) Mapping() []FileLoc { return append([]FileLoc(nil), l.mapping..
 // are final and reads past them end in io.EOF, not ErrAgain.
 func (l *Layout) Final() bool { return l.final }
 
+// GridShift lays a grid of cell-byte cells on each physical file's chunk
+// grid: cell c of file k covers [c·cell − shift[k], (c+1)·cell −
+// shift[k]), so a cell boundary falls on the file's first chunk, and on
+// every chunk boundary whose chunk sizes are multiples of cell (shift 0
+// for a file holding no chunk). Chunks start behind metablock 1, so cut
+// from byte 0 every chunk would end one metablock into a cell. Grids of
+// cells that divide one another nest: shift mod a smaller cell is that
+// cell's shift.
+func (l *Layout) GridShift(cell int64) []int64 {
+	first := make([]int64, l.nfiles) // the first chunk's offset per file, 0 = none seen
+	for _, exts := range l.blocks {
+		if len(exts) > 0 && (first[exts[0].File] == 0 || exts[0].Off < first[exts[0].File]) {
+			first[exts[0].File] = exts[0].Off
+		}
+	}
+	for k, off := range first {
+		first[k] = (cell - off%cell) % cell
+	}
+	return first
+}
+
 // RankSize returns the committed logical bytes of rank g (0 if out of
 // range).
 func (l *Layout) RankSize(g int) int64 {

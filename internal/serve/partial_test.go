@@ -27,7 +27,7 @@ func partialServer(t *testing.T, fsys fsio.FileSystem, cfg *Config) (*Server, []
 }
 
 // blockOff is where cache block b of physical file 0 starts in the file:
-// blocks lie on the file's chunk grid (gridShift).
+// blocks lie on the file's chunk grid (sion.Layout.GridShift).
 func blockOff(s *Server, b int64) int64 { return b*s.blockBytes - s.shift[0] }
 
 // readCheck reads n bytes at off through r and compares them with the file.

@@ -89,7 +89,7 @@ const goldenReadSequence = "5387cb3d43b1d38d58a56144e465d23d2e617fae5db8fa6c2df3
 // read in a later span beside a read-around window (185 -> 1209 bytes);
 // another, near the end of file 1, costs a later window one more read.
 // It was re-recorded again when cache blocks moved onto each file's chunk
-// grid (gridShift): the 8 KiB chunks start one 256-byte FS block past a
+// grid (sion.Layout.GridShift): the 8 KiB chunks start one 256-byte FS block past a
 // multiple of the 1 KiB block, so a window reaching a chunk's end touched
 // one block more. 1183 reads of 1 499 203 bytes became 1173 of 1 481 766.
 const goldenReadSequenceWide = "3695811caaa98dbbbd0d211c7d571d4a53dfef44f2baaa13f62cecb66f50b733"

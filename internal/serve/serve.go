@@ -16,7 +16,7 @@
 //     smallest multiple of the FS block that is at least 32 KiB, so on
 //     POSIX's 4 KiB blocks a 64 KiB hit is 2 lookups, not 16. Blocks lie
 //     on each physical file's chunk grid, whose origin is the file's first
-//     chunk (gridShift). Shards are a power of two, each with its own lock
+//     chunk (sion.Layout.GridShift). Shards are a power of two, each with its own lock
 //     and LRU list, under one budget split across shards in whole blocks.
 //     Frames are
 //     carved from slabs of up to 8 MiB, taken as blocks arrive while the
@@ -68,6 +68,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -116,11 +117,13 @@ type Config struct {
 	// FS block (tail.go).
 	BlockBytes int64
 
-	// Shards is the shard count, rounded up to a power of two; each
-	// shard's budget is a whole number of blocks (see CacheBytes). The
-	// default is 16, halved until each shard holds minShardBlocks blocks:
-	// shards pay in the lock contention of parallel readers, and cost hit
-	// ratio where a shard holds too few blocks to keep an LRU order.
+	// Shards is the shard count, rounded up to a power of two and halved
+	// until every shard holds a block; each shard's budget is a whole
+	// number of blocks (see CacheBytes). The default is one shard per
+	// minShardBlocks (16) blocks of the budget, a power of two, at most
+	// 16: all 16 from 256 blocks (8 MiB of 32 KiB blocks) up, one below
+	// 32. Shards pay in the lock contention of parallel readers, and cost
+	// cache order where a shard holds few blocks (minShardBlocks).
 	Shards int
 
 	// MaxSpanGap bounds the unwanted bytes one backend span read may
@@ -222,7 +225,7 @@ type Server struct {
 	name         string           // multifile base name (error messages)
 	physNames    []string         // physical file paths, indexed like files
 	files        []fsio.File      // the loader's open handles (tail.File)
-	shift        []int64          // per physical file: where its block grid starts before byte 0 (gridShift)
+	shift        []int64          // per physical file: where its block grid starts before byte 0 (sion.Layout.GridShift)
 	breakers     []*resil.Breaker // per physical file; nil entries = disabled
 	notClosed    atomic.Int32     // breakers currently open or half-open (Degraded's O(1) answer)
 	cache        *blockCache
@@ -277,7 +280,7 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 		maxSpanGap:   c.MaxSpanGap,
 		maxSpanBytes: spanCeiling(caps, c.BlockBytes),
 		cache:        newBlockCache(c.CacheBytes, c.Shards, c.BlockBytes),
-		shift:        gridShift(layout, c.BlockBytes),
+		shift:        layout.GridShift(c.BlockBytes),
 		breakerCfg:   [2]int{c.BreakerThreshold, c.BreakerCooldown},
 		peerFill:     c.PeerFill,
 		tail:         t,
@@ -312,26 +315,6 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 	return s, nil
 }
 
-// gridShift lays each physical file's cache blocks on its chunk grid:
-// block b of file k covers bytes [b·bs − shift[k], (b+1)·bs − shift[k]),
-// so a block boundary falls on the file's first chunk, and on every chunk
-// boundary whose chunk sizes are multiples of bs. Cut from byte 0 instead,
-// every chunk behind a 4 KiB metablock 1 ended 4 KiB into a block, and a
-// window reaching a chunk's end touched one block more. A live multifile
-// is cached in FS blocks, on which chunks are aligned: its shift is 0.
-func gridShift(l *sion.Layout, bs int64) []int64 {
-	first := make([]int64, l.NumFiles()) // the first chunk's offset per file, 0 = none seen
-	for g := 0; g < l.NTasks(); g++ {
-		if b := l.RankBlocks(g); len(b) > 0 && (first[b[0].File] == 0 || b[0].Off < first[b[0].File]) {
-			first[b[0].File] = b[0].Off
-		}
-	}
-	for k, off := range first {
-		first[k] = (bs - off%bs) % bs
-	}
-	return first
-}
-
 // minCacheBlock is the floor of the default cache block: the default is
 // the smallest multiple of the FS block at least this large. Every block
 // a read touches costs a hash, a shard lock, a map probe, a sketch count,
@@ -357,15 +340,21 @@ func gridShift(l *sion.Layout, bs int64) []int64 {
 // 62-64 % more backend reads.
 const minCacheBlock = 32 << 10
 
-// minShardBlocks is the fewest blocks a shard of the default count holds:
-// the default 16 shards halve until each holds this many. A shard is an
-// LRU list with its own admission sketch, and a list of a few blocks
-// evicts by hash, not by recency. The ladder's serve-cold cluster nodes
-// (85 blocks) held 5 or 6 blocks a shard; at a quarter of that in the
-// serving replay (21 blocks a node) the cluster read 1005.0 backend spans
-// per 1k requests over 16 shards and 958.0 over one (evictions 135.5 and
-// 75.0), the lone server's 64 blocks 1000.5 over 16 and 957.5 over four.
-// Budgets of 256 blocks or more keep all 16 shards.
+// minShardBlocks sets the default shard count: one shard per this many
+// blocks of the budget, a power of two, at most 16. Shards trade cache
+// order for lock contention. A shard is an LRU list with its own
+// admission sketch, and a list of a few blocks evicts by hash, not by
+// recency: in the serving replay serve-cold's cluster nodes (21 blocks)
+// read 1005.0, 972.5 and 958.0 backend spans per 1k requests at one shard
+// per 1, 8 and 16 blocks, and on the ladder (85-block nodes) one shard per
+// block cost serve-cold's cluster_vs_pread 2.7 % (0.631 -> 0.614, lower in
+// 9 of 10 alternating 16 s pairs on 2 vCPUs). Fewer shards read less still
+// (ckpt-large's 256-block server: 1141.5 at 16 shards, 1006.5 at one), but
+// a resident hit from GOMAXPROCS readers (BenchmarkMissPath/resident/
+// serve, 2048 blocks, medians of 9 alternating runs) took 351, 335 and
+// 275 ns over 1, 4 and 16 shards at -cpu 2, and 435, 347 and 277 ns at
+// -cpu 4. 16 is the largest value that leaves the ladder's 256-block
+// servers all 16 shards.
 const minShardBlocks = 16
 
 // resolveConfig applies the Config defaults against the multifile's FS
@@ -383,23 +372,22 @@ func resolveConfig(cfg *Config, fsblk int64, caps fsio.Capabilities) Config {
 	if c.BlockBytes <= 0 {
 		c.BlockBytes = (minCacheBlock + fsblk - 1) / fsblk * fsblk
 	}
-	minBlocks := int64(1)
 	if c.Shards <= 0 {
-		c.Shards, minBlocks = 16, minShardBlocks
+		perShard := max(1, c.CacheBytes/c.BlockBytes/minShardBlocks)
+		c.Shards = 1 << min(4, bits.Len64(uint64(perShard))-1)
 	}
 	// Round up to a power of two first (the cache masks the key hash), so
-	// the blocks-per-shard guarantee below holds for the count actually
-	// used — halving a rounded count keeps it a power of two.
+	// the one-block guarantee below holds for the count actually used —
+	// halving a rounded count keeps it a power of two.
 	for n := 1; ; n <<= 1 {
 		if n >= c.Shards {
 			c.Shards = n
 			break
 		}
 	}
-	// Keep at least minBlocks blocks per shard: an explicit count is never
-	// split into shards too small to hold anything, the default into none
-	// too small to keep an LRU order.
-	for c.Shards > 1 && c.CacheBytes/int64(c.Shards) < minBlocks*c.BlockBytes {
+	// Every shard holds at least one block: no count splits a budget
+	// into shards too small to hold anything.
+	for c.Shards > 1 && c.CacheBytes/int64(c.Shards) < c.BlockBytes {
 		c.Shards /= 2
 	}
 	if c.MaxSpanGap == 0 {

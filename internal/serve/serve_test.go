@@ -336,8 +336,9 @@ func TestServeSeekWhence(t *testing.T) {
 // TestResolveConfigBlockRule pins the default cache block: the smallest
 // multiple of the FS block that is at least minCacheBlock, so FS blocks of
 // 32 KiB or more are kept as they are. An explicit BlockBytes wins. The
-// default shard count halves until every shard holds minShardBlocks
-// blocks, an explicit one until every shard holds one.
+// default shard count is one shard per minShardBlocks blocks, a power of
+// two, at most 16; every count then halves until each shard holds a
+// block.
 func TestResolveConfigBlockRule(t *testing.T) {
 	for _, tc := range []struct {
 		fsblk, cfgBlock, want int64
@@ -362,9 +363,13 @@ func TestResolveConfigBlockRule(t *testing.T) {
 		shards, want int
 	}{
 		{128 << 10, 16, 4}, // 4 blocks: one each
+		{100 << 10, 3, 2},  // 3 blocks: 3 rounds up to 4, halves to 2
 		{128 << 10, 0, 1},  // the default: too few blocks for two shards of 16
+		{1 << 20, 0, 2},    // 32 blocks: 2 shards of 16
 		{4 << 20, 0, 8},    // 128 blocks: 8 shards of 16
 		{8 << 20, 0, 16},   // 256 blocks: the default 16
+		{64 << 20, 0, 16},  // 2048 blocks: never more than 16
+		{8 << 20, 16, 16},  // 256 blocks, 16 asked for: as the default
 		{2796544, 0, 4},    // serve-cold's cluster node: 85 blocks, 4 shards of 21 or 22
 		{2796544, 16, 16},  // the same, 16 asked for: 5 or 6 blocks a shard
 	} {
