@@ -87,9 +87,9 @@ var (
 
 // failReads is a rule that fails every backend read with err: transient
 // (fsio error contract) or permanent.
-func failReads(err error) func(simfs.FlakyOp) error {
-	return func(op simfs.FlakyOp) error {
-		if strings.HasPrefix(op.Op, "Read") {
+func failReads(err error) func(fsio.Op) error {
+	return func(op fsio.Op) error {
+		if strings.HasPrefix(op.Call, "Read") {
 			return err
 		}
 		return nil

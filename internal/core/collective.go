@@ -195,18 +195,21 @@ func newGoFlusher(f *File) *goFlusher {
 func (g *goFlusher) put(fr collFrame) { g.frames <- fr }
 func (g *goFlusher) finish()          { close(g.frames); <-g.done }
 
-// workerSpawner is implemented by file systems (simfs views, and simfs's
-// decorators over one) that can host a background worker with its own
-// cost-accounting context.
+// workerSpawner is implemented by file systems that can host a background
+// worker with its own cost-accounting context: simfs views, and simfs's
+// Flaky and ObjStore wraps over one, which re-wrap the worker's view
+// themselves (Flaky without the owner's sleep, ObjStore on the worker's
+// clock).
 type workerSpawner interface {
 	SpawnWorker(func(fsio.FileSystem, *vtime.Proc)) *vtime.Proc
 }
 
 // errNoWorker fails a simulated AsyncCollective ParOpen on a collector
-// whose file system cannot host the flusher's worker: a decorator that
-// does not forward SpawnWorker (resil.Wrap, fsio.Instrument). Falling back
-// to the inline flusher would measure the synchronous collector under the
-// async one's name.
+// whose file system cannot host the flusher's worker. fsio.Intercept does
+// not forward SpawnWorker, so resil.Wrap and fsio.Instrument cannot: a
+// hook may deliver delays on the owner's clock (resil's Budget.Sleep),
+// which the worker must never advance. Falling back to the inline flusher
+// would measure the synchronous collector under the async one's name.
 var errNoWorker = errors.New("AsyncCollective under simulation needs a file system that can host the flusher's vtime worker (SpawnWorker)")
 
 // vtimeFlusher is goFlusher's simulated-mode analog: a vtime worker with

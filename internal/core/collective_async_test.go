@@ -256,8 +256,8 @@ func TestCollectiveReadMultiBlock(t *testing.T) {
 var errInjected = errors.New("injected write failure")
 
 // failWrites is the rule of a backend whose every write fails.
-func failWrites(op simfs.FlakyOp) error {
-	if op.Op == "WriteAt" || op.Op == "WriteZeroAt" {
+func failWrites(op fsio.Op) error {
+	if op.Call == "WriteAt" || op.Call == "WriteZeroAt" {
 		return errInjected
 	}
 	return nil
@@ -461,8 +461,8 @@ func TestCollectiveReadCollectorOpenFailureFailsMembers(t *testing.T) {
 	// collector's data open — which must be the one that fails.
 	fl := simfs.NewFlaky(simfs.FlakyConfig{})
 	opens := 0
-	fl.SetRule(func(op simfs.FlakyOp) error {
-		if op.Op != "Open" {
+	fl.SetRule(func(op fsio.Op) error {
+		if op.Call != "Open" {
 			return nil
 		}
 		if opens++; opens > 2 {

@@ -18,9 +18,9 @@ var errReadInjected = errors.New("injected backend failure")
 
 // failReads is a rule that fails every read of at least min bytes with
 // err.
-func failReads(min int64, err error) func(simfs.FlakyOp) error {
-	return func(op simfs.FlakyOp) error {
-		if strings.HasPrefix(op.Op, "Read") && op.Len >= min {
+func failReads(min int64, err error) func(fsio.Op) error {
+	return func(op fsio.Op) error {
+		if strings.HasPrefix(op.Call, "Read") && op.Len >= min {
 			return err
 		}
 		return nil

@@ -41,8 +41,8 @@ type failKth struct {
 	k, n int
 }
 
-func (r *failKth) rule(op simfs.FlakyOp) error {
-	if !r.ops[op.Op] {
+func (r *failKth) rule(op fsio.Op) error {
+	if !r.ops[op.Call] {
 		return nil
 	}
 	if r.n++; r.n == r.k {
@@ -383,24 +383,24 @@ func TestParOpenWriteFailsTogether(t *testing.T) {
 		name   string
 		opts   Options
 		victim int // the rank whose view fails; -1: every rank's
-		fail   func(op simfs.FlakyOp) bool
+		fail   func(op fsio.Op) bool
 	}{
 		{"physical file OpenRW", Options{}, 2,
-			func(op simfs.FlakyOp) bool { return op.Op == "OpenRW" }},
+			func(op fsio.Op) bool { return op.Call == "OpenRW" }},
 		{"sidecar OpenRW", Options{Watermarks: true}, 2,
-			func(op simfs.FlakyOp) bool { return op.Op == "OpenRW" && op.Name == wmName("t.sion", 0) }},
+			func(op fsio.Op) bool { return op.Call == "OpenRW" && op.Name == wmName("t.sion", 0) }},
 		{"first chunk header", Options{ChunkHeaders: true}, 2,
-			func(op simfs.FlakyOp) bool { return op.Op == "WriteAt" }},
+			func(op fsio.Op) bool { return op.Call == "WriteAt" }},
 		{"collector OpenRW", Options{CollectorGroup: 2, AsyncCollective: true}, 2,
-			func(op simfs.FlakyOp) bool { return op.Op == "OpenRW" }},
+			func(op fsio.Op) bool { return op.Call == "OpenRW" }},
 		{"one file group's create", Options{NFiles: 2}, -1,
-			func(op simfs.FlakyOp) bool { return op.Op == "Create" && op.Name == fileName("t.sion", 1) }},
+			func(op fsio.Op) bool { return op.Call == "Create" && op.Name == fileName("t.sion", 1) }},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			fired := false
 			fl := simfs.NewFlaky(simfs.FlakyConfig{})
-			fl.SetRule(func(op simfs.FlakyOp) error {
+			fl.SetRule(func(op fsio.Op) error {
 				if fired || !tc.fail(op) {
 					return nil
 				}

@@ -2,6 +2,7 @@ package sion
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -700,6 +701,7 @@ func TestPropertyRoundTripObjStore(t *testing.T) {
 			if err := Verify(fsys, "async.sion"); err != nil {
 				t.Fatal(err)
 			}
+			offlineToolsObjStore(t, obj, fsys, sizes, nfiles, chunk, fsblk)
 			// Staged copies must actually have occurred somewhere in the
 			// sweep when chunks landed part-misaligned — otherwise the
 			// backend model degenerated to plain POSIX counting.
@@ -780,6 +782,111 @@ func TestPropertyRoundTripObjStore(t *testing.T) {
 			})
 		})
 	}
+}
+
+// offlineToolsObjStore runs the offline tools over the object store on
+// async.sion's payloads: Defrag then Verify, Split with each task file
+// stat'ed, read back and removed, and Repair of a multifile with chunk
+// headers whose first file lost its tail, then Verify and read-back.
+func offlineToolsObjStore(t *testing.T, obj *simfs.ObjStore, fsys fsio.FileSystem, sizes []int, nfiles int, chunk, fsblk int64) {
+	t.Helper()
+	n := len(sizes)
+	readRanks := func(name string) {
+		sf, err := Open(fsys, name)
+		if err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
+		defer sf.Close()
+		for r := 0; r < n; r++ {
+			got, err := sf.ReadRank(r)
+			want := rankPayload(r, sizes[r])
+			// A repaired final block may come back padded to capacity.
+			if err != nil || len(got) < len(want) || !bytes.Equal(got[:len(want)], want) {
+				t.Fatalf("%s rank %d: %d bytes, %v", name, r, len(got), err)
+			}
+		}
+	}
+	if err := Defrag(fsys, "async.sion", fsys, "tight.sion"); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(fsys, "tight.sion"); err != nil {
+		t.Fatal(err)
+	}
+	readRanks("tight.sion")
+
+	if err := Split(fsys, "tight.sion", fsys, "task-%d", nil); err != nil {
+		t.Fatal(err)
+	}
+	deletes := obj.Stats().Deletes
+	for r := 0; r < n; r++ {
+		name := fmt.Sprintf("task-%d", r)
+		want := rankPayload(r, sizes[r])
+		if fi, err := fsys.Stat(name); err != nil || fi.Size != int64(len(want)) {
+			t.Fatalf("stat %s: %+v, %v; want %d bytes", name, fi, err, len(want))
+		}
+		fh, err := fsys.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		if _, err := fh.ReadAt(got, 0); err != nil && err != io.EOF || !bytes.Equal(got, want) {
+			t.Fatalf("%s: split content mismatch (%v)", name, err)
+		}
+		fh.Close()
+		if err := fsys.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fsys.Stat(name); !errors.Is(err, fsio.ErrNotExist) {
+			t.Fatalf("stat %s after Remove: %v", name, err)
+		}
+	}
+	if got := obj.Stats().Deletes - deletes; got != int64(n) {
+		t.Fatalf("removing %d task files billed %d deletes", n, got)
+	}
+
+	mpi.Run(n, func(c *mpi.Comm) {
+		f, err := ParOpen(c, fsys, "torn.sion", WriteMode, &Options{
+			ChunkSize: chunk, FSBlockSize: fsblk, NFiles: nfiles, ChunkHeaders: true,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.Write(rankPayload(c.Rank(), sizes[c.Rank()])); err != nil {
+			t.Error(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	fh, err := fsys.OpenRW("torn.sion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz, err := fh.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := obj.Stats().Copies
+	if err := fh.Truncate(sz - tailSize - 8); err != nil {
+		t.Fatal(err)
+	}
+	if got := obj.Stats().Copies - copies; got != 1 {
+		t.Fatalf("a truncate billed %d staged copies, want 1", got)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(fsys, "torn.sion"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open after truncation: %v, want ErrCorrupt", err)
+	}
+	if _, err := Repair(fsys, "torn.sion"); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(fsys, "torn.sion"); err != nil {
+		t.Fatal(err)
+	}
+	readRanks("torn.sion")
 }
 
 // TestPropertyRoundTripTransientFaults layers the resilience stack under

@@ -825,8 +825,8 @@ func TestQuotaFailureSurfacesAndRepairRecovers(t *testing.T) {
 	fs := simfs.New(simfs.Jugene())
 	fl := simfs.NewFlaky(simfs.FlakyConfig{})
 	var written int64
-	fl.SetRule(func(op simfs.FlakyOp) error {
-		if op.Op != "WriteAt" && op.Op != "WriteZeroAt" {
+	fl.SetRule(func(op fsio.Op) error {
+		if op.Call != "WriteAt" && op.Call != "WriteZeroAt" {
 			return nil
 		}
 		if written+op.Len > 1<<20 {

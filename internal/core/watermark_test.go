@@ -192,8 +192,8 @@ func TestWatermarkCrashRecovery(t *testing.T) {
 		fs.SetVolatileWrites(true)
 		fl := simfs.NewFlaky(simfs.FlakyConfig{})
 		left := 3 + rng.Intn(220) // the writers die at the left+1-th data write or sync
-		fl.SetRule(func(op simfs.FlakyOp) error {
-			if op.Op == "Sync" || op.Len > 0 && (op.Op == "WriteAt" || op.Op == "WriteZeroAt") {
+		fl.SetRule(func(op fsio.Op) error {
+			if op.Call == "Sync" || op.Len > 0 && (op.Call == "WriteAt" || op.Call == "WriteZeroAt") {
 				if left--; left < 0 {
 					return errInjected
 				}

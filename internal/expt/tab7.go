@@ -406,10 +406,10 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 			c.Barrier()
 			if r == 0 {
 				left := inject // the writers die at the inject+1-th data write or sync
-				fl.SetRule(func(op simfs.FlakyOp) error {
-					if op.Op == "Sync" || op.Len > 0 && (op.Op == "WriteAt" || op.Op == "WriteZeroAt") {
+				fl.SetRule(func(op fsio.Op) error {
+					if op.Call == "Sync" || op.Len > 0 && (op.Call == "WriteAt" || op.Call == "WriteZeroAt") {
 						if left--; left < 0 {
-							return fmt.Errorf("simfs: %s: injected %s failure", op.Name, op.Op)
+							return fmt.Errorf("simfs: %s: injected %s failure", op.Name, op.Call)
 						}
 					}
 					return nil

@@ -259,7 +259,7 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 		panic(fmt.Sprintf("tab8: drill warm read: %v", err))
 	}
 	phys := srv.Health()[0].Path
-	fl.SetRule(func(op simfs.FlakyOp) error {
+	fl.SetRule(func(op fsio.Op) error {
 		if op.Name != phys {
 			return nil
 		}

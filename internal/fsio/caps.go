@@ -34,10 +34,11 @@ type CapabilityReporter interface {
 	Capabilities() Capabilities
 }
 
-// Unwrapper is implemented by pass-through decorators (Instrument,
-// resil.Wrap, simfs.Flaky) so the backend's descriptor survives any
-// decorator stack. A layer that changes semantics (the simulated object
-// store over another backend) must not expose Unwrap.
+// Unwrapper is implemented by Intercept, the one pass-through decorator
+// (under Instrument, resil.Wrap and simfs.Flaky), so the backend's
+// descriptor survives any decorator stack. A layer that changes semantics
+// (the simulated object store over another backend) must not expose
+// Unwrap.
 type Unwrapper interface {
 	Unwrap() FileSystem
 }

@@ -71,9 +71,9 @@ type FileSystem interface {
 }
 
 // Backends may additionally implement CapabilityReporter (caps.go) to
-// report the four geometry numbers the layers above tune from;
-// decorators implement Unwrapper so the descriptor survives wrapping.
-// Use CapabilitiesOf to query a possibly-decorated FileSystem.
+// report the four geometry numbers the layers above tune from; Intercept
+// implements Unwrapper so the descriptor survives wrapping. Use
+// CapabilitiesOf to query a possibly-decorated FileSystem.
 
 // FileInfo is the subset of file metadata SIONlib consumes.
 type FileInfo struct {
@@ -93,10 +93,11 @@ type FileInfo struct {
 // A File may also implement VectorReaderAt (vector.go): ReadvAt scatters
 // one read into several buffers, under ReadAt's error and concurrency
 // contract, as if they were one buffer laid end to end. The OS backend
-// does so with preadv(2) on Linux, and the metering (Instrument),
-// retrying (internal/resil) and fault-injecting (simfs.Flaky) decorators
-// forward it; callers use the ReadvAt helper, which turns the read into
-// one copying ReadAt on every other backend.
+// does so with preadv(2) on Linux, and Intercept, under the metering
+// (Instrument), retrying (internal/resil) and fault-injecting
+// (simfs.Flaky) decorators, keeps it exactly where the handle underneath
+// has it; callers use the ReadvAt helper, which turns the read into one
+// copying ReadAt on every other backend.
 //
 // In addition to byte-accurate I/O, File carries two metered "synthetic"
 // operations used by the at-scale benchmark harness: WriteZeroAt and

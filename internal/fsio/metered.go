@@ -73,170 +73,49 @@ func NewMeter(reg *obs.Registry, backend string) *Meter {
 	return m
 }
 
-// begin starts an op: returns the clock reading to pass to done, or 0
-// when this call is not latency-sampled. The first call of each class is
-// always sampled so short-lived tools still get a latency point.
-func (m *Meter) begin(class int) int64 {
-	m.ops[class].Inc()
-	if m.off {
-		return 0
+// Instrument wraps inner so every operation is counted in m, as a hook
+// of Intercept. It layers anywhere in a decorator stack: outside
+// resil.Wrap it sees the logical-operation rate; inside, the per-attempt
+// rate (retries included). The serving stack wraps the innermost backend
+// so fsio_ops_total{op="read"} counts physical attempts.
+func Instrument(inner FileSystem, m *Meter) FileSystem {
+	if m == nil {
+		m = NewMeter(nil, "nop")
 	}
-	if m.ticks[class].Add(1)%m.sample != 1 {
-		return 0
-	}
-	return m.now()
+	return Intercept(inner, m.observe)
 }
 
-// done finishes an op begun with begin.
-func (m *Meter) done(class int, start int64, err error) {
+// observe is Instrument's hook: one op of its class (Truncate, Size and
+// Close are meta), the bytes of a read or write, an error unless io.EOF,
+// and the latency of every sample-th op of the class — the first always,
+// so short-lived tools still get a latency point. BlockSize is not an
+// operation the meter counts.
+func (m *Meter) observe(op Op) (int64, error) {
+	class := opMeta
+	switch op.Call {
+	case "BlockSize":
+		return op.Do()
+	case "ReadAt", "ReadvAt", "ReadDiscardAt":
+		class = opRead
+	case "WriteAt", "WriteZeroAt":
+		class = opWrite
+	case "Sync":
+		class = opSync
+	}
+	m.ops[class].Inc()
+	var start int64
+	if !m.off && m.ticks[class].Add(1)%m.sample == 1 {
+		start = m.now()
+	}
+	n, err := op.Do()
+	if class == opRead || class == opWrite {
+		m.bytes[class].Add(n)
+	}
 	if err != nil && !errors.Is(err, io.EOF) {
 		m.errs[class].Inc()
 	}
 	if start != 0 {
 		m.lat[class].Observe(m.now() - start)
 	}
-}
-
-// Instrument wraps inner so every operation is counted in m. It layers
-// anywhere in a decorator stack: outside resil.Wrap it sees the
-// logical-operation rate; inside, the per-attempt rate (retries
-// included). The serving stack wraps the innermost backend so
-// fsio_ops_total{op="read"} counts physical attempts.
-func Instrument(inner FileSystem, m *Meter) FileSystem {
-	if m == nil {
-		m = NewMeter(nil, "nop")
-	}
-	return &meteredFS{inner: inner, m: m}
-}
-
-type meteredFS struct {
-	inner FileSystem
-	m     *Meter
-}
-
-func (f *meteredFS) Create(name string) (File, error) {
-	start := f.m.begin(opMeta)
-	fh, err := f.inner.Create(name)
-	f.m.done(opMeta, start, err)
-	if err != nil {
-		return nil, err
-	}
-	return &meteredFile{inner: fh, m: f.m}, nil
-}
-
-func (f *meteredFS) Open(name string) (File, error) {
-	start := f.m.begin(opMeta)
-	fh, err := f.inner.Open(name)
-	f.m.done(opMeta, start, err)
-	if err != nil {
-		return nil, err
-	}
-	return &meteredFile{inner: fh, m: f.m}, nil
-}
-
-func (f *meteredFS) OpenRW(name string) (File, error) {
-	start := f.m.begin(opMeta)
-	fh, err := f.inner.OpenRW(name)
-	f.m.done(opMeta, start, err)
-	if err != nil {
-		return nil, err
-	}
-	return &meteredFile{inner: fh, m: f.m}, nil
-}
-
-func (f *meteredFS) Stat(name string) (FileInfo, error) {
-	start := f.m.begin(opMeta)
-	fi, err := f.inner.Stat(name)
-	f.m.done(opMeta, start, err)
-	return fi, err
-}
-
-func (f *meteredFS) Remove(name string) error {
-	start := f.m.begin(opMeta)
-	err := f.inner.Remove(name)
-	f.m.done(opMeta, start, err)
-	return err
-}
-
-func (f *meteredFS) BlockSize(name string) int64 { return f.inner.BlockSize(name) }
-
-// Unwrap exposes the decorated backend so its capability descriptor
-// survives instrumentation; see CapabilitiesOf.
-func (f *meteredFS) Unwrap() FileSystem { return f.inner }
-
-type meteredFile struct {
-	inner File
-	m     *Meter
-}
-
-func (f *meteredFile) ReadAt(p []byte, off int64) (int, error) {
-	start := f.m.begin(opRead)
-	n, err := f.inner.ReadAt(p, off)
-	f.m.bytes[opRead].Add(int64(n))
-	f.m.done(opRead, start, err)
 	return n, err
-}
-
-// ReadvAt keeps the backend's vectored read visible through the meter:
-// one read op and its bytes per call, like ReadAt.
-func (f *meteredFile) ReadvAt(bufs [][]byte, off int64) (int, error) {
-	start := f.m.begin(opRead)
-	n, err := ReadvAt(f.inner, bufs, off)
-	f.m.bytes[opRead].Add(int64(n))
-	f.m.done(opRead, start, err)
-	return n, err
-}
-
-func (f *meteredFile) WriteAt(p []byte, off int64) (int, error) {
-	start := f.m.begin(opWrite)
-	n, err := f.inner.WriteAt(p, off)
-	f.m.bytes[opWrite].Add(int64(n))
-	f.m.done(opWrite, start, err)
-	return n, err
-}
-
-func (f *meteredFile) WriteZeroAt(n, off int64) error {
-	start := f.m.begin(opWrite)
-	err := f.inner.WriteZeroAt(n, off)
-	if err == nil {
-		f.m.bytes[opWrite].Add(n)
-	}
-	f.m.done(opWrite, start, err)
-	return err
-}
-
-func (f *meteredFile) ReadDiscardAt(n, off int64) (int64, error) {
-	start := f.m.begin(opRead)
-	got, err := f.inner.ReadDiscardAt(n, off)
-	f.m.bytes[opRead].Add(got)
-	f.m.done(opRead, start, err)
-	return got, err
-}
-
-func (f *meteredFile) Size() (int64, error) {
-	start := f.m.begin(opMeta)
-	n, err := f.inner.Size()
-	f.m.done(opMeta, start, err)
-	return n, err
-}
-
-func (f *meteredFile) Truncate(size int64) error {
-	start := f.m.begin(opMeta)
-	err := f.inner.Truncate(size)
-	f.m.done(opMeta, start, err)
-	return err
-}
-
-func (f *meteredFile) Sync() error {
-	start := f.m.begin(opSync)
-	err := f.inner.Sync()
-	f.m.done(opSync, start, err)
-	return err
-}
-
-func (f *meteredFile) Close() error {
-	start := f.m.begin(opMeta)
-	err := f.inner.Close()
-	f.m.done(opMeta, start, err)
-	return err
 }

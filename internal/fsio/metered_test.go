@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fsio"
 	"repro/internal/obs"
+	"repro/internal/simfs"
 )
 
 // counterValue reads one family child's value out of the exposition text.
@@ -112,5 +113,40 @@ func TestInstrumentNilMeter(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInstrumentCountsZeroWrites: a WriteZeroAt's bytes count when it
+// succeeds and not when it fails, and a ReadDiscardAt counts the bytes it
+// found.
+func TestInstrumentCountsZeroWrites(t *testing.T) {
+	reg := obs.NewRegistry()
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	fs := fsio.Instrument(fl.Wrap(fsio.NewOS(t.TempDir()), nil), fsio.NewMeter(reg, "os"))
+	f, err := fs.Create("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.WriteZeroAt(100, 0); err != nil {
+		t.Fatal(err)
+	}
+	fl.SetRule(func(fsio.Op) error { return fsio.ErrQuota })
+	if err := f.WriteZeroAt(50, 100); !errors.Is(err, fsio.ErrQuota) {
+		t.Fatalf("WriteZeroAt under a failing rule: %v", err)
+	}
+	fl.SetRule(nil)
+	if n, err := f.ReadDiscardAt(500, 0); n != 100 || err != io.EOF && err != nil {
+		t.Fatalf("ReadDiscardAt = %d, %v", n, err)
+	}
+	for sample, want := range map[string]int64{
+		`fsio_ops_total{backend="os",op="write"}`:    2,
+		`fsio_errors_total{backend="os",op="write"}`: 1,
+		`fsio_bytes_total{backend="os",op="write"}`:  100,
+		`fsio_bytes_total{backend="os",op="read"}`:   100,
+	} {
+		if got := counterValue(t, reg, sample); got != want {
+			t.Errorf("%s = %d, want %d", sample, got, want)
+		}
 	}
 }

@@ -508,8 +508,8 @@ func TestKeyIndexBuildsPerRank(t *testing.T) {
 
 // outage is a rule that fails every call on the physical file phys
 // transiently.
-func outage(phys string) func(simfs.FlakyOp) error {
-	return func(op simfs.FlakyOp) error {
+func outage(phys string) func(fsio.Op) error {
+	return func(op fsio.Op) error {
 		if op.Name != phys {
 			return nil
 		}

@@ -295,3 +295,44 @@ func TestConcurrentRegistryAndInstruments(t *testing.T) {
 		t.Fatalf("hist count = %d, want 4000", got)
 	}
 }
+
+// TestCheckExpositionRejects: one malformed exposition per error return of
+// CheckExposition, each rejected with that return's message.
+func TestCheckExpositionRejects(t *testing.T) {
+	const h = "# TYPE h histogram\n"
+	for _, c := range []struct{ name, text, want string }{
+		{"malformed TYPE", "# TYPE a\n", "malformed TYPE line"},
+		{"duplicate family", "# TYPE a counter\n# TYPE a gauge\n", "duplicate family"},
+		{"sample without value", "# TYPE a counter\na\n", "malformed sample"},
+		{"unterminated labels", "# TYPE a counter\na{op=\"r\" 1\n", "unterminated labels"},
+		{"bad value", "# TYPE a counter\na one\n", "bad value"},
+		{"undeclared", "b 1\n", "no TYPE declaration"},
+		{"bare histogram sample", h + "h 1\n", "bare sample"},
+		{"bucket without le", h + "h_bucket{op=\"r\"} 1\n", "missing le label"},
+		{"bucket without labels", h + "h_bucket{} 1\n", "missing le label"},
+		{"+Inf below cumulative", h + "h_bucket{le=\"1\"} 3\nh_bucket{le=\"+Inf\"} 2\n", "+Inf bucket 2 below"},
+		{"bad le", h + "h_bucket{le=\"x\"} 1\n", "bad le"},
+		{"le not increasing", h + "h_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 1\n", "not greater than previous"},
+		{"cumulative decreasing", h + "h_bucket{le=\"1\"} 2\nh_bucket{le=\"2\"} 1\n", "cumulative count decreased"},
+		{"line too long", "# HELP a " + strings.Repeat("x", 1<<20) + "\n", "too long"},
+		{"no +Inf bucket", h + "h_bucket{le=\"1\"} 1\nh_count 1\n", "no +Inf bucket"},
+		{"no _count", h + "h_bucket{le=\"+Inf\"} 1\n", "no _count"},
+		{"_count off +Inf", h + "h_bucket{le=\"+Inf\"} 1\nh_count 2\n", "_count 2 != +Inf bucket 1"},
+	} {
+		err := CheckExposition([]byte(c.text))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckExposition = %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+	// Accepted: blank lines, plain comments, and label values with every
+	// escaped character, as WriteProm writes them.
+	reg := NewRegistry()
+	reg.Histogram("h", "help", L("v", "a\"b,\\c\nd")...).Observe(1)
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckExposition(append([]byte("# a comment\n\n"), buf.Bytes()...)); err != nil {
+		t.Errorf("CheckExposition rejected escaped label values: %v\n%s", err, buf.String())
+	}
+}

@@ -91,7 +91,7 @@ func TestFSGivesUpUnderOutage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	fl.SetRule(func(op simfs.FlakyOp) error {
+	fl.SetRule(func(op fsio.Op) error {
 		if op.Name != "out" {
 			return nil
 		}
@@ -114,10 +114,11 @@ func TestFSGivesUpUnderOutage(t *testing.T) {
 	}
 }
 
-// TestFSVectoredReadIsOneRetriedOp: a resilient file forwards ReadvAt as one
-// operation under the budget. simfs has no vectored read, so neither has
-// the flaky lab over it: the call reaches its ReadAt through fsio.ReadvAt's
-// fallback, where the injected faults fire and are absorbed.
+// TestFSVectoredReadIsOneRetriedOp: a vectored read through a resilient
+// file is one operation under the budget. simfs has no vectored read, so
+// neither has the flaky lab over it nor the resilient file over that: the
+// call reaches the resilient ReadAt through fsio.ReadvAt's fallback, and
+// the faults injected below it are absorbed there.
 func TestFSVectoredReadIsOneRetriedOp(t *testing.T) {
 	sim := simfs.New(simfs.Jugene())
 	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: 3})
@@ -131,11 +132,11 @@ func TestFSVectoredReadIsOneRetriedOp(t *testing.T) {
 	if _, err := f.WriteAt(payload, 0); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
-	if _, ok := f.(fsio.VectorReaderAt); !ok {
-		t.Fatal("the resilient file hides ReadvAt")
+	if _, ok := f.(fsio.VectorReaderAt); ok {
+		t.Fatal("the resilient file claims a vectored read its backend lacks")
 	}
 	fails := 2 // the next two attempts fail
-	fl.SetRule(func(simfs.FlakyOp) error {
+	fl.SetRule(func(fsio.Op) error {
 		if fails == 0 {
 			return nil
 		}
@@ -181,7 +182,7 @@ func TestFSZeroOverheadPath(t *testing.T) {
 	if s.Ops == 0 {
 		t.Fatalf("ops not counted")
 	}
-	if rfs.ctrs != &ctrs || rfs.Unwrap() == nil {
-		t.Fatalf("accessors broken")
+	if u, ok := rfs.(fsio.Unwrapper); !ok || u.Unwrap() == nil {
+		t.Fatalf("the resilient file system hides what it wraps")
 	}
 }

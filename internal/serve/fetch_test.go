@@ -15,9 +15,9 @@ import (
 
 // readFault is a rule that fails every read overlapping [lo, hi) with
 // err — the minimal tool for making concurrent requests fail differently.
-func readFault(lo, hi int64, err error) func(simfs.FlakyOp) error {
-	return func(op simfs.FlakyOp) error {
-		if strings.HasPrefix(op.Op, "Read") && op.Off < hi && op.Off+op.Len > lo {
+func readFault(lo, hi int64, err error) func(fsio.Op) error {
+	return func(op fsio.Op) error {
+		if strings.HasPrefix(op.Call, "Read") && op.Off < hi && op.Off+op.Len > lo {
 			return err
 		}
 		return nil
@@ -50,7 +50,7 @@ func TestFetchPerSpanErrors(t *testing.T) {
 	errB := errors.New("span B is corrupt") // permanent: no ErrTransient wrap
 	// Block 0 fails with errA, block 8 with errB.
 	failA, failB := readFault(0*bs, 1*bs, errA), readFault(8*bs, 9*bs, errB)
-	fl.SetRule(func(op simfs.FlakyOp) error {
+	fl.SetRule(func(op fsio.Op) error {
 		if err := failA(op); err != nil {
 			return err
 		}

@@ -503,7 +503,7 @@ func TestSingleflightWaiterOutlivesFailedOwner(t *testing.T) {
 	defer s.Close()
 	name := s.physNames[0]
 	fired := false // the first span read fails, the next succeeds
-	fl.SetRule(func(op simfs.FlakyOp) error {
+	fl.SetRule(func(op fsio.Op) error {
 		if op.Name != name || fired {
 			return nil
 		}

@@ -119,7 +119,7 @@ func TestServeBreakerDegradesAndRecovers(t *testing.T) {
 
 	// Outage on physical file 0 from now on.
 	phys := s.physNames[0]
-	fl.SetRule(func(op simfs.FlakyOp) error {
+	fl.SetRule(func(op fsio.Op) error {
 		if op.Name != phys {
 			return nil
 		}

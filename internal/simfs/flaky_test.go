@@ -125,10 +125,10 @@ func TestFlakyRule(t *testing.T) {
 
 	// The 3rd to 5th calls on "a" from now fail; "b" is untouched.
 	errDown := errors.New("a is down")
-	var seen []FlakyOp
+	var seen []ruleCall
 	nthA := 0
-	fl.SetRule(func(op FlakyOp) error {
-		seen = append(seen, op)
+	fl.SetRule(func(op fsio.Op) error {
+		seen = append(seen, callOf(op))
 		if op.Name != "a" {
 			return nil
 		}
@@ -150,19 +150,19 @@ func TestFlakyRule(t *testing.T) {
 	if got := fl.Stats().Injected; got != 3 {
 		t.Fatalf("Injected = %d, want 3", got)
 	}
-	if want := (FlakyOp{Op: "WriteAt", Name: "a", Off: 80, Len: 2}); seen[14] != want {
+	if want := (ruleCall{Call: "WriteAt", Name: "a", Off: 80, Len: 2}); seen[14] != want {
 		t.Fatalf("the rule saw %+v, want %+v", seen[14], want)
 	}
 	for _, call := range []struct {
 		do   func()
-		want FlakyOp
+		want ruleCall
 	}{
-		{func() { fa.ReadAt(make([]byte, 4), 7) }, FlakyOp{Op: "ReadAt", Name: "a", Off: 7, Len: 4}},
-		{func() { fa.WriteZeroAt(5, 9) }, FlakyOp{Op: "WriteZeroAt", Name: "a", Off: 9, Len: 5}},
-		{func() { fa.Truncate(6) }, FlakyOp{Op: "Truncate", Name: "a", Off: 6}},
-		{func() { fa.Sync() }, FlakyOp{Op: "Sync", Name: "a"}},
-		{func() { w.OpenRW("./a") }, FlakyOp{Op: "OpenRW", Name: "a"}},
-		{func() { w.Stat("b") }, FlakyOp{Op: "Stat", Name: "b"}},
+		{func() { fa.ReadAt(make([]byte, 4), 7) }, ruleCall{Call: "ReadAt", Name: "a", Off: 7, Len: 4}},
+		{func() { fa.WriteZeroAt(5, 9) }, ruleCall{Call: "WriteZeroAt", Name: "a", Off: 9, Len: 5}},
+		{func() { fa.Truncate(6) }, ruleCall{Call: "Truncate", Name: "a", Off: 6}},
+		{func() { fa.Sync() }, ruleCall{Call: "Sync", Name: "a"}},
+		{func() { w.OpenRW("./a") }, ruleCall{Call: "OpenRW", Name: "a"}},
+		{func() { w.Stat("b") }, ruleCall{Call: "Stat", Name: "b"}},
 	} {
 		call.do()
 		if got := seen[len(seen)-1]; got != call.want {
@@ -171,7 +171,7 @@ func TestFlakyRule(t *testing.T) {
 	}
 
 	// Disabled, the rule is not consulted; nil clears it.
-	fl.SetRule(func(FlakyOp) error { return errDown })
+	fl.SetRule(func(fsio.Op) error { return errDown })
 	fl.SetEnabled(false)
 	if _, err := fa.WriteAt([]byte("A"), 99); err != nil {
 		t.Fatalf("write with injection disabled: %v", err)
@@ -206,10 +206,10 @@ func TestFlakyForwardsReadvAt(t *testing.T) {
 	if _, osVec := mustOpen(t, fsio.NewOS(t.TempDir())).(fsio.VectorReaderAt); vec != osVec {
 		t.Fatalf("the flaky handle has ReadvAt %v, its backend %v", vec, osVec)
 	}
-	var ops []FlakyOp
+	var ops []ruleCall
 	errDown := errors.New("vector read down")
-	fl.SetRule(func(op FlakyOp) error {
-		ops = append(ops, op)
+	fl.SetRule(func(op fsio.Op) error {
+		ops = append(ops, callOf(op))
 		if op.Off == 4 {
 			return errDown
 		}
@@ -226,7 +226,7 @@ func TestFlakyForwardsReadvAt(t *testing.T) {
 	if vec {
 		op = "ReadvAt"
 	}
-	if want := []FlakyOp{{op, "v", 4, 8}, {op, "v", 2, 8}}; fmt.Sprint(ops) != fmt.Sprint(want) {
+	if want := []ruleCall{{op, "v", 4, 8}, {op, "v", 2, 8}}; fmt.Sprint(ops) != fmt.Sprint(want) {
 		t.Fatalf("the rule saw %v, want one call per vector: %v", ops, want)
 	}
 
@@ -238,6 +238,14 @@ func TestFlakyForwardsReadvAt(t *testing.T) {
 		t.Fatal("a flaky handle over simfs claims a vectored read its backend lacks")
 	}
 }
+
+// ruleCall is what a rule sees of an op, in a comparable struct.
+type ruleCall struct {
+	Call, Name string
+	Off, Len   int64
+}
+
+func callOf(op fsio.Op) ruleCall { return ruleCall{op.Call, op.Name, op.Off, op.Len} }
 
 // mustOpen creates a scratch file on fsys and returns its handle, closed
 // when the test ends.
