@@ -375,6 +375,159 @@ func TestFaultSweepRead(t *testing.T) {
 	}
 }
 
+// sweepToolOps are every call the rule of a Flaky sees (all but Close and
+// BlockSize): the offline tools' sweep fails reads and writes alike.
+var sweepToolOps = map[string]bool{
+	"Create": true, "Open": true, "OpenRW": true, "Stat": true, "Remove": true,
+	"ReadAt": true, "ReadvAt": true, "ReadDiscardAt": true,
+	"WriteAt": true, "WriteZeroAt": true, "Truncate": true, "Sync": true, "Size": true,
+}
+
+// sweepToolSource writes the tools' source multifile s.sion, two physical
+// files from sweepRanks ranks, on a fresh fs. Its writers use chunk
+// headers, except under "wm-crash", which has watermarks only. "tail"
+// then cuts the first file's trailer and the end of metablock 2 off; the
+// crash kinds' writers flush and stop before Close, so no file has a
+// metablock 2 and the last chunks' headers still say open.
+func sweepToolSource(kind string) (*simfs.FS, error) {
+	fs := simfs.New(simfs.Jugene())
+	o := Options{ChunkSize: 512, FSBlockSize: 256, NFiles: 2, ChunkHeaders: true}
+	if kind == "wm-crash" {
+		o.ChunkHeaders, o.Watermarks = false, true
+	}
+	if kind == "crash" || kind == "wm-crash" {
+		var errs [sweepRanks]error
+		err := sweepSim(fs, nil, func(c *mpi.Comm, fsys fsio.FileSystem) {
+			f, err := ParOpen(c, fsys, "s.sion", WriteMode, &o)
+			for i := 0; err == nil && i < 6; i++ {
+				_, err = f.Write(sweepPayload(c.Rank(), i))
+			}
+			if err == nil {
+				err = f.Flush()
+			}
+			errs[c.Rank()] = err
+		})
+		return fs, errors.Join(append(errs[:], err)...)
+	}
+	_, calls, err := sweepWrite(fs, "s.sion", o, 0)
+	if err == nil {
+		_, err = calls.verdict()
+	}
+	if err != nil || kind != "tail" {
+		return fs, err
+	}
+	fh, err := fs.View(0, nil).OpenRW(fileName("s.sion", 0))
+	if err != nil {
+		return nil, err
+	}
+	size, err := fh.Size()
+	if err == nil {
+		err = fh.Truncate(size - tailSize - 8)
+	}
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	return fs, err
+}
+
+// sweepTaskFiles is every byte of Split's task files, in rank order.
+func sweepTaskFiles(fs *simfs.FS) []byte {
+	var out []byte
+	v := fs.View(0, nil)
+	for r := 0; r < sweepRanks; r++ {
+		if fh, err := v.Open(fmt.Sprintf("task-%d", r)); err == nil {
+			size, _ := fh.Size()
+			buf := make([]byte, size)
+			fh.ReadAt(buf, 0)
+			fh.Close()
+			out = append(out, buf...)
+		}
+	}
+	return out
+}
+
+// TestFaultSweepTools fails every call of the offline tools, one at a
+// time, on simfs and on ObjStore over simfs (the fault under the object
+// store, so its error paths run): Defrag, Split and Verify of a
+// chunk-header multifile, and Repair of each damaged source of
+// sweepToolSource. Beyond the sweep's invariants, Defrag, Split and
+// Verify leave their source byte-identical, and a failed Repair leaves a
+// file that a second Repair brings to the fault-free result and Verify
+// accepts.
+func TestFaultSweepTools(t *testing.T) {
+	for _, be := range []struct {
+		name string
+		wrap func(fsio.FileSystem) fsio.FileSystem
+	}{
+		{"simfs", func(v fsio.FileSystem) fsio.FileSystem { return v }},
+		{"objstore", func(v fsio.FileSystem) fsio.FileSystem {
+			return simfs.NewObjStore(simfs.ObjProfile{}).Wrap(v, nil)
+		}},
+	} {
+		repair := func(fsys fsio.FileSystem) error { _, err := Repair(fsys, "s.sion"); return err }
+		for _, tool := range []struct {
+			name   string
+			source string // sweepToolSource's kind; a repair source when not ""
+			run    func(fsys fsio.FileSystem) error
+			result func(fs *simfs.FS) []byte
+		}{
+			{"defrag", "",
+				func(fsys fsio.FileSystem) error { return Defrag(fsys, "s.sion", fsys, "d.sion") },
+				func(fs *simfs.FS) []byte { return sweepBytes(fs, "d.sion", 2) }},
+			{"split", "",
+				func(fsys fsio.FileSystem) error { return Split(fsys, "s.sion", fsys, "task-%d", nil) },
+				sweepTaskFiles},
+			{"verify", "",
+				func(fsys fsio.FileSystem) error { return Verify(fsys, "s.sion") },
+				func(fs *simfs.FS) []byte { return nil }},
+			{"repair-tail", "tail", repair, func(fs *simfs.FS) []byte { return sweepBytes(fs, "s.sion", 2) }},
+			{"repair-crash", "crash", repair, func(fs *simfs.FS) []byte { return sweepBytes(fs, "s.sion", 2) }},
+			{"repair-wm-crash", "wm-crash", repair, func(fs *simfs.FS) []byte { return sweepBytes(fs, "s.sion", 2) }},
+		} {
+			be, tool := be, tool
+			t.Run(be.name+"/"+tool.name, func(t *testing.T) {
+				var fs *simfs.FS
+				var want []byte
+				sweepAll(t, func(k int) (n int, calls *sweepCalls, err error) {
+					if fs, err = sweepToolSource(tool.source); err != nil {
+						return 0, nil, fmt.Errorf("writing the source: %w", err)
+					}
+					src := sweepBytes(fs, "s.sion", 2)
+					fl := simfs.NewFlaky(simfs.FlakyConfig{})
+					r := &failKth{ops: sweepToolOps, k: k}
+					fl.SetRule(r.rule)
+					calls = new(sweepCalls)
+					func() {
+						defer func() {
+							if p := recover(); p != nil {
+								err = fmt.Errorf("%s panicked: %v", tool.name, p)
+							}
+						}()
+						calls.add(0, tool.run(be.wrap(fl.Wrap(fs.View(0, nil), nil))))
+					}()
+					switch {
+					case err != nil:
+					case k == 0:
+						want = tool.result(fs)
+					case tool.source == "" && !bytes.Equal(sweepBytes(fs, "s.sion", 2), src):
+						err = errors.New("the source changed")
+					case tool.source != "" && calls[0][0] != nil:
+						v := be.wrap(fs.View(0, nil))
+						if _, rerr := Repair(v, "s.sion"); rerr != nil {
+							err = fmt.Errorf("a second Repair: %w", rerr)
+						} else if verr := Verify(v, "s.sion"); verr != nil {
+							err = fmt.Errorf("Verify after a second Repair: %w", verr)
+						} else if !bytes.Equal(tool.result(fs), want) {
+							err = errors.New("a second Repair's result differs from the fault-free one")
+						}
+					}
+					return r.n, calls, err
+				}, func() bool { return bytes.Equal(tool.result(fs), want) })
+			})
+		}
+	}
+}
+
 // TestParOpenWriteFailsTogether: one rank's failed step inside a ParOpen
 // write fails the open on every rank instead of leaving the others to
 // block in Close; the failing rank's error names the cause.

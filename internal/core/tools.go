@@ -263,7 +263,7 @@ func Verify(fsys fsio.FileSystem, name string) error {
 			for li := 0; li < int(pf.h.NTasksLocal); li++ {
 				for b, bytes := range pf.m2.BlockBytes[li] {
 					if _, err := pf.fh.ReadAt(hdr, pf.geo.chunkOff(li, b)); err != nil && err != io.EOF {
-						return fmt.Errorf("%w: segment %d: reading chunk header: %v", ErrCorrupt, k, err)
+						return fmt.Errorf("%w: segment %d: reading chunk header: %w", ErrCorrupt, k, err)
 					}
 					ch, ok := parseChunkHeader(hdr)
 					if !ok {

@@ -44,15 +44,11 @@ func payloadSize(chunk int64, g int) int {
 func writeDump(fs *simfs.FS, n int, name string, opts *sion.Options, size func(g int) int) simfs.FileStats {
 	simRun(fs, n, func(c *mpi.Comm, v fsio.FileSystem) {
 		f, err := sion.ParOpen(c, v, name, sion.WriteMode, opts)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := f.Write(taskPayload(c.Rank(), size(c.Rank()))); err != nil {
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
+		check(err == nil, "writeDump %s: open, rank %d: %v", name, c.Rank(), err)
+		_, err = f.Write(taskPayload(c.Rank(), size(c.Rank())))
+		check(err == nil, "writeDump %s: write, rank %d: %v", name, c.Rank(), err)
+		err = f.Close()
+		check(err == nil, "writeDump %s: close, rank %d: %v", name, c.Rank(), err)
 	})
 	wst := dumpStats(fs, name, max(opts.NFiles, 1))
 	fs.ResetServers()
@@ -66,9 +62,7 @@ func dumpStats(fs *simfs.FS, name string, nfiles int) simfs.FileStats {
 	var tot simfs.FileStats
 	for _, pn := range sion.PhysicalNames(name, nfiles) {
 		st, ok := fs.Stats(pn)
-		if !ok {
-			continue
-		}
+		check(ok, "dumpStats %s: no physical file %s", name, pn)
 		tot.Opens += st.Opens
 		tot.ReadRequests += st.ReadRequests
 		tot.WriteRequests += st.WriteRequests

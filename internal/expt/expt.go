@@ -104,6 +104,15 @@ func scaleDown(n, scale, min int) int {
 
 func secs(t float64) string { return fmt.Sprintf("%.1f", t) }
 
+// check is the runners' one way to fail. Every in-run self-check, every
+// returned error and every Close result goes through it, and a false ok
+// panics with the formatted message, which names the table and rank.
+func check(ok bool, format string, args ...any) {
+	if !ok {
+		panic(fmt.Sprintf(format, args...))
+	}
+}
+
 func profileByName(name string) *simfs.Profile {
 	switch name {
 	case "jugene":

@@ -37,9 +37,9 @@ func fig3(name, machine string, counts []int, scale int, title string) *Result {
 		fs := simfs.New(prof)
 		tCreate := simRun(fs, n, func(c *mpi.Comm, v fsio.FileSystem) {
 			fh, err := v.Create(taskFileName(c.Rank()))
-			if err == nil {
-				fh.Close()
-			}
+			check(err == nil, "%s: create, rank %d: %v", name, c.Rank(), err)
+			err = fh.Close()
+			check(err == nil, "%s: close created file, rank %d: %v", name, c.Rank(), err)
 		})
 
 		// Phase 2: reopen the now-existing files (cold caches, fresh job).
@@ -47,9 +47,9 @@ func fig3(name, machine string, counts []int, scale int, title string) *Result {
 		fs.ResetServers()
 		tOpen := simRun(fs, n, func(c *mpi.Comm, v fsio.FileSystem) {
 			fh, err := v.Open(taskFileName(c.Rank()))
-			if err == nil {
-				fh.Close()
-			}
+			check(err == nil, "%s: open, rank %d: %v", name, c.Rank(), err)
+			err = fh.Close()
+			check(err == nil, "%s: close opened file, rank %d: %v", name, c.Rank(), err)
 		})
 
 		// Phase 3: one SIONlib multifile instead (collective create+close).
@@ -57,9 +57,9 @@ func fig3(name, machine string, counts []int, scale int, title string) *Result {
 		tSion := simRun(fs2, n, func(c *mpi.Comm, v fsio.FileSystem) {
 			f, err := sion.ParOpen(c, v, "data/all.sion", sion.WriteMode,
 				&sion.Options{ChunkSize: 2 << 20})
-			if err == nil {
-				f.Close()
-			}
+			check(err == nil, "%s: SION create, rank %d: %v", name, c.Rank(), err)
+			err = f.Close()
+			check(err == nil, "%s: SION close, rank %d: %v", name, c.Rank(), err)
 		})
 
 		res.Rows = append(res.Rows, []string{kfmt(n), secs(tCreate), secs(tOpen), secs(tSion)})

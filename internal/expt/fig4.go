@@ -19,30 +19,26 @@ func bwPair(fs *simfs.FS, ntasks, nfiles int, total int64, fsblk int64) (write, 
 	simRun(fs, ntasks, func(c *mpi.Comm, v fsio.FileSystem) {
 		f, err := sion.ParOpen(c, v, "data/bench.sion", sion.WriteMode,
 			&sion.Options{ChunkSize: perTask, NFiles: nfiles, FSBlockSize: fsblk})
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "bwPair: write open, rank %d: %v", c.Rank(), err)
 		t0 := syncStart(c)
-		if err := f.WriteSynthetic(perTask); err != nil {
-			panic(err)
-		}
+		err = f.WriteSynthetic(perTask)
+		check(err == nil, "bwPair: write, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			tw = t
 		}
-		f.Close()
+		err = f.Close()
+		check(err == nil, "bwPair: write close, rank %d: %v", c.Rank(), err)
 
 		r, err := sion.ParOpen(c, v, "data/bench.sion", sion.ReadMode, nil)
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "bwPair: read open, rank %d: %v", c.Rank(), err)
 		t1 := syncStart(c)
-		if _, err := r.ReadSynthetic(perTask); err != nil {
-			panic(err)
-		}
+		_, err = r.ReadSynthetic(perTask)
+		check(err == nil, "bwPair: read, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t1; c.Rank() == 0 {
 			tr = t
 		}
-		r.Close()
+		err = r.Close()
+		check(err == nil, "bwPair: read close, rank %d: %v", c.Rank(), err)
 	})
 	return float64(total) / tw / 1e6, float64(total) / tr / 1e6
 }

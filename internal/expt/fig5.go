@@ -17,30 +17,26 @@ func taskLocalBW(fs *simfs.FS, ntasks int, total int64) (write, read float64) {
 	var tw, tr float64
 	simRun(fs, ntasks, func(c *mpi.Comm, v fsio.FileSystem) {
 		fh, err := v.Create(taskFileName(c.Rank()))
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "taskLocalBW: create, rank %d: %v", c.Rank(), err)
 		t0 := syncStart(c)
-		if err := fh.WriteZeroAt(perTask, 0); err != nil {
-			panic(err)
-		}
+		err = fh.WriteZeroAt(perTask, 0)
+		check(err == nil, "taskLocalBW: write, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			tw = t
 		}
-		fh.Close()
+		err = fh.Close()
+		check(err == nil, "taskLocalBW: write close, rank %d: %v", c.Rank(), err)
 
 		rh, err := v.Open(taskFileName(c.Rank()))
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "taskLocalBW: open, rank %d: %v", c.Rank(), err)
 		t1 := syncStart(c)
-		if _, err := rh.ReadDiscardAt(perTask, 0); err != nil {
-			panic(err)
-		}
+		_, err = rh.ReadDiscardAt(perTask, 0)
+		check(err == nil, "taskLocalBW: read, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t1; c.Rank() == 0 {
 			tr = t
 		}
-		rh.Close()
+		err = rh.Close()
+		check(err == nil, "taskLocalBW: read close, rank %d: %v", c.Rank(), err)
 	})
 	return float64(total) / tw / 1e6, float64(total) / tr / 1e6
 }

@@ -51,26 +51,22 @@ func Fig6(scale int) *Result {
 			t0 := syncStart(c)
 			f, err := sion.ParOpen(c, v, "restart.sion", sion.WriteMode,
 				&sion.Options{ChunkSize: perTask, NFiles: 1})
-			if err != nil {
-				panic(err)
-			}
-			if err := f.WriteSynthetic(perTask); err != nil {
-				panic(err)
-			}
-			f.Close()
+			check(err == nil, "fig6: write open, rank %d: %v", c.Rank(), err)
+			err = f.WriteSynthetic(perTask)
+			check(err == nil, "fig6: write, rank %d: %v", c.Rank(), err)
+			err = f.Close()
+			check(err == nil, "fig6: write close, rank %d: %v", c.Rank(), err)
 			if t := allMaxTime(c) - t0; c.Rank() == 0 {
 				tWrite = t
 			}
 
 			t1 := syncStart(c)
 			r, err := sion.ParOpen(c, v, "restart.sion", sion.ReadMode, nil)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := r.ReadSynthetic(perTask); err != nil {
-				panic(err)
-			}
-			r.Close()
+			check(err == nil, "fig6: read open, rank %d: %v", c.Rank(), err)
+			_, err = r.ReadSynthetic(perTask)
+			check(err == nil, "fig6: read, rank %d: %v", c.Rank(), err)
+			err = r.Close()
+			check(err == nil, "fig6: read close, rank %d: %v", c.Rank(), err)
 			if t := allMaxTime(c) - t1; c.Rank() == 0 {
 				tRead = t
 			}
@@ -116,42 +112,38 @@ func fig6Baseline(fs *simfs.FS, ntasks int, perTask int64) (write, read float64)
 		}
 		p := c.Proc()
 		fh, err := v.Create("restart-seq.bin")
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "fig6: baseline create: %v", err)
 		t0 := p.Now()
 		var off int64
 		for field := 0; field < fig6Fields; field++ {
 			for task := 0; task < ntasks; task++ {
 				// Gather this task's field slice, then write it.
 				p.Advance(fig6RoundLat + float64(fieldBytes)/fig6GatherBW)
-				if err := fh.WriteZeroAt(fieldBytes, off); err != nil {
-					panic(err)
-				}
+				err := fh.WriteZeroAt(fieldBytes, off)
+				check(err == nil, "fig6: baseline write: %v", err)
 				off += fieldBytes
 			}
 		}
 		tw = p.Now() - t0
-		fh.Close()
+		err = fh.Close()
+		check(err == nil, "fig6: baseline write close: %v", err)
 		c.Barrier()
 
 		rh, err := v.Open("restart-seq.bin")
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "fig6: baseline open: %v", err)
 		t1 := p.Now()
 		off = 0
 		for field := 0; field < fig6Fields; field++ {
 			for task := 0; task < ntasks; task++ {
-				if _, err := rh.ReadDiscardAt(fieldBytes, off); err != nil {
-					panic(err)
-				}
+				_, err := rh.ReadDiscardAt(fieldBytes, off)
+				check(err == nil, "fig6: baseline read: %v", err)
 				p.Advance(fig6RoundLat + float64(fieldBytes)/fig6GatherBW)
 				off += fieldBytes
 			}
 		}
 		tr = p.Now() - t1
-		rh.Close()
+		err = rh.Close()
+		check(err == nil, "fig6: baseline read close: %v", err)
 		c.Barrier()
 	})
 	return tw, tr

@@ -88,22 +88,18 @@ func tab10Run(ntasks int, arm tab10Arm) tab10Row {
 	simRun(fs, ntasks, func(c *mpi.Comm, v fsio.FileSystem) {
 		t0 := syncStart(c)
 		f, err := sion.ParOpen(c, bind(c, v), "tab10.sion", sion.WriteMode, arm.wopts())
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab10 %s: write open, rank %d: %v", arm.label, c.Rank(), err)
 		payload := taskPayload(c.Rank(), perTask)
 		for i := 0; i < nrec; i++ {
 			c.Advance(tab10Compute)
-			if _, err := f.Write(payload[i*tab10Record : (i+1)*tab10Record]); err != nil {
-				panic(err)
-			}
+			_, err := f.Write(payload[i*tab10Record : (i+1)*tab10Record])
+			check(err == nil, "tab10: write, rank %d: %v", c.Rank(), err)
 		}
 		if c.Rank() == 0 {
 			row.nfiles, row.fsblk = f.NumFiles(), f.FSBlockSize()
 		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
+		err = f.Close()
+		check(err == nil, "tab10 %s: write close, rank %d: %v", arm.label, c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			row.writeT = t
 		}
@@ -121,23 +117,18 @@ func tab10Run(ntasks int, arm tab10Arm) tab10Row {
 	simRun(fs, ntasks, func(c *mpi.Comm, v fsio.FileSystem) {
 		t0 := syncStart(c)
 		f, err := sion.ParOpen(c, bind(c, v), "tab10.sion", sion.ReadMode, arm.ropts())
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab10 %s: read open, rank %d: %v", arm.label, c.Rank(), err)
 		payload := taskPayload(c.Rank(), perTask)
 		got := make([]byte, 0, perTask)
 		buf := make([]byte, tab10Record)
 		for !f.EOF() {
 			n, err := f.Read(buf)
-			if err != nil {
-				panic(err)
-			}
+			check(err == nil, "tab10: read, rank %d: %v", c.Rank(), err)
 			got = append(got, buf[:n]...)
 		}
-		if !bytes.Equal(got, payload) {
-			panic(fmt.Sprintf("tab10 %s: rank %d read %d bytes, payload differs", arm.label, c.Rank(), len(got)))
-		}
-		f.Close()
+		check(bytes.Equal(got, payload), "tab10 %s: rank %d read %d bytes, payload differs", arm.label, c.Rank(), len(got))
+		err = f.Close()
+		check(err == nil, "tab10 %s: read close, rank %d: %v", arm.label, c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			row.readT = t
 		}
@@ -217,10 +208,8 @@ func Table10(scale int) *Result {
 		})
 	}
 	posixTuned, auto := totals[0], totals[1]
-	if auto*2 > posixTuned {
-		panic(fmt.Sprintf("tab10: auto-tuned geometry issued %d object-store requests, want ≤ half of the POSIX-tuned %d",
-			auto, posixTuned))
-	}
+	check(auto*2 <= posixTuned, "tab10: auto-tuned geometry issued %d object-store requests, want ≤ half of the POSIX-tuned %d",
+		auto, posixTuned)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("%d KiB records, %d MiB per task; objstore smallpart profile: 1 MiB parts, 4 MiB GET ceiling, %.0f ms/request",
 			tab10Record>>10, tab10Chunk>>20, simfs.SmallPartObjProfile().RequestSecs*1e3),

@@ -20,9 +20,6 @@ const (
 	// activation of 28.1 s contains "pure file creation consuming roughly
 	// 1 s", putting this at ≈27 s.
 	tab2InitSecs = 27.0
-	// Scalasca's EPIK archive creates two per-task files (definitions +
-	// event trace) in the task-local mode.
-	tab2FilesPerTask = 2
 	// Effective per-task trace emission rate: compressed trace data is
 	// produced while Scalasca drains and orders its buffers, which is what
 	// holds the paper's write bandwidth at ≈2.2 GB/s, far under the 6 GB/s
@@ -48,16 +45,12 @@ func Table2(scale int) *Result {
 	simRun(fs, ntasks, func(c *mpi.Comm, v fsio.FileSystem) {
 		t0 := syncStart(c)
 		c.Advance(tab2InitSecs) // measurement-system init, fully parallel
-		var defs, trc fsio.File
-		var err error
-		if defs, err = v.Create(fmt.Sprintf("epik/defs-%06d", c.Rank())); err != nil {
-			panic(err)
-		}
-		if tab2FilesPerTask > 1 {
-			if trc, err = v.Create(fmt.Sprintf("epik/trace-%06d", c.Rank())); err != nil {
-				panic(err)
-			}
-		}
+		// Scalasca's EPIK archive creates two per-task files (definitions
+		// and event trace) in the task-local mode.
+		defs, err := v.Create(fmt.Sprintf("epik/defs-%06d", c.Rank()))
+		check(err == nil, "tab2: create defs, rank %d: %v", c.Rank(), err)
+		trc, err := v.Create(fmt.Sprintf("epik/trace-%06d", c.Rank()))
+		check(err == nil, "tab2: create trace, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			actTL = t
 		}
@@ -66,11 +59,12 @@ func Table2(scale int) *Result {
 		// source-limited rate, into the task's own file.
 		t1 := syncStart(c)
 		c.Advance(float64(perTask) / tab2SourceRate / wallCompress)
-		if err := trc.WriteZeroAt(perTask, 0); err != nil {
-			panic(err)
-		}
-		defs.Close()
-		trc.Close()
+		err = trc.WriteZeroAt(perTask, 0)
+		check(err == nil, "tab2: write trace, rank %d: %v", c.Rank(), err)
+		err = defs.Close()
+		check(err == nil, "tab2: close defs, rank %d: %v", c.Rank(), err)
+		err = trc.Close()
+		check(err == nil, "tab2: close trace, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t1; c.Rank() == 0 {
 			bwTL = float64(total) / t / 1e6
 		}
@@ -88,19 +82,17 @@ func Table2(scale int) *Result {
 		// the paper's Scalasca integration (§5.2).
 		f, err := sion.ParOpen(c, v, "epik/traces.sion", sion.WriteMode,
 			&sion.Options{ChunkSize: perTask, NFiles: tab2NFiles})
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab2: SION open, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			actS = t
 		}
 
 		t1 := syncStart(c)
 		c.Advance(float64(perTask) / tab2SourceRate / wallCompress)
-		if err := f.WriteSynthetic(perTask); err != nil {
-			panic(err)
-		}
-		f.Close()
+		err = f.WriteSynthetic(perTask)
+		check(err == nil, "tab2: SION write, rank %d: %v", c.Rank(), err)
+		err = f.Close()
+		check(err == nil, "tab2: SION close, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t1; c.Rank() == 0 {
 			bwS = float64(total) / t / 1e6
 		}

@@ -73,19 +73,15 @@ func tab3Mode(ntasks, group int, async bool) (writeT, readT float64, wst, rst si
 		f, err := sion.ParOpen(c, v, "tab3.sion", sion.WriteMode, &sion.Options{
 			ChunkSize: tab3Chunk, CollectorGroup: group, AsyncCollective: async,
 		})
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab3: write open, rank %d: %v", c.Rank(), err)
 		rec := make([]byte, tab3Record)
 		for i := 0; i < nrec; i++ {
 			c.Advance(tab3Compute)
-			if _, err := f.Write(rec); err != nil {
-				panic(err)
-			}
+			_, err := f.Write(rec)
+			check(err == nil, "tab3: write, rank %d: %v", c.Rank(), err)
 		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
+		err = f.Close()
+		check(err == nil, "tab3: write close, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			writeT = t
 		}
@@ -103,16 +99,14 @@ func tab3Mode(ntasks, group int, async bool) (writeT, readT float64, wst, rst si
 			opts = &sion.Options{CollectorGroup: group}
 		}
 		f, err := sion.ParOpen(c, v, "tab3.sion", sion.ReadMode, opts)
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab3: read open, rank %d: %v", c.Rank(), err)
 		buf := make([]byte, tab3Record)
 		for !f.EOF() {
-			if _, err := f.Read(buf); err != nil {
-				panic(err)
-			}
+			_, err := f.Read(buf)
+			check(err == nil, "tab3: read, rank %d: %v", c.Rank(), err)
 		}
-		f.Close()
+		err = f.Close()
+		check(err == nil, "tab3: read close, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			readT = t
 		}

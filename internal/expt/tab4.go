@@ -44,19 +44,15 @@ func tab4Mode(ntasks int, bufSize int64) (writeT, readT float64, wst, rst simfs.
 		f, err := sion.ParOpen(c, v, "tab4.sion", sion.WriteMode, &sion.Options{
 			ChunkSize: tab4Chunk, BufferSize: bufSize,
 		})
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab4: write open, rank %d: %v", c.Rank(), err)
 		rec := make([]byte, tab4Record)
 		for i := 0; i < nrec; i++ {
 			c.Advance(tab4Compute)
-			if _, err := f.Write(rec); err != nil {
-				panic(err)
-			}
+			_, err := f.Write(rec)
+			check(err == nil, "tab4: write, rank %d: %v", c.Rank(), err)
 		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
+		err = f.Close()
+		check(err == nil, "tab4: write close, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			writeT = t
 		}
@@ -74,16 +70,14 @@ func tab4Mode(ntasks int, bufSize int64) (writeT, readT float64, wst, rst simfs.
 			opts = &sion.Options{BufferSize: bufSize}
 		}
 		f, err := sion.ParOpen(c, v, "tab4.sion", sion.ReadMode, opts)
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab4: read open, rank %d: %v", c.Rank(), err)
 		buf := make([]byte, tab4Record)
 		for !f.EOF() {
-			if _, err := f.Read(buf); err != nil {
-				panic(err)
-			}
+			_, err := f.Read(buf)
+			check(err == nil, "tab4: read, rank %d: %v", c.Rank(), err)
 		}
-		f.Close()
+		err = f.Close()
+		check(err == nil, "tab4: read close, rank %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			readT = t
 		}

@@ -62,35 +62,25 @@ func tab5Mode(nwriters, nreaders, group int) (readT float64, rst simfs.FileStats
 			opts = &sion.Options{CollectorGroup: group}
 		}
 		mf, err := sion.ParOpenMapped(c, v, "tab5.sion", sion.ReadMode, nil, opts)
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab5: mapped open, reader %d: %v", c.Rank(), err)
 		for _, g := range mf.OwnedRanks() {
 			h, err := mf.Rank(g)
-			if err != nil {
-				panic(err)
-			}
+			check(err == nil, "tab5: reader %d: Rank(%d): %v", c.Rank(), g, err)
 			want := taskPayload(g, size(g))
 			got := make([]byte, len(want))
-			if _, err := io.ReadFull(h, got); err != nil {
-				panic(fmt.Sprintf("tab5: rank %d: %v", g, err))
-			}
-			if !bytes.Equal(got, want) {
-				panic(fmt.Sprintf("tab5: rank %d: bytes differ after rescaled reopen", g))
-			}
+			_, err = io.ReadFull(h, got)
+			check(err == nil, "tab5: rank %d: %v", g, err)
+			check(bytes.Equal(got, want), "tab5: rank %d: bytes differ after rescaled reopen", g)
 			recovered[g] = true
 		}
-		if err := mf.Close(); err != nil {
-			panic(err)
-		}
+		err = mf.Close()
+		check(err == nil, "tab5: mapped close, reader %d: %v", c.Rank(), err)
 		if t := allMaxTime(c) - t0; c.Rank() == 0 {
 			readT = t
 		}
 	})
 	for g, ok := range recovered {
-		if !ok {
-			panic(fmt.Sprintf("tab5: rank %d not recovered by any reader", g))
-		}
+		check(ok, "tab5: rank %d not recovered by any reader", g)
 	}
 	st := dumpStats(fs, "tab5.sion", 1)
 	rst = simfs.FileStats{

@@ -37,8 +37,6 @@ const (
 	tab6Chunk    = int64(64) << 10 // one 64 KiB FS block per chunk
 	tab6NFiles   = 2
 	tab6Clients  = 2048
-	tab6Reads    = 4    // random windows per client
-	tab6ReadLen  = 2048 // bytes per window
 	tab6CacheBig = int64(64) << 20
 	tab6CacheSml = int64(1) << 20 // 16 cache blocks: forces eviction churn
 )
@@ -78,32 +76,31 @@ func (z *tab6Zipf) sample(r *tab6Rand) int {
 	return sort.SearchFloat64s(z.cum, u)
 }
 
-// tab6Client is one logical client's reads: a zipfian rank, tab6Reads
-// random windows (every 16th client additionally streams the whole rank),
-// every byte verified against the written payload.
-func tab6Client(c int, rng *tab6Rand, zipf *tab6Zipf, open func(g int) (sion.LogicalReaderAt, func())) {
+// The zipfian storms of tab6 and tab9 read the same windows per client.
+const (
+	zipfReads   = 4    // random windows per client
+	zipfReadLen = 2048 // bytes per window
+)
+
+// zipfClient is client c of table tab's zipfian storm: a zipfian rank g,
+// zipfReads random windows of it (every 16th client additionally streams
+// the whole rank), every byte verified against taskPayload(g, size(g)).
+func zipfClient(tab string, c int, rng *tab6Rand, zipf *tab6Zipf, size func(g int) int, open func(g int) sion.LogicalReaderAt) {
 	g := zipf.sample(rng)
-	want := taskPayload(g, payloadSize(tab6Chunk, g))
-	h, done := open(g)
-	defer done()
-	for i := 0; i < tab6Reads; i++ {
-		off := int64(rng.next() % uint64(len(want)-tab6ReadLen))
-		buf := make([]byte, tab6ReadLen)
-		if _, err := h.ReadLogicalAt(buf, off); err != nil {
-			panic(fmt.Sprintf("tab6: client %d rank %d window at %d: %v", c, g, off, err))
-		}
-		if !bytes.Equal(buf, want[off:off+tab6ReadLen]) {
-			panic(fmt.Sprintf("tab6: client %d rank %d window at %d: bytes differ", c, g, off))
-		}
+	want := taskPayload(g, size(g))
+	h := open(g)
+	for i := 0; i < zipfReads; i++ {
+		off := int64(rng.next() % uint64(len(want)-zipfReadLen))
+		buf := make([]byte, zipfReadLen)
+		_, err := h.ReadLogicalAt(buf, off)
+		check(err == nil, "%s: client %d rank %d window at %d: %v", tab, c, g, off, err)
+		check(bytes.Equal(buf, want[off:off+zipfReadLen]), "%s: client %d rank %d window at %d: bytes differ", tab, c, g, off)
 	}
 	if c%16 == 0 {
 		buf := make([]byte, len(want))
-		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
-			panic(fmt.Sprintf("tab6: client %d rank %d full stream: %v", c, g, err))
-		}
-		if !bytes.Equal(buf, want) {
-			panic(fmt.Sprintf("tab6: client %d rank %d: full stream differs", c, g))
-		}
+		_, err := h.ReadLogicalAt(buf, 0)
+		check(err == nil, "%s: client %d rank %d full stream: %v", tab, c, g, err)
+		check(bytes.Equal(buf, want), "%s: client %d rank %d: full stream differs", tab, c, g)
 	}
 }
 
@@ -122,35 +119,33 @@ func tab6Mode(nwriters, nclients int, cacheBytes int64) (rst simfs.FileStats, ss
 	// the request-count claim, which is time-independent).
 	rng := &tab6Rand{x: 0x5107a}
 	zipf := newTab6Zipf(nwriters)
+	size := func(g int) int { return payloadSize(tab6Chunk, g) }
 	if cacheBytes == 0 {
 		for c := 0; c < nclients; c++ {
 			v := fs.View(nwriters+1+c, nil)
-			tab6Client(c, rng, zipf, func(g int) (sion.LogicalReaderAt, func()) {
-				h, err := sion.OpenRank(v, "tab6.sion", g)
-				if err != nil {
-					panic(err)
-				}
-				return h, func() { h.Close() }
+			var h *sion.File
+			zipfClient("tab6", c, rng, zipf, size, func(g int) sion.LogicalReaderAt {
+				var err error
+				h, err = sion.OpenRank(v, "tab6.sion", g)
+				check(err == nil, "tab6: client %d: OpenRank(%d): %v", c, g, err)
+				return h
 			})
+			err := h.Close()
+			check(err == nil, "tab6: client %d: Close: %v", c, err)
 		}
 	} else {
 		srv, err := serve.New(fs.View(nwriters, nil), "tab6.sion", &serve.Config{CacheBytes: cacheBytes})
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab6: serve.New: %v", err)
 		for c := 0; c < nclients; c++ {
-			tab6Client(c, rng, zipf, func(g int) (sion.LogicalReaderAt, func()) {
+			zipfClient("tab6", c, rng, zipf, size, func(g int) sion.LogicalReaderAt {
 				h, err := srv.Open(g)
-				if err != nil {
-					panic(err)
-				}
-				return h, func() {}
+				check(err == nil, "tab6: client %d: Open(%d): %v", c, g, err)
+				return h
 			})
 		}
 		sst = srv.Stats()
-		if err := srv.Close(); err != nil {
-			panic(err)
-		}
+		err = srv.Close()
+		check(err == nil, "tab6: serve.Close: %v", err)
 	}
 	st := dumpStats(fs, "tab6.sion", tab6NFiles)
 	rst = simfs.FileStats{
@@ -204,7 +199,7 @@ func Table6(scale int) *Result {
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("zipf(1.2) rank popularity; %d windows of %d B per client, every 16th client streams its whole rank; byte identity asserted in-run",
-			tab6Reads, tab6ReadLen),
+			zipfReads, zipfReadLen),
 		"uncached: every client pays its own OpenRank metadata walk plus one backend request per window",
 		"served: one layout snapshot at serve.New; misses fill the sharded block cache via dense span reads, so backend requests approach the distinct-block count of the working set",
 		"request counters are simfs.FileStats sums over both physical files; the client sequence is identical in every mode")

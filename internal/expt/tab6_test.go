@@ -13,7 +13,7 @@ import (
 // the server performs a constant number of opens, and the zipfian reuse
 // shows up as a high cache hit rate. Byte identity of every served
 // window against the written payloads is asserted in-run by Table6
-// itself (tab6Client panics on a mismatch).
+// itself (zipfClient panics on a mismatch).
 func TestTable6Findings(t *testing.T) {
 	r := result(t, "tab6", testScale)
 	if len(r.Rows) != 3 {

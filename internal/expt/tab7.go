@@ -123,25 +123,21 @@ func (ts *tab7Stream) parse(salt int, kw *sion.KeyWriter) {
 		w := binary.LittleEndian.Uint32(ts.pending[4:])
 		seq := binary.LittleEndian.Uint32(ts.pending[8:])
 		plen := binary.LittleEndian.Uint32(ts.pending[12:])
-		if magic != tab7FrameMagic || int(w) != ts.w || int(seq) != ts.nextSeq {
-			panic(fmt.Sprintf("tab7: writer %d: bad frame header (magic %#x, w %d, seq %d, want seq %d)",
-				ts.w, magic, w, seq, ts.nextSeq))
-		}
+		check(magic == tab7FrameMagic && int(w) == ts.w && int(seq) == ts.nextSeq,
+			"tab7: writer %d: bad frame header (magic %#x, w %d, seq %d, want seq %d)",
+			ts.w, magic, w, seq, ts.nextSeq)
 		total := tab7FrameHdr + int(plen) + 4
 		if len(ts.pending) < total {
 			return // frame continues past the watermark; finish it next poll
 		}
 		payload := ts.pending[tab7FrameHdr : tab7FrameHdr+int(plen)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(ts.pending[tab7FrameHdr+int(plen):]) {
-			panic(fmt.Sprintf("tab7: writer %d seq %d: CRC mismatch (torn record)", ts.w, seq))
-		}
-		if !bytes.Equal(payload, tab7Payload(salt, ts.w, int(seq))) {
-			panic(fmt.Sprintf("tab7: writer %d seq %d: payload differs from source", ts.w, seq))
-		}
+		check(crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(ts.pending[tab7FrameHdr+int(plen):]),
+			"tab7: writer %d seq %d: CRC mismatch (torn record)", ts.w, seq)
+		check(bytes.Equal(payload, tab7Payload(salt, ts.w, int(seq))),
+			"tab7: writer %d seq %d: payload differs from source", ts.w, seq)
 		if kw != nil {
-			if err := kw.WriteKey(uint64(ts.w), payload); err != nil {
-				panic(fmt.Sprintf("tab7: shipping writer %d seq %d: %v", ts.w, seq, err))
-			}
+			err := kw.WriteKey(uint64(ts.w), payload)
+			check(err == nil, "tab7: shipping writer %d seq %d: %v", ts.w, seq, err)
 		}
 		ts.pending = ts.pending[total:]
 		ts.nextSeq++
@@ -184,29 +180,22 @@ func tab7StreamPhase(nw, nr, records int) (maxLag int, shipped int64, simEnd flo
 	vB := fsB.View(0, nil)
 	for rr := 0; rr < nr; rr++ {
 		f, err := sion.OpenRank(vB, "ship.sion", rr)
-		if err != nil {
-			panic(fmt.Sprintf("tab7: opening archive rank %d: %v", rr, err))
-		}
+		check(err == nil, "tab7: opening archive rank %d: %v", rr, err)
 		kr, err := sion.NewKeyReaderFrom(f)
-		if err != nil {
-			panic(fmt.Sprintf("tab7: indexing archive rank %d: %v", rr, err))
-		}
+		check(err == nil, "tab7: indexing archive rank %d: %v", rr, err)
 		for w := rr * nw / nr; w < (rr+1)*nw/nr; w++ {
 			got, err := kr.ReadKey(uint64(w))
-			if err != nil {
-				panic(fmt.Sprintf("tab7: archive read of writer %d: %v", w, err))
-			}
+			check(err == nil, "tab7: archive read of writer %d: %v", w, err)
 			var want []byte
 			for seq := 1; seq <= records; seq++ {
 				want = append(want, tab7Payload(0, w, seq)...)
 			}
-			if !bytes.Equal(got, want) {
-				panic(fmt.Sprintf("tab7: archive of writer %d differs from source (%d bytes, want %d)",
-					w, len(got), len(want)))
-			}
+			check(bytes.Equal(got, want), "tab7: archive of writer %d differs from source (%d bytes, want %d)",
+				w, len(got), len(want))
 			shipped += int64(len(got))
 		}
-		f.Close()
+		err = f.Close()
+		check(err == nil, "tab7: closing archive rank %d: %v", rr, err)
 	}
 	return lagMax, shipped, simEnd
 }
@@ -219,27 +208,22 @@ func tab7Writer(c, wc *mpi.Comm, v fsio.FileSystem, records int, flushTotals [][
 	f, err := sion.ParOpen(wc, v, "live.sion", sion.WriteMode, &sion.Options{
 		ChunkSize: tab7Chunk, FSBlockSize: tab7FSBlk, Watermarks: true,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("tab7: writer %d: ParOpen: %v", w, err))
-	}
+	check(err == nil, "tab7: writer %d: ParOpen: %v", w, err)
 	var total int64
 	for seq := 1; seq <= records; seq++ {
 		fr := tab7Frame(0, w, seq)
-		if _, err := f.Write(fr); err != nil {
-			panic(fmt.Sprintf("tab7: writer %d seq %d: %v", w, seq, err))
-		}
+		_, err := f.Write(fr)
+		check(err == nil, "tab7: writer %d seq %d: %v", w, seq, err)
 		total += int64(len(fr))
 		if seq%tab7Flush == 0 || seq == records {
-			if err := f.Flush(); err != nil {
-				panic(fmt.Sprintf("tab7: writer %d: Flush: %v", w, err))
-			}
+			err := f.Flush()
+			check(err == nil, "tab7: writer %d: Flush: %v", w, err)
 			flushTotals[w] = append(flushTotals[w], total)
 			c.Proc().AdvanceTo(c.Now() + tab7Step)
 		}
 	}
-	if err := f.Close(); err != nil {
-		panic(fmt.Sprintf("tab7: writer %d: Close: %v", w, err))
-	}
+	err = f.Close()
+	check(err == nil, "tab7: writer %d: Close: %v", w, err)
 }
 
 // tab7Reader follows a contiguous band of writers through one shared
@@ -265,9 +249,7 @@ func tab7Reader(c, rc *mpi.Comm, fsA, fsB *simfs.FS, nw, nr, records int,
 			}
 			return err
 		})
-		if err != nil {
-			panic(fmt.Sprintf("tab7: live multifile never appeared: %v", err))
-		}
+		check(err == nil, "tab7: live multifile never appeared: %v", err)
 	}
 	for *srvp == nil {
 		c.Proc().AdvanceTo(c.Now() + tab7Poll)
@@ -277,20 +259,14 @@ func tab7Reader(c, rc *mpi.Comm, fsA, fsB *simfs.FS, nw, nr, records int,
 	sf, err := sion.ParOpen(rc, fsB.View(c.Rank(), c.Proc()), "ship.sion", sion.WriteMode, &sion.Options{
 		ChunkSize: tab7Chunk, FSBlockSize: tab7FSBlk,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("tab7: reader %d: archive ParOpen: %v", rr, err))
-	}
+	check(err == nil, "tab7: reader %d: archive ParOpen: %v", rr, err)
 	kw, err := sion.NewKeyWriter(sf)
-	if err != nil {
-		panic(fmt.Sprintf("tab7: reader %d: %v", rr, err))
-	}
+	check(err == nil, "tab7: reader %d: NewKeyWriter: %v", rr, err)
 
 	var streams []*tab7Stream
 	for w := rr * nw / nr; w < (rr+1)*nw/nr; w++ {
 		sess, err := srv.Open(w)
-		if err != nil {
-			panic(fmt.Sprintf("tab7: reader %d: Open(%d): %v", rr, w, err))
-		}
+		check(err == nil, "tab7: reader %d: Open(%d): %v", rr, w, err)
 		streams = append(streams, &tab7Stream{w: w, sess: sess, nextSeq: 1})
 	}
 
@@ -312,21 +288,15 @@ func tab7Reader(c, rc *mpi.Comm, fsA, fsB *simfs.FS, nw, nr, records int,
 					break
 				}
 				if rerr == io.EOF {
-					if len(ts.pending) != 0 {
-						panic(fmt.Sprintf("tab7: writer %d: %d dangling bytes at EOF (torn record)",
-							ts.w, len(ts.pending)))
-					}
-					if ts.nextSeq != records+1 {
-						panic(fmt.Sprintf("tab7: writer %d: drained at seq %d, want %d records",
-							ts.w, ts.nextSeq-1, records))
-					}
+					check(len(ts.pending) == 0, "tab7: writer %d: %d dangling bytes at EOF (torn record)",
+						ts.w, len(ts.pending))
+					check(ts.nextSeq == records+1, "tab7: writer %d: drained at seq %d, want %d records",
+						ts.w, ts.nextSeq-1, records)
 					ts.done = true
 					live--
 					break
 				}
-				if rerr != nil {
-					panic(fmt.Sprintf("tab7: reader %d following writer %d: %v", rr, ts.w, rerr))
-				}
+				check(rerr == nil, "tab7: reader %d following writer %d: %v", rr, ts.w, rerr)
 			}
 			if !ts.done {
 				// Drained to the last watermark this server has seen; any
@@ -340,27 +310,22 @@ func tab7Reader(c, rc *mpi.Comm, fsA, fsB *simfs.FS, nw, nr, records int,
 				if lag > *lagMax {
 					*lagMax = lag
 				}
-				if lag > tab7LagBound {
-					panic(fmt.Sprintf("tab7: reader %d lags writer %d by %d flush batches (bound %d)",
-						rr, ts.w, lag, tab7LagBound))
-				}
+				check(lag <= tab7LagBound, "tab7: reader %d lags writer %d by %d flush batches (bound %d)",
+					rr, ts.w, lag, tab7LagBound)
 			}
 		}
 		if live > 0 {
 			c.Proc().AdvanceTo(c.Now() + tab7Poll)
-			if _, err := srv.Poll(); err != nil {
-				panic(fmt.Sprintf("tab7: reader %d: Poll: %v", rr, err))
-			}
+			_, err := srv.Poll()
+			check(err == nil, "tab7: reader %d: Poll: %v", rr, err)
 		}
 	}
-	if err := sf.Close(); err != nil {
-		panic(fmt.Sprintf("tab7: reader %d: archive Close: %v", rr, err))
-	}
+	err = sf.Close()
+	check(err == nil, "tab7: reader %d: archive Close: %v", rr, err)
 	rc.Barrier()
 	if rr == 0 {
-		if err := srv.Close(); err != nil {
-			panic(fmt.Sprintf("tab7: closing tail server: %v", err))
-		}
+		err := srv.Close()
+		check(err == nil, "tab7: closing tail server: %v", err)
 	}
 }
 
@@ -398,9 +363,7 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 			f, err := sion.ParOpen(c, fl.Wrap(fs.View(r, c.Proc()), nil), "c.sion", sion.WriteMode, &sion.Options{
 				ChunkSize: tab7CrashChunk, FSBlockSize: tab7CrashFSBlk, Watermarks: true,
 			})
-			if err != nil {
-				panic(fmt.Sprintf("tab7: trial %d rank %d: ParOpen: %v", trial, r, err))
-			}
+			check(err == nil, "tab7: trial %d rank %d: ParOpen: %v", trial, r, err)
 			// Arm the failure only after every rank holds an open handle, so
 			// each trial is a mid-stream crash, not a failed open.
 			c.Barrier()
@@ -440,81 +403,65 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 			wname := sion.PhysicalNames("c.sion", 1)[0] + ".wmk"
 			cr, slot := int(rng.next())%nw, int64(rng.next())%2
 			wfh, err := v.OpenRW(wname)
-			if err != nil {
-				panic(fmt.Sprintf("tab7: trial %d: opening sidecar: %v", trial, err))
-			}
-			if _, err := wfh.WriteAt([]byte{0xde, 0xad}, int64(32+cr*64)+slot*32+10); err != nil {
-				panic(fmt.Sprintf("tab7: trial %d: tearing sidecar: %v", trial, err))
-			}
-			wfh.Close()
+			check(err == nil, "tab7: trial %d: opening sidecar: %v", trial, err)
+			_, err = wfh.WriteAt([]byte{0xde, 0xad}, int64(32+cr*64)+slot*32+10)
+			check(err == nil, "tab7: trial %d: tearing sidecar: %v", trial, err)
+			err = wfh.Close()
+			check(err == nil, "tab7: trial %d: closing sidecar: %v", trial, err)
 			torn++
 		}
 
 		tl, err := sion.LoadTailLayout(v, "c.sion")
-		if err != nil {
-			panic(fmt.Sprintf("tab7: trial %d: LoadTailLayout: %v", trial, err))
-		}
+		check(err == nil, "tab7: trial %d: LoadTailLayout: %v", trial, err)
 		for r := 0; r < nw; r++ {
 			committed := tl.Layout().RankSize(r)
 			valid := committed == 0
 			for _, a := range attempts[r] {
 				valid = valid || committed == a
 			}
-			if !valid {
-				panic(fmt.Sprintf("tab7: trial %d rank %d: committed %d not among attempted commits %v",
-					trial, r, committed, attempts[r]))
-			}
+			check(valid, "tab7: trial %d rank %d: committed %d not among attempted commits %v",
+				trial, r, committed, attempts[r])
 			got := make([]byte, committed)
-			if _, err := tl.ReadRankAt(r, got, 0); err != nil {
-				panic(fmt.Sprintf("tab7: trial %d rank %d: reading committed bytes: %v", trial, r, err))
-			}
+			_, err := tl.ReadRankAt(r, got, 0)
+			check(err == nil, "tab7: trial %d rank %d: reading committed bytes: %v", trial, r, err)
 			var want []byte
 			for _, fr := range frames[r] {
 				want = append(want, fr...)
 			}
-			if !bytes.Equal(got, want[:committed]) {
-				panic(fmt.Sprintf("tab7: trial %d rank %d: committed bytes differ from source", trial, r))
-			}
+			check(bytes.Equal(got, want[:committed]), "tab7: trial %d rank %d: committed bytes differ from source", trial, r)
 			// Zero torn records: the committed prefix must parse into whole
 			// frames (parse panics on any malformed or truncated frame).
 			ck := &tab7Stream{w: r, pending: got, nextSeq: 1}
 			ck.parse(salt, nil)
-			if len(ck.pending) != 0 {
-				panic(fmt.Sprintf("tab7: trial %d rank %d: %d committed bytes beyond the last whole frame",
-					trial, r, len(ck.pending)))
-			}
+			check(len(ck.pending) == 0, "tab7: trial %d rank %d: %d committed bytes beyond the last whole frame",
+				trial, r, len(ck.pending))
 			if len(attempts[r]) > 0 && committed < attempts[r][len(attempts[r])-1] {
 				lostRanks++
 			}
 			recovered += committed
 		}
-		tl.Close()
+		err = tl.Close()
+		check(err == nil, "tab7: trial %d: closing tail layout: %v", trial, err)
 
-		if _, err := sion.Repair(v, "c.sion"); err != nil {
-			panic(fmt.Sprintf("tab7: trial %d: Repair: %v", trial, err))
-		}
-		if err := sion.Verify(v, "c.sion"); err != nil {
-			panic(fmt.Sprintf("tab7: trial %d: Verify after Repair: %v", trial, err))
-		}
+		_, err = sion.Repair(v, "c.sion")
+		check(err == nil, "tab7: trial %d: Repair: %v", trial, err)
+		err = sion.Verify(v, "c.sion")
+		check(err == nil, "tab7: trial %d: Verify after Repair: %v", trial, err)
 		for r := 0; r < nw; r++ {
 			f, err := sion.OpenRank(v, "c.sion", r)
-			if err != nil {
-				panic(fmt.Sprintf("tab7: trial %d rank %d: OpenRank after Repair: %v", trial, r, err))
-			}
+			check(err == nil, "tab7: trial %d rank %d: OpenRank after Repair: %v", trial, r, err)
 			buf := make([]byte, f.LogicalSize())
 			if len(buf) > 0 {
-				if _, err := f.ReadLogicalAt(buf, 0); err != nil {
-					panic(fmt.Sprintf("tab7: trial %d rank %d: reading repaired stream: %v", trial, r, err))
-				}
+				_, err := f.ReadLogicalAt(buf, 0)
+				check(err == nil, "tab7: trial %d rank %d: reading repaired stream: %v", trial, r, err)
 			}
 			var want []byte
 			for _, fr := range frames[r] {
 				want = append(want, fr...)
 			}
-			if !bytes.Equal(buf, want[:len(buf)]) {
-				panic(fmt.Sprintf("tab7: trial %d rank %d: repaired bytes differ from source", trial, r))
-			}
-			f.Close()
+			check(bytes.Equal(buf, want[:len(buf)]), "tab7: trial %d rank %d: repaired bytes differ from source", trial, r)
+			err = f.Close()
+			check(err == nil, "tab7: trial %d rank %d: closing repaired stream: %v", trial, r, err)
 		}
 		verified++
 	}

@@ -103,9 +103,7 @@ func tab8ServeStorm(nwriters, nclients, attempts int, inject bool) (requests, ok
 		Retry:            tab8Budget(attempts),
 		BreakerThreshold: -1,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("tab8: serve.New: %v", err))
-	}
+	check(err == nil, "tab8: serve.New: %v", err)
 	fl.SetEnabled(inject)
 
 	rng := &tab6Rand{x: tab8Seed}
@@ -114,9 +112,7 @@ func tab8ServeStorm(nwriters, nclients, attempts int, inject bool) (requests, ok
 		g := zipf.sample(rng)
 		want := taskPayload(g, payloadSize(tab8Chunk, g))
 		h, err := srv.Open(g)
-		if err != nil {
-			panic(fmt.Sprintf("tab8: client %d: Open(%d): %v", c, g, err))
-		}
+		check(err == nil, "tab8: client %d: Open(%d): %v", c, g, err)
 		for i := 0; i < tab8Reads; i++ {
 			off := int64(rng.next() % uint64(len(want)-tab8ReadLen))
 			buf := make([]byte, tab8ReadLen)
@@ -124,22 +120,17 @@ func tab8ServeStorm(nwriters, nclients, attempts int, inject bool) (requests, ok
 			if _, err := h.ReadLogicalAt(buf, off); err != nil {
 				// Only a retry-exhausted transient fault is an acceptable
 				// failure under the storm; anything else is a bug.
-				if resil.Classify(err) != resil.ClassTransient {
-					panic(fmt.Sprintf("tab8: client %d rank %d: non-transient failure: %v", c, g, err))
-				}
+				check(resil.Classify(err) == resil.ClassTransient, "tab8: client %d rank %d: non-transient failure: %v", c, g, err)
 				continue
 			}
-			if !bytes.Equal(buf, want[off:off+tab8ReadLen]) {
-				panic(fmt.Sprintf("tab8: client %d rank %d window at %d: bytes differ under faults", c, g, off))
-			}
+			check(bytes.Equal(buf, want[off:off+tab8ReadLen]), "tab8: client %d rank %d window at %d: bytes differ under faults", c, g, off)
 			ok++
 		}
 	}
 	st = srv.Stats()
 	injected = fl.Stats().Injected
-	if err := srv.Close(); err != nil {
-		panic(fmt.Sprintf("tab8: serve.Close: %v", err))
-	}
+	err = srv.Close()
+	check(err == nil, "tab8: serve.Close: %v", err)
 	return requests, ok, st, injected
 }
 
@@ -171,45 +162,35 @@ func tab8WriterStorm(nwriters int) (flst simfs.FlakyStats, rst resil.CounterSnap
 		f, err := sion.ParOpen(c, rv, "storm.sion", sion.WriteMode, &sion.Options{
 			ChunkSize: tab8Chunk, FSBlockSize: tab8FSBlk, NFiles: tab8NFiles, Watermarks: true,
 		})
-		if err != nil {
-			panic(fmt.Sprintf("tab8: storm writer %d: ParOpen: %v", c.Rank(), err))
-		}
+		check(err == nil, "tab8: storm writer %d: ParOpen: %v", c.Rank(), err)
 		payload := taskPayload(c.Rank(), payloadSize(tab8Chunk, c.Rank()))
 		// Stream in four flush batches so the watermark machinery (sync +
 		// sidecar commit) runs inside the storm too.
 		for i := 0; i < 4; i++ {
 			lo, hi := i*len(payload)/4, (i+1)*len(payload)/4
-			if _, err := f.Write(payload[lo:hi]); err != nil {
-				panic(fmt.Sprintf("tab8: storm writer %d batch %d: %v", c.Rank(), i, err))
-			}
-			if err := f.Flush(); err != nil {
-				panic(fmt.Sprintf("tab8: storm writer %d: Flush: %v", c.Rank(), err))
-			}
+			_, err := f.Write(payload[lo:hi])
+			check(err == nil, "tab8: storm writer %d batch %d: %v", c.Rank(), i, err)
+			err = f.Flush()
+			check(err == nil, "tab8: storm writer %d: Flush: %v", c.Rank(), err)
 		}
-		if err := f.Close(); err != nil {
-			panic(fmt.Sprintf("tab8: storm writer %d: Close: %v", c.Rank(), err))
-		}
+		err = f.Close()
+		check(err == nil, "tab8: storm writer %d: Close: %v", c.Rank(), err)
 	})
-	if g := ctrs.GiveUps.Load(); g != 0 {
-		panic(fmt.Sprintf("tab8: writer storm was not absorbed: %d give-ups", g))
-	}
+	giveUps := ctrs.GiveUps.Load()
+	check(giveUps == 0, "tab8: writer storm was not absorbed: %d give-ups", giveUps)
 	// Injection off: the multifile must read back byte-identically.
 	fl.SetEnabled(false)
 	v := fs.View(nwriters, nil)
 	for g := 0; g < nwriters; g++ {
 		h, err := sion.OpenRank(v, "storm.sion", g)
-		if err != nil {
-			panic(fmt.Sprintf("tab8: read-back OpenRank(%d): %v", g, err))
-		}
+		check(err == nil, "tab8: read-back OpenRank(%d): %v", g, err)
 		want := taskPayload(g, payloadSize(tab8Chunk, g))
 		got := make([]byte, len(want))
-		if _, err := h.ReadLogicalAt(got, 0); err != nil {
-			panic(fmt.Sprintf("tab8: read-back rank %d: %v", g, err))
-		}
-		if !bytes.Equal(got, want) {
-			panic(fmt.Sprintf("tab8: rank %d differs after writer storm", g))
-		}
-		h.Close()
+		_, err = h.ReadLogicalAt(got, 0)
+		check(err == nil, "tab8: read-back rank %d: %v", g, err)
+		check(bytes.Equal(got, want), "tab8: rank %d differs after writer storm", g)
+		err = h.Close()
+		check(err == nil, "tab8: read-back close rank %d: %v", g, err)
 	}
 	return fl.Stats(), ctrs.Snapshot()
 }
@@ -229,25 +210,18 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 		BreakerThreshold: tab8Threshold,
 		BreakerCooldown:  tab8Cooldown,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("tab8: serve.New: %v", err))
-	}
-	defer srv.Close()
+	check(err == nil, "tab8: drill serve.New: %v", err)
 
 	read := func(g int, verify bool) error {
 		want := taskPayload(g, payloadSize(tab8Chunk, g))
 		h, err := srv.Open(g)
-		if err != nil {
-			panic(fmt.Sprintf("tab8: drill Open(%d): %v", g, err))
-		}
+		check(err == nil, "tab8: drill Open(%d): %v", g, err)
 		buf := make([]byte, len(want))
 		requests++
 		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
 			return err
 		}
-		if verify && !bytes.Equal(buf, want) {
-			panic(fmt.Sprintf("tab8: drill rank %d: bytes differ", g))
-		}
+		check(!verify || bytes.Equal(buf, want), "tab8: drill rank %d: bytes differ", g)
 		ok++
 		return nil
 	}
@@ -255,9 +229,8 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 
 	// Warm rank 0 (physical file 0 under the contiguous mapping), then
 	// start a hard outage on that file.
-	if err := read(0, true); err != nil {
-		panic(fmt.Sprintf("tab8: drill warm read: %v", err))
-	}
+	err = read(0, true)
+	check(err == nil, "tab8: drill warm read: %v", err)
 	phys := srv.Health()[0].Path
 	fl.SetRule(func(op fsio.Op) error {
 		if op.Name != phys {
@@ -270,65 +243,45 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 	// tab8Threshold consecutive give-ups the circuit is open.
 	for i := 0; i < tab8Threshold; i++ {
 		err := read(1, false)
-		if err == nil {
-			panic(fmt.Sprintf("tab8: drill outage read %d succeeded", i))
-		}
-		if errors.Is(err, serve.ErrDegraded) {
-			panic(fmt.Sprintf("tab8: drill degraded before the threshold (read %d)", i))
-		}
+		check(err != nil, "tab8: drill outage read %d succeeded", i)
+		check(!errors.Is(err, serve.ErrDegraded), "tab8: drill degraded before the threshold (read %d)", i)
 	}
-	if s := state(); s != "open" {
-		panic(fmt.Sprintf("tab8: after %d give-ups the circuit is %q, want open", tab8Threshold, s))
-	}
-	if !srv.Degraded() {
-		panic("tab8: server does not report degraded with an open circuit")
-	}
+	s := state()
+	check(s == "open", "tab8: after %d give-ups the circuit is %q, want open", tab8Threshold, s)
+	check(srv.Degraded(), "tab8: server does not report degraded with an open circuit")
 	// Open circuit: cache hits still serve byte-identically, misses fail
 	// fast with the typed error and burn no backend retries.
-	if err := read(0, true); err != nil {
-		panic(fmt.Sprintf("tab8: cached read with open circuit: %v", err))
-	}
+	err = read(0, true)
+	check(err == nil, "tab8: cached read with open circuit: %v", err)
 	retriesOpen := srv.Stats().Retries
 	fl.SetRule(nil) // the outage ends, but the circuit is still open
 	for tries := 0; state() != "half-open"; tries++ {
-		if err := read(1, false); !errors.Is(err, serve.ErrDegraded) {
-			panic(fmt.Sprintf("tab8: open-circuit read: %v, want ErrDegraded", err))
-		}
-		if tries > 2*tab8Cooldown {
-			panic("tab8: cooldown never reached half-open")
-		}
+		err := read(1, false)
+		check(errors.Is(err, serve.ErrDegraded), "tab8: open-circuit read: %v, want ErrDegraded", err)
+		check(tries <= 2*tab8Cooldown, "tab8: cooldown never reached half-open")
 	}
-	if r := srv.Stats().Retries; r != retriesOpen {
-		panic(fmt.Sprintf("tab8: retries advanced during fail-fast: %d -> %d", retriesOpen, r))
-	}
+	r := srv.Stats().Retries
+	check(r == retriesOpen, "tab8: retries advanced during fail-fast: %d -> %d", retriesOpen, r)
 	// The half-open probe succeeds and closes the circuit; full service
 	// is restored byte-identically.
-	if err := read(1, true); err != nil {
-		panic(fmt.Sprintf("tab8: half-open probe failed: %v", err))
-	}
-	if s := state(); s != "closed" {
-		panic(fmt.Sprintf("tab8: after the probe the circuit is %q, want closed", s))
-	}
+	err = read(1, true)
+	check(err == nil, "tab8: half-open probe failed: %v", err)
+	s = state()
+	check(s == "closed", "tab8: after the probe the circuit is %q, want closed", s)
 	for g := 0; g < nwriters; g++ {
-		if err := read(g, true); err != nil {
-			panic(fmt.Sprintf("tab8: rank %d after recovery: %v", g, err))
-		}
+		err := read(g, true)
+		check(err == nil, "tab8: rank %d after recovery: %v", g, err)
 	}
 	st = srv.Stats()
-	if st.BreakerOpens != 1 {
-		panic(fmt.Sprintf("tab8: BreakerOpens = %d, want 1", st.BreakerOpens))
-	}
-	if st.Degraded == 0 || st.GiveUps == 0 {
-		panic(fmt.Sprintf("tab8: drill left no degraded/give-up trace: %+v", st))
-	}
+	check(st.BreakerOpens == 1, "tab8: BreakerOpens = %d, want 1", st.BreakerOpens)
+	check(st.Degraded != 0 && st.GiveUps != 0, "tab8: drill left no degraded/give-up trace: %+v", st)
+	err = srv.Close()
+	check(err == nil, "tab8: drill serve.Close: %v", err)
 	return requests, ok, st
 }
 
 // tab8Pct formats ok/requests as a percentage.
 func tab8Pct(ok, requests int) string {
-	if requests == 0 {
-		return "-"
-	}
 	return fmt.Sprintf("%.1f", 100*float64(ok)/float64(requests))
 }
 
@@ -347,29 +300,22 @@ func Table8(scale int) *Result {
 
 	// Serve storm, without and with the retry budget.
 	req0, ok0, st0, inj0 := tab8ServeStorm(nwriters, nclients, 1, true)
-	if inj0 == 0 || st0.Retries != 0 {
-		panic(fmt.Sprintf("tab8: no-retry storm: injected %d, retries %d", inj0, st0.Retries))
-	}
+	check(inj0 != 0 && st0.Retries == 0, "tab8: no-retry storm: injected %d, retries %d", inj0, st0.Retries)
 	res.Rows = append(res.Rows, []string{"serve-storm", "no-retry",
 		fmt.Sprint(req0), tab8Pct(ok0, req0), fmt.Sprint(st0.Retries), fmt.Sprint(st0.GiveUps),
 		fmt.Sprint(st0.Degraded), "-"})
 
 	req1, ok1, st1, inj1 := tab8ServeStorm(nwriters, nclients, tab8Attempts, true)
-	if inj1 == 0 {
-		panic("tab8: retry storm injected nothing")
-	}
-	if frac := float64(ok1) / float64(req1); frac < tab8SuccessFloor {
-		panic(fmt.Sprintf("tab8: retry storm success %.4f < %.2f floor", frac, tab8SuccessFloor))
-	}
+	check(inj1 != 0, "tab8: retry storm injected nothing")
+	frac := float64(ok1) / float64(req1)
+	check(frac >= tab8SuccessFloor, "tab8: retry storm success %.4f < %.2f floor", frac, tab8SuccessFloor)
 	res.Rows = append(res.Rows, []string{"serve-storm", fmt.Sprintf("retry x%d", tab8Attempts),
 		fmt.Sprint(req1), tab8Pct(ok1, req1), fmt.Sprint(st1.Retries), fmt.Sprint(st1.GiveUps),
 		fmt.Sprint(st1.Degraded), "-"})
 
 	// Writer storm: requests are backend ops seen by the fault model.
 	flst, rst := tab8WriterStorm(nwriters)
-	if flst.Injected == 0 || rst.Retries == 0 {
-		panic(fmt.Sprintf("tab8: writer storm injected %d / retried %d", flst.Injected, rst.Retries))
-	}
+	check(flst.Injected != 0 && rst.Retries != 0, "tab8: writer storm injected %d / retried %d", flst.Injected, rst.Retries)
 	res.Rows = append(res.Rows, []string{"writer-storm", "retry+vtime",
 		fmt.Sprint(flst.Ops), "100.0", fmt.Sprint(rst.Retries), fmt.Sprint(rst.GiveUps), "-", "-"})
 
@@ -381,12 +327,9 @@ func Table8(scale int) *Result {
 
 	// Zero-overhead guard: injection off, counters must be exactly zero.
 	reqC, okC, stC, injC := tab8ServeStorm(nwriters, nclients, tab8Attempts, false)
-	if injC != 0 || okC != reqC {
-		panic(fmt.Sprintf("tab8: clean run injected %d, ok %d/%d", injC, okC, reqC))
-	}
-	if stC.Retries != 0 || stC.GiveUps != 0 || stC.Degraded != 0 || stC.BreakerOpens != 0 {
-		panic(fmt.Sprintf("tab8: clean run moved resilience counters: %+v", stC))
-	}
+	check(injC == 0 && okC == reqC, "tab8: clean run injected %d, ok %d/%d", injC, okC, reqC)
+	check(stC.Retries == 0 && stC.GiveUps == 0 && stC.Degraded == 0 && stC.BreakerOpens == 0,
+		"tab8: clean run moved resilience counters: %+v", stC)
 	res.Rows = append(res.Rows, []string{"no-injection", fmt.Sprintf("retry x%d", tab8Attempts),
 		fmt.Sprint(reqC), tab8Pct(okC, reqC), "0", "0", "0", "0"})
 

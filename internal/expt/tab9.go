@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -46,8 +45,6 @@ const (
 	tab9Chunk    = int64(64) << 10 // one 64 KiB FS block per chunk
 	tab9NFiles   = 2
 	tab9Clients  = 8192 // 32 clients per writer: reuse-dominated at every scale
-	tab9Reads    = 4    // random windows per client
-	tab9ReadLen  = 2048 // bytes per window
 	tab9Nodes    = 3
 	tab9Seed     = uint64(0x5107a) // tab6's client-trace seed
 	tab9P99Bound = int64(8)        // max backend requests per client, churn mode
@@ -89,34 +86,6 @@ func tab9Size(g int) int {
 	return 2*int(tab9Chunk) + payloadSize(tab9Chunk, g)
 }
 
-// tab9Client replays one client of the zipfian storm: a zipfian rank,
-// tab9Reads random windows, every 16th client streams its whole rank —
-// every byte verified against the written payload.
-func tab9Client(c int, rng *tab6Rand, zipf *tab6Zipf, open func(g int) sion.LogicalReaderAt) {
-	g := zipf.sample(rng)
-	want := taskPayload(g, tab9Size(g))
-	h := open(g)
-	for i := 0; i < tab9Reads; i++ {
-		off := int64(rng.next() % uint64(len(want)-tab9ReadLen))
-		buf := make([]byte, tab9ReadLen)
-		if _, err := h.ReadLogicalAt(buf, off); err != nil {
-			panic(fmt.Sprintf("tab9: client %d rank %d window at %d: %v", c, g, off, err))
-		}
-		if !bytes.Equal(buf, want[off:off+tab9ReadLen]) {
-			panic(fmt.Sprintf("tab9: client %d rank %d window at %d: bytes differ", c, g, off))
-		}
-	}
-	if c%16 == 0 {
-		buf := make([]byte, len(want))
-		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
-			panic(fmt.Sprintf("tab9: client %d rank %d full stream: %v", c, g, err))
-		}
-		if !bytes.Equal(buf, want) {
-			panic(fmt.Sprintf("tab9: client %d rank %d: full stream differs", c, g))
-		}
-	}
-}
-
 // tab9Run is one mode's measurement: write the multifile fresh, replay
 // the zipfian trace through `storm`, and return the read-phase backend
 // request count plus the per-client backend-request tail.
@@ -137,7 +106,7 @@ func tab9Storm(fs *simfs.FS, nwriters, nclients int, before func(c int), open fu
 		if before != nil {
 			before(c)
 		}
-		tab9Client(c, rng, zipf, open)
+		zipfClient("tab9", c, rng, zipf, tab9Size, open)
 		now := dumpStats(fs, "tab9.sion", tab9NFiles).ReadRequests
 		costs = append(costs, now-prev)
 		prev = now
@@ -147,16 +116,9 @@ func tab9Storm(fs *simfs.FS, nwriters, nclients int, before func(c int), open fu
 
 // tab9P99 is the 99th percentile of the per-client cost samples.
 func tab9P99(costs []int64) int64 {
-	if len(costs) == 0 {
-		return 0
-	}
 	s := append([]int64(nil), costs...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := len(s) * 99 / 100
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	return s[len(s)*99/100]
 }
 
 // tab9Write builds a fresh simulated machine with the multifile written
@@ -173,23 +135,18 @@ func tab9Independent(nwriters, nclients int) tab9Run {
 	nodes := make([]*serve.Server, tab9Nodes)
 	for i := range nodes {
 		srv, err := serve.New(fs.View(nwriters+1+i, nil), "tab9.sion", tab9NodeConfig(nwriters))
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab9: serve.New, node %d: %v", i, err)
 		nodes[i] = srv
 	}
 	cur := 0
 	costs := tab9Storm(fs, nwriters, nclients, func(c int) { cur = c % tab9Nodes }, func(g int) sion.LogicalReaderAt {
 		h, err := nodes[cur].Open(g)
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab9: node %d: Open(%d): %v", cur, g, err)
 		return h
 	})
-	for _, srv := range nodes {
-		if err := srv.Close(); err != nil {
-			panic(err)
-		}
+	for i, srv := range nodes {
+		err := srv.Close()
+		check(err == nil, "tab9: serve.Close, node %d: %v", i, err)
 	}
 	st := dumpStats(fs, "tab9.sion", tab9NFiles)
 	return tab9Run{readReqs: st.ReadRequests - wst.ReadRequests, p99: tab9P99(costs)}
@@ -204,9 +161,8 @@ func tab9Cluster(nwriters, nclients int, churn bool) tab9Run {
 	cl := cluster.New(nil)
 	join := func(i int) {
 		id := fmt.Sprintf("n%d", i)
-		if _, err := cl.Join(id, fs.View(nwriters+1+i, nil), "tab9.sion", tab9NodeConfig(nwriters)); err != nil {
-			panic(fmt.Sprintf("tab9: join %s: %v", id, err))
-		}
+		_, err := cl.Join(id, fs.View(nwriters+1+i, nil), "tab9.sion", tab9NodeConfig(nwriters))
+		check(err == nil, "tab9: join %s: %v", id, err)
 	}
 	for i := 0; i < tab9Nodes; i++ {
 		join(i)
@@ -218,23 +174,19 @@ func tab9Cluster(nwriters, nclients int, churn bool) tab9Run {
 			case nclients / 3:
 				join(tab9Nodes) // a fresh node takes over ~1/4 of the granules
 			case 2 * nclients / 3:
-				if err := cl.Leave("n1"); err != nil {
-					panic(fmt.Sprintf("tab9: leave n1: %v", err))
-				}
+				err := cl.Leave("n1")
+				check(err == nil, "tab9: leave n1: %v", err)
 			}
 		}
 	}
 	costs := tab9Storm(fs, nwriters, nclients, before, func(g int) sion.LogicalReaderAt {
 		h, err := cl.Open(g)
-		if err != nil {
-			panic(err)
-		}
+		check(err == nil, "tab9: cluster Open(%d): %v", g, err)
 		return h
 	})
 	run := tab9Run{cl: cl.Stats(), p99: tab9P99(costs)}
-	if err := cl.Close(); err != nil {
-		panic(err)
-	}
+	err := cl.Close()
+	check(err == nil, "tab9: cluster Close: %v", err)
 	st := dumpStats(fs, "tab9.sion", tab9NFiles)
 	run.readReqs = st.ReadRequests - wst.ReadRequests
 	return run
@@ -262,22 +214,15 @@ func Table9(scale int) *Result {
 	// The claims, asserted where the numbers are born so every consumer
 	// (sionbench, go test, CI) trips on a regression.
 	redux := float64(ind.readReqs) / float64(clu.readReqs)
-	if redux < 2 {
-		panic(fmt.Sprintf("tab9: cluster reduced backend reads only %.2fx over independent caches (%d vs %d), want >= 2x",
-			redux, clu.readReqs, ind.readReqs))
-	}
-	if chu.p99 > tab9P99Bound {
-		panic(fmt.Sprintf("tab9: churn p99 backend requests per client = %d, bound %d", chu.p99, tab9P99Bound))
-	}
-	if chu.cl.AllReplicasDown != 0 {
-		panic(fmt.Sprintf("tab9: %d reads exhausted all replicas during churn", chu.cl.AllReplicasDown))
-	}
-	if replay.readReqs != clu.readReqs || replay.cl.Requests != clu.cl.Requests ||
-		replay.cl.Serve.PeerFills != clu.cl.Serve.PeerFills || replay.cl.Serve.BackendReads != clu.cl.Serve.BackendReads {
-		panic(fmt.Sprintf("tab9: replay diverged: reads %d vs %d, routed %d vs %d, peer fills %d vs %d, backend %d vs %d",
-			replay.readReqs, clu.readReqs, replay.cl.Requests, clu.cl.Requests,
-			replay.cl.Serve.PeerFills, clu.cl.Serve.PeerFills, replay.cl.Serve.BackendReads, clu.cl.Serve.BackendReads))
-	}
+	check(redux >= 2, "tab9: cluster reduced backend reads only %.2fx over independent caches (%d vs %d), want >= 2x",
+		redux, clu.readReqs, ind.readReqs)
+	check(chu.p99 <= tab9P99Bound, "tab9: churn p99 backend requests per client = %d, bound %d", chu.p99, tab9P99Bound)
+	check(chu.cl.AllReplicasDown == 0, "tab9: %d reads exhausted all replicas during churn", chu.cl.AllReplicasDown)
+	check(replay.readReqs == clu.readReqs && replay.cl.Requests == clu.cl.Requests &&
+		replay.cl.Serve.PeerFills == clu.cl.Serve.PeerFills && replay.cl.Serve.BackendReads == clu.cl.Serve.BackendReads,
+		"tab9: replay diverged: reads %d vs %d, routed %d vs %d, peer fills %d vs %d, backend %d vs %d",
+		replay.readReqs, clu.readReqs, replay.cl.Requests, clu.cl.Requests,
+		replay.cl.Serve.PeerFills, clu.cl.Serve.PeerFills, replay.cl.Serve.BackendReads, clu.cl.Serve.BackendReads)
 
 	row := func(label string, r tab9Run, redux string) {
 		pf, fo := "-", "-"
@@ -298,7 +243,7 @@ func Table9(scale int) *Result {
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("identical zipf(1.2) trace (seed %#x) in every mode; %d windows of %d B per client, every 16th client streams its rank; byte identity asserted in-run",
-			tab9Seed, tab9Reads, tab9ReadLen),
+			tab9Seed, zipfReads, zipfReadLen),
 		fmt.Sprintf("independent: %d serve nodes round-robined, each faulting the zipfian working set into its own half-working-set cache (%d KiB here)", tab9Nodes, tab9CacheBytes(nwriters)>>10),
 		"cluster: 256 KiB granules consistent-hashed across the ring, each block cached once cluster-wide on its granule's owner; a static ring never peer-fills",
 		fmt.Sprintf("join/leave: a 4th node joins at storm third, node n1 leaves at two thirds; remapped blocks peer-fill from surviving caches; p99 backend requests per client bounded at %d", tab9P99Bound),
