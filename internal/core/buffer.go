@@ -74,15 +74,8 @@ func resolveBufferSize(opt, capacity, fsblk int64) int64 {
 	case opt == 0:
 		return 0
 	case opt == BufferAuto:
-		b := capacity
-		if b > bufferAutoCap {
-			b = bufferAutoCap
-		}
-		b = alignUp(b, fsblk)
-		if b < fsblk {
-			b = fsblk
-		}
-		return b
+		// capacity is positive, so the aligned size is at least one block.
+		return alignUp(min(capacity, bufferAutoCap), fsblk)
 	default:
 		return opt
 	}

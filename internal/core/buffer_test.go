@@ -401,6 +401,13 @@ func TestSetBufferSizeValidation(t *testing.T) {
 	if _, err := (&Options{ChunkSize: 1, BufferSize: -5}).withDefaults(1, fsio.Capabilities{}); err == nil {
 		t.Error("Options.BufferSize=-5 accepted")
 	}
+	// BufferAuto sizes the stage to the chunk, in whole FS blocks, up to
+	// bufferAutoCap.
+	for _, c := range []struct{ capacity, want int64 }{{100, 4096}, {5000, 8192}, {64 << 20, bufferAutoCap}} {
+		if got := resolveBufferSize(BufferAuto, c.capacity, 4096); got != c.want {
+			t.Errorf("BufferAuto for a %d-byte chunk: %d, want %d", c.capacity, got, c.want)
+		}
+	}
 }
 
 // TestKeyReaderRespectsStagingOptOut: an explicit SetBufferSize(0) must

@@ -592,10 +592,11 @@ func (f *File) collCommitWatermarks(final bool) error {
 // blocks of `capacity` bytes, then the remainder. Only blocks at or past
 // the previously committed total are rewritten. A block is sealed when it
 // is full (no more bytes can enter it) or when the commit is final.
+// capacity is positive: it passed applyCollFrame's check or is the
+// collector's own chunk capacity. total is at least the previous total (a
+// member's applied high-water mark only grows), so no block's count is
+// negative.
 func (f *File) wmCommitTotal(member int, total, capacity int64, final bool) (bool, error) {
-	if capacity <= 0 {
-		return false, nil
-	}
 	prev := f.coll.wmTotals[member]
 	start := int64(0)
 	if prev > 0 {
@@ -603,13 +604,7 @@ func (f *File) wmCommitTotal(member int, total, capacity int64, final bool) (boo
 	}
 	wrote := false
 	for b := start; ; b++ {
-		bytes := total - b*capacity
-		if bytes > capacity {
-			bytes = capacity
-		}
-		if bytes < 0 {
-			bytes = 0
-		}
+		bytes := min(total-b*capacity, capacity)
 		if bytes == 0 && b > 0 && !(final && b == start) {
 			break
 		}

@@ -189,6 +189,10 @@ func TestCollectiveReadRoundTrip(t *testing.T) {
 				if r.collRead == nil {
 					t.Errorf("rank %d: collective read not in effect", c.Rank())
 				}
+				// The stream is already in memory: staging stays off.
+				if err := r.SetBufferSize(BufferAuto); err != nil || r.rstage != nil {
+					t.Errorf("rank %d: SetBufferSize on a collective read: %v, stage %v", c.Rank(), err, r.rstage != nil)
+				}
 				// Sequential read.
 				got := make([]byte, len(payload))
 				if _, err := io.ReadFull(r, got); err != nil {
@@ -206,6 +210,9 @@ func TestCollectiveReadRoundTrip(t *testing.T) {
 				}
 				if !r.EOF() {
 					t.Errorf("rank %d: EOF not reached", c.Rank())
+				}
+				if n := r.BytesAvailInChunk(); n != 0 {
+					t.Errorf("rank %d: %d bytes available at EOF", c.Rank(), n)
 				}
 				r.Close()
 			})
@@ -338,6 +345,7 @@ func TestAutoCollectorGroup(t *testing.T) {
 		{2, 64, 256, 2},    // capped by the local task count
 		{16, 4096, 256, 1}, // chunk already spans 16 blocks → direct
 		{4096, 1, 256, 64}, // capped by maxAutoGroup
+		{16, 0, 256, 1},    // no chunk bytes → direct
 	} {
 		if got := autoCollectorGroup(tc.nlocal, tc.aligned, tc.fsblk); got != tc.want {
 			t.Errorf("autoCollectorGroup(%d, %d, %d) = %d, want %d",

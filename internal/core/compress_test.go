@@ -150,4 +150,7 @@ func TestCompressedSerialReadBack(t *testing.T) {
 			t.Fatalf("rank %d: serial read of compressed stream differs", r)
 		}
 	}
+	if _, err := NewZReader(bytes.NewReader([]byte("not a zlib stream"))); err == nil {
+		t.Fatal("NewZReader accepted a stream without a zlib header")
+	}
 }

@@ -2,11 +2,14 @@ package sion
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/resil"
 	"repro/internal/simfs"
 )
 
@@ -30,7 +33,7 @@ func failReads(min int64, err error) func(fsio.Op) error {
 // TestBackendReadErrorsWrapThroughStaging pins that a backend read error
 // surfaces errors.Is-able through every read path that can sit between
 // the caller and the file: the direct chunk read, the read-ahead staging
-// layer (buffer.go), and ReadLogicalAt.
+// layer (buffer.go), ReadLogicalAt, and the serial ReadRank.
 func TestBackendReadErrorsWrapThroughStaging(t *testing.T) {
 	base := fsio.NewOS(t.TempDir())
 	mpi.Run(2, func(c *mpi.Comm) {
@@ -64,14 +67,26 @@ func TestBackendReadErrorsWrapThroughStaging(t *testing.T) {
 		fl.SetRule(nil)
 		h.Close()
 	}
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	sf, err := Open(fl.Wrap(base, nil), "e.sion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	fl.SetRule(failReads(0, errReadInjected))
+	if _, err := sf.ReadRank(1); !errors.Is(err, errReadInjected) {
+		t.Errorf("ReadRank error %v does not wrap the backend error", err)
+	}
 }
 
 // TestBackendReadErrorsWrapThroughMetadata pins the same contract for the
 // metadata parse paths (parseHeader/readTail, used by Open, OpenRank,
-// LoadTailLayout): a backend failure must surface both ErrCorrupt (the parse
-// could not complete) and the underlying backend sentinel.
+// LoadTailLayout): a backend failure surfaces its sentinel and is not
+// ErrCorrupt, so an fsio.ErrTransient read classifies as transient and is
+// retried; a file that ends inside its metadata is ErrCorrupt.
 func TestBackendReadErrorsWrapThroughMetadata(t *testing.T) {
-	base := fsio.NewOS(t.TempDir())
+	dir := t.TempDir()
+	base := fsio.NewOS(dir)
 	mpi.Run(2, func(c *mpi.Comm) {
 		f, err := ParOpen(c, base, "m.sion", WriteMode, &Options{ChunkSize: 256, FSBlockSize: 128})
 		if err != nil {
@@ -84,14 +99,42 @@ func TestBackendReadErrorsWrapThroughMetadata(t *testing.T) {
 	fl := simfs.NewFlaky(simfs.FlakyConfig{})
 	fl.SetRule(failReads(0, errReadInjected))
 	ffs := fl.Wrap(base, nil)
-	if _, err := LoadTailLayout(ffs, "m.sion"); !errors.Is(err, errReadInjected) || !errors.Is(err, ErrCorrupt) {
-		t.Errorf("LoadTailLayout error %v lacks the backend sentinel or ErrCorrupt", err)
+	if _, err := LoadTailLayout(ffs, "m.sion"); !errors.Is(err, errReadInjected) || errors.Is(err, ErrCorrupt) {
+		t.Errorf("LoadTailLayout error %v lacks the backend sentinel or is ErrCorrupt", err)
 	}
 	if _, err := Open(ffs, "m.sion"); !errors.Is(err, errReadInjected) {
 		t.Errorf("Open error %v lacks the backend sentinel", err)
 	}
 	if _, err := OpenRank(ffs, "m.sion", 0); !errors.Is(err, errReadInjected) {
 		t.Errorf("OpenRank error %v lacks the backend sentinel", err)
+	}
+	// Fail only the trailer's read, so the header parses and readTail's
+	// read fails.
+	fl.SetRule(func(op fsio.Op) error {
+		if op.Call == "ReadAt" && op.Len == tailSize {
+			return fsio.ErrTransient
+		}
+		return nil
+	})
+	for _, open := range []func() error{
+		func() error { _, err := LoadTailLayout(ffs, "m.sion"); return err },
+		func() error { _, err := Open(ffs, "m.sion"); return err },
+	} {
+		if err := open(); resil.Classify(err) != resil.ClassTransient {
+			t.Errorf("transient metadata read: error %v classifies as %v", err, resil.Classify(err))
+		}
+	}
+	fl.SetRule(nil)
+	if err := os.Truncate(filepath.Join(dir, "m.sion"), headerFixedSize-1); err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []func() error{
+		func() error { _, err := LoadTailLayout(ffs, "m.sion"); return err },
+		func() error { _, err := Open(ffs, "m.sion"); return err },
+	} {
+		if err := open(); !errors.Is(err, ErrCorrupt) || resil.Classify(err) != resil.ClassCorrupt {
+			t.Errorf("truncated header: error %v is not ErrCorrupt", err)
+		}
 	}
 }
 

@@ -161,6 +161,8 @@ var sweepWriteSets = []struct {
 	{"coll2-sync", Options{CollectorGroup: 2}},
 	{"coll2-async", Options{CollectorGroup: 2, AsyncCollective: true}},
 	{"coll2-watermarks", Options{CollectorGroup: 2, Watermarks: true}},
+	{"staged", Options{BufferSize: 256}},
+	{"staged-watermarks", Options{BufferSize: 256, Watermarks: true}},
 }
 
 // sweepAll runs run fault-free to count its calls, then once for every
@@ -222,6 +224,123 @@ func TestFaultSweepWrite(t *testing.T) {
 			}, func() bool { return bytes.Equal(sweepBytes(fs, "s.sion", o.NFiles), want) })
 		})
 	}
+}
+
+// TestWriteCallFailures fails the backend call behind each staging flush,
+// chunk step and close that the write sweep does not reach, on one rank:
+// the call that needs it must return the injected error.
+func TestWriteCallFailures(t *testing.T) {
+	fail := func(call string) func(fsio.Op) error {
+		return func(op fsio.Op) error {
+			if op.Call == call {
+				return errSweep
+			}
+			return nil
+		}
+	}
+	staged := Options{ChunkSize: 512, FSBlockSize: 256, BufferSize: 256}
+	headers := Options{ChunkSize: 512, FSBlockSize: 256, BufferSize: 256, ChunkHeaders: true}
+	for _, c := range []struct {
+		name string
+		opts Options
+		pre  func(f *File) error // runs before the rule is set
+		call string              // the failing backend call
+		act  func(f *File) error
+	}{
+		{"SetBufferSize flushes", staged, writeN(100), "WriteAt",
+			func(f *File) error { return f.SetBufferSize(0) }},
+		{"WriteSynthetic flushes", staged, writeN(100), "WriteAt",
+			func(f *File) error { return f.WriteSynthetic(10) }},
+		{"EnsureFreeSpace flushes", staged, writeN(100), "WriteAt",
+			func(f *File) error { return f.EnsureFreeSpace(f.ChunkCapacity()) }},
+		{"a staged write seals the full chunk", headers, func(f *File) error { return writeN(int(f.ChunkCapacity()))(f) }, "WriteAt",
+			writeN(1)},
+		{"WriteSynthetic seals the full chunk", headers, func(f *File) error { return f.WriteSynthetic(f.ChunkCapacity()) }, "WriteAt",
+			func(f *File) error { return f.WriteSynthetic(1) }},
+		{"WriteSynthetic writes zeros", staged, nil, "WriteZeroAt",
+			func(f *File) error { return f.WriteSynthetic(10) }},
+		{"a key record's header", Options{ChunkSize: 512, FSBlockSize: 256}, nil, "WriteAt",
+			func(f *File) error { kw, _ := NewKeyWriter(f); return kw.WriteKey(1, []byte("x")) }},
+	} {
+		fl := simfs.NewFlaky(simfs.FlakyConfig{})
+		fsys := fl.Wrap(fsio.NewOS(t.TempDir()), nil)
+		mpi.Run(1, func(cm *mpi.Comm) {
+			o := c.opts
+			f, err := ParOpen(cm, fsys, "f.sion", WriteMode, &o)
+			if err == nil && c.pre != nil {
+				err = c.pre(f)
+			}
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+				return
+			}
+			fl.SetRule(fail(c.call))
+			if err := c.act(f); !errors.Is(err, errSweep) {
+				t.Errorf("%s: %v, want the injected fault", c.name, err)
+			}
+			fl.SetRule(nil)
+			f.Close()
+		})
+	}
+	// Close reports a watermark sidecar or a data file that fails to close.
+	for _, name := range []string{"f.sion.wmk", "f.sion"} {
+		fsys := fsio.Intercept(fsio.NewOS(t.TempDir()), func(op fsio.Op) (int64, error) {
+			n, err := op.Do()
+			if op.Call == "Close" && op.Name == name {
+				return n, errSweep
+			}
+			return n, err
+		})
+		mpi.Run(1, func(cm *mpi.Comm) {
+			f, err := ParOpen(cm, fsys, "f.sion", WriteMode, &Options{ChunkSize: 512, FSBlockSize: 256, Watermarks: true})
+			if err == nil {
+				_, err = f.Write(make([]byte, 100))
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := f.Close(); !errors.Is(err, errSweep) {
+				t.Errorf("Close with %s failing to close: %v, want the injected fault", name, err)
+			}
+		})
+	}
+	// The serial cursor flushes a rank's stage before it moves inside the
+	// rank, and a read handle reads synthetic bytes through ReadDiscardAt.
+	fl := simfs.NewFlaky(simfs.FlakyConfig{})
+	fsys := fl.Wrap(fsio.NewOS(t.TempDir()), nil)
+	sf, err := Create(fsys, "s.sion", []int64{512}, &staged)
+	if err == nil {
+		err = sf.Seek(0, 0, 0)
+	}
+	if err == nil {
+		_, err = sf.Write(make([]byte, 100))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.SetRule(fail("WriteAt"))
+	if err := sf.Seek(0, 1, 0); !errors.Is(err, errSweep) {
+		t.Errorf("serial Seek: %v, want the injected fault", err)
+	}
+	fl.SetRule(nil)
+	if err := sf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenRank(fsys, "s.sion", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.SetRule(fail("ReadDiscardAt"))
+	if _, err := r.ReadSynthetic(10); !errors.Is(err, errSweep) {
+		t.Errorf("ReadSynthetic: %v, want the injected fault", err)
+	}
+	r.Close()
+}
+
+// writeN returns a step that writes n payload bytes.
+func writeN(n int) func(f *File) error {
+	return func(f *File) error { _, err := f.Write(make([]byte, n)); return err }
 }
 
 // sweepSerialWrite runs the serial write workload on fs with the k-th

@@ -29,8 +29,10 @@ package sion
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"repro/internal/fsio"
 )
@@ -144,8 +146,8 @@ func (h *header) encode() []byte {
 // parseHeader reads and validates metablock 1 from the start of f.
 func parseHeader(f fsio.File) (*header, error) {
 	fixed := make([]byte, headerFixedSize)
-	if _, err := f.ReadAt(fixed, 0); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %w", ErrCorrupt, err)
+	if err := readMeta(f, fixed, 0, "header"); err != nil {
+		return nil, err
 	}
 	if string(fixed[:8]) != magicHeader {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, fixed[:8])
@@ -172,8 +174,8 @@ func parseHeader(f fsio.File) (*header, error) {
 		return nil, fmt.Errorf("%w: implausible header fields %+v", ErrCorrupt, *h)
 	}
 	rest := make([]byte, h.encodedSize()-headerFixedSize)
-	if _, err := f.ReadAt(rest, int64(headerFixedSize)); err != nil {
-		return nil, fmt.Errorf("%w: reading header tables: %w", ErrCorrupt, err)
+	if err := readMeta(f, rest, headerFixedSize, "header tables"); err != nil {
+		return nil, err
 	}
 	off := 0
 	h.GlobalRanks = make([]int64, h.NTasksLocal)
@@ -213,10 +215,9 @@ type geometry struct {
 	headers bool    // chunk headers present
 }
 
+// alignUp rounds n up to a multiple of align, an FS block size that every
+// caller has validated positive.
 func alignUp(n, align int64) int64 {
-	if align <= 0 {
-		return n
-	}
 	return (n + align - 1) / align * align
 }
 
@@ -351,6 +352,21 @@ func writeTail(f fsio.File, m *meta2, at int64) (int64, error) {
 	return at, nil
 }
 
+// readMeta fills buf with the metadata (what) at off of f. A short read —
+// the file ends inside the metadata — is ErrCorrupt. Any other failure is
+// the backend's and is wrapped as such, not as ErrCorrupt, so that a
+// transient read stays retryable (resil.Classify).
+func readMeta(f fsio.File, buf []byte, off int64, what string) error {
+	n, err := f.ReadAt(buf, off)
+	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		if n == len(buf) {
+			return nil
+		}
+		return fmt.Errorf("%w: %s truncated (%d of %d bytes)", ErrCorrupt, what, n, len(buf))
+	}
+	return fmt.Errorf("sion: reading %s: %w", what, err)
+}
+
 // readTail locates, validates, and parses metablock 2.
 func readTail(f fsio.File, ntasks int) (*meta2, error) {
 	size, err := f.Size()
@@ -361,8 +377,8 @@ func readTail(f fsio.File, ntasks int) (*meta2, error) {
 		return nil, fmt.Errorf("%w: file too small for trailer", ErrCorrupt)
 	}
 	tail := make([]byte, tailSize)
-	if _, err := f.ReadAt(tail, size-tailSize); err != nil {
-		return nil, fmt.Errorf("%w: reading trailer: %w", ErrCorrupt, err)
+	if err := readMeta(f, tail, size-tailSize, "trailer"); err != nil {
+		return nil, err
 	}
 	if string(tail[:8]) != magicTail {
 		return nil, fmt.Errorf("%w: missing trailer (crash before close?)", ErrCorrupt)
@@ -374,8 +390,8 @@ func readTail(f fsio.File, ntasks int) (*meta2, error) {
 		return nil, fmt.Errorf("%w: trailer points outside file", ErrCorrupt)
 	}
 	enc := make([]byte, size-tailSize-at)
-	if _, err := f.ReadAt(enc, at); err != nil {
-		return nil, fmt.Errorf("%w: reading metablock 2: %w", ErrCorrupt, err)
+	if err := readMeta(f, enc, at, "metablock 2"); err != nil {
+		return nil, err
 	}
 	if crc32.ChecksumIEEE(enc) != want {
 		return nil, fmt.Errorf("%w: metablock 2 checksum mismatch", ErrCorrupt)

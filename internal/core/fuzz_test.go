@@ -2,6 +2,7 @@ package sion
 
 import (
 	"fmt"
+	"hash/crc32"
 	"io"
 	"path"
 	"testing"
@@ -111,24 +112,85 @@ func seedMultifile(tb testing.TB, chunkHeaders bool) []byte {
 	return buf
 }
 
+// meta2At is where the trailer of a segment image places metablock 2.
+func meta2At(img []byte) uint64 { return le().Uint64(img[len(img)-tailSize+8:]) }
+
+// withMeta2 returns a copy of head, the bytes of a segment before its
+// metablock 2, followed by enc as metablock 2 and a trailer whose checksum
+// matches, so that readTail reaches parseMeta2's checks.
+func withMeta2(head, enc []byte) []byte {
+	out := append(append([]byte(nil), head...), enc...)
+	tail := make([]byte, tailSize)
+	copy(tail, magicTail)
+	le().PutUint64(tail[8:], uint64(len(head)))
+	le().PutUint32(tail[16:], crc32.ChecksumIEEE(enc))
+	return append(out, tail...)
+}
+
+// remeta returns a copy of the segment image img with metablocks 1 and 2
+// decoded, passed through edit and encoded again (metablock 1 must keep
+// its size), so that the image still parses and only edit's change is
+// wrong.
+func remeta(tb testing.TB, img []byte, edit func(h *header, m *meta2)) []byte {
+	tb.Helper()
+	mf := &memFile{b: img}
+	h, err := parseHeader(mf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := readTail(mf, int(h.NTasksLocal))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	size := h.encodedSize()
+	edit(h, m)
+	if h.encodedSize() != size {
+		tb.Fatalf("edit resized metablock 1 from %d to %d bytes", size, h.encodedSize())
+	}
+	out := withMeta2(img[:meta2At(img)], m.encode())
+	copy(out, h.encode())
+	return out
+}
+
 // FuzzReadHeader feeds arbitrary bytes through the metablock-1 parser,
-// the derived chunk geometry, and the trailer/metablock-2 locator. Any
-// outcome but a clean error (or success on intact input) is a bug.
+// the derived chunk geometry, and the trailer/metablock-2 locator (also
+// on bytes whose header does not parse). Any outcome but a clean error
+// (or success on intact input) is a bug.
 func FuzzReadHeader(f *testing.F) {
 	seed := seedMultifile(f, false)
 	f.Add(seed)
 	f.Add(seed[:headerFixedSize])
 	f.Add(seed[:len(seed)-tailSize/2])
-	corrupt := append([]byte(nil), seed...)
-	corrupt[20] ^= 0xff // NTasksGlobal
-	f.Add(corrupt)
+	flip := func(off int, v byte) []byte {
+		b := append([]byte(nil), seed...)
+		b[off] ^= v
+		return b
+	}
+	f.Add(flip(20, 0xff))                    // NTasksGlobal
+	f.Add(flip(8, 0x02))                     // format version
+	f.Add(flip(32, 0x04))                    // FileNum beyond NFiles
+	f.Add(flip(len(seed)-tailSize+14, 0x40)) // trailer points outside the file
 	f.Add([]byte(magicHeader))
 	f.Add([]byte{})
+	// Metablock 2 damaged behind a matching checksum.
+	head := seed[:meta2At(seed)]
+	m2 := seed[len(head) : len(seed)-tailSize]
+	edit := func(off int, v uint32) []byte {
+		b := append([]byte(nil), m2...)
+		le().PutUint32(b[off:], v)
+		return withMeta2(head, b)
+	}
+	f.Add(edit(0, 0))                      // magic
+	f.Add(edit(8, 4))                      // task count differs from the header's
+	f.Add(edit(16, 1<<25))                 // implausible block count
+	f.Add(withMeta2(head, m2[:16]))        // block counts cut off
+	f.Add(withMeta2(head, m2[:len(m2)-8])) // block bytes cut off
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mf := &memFile{b: data}
 		h, err := parseHeader(mf)
 		if err != nil {
+			readTail(mf, 3)
 			return
 		}
 		// An accepted header must be safe to derive geometry from and to
@@ -145,13 +207,15 @@ func FuzzReadHeader(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMapping feeds arbitrary bytes through the mapped-open metadata
-// parsers: the global placement table codec (decodeMapping, which the
-// mapped-open planner and the write-side mapping forwarding both trust
-// for every rank they place) and the parser→reader rank-record decoder
-// (decodeMappedMeta). Truncated buffers, rank indices out of range, and
-// reader/task counts far apart (M≫N) must yield ErrCorrupt-style errors —
-// never a panic, and never a silently short or out-of-range table.
+// FuzzDecodeMapping feeds arbitrary bytes through the decoders of the
+// messages between ranks: the global placement table codec
+// (decodeMapping, which the mapped-open planner and the write-side
+// mapping forwarding both trust for every rank they place), the
+// parser→reader rank-record decoder (decodeMappedMeta), and the
+// collective write's data frames (decodeCollFrame). Truncated buffers,
+// rank indices out of range, and reader/task counts far apart (M≫N) must
+// yield errors — never a panic, and never a silently short or
+// out-of-range table.
 func FuzzDecodeMapping(f *testing.F) {
 	valid := encodeMapping([]FileLoc{{0, 0}, {1, 0}, {0, 1}})
 	f.Add(valid, 3, 2)
@@ -166,11 +230,23 @@ func FuzzDecodeMapping(f *testing.F) {
 
 	// Seeds for the rank-record decoder, fed from the same byte corpus.
 	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100, 256, 1024, 256, 0, 1, 40}), 4, 1)
-	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100, 256, 1024, 256, 3, 40}), 4, 1) // truncated blocks
-	f.Add(encodeInt64s([]int64{0, 0, 7}), 4, 1)                                   // records missing
-	f.Add(encodeInt64s([]int64{0, 1, 0}), 4, 1)                                   // segment out of range
+	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100, 256, 1024, 256, 3, 40}), 4, 1)       // truncated blocks
+	f.Add(encodeInt64s([]int64{0, 0, 7}), 4, 1)                                         // records missing
+	f.Add(encodeInt64s([]int64{0, 1, 0}), 4, 1)                                         // segment out of range
+	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100}), 4, 1)                              // record cut short
+	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100, 256, 1024, 256, 0, 1, 300}), 4, 1)   // block beyond its chunk
+	f.Add(encodeInt64s([]int64{0, 0, 1, 2, 0, 100, 256, 1024, 256, 0, 1, 40, 7}), 4, 1) // trailing word
+
+	// Seeds for the collective frame decoder.
+	frame := (&collFrame{logicalOff: 512, member: 1, chunk0: 256, capacity: 512, stride: 1024, data: []byte("payload")}).encode()
+	f.Add(frame, 0, 0)
+	f.Add(frame[:collFrameHdr-1], 0, 0) // header cut short
+	f.Add(frame[:len(frame)-1], 0, 0)   // fewer bytes than announced
 
 	f.Fuzz(func(t *testing.T, data []byte, ntasks, nfiles int) {
+		if fr, err := decodeCollFrame(data); err == nil && len(fr.data) != len(data)-collFrameHdr {
+			t.Fatalf("accepted frame carries %d of %d payload bytes", len(fr.data), len(data)-collFrameHdr)
+		}
 		if m, err := decodeMapping(data, ntasks, nfiles); err == nil {
 			if len(m) != ntasks {
 				t.Fatalf("accepted mapping holds %d entries for %d tasks", len(m), ntasks)
@@ -213,6 +289,11 @@ func FuzzOpen(f *testing.F) {
 		zeroed[i] = 0
 	}
 	f.Add(zeroed)
+	// Images that parse but that Verify rejects (TestVerifyRejects).
+	f.Add(remeta(f, seed, func(h *header, m *meta2) { h.Mapping[1] = h.Mapping[0] }))
+	f.Add(remeta(f, seed, func(h *header, m *meta2) { h.GlobalRanks[0], h.GlobalRanks[1] = 1, 0 }))
+	f.Add(remeta(f, seed, func(h *header, m *meta2) { m.BlockBytes[0][0] = 1 << 20 }))
+	f.Add(remeta(f, seedMultifile(f, true), func(h *header, m *meta2) { m.BlockBytes[0][0]-- }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fsys := &memFS{files: map[string][]byte{"f.sion": data}}

@@ -2,6 +2,7 @@ package sion
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -78,9 +79,19 @@ func TestKeyValueRoundTrip(t *testing.T) {
 		if _, err := kr.Record(1, 99); err == nil {
 			t.Fatal("out-of-range record accepted")
 		}
+		// A failed read of a record fails the key's stream.
+		if _, err := kr.On(failingStream{f}).ReadKey(1); !errors.Is(err, errReadInjected) {
+			t.Fatalf("ReadKey over a failing reader: %v", err)
+		}
 		f.Close()
 	}
 }
+
+// failingStream is a LogicalReaderAt of the wrapped stream's size whose
+// every read fails with errReadInjected.
+type failingStream struct{ LogicalReaderAt }
+
+func (failingStream) ReadLogicalAt([]byte, int64) (int, error) { return 0, errReadInjected }
 
 func TestKeyReaderRejectsUntaggedStream(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
@@ -93,6 +104,20 @@ func TestKeyReaderRejectsUntaggedStream(t *testing.T) {
 	defer f.Close()
 	if _, err := NewKeyReader(f); err == nil {
 		t.Fatal("untagged stream accepted as key-value")
+	}
+	// A tagged record whose length runs past the end of the stream.
+	mpi.Run(1, func(c *mpi.Comm) {
+		f, _ := ParOpen(c, fsys, "over.sion", WriteMode, &Options{ChunkSize: 64, FSBlockSize: 64})
+		hdr := make([]byte, keyRecHeader)
+		copy(hdr, keyRecMagic)
+		hdr[12] = 100
+		f.Write(append(hdr, "ten bytes."...))
+		f.Close()
+	})
+	g, _ := OpenRank(fsys, "over.sion", 0)
+	defer g.Close()
+	if _, err := NewKeyReader(g); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("overrunning record: %v, want ErrCorrupt", err)
 	}
 }
 

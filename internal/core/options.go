@@ -169,18 +169,9 @@ func autoCollectorGroup(ntasksLocal int, avgAligned, fsblk int64) int {
 	if avgAligned <= 0 {
 		return 1
 	}
-	target := autoCollectTargetBlocks * fsblk
-	g := int((target + avgAligned - 1) / avgAligned)
-	if g < 1 {
-		g = 1
-	}
-	if g > maxAutoGroup {
-		g = maxAutoGroup
-	}
-	if g > ntasksLocal {
-		g = ntasksLocal
-	}
-	return g
+	// A ceiling division of two positive numbers, so at least 1.
+	g := int((autoCollectTargetBlocks*fsblk + avgAligned - 1) / avgAligned)
+	return min(g, maxAutoGroup, ntasksLocal)
 }
 
 // withDefaults resolves the zero-value options against the task count

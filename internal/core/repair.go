@@ -145,10 +145,8 @@ func repairSegment(fh fsio.File, h *header, wm [][]TailCommit) (int, error) {
 					if wm != nil && b < len(wm[li]) {
 						bytes = wm[li][b].Bytes
 					} else {
+						// The header fits in the file, so this is not negative.
 						bytes = size - g.dataOff(li, b)
-						if bytes < 0 {
-							bytes = 0
-						}
 					}
 					if c := g.capacity(li); bytes > c {
 						bytes = c
@@ -165,12 +163,11 @@ func repairSegment(fh fsio.File, h *header, wm [][]TailCommit) (int, error) {
 			// Watermark-only recovery: the committed per-block counts are
 			// the durable truth (collective multifiles have no chunk
 			// headers at all).
-			for b, c := range wm[li] {
+			for _, c := range wm[li] {
 				bytes := c.Bytes
 				if cp := g.capacity(li); bytes > cp {
 					bytes = cp
 				}
-				_ = b
 				bb = append(bb, bytes)
 				recovered++
 			}
@@ -178,13 +175,8 @@ func repairSegment(fh fsio.File, h *header, wm [][]TailCommit) (int, error) {
 		if len(bb) == 0 {
 			bb = []int64{0}
 		}
-		if len(bb) > maxBlocks {
-			maxBlocks = len(bb)
-		}
+		maxBlocks = max(maxBlocks, len(bb)) // at least 1: every task has a block
 		m2.BlockBytes[li] = bb
-	}
-	if maxBlocks == 0 {
-		maxBlocks = 1
 	}
 	at := g.start + g.stride*int64(maxBlocks)
 	if _, err := writeTail(fh, m2, at); err != nil {

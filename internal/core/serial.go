@@ -267,8 +267,8 @@ func (sf *SerialFile) Read(p []byte) (int, error) {
 }
 
 // ReadRank returns the complete logical file of one task (concatenation of
-// all its chunks' used bytes) — a convenience built on Seek/Read used by
-// the split utility and tests.
+// all its chunks' used bytes) — a convenience built on Seek/Read for
+// callers that want a task's file in memory, such as examples/quickstart.
 func (sf *SerialFile) ReadRank(rank int) ([]byte, error) {
 	if err := sf.Seek(rank, 0, 0); err != nil {
 		return nil, err

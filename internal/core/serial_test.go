@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/simfs"
 )
 
 func TestSerialCreateSeekWriteReadBack(t *testing.T) {
@@ -125,6 +126,32 @@ func TestSerialCreateErrors(t *testing.T) {
 	}); err == nil {
 		t.Fatal("out-of-range mapping accepted")
 	}
+	if _, err := Create(fsys, "x", []int64{10, 10}, &Options{
+		NFiles: 2, Mapping: func(rank, n, nf int) int { return 0 },
+	}); err == nil {
+		t.Fatal("a physical file without tasks accepted")
+	}
+	if _, err := Create(fsys, "x", []int64{10}, &Options{Watermarks: true}); err == nil {
+		t.Fatal("serial watermarks accepted")
+	}
+	if _, err := Create(fsys, "x", []int64{10}, &Options{CollectorGroup: -5}); err == nil {
+		t.Fatal("invalid options accepted")
+	}
+	// ParOpen cannot refuse a mapping one rank computes alone without
+	// stranding the others: it places an out-of-range task in file 0.
+	mpi.Run(2, func(c *mpi.Comm) {
+		f, err := ParOpen(c, fsys, "m.sion", WriteMode, &Options{ChunkSize: 64, FSBlockSize: 64,
+			Mapping: func(rank, n, nf int) int { return rank - 1 }})
+		if err == nil {
+			err = f.Close()
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if err := Verify(fsys, "m.sion"); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // zeroBlockFS reports an FS block size of 0, as a misconfigured backend
@@ -145,6 +172,12 @@ func TestSerialCreateRejectsZeroBlockSize(t *testing.T) {
 	if !strings.Contains(err.Error(), "FS block size 0") {
 		t.Fatalf("error %q does not name the block size", err)
 	}
+	mpi.Run(1, func(c *mpi.Comm) {
+		_, err := ParOpen(c, fsys, "z.sion", WriteMode, &Options{ChunkSize: 100})
+		if err == nil || !strings.Contains(err.Error(), "FS block size 0") {
+			t.Errorf("ParOpen on an FS block size of 0: %v", err)
+		}
+	})
 }
 
 func TestSerialSeekValidation(t *testing.T) {
@@ -348,18 +381,144 @@ func TestSplitSubsetAndBadPattern(t *testing.T) {
 	}
 }
 
+// TestSerialFileDoubleCloseAndClosedOps calls every kind of handle on its
+// closed state and in the wrong mode: each call must return an error and
+// none may panic; a second Close is a no-op.
 func TestSerialFileDoubleCloseAndClosedOps(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
-	sf, _ := Create(fsys, "c.sion", []int64{10}, nil)
-	if err := sf.Close(); err != nil {
+	type misuse struct {
+		name string
+		call func() error
+	}
+	reject := func(calls []misuse) {
+		t.Helper()
+		for _, m := range calls {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s panicked: %v", m.name, p)
+					}
+				}()
+				if m.call() == nil {
+					t.Errorf("%s accepted", m.name)
+				}
+			}()
+		}
+	}
+	closeTwice := func(name string, c io.Closer) {
+		t.Helper()
+		if err := c.Close(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Errorf("%s: second close: %v", name, err)
+		}
+	}
+	p := make([]byte, 8)
+
+	// Serial write handle.
+	sw, _ := Create(fsys, "c.sion", []int64{10}, nil)
+	reject([]misuse{
+		{"serial write: Read", func() error { _, err := sw.Read(p); return err }},
+	})
+	closeTwice("serial write", sw)
+	reject([]misuse{
+		{"closed serial: Seek", func() error { return sw.Seek(0, 0, 0) }},
+		{"closed serial: Write", func() error { _, err := sw.Write(p); return err }},
+	})
+
+	// Parallel write handle, and ParOpen misuse.
+	mpi.Run(1, func(c *mpi.Comm) {
+		reject([]misuse{
+			{"ParOpen: unknown mode", func() error { _, err := ParOpen(c, fsys, "p.sion", Mode(7), nil); return err }},
+			{"ParOpen read: bad options", func() error {
+				_, err := ParOpen(c, fsys, "c.sion", ReadMode, &Options{CollectorGroup: -5})
+				return err
+			}},
+		})
+		f, err := ParOpen(c, fsys, "p.sion", WriteMode, &Options{ChunkSize: 64, FSBlockSize: 64})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		reject([]misuse{
+			{"write File: Seek", func() error { return f.Seek(0, 0) }},
+			{"write File: ReadSynthetic", func() error { _, err := f.ReadSynthetic(1); return err }},
+			{"write File: ReadLogicalAt", func() error { _, err := f.ReadLogicalAt(p, 0); return err }},
+			{"write File: NewKeyReader", func() error { _, err := NewKeyReader(f); return err }},
+		})
+		if f.EOF() {
+			t.Error("write File: EOF reports true")
+		}
+		f.Write(p)
+		closeTwice("write File", f)
+		reject([]misuse{
+			{"closed File: Flush", f.Flush},
+			{"closed File: SetBufferSize", func() error { return f.SetBufferSize(0) }},
+		})
+	})
+
+	// Read handles: a rank, the serial view, a mapped view, a layout.
+	r, err := OpenRank(fsys, "p.sion", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sf.Close(); err != nil {
-		t.Fatal("second close should be a no-op")
+	reject([]misuse{
+		{"read File: WriteSynthetic", func() error { return r.WriteSynthetic(1) }},
+		{"read File: negative ReadLogicalAt", func() error { _, err := r.ReadLogicalAt(p, -1); return err }},
+	})
+	closeTwice("read File", r)
+	sr, err := Open(fsys, "p.sion")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := sf.Seek(0, 0, 0); err == nil {
-		t.Fatal("seek on closed file accepted")
+	reject([]misuse{
+		{"serial read: Write", func() error { _, err := sr.Write(p); return err }},
+		{"serial read: Read before Seek", func() error { _, err := sr.Read(p); return err }},
+		{"serial read: ReadRank out of range", func() error { _, err := sr.ReadRank(1); return err }},
+	})
+	if n := sr.RankBytes(-1); n != 0 {
+		t.Errorf("serial read: RankBytes(-1) = %d", n)
 	}
+	closeTwice("serial read", sr)
+	mpi.Run(1, func(c *mpi.Comm) {
+		mf, err := ParOpenMapped(c, fsys, "p.sion", ReadMode, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		closeTwice("MappedFile", mf)
+		reject([]misuse{{"closed MappedFile: Rank", func() error { _, err := mf.Rank(0); return err }}})
+	})
+	tl, err := LoadTailLayout(fsys, "p.sion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := tl.Layout()
+	reject([]misuse{
+		{"Layout: ReadRankAt rank -1", func() error { _, err := tl.ReadRankAt(-1, p, 0); return err }},
+		{"Layout: ReadRankAt offset -1", func() error { _, err := tl.ReadRankAt(0, p, -1); return err }},
+	})
+	if l.RankBlocks(1) != nil {
+		t.Error("Layout: RankBlocks(1) of one rank is not nil")
+	}
+	closeTwice("TailLayout", tl)
+
+	// The simfs handle.
+	h, err := simfs.New(simfs.Jugene()).View(0, nil).Create("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reject([]misuse{{"simfs: negative WriteAt", func() error { _, err := h.WriteAt(p, -1); return err }}})
+	closeTwice("simfs handle", h)
+	reject([]misuse{
+		{"closed simfs: WriteAt", func() error { _, err := h.WriteAt(p, 0); return err }},
+		{"closed simfs: WriteZeroAt", func() error { return h.WriteZeroAt(8, 0) }},
+		{"closed simfs: ReadDiscardAt", func() error { _, err := h.ReadDiscardAt(8, 0); return err }},
+		{"closed simfs: Size", func() error { _, err := h.Size(); return err }},
+		{"closed simfs: Truncate", func() error { return h.Truncate(0) }},
+		{"closed simfs: Sync", h.Sync},
+	})
 }
 
 func TestOpenRankMultiSegment(t *testing.T) {

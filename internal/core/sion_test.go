@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -483,6 +485,173 @@ func TestChunkHeadersVerify(t *testing.T) {
 	})
 }
 
+// parImages writes f.sion with ParOpen from n ranks, each writing 300
+// bytes, and returns every file the write left, by name.
+func parImages(t *testing.T, n int, o Options) map[string][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	mpi.Run(n, func(c *mpi.Comm) {
+		o := o
+		f, err := ParOpen(c, fsio.NewOS(dir), "f.sion", WriteMode, &o)
+		if err == nil {
+			_, err = f.Write(rankPayload(c.Rank(), 300))
+			err = errors.Join(err, f.Close())
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range ents {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// TestVerifyRejects feeds Verify multifiles that parse but whose metadata
+// contradicts itself, each damaged by one named mutation: every one must
+// give ErrCorrupt, and the intact sources must verify.
+func TestVerifyRejects(t *testing.T) {
+	srcs := map[string]map[string][]byte{
+		"plain":      {"f.sion": seedMultifile(t, false)},
+		"headers":    {"f.sion": seedMultifile(t, true)},
+		"nfiles2":    parImages(t, 4, Options{ChunkSize: 256, FSBlockSize: 128, NFiles: 2}),
+		"watermarks": parImages(t, 2, Options{ChunkSize: 256, FSBlockSize: 128, Watermarks: true}),
+	}
+	for name, files := range srcs {
+		if err := Verify(&memFS{files: files}, "f.sion"); err != nil {
+			t.Fatalf("intact %s source: %v", name, err)
+		}
+	}
+	// A closed multifile whose sidecar is gone verifies too.
+	if err := Verify(&memFS{files: map[string][]byte{"f.sion": srcs["watermarks"]["f.sion"]}}, "f.sion"); err != nil {
+		t.Fatalf("watermarked source without its sidecar: %v", err)
+	}
+	meta := func(edit func(h *header, m *meta2)) func(tb testing.TB, b []byte) []byte {
+		return func(tb testing.TB, b []byte) []byte { return remeta(tb, b, edit) }
+	}
+	raw := func(off int, v byte) func(tb testing.TB, b []byte) []byte {
+		return func(tb testing.TB, b []byte) []byte {
+			b = append([]byte(nil), b...)
+			b[off] ^= v
+			return b
+		}
+	}
+	chunk0 := func(h *header) int64 { g := newGeometry(h); return g.chunkOff(0, 0) }
+	hdrs := srcs["headers"]["f.sion"]
+	for _, c := range []struct {
+		name, want, src, file string
+		mutate                func(tb testing.TB, b []byte) []byte
+		hook                  func(op fsio.Op) (int64, error) // a lying backend, when not nil
+	}{
+		{"two tasks share a placement", "tasks share placement", "plain", "f.sion",
+			meta(func(h *header, m *meta2) { h.Mapping[1] = h.Mapping[0] }), nil},
+		{"global rank differs from the mapping", "says global rank", "plain", "f.sion",
+			meta(func(h *header, m *meta2) { h.GlobalRanks[0], h.GlobalRanks[1] = 1, 0 }), nil},
+		{"block bytes exceed the chunk capacity", "holds 1048576 bytes", "plain", "f.sion",
+			meta(func(h *header, m *meta2) { m.BlockBytes[2][0] = 1 << 20 }), nil},
+		{"negative block bytes", "holds -1 bytes", "plain", "f.sion",
+			meta(func(h *header, m *meta2) { m.BlockBytes[1][0] = -1 }), nil},
+		{"mapping beyond its segment", "maps to local rank 3", "nfiles2", "f.sion",
+			meta(func(h *header, m *meta2) { h.Mapping[3].LocalRank = 3 }), nil},
+		{"watermark committed more than metablock 2 records", "watermark committed", "watermarks", "f.sion",
+			meta(func(h *header, m *meta2) { m.BlockBytes[0][1]-- }), nil},
+		{"watermark committed a block metablock 2 lacks", "metablock 2 records -1", "watermarks", "f.sion",
+			meta(func(h *header, m *meta2) { m.BlockBytes[1] = m.BlockBytes[1][:1] }), nil},
+		{"sidecar unparsable", "bad watermark magic", "watermarks", "f.sion.wmk", raw(0, 0xff), nil},
+		{"sidecar of another segment", "sidecar describes", "watermarks", "f.sion.wmk", raw(16, 0x01), nil},
+		{"sidecar implausibly large", "implausibly large", "watermarks", "", nil, func(op fsio.Op) (int64, error) {
+			if op.Call == "Size" && op.Name == "f.sion.wmk" {
+				return 1 << 62, nil
+			}
+			return op.Do()
+		}},
+		{"chunk header disagrees with metablock 2", "disagrees with metablock 2", "headers", "f.sion",
+			meta(func(h *header, m *meta2) { m.BlockBytes[0][0]-- }), nil},
+		{"chunk header damaged", "bad chunk header", "headers", "f.sion",
+			raw(int(chunk0(mustHeader(t, hdrs)))+8, 0x01), nil},
+		{"chunk header past the end of the file", "chunk header truncated", "headers", "f.sion",
+			func(tb testing.TB, b []byte) []byte {
+				// Metablock 2 claims a second block that the file ends before.
+				h := mustHeader(tb, b)
+				g := newGeometry(h)
+				m, _ := readTail(&memFile{b: b}, int(h.NTasksLocal))
+				m.BlockBytes[2] = append(m.BlockBytes[2], 1)
+				return withMeta2(b[:g.chunkOff(0, 1)], m.encode())
+			}, nil},
+	} {
+		files := map[string][]byte{}
+		for n, b := range srcs[c.src] {
+			files[n] = b
+		}
+		if c.mutate != nil {
+			files[c.file] = c.mutate(t, files[c.file])
+		}
+		var fsys fsio.FileSystem = &memFS{files: files}
+		if c.hook != nil {
+			fsys = fsio.Intercept(fsys, c.hook)
+		}
+		if err := Verify(fsys, "f.sion"); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Verify = %v, want ErrCorrupt naming %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestParOpenReadRejects: the parallel read open parses each segment on one
+// rank and ships its records to the readers. A segment that disagrees with
+// file 0 fails the open on every rank that reads from it, and only there;
+// the parser that found the damage reports ErrCorrupt.
+func TestParOpenReadRejects(t *testing.T) {
+	src := parImages(t, 4, Options{ChunkSize: 256, FSBlockSize: 128, NFiles: 2})
+	for _, c := range []struct {
+		name, file string
+		edit       func(h *header, m *meta2)
+		fails      [4]bool // ranks 2 and 3 live in file 1; rank 2 parses it
+	}{
+		{"segment disagrees on the task count", "f.sion.000001",
+			func(h *header, m *meta2) { h.NTasksGlobal = 5 }, [4]bool{false, false, true, true}},
+		{"mapping beyond its segment", "f.sion",
+			func(h *header, m *meta2) { h.Mapping[3].LocalRank = 3 }, [4]bool{false, false, false, true}},
+	} {
+		files := map[string][]byte{}
+		for n, b := range src {
+			files[n] = b
+		}
+		files[c.file] = remeta(t, files[c.file], c.edit)
+		var errs [4]error
+		mpi.Run(4, func(cm *mpi.Comm) {
+			f, err := ParOpen(cm, &memFS{files: files}, "f.sion", ReadMode, nil)
+			if errs[cm.Rank()] = err; err == nil {
+				f.Close()
+			}
+		})
+		for r, err := range errs {
+			if (err != nil) != c.fails[r] {
+				t.Errorf("%s: rank %d: ParOpen = %v", c.name, r, err)
+			}
+		}
+		if c.fails[2] && !errors.Is(errs[2], ErrCorrupt) {
+			t.Errorf("%s: the parser's error %v is not ErrCorrupt", c.name, errs[2])
+		}
+	}
+}
+
+// mustHeader parses metablock 1 of a segment image.
+func mustHeader(tb testing.TB, img []byte) *header {
+	tb.Helper()
+	h, err := parseHeader(&memFile{b: img})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
 func TestDump(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	mpi.Run(3, func(c *mpi.Comm) {
@@ -499,6 +668,14 @@ func TestDump(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("dump output missing %q:\n%s", want, out)
 		}
+	}
+	// DumpMapping needs file 0 and its header.
+	if err := DumpMapping(fsys, "missing.sion", io.Discard); !errors.Is(err, fsio.ErrNotExist) {
+		t.Fatalf("DumpMapping of a missing multifile: %v", err)
+	}
+	bad := &memFS{files: map[string][]byte{"b.sion": []byte("not a multifile")}}
+	if err := DumpMapping(bad, "b.sion", io.Discard); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DumpMapping of a damaged header: %v", err)
 	}
 }
 
@@ -534,11 +711,13 @@ func TestSplitRecreatesTaskLocalFiles(t *testing.T) {
 
 func TestDefragContractsBlocks(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
-	const n = 4
+	const n = 5
+	// Rank r < 4 writes r+1 chunks' worth → different block counts → gaps;
+	// rank 4 writes nothing.
+	size := func(r int) int { return 128 * (r + 1) % 640 }
 	mpi.Run(n, func(c *mpi.Comm) {
 		f, _ := ParOpen(c, fsys, "frag.sion", WriteMode, &Options{ChunkSize: 100, FSBlockSize: 128})
-		// Rank r writes r+1 chunks' worth → different block counts → gaps.
-		f.Write(rankPayload(c.Rank(), 128*(c.Rank()+1)))
+		f.Write(rankPayload(c.Rank(), size(c.Rank())))
 		f.Close()
 	})
 	if err := Defrag(fsys, "frag.sion", fsys, "tight.sion"); err != nil {
@@ -555,7 +734,7 @@ func TestDefragContractsBlocks(t *testing.T) {
 			t.Fatalf("rank %d: %d blocks after defrag, want 1", r, len(loc.BlockBytes[r]))
 		}
 		got, _ := sf.ReadRank(r)
-		if !bytes.Equal(got, rankPayload(r, 128*(r+1))) {
+		if !bytes.Equal(got, rankPayload(r, size(r))) {
 			t.Fatalf("rank %d: defrag content mismatch", r)
 		}
 	}

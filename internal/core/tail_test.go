@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/simfs"
 )
 
 // writeTailFixture writes a closed 4-task, 2-file multifile of 300 bytes
@@ -53,6 +54,9 @@ func TestLoadTailLayoutClosed(t *testing.T) {
 				defer tl.Close()
 				if !tl.Layout().Final() || tl.Watermarked() != wm {
 					t.Fatalf("final %v, watermarked %v; want true, %v", tl.Layout().Final(), tl.Watermarked(), wm)
+				}
+				if l, err := tl.Refresh(); l != tl.Layout() || err != nil {
+					t.Fatalf("Refresh of a final layout: (%p, %v), want the same snapshot", l, err)
 				}
 				for r := 0; r < 4; r++ {
 					got := make([]byte, 301)
@@ -125,5 +129,69 @@ func TestLoadTailLayoutCorruptMapping(t *testing.T) {
 				t.Fatalf("LoadTailLayout: %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestLoadTailLayoutRejects damages one file of a closed watermarked
+// multifile at a time: a segment or sidecar that is missing, unreadable
+// or contradicts its header fails the load with the cause; a handle that
+// fails to close fails Close.
+func TestLoadTailLayoutRejects(t *testing.T) {
+	flip := func(fsys fsio.FileSystem, name string, off int64) error {
+		fh, err := fsys.OpenRW(name)
+		if err != nil {
+			return err
+		}
+		b := make([]byte, 1)
+		if _, err = fh.ReadAt(b, off); err == nil {
+			b[0] ^= 0x01
+			_, err = fh.WriteAt(b, off)
+		}
+		return errors.Join(err, fh.Close())
+	}
+	for _, c := range []struct {
+		name   string
+		damage func(fsys fsio.FileSystem) error
+		fail   string // a backend call on the sidecar that fails instead
+		want   error
+	}{
+		{"segment 1 missing", func(fsys fsio.FileSystem) error { return fsys.Remove(fileName("m.sion", 1)) }, "", fsio.ErrNotExist},
+		{"segment 1 header damaged", func(fsys fsio.FileSystem) error { return flip(fsys, fileName("m.sion", 1), 0) }, "", ErrCorrupt},
+		{"sidecar unreadable", nil, "Open", errReadInjected},
+		{"sidecar damaged", func(fsys fsio.FileSystem) error { return flip(fsys, wmName("m.sion", 0), 0) }, "", ErrCorrupt},
+		{"sidecar of another file", func(fsys fsio.FileSystem) error { return flip(fsys, wmName("m.sion", 0), 16) }, "", ErrCorrupt},
+	} {
+		fsys := fsio.NewOS(t.TempDir())
+		writeTailFixture(t, fsys, "m.sion", true)
+		if c.damage != nil {
+			if err := c.damage(fsys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fl := simfs.NewFlaky(simfs.FlakyConfig{})
+		fl.SetRule(func(op fsio.Op) error {
+			if op.Call == c.fail && op.Name == wmName("m.sion", 0) {
+				return errReadInjected
+			}
+			return nil
+		})
+		if _, err := LoadTailLayout(fl.Wrap(fsys, nil), "m.sion"); !errors.Is(err, c.want) {
+			t.Errorf("%s: LoadTailLayout = %v, want %v", c.name, err, c.want)
+		}
+	}
+	fsys := fsio.NewOS(t.TempDir())
+	writeTailFixture(t, fsys, "m.sion", false)
+	tl, err := LoadTailLayout(fsio.Intercept(fsys, func(op fsio.Op) (int64, error) {
+		if op.Call == "Close" {
+			op.Do()
+			return 0, errReadInjected
+		}
+		return op.Do()
+	}), "m.sion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Close(); !errors.Is(err, errReadInjected) {
+		t.Fatalf("Close = %v, want the failed close", err)
 	}
 }

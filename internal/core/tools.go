@@ -1,6 +1,7 @@
 package sion
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -95,34 +96,17 @@ func Split(fsys fsio.FileSystem, name string, out fsio.FileSystem, pattern strin
 		if r < 0 || r >= sf.ntasks {
 			return fmt.Errorf("sion: Split: rank %d outside 0..%d", r, sf.ntasks-1)
 		}
+		if err := sf.Seek(r, 0, 0); err != nil {
+			return err
+		}
 		dst, err := out.Create(fmt.Sprintf(pattern, r))
 		if err != nil {
 			return fmt.Errorf("sion: Split rank %d: %w", r, err)
 		}
-		if err := sf.Seek(r, 0, 0); err != nil {
-			dst.Close()
-			return err
-		}
-		var off int64
-		for {
-			n, rerr := sf.Read(buf)
-			if n > 0 {
-				if _, werr := dst.WriteAt(buf[:n], off); werr != nil {
-					dst.Close()
-					return fmt.Errorf("sion: Split rank %d: %w", r, werr)
-				}
-				off += int64(n)
-			}
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				dst.Close()
-				return rerr
-			}
-		}
-		if err := dst.Close(); err != nil {
-			return err
+		// Neither side has WriteTo or ReadFrom, so the copy runs through buf.
+		_, err = io.CopyBuffer(io.NewOffsetWriter(dst, 0), sf, buf)
+		if err = closeKeep(dst, err); err != nil {
+			return fmt.Errorf("sion: Split rank %d: %w", r, err)
 		}
 	}
 	return nil
@@ -165,29 +149,16 @@ func Defrag(fsys fsio.FileSystem, name string, out fsio.FileSystem, dstName stri
 	}
 	buf := make([]byte, 1<<20)
 	for r := 0; r < sf.ntasks; r++ {
-		if err := sf.Seek(r, 0, 0); err != nil {
+		err := sf.Seek(r, 0, 0)
+		if err == nil {
+			err = dst.Seek(r, 0, 0)
+		}
+		if err == nil {
+			_, err = io.CopyBuffer(dst, sf, buf)
+		}
+		if err != nil {
 			dst.closeAll()
 			return err
-		}
-		if err := dst.Seek(r, 0, 0); err != nil {
-			dst.closeAll()
-			return err
-		}
-		for {
-			n, rerr := sf.Read(buf)
-			if n > 0 {
-				if _, werr := dst.Write(buf[:n]); werr != nil {
-					dst.closeAll()
-					return werr
-				}
-			}
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil {
-				dst.closeAll()
-				return rerr
-			}
 		}
 	}
 	return dst.Close()
@@ -209,11 +180,9 @@ func Verify(fsys fsio.FileSystem, name string) error {
 			return fmt.Errorf("%w: tasks share placement file=%d lrank=%d", ErrCorrupt, loc.File, loc.LocalRank)
 		}
 		seen[key] = true
+		// Open checked li against the segment's task count.
 		pf := sf.segs[loc.File]
 		li := int(loc.LocalRank)
-		if li >= int(pf.h.NTasksLocal) {
-			return fmt.Errorf("%w: task %d local rank %d beyond segment size %d", ErrCorrupt, r, li, pf.h.NTasksLocal)
-		}
 		if pf.h.GlobalRanks[li] != int64(r) {
 			return fmt.Errorf("%w: segment %d lrank %d says global rank %d, mapping says %d",
 				ErrCorrupt, loc.File, li, pf.h.GlobalRanks[li], r)
@@ -232,23 +201,21 @@ func Verify(fsys fsio.FileSystem, name string) error {
 	// a present-but-unparsable one is corruption.
 	if sf.flags&flagWatermarks != 0 {
 		for k, pf := range sf.segs {
-			states, werr := loadWMStates(sf.fsys, name, k, int(pf.h.NTasksLocal))
-			if werr != nil {
-				if wfh, oerr := sf.fsys.Open(wmName(name, k)); oerr != nil {
-					continue // sidecar absent
-				} else {
-					wfh.Close()
-				}
-				return fmt.Errorf("sion: Verify %s: segment %d: %w", name, k, werr)
+			states, err := loadWMStates(sf.fsys, name, k, int(pf.h.NTasksLocal))
+			if errors.Is(err, fsio.ErrNotExist) {
+				continue // sidecar absent
+			}
+			if err != nil {
+				return fmt.Errorf("sion: Verify %s: segment %d: %w", name, k, err)
 			}
 			for li, blocks := range states {
 				bb := pf.m2.BlockBytes[li]
 				for b, c := range blocks {
-					if b >= len(bb) || c.Bytes > bb[b] {
-						got := int64(-1)
-						if b < len(bb) {
-							got = bb[b]
-						}
+					got := int64(-1) // a block metablock 2 does not record
+					if b < len(bb) {
+						got = bb[b]
+					}
+					if c.Bytes > got {
 						return fmt.Errorf("%w: segment %d task %d block %d: watermark committed %d bytes, metablock 2 records %d",
 							ErrCorrupt, k, pf.h.GlobalRanks[li], b, c.Bytes, got)
 					}
@@ -262,8 +229,8 @@ func Verify(fsys fsio.FileSystem, name string) error {
 			hdr := make([]byte, chunkHeaderSize)
 			for li := 0; li < int(pf.h.NTasksLocal); li++ {
 				for b, bytes := range pf.m2.BlockBytes[li] {
-					if _, err := pf.fh.ReadAt(hdr, pf.geo.chunkOff(li, b)); err != nil && err != io.EOF {
-						return fmt.Errorf("%w: segment %d: reading chunk header: %w", ErrCorrupt, k, err)
+					if err := readMeta(pf.fh, hdr, pf.geo.chunkOff(li, b), "chunk header"); err != nil {
+						return fmt.Errorf("sion: Verify %s: segment %d: %w", name, k, err)
 					}
 					ch, ok := parseChunkHeader(hdr)
 					if !ok {

@@ -118,11 +118,8 @@ func encodeWMCell(seq uint64, bytes int64, sealed bool) []byte {
 // parseWMCell validates one slot. ok=false covers every damaged state —
 // never-written (zero), torn mid-write, or implausible — because a torn
 // cell is an expected crash artifact, not a structural error: the caller
-// falls back to the partner slot.
+// falls back to the partner slot. buf is one whole cell.
 func parseWMCell(buf []byte) (seq uint64, bytes int64, sealed bool, ok bool) {
-	if len(buf) < wmCellSize {
-		return 0, 0, false, false
-	}
 	if crc32.ChecksumIEEE(buf[:24]) != le().Uint32(buf[24:]) {
 		return 0, 0, false, false
 	}

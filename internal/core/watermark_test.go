@@ -2,6 +2,8 @@ package sion
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -92,88 +94,93 @@ func TestWatermarkReplay(t *testing.T) {
 // so no metablock 2) and tears the newest slot of one rank's final commit
 // record. Repair must recover that rank to its previous durable watermark
 // — not fail the rank — and the result must pass Verify and read back
-// byte-identically.
+// byte-identically, with chunk headers (whose open header Repair seals
+// with the watermark's count) and without.
 func TestWatermarkTornFinalCommitRepair(t *testing.T) {
-	const n, chunk, fsblk = 3, int64(1 << 12), int64(256)
-	fsys := fsio.NewOS(t.TempDir())
-	payloads := make([][]byte, n)
-	for r := range payloads {
-		payloads[r] = rankPayload(r, 900)
-	}
-	mpi.Run(n, func(c *mpi.Comm) {
-		f, err := ParOpen(c, fsys, "crash.sion", WriteMode, &Options{
-			ChunkSize: chunk, FSBlockSize: fsblk, Watermarks: true,
+	for _, hdrs := range []bool{false, true} {
+		t.Run(fmt.Sprintf("chunkheaders=%v", hdrs), func(t *testing.T) {
+			const n, chunk, fsblk = 3, int64(1 << 12), int64(256)
+			fsys := fsio.NewOS(t.TempDir())
+			payloads := make([][]byte, n)
+			for r := range payloads {
+				payloads[r] = rankPayload(r, 900)
+			}
+			mpi.Run(n, func(c *mpi.Comm) {
+				f, err := ParOpen(c, fsys, "crash.sion", WriteMode, &Options{
+					ChunkSize: chunk, FSBlockSize: fsblk, Watermarks: true, ChunkHeaders: hdrs,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Three flushes → three commits of the open block: 300, 600, 900.
+				for i := 0; i < 3; i++ {
+					if _, err := f.Write(payloads[c.Rank()][300*i : 300*(i+1)]); err != nil {
+						t.Error(err)
+					}
+					if err := f.Flush(); err != nil {
+						t.Error(err)
+					}
+				}
+				// Crash: no Close, so no trailer and no metablock 2.
+			})
+
+			// Tear rank 0's newest commit slot (seq 3 lives in slot 1).
+			wfh, err := fsys.OpenRW(wmName("crash.sion", 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			slotOff := wmCellOff(n, 0, 0, 1)
+			probe := make([]byte, wmCellSize)
+			if _, err := wfh.ReadAt(probe, slotOff); err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+			if seq, bytes, _, ok := parseWMCell(probe); !ok || seq != 3 || bytes != 900 {
+				t.Fatalf("expected seq-3 commit of 900 bytes in slot 1, got seq=%d bytes=%d ok=%v", seq, bytes, ok)
+			}
+			if _, err := wfh.WriteAt([]byte{0xde, 0xad}, slotOff+10); err != nil {
+				t.Fatal(err)
+			}
+			wfh.Close()
+
+			if _, err := Open(fsys, "crash.sion"); err == nil {
+				t.Fatal("unclosed multifile should not open before Repair")
+			}
+			recovered, err := Repair(fsys, "crash.sion")
+			if err != nil {
+				t.Fatalf("Repair: %v", err)
+			}
+			if recovered == 0 {
+				t.Fatal("Repair recovered nothing")
+			}
+			if err := Verify(fsys, "crash.sion"); err != nil {
+				t.Fatalf("Verify after Repair: %v", err)
+			}
+			sf, err := Open(fsys, "crash.sion")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sf.Close()
+			for r := 0; r < n; r++ {
+				want := payloads[r]
+				if r == 0 {
+					want = want[:600] // recovered to the partner slot's watermark
+				}
+				if got := sf.RankBytes(r); got != int64(len(want)) {
+					t.Fatalf("rank %d: %d bytes after repair, want %d", r, got, len(want))
+				}
+				if err := sf.Seek(r, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				got, err := io.ReadAll(sf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("rank %d: recovered bytes differ", r)
+				}
+			}
 		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// Three flushes → three commits of the open block: 300, 600, 900.
-		for i := 0; i < 3; i++ {
-			if _, err := f.Write(payloads[c.Rank()][300*i : 300*(i+1)]); err != nil {
-				t.Error(err)
-			}
-			if err := f.Flush(); err != nil {
-				t.Error(err)
-			}
-		}
-		// Crash: no Close, so no trailer and no metablock 2.
-	})
-
-	// Tear rank 0's newest commit slot (seq 3 lives in slot 1).
-	wfh, err := fsys.OpenRW(wmName("crash.sion", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slotOff := wmCellOff(n, 0, 0, 1)
-	probe := make([]byte, wmCellSize)
-	if _, err := wfh.ReadAt(probe, slotOff); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if seq, bytes, _, ok := parseWMCell(probe); !ok || seq != 3 || bytes != 900 {
-		t.Fatalf("expected seq-3 commit of 900 bytes in slot 1, got seq=%d bytes=%d ok=%v", seq, bytes, ok)
-	}
-	if _, err := wfh.WriteAt([]byte{0xde, 0xad}, slotOff+10); err != nil {
-		t.Fatal(err)
-	}
-	wfh.Close()
-
-	if _, err := Open(fsys, "crash.sion"); err == nil {
-		t.Fatal("unclosed multifile should not open before Repair")
-	}
-	recovered, err := Repair(fsys, "crash.sion")
-	if err != nil {
-		t.Fatalf("Repair: %v", err)
-	}
-	if recovered == 0 {
-		t.Fatal("Repair recovered nothing")
-	}
-	if err := Verify(fsys, "crash.sion"); err != nil {
-		t.Fatalf("Verify after Repair: %v", err)
-	}
-	sf, err := Open(fsys, "crash.sion")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sf.Close()
-	for r := 0; r < n; r++ {
-		want := payloads[r]
-		if r == 0 {
-			want = want[:600] // recovered to the partner slot's watermark
-		}
-		if got := sf.RankBytes(r); got != int64(len(want)) {
-			t.Fatalf("rank %d: %d bytes after repair, want %d", r, got, len(want))
-		}
-		if err := sf.Seek(r, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(sf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("rank %d: recovered bytes differ", r)
-		}
 	}
 }
 
@@ -309,6 +316,11 @@ func FuzzDecodeWatermark(f *testing.F) {
 	le().PutUint32(hugeTasks[12:], 1<<31-1)
 	f.Add(hugeTasks)
 	f.Add(wmImage(1, 0, nil)[:wmHeaderSize-1]) // truncated header
+	badVersion := encodeWMHeader(1, 0)
+	le().PutUint32(badVersion[8:], wmVersion+1)
+	f.Add(badVersion)
+	f.Add(encodeWMHeader(1, -1))                               // negative file number
+	f.Add(wmImage(1, 0, []wmCellSpec{{0, 0, 1, 0, 10, true}})) // a cell with sequence 0
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nl, fn, states, err := decodeWatermarks(data)
 		if err != nil {
@@ -331,4 +343,40 @@ func FuzzDecodeWatermark(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCollectiveWatermarksOnFullChunks: a collective member whose bytes
+// fill its chunks exactly commits one sealed watermark per chunk and no
+// empty one after them, as metablock 2 records it, so the closed
+// multifile verifies.
+func TestCollectiveWatermarksOnFullChunks(t *testing.T) {
+	fs := simfs.New(simfs.Jugene())
+	err := sweepSim(fs, nil, func(c *mpi.Comm, fsys fsio.FileSystem) {
+		f, err := ParOpen(c, fsys, "w.sion", WriteMode, &Options{
+			ChunkSize: 512, FSBlockSize: 256, CollectorGroup: 2, Watermarks: true,
+		})
+		if err == nil {
+			_, err = f.Write(rankPayload(c.Rank(), 2*512))
+			err = errors.Join(err, f.Close())
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := fs.View(0, nil)
+	if err := Verify(v, "w.sion"); err != nil {
+		t.Fatal(err)
+	}
+	states, err := loadWMStates(v, "w.sion", 0, sweepRanks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, blocks := range states {
+		if len(blocks) != 2 || !blocks[0].Sealed || !blocks[1].Sealed || blocks[1].Bytes != 512 {
+			t.Errorf("local rank %d: watermarks %+v, want two sealed full chunks", li, blocks)
+		}
+	}
 }

@@ -175,14 +175,13 @@ func (f *osFile) ReadDiscardAt(n, off int64) (int64, error) {
 		total += int64(r)
 		n -= int64(r)
 		off += int64(r)
+		// os.File.ReadAt errs whenever it reads less than the c > 0 bytes
+		// asked for, so the loop ends at EOF or on an error.
 		if err != nil {
 			if err == io.EOF {
 				return total, nil
 			}
 			return total, mapOSErr(err)
-		}
-		if r == 0 {
-			break
 		}
 	}
 	return total, nil

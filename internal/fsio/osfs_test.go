@@ -3,6 +3,10 @@ package fsio
 import (
 	"bytes"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -56,12 +60,57 @@ func TestOSNotExist(t *testing.T) {
 	if _, err := o.Stat("missing"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("stat err = %v, want ErrNotExist", err)
 	}
+	if _, err := o.OpenRW("missing"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("OpenRW err = %v, want ErrNotExist", err)
+	}
+	if _, err := o.Create("missing/x"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("Create in a missing directory: err = %v, want ErrNotExist", err)
+	}
+}
+
+// TestMapOSErr feeds mapOSErr each errno class as an *os.PathError: each
+// gains its sentinel and keeps the errno; an unclassified one passes
+// through unchanged.
+func TestMapOSErr(t *testing.T) {
+	if mapOSErr(nil) != nil {
+		t.Fatal("nil error mapped to non-nil")
+	}
+	for _, c := range []struct {
+		errno    error
+		sentinel error // nil: passed through
+	}{
+		{fs.ErrNotExist, ErrNotExist},
+		{fs.ErrExist, ErrExist},
+		{syscall.ENOSPC, ErrQuota},
+		{syscall.EDQUOT, ErrQuota},
+		{syscall.EAGAIN, ErrTransient},
+		{syscall.EINTR, ErrTransient},
+		{syscall.EBUSY, ErrTransient},
+		{syscall.ETIMEDOUT, ErrTransient},
+		{syscall.EIO, ErrTransient},
+		{syscall.EPERM, nil},
+	} {
+		in := &os.PathError{Op: "write", Path: "p", Err: c.errno}
+		got := mapOSErr(in)
+		if !errors.Is(got, c.errno) {
+			t.Errorf("%v: mapped error %v lost the errno", c.errno, got)
+		}
+		for _, s := range []error{ErrNotExist, ErrExist, ErrQuota, ErrTransient} {
+			if errors.Is(got, s) != (s == c.sentinel) {
+				t.Errorf("%v: errors.Is(%v) = %v", c.errno, s, errors.Is(got, s))
+			}
+		}
+	}
 }
 
 func TestOSBlockSizePositive(t *testing.T) {
 	o := NewOS(t.TempDir())
 	if bs := o.BlockSize("x"); bs <= 0 || bs%512 != 0 {
 		t.Fatalf("block size = %d", bs)
+	}
+	// A directory that cannot be stat'ed falls back to 4096.
+	if bs := NewOS(filepath.Join(t.TempDir(), "missing")).BlockSize("x"); bs != 4096 {
+		t.Fatalf("block size under a missing root = %d, want 4096", bs)
 	}
 }
 
@@ -85,6 +134,14 @@ func TestOSWriteZeroAndDiscard(t *testing.T) {
 	if n != 3005 {
 		t.Fatalf("discard read %d, want 3005", n)
 	}
+	// Beyond one zero block (1 MiB) and one discard buffer (64 KiB).
+	const big = 1<<20 + 1<<16 + 7
+	if err := f.WriteZeroAt(big, 3005); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.ReadDiscardAt(big, 3005); err != nil || n != big {
+		t.Fatalf("discard read %d, %v; want %d", n, err, big)
+	}
 	// Content really is zeros.
 	b := make([]byte, 10)
 	if _, err := f.ReadAt(b, 100); err != nil {
@@ -93,6 +150,36 @@ func TestOSWriteZeroAndDiscard(t *testing.T) {
 	for _, c := range b {
 		if c != 0 {
 			t.Fatalf("non-zero byte in zero region: %v", b)
+		}
+	}
+}
+
+// TestOSHandleErrors: a write through a read-only handle and every call
+// on a closed handle return the OS error.
+func TestOSHandleErrors(t *testing.T) {
+	o := NewOS(t.TempDir())
+	f, err := o.Create("e.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	r, err := o.Open("e.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteZeroAt(10, 0); err == nil {
+		t.Error("WriteZeroAt through a read-only handle succeeded")
+	}
+	r.Close()
+	if _, err := r.Size(); err == nil {
+		t.Error("Size of a closed handle succeeded")
+	}
+	if _, err := r.ReadDiscardAt(10, 0); err == nil {
+		t.Error("ReadDiscardAt of a closed handle succeeded")
+	}
+	if v, ok := r.(VectorReaderAt); ok {
+		if _, err := v.ReadvAt([][]byte{make([]byte, 8)}, 0); err == nil {
+			t.Error("ReadvAt of a closed handle succeeded")
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fsio"
+	"repro/internal/obs"
 	"repro/internal/resil"
 	"repro/internal/simfs"
 )
@@ -55,6 +56,47 @@ func TestServeRetriesAbsorbFlakyBackend(t *testing.T) {
 	}
 	if st.GiveUps != 0 || st.Degraded != 0 || st.BreakerOpens != 0 {
 		t.Fatalf("healthy-backend run degraded: %+v", st)
+	}
+}
+
+// TestServeNopMetrics: a server on obs.Nop serves the right bytes with its
+// stats off. Every Stats counter reads zero except Retries, which the
+// retry layer counts for itself, and CachedBytes, the cache's own state.
+func TestServeNopMetrics(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	payloads := writeMultifile(t, fsys, "n.sion", 4)
+	fl := simfs.NewFlaky(simfs.FlakyConfig{Seed: 99, ReadErrProb: 0.3})
+	fl.SetEnabled(false)
+	s, err := New(fl.Wrap(fsys, nil), "n.sion", &Config{
+		CacheBytes: 1 << 20, Retry: noRealSleep(12), Metrics: obs.Nop(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fl.SetEnabled(true)
+	for pass := 0; pass < 2; pass++ { // misses, then hits
+		for r, want := range payloads {
+			h, err := s.Open(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(h)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("pass %d, rank %d: read (%d bytes, %v), want its %d bytes", pass, r, len(got), err, len(want))
+			}
+		}
+	}
+	st := s.Stats()
+	if st.Retries == 0 {
+		t.Fatalf("p=0.3 faults absorbed with zero retries: %+v", st)
+	}
+	if st.CachedBytes == 0 {
+		t.Fatalf("nothing resident after two passes: %+v", st)
+	}
+	st.Retries, st.CachedBytes = 0, 0
+	if st != (Stats{}) {
+		t.Fatalf("a Nop server counted: %+v", st)
 	}
 }
 

@@ -284,6 +284,13 @@ func TestServeOpenValidatesRank(t *testing.T) {
 	if _, err := s.Open(3); err == nil {
 		t.Fatal("Open(ntasks) accepted")
 	}
+	p := make([]byte, 8)
+	if err := s.ReadFileAt(2, p, 0, nil); err == nil {
+		t.Fatal("ReadFileAt of physical file 2 of 2 accepted")
+	}
+	if err := s.ReadFileAt(0, p, -1, nil); err == nil {
+		t.Fatal("ReadFileAt at a negative offset accepted")
+	}
 }
 
 func TestServeCloseRejectsReads(t *testing.T) {
@@ -331,6 +338,12 @@ func TestServeSeekWhence(t *testing.T) {
 	if _, err := h.Seek(-1, io.SeekStart); err == nil {
 		t.Fatal("negative Seek accepted")
 	}
+	if pos, err := h.Seek(-20, io.SeekCurrent); err != nil || pos != int64(len(want))-20 {
+		t.Fatalf("SeekCurrent back 20 from the end: (%d, %v)", pos, err)
+	}
+	if _, err := h.Seek(0, 3); err == nil {
+		t.Fatal("whence 3 accepted")
+	}
 }
 
 // TestResolveConfigBlockRule pins the default cache block: the smallest
@@ -376,6 +389,10 @@ func TestResolveConfigBlockRule(t *testing.T) {
 		if c := resolveConfig(&Config{CacheBytes: tc.cache, Shards: tc.shards}, 4<<10, fsio.Capabilities{}); c.Shards != tc.want {
 			t.Errorf("%d-byte budget of 32 KiB blocks, %d shards asked for: %d shards, want %d", tc.cache, tc.shards, c.Shards, tc.want)
 		}
+	}
+	// A backend's preferred request size is the default span gap.
+	if c := resolveConfig(nil, 4<<10, fsio.Capabilities{PreferredRequestBytes: 1 << 20}); c.MaxSpanGap != 1<<20 {
+		t.Errorf("span gap %d under a 1 MiB preferred request, want 1 MiB", c.MaxSpanGap)
 	}
 }
 

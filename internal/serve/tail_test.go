@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -341,6 +343,49 @@ func TestServeClosedPollIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	poll("closed")
+}
+
+// TestServeLivePollErrors: a live server's Poll surfaces a sidecar that
+// no longer parses, and after Close returns ErrServerClosed.
+func TestServeLivePollErrors(t *testing.T) {
+	dir := t.TempDir()
+	fsys := fsio.NewOS(dir)
+	mpi.Run(2, func(c *mpi.Comm) {
+		f, err := sion.ParOpen(c, fsys, "l.sion", sion.WriteMode, &sion.Options{
+			ChunkSize: 1024, FSBlockSize: 256, Watermarks: true,
+		})
+		if err == nil {
+			_, err = f.Write(testPayload(c.Rank(), 300))
+		}
+		if err == nil {
+			err = f.Flush() // committed; the writer stops before Close
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	s, err := New(fsys, "l.sion", &Config{CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Layout().Final() {
+		t.Fatal("an unclosed multifile loaded final")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "l.sion.wmk"), []byte("damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Poll(); !errors.Is(err, sion.ErrCorrupt) {
+		t.Fatalf("Poll over a damaged sidecar: %v, want ErrCorrupt", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Poll(); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Poll after Close: %v, want ErrServerClosed", err)
+	}
 }
 
 // TestServeTailFollowBlocksUntilData: a reader that stops at the watermark

@@ -198,11 +198,9 @@ func (o *ObjStore) getRange(n int64, sleep func(float64)) {
 
 // putRange commits [off, end) of the named object: one PUT per touched
 // part-grid region, upgraded to a staged copy (GET + PUT) for regions
-// some earlier flush already sealed. First touch seals the region.
+// some earlier flush already sealed. First touch seals the region. Both
+// callers pass a non-empty range.
 func (o *ObjStore) putRange(name string, off, end int64, sleep func(float64)) {
-	if end <= off {
-		return
-	}
 	p := o.prof.PartBytes
 	first, last := off/p, (end-1)/p
 	var puts, copies int64

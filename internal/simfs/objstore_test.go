@@ -2,6 +2,7 @@ package simfs
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/fsio"
@@ -77,6 +78,60 @@ func TestObjStoreWriteLedger(t *testing.T) {
 	if got.Puts-base.Puts != 2 || got.Copies != base.Copies {
 		t.Fatalf("seam flush: %+v (base %+v), want 2 PUTs", got, base)
 	}
+
+	// An empty write sends nothing. Truncate is one staged copy and
+	// forgets the parts past the cut: rewriting part 2 is a plain PUT.
+	fh, err = fs.OpenRW("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base = obj.Stats()
+	if _, err := fh.WriteAt(nil, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Truncate(2048); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fh.WriteAt(buf, 2048); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got = obj.Stats()
+	if got.Copies-base.Copies != 1 || got.Puts-base.Puts != 2 {
+		t.Fatalf("truncate and rewrite: %+v (base %+v), want 1 copy and 1 PUT", got, base)
+	}
+	if err := fh.Truncate(0); err == nil {
+		t.Fatal("Truncate through a closed handle succeeded")
+	}
+	if err := fs.Remove("missing"); !errors.Is(err, fsio.ErrNotExist) {
+		t.Fatalf("Remove of a missing object: %v", err)
+	}
+}
+
+// TestObjStoreRequestTime: with a per-request round trip, each request
+// the wrap bills sleeps it — a Truncate's staged copy two of them.
+func TestObjStoreRequestTime(t *testing.T) {
+	prof := testObjProfile()
+	prof.RequestSecs = 0.5
+	obj := NewObjStore(prof)
+	var slept float64
+	fs := obj.Wrap(fsio.NewOS(t.TempDir()), func(s float64) { slept += s })
+	fh, err := fs.Create("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	if slept != 0.5 {
+		t.Fatalf("create slept %g s, want one round trip", slept)
+	}
+	if err := fh.Truncate(4096); err != nil {
+		t.Fatal(err)
+	}
+	if slept != 1.5 {
+		t.Fatalf("create and truncate slept %g s, want three round trips", slept)
+	}
 }
 
 func TestObjStoreReadLedger(t *testing.T) {
@@ -108,6 +163,17 @@ func TestObjStoreReadLedger(t *testing.T) {
 	}
 	if got := obj.Stats(); got.Gets-base.Gets != 3 {
 		t.Fatalf("ranged read: %+v (base %+v), want 3 GETs", got, base)
+	}
+	// A read past the end, or of no bytes, still costs one GET.
+	base = obj.Stats()
+	if _, err := rh.ReadAt(make([]byte, 8), 20000); err == nil {
+		t.Fatal("read past the end returned no error")
+	}
+	if _, err := rh.ReadAt(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := obj.Stats(); got.Gets-base.Gets != 2 {
+		t.Fatalf("reads past the end and of no bytes: %+v (base %+v), want 2 GETs", got, base)
 	}
 }
 

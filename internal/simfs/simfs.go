@@ -439,11 +439,9 @@ func (f *file) truncateTo(size int64) {
 	}
 }
 
-// addExtent records [off,end) as allocated and returns newly allocated bytes.
+// addExtent records [off,end) as allocated and returns newly allocated
+// bytes. The range is not empty: writeCommon returns early on n == 0.
 func (f *file) addExtent(off, end int64) int64 {
-	if end <= off {
-		return 0
-	}
 	// Find overlap window.
 	es := f.extents
 	i := sort.Search(len(es), func(i int) bool { return es[i].end >= off })
@@ -517,9 +515,6 @@ func (h *handle) writeCommon(n, off int64) error {
 	}
 	fs, f := h.v.fs, h.f
 	f.writeReqs++
-	if f.writerSet == nil {
-		f.writerSet = make(map[int]bool)
-	}
 	f.writerSet[h.v.task] = true
 	fs.used += f.addExtent(off, off+n)
 	if fs.volatile {
@@ -580,9 +575,6 @@ func (h *handle) beginRead(n, off int64) (int64, bool) {
 	h.v.fs.readMu.Lock()
 	defer h.v.fs.readMu.Unlock()
 	h.f.readReqs++
-	if h.f.readerSet == nil {
-		h.f.readerSet = make(map[int]bool)
-	}
 	h.f.readerSet[h.v.task] = true
 	return h.clampRead(n, off)
 }

@@ -50,6 +50,29 @@ func TestReadUnwrittenIsZero(t *testing.T) {
 	if b[0] != 0 || b[1] != 0 || b[2] != 0 {
 		t.Fatalf("unwritten read = %v", b)
 	}
+	// A simulated read of a file that only Truncate extended (no file
+	// has received writes yet) costs what a read of a written file does.
+	// A fast client link leaves the file's token to bound the read.
+	readTime := func(extend func(f fsio.File)) float64 {
+		prof := Jugene()
+		prof.ClientBW = 1e18
+		var took float64
+		runTasks(New(prof), 1, func(i int, v *View, p *vtime.Proc) {
+			f, _ := v.Create("t")
+			extend(f)
+			p.AdvanceTo(phaseStart)
+			if _, err := f.ReadDiscardAt(1<<20, 0); err != nil {
+				t.Error(err)
+			}
+			took = p.Now() - phaseStart
+		})
+		return took
+	}
+	truncated := readTime(func(f fsio.File) { f.Truncate(1 << 20) })
+	written := readTime(func(f fsio.File) { f.WriteZeroAt(1<<20, 0) })
+	if truncated != written || truncated <= 0 {
+		t.Fatalf("read of a truncated file took %g s, of a written one %g s", truncated, written)
+	}
 }
 
 func TestReadPastEOF(t *testing.T) {
@@ -72,8 +95,18 @@ func TestReadPastEOF(t *testing.T) {
 
 func TestOpenMissing(t *testing.T) {
 	fs := New(Jugene())
-	if _, err := serialView(fs).Open("nope"); !errors.Is(err, fsio.ErrNotExist) {
+	v := serialView(fs)
+	if _, err := v.Open("nope"); !errors.Is(err, fsio.ErrNotExist) {
 		t.Fatalf("err = %v", err)
+	}
+	if _, err := v.Stat("nope"); !errors.Is(err, fsio.ErrNotExist) {
+		t.Fatalf("Stat err = %v", err)
+	}
+	if err := v.Remove("nope"); !errors.Is(err, fsio.ErrNotExist) {
+		t.Fatalf("Remove err = %v", err)
+	}
+	if _, ok := fs.Stats("nope"); ok {
+		t.Fatal("Stats of a missing file reported one")
 	}
 }
 
@@ -109,6 +142,17 @@ func TestRemove(t *testing.T) {
 	if _, err := f.ReadAt(make([]byte, 1), 0); err == nil {
 		t.Fatal("read through removed file's handle succeeded")
 	}
+	// A simulated task pays the unlink.
+	runTasks(fs, 1, func(i int, v *View, p *vtime.Proc) {
+		v.Create("y")
+		before := p.Now()
+		if err := v.Remove("y"); err != nil {
+			t.Error(err)
+		}
+		if got := p.Now() - before; got < fs.prof.RemoveCost {
+			t.Errorf("remove took %g s of virtual time, want at least %g", got, fs.prof.RemoveCost)
+		}
+	})
 }
 
 func TestExtentAccounting(t *testing.T) {
@@ -122,6 +166,10 @@ func TestExtentAccounting(t *testing.T) {
 	f.WriteZeroAt(950, 50) // bridges the gap: [0,1100)
 	if fs.UsedBytes() != 1100 {
 		t.Fatalf("used = %d, want 1100", fs.UsedBytes())
+	}
+	f.WriteAt(nil, 5000) // an empty write allocates nothing
+	if fs.UsedBytes() != 1100 {
+		t.Fatalf("used after an empty write = %d, want 1100", fs.UsedBytes())
 	}
 	if err := f.Truncate(500); err != nil {
 		t.Fatal(err)
@@ -392,6 +440,42 @@ func TestStripingOverride(t *testing.T) {
 	if got := fs.files["e/narrow"].stripeCount; got != 4 {
 		t.Fatalf("narrow stripes = %d (want default 4)", got)
 	}
+	// A profile whose default stripes over more servers than it has
+	// costs what striping over all of them does.
+	writeTime := func(stripes int) float64 {
+		prof := Jaguar()
+		prof.DefaultStripeCount = stripes
+		return runTasks(New(prof), 2, func(i int, v *View, p *vtime.Proc) {
+			f, _ := v.Create("f" + itoa(i))
+			f.WriteZeroAt(64<<20, 0)
+		})
+	}
+	if all := Jaguar().NServers; writeTime(2*all) != writeTime(all) {
+		t.Fatalf("a default stripe count beyond the %d servers is not capped", all)
+	}
+}
+
+// TestReadScaleFloor: however much of a file the client caches hold, a
+// read is at most 20 times faster than the servers' bandwidth. The client
+// link is made fast enough that the servers bound the read.
+func TestReadScaleFloor(t *testing.T) {
+	readTime := func(boost float64) float64 {
+		prof := Jaguar()
+		prof.CacheBoost = boost
+		prof.ClientBW = 1e18
+		var took float64
+		runTasks(New(prof), 1, func(i int, v *View, p *vtime.Proc) {
+			f, _ := v.Create("f")
+			f.WriteZeroAt(64<<20, 0)
+			p.AdvanceTo(phaseStart)
+			f.ReadDiscardAt(64<<20, 0)
+			took = p.Now() - phaseStart
+		})
+		return took
+	}
+	if floor, below := readTime(0.999), readTime(0.9999); floor != below || floor <= 0 {
+		t.Fatalf("reads at cache boosts 0.999 and 0.9999 took %g and %g s, want the same floor", floor, below)
+	}
 }
 
 // Wider striping must buy a single file more bandwidth (Fig. 4b mechanism).
@@ -428,6 +512,13 @@ func TestWiderStripingFasterSingleFile(t *testing.T) {
 	narrow, wide := elapsed(4), elapsed(64)
 	if wide > narrow/4 {
 		t.Fatalf("64-OST stripe %.2fs vs 4-OST %.2fs: want ≥4x speedup", wide, narrow)
+	}
+	// SetStriping clamps the count to 1..NServers.
+	if zero, one := elapsed(0), elapsed(1); zero != one {
+		t.Fatalf("stripe count 0 took %.2fs, count 1 %.2fs: want the same", zero, one)
+	}
+	if all := Jaguar().NServers; elapsed(10*all) != elapsed(all) {
+		t.Fatalf("a stripe count beyond the %d servers is not clamped", all)
 	}
 }
 
