@@ -166,6 +166,20 @@ func uniformStream(seed uint64) []replayRequest {
 	return out
 }
 
+// zipfLargeStream is skewed traffic of windows an FS block or more: ranks
+// of zipf(1.1) popularity, windows log-uniform in 4–64 KiB at uniform
+// offsets. A full shard decides on each window's blocks by frequency, so
+// this stream is what admission exists for: its hot ranks should stay.
+func zipfLargeStream(seed uint64) []replayRequest {
+	r := &splitmix{s: seed}
+	out := make([]replayRequest, admissionRequests)
+	for i := range out {
+		n := r.logUniform(4<<10, 64<<10)
+		out[i] = replayRequest{r.zipfRank(admissionRanks, 1.1), r.intn(admissionPerRank - n + 1), n}
+	}
+	return out
+}
+
 // zipfBurstStream is tab6's: clients of zipf(1.2)-popular ranks, each four
 // 2 KiB windows of its rank; every 16th client then streams the whole
 // rank in 64 KiB reads.
@@ -398,7 +412,7 @@ func servingTable(t *testing.T, ablate func(*serve.Config)) string {
 		for _, s := range []struct {
 			name   string
 			stream []replayRequest
-		}{{"uniform-", uniformStream(seed)}, {"zipf-burst-", zipfBurstStream(seed)}} {
+		}{{"uniform-", uniformStream(seed)}, {"zipf-large-", zipfLargeStream(seed)}, {"zipf-burst-", zipfBurstStream(seed)}} {
 			st := serverStack(t, fsys, "admission.sion", serve.Config{CacheBytes: admissionCache, Shards: 2}, ablate)
 			c := replay(t, st, admissionRanks, admissionPerRank, false, s.stream, nil)
 			fmt.Fprintln(&b, servingRow(fmt.Sprint(s.name, seed), "server", len(s.stream), c))
@@ -410,7 +424,7 @@ func servingTable(t *testing.T, ablate func(*serve.Config)) string {
 // TestServingReplay replays the ladder's four workloads (ladderSpecs,
 // each after a warm scan) through one server, a 3-node cluster splitting
 // its cache, and the same cluster with one node leaving and rejoining
-// mid-stream, and two seeded admission streams through a small server,
+// mid-stream, and three seeded admission streams through a small server,
 // all sequentially on fsio.OS. It compares what each stack did with
 // testdata/serving.golden exactly: per 1k requests the block-lookup hit
 // ratio, runs (node calls; a server's are the layout's pieces), backend
