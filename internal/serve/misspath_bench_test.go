@@ -18,7 +18,10 @@ import (
 // (…/pread), the miss path's ceiling. Two request mixes:
 //
 //   - 4–64 KiB windows over a file eight times the cache, through one
-//     server (…/serve);
+//     server (…/serve), and the same windows each inside the chunk of a
+//     rank of zipf(1.1) popularity (…/skew/serve): skewed traffic a full
+//     cache must tell apart from uniform traffic, so its evictions per
+//     lookup and hit ratio are the admission rule's;
 //   - 256 KiB–1 MiB windows over a file four times the cache, the ladder's
 //     ckpt-large shape (…/large/…), through one server and through a
 //     3-node cluster splitting that cache (…/large/cluster). Their misses
@@ -116,15 +119,38 @@ func BenchmarkMissPath(b *testing.B) {
 	}
 
 	const smallHi = 64 << 10
-	small := requests(size, 4<<10, smallHi)
-	b.Run("serve", func(b *testing.B) {
-		s, err := serve.New(vfs, "m.sion", &serve.Config{CacheBytes: size / 8})
-		if err != nil {
-			b.Fatal(err)
+	// inChunks draws the 4–64 KiB mix inside one rank's chunk and moves
+	// each window into the chunk of a rank rank() draws, from the layout:
+	// m.sion's chunks are its 512 KiB ranks.
+	lay, err := serve.New(vfs, "m.sion", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inChunks := func(rank func() int) []request {
+		reqs := requests(512<<10, 4<<10, smallHi)
+		for i := range reqs {
+			reqs[i].off += lay.Layout().RankBlocks(rank())[0].Off
 		}
-		defer s.Close()
-		serveCase(b, small, smallHi, func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }, func() (serve.Stats, int64) { return s.Stats(), 0 })
-	})
+		return reqs
+	}
+	ranks, zipf := rand.New(rand.NewSource(51)), rand.NewZipf(rand.New(rand.NewSource(55)), 1.1, 1, 15)
+	cold := inChunks(func() int { return ranks.Intn(16) })
+	skew := inChunks(func() int { return int(zipf.Uint64()) })
+	lay.Close()
+
+	smallServe := func(reqs []request) func(b *testing.B) {
+		return func(b *testing.B) {
+			s, err := serve.New(vfs, "m.sion", &serve.Config{CacheBytes: size / 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			serveCase(b, reqs, smallHi, func(p []byte, off int64) error { return s.ReadFileAt(0, p, off, nil) }, func() (serve.Stats, int64) { return s.Stats(), 0 })
+		}
+	}
+	small := requests(size, 4<<10, smallHi)
+	b.Run("serve", smallServe(small))
+	b.Run("skew/serve", smallServe(skew))
 	b.Run("pread", func(b *testing.B) { preadCase(b, "m.sion", small, smallHi) })
 
 	const largeHi = 1 << 20
@@ -150,17 +176,6 @@ func BenchmarkMissPath(b *testing.B) {
 	})
 	b.Run("large/pread", func(b *testing.B) { preadCase(b, "m.sion", large, largeHi) })
 
-	// The chunk of each window's rank, from the layout: m.sion's chunks
-	// are its 512 KiB ranks.
-	lay, err := serve.New(vfs, "m.sion", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cold, ranks := requests(512<<10, 4<<10, smallHi), rand.New(rand.NewSource(51))
-	for i := range cold {
-		cold[i].off += lay.Layout().RankBlocks(ranks.Intn(16))[0].Off
-	}
-	lay.Close()
 	b.Run("cold/cluster", func(b *testing.B) {
 		const nodes = 3
 		cl := cluster.New(nil)
