@@ -1,6 +1,7 @@
 package sion
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -197,8 +198,8 @@ func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64
 
 	// Parse the files this reader is the lowest reader of, and fan the
 	// records out (sends are eager, so all parsers send before anyone
-	// blocks in Recv below). cause keeps this reader's own first failure,
-	// which only it can return: the others see a status.
+	// blocks in Recv below). cause keeps this reader's first failure: its
+	// own parse, or below, the status a parser sent it or its own open.
 	var cause error
 	for sec := plan[planHdr+plan[6]+plan[7]:]; len(sec) > 0; {
 		k, n := int(sec[0]), int(sec[1])
@@ -223,6 +224,9 @@ func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64
 	for _, p := range parsers {
 		vals := decodeInt64s(comm.Recv(int(p), tagMappedMeta))
 		recs, derr := decodeMappedMeta(vals, ntasks, nfiles)
+		if derr != nil && cause == nil {
+			cause = fmt.Errorf("sion: %s %s: metadata exchange failed: %w", op, name, derr)
+		}
 		if derr != nil || metaFailed {
 			metaFailed = true
 			continue
@@ -275,7 +279,7 @@ func openMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, claim []int64
 		if cause != nil {
 			return nil, cause
 		}
-		return nil, fmt.Errorf("sion: %s %s: metadata exchange failed (corrupt or missing segment)", op, name)
+		return nil, fmt.Errorf("sion: %s %s: %w: a segment's ranks disagree with file 0's mapping", op, name, ErrCorrupt)
 	}
 	for _, h := range mf.handles {
 		h.initStaging(o.BufferSize)
@@ -398,18 +402,29 @@ type mappedRankMeta struct {
 	blockBytes    []int64
 }
 
+// The status of a metadata message: the segment's records follow, the
+// parser could not read the segment, or it read damage (ErrCorrupt).
+const (
+	metaOK = iota
+	metaFailed
+	metaCorrupt
+)
+
 // encodeMappedMeta builds the metadata message the parser of file k sends
 // one reader: [status, filenum, nrec, then per local rank li in lis: g, li,
 // chunkSize, start, stride, aligned, prefix, nblocks, blockBytes...]. A
-// load error becomes a bare failure status.
+// load error becomes a bare status, metaCorrupt if it wraps ErrCorrupt.
 func encodeMappedMeta(pf *physFile, lerr error, k int, lis []int64) []int64 {
-	if lerr != nil {
-		return []int64{1, int64(k), 0}
+	switch {
+	case errors.Is(lerr, ErrCorrupt):
+		return []int64{metaCorrupt, int64(k), 0}
+	case lerr != nil:
+		return []int64{metaFailed, int64(k), 0}
 	}
-	vals := []int64{0, int64(k), int64(len(lis))}
+	vals := []int64{metaOK, int64(k), int64(len(lis))}
 	for _, li := range lis {
 		if li >= int64(pf.h.NTasksLocal) {
-			return []int64{2, int64(k), 0} // mapping points outside the segment
+			return []int64{metaCorrupt, int64(k), 0} // mapping points outside the segment
 		}
 		bb := pf.m2.BlockBytes[li]
 		vals = append(vals, pf.h.GlobalRanks[li], li, pf.h.ChunkSizes[li],
@@ -423,11 +438,16 @@ func encodeMappedMeta(pf *physFile, lerr error, k int, lis []int64) []int64 {
 // decodeMappedMeta parses one metadata message for a multifile of ntasks
 // tasks in nfiles physical files, validating every field so a malformed
 // frame yields ErrCorrupt instead of a panic or a handle with wild offsets.
+// A parser that could not read its segment is a failure, not ErrCorrupt.
 func decodeMappedMeta(vals []int64, ntasks, nfiles int) ([]mappedRankMeta, error) {
 	if len(vals) < 3 {
 		return nil, fmt.Errorf("%w: mapped metadata message truncated (%d words)", ErrCorrupt, len(vals))
 	}
-	if vals[0] != 0 {
+	switch vals[0] {
+	case metaOK:
+	case metaFailed:
+		return nil, fmt.Errorf("its parser could not read segment %d", vals[1])
+	default:
 		return nil, fmt.Errorf("%w: mapped metadata status %d for segment %d", ErrCorrupt, vals[0], vals[1])
 	}
 	if vals[1] < 0 || vals[1] >= int64(nfiles) {

@@ -683,12 +683,13 @@ func (f *File) EOF() bool {
 }
 
 // Seek positions the read cursor at (block, pos) within this task's
-// logical file.
+// logical file. The start, (0, 0), is a position of every stream, also of
+// a task that metablock 2 records with no block.
 func (f *File) Seek(block int, pos int64) error {
 	if err := f.checkOpen(ReadMode); err != nil {
 		return err
 	}
-	if block < 0 || block >= len(f.readBytes) || pos < 0 || pos > f.readBytes[block] {
+	if (block != 0 || pos != 0) && (block < 0 || block >= len(f.readBytes) || pos < 0 || pos > f.readBytes[block]) {
 		return fmt.Errorf("sion: %s: Seek(%d,%d) outside recorded data", f.name, block, pos)
 	}
 	f.curBlock, f.pos = block, pos

@@ -3,6 +3,7 @@ package sion
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -227,6 +228,58 @@ func TestReadSeekOutsideRecordedData(t *testing.T) {
 	}
 	if err := sf.Seek(0, 0, 6); err == nil {
 		t.Fatal("seek beyond recorded bytes accepted")
+	}
+}
+
+// TestEmptyTaskReadsAsEmpty: a task that metablock 2 records with no
+// block passes Verify, and every reader starts at its stream's start:
+// ReadRank returns nothing for it, Split writes an empty file and Defrag
+// an empty chunk, and the other tasks keep their bytes.
+func TestEmptyTaskReadsAsEmpty(t *testing.T) {
+	src := &memFS{files: map[string][]byte{"f.sion": remeta(t, seedMultifile(t, false), func(h *header, m *meta2) {
+		m.BlockBytes[1] = nil
+	})}}
+	want := [][]byte{rankPayload(0, 150), nil, rankPayload(2, 230)}
+	if err := Verify(src, "f.sion"); err != nil {
+		t.Fatal(err)
+	}
+	out := fsio.NewOS(t.TempDir())
+	if err := Split(src, "f.sion", out, "r%d", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := Defrag(src, "f.sion", out, "d.sion"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"f.sion", "d.sion"} {
+		fsys := fsio.FileSystem(src)
+		if name == "d.sion" {
+			fsys = out
+		}
+		sf, err := Open(fsys, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, w := range want {
+			if got, err := sf.ReadRank(r); err != nil || !bytes.Equal(got, w) {
+				t.Errorf("%s: ReadRank(%d) = %d bytes, %v; want %d bytes", name, r, len(got), err, len(w))
+			}
+		}
+		if err := sf.Seek(1, 0, 1); err == nil {
+			t.Errorf("%s: seek past an empty task's start accepted", name)
+		}
+		sf.Close()
+	}
+	for r, w := range want {
+		fh, err := out.Open(fmt.Sprintf("r%d", r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(w)+1)
+		n, _ := fh.ReadAt(got, 0)
+		fh.Close()
+		if !bytes.Equal(got[:n], w) {
+			t.Errorf("Split rank %d: %d bytes, want %d", r, n, len(w))
+		}
 	}
 }
 

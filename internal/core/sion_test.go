@@ -611,19 +611,25 @@ func TestParOpenReadRejects(t *testing.T) {
 	src := parImages(t, 4, Options{ChunkSize: 256, FSBlockSize: 128, NFiles: 2})
 	for _, c := range []struct {
 		name, file string
-		edit       func(h *header, m *meta2)
-		fails      [4]bool // ranks 2 and 3 live in file 1; rank 2 parses it
+		edit       func(h *header, m *meta2) // nil: the file is missing
+		fails      [4]bool                   // ranks 2 and 3 live in file 1; rank 2 parses it
+		corrupt    bool                      // every failing rank's error wraps ErrCorrupt, or none does
 	}{
 		{"segment disagrees on the task count", "f.sion.000001",
-			func(h *header, m *meta2) { h.NTasksGlobal = 5 }, [4]bool{false, false, true, true}},
+			func(h *header, m *meta2) { h.NTasksGlobal = 5 }, [4]bool{false, false, true, true}, true},
 		{"mapping beyond its segment", "f.sion",
-			func(h *header, m *meta2) { h.Mapping[3].LocalRank = 3 }, [4]bool{false, false, false, true}},
+			func(h *header, m *meta2) { h.Mapping[3].LocalRank = 3 }, [4]bool{false, false, false, true}, true},
+		{"segment missing", "f.sion.000001", nil, [4]bool{false, false, true, true}, false},
 	} {
 		files := map[string][]byte{}
 		for n, b := range src {
 			files[n] = b
 		}
-		files[c.file] = remeta(t, files[c.file], c.edit)
+		if c.edit == nil {
+			delete(files, c.file)
+		} else {
+			files[c.file] = remeta(t, files[c.file], c.edit)
+		}
 		var errs [4]error
 		mpi.Run(4, func(cm *mpi.Comm) {
 			f, err := ParOpen(cm, &memFS{files: files}, "f.sion", ReadMode, nil)
@@ -635,9 +641,9 @@ func TestParOpenReadRejects(t *testing.T) {
 			if (err != nil) != c.fails[r] {
 				t.Errorf("%s: rank %d: ParOpen = %v", c.name, r, err)
 			}
-		}
-		if c.fails[2] && !errors.Is(errs[2], ErrCorrupt) {
-			t.Errorf("%s: the parser's error %v is not ErrCorrupt", c.name, errs[2])
+			if err != nil && errors.Is(err, ErrCorrupt) != c.corrupt {
+				t.Errorf("%s: rank %d: ParOpen = %v; wraps ErrCorrupt: %v, want %v", c.name, r, err, !c.corrupt, c.corrupt)
+			}
 		}
 	}
 }
