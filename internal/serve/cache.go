@@ -25,11 +25,12 @@ import (
 // kernel's direct map does. A frame need not hold its whole block: an
 // entry's valid range [lo, hi) is what its fills read, and a lookup hits
 // only inside it; a re-fill extends the range in place where it can,
-// reading only the bytes the frame lacks. A block enters through acquire,
-// which a reader that missed calls once per block under one hold of the
-// shard lock: it copies the bytes out if they are resident by now, reports
-// another reader's pending entry for the block, or reserves a pending entry
-// for the caller — it evicts the LRU tail to make room and enters a vacated
+// reading only the bytes the frame lacks. A request's cache pass visits
+// each of its blocks once, through acquire, under one hold of the shard
+// lock: it copies the bytes out if they are resident, or pins the frame
+// for a copy the fetch may make unnecessary (fetch.go); reports another
+// reader's pending entry for the block; or reserves a pending entry for
+// the caller — it evicts the LRU tail to make room and enters a vacated
 // slot in the map, a frame the miss path reads the backend straight into
 // and no lookup copies from. commit makes it resident, abort drops it, and
 // both wake the readers waiting for it. Because frames are rewritten, no
@@ -38,21 +39,24 @@ import (
 // on a shard cost serve-hot 9 %) with the entry pinned; a reservation
 // passes over a vacated slot that is still pinned, which waits on the free
 // list until its readers are done, since its frame is part of a slab that
-// cannot be given back piecemeal. pin takes the pin without the copy, for a
-// reader that may not need it (fetch.go).
+// cannot be given back piecemeal.
 //
-// A full shard admits by frequency (TinyLFU: Einziger et al., ACM ToS
+// A full shard admits on evidence (TinyLFU: Einziger et al., ACM ToS
 // 2017). From its first eviction on, a shard counts the hits and misses of
 // each key (freqSketch), and a miss of a window of an FS block or more that
-// would evict admits its block only if it was asked for more often than the
-// LRU tail; otherwise it is read around the cache, straight into the
-// reader's buffer — no frame, no eviction, no copy-out. An admitted block
-// enters at the LRU tail, so a one-off fill is the next victim, and moves
-// to the front on its first hit. Under uniform reads over data several
-// times the cache (ckpt-large, serve-cold) most blocks are never asked for
-// again. A smaller window is always admitted, at the front: the backend
-// reads its whole FS block anyway (fillRange), and the next small window
-// of the block should find it. A shard with room admits every miss.
+// would evict admits its block only if it was asked for more than twice as
+// often as the LRU tail (freqSketch.admits); otherwise it is read around
+// the cache, straight into the reader's buffer — no frame, no eviction, no
+// copy-out. Under uniform reads over data several times the cache
+// (ckpt-large, serve-cold) most blocks are never asked for again, and a
+// sketch's collisions rate such a block above the tail now and then: a
+// bare majority admitted them (87 evictions per 1k requests on serve-cold's
+// replay row, 27 now), and on the ladder a block read around costs less
+// than one filled, copied out and evicted. An admitted block enters at the
+// LRU tail, so a one-off fill is the next victim, and moves to the front
+// on its first hit. A smaller window is always admitted, at the front: the
+// backend reads its whole FS block anyway (fillRange), and the next small
+// window of the block should find it. A shard with room admits every miss.
 
 // blockKey identifies one cache block.
 type blockKey struct {
@@ -96,10 +100,11 @@ type cacheShard struct {
 }
 
 type blockCache struct {
-	shards []cacheShard
-	mask   uint64
-	budget int64    // the shards' budgets summed: what the slabs may take
-	ab     ablation // the sketch's shape (freqSketch.init), and whole fills (fillRange)
+	shards  []cacheShard
+	mask    uint64
+	budget  int64    // the shards' budgets summed: what the slabs may take
+	ab      ablation // the sketch's shape (freqSketch.init)
+	fsBlock int64    // a first fill reads the FS blocks its window touches (fillRange); 0: its whole block
 
 	// slabMu guards the frame source: slab is the current slab's part not
 	// yet carved into frames, and taken counts the bytes of every slab and
@@ -193,37 +198,28 @@ func (e *cacheEntry) covers(dst []byte, from int64) bool {
 
 // copyOut reports whether block k holds the len(dst) bytes at offset from
 // and, if so, copies them into dst and marks the block most recently used.
-// si is the key's shard index, which the read path has hashed for its
-// metrics.
+// si is the key's shard index.
 func (c *blockCache) copyOut(si int, k blockKey, dst []byte, from int64) bool {
-	s := &c.shards[si]
-	s.mu.Lock()
-	if e, ok := s.items[k]; ok && e.covers(dst, from) {
-		s.hit(e, dst, from)
-		return true
+	s, _ := c.lookup(si, k, dst, from)
+	if s != nil {
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-	return false
+	return s == nil
 }
 
-// pin is copyOut for a copy that may not be needed: if block k holds the
-// len(dst) bytes at offset from, it counts and moves the block as copyOut
-// does but copies nothing, and pins its frame instead. It returns the
-// entry and the frame from offset from, which the caller may copy from
-// until it calls e.unpin; on a miss it returns nil.
-func (c *blockCache) pin(si int, k blockKey, dst []byte, from int64) (*cacheEntry, []byte) {
+// lookup is copyOut for a read's cache pass, which settles a block it
+// misses in the same visit: on a miss it returns the shard, still locked,
+// and what its map holds for k (nil: nothing), for claimMiss. si is the
+// key's shard index, which the read path has hashed for its metrics.
+func (c *blockCache) lookup(si int, k blockKey, dst []byte, from int64) (*cacheShard, *cacheEntry) {
 	s := &c.shards[si]
 	s.mu.Lock()
-	e, ok := s.items[k]
-	if !ok || !e.covers(dst, from) {
-		s.mu.Unlock()
+	e := s.items[k]
+	if e != nil && e.covers(dst, from) {
+		s.hit(e, dst, from)
 		return nil, nil
 	}
-	s.touch(e)
-	e.readers.Add(1) // under the lock: a reserve that sees zero readers has none
-	src := e.data[from:]
-	s.mu.Unlock()
-	return e, src
+	return s, e
 }
 
 // unpin ends a pin: the slot's frame may be recycled again.
@@ -256,34 +252,62 @@ func (s *cacheShard) hit(e *cacheEntry, dst []byte, from int64) {
 	e.unpin()
 }
 
-// claim is what acquire found for a block a reader missed.
+// claim is what acquire found for a block.
 type claim int
 
 const (
-	claimHit    claim = iota // resident by now: dst holds the bytes
+	claimHit    claim = iota // resident: dst holds the bytes
+	claimPinned              // resident and pinned: the fill is the entry and its frame from the window's offset
 	claimMine                // a pending entry the caller fills, then commits or aborts
 	claimWait                // another reader is filling the block: wait, then acquire again
-	claimAround              // declined by a full shard: the caller reads the block into dst itself
+	claimAround              // declined by a full shard, or past top: the caller reads the block into dst itself
 )
 
-// acquire settles block k for a reader that missed it and wants its bytes
-// [from, from+len(dst)), under one hold of the shard lock. It copies them
-// out if they are resident by now; returns claimWait if another reader's
-// pending entry holds the block; returns claimAround, with dst as the
-// fill, if the reader may read around the cache (around: its window is at
-// least an FS block) and the shard, which would have to evict, has been
-// asked for the block no more often than for its LRU tail; and otherwise
-// returns a pending n-byte entry for the caller and the part of its frame
-// the caller's backend read fills.
+// acquire settles block k for a reader that wants its bytes [from,
+// from+len(dst)), under one hold of the shard lock. If they are resident
+// it copies them out, or with pin set counts and moves the block as a copy
+// would but pins its frame instead: the fill's entry and frame from offset
+// from, which the caller may copy from until it calls e.unpin. Otherwise
+// claimMiss settles the miss. base is where the n-byte block starts in its
+// file and top where its committed bytes end, from its start.
+func (c *blockCache) acquire(k blockKey, dst []byte, from, base, top, n int64, around, pin bool) (fill, claim) {
+	s := c.shard(k)
+	s.mu.Lock()
+	e := s.items[k]
+	switch {
+	case e != nil && e.covers(dst, from) && pin:
+		s.touch(e)
+		e.readers.Add(1) // under the lock: a reserve that sees zero readers has none
+		s.mu.Unlock()
+		return fill{e, e.data[from:], from}, claimPinned
+	case e != nil && e.covers(dst, from):
+		s.hit(e, dst, from)
+		return fill{}, claimHit
+	}
+	return c.claimMiss(s, k, e, dst, from, base, top, n, around)
+}
+
+// claimMiss settles block k, which missed in shard s, for a reader that
+// wants its bytes [from, from+len(dst)): old is what s's map holds for k
+// (nil: nothing), base is where the n-byte block starts in its file, and
+// top where its committed bytes end, from its start. The caller holds the
+// shard lock; claimMiss releases it. It returns claimWait if another
+// reader's pending entry holds the block; claimAround, with dst as the
+// fill, if the window reaches past top (never cached, not recorded in the
+// sketch) or if the reader may read around the cache (around: its window
+// is at least an FS block) and the shard, which would have to evict, has
+// no evidence that the block is wanted more than its LRU tail
+// (freqSketch.admits); and otherwise a pending n-byte entry for the caller
+// and the part of its frame the caller's backend read fills.
 //
 // A first miss reserves an entry holding [lo, hi), the FS blocks of the
-// window, and the read fills all of it. A re-fill — a resident copy holds
-// [olo, ohi) but not the window — takes the hull of the two, and out to
-// top if the window starts inside the copy or right after it: a reader
-// moving forward through the block asks for the rest of it next. If the
-// copy lies at one end of the hull, the entry is extended in place: it
-// turns pending, keeps its frame and its charge to the shard, and the
-// read fills only the rest of the hull. Pinned copy-outs of the copy read
+// window (fillRange), and the read fills all of it. A re-fill — a resident
+// copy holds [olo, ohi) but not the window — takes the hull of the two,
+// and out to top if the window starts inside the copy or right after it: a
+// reader moving forward through the block asks for the rest of it next. If
+// the copy lies at one end of the hull, the entry is extended in place: it
+// turns pending, keeps its frame and its charge to the shard, and the read
+// fills only the rest of the hull. Pinned copy-outs of the copy read
 // inside [olo, ohi), which the read does not touch. A span (fetch.go)
 // joins its blocks' reads end to end, so a window touching an end of the
 // block (from 0, or to n) is read from or to that end; where that or a
@@ -292,17 +316,16 @@ const (
 // valid range: it is where the block's committed bytes end (n but at a
 // live frontier, tail.go). A copy reaching past top, filled for a newer
 // snapshot than the reader's, is replaced by the window's FS blocks.
-func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64, around bool) (fill, claim) {
-	s := c.shard(k)
-	s.mu.Lock()
-	old, ok := s.items[k]
+func (c *blockCache) claimMiss(s *cacheShard, k blockKey, old *cacheEntry, dst []byte, from, base, top, n int64, around bool) (fill, claim) {
+	ok := old != nil
 	switch {
 	case ok && old.pending:
 		s.mu.Unlock()
 		return fill{}, claimWait
-	case ok && old.covers(dst, from):
-		s.hit(old, dst, from)
-		return fill{}, claimHit
+	case from+int64(len(dst)) > top:
+		s.mu.Unlock()
+		count(s.readAround)
+		return fill{nil, dst, from}, claimAround
 	}
 	full := s.bytes+n > s.budget
 	if full && s.freq.count == nil {
@@ -310,11 +333,13 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64,
 	}
 	s.freq.record(k)
 	cold := !ok && around && full
-	if tail := s.lru.prev; cold && tail != &s.lru && s.freq.est(k) <= s.freq.est(tail.key) {
+	if tail := s.lru.prev; cold && tail != &s.lru && !s.freq.admits(k, tail.key) {
 		s.mu.Unlock()
 		count(s.readAround)
 		return fill{nil, dst, from}, claimAround
 	}
+	lo, hi := c.fillRange(base, dst, from, n)
+	hi = min(hi, top)
 	if ok && old.hi <= top {
 		olo, ohi := old.lo, old.hi
 		if olo <= from && from <= ohi {
@@ -332,6 +357,21 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, lo, hi, top, n int64,
 	e.lo, e.hi, e.cold = lo, hi, cold
 	s.mu.Unlock()
 	return fill{e, e.data[lo:hi], lo}, claimMine
+}
+
+// fillRange is the part of the n-byte block starting at file offset base
+// that a first miss of the window [from, from+len(dst)) of it reads: the
+// FS blocks the window touches, aligned in file offsets and clamped to the
+// block. With cache blocks of one FS block, or no FS block, it is the
+// whole block.
+func (c *blockCache) fillRange(base int64, dst []byte, from, n int64) (lo, hi int64) {
+	fb := c.fsBlock
+	if fb == 0 {
+		return 0, n
+	}
+	lo = max((base+from)/fb*fb-base, 0)
+	hi = min((base+from+int64(len(dst))+fb-1)/fb*fb-base, n)
+	return lo, hi
 }
 
 // extend makes resident entry e pending in place over [lo, hi), for a
@@ -397,6 +437,15 @@ func (f *freqSketch) record(k blockKey) {
 func (f *freqSketch) est(k blockKey) uint8 {
 	i, j := f.probes(k)
 	return min(f.count[i], f.count[j])
+}
+
+// admits reports whether the sketch rates k clearly above tail: asked for
+// more than twice as often. A bare majority is what collisions give a
+// block of uniform traffic over the tail now and then; twice is evidence,
+// with no constant to tune. A tail counted 8 or more (half the counters'
+// 15) admits nothing until the next halving.
+func (f *freqSketch) admits(k, tail blockKey) bool {
+	return int(f.est(k)) > 2*int(f.est(tail))
 }
 
 // poisonRecycled is called on a frame as reserve recycles it; race-detector

@@ -86,6 +86,7 @@ type pin struct {
 // that must not count, over shards shards.
 func newCacheModel(t *testing.T, shards, blocks int) *cacheModel {
 	m := &cacheModel{t: t, c: newBlockCache(int64(blocks*fuzzBlock+fuzzBlock/2), shards, fuzzBlock)}
+	m.c.fsBlock = fuzzFSBlock
 	m.shards = make([]modelShard, len(m.c.shards))
 	for i := range m.c.shards {
 		m.c.shards[i].evictions, m.c.shards[i].readAround = new(atomic.Int64), new(atomic.Int64)
@@ -134,26 +135,38 @@ func (m *cacheModel) hit(ms *modelShard, k blockKey, dst []byte, from int64) {
 	m.hits++
 }
 
+// fillBytes is what the model says the n bytes of k at from hold.
+func (me *modelEntry) fillBytes(k blockKey, from, n int64) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = pattern(k, me.fill[from+int64(i)], from+int64(i))
+	}
+	return out
+}
+
 func covers(me *modelEntry, from, n int64) bool {
 	return !me.pending && me.lo <= from && from+n <= me.hi
 }
 
 // acquire runs one acquire, whose fills the block's committed end top caps,
 // and checks its claim, and the entry and read of a miss, against the
-// model's.
-func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
+// model's. A hit with pin set pins the frame, to copy later (unpin),
+// perhaps after its entry was evicted and its slot reserved again.
+func (m *cacheModel) acquire(k blockKey, from, n, top int64, around, pinHit bool) {
 	s, ms := m.shard(k)
 	lo := from / fuzzFSBlock * fuzzFSBlock
 	hi := min((from+n+fuzzFSBlock-1)/fuzzFSBlock*fuzzFSBlock, top)
 	dst := make([]byte, n)
 	old := s.items[k]
-	f, got := m.c.acquire(k, dst, from, lo, hi, top, fuzzBlock, around)
+	f, got := m.c.acquire(k, dst, from, 0, top, fuzzBlock, around, pinHit)
 
 	want := claimMine
 	me, ok := ms.entries[k]
 	switch {
 	case ok && me.pending:
 		want = claimWait
+	case ok && covers(me, from, n) && pinHit:
+		want = claimPinned
 	case ok && covers(me, from, n):
 		want = claimHit
 	}
@@ -166,6 +179,21 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
 	case claimHit:
 		m.gotHits++
 		m.hit(ms, k, dst, from)
+		return
+	case claimPinned:
+		m.gotHits++
+		copy(dst, me.fillBytes(k, from, n)) // what the copy must find, whenever it comes
+		m.hit(ms, k, dst, from)
+		m.pins = append(m.pins, pin{f.e, f.dst, 0, n, dst})
+		return
+	}
+	if from+n > top { // past the committed end: read around, not recorded
+		if got != claimAround || f.e != nil || len(f.dst) != int(n) || f.from != from {
+			m.t.Fatalf("acquire %v [%d, %d) past top %d: claim %d, fill %+v; want it read around", k, from, from+n, top, got, f)
+		}
+		m.gotMisses++
+		m.misses++
+		ms.readAround++
 		return
 	}
 	m.misses++
@@ -205,7 +233,7 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, around bool) {
 	}
 	ms.freq.record(k)
 	cold := !ok && around && full
-	if cold && len(ms.lru) > 0 && ms.freq.est(k) <= ms.freq.est(ms.lru[len(ms.lru)-1]) {
+	if cold && len(ms.lru) > 0 && int(ms.freq.est(k)) <= 2*int(ms.freq.est(ms.lru[len(ms.lru)-1])) { // not twice the tail's
 		want = claimAround
 	}
 	if got != want {
@@ -299,29 +327,6 @@ func (m *cacheModel) copyOut(k blockKey, from, n int64) {
 		m.gotMisses++
 		m.misses++
 	}
-}
-
-// pinHit runs one pin, a hit that copies later (unpin), perhaps after
-// its entry was evicted and its slot reserved again.
-func (m *cacheModel) pinHit(k blockKey, from, n int64) {
-	_, ms := m.shard(k)
-	e, src := m.c.pin(m.c.shardIndex(k), k, make([]byte, n), from)
-	me, ok := ms.entries[k]
-	if want := ok && covers(me, from, n); (e != nil) != want {
-		m.t.Fatalf("pin %v [%d, %d): hit %v, model says %v (%+v)", k, from, from+n, e != nil, want, me)
-	}
-	if e == nil {
-		m.gotMisses++
-		m.misses++
-		return
-	}
-	m.gotHits++
-	want := make([]byte, n) // what the copy must find, whenever it comes
-	for i := range want {
-		want[i] = pattern(k, me.fill[from+int64(i)], from+int64(i))
-	}
-	m.hit(ms, k, want, from)
-	m.pins = append(m.pins, pin{e, src, 0, n, want})
 }
 
 // parkAndAbort parks a reader on held reservation i, a pending entry, and
@@ -507,11 +512,15 @@ func (m *cacheModel) run(data []byte) {
 			}
 			around := n >= fuzzFSBlock || c&0x80 != 0 // the request may be larger than this block's share
 			top := int64(fuzzBlock)
-			if b&0x80 != 0 && !toEnd { // a live frontier in the block, at or past the window
+			switch {
+			case b&0x80 != 0 && op&0x40 != 0: // a live frontier short of the window's end: a raw read past it
+				top = int64(b>>4&7) % (from + n)
+			case b&0x80 != 0 && !toEnd: // a live frontier in the block, at or past the window
 				top = from + n + int64(b>>4&7)%(fuzzBlock-from-n+1)
 			}
-			m.acquire(k, from, n, top, around)
-			name = fmt.Sprintf("acquire %v [%d, %d) top=%d around=%v", k, from, from+n, top, around)
+			pin := op&0x80 != 0 // after the request's first miss
+			m.acquire(k, from, n, top, around, pin)
+			name = fmt.Sprintf("acquire %v [%d, %d) top=%d around=%v pin=%v", k, from, from+n, top, around, pin)
 		case 3, 4:
 			if len(m.held) == 0 {
 				continue
@@ -528,8 +537,8 @@ func (m *cacheModel) run(data []byte) {
 			m.settle(i, false)
 		case 6:
 			if a&0x10 != 0 {
-				m.pinHit(k, from, n)
-				name = fmt.Sprintf("pin %v [%d, %d)", k, from, from+n)
+				m.acquire(k, from, n, fuzzBlock, n >= fuzzFSBlock, true)
+				name = fmt.Sprintf("acquire %v [%d, %d) pin=true", k, from, from+n)
 				break
 			}
 			m.copyOut(k, from, n)

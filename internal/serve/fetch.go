@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	sion "repro/internal/core"
 	"repro/internal/resil"
 )
 
@@ -58,15 +59,15 @@ import (
 // span — is copied from its frame once the fetch is over.
 
 // missScratch is one request's miss bookkeeping, pooled so that a miss of
-// any size allocates nothing: the blocks the cache pass missed, the
-// resident blocks it pinned after its first miss, the absent blocks of the
-// round being read with what each read fills, and the read vectors of the
+// any size allocates nothing: the resident blocks the cache pass pinned
+// after its first miss, the blocks another reader was filling, the absent
+// blocks to read with what each read fills, and the read vectors of the
 // span being read.
 type missScratch struct {
-	missed []int64
 	pinned []pinnedBlock // ascending
-	absent []int64
-	fills  []fill // fills[i] is absent[i]'s
+	waits  []int64       // ascending
+	absent []int64       // ascending
+	fills  []fill        // fills[i] is absent[i]'s
 	vecs   [][]byte
 }
 
@@ -93,11 +94,25 @@ type fill struct {
 
 var missScratches = sync.Pool{New: func() any { return new(missScratch) }}
 
-// getMissScratch returns a pooled scratch with empty miss and pin lists.
+// getMissScratch returns a pooled scratch with empty lists.
 func getMissScratch() *missScratch {
 	sc := missScratches.Get().(*missScratch)
-	sc.missed, sc.pinned = sc.missed[:0], sc.pinned[:0]
+	sc.pinned, sc.waits, sc.absent, sc.fills = sc.pinned[:0], sc.waits[:0], sc.absent[:0], sc.fills[:0]
 	return sc
+}
+
+// add records the claim of block b that missed: a block another reader is
+// filling waits, one the caller fills or reads around is absent. It
+// counts a read-around in cost.
+func (sc *missScratch) add(b int64, f fill, got claim, cost *missCost) {
+	switch got {
+	case claimWait:
+		sc.waits = append(sc.waits, b)
+		return
+	case claimAround:
+		cost.readAround++
+	}
+	sc.absent, sc.fills = append(sc.absent, b), append(sc.fills, f)
 }
 
 // done copies each pinned block that no successful span read into the
@@ -151,28 +166,30 @@ type missCost struct {
 }
 
 // fetchMissing materializes the blocks of physical file `file` that
-// readAt's cache pass missed (sc.missed: ascending, at least one) and
+// readAt's cache pass claimed (sc.absent, at least one, or sc.waits) and
 // copies each block's share of the window [off, off+len(p)), off on the
-// file's block grid, into p. It
-// marks the pinned blocks its spans read into p (sc.pinned), which the
-// caller need not copy.
+// file's block grid, into p. It marks the pinned blocks its spans read
+// into p (sc.pinned), which the caller need not copy.
 //
-// It acquires the blocks in order. One resident by now was filled by
-// another reader (singleflight — a FlightHit, no new read); one another
-// reader is filling ends the round. A full shard may decline a block of a
-// window of an FS block or more: its share of p is read around the cache.
-// Each other block gets a pending entry over the FS blocks its share of
-// the window touches (fillRange), or, if a partial copy was resident, over
-// the hull of the two, whose read skips what the copy holds (acquire). A
-// peer cache holding the bytes a block's read would fill fills them
-// (PeerFill); the rest are fused into dense spans (spanEnd),
-// each one retried vectored backend read into their frames and windows —
-// the blocks a span bridges into their shares of p — or several where the
-// backend's ranged-read ceiling demands (windowedSpanRead). A filled frame
-// is copied out to p and then committed; the entries of a failed span, or
-// of a request the breaker rejects, are aborted. Then the reader waits for
-// the block that ended the round and goes on from it. Every span is
-// attempted, and the request fails with its first failed span's error.
+// The pass settled each block in one visit of its shard (acquire): a
+// pending entry over the FS blocks its share of the window touches
+// (fillRange), or, if a partial copy was resident, over the hull of the
+// two, whose read skips what the copy holds; a block a full shard declined
+// or that reaches past a live frontier, whose share of p is read around
+// the cache; or a block another reader is filling (sc.waits). fetchMissing
+// visits no shard the pass visited. A peer cache holding the bytes a
+// block's read would fill fills them (PeerFill); the rest are fused into
+// dense spans (spanEnd), each one retried vectored backend read into
+// their frames and windows — the blocks a span bridges into their shares
+// of p — or several where the backend's ranged-read ceiling demands
+// (windowedSpanRead). A filled frame is copied out to p and then
+// committed; the entries of a failed span, or of a request the breaker
+// rejects, are aborted. Only then, holding no pending entry, does the
+// reader wait for the blocks others were filling, in order, and acquire
+// each again: one resident by now was filled by another reader
+// (singleflight — a FlightHit, no new read), one it claims ends the run of
+// waits, and the next round reads it. Every span is attempted, and the
+// request fails with its first failed span's error.
 //
 // Breaker protocol: a request that needs backend spans consults the file's
 // breaker once — an open circuit fails it fast with ErrDegraded (each
@@ -181,10 +198,10 @@ type missCost struct {
 // transient fault, Success otherwise (a permanent error is the backend
 // answering, which is evidence of health, not of overload).
 //
-// What the fetch costs counts in the request's cell c (serverMetrics).
-func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte, off int64) (cost missCost, err error) {
+// What the fetch costs counts in the request's cell c (serverMetrics) and
+// in cost.
+func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, snap *sion.Layout, p []byte, off int64, cost *missCost) (err error) {
 	bs := s.blockBytes
-	around := int64(len(p)) >= s.fsBlock
 	// deliver hands the reader its share of e's block, then commits e: the
 	// copy must come first, a resident frame can be recycled at once.
 	deliver := func(e *cacheEntry) {
@@ -206,41 +223,23 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 		}
 	}
 
-	snap := s.snap.Load()
 	br := s.breakers[file]
 	admitted, transientGiveUp := false, false
-	missing := sc.missed
-	for x := 0; x < len(missing); {
-		sc.absent, sc.fills = sc.absent[:0], sc.fills[:0]
-		for ; x < len(missing); x++ {
-			b := missing[x]
-			dst, from := blockWindow(p, off, b, bs)
-			base := b*bs - s.shift[file] // the block's first byte in the file
-			top := snap.StableEnd(file, base, base+bs) - base
-			if from+int64(len(dst)) > top {
-				sc.absent, sc.fills = append(sc.absent, b), append(sc.fills, fill{nil, dst, from})
-				continue
-			}
-			lo, hi := s.fillRange(base, dst, from)
-			f, got := s.cache.acquire(blockKey{file, b}, dst, from, lo, min(hi, top), top, bs, around)
-			if got == claimWait {
-				break
-			}
-			switch got {
-			case claimHit:
-				cost.flightHits++
-				continue
-			case claimAround:
-				cost.readAround++
-			}
-			if s.peerFill != nil && s.peerFill(file, b, f.dst, f.from) {
-				if f.e != nil {
-					deliver(f.e)
+	for w := 0; ; {
+		if s.peerFill != nil {
+			n := 0
+			for i, b := range sc.absent {
+				if f := sc.fills[i]; s.peerFill(file, b, f.dst, f.from) {
+					if f.e != nil {
+						deliver(f.e)
+					}
+					cost.peerFills++
+					continue
 				}
-				cost.peerFills++
-				continue
+				sc.absent[n], sc.fills[n] = b, sc.fills[i]
+				n++
 			}
-			sc.absent, sc.fills = append(sc.absent, b), append(sc.fills, f)
+			sc.absent, sc.fills = sc.absent[:n], sc.fills[:n]
 		}
 		absent, fills := sc.absent, sc.fills
 
@@ -271,11 +270,26 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 			cost.spans++
 			cost.spanBlocks += int64(j - i)
 		}
-		if x < len(missing) {
-			s.cache.wait(blockKey{file, missing[x]})
+
+		sc.absent, sc.fills = sc.absent[:0], sc.fills[:0]
+		for w < len(sc.waits) && (len(sc.fills) == 0 || sc.fills[len(sc.fills)-1].e == nil) {
+			b := sc.waits[w]
+			s.cache.wait(blockKey{file, b})
+			switch f, got := s.visit(snap, file, p, off, b, false); got {
+			case claimWait: // claimed again meanwhile: wait again
+				continue
+			case claimHit:
+				cost.flightHits++
+			default:
+				sc.add(b, f, got, cost)
+			}
+			w++
+		}
+		if len(sc.absent) == 0 {
+			break
 		}
 	}
-	s.m.missDone(c, cost)
+	s.m.missDone(c, *cost)
 	if admitted && br != nil {
 		if transientGiveUp {
 			br.Failure()
@@ -283,21 +297,7 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, p []byte,
 			br.Success()
 		}
 	}
-	return cost, err
-}
-
-// fillRange is the part of the cache block starting at file offset base
-// that a first miss of the window [from, from+len(dst)) of it reads: the
-// FS blocks the window touches, aligned in file offsets and clamped to the
-// block. With cache blocks of one FS block it is always the whole block.
-func (s *Server) fillRange(base int64, dst []byte, from int64) (lo, hi int64) {
-	if s.cache.ab.wholeFills {
-		return 0, s.blockBytes
-	}
-	fb := s.fsBlock
-	lo = max((base+from)/fb*fb-base, 0)
-	hi = min((base+from+int64(len(dst))+fb-1)/fb*fb-base, s.blockBytes)
-	return lo, hi
+	return err
 }
 
 // spanEnd returns j such that blocks[i:j] (ascending, bs bytes each) form

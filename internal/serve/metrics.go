@@ -86,7 +86,7 @@ func newServerMetrics(reg *obs.Registry, base []obs.Label, shards int) *serverMe
 		m.counterFunc("serve_cache_evictions_total",
 			"cache blocks evicted, by shard", &c.evictions, lbl)
 		m.counterFunc("serve_cache_read_around_total",
-			"missed blocks a full shard declined, read into the caller's buffer instead of cached, by shard", &c.readAround, lbl)
+			"missed blocks read into the caller's buffer instead of cached (declined by a full shard, or past a live frontier), by shard", &c.readAround, lbl)
 	}
 	m.sumFunc("serve_flight_hits_total",
 		"missed blocks a concurrent reader's fetch made resident first (singleflight), no new backend read",

@@ -200,7 +200,7 @@ type Stats struct {
 	BackendBytes  int64 // bytes moved by those span reads
 	ServedBytes   int64 // logical bytes handed to clients
 	Evictions     int64 // cache blocks evicted
-	ReadAround    int64 // missed blocks a full cache declined: read into the caller's buffer, never cached
+	ReadAround    int64 // missed blocks read into the caller's buffer, never cached: declined by a full cache, or past a live frontier
 	CachedBytes   int64 // bytes resident in the cache now
 	HandlesOpened int64 // client sessions opened
 	TailPolls     int64 // watermark refreshes issued by Poll on a live multifile
@@ -230,7 +230,7 @@ type Server struct {
 	notClosed    atomic.Int32     // breakers currently open or half-open (Degraded's O(1) answer)
 	cache        *blockCache
 	blockBytes   int64
-	fsBlock      int64 // the multifile's FS block: a first miss reads whole ones (fillRange)
+	fsBlock      int64 // the multifile's FS block: a first miss reads whole ones (blockCache.fillRange), a window of one or more may be read around
 	maxSpanGap   int64
 	maxSpanBytes int64 // ceiling of one backend span read (0 = unbounded), see spanCeiling
 	retry        resil.Budget
@@ -293,6 +293,9 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 		reg = obs.NewRegistry()
 	}
 	s.cache.ab = c.ablate
+	if !c.ablate.wholeFills {
+		s.cache.fsBlock = fsblk
+	}
 	s.m = newServerMetrics(reg, c.MetricLabels, len(s.cache.shards))
 	for i := range s.cache.shards {
 		if !s.m.off {
@@ -597,13 +600,9 @@ func (s *Server) Close() error {
 }
 
 // readAt serves [off, off+len(p)) of physical file `file`, off on the
-// file's block grid (ReadFileAt adds its shift): resident blocks
-// are copied out of the cache, the rest go through fetchMissing under the
-// close guard of the request's cell c. A resident block after the first
-// miss may lie between two misses, where a span can read it into p along
-// with them: it is pinned, not copied, and copied from its frame after the
-// fetch only if no span did. sp (nil is fine) collects the read's
-// breadcrumb trail.
+// file's block grid (ReadFileAt adds its shift): resident blocks are
+// copied out of the cache, and from the first miss on readMissed takes
+// over. sp (nil is fine) collects the read's breadcrumb trail.
 func (s *Server) readAt(file int, c *shardCell, p []byte, off int64, sp *obs.Span) error {
 	if s.closed.Load() {
 		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
@@ -611,47 +610,100 @@ func (s *Server) readAt(file int, c *shardCell, p []byte, off int64, sp *obs.Spa
 	if len(p) == 0 {
 		return nil // an empty window covers no block: no lookup, no fetch
 	}
+	// The cache pass visits each block's shard once: until the first miss
+	// a hit is copied out; the first miss is claimed in the same visit,
+	// and readMissed goes on from it.
 	bs := s.blockBytes
-	var sc *missScratch // taken at the first miss: a hit costs no pool round trip
 	for b := off / bs; b <= (off+int64(len(p))-1)/bs; b++ {
 		k := blockKey{file, b}
 		si := s.cache.shardIndex(k)
 		dst, from := blockWindow(p, off, b, bs)
-		hit := false
-		if sc == nil {
-			hit = s.cache.copyOut(si, k, dst, from)
-		} else if e, src := s.cache.pin(si, k, dst, from); e != nil {
-			sc.pinned = append(sc.pinned, pinnedBlock{block: b, e: e, src: src})
-			hit = true
+		if sh, e := s.cache.lookup(si, k, dst, from); sh != nil {
+			snap := s.snap.Load()
+			base, top := s.bounds(snap, file, b)
+			f, got := s.cache.claimMiss(sh, k, e, dst, from, base, top, bs, int64(len(p)) >= s.fsBlock)
+			return s.readMissed(file, c, p, off, snap, b, f, got, sp)
 		}
-		if hit {
+		s.m.lookup(si, true)
+		sp.Add(obs.CrumbCacheHit, 1)
+	}
+	return nil
+}
+
+// readMissed goes on with readAt's cache pass from block b, its first
+// miss, which visit claimed as got with fill f, and fetches what the pass
+// misses under the close guard of the request's cell c. From the first
+// miss on, a hit is pinned, not copied, so that a span can read it into p
+// along with the misses around it, and it is copied from its frame after
+// the fetch only if no span did; a miss is claimed for the fetch. A claim
+// is held only under the guard, so that no reader waits for it on a guard
+// that Close holds.
+func (s *Server) readMissed(file int, c *shardCell, p []byte, off int64, snap *sion.Layout, b int64, f fill, got claim, sp *obs.Span) error {
+	if err := s.guardFetch(c); err != nil {
+		if f.e != nil {
+			s.cache.abort(f.e)
+		}
+		return err
+	}
+	defer c.guard.RUnlock()
+	bs := s.blockBytes
+	sc := getMissScratch()
+	defer sc.done(p, off, bs)
+	var cost missCost
+	for last := (off + int64(len(p)) - 1) / bs; ; {
+		si := s.cache.shardIndex(blockKey{file, b})
+		if got == claimPinned {
 			s.m.lookup(si, true)
 			sp.Add(obs.CrumbCacheHit, 1)
+			sc.pinned = append(sc.pinned, pinnedBlock{block: b, e: f.e, src: f.dst})
 		} else {
 			s.m.lookup(si, false)
 			sp.Add(obs.CrumbCacheMiss, 1)
-			if sc == nil {
-				sc = getMissScratch()
-			}
-			sc.missed = append(sc.missed, b)
+			sc.add(b, f, got, &cost)
 		}
+		if b++; b > last {
+			break
+		}
+		f, got = s.visit(snap, file, p, off, b, true)
 	}
-	if sc == nil {
-		return nil
-	}
-	defer sc.done(p, off, bs)
-	c.guard.RLock()
-	defer c.guard.RUnlock()
-	if s.closed.Load() {
-		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
-	}
-	cost, err := s.fetchMissing(file, c, sc, p, off)
+	err := s.fetchMissing(file, c, sc, snap, p, off, &cost)
 	sp.Add(obs.CrumbBackendRead, cost.spans)
 	sp.Add(obs.CrumbPeerFill, cost.peerFills)
 	sp.Add(obs.CrumbFlightHit, cost.flightHits)
 	sp.Add(obs.CrumbReadAround, cost.readAround)
 	sp.Add(obs.CrumbRetry, cost.retries)
 	return err
+}
+
+// visit settles block b of the window [off, off+len(p)) of physical file
+// `file` in one visit of its shard (acquire), a miss's fill capped at the
+// block's committed end in snap.
+func (s *Server) visit(snap *sion.Layout, file int, p []byte, off, b int64, pin bool) (fill, claim) {
+	dst, from := blockWindow(p, off, b, s.blockBytes)
+	base, top := s.bounds(snap, file, b)
+	return s.cache.acquire(blockKey{file, b}, dst, from, base, top, s.blockBytes, int64(len(p)) >= s.fsBlock, pin)
+}
+
+// bounds returns where block b of physical file `file` starts in the file,
+// and where the block's committed bytes in snap end, from its start.
+func (s *Server) bounds(snap *sion.Layout, file int, b int64) (base, top int64) {
+	bs := s.blockBytes
+	base = b*bs - s.shift[file]
+	return base, snap.StableEnd(file, base, base+bs) - base
+}
+
+// guardFetch takes c's close guard for a fetch, without waiting: it fails
+// with ErrServerClosed if Close holds the guard or waits for it, or has
+// closed the server.
+func (s *Server) guardFetch(c *shardCell) error {
+	if !c.guard.TryRLock() {
+		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
+	}
+	if s.closed.Load() {
+		c.guard.RUnlock()
+		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
+	}
+	return nil
 }
 
 // blockWindow returns the part of the request window p = [off, off+len(p))
