@@ -222,6 +222,32 @@ func (c *blockCache) lookup(si int, k blockKey, dst []byte, from int64) (*cacheS
 	return s, e
 }
 
+// pin is copyOut for a copy that may not be needed: if block k holds the
+// len(dst) bytes at offset from, it counts and moves the block as copyOut
+// does but copies nothing, and pins its frame instead. It returns the
+// entry and the frame from offset from, which the caller may copy from
+// until it calls e.unpin; on a miss it returns nil.
+func (c *blockCache) pin(si int, k blockKey, dst []byte, from int64) (*cacheEntry, []byte) {
+	s := &c.shards[si]
+	s.mu.Lock()
+	e := s.items[k]
+	if e == nil || !e.covers(dst, from) {
+		s.mu.Unlock()
+		return nil, nil
+	}
+	return e, s.pinned(e, from)
+}
+
+// pinned counts and moves resident entry e as a hit does and pins its
+// frame, which it returns from offset from. The caller holds the shard
+// lock; pinned releases it.
+func (s *cacheShard) pinned(e *cacheEntry, from int64) []byte {
+	s.touch(e)
+	e.readers.Add(1) // under the lock: a reserve that sees zero readers has none
+	s.mu.Unlock()
+	return e.data[from:]
+}
+
 // unpin ends a pin: the slot's frame may be recycled again.
 func (e *cacheEntry) unpin() { e.readers.Add(-1) }
 
@@ -276,10 +302,7 @@ func (c *blockCache) acquire(k blockKey, dst []byte, from, base, top, n int64, a
 	e := s.items[k]
 	switch {
 	case e != nil && e.covers(dst, from) && pin:
-		s.touch(e)
-		e.readers.Add(1) // under the lock: a reserve that sees zero readers has none
-		s.mu.Unlock()
-		return fill{e, e.data[from:], from}, claimPinned
+		return fill{e, s.pinned(e, from), from}, claimPinned
 	case e != nil && e.covers(dst, from):
 		s.hit(e, dst, from)
 		return fill{}, claimHit

@@ -329,6 +329,26 @@ func (m *cacheModel) copyOut(k blockKey, from, n int64) {
 	}
 }
 
+// pinHit runs one pin, a hit that copies later (unpin), perhaps after
+// its entry was evicted and its slot reserved again; a miss claims nothing.
+func (m *cacheModel) pinHit(k blockKey, from, n int64) {
+	_, ms := m.shard(k)
+	e, src := m.c.pin(m.c.shardIndex(k), k, make([]byte, n), from)
+	me, ok := ms.entries[k]
+	if want := ok && covers(me, from, n); (e != nil) != want {
+		m.t.Fatalf("pin %v [%d, %d): hit %v, model says %v (%+v)", k, from, from+n, e != nil, want, me)
+	}
+	if e == nil {
+		m.gotMisses++
+		m.misses++
+		return
+	}
+	m.gotHits++
+	want := me.fillBytes(k, from, n) // what the copy must find, whenever it comes
+	m.hit(ms, k, want, from)
+	m.pins = append(m.pins, pin{e, src, 0, n, want})
+}
+
 // parkAndAbort parks a reader on held reservation i, a pending entry, and
 // aborts it: the reader must wake. It waits until the reader sleeps on the
 // shard's sync.Cond — by then it holds its wake-up ticket — so the wake-up
@@ -537,8 +557,8 @@ func (m *cacheModel) run(data []byte) {
 			m.settle(i, false)
 		case 6:
 			if a&0x10 != 0 {
-				m.acquire(k, from, n, fuzzBlock, n >= fuzzFSBlock, true)
-				name = fmt.Sprintf("acquire %v [%d, %d) pin=true", k, from, from+n)
+				m.pinHit(k, from, n)
+				name = fmt.Sprintf("pin %v [%d, %d)", k, from, from+n)
 				break
 			}
 			m.copyOut(k, from, n)

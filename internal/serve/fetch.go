@@ -19,13 +19,22 @@ import (
 // flight per file: the serialisation the multifile layout exists to avoid
 // (many tasks, one file, uncoordinated block-aligned requests — paper §3).
 //
-// Singleflight, the part that did pay, lives in the cache map: a reader
-// settles each block it missed with one acquire under the block's shard
-// lock, which copies the bytes out if they are resident by now, enters a
-// pending entry for the reader to fill, or reports another reader's pending
-// entry. A reader reserves blocks in order up to the first such one, reads
-// and commits (or aborts) its own, and only then waits, holding nothing —
-// so waits cannot cycle, and no lock is held across a backend read.
+// Singleflight, the part that did pay, lives in the cache map. A read's
+// cache pass visits each block's shard once, under its lock: until the
+// first miss it copies hits out; the first miss and every block after it
+// it settles in that same visit — a hit pinned, a pending entry the reader
+// fills, or a block read around the cache (acquire, claimMiss) — up to the
+// first block another reader is filling; past that it pins hits and
+// claims nothing, so that one reader reads a contested window whole. So
+// the fetch locks no shard the pass visited, but after such a block. A
+// reader reads and commits (or aborts) its own entries and only then
+// waits for another's, holding nothing — so waits cannot cycle, and no
+// lock is held across a backend read. A pass holds a
+// claim from its first miss on, so the first miss takes the fetch's close
+// guard without waiting (guardFetch): a Close in progress fails the read
+// rather than parking it, claim in hand, on a guard Close holds while it
+// waits for a reader that waits for that claim. One visit instead of two
+// per missed block was worth about 2 % of serve-cold's serve_vs_pread.
 //
 // A first miss reads only the FS blocks its window touches (paper §3.1:
 // the file system does the work a task asks for), so a 4 KiB request in a
@@ -49,23 +58,23 @@ import (
 // (cache.go) is read around the cache: its vector is the caller's own
 // window, so its bytes are copied once. So is a resident block a span
 // bridges between two absent ones: the cache pass pins its frame instead
-// of copying it out (blockCache.pin), and the span reads the block into
-// its share of the window. (A block between two absent ones that another
-// reader or a peer filled meanwhile is in p already; the span writes the
-// same committed bytes over it.) A run of read-around and bridged blocks
-// is one vector, so a span of them is one plain read into the caller's
-// buffer. A pinned block no successful span read — after the last miss,
-// past a gap wider than MaxSpanGap, across a round's end, in a failed
-// span — is copied from its frame once the fetch is over.
+// of copying it out (acquire with pin), and the span reads the block into
+// its share of the window. (A block between two absent ones that a peer
+// filled is in p already, and one another reader is filling will be; the
+// span writes the same committed bytes over it.) A run of read-around and
+// bridged blocks is one vector, so a span of them is one plain read into
+// the caller's buffer. A pinned block no successful span read — after the
+// last miss, past a gap wider than MaxSpanGap, between two rounds, in a
+// failed span — is copied from its frame once the fetch is over.
 
 // missScratch is one request's miss bookkeeping, pooled so that a miss of
 // any size allocates nothing: the resident blocks the cache pass pinned
-// after its first miss, the blocks another reader was filling, the absent
-// blocks to read with what each read fills, and the read vectors of the
-// span being read.
+// after its first miss, the blocks it left to acquire after waiting for
+// another reader's, the absent blocks of the round being read with what
+// each read fills, and the read vectors of the span being read.
 type missScratch struct {
 	pinned []pinnedBlock // ascending
-	waits  []int64       // ascending
+	missed []int64       // ascending
 	absent []int64       // ascending
 	fills  []fill        // fills[i] is absent[i]'s
 	vecs   [][]byte
@@ -97,19 +106,14 @@ var missScratches = sync.Pool{New: func() any { return new(missScratch) }}
 // getMissScratch returns a pooled scratch with empty lists.
 func getMissScratch() *missScratch {
 	sc := missScratches.Get().(*missScratch)
-	sc.pinned, sc.waits, sc.absent, sc.fills = sc.pinned[:0], sc.waits[:0], sc.absent[:0], sc.fills[:0]
+	sc.pinned, sc.missed, sc.absent, sc.fills = sc.pinned[:0], sc.missed[:0], sc.absent[:0], sc.fills[:0]
 	return sc
 }
 
-// add records the claim of block b that missed: a block another reader is
-// filling waits, one the caller fills or reads around is absent. It
-// counts a read-around in cost.
+// add records the claim of block b that missed, which the caller fills or
+// reads around, as absent, and counts a read-around in cost.
 func (sc *missScratch) add(b int64, f fill, got claim, cost *missCost) {
-	switch got {
-	case claimWait:
-		sc.waits = append(sc.waits, b)
-		return
-	case claimAround:
+	if got == claimAround {
 		cost.readAround++
 	}
 	sc.absent, sc.fills = append(sc.absent, b), append(sc.fills, f)
@@ -166,30 +170,32 @@ type missCost struct {
 }
 
 // fetchMissing materializes the blocks of physical file `file` that
-// readAt's cache pass claimed (sc.absent, at least one, or sc.waits) and
-// copies each block's share of the window [off, off+len(p)), off on the
-// file's block grid, into p. It marks the pinned blocks its spans read
+// readAt's cache pass claimed (sc.absent) or left for later (sc.missed)
+// and copies each block's share of the window [off, off+len(p)), off on
+// the file's block grid, into p. It marks the pinned blocks its spans read
 // into p (sc.pinned), which the caller need not copy.
 //
 // The pass settled each block in one visit of its shard (acquire): a
 // pending entry over the FS blocks its share of the window touches
 // (fillRange), or, if a partial copy was resident, over the hull of the
-// two, whose read skips what the copy holds; a block a full shard declined
-// or that reaches past a live frontier, whose share of p is read around
-// the cache; or a block another reader is filling (sc.waits). fetchMissing
-// visits no shard the pass visited. A peer cache holding the bytes a
-// block's read would fill fills them (PeerFill); the rest are fused into
-// dense spans (spanEnd), each one retried vectored backend read into
-// their frames and windows — the blocks a span bridges into their shares
-// of p — or several where the backend's ranged-read ceiling demands
-// (windowedSpanRead). A filled frame is copied out to p and then
-// committed; the entries of a failed span, or of a request the breaker
-// rejects, are aborted. Only then, holding no pending entry, does the
-// reader wait for the blocks others were filling, in order, and acquire
-// each again: one resident by now was filled by another reader
-// (singleflight — a FlightHit, no new read), one it claims ends the run of
-// waits, and the next round reads it. Every span is attempted, and the
-// request fails with its first failed span's error.
+// two, whose read skips what the copy holds; or a block a full shard
+// declined or that reaches past a live frontier, whose share of p is read
+// around the cache. A peer cache holding the bytes a block's read would
+// fill fills them (PeerFill); the rest are fused into dense spans
+// (spanEnd), each one retried vectored backend read into their frames and
+// windows — the blocks a span bridges into their shares of p — or several
+// where the backend's ranged-read ceiling demands (windowedSpanRead). A
+// filled frame is copied out to p and then committed; the entries of a
+// failed span, or of a request the breaker rejects, are aborted. That ends
+// a round, and with a pass that met no other reader's pending entry, the
+// fetch: it visits no shard the pass visited. A pass that met one claimed
+// nothing from it on (so one reader of a contested window reads it whole)
+// and left its misses in sc.missed: the reader waits for that block,
+// holding no pending entry, then acquires the blocks left, in order, up to
+// the next one another reader is filling — one resident by now was filled
+// by another reader (singleflight: a FlightHit, no new read) — reads them
+// as the next round, and so on. Every span is attempted, and the request
+// fails with its first failed span's error.
 //
 // Breaker protocol: a request that needs backend spans consults the file's
 // breaker once — an open circuit fails it fast with ErrDegraded (each
@@ -225,7 +231,7 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, snap *sio
 
 	br := s.breakers[file]
 	admitted, transientGiveUp := false, false
-	for w := 0; ; {
+	for x := 0; ; {
 		if s.peerFill != nil {
 			n := 0
 			for i, b := range sc.absent {
@@ -270,23 +276,22 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, snap *sio
 			cost.spans++
 			cost.spanBlocks += int64(j - i)
 		}
-
-		sc.absent, sc.fills = sc.absent[:0], sc.fills[:0]
-		for w < len(sc.waits) && (len(sc.fills) == 0 || sc.fills[len(sc.fills)-1].e == nil) {
-			b := sc.waits[w]
-			s.cache.wait(blockKey{file, b})
-			switch f, got := s.visit(snap, file, p, off, b, false); got {
-			case claimWait: // claimed again meanwhile: wait again
-				continue
-			case claimHit:
-				cost.flightHits++
-			default:
-				sc.add(b, f, got, cost)
-			}
-			w++
-		}
-		if len(sc.absent) == 0 {
+		if x == len(sc.missed) {
 			break
+		}
+		s.cache.wait(blockKey{file, sc.missed[x]})
+		sc.absent, sc.fills = sc.absent[:0], sc.fills[:0]
+		for ; x < len(sc.missed); x++ {
+			b := sc.missed[x]
+			f, got := s.visit(snap, file, p, off, b, false)
+			if got == claimWait {
+				break
+			}
+			if got == claimHit {
+				cost.flightHits++
+				continue
+			}
+			sc.add(b, f, got, cost)
 		}
 	}
 	s.m.missDone(c, *cost)

@@ -612,6 +612,47 @@ func TestCloseWaitsForBackendReads(t *testing.T) {
 	}
 }
 
+// TestMissUnderCloseFailsFast: a read whose first miss finds its cell's
+// close guard taken — a Close under way — fails with ErrServerClosed at
+// once. It holds the claim of that miss by then, so waiting on the guard
+// could stall a reader that waits for the claim, and Close with it; the
+// claim is aborted, so no pending entry is left, and the block is served
+// once the guard is free.
+func TestMissUnderCloseFailsFast(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	raw := writeOneFile(t, fsys, "u.sion", 4, 64<<10, 4096)
+	s, err := New(fsys, "u.sion", &Config{CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const off, win = 100 << 10, 8 << 10
+	c := &s.m.cells[s.cache.shardIndex(blockKey{0, (off + s.shift[0]) / s.blockBytes})]
+	c.guard.Lock() // as Close holds it
+	done := make(chan error, 1)
+	go func() { done <- s.ReadFileAt(0, make([]byte, win), off, nil) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("a miss under a held close guard: %v, want ErrServerClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a miss waited on a close guard that Close holds")
+	}
+	c.guard.Unlock()
+	for i := range s.cache.shards {
+		for k, e := range s.cache.shards[i].items {
+			if e.pending {
+				t.Fatalf("block %v left pending by a read that failed", k)
+			}
+		}
+	}
+	p := make([]byte, win)
+	if err := s.ReadFileAt(0, p, off, nil); err != nil || !bytes.Equal(p, wantWindow(raw, off, win)) {
+		t.Fatalf("the same read with the guard free: %v", err)
+	}
+}
+
 // waitGoroutines waits up to a second for the goroutine count to fall back
 // to base.
 func waitGoroutines(t *testing.T, base int) {

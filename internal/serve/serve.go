@@ -652,11 +652,16 @@ func (s *Server) readMissed(file int, c *shardCell, p []byte, off int64, snap *s
 	var cost missCost
 	for last := (off + int64(len(p)) - 1) / bs; ; {
 		si := s.cache.shardIndex(blockKey{file, b})
-		if got == claimPinned {
+		switch got {
+		case claimPinned:
 			s.m.lookup(si, true)
 			sp.Add(obs.CrumbCacheHit, 1)
 			sc.pinned = append(sc.pinned, pinnedBlock{block: b, e: f.e, src: f.dst})
-		} else {
+		case claimWait: // another reader fills it, or it missed after one that does
+			s.m.lookup(si, false)
+			sp.Add(obs.CrumbCacheMiss, 1)
+			sc.missed = append(sc.missed, b)
+		default:
 			s.m.lookup(si, false)
 			sp.Add(obs.CrumbCacheMiss, 1)
 			sc.add(b, f, got, &cost)
@@ -664,7 +669,17 @@ func (s *Server) readMissed(file int, c *shardCell, p []byte, off int64, snap *s
 		if b++; b > last {
 			break
 		}
-		f, got = s.visit(snap, file, p, off, b, true)
+		if len(sc.missed) == 0 {
+			f, got = s.visit(snap, file, p, off, b, true)
+			continue
+		}
+		k := blockKey{file, b}
+		dst, from := blockWindow(p, off, b, bs)
+		if e, src := s.cache.pin(s.cache.shardIndex(k), k, dst, from); e != nil {
+			f, got = fill{e, src, from}, claimPinned
+		} else {
+			got = claimWait
+		}
 	}
 	err := s.fetchMissing(file, c, sc, snap, p, off, &cost)
 	sp.Add(obs.CrumbBackendRead, cost.spans)
