@@ -26,14 +26,14 @@ import (
 // entry's valid range [lo, hi) is what its fills read, and a lookup hits
 // only inside it; a re-fill extends the range in place where it can,
 // reading only the bytes the frame lacks. A request's cache pass visits
-// each of its blocks once, through acquire, under one hold of the shard
-// lock: it copies the bytes out if they are resident, or pins the frame
-// for a copy the fetch may make unnecessary (fetch.go); reports another
-// reader's pending entry for the block; or reserves a pending entry for
-// the caller — it evicts the LRU tail to make room and enters a vacated
-// slot in the map, a frame the miss path reads the backend straight into
-// and no lookup copies from. commit makes it resident, abort drops it, and
-// both wake the readers waiting for it. Because frames are rewritten, no
+// each of its blocks once, under one hold of the shard lock (lookup and
+// claimMiss, or acquire): it copies the bytes out if they are resident, or
+// pins the frame for a copy the fetch may make unnecessary (fetch.go);
+// reports another reader's pending entry for the block; or reserves a
+// pending entry for the caller — it evicts the LRU tail to make room and
+// enters a vacated slot in the map, a frame the miss path reads the
+// backend straight into and no lookup copies from. commit makes it
+// resident, abort drops it, and both wake the readers waiting for it. Because frames are rewritten, no
 // resident frame leaves this file: readers get bytes copied out (copyOut).
 // The copy-out runs outside the shard lock (under it, two readers meeting
 // on a shard cost serve-hot 9 %) with the entry pinned; a reservation

@@ -631,13 +631,14 @@ func (s *Server) readAt(file int, c *shardCell, p []byte, off int64, sp *obs.Spa
 }
 
 // readMissed goes on with readAt's cache pass from block b, its first
-// miss, which visit claimed as got with fill f, and fetches what the pass
-// misses under the close guard of the request's cell c. From the first
-// miss on, a hit is pinned, not copied, so that a span can read it into p
-// along with the misses around it, and it is copied from its frame after
-// the fetch only if no span did; a miss is claimed for the fetch. A claim
-// is held only under the guard, so that no reader waits for it on a guard
-// that Close holds.
+// miss, which the pass claimed as got with fill f, and fetches what the
+// pass misses under the close guard of the request's cell c. From the
+// first miss on, a hit is pinned, not copied, so that a span can read it
+// into p along with the misses around it, and it is copied from its frame
+// after the fetch only if no span did; a miss is claimed for the fetch, up
+// to the first block another reader is filling, and left for after the
+// wait from there on (fetchMissing). A claim is held only under the guard,
+// so that no reader waits for it on a guard that Close holds.
 func (s *Server) readMissed(file int, c *shardCell, p []byte, off int64, snap *sion.Layout, b int64, f fill, got claim, sp *obs.Span) error {
 	if err := s.guardFetch(c); err != nil {
 		if f.e != nil {
