@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fsio"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 )
 
 // Microbenchmarks of the library itself on the real file system, plus
@@ -87,9 +88,14 @@ func (sh readBackShape) records(g int) []int64 {
 // io.ReadFull per record: ParOpen on 64 ranks (the ladder's P3), or
 // ParOpenMapped on `readers` ranks draining the writers they own (P4).
 // direct > 0 overrides the handles' derived DirectReadBytes, which is how
-// the crossover sweep holds a record size on one side of the rule.
+// the crossover sweep holds a record size on one side of the rule. Beside
+// ns/op it reports the backend reads per op and the bytes they fetched
+// per byte delivered, counted by an fsio.Meter under the file system.
 func benchReadBack(b *testing.B, sh readBackShape, readers int, direct int64) {
-	fsys := fsio.NewOS(b.TempDir())
+	reg := obs.NewRegistry()
+	fsys := fsio.Instrument(fsio.NewOS(b.TempDir()), fsio.NewMeter(reg, "rb"))
+	reads := reg.Counter("fsio_ops_total", "", obs.L("backend", "rb", "op", "read")...)
+	readBytes := reg.Counter("fsio_bytes_total", "", obs.L("backend", "rb", "op", "read")...)
 	payload := make([][]byte, readBackRanks)
 	recs := make([][]int64, readBackRanks)
 	dst := make([][]byte, readBackRanks)
@@ -124,6 +130,7 @@ func benchReadBack(b *testing.B, sh readBackShape, readers int, direct int64) {
 	}
 	opts := &Options{BufferSize: BufferAuto}
 	b.SetBytes(readBackRanks * sh.perTask)
+	calls0, bytes0 := reads.Value(), readBytes.Value()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mpi.Run(readers, func(c *mpi.Comm) {
@@ -150,6 +157,8 @@ func benchReadBack(b *testing.B, sh readBackShape, readers int, direct int64) {
 		})
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(reads.Value()-calls0)/float64(b.N), "reads/op")
+	b.ReportMetric(float64(readBytes.Value()-bytes0)/float64(int64(b.N)*readBackRanks*sh.perTask), "backend-bytes/delivered")
 	for g := range dst {
 		if !bytes.Equal(dst[g], payload[g]) {
 			b.Fatalf("rank %d: read-back differs from the dump", g)

@@ -22,18 +22,21 @@ import (
 //     chunk boundaries, Flush, and Close. A flush triggered by a full
 //     buffer retains the partial tail block so that the next flush starts
 //     on an FS block boundary again.
-//   - Read-ahead coalesces small reads, and only those. What the stage
-//     holds is served from it. A miss smaller than DirectReadBytes — a
-//     few FS blocks, or the request size the backend's capability
-//     descriptor prefers — fetches up to one whole chunk region (the
-//     remaining used bytes of the current chunk, capped at the buffer
-//     size) in a single request, and the Read/ReadLogicalAt calls that
-//     follow are served from memory. A miss at or above that size is an
-//     efficient request as it stands: it is read straight into the
-//     caller's slice (one copy fewer than through the stage) and the
-//     stage keeps what it held. Seek never invalidates the cache —
-//     read-mode data is immutable, so the cache stays valid wherever the
-//     cursor moves.
+//   - Read-ahead coalesces the reads of small-record streams, and only
+//     those. What the stage holds is served from it. A miss is read
+//     straight into the caller's slice (one copy fewer than through the
+//     stage), leaving the stage as it was, when it is an efficient
+//     request as it stands — at least DirectReadBytes, a few FS blocks
+//     or the request size the backend's capability descriptor prefers —
+//     or when the stream it belongs to is: the Read/ReadLogicalAt calls
+//     since the last Seek or releaseStage average at least half of
+//     DirectReadBytes. Any other miss fetches up to one whole chunk
+//     region (the remaining used bytes of the current chunk, capped at
+//     the buffer size) in a single request, and the calls that follow
+//     are served from memory. So a stream of mixed 1–64 KiB records reads
+//     each byte once, and a stream of small records keeps its few large
+//     requests. Seek never invalidates the cache — read-mode data is
+//     immutable, so the cache stays valid wherever the cursor moves.
 //
 // The cursor state (File.curBlock, File.pos, blockBytes bookkeeping)
 // always reflects the logical position including staged bytes, so
@@ -188,12 +191,31 @@ func (ws *writeStage) release() {
 }
 
 // readStage caches one contiguous region of one chunk's used bytes:
-// chunk-relative range [start, start+len(data)) of block `block`.
+// chunk-relative range [start, start+len(data)) of block `block`. reads
+// and asked count the Read/ReadLogicalAt calls of the stream since the
+// last Seek or releaseStage and the bytes they asked for.
 type readStage struct {
-	size  int64
-	block int
-	start int64
-	data  []byte
+	size         int64
+	block        int
+	start        int64
+	data         []byte
+	reads, asked int64
+}
+
+// note counts one Read or ReadLogicalAt call of n bytes; a nil stage
+// counts nothing.
+func (rs *readStage) note(n int) {
+	if rs != nil {
+		rs.reads++
+		rs.asked += int64(n)
+	}
+}
+
+// restart begins a new stream: the next call's mean is its own size.
+func (rs *readStage) restart() {
+	if rs != nil {
+		rs.reads, rs.asked = 0, 0
+	}
 }
 
 // covers reports whether the cached region contains [pos, pos+n) of block b.
@@ -264,6 +286,7 @@ func (f *File) releaseStage() error {
 		stageBufs.Put(f.rstage.data)
 		f.rstage.data = nil
 		f.rstage.block = -1
+		f.rstage.restart()
 	}
 	return nil
 }
@@ -305,11 +328,17 @@ func (f *File) stagedWrite(p []byte) (int, error) {
 // directReadBlocks is where reading a record where it is going overtakes
 // fetching it into the stage and copying it out: one more pread (≈ 1 µs
 // on a cached file) against a second pass through memory (≈ 0.1 µs/KiB).
-// BenchmarkReadBack/crossover on fsio.OS with 4 KiB blocks has staged
-// ahead at 1 block, the two level at 2, and direct ahead by a quarter and
-// more from 4. Counted in blocks because a request is only efficient at
-// the FS's own granularity: on a parallel FS with 1–4 MiB blocks (paper
-// Table 1) the rule never fires below the stage size.
+// BenchmarkReadBack/crossover on fsio.OS with 4 KiB blocks (2 vCPUs,
+// medians of 8 rounds) has staged ahead by about a quarter at 1 block and
+// a seventh at 2, the two within 2 % at 4, and direct ahead by about a
+// tenth at 8 and 16. The stream half of the rule (stagedReadAt) sits at 2
+// blocks, where a stream of records all that size still stages faster,
+// for mixed streams: serve-cold's 1–64 KiB records average 15 KiB and
+// carry 76 % of their bytes in records of 4 blocks or more, each of which
+// staging would copy twice (BenchmarkReadBack/mixed). Counted in
+// blocks because a request is only efficient at the FS's own granularity:
+// on a parallel FS with 1–4 MiB blocks (paper Table 1) the rule never
+// fires below the stage size.
 const directReadBlocks = 4
 
 // DirectReadBytes is the size from which a read that misses the stage is
@@ -326,11 +355,13 @@ func DirectReadBytes(caps fsio.Capabilities, fsblk int64) int64 {
 
 // stagedReadAt serves [pos, pos+len(p)) of block b's data area. What the
 // stage covers is copied out of it. A miss of at least directRead bytes
-// (or a whole stage) is read straight into p and leaves the stage as it
-// was; a smaller one fetches up to one whole chunk region (the block's
+// (or a whole stage), or one in a stream whose calls average at least
+// half of directRead, is read straight into p and leaves the stage as it
+// was; any other fetches up to one whole chunk region (the block's
 // remaining used bytes, capped at the stage size) in one request and is
 // served from that. Callers clamp p to the block's recorded bytes, so the
-// fetch always covers the request.
+// fetch always covers the request, and note the call first, so the mean
+// includes it.
 func (f *File) stagedReadAt(p []byte, block int, pos int64) error {
 	rs := f.rstage
 	if rs.covers(block, pos, int64(len(p))) {
@@ -338,7 +369,7 @@ func (f *File) stagedReadAt(p []byte, block int, pos int64) error {
 		return nil
 	}
 	off := f.geo.dataOff(geoIndex, block) + pos
-	if int64(len(p)) >= min(f.directRead, rs.size) {
+	if int64(len(p)) >= min(f.directRead, rs.size) || 2*rs.asked >= rs.reads*f.directRead {
 		return readAtZeroFill(f.fh, p, off)
 	}
 	fetch := min(rs.size, f.readBytes[block]-pos)

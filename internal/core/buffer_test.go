@@ -490,7 +490,7 @@ func (f *cutFile) ReadAt(p []byte, off int64) (int, error) {
 // and the call reports the full count, through Read, ReadLogicalAt, a
 // mapped rank handle and TailLayout.ReadRankAt alike.
 func TestShortReadZeroFills(t *testing.T) {
-	const fsblk, chunk, size, keep = 128, 4096, 6000, 300
+	const fsblk, chunk, size, keep = 256, 4096, 6000, 300
 	base := fsio.NewOS(t.TempDir())
 	mpi.Run(2, func(c *mpi.Comm) {
 		f, err := ParOpen(c, base, "cut.sion", WriteMode, &Options{ChunkSize: chunk, FSBlockSize: fsblk, Watermarks: true})
@@ -508,7 +508,7 @@ func TestShortReadZeroFills(t *testing.T) {
 		rec   int
 	}{
 		{"unbuffered", 0, direct},
-		{"staged", BufferAuto, direct - 1},
+		{"staged", BufferAuto, direct/2 - 1},
 		{"direct", BufferAuto, direct},
 	}
 	// check reads rank 1's first record with the file cut `keep` bytes into
@@ -570,24 +570,29 @@ func TestShortReadZeroFills(t *testing.T) {
 	check("tail/ReadRankAt", cfs, ext[0].Off, direct, func(b []byte) (int, error) { return tl.ReadRankAt(1, b, 0) })
 }
 
-// modelReads replays a sequential read of the given blocks in records of
-// rec bytes against the read-ahead rule — a covered piece costs nothing,
-// a miss of at least min(direct, stage) bytes is one read of its own
-// size, a smaller miss fetches the rest of its chunk up to the stage size
-// — and returns the backend reads and bytes the rule must issue. With
-// direct = stage it is the rule as it was before DirectReadBytes.
-func modelReads(blocks []int64, rec, stage, direct int64) (calls, nbytes int64) {
+// modelReads replays a sequential read of the given blocks, one Read per
+// record, the record sizes taken from recs in turn, against the
+// read-ahead rule of a handle with the given stage and DirectReadBytes —
+// a covered piece costs nothing; a miss of at least min(direct, stage)
+// bytes, or (byStream) any miss once the stream's calls so far, this one
+// included, average half of direct, is one read of its own size; any
+// other miss fetches the rest of its chunk up to the stage size — and
+// returns the backend reads and bytes the rule must issue. Without
+// byStream it is the rule as it was before the stream counted; with
+// direct = stage too, the rule as it was before DirectReadBytes.
+func modelReads(blocks []int64, recs []int64, stage, direct int64, byStream bool) (calls, nbytes int64) {
 	cb, cs, cl := -1, int64(0), int64(0)
-	left := int64(0)
+	left, nrec, asked := int64(0), int64(0), int64(0)
 	for b, used := range blocks {
 		for pos := int64(0); pos < used; {
 			if left == 0 {
-				left = rec
+				left = recs[nrec%int64(len(recs))]
+				nrec, asked = nrec+1, asked+left
 			}
 			n := min(left, used-pos)
 			switch {
 			case b == cb && pos >= cs && pos+n <= cs+cl:
-			case n >= min(direct, stage):
+			case n >= min(direct, stage) || byStream && 2*asked >= nrec*direct:
 				calls, nbytes = calls+1, nbytes+n
 			default:
 				cb, cs, cl = b, pos, min(stage, used-pos)
@@ -599,16 +604,53 @@ func modelReads(blocks []int64, rec, stage, direct int64) (calls, nbytes int64) 
 	return calls, nbytes
 }
 
+// pinFile writes one rank of nblocks full chunks through fsys and opens
+// it with a BufferAuto stage (one chunk).
+func pinFile(t *testing.T, fsys fsio.FileSystem, fsblk, chunk, nblocks int64) *File {
+	t.Helper()
+	mpi.Run(1, func(c *mpi.Comm) {
+		f, err := ParOpen(c, fsys, "pin.sion", WriteMode, &Options{ChunkSize: chunk, FSBlockSize: fsblk, BufferSize: BufferOff})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f.Write(rankPayload(0, int(nblocks*chunk)))
+		f.Close()
+	})
+	h, err := OpenRank(fsys, "pin.sion", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SetBufferSize(BufferAuto); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// meteredOS is an fsio.OS over a fresh directory under an fsio.Meter,
+// with the meter's read-call and read-byte counters.
+func meteredOS(t *testing.T, wrap func(fsio.FileSystem) fsio.FileSystem) (fsys fsio.FileSystem, reads, readBytes *obs.Counter) {
+	reg := obs.NewRegistry()
+	fsys = fsio.Instrument(wrap(fsio.NewOS(t.TempDir())), fsio.NewMeter(reg, "pin"))
+	reads = reg.Counter("fsio_ops_total", "", obs.L("backend", "pin", "op", "read")...)
+	readBytes = reg.Counter("fsio_bytes_total", "", obs.L("backend", "pin", "op", "read")...)
+	return fsys, reads, readBytes
+}
+
 // TestDirectReadRequestPins pins the requests the read-ahead rule issues,
-// counted by an fsio.Meter under the handle: records of DirectReadBytes
-// are one backend read each and not a byte of read-ahead; smaller records
-// cost one read per chunk region, as they did before the rule; and on a
-// backend that names its own preferred request size (the object store) the
+// counted by an fsio.Meter under the handle, for streams of one record
+// size: records of DirectReadBytes are one backend read each and not a
+// byte of read-ahead, and so is every piece of a stream whose records are
+// half that or more (two FS blocks on POSIX); smaller records cost one
+// read per chunk region, as they did before the rule; and on a backend
+// that names its own preferred request size (the object store) the
 // request stream is what it was before for every record size.
 func TestDirectReadRequestPins(t *testing.T) {
 	const fsblk, chunk, nblocks = 256, 8192, 3
 	direct := DirectReadBytes(fsio.Capabilities{}, fsblk)
 	obj := simfs.NewObjStore(simfs.ObjProfile{})
+	// The os rows' backend reads; every row reads the 24 576 bytes once.
+	osReads := map[int64]int64{direct: 24, direct - 1: 27, direct + 1: 26, 1: 3, 100: 3, chunk: 3, chunk + 1: 5}
 	for _, be := range []struct {
 		label  string
 		wrap   func(fsio.FileSystem) fsio.FileSystem
@@ -617,26 +659,8 @@ func TestDirectReadRequestPins(t *testing.T) {
 		{"os", func(fs fsio.FileSystem) fsio.FileSystem { return fs }, direct},
 		{"objstore", func(fs fsio.FileSystem) fsio.FileSystem { return obj.Wrap(fs, nil) }, chunk},
 	} {
-		reg := obs.NewRegistry()
-		fsys := fsio.Instrument(be.wrap(fsio.NewOS(t.TempDir())), fsio.NewMeter(reg, "pin"))
-		reads := reg.Counter("fsio_ops_total", "", obs.L("backend", "pin", "op", "read")...)
-		readBytes := reg.Counter("fsio_bytes_total", "", obs.L("backend", "pin", "op", "read")...)
-		mpi.Run(1, func(c *mpi.Comm) {
-			f, err := ParOpen(c, fsys, "pin.sion", WriteMode, &Options{ChunkSize: chunk, FSBlockSize: fsblk, BufferSize: BufferOff})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			f.Write(rankPayload(0, nblocks*chunk))
-			f.Close()
-		})
-		h, err := OpenRank(fsys, "pin.sion", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.SetBufferSize(BufferAuto); err != nil {
-			t.Fatal(err)
-		}
+		fsys, reads, readBytes := meteredOS(t, be.wrap)
+		h := pinFile(t, fsys, fsblk, chunk, nblocks)
 		stage := h.rstage.size
 		if got := min(h.directRead, stage); got != be.direct {
 			t.Errorf("%s: direct-read bar = %d, want %d", be.label, got, be.direct)
@@ -657,20 +681,90 @@ func TestDirectReadRequestPins(t *testing.T) {
 				delivered += int64(n)
 			}
 			calls, nbytes := reads.Value()-calls0, readBytes.Value()-bytes0
-			wantCalls, wantBytes := modelReads(h.readBytes, rec, stage, be.direct)
+			wantCalls, wantBytes := modelReads(h.readBytes, []int64{rec}, stage, h.directRead, true)
 			if calls != wantCalls || nbytes != wantBytes {
 				t.Errorf("%s rec=%d: %d reads of %d bytes, want %d of %d", be.label, rec, calls, nbytes, wantCalls, wantBytes)
 			}
-			if be.direct == direct && rec == direct && (calls != delivered/rec || nbytes != delivered) {
-				t.Errorf("%s rec=%d: %d reads of %d bytes for %d records of %d bytes", be.label, rec, calls, nbytes, delivered/rec, delivered)
+			if be.label == "os" && (calls != osReads[rec] || nbytes != delivered) {
+				t.Errorf("%s rec=%d: %d reads of %d bytes, pinned at %d of %d", be.label, rec, calls, nbytes, osReads[rec], delivered)
 			}
-			if be.direct == stage || rec < direct {
-				if c, n := modelReads(h.readBytes, rec, stage, stage); calls != c || nbytes != n {
+			if 2*rec < h.directRead {
+				if c, n := modelReads(h.readBytes, []int64{rec}, stage, stage, false); calls != c || nbytes != n {
 					t.Errorf("%s rec=%d: %d reads of %d bytes, was %d of %d before the rule", be.label, rec, calls, nbytes, c, n)
 				}
 			}
 		}
 		h.Close()
+	}
+}
+
+// TestMixedStreamRequestPins pins the stream half of the rule on one
+// stream, counted by an fsio.Meter: a stream that opens with a small
+// record stages its first chunk whole, and once its calls average half of
+// DirectReadBytes even its small pieces are read where they are going;
+// a Seek starts a new stream, and ReadLogicalAt calls count in it as
+// Reads do.
+func TestMixedStreamRequestPins(t *testing.T) {
+	const fsblk, chunk, nblocks = 256, 8192, 3 // DirectReadBytes 1024
+	fsys, reads, readBytes := meteredOS(t, func(fs fsio.FileSystem) fsio.FileSystem { return fs })
+	h := pinFile(t, fsys, fsblk, chunk, nblocks)
+	defer h.Close()
+	payload := rankPayload(0, nblocks*chunk)
+	step := func(label string, wantCalls, wantBytes int64, read func() error) {
+		t.Helper()
+		calls0, bytes0 := reads.Value(), readBytes.Value()
+		if err := read(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if calls, nbytes := reads.Value()-calls0, readBytes.Value()-bytes0; calls != wantCalls || nbytes != wantBytes {
+			t.Errorf("%s: %d reads of %d bytes, want %d of %d", label, calls, nbytes, wantCalls, wantBytes)
+		}
+	}
+	// 64 B, then 2 KiB records to the end: the first record stages block 0
+	// whole; the rest of block 0 is served from the stage; the 64 B piece
+	// that opens block 1 and every piece after it is read directly (mean at
+	// least 512), five per block.
+	recs := []int64{64, 2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048}
+	got := make([]byte, len(payload))
+	step("mixed Read", 11, nblocks*chunk, func() error {
+		for i, off := 0, int64(0); !h.EOF(); i++ {
+			n, err := h.Read(got[off:min(off+recs[min(i, len(recs)-1)], int64(len(got)))])
+			if err != nil {
+				return err
+			}
+			off += int64(n)
+		}
+		return nil
+	})
+	if !bytes.Equal(got, payload) {
+		t.Error("mixed Read: bytes differ")
+	}
+	if want, _ := modelReads(h.readBytes, recs, chunk, 1024, true); want != 11 {
+		t.Errorf("model: %d reads, want 11", want)
+	}
+	if c, _ := modelReads(h.readBytes, recs, chunk, 1024, false); c != 3 {
+		t.Errorf("model without the stream: %d reads, want 3 (one stage fill per block)", c)
+	}
+	// A Seek starts a new stream: 64 B stage block 1 from its start.
+	p := make([]byte, 2048)
+	step("Read after Seek", 1, chunk, func() error {
+		if err := h.Seek(1, 0); err != nil {
+			return err
+		}
+		_, err := h.Read(p[:64])
+		return err
+	})
+	// ReadLogicalAt counts in the stream: after 2 KiB (direct, at least
+	// the bar) a 100 B miss is read directly, since (64+2048+100)/3 ≥ 512.
+	step("ReadLogicalAt", 2, 2148, func() error {
+		if _, err := h.ReadLogicalAt(p, 2*chunk); err != nil {
+			return err
+		}
+		_, err := h.ReadLogicalAt(p[:100], 2*chunk+4096)
+		return err
+	})
+	if !bytes.Equal(p[:100], payload[2*chunk+4096:2*chunk+4196]) {
+		t.Error("ReadLogicalAt: bytes differ")
 	}
 }
 

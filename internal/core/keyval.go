@@ -184,6 +184,7 @@ func (f *File) ReadLogicalAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("sion: %s: negative logical offset", f.name)
 	}
+	f.rstage.note(len(p))
 	// Locate the block containing off.
 	block := 0
 	for block < len(f.readBytes) && off >= f.readBytes[block] {

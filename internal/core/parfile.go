@@ -579,6 +579,7 @@ func (f *File) Read(p []byte) (int, error) {
 	if err := f.checkOpen(ReadMode); err != nil {
 		return 0, err
 	}
+	f.rstage.note(len(p))
 	total := 0
 	for len(p) > 0 {
 		if f.curBlock >= len(f.readBytes) {
@@ -693,6 +694,7 @@ func (f *File) Seek(block int, pos int64) error {
 		return fmt.Errorf("sion: %s: Seek(%d,%d) outside recorded data", f.name, block, pos)
 	}
 	f.curBlock, f.pos = block, pos
+	f.rstage.restart()
 	return nil
 }
 

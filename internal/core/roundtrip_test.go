@@ -86,6 +86,144 @@ func checkRecordReads(t *testing.T, label string, rd io.Reader, seek func(block 
 	return got
 }
 
+// TestMixedStreamRoundTrip reads back, byte for byte, streams whose
+// records straddle the read-ahead rule's stream bar: 16 records of 64 B
+// (staged) and then serve-cold's 1–64 KiB records (read directly once the
+// stream's mean reaches half of DirectReadBytes), on 4 KiB FS blocks and
+// 256 KiB chunks. The arms are Read on ParOpen handles, ReadLogicalAt in
+// shuffled record order, Read on mapped rank handles (two readers for
+// four writers), and a KeyReader over values of 32 KiB and more.
+func TestMixedStreamRoundTrip(t *testing.T) {
+	const ranks, fsblk, small = 4, 4096, 64
+	sh := readBackShape{"", 1 << 20, 256 << 10, 1 << 10, 64 << 10}
+	ends := func(g int) []int64 {
+		var e []int64
+		for pos := int64(small); pos <= 16*small; pos += small {
+			e = append(e, pos)
+		}
+		for _, end := range sh.records(g) {
+			if end > fsblk {
+				e = append(e, end)
+			}
+		}
+		return e
+	}
+	// Key g's values: 32 KiB and more, cut from rank g's payload.
+	values := func(g int) [][]byte {
+		var vs [][]byte
+		payload := rankPayload(g, int(sh.perTask))
+		for i := 0; len(payload) > 0; i++ {
+			n := min(32<<10+(i%4)*(24<<10), len(payload))
+			vs, payload = append(vs, payload[:n]), payload[n:]
+		}
+		return vs
+	}
+	fsys := fsio.NewOS(t.TempDir())
+	mpi.Run(ranks, func(c *mpi.Comm) {
+		opts := &Options{ChunkSize: sh.chunk, FSBlockSize: fsblk, BufferSize: BufferAuto}
+		f, err := ParOpen(c, fsys, "mixed.sion", WriteMode, opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f.Write(rankPayload(c.Rank(), int(sh.perTask)))
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+		if f, err = ParOpen(c, fsys, "keys.sion", WriteMode, opts); err != nil {
+			t.Error(err)
+			return
+		}
+		w, _ := NewKeyWriter(f)
+		for i, v := range values(c.Rank()) {
+			if err := w.WriteKey(uint64(i%3), v); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	// drain reads rank g's stream through h one record at a time.
+	drain := func(label string, h *File, g int) {
+		want, got := rankPayload(g, int(sh.perTask)), make([]byte, sh.perTask)
+		pos := int64(0)
+		for _, end := range ends(g) {
+			if _, err := io.ReadFull(h, got[pos:end]); err != nil {
+				t.Errorf("%s rank %d at %d: %v", label, g, pos, err)
+				return
+			}
+			pos = end
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s rank %d: bytes differ", label, g)
+		}
+	}
+	ropts := &Options{BufferSize: BufferAuto}
+	mpi.Run(ranks, func(c *mpi.Comm) {
+		g := c.Rank()
+		f, err := ParOpen(c, fsys, "mixed.sion", ReadMode, ropts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close()
+		drain("Read", f, g)
+
+		e, want, got := ends(g), rankPayload(g, int(sh.perTask)), make([]byte, sh.perTask)
+		for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(e)) {
+			start := int64(0)
+			if i > 0 {
+				start = e[i-1]
+			}
+			if _, err := f.ReadLogicalAt(got[start:e[i]], start); err != nil {
+				t.Errorf("ReadLogicalAt rank %d at %d: %v", g, start, err)
+				return
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("ReadLogicalAt rank %d: bytes differ", g)
+		}
+
+		k, err := ParOpen(c, fsys, "keys.sion", ReadMode, ropts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer k.Close()
+		kr, err := NewKeyReader(k)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		wantKey := make([][]byte, 3)
+		for i, v := range values(g) {
+			wantKey[i%3] = append(wantKey[i%3], v...)
+		}
+		for key, want := range wantKey {
+			if got, err := kr.ReadKey(uint64(key)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("KeyReader rank %d: key %d differs (%v)", g, key, err)
+			}
+		}
+	})
+	mpi.Run(2, func(c *mpi.Comm) {
+		mf, err := ParOpenMapped(c, fsys, "mixed.sion", ReadMode, nil, ropts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer mf.Close()
+		for _, g := range mf.OwnedRanks() {
+			h, err := mf.Rank(g)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			drain("mapped", h, g)
+		}
+	})
+}
+
 // TestPropertyRoundTripModes is a property-style test over random
 // configurations: for random task counts, physical-file counts, chunk
 // sizes, mappings, and staging-buffer sizes, the direct,
