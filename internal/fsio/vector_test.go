@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -106,6 +108,25 @@ func TestOSReadvAtBeyond4GiB(t *testing.T) {
 	n, err := fsio.ReadvAt(f, bufs, off-3)
 	if got := bytes.Join(bufs, nil); n != 10 || err != io.EOF || string(got[:10]) != "\x00\x00\x00far out" {
 		t.Fatalf("ReadvAt at 5 GiB = (%d, %v, %q)", n, err, got)
+	}
+}
+
+// TestOSReadvAtFails: a read the kernel refuses — here of a directory —
+// fails, whether it is one vector (a pread) or several (a preadv).
+func TestOSReadvAtFails(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "d"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fsio.NewOS(dir).Open("d")
+	if err != nil {
+		t.Skipf("the OS backend opens no directory: %v", err)
+	}
+	defer f.Close()
+	for _, lens := range [][]int{{10}, {10, 20}} {
+		if n, err := fsio.ReadvAt(f, poisoned(lens), 0); n != 0 || err == nil || err == io.EOF {
+			t.Errorf("ReadvAt of %d vectors from a directory = (%d, %v), want an error", len(lens), n, err)
+		}
 	}
 }
 

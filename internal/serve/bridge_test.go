@@ -211,7 +211,7 @@ func TestBridgedBlocksReadIntoTheWindow(t *testing.T) {
 		p := bytes.Repeat([]byte{0xAA}, 4*bbs)
 		window := make(chan error, 1)
 		go func() { window <- s.ReadFileAt(0, p, 20*bbs, nil) }()
-		waitFor(t, "the window's span of block 20", func() bool { return s.Stats().BackendReads == before.BackendReads+2 })
+		waitFor(t, "the window's span of block 20", func() bool { return vfs.Reads.Load() == reads+2 })
 		for _, b := range []int64{30, 31, 32} { // evicts 25, 21 and 22 and reserves their slots again
 			if err := s.ReadFileAt(0, make([]byte, 100), b*bbs, nil); err != nil {
 				t.Fatal(err)

@@ -75,28 +75,34 @@ func (k blockKey) hash() uint64 {
 // pending one being filled (in the map, on no list), or a vacated slot
 // (frame kept) on the free list, chained through next.
 type cacheEntry struct {
+	prev, next *cacheEntry // LRU neighbours, toward the front / toward the tail
 	key        blockKey
 	data       []byte       // the frame; len is the block's length
 	lo, hi     int64        // the bytes of the block the frame holds: [lo, hi)
 	pending    bool         // being filled: lookups skip it, acquire reports it to other readers
 	cold       bool         // admitted by frequency into a full shard: commit enters it at the LRU tail
 	readers    atomic.Int32 // copyOuts still copying from a frame of this slot
-	prev, next *cacheEntry  // LRU neighbours, toward the front / toward the tail
+	sh         *cacheShard  // the shard the slot belongs to, for life: commit and abort hash no key
 }
 
+// cacheShard fills whole cache lines, so neighbouring shards share none,
+// and its first holds what a visit writes: the lock, the sketch and the
+// shard's serve_cache_{hits,misses,read_around}_total. A line another core
+// wrote last is a transfer between caches, and on the ladder's serve-cold
+// those, not instructions, were most of a declined block's cost.
 type cacheShard struct {
-	mu     sync.Mutex
-	filled sync.Cond                // on mu; broadcast when a pending entry is committed or aborted
-	items  map[blockKey]*cacheEntry // resident and pending blocks
-	lru    cacheEntry               // list sentinel: next = most recently used, prev = next victim
-	free   *cacheEntry              // vacated slots
-	bytes  int64                    // resident and pending
-	budget int64                    // whole blocks: what bytes may reach
-	freq   freqSketch               // access counts, kept from the shard's first eviction on
-	// evictions and readAround are the shard's serve_cache_evictions_total
-	// and serve_cache_read_around_total, in its shardCell (the Server
-	// installs them; nil, as in a bare cache, counts nothing).
-	evictions, readAround *atomic.Int64
+	mu                       sync.Mutex
+	freq                     freqSketch // access counts, kept from the shard's first eviction on
+	hits, misses, readAround atomic.Int64
+
+	lru       cacheEntry               // list sentinel: next = most recently used, prev = next victim
+	items     map[blockKey]*cacheEntry // resident and pending blocks
+	bytes     int64                    // resident and pending
+	budget    int64                    // whole blocks: what bytes may reach
+	evictions atomic.Int64             // serve_cache_evictions_total of this shard
+	free      *cacheEntry              // vacated slots
+	filled    sync.Cond                // on mu; broadcast when a pending entry is committed or aborted
+	_         [8]byte                  // to 256 bytes, four cache lines
 }
 
 type blockCache struct {
@@ -148,21 +154,10 @@ func newBlockCache(totalBytes int64, nshards int, blockBytes int64) *blockCache 
 	return c
 }
 
-func (c *blockCache) shard(k blockKey) *cacheShard {
-	return &c.shards[k.hash()&c.mask]
-}
-
-// shardIndex returns the shard a key maps to, for per-shard metric
-// attribution.
+// shardIndex returns the shard a key maps to: a read hashes each block's
+// key once, for its visit and its tallies.
 func (c *blockCache) shardIndex(k blockKey) int {
 	return int(k.hash() & c.mask)
-}
-
-// count adds one to a shard's tally; the nil tally counts nothing.
-func count(v *atomic.Int64) {
-	if v != nil {
-		v.Add(1)
-	}
 }
 
 // unlink takes e off the LRU list.
@@ -289,15 +284,15 @@ const (
 	claimAround              // declined by a full shard, or past top: the caller reads the block into dst itself
 )
 
-// acquire settles block k for a reader that wants its bytes [from,
+// acquire settles block k, in shard si, for a reader that wants its bytes [from,
 // from+len(dst)), under one hold of the shard lock. If they are resident
 // it copies them out, or with pin set counts and moves the block as a copy
 // would but pins its frame instead: the fill's entry and frame from offset
 // from, which the caller may copy from until it calls e.unpin. Otherwise
 // claimMiss settles the miss. base is where the n-byte block starts in its
 // file and top where its committed bytes end, from its start.
-func (c *blockCache) acquire(k blockKey, dst []byte, from, base, top, n int64, around, pin bool) (fill, claim) {
-	s := c.shard(k)
+func (c *blockCache) acquire(si int, k blockKey, dst []byte, from, base, top, n int64, around, pin bool) (fill, claim) {
+	s := &c.shards[si]
 	s.mu.Lock()
 	e := s.items[k]
 	switch {
@@ -347,7 +342,7 @@ func (c *blockCache) claimMiss(s *cacheShard, k blockKey, old *cacheEntry, dst [
 		return fill{}, claimWait
 	case from+int64(len(dst)) > top:
 		s.mu.Unlock()
-		count(s.readAround)
+		s.readAround.Add(1)
 		return fill{nil, dst, from}, claimAround
 	}
 	full := s.bytes+n > s.budget
@@ -358,7 +353,7 @@ func (c *blockCache) claimMiss(s *cacheShard, k blockKey, old *cacheEntry, dst [
 	cold := !ok && around && full
 	if tail := s.lru.prev; cold && tail != &s.lru && !s.freq.admits(k, tail.key) {
 		s.mu.Unlock()
-		count(s.readAround)
+		s.readAround.Add(1)
 		return fill{nil, dst, from}, claimAround
 	}
 	lo, hi := c.fillRange(base, dst, from, n)
@@ -479,7 +474,7 @@ var poisonRecycled = func([]byte) {}
 // reserve makes room in shard s (whose lock the caller holds) for an
 // n-byte block k — evicting from the LRU tail until the shard's resident
 // and pending bytes fit its budget, or nothing is left to evict
-// (evictions count on the shard's instrument) — charges the shard for it,
+// (evictions count in the shard's tally) — charges the shard for it,
 // and enters a pending entry for k in the map in place of any resident
 // copy. The entry's frame e.data (n bytes of stale contents, valid range
 // the whole block) is the caller's to fill. The entry is the first vacated
@@ -491,14 +486,14 @@ func (c *blockCache) reserve(s *cacheShard, k blockKey, n int64) *cacheEntry {
 	}
 	for s.bytes+n > s.budget && s.lru.prev != &s.lru {
 		s.vacate(s.lru.prev)
-		count(s.evictions)
+		s.evictions.Add(1)
 	}
 	e := s.takeFree(n)
 	if e != nil {
 		e.data = e.data[:n]
 		poisonRecycled(e.data)
 	} else {
-		e = &cacheEntry{data: c.frame(n)}
+		e = &cacheEntry{data: c.frame(n), sh: s}
 	}
 	e.key, e.next, e.pending, e.cold, e.lo, e.hi = k, nil, true, false, 0, n
 	s.bytes += n
@@ -552,12 +547,12 @@ func (c *blockCache) frame(n int64) []byte {
 // a block-by-block insertion would have. The caller must be done with
 // e.data: once resident, a frame can be recycled at once.
 func (c *blockCache) commit(e *cacheEntry) {
-	s := c.shard(e.key)
+	s := e.sh
 	s.mu.Lock()
 	e.pending = false
 	for s.bytes > s.budget && s.lru.prev != &s.lru {
 		s.vacate(s.lru.prev)
-		count(s.evictions)
+		s.evictions.Add(1)
 	}
 	at := &s.lru
 	if e.cold {
@@ -572,7 +567,7 @@ func (c *blockCache) commit(e *cacheEntry) {
 // and frame to the free list for the next reservation, and the readers
 // waiting for it acquire the block again.
 func (c *blockCache) abort(e *cacheEntry) {
-	s := c.shard(e.key)
+	s := e.sh
 	s.mu.Lock()
 	delete(s.items, e.key)
 	s.bytes -= int64(len(e.data))
@@ -585,7 +580,7 @@ func (c *blockCache) abort(e *cacheEntry) {
 // pending entry of its own: then no filler ever waits on a waiter, and
 // waits cannot cycle.
 func (c *blockCache) wait(k blockKey) {
-	s := c.shard(k)
+	s := &c.shards[c.shardIndex(k)]
 	s.mu.Lock()
 	for e, ok := s.items[k]; ok && e.pending; e, ok = s.items[k] {
 		s.filled.Wait()

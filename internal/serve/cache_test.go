@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/fsio"
@@ -21,7 +20,7 @@ func lookup(c *blockCache, k blockKey, n int) ([]byte, bool) {
 // reserve takes acquire's reservation step alone: a pending n-byte entry
 // for k, in place of any resident copy.
 func reserve(c *blockCache, k blockKey, n int64) *cacheEntry {
-	s := c.shard(k)
+	s := &c.shards[c.shardIndex(k)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return c.reserve(s, k, n)
@@ -38,7 +37,6 @@ func insert(c *blockCache, k blockKey, data []byte) {
 func TestBlockCacheLRUEviction(t *testing.T) {
 	// One shard, budget of 4 × 10-byte blocks.
 	c := newBlockCache(40, 1, 10)
-	c.shards[0].evictions = new(atomic.Int64)
 	blk := func(i int) ([]byte, blockKey) {
 		return []byte(fmt.Sprintf("block-%04d", i)), blockKey{0, int64(i)}
 	}
@@ -128,7 +126,7 @@ func TestBlockCacheConcurrent(t *testing.T) {
 				// exactly that byte, read now or kept from an earlier fill.
 				d := make([]byte, 16)
 				from := int64(i % 48)
-				f, got := c.acquire(k, d, from, 0, 64, 64, false, false)
+				f, got := c.acquire(c.shardIndex(k), k, d, from, 0, 64, 64, false, false)
 				switch got {
 				case claimMine:
 					for j := range f.dst {
@@ -192,7 +190,6 @@ func TestReserveLeavesPinnedFrameAlone(t *testing.T) {
 // bytes and hands its frame to the next reservation.
 func TestReservationLifecycle(t *testing.T) {
 	c := newBlockCache(40, 1, 10)
-	c.shards[0].evictions = new(atomic.Int64)
 	k := blockKey{0, 3}
 	e := reserve(c, k, 10)
 	copy(e.data, "block-0003")
@@ -228,7 +225,7 @@ func TestReservationLifecycle(t *testing.T) {
 func TestPinnedSlotIsNotReused(t *testing.T) {
 	c := newBlockCache(40, 1, 10) // four 10-byte blocks, one slab
 	insert(c, blockKey{0, 0}, []byte("block-0000"))
-	f, got := c.acquire(blockKey{0, 0}, make([]byte, 10), 0, 0, 10, 10, false, true)
+	f, got := c.acquire(c.shardIndex(blockKey{0, 0}), blockKey{0, 0}, make([]byte, 10), 0, 0, 10, 10, false, true)
 	if got != claimPinned {
 		t.Fatalf("block 0: claim %d, want it pinned", got)
 	}
@@ -264,8 +261,7 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 		bytes     int64
 	}
 	run := func(batched bool) state {
-		c := newBlockCache(40, 1, 10) // four 10-byte blocks
-		c.shards[0].evictions = new(atomic.Int64)
+		c := newBlockCache(40, 1, 10)       // four 10-byte blocks
 		for b := int64(100); b < 103; b++ { // older residents
 			insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
 		}
@@ -304,7 +300,6 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 	// as block-by-block insertion, and ends within budget.
 	c := newBlockCache(40, 1, 10)
 	s := &c.shards[0]
-	s.evictions = new(atomic.Int64)
 	for b := int64(100); b < 103; b++ {
 		insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
 	}
@@ -330,7 +325,6 @@ func TestCommitTrimsLikeBlockByBlockInsertion(t *testing.T) {
 // that has not yet had to evict: it counts no access.
 func fullShard() *blockCache {
 	c := newBlockCache(40, 1, 10)
-	c.shards[0].evictions, c.shards[0].readAround = new(atomic.Int64), new(atomic.Int64)
 	for b := int64(100); b < 104; b++ {
 		insert(c, blockKey{0, b}, bytes.Repeat([]byte{byte(b)}, 10))
 	}
@@ -372,7 +366,7 @@ func TestFullShardReadsFirstTouchAround(t *testing.T) {
 	}
 	// The first miss that would evict starts the count: the tail (100) has
 	// never been counted, so block 7 is admitted — at the tail.
-	f, got := c.acquire(blockKey{0, 7}, make([]byte, 10), 0, 0, 10, 10, true, false)
+	f, got := c.acquire(c.shardIndex(blockKey{0, 7}), blockKey{0, 7}, make([]byte, 10), 0, 0, 10, 10, true, false)
 	commitAs(t, c, f, got, "block-0007")
 	if fmt.Sprint(lru(s)) != "[103 102 101 7]" || s.evictions.Load() != 1 {
 		t.Fatalf("a block admitted by frequency: LRU %v after %d evictions, want [103 102 101 7] after 1", lru(s), s.evictions.Load())
@@ -380,7 +374,7 @@ func TestFullShardReadsFirstTouchAround(t *testing.T) {
 	// Block 8, asked for as often as the tail (7), and then twice as often,
 	// is read around.
 	for ask := 1; ask <= 2; ask++ {
-		if f, got := c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, true, false); got != claimAround || f.e != nil {
+		if f, got := c.acquire(c.shardIndex(blockKey{0, 8}), blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, true, false); got != claimAround || f.e != nil {
 			t.Fatalf("ask %d of a block of a full shard: claim %d, entry %v; want it read around", ask, got, f.e)
 		}
 		if fmt.Sprint(lru(s)) != "[103 102 101 7]" || c.cachedBytes() != 40 || s.evictions.Load() != 1 || s.readAround.Load() != int64(ask) {
@@ -389,7 +383,7 @@ func TestFullShardReadsFirstTouchAround(t *testing.T) {
 		}
 	}
 	// Asked for three times, it beats the tail it evicts: the one-off fill 7.
-	f, got = c.acquire(blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, true, false)
+	f, got = c.acquire(c.shardIndex(blockKey{0, 8}), blockKey{0, 8}, make([]byte, 10), 0, 0, 10, 10, true, false)
 	commitAs(t, c, f, got, "block-0008")
 	if fmt.Sprint(lru(s)) != "[103 102 101 8]" {
 		t.Fatalf("LRU %v, want the one-off block 7 evicted and 8 at the tail", lru(s))
@@ -410,17 +404,17 @@ func TestAdmissionNeedsAFullShardAndALargeWindow(t *testing.T) {
 	for b := int64(100); b < 104; b++ {
 		lookup(c, blockKey{0, b}, 10)
 	}
-	if _, got := c.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true, false); got != claimAround {
+	if _, got := c.acquire(c.shardIndex(blockKey{0, 1}), blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true, false); got != claimAround {
 		t.Fatalf("large window on a full shard: claim %d, want it read around", got)
 	}
-	f, got := c.acquire(blockKey{0, 2}, make([]byte, 10), 0, 0, 10, 10, false, false)
+	f, got := c.acquire(c.shardIndex(blockKey{0, 2}), blockKey{0, 2}, make([]byte, 10), 0, 0, 10, 10, false, false)
 	commitAs(t, c, f, got, "block-0002")
 	if fmt.Sprint(lru(s)) != "[2 103 102 101]" {
 		t.Fatalf("small window on a full shard: LRU %v, want it admitted at the front", lru(s))
 	}
 	roomy := newBlockCache(40, 1, 10)
 	insert(roomy, blockKey{0, 100}, make([]byte, 10))
-	f, got = roomy.acquire(blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true, false)
+	f, got = roomy.acquire(roomy.shardIndex(blockKey{0, 1}), blockKey{0, 1}, make([]byte, 10), 0, 0, 10, 10, true, false)
 	commitAs(t, roomy, f, got, "block-0001")
 	if r := &roomy.shards[0]; fmt.Sprint(lru(r)) != "[1 100]" || r.freq.count != nil {
 		t.Fatalf("large window on a shard with room: LRU %v, counting %v; want admitted at the front, nothing counted", lru(r), r.freq.count != nil)

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -89,7 +88,6 @@ func newCacheModel(t *testing.T, shards, blocks int) *cacheModel {
 	m.c.fsBlock = fuzzFSBlock
 	m.shards = make([]modelShard, len(m.c.shards))
 	for i := range m.c.shards {
-		m.c.shards[i].evictions, m.c.shards[i].readAround = new(atomic.Int64), new(atomic.Int64)
 		m.shards[i].entries = make(map[blockKey]*modelEntry)
 		m.shards[i].budget = int64(blocks/shards) * fuzzBlock
 		if i < blocks%shards {
@@ -158,7 +156,7 @@ func (m *cacheModel) acquire(k blockKey, from, n, top int64, around, pinHit bool
 	hi := min((from+n+fuzzFSBlock-1)/fuzzFSBlock*fuzzFSBlock, top)
 	dst := make([]byte, n)
 	old := s.items[k]
-	f, got := m.c.acquire(k, dst, from, 0, top, fuzzBlock, around, pinHit)
+	f, got := m.c.acquire(m.c.shardIndex(k), k, dst, from, 0, top, fuzzBlock, around, pinHit)
 
 	want := claimMine
 	me, ok := ms.entries[k]

@@ -2,22 +2,21 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"sync"
 
 	sion "repro/internal/core"
+	"repro/internal/fsio"
 	"repro/internal/resil"
 )
 
-// The miss path: the reader that missed fetches, on its own goroutine.
-//
-// This replaces a fetcher goroutine per physical file (CkIO's aggregator
-// pattern), whose queue gave singleflight and batched the misses that piled
-// up behind a read. On the real-FS ladder the batching never paid — 0.0001
+// The miss path: the reader that missed fetches, on its own goroutine. It
+// replaced a fetcher goroutine per physical file (CkIO's aggregator
+// pattern), whose batching never paid on the real-FS ladder — 0.0001
 // (serve-cold) and 0.004 (ckpt-large) of the misses were resolved by
-// somebody else's fetch — while the queue cost every miss two channel
-// hand-offs and a batch's maps and buffers, and kept one backend read in
-// flight per file: the serialisation the multifile layout exists to avoid
-// (many tasks, one file, uncoordinated block-aligned requests — paper §3).
+// somebody else's fetch — while its queue cost every miss two channel
+// hand-offs and serialised each file's backend reads, which the multifile
+// layout exists to avoid (many tasks, one file — paper §3).
 //
 // Singleflight, the part that did pay, lives in the cache map. A read's
 // cache pass visits each block's shard once, under its lock: until the
@@ -52,20 +51,23 @@ import (
 // ReadFileAt asks for one) is read around.
 //
 // A missed block is read straight into the cache frame it will live in:
-// each dense span is one vectored backend read (fsio.ReadvAt) whose
-// vectors are those frames, so an admitted missed byte is copied twice —
-// kernel to frame, frame to caller. A block a full shard declines
-// (cache.go) is read around the cache: its vector is the caller's own
-// window, so its bytes are copied once. So is a resident block a span
-// bridges between two absent ones: the cache pass pins its frame instead
-// of copying it out (acquire with pin), and the span reads the block into
-// its share of the window. (A block between two absent ones that a peer
-// filled is in p already, and one another reader is filling will be; the
-// span writes the same committed bytes over it.) A run of read-around and
-// bridged blocks is one vector, so a span of them is one plain read into
-// the caller's buffer. A pinned block no successful span read — after the
-// last miss, past a gap wider than MaxSpanGap, between two rounds, in a
-// failed span — is copied from its frame once the fetch is over.
+// each dense span is one backend read (fsio.ReadvAt: a preadv, or a pread
+// of one vector) whose vectors are those frames, so an admitted missed
+// byte is copied twice — kernel to frame, frame to caller. A block a full
+// shard declines (cache.go) is read around the cache: its vector is the
+// caller's own window, so its bytes are copied once. So is a resident
+// block a span bridges between two absent ones: the cache pass pins its
+// frame instead of copying it out (acquire with pin), and the span reads
+// the block into its share of the window. (A block between two absent ones
+// that a peer filled is in p already, and one another reader is filling
+// will be; the span writes the same committed bytes over it.) A run of
+// read-around and bridged blocks is one vector, so a span of them is one
+// pread into the caller's buffer. A pinned block no successful span read —
+// after the last miss, past a gap wider than MaxSpanGap, between two
+// rounds, in a failed span — is copied from its frame once the fetch is
+// over. So a window a full cache declines costs its shard visits, one key
+// hash each, one pread under its cell's close guard (the retry budget only
+// after a failure) and its counters, added once to one line of its cell.
 
 // missScratch is one request's miss bookkeeping, pooled so that a miss of
 // any size allocates nothing: the resident blocks the cache pass pinned
@@ -162,11 +164,14 @@ func (sc *missScratch) bridged(lo, hi int64) {
 	}
 }
 
-// missCost is one request's own breadcrumbs: the dense backend reads that
-// succeeded and the blocks they materialized, the blocks that never
-// touched the backend, the blocks read around the cache, the re-attempts.
+// missCost is one request's own breadcrumbs and counts: the dense backend
+// reads that succeeded and the blocks they materialized, the blocks that
+// never touched the backend, the blocks read around the cache, the
+// re-attempts, and every attempt's backend read with the bytes it asked
+// for. The fetch adds it to the request's cell once (missDone).
 type missCost struct {
 	spans, spanBlocks, peerFills, flightHits, readAround, retries int64
+	reads, readBytes                                              int64
 }
 
 // fetchMissing materializes the blocks of physical file `file` that
@@ -204,8 +209,8 @@ type missCost struct {
 // transient fault, Success otherwise (a permanent error is the backend
 // answering, which is evidence of health, not of overload).
 //
-// What the fetch costs counts in the request's cell c (serverMetrics) and
-// in cost.
+// What the fetch costs counts in cost, which it adds to the request's cell
+// c once (serverMetrics.missDone).
 func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, snap *sion.Layout, p []byte, off int64, cost *missCost) (err error) {
 	bs := s.blockBytes
 	// deliver hands the reader its share of e's block, then commits e: the
@@ -260,8 +265,7 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, snap *sio
 		}
 		for i, j := 0, 0; i < len(absent); i = j {
 			j = spanEnd(absent, i, bs, s.maxSpanGap)
-			r, serr := s.windowedSpanRead(file, c, sc.spanVecs(i, j, p, off, bs), absent[i]*bs+fills[i].from-s.shift[file])
-			cost.retries += r
+			serr := s.readSpan(file, c, sc.spanVecs(i, j, p, off, bs), absent[i]*bs+fills[i].from-s.shift[file], cost)
 			settle(fills[i:j], serr == nil)
 			if serr != nil {
 				if err == nil {
@@ -283,7 +287,7 @@ func (s *Server) fetchMissing(file int, c *shardCell, sc *missScratch, snap *sio
 		sc.absent, sc.fills = sc.absent[:0], sc.fills[:0]
 		for ; x < len(sc.missed); x++ {
 			b := sc.missed[x]
-			f, got := s.visit(snap, file, p, off, b, false)
+			f, got := s.visit(snap, s.cache.shardIndex(blockKey{file, b}), file, p, off, b, false)
 			if got == claimWait {
 				break
 			}
@@ -318,43 +322,74 @@ func spanEnd(blocks []int64, i int, bs, maxGap int64) int {
 	return j
 }
 
-// windowedSpanRead reads one dense span of physical file `file`, from off
+// readSpan reads one dense span of physical file `file`, from off
 // onwards, into vecs (one per block: an absent block's frame range or
 // window share, or the window share of a bridged one), split into
 // requests of at most Server.maxSpanBytes (0 = one request regardless of
 // length) so no single backend read exceeds the backend's ranged-read
 // capability. Each request starts where its predecessor's vectors end:
 // only a span's first block may start late and only its last may end
-// early, the ends of the request's window. The first failing window fails
-// the whole span — its blocks are re-requested together anyway.
-func (s *Server) windowedSpanRead(file int, c *shardCell, vecs [][]byte, off int64) (retries int64, _ error) {
+// early, the ends of the request's window. The first failing request
+// fails the whole span — its blocks are re-requested together anyway.
+// A request is one backend read (readv); only one that fails goes on, as
+// the first attempt of the server's retry budget (resil.Do). Every attempt
+// counts in cost as a backend read of the request's bytes.
+func (s *Server) readSpan(file int, c *shardCell, vecs [][]byte, off int64, cost *missCost) error {
 	per := len(vecs) // blocks per request
 	if s.maxSpanBytes > 0 {
 		per = int(s.maxSpanBytes / s.blockBytes)
 	}
 	for w := 0; w < len(vecs); w += per {
-		win := vecs[w:min(w+per, len(vecs))]
-		next := off
-		for _, v := range win {
-			next += int64(len(v))
-		}
-		r, err := s.spanRead(file, c, fuse(win), off)
-		retries += r
+		win, size := fuse(vecs[w:min(w+per, len(vecs))])
+		attempts, err := int64(1), s.readv(file, win, off)
 		if err != nil {
-			return retries, err
+			failed := err // the budget's first attempt
+			err = resil.Do(s.retry, &c.retry, func() error {
+				if e := failed; e != nil {
+					failed = nil
+					return e
+				}
+				attempts++
+				return s.readv(file, win, off)
+			})
 		}
-		off = next
+		cost.reads += attempts
+		cost.readBytes += attempts * size
+		cost.retries += attempts - 1
+		if err != nil {
+			return fmt.Errorf("serve: %s: span read at %d: %w", s.physNames[file], off, err)
+		}
+		off += size
 	}
-	return retries, nil
+	return nil
+}
+
+// readv is one attempt of a span's request: one backend read of vecs from
+// off (fsio.ReadvAt: a vectored read, or a ReadAt where the backend has
+// none). io.EOF is a legal short read, not a failure: what it left unread
+// is cleared (vecs are recycled frames; bytes past EOF read as zeros,
+// matching the ReadAt contract for unwritten regions).
+func (s *Server) readv(file int, vecs [][]byte, off int64) error {
+	n, err := fsio.ReadvAt(s.files[file], vecs, off)
+	if err == io.EOF {
+		for _, v := range vecs {
+			clear(v[min(n, len(v)):])
+			n -= min(n, len(v))
+		}
+		return nil
+	}
+	return err
 }
 
 // fuse joins, in place, each vector that continues its predecessor in
 // memory — the window shares of a run of blocks read around the cache or
 // bridged are consecutive slices of the caller's buffer — so such a run is
-// one vector: one plain read where the backend has no vectored one.
-func fuse(vecs [][]byte) [][]byte {
-	out := vecs[:1]
+// one vector: one pread, or one plain read where the backend has no
+// vectored one. It returns the vectors and their bytes.
+func fuse(vecs [][]byte) ([][]byte, int64) {
+	out, size := vecs[:1], int64(len(vecs[0]))
 	for _, v := range vecs[1:] {
+		size += int64(len(v))
 		last := &out[len(out)-1]
 		if n := len(*last); len(v) > 0 && cap(*last)-n >= len(v) && &(*last)[:n+1][n] == &v[0] {
 			*last = (*last)[:n+len(v)]
@@ -362,5 +397,5 @@ func fuse(vecs [][]byte) [][]byte {
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, size
 }

@@ -11,16 +11,16 @@ import (
 
 // serverMetrics is the Server's instrument set, registered in one
 // obs.Registry, and the per-shard cells its read-path counters live in.
-// Stats() sums the cells and reads the instruments, and GET /metrics in the
-// HTTP front end is the same registry in Prometheus text form — the cells
-// exposed as CounterFuncs — so the two surfaces can never disagree.
+// Stats() sums them and the shards' tallies and reads the instruments, and
+// GET /metrics in the HTTP front end is the same registry in Prometheus
+// text form, through CounterFuncs: the two surfaces can never disagree.
 //
-// A read, hit or miss, writes only its shards' cells: cache traffic (hits,
-// misses, evictions, read-arounds) counts in the cell of the block's
-// shard, so a skewed workload shows up as one hot shard; the latency tick,
-// the served bytes and everything the miss path counts — backend reads and
-// bytes, spans, flight hits, peer fills, retries — count in the cell of
-// the request's first block.
+// A read, hit or miss, writes only its shards' state: cache traffic (hits,
+// misses, evictions, read-arounds) counts in the block's shard itself
+// (cacheShard), so a skewed workload shows up as one hot shard; the
+// latency tick, the served bytes and everything the miss path counts —
+// backend reads and bytes, spans, flight hits, peer fills, retries — count
+// in the cell of the request's first block.
 //
 // Breaker opens, breaker states, and resident cache bytes are NOT
 // duplicated into instruments — they already live in the breakers and the
@@ -29,9 +29,10 @@ import (
 type serverMetrics struct {
 	reg  *obs.Registry
 	base []obs.Label
-	off  bool // Nop registry: no clock reads, and the cells count only retries
+	off  bool // Nop registry: no clock reads, the cells count only retries, and Stats reads no shard tally
 
-	cells []shardCell // per cache shard
+	cells  []shardCell  // per cache shard
+	shards []cacheShard // the cache's, whose tallies count its traffic
 
 	handles   *obs.Counter
 	tailPolls *obs.Counter
@@ -40,9 +41,9 @@ type serverMetrics struct {
 	readLat *obs.Histogram
 }
 
-// shardCell is one cache shard's share of the server's per-read state,
-// padded to cache lines of its own: the close guard of the fetches keyed
-// to it and its counters.
+// shardCell is one cache shard's share of the server's per-request state,
+// padded to cache lines of its own, the first all a plain miss writes: the
+// close guard of the fetches keyed to it and its counters.
 type shardCell struct {
 	// guard is the close guard: a backend fetch holds R on its request's
 	// cell and rechecks Server.closed under it; Close holds W on every cell
@@ -53,16 +54,16 @@ type shardCell struct {
 	tick   atomic.Int64 // reads begun, for latency sampling
 	served atomic.Int64 // serve_served_bytes_total
 
-	// serve_cache_{hits,misses,evictions,read_around}_total of this shard.
-	hits, misses, evictions, readAround atomic.Int64
+	// The miss path's tallies, added once per request (missDone). Span
+	// fusion: blocks-per-span (fetchSpanBlocks/fetchSpans) is the
+	// coalescing win. serve_backend_reads_total is fetchSpans plus
+	// extraReads: re-attempts, failed spans' reads, and the further
+	// requests of a span longer than the backend's ceiling.
+	backendBytes, fetchSpans, fetchSpanBlocks atomic.Int64
 
-	// The miss path's tallies. Span fusion: blocks-per-span
-	// (fetchSpanBlocks/fetchSpans) is the coalescing win.
-	flightHits, peerFills       atomic.Int64
-	backendReads, backendBytes  atomic.Int64
-	fetchSpans, fetchSpanBlocks atomic.Int64
-	retry                       resil.Counters // the span reads' retry budgets
-	_                           [48]byte       // to 192 bytes, three cache lines
+	extraReads, flightHits, peerFills atomic.Int64
+	retry                             resil.Counters // the span reads' retry budgets
+	_                                 [16]byte       // to 128 bytes, two cache lines
 }
 
 // readSampleEvery is the 1-in-N sampling interval for ReadFileAt latency
@@ -73,20 +74,20 @@ const readSampleEvery = 64
 
 // newServerMetrics registers the serve instrument families. base labels
 // (e.g. node=<id> from a cluster) are prepended to every family; shards
-// is the resolved cache shard count.
-func newServerMetrics(reg *obs.Registry, base []obs.Label, shards int) *serverMetrics {
-	m := &serverMetrics{reg: reg, base: base, off: reg.Disabled(), cells: make([]shardCell, shards)}
-	for i := range m.cells {
-		c := &m.cells[i]
+// are the cache's, one cell each.
+func newServerMetrics(reg *obs.Registry, base []obs.Label, shards []cacheShard) *serverMetrics {
+	m := &serverMetrics{reg: reg, base: base, off: reg.Disabled(), cells: make([]shardCell, len(shards)), shards: shards}
+	for i := range shards {
+		sh := &shards[i]
 		lbl := append(append([]obs.Label(nil), base...), obs.Label{Key: "shard", Value: strconv.Itoa(i)})
 		m.counterFunc("serve_cache_hits_total",
-			"block lookups served from the cache, by shard", &c.hits, lbl)
+			"block lookups served from the cache, by shard", &sh.hits, lbl)
 		m.counterFunc("serve_cache_misses_total",
-			"block lookups that went to the miss path, by shard", &c.misses, lbl)
+			"block lookups that went to the miss path, by shard", &sh.misses, lbl)
 		m.counterFunc("serve_cache_evictions_total",
-			"cache blocks evicted, by shard", &c.evictions, lbl)
+			"cache blocks evicted, by shard", &sh.evictions, lbl)
 		m.counterFunc("serve_cache_read_around_total",
-			"missed blocks read into the caller's buffer instead of cached (declined by a full shard, or past a live frontier), by shard", &c.readAround, lbl)
+			"missed blocks read into the caller's buffer instead of cached (declined by a full shard, or past a live frontier), by shard", &sh.readAround, lbl)
 	}
 	m.sumFunc("serve_flight_hits_total",
 		"missed blocks a concurrent reader's fetch made resident first (singleflight), no new backend read",
@@ -135,7 +136,7 @@ func (m *serverMetrics) sumFunc(name, help string, field func(cellTotals) int64)
 	m.reg.CounterFunc(name, help, func() float64 { return float64(field(m.totals())) }, m.base...)
 }
 
-// cellTotals is the cells' counters summed over the shards.
+// cellTotals is the cells' counters and the shards' tallies summed.
 type cellTotals struct {
 	hits, misses, evictions, readAround int64
 	served, flightHits, peerFills       int64
@@ -144,18 +145,21 @@ type cellTotals struct {
 	retries, giveUps                    int64
 }
 
-// totals sums the cells' counters.
+// totals sums the cells' counters and, unless the registry is Nop, the
+// shards' tallies.
 func (m *serverMetrics) totals() (t cellTotals) {
 	for i := range m.cells {
 		c := &m.cells[i]
-		t.hits += c.hits.Load()
-		t.misses += c.misses.Load()
-		t.evictions += c.evictions.Load()
-		t.readAround += c.readAround.Load()
+		if sh := &m.shards[i]; !m.off {
+			t.hits += sh.hits.Load()
+			t.misses += sh.misses.Load()
+			t.evictions += sh.evictions.Load()
+			t.readAround += sh.readAround.Load()
+		}
 		t.served += c.served.Load()
 		t.flightHits += c.flightHits.Load()
 		t.peerFills += c.peerFills.Load()
-		t.backendReads += c.backendReads.Load()
+		t.backendReads += c.fetchSpans.Load() + c.extraReads.Load()
 		t.backendBytes += c.backendBytes.Load()
 		t.fetchSpans += c.fetchSpans.Load()
 		t.fetchSpanBlocks += c.fetchSpanBlocks.Load()
@@ -165,14 +169,14 @@ func (m *serverMetrics) totals() (t cellTotals) {
 	return t
 }
 
-// lookup counts one block lookup, a hit or a miss, in shard si's cell.
+// lookup counts one block lookup, a hit or a miss, in shard si's tally.
 func (m *serverMetrics) lookup(si int, hit bool) {
 	switch {
 	case m.off:
 	case hit:
-		m.cells[si].hits.Add(1)
+		m.shards[si].hits.Add(1)
 	default:
-		m.cells[si].misses.Add(1)
+		m.shards[si].misses.Add(1)
 	}
 }
 
@@ -203,26 +207,20 @@ func (m *serverMetrics) readDone(c *shardCell, start, n int64) {
 	}
 }
 
-// backendRead counts one backend read attempt of size bytes in cell c.
-func (m *serverMetrics) backendRead(c *shardCell, size int64) {
-	if m.off {
-		return
-	}
-	c.backendReads.Add(1)
-	c.backendBytes.Add(size)
-}
-
-// missDone counts what one request's fetch resolved in cell c: its flight
-// hits, peer fills, and spans with the blocks they materialized. A zero is
-// not written, so a plain miss leaves the first two lines alone.
+// missDone counts what one request's fetch did in cell c, once: its flight
+// hits, peer fills, backend read attempts and their bytes, and spans with
+// the blocks they materialized. A zero is not written, so a plain miss
+// leaves the first two lines alone.
 func (m *serverMetrics) missDone(c *shardCell, cost missCost) {
 	if m.off {
 		return
 	}
 	addNonZero(&c.flightHits, cost.flightHits)
 	addNonZero(&c.peerFills, cost.peerFills)
+	addNonZero(&c.backendBytes, cost.readBytes)
 	addNonZero(&c.fetchSpans, cost.spans)
 	addNonZero(&c.fetchSpanBlocks, cost.spanBlocks)
+	addNonZero(&c.extraReads, cost.reads-cost.spans)
 }
 
 func addNonZero(v *atomic.Int64, n int64) {

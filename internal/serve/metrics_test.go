@@ -312,7 +312,7 @@ func TestMissStormCountersAddUp(t *testing.T) {
 	}
 
 	for i := range s.m.cells {
-		if s.m.cells[i].backendReads.Load() == 0 {
+		if s.m.cells[i].backendBytes.Load() == 0 {
 			t.Fatalf("no request keyed to shard %d reached the backend: the storm missed a cell", i)
 		}
 	}
@@ -332,10 +332,23 @@ func TestMissStormCountersAddUp(t *testing.T) {
 	}
 }
 
-// TestShardCellLines: a cell fills whole cache lines, so neighbouring
-// shards' cells never share one.
+// TestShardCellLines: a cell and a shard fill whole cache lines, so
+// neighbouring shards' never share one, and what a declined block's visit
+// and a request that reads each span in one attempt write lies in the
+// first line of each.
 func TestShardCellLines(t *testing.T) {
-	if n := unsafe.Sizeof(shardCell{}); n%64 != 0 {
+	var c shardCell
+	var s cacheShard
+	if n := unsafe.Sizeof(c); n%64 != 0 {
 		t.Fatalf("shardCell is %d bytes, not a whole number of 64-byte lines", n)
+	}
+	if n := unsafe.Sizeof(s); n%64 != 0 {
+		t.Fatalf("cacheShard is %d bytes, not a whole number of 64-byte lines", n)
+	}
+	if end := unsafe.Offsetof(c.fetchSpanBlocks) + 8; end > 64 {
+		t.Errorf("a plain miss's counters end at byte %d of its cell, past the first line", end)
+	}
+	if end := unsafe.Offsetof(s.readAround) + 8; end > 64 {
+		t.Errorf("a visit's lock, sketch and tallies end at byte %d of the shard, past the first line", end)
 	}
 }

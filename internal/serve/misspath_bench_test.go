@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fsio"
@@ -36,7 +37,11 @@ import (
 //     512 KiB, one FS block past a multiple of its size), through a
 //     3-node cluster splitting an eighth of the file as the ladder splits
 //     serve-cold's cache (…/cold/cluster), and pread of the same windows
-//     (…/cold/pread): the cluster's cold cost below the ladder.
+//     (…/cold/pread): the cluster's cold cost below the ladder; and
+//     the same windows through one server, a pread of each from the
+//     multifile and one from a flat copy of the ranks' streams,
+//     interleaved a window at a time (…/cold/ratio), the ladder's
+//     serve-cold serve pass and its reference in process.
 //
 // Each serving case reports, counted over the timed requests, the block
 // lookups per request (each one a hash, a shard lock and a map probe, so
@@ -47,14 +52,22 @@ import (
 // cluster also reports its runs (node calls) per request.
 func BenchmarkMissPath(b *testing.B) {
 	vfs := &serve.VecFS{FileSystem: fsio.NewOS(b.TempDir())}
-	size := int64(len(serve.WriteOneFile(b, vfs, "m.sion", 16, 512<<10, 4096)))
-	type request struct{ off, n int64 }
+	const perRank = 512 << 10
+	raw := serve.WriteOneFile(b, vfs, "m.sion", 16, perRank, 4096)
+	size := int64(len(raw))
+	// A request of the in-chunk mixes also names its rank and its offset
+	// in the rank's stream.
+	type request struct {
+		off, n int64
+		rank   int
+		pos    int64
+	}
 	requests := func(size, lo, hi int64) []request {
 		rng := rand.New(rand.NewSource(36))
 		reqs := make([]request, 4096)
 		for i := range reqs {
 			n := int64(math.Exp(math.Log(float64(lo)) + rng.Float64()*math.Log(float64(hi)/float64(lo))))
-			reqs[i] = request{rng.Int63n(size - n), n}
+			reqs[i] = request{off: rng.Int63n(size - n), n: n}
 		}
 		return reqs
 	}
@@ -127,11 +140,28 @@ func BenchmarkMissPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	inChunks := func(rank func() int) []request {
-		reqs := requests(512<<10, 4<<10, smallHi)
+		reqs := requests(perRank, 4<<10, smallHi)
 		for i := range reqs {
-			reqs[i].off += lay.Layout().RankBlocks(rank())[0].Off
+			r := rank()
+			reqs[i].rank, reqs[i].pos = r, reqs[i].off
+			reqs[i].off += lay.Layout().RankBlocks(r)[0].Off
 		}
 		return reqs
+	}
+	// flat is every rank's stream back to back, one WriteAt per rank, as
+	// the ladder writes the reference its serve_vs_pread divides by.
+	fl, err := vfs.FileSystem.Create("flat")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for r := 0; r < 16; r++ {
+		at := lay.Layout().RankBlocks(r)[0].Off
+		if _, err := fl.WriteAt(raw[at:at+perRank], int64(r)*perRank); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := fl.Close(); err != nil {
+		b.Fatal(err)
 	}
 	ranks, zipf := rand.New(rand.NewSource(51)), rand.NewZipf(rand.New(rand.NewSource(55)), 1.1, 1, 15)
 	cold := inChunks(func() int { return ranks.Intn(16) })
@@ -188,6 +218,79 @@ func BenchmarkMissPath(b *testing.B) {
 		serveCase(b, cold, smallHi, func(p []byte, off int64) error { return cl.ReadFileAt(0, p, off, nil) }, clusterStats(cl))
 	})
 	b.Run("cold/pread", func(b *testing.B) { preadCase(b, "m.sion", cold, smallHi) })
+	// cold/ratio puts each cold window through a server on the bare OS
+	// backend (through Handles, as the ladder's clients read), then
+	// preads it from the multifile, then from the flat copy, on one
+	// worker, so the three see the same host within microseconds; vs_pread
+	// and vs_flat are the server's rate over each pread's, and vs_flat is
+	// the ladder's serve_vs_pread in process.
+	b.Run("cold/ratio", func(b *testing.B) {
+		s, err := serve.New(vfs.FileSystem, "m.sion", &serve.Config{CacheBytes: size / 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		handles := make([]*serve.Handle, 16)
+		for r := range handles {
+			if handles[r], err = s.Open(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var files [2]fsio.File
+		for i, name := range []string{"m.sion", "flat"} {
+			if files[i], err = vfs.FileSystem.Open(name); err != nil {
+				b.Fatal(err)
+			}
+			defer files[i].Close()
+		}
+		p := make([]byte, smallHi)
+		for _, q := range cold {
+			if _, err := handles[q.rank].ReadLogicalAt(p[:q.n], q.pos); err != nil {
+				b.Fatal(err)
+			}
+		}
+		workers := runtime.GOMAXPROCS(0)
+		var mu sync.Mutex
+		var total [3]time.Duration // serve, multifile pread, flat pread
+		var wg sync.WaitGroup
+		b.ResetTimer()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				p := make([]byte, smallHi)
+				var sum [3]time.Duration
+				for i := w; i < b.N; i += workers {
+					q := cold[i%len(cold)]
+					t0 := time.Now()
+					_, err := handles[q.rank].ReadLogicalAt(p[:q.n], q.pos)
+					t1 := time.Now()
+					if err == nil {
+						_, err = files[0].ReadAt(p[:q.n], q.off)
+					}
+					t2 := time.Now()
+					if err == nil {
+						_, err = files[1].ReadAt(p[:q.n], int64(q.rank)*perRank+q.pos)
+					}
+					t3 := time.Now()
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					sum[0], sum[1], sum[2] = sum[0]+t1.Sub(t0), sum[1]+t2.Sub(t1), sum[2]+t3.Sub(t2)
+				}
+				mu.Lock()
+				for x := range total {
+					total[x] += sum[x]
+				}
+				mu.Unlock()
+			}(w)
+		}
+		wg.Wait()
+		b.StopTimer()
+		b.ReportMetric(float64(total[1])/float64(total[0]), "vs_pread")
+		b.ReportMetric(float64(total[2])/float64(total[0]), "vs_flat")
+	})
 
 	const residentHi = 4 << 10
 	rsize := int64(len(serve.WriteOneFile(b, vfs, "r.sion", 16, 2<<20, 4096)))

@@ -653,6 +653,53 @@ func TestMissUnderCloseFailsFast(t *testing.T) {
 	}
 }
 
+// TestMissAfterCloseAbortsItsClaim: a pass that claimed its first miss
+// and reaches the fetch's close guard only once Close is over — Close took
+// every guard, set closed and gave the guards back — takes the guard,
+// finds the server closed and fails with ErrServerClosed. It aborts the
+// claim, so a later acquire of the block is not told to wait for a fill
+// that nobody makes, and gives the guard back. The test stops readAt's
+// pass at its hand-over to readMissed, which is where the schedule puts
+// Close.
+func TestMissAfterCloseAbortsItsClaim(t *testing.T) {
+	fsys := fsio.NewOS(t.TempDir())
+	writeOneFile(t, fsys, "a.sion", 4, 64<<10, 4096)
+	s, err := New(fsys, "a.sion", &Config{CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const win = 8 << 10
+	p, off := make([]byte, win), 100<<10+s.shift[0]
+	b := off / s.blockBytes
+	k := blockKey{0, b}
+	si := s.cache.shardIndex(k)
+	dst, from := blockWindow(p, off, b, s.blockBytes)
+	sh, e := s.cache.lookup(si, k, dst, from)
+	if sh == nil {
+		t.Fatal("the first read of a block hit")
+	}
+	snap := s.snap.Load()
+	base, top := s.bounds(snap, 0, b)
+	f, got := s.cache.claimMiss(sh, k, e, dst, from, base, top, s.blockBytes, win >= s.fsBlock)
+	if got != claimMine {
+		t.Fatalf("the first miss of a cache with room: claim %d, want a pending entry", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := &s.m.cells[si]
+	if err := s.readMissed(0, c, si, p, off, snap, b, f, got, nil); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("a fetch guarded after Close: %v, want ErrServerClosed", err)
+	}
+	if _, got := s.cache.acquire(si, k, dst, from, base, top, s.blockBytes, false, false); got == claimWait {
+		t.Fatal("the claim of a read that failed at its guard is still pending")
+	}
+	if !c.guard.TryLock() {
+		t.Fatal("a read that failed at its guard still holds it")
+	}
+	c.guard.Unlock()
+}
+
 // waitGoroutines waits up to a second for the goroutine count to fall back
 // to base.
 func waitGoroutines(t *testing.T, base int) {

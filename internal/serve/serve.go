@@ -36,9 +36,9 @@
 //     a pending cache entry per missing block, fuses the blocks into dense
 //     spans with the gap-splitting rule of the mapped collective open
 //     (sion.CoalesceExtents), reads each span into the frames with one
-//     vectored backend read (fsio.ReadvAt: preadv on Linux), and copies
-//     each block's share into the caller's buffer before making its frame
-//     resident. A resident block a span bridges is read into the caller's
+//     backend read (fsio.ReadvAt: preadv on Linux, pread for one vector),
+//     retried only once it fails, and copies each block's share into the
+//     caller's buffer before making its frame resident. A resident block a span bridges is read into the caller's
 //     buffer with it, not copied out of the cache as well: the cache pass
 //     pins a hit after the first miss and copies it only if no span read
 //     it. A first miss reads only the FS blocks its window touches
@@ -246,9 +246,9 @@ type Server struct {
 	pollMu sync.Mutex
 
 	// m holds the per-shard cells (close guards and request counters)
-	// and the obs instruments; Stats() sums the cells and reads the
-	// instruments, and the registry's /metrics exposition is the same
-	// values.
+	// and the obs instruments; Stats() sums the cells and the shards'
+	// tallies and reads the instruments, and the registry's /metrics
+	// exposition is the same values.
 	m *serverMetrics
 }
 
@@ -296,12 +296,7 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 	if !c.ablate.wholeFills {
 		s.cache.fsBlock = fsblk
 	}
-	s.m = newServerMetrics(reg, c.MetricLabels, len(s.cache.shards))
-	for i := range s.cache.shards {
-		if !s.m.off {
-			s.cache.shards[i].evictions, s.cache.shards[i].readAround = &s.m.cells[i].evictions, &s.m.cells[i].readAround
-		}
-	}
+	s.m = newServerMetrics(reg, c.MetricLabels, s.cache.shards)
 	s.snap.Store(layout)
 	s.registerDerived()
 	for k := 0; k < layout.NumFiles(); k++ {
@@ -418,41 +413,6 @@ func spanCeiling(caps fsio.Capabilities, blockBytes int64) int64 {
 	return max(caps.MaxReadBytes-caps.MaxReadBytes%blockBytes, blockBytes)
 }
 
-// spanRead issues one backend read of off onwards on physical file `file`
-// into vecs (fsio.ReadvAt: one vectored read, or one ReadAt where the
-// backend has no vectored read) under the server's retry budget, counting
-// every attempt as a backend read in the request's cell c. io.EOF is a
-// legal short read, not a failure: what it left unread is cleared (vecs
-// are recycled frames; bytes past EOF read as zeros, matching the ReadAt
-// contract for unwritten regions). retries reports this call's
-// re-attempts (for the caller's breadcrumb trail; the aggregate lives in
-// c.retry).
-func (s *Server) spanRead(file int, c *shardCell, vecs [][]byte, off int64) (retries int64, _ error) {
-	var size int64
-	for _, v := range vecs {
-		size += int64(len(v))
-	}
-	attempts := int64(0)
-	err := resil.Do(s.retry, &c.retry, func() error {
-		attempts++
-		s.m.backendRead(c, size)
-		n, rerr := fsio.ReadvAt(s.files[file], vecs, off)
-		if rerr == io.EOF {
-			for _, v := range vecs {
-				clear(v[min(n, len(v)):])
-				n -= min(n, len(v))
-			}
-			return nil
-		}
-		return rerr
-	})
-	retries = attempts - 1
-	if err != nil {
-		return retries, fmt.Errorf("serve: %s: span read at %d: %w", s.physNames[file], off, err)
-	}
-	return retries, nil
-}
-
 // Layout returns the server's current snapshot of the multifile layout:
 // the one New loaded, or on a live server the one the last Poll published.
 func (s *Server) Layout() *sion.Layout { return s.snap.Load() }
@@ -504,13 +464,13 @@ func (s *Server) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	if off < 0 {
 		return fmt.Errorf("serve: %s: negative physical offset %d", s.name, off)
 	}
-	goff := off + s.shift[file]                                              // on the block grid
-	c := &s.m.cells[s.cache.shardIndex(blockKey{file, goff / s.blockBytes})] // the request's cell: its first block's shard
-	start := s.m.readStart(c)
-	if err := s.readAt(file, c, p, goff, sp); err != nil {
+	goff := off + s.shift[file]                                   // on the block grid
+	si := s.cache.shardIndex(blockKey{file, goff / s.blockBytes}) // the request's cell: its first block's shard's
+	start := s.m.readStart(&s.m.cells[si])
+	if err := s.readAt(file, si, p, goff, sp); err != nil {
 		return err
 	}
-	s.m.readDone(c, start, int64(len(p)))
+	s.m.readDone(&s.m.cells[si], start, int64(len(p)))
 	return nil
 }
 
@@ -600,46 +560,50 @@ func (s *Server) Close() error {
 }
 
 // readAt serves [off, off+len(p)) of physical file `file`, off on the
-// file's block grid (ReadFileAt adds its shift): resident blocks are
-// copied out of the cache, and from the first miss on readMissed takes
-// over. sp (nil is fine) collects the read's breadcrumb trail.
-func (s *Server) readAt(file int, c *shardCell, p []byte, off int64, sp *obs.Span) error {
+// file's block grid (ReadFileAt adds its shift), whose first block maps to
+// shard si: resident blocks are copied out of the cache, and from the
+// first miss on readMissed takes over. sp (nil is fine) collects the
+// read's breadcrumb trail.
+func (s *Server) readAt(file, si int, p []byte, off int64, sp *obs.Span) error {
 	if s.closed.Load() {
 		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
 	}
 	if len(p) == 0 {
 		return nil // an empty window covers no block: no lookup, no fetch
 	}
-	// The cache pass visits each block's shard once: until the first miss
-	// a hit is copied out; the first miss is claimed in the same visit,
-	// and readMissed goes on from it.
-	bs := s.blockBytes
-	for b := off / bs; b <= (off+int64(len(p))-1)/bs; b++ {
+	// The cache pass visits each block's shard once, hashing its key once:
+	// until the first miss a hit is copied out; the first miss is claimed
+	// in the same visit, and readMissed goes on from it.
+	c, bs := &s.m.cells[si], s.blockBytes
+	for b, last := off/bs, (off+int64(len(p))-1)/bs; ; {
 		k := blockKey{file, b}
-		si := s.cache.shardIndex(k)
 		dst, from := blockWindow(p, off, b, bs)
 		if sh, e := s.cache.lookup(si, k, dst, from); sh != nil {
 			snap := s.snap.Load()
 			base, top := s.bounds(snap, file, b)
 			f, got := s.cache.claimMiss(sh, k, e, dst, from, base, top, bs, int64(len(p)) >= s.fsBlock)
-			return s.readMissed(file, c, p, off, snap, b, f, got, sp)
+			return s.readMissed(file, c, si, p, off, snap, b, f, got, sp)
 		}
 		s.m.lookup(si, true)
 		sp.Add(obs.CrumbCacheHit, 1)
+		if b++; b > last {
+			return nil
+		}
+		si = s.cache.shardIndex(blockKey{file, b})
 	}
-	return nil
 }
 
 // readMissed goes on with readAt's cache pass from block b, its first
-// miss, which the pass claimed as got with fill f, and fetches what the
-// pass misses under the close guard of the request's cell c. From the
-// first miss on, a hit is pinned, not copied, so that a span can read it
-// into p along with the misses around it, and it is copied from its frame
-// after the fetch only if no span did; a miss is claimed for the fetch, up
-// to the first block another reader is filling, and left for after the
-// wait from there on (fetchMissing). A claim is held only under the guard,
-// so that no reader waits for it on a guard that Close holds.
-func (s *Server) readMissed(file int, c *shardCell, p []byte, off int64, snap *sion.Layout, b int64, f fill, got claim, sp *obs.Span) error {
+// miss, in shard si, which the pass claimed as got with fill f, and
+// fetches what the pass misses under the close guard of the request's
+// cell c. From the first miss on, a hit is pinned, not copied, so that a
+// span can read it into p along with the misses around it, and it is
+// copied from its frame after the fetch only if no span did; a miss is
+// claimed for the fetch, up to the first block another reader is filling,
+// and left for after the wait from there on (fetchMissing). A claim is
+// held only under the guard, so that no reader waits for it on a guard
+// that Close holds.
+func (s *Server) readMissed(file int, c *shardCell, si int, p []byte, off int64, snap *sion.Layout, b int64, f fill, got claim, sp *obs.Span) error {
 	if err := s.guardFetch(c); err != nil {
 		if f.e != nil {
 			s.cache.abort(f.e)
@@ -652,7 +616,6 @@ func (s *Server) readMissed(file int, c *shardCell, p []byte, off int64, snap *s
 	defer sc.done(p, off, bs)
 	var cost missCost
 	for last := (off + int64(len(p)) - 1) / bs; ; {
-		si := s.cache.shardIndex(blockKey{file, b})
 		switch got {
 		case claimPinned:
 			s.m.lookup(si, true)
@@ -670,13 +633,13 @@ func (s *Server) readMissed(file int, c *shardCell, p []byte, off int64, snap *s
 		if b++; b > last {
 			break
 		}
+		si = s.cache.shardIndex(blockKey{file, b})
 		if len(sc.missed) == 0 {
-			f, got = s.visit(snap, file, p, off, b, true)
+			f, got = s.visit(snap, si, file, p, off, b, true)
 			continue
 		}
-		k := blockKey{file, b}
 		dst, from := blockWindow(p, off, b, bs)
-		if e, src := s.cache.pin(s.cache.shardIndex(k), k, dst, from); e != nil {
+		if e, src := s.cache.pin(si, blockKey{file, b}, dst, from); e != nil {
 			f, got = fill{e, src, from}, claimPinned
 		} else {
 			got = claimWait
@@ -692,12 +655,12 @@ func (s *Server) readMissed(file int, c *shardCell, p []byte, off int64, snap *s
 }
 
 // visit settles block b of the window [off, off+len(p)) of physical file
-// `file` in one visit of its shard (acquire), a miss's fill capped at the
-// block's committed end in snap.
-func (s *Server) visit(snap *sion.Layout, file int, p []byte, off, b int64, pin bool) (fill, claim) {
+// `file`, in shard si, in one visit of the shard (acquire), a miss's fill
+// capped at the block's committed end in snap.
+func (s *Server) visit(snap *sion.Layout, si, file int, p []byte, off, b int64, pin bool) (fill, claim) {
 	dst, from := blockWindow(p, off, b, s.blockBytes)
 	base, top := s.bounds(snap, file, b)
-	return s.cache.acquire(blockKey{file, b}, dst, from, base, top, s.blockBytes, int64(len(p)) >= s.fsBlock, pin)
+	return s.cache.acquire(si, blockKey{file, b}, dst, from, base, top, s.blockBytes, int64(len(p)) >= s.fsBlock, pin)
 }
 
 // bounds returns where block b of physical file `file` starts in the file,
@@ -712,14 +675,13 @@ func (s *Server) bounds(snap *sion.Layout, file int, b int64) (base, top int64) 
 // with ErrServerClosed if Close holds the guard or waits for it, or has
 // closed the server.
 func (s *Server) guardFetch(c *shardCell) error {
-	if !c.guard.TryRLock() {
-		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
-	}
-	if s.closed.Load() {
+	if c.guard.TryRLock() {
+		if !s.closed.Load() {
+			return nil
+		}
 		c.guard.RUnlock()
-		return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
 	}
-	return nil
+	return fmt.Errorf("serve: %s: %w", s.name, ErrServerClosed)
 }
 
 // blockWindow returns the part of the request window p = [off, off+len(p))
