@@ -219,11 +219,13 @@ func BenchmarkMissPath(b *testing.B) {
 	})
 	b.Run("cold/pread", func(b *testing.B) { preadCase(b, "m.sion", cold, smallHi) })
 	// cold/ratio puts each cold window through a server on the bare OS
-	// backend (through Handles, as the ladder's clients read), then
-	// preads it from the multifile, then from the flat copy, on one
-	// worker, so the three see the same host within microseconds; vs_pread
-	// and vs_flat are the server's rate over each pread's, and vs_flat is
-	// the ladder's serve_vs_pread in process.
+	// backend (through Handles, as the ladder's clients read), a pread of
+	// the multifile and a pread of the flat copy, on one worker, so the
+	// three see the same host within microseconds. The order rotates per
+	// request, so each read goes first a third of the time: the read that
+	// runs first pulls the window's bytes into the CPU caches for the
+	// others. vs_pread and vs_flat are the server's rate over each
+	// pread's, and vs_flat is the ladder's serve_vs_pread in process.
 	b.Run("cold/ratio", func(b *testing.B) {
 		s, err := serve.New(vfs.FileSystem, "m.sion", &serve.Config{CacheBytes: size / 8})
 		if err != nil {
@@ -262,22 +264,24 @@ func BenchmarkMissPath(b *testing.B) {
 				var sum [3]time.Duration
 				for i := w; i < b.N; i += workers {
 					q := cold[i%len(cold)]
-					t0 := time.Now()
-					_, err := handles[q.rank].ReadLogicalAt(p[:q.n], q.pos)
-					t1 := time.Now()
-					if err == nil {
-						_, err = files[0].ReadAt(p[:q.n], q.off)
+					for k := 0; k < 3; k++ {
+						x := (i + k) % 3
+						t0 := time.Now()
+						var err error
+						switch x {
+						case 0:
+							_, err = handles[q.rank].ReadLogicalAt(p[:q.n], q.pos)
+						case 1:
+							_, err = files[0].ReadAt(p[:q.n], q.off)
+						case 2:
+							_, err = files[1].ReadAt(p[:q.n], int64(q.rank)*perRank+q.pos)
+						}
+						sum[x] += time.Since(t0)
+						if err != nil {
+							b.Error(err)
+							return
+						}
 					}
-					t2 := time.Now()
-					if err == nil {
-						_, err = files[1].ReadAt(p[:q.n], int64(q.rank)*perRank+q.pos)
-					}
-					t3 := time.Now()
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					sum[0], sum[1], sum[2] = sum[0]+t1.Sub(t0), sum[1]+t2.Sub(t1), sum[2]+t3.Sub(t2)
 				}
 				mu.Lock()
 				for x := range total {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ import (
 	"repro/internal/serve"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/serving.golden from this run")
+var update = flag.Bool("update", false, "rewrite testdata/serving.golden and testdata/ablation.golden from this run")
 
 // splitmix is splitmix64, pinned here so the streams depend on their seed
 // alone (math/rand's streams are not pinned across Go versions).
@@ -451,10 +452,13 @@ func TestServingReplay(t *testing.T) {
 }
 
 // TestServingAblation switches the serving mechanisms off one at a time,
-// replays serving.golden's streams and logs the rows that move (-v shows
-// them). A mechanism whose ablation moves no row on any workload does not
-// pay and was deleted; each one left here must move a row, and
-// internal/README.md names the row it pays on.
+// replays serving.golden's streams and compares the rows that move with
+// testdata/ablation.golden: serving.golden's header, then per mechanism
+// its name and each moved row as a "- " line (the golden's) and a "+ "
+// line (without the mechanism). A mechanism whose ablation moves no row
+// on any workload does not pay and was deleted; each one left here must
+// move a row. -update rewrites the golden; internal/README.md's ablation
+// region is rendered from it.
 func TestServingAblation(t *testing.T) {
 	if serve.RaceEnabled {
 		t.Skip("five sequential replays: the race detector has nothing to find in them and multiplies their time")
@@ -464,7 +468,7 @@ func TestServingAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(string(golden), "\n")
-	for _, k := range []struct {
+	mechanisms := []struct {
 		name   string
 		ablate func(*serve.Config)
 	}{
@@ -473,20 +477,63 @@ func TestServingAblation(t *testing.T) {
 		{"sketch of 4 counters a block", serve.AblateSketchHalfSize},
 		{"sketch never halved", serve.AblateSketchNoHalving},
 		{"one shard by default", func(c *serve.Config) { c.Shards = max(c.Shards, 1) }},
-	} {
-		k := k
+	}
+	path := filepath.Join("testdata", "ablation.golden")
+	header := "  " + want[0] + "\n"
+	recorded := map[string]string{} // mechanism → its moved rows in the golden
+	if !*update {
+		prev, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to record it)", err)
+		}
+		rows, ok := strings.CutPrefix(string(prev), header)
+		if !ok {
+			t.Fatalf("%s does not start with serving.golden's header", path)
+		}
+		var names []string
+		for _, l := range strings.SplitAfter(rows, "\n") {
+			switch {
+			case l == "":
+			case strings.HasPrefix(l, "- ") || strings.HasPrefix(l, "+ "):
+				if len(names) == 0 {
+					t.Fatalf("%s: a row before the first mechanism", path)
+				}
+				recorded[names[len(names)-1]] += l
+			default:
+				names = append(names, strings.TrimSuffix(l, "\n"))
+			}
+		}
+		if len(names) != len(mechanisms) { // each subtest checks its own section
+			t.Fatalf("%s lists the mechanisms %q; the test switches off %d", path, names, len(mechanisms))
+		}
+	}
+	moves := make([]string, len(mechanisms)) // each mechanism's section of the golden
+	t.Cleanup(func() {
+		if *update && !slices.Contains(moves, "") { // not under a -run filter
+			if err := os.WriteFile(path, []byte(header+strings.Join(moves, "")), 0o644); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	for i, k := range mechanisms {
+		i, k := i, k
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
 			got := strings.Split(servingTable(t, k.ablate), "\n")
-			moved := 0
-			for i := range got {
-				if got[i] != want[i] {
-					moved++
-					t.Logf("golden:  %s\nablated: %s", want[i], got[i])
+			var b strings.Builder
+			for j := range got {
+				if got[j] != want[j] {
+					fmt.Fprintf(&b, "- %s\n+ %s\n", want[j], got[j])
 				}
 			}
-			if moved == 0 {
+			if b.Len() == 0 {
 				t.Errorf("no row moves without %s: it does not pay", k.name)
+				return
+			}
+			t.Logf("rows moved:\n%s", b.String())
+			moves[i] = k.name + "\n" + b.String()
+			if !*update && b.String() != recorded[k.name] {
+				t.Errorf("rows moved without %s differ from %s; after review, rerun with -update:\ngot:\n%swant:\n%s", k.name, path, b.String(), recorded[k.name])
 			}
 		})
 	}
