@@ -59,9 +59,10 @@ const BufferAuto = -1
 
 // BufferOff disables staging unconditionally (Options.BufferSize = -2):
 // unlike 0, it is not upgraded to BufferAuto on backends whose
-// capability descriptor declares a multipart part-size floor. The
-// POSIX-tuned-geometry arms of the backend experiments use it to show
-// what un-tuned defaults cost on an object store.
+// capability descriptor declares a multipart part-size floor, and it
+// keeps NewKeyReader from arming its read-ahead. The POSIX-tuned-geometry
+// arms of the backend experiments use it to show what un-tuned defaults
+// cost on an object store.
 const BufferOff = -2
 
 // bufferAutoCap bounds the auto-sized staging buffer, mirroring
@@ -70,18 +71,15 @@ const BufferOff = -2
 // memory.
 const bufferAutoCap = 4 << 20
 
-// resolveBufferSize turns Options.BufferSize into an effective staging
-// size for a chunk of the given capacity (0 = unbuffered).
+// resolveBufferSize turns a checked BufferSize (bufferOption) into an
+// effective staging size for a chunk of the given capacity (0 =
+// unbuffered).
 func resolveBufferSize(opt, capacity, fsblk int64) int64 {
-	switch {
-	case opt == 0:
-		return 0
-	case opt == BufferAuto:
+	if opt == BufferAuto {
 		// capacity is positive, so the aligned size is at least one block.
 		return alignUp(min(capacity, bufferAutoCap), fsblk)
-	default:
-		return opt
 	}
+	return max(opt, 0)
 }
 
 // writeStage is one write-behind run: buf holds the bytes bound for
@@ -230,8 +228,10 @@ func (rs *readStage) covers(b int, pos, n int64) bool {
 // the collector), so the stage is inert there.
 func (f *File) buffered() bool { return f.wstage != nil && f.coll == nil }
 
-// initStaging arms the staging layer on a freshly opened handle.
+// initStaging arms the staging layer on a freshly opened handle, from a
+// checked BufferSize (bufferOption).
 func (f *File) initStaging(bufSize int64) {
+	f.stagingOff = bufSize == BufferOff
 	n := resolveBufferSize(bufSize, f.geo.capacity(geoIndex), f.fsblk)
 	if n <= 0 {
 		return
@@ -249,16 +249,15 @@ func (f *File) initStaging(bufSize int64) {
 	f.rstage = &readStage{size: n, block: -1}
 }
 
-// SetBufferSize reconfigures the staging layer of an open handle
-// (Options.BufferSize for handles opened without options, e.g. OpenRank):
-// n > 0 is an explicit size, BufferAuto derives one from the chunk
-// geometry, 0 disables staging — an explicit 0 also opts the handle out
-// of NewKeyReader's automatic read-ahead. On a write handle any staged
-// bytes are flushed first. Collective handles ignore the call (their
-// data path does not issue per-record requests to begin with).
+// SetBufferSize restages an open handle, for one opened without options
+// (OpenRank). It takes the values of Options.BufferSize, 0 resolved
+// against the handle's own backend. On a write handle any staged bytes
+// are flushed first. Collective handles ignore the call (their data path
+// does not issue per-record requests to begin with).
 func (f *File) SetBufferSize(n int64) error {
-	if n < BufferAuto {
-		return fmt.Errorf("sion: %s: BufferSize %d (use 0, a positive size, or BufferAuto)", f.name, n)
+	n, err := bufferOption(n, fsio.CapabilitiesOf(f.fsys))
+	if err != nil {
+		return fmt.Errorf("sion: %s: %w", f.name, err)
 	}
 	if f.closed {
 		return fmt.Errorf("sion: %s: handle is closed", f.name)
@@ -267,7 +266,6 @@ func (f *File) SetBufferSize(n int64) error {
 		return err
 	}
 	f.dropStaging()
-	f.stagingOff = n == 0
 	f.initStaging(n)
 	return nil
 }

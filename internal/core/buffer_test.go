@@ -374,8 +374,8 @@ func TestSerialBufferedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSetBufferSizeValidation covers the error paths of the staging
-// configuration.
+// TestSetBufferSizeValidation covers restaging a write handle and the
+// size BufferAuto resolves to; TestBufferValueParity covers the values.
 func TestSetBufferSizeValidation(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	mpi.Run(2, func(c *mpi.Comm) {
@@ -384,23 +384,20 @@ func TestSetBufferSizeValidation(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := f.SetBufferSize(-2); err == nil {
-			t.Error("SetBufferSize(-2) did not fail")
-		}
 		if err := f.SetBufferSize(64); err != nil {
 			t.Error(err)
 		}
 		if _, err := f.Write(make([]byte, 100)); err != nil {
 			t.Error(err)
 		}
-		if err := f.SetBufferSize(0); err != nil { // flushes and disables
+		if err := f.SetBufferSize(BufferOff); err != nil { // flushes and disables
 			t.Error(err)
+		}
+		if f.wstage != nil {
+			t.Error("BufferOff left a write stage armed")
 		}
 		f.Close()
 	})
-	if _, err := (&Options{ChunkSize: 1, BufferSize: -5}).withDefaults(1, fsio.Capabilities{}); err == nil {
-		t.Error("Options.BufferSize=-5 accepted")
-	}
 	// BufferAuto sizes the stage to the chunk, in whole FS blocks, up to
 	// bufferAutoCap.
 	for _, c := range []struct{ capacity, want int64 }{{100, 4096}, {5000, 8192}, {64 << 20, bufferAutoCap}} {
@@ -410,9 +407,9 @@ func TestSetBufferSizeValidation(t *testing.T) {
 	}
 }
 
-// TestKeyReaderRespectsStagingOptOut: an explicit SetBufferSize(0) must
-// keep NewKeyReader from arming its automatic read-ahead, while the
-// default (no call) arms it.
+// TestKeyReaderRespectsStagingOptOut: SetBufferSize(BufferOff) must keep
+// NewKeyReader from arming its automatic read-ahead, while the default
+// (no call) arms it.
 func TestKeyReaderRespectsStagingOptOut(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	mpi.Run(1, func(c *mpi.Comm) {
@@ -431,7 +428,7 @@ func TestKeyReaderRespectsStagingOptOut(t *testing.T) {
 			t.Fatal(err)
 		}
 		if optOut {
-			if err := f.SetBufferSize(0); err != nil {
+			if err := f.SetBufferSize(BufferOff); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -447,9 +444,77 @@ func TestKeyReaderRespectsStagingOptOut(t *testing.T) {
 	f.Close()
 	f = open(true)
 	if f.rstage != nil {
-		t.Error("NewKeyReader overrode an explicit SetBufferSize(0) opt-out")
+		t.Error("NewKeyReader overrode a BufferOff opt-out")
 	}
 	f.Close()
+}
+
+// TestBufferValueParity: Options.BufferSize at ParOpen and SetBufferSize
+// on an OpenRank handle take the same values through one validator. Each
+// value gives the same read stage, the same opt-out or the same error on
+// both, on posix and on the object store (where 0 means BufferAuto).
+func TestBufferValueParity(t *testing.T) {
+	const fsblk, chunk = 256, 1000
+	dir := t.TempDir()
+	mpi.Run(2, func(c *mpi.Comm) {
+		f, err := ParOpen(c, fsio.NewOS(dir), "p.sion", WriteMode, &Options{ChunkSize: chunk, FSBlockSize: fsblk})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f.Write(rankPayload(c.Rank(), 3*chunk))
+		f.Close()
+	})
+	obj := simfs.NewObjStore(simfs.ObjProfile{})
+	auto := alignUp(chunk, fsblk)
+	for _, be := range []struct {
+		label string
+		fsys  fsio.FileSystem
+		zero  int64 // the stage 0 resolves to
+	}{
+		{"posix", fsio.NewOS(dir), 0},
+		{"objstore", obj.Wrap(fsio.NewOS(dir), nil), auto},
+	} {
+		for _, v := range []struct {
+			n     int64
+			stage int64 // -1: an error
+			off   bool
+		}{{0, be.zero, false}, {64, 64, false}, {BufferAuto, auto, false}, {BufferOff, 0, true}, {-3, -1, false}} {
+			type outcome struct {
+				stage int64
+				off   bool
+			}
+			state := func(f *File, err error) outcome {
+				if err != nil {
+					return outcome{stage: -1}
+				}
+				o := outcome{off: f.stagingOff}
+				if f.rstage != nil {
+					o.stage = f.rstage.size
+				}
+				return o
+			}
+			var opened outcome
+			mpi.Run(2, func(c *mpi.Comm) {
+				f, err := ParOpen(c, be.fsys, "p.sion", ReadMode, &Options{BufferSize: v.n})
+				if c.Rank() == 1 {
+					opened = state(f, err)
+				}
+				if err == nil {
+					f.Close()
+				}
+			})
+			h, err := OpenRank(be.fsys, "p.sion", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := state(h, h.SetBufferSize(v.n))
+			h.Close()
+			if want := (outcome{v.stage, v.off}); opened != want || set != want {
+				t.Errorf("%s BufferSize %d: ParOpen %+v, SetBufferSize %+v, want %+v", be.label, v.n, opened, set, want)
+			}
+		}
+	}
 }
 
 // cutFS wraps a FileSystem; once cut is set, no file it opened delivers a
@@ -507,7 +572,7 @@ func TestShortReadZeroFills(t *testing.T) {
 		buf   int64
 		rec   int
 	}{
-		{"unbuffered", 0, direct},
+		{"unbuffered", BufferOff, direct},
 		{"staged", BufferAuto, direct/2 - 1},
 		{"direct", BufferAuto, direct},
 	}

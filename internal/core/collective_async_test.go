@@ -333,23 +333,17 @@ func TestAsyncCollectorFlushSurfacesError(t *testing.T) {
 	})
 }
 
+// TestAutoCollectorGroup sweeps the inputs that occur: an aligned chunk
+// is a whole number of FS blocks, at least one, so the group is enough
+// members for 4 blocks, at most one per local task.
 func TestAutoCollectorGroup(t *testing.T) {
-	for _, tc := range []struct {
-		nlocal  int
-		aligned int64
-		fsblk   int64
-		want    int
-	}{
-		{16, 256, 256, 4},  // 4 blocks / 1-block chunks → 4 members
-		{16, 64, 256, 16},  // tiny chunks → whole file, capped by size
-		{2, 64, 256, 2},    // capped by the local task count
-		{16, 4096, 256, 1}, // chunk already spans 16 blocks → direct
-		{4096, 1, 256, 64}, // capped by maxAutoGroup
-		{16, 0, 256, 1},    // no chunk bytes → direct
-	} {
-		if got := autoCollectorGroup(tc.nlocal, tc.aligned, tc.fsblk); got != tc.want {
-			t.Errorf("autoCollectorGroup(%d, %d, %d) = %d, want %d",
-				tc.nlocal, tc.aligned, tc.fsblk, got, tc.want)
+	const fsblk = 256
+	for blocks := int64(1); blocks <= 6; blocks++ {
+		for _, tasks := range []int{1, 2, 3, 64} {
+			want := min(int((4+blocks-1)/blocks), tasks)
+			if got := autoCollectorGroup(tasks, blocks*fsblk, fsblk); got != want {
+				t.Errorf("autoCollectorGroup(%d, %d blocks) = %d, want %d", tasks, blocks, got, want)
+			}
 		}
 	}
 }

@@ -48,7 +48,7 @@ func TestBackendReadErrorsWrapThroughStaging(t *testing.T) {
 	for _, mode := range []struct {
 		label string
 		buf   int64
-	}{{"direct", 0}, {"buffered", BufferAuto}} {
+	}{{"direct", BufferOff}, {"buffered", BufferAuto}} {
 		fl := simfs.NewFlaky(simfs.FlakyConfig{})
 		h, err := OpenRank(fl.Wrap(base, nil), "e.sion", 1)
 		if err != nil {

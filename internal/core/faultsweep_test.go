@@ -248,7 +248,7 @@ func TestWriteCallFailures(t *testing.T) {
 		act  func(f *File) error
 	}{
 		{"SetBufferSize flushes", staged, writeN(100), "WriteAt",
-			func(f *File) error { return f.SetBufferSize(0) }},
+			func(f *File) error { return f.SetBufferSize(BufferOff) }},
 		{"WriteSynthetic flushes", staged, writeN(100), "WriteAt",
 			func(f *File) error { return f.WriteSynthetic(10) }},
 		{"EnsureFreeSpace flushes", staged, writeN(100), "WriteAt",

@@ -74,7 +74,7 @@ type KeyReader struct {
 // would issue one file request per record without buffering, so NewKeyReader
 // arms the read-ahead stage (buffer.go) with an auto-tuned size unless the
 // handle already serves reads from memory (collective read), carries a
-// stage of its own, or was explicitly opted out with SetBufferSize(0);
+// stage of its own, or was opted out with BufferOff;
 // per-record Record/ReadKey calls then hit the same cache.
 func NewKeyReader(f *File) (*KeyReader, error) {
 	if err := f.checkOpen(ReadMode); err != nil {

@@ -1,6 +1,7 @@
 package sion
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/fsio"
@@ -36,7 +37,11 @@ func ContiguousMap(globalRank, ntasks, nfiles int) int {
 	return globalRank * nfiles / ntasks
 }
 
-// Options configures ParOpen (write mode) and the serial Create.
+// Options configures ParOpen, ParOpenMapped and the serial Create. Every
+// numeric field but ChunkSize reads one way: 0 decides from the backend
+// and the geometry, a positive value is exact, and a named negative
+// (CollectorAuto; BufferAuto, BufferOff) is valid only in its own field.
+// withDefaults rejects any other value, naming the field.
 type Options struct {
 	// ChunkSize is the maximum number of bytes this task writes in one
 	// piece (paper §3.1). It may differ between tasks. Required in write
@@ -44,14 +49,14 @@ type Options struct {
 	// block size.
 	ChunkSize int64
 
-	// FSBlockSize overrides the auto-detected file-system block size
-	// (0 = detect via the file system, like SIONlib's fstat call).
-	// The alignment experiments (Table 1) set this explicitly.
+	// FSBlockSize is the block size chunks are aligned to. 0 asks the
+	// file system, like SIONlib's fstat call. The alignment experiments
+	// (Table 1) set it.
 	FSBlockSize int64
 
-	// NFiles is the number of underlying physical files. 0 picks the
-	// backend default: min(ntasks, WriteFanout) when the backend's
-	// capability descriptor declares a write fanout, else 1 (see
+	// NFiles is the number of underlying physical files, at most one per
+	// task. 0 picks the backend default: min(ntasks, WriteFanout) when the
+	// backend's capability descriptor declares a write fanout, else 1 (see
 	// withDefaults; a parallel open uses rank 0's descriptor).
 	NFiles int
 
@@ -84,7 +89,7 @@ type Options struct {
 	// at-scale synthetic benchmarks (ReadSynthetic/WriteSynthetic, which
 	// exist to avoid materializing payload bytes) use direct mode.
 	//
-	// Values: 0 or 1 disable (direct I/O); > 1 is a fixed group size;
+	// Values: 0 and 1 are direct I/O; > 1 is a fixed group size;
 	// CollectorAuto (-1) derives the group size from the chunk sizes and
 	// the file-system block size, targeting collector regions of at least
 	// autoCollectTargetBlocks FS blocks (the loosely-coupled aggregation
@@ -105,8 +110,8 @@ type Options struct {
 	// goroutine in real mode, a vtime worker in simulated mode) writes
 	// them, overlapping computation with file I/O. Write errors detected
 	// by the flusher are deferred and surfaced by Flush (collector-local)
-	// and Close (all group members). Requires CollectorGroup != 0; ignored
-	// in read mode (collective reads always complete at open).
+	// and Close (all group members). Requires collectors; ignored in read
+	// mode (collective reads always complete at open).
 	AsyncCollective bool
 
 	// Watermarks makes writers publish per-rank chunk-commit watermarks
@@ -129,20 +134,19 @@ type Options struct {
 	// unchanged.
 	//
 	// Values: 0 is the backend default — unbuffered one-request-per-call
-	// behavior on POSIX-ish backends, upgraded to BufferAuto on backends
-	// with a multipart part-size floor (see withDefaults; sub-part writes
-	// pay staged copies there, so staging defaults on); a positive value
-	// is the exact buffer size in bytes; BufferAuto (-1) derives the size
+	// behavior on POSIX-ish backends, BufferAuto on backends with a
+	// multipart part-size floor (bufferOption); a positive value is
+	// the exact buffer size in bytes; BufferAuto (-1) derives the size
 	// from the chunk geometry — one chunk capacity rounded up to a
 	// multiple of the FS block size, capped at bufferAutoCap — so a
 	// small-record checkpoint issues roughly one write request per chunk
-	// instead of one per record; BufferOff (-2) disables staging
-	// unconditionally on every backend.
+	// instead of one per record; BufferOff (-2) disables staging on every
+	// backend, NewKeyReader's automatic read-ahead included.
 	//
 	// Collective handles ignore BufferSize: members route data through
 	// frames that already coalesce at the collector, and collective reads
 	// prefetch whole streams at open. Handles opened without options
-	// (OpenRank) can enable staging afterwards with SetBufferSize. A
+	// (OpenRank) take the same values afterwards through SetBufferSize. A
 	// direct-mode ParOpenMapped arms one read-ahead stage per owned rank
 	// handle.
 	BufferSize int64
@@ -157,73 +161,85 @@ const CollectorAuto = -1
 // so a collector write is large enough to amortize the request path.
 const autoCollectTargetBlocks = 4
 
-// maxAutoGroup bounds the auto-tuned group size: a collector holds up to
-// group × chunk bytes in flight, so unbounded groups would trade request
-// count for memory without further bandwidth benefit.
-const maxAutoGroup = 64
-
 // autoCollectorGroup derives the collector group size from the average
 // aligned chunk size of a physical file: enough members that one
-// collector region spans autoCollectTargetBlocks FS blocks.
+// collector region spans autoCollectTargetBlocks FS blocks, at most one
+// per local task. An aligned chunk is at least one FS block, so the
+// result is 1 to autoCollectTargetBlocks.
 func autoCollectorGroup(ntasksLocal int, avgAligned, fsblk int64) int {
-	if avgAligned <= 0 {
-		return 1
-	}
-	// A ceiling division of two positive numbers, so at least 1.
 	g := int((autoCollectTargetBlocks*fsblk + avgAligned - 1) / avgAligned)
-	return min(g, maxAutoGroup, ntasksLocal)
+	return min(g, ntasksLocal)
 }
 
-// withDefaults resolves the zero-value options against the task count
-// and the backend's capability descriptor (on a parallel write open, the
-// one rank 0 broadcast). A zero descriptor reproduces the historical
-// POSIX defaults exactly; a backend that declares multipart write
-// semantics (PartSizeFloor > 0) or a write fanout gets its geometry
-// auto-tuned:
-//
-//   - NFiles defaults to min(ntasks, WriteFanout) instead of 1, because
-//     such backends parallelize across objects, not within one.
-//   - BufferSize 0 upgrades to BufferAuto — sub-part writes pay staged
-//     copies there, so write-behind staging defaults ON, and because
-//     such a backend reports its part size as the FS block size, the
-//     auto-sized buffer is part-aligned. BufferOff is the explicit
-//     opt-out that keeps staging disabled on any backend.
+// collective reports whether the options ask for collectors: CollectorGroup
+// 0 and 1 are both direct I/O.
+func (o *Options) collective() bool {
+	return o.CollectorGroup > 1 || o.CollectorGroup == CollectorAuto
+}
+
+// checkOption is the one rule for a numeric Options field: 0 and the
+// positive values are valid, and below 0 only the named values down to
+// least.
+func checkOption(field string, v, least int64) error {
+	if v < least {
+		return fmt.Errorf("%s %d is neither 0, positive nor a named value", field, v)
+	}
+	return nil
+}
+
+// bufferOption checks a BufferSize, from Options or SetBufferSize alike,
+// and resolves 0 against the backend: BufferAuto on one with a multipart
+// part-size floor (sub-part writes pay staged copies there), else
+// unbuffered.
+func bufferOption(n int64, caps fsio.Capabilities) (int64, error) {
+	if n == 0 && caps.PartSizeFloor > 0 {
+		return BufferAuto, nil
+	}
+	return n, checkOption("BufferSize", n, BufferOff)
+}
+
+// withDefaults checks the options and resolves their zero values against
+// the task count and the backend's capability descriptor (on a parallel
+// write open, the one rank 0 broadcast). A zero descriptor reproduces the
+// historical POSIX defaults exactly. A backend with a write fanout gets
+// NFiles min(ntasks, WriteFanout), since such backends parallelize across
+// objects, not within one; one with a part-size floor reports its part
+// size as the FS block size, so BufferAuto's buffer is part-aligned.
 func (o *Options) withDefaults(ntasks int, caps fsio.Capabilities) (Options, error) {
 	var out Options
 	if o != nil {
 		out = *o
 	}
-	if out.NFiles <= 0 {
-		out.NFiles = 1
-		if caps.WriteFanout > 1 {
-			out.NFiles = int(caps.WriteFanout)
-		}
+	var bufErr error
+	out.BufferSize, bufErr = bufferOption(out.BufferSize, caps)
+	if err := errors.Join(checkOption("NFiles", int64(out.NFiles), 0),
+		checkOption("FSBlockSize", out.FSBlockSize, 0),
+		checkOption("CollectorGroup", int64(out.CollectorGroup), CollectorAuto), bufErr); err != nil {
+		return out, fmt.Errorf("sion: %w", err)
 	}
-	if out.NFiles > ntasks {
-		out.NFiles = ntasks
+	if out.NFiles == 0 {
+		out.NFiles = max(1, int(caps.WriteFanout))
 	}
+	out.NFiles = min(out.NFiles, ntasks)
 	if out.Mapping == nil {
 		out.Mapping = ContiguousMap
 	}
-	if out.CollectorGroup < CollectorAuto {
-		return out, fmt.Errorf("sion: CollectorGroup %d (use 0/1 to disable, >1 fixed, CollectorAuto)", out.CollectorGroup)
-	}
-	if out.CollectorGroup != 0 && out.CollectorGroup != 1 && out.ChunkHeaders {
+	if out.collective() && out.ChunkHeaders {
 		return out, fmt.Errorf("sion: CollectorGroup and ChunkHeaders are mutually exclusive (collectors cannot attribute chunk headers)")
 	}
-	if out.AsyncCollective && (out.CollectorGroup == 0 || out.CollectorGroup == 1) {
+	if out.AsyncCollective && !out.collective() {
 		return out, fmt.Errorf("sion: AsyncCollective requires CollectorGroup (set it > 1 or CollectorAuto)")
 	}
-	if out.BufferSize < BufferOff {
-		return out, fmt.Errorf("sion: BufferSize %d (use 0 for the backend default, BufferOff to disable, a positive size, or BufferAuto)", out.BufferSize)
-	}
-	if caps.PartSizeFloor > 0 && out.BufferSize == 0 {
-		out.BufferSize = BufferAuto
-	}
-	if out.BufferSize == BufferOff {
-		out.BufferSize = 0
-	}
 	return out, nil
+}
+
+// fsBlockSize is Options.FSBlockSize, or when that is 0 the file system's
+// block size (on a parallel write open, rank 0's).
+func (o *Options) fsBlockSize(fsys fsio.FileSystem, name string) int64 {
+	if o != nil && o.FSBlockSize > 0 {
+		return o.FSBlockSize
+	}
+	return fsys.BlockSize(name)
 }
 
 func (o *Options) flags() uint64 {

@@ -79,7 +79,8 @@ func TestMapFuncEdgeCases(t *testing.T) {
 
 // TestWithDefaultsClamping pins the Options normalization: nfiles is
 // clamped to the task count, the default mapping and file count are
-// installed, and invalid combinations are rejected.
+// installed, and invalid values and combinations are rejected: a negative
+// numeric field is an error unless it is a value that field names.
 func TestWithDefaultsClamping(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -93,9 +94,13 @@ func TestWithDefaultsClamping(t *testing.T) {
 		{"nfiles-exceeds-ntasks", &Options{NFiles: 9}, 4, 4, false},
 		{"nfiles-exceeds-single-task", &Options{NFiles: 5}, 1, 1, false},
 		{"nfiles-kept", &Options{NFiles: 3}, 7, 3, false},
+		{"negative-nfiles", &Options{NFiles: -1}, 4, 0, true},
+		{"negative-fsblock", &Options{FSBlockSize: -1}, 4, 0, true},
 		{"collector-below-auto", &Options{CollectorGroup: -2}, 4, 0, true},
+		{"collector-one-is-direct", &Options{CollectorGroup: 1, ChunkHeaders: true}, 4, 1, false},
 		{"collector-with-chunk-headers", &Options{CollectorGroup: 2, ChunkHeaders: true}, 4, 0, true},
 		{"async-without-collector", &Options{AsyncCollective: true}, 4, 0, true},
+		{"async-with-group-one", &Options{CollectorGroup: 1, AsyncCollective: true}, 4, 0, true},
 		{"buffer-off-accepted", &Options{BufferSize: BufferOff}, 4, 1, false},
 		{"buffer-below-off", &Options{BufferSize: -3}, 4, 0, true},
 	}
@@ -163,10 +168,11 @@ func TestWithDefaultsCapabilityTuning(t *testing.T) {
 		t.Errorf("NFiles = %d, want caller's 2", o.NFiles)
 	}
 
-	// BufferOff is the explicit opt-out; an explicit size is kept.
+	// BufferOff is the explicit opt-out and stays one for initStaging to
+	// record; an explicit size is kept.
 	o, _ = (&Options{ChunkSize: 64, BufferSize: BufferOff}).withDefaults(32, objCaps)
-	if o.BufferSize != 0 {
-		t.Errorf("BufferOff resolved to %d, want 0", o.BufferSize)
+	if o.BufferSize != BufferOff {
+		t.Errorf("BufferOff resolved to %d, want BufferOff", o.BufferSize)
 	}
 	o, _ = (&Options{ChunkSize: 64, BufferSize: 4096}).withDefaults(32, objCaps)
 	if o.BufferSize != 4096 {

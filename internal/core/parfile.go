@@ -70,7 +70,7 @@ type File struct {
 
 	// Buffered staging for the direct path (see buffer.go): write-behind
 	// (wstage) and read-ahead (rstage); nil = unbuffered. stagingOff
-	// records an explicit SetBufferSize(0) opt-out, which NewKeyReader's
+	// records a BufferOff opt-out, which NewKeyReader's
 	// automatic read-ahead respects. directRead is DirectReadBytes of the
 	// capability descriptor the open resolved, kept for a stage armed later.
 	wstage     *writeStage
@@ -122,15 +122,8 @@ func parOpenWrite(comm *mpi.Comm, fsys fsio.FileSystem, name string, opts *Optio
 	// tasks, whose own fsio stacks may differ: one broadcast.
 	var geo []int64
 	if comm.Rank() == 0 {
-		var fsblk int64
-		if opts != nil {
-			fsblk = opts.FSBlockSize
-		}
-		if fsblk <= 0 {
-			fsblk = fsys.BlockSize(name)
-		}
 		c := fsio.CapabilitiesOf(fsys)
-		geo = []int64{fsblk, c.PreferredRequestBytes, c.MaxReadBytes, c.PartSizeFloor, c.WriteFanout}
+		geo = []int64{opts.fsBlockSize(fsys, name), c.PreferredRequestBytes, c.MaxReadBytes, c.PartSizeFloor, c.WriteFanout}
 	}
 	geo = comm.BcastInt64s(0, geo)
 	fsblk := geo[0]
@@ -347,14 +340,10 @@ func (f *File) openShared(physName string, watermarks bool) error {
 // group size for a physical file with ntasksLocal tasks and the given
 // block stride (= sum of aligned chunk sizes).
 func resolveCollectorGroup(opt, ntasksLocal int, stride, fsblk int64) int {
-	switch {
-	case opt == CollectorAuto:
+	if opt == CollectorAuto {
 		return autoCollectorGroup(ntasksLocal, stride/int64(ntasksLocal), fsblk)
-	case opt > 1:
-		return opt
-	default:
-		return 1
 	}
+	return max(opt, 1)
 }
 
 // geoIndex is the index of this task's chunk in its geometry tables.

@@ -55,10 +55,7 @@ func Create(fsys fsio.FileSystem, name string, chunkSizes []int64, opts *Options
 		// never exists.
 		return nil, fmt.Errorf("sion: Create %s: Watermarks require a parallel write handle (ParOpen)", name)
 	}
-	fsblk := o.FSBlockSize
-	if fsblk <= 0 {
-		fsblk = fsys.BlockSize(name)
-	}
+	fsblk := o.fsBlockSize(fsys, name)
 	if fsblk <= 0 {
 		return nil, fmt.Errorf("sion: Create %s: bad FS block size %d", name, fsblk)
 	}

@@ -507,7 +507,7 @@ func TestSerialFileDoubleCloseAndClosedOps(t *testing.T) {
 		closeTwice("write File", f)
 		reject([]misuse{
 			{"closed File: Flush", f.Flush},
-			{"closed File: SetBufferSize", func() error { return f.SetBufferSize(0) }},
+			{"closed File: SetBufferSize", func() error { return f.SetBufferSize(BufferOff) }},
 		})
 	})
 

@@ -41,13 +41,18 @@ import (
 // The workload is a small-record emitter (tab3Record bytes per call, the
 // Fig. 6 checkpoint regime where per-request latency dominates), with
 // tab3Compute seconds of computation between records.
+//
+// Two more rows use one-FS-block chunks, direct and with the group left to
+// CollectorAuto (Zhang et al.'s loosely coupled aggregation sizing,
+// arXiv:0901.0134); at 1 MiB chunks auto would resolve to direct.
 const (
 	tab3Tasks   = 128
 	tab3Group   = 16
-	tab3Chunk   = int64(1) << 20 // 16 FS blocks per chunk on tab3's profile
-	tab3BlocksN = 2              // chunks (blocks) of data per task
-	tab3Record  = 128            // bytes per write/read call
-	tab3Compute = 20e-6          // seconds of computation per record
+	tab3Chunk   = int64(1) << 20  // 16 FS blocks per chunk on tab3's profile
+	tab3Small   = int64(64) << 10 // one FS block: the auto rows' chunk
+	tab3BlocksN = 2               // chunks (blocks) of data per task
+	tab3Record  = 128             // bytes per write/read call
+	tab3Compute = 20e-6           // seconds of computation per record
 )
 
 // tab3Profile is Jugene with 64 KiB file-system blocks: small-chunk
@@ -61,17 +66,17 @@ func tab3Profile() *simfs.Profile {
 	return p
 }
 
-// tab3Mode runs one write+read cycle in the given mode and reports the
-// simulated wall times and the multifile's request counters.
-func tab3Mode(ntasks, group int, async bool) (writeT, readT float64, wst, rst simfs.FileStats) {
+// tab3Mode runs one write+read cycle in the given mode and chunk size and
+// reports the simulated wall times and the multifile's request counters.
+func tab3Mode(ntasks int, chunk int64, group int, async bool) (writeT, readT float64, wst, rst simfs.FileStats) {
 	fs := simfs.New(tab3Profile())
-	perTask := tab3BlocksN * tab3Chunk
+	perTask := tab3BlocksN * chunk
 	nrec := int(perTask / tab3Record)
 
 	simRun(fs, ntasks, func(c *mpi.Comm, v fsio.FileSystem) {
 		t0 := syncStart(c)
 		f, err := sion.ParOpen(c, v, "tab3.sion", sion.WriteMode, &sion.Options{
-			ChunkSize: tab3Chunk, CollectorGroup: group, AsyncCollective: async,
+			ChunkSize: chunk, CollectorGroup: group, AsyncCollective: async,
 		})
 		check(err == nil, "tab3: write open, rank %d: %v", c.Rank(), err)
 		rec := make([]byte, tab3Record)
@@ -140,15 +145,22 @@ func Table3(scale int) *Result {
 
 	type mode struct {
 		label string
+		chunk int64
 		group int
 		async bool
 	}
+	var auto [2]int // the group CollectorAuto resolved on write and on read
 	for _, m := range []mode{
-		{"direct", 0, false},
-		{"collective", group, false},
-		{"async-collective", group, true},
+		{"direct", tab3Chunk, 0, false},
+		{"collective", tab3Chunk, group, false},
+		{"async-collective", tab3Chunk, group, true},
+		{"direct 64k", tab3Small, 0, false},
+		{"auto-coll 64k", tab3Small, sion.CollectorAuto, true},
 	} {
-		writeT, readT, wst, rst := tab3Mode(ntasks, m.group, m.async)
+		writeT, readT, wst, rst := tab3Mode(ntasks, m.chunk, m.group, m.async)
+		if m.group == sion.CollectorAuto { // only collectors touch the file
+			auto = [2]int{ntasks / wst.WriterTasks, ntasks / rst.ReaderTasks}
+		}
 		res.Rows = append(res.Rows, []string{
 			m.label, kfmt(ntasks),
 			fmt.Sprintf("%d", wst.Opens+rst.Opens),
@@ -164,6 +176,8 @@ func Table3(scale int) *Result {
 		fmt.Sprintf("collector group %d (⌈%d/%d⌉ = %d collectors); %d B records, %d × %d KiB chunks per task, %.0f µs compute per record",
 			group, ntasks, group, (ntasks+group-1)/group, tab3Record, tab3BlocksN, tab3Chunk>>10, tab3Compute*1e6),
 		"expected ordering: async-collective ≤ collective ≤ direct in simulated wall time",
-		"async-collective ships full staging buffers during computation (double-buffered members, background collector flush)")
+		"async-collective ships full staging buffers during computation (double-buffered members, background collector flush)",
+		fmt.Sprintf("64k rows: %d KiB chunks (one FS block); CollectorAuto resolved to groups of %d on write and %d on read",
+			tab3Small>>10, auto[0], auto[1]))
 	return res
 }

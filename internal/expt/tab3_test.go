@@ -1,16 +1,21 @@
 package expt
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestTable3Findings asserts the collective-I/O claims the experiment was
 // built to prove: only ⌈ntasks/group⌉ tasks touch the physical file in
 // the collective modes (verified by the simfs request counters), the
 // request counts collapse accordingly, and the simulated wall times order
-// async-collective ≤ collective ≤ direct.
+// async-collective ≤ collective ≤ direct. At one-FS-block chunks the
+// CollectorAuto row is exactly a fixed group of 4 (4 blocks per collector
+// region), far below direct at the same chunk size.
 func TestTable3Findings(t *testing.T) {
 	r := result(t, "tab3", testScale)
-	if len(r.Rows) != 3 {
-		t.Fatalf("tab3 has %d rows, want 3", len(r.Rows))
+	if len(r.Rows) != 5 {
+		t.Fatalf("tab3 has %d rows, want 5", len(r.Rows))
 	}
 	const (
 		colOpens   = 2
@@ -76,5 +81,28 @@ func TestTable3Findings(t *testing.T) {
 	asyncR := cell(t, r, 2, colReadT)
 	if !(asyncR <= collR*1.001 && collR <= directR) {
 		t.Errorf("read times not ordered: async %.3f ≤ coll %.3f ≤ direct %.3f", asyncR, collR, directR)
+	}
+
+	// The auto row is a fixed group of 4, cell for cell.
+	writeT, readT, wst, rst := tab3Mode(ntasks, tab3Small, 4, true)
+	fixed := []string{r.Rows[4][0], kfmt(ntasks),
+		fmt.Sprintf("%d", wst.Opens+rst.Opens),
+		fmt.Sprintf("%d", wst.WriterTasks),
+		fmt.Sprintf("%d", wst.WriteRequests),
+		fmt.Sprintf("%.3f", writeT),
+		fmt.Sprintf("%d", rst.ReaderTasks),
+		fmt.Sprintf("%d", rst.ReadRequests),
+		fmt.Sprintf("%.3f", readT),
+	}
+	if fmt.Sprint(r.Rows[4]) != fmt.Sprint(fixed) {
+		t.Errorf("auto row %v, want the CollectorGroup 4 run %v", r.Rows[4], fixed)
+	}
+	if got := int(cell(t, r, 3, colWrTasks)); got != ntasks {
+		t.Errorf("direct 64k writer tasks = %d, want %d", got, ntasks)
+	}
+	for _, col := range []int{colOpens, colWrReqs, colRdReqs} {
+		if d, a := cell(t, r, 3, col), cell(t, r, 4, col); a*2 > d {
+			t.Errorf("column %d: auto %.0f not well below direct %.0f at 64k chunks", col, a, d)
+		}
 	}
 }

@@ -115,14 +115,13 @@ func (b *Breaker) Allow() bool {
 			b.state = HalfOpen
 		}
 		return false
-	case HalfOpen:
+	default: // HalfOpen
 		if b.probing {
 			return false
 		}
 		b.probing = true
 		return true
 	}
-	return true
 }
 
 // Success records a request that completed. In HalfOpen it is the probe

@@ -212,3 +212,13 @@ func TestBreakerFastPath(t *testing.T) {
 		t.Fatalf("Opens = %d, want 1", snap.Opens)
 	}
 }
+
+func TestBreakerStateString(t *testing.T) {
+	for s, want := range map[BreakerState]string{
+		Closed: "closed", Open: "open", HalfOpen: "half-open", BreakerState(7): "BreakerState(7)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", int(s), got, want)
+		}
+	}
+}

@@ -79,30 +79,15 @@ func Classify(err error) Class {
 	return ClassPermanent
 }
 
-// Budget bounds one logical operation's retries: how many attempts, how the
-// delay between them grows, and an optional total-time ceiling. The zero
-// value is usable and means "default small budget" (see the field docs).
-// A Budget is immutable in use; one value may drive any number of
-// concurrent Do calls.
+// Budget bounds one logical operation's retries. The zero value is usable
+// and means the default small budget. The delay schedule is fixed: the
+// first retry waits backoffBase, each later one backoffGrowth times longer
+// up to backoffCap, each spread by ±backoffJitter. A Budget is immutable
+// in use; one value may drive any number of concurrent Do calls.
 type Budget struct {
 	// MaxAttempts is the total number of tries including the first
 	// (default 4; 1 disables retries).
 	MaxAttempts int
-	// BaseDelay is the sleep before the first retry (default 2ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the grown delay (default 100ms).
-	MaxDelay time.Duration
-	// Multiplier grows the delay per retry (default 2).
-	Multiplier float64
-	// Jitter spreads each delay uniformly over [d·(1−J), d·(1+J)] to
-	// de-synchronize retrying clients (default 0.2; 0 disables — but note
-	// the zero value of Budget still gets 0.2 via defaults; set a negative
-	// Jitter for "explicitly none").
-	Jitter float64
-	// Total, when positive, caps the cumulative delay Do will spend
-	// sleeping for one logical operation; an attempt whose backoff would
-	// exceed it gives up instead.
-	Total time.Duration
 	// Seed makes the jitter stream deterministic. Two Do calls over equal
 	// Budgets replay identical delay schedules, which keeps simulated
 	// experiments bit-reproducible.
@@ -113,13 +98,16 @@ type Budget struct {
 	Sleep func(time.Duration)
 }
 
-// Default knobs for zero-valued Budget fields.
+// DefaultMaxAttempts is the attempt count of a Budget that sets none.
+const DefaultMaxAttempts = 4
+
+// The backoff schedule. Jitter spreads each delay d uniformly over
+// [d·(1−J), d·(1+J)] to de-synchronize retrying clients.
 const (
-	DefaultMaxAttempts = 4
-	DefaultBaseDelay   = 2 * time.Millisecond
-	DefaultMaxDelay    = 100 * time.Millisecond
-	DefaultMultiplier  = 2.0
-	DefaultJitter      = 0.2
+	backoffBase   = 2 * time.Millisecond
+	backoffCap    = 100 * time.Millisecond
+	backoffGrowth = 2.0
+	backoffJitter = 0.2
 )
 
 func (b Budget) maxAttempts() int {
@@ -127,39 +115,6 @@ func (b Budget) maxAttempts() int {
 		return DefaultMaxAttempts
 	}
 	return b.MaxAttempts
-}
-
-func (b Budget) baseDelay() time.Duration {
-	if b.BaseDelay <= 0 {
-		return DefaultBaseDelay
-	}
-	return b.BaseDelay
-}
-
-func (b Budget) maxDelay() time.Duration {
-	if b.MaxDelay <= 0 {
-		return DefaultMaxDelay
-	}
-	return b.MaxDelay
-}
-
-func (b Budget) multiplier() float64 {
-	if b.Multiplier <= 1 {
-		return DefaultMultiplier
-	}
-	return b.Multiplier
-}
-
-func (b Budget) jitter() float64 {
-	switch {
-	case b.Jitter < 0:
-		return 0
-	case b.Jitter == 0:
-		return DefaultJitter
-	case b.Jitter > 1:
-		return 1
-	}
-	return b.Jitter
 }
 
 // Counters tallies retry activity across any number of concurrent Do
@@ -223,49 +178,28 @@ func DoWhile(b Budget, ctrs *Counters, retryable func(error) bool, op func() err
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	maxAtt := b.maxAttempts()
-	delay := b.baseDelay()
-	var slept time.Duration
-	rng := b.Seed
-	var err error
-	attempts := 0
+	delay, rng := backoffBase, b.Seed
 	for attempt := 1; ; attempt++ {
-		attempts = attempt
-		err = op()
+		err := op()
 		if err == nil {
 			return nil
 		}
 		if !retryable(err) {
 			return err
 		}
-		if attempt >= maxAtt {
-			break
-		}
-		d := delay
-		if j := b.jitter(); j > 0 {
-			rng = splitmix64(rng)
-			// u in [-1, 1) from the low 52 bits.
-			u := float64(rng&((1<<52)-1))/float64(uint64(1)<<51) - 1
-			d = time.Duration(float64(d) * (1 + j*u))
-			if d <= 0 {
-				d = 1
+		if attempt >= b.maxAttempts() {
+			if ctrs != nil {
+				ctrs.GiveUps.Add(1)
 			}
+			return fmt.Errorf("resil: budget exhausted after %d attempts: %w", attempt, err)
 		}
-		if b.Total > 0 && slept+d > b.Total {
-			break
-		}
+		rng = splitmix64(rng)
+		// u in [-1, 1) from the low 52 bits.
+		u := float64(rng&((1<<52)-1))/float64(uint64(1)<<51) - 1
 		if ctrs != nil {
 			ctrs.Retries.Add(1)
 		}
-		sleep(d)
-		slept += d
-		delay = time.Duration(float64(delay) * b.multiplier())
-		if md := b.maxDelay(); delay > md {
-			delay = md
-		}
+		sleep(time.Duration(float64(delay) * (1 + backoffJitter*u)))
+		delay = min(time.Duration(float64(delay)*backoffGrowth), backoffCap)
 	}
-	if ctrs != nil {
-		ctrs.GiveUps.Add(1)
-	}
-	return fmt.Errorf("resil: budget exhausted after %d attempts: %w", attempts, err)
 }

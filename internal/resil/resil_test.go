@@ -56,6 +56,9 @@ func TestClassString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(c), got, want)
 		}
 	}
+	if got := Class(9).String(); got != "Class(9)" {
+		t.Errorf("Class(9).String() = %q", got)
+	}
 }
 
 // instrumentedSleep collects the backoff schedule instead of sleeping.
@@ -145,30 +148,6 @@ func TestDoCorruptErrorNotRetried(t *testing.T) {
 	}
 }
 
-func TestDoTotalDeadline(t *testing.T) {
-	var delays []time.Duration
-	var ctrs Counters
-	calls := 0
-	// Base 10ms doubling with 100 attempts allowed, but only 25ms total:
-	// sleeps 10ms, 20ms would breach 25ms → give up after 2 calls.
-	err := Do(Budget{
-		MaxAttempts: 100, BaseDelay: 10 * time.Millisecond, Jitter: -1,
-		Total: 25 * time.Millisecond, Sleep: instrumentedSleep(&delays),
-	}, &ctrs, func() error {
-		calls++
-		return fsio.ErrTransient
-	})
-	if err == nil {
-		t.Fatal("Do succeeded under permanent transient failure")
-	}
-	if calls != 2 || len(delays) != 1 || delays[0] != 10*time.Millisecond {
-		t.Fatalf("calls=%d delays=%v; want 2 calls, one 10ms delay", calls, delays)
-	}
-	if ctrs.GiveUps.Load() != 1 {
-		t.Fatalf("GiveUps = %d, want 1", ctrs.GiveUps.Load())
-	}
-}
-
 func TestDoJitterDeterministicFromSeed(t *testing.T) {
 	run := func(seed uint64) []time.Duration {
 		var delays []time.Duration
@@ -184,11 +163,30 @@ func TestDoJitterDeterministicFromSeed(t *testing.T) {
 	if fmt.Sprint(a) == fmt.Sprint(c) {
 		t.Fatalf("different seeds, identical schedules: %v", a)
 	}
-	// Delays stay within the configured cap (+jitter headroom).
-	for _, d := range a {
-		if d > time.Duration(float64(DefaultMaxDelay)*(1+DefaultJitter)) {
-			t.Fatalf("delay %v exceeds jittered cap", d)
+}
+
+// TestDoBackoffReachesCap: the delays double from backoffBase until
+// backoffCap stops them, and jitter never takes a delay past the cap's
+// +20 %.
+func TestDoBackoffReachesCap(t *testing.T) {
+	var delays []time.Duration
+	_ = Do(Budget{MaxAttempts: 10, Seed: 9, Sleep: instrumentedSleep(&delays)}, nil, func() error {
+		return fsio.ErrTransient
+	})
+	if len(delays) != 9 {
+		t.Fatalf("%d sleeps, want 9", len(delays))
+	}
+	nominal := backoffBase
+	for i, d := range delays {
+		if lo, hi := nominal*8/10, nominal*12/10; d < lo || d > hi {
+			t.Errorf("sleep %d = %v, want %v ± 20 %%", i, d, nominal)
 		}
+		if d > 120*time.Millisecond {
+			t.Errorf("sleep %d = %v exceeds 120ms", i, d)
+		}
+		// 2, 4, … 64 ms, then the cap: the last three sleeps sit at 100 ms,
+		// where uncapped growth would give 128, 256 and 512.
+		nominal = min(2*nominal, backoffCap)
 	}
 }
 
@@ -211,16 +209,12 @@ func TestDoWhileCustomPredicate(t *testing.T) {
 }
 
 func TestBudgetDefaults(t *testing.T) {
-	var b Budget
-	if b.maxAttempts() != DefaultMaxAttempts || b.baseDelay() != DefaultBaseDelay ||
-		b.maxDelay() != DefaultMaxDelay || b.multiplier() != DefaultMultiplier ||
-		b.jitter() != DefaultJitter {
-		t.Fatalf("zero Budget does not resolve to documented defaults")
+	for _, b := range []Budget{{}, {MaxAttempts: -1}} {
+		if b.maxAttempts() != DefaultMaxAttempts {
+			t.Errorf("%+v resolves to %d attempts, want DefaultMaxAttempts", b, b.maxAttempts())
+		}
 	}
-	if (Budget{Jitter: -1}).jitter() != 0 {
-		t.Fatalf("negative Jitter must disable jitter")
-	}
-	if (Budget{Jitter: 2}).jitter() != 1 {
-		t.Fatalf("Jitter must clamp to 1")
+	if (Budget{MaxAttempts: 1}).maxAttempts() != 1 {
+		t.Error("MaxAttempts 1 must disable retries")
 	}
 }
