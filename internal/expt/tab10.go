@@ -35,9 +35,9 @@ import (
 // The experiment asserts in-run (panicking on violation) that every arm
 // reads back each rank's exact payload — the backends hold logically
 // identical multifiles — and that the auto-tuned arm issues at most half
-// the object-store requests of the POSIX-tuned arm. tab10_test pins the
-// same bound at test scale; BenchmarkTable10Backends gates the request
-// total itself (lower-better) in CI.
+// the object-store requests of the POSIX-tuned arm. TestTable10Findings
+// pins the geometry the tuning picked, and TestGolden the request totals
+// at scale 16.
 const (
 	tab10Tasks   = 64
 	tab10Chunk   = int64(2) << 20 // two smallpart parts per task

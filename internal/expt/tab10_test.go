@@ -2,11 +2,11 @@ package expt
 
 import "testing"
 
-// TestTable10Findings asserts the backend auto-tuning claims on the
-// generated table. The hard guarantees — per-rank byte identity on every
+// TestTable10Findings asserts the backend auto-tuning claims Table10 does
+// not assert in-run. The hard guarantees — per-rank byte identity on every
 // arm and the ≥2× object-store request reduction — are asserted inside
-// Table10 itself (it panics), so this test pins the table's shape and
-// the geometry the tuning is supposed to have picked.
+// Table10 itself (it panics), so this test pins the table's shape and the
+// geometry the tuning is supposed to have picked.
 func TestTable10Findings(t *testing.T) {
 	r := result(t, "tab10", testScale)
 	if len(r.Rows) != 3 {
@@ -17,7 +17,6 @@ func TestTable10Findings(t *testing.T) {
 		colFSBlk  = 3
 		colRdReqs = 5
 		colCopies = 6
-		colTotal  = 7
 	)
 	// The auto arm's geometry must come from the capability descriptor:
 	// part-sized FS blocks (smallpart = 1 MiB) and the declared fanout.
@@ -43,12 +42,7 @@ func TestTable10Findings(t *testing.T) {
 		t.Errorf("auto-tuned objstore arm paid %.0f staged copies, want 0 (part-aligned chunks)", got)
 	}
 	// Unbuffered reads cost ~one GET per record; BufferAuto collapses
-	// them by orders of magnitude. Re-check the headline bound on the
-	// table (Table10 already panics if it fails).
-	tuned, auto := cell(t, r, 1, colTotal), cell(t, r, 2, colTotal)
-	if auto*2 > tuned {
-		t.Errorf("auto-tuned requests %.0f not ≥2× below POSIX-tuned %.0f", auto, tuned)
-	}
+	// them by orders of magnitude.
 	if rdTuned, rdAuto := cell(t, r, 1, colRdReqs), cell(t, r, 2, colRdReqs); rdAuto*10 > rdTuned {
 		t.Errorf("auto-tuned read GETs %.0f not well below unbuffered %.0f", rdAuto, rdTuned)
 	}

@@ -1,14 +1,12 @@
 package expt
 
 import (
-	"bytes"
 	"fmt"
-	"math"
-	"sort"
 
 	sion "repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/simfs"
+	"repro/internal/workload"
 )
 
 // Table 6 (extension): backend request reduction from the read-serving
@@ -23,183 +21,126 @@ import (
 // requests (arXiv:2411.18593), with the cache-and-broadcast amortization
 // of collective-buffering models (arXiv:0901.0134).
 //
-// Workload: one multifile written by tab6Writers tasks, then read by
-// tab6Clients sequential logical clients. Each client picks a rank from a
-// zipfian popularity distribution (a hot-set read pattern: the restart of
-// a popular checkpoint, a dashboard over fresh trace data), opens a
-// session, and reads a few random windows of that rank — verified
-// byte-for-byte against the written payload in every mode. The uncached
-// baseline gives every client its own OpenRank handle; the served modes
-// route all clients through one serve.Server with a large and a small
-// cache budget. simfs.FileStats counts every backend request.
+// Workload: one multifile written by zipfWriters tasks, then read by
+// tab6Clients sequential logical clients of workload.ZipfClients. Each
+// client picks a rank from a zipfian popularity distribution (a hot-set
+// read pattern: the restart of a popular checkpoint, a dashboard over
+// fresh trace data) and reads a few random windows of that rank;
+// workload.Replay checks every byte against the written payload. The
+// uncached stack gives every client its own OpenRank handle; the served
+// stacks route all clients through one serve.Server with a large and a
+// small cache budget. simfs.FileStats counts every backend request. It
+// asserts in-run that the large cache issues at least 10× and the small
+// one at least 2× fewer backend reads than the uncached stack.
 const (
-	tab6Writers  = 256
-	tab6Chunk    = int64(64) << 10 // one 64 KiB FS block per chunk
-	tab6NFiles   = 2
 	tab6Clients  = 2048
 	tab6CacheBig = int64(64) << 20
 	tab6CacheSml = int64(1) << 20 // 16 cache blocks: forces eviction churn
 )
 
-// tab6Rand is a deterministic LCG so the access pattern is identical
-// across modes and Go versions (math/rand's zipf stream is not pinned).
-type tab6Rand struct{ x uint64 }
-
-func (r *tab6Rand) next() uint64 {
-	r.x = r.x*6364136223846793005 + 1442695040888963407
-	return r.x >> 11
-}
-
-func (r *tab6Rand) float() float64 {
-	return float64(r.next()%(1<<52)) / float64(uint64(1)<<52)
-}
-
-// tab6Zipf samples ranks with popularity ∝ 1/(k+1)^1.2 via the cumulative
-// distribution.
-type tab6Zipf struct{ cum []float64 }
-
-func newTab6Zipf(n int) *tab6Zipf {
-	z := &tab6Zipf{cum: make([]float64, n)}
-	var total float64
-	for k := 0; k < n; k++ {
-		total += 1 / math.Pow(float64(k+1), 1.2)
-		z.cum[k] = total
-	}
-	for k := range z.cum {
-		z.cum[k] /= total
-	}
-	return z
-}
-
-func (z *tab6Zipf) sample(r *tab6Rand) int {
-	u := r.float()
-	return sort.SearchFloat64s(z.cum, u)
-}
-
-// The zipfian storms of tab6 and tab9 read the same windows per client.
+// The zipfian storms of tab6 and tab9 replay the same client shape, from
+// one seed, over a dump of zipfWriters tasks in 64 KiB chunks on tab3's
+// jugene.
 const (
-	zipfReads   = 4    // random windows per client
+	zipfWriters = 256
+	zipfChunk   = int64(64) << 10 // one 64 KiB FS block per chunk
+	zipfNFiles  = 2
+	zipfSeed    = uint64(0x5107a)
 	zipfReadLen = 2048 // bytes per window
+	zipfEvery   = 16   // every 16th client streams its whole rank
 )
 
-// zipfClient is client c of table tab's zipfian storm: a zipfian rank g,
-// zipfReads random windows of it (every 16th client additionally streams
-// the whole rank), every byte verified against taskPayload(g, size(g)).
-func zipfClient(tab string, c int, rng *tab6Rand, zipf *tab6Zipf, size func(g int) int, open func(g int) sion.LogicalReaderAt) {
-	g := zipf.sample(rng)
-	want := taskPayload(g, size(g))
-	h := open(g)
-	for i := 0; i < zipfReads; i++ {
-		off := int64(rng.next() % uint64(len(want)-zipfReadLen))
-		buf := make([]byte, zipfReadLen)
-		_, err := h.ReadLogicalAt(buf, off)
-		check(err == nil, "%s: client %d rank %d window at %d: %v", tab, c, g, off, err)
-		check(bytes.Equal(buf, want[off:off+zipfReadLen]), "%s: client %d rank %d window at %d: bytes differ", tab, c, g, off)
-	}
-	if c%16 == 0 {
-		buf := make([]byte, len(want))
-		_, err := h.ReadLogicalAt(buf, 0)
-		check(err == nil, "%s: client %d rank %d full stream: %v", tab, c, g, err)
-		check(bytes.Equal(buf, want), "%s: client %d rank %d: full stream differs", tab, c, g)
-	}
+// zipfDump builds a fresh machine holding the multifile name of nwriters
+// tasks, task g storing size(g) bytes, caches dropped; it returns the fs
+// and the write phase's counters.
+func zipfDump(name string, nwriters int, size func(g int) int) (*simfs.FS, simfs.FileStats) {
+	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab6"))
+	return fs, writeDump(fs, nwriters, name, &sion.Options{ChunkSize: zipfChunk, NFiles: zipfNFiles}, size)
 }
 
-// tab6Mode writes the multifile once per call and replays the identical
-// zipfian client sequence, uncached (cacheBytes 0: per-client OpenRank
-// handles) or through a serve.Server with the given cache budget. It
-// returns the read-phase request counters and, for served modes, the
-// server's own stats.
-func tab6Mode(nwriters, nclients int, cacheBytes int64) (rst simfs.FileStats, sst serve.Stats) {
-	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab6"))
-	wst := writeDump(fs, nwriters, "tab6.sion", &sion.Options{ChunkSize: tab6Chunk, NFiles: tab6NFiles},
-		func(g int) int { return payloadSize(tab6Chunk, g) })
+// stormRun is what one stack's replay of a storm cost.
+type stormRun struct {
+	reads  simfs.FileStats // read phase: opens and backend read requests
+	costs  []int64         // each client's backend read requests
+	counts workload.Counts // the stack's own counts
+}
 
-	// The clients run sequentially on unmetered views (the serving layer
-	// is a concurrent subsystem, not a set of vtime processes; tab6 proves
-	// the request-count claim, which is time-independent).
-	rng := &tab6Rand{x: 0x5107a}
-	zipf := newTab6Zipf(nwriters)
-	size := func(g int) int { return payloadSize(tab6Chunk, g) }
-	if cacheBytes == 0 {
-		for c := 0; c < nclients; c++ {
-			v := fs.View(nwriters+1+c, nil)
-			var h *sion.File
-			zipfClient("tab6", c, rng, zipf, size, func(g int) sion.LogicalReaderAt {
-				var err error
-				h, err = sion.OpenRank(v, "tab6.sion", g)
-				check(err == nil, "tab6: client %d: OpenRank(%d): %v", c, g, err)
-				return h
-			})
-			err := h.Close()
-			check(err == nil, "tab6: client %d: Close: %v", c, err)
-		}
-	} else {
-		srv, err := serve.New(fs.View(nwriters, nil), "tab6.sion", &serve.Config{CacheBytes: cacheBytes})
-		check(err == nil, "tab6: serve.New: %v", err)
-		for c := 0; c < nclients; c++ {
-			zipfClient("tab6", c, rng, zipf, size, func(g int) sion.LogicalReaderAt {
-				h, err := srv.Open(g)
-				check(err == nil, "tab6: client %d: Open(%d): %v", c, g, err)
-				return h
-			})
-		}
-		sst = srv.Stats()
-		err = srv.Close()
-		check(err == nil, "tab6: serve.Close: %v", err)
+// zipfReplay replays stream through st over the dump name on fs (wst its
+// write phase), with before(c), if not nil, ahead of each client c > 0.
+func zipfReplay(fs *simfs.FS, name string, wst simfs.FileStats, st workload.Stack, stream []workload.Request, size func(g int) int, before func(c int)) stormRun {
+	var run stormRun
+	prev := dumpStats(fs, name, zipfNFiles).ReadRequests
+	cost := func() {
+		now := dumpStats(fs, name, zipfNFiles).ReadRequests
+		run.costs = append(run.costs, now-prev)
+		prev = now
 	}
-	st := dumpStats(fs, "tab6.sion", tab6NFiles)
-	rst = simfs.FileStats{
-		Opens:        st.Opens - wst.Opens,
-		ReadRequests: st.ReadRequests - wst.ReadRequests,
-		ReaderTasks:  st.ReaderTasks,
-	}
-	return rst, sst
+	counts, err := workload.Replay(st, stream, func(g int) []byte { return taskPayload(g, size(g)) }, func(i int) {
+		if c := stream[i].Client; i > 0 && c != stream[i-1].Client {
+			cost()
+			if before != nil {
+				before(c)
+			}
+		}
+	})
+	check(err == nil, "%s: %v", name, err)
+	cost()
+	st1 := dumpStats(fs, name, zipfNFiles)
+	run.reads = simfs.FileStats{Opens: st1.Opens - wst.Opens, ReadRequests: st1.ReadRequests - wst.ReadRequests}
+	run.counts = counts
+	return run
 }
 
 // Table6 regenerates the read-serving table: the zipfian client workload
-// against per-handle uncached reads and against the serving subsystem
+// through per-handle uncached reads and through the serving subsystem
 // with a large and a deliberately tiny cache, with simfs request counters
-// proving the order-of-magnitude backend reduction and byte identity
-// asserted in-run for every mode.
+// proving the order-of-magnitude backend reduction.
 func Table6(scale int) *Result {
 	res := &Result{
 		Name:   "tab6",
 		Title:  "Table 6 (ext): read-serving subsystem (internal/serve), zipfian client workload, jugene, 64 KiB blocks",
 		Header: []string{"read mode", "writers", "clients", "opens", "rd reqs", "hit%", "redux"},
 	}
-	nwriters := scaleDown(tab6Writers, scale, 32)
+	nwriters := scaleDown(zipfWriters, scale, 32)
 	nclients := scaleDown(tab6Clients, scale, 256)
-
-	type mode struct {
-		label string
-		cache int64
+	size := func(g int) int { return payloadSize(zipfChunk, g) }
+	stream := workload.ZipfClients(zipfSeed, nwriters, nclients, zipfReadLen, zipfEvery, size)
+	row := func(label string, r stormRun, hit, redux string) {
+		res.Rows = append(res.Rows, []string{label, kfmt(nwriters), kfmt(nclients),
+			fmt.Sprintf("%d", r.reads.Opens), fmt.Sprintf("%d", r.reads.ReadRequests), hit, redux})
 	}
-	var baseline float64
-	for _, m := range []mode{
-		{"uncached", 0},
-		{fmt.Sprintf("served-%dMiB", tab6CacheBig>>20), tab6CacheBig},
-		{fmt.Sprintf("served-%dMiB", tab6CacheSml>>20), tab6CacheSml},
-	} {
-		rst, sst := tab6Mode(nwriters, nclients, m.cache)
-		hit, redux := "-", "1.0x"
-		if m.cache == 0 {
-			baseline = float64(rst.ReadRequests)
-		} else {
-			if lookups := sst.Hits + sst.Misses; lookups > 0 {
-				hit = fmt.Sprintf("%.1f", 100*float64(sst.Hits)/float64(lookups))
-			}
-			redux = fmt.Sprintf("%.1fx", baseline/float64(rst.ReadRequests))
+
+	// The clients run sequentially on unmetered views (the serving layer
+	// is a concurrent subsystem, not a set of vtime processes; tab6 proves
+	// the request-count claim, which is time-independent).
+	fs, wst := zipfDump("tab6.sion", nwriters, size)
+	uncached := workload.Stack{Open: func(c, g int) (sion.LogicalReaderAt, error) {
+		return sion.OpenRank(fs.View(nwriters+1+c, nil), "tab6.sion", g)
+	}}
+	base := zipfReplay(fs, "tab6.sion", wst, uncached, stream, size, nil)
+	row("uncached", base, "-", "1.0x")
+	for _, m := range []struct {
+		cache int64
+		bar   float64 // asserted minimum reduction
+	}{{tab6CacheBig, 10}, {tab6CacheSml, 2}} {
+		fs, wst := zipfDump("tab6.sion", nwriters, size)
+		srv, err := serve.New(fs.View(nwriters, nil), "tab6.sion", &serve.Config{CacheBytes: m.cache})
+		check(err == nil, "tab6: serve.New: %v", err)
+		r := zipfReplay(fs, "tab6.sion", wst, workload.Server(srv), stream, size, nil)
+		err = srv.Close()
+		check(err == nil, "tab6: serve.Close: %v", err)
+		hit := "-"
+		if lookups := r.counts.Hits + r.counts.Misses; lookups > 0 {
+			hit = fmt.Sprintf("%.1f", 100*float64(r.counts.Hits)/float64(lookups))
 		}
-		res.Rows = append(res.Rows, []string{
-			m.label, kfmt(nwriters), kfmt(nclients),
-			fmt.Sprintf("%d", rst.Opens),
-			fmt.Sprintf("%d", rst.ReadRequests),
-			hit, redux,
-		})
+		redux := float64(base.reads.ReadRequests) / float64(r.reads.ReadRequests)
+		check(redux >= m.bar, "tab6: a %d MiB cache reduced backend reads only %.1fx (%d vs %d uncached), want >= %.0fx",
+			m.cache>>20, redux, r.reads.ReadRequests, base.reads.ReadRequests, m.bar)
+		row(fmt.Sprintf("served-%dMiB", m.cache>>20), r, hit, fmt.Sprintf("%.1fx", redux))
 	}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("zipf(1.2) rank popularity; %d windows of %d B per client, every 16th client streams its whole rank; byte identity asserted in-run",
-			zipfReads, zipfReadLen),
+		fmt.Sprintf("zipf(1.2) rank popularity; %d windows of %d B per client, every %dth client streams its whole rank; byte identity asserted in-run",
+			workload.ZipfWindows, zipfReadLen, zipfEvery),
 		"uncached: every client pays its own OpenRank metadata walk plus one backend request per window",
 		"served: one layout snapshot at serve.New; misses fill the sharded block cache via dense span reads, so backend requests approach the distinct-block count of the working set",
 		"request counters are simfs.FileStats sums over both physical files; the client sequence is identical in every mode")

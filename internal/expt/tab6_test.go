@@ -1,19 +1,17 @@
 package expt
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestTable6Findings asserts the read-serving claims the experiment was
-// built to prove: on the zipfian client workload the served mode issues
-// at least 10× fewer backend read requests than uncached per-handle
-// reads (the acceptance bar), the tiny-cache mode still wins clearly,
-// the server performs a constant number of opens, and the zipfian reuse
-// shows up as a high cache hit rate. Byte identity of every served
-// window against the written payloads is asserted in-run by Table6
-// itself (zipfClient panics on a mismatch).
+// TestTable6Findings asserts the read-serving claims Table6 does not
+// assert in-run: the bigger cache reads no more than the tiny one, the
+// server performs a constant number of opens, and the zipfian reuse
+// shows up as a high cache hit rate. The ≥10× and ≥2× reductions and the
+// byte identity of every window are asserted in-run by Table6 itself.
 func TestTable6Findings(t *testing.T) {
 	r := result(t, "tab6", testScale)
 	if len(r.Rows) != 3 {
@@ -24,15 +22,8 @@ func TestTable6Findings(t *testing.T) {
 		colRdReqs = 4
 		colHit    = 5
 	)
-	uncached := cell(t, r, 0, colRdReqs)
 	servedBig := cell(t, r, 1, colRdReqs)
 	servedSml := cell(t, r, 2, colRdReqs)
-	if servedBig*10 > uncached {
-		t.Errorf("served (big cache) backend reads %.0f not ≥10× below uncached %.0f", servedBig, uncached)
-	}
-	if servedSml*2 > uncached {
-		t.Errorf("served (1 MiB cache) backend reads %.0f not ≥2× below uncached %.0f", servedSml, uncached)
-	}
 	if servedBig > servedSml {
 		t.Errorf("bigger cache issued more backend reads (%.0f) than the tiny one (%.0f)", servedBig, servedSml)
 	}
@@ -54,19 +45,12 @@ func TestTable6Findings(t *testing.T) {
 	}
 }
 
-// TestTable6Deterministic pins that the experiment is replayable: two
-// runs of the served mode produce identical request counters (the LCG
-// client sequence and the cache behavior are deterministic), so the
-// tab6 assertions cannot flake.
+// TestTable6Deterministic pins that the experiment is replayable: a
+// fresh run reproduces the table (the LCG client sequence and the cache
+// behavior are deterministic), so the tab6 assertions cannot flake.
 func TestTable6Deterministic(t *testing.T) {
-	nwriters := scaleDown(tab6Writers, testScale, 32)
-	nclients := scaleDown(tab6Clients, testScale, 256)
-	r1, s1 := tab6Mode(nwriters, nclients, tab6CacheBig)
-	r2, s2 := tab6Mode(nwriters, nclients, tab6CacheBig)
-	if r1 != r2 {
-		t.Fatalf("request counters differ between runs: %+v vs %+v", r1, r2)
-	}
-	if s1 != s2 {
-		t.Fatalf("server stats differ between runs: %+v vs %+v", s1, s2)
+	want := result(t, "tab6", testScale)
+	if got := Table6(testScale); !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("a second run differs:\n%v\nvs\n%v", got.Rows, want.Rows)
 	}
 }

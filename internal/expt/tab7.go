@@ -15,6 +15,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/simfs"
 	"repro/internal/vtime"
+	"repro/internal/workload"
 )
 
 // Table 7 (extension): checkpoint shipping over live multifiles — the
@@ -337,7 +338,7 @@ func tab7Reader(c, rc *mpi.Comm, fsA, fsB *simfs.FS, nw, nr, records int,
 func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64) {
 	const nw = tab7CrashRanks
 	for trial := 0; trial < trials; trial++ {
-		rng := &tab6Rand{x: 0x7AB7 + uint64(trial+1)*0x9E3779B97F4A7C15}
+		rng := workload.NewRand(0x7AB7 + uint64(trial+1)*0x9E3779B97F4A7C15)
 		salt := 1 + trial
 
 		// Pre-generate each rank's frames so the expected committed prefix
@@ -346,12 +347,12 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 		// partner slot's earlier frame-aligned commit.
 		frames := make([][][]byte, nw)
 		for w := 0; w < nw; w++ {
-			nrec := 4 + int(rng.next()%5)
+			nrec := 4 + int(rng.Next()%5)
 			for seq := 1; seq <= nrec; seq++ {
 				frames[w] = append(frames[w], tab7Frame(salt, w, seq))
 			}
 		}
-		inject := int64(3 + rng.next()%90)
+		inject := int64(3 + rng.Next()%90)
 
 		fs := simfs.New(simfs.Jugene())
 		fs.SetVolatileWrites(true)
@@ -401,7 +402,7 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 			// watermark sidecar (32-byte header, then a 64-byte slot pair per
 			// (rank, block); see internal/core watermark.go).
 			wname := sion.PhysicalNames("c.sion", 1)[0] + ".wmk"
-			cr, slot := int(rng.next())%nw, int64(rng.next())%2
+			cr, slot := int(rng.Next())%nw, int64(rng.Next())%2
 			wfh, err := v.OpenRW(wname)
 			check(err == nil, "tab7: trial %d: opening sidecar: %v", trial, err)
 			_, err = wfh.WriteAt([]byte{0xde, 0xad}, int64(32+cr*64)+slot*32+10)
@@ -413,7 +414,12 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 
 		tl, err := sion.LoadTailLayout(v, "c.sion")
 		check(err == nil, "tab7: trial %d: LoadTailLayout: %v", trial, err)
+		want := make([][]byte, nw)
+		var stream []workload.Request // each rank's committed bytes, one client each
 		for r := 0; r < nw; r++ {
+			for _, fr := range frames[r] {
+				want[r] = append(want[r], fr...)
+			}
 			committed := tl.Layout().RankSize(r)
 			valid := committed == 0
 			for _, a := range attempts[r] {
@@ -424,11 +430,7 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 			got := make([]byte, committed)
 			_, err := tl.ReadRankAt(r, got, 0)
 			check(err == nil, "tab7: trial %d rank %d: reading committed bytes: %v", trial, r, err)
-			var want []byte
-			for _, fr := range frames[r] {
-				want = append(want, fr...)
-			}
-			check(bytes.Equal(got, want[:committed]), "tab7: trial %d rank %d: committed bytes differ from source", trial, r)
+			check(bytes.Equal(got, want[r][:committed]), "tab7: trial %d rank %d: committed bytes differ from source", trial, r)
 			// Zero torn records: the committed prefix must parse into whole
 			// frames (parse panics on any malformed or truncated frame).
 			ck := &tab7Stream{w: r, pending: got, nextSeq: 1}
@@ -439,6 +441,9 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 				lostRanks++
 			}
 			recovered += committed
+			if committed > 0 {
+				stream = append(stream, workload.Request{Client: r, Rank: r, N: committed})
+			}
 		}
 		err = tl.Close()
 		check(err == nil, "tab7: trial %d: closing tail layout: %v", trial, err)
@@ -447,22 +452,10 @@ func tab7CrashPhase(trials int) (verified, torn, lostRanks int, recovered int64)
 		check(err == nil, "tab7: trial %d: Repair: %v", trial, err)
 		err = sion.Verify(v, "c.sion")
 		check(err == nil, "tab7: trial %d: Verify after Repair: %v", trial, err)
-		for r := 0; r < nw; r++ {
-			f, err := sion.OpenRank(v, "c.sion", r)
-			check(err == nil, "tab7: trial %d rank %d: OpenRank after Repair: %v", trial, r, err)
-			buf := make([]byte, f.LogicalSize())
-			if len(buf) > 0 {
-				_, err := f.ReadLogicalAt(buf, 0)
-				check(err == nil, "tab7: trial %d rank %d: reading repaired stream: %v", trial, r, err)
-			}
-			var want []byte
-			for _, fr := range frames[r] {
-				want = append(want, fr...)
-			}
-			check(bytes.Equal(buf, want[:len(buf)]), "tab7: trial %d rank %d: repaired bytes differ from source", trial, r)
-			err = f.Close()
-			check(err == nil, "tab7: trial %d rank %d: closing repaired stream: %v", trial, r, err)
-		}
+		// The repaired multifile reads back each rank's committed bytes.
+		uncached := workload.Stack{Open: func(_, r int) (sion.LogicalReaderAt, error) { return sion.OpenRank(v, "c.sion", r) }}
+		_, err = workload.Replay(uncached, stream, func(r int) []byte { return want[r] }, nil)
+		check(err == nil, "tab7: trial %d: reading the repaired multifile: %v", trial, err)
 		verified++
 	}
 	return verified, torn, lostRanks, recovered

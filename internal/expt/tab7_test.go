@@ -6,39 +6,24 @@ import (
 	"testing"
 )
 
-// TestTable7Findings asserts the streaming claims the experiment was
-// built to prove. The hard invariants — no torn records, lag under the
-// bound, byte identity of the shipped archive, committed totals the
-// writer actually attempted — are panics inside Table7 itself, so merely
-// completing is most of the assertion; this test additionally pins the
-// reported outcomes: the crash sweep covers at least the 100 injected
-// interleavings the acceptance bar demands and verifies every one, a
-// meaningful fraction of trials exercised the torn-sidecar path, and the
-// crash sweep actually destroyed data somewhere (otherwise it proves
-// nothing about recovery).
+// TestTable7Findings asserts the streaming claims Table7 does not assert
+// in-run. The hard invariants — no torn records, lag under the bound, byte
+// identity of the shipped archive, committed totals the writer actually
+// attempted — are panics inside Table7 itself; this test pins the reported
+// outcomes: the crash sweep covers at least the 100 injected interleavings
+// the acceptance bar demands (Table7 verifies every one), a meaningful fraction
+// of trials exercised the torn-sidecar path, and the crash sweep actually
+// destroyed data somewhere (otherwise it proves nothing about recovery).
 func TestTable7Findings(t *testing.T) {
 	r := result(t, "tab7", testScale)
 	if len(r.Rows) != 2 {
 		t.Fatalf("tab7 has %d rows, want 2", len(r.Rows))
 	}
 	const (
-		colTrials   = 3
-		colLag      = 5
-		colTorn     = 6
-		colVerified = 7
+		colTrials = 3
+		colTorn   = 6
 	)
-	stream, crash := r.Rows[0], r.Rows[1]
-
-	lag, err := strconv.Atoi(strings.TrimSpace(strings.Split(stream[colLag], "/")[0]))
-	if err != nil {
-		t.Fatalf("stream lag cell %q: %v", stream[colLag], err)
-	}
-	if lag > tab7LagBound {
-		t.Errorf("reader lag %d flush batches exceeds the bound %d", lag, tab7LagBound)
-	}
-	if stream[colVerified] != "identical" {
-		t.Errorf("stream archive not byte-identical: %q", stream[colVerified])
-	}
+	crash := r.Rows[1]
 
 	trials, err := strconv.Atoi(crash[colTrials])
 	if err != nil {
@@ -46,9 +31,6 @@ func TestTable7Findings(t *testing.T) {
 	}
 	if trials < 100 {
 		t.Errorf("crash sweep ran %d trials, acceptance demands ≥ 100", trials)
-	}
-	if crash[colVerified] != strconv.Itoa(trials)+"/"+strconv.Itoa(trials) {
-		t.Errorf("crash sweep verified %q of %d trials", crash[colVerified], trials)
 	}
 	torn, err := strconv.Atoi(strings.Fields(crash[colTorn])[0])
 	if err != nil {

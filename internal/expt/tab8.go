@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/resil"
 	"repro/internal/serve"
 	"repro/internal/simfs"
+	"repro/internal/workload"
 )
 
 // Table 8 (extension): transient-fault resilience under a seeded fault
@@ -24,13 +24,14 @@ import (
 // workloads. Four phases, every assertion checked in-run (panic on
 // violation), everything deterministic from tab8Seed:
 //
-//   - serve-storm: a zipfian client population (tab6's access pattern)
-//     reads a multifile through serve.Server while every backend read
-//     fails transiently with probability tab8ReadErr. Without retries the
-//     storm surfaces as failed requests; under the bounded backoff budget
-//     at least tab8SuccessFloor of requests succeed (in practice all of
-//     them), and every successful read is verified byte-identical to the
-//     written payload.
+//   - serve-storm: a zipfian client population (workload.ZipfClients,
+//     tab6's access pattern in one-block windows) reads a multifile
+//     through serve.Server while every backend read fails transiently
+//     with probability tab8ReadErr. Without retries the storm surfaces
+//     as failed requests; under the bounded backoff budget at least
+//     tab8SuccessFloor of requests succeed (in practice all of them), and
+//     every successful read is verified byte-identical to the written
+//     payload.
 //
 //   - writer-storm: tab8Writers vtime-metered ranks stream a watermarked
 //     multifile through resil-wrapped flaky views (write, sync, and
@@ -55,7 +56,6 @@ const (
 	tab8FSBlk   = int64(1) << 10
 	tab8NFiles  = 2
 	tab8Clients = 512
-	tab8Reads   = 4    // random windows per client
 	tab8ReadLen = 1024 // bytes per window: one cache block
 
 	tab8Seed     = 0x7ab80001
@@ -75,6 +75,16 @@ func tab8Budget(attempts int) *resil.Budget {
 	return &resil.Budget{MaxAttempts: attempts, Seed: tab8Seed, Sleep: func(time.Duration) {}}
 }
 
+// tab8Size is writer g's payload size in every phase.
+func tab8Size(g int) int { return payloadSize(tab8Chunk, g) }
+
+// tab8Read reads q through stack and checks its bytes. Each read is a replay
+// of its own, so a failed one ends only itself.
+func tab8Read(stack workload.Stack, q workload.Request) error {
+	_, err := workload.Replay(stack, []workload.Request{q}, func(g int) []byte { return taskPayload(g, tab8Size(g)) }, nil)
+	return err
+}
+
 // tab8Dump is a clean (un-injected) tab3 machine holding the multifile the
 // serve phases read, watermark-free. The in-file layout uses tab8FSBlk, and
 // the serve phases pin it as their cache block, so the client windows land
@@ -83,7 +93,7 @@ func tab8Dump(nwriters int) *simfs.FS {
 	fs := simfs.New(renamed(tab3Profile(), "jugene-64k-tab8"))
 	writeDump(fs, nwriters, "tab8.sion", &sion.Options{
 		ChunkSize: tab8Chunk, FSBlockSize: tab8FSBlk, NFiles: tab8NFiles,
-	}, func(g int) int { return payloadSize(tab8Chunk, g) })
+	}, tab8Size)
 	return fs
 }
 
@@ -106,26 +116,17 @@ func tab8ServeStorm(nwriters, nclients, attempts int, inject bool) (requests, ok
 	check(err == nil, "tab8: serve.New: %v", err)
 	fl.SetEnabled(inject)
 
-	rng := &tab6Rand{x: tab8Seed}
-	zipf := newTab6Zipf(nwriters)
-	for c := 0; c < nclients; c++ {
-		g := zipf.sample(rng)
-		want := taskPayload(g, payloadSize(tab8Chunk, g))
-		h, err := srv.Open(g)
-		check(err == nil, "tab8: client %d: Open(%d): %v", c, g, err)
-		for i := 0; i < tab8Reads; i++ {
-			off := int64(rng.next() % uint64(len(want)-tab8ReadLen))
-			buf := make([]byte, tab8ReadLen)
-			requests++
-			if _, err := h.ReadLogicalAt(buf, off); err != nil {
-				// Only a retry-exhausted transient fault is an acceptable
-				// failure under the storm; anything else is a bug.
-				check(resil.Classify(err) == resil.ClassTransient, "tab8: client %d rank %d: non-transient failure: %v", c, g, err)
-				continue
-			}
-			check(bytes.Equal(buf, want[off:off+tab8ReadLen]), "tab8: client %d rank %d window at %d: bytes differ under faults", c, g, off)
-			ok++
+	stack := workload.Server(srv)
+	for _, q := range workload.ZipfClients(tab8Seed, nwriters, nclients, tab8ReadLen, 0, tab8Size) {
+		requests++
+		if err := tab8Read(stack, q); err != nil {
+			// Only a retry-exhausted transient fault is an acceptable
+			// failure under the storm; anything else, a wrong byte
+			// included, is a bug.
+			check(resil.Classify(err) == resil.ClassTransient, "tab8: under faults: %v", err)
+			continue
 		}
+		ok++
 	}
 	st = srv.Stats()
 	injected = fl.Stats().Injected
@@ -163,7 +164,7 @@ func tab8WriterStorm(nwriters int) (flst simfs.FlakyStats, rst resil.CounterSnap
 			ChunkSize: tab8Chunk, FSBlockSize: tab8FSBlk, NFiles: tab8NFiles, Watermarks: true,
 		})
 		check(err == nil, "tab8: storm writer %d: ParOpen: %v", c.Rank(), err)
-		payload := taskPayload(c.Rank(), payloadSize(tab8Chunk, c.Rank()))
+		payload := taskPayload(c.Rank(), tab8Size(c.Rank()))
 		// Stream in four flush batches so the watermark machinery (sync +
 		// sidecar commit) runs inside the storm too.
 		for i := 0; i < 4; i++ {
@@ -181,17 +182,13 @@ func tab8WriterStorm(nwriters int) (flst simfs.FlakyStats, rst resil.CounterSnap
 	// Injection off: the multifile must read back byte-identically.
 	fl.SetEnabled(false)
 	v := fs.View(nwriters, nil)
-	for g := 0; g < nwriters; g++ {
-		h, err := sion.OpenRank(v, "storm.sion", g)
-		check(err == nil, "tab8: read-back OpenRank(%d): %v", g, err)
-		want := taskPayload(g, payloadSize(tab8Chunk, g))
-		got := make([]byte, len(want))
-		_, err = h.ReadLogicalAt(got, 0)
-		check(err == nil, "tab8: read-back rank %d: %v", g, err)
-		check(bytes.Equal(got, want), "tab8: rank %d differs after writer storm", g)
-		err = h.Close()
-		check(err == nil, "tab8: read-back close rank %d: %v", g, err)
+	stream := make([]workload.Request, nwriters)
+	for g := range stream {
+		stream[g] = workload.Request{Client: g, Rank: g, N: int64(tab8Size(g))}
 	}
+	uncached := workload.Stack{Open: func(_, g int) (sion.LogicalReaderAt, error) { return sion.OpenRank(v, "storm.sion", g) }}
+	_, err := workload.Replay(uncached, stream, func(g int) []byte { return taskPayload(g, tab8Size(g)) }, nil)
+	check(err == nil, "tab8: read-back after the writer storm: %v", err)
 	return fl.Stats(), ctrs.Snapshot()
 }
 
@@ -212,24 +209,20 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 	})
 	check(err == nil, "tab8: drill serve.New: %v", err)
 
-	read := func(g int, verify bool) error {
-		want := taskPayload(g, payloadSize(tab8Chunk, g))
-		h, err := srv.Open(g)
-		check(err == nil, "tab8: drill Open(%d): %v", g, err)
-		buf := make([]byte, len(want))
+	stack := workload.Server(srv)
+	read := func(g int) error {
 		requests++
-		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
-			return err
+		err := tab8Read(stack, workload.Request{Rank: g, N: int64(tab8Size(g))})
+		if err == nil {
+			ok++
 		}
-		check(!verify || bytes.Equal(buf, want), "tab8: drill rank %d: bytes differ", g)
-		ok++
-		return nil
+		return err
 	}
 	state := func() string { return srv.Health()[0].StateName }
 
 	// Warm rank 0 (physical file 0 under the contiguous mapping), then
 	// start a hard outage on that file.
-	err = read(0, true)
+	err = read(0)
 	check(err == nil, "tab8: drill warm read: %v", err)
 	phys := srv.Health()[0].Path
 	fl.SetRule(func(op fsio.Op) error {
@@ -242,7 +235,7 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 	// Uncached reads of a neighbor rank give up after retries; after
 	// tab8Threshold consecutive give-ups the circuit is open.
 	for i := 0; i < tab8Threshold; i++ {
-		err := read(1, false)
+		err := read(1)
 		check(err != nil, "tab8: drill outage read %d succeeded", i)
 		check(!errors.Is(err, serve.ErrDegraded), "tab8: drill degraded before the threshold (read %d)", i)
 	}
@@ -251,12 +244,12 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 	check(srv.Degraded(), "tab8: server does not report degraded with an open circuit")
 	// Open circuit: cache hits still serve byte-identically, misses fail
 	// fast with the typed error and burn no backend retries.
-	err = read(0, true)
+	err = read(0)
 	check(err == nil, "tab8: cached read with open circuit: %v", err)
 	retriesOpen := srv.Stats().Retries
 	fl.SetRule(nil) // the outage ends, but the circuit is still open
 	for tries := 0; state() != "half-open"; tries++ {
-		err := read(1, false)
+		err := read(1)
 		check(errors.Is(err, serve.ErrDegraded), "tab8: open-circuit read: %v, want ErrDegraded", err)
 		check(tries <= 2*tab8Cooldown, "tab8: cooldown never reached half-open")
 	}
@@ -264,12 +257,12 @@ func tab8BreakerDrill(nwriters int) (requests, ok int, st serve.Stats) {
 	check(r == retriesOpen, "tab8: retries advanced during fail-fast: %d -> %d", retriesOpen, r)
 	// The half-open probe succeeds and closes the circuit; full service
 	// is restored byte-identically.
-	err = read(1, true)
+	err = read(1)
 	check(err == nil, "tab8: half-open probe failed: %v", err)
 	s = state()
 	check(s == "closed", "tab8: after the probe the circuit is %q, want closed", s)
 	for g := 0; g < nwriters; g++ {
-		err := read(g, true)
+		err := read(g)
 		check(err == nil, "tab8: rank %d after recovery: %v", g, err)
 	}
 	st = srv.Stats()

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestTable9Findings asserts the serving-tier scale-out claims on the
-// generated table. The hard guarantees — byte identity in every mode
-// (including mid-churn), the ≥2× backend-read reduction, the bounded
+// TestTable9Findings asserts the serving-tier scale-out claims Table9
+// does not assert in-run. The hard guarantees — byte identity in every
+// mode (including mid-churn), the ≥2× backend-read reduction, the bounded
 // churn tail, and the exact replay — are asserted inside Table9 itself
-// (it panics), so this test mostly pins the table's shape and the
-// secondary signals.
+// (it panics), so this test pins the table's shape and the secondary
+// signals.
 func TestTable9Findings(t *testing.T) {
 	r := result(t, "tab9", testScale)
 	if len(r.Rows) != 4 {
@@ -20,15 +20,10 @@ func TestTable9Findings(t *testing.T) {
 		colRdReqs    = 3
 		colPeerFills = 4
 		colFailovers = 5
-		colP99       = 6
 		colRedux     = 7
 	)
 	ind := cell(t, r, 0, colRdReqs)
-	clu := cell(t, r, 1, colRdReqs)
 	chu := cell(t, r, 2, colRdReqs)
-	if clu*2 > ind {
-		t.Errorf("cluster backend reads %.0f not ≥2× below independent %.0f", clu, ind)
-	}
 	// Churn costs something (the departed node's cache is lost) but must
 	// stay the same order as the steady cluster — nowhere near the
 	// independent baseline.
@@ -50,14 +45,7 @@ func TestTable9Findings(t *testing.T) {
 			t.Errorf("row %d: %f failovers in a storm with no injected faults", row, fo)
 		}
 	}
-	// The bounded-tail claim, re-checked on the table.
-	if p99 := cell(t, r, 2, colP99); p99 > float64(tab9P99Bound) {
-		t.Errorf("churn p99 %.0f above bound %d", p99, tab9P99Bound)
-	}
-	// The replay row is literally identical to the steady cluster row.
-	if rep := cell(t, r, 3, colRdReqs); rep != clu {
-		t.Errorf("replay reads %.0f differ from cluster %.0f", rep, clu)
-	}
+	// The replay row is asserted identical to the steady cluster row in-run.
 	if got := r.Rows[3][colRedux]; got != "identical" {
 		t.Errorf("replay redux cell = %q, want \"identical\"", got)
 	}

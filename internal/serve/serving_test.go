@@ -3,6 +3,11 @@ package serve_test
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/constant"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,8 +20,8 @@ import (
 	sion "repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/serving.golden and testdata/ablation.golden from this run")
@@ -53,12 +58,6 @@ func (r *splitmix) logUniform(lo, hi int64) int64 {
 	return min(max(v, lo), hi)
 }
 
-// replayRequest is one logical read of a rank's stream.
-type replayRequest struct {
-	rank   int
-	off, n int64
-}
-
 // ladderSpec is one ladder workload's serving side (bench/spec.go),
 // restated: the dump's geometry, the request mix and the cache budget.
 type ladderSpec struct {
@@ -82,6 +81,70 @@ var ladderSpecs = []ladderSpec{
 	{"serve-cold", 16, 1 << 20, 256 << 10, 0, 4 << 10, 64 << 10, 2 << 20},
 }
 
+// TestLadderSpecsFollowBench parses bench/spec.go, read only, and checks
+// that ladderSpecs still restates each ladder workload: its rank skew,
+// request sizes and chunk size (ckpt-large's at a quarter), and its
+// cache's share of the data.
+func TestLadderSpecsFollowBench(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filepath.Join("..", "..", "bench", "spec.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench := map[string]map[string]constant.Value{} // workload → field → value
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || vs.Names[0].Name != "workloads" {
+			return true
+		}
+		for _, el := range vs.Values[0].(*ast.CompositeLit).Elts {
+			fields := map[string]constant.Value{}
+			for _, kv := range el.(*ast.CompositeLit).Elts {
+				kv := kv.(*ast.KeyValueExpr)
+				tv, err := types.Eval(fset, nil, token.NoPos, types.ExprString(kv.Value))
+				if err != nil {
+					t.Fatalf("bench/spec.go: %s: %v", kv.Key, err)
+				}
+				fields[kv.Key.(*ast.Ident).Name] = tv.Value
+			}
+			bench[constant.StringVal(fields["Name"])] = fields
+		}
+		return false
+	})
+	if len(bench) != len(ladderSpecs) {
+		t.Fatalf("bench/spec.go declares %d workloads, ladderSpecs %d", len(bench), len(ladderSpecs))
+	}
+	for _, sp := range ladderSpecs {
+		w, ok := bench[sp.name]
+		if !ok {
+			t.Errorf("bench/spec.go has no workload %s", sp.name)
+			continue
+		}
+		num := func(field string) float64 {
+			v, _ := constant.Float64Val(constant.ToFloat(w[field]))
+			return v
+		}
+		chunk := num("ChunkSize")
+		if sp.name == "ckpt-large" {
+			chunk /= 4
+		}
+		for _, c := range []struct {
+			field     string
+			got, want float64
+		}{
+			{"RankSkew", sp.skew, num("RankSkew")},
+			{"ReqMin", float64(sp.reqMin), num("ReqMin")},
+			{"ReqMax", float64(sp.reqMax), num("ReqMax")},
+			{"ChunkSize", float64(sp.chunk), chunk},
+			{"CacheBytes/DumpBytes", float64(sp.cache) / float64(int64(sp.tasks)*sp.perTask), num("CacheBytes") / (num("Tasks") * num("BytesPerTask"))},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: ladderSpecs has %s %v, bench/spec.go %v", sp.name, c.field, c.got, c.want)
+			}
+		}
+	}
+}
+
 // ladderRequests, ladderScan and ladderNodes are the replay's length, the
 // warm scan's window (bench/serving.go scanPiece) and the cluster's size.
 const (
@@ -92,7 +155,7 @@ const (
 
 // ladderStream is client 0's request stream under seed 1, as the ladder's
 // requestGen draws it.
-func ladderStream(sp ladderSpec) []replayRequest {
+func ladderStream(sp ladderSpec) []workload.Request {
 	r := ladderRNG(1, 3<<32)
 	var cum []float64
 	var perm []int
@@ -116,7 +179,7 @@ func ladderStream(sp ladderSpec) []replayRequest {
 			perm[i], perm[j] = perm[j], perm[i]
 		}
 	}
-	out := make([]replayRequest, ladderRequests)
+	out := make([]workload.Request, ladderRequests)
 	for i := range out {
 		var rank int
 		if cum != nil {
@@ -125,7 +188,7 @@ func ladderStream(sp ladderSpec) []replayRequest {
 			rank = int(r.intn(int64(sp.tasks)))
 		}
 		n := min(r.logUniform(sp.reqMin, sp.reqMax), sp.perTask)
-		out[i] = replayRequest{rank, r.intn(sp.perTask - n + 1), n}
+		out[i] = workload.Request{Rank: rank, Off: r.intn(sp.perTask - n + 1), N: n}
 	}
 	return out
 }
@@ -157,12 +220,12 @@ func (r *splitmix) zipfRank(n int, s float64) int {
 
 // uniformStream is serve-cold's request mix: uniform ranks, windows
 // log-uniform in 4–64 KiB at uniform offsets.
-func uniformStream(seed uint64) []replayRequest {
+func uniformStream(seed uint64) []workload.Request {
 	r := &splitmix{s: seed}
-	out := make([]replayRequest, admissionRequests)
+	out := make([]workload.Request, admissionRequests)
 	for i := range out {
 		n := r.logUniform(4<<10, 64<<10)
-		out[i] = replayRequest{int(r.intn(admissionRanks)), r.intn(admissionPerRank - n + 1), n}
+		out[i] = workload.Request{Rank: int(r.intn(admissionRanks)), Off: r.intn(admissionPerRank - n + 1), N: n}
 	}
 	return out
 }
@@ -171,12 +234,12 @@ func uniformStream(seed uint64) []replayRequest {
 // of zipf(1.1) popularity, windows log-uniform in 4–64 KiB at uniform
 // offsets. A full shard decides on each window's blocks by frequency, so
 // this stream is what admission exists for: its hot ranks should stay.
-func zipfLargeStream(seed uint64) []replayRequest {
+func zipfLargeStream(seed uint64) []workload.Request {
 	r := &splitmix{s: seed}
-	out := make([]replayRequest, admissionRequests)
+	out := make([]workload.Request, admissionRequests)
 	for i := range out {
 		n := r.logUniform(4<<10, 64<<10)
-		out[i] = replayRequest{r.zipfRank(admissionRanks, 1.1), r.intn(admissionPerRank - n + 1), n}
+		out[i] = workload.Request{Rank: r.zipfRank(admissionRanks, 1.1), Off: r.intn(admissionPerRank - n + 1), N: n}
 	}
 	return out
 }
@@ -184,27 +247,47 @@ func zipfLargeStream(seed uint64) []replayRequest {
 // zipfBurstStream is tab6's: clients of zipf(1.2)-popular ranks, each four
 // 2 KiB windows of its rank; every 16th client then streams the whole
 // rank in 64 KiB reads.
-func zipfBurstStream(seed uint64) []replayRequest {
+func zipfBurstStream(seed uint64) []workload.Request {
 	r := &splitmix{s: seed}
-	var out []replayRequest
+	var out []workload.Request
 	for c := 0; len(out) < admissionRequests; c++ {
 		rank := r.zipfRank(admissionRanks, 1.2)
 		for w := 0; w < 4; w++ {
-			out = append(out, replayRequest{rank, r.intn(admissionPerRank - 2048 + 1), 2048})
+			out = append(out, workload.Request{Rank: rank, Off: r.intn(admissionPerRank - 2048 + 1), N: 2048})
 		}
 		if c%16 == 15 {
 			for off := int64(0); off < admissionPerRank; off += 64 << 10 {
-				out = append(out, replayRequest{rank, off, 64 << 10})
+				out = append(out, workload.Request{Rank: rank, Off: off, N: 64 << 10})
 			}
 		}
 	}
 	return out[:admissionRequests]
 }
 
+// scanStream is the warm scan: every rank of tasks read whole, in
+// ladderScan windows.
+func scanStream(tasks int, perTask int64) []workload.Request {
+	var out []workload.Request
+	for g := 0; g < tasks; g++ {
+		for off := int64(0); off < perTask; off += ladderScan {
+			out = append(out, workload.Request{Rank: g, Off: off, N: min(ladderScan, perTask-off)})
+		}
+	}
+	return out
+}
+
 // writeReplayFile writes a one-file multifile of tasks ranks of perTask
-// bytes in chunks of chunk bytes on 4 KiB FS blocks.
-func writeReplayFile(t *testing.T, fsys fsio.FileSystem, name string, tasks int, perTask, chunk int64) {
+// bytes in chunks of chunk bytes on 4 KiB FS blocks, and returns what it
+// wrote: rank g's bytes.
+func writeReplayFile(t *testing.T, fsys fsio.FileSystem, name string, tasks int, perTask, chunk int64) func(g int) []byte {
 	t.Helper()
+	payload := make([][]byte, tasks)
+	for g := range payload {
+		payload[g] = make([]byte, perTask)
+		for i := range payload[g] {
+			payload[g][i] = byte(i*7 + g)
+		}
+	}
 	mpi.Run(tasks, func(c *mpi.Comm) {
 		f, err := sion.ParOpen(c, fsys, name, sion.WriteMode, &sion.Options{
 			ChunkSize: chunk, FSBlockSize: 4096, NFiles: 1,
@@ -213,11 +296,7 @@ func writeReplayFile(t *testing.T, fsys fsio.FileSystem, name string, tasks int,
 			t.Error(err)
 			return
 		}
-		p := make([]byte, perTask)
-		for i := range p {
-			p[i] = byte(i*7 + c.Rank())
-		}
-		if _, err := f.Write(p); err != nil {
+		if _, err := f.Write(payload[c.Rank()]); err != nil {
 			t.Error(err)
 		}
 		if err := f.Close(); err != nil {
@@ -227,126 +306,16 @@ func writeReplayFile(t *testing.T, fsys fsio.FileSystem, name string, tasks int,
 	if t.Failed() {
 		t.FailNow()
 	}
-}
-
-// replayCounts is what one stack did over a replayed stream.
-type replayCounts struct {
-	serve.Stats
-	runs, probes int64 // node calls; peer-fill Peeks
-}
-
-func (a replayCounts) sub(b replayCounts) replayCounts {
-	a.Hits -= b.Hits
-	a.Misses -= b.Misses
-	a.BackendReads -= b.BackendReads
-	a.BackendBytes -= b.BackendBytes
-	a.ServedBytes -= b.ServedBytes
-	a.Evictions -= b.Evictions
-	a.ReadAround -= b.ReadAround
-	a.PeerFills -= b.PeerFills
-	a.runs -= b.runs
-	a.probes -= b.probes
-	return a
-}
-
-func (a replayCounts) add(b replayCounts) replayCounts {
-	return a.sub(replayCounts{}.sub(b))
-}
-
-// countingReader counts the node calls a server's handles make: one per
-// physical piece of a window, the layout's pieces.
-type countingReader struct {
-	s *serve.Server
-	n int64
-}
-
-func (r *countingReader) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
-	r.n++
-	return r.s.ReadFileAt(file, p, off, sp)
-}
-
-// replayStack is one serving stack under replay: its handles and counts.
-type replayStack struct {
-	open   func(rank int) (*serve.Handle, error)
-	counts func() replayCounts
-}
-
-func serverStack(t *testing.T, fsys fsio.FileSystem, name string, cfg serve.Config, ablate func(*serve.Config)) replayStack {
-	ablate(&cfg)
-	s, err := serve.New(fsys, name, &cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	r := &countingReader{s: s}
-	return replayStack{
-		open:   func(rank int) (*serve.Handle, error) { return serve.NewHandle(s.Layout(), rank, r) },
-		counts: func() replayCounts { return replayCounts{Stats: s.Stats(), runs: r.n} },
-	}
-}
-
-func clusterStack(t *testing.T, cl *cluster.Cluster) replayStack {
-	return replayStack{
-		open: cl.Open,
-		counts: func() replayCounts {
-			st := cl.Stats()
-			return replayCounts{Stats: st.Serve, runs: st.Requests, probes: st.PeerProbes}
-		},
-	}
-}
-
-// replay reads stream through st's handles, after a warm scan of every
-// rank in ladderScan windows if scan is set, and returns what the stream
-// alone cost. Before request i it calls at(i), which may change the
-// stack's membership: the counts are then summed over the spans between
-// such calls, so a node that leaves keeps what it did.
-func replay(t *testing.T, st replayStack, ranks int, perRank int64, scan bool, stream []replayRequest, at func(i int) bool) replayCounts {
-	t.Helper()
-	handles := make([]*serve.Handle, ranks)
-	for g := range handles {
-		h, err := st.open(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[g] = h
-	}
-	p := make([]byte, max(ladderScan, 1<<20))
-	if scan {
-		for g := range handles {
-			for off := int64(0); off < perRank; off += ladderScan {
-				if _, err := handles[g].ReadLogicalAt(p[:min(ladderScan, perRank-off)], off); err != nil {
-					t.Fatalf("scan rank %d at %d: %v", g, off, err)
-				}
-			}
-		}
-	}
-	var total replayCounts
-	start := st.counts()
-	for i, q := range stream {
-		if at != nil {
-			end := st.counts()
-			if at(i) {
-				total = total.add(end.sub(start))
-				start = st.counts()
-			}
-		}
-		if _, err := handles[q.rank].ReadLogicalAt(p[:q.n], q.off); err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	end := st.counts()
-	total = total.add(end.sub(start))
-	total.CachedBytes = end.CachedBytes
-	return total
+	return func(g int) []byte { return payload[g] }
 }
 
 // servingRow formats one replayed stream's counts.
-func servingRow(workload, stack string, reqs int, c replayCounts) string {
+func servingRow(name, stack string, reqs int, c workload.Counts) string {
 	per1k := func(v int64) float64 { return float64(v) * 1000 / float64(reqs) }
 	return fmt.Sprintf("%-14s %-8s %6d %7.4f %8.1f %8.1f %8.1f %8.1f %7.1f %7.1f %9d %7.4f",
-		workload, stack, reqs, float64(c.Hits)/float64(c.Hits+c.Misses),
-		per1k(c.runs), per1k(c.BackendReads), per1k(c.Evictions), per1k(c.ReadAround),
-		per1k(c.probes), per1k(c.PeerFills), c.CachedBytes,
+		name, stack, reqs, float64(c.Hits)/float64(c.Hits+c.Misses),
+		per1k(c.Runs), per1k(c.BackendReads), per1k(c.Evictions), per1k(c.ReadAround),
+		per1k(c.Probes), per1k(c.PeerFills), c.CachedBytes,
 		float64(c.BackendBytes)/float64(c.ServedBytes))
 }
 
@@ -377,45 +346,62 @@ func servingTable(t *testing.T, ablate func(*serve.Config)) string {
 	fmt.Fprintf(&b, "%-14s %-8s %6s %7s %8s %8s %8s %8s %7s %7s %9s %7s\n",
 		"workload", "stack", "reqs", "hit", "runs/1k", "reads/1k", "evict/1k", "around/1k",
 		"probe/1k", "fill/1k", "resident", "B/B")
+	server := func(name string, cfg serve.Config) workload.Stack {
+		ablate(&cfg)
+		s, err := serve.New(fsys, name, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return workload.Server(s)
+	}
+	// measure reads scan and then stream through st, and returns what the
+	// stream alone cost.
+	measure := func(st workload.Stack, want func(int) []byte, scan, stream []workload.Request, at func(int)) workload.Counts {
+		if _, err := workload.Replay(st, scan, want, nil); err != nil {
+			t.Fatal(err)
+		}
+		c, err := workload.Replay(st, stream, want, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	for _, sp := range ladderSpecs {
 		name := sp.name + ".sion"
-		writeReplayFile(t, fsys, name, sp.tasks, sp.perTask, sp.chunk)
-		stream := ladderStream(sp)
-		row := func(stack string, st replayStack, at func(int) bool) {
-			c := replay(t, st, sp.tasks, sp.perTask, true, stream, at)
-			fmt.Fprintln(&b, servingRow(sp.name, stack, len(stream), c))
+		want := writeReplayFile(t, fsys, name, sp.tasks, sp.perTask, sp.chunk)
+		scan, stream := scanStream(sp.tasks, sp.perTask), ladderStream(sp)
+		row := func(stack string, st workload.Stack, at func(int)) {
+			fmt.Fprintln(&b, servingRow(sp.name, stack, len(stream), measure(st, want, scan, stream, at)))
 		}
-		row("server", serverStack(t, fsys, name, serve.Config{CacheBytes: sp.cache}, ablate), nil)
+		row("server", server(name, serve.Config{CacheBytes: sp.cache}), nil)
 		cl, _ := ladderCluster(t, fsys, name, sp.cache, ablate)
-		row("cluster", clusterStack(t, cl), nil)
+		row("cluster", workload.Cluster(cl), nil)
 		cl.Close()
 		// churn: n1 leaves a third of the way in and rejoins, empty, at two
 		// thirds; its granules move to their successors and back.
 		cl, join := ladderCluster(t, fsys, name, sp.cache, ablate)
-		row("churn", clusterStack(t, cl), func(i int) bool {
+		row("churn", workload.Cluster(cl), func(i int) {
 			switch i {
 			case len(stream) / 3:
 				if err := cl.Leave("n1"); err != nil {
 					t.Fatal(err)
 				}
-				return true
 			case 2 * len(stream) / 3:
 				join("n1")
-				return true
 			}
-			return false
 		})
 		cl.Close()
 		os.Remove(filepath.Join(dir, name))
 	}
-	writeReplayFile(t, fsys, "admission.sion", admissionRanks, admissionPerRank, admissionPerRank)
+	want := writeReplayFile(t, fsys, "admission.sion", admissionRanks, admissionPerRank, admissionPerRank)
 	for _, seed := range []uint64{41, 42} {
 		for _, s := range []struct {
 			name   string
-			stream []replayRequest
+			stream []workload.Request
 		}{{"uniform-", uniformStream(seed)}, {"zipf-large-", zipfLargeStream(seed)}, {"zipf-burst-", zipfBurstStream(seed)}} {
-			st := serverStack(t, fsys, "admission.sion", serve.Config{CacheBytes: admissionCache, Shards: 2}, ablate)
-			c := replay(t, st, admissionRanks, admissionPerRank, false, s.stream, nil)
+			st := server("admission.sion", serve.Config{CacheBytes: admissionCache, Shards: 2})
+			c := measure(st, want, nil, s.stream, nil)
 			fmt.Fprintln(&b, servingRow(fmt.Sprint(s.name, seed), "server", len(s.stream), c))
 		}
 	}
@@ -426,8 +412,9 @@ func servingTable(t *testing.T, ablate func(*serve.Config)) string {
 // each after a warm scan) through one server, a 3-node cluster splitting
 // its cache, and the same cluster with one node leaving and rejoining
 // mid-stream, and three seeded admission streams through a small server,
-// all sequentially on fsio.OS. It compares what each stack did with
-// testdata/serving.golden exactly: per 1k requests the block-lookup hit
+// all sequentially on fsio.OS through workload.Replay, which checks every
+// byte read against the payload written. It compares what each stack did
+// with testdata/serving.golden exactly: per 1k requests the block-lookup hit
 // ratio, runs (node calls; a server's are the layout's pieces), backend
 // reads, evictions, read-arounds, peer probes and peer fills; the bytes
 // resident at the end; and backend bytes per served byte. The counts

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -122,15 +123,43 @@ func TestNegativeAdvancePanics(t *testing.T) {
 	}
 }
 
+// TestDeadlockPanics blocks more processes than the diagnostic lists:
+// Run panics naming the first 16 ids only.
 func TestDeadlockPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("deadlocked Run did not panic")
+		msg, _ := recover().(string)
+		if want := "blocked ids (first 16): [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15]"; !strings.Contains(msg, want) {
+			t.Fatalf("deadlocked Run panicked with %q, want it to contain %q", msg, want)
 		}
 	}()
 	e := NewEngine()
-	e.Spawn(0, func(p *Proc) { p.Block() }) // nobody will wake it
+	for i := 0; i < 20; i++ {
+		e.Spawn(0, func(p *Proc) { p.Block() }) // nobody will wake them
+	}
 	e.Run()
+}
+
+// TestMisusePanics reaches each misuse check: waking a process that is
+// not blocked, and a negative service time on a Server.
+func TestMisusePanics(t *testing.T) {
+	panics := func(f func()) (ok bool) {
+		defer func() { ok = recover() != nil }()
+		f()
+		return false
+	}
+	s := NewServer("s")
+	e := NewEngine()
+	var wake, use bool
+	e.Spawn(0, func(p *Proc) {
+		wake = panics(func() { p.WakeAt(p, 1) })
+		use = panics(func() { s.Use(p, -1) })
+	})
+	e.Run()
+	for name, ok := range map[string]bool{"WakeAt on a running process": wake, "Use(-1)": use, "Reserve(0, -1)": panics(func() { s.Reserve(0, -1) })} {
+		if !ok {
+			t.Errorf("%s did not panic", name)
+		}
+	}
 }
 
 func TestSpawnFromRunningProc(t *testing.T) {
